@@ -10,12 +10,32 @@
 //!
 //! # Handshake
 //!
-//! The driver thread (the one inside [`Sim::run`]) pops the earliest event
-//! from a binary heap. For a `Wake` event it sends a resume token to the
-//! target process over an mpsc channel and then blocks until that process
-//! *yields* (parks on a primitive or exits). For a `Call` event it executes a
-//! boxed closure against the kernel state directly — resources use these as
-//! cancellable completion timers.
+//! Exactly one thread holds the *baton* at any moment: the driver (inside
+//! [`Sim::run_until`]) or one process thread. Whoever gives up control runs
+//! the scheduler itself — the driver when a run starts, a process when it
+//! parks or exits. Under the state lock it pops events in order, runs `Call`
+//! events inline (resources use these as cancellable completion timers) and
+//! skips stale wakes. The first live `Wake` decides where the baton goes:
+//!
+//! - a wake for the caller itself returns at once, with no thread switch;
+//! - a wake for a started process sets that process's baton flag and
+//!   `unpark`s its thread, and the caller parks on its own baton;
+//! - a wake for a process that has not started yet spawns its thread, which
+//!   begins holding the baton.
+//!
+//! The driver gets the baton back only when the queue is empty, the next
+//! event lies past the deadline, the run is shutting down, or a process
+//! panicked (its payload is stored and re-raised by `run_until`). A wake
+//! therefore costs at most one OS context switch instead of a round trip
+//! through the driver.
+//!
+//! # Process threads
+//!
+//! A process's body stays boxed in its record until its first live wake,
+//! so a process scheduled far in the future holds no thread. Exited
+//! threads are joined at the next thread start once they have finished,
+//! and the rest when the [`Sim`] drops. Bodies of processes that never
+//! started are dropped without running.
 //!
 //! # Wake generations
 //!
@@ -34,13 +54,13 @@
 
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::atomic::{self, AtomicBool};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, JoinHandle, Thread};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -87,21 +107,70 @@ impl Ord for Event {
     }
 }
 
+type Body = Box<dyn FnOnce(&ProcCtx) + Send>;
+
+/// The right to run the simulation: a flag plus the thread that waits for
+/// it (see the module docs). `give`'s `Release` store pairs with `wait`'s
+/// `Acquire` swap, so the new holder sees everything the old one did.
+/// No spinning before `park`: with simulator threads sharing a CPU, a
+/// spinning waiter only delays the holder it waits for.
+struct Baton {
+    held: AtomicBool,
+    /// Set once, by the thread itself before it can first wait.
+    thread: OnceLock<Thread>,
+}
+
+impl Baton {
+    fn new() -> Baton {
+        Baton {
+            held: AtomicBool::new(false),
+            thread: OnceLock::new(),
+        }
+    }
+
+    fn for_current_thread() -> Arc<Baton> {
+        let baton = Baton::new();
+        let _ = baton.thread.set(thread::current());
+        Arc::new(baton)
+    }
+
+    /// Hand the baton to its thread.
+    fn give(&self) {
+        self.held.store(true, atomic::Ordering::Release);
+        self.thread
+            .get()
+            .expect("a baton's thread registers before it can wait")
+            .unpark();
+    }
+
+    /// Block the calling thread until the baton is handed to it.
+    fn wait(&self) {
+        while !self.held.swap(false, atomic::Ordering::Acquire) {
+            thread::park();
+        }
+    }
+}
+
 struct ProcRec {
-    name: String,
-    resume_tx: Sender<()>,
+    name: Arc<str>,
     /// Park generation; incremented on every park.
     generation: u64,
     parked: bool,
     alive: bool,
+    /// The process body, until its first live wake starts the thread.
+    body: Option<Body>,
+    baton: Arc<Baton>,
+    thread: Option<JoinHandle<()>>,
 }
 
-enum YieldMsg {
-    Parked(ProcId),
-    Exited {
-        pid: ProcId,
-        panic: Option<Box<dyn Any + Send>>,
-    },
+/// Where the baton goes after a scheduling pass.
+enum Next {
+    /// The caller's own wake came up: it keeps running.
+    Caller,
+    /// A started process, or the driver.
+    Give(Arc<Baton>),
+    /// A process that has not started: its new thread begins holding it.
+    Start(ProcId, Body),
 }
 
 /// Mutable kernel state, guarded by a single mutex. Lock ordering throughout
@@ -109,18 +178,73 @@ enum YieldMsg {
 pub(crate) struct SimState {
     pub(crate) now: SimTime,
     seq: u64,
-    next_pid: u64,
     queue: BinaryHeap<Event>,
-    procs: HashMap<ProcId, ProcRec>,
+    /// Indexed by `ProcId.0`.
+    procs: Vec<ProcRec>,
     pub(crate) shutdown: bool,
     pub(crate) rng: StdRng,
     /// Events popped and executed so far (wakes + calls, stale wakes
     /// included). The scale harness divides this by wall time to report
     /// kernel throughput.
     executed: u64,
+    /// Events later than this stay queued (the current `run_until` bound).
+    deadline: SimTime,
+    /// The baton of the thread driving the run.
+    driver: Arc<Baton>,
+    /// The first non-shutdown panic of a process, for `run_until` to re-raise.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Exited processes whose threads are not joined yet.
+    exited: Vec<ProcId>,
 }
 
 impl SimState {
+    fn proc_mut(&mut self, pid: ProcId) -> &mut ProcRec {
+        &mut self.procs[pid.0 as usize]
+    }
+
+    /// The driver's baton, re-registered if another thread now drives.
+    fn driver_baton(&mut self) -> Arc<Baton> {
+        let current = thread::current().id();
+        if self.driver.thread.get().map(Thread::id) != Some(current) {
+            self.driver = Baton::for_current_thread();
+        }
+        Arc::clone(&self.driver)
+    }
+
+    /// Execute events until one decides who holds the baton next; `caller`
+    /// is the parking process, if any (see the module docs).
+    fn next_holder(&mut self, caller: Option<ProcId>) -> Next {
+        loop {
+            if self.shutdown || self.panic.is_some() {
+                return Next::Give(Arc::clone(&self.driver));
+            }
+            match self.queue.peek() {
+                Some(ev) if ev.time <= self.deadline => {}
+                _ => return Next::Give(Arc::clone(&self.driver)),
+            }
+            let ev = self.queue.pop().expect("peeked");
+            self.now = self.now.max(ev.time);
+            self.executed += 1;
+            match ev.kind {
+                EventKind::Call(f) => f(self),
+                EventKind::Wake { pid, generation } => {
+                    let rec = self.proc_mut(pid);
+                    if !(rec.alive && rec.parked && rec.generation == generation) {
+                        continue; // stale wake
+                    }
+                    rec.parked = false;
+                    if caller == Some(pid) {
+                        return Next::Caller;
+                    }
+                    return match rec.body.take() {
+                        Some(body) => Next::Start(pid, body),
+                        None => Next::Give(Arc::clone(&rec.baton)),
+                    };
+                }
+            }
+        }
+    }
+
     pub(crate) fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -138,7 +262,7 @@ impl SimState {
     /// Mark `pid` as about to park and return the generation a waker must
     /// present to resume it.
     pub(crate) fn begin_park(&mut self, pid: ProcId) -> u64 {
-        let rec = self.procs.get_mut(&pid).expect("begin_park: unknown pid");
+        let rec = self.proc_mut(pid);
         rec.generation += 1;
         rec.parked = true;
         rec.generation
@@ -147,12 +271,74 @@ impl SimState {
 
 pub(crate) struct Shared {
     pub(crate) state: Mutex<SimState>,
-    yield_tx: Sender<YieldMsg>,
-    handles: Mutex<Vec<(ProcId, JoinHandle<()>)>>,
     /// Per-simulation telemetry registry (disabled by default). Lives
     /// outside the state mutex: recording must never contend with the
     /// scheduler.
     telemetry: Arc<Telemetry>,
+}
+
+impl Shared {
+    /// Run the scheduler as the baton holder and pass the baton on. Returns
+    /// `true` if `caller`'s own wake came up, so it keeps the baton.
+    fn pass_baton(
+        self: &Arc<Self>,
+        mut st: MutexGuard<'_, SimState>,
+        caller: Option<ProcId>,
+    ) -> bool {
+        match st.next_holder(caller) {
+            Next::Caller => return true,
+            Next::Give(baton) => {
+                drop(st);
+                baton.give();
+            }
+            Next::Start(pid, body) => {
+                let finished = self.start_thread(&mut st, pid, body);
+                drop(st);
+                for handle in finished {
+                    let _ = handle.join();
+                }
+            }
+        }
+        false
+    }
+
+    /// Spawn `pid`'s thread, which begins holding the baton, and hand back
+    /// the exited threads that have finished, for the caller to join.
+    fn start_thread(
+        self: &Arc<Self>,
+        st: &mut SimState,
+        pid: ProcId,
+        body: Body,
+    ) -> Vec<JoinHandle<()>> {
+        let mut finished = Vec::new();
+        let procs = &mut st.procs;
+        st.exited.retain(|p| {
+            let slot = &mut procs[p.0 as usize].thread;
+            if slot.as_ref().is_some_and(JoinHandle::is_finished) {
+                finished.extend(slot.take());
+                false
+            } else {
+                true
+            }
+        });
+        let rec = st.proc_mut(pid);
+        let ctx = ProcCtx {
+            pid,
+            name: Arc::clone(&rec.name),
+            shared: Arc::clone(self),
+            baton: Arc::clone(&rec.baton),
+        };
+        let handle = thread::Builder::new()
+            .name(format!("sim-{}-{}", pid.0, rec.name))
+            .spawn(move || {
+                let _ = ctx.baton.thread.set(thread::current());
+                let panic = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx))).err();
+                ctx.exit(panic);
+            })
+            .expect("failed to spawn simulation process thread");
+        rec.thread = Some(handle);
+        finished
+    }
 }
 
 /// A deterministic discrete-event simulation.
@@ -174,29 +360,28 @@ pub(crate) struct Shared {
 /// ```
 pub struct Sim {
     pub(crate) shared: Arc<Shared>,
-    yield_rx: Receiver<YieldMsg>,
 }
 
 impl Sim {
     /// Create a simulation whose internal RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Sim {
-        let (yield_tx, yield_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             state: Mutex::new(SimState {
                 now: SimTime::ZERO,
                 seq: 0,
-                next_pid: 0,
                 queue: BinaryHeap::new(),
-                procs: HashMap::new(),
+                procs: Vec::new(),
                 shutdown: false,
                 rng: StdRng::seed_from_u64(seed),
                 executed: 0,
+                deadline: SimTime::MAX,
+                driver: Baton::for_current_thread(),
+                panic: None,
+                exited: Vec::new(),
             }),
-            yield_tx,
-            handles: Mutex::new(Vec::new()),
             telemetry: Arc::new(Telemetry::new()),
         });
-        Sim { shared, yield_rx }
+        Sim { shared }
     }
 
     /// This simulation's telemetry registry (disabled until
@@ -242,82 +427,20 @@ impl Sim {
 
     /// Run events with `time <= deadline`; later events stay queued.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            let next = {
-                let mut st = self.shared.state.lock();
-                match st.queue.peek() {
-                    Some(ev) if ev.time <= deadline => {
-                        let ev = st.queue.pop().expect("peeked");
-                        st.now = st.now.max(ev.time);
-                        st.executed += 1;
-                        Some(ev)
-                    }
-                    _ => None,
-                }
-            };
-            let Some(ev) = next else { break };
-            match ev.kind {
-                EventKind::Call(f) => {
-                    let mut st = self.shared.state.lock();
-                    f(&mut st);
-                }
-                EventKind::Wake { pid, generation } => {
-                    let resume = {
-                        let st = self.shared.state.lock();
-                        match st.procs.get(&pid) {
-                            Some(rec)
-                                if rec.alive && rec.parked && rec.generation == generation =>
-                            {
-                                Some(rec.resume_tx.clone())
-                            }
-                            _ => None, // stale wake
-                        }
-                    };
-                    if let Some(tx) = resume {
-                        self.resume_and_wait(pid, &tx);
-                    }
-                }
-            }
-        }
-        self.now()
-    }
-
-    /// Resume `pid` and block the driver until it parks again or exits.
-    fn resume_and_wait(&mut self, pid: ProcId, tx: &Sender<()>) {
-        {
+        let driver = {
             let mut st = self.shared.state.lock();
-            if let Some(rec) = st.procs.get_mut(&pid) {
-                rec.parked = false;
-            }
+            st.deadline = deadline;
+            let driver = st.driver_baton();
+            self.shared.pass_baton(st, None);
+            driver
+        };
+        driver.wait();
+        let mut st = self.shared.state.lock();
+        if let Some(payload) = st.panic.take() {
+            drop(st);
+            panic::resume_unwind(payload);
         }
-        if tx.send(()).is_err() {
-            // Thread already gone; treat as exited.
-            let mut st = self.shared.state.lock();
-            if let Some(rec) = st.procs.get_mut(&pid) {
-                rec.alive = false;
-            }
-            return;
-        }
-        match self.yield_rx.recv() {
-            Ok(YieldMsg::Parked(p)) => {
-                debug_assert_eq!(p, pid, "only the resumed process may yield");
-            }
-            Ok(YieldMsg::Exited { pid: p, panic }) => {
-                {
-                    let mut st = self.shared.state.lock();
-                    if let Some(rec) = st.procs.get_mut(&p) {
-                        rec.alive = false;
-                        rec.parked = false;
-                    }
-                }
-                if let Some(payload) = panic {
-                    if !payload.is::<ShutdownSignal>() {
-                        panic::resume_unwind(payload);
-                    }
-                }
-            }
-            Err(_) => {} // all senders gone; nothing left to wait for
-        }
+        st.now
     }
 
     /// Total kernel events executed so far (process wakes and call timers).
@@ -330,9 +453,9 @@ impl Sim {
     pub fn blocked_processes(&self) -> Vec<String> {
         let st = self.shared.state.lock();
         st.procs
-            .values()
+            .iter()
             .filter(|r| r.alive)
-            .map(|r| r.name.clone())
+            .map(|r| r.name.to_string())
             .collect()
     }
 }
@@ -340,93 +463,71 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         // Raise the shutdown flag, then resume every parked process one at a
-        // time so each can unwind via ShutdownSignal.
-        let pids: Vec<(ProcId, Sender<()>)> = {
+        // time so each can unwind via ShutdownSignal. Processes spawned while
+        // others unwind are visited too, since the slab only grows.
+        let driver = {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
             st.queue.clear();
+            st.driver_baton()
+        };
+        let mut idx = 0;
+        let mut resumes = 0;
+        loop {
+            let mut st = self.shared.state.lock();
+            let Some(rec) = st.procs.get_mut(idx) else {
+                break;
+            };
+            // A process may park a bounded number of times while unwinding.
+            if !(rec.alive && rec.parked) || resumes == 64 {
+                idx += 1;
+                resumes = 0;
+                continue;
+            }
+            rec.parked = false;
+            if let Some(body) = rec.body.take() {
+                // Never started: drop what it captured without running it.
+                rec.alive = false;
+                drop(st);
+                drop(body);
+                continue;
+            }
+            resumes += 1;
+            let baton = Arc::clone(&rec.baton);
+            drop(st);
+            baton.give();
+            driver.wait();
+        }
+        let threads: Vec<JoinHandle<()>> = {
+            let mut st = self.shared.state.lock();
             st.procs
-                .iter()
-                .filter(|(_, r)| r.alive)
-                .map(|(pid, r)| (*pid, r.resume_tx.clone()))
+                .iter_mut()
+                .filter_map(|r| r.thread.take())
                 .collect()
         };
-        for (pid, tx) in pids {
-            // A process may park a bounded number of times while unwinding.
-            for _ in 0..64 {
-                let alive_parked = {
-                    let st = self.shared.state.lock();
-                    st.procs
-                        .get(&pid)
-                        .map(|r| r.alive && r.parked)
-                        .unwrap_or(false)
-                };
-                if !alive_parked {
-                    break;
-                }
-                self.resume_and_wait(pid, &tx);
-            }
-        }
-        let handles = std::mem::take(&mut *self.shared.handles.lock());
-        for (_, h) in handles {
-            let _ = h.join();
+        for handle in threads {
+            let _ = handle.join();
         }
     }
 }
 
-fn spawn_inner<F>(shared: &Arc<Shared>, name: &str, at: SimTime, f: F) -> ProcId
+fn spawn_inner<F>(shared: &Shared, name: &str, at: SimTime, f: F) -> ProcId
 where
     F: FnOnce(&ProcCtx) + Send + 'static,
 {
-    let (resume_tx, resume_rx) = mpsc::channel();
-    let pid;
-    {
-        let mut st = shared.state.lock();
-        pid = ProcId(st.next_pid);
-        st.next_pid += 1;
-        st.procs.insert(
-            pid,
-            ProcRec {
-                name: name.to_string(),
-                resume_tx,
-                generation: 0,
-                parked: true, // parked on its initial resume
-                alive: true,
-            },
-        );
-        let at = at.max(st.now);
-        st.schedule_wake(at, pid, 0);
-    }
-    let ctx = ProcCtx {
-        pid,
+    let mut st = shared.state.lock();
+    let pid = ProcId(st.procs.len() as u64);
+    st.procs.push(ProcRec {
         name: Arc::from(name),
-        shared: Arc::clone(shared),
-        yield_tx: shared.yield_tx.clone(),
-        resume_rx,
-    };
-    let yield_tx = shared.yield_tx.clone();
-    let thread_name = format!("sim-{}-{}", pid.0, name);
-    let handle = std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            // Wait for the first resume.
-            if ctx.resume_rx.recv().is_err() {
-                return;
-            }
-            // Shutdown may already have been requested before we first ran.
-            let early_shutdown = ctx.shared.state.lock().shutdown;
-            let panic_payload = if early_shutdown {
-                None
-            } else {
-                panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))).err()
-            };
-            let _ = yield_tx.send(YieldMsg::Exited {
-                pid,
-                panic: panic_payload,
-            });
-        })
-        .expect("failed to spawn simulation process thread");
-    shared.handles.lock().push((pid, handle));
+        generation: 0,
+        parked: true, // parked on its initial wake
+        alive: true,
+        body: Some(Box::new(f)),
+        baton: Arc::new(Baton::new()),
+        thread: None,
+    });
+    let at = at.max(st.now);
+    st.schedule_wake(at, pid, 0);
     pid
 }
 
@@ -495,14 +596,13 @@ impl Sim {
 }
 
 /// Handle a simulated process uses to interact with virtual time and the
-/// kernel. Not `Clone`: it owns the process's resume endpoint and must stay
-/// on the process's thread.
+/// kernel. Not `Clone`: it owns the process's baton and must stay on the
+/// process's thread.
 pub struct ProcCtx {
     pub(crate) pid: ProcId,
     name: Arc<str>,
     pub(crate) shared: Arc<Shared>,
-    yield_tx: Sender<YieldMsg>,
-    resume_rx: Receiver<()>,
+    baton: Arc<Baton>,
 }
 
 impl ProcCtx {
@@ -575,7 +675,7 @@ impl ProcCtx {
         self.shared.state.lock()
     }
 
-    /// Yield to the driver after having registered a park (via
+    /// Pass the baton on after having registered a park (via
     /// [`SimState::begin_park`]) and return once resumed. Panics with
     /// [`ShutdownSignal`] if the simulation is shutting down.
     pub(crate) fn yield_parked(&self) {
@@ -584,15 +684,33 @@ impl ProcCtx {
         }
     }
 
-    /// Yield to the driver; returns `true` if the simulation is shutting
-    /// down (the caller is responsible for unwinding or returning cleanly).
+    /// Pass the baton on and wait for it; returns `true` if the simulation
+    /// is shutting down (the caller is responsible for unwinding or
+    /// returning cleanly).
     pub(crate) fn yield_parked_impl(&self) -> bool {
-        let _ = self.yield_tx.send(YieldMsg::Parked(self.pid));
-        if self.resume_rx.recv().is_err() {
-            // Driver is gone entirely; report shutdown.
-            return true;
+        if self.shared.pass_baton(self.lock_state(), Some(self.pid)) {
+            // Our own wake came up; during shutdown the baton always goes
+            // to the driver, so this is never a shutdown resume.
+            return false;
         }
-        self.shared.state.lock().shutdown
+        self.baton.wait();
+        self.lock_state().shutdown
+    }
+
+    /// Record this process's exit (and panic, if any) and pass the baton on
+    /// for the last time.
+    fn exit(&self, panic: Option<Box<dyn Any + Send>>) {
+        let mut st = self.lock_state();
+        let rec = st.proc_mut(self.pid);
+        rec.alive = false;
+        rec.parked = false;
+        st.exited.push(self.pid);
+        if let Some(payload) = panic {
+            if !payload.is::<ShutdownSignal>() && st.panic.is_none() {
+                st.panic = Some(payload);
+            }
+        }
+        self.shared.pass_baton(st, None);
     }
 }
 
@@ -703,5 +821,119 @@ mod tests {
         };
         assert_eq!(sample(7), sample(7));
         assert_ne!(sample(7), sample(8));
+    }
+
+    #[test]
+    fn lone_sleeper_wakes_itself_without_losing_events() {
+        let mut sim = Sim::new(1);
+        sim.spawn("sleeper", |ctx| {
+            for _ in 0..10_000 {
+                ctx.sleep(Dur::from_micros(1));
+            }
+        });
+        let end = sim.run();
+        // One start wake plus one wake per sleep.
+        assert_eq!(sim.events_executed(), 10_001);
+        assert_eq!(end, SimTime::ZERO + Dur::from_millis(10));
+    }
+
+    #[test]
+    fn repeated_run_until_stops_at_each_deadline_and_resumes() {
+        let mut sim = Sim::new(1);
+        let hits = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let h = hits.clone();
+        sim.spawn("ticker", move |ctx| {
+            for _ in 0..5 {
+                ctx.sleep(Dur::from_secs(1));
+                h.lock().push(ctx.now());
+            }
+        });
+        for k in 0..5u64 {
+            let deadline = SimTime::ZERO + Dur::from_millis(1000 * k + 500);
+            assert_eq!(sim.run_until(deadline), SimTime::ZERO + Dur::from_secs(k));
+            assert_eq!(hits.lock().len() as u64, k);
+            assert_eq!(sim.events_executed(), k + 1);
+        }
+        sim.run();
+        let want: Vec<SimTime> = (1..=5).map(|s| SimTime::ZERO + Dur::from_secs(s)).collect();
+        assert_eq!(*hits.lock(), want);
+    }
+
+    #[test]
+    fn panic_on_first_wake_propagates_and_drop_does_not_hang() {
+        let mut sim = Sim::new(1);
+        let (_tx, rx) = sim.channel::<u8>();
+        let rx2 = rx.clone();
+        sim.spawn("recv", move |ctx| assert!(rx.recv(ctx).is_none()));
+        sim.spawn("recv-timeout", move |ctx| {
+            let _ = rx2.recv_timeout(ctx, Dur::from_secs(3600));
+        });
+        sim.spawn_at("bad", SimTime::ZERO + Dur::from_secs(1), |_ctx| {
+            panic!("boom")
+        });
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the process panic must reach the driver");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(sim.blocked_processes().len(), 2);
+        drop(sim); // must shut down both parked receivers
+    }
+
+    #[test]
+    fn dropping_unstarted_processes_drops_their_bodies_unrun() {
+        struct Counted(std::sync::Arc<std::sync::atomic::AtomicU32>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, atomic::Ordering::SeqCst);
+            }
+        }
+        let dropped = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let ran = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let mut sim = Sim::new(1);
+        for i in 0..3 {
+            let c = Counted(dropped.clone());
+            let r = ran.clone();
+            let at = SimTime::ZERO + Dur::from_secs(10 + i);
+            sim.spawn_at(&format!("later{i}"), at, move |_ctx| {
+                let _keep = &c;
+                r.fetch_add(1, atomic::Ordering::SeqCst);
+            });
+        }
+        sim.run_until(SimTime::ZERO + Dur::from_secs(1));
+        assert_eq!(dropped.load(atomic::Ordering::SeqCst), 0);
+        drop(sim);
+        assert_eq!(ran.load(atomic::Ordering::SeqCst), 0);
+        assert_eq!(dropped.load(atomic::Ordering::SeqCst), 3);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn short_lived_processes_do_not_accumulate_threads() {
+        fn live_threads() -> u64 {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+            line["Threads:".len()..].trim().parse().unwrap()
+        }
+        const N: u64 = 2_000;
+        let mut sim = Sim::new(1);
+        let peak = std::sync::Arc::new(Mutex::new(0u64));
+        // All spawned up front, each running in its own 10 µs slot.
+        for i in 0..N {
+            let p = peak.clone();
+            let at = SimTime::ZERO + Dur::from_micros(10 * i);
+            sim.spawn_at("short", at, move |ctx| {
+                ctx.sleep(Dur::from_micros(1));
+                if i % 100 == 0 {
+                    let mut peak = p.lock();
+                    *peak = (*peak).max(live_threads());
+                }
+            });
+        }
+        sim.run();
+        // Threads started at spawn would all be alive at once: N of them.
+        let peak = *peak.lock();
+        assert!(peak < 500, "peak live threads {peak}");
+        // Finished threads are joined as later ones start.
+        let unjoined = sim.shared.state.lock().exited.len();
+        assert!(unjoined < 10, "{unjoined} exited threads never joined");
     }
 }
