@@ -12,9 +12,12 @@
 //! `#[global_allocator]` is process-wide. For the same reason the tests
 //! take [`SERIAL`] so they run one after the other: a simulation starting
 //! a process thread inside another test's measured window would be
-//! counted there.
+//! counted there. The single-threaded encode test reads only its own
+//! thread's counter, so libtest's main thread allocating while it handles
+//! the other test's result never lands in its window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,21 +30,33 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    // Const-initialised and destructor-free, so bumping it from inside the
+    // allocator never allocates itself.
+    static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc(bytes: usize) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with`: allocations during thread teardown outlive the slot.
+    let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
 struct CountingAlloc;
 
-// SAFETY: delegates straight to `System`; the counters are simple atomics.
+// SAFETY: delegates straight to `System`; the counters are simple atomics
+// and a const-initialised thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,6 +69,11 @@ fn snapshot() -> (u64, u64) {
         ALLOC_CALLS.load(Ordering::SeqCst),
         ALLOC_BYTES.load(Ordering::SeqCst),
     )
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_calls() -> u64 {
+    THREAD_ALLOC_CALLS.with(Cell::get)
 }
 
 #[test]
@@ -131,12 +151,12 @@ fn encode_allocates_exactly_once() {
             work_hint: Some(0.25),
         },
     };
-    let (c0, _) = snapshot();
+    let c0 = thread_calls();
     let size = req.wire_size();
-    let (c1, _) = snapshot();
+    let c1 = thread_calls();
     assert_eq!(c1 - c0, 0, "wire_size() must not allocate");
     let frame = req.encode();
-    let (c2, _) = snapshot();
+    let c2 = thread_calls();
     // BytesMut buffer + the Arc that freeze() wraps it in.
     assert!(
         c2 - c1 <= 2,
