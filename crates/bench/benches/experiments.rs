@@ -12,7 +12,7 @@ use dgsf_bench::{mixed, single};
 
 fn bench_table2_single_workload(c: &mut Criterion) {
     // One representative Table II cell: face identification over DGSF.
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut g = c.benchmark_group("table2");
     g.sample_size(10);
     g.bench_function("faceid_dgsf_once", |b| {
@@ -35,7 +35,7 @@ fn bench_fig4_ablation(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("faceid_all_levels", |b| {
         b.iter(|| {
-            let cfg = TestbedConfig::paper_default();
+            let cfg = PlatformConfig::paper_default();
             for (_label, opts) in single::ablation_levels() {
                 let mut cc = cfg.clone();
                 cc.opts = opts;
@@ -81,7 +81,7 @@ fn bench_table5_synthetic(c: &mut Criterion) {
     g.bench_function("smallest_size", |b| {
         b.iter(|| {
             let w: Arc<dyn Workload> = Arc::new(workloads::SyntheticMigration::mb(323));
-            let cfg = TestbedConfig::paper_default();
+            let cfg = PlatformConfig::paper_default();
             Testbed::run_dgsf_once(&cfg, w)
         })
     });

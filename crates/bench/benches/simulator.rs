@@ -202,15 +202,12 @@ fn bench_migration_dma_channels(c: &mut Criterion) {
                     d2d_channels: channels,
                     ..Default::default()
                 };
-                let cfg = TestbedConfig {
-                    seed: 1,
-                    server: GpuServerConfig::paper_default().gpus(2),
-                    opts: OptConfig::full(),
-                };
-                let mut c2 = cfg;
-                c2.server.costs = costs;
+                let mut cfg = PlatformConfig::paper_default()
+                    .with_seed(1)
+                    .with_server(GpuServerConfig::paper_default().gpus(2));
+                cfg.server.costs = costs;
                 let w: Arc<dyn Workload> = Arc::new(workloads::kmeans());
-                Testbed::run_dgsf_once(&c2, w)
+                Testbed::run_dgsf_once(&cfg, w)
             })
         });
     }

@@ -50,20 +50,33 @@
 //! DIR (default `target/attrib`). Deterministic: same seed ⇒
 //! byte-identical files.
 
+use std::path::PathBuf;
+
 use dgsf_bench::{attrib, fleet, mixed, obs, pipeline, scale, single, sweep, trace};
+
+/// Where each exporting subcommand writes when `--out` is not given.
+const DEFAULT_OUT: [(&str, &str); 7] = [
+    ("trace", "target/trace"),
+    ("sweep", "target/sweep"),
+    ("fleet", "target/fleet"),
+    ("pipeline", "target/pipeline"),
+    ("scale", "target/scale"),
+    ("obs", "target/obs"),
+    ("attribute", "target/attrib"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let copies = if quick { 2 } else { 10 };
     let bursts = if quick { 3 } else { 10 };
-    let mut out_dir = std::path::PathBuf::from("target/trace");
+    let mut out_dir: Option<PathBuf> = None;
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--out" {
             match it.next() {
-                Some(v) => out_dir = v.into(),
+                Some(v) => out_dir = Some(v.into()),
                 None => {
                     eprintln!("--out requires a directory argument");
                     std::process::exit(2);
@@ -78,13 +91,12 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "all".to_string());
     let seed = 42;
+    let dir = out_dir.unwrap_or_else(|| {
+        let default = DEFAULT_OUT.iter().find(|(cmd, _)| *cmd == what);
+        PathBuf::from(default.map_or("target/trace", |(_, d)| *d))
+    });
 
     if what == "sweep" {
-        let dir = if out_dir == std::path::Path::new("target/trace") {
-            std::path::PathBuf::from("target/sweep")
-        } else {
-            out_dir
-        };
         let s = sweep::sweep(seed, quick);
         println!("== Load sweep: autoscaled fleet with admission control ==");
         print!("{}", sweep::sweep_text(&s));
@@ -99,11 +111,6 @@ fn main() {
     }
 
     if what == "fleet" {
-        let dir = if out_dir == std::path::Path::new("target/trace") {
-            std::path::PathBuf::from("target/fleet")
-        } else {
-            out_dir
-        };
         let f = fleet::fleet(seed, quick);
         println!("== Fleet sweep: cluster balancing × per-tenant fair shedding ==");
         print!("{}", fleet::fleet_text(&f));
@@ -118,11 +125,6 @@ fn main() {
     }
 
     if what == "pipeline" {
-        let dir = if out_dir == std::path::Path::new("target/trace") {
-            std::path::PathBuf::from("target/pipeline")
-        } else {
-            out_dir
-        };
         let o = pipeline::pipeline(seed, quick);
         println!("== DAG pipeline: host-bounce vs GPU-resident handoff ==");
         print!("{}", pipeline::pipeline_text(&o));
@@ -137,11 +139,6 @@ fn main() {
     }
 
     if what == "scale" {
-        let dir = if out_dir == std::path::Path::new("target/trace") {
-            std::path::PathBuf::from("target/scale")
-        } else {
-            out_dir
-        };
         let cfg = if quick {
             scale::ScaleConfig::quick(seed)
         } else {
@@ -164,11 +161,6 @@ fn main() {
     }
 
     if what == "obs" {
-        let dir = if out_dir == std::path::Path::new("target/trace") {
-            std::path::PathBuf::from("target/obs")
-        } else {
-            out_dir
-        };
         let o = obs::obs(seed, quick);
         println!("== Observability: predictive vs reactive autoscaling on a 10x ramp ==");
         print!("{}", obs::obs_text(&o));
@@ -186,11 +178,6 @@ fn main() {
     }
 
     if what == "attribute" {
-        let dir = if out_dir == std::path::Path::new("target/trace") {
-            std::path::PathBuf::from("target/attrib")
-        } else {
-            out_dir
-        };
         let a = attrib::attrib(seed, quick);
         println!("== Tail-latency attribution: critical-path decomposition ==");
         print!("{}", attrib::attrib_text(&a));
@@ -208,7 +195,7 @@ fn main() {
     }
 
     if what == "trace" {
-        match trace::write_trace(&out_dir, copies, seed) {
+        match trace::write_trace(&dir, copies, seed) {
             Ok(files) => {
                 println!("wrote {}", files.metrics.display());
                 println!("wrote {}", files.chrome_trace.display());
@@ -255,7 +242,7 @@ fn main() {
         }
         if run("fig6") {
             println!("== Figure 6: per-workload delays under light load ==");
-            let runs: Vec<(&'static str, mixed::SharingMode, dgsf::RunOutput)> = study
+            let runs: Vec<(&'static str, mixed::SharingMode, dgsf::BackendRunOutput)> = study
                 .runs
                 .into_iter()
                 .map(|(g, m, o)| (if g == 4 { "4-gpus" } else { "3-gpus" }, m, o))

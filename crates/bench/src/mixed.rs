@@ -56,16 +56,13 @@ pub fn run_mixed(
     migration: bool,
     copies: usize,
     seed: u64,
-) -> RunOutput {
+) -> BackendRunOutput {
     let schedule = Schedule::mixed(seed, suite.len(), copies, pattern);
-    let cfg = TestbedConfig {
-        seed,
-        server: mode
-            .apply(GpuServerConfig::paper_default().gpus(gpus))
+    let cfg = PlatformConfig::paper_default().with_seed(seed).with_server(
+        mode.apply(GpuServerConfig::paper_default().gpus(gpus))
             .with_migration(migration),
-        opts: OptConfig::full(),
-    };
-    Testbed::run_schedule(&cfg, &as_workloads(suite), &schedule)
+    );
+    Testbed::run_platform_schedule(&cfg, &as_workloads(suite), &schedule)
 }
 
 /// One cell of Tables III/IV.
@@ -78,7 +75,7 @@ pub struct LoadCell {
 }
 
 impl LoadCell {
-    fn from(out: &RunOutput) -> LoadCell {
+    fn from(out: &BackendRunOutput) -> LoadCell {
         LoadCell {
             provider_e2e: out.provider_e2e().as_secs_f64(),
             fn_e2e_sum: out.function_e2e_sum().as_secs_f64(),
@@ -91,7 +88,7 @@ impl LoadCell {
 /// the surrounding text specifies rate 2 — we follow the text).
 pub struct HeavyLoadStudy {
     /// (suite label, mode) → run.
-    pub runs: Vec<(&'static str, SharingMode, RunOutput)>,
+    pub runs: Vec<(&'static str, SharingMode, BackendRunOutput)>,
     /// Copies of each workload launched.
     pub copies: usize,
 }
@@ -165,7 +162,9 @@ pub fn table3_text(study: &HeavyLoadStudy) -> String {
 
 /// Render Figure 5 (or 6): per-workload mean queueing and execution delay
 /// for each mode, for the given suite label within a study.
-pub fn per_workload_delay_text(study_runs: &[(&'static str, SharingMode, RunOutput)]) -> String {
+pub fn per_workload_delay_text(
+    study_runs: &[(&'static str, SharingMode, BackendRunOutput)],
+) -> String {
     let mut t = TextTable::new(vec![
         "suite",
         "workload",
@@ -175,7 +174,12 @@ pub fn per_workload_delay_text(study_runs: &[(&'static str, SharingMode, RunOutp
         "mean e2e",
     ]);
     for (label, mode, out) in study_runs {
-        let mut names: Vec<String> = out.records.iter().map(|r| r.name.clone()).collect();
+        let mut names: Vec<String> = out
+            .records
+            .iter()
+            .flatten()
+            .map(|r| r.name.clone())
+            .collect();
         names.sort();
         names.dedup();
         for name in names {
@@ -183,6 +187,7 @@ pub fn per_workload_delay_text(study_runs: &[(&'static str, SharingMode, RunOutp
             let execs: Vec<f64> = out
                 .records
                 .iter()
+                .flatten()
                 .filter(|r| r.name == name)
                 .filter_map(|r| r.exec_time())
                 .map(|d| d.as_secs_f64())
@@ -212,7 +217,7 @@ pub fn per_workload_delay_text(study_runs: &[(&'static str, SharingMode, RunOutp
 /// mean 3 s, 4 vs 3 GPUs).
 pub struct LightLoadStudy {
     /// (gpu count, mode) → run.
-    pub runs: Vec<(u32, SharingMode, RunOutput)>,
+    pub runs: Vec<(u32, SharingMode, BackendRunOutput)>,
     /// Copies of each workload launched.
     pub copies: usize,
 }
@@ -282,21 +287,21 @@ pub fn table4_text(study: &LightLoadStudy) -> String {
 /// The burst study behind Figure 7 and the §VIII-D burst paragraph.
 pub struct BurstStudy {
     /// No-sharing run.
-    pub no_sharing: RunOutput,
+    pub no_sharing: BackendRunOutput,
     /// Sharing (two per GPU), best-fit.
-    pub sharing: RunOutput,
+    pub sharing: BackendRunOutput,
     /// Utilization sample period (the paper samples every 200 ms).
     pub sample: Dur,
 }
 
 impl BurstStudy {
     /// Mean utilization during the burst for a run.
-    pub fn mean_util(out: &RunOutput) -> f64 {
+    pub fn mean_util(out: &BackendRunOutput) -> f64 {
         out.mean_utilization(out.first_launch, out.all_done)
     }
 
     /// Moving-average (window 5) utilization series, averaged across GPUs.
-    pub fn util_series(&self, out: &RunOutput) -> Vec<f64> {
+    pub fn util_series(&self, out: &BackendRunOutput) -> Vec<f64> {
         let per_gpu: Vec<Vec<f64>> = out
             .gpu_timelines
             .iter()
@@ -380,7 +385,7 @@ pub fn fig7_text(study: &BurstStudy) -> String {
 /// throughput at some loss of fairness", §VIII-D).
 pub struct QueuePolicyStudy {
     /// (policy label, run).
-    pub runs: Vec<(&'static str, RunOutput)>,
+    pub runs: Vec<(&'static str, BackendRunOutput)>,
 }
 
 /// Run the heavy-load mix under both queue disciplines.
@@ -395,17 +400,15 @@ pub fn queue_policy(copies: usize, seed: u64) -> QueuePolicyStudy {
         ("smallest-first", QueuePolicy::SmallestFirst),
     ] {
         let schedule = Schedule::mixed(seed, suite.len(), copies, pattern);
-        let cfg = TestbedConfig {
-            seed,
-            server: GpuServerConfig::paper_default()
+        let cfg = PlatformConfig::paper_default().with_seed(seed).with_server(
+            GpuServerConfig::paper_default()
                 .gpus(4)
                 .sharing(2)
                 .with_queue_policy(q),
-            opts: OptConfig::full(),
-        };
+        );
         runs.push((
             label,
-            Testbed::run_schedule(&cfg, &as_workloads(&suite), &schedule),
+            Testbed::run_platform_schedule(&cfg, &as_workloads(&suite), &schedule),
         ));
     }
     QueuePolicyStudy { runs }
@@ -426,12 +429,14 @@ pub fn queue_policy_text(study: &QueuePolicyStudy) -> String {
         let all: Vec<f64> = out
             .records
             .iter()
+            .flatten()
             .filter_map(|r| r.queue_delay())
             .map(|d| d.as_secs_f64())
             .collect();
         let large: Vec<f64> = out
             .records
             .iter()
+            .flatten()
             .filter(|r| r.name == "covidctnet" || r.name == "face_detection")
             .filter_map(|r| r.queue_delay())
             .map(|d| d.as_secs_f64())
@@ -460,7 +465,7 @@ pub struct Fig8Run {
     /// Scenario label.
     pub label: &'static str,
     /// The run.
-    pub out: RunOutput,
+    pub out: BackendRunOutput,
 }
 
 /// The §VIII-E migration case study: two NLP + two image-classification
@@ -477,12 +482,11 @@ pub fn fig8(seed: u64) -> Vec<Fig8Run> {
             (SimTime::ZERO, 1),
         ],
     };
-    let mk = |mode: SharingMode, migration: bool| TestbedConfig {
-        seed,
-        server: mode
-            .apply(GpuServerConfig::paper_default().gpus(2))
-            .with_migration(migration),
-        opts: OptConfig::full(),
+    let mk = |mode: SharingMode, migration: bool| {
+        PlatformConfig::paper_default().with_seed(seed).with_server(
+            mode.apply(GpuServerConfig::paper_default().gpus(2))
+                .with_migration(migration),
+        )
     };
     let cases = [
         ("no-sharing", SharingMode::NoSharing, false),
@@ -494,7 +498,7 @@ pub fn fig8(seed: u64) -> Vec<Fig8Run> {
         .into_iter()
         .map(|(label, mode, mig)| Fig8Run {
             label,
-            out: Testbed::run_schedule(&mk(mode, mig), &as_workloads(&suite), &schedule),
+            out: Testbed::run_platform_schedule(&mk(mode, mig), &as_workloads(&suite), &schedule),
         })
         .collect()
 }
@@ -514,7 +518,7 @@ pub fn fig8_text(runs: &[Fig8Run]) -> String {
             r.label,
             secs(e2e),
             crate::report::rel(base, e2e),
-            r.out.migrations.len()
+            r.out.migrations.iter().map(Vec::len).sum::<usize>()
         ));
     }
     out.push('\n');

@@ -36,7 +36,7 @@ pub struct Table2Row {
 /// Table II: per-workload runtimes under every execution mode.
 pub fn table2() -> Vec<Table2Row> {
     let suite = paper_suite();
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut lambda_cfg = cfg.clone();
     lambda_cfg.server = lambda_cfg.server.with_net(NetProfile::lambda());
     suite
@@ -187,7 +187,7 @@ impl PhaseBar {
 /// DGSF, per workload.
 pub fn fig3() -> Vec<PhaseBar> {
     let suite = paper_suite();
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut noopt = cfg.clone();
     noopt.opts = OptConfig::none();
     let mut out = Vec::new();
@@ -254,7 +254,7 @@ pub fn ablation_levels() -> Vec<(&'static str, OptConfig)> {
 /// Figure 4: incremental-optimization ablation vs native, per workload.
 pub fn fig4() -> Vec<AblationPoint> {
     let suite = paper_suite();
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut out = Vec::new();
     for w in &suite {
         let dynw: Arc<dyn Workload> = Arc::clone(w) as Arc<dyn Workload>;
@@ -314,7 +314,7 @@ pub fn table5() -> Vec<Table5Row> {
         .iter()
         .map(|&mb| {
             let w = Arc::new(SyntheticMigration::mb(mb));
-            let cfg = TestbedConfig::paper_default();
+            let cfg = PlatformConfig::paper_default();
             let dynw: Arc<dyn Workload> = w.clone() as Arc<dyn Workload>;
             let native = Testbed::run_native_once(1, &cfg.server.costs, dynw.clone());
             let plain = Testbed::run_dgsf_once(&cfg, dynw.clone());
@@ -406,7 +406,7 @@ pub struct RestartRow {
 
 /// Compare live migration against restart-from-scratch.
 pub fn migration_vs_restart() -> Vec<RestartRow> {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     paper_suite()
         .iter()
         .map(|w| {
@@ -509,7 +509,7 @@ pub struct ApiCountRow {
 /// Per-workload forwarded-call reduction.
 pub fn apicounts() -> Vec<ApiCountRow> {
     let suite = paper_suite();
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut noopt_cfg = cfg.clone();
     noopt_cfg.opts = OptConfig::none();
     suite

@@ -42,12 +42,10 @@ pub fn write_trace(out_dir: &Path, copies: usize, seed: u64) -> io::Result<Trace
         mean: Dur::from_secs(2),
     };
     let schedule = Schedule::mixed(seed, suite.len(), copies, pattern);
-    let cfg = TestbedConfig {
-        seed,
-        server: GpuServerConfig::paper_default().gpus(4).sharing(2),
-        opts: OptConfig::full(),
-    };
-    let (_out, tel) = Testbed::run_schedule_traced(&cfg, &as_workloads(&suite), &schedule);
+    let cfg = PlatformConfig::paper_default()
+        .with_seed(seed)
+        .with_server(GpuServerConfig::paper_default().gpus(4).sharing(2));
+    let (_out, tel) = Testbed::run_platform_schedule_traced(&cfg, &as_workloads(&suite), &schedule);
     let export = tel.export();
     fs::create_dir_all(out_dir)?;
     let metrics = out_dir.join("metrics.json");

@@ -27,7 +27,9 @@
 //!
 //! Configuration goes through one entry point, [`PlatformConfig`]: a
 //! builder covering the server shape, the fleet, and the backend's
-//! routing, retry and admission policies.
+//! routing, retry and admission policies. Every DGSF run — one function
+//! or a whole schedule — goes through the same platform runner,
+//! [`Testbed::run_platform_schedule`].
 //!
 //! ```
 //! use dgsf::{PlatformConfig, Testbed};
@@ -49,7 +51,7 @@ mod testbed;
 
 pub use invariants::{check_backend_run, check_memory_balance, check_resident_handoff};
 pub use platform::{ConfigError, PlatformConfig};
-pub use testbed::{BackendRunConfig, BackendRunOutput, RunOutput, Testbed, TestbedConfig};
+pub use testbed::{BackendRunOutput, Testbed};
 
 /// Discrete-event simulation substrate.
 pub use dgsf_sim as sim;
@@ -74,10 +76,7 @@ pub use dgsf_workloads as workloads;
 
 /// Convenient top-level re-exports of the most used types.
 pub mod prelude {
-    pub use crate::{
-        BackendRunConfig, BackendRunOutput, ConfigError, PlatformConfig, RunOutput, Testbed,
-        TestbedConfig,
-    };
+    pub use crate::{BackendRunOutput, ConfigError, PlatformConfig, Testbed};
     pub use dgsf_cuda::{CostTable, CudaApi, HostBuf, KernelArgs, LaunchConfig, ModuleRegistry};
     pub use dgsf_remoting::{NetProfile, OptConfig};
     pub use dgsf_server::{

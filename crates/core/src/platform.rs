@@ -1,14 +1,11 @@
 //! [`PlatformConfig`]: the single entry point for configuring a DGSF
 //! platform run.
 //!
-//! Experiment configuration used to be scattered over five types —
-//! [`TestbedConfig`], [`BackendRunConfig`], [`GpuServerConfig`],
-//! [`AdmissionConfig`] and [`RetryPolicy`] — each with its own defaults.
-//! `PlatformConfig` consolidates them behind one builder: start from
+//! One builder covers the server shape, the fleet in front of it, and the
+//! backend's routing, retry and admission policies. Start from
 //! [`PlatformConfig::paper_default`], chain `with_*` calls, and hand the
 //! result to [`Testbed::run_platform_schedule`](crate::Testbed::run_platform_schedule)
-//! (or convert into the legacy types, which remain as thin views so
-//! existing code compiles unchanged).
+//! or [`Testbed::run_dgsf_once`](crate::Testbed::run_dgsf_once).
 //!
 //! ```
 //! use dgsf::{PlatformConfig, Testbed};
@@ -20,15 +17,14 @@
 //!     .with_fleet_policy(FleetPolicy::LoadAware)
 //!     .with_max_inflight(64)
 //!     .with_weighted_fair(FairShedConfig::new().with_weight("hot", 1));
-//! assert_eq!(cfg.backend().num_servers, 4);
+//! assert_eq!(cfg.num_servers, 4);
+//! assert_eq!(cfg.validate(), Ok(()));
 //! ```
 
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServerConfig, MqfqConfig, QueuePolicy, ShedPolicy};
 use dgsf_serverless::{AdmissionConfig, FairShedConfig, RetryPolicy, StickyConfig};
 use dgsf_sim::ObsConfig;
-
-use crate::testbed::{BackendRunConfig, TestbedConfig};
 
 /// A rejected [`PlatformConfig`]: the build was internally inconsistent
 /// in a way that would silently distort a run (e.g. a zero fairness
@@ -294,27 +290,14 @@ impl PlatformConfig {
             .unwrap_or(ShedPolicy::Fifo)
     }
 
-    /// View as a single-server [`TestbedConfig`] (fleet settings dropped).
-    pub fn testbed(&self) -> TestbedConfig {
-        TestbedConfig {
+    /// The single-server view of this platform: same seed, server shape
+    /// and optimization level, with every fleet setting at its default.
+    pub fn testbed(&self) -> PlatformConfig {
+        PlatformConfig {
             seed: self.seed,
             server: self.server.clone(),
             opts: self.opts,
-        }
-    }
-
-    /// View as a [`BackendRunConfig`] for the backend-level runner.
-    pub fn backend(&self) -> BackendRunConfig {
-        BackendRunConfig {
-            seed: self.seed,
-            server: self.server.clone(),
-            num_servers: self.num_servers,
-            policy: self.policy,
-            retry: self.retry,
-            admission: self.admission.clone(),
-            sticky: self.sticky.clone(),
-            opts: self.opts,
-            obs: self.obs.clone(),
+            ..PlatformConfig::paper_default()
         }
     }
 }
@@ -339,50 +322,13 @@ fn check_weights(
     Ok(())
 }
 
-impl From<PlatformConfig> for TestbedConfig {
-    fn from(p: PlatformConfig) -> TestbedConfig {
-        p.testbed()
-    }
-}
-
-impl From<PlatformConfig> for BackendRunConfig {
-    fn from(p: PlatformConfig) -> BackendRunConfig {
-        p.backend()
-    }
-}
-
-impl From<TestbedConfig> for PlatformConfig {
-    fn from(t: TestbedConfig) -> PlatformConfig {
-        PlatformConfig::paper_default()
-            .with_seed(t.seed)
-            .with_server(t.server)
-            .with_opts(t.opts)
-    }
-}
-
-impl From<BackendRunConfig> for PlatformConfig {
-    fn from(b: BackendRunConfig) -> PlatformConfig {
-        PlatformConfig {
-            seed: b.seed,
-            server: b.server,
-            num_servers: b.num_servers,
-            policy: b.policy,
-            retry: b.retry,
-            admission: b.admission,
-            sticky: b.sticky,
-            opts: b.opts,
-            obs: b.obs,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dgsf_sim::Dur;
 
     #[test]
-    fn builder_round_trips_through_backend_config() {
+    fn builder_sets_fleet_and_admission() {
         let cfg = PlatformConfig::paper_default()
             .with_seed(9)
             .with_num_servers(4)
@@ -390,23 +336,27 @@ mod tests {
             .with_max_inflight(32)
             .with_max_queue_age(Dur::from_secs(2))
             .with_weighted_fair(FairShedConfig::new());
-        let b = cfg.backend();
-        assert_eq!(b.seed, 9);
-        assert_eq!(b.num_servers, 4);
-        assert_eq!(b.policy, FleetPolicy::LoadAware);
-        let adm = b.admission.expect("admission configured");
+        assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.num_servers, 4);
+        assert_eq!(cfg.policy, FleetPolicy::LoadAware);
+        let adm = cfg.admission.expect("admission configured");
         assert_eq!(adm.max_inflight, 32);
         assert_eq!(adm.shed_policy(), ShedPolicy::WeightedFair);
-        let back: PlatformConfig = cfg.backend().into();
-        assert_eq!(back.num_servers, 4);
     }
 
     #[test]
-    fn testbed_view_keeps_seed_and_server_shape() {
-        let cfg = PlatformConfig::paper_default().with_seed(3);
+    fn testbed_view_keeps_seed_and_server_shape_and_drops_the_fleet() {
+        let cfg = PlatformConfig::paper_default()
+            .with_seed(3)
+            .with_num_servers(4)
+            .with_max_inflight(8)
+            .with_opts(OptConfig::none());
         let t = cfg.testbed();
         assert_eq!(t.seed, 3);
         assert_eq!(t.server.num_gpus, cfg.server.num_gpus);
+        assert_eq!(t.opts, OptConfig::none());
+        assert_eq!(t.num_servers, 1);
+        assert!(t.admission.is_none());
     }
 
     #[test]
@@ -522,15 +472,12 @@ mod tests {
     }
 
     #[test]
-    fn sticky_round_trips_through_backend_config() {
+    fn builder_sets_sticky_and_mqfq() {
         let cfg = PlatformConfig::paper_default()
             .with_sticky(StickyConfig::new().with_max_share(250))
             .with_mqfq(MqfqConfig::new().with_weight("hot", 2));
-        let b = cfg.backend();
-        assert_eq!(b.sticky.as_ref().map(|s| s.max_share_permille), Some(250));
-        let back: PlatformConfig = b.into();
-        assert_eq!(back.sticky.map(|s| s.max_share_permille), Some(250));
-        assert_eq!(back.server.queue, QueuePolicy::Mqfq);
-        assert_eq!(back.server.fair_queue.map(|m| m.weight_of("hot")), Some(2));
+        assert_eq!(cfg.sticky.map(|s| s.max_share_permille), Some(250));
+        assert_eq!(cfg.server.queue, QueuePolicy::Mqfq);
+        assert_eq!(cfg.server.fair_queue.map(|m| m.weight_of("hot")), Some(2));
     }
 }

@@ -5,155 +5,23 @@
 //! with some configuration, launch a schedule of workloads against it (or
 //! run single workloads natively / on CPU), and collect end-to-end times,
 //! queue delays, phase breakdowns and utilization timelines. [`Testbed`]
-//! packages exactly that, deterministically per seed.
+//! packages exactly that, deterministically per seed. Every DGSF run goes
+//! through the serverless backend in front of a fleet described by one
+//! [`PlatformConfig`]; a single server is a fleet of one.
 
 use std::sync::Arc;
 
 use dgsf_cuda::CostTable;
-use dgsf_remoting::OptConfig;
-use dgsf_server::{GpuServer, GpuServerConfig, InvocationRecord, MigrationRecord};
+use dgsf_server::{GpuServer, InvocationRecord, MigrationRecord};
 use dgsf_serverless::{
-    invoke_cpu, invoke_native, AdmissionConfig, Backend, FleetPolicy, FunctionResult,
-    InvokeOptions, Invoker, ObjectStore, RetryPolicy, Schedule, StickyConfig, Workload,
+    invoke_cpu, invoke_native, Backend, FunctionResult, ObjectStore, Schedule, Workload,
 };
-use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime, Telemetry, Timeline};
+use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimTime, Telemetry, Timeline};
 use parking_lot::Mutex;
 
-/// Configuration of one experiment run.
-///
-/// A thin single-server view of [`crate::PlatformConfig`] — the
-/// consolidated builder is the documented entry point; this type remains
-/// for the testbed's single-server runners.
-#[derive(Clone)]
-pub struct TestbedConfig {
-    /// RNG seed (arrivals, jitter).
-    pub seed: u64,
-    /// GPU server shape and policies.
-    pub server: GpuServerConfig,
-    /// Guest-library optimization level.
-    pub opts: OptConfig,
-}
+use crate::PlatformConfig;
 
-impl TestbedConfig {
-    /// The paper's default: 4 GPUs, no sharing, full optimizations.
-    pub fn paper_default() -> TestbedConfig {
-        TestbedConfig {
-            seed: 42,
-            server: GpuServerConfig::paper_default(),
-            opts: OptConfig::full(),
-        }
-    }
-}
-
-/// Everything a schedule run produced.
-pub struct RunOutput {
-    /// Per-function results, in completion order.
-    pub results: Vec<FunctionResult>,
-    /// GPU-server-side invocation records (queue delays etc.).
-    pub records: Vec<InvocationRecord>,
-    /// Completed migrations.
-    pub migrations: Vec<MigrationRecord>,
-    /// Compute busy timelines, one per GPU.
-    pub gpu_timelines: Vec<Timeline>,
-    /// When the first function launched.
-    pub first_launch: SimTime,
-    /// When the last function finished — the provider's end-to-end time.
-    pub all_done: SimTime,
-}
-
-impl RunOutput {
-    /// Provider end-to-end time: launch of the first function to completion
-    /// of the last (Tables III/IV's "End to end").
-    pub fn provider_e2e(&self) -> Dur {
-        self.all_done.since(self.first_launch)
-    }
-
-    /// Sum of every function's end-to-end time (Tables III/IV's
-    /// "Function E2E Sum").
-    pub fn function_e2e_sum(&self) -> Dur {
-        self.results.iter().fold(Dur::ZERO, |acc, r| acc + r.e2e())
-    }
-
-    /// Mean GPU utilization (busy-time fraction) over `[a, b)`.
-    pub fn mean_utilization(&self, a: SimTime, b: SimTime) -> f64 {
-        if b <= a || self.gpu_timelines.is_empty() {
-            return 0.0;
-        }
-        let span = b.since(a).as_secs_f64();
-        let total: f64 = self
-            .gpu_timelines
-            .iter()
-            .map(|tl| tl.busy_between(a, b).as_secs_f64() / span)
-            .sum();
-        total / self.gpu_timelines.len() as f64
-    }
-
-    /// Results for one workload name.
-    pub fn by_name<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a FunctionResult> {
-        self.results.iter().filter(move |r| r.name == name)
-    }
-
-    /// Queue delays (seconds) for one workload name, via server records.
-    pub fn queue_delays(&self, name: &str) -> Vec<f64> {
-        self.records
-            .iter()
-            .filter(|r| r.name == name)
-            .filter_map(|r| r.queue_delay())
-            .map(|d| d.as_secs_f64())
-            .collect()
-    }
-}
-
-/// Configuration of a backend-level run: a fleet of GPU servers behind the
-/// serverless backend's selection, retry and admission policies.
-///
-/// A thin view of [`crate::PlatformConfig`] — build one with the
-/// consolidated builder and convert via [`crate::PlatformConfig::backend`]
-/// (or `.into()`).
-#[derive(Clone)]
-pub struct BackendRunConfig {
-    /// RNG seed (arrivals, jitter).
-    pub seed: u64,
-    /// Shape of each GPU server in the fleet.
-    pub server: GpuServerConfig,
-    /// Fleet size.
-    pub num_servers: usize,
-    /// Server-selection policy.
-    pub policy: FleetPolicy,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
-    /// Optional admission control (overload shedding).
-    pub admission: Option<AdmissionConfig>,
-    /// Optional bounded sticky tenant→server placement.
-    pub sticky: Option<StickyConfig>,
-    /// Guest-library optimization level.
-    pub opts: OptConfig,
-    /// Optional online observability plane (windows, burn-rate alerts,
-    /// health timeline). When set, every monitor and the backend feed one
-    /// shared [`ObsPlane`] and the run's [`BackendRunOutput::obs`] report
-    /// is populated.
-    pub obs: Option<ObsConfig>,
-}
-
-impl BackendRunConfig {
-    /// One paper-default GPU server behind a round-robin backend, default
-    /// retries, no admission control.
-    pub fn paper_default() -> BackendRunConfig {
-        BackendRunConfig {
-            seed: 42,
-            server: GpuServerConfig::paper_default(),
-            num_servers: 1,
-            policy: FleetPolicy::RoundRobin,
-            retry: RetryPolicy::default(),
-            admission: None,
-            sticky: None,
-            opts: OptConfig::full(),
-            obs: None,
-        }
-    }
-}
-
-/// Everything a backend-level schedule run produced.
+/// Everything a platform schedule run produced.
 pub struct BackendRunOutput {
     /// Per-function results in completion order — including shed ones
     /// ([`FunctionResult::shed`]), which is the point of running through
@@ -166,12 +34,14 @@ pub struct BackendRunOutput {
     /// Final API-server pool size per fleet member (autoscaled fleets may
     /// differ from the provisioned count).
     pub pool_sizes: Vec<usize>,
+    /// Compute busy timelines of every GPU in the fleet, in server order.
+    pub gpu_timelines: Vec<Timeline>,
     /// When the first function launched.
     pub first_launch: SimTime,
     /// When the last function finished (completed or shed).
     pub all_done: SimTime,
     /// Observability report (windows, alerts, health) when the run was
-    /// configured with [`BackendRunConfig::obs`]; `None` otherwise.
+    /// configured with [`PlatformConfig::obs`]; `None` otherwise.
     pub obs: Option<ObsReport>,
 }
 
@@ -193,312 +63,100 @@ impl BackendRunOutput {
             .filter(|r| !r.succeeded() && !r.shed)
             .count()
     }
+
+    /// Provider end-to-end time: launch of the first function to completion
+    /// of the last (Tables III/IV's "End to end").
+    pub fn provider_e2e(&self) -> Dur {
+        self.all_done.since(self.first_launch)
+    }
+
+    /// Sum of every function's end-to-end time (Tables III/IV's
+    /// "Function E2E Sum").
+    pub fn function_e2e_sum(&self) -> Dur {
+        self.results.iter().fold(Dur::ZERO, |acc, r| acc + r.e2e())
+    }
+
+    /// Mean GPU utilization (busy-time fraction) over `[a, b)`, across
+    /// every GPU of the fleet.
+    pub fn mean_utilization(&self, a: SimTime, b: SimTime) -> f64 {
+        if b <= a || self.gpu_timelines.is_empty() {
+            return 0.0;
+        }
+        let span = b.since(a).as_secs_f64();
+        let total: f64 = self
+            .gpu_timelines
+            .iter()
+            .map(|tl| tl.busy_between(a, b).as_secs_f64() / span)
+            .sum();
+        total / self.gpu_timelines.len() as f64
+    }
+
+    /// Results for one workload name.
+    pub fn by_name<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a FunctionResult> {
+        self.results.iter().filter(move |r| r.name == name)
+    }
+
+    /// Queue delays (seconds) for one workload name, via server records of
+    /// every fleet member.
+    pub fn queue_delays(&self, name: &str) -> Vec<f64> {
+        self.records
+            .iter()
+            .flatten()
+            .filter(|r| r.name == name)
+            .filter_map(|r| r.queue_delay())
+            .map(|d| d.as_secs_f64())
+            .collect()
+    }
 }
 
 /// Deterministic experiment orchestration.
 pub struct Testbed;
 
 impl Testbed {
-    /// Run a mixed-workload `schedule` against a freshly provisioned GPU
-    /// server. Each schedule entry spawns one warm function at its launch
-    /// time; the run ends when every function completed.
-    pub fn run_schedule(
-        cfg: &TestbedConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-    ) -> RunOutput {
-        Self::run_schedule_inner(cfg, suite, schedule, false).0
-    }
-
-    /// [`run_schedule`](Self::run_schedule) with telemetry recording on:
-    /// also returns the run's telemetry registry, ready to export or to
-    /// assert against. Same seed ⇒ byte-identical exports.
-    pub fn run_schedule_traced(
-        cfg: &TestbedConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-    ) -> (RunOutput, Arc<Telemetry>) {
-        Self::run_schedule_inner(cfg, suite, schedule, true)
-    }
-
-    fn run_schedule_inner(
-        cfg: &TestbedConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-        trace: bool,
-    ) -> (RunOutput, Arc<Telemetry>) {
-        let mut sim = Sim::new(cfg.seed);
-        let telemetry = sim.telemetry();
-        if trace {
-            telemetry.enable();
-        }
-        let h = sim.handle();
-        type ServerSnapshot = (Vec<InvocationRecord>, Vec<MigrationRecord>, Vec<Timeline>);
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let out: Arc<Mutex<Option<ServerSnapshot>>> = Arc::new(Mutex::new(None));
-        let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
-        let server_cfg = cfg.server.clone();
-        let opts = cfg.opts;
-        let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
-        let schedule = schedule.clone();
-        let n_functions = schedule.len();
-        let results2 = Arc::clone(&results);
-        let out2 = Arc::clone(&out);
-        let h2 = h.clone();
-        sim.spawn("platform-root", move |p| {
-            let server = GpuServer::provision(p, &h2, server_cfg);
-            let done_count = Arc::new(Mutex::new(0usize));
-            for (at, widx) in schedule.entries.iter().copied() {
-                let w = Arc::clone(&suite[widx]);
-                let server = Arc::clone(&server);
-                let store = Arc::clone(&store);
-                let results = Arc::clone(&results2);
-                let done_count = Arc::clone(&done_count);
-                h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
-                    let r = Invoker::new(&server, &store)
-                        .invoke(p, w.as_ref(), InvokeOptions::new(opts))
-                        .expect("schedule runs fault-free");
-                    results.lock().push(r);
-                    *done_count.lock() += 1;
-                });
-            }
-            // Collector: snapshot server state once everything finished.
-            let server2 = Arc::clone(&server);
-            let out3 = Arc::clone(&out2);
-            h2.spawn("collector", move |p| {
-                loop {
-                    p.sleep(Dur::from_millis(500));
-                    if *done_count.lock() >= n_functions {
-                        break;
-                    }
-                }
-                let timelines: Vec<Timeline> =
-                    server2.gpus.iter().map(|g| g.compute_timeline()).collect();
-                *out3.lock() = Some((server2.records(), server2.migrations(), timelines));
-            });
-        });
-        sim.run();
-        let mut results = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|a| a.lock().clone());
-        results.sort_by_key(|r| r.finished_at);
-        let (records, migrations, gpu_timelines) =
-            out.lock().take().expect("collector observed completion");
-        let first_launch = results
-            .iter()
-            .map(|r| r.launched_at)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        let all_done = results
-            .iter()
-            .map(|r| r.finished_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        (
-            RunOutput {
-                results,
-                records,
-                migrations,
-                gpu_timelines,
-                first_launch,
-                all_done,
-            },
-            telemetry,
-        )
-    }
-
-    /// Run a schedule on a platform described by one consolidated
-    /// [`crate::PlatformConfig`]: the fleet is provisioned, the cluster
-    /// balancer routes under `cfg.policy`, and admission control sheds
-    /// per `cfg.admission`. This is the preferred entry point;
-    /// [`run_backend_schedule`](Self::run_backend_schedule) is its
-    /// lower-level equivalent.
+    /// Run a schedule on the platform `cfg` describes: the fleet is
+    /// provisioned, the cluster balancer routes under `cfg.policy`, and
+    /// admission control sheds per `cfg.admission`. Each schedule entry
+    /// spawns one function at its launch time; every launch yields a
+    /// [`FunctionResult`] — overload turns into shed results, not panics —
+    /// so saturation experiments terminate.
+    ///
+    /// Panics when [`PlatformConfig::validate`] rejects `cfg`.
     pub fn run_platform_schedule(
-        cfg: &crate::PlatformConfig,
+        cfg: &PlatformConfig,
         suite: &[Arc<dyn Workload>],
         schedule: &Schedule,
     ) -> BackendRunOutput {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid PlatformConfig: {e}");
-        }
-        Self::run_backend_schedule(&cfg.backend(), suite, schedule)
+        run_platform(cfg, suite, schedule, false).0
     }
 
     /// [`run_platform_schedule`](Self::run_platform_schedule) with
-    /// telemetry recording on. Same seed ⇒ byte-identical exports.
+    /// telemetry recording on: also returns the run's telemetry registry,
+    /// ready to export or to assert against. Same seed ⇒ byte-identical
+    /// exports.
     pub fn run_platform_schedule_traced(
-        cfg: &crate::PlatformConfig,
+        cfg: &PlatformConfig,
         suite: &[Arc<dyn Workload>],
         schedule: &Schedule,
     ) -> (BackendRunOutput, Arc<Telemetry>) {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid PlatformConfig: {e}");
-        }
-        Self::run_backend_schedule_traced(&cfg.backend(), suite, schedule)
-    }
-
-    /// Run a schedule through the serverless backend: a fleet of
-    /// `num_servers` GPU servers behind selection, retry and (optionally)
-    /// admission control. Unlike [`run_schedule`](Self::run_schedule),
-    /// every launch always yields a [`FunctionResult`] — overload turns
-    /// into shed results, not panics — so saturation experiments terminate.
-    pub fn run_backend_schedule(
-        cfg: &BackendRunConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-    ) -> BackendRunOutput {
-        Self::run_backend_schedule_inner(cfg, suite, schedule, false).0
-    }
-
-    /// [`run_backend_schedule`](Self::run_backend_schedule) with telemetry
-    /// recording on. Same seed ⇒ byte-identical exports.
-    pub fn run_backend_schedule_traced(
-        cfg: &BackendRunConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-    ) -> (BackendRunOutput, Arc<Telemetry>) {
-        Self::run_backend_schedule_inner(cfg, suite, schedule, true)
-    }
-
-    fn run_backend_schedule_inner(
-        cfg: &BackendRunConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-        trace: bool,
-    ) -> (BackendRunOutput, Arc<Telemetry>) {
-        assert!(cfg.num_servers >= 1, "a fleet needs at least one server");
-        let mut sim = Sim::new(cfg.seed);
-        let telemetry = sim.telemetry();
-        if trace {
-            telemetry.enable();
-        }
-        let h = sim.handle();
-        type FleetSnapshot = (
-            Vec<Vec<InvocationRecord>>,
-            Vec<Vec<MigrationRecord>>,
-            Vec<usize>,
-        );
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let out: Arc<Mutex<Option<FleetSnapshot>>> = Arc::new(Mutex::new(None));
-        let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
-        let cfg2 = cfg.clone();
-        let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
-        let schedule = schedule.clone();
-        let n_functions = schedule.len();
-        let results2 = Arc::clone(&results);
-        let out2 = Arc::clone(&out);
-        let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(o)));
-        let plane2 = plane.clone();
-        let h2 = h.clone();
-        sim.spawn("platform-root", move |p| {
-            let fleet: Vec<Arc<GpuServer>> = (0..cfg2.num_servers)
-                .map(|i| {
-                    let obs = plane2.clone().map(|pl| (pl, format!("srv{i}")));
-                    GpuServer::provision_observed(p, &h2, cfg2.server.clone(), obs)
-                })
-                .collect();
-            let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
-            if let Some(adm) = cfg2.admission.clone() {
-                backend = backend.with_admission(adm);
-            }
-            if let Some(sticky) = cfg2.sticky.clone() {
-                backend = backend.with_sticky(sticky);
-            }
-            if let Some(pl) = plane2.clone() {
-                backend = backend.with_obs(pl);
-            }
-            let backend = Arc::new(backend);
-            let done_count = Arc::new(Mutex::new(0usize));
-            for (at, widx) in schedule.entries.iter().copied() {
-                let w = Arc::clone(&suite[widx]);
-                let backend = Arc::clone(&backend);
-                let store = Arc::clone(&store);
-                let results = Arc::clone(&results2);
-                let done_count = Arc::clone(&done_count);
-                let opts = cfg2.opts;
-                h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
-                    let r = backend.invoke(p, &store, w.as_ref(), opts);
-                    results.lock().push(r);
-                    *done_count.lock() += 1;
-                });
-            }
-            let out3 = Arc::clone(&out2);
-            h2.spawn("collector", move |p| {
-                loop {
-                    p.sleep(Dur::from_millis(500));
-                    if *done_count.lock() >= n_functions {
-                        break;
-                    }
-                }
-                let records: Vec<Vec<InvocationRecord>> =
-                    fleet.iter().map(|s| s.records()).collect();
-                let migrations: Vec<Vec<MigrationRecord>> =
-                    fleet.iter().map(|s| s.migrations()).collect();
-                let pools: Vec<usize> = fleet.iter().map(|s| s.pool_size()).collect();
-                *out3.lock() = Some((records, migrations, pools));
-            });
-        });
-        sim.run();
-        let mut results = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|a| a.lock().clone());
-        results.sort_by_key(|r| r.finished_at);
-        let (records, migrations, pool_sizes) =
-            out.lock().take().expect("collector observed completion");
-        let first_launch = results
-            .iter()
-            .map(|r| r.launched_at)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        let all_done = results
-            .iter()
-            .map(|r| r.finished_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let obs = plane.map(|pl| pl.report());
-        (
-            BackendRunOutput {
-                results,
-                records,
-                migrations,
-                pool_sizes,
-                first_launch,
-                all_done,
-                obs,
-            },
-            telemetry,
-        )
+        run_platform(cfg, suite, schedule, true)
     }
 
     /// Run one workload alone over DGSF (warm server, no contention).
-    pub fn run_dgsf_once(cfg: &TestbedConfig, w: Arc<dyn Workload>) -> FunctionResult {
-        let suite = vec![w];
-        let schedule = Schedule {
-            entries: vec![(SimTime::ZERO, 0)],
-        };
-        let out = Self::run_schedule(cfg, &suite, &schedule);
-        out.results.into_iter().next().expect("one function ran")
+    pub fn run_dgsf_once(cfg: &PlatformConfig, w: Arc<dyn Workload>) -> FunctionResult {
+        run_one(cfg, w, false).0
     }
 
     /// [`run_dgsf_once`](Self::run_dgsf_once) with telemetry recording on.
     pub fn run_dgsf_once_traced(
-        cfg: &TestbedConfig,
+        cfg: &PlatformConfig,
         w: Arc<dyn Workload>,
     ) -> (FunctionResult, Arc<Telemetry>) {
-        let suite = vec![w];
-        let schedule = Schedule {
-            entries: vec![(SimTime::ZERO, 0)],
-        };
-        let (out, tel) = Self::run_schedule_traced(cfg, &suite, &schedule);
-        (
-            out.results.into_iter().next().expect("one function ran"),
-            tel,
-        )
+        run_one(cfg, w, true)
     }
 
     /// Run one workload natively (dedicated machine with a local GPU).
     pub fn run_native_once(seed: u64, costs: &CostTable, w: Arc<dyn Workload>) -> FunctionResult {
-        Self::run_native_once_inner(seed, costs, w, false).0
+        run_native(seed, costs, w, false).0
     }
 
     /// [`run_native_once`](Self::run_native_once) with telemetry recording
@@ -508,35 +166,7 @@ impl Testbed {
         costs: &CostTable,
         w: Arc<dyn Workload>,
     ) -> (FunctionResult, Arc<Telemetry>) {
-        Self::run_native_once_inner(seed, costs, w, true)
-    }
-
-    fn run_native_once_inner(
-        seed: u64,
-        costs: &CostTable,
-        w: Arc<dyn Workload>,
-        trace: bool,
-    ) -> (FunctionResult, Arc<Telemetry>) {
-        let mut sim = Sim::new(seed);
-        let telemetry = sim.telemetry();
-        if trace {
-            telemetry.enable();
-        }
-        let h = sim.handle();
-        let store = Arc::new(ObjectStore::new(
-            dgsf_remoting::NetProfile::datacenter().s3_bw,
-        ));
-        let costs = Arc::new(costs.clone());
-        let out = Arc::new(Mutex::new(None));
-        let o = Arc::clone(&out);
-        let h2 = h.clone();
-        sim.spawn("native-root", move |p| {
-            let r = invoke_native(p, &h2, &store, w.as_ref(), costs);
-            *o.lock() = Some(r);
-        });
-        sim.run();
-        let r = out.lock().take().expect("ran");
-        (r, telemetry)
+        run_native(seed, costs, w, true)
     }
 
     /// Run one workload on the CPU baseline (6 threads, cost-modeled).
@@ -555,4 +185,166 @@ impl Testbed {
         let r = out.lock().take().expect("ran");
         r
     }
+}
+
+/// The one schedule runner behind every DGSF entry point.
+fn run_platform(
+    cfg: &PlatformConfig,
+    suite: &[Arc<dyn Workload>],
+    schedule: &Schedule,
+    trace: bool,
+) -> (BackendRunOutput, Arc<Telemetry>) {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid PlatformConfig: {e}");
+    }
+    let mut sim = Sim::new(cfg.seed);
+    let telemetry = sim.telemetry();
+    if trace {
+        telemetry.enable();
+    }
+    let h = sim.handle();
+    type FleetSnapshot = (
+        Vec<Vec<InvocationRecord>>,
+        Vec<Vec<MigrationRecord>>,
+        Vec<usize>,
+        Vec<Arc<GpuServer>>,
+    );
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let out: Arc<Mutex<Option<FleetSnapshot>>> = Arc::new(Mutex::new(None));
+    let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
+    let cfg2 = cfg.clone();
+    let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
+    let schedule = schedule.clone();
+    let n_functions = schedule.len();
+    let results2 = Arc::clone(&results);
+    let out2 = Arc::clone(&out);
+    let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(o)));
+    let plane2 = plane.clone();
+    let h2 = h.clone();
+    sim.spawn("platform-root", move |p| {
+        let fleet: Vec<Arc<GpuServer>> = (0..cfg2.num_servers)
+            .map(|i| {
+                let obs = plane2.clone().map(|pl| (pl, format!("srv{i}")));
+                GpuServer::provision_observed(p, &h2, cfg2.server.clone(), obs)
+            })
+            .collect();
+        let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
+        if let Some(adm) = cfg2.admission.clone() {
+            backend = backend.with_admission(adm);
+        }
+        if let Some(sticky) = cfg2.sticky.clone() {
+            backend = backend.with_sticky(sticky);
+        }
+        if let Some(pl) = plane2.clone() {
+            backend = backend.with_obs(pl);
+        }
+        let backend = Arc::new(backend);
+        let done_count = Arc::new(Mutex::new(0usize));
+        for (at, widx) in schedule.entries.iter().copied() {
+            let w = Arc::clone(&suite[widx]);
+            let backend = Arc::clone(&backend);
+            let store = Arc::clone(&store);
+            let results = Arc::clone(&results2);
+            let done_count = Arc::clone(&done_count);
+            let opts = cfg2.opts;
+            h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
+                let r = backend.invoke(p, &store, w.as_ref(), opts);
+                results.lock().push(r);
+                *done_count.lock() += 1;
+            });
+        }
+        // Collector: snapshot the fleet's logs once everything finished,
+        // and hand the fleet out so its timelines can be moved out after
+        // the run.
+        let out3 = Arc::clone(&out2);
+        h2.spawn("collector", move |p| {
+            loop {
+                p.sleep(Dur::from_millis(500));
+                if *done_count.lock() >= n_functions {
+                    break;
+                }
+            }
+            let records = fleet.iter().map(|s| s.records()).collect();
+            let migrations = fleet.iter().map(|s| s.migrations()).collect();
+            let pools = fleet.iter().map(|s| s.pool_size()).collect();
+            *out3.lock() = Some((records, migrations, pools, fleet));
+        });
+    });
+    sim.run();
+    let mut results = Arc::try_unwrap(results)
+        .map(|m| m.into_inner())
+        .unwrap_or_else(|a| a.lock().clone());
+    results.sort_by_key(|r| r.finished_at);
+    let (records, migrations, pool_sizes, fleet) =
+        out.lock().take().expect("collector observed completion");
+    let gpu_timelines = fleet
+        .iter()
+        .flat_map(|s| s.gpus.iter().map(|g| g.take_compute_timeline()))
+        .collect();
+    let first_launch = results
+        .iter()
+        .map(|r| r.launched_at)
+        .min()
+        .unwrap_or(SimTime::ZERO);
+    let all_done = results
+        .iter()
+        .map(|r| r.finished_at)
+        .max()
+        .unwrap_or(SimTime::ZERO);
+    let obs = plane.map(|pl| pl.report());
+    (
+        BackendRunOutput {
+            results,
+            records,
+            migrations,
+            pool_sizes,
+            gpu_timelines,
+            first_launch,
+            all_done,
+            obs,
+        },
+        telemetry,
+    )
+}
+
+/// One workload launched at time zero on the platform.
+fn run_one(
+    cfg: &PlatformConfig,
+    w: Arc<dyn Workload>,
+    trace: bool,
+) -> (FunctionResult, Arc<Telemetry>) {
+    let schedule = Schedule {
+        entries: vec![(SimTime::ZERO, 0)],
+    };
+    let (out, tel) = run_platform(cfg, &[w], &schedule, trace);
+    let r = out.results.into_iter().next().expect("one function ran");
+    (r, tel)
+}
+
+fn run_native(
+    seed: u64,
+    costs: &CostTable,
+    w: Arc<dyn Workload>,
+    trace: bool,
+) -> (FunctionResult, Arc<Telemetry>) {
+    let mut sim = Sim::new(seed);
+    let telemetry = sim.telemetry();
+    if trace {
+        telemetry.enable();
+    }
+    let h = sim.handle();
+    let store = Arc::new(ObjectStore::new(
+        dgsf_remoting::NetProfile::datacenter().s3_bw,
+    ));
+    let costs = Arc::new(costs.clone());
+    let out = Arc::new(Mutex::new(None));
+    let o = Arc::clone(&out);
+    let h2 = h.clone();
+    sim.spawn("native-root", move |p| {
+        let r = invoke_native(p, &h2, &store, w.as_ref(), costs);
+        *o.lock() = Some(r);
+    });
+    sim.run();
+    let r = out.lock().take().expect("ran");
+    (r, telemetry)
 }

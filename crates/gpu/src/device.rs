@@ -413,9 +413,10 @@ impl Gpu {
             .with_timeline(|tl| tl.utilization_samples(start, end, period))
     }
 
-    /// Snapshot the compute busy timeline.
-    pub fn compute_timeline(&self) -> Timeline {
-        self.compute.timeline_snapshot()
+    /// Move the compute busy timeline out (see
+    /// [`GpsResource::take_timeline`]).
+    pub fn take_compute_timeline(&self) -> Timeline {
+        self.compute.take_timeline()
     }
 }
 

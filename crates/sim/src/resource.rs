@@ -262,9 +262,10 @@ impl GpsResource {
         f(&self.inner.lock().timeline)
     }
 
-    /// Snapshot the busy timeline (clones the transition log).
-    pub fn timeline_snapshot(&self) -> Timeline {
-        self.inner.lock().timeline.clone()
+    /// Move the busy timeline out, leaving an empty one behind. Meant for
+    /// collecting results after a run, without copying the transition log.
+    pub fn take_timeline(&self) -> Timeline {
+        std::mem::take(&mut self.inner.lock().timeline)
     }
 }
 

@@ -84,20 +84,19 @@ fn main() {
             .map(|i| (SimTime::ZERO + Dur::from_millis(i as u64 * 2000), i))
             .collect(),
     };
-    let cfg = TestbedConfig {
-        seed: 21,
-        server: GpuServerConfig::paper_default()
+    let cfg = PlatformConfig::paper_default().with_seed(21).with_server(
+        GpuServerConfig::paper_default()
             .gpus(4)
             .sharing(2)
             .with_policy(PlacementPolicy::WorstFit),
-        opts: OptConfig::full(),
-    };
-    let out = Testbed::run_schedule(&cfg, &suite, &schedule);
+    );
+    let out = Testbed::run_platform_schedule(&cfg, &suite, &schedule);
 
     let e2es: Vec<f64> = out.results.iter().map(|r| r.e2e().as_secs_f64()).collect();
     let queues: Vec<f64> = out
         .records
         .iter()
+        .flatten()
         .filter_map(|r| r.queue_delay())
         .map(|d| d.as_secs_f64())
         .collect();

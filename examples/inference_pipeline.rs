@@ -51,15 +51,14 @@ fn main() {
     ];
 
     for (label, server) in configs {
-        let cfg = TestbedConfig {
-            seed: 7,
-            server,
-            opts: OptConfig::full(),
-        };
-        let out = Testbed::run_schedule(&cfg, &as_workloads(&suite), &schedule);
+        let cfg = PlatformConfig::paper_default()
+            .with_seed(7)
+            .with_server(server);
+        let out = Testbed::run_platform_schedule(&cfg, &as_workloads(&suite), &schedule);
         let queue_delays: Vec<f64> = out
             .records
             .iter()
+            .flatten()
             .filter_map(|r| r.queue_delay())
             .map(|d| d.as_secs_f64())
             .collect();
@@ -77,9 +76,9 @@ fn main() {
         println!(
             "  mean GPU utilization {:.1}% | migrations {}",
             out.mean_utilization(out.first_launch, out.all_done) * 100.0,
-            out.migrations.len()
+            out.migrations.iter().map(Vec::len).sum::<usize>()
         );
-        for m in &out.migrations {
+        for m in out.migrations.iter().flatten() {
             println!(
                 "    migrated server {} {:?} -> {:?}: moved {} MB in {:.2}s",
                 m.server,

@@ -16,7 +16,7 @@ use dgsf::prelude::*;
 use dgsf::workloads;
 
 fn main() {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
 
     println!("DGSF quickstart — face identification (ArcFace on ONNX Runtime)\n");
     let w: Arc<dyn Workload> = Arc::new(workloads::face_identification());

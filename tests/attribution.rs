@@ -65,12 +65,11 @@ fn happy_path_traces_decompose_exactly() {
                 mean: Dur::from_secs(2),
             },
         );
-        let cfg = TestbedConfig {
-            seed,
-            server: GpuServerConfig::paper_default().gpus(4).sharing(2),
-            opts: OptConfig::full(),
-        };
-        let (out, tel) = Testbed::run_schedule_traced(&cfg, &as_workloads(&suite), &schedule);
+        let cfg = PlatformConfig::paper_default()
+            .with_seed(seed)
+            .with_server(GpuServerConfig::paper_default().gpus(4).sharing(2));
+        let (out, tel) =
+            Testbed::run_platform_schedule_traced(&cfg, &as_workloads(&suite), &schedule);
         (out.results, assemble(&tel))
     };
     let (results, trees) = run(42);

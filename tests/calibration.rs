@@ -66,7 +66,7 @@ fn bands() -> Vec<Band> {
 
 #[test]
 fn table2_native_runtimes_in_band() {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     for b in bands() {
         let t = Testbed::run_native_once(1, &cfg.server.costs, b.w.clone())
             .e2e()
@@ -83,7 +83,7 @@ fn table2_native_runtimes_in_band() {
 
 #[test]
 fn table2_dgsf_runtimes_in_band() {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     for b in bands() {
         let t = Testbed::run_dgsf_once(&cfg, b.w.clone())
             .e2e()
@@ -116,7 +116,7 @@ fn table2_cpu_runtimes_in_band() {
 fn lambda_regime_matches_paper_ordering() {
     // Paper Table II Lambda column: NLP and image classification spike
     // (+76 % over native); covid stays close to its OpenFaaS time.
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut lambda = cfg.clone();
     lambda.server = lambda.server.with_net(NetProfile::lambda());
     let t = |w: Arc<dyn Workload>| Testbed::run_dgsf_once(&lambda, w).e2e().as_secs_f64();
@@ -137,10 +137,7 @@ fn faceid_ablation_matches_figure4_regime() {
     // no-opts ≈ 14.5 s → handle pools ≈ 9.6 s → descriptor pools → full ≈ 4.7 s.
     let w: Arc<dyn Workload> = Arc::new(workloads::face_identification());
     let measure = |opts: OptConfig| {
-        let cfg = TestbedConfig {
-            opts,
-            ..TestbedConfig::paper_default()
-        };
+        let cfg = PlatformConfig::paper_default().with_opts(opts);
         let r = Testbed::run_dgsf_once(&cfg, w.clone());
         r.e2e().as_secs_f64()
             - r.phases

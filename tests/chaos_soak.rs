@@ -86,7 +86,7 @@ fn soak_plan(seed: u64) -> FaultPlan {
 /// Migration-enabled fleet under chaos: 2 members × 2 shared GPUs with
 /// best-fit packing (the imbalance the monitor exists to fix), both
 /// members running the same fault plan.
-fn soak_cfg(seed: u64, faults: Option<FaultPlan>) -> BackendRunConfig {
+fn soak_cfg(seed: u64, faults: Option<FaultPlan>) -> PlatformConfig {
     let mut server = GpuServerConfig::paper_default()
         .gpus(2)
         .sharing(2)
@@ -99,17 +99,10 @@ fn soak_cfg(seed: u64, faults: Option<FaultPlan>) -> BackendRunConfig {
     if let Some(plan) = faults {
         server = server.with_faults(plan);
     }
-    BackendRunConfig {
-        seed,
-        server,
-        num_servers: 2,
-        policy: FleetPolicy::RoundRobin,
-        retry: RetryPolicy::default(),
-        admission: None,
-        sticky: None,
-        opts: OptConfig::full(),
-        obs: None,
-    }
+    PlatformConfig::paper_default()
+        .with_seed(seed)
+        .with_server(server)
+        .with_num_servers(2)
 }
 
 /// Two near-simultaneous pairs (best-fit strands each pair on one GPU)
@@ -124,7 +117,7 @@ fn soak_schedule() -> Schedule {
 
 fn run_soak(seed: u64, faults: Option<FaultPlan>) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
     let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Chunked { chunks: 10 })];
-    Testbed::run_backend_schedule_traced(&soak_cfg(seed, faults), &suite, &soak_schedule())
+    Testbed::run_platform_schedule_traced(&soak_cfg(seed, faults), &suite, &soak_schedule())
 }
 
 /// Comparable digest of everything a soak run produced.

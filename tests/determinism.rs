@@ -17,18 +17,17 @@ fn run_once(seed: u64, copies: usize) -> (Vec<(String, u64)>, u64, usize) {
             mean: Dur::from_secs(2),
         },
     );
-    let cfg = TestbedConfig {
-        seed,
-        server: GpuServerConfig::paper_default().gpus(4).sharing(2),
-        opts: OptConfig::full(),
-    };
-    let out = Testbed::run_schedule(&cfg, &as_workloads(&suite), &schedule);
+    let cfg = PlatformConfig::paper_default()
+        .with_seed(seed)
+        .with_server(GpuServerConfig::paper_default().gpus(4).sharing(2));
+    let out = Testbed::run_platform_schedule(&cfg, &as_workloads(&suite), &schedule);
     let results: Vec<(String, u64)> = out
         .results
         .iter()
         .map(|r| (r.name.clone(), r.e2e().as_nanos()))
         .collect();
-    (results, out.provider_e2e().as_nanos(), out.migrations.len())
+    let migrations = out.migrations.iter().map(Vec::len).sum();
+    (results, out.provider_e2e().as_nanos(), migrations)
 }
 
 #[test]
@@ -57,18 +56,17 @@ fn every_function_completes_under_heavy_load() {
             mean: Dur::from_secs(1), // heavier than the paper's heavy load
         },
     );
-    let cfg = TestbedConfig {
-        seed: 9,
-        server: GpuServerConfig::paper_default().gpus(4),
-        opts: OptConfig::full(),
-    };
-    let out = Testbed::run_schedule(&cfg, &as_workloads(&suite), &schedule);
+    let cfg = PlatformConfig::paper_default()
+        .with_seed(9)
+        .with_server(GpuServerConfig::paper_default().gpus(4));
+    let out = Testbed::run_platform_schedule(&cfg, &as_workloads(&suite), &schedule);
     assert_eq!(out.results.len(), n);
-    assert!(out.records.iter().all(|r| r.done_at.is_some()));
+    assert!(out.records.iter().flatten().all(|r| r.done_at.is_some()));
     // FCFS: assignment order follows request order
     let mut assigned: Vec<_> = out
         .records
         .iter()
+        .flatten()
         .map(|r| (r.requested_at, r.assigned_at.unwrap()))
         .collect();
     assigned.sort();
@@ -92,14 +90,13 @@ fn queueing_delay_drops_when_gpus_are_added() {
         },
     );
     let total_queue = |gpus: u32| {
-        let cfg = TestbedConfig {
-            seed: 5,
-            server: GpuServerConfig::paper_default().gpus(gpus),
-            opts: OptConfig::full(),
-        };
-        let out = Testbed::run_schedule(&cfg, &as_workloads(&suite), &schedule);
+        let cfg = PlatformConfig::paper_default()
+            .with_seed(5)
+            .with_server(GpuServerConfig::paper_default().gpus(gpus));
+        let out = Testbed::run_platform_schedule(&cfg, &as_workloads(&suite), &schedule);
         out.records
             .iter()
+            .flatten()
             .filter_map(|r| r.queue_delay())
             .map(|d| d.as_secs_f64())
             .sum::<f64>()

@@ -12,11 +12,20 @@ use dgsf::workloads::{self, paper_suite};
 fn dgsf_beats_native_for_every_dnn_workload() {
     // The headline transparency+performance claim: remoting overheads are
     // outweighed by hiding CUDA/cuDNN initialization.
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
+    let one = Schedule {
+        entries: vec![(SimTime::ZERO, 0)],
+    };
     for w in paper_suite() {
         let dynw: Arc<dyn Workload> = w.clone() as Arc<dyn Workload>;
         let native = Testbed::run_native_once(1, &cfg.server.costs, dynw.clone());
-        let dgsf_run = Testbed::run_dgsf_once(&cfg, dynw);
+        let out = Testbed::run_platform_schedule(&cfg, &[dynw], &one);
+        // Every GPU of the single server reports a timeline, and the run
+        // kept them busy for some but not more than all of its span.
+        assert_eq!(out.gpu_timelines.len(), cfg.server.num_gpus as usize);
+        let util = out.mean_utilization(out.first_launch, out.all_done);
+        assert!(util > 0.0 && util <= 1.0, "{}: utilization {util}", w.name);
+        let dgsf_run = &out.results[0];
         assert!(
             dgsf_run.e2e() < native.e2e(),
             "{}: DGSF {:.1}s should beat native {:.1}s",
@@ -29,7 +38,7 @@ fn dgsf_beats_native_for_every_dnn_workload() {
 
 #[test]
 fn native_pays_init_dgsf_does_not() {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let w: Arc<dyn Workload> = Arc::new(workloads::kmeans());
     let (native, native_tel) = Testbed::run_native_once_traced(1, &cfg.server.costs, w.clone());
     let (dgsf_run, dgsf_tel) = Testbed::run_dgsf_once_traced(&cfg, w);
@@ -80,7 +89,7 @@ fn native_pays_init_dgsf_does_not() {
 
 #[test]
 fn cpu_baseline_is_far_slower_than_gpu() {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     for w in paper_suite() {
         let dynw: Arc<dyn Workload> = w.clone() as Arc<dyn Workload>;
         let cpu = Testbed::run_cpu_once(1, dynw.clone());
@@ -97,7 +106,7 @@ fn cpu_baseline_is_far_slower_than_gpu() {
 
 #[test]
 fn lambda_profile_penalizes_transfer_heavy_workloads_most() {
-    let cfg = TestbedConfig::paper_default();
+    let cfg = PlatformConfig::paper_default();
     let mut lambda_cfg = cfg.clone();
     lambda_cfg.server = lambda_cfg.server.with_net(NetProfile::lambda());
 
@@ -127,10 +136,7 @@ fn optimization_levels_are_monotonic_for_faceid() {
         OptConfig::descriptor_pools(),
         OptConfig::full(),
     ] {
-        let cfg = TestbedConfig {
-            opts,
-            ..TestbedConfig::paper_default()
-        };
+        let cfg = PlatformConfig::paper_default().with_opts(opts);
         let t = Testbed::run_dgsf_once(&cfg, w.clone()).e2e().as_secs_f64();
         assert!(
             t <= prev + 0.05,
@@ -144,11 +150,8 @@ fn optimization_levels_are_monotonic_for_faceid() {
 fn forwarded_call_reduction_matches_paper_claims() {
     // §V-C: "reduce the number of forwarded CUDA APIs ... by up to 48% for
     // ONNX runtime and up to 96% for TensorFlow".
-    let cfg = TestbedConfig::paper_default();
-    let noopt = TestbedConfig {
-        opts: OptConfig::none(),
-        ..cfg.clone()
-    };
+    let cfg = PlatformConfig::paper_default();
+    let noopt = cfg.clone().with_opts(OptConfig::none());
     // TensorFlow workload (CovidCTNet)
     let w: Arc<dyn Workload> = Arc::new(workloads::covidctnet());
     let a = Testbed::run_dgsf_once(&noopt, w.clone()).api_stats;
@@ -320,4 +323,16 @@ fn backend_routes_functions_across_gpu_servers() {
     let (a, b) = *counts.lock();
     assert_eq!(a + b, 4);
     assert_eq!(a, 2, "round robin splits 2/2: {a}/{b}");
+}
+
+#[test]
+#[should_panic(expected = "invalid PlatformConfig")]
+fn run_dgsf_once_validates_the_platform_config() {
+    // Single-function runs go through the same platform runner as
+    // schedules, so they reject an inconsistent config up front instead
+    // of stalling: pipelined h2d with no DMA engine could never copy.
+    let mut cfg = PlatformConfig::paper_default();
+    cfg.server.costs.h2d_pipelined = true;
+    cfg.server.costs.h2d_dma_engines = 0;
+    Testbed::run_dgsf_once(&cfg, Arc::new(workloads::kmeans()));
 }

@@ -12,7 +12,10 @@ const COPIES: usize = 3; // the paper uses 10; 3 keeps tests quick
 // assertions are seed-sensitive; this seed shows the paper's effect clearly.
 const SEED: u64 = 1;
 
-fn heavy(suite: &[std::sync::Arc<dgsf::workloads::TraceSpec>], mode: SharingMode) -> RunOutput {
+fn heavy(
+    suite: &[std::sync::Arc<dgsf::workloads::TraceSpec>],
+    mode: SharingMode,
+) -> BackendRunOutput {
     mixed::run_mixed(
         suite,
         ArrivalPattern::Exponential {
@@ -162,7 +165,9 @@ fn fig8_policies_order_as_in_the_paper() {
         .unwrap()
         .out
         .migrations
-        .len();
+        .iter()
+        .map(Vec::len)
+        .sum::<usize>();
     assert!(
         (1..=3).contains(&migs),
         "one (or few) migrations expected, not thrashing: {migs}"

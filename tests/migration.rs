@@ -297,7 +297,7 @@ fn table_v_shape_holds() {
     // copy-dominated and scale linearly.
     let rows = |mb: u64| {
         let w = Arc::new(dgsf::workloads::SyntheticMigration::mb(mb));
-        let cfg = TestbedConfig::paper_default();
+        let cfg = PlatformConfig::paper_default();
         let dynw: Arc<dyn Workload> = w as Arc<dyn Workload>;
         Testbed::run_dgsf_once(&cfg, dynw).e2e().as_secs_f64()
     };

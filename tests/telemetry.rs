@@ -9,7 +9,7 @@ use dgsf::prelude::*;
 use dgsf::sim::TelemetryExport;
 use dgsf::workloads::{as_workloads, paper_suite};
 
-fn mixed_cfg(seed: u64) -> (TestbedConfig, Vec<Arc<dyn Workload>>, Schedule) {
+fn mixed_cfg(seed: u64) -> (PlatformConfig, Vec<Arc<dyn Workload>>, Schedule) {
     let suite = paper_suite();
     let schedule = Schedule::mixed(
         seed,
@@ -19,17 +19,15 @@ fn mixed_cfg(seed: u64) -> (TestbedConfig, Vec<Arc<dyn Workload>>, Schedule) {
             mean: Dur::from_secs(2),
         },
     );
-    let cfg = TestbedConfig {
-        seed,
-        server: GpuServerConfig::paper_default().gpus(4).sharing(2),
-        opts: OptConfig::full(),
-    };
+    let cfg = PlatformConfig::paper_default()
+        .with_seed(seed)
+        .with_server(GpuServerConfig::paper_default().gpus(4).sharing(2));
     (cfg, as_workloads(&suite), schedule)
 }
 
 fn traced_export(seed: u64) -> TelemetryExport {
     let (cfg, suite, schedule) = mixed_cfg(seed);
-    let (_out, tel) = Testbed::run_schedule_traced(&cfg, &suite, &schedule);
+    let (_out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
     tel.export()
 }
 
@@ -65,7 +63,7 @@ fn same_seed_exports_are_byte_identical() {
 fn tracing_does_not_perturb_the_simulation() {
     // Recording must be an observer: the traced run's outcomes are
     // bit-identical to the untraced run's.
-    let digest = |out: &RunOutput| -> Vec<(String, u64, u64)> {
+    let digest = |out: &BackendRunOutput| -> Vec<(String, u64, u64)> {
         out.results
             .iter()
             .map(|r| {
@@ -78,8 +76,8 @@ fn tracing_does_not_perturb_the_simulation() {
             .collect()
     };
     let (cfg, suite, schedule) = mixed_cfg(42);
-    let plain = Testbed::run_schedule(&cfg, &suite, &schedule);
-    let (traced, tel) = Testbed::run_schedule_traced(&cfg, &suite, &schedule);
+    let plain = Testbed::run_platform_schedule(&cfg, &suite, &schedule);
+    let (traced, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
     assert_eq!(digest(&plain), digest(&traced));
     assert_eq!(plain.all_done, traced.all_done);
     assert!(tel.counter("backend.invocations") > 0 || tel.counter("monitor.assignments") > 0);
@@ -116,7 +114,7 @@ fn rpc_accounting_is_consistent() {
     // class as clients issued, and every histogram's count matches its
     // class counter.
     let (cfg, suite, schedule) = mixed_cfg(42);
-    let (_out, tel) = Testbed::run_schedule_traced(&cfg, &suite, &schedule);
+    let (_out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
     for (name, calls) in tel.counters() {
         if let Some(class) = name.strip_prefix("rpc.calls.") {
             assert_eq!(
