@@ -14,14 +14,13 @@
 //! per seed** across runs and machines — CI diffs the quick variant
 //! against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::json::JsonWriter;
+use dgsf::sim::json::Layout::{Inline, Lines};
 use dgsf::sim::trace::{
     assemble, attribute, slo_burn, GroupAttribution, SegmentStats, SloBurn, SloPolicy, TraceTree,
 };
@@ -219,113 +218,65 @@ pub fn attrib(base_seed: u64, quick: bool) -> AttribOutput {
     }
 }
 
-fn seg_stats_json(s: &SegmentStats) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}, \"total_ns\": {}}}",
-        s.label, s.p50_ns, s.p95_ns, s.p99_ns, s.max_ns, s.mean_ns, s.total_ns,
-    )
-}
-
-fn ids_json(ids: &[u64]) -> String {
-    let inner: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-    format!("[{}]", inner.join(", "))
-}
-
-fn group_json(g: &GroupAttribution) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"tenant\": \"{}\", \"workload\": \"{}\", \"count\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \"p50_e2e_ns\": {}, \"p99_e2e_ns\": {}, \"slowest\": {}, \"segments\": [",
-        g.tenant,
-        g.workload,
-        g.count,
-        g.completed,
-        g.shed,
-        g.failed,
-        g.p50_e2e_ns,
-        g.p99_e2e_ns,
-        ids_json(&g.slowest),
-    ));
-    for (i, s) in g.segments.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&seg_stats_json(s));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn slo_json(b: &SloBurn) -> String {
-    format!(
-        "{{\"tenant\": \"{}\", \"total\": {}, \"violations\": {}, \"violation_permille\": {}, \"budget_burn_permille\": {}}}",
-        b.tenant, b.total, b.violations, b.violation_permille, b.budget_burn_permille,
-    )
-}
-
 /// Render the attribution summary as JSON. Integers only — byte-identical
 /// per seed.
 pub fn attrib_json(a: &AttribOutput) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", a.seed));
-    out.push_str(&format!("  \"window_secs\": {},\n", a.window_secs));
-    out.push_str(&format!("  \"launched\": {},\n", a.launched));
-    out.push_str(&format!("  \"completed\": {},\n", a.completed));
-    out.push_str(&format!("  \"shed\": {},\n", a.shed));
-    out.push_str(&format!("  \"failed\": {},\n", a.failed));
-    out.push_str(&format!("  \"queue_depth_min\": {},\n", a.queue_depth_min));
-    out.push_str(&format!(
-        "  \"queue_depth_peak\": {},\n",
-        a.queue_depth_peak
-    ));
-    out.push_str(&format!(
-        "  \"queue_depth_mean\": {},\n",
-        a.queue_depth_mean
-    ));
-    out.push_str("  \"groups\": [");
-    for (i, g) in a.groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&group_json(g));
-    }
-    out.push_str("\n  ],\n  \"slo\": [");
-    for (i, b) in a.slo.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&slo_json(b));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn tree_json(t: &TraceTree) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"id\": {}, \"tenant\": \"{}\", \"workload\": \"{}\", \"outcome\": \"{}\", \"attempts\": {}, \"start_ns\": {}, \"e2e_ns\": {}, \"segments\": [",
-        t.id,
-        t.tenant,
-        t.workload,
-        t.outcome.as_str(),
-        t.attempts,
-        t.start.as_nanos(),
-        t.e2e().as_nanos(),
-    ));
-    for (i, s) in t.segments.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"label\": \"{}\", \"ns\": {}}}",
-            s.label,
-            s.dur.as_nanos()
-        ));
-    }
-    out.push_str("]}");
-    out
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("seed").u64(a.seed);
+        j.key("window_secs").u64(a.window_secs);
+        j.key("launched").u64(a.launched);
+        j.key("completed").u64(a.completed);
+        j.key("shed").u64(a.shed);
+        j.key("failed").u64(a.failed);
+        j.key("queue_depth_min").i64(a.queue_depth_min);
+        j.key("queue_depth_peak").i64(a.queue_depth_peak);
+        j.key("queue_depth_mean").i64(a.queue_depth_mean);
+        j.key("groups").array(Lines(4), |j| {
+            for g in &a.groups {
+                j.object(Inline, |j| {
+                    j.key("tenant").str(&g.tenant);
+                    j.key("workload").str(&g.workload);
+                    j.key("count").u64(g.count);
+                    j.key("completed").u64(g.completed);
+                    j.key("shed").u64(g.shed);
+                    j.key("failed").u64(g.failed);
+                    j.key("p50_e2e_ns").u64(g.p50_e2e_ns);
+                    j.key("p99_e2e_ns").u64(g.p99_e2e_ns);
+                    j.key("slowest").array(Inline, |j| {
+                        for &id in &g.slowest {
+                            j.u64(id);
+                        }
+                    });
+                    j.key("segments").array(Inline, |j| {
+                        for s in &g.segments {
+                            j.object(Inline, |j| {
+                                j.key("label").str(&s.label);
+                                j.key("p50_ns").u64(s.p50_ns);
+                                j.key("p95_ns").u64(s.p95_ns);
+                                j.key("p99_ns").u64(s.p99_ns);
+                                j.key("max_ns").u64(s.max_ns);
+                                j.key("mean_ns").u64(s.mean_ns);
+                                j.key("total_ns").u64(s.total_ns);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        j.key("slo").array(Lines(4), |j| {
+            for b in &a.slo {
+                j.object(Inline, |j| {
+                    j.key("tenant").str(&b.tenant);
+                    j.key("total").u64(b.total);
+                    j.key("violations").u64(b.violations);
+                    j.key("violation_permille").u64(b.violation_permille);
+                    j.key("budget_burn_permille").u64(b.budget_burn_permille);
+                });
+            }
+        });
+    });
+    j.finish()
 }
 
 /// Render the slowest-k exemplar traces (union over groups, sorted by
@@ -334,34 +285,35 @@ pub fn traces_json(a: &AttribOutput) -> String {
     let mut wanted: Vec<u64> = a.groups.iter().flat_map(|g| g.slowest.clone()).collect();
     wanted.sort_unstable();
     wanted.dedup();
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"exemplars\": [");
-    let mut first = true;
-    for t in a
-        .trees
-        .iter()
-        .filter(|t| wanted.binary_search(&t.id).is_ok())
-    {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    ");
-        out.push_str(&tree_json(t));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_attrib.json` and `attrib_traces.json` into `out_dir`;
-/// returns both paths (summary first).
-pub fn write_attrib(out_dir: &Path, a: &AttribOutput) -> io::Result<(PathBuf, PathBuf)> {
-    fs::create_dir_all(out_dir)?;
-    let summary = out_dir.join("BENCH_attrib.json");
-    fs::write(&summary, attrib_json(a))?;
-    let traces = out_dir.join("attrib_traces.json");
-    fs::write(&traces, traces_json(a))?;
-    Ok((summary, traces))
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("exemplars").array(Lines(4), |j| {
+            for t in a
+                .trees
+                .iter()
+                .filter(|t| wanted.binary_search(&t.id).is_ok())
+            {
+                j.object(Inline, |j| {
+                    j.key("id").u64(t.id);
+                    j.key("tenant").str(&t.tenant);
+                    j.key("workload").str(&t.workload);
+                    j.key("outcome").str(t.outcome.as_str());
+                    j.key("attempts").u64(u64::from(t.attempts));
+                    j.key("start_ns").u64(t.start.as_nanos());
+                    j.key("e2e_ns").u64(t.e2e().as_nanos());
+                    j.key("segments").array(Inline, |j| {
+                        for s in &t.segments {
+                            j.object(Inline, |j| {
+                                j.key("label").str(&s.label);
+                                j.key("ns").u64(s.dur.as_nanos());
+                            });
+                        }
+                    });
+                });
+            }
+        });
+    });
+    j.finish()
 }
 
 /// Human-readable per-group attribution table: for each (tenant,

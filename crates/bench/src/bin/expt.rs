@@ -50,7 +50,8 @@
 //! DIR (default `target/attrib`). Deterministic: same seed ⇒
 //! byte-identical files.
 
-use std::path::PathBuf;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 use dgsf_bench::{attrib, fleet, mixed, obs, pipeline, scale, single, sweep, trace};
 
@@ -64,6 +65,23 @@ const DEFAULT_OUT: [(&str, &str); 7] = [
     ("obs", "target/obs"),
     ("attribute", "target/attrib"),
 ];
+
+/// Write each `(file name, contents)` artifact into `dir` and print its
+/// path; exit with status 1 on the first I/O error.
+fn export(dir: &Path, what: &str, files: &[(&str, String)]) {
+    let written = fs::create_dir_all(dir).and_then(|()| {
+        files.iter().try_for_each(|(name, contents)| {
+            let path = dir.join(name);
+            fs::write(&path, contents)?;
+            println!("wrote {}", path.display());
+            Ok(())
+        })
+    });
+    if let Err(e) = written {
+        eprintln!("{what} export failed: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,13 +118,8 @@ fn main() {
         let s = sweep::sweep(seed, quick);
         println!("== Load sweep: autoscaled fleet with admission control ==");
         print!("{}", sweep::sweep_text(&s));
-        match sweep::write_sweep(&dir, &s) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("sweep export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let json = sweep::sweep_json(&s);
+        export(&dir, "sweep", &[("BENCH_sweep.json", json)]);
         return;
     }
 
@@ -114,13 +127,8 @@ fn main() {
         let f = fleet::fleet(seed, quick);
         println!("== Fleet sweep: cluster balancing × per-tenant fair shedding ==");
         print!("{}", fleet::fleet_text(&f));
-        match fleet::write_fleet(&dir, &f) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("fleet export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let json = fleet::fleet_json(&f);
+        export(&dir, "fleet", &[("BENCH_fleet.json", json)]);
         return;
     }
 
@@ -128,13 +136,8 @@ fn main() {
         let o = pipeline::pipeline(seed, quick);
         println!("== DAG pipeline: host-bounce vs GPU-resident handoff ==");
         print!("{}", pipeline::pipeline_text(&o));
-        match pipeline::write_pipeline(&dir, &o) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("pipeline export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let json = pipeline::pipeline_json(&o);
+        export(&dir, "pipeline", &[("BENCH_pipeline.json", json)]);
         return;
     }
 
@@ -150,13 +153,8 @@ fn main() {
         );
         let (s, wall_secs) = scale::scale(&cfg);
         print!("{}", scale::scale_text(&s, wall_secs));
-        match scale::write_scale(&dir, &s) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("scale export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let json = scale::scale_json(&s);
+        export(&dir, "scale", &[("BENCH_scale.json", json)]);
         return;
     }
 
@@ -164,16 +162,11 @@ fn main() {
         let o = obs::obs(seed, quick);
         println!("== Observability: predictive vs reactive autoscaling on a 10x ramp ==");
         print!("{}", obs::obs_text(&o));
-        match obs::write_obs(&dir, &o) {
-            Ok(path) => {
-                println!("wrote {}", path.display());
-                println!("wrote {}", dir.join("dashboard.json").display());
-            }
-            Err(e) => {
-                eprintln!("obs export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let files = [
+            ("BENCH_obs.json", obs::obs_json(&o)),
+            ("dashboard.json", o.dashboard),
+        ];
+        export(&dir, "obs", &files);
         return;
     }
 
@@ -181,31 +174,22 @@ fn main() {
         let a = attrib::attrib(seed, quick);
         println!("== Tail-latency attribution: critical-path decomposition ==");
         print!("{}", attrib::attrib_text(&a));
-        match attrib::write_attrib(&dir, &a) {
-            Ok((summary, traces)) => {
-                println!("wrote {}", summary.display());
-                println!("wrote {}", traces.display());
-            }
-            Err(e) => {
-                eprintln!("attribution export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let files = [
+            ("BENCH_attrib.json", attrib::attrib_json(&a)),
+            ("attrib_traces.json", attrib::traces_json(&a)),
+        ];
+        export(&dir, "attribution", &files);
         return;
     }
 
     if what == "trace" {
-        match trace::write_trace(&dir, copies, seed) {
-            Ok(files) => {
-                println!("wrote {}", files.metrics.display());
-                println!("wrote {}", files.chrome_trace.display());
-                println!("(open trace.json in chrome://tracing or ui.perfetto.dev)");
-            }
-            Err(e) => {
-                eprintln!("trace export failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let t = trace::trace(copies, seed);
+        let files = [
+            ("metrics.json", t.metrics_json),
+            ("trace.json", t.chrome_trace_json),
+        ];
+        export(&dir, "trace", &files);
+        println!("(open trace.json in chrome://tracing or ui.perfetto.dev)");
         return;
     }
 

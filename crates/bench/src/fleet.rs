@@ -19,14 +19,14 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::json::JsonWriter;
+use dgsf::sim::json::Layout::{Inline, Lines};
+use dgsf::sim::stats::{jain_permille, percentile_permille};
 
 use crate::report::TextTable;
 
@@ -287,20 +287,6 @@ fn fleet_config(seed: u64, policy: FleetPolicy, fair: bool) -> PlatformConfig {
     cfg
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille).
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
-// Jain's index moved to the sim crate's stats module (the telemetry layer
-// wants it too); re-exported here so `fleet::jain_permille` keeps working.
-pub use dgsf::sim::stats::jain_permille;
-
 /// Tenant slice of a run's results.
 fn tenant_point(results: &[&dgsf::serverless::FunctionResult], window_ns: u64) -> TenantPoint {
     let launched = results.len() as u64;
@@ -323,7 +309,7 @@ fn tenant_point(results: &[&dgsf::serverless::FunctionResult], window_ns: u64) -
         shed,
         goodput_rps_milli,
         completion_permille: (completed * 1000).checked_div(launched).unwrap_or(0),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p99_e2e_us: percentile_permille(&e2e_us, 990),
     }
 }
 
@@ -400,8 +386,8 @@ fn run_point(
     let jain = jain_permille(&[hot.goodput_rps_milli, cold.goodput_rps_milli]);
     FleetPoint {
         hot_rps_milli,
-        p50_e2e_us: percentile_sorted(&all_e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&all_e2e_us, 990),
+        p50_e2e_us: percentile_permille(&all_e2e_us, 500),
+        p99_e2e_us: percentile_permille(&all_e2e_us, 990),
         jain_permille: jain,
         hot,
         cold,
@@ -496,7 +482,7 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
             .map(|r| r.e2e().as_nanos() / 1_000)
             .collect();
         us.sort_unstable();
-        percentile_sorted(&us, 990)
+        percentile_permille(&us, 990)
     };
     let mut all_e2e_us: Vec<u64> = out
         .results
@@ -509,8 +495,8 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
         migration: if on { "on" } else { "off" },
         completed: out.completed() as u64,
         migrations: out.migrations.iter().map(|m| m.len() as u64).sum(),
-        p50_e2e_us: percentile_sorted(&all_e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&all_e2e_us, 990),
+        p50_e2e_us: percentile_permille(&all_e2e_us, 500),
+        p99_e2e_us: percentile_permille(&all_e2e_us, 990),
         batch_p99_e2e_us: p99_of("batch"),
         interactive_p99_e2e_us: p99_of("interactive"),
     }
@@ -636,8 +622,8 @@ fn queueing_arm(
                 .filter(|r| r.tenant == tenant && r.succeeded())
                 .count() as u64,
             served_by_horizon_ms: served_ns / 1_000_000,
-            p50_queue_delay_us: percentile_sorted(&delays_us, 500),
-            p99_queue_delay_us: percentile_sorted(&delays_us, 990),
+            p50_queue_delay_us: percentile_permille(&delays_us, 500),
+            p99_queue_delay_us: percentile_permille(&delays_us, 990),
             servers_touched,
         }
     };
@@ -715,97 +701,82 @@ pub fn fleet(seed: u64, quick: bool) -> FleetOutput {
     }
 }
 
-fn tenant_json(t: &TenantPoint) -> String {
-    format!(
-        "{{\"launched\": {}, \"completed\": {}, \"shed\": {}, \"goodput_rps_milli\": {}, \"completion_permille\": {}, \"p99_e2e_us\": {}}}",
-        t.launched, t.completed, t.shed, t.goodput_rps_milli, t.completion_permille, t.p99_e2e_us,
-    )
+fn tenant_json(j: &mut JsonWriter, t: &TenantPoint) {
+    j.object(Inline, |j| {
+        j.key("launched").u64(t.launched);
+        j.key("completed").u64(t.completed);
+        j.key("shed").u64(t.shed);
+        j.key("goodput_rps_milli").u64(t.goodput_rps_milli);
+        j.key("completion_permille").u64(t.completion_permille);
+        j.key("p99_e2e_us").u64(t.p99_e2e_us);
+    });
+}
+
+fn queue_tenant_json(j: &mut JsonWriter, t: &QueueTenant) {
+    j.object(Inline, |j| {
+        j.key("completed").u64(t.completed);
+        j.key("served_by_horizon_ms").u64(t.served_by_horizon_ms);
+        j.key("p50_queue_delay_us").u64(t.p50_queue_delay_us);
+        j.key("p99_queue_delay_us").u64(t.p99_queue_delay_us);
+        j.key("servers_touched").u64(t.servers_touched);
+    });
 }
 
 /// Render the sweep as JSON. Integers only — byte-identical per seed.
 pub fn fleet_json(f: &FleetOutput) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", f.seed));
-    out.push_str(&format!("  \"num_servers\": {},\n", f.num_servers));
-    out.push_str(&format!("  \"window_secs\": {},\n", f.window_secs));
-    out.push_str(&format!("  \"cold_rps_milli\": {},\n", f.cold_rps_milli));
-    out.push_str("  \"variants\": [");
-    for (i, v) in f.variants.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"fleet_policy\": \"{}\", \"shed_policy\": \"{}\", \"points\": [",
-            v.fleet_policy, v.shed_policy
-        ));
-        for (j, p) in v.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("seed").u64(f.seed);
+        j.key("num_servers").u64(f.num_servers as u64);
+        j.key("window_secs").u64(f.window_secs);
+        j.key("cold_rps_milli").u64(f.cold_rps_milli);
+        j.key("variants").array(Lines(4), |j| {
+            for v in &f.variants {
+                j.object(Inline, |j| {
+                    j.key("fleet_policy").str(v.fleet_policy);
+                    j.key("shed_policy").str(v.shed_policy);
+                    j.key("points").array(Lines(6), |j| {
+                        for p in &v.points {
+                            j.object(Inline, |j| {
+                                j.key("hot_rps_milli").u64(p.hot_rps_milli);
+                                j.key("p50_e2e_us").u64(p.p50_e2e_us);
+                                j.key("p99_e2e_us").u64(p.p99_e2e_us);
+                                j.key("jain_permille").u64(p.jain_permille);
+                                tenant_json(j.key("hot"), &p.hot);
+                                tenant_json(j.key("cold"), &p.cold);
+                            });
+                        }
+                    });
+                });
             }
-            out.push_str(&format!(
-                "\n      {{\"hot_rps_milli\": {}, \"p50_e2e_us\": {}, \"p99_e2e_us\": {}, \"jain_permille\": {}, \"hot\": {}, \"cold\": {}}}",
-                p.hot_rps_milli,
-                p.p50_e2e_us,
-                p.p99_e2e_us,
-                p.jain_permille,
-                tenant_json(&p.hot),
-                tenant_json(&p.cold),
-            ));
-        }
-        out.push_str("\n    ]}");
-    }
-    out.push_str("\n  ],\n  \"migration\": [");
-    for (i, m) in f.migration.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"migration\": \"{}\", \"completed\": {}, \"migrations\": {}, \"p50_e2e_us\": {}, \"p99_e2e_us\": {}, \"batch_p99_e2e_us\": {}, \"interactive_p99_e2e_us\": {}}}",
-            m.migration,
-            m.completed,
-            m.migrations,
-            m.p50_e2e_us,
-            m.p99_e2e_us,
-            m.batch_p99_e2e_us,
-            m.interactive_p99_e2e_us,
-        ));
-    }
-    out.push_str("\n  ],\n  \"queueing\": [");
-    for (i, q) in f.queueing.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"arm\": \"{}\", \"completed\": {}, \"jain_served_permille\": {}, \"heavy\": {}, \"light\": {}}}",
-            q.arm,
-            q.completed,
-            q.jain_served_permille,
-            queue_tenant_json(&q.heavy),
-            queue_tenant_json(&q.light),
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn queue_tenant_json(t: &QueueTenant) -> String {
-    format!(
-        "{{\"completed\": {}, \"served_by_horizon_ms\": {}, \"p50_queue_delay_us\": {}, \"p99_queue_delay_us\": {}, \"servers_touched\": {}}}",
-        t.completed,
-        t.served_by_horizon_ms,
-        t.p50_queue_delay_us,
-        t.p99_queue_delay_us,
-        t.servers_touched,
-    )
-}
-
-/// Write `BENCH_fleet.json` into `out_dir`; returns the path.
-pub fn write_fleet(out_dir: &Path, f: &FleetOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_fleet.json");
-    fs::write(&path, fleet_json(f))?;
-    Ok(path)
+        });
+        j.key("migration").array(Lines(4), |j| {
+            for m in &f.migration {
+                j.object(Inline, |j| {
+                    j.key("migration").str(m.migration);
+                    j.key("completed").u64(m.completed);
+                    j.key("migrations").u64(m.migrations);
+                    j.key("p50_e2e_us").u64(m.p50_e2e_us);
+                    j.key("p99_e2e_us").u64(m.p99_e2e_us);
+                    j.key("batch_p99_e2e_us").u64(m.batch_p99_e2e_us);
+                    j.key("interactive_p99_e2e_us")
+                        .u64(m.interactive_p99_e2e_us);
+                });
+            }
+        });
+        j.key("queueing").array(Lines(4), |j| {
+            for q in &f.queueing {
+                j.object(Inline, |j| {
+                    j.key("arm").str(q.arm);
+                    j.key("completed").u64(q.completed);
+                    j.key("jain_served_permille").u64(q.jain_served_permille);
+                    queue_tenant_json(j.key("heavy"), &q.heavy);
+                    queue_tenant_json(j.key("light"), &q.light);
+                });
+            }
+        });
+    });
+    j.finish()
 }
 
 /// Human-readable table of the sweep.
@@ -886,20 +857,6 @@ pub fn fleet_text(f: &FleetOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jain_index_brackets() {
-        assert_eq!(jain_permille(&[500, 500]), 1000, "equal shares are fair");
-        assert_eq!(
-            jain_permille(&[800, 0]),
-            500,
-            "starvation halves 2-tenant J"
-        );
-        assert_eq!(jain_permille(&[]), 1000);
-        assert_eq!(jain_permille(&[0, 0]), 1000);
-        let j = jain_permille(&[900, 300]);
-        assert!(j > 500 && j < 1000, "skew lands between: {j}");
-    }
 
     #[test]
     fn migration_halves_the_stranded_batch_pair_tail() {

@@ -17,7 +17,7 @@
 //! | Table V   | [`single::table5`]     | `dgsf-expt table5` |
 //! | §V-C API counts | [`single::apicounts`] | `dgsf-expt apicounts` |
 //! | §VIII-D future work (SJF) | [`mixed::queue_policy`] | `dgsf-expt sjf` |
-//! | telemetry trace | [`trace::write_trace`] | `dgsf-expt trace` |
+//! | telemetry trace | [`trace::trace`] | `dgsf-expt trace` |
 //! | autoscaler load sweep | [`sweep::sweep`] | `dgsf-expt sweep` |
 //! | million-invocation scale run | [`scale::scale`] | `dgsf-expt scale` |
 //! | multi-tenant fleet sweep | [`fleet::fleet`] | `dgsf-expt fleet` |

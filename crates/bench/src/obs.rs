@@ -18,14 +18,14 @@
 //! `BENCH_obs.json`; both are integers-only and **byte-identical per
 //! seed**, so CI diffs the quick run against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::json::JsonWriter;
+use dgsf::sim::json::Layout::{Inline, Lines};
+use dgsf::sim::stats::percentile_permille;
 
 use crate::report::TextTable;
 
@@ -223,16 +223,6 @@ fn diurnal(seed: u64, quick: bool) -> (Schedule, u64, u64) {
     (Schedule { entries }, low_ms, low_ms + surge_ms)
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille).
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 /// Run the ramp once in one mode; returns the stats and the plane's report.
 fn run_mode(
     seed: u64,
@@ -265,8 +255,8 @@ fn run_mode(
         completed: out.completed() as u64,
         shed: out.shed() as u64,
         failed: out.failed() as u64,
-        p50_e2e_us: percentile_sorted(&e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p50_e2e_us: percentile_permille(&e2e_us, 500),
+        p99_e2e_us: percentile_permille(&e2e_us, 990),
         pool_peak: tel.gauge_peak("monitor.pool_size").unwrap_or(
             // pool never moved: it stayed at the provisioned baseline
             cfg.server.total_api_servers() as i64,
@@ -299,51 +289,38 @@ pub fn obs(seed: u64, quick: bool) -> ObsOutput {
     }
 }
 
-fn mode_json(out: &mut String, label: &str, m: &ModeStats) {
-    out.push_str(&format!(
-        "  \"{label}\": {{\"launched\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \"p50_e2e_us\": {}, \"p99_e2e_us\": {}, \"pool_peak\": {}, \"scale_ups\": {}, \"prewarms\": {}, \"scale_downs\": {}, \"first_grow_ms_after_surge\": {}, \"alerts_fired\": {}, \"alerts_cleared\": {}}}",
-        m.launched,
-        m.completed,
-        m.shed,
-        m.failed,
-        m.p50_e2e_us,
-        m.p99_e2e_us,
-        m.pool_peak,
-        m.scale_ups,
-        m.prewarms,
-        m.scale_downs,
-        m.first_grow_ms_after_surge,
-        m.alerts_fired,
-        m.alerts_cleared,
-    ));
+fn mode_json(j: &mut JsonWriter, m: &ModeStats) {
+    j.object(Inline, |j| {
+        j.key("launched").u64(m.launched);
+        j.key("completed").u64(m.completed);
+        j.key("shed").u64(m.shed);
+        j.key("failed").u64(m.failed);
+        j.key("p50_e2e_us").u64(m.p50_e2e_us);
+        j.key("p99_e2e_us").u64(m.p99_e2e_us);
+        j.key("pool_peak").i64(m.pool_peak);
+        j.key("scale_ups").u64(m.scale_ups);
+        j.key("prewarms").u64(m.prewarms);
+        j.key("scale_downs").u64(m.scale_downs);
+        j.key("first_grow_ms_after_surge")
+            .i64(m.first_grow_ms_after_surge);
+        j.key("alerts_fired").u64(m.alerts_fired);
+        j.key("alerts_cleared").u64(m.alerts_cleared);
+    });
 }
 
 /// Render the mode comparison as JSON. Integers only — byte-identical per
 /// seed. The dashboard is a separate artifact (`dashboard.json`).
 pub fn obs_json(o: &ObsOutput) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", o.seed));
-    out.push_str(&format!(
-        "  \"surge_start_ms\": {}, \"surge_end_ms\": {},\n",
-        o.surge_start_ms, o.surge_end_ms
-    ));
-    out.push_str(&format!("  \"launches\": {},\n", o.launches));
-    mode_json(&mut out, "reactive", &o.reactive);
-    out.push_str(",\n");
-    mode_json(&mut out, "predictive", &o.predictive);
-    out.push_str("\n}\n");
-    out
-}
-
-/// Write `BENCH_obs.json` and the predictive run's `dashboard.json` into
-/// `out_dir`; returns the `BENCH_obs.json` path.
-pub fn write_obs(out_dir: &Path, o: &ObsOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_obs.json");
-    fs::write(&path, obs_json(o))?;
-    fs::write(out_dir.join("dashboard.json"), &o.dashboard)?;
-    Ok(path)
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("seed").u64(o.seed);
+        j.key("surge_start_ms").u64(o.surge_start_ms);
+        j.key("surge_end_ms").u64(o.surge_end_ms);
+        j.key("launches").u64(o.launches);
+        mode_json(j.key("reactive"), &o.reactive);
+        mode_json(j.key("predictive"), &o.predictive);
+    });
+    j.finish()
 }
 
 /// Human-readable comparison table.
@@ -406,13 +383,5 @@ mod tests {
         );
         assert_eq!(s, diurnal(42, true).0, "schedule must be seed-stable");
         assert_ne!(s, diurnal(43, true).0);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50];
-        assert_eq!(percentile_sorted(&v, 500), 30);
-        assert_eq!(percentile_sorted(&v, 990), 50);
-        assert_eq!(percentile_sorted(&[], 500), 0);
     }
 }

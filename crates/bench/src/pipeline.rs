@@ -14,15 +14,15 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::cuda::ResidentEvent;
 use dgsf::prelude::*;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{DagResult, DagWorkload, HandoffMode, ObjectStore};
+use dgsf::sim::json::JsonWriter;
+use dgsf::sim::json::Layout::{Inline, Lines};
+use dgsf::sim::stats::percentile_permille;
 use dgsf::sim::SimTime;
 use parking_lot::Mutex;
 
@@ -83,16 +83,6 @@ pub struct PipelineOutput {
     pub inter_mb: u64,
     /// The two arms, host bounce first.
     pub arms: Vec<PipelineArm>,
-}
-
-/// Nearest-rank percentile of a sorted slice (q in permille).
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
 }
 
 /// Run one arm: `n` DAGs from two alternating tenants, launched
@@ -176,8 +166,8 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
         launched: runs.len() as u64,
         completed: completed.len() as u64,
         failed: runs.len() as u64 - completed.len() as u64,
-        p50_e2e_us: percentile_sorted(&e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p50_e2e_us: percentile_permille(&e2e_us, 500),
+        p99_e2e_us: percentile_permille(&e2e_us, 990),
         transfer_ms: transfer_ns / 1_000_000,
         colocated_permille: (colocated * 1000)
             .checked_div(completed.len() as u64)
@@ -205,41 +195,30 @@ pub fn pipeline(seed: u64, quick: bool) -> PipelineOutput {
 
 /// Render the comparison as JSON. Integers only — byte-identical per seed.
 pub fn pipeline_json(o: &PipelineOutput) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", o.seed));
-    out.push_str(&format!("  \"dags\": {},\n", o.dags));
-    out.push_str(&format!("  \"inter_mb\": {},\n", o.inter_mb));
-    out.push_str("  \"arms\": [");
-    for (i, a) in o.arms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"mode\": \"{}\", \"launched\": {}, \"completed\": {}, \"failed\": {}, \"p50_e2e_us\": {}, \"p99_e2e_us\": {}, \"transfer_ms\": {}, \"colocated_permille\": {}, \"publishes\": {}, \"adopts\": {}, \"reclaims\": {}}}",
-            a.mode,
-            a.launched,
-            a.completed,
-            a.failed,
-            a.p50_e2e_us,
-            a.p99_e2e_us,
-            a.transfer_ms,
-            a.colocated_permille,
-            a.publishes,
-            a.adopts,
-            a.reclaims,
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_pipeline.json` into `out_dir`; returns the path.
-pub fn write_pipeline(out_dir: &Path, o: &PipelineOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_pipeline.json");
-    fs::write(&path, pipeline_json(o))?;
-    Ok(path)
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("seed").u64(o.seed);
+        j.key("dags").u64(o.dags);
+        j.key("inter_mb").u64(o.inter_mb);
+        j.key("arms").array(Lines(4), |j| {
+            for a in &o.arms {
+                j.object(Inline, |j| {
+                    j.key("mode").str(a.mode);
+                    j.key("launched").u64(a.launched);
+                    j.key("completed").u64(a.completed);
+                    j.key("failed").u64(a.failed);
+                    j.key("p50_e2e_us").u64(a.p50_e2e_us);
+                    j.key("p99_e2e_us").u64(a.p99_e2e_us);
+                    j.key("transfer_ms").u64(a.transfer_ms);
+                    j.key("colocated_permille").u64(a.colocated_permille);
+                    j.key("publishes").u64(a.publishes);
+                    j.key("adopts").u64(a.adopts);
+                    j.key("reclaims").u64(a.reclaims);
+                });
+            }
+        });
+    });
+    j.finish()
 }
 
 /// Human-readable table of the comparison.

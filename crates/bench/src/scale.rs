@@ -16,13 +16,13 @@
 //! a committed golden. Wall-clock throughput (events/sec, invocations/
 //! sec) is *not* in the JSON; the binary prints it alongside.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::remoting::wire::{Request, Response, WireArgs};
 use dgsf::remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
+use dgsf::sim::json::JsonWriter;
+use dgsf::sim::json::Layout::{Inline, Lines};
+use dgsf::sim::stats::percentile_permille;
 use dgsf::sim::{rng, Dur, Sim, SimTime};
 use parking_lot::Mutex;
 
@@ -129,16 +129,6 @@ struct Invocation {
     arrival: SimTime,
     tenant: u32,
     service_ns: u64,
-}
-
-/// Nearest-rank percentile of a sorted slice (q in permyriad: 9990 = p99.9).
-fn percentile_sorted(sorted: &[u64], q_permyriad: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permyriad).div_ceil(10_000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
 }
 
 /// Run the trace. Returns the deterministic output plus the wall-clock
@@ -261,9 +251,9 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
         completed,
         tenants: cfg.tenants as u64,
         servers: cfg.servers as u64,
-        p50_us: percentile_sorted(&lat_us, 5_000),
-        p99_us: percentile_sorted(&lat_us, 9_900),
-        p999_us: percentile_sorted(&lat_us, 9_990),
+        p50_us: percentile_permille(&lat_us, 500),
+        p99_us: percentile_permille(&lat_us, 990),
+        p999_us: percentile_permille(&lat_us, 999),
         max_us: lat_us.last().copied().unwrap_or(0),
         virtual_ms: end.as_nanos() / 1_000_000,
         events,
@@ -279,47 +269,33 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
 
 /// Render the run as JSON. Integers only — byte-identical per seed.
 pub fn scale_json(s: &ScaleOutput) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", s.seed));
-    out.push_str(&format!("  \"invocations\": {},\n", s.invocations));
-    out.push_str(&format!("  \"completed\": {},\n", s.completed));
-    out.push_str(&format!("  \"tenants\": {},\n", s.tenants));
-    out.push_str(&format!("  \"servers\": {},\n", s.servers));
-    out.push_str(&format!("  \"p50_us\": {},\n", s.p50_us));
-    out.push_str(&format!("  \"p99_us\": {},\n", s.p99_us));
-    out.push_str(&format!("  \"p999_us\": {},\n", s.p999_us));
-    out.push_str(&format!("  \"max_us\": {},\n", s.max_us));
-    out.push_str(&format!("  \"virtual_ms\": {},\n", s.virtual_ms));
-    out.push_str(&format!("  \"events\": {},\n", s.events));
-    out.push_str(&format!(
-        "  \"events_per_invocation_milli\": {},\n",
-        s.events_per_invocation_milli
-    ));
-    out.push_str(&format!(
-        "  \"hot_tenant_permille\": {},\n",
-        s.hot_tenant_permille
-    ));
-    out.push_str("  \"checkpoints\": [");
-    for (i, c) in s.checkpoints.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"virtual_ms\": {}, \"completed\": {}, \"events\": {}}}",
-            c.virtual_ms, c.completed, c.events
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_scale.json` into `out_dir`; returns the path.
-pub fn write_scale(out_dir: &Path, s: &ScaleOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_scale.json");
-    fs::write(&path, scale_json(s))?;
-    Ok(path)
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("seed").u64(s.seed);
+        j.key("invocations").u64(s.invocations);
+        j.key("completed").u64(s.completed);
+        j.key("tenants").u64(s.tenants);
+        j.key("servers").u64(s.servers);
+        j.key("p50_us").u64(s.p50_us);
+        j.key("p99_us").u64(s.p99_us);
+        j.key("p999_us").u64(s.p999_us);
+        j.key("max_us").u64(s.max_us);
+        j.key("virtual_ms").u64(s.virtual_ms);
+        j.key("events").u64(s.events);
+        j.key("events_per_invocation_milli")
+            .u64(s.events_per_invocation_milli);
+        j.key("hot_tenant_permille").u64(s.hot_tenant_permille);
+        j.key("checkpoints").array(Lines(4), |j| {
+            for c in &s.checkpoints {
+                j.object(Inline, |j| {
+                    j.key("virtual_ms").u64(c.virtual_ms);
+                    j.key("completed").u64(c.completed);
+                    j.key("events").u64(c.events);
+                });
+            }
+        });
+    });
+    j.finish()
 }
 
 /// Human-readable summary, including the wall-clock throughput lines that
@@ -395,14 +371,5 @@ mod tests {
             assert!(w[1].completed >= w[0].completed);
             assert!(w[1].events > w[0].events);
         }
-    }
-
-    #[test]
-    fn scale_percentiles_are_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile_sorted(&v, 5_000), 50);
-        assert_eq!(percentile_sorted(&v, 9_900), 100);
-        assert_eq!(percentile_sorted(&[], 5_000), 0);
-        assert_eq!(percentile_sorted(&[7], 9_990), 7);
     }
 }

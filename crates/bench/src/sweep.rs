@@ -12,14 +12,14 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::json::JsonWriter;
+use dgsf::sim::json::Layout::{Inline, Lines};
+use dgsf::sim::stats::percentile_permille;
 
 use crate::report::TextTable;
 
@@ -130,16 +130,6 @@ fn sweep_config(seed: u64) -> PlatformConfig {
         .with_max_queue_age(Dur::from_secs(3))
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille). Integer-only.
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 /// Run one point: `launches` Poisson arrivals at `rate_milli_rps` through
 /// the admission-controlled, autoscaled fleet.
 fn run_point(base_seed: u64, idx: usize, rate_milli_rps: u64, launches: usize) -> SweepPoint {
@@ -175,8 +165,8 @@ fn run_point(base_seed: u64, idx: usize, rate_milli_rps: u64, launches: usize) -
         completed,
         shed: out.shed() as u64,
         failed: out.failed() as u64,
-        p50_e2e_us: percentile_sorted(&e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p50_e2e_us: percentile_permille(&e2e_us, 500),
+        p99_e2e_us: percentile_permille(&e2e_us, 990),
         throughput_rps_milli,
         pool_peak: tel.gauge_peak("monitor.pool_size").unwrap_or(
             // pool never moved: it stayed at the provisioned baseline
@@ -205,43 +195,29 @@ pub fn sweep(seed: u64, quick: bool) -> SweepOutput {
 
 /// Render the sweep as JSON. Integers only — byte-identical per seed.
 pub fn sweep_json(s: &SweepOutput) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", s.seed));
-    out.push_str(&format!(
-        "  \"launches_per_point\": {},\n",
-        s.launches_per_point
-    ));
-    out.push_str("  \"points\": [");
-    for (i, p) in s.points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"offered_rps_milli\": {}, \"launched\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \"p50_e2e_us\": {}, \"p99_e2e_us\": {}, \"throughput_rps_milli\": {}, \"pool_peak\": {}, \"scale_ups\": {}, \"scale_downs\": {}}}",
-            p.offered_rps_milli,
-            p.launched,
-            p.completed,
-            p.shed,
-            p.failed,
-            p.p50_e2e_us,
-            p.p99_e2e_us,
-            p.throughput_rps_milli,
-            p.pool_peak,
-            p.scale_ups,
-            p.scale_downs,
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_sweep.json` into `out_dir`; returns the path.
-pub fn write_sweep(out_dir: &Path, s: &SweepOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_sweep.json");
-    fs::write(&path, sweep_json(s))?;
-    Ok(path)
+    let mut j = JsonWriter::new();
+    j.object(Lines(2), |j| {
+        j.key("seed").u64(s.seed);
+        j.key("launches_per_point").u64(s.launches_per_point as u64);
+        j.key("points").array(Lines(4), |j| {
+            for p in &s.points {
+                j.object(Inline, |j| {
+                    j.key("offered_rps_milli").u64(p.offered_rps_milli);
+                    j.key("launched").u64(p.launched);
+                    j.key("completed").u64(p.completed);
+                    j.key("shed").u64(p.shed);
+                    j.key("failed").u64(p.failed);
+                    j.key("p50_e2e_us").u64(p.p50_e2e_us);
+                    j.key("p99_e2e_us").u64(p.p99_e2e_us);
+                    j.key("throughput_rps_milli").u64(p.throughput_rps_milli);
+                    j.key("pool_peak").i64(p.pool_peak);
+                    j.key("scale_ups").u64(p.scale_ups);
+                    j.key("scale_downs").u64(p.scale_downs);
+                });
+            }
+        });
+    });
+    j.finish()
 }
 
 /// Human-readable table of the sweep.
@@ -276,16 +252,6 @@ pub fn sweep_text(s: &SweepOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile_sorted(&v, 500), 50);
-        assert_eq!(percentile_sorted(&v, 990), 100);
-        assert_eq!(percentile_sorted(&v, 1000), 100);
-        assert_eq!(percentile_sorted(&[], 500), 0);
-        assert_eq!(percentile_sorted(&[7], 990), 7);
-    }
 
     #[test]
     fn one_light_point_completes_everything() {

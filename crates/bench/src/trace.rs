@@ -15,28 +15,16 @@
 //! files across commits to see exactly what changed in the platform's
 //! behaviour.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
 use dgsf::prelude::*;
+use dgsf::sim::TelemetryExport;
 use dgsf::workloads::{as_workloads, paper_suite};
-
-/// Paths written by [`write_trace`].
-#[derive(Debug, Clone)]
-pub struct TraceFiles {
-    /// Metrics snapshot (counters, gauges, histograms).
-    pub metrics: PathBuf,
-    /// Chrome trace-event file (load in `chrome://tracing` / Perfetto).
-    pub chrome_trace: PathBuf,
-}
 
 /// Run the heavy-load mixed experiment (paper suite, exponential arrivals
 /// with mean 2 s, 4 GPUs, sharing(2) best-fit) with telemetry enabled and
-/// write `metrics.json` + `trace.json` into `out_dir`.
+/// export `metrics.json` + `trace.json`.
 ///
 /// Same `seed` and `copies` ⇒ byte-identical files.
-pub fn write_trace(out_dir: &Path, copies: usize, seed: u64) -> io::Result<TraceFiles> {
+pub fn trace(copies: usize, seed: u64) -> TelemetryExport {
     let suite = paper_suite();
     let pattern = ArrivalPattern::Exponential {
         mean: Dur::from_secs(2),
@@ -46,14 +34,5 @@ pub fn write_trace(out_dir: &Path, copies: usize, seed: u64) -> io::Result<Trace
         .with_seed(seed)
         .with_server(GpuServerConfig::paper_default().gpus(4).sharing(2));
     let (_out, tel) = Testbed::run_platform_schedule_traced(&cfg, &as_workloads(&suite), &schedule);
-    let export = tel.export();
-    fs::create_dir_all(out_dir)?;
-    let metrics = out_dir.join("metrics.json");
-    let chrome_trace = out_dir.join("trace.json");
-    fs::write(&metrics, &export.metrics_json)?;
-    fs::write(&chrome_trace, &export.chrome_trace_json)?;
-    Ok(TraceFiles {
-        metrics,
-        chrome_trace,
-    })
+    tel.export()
 }

@@ -41,6 +41,7 @@
 
 mod channel;
 pub mod invariants;
+pub mod json;
 mod kernel;
 pub mod obs;
 mod resource;
@@ -59,7 +60,7 @@ pub use obs::{
     AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, QuantileSketch, TenantBurnRow, WindowRow,
 };
 pub use resource::{FifoResource, GpsResource, Timeline};
-pub use stats::{moving_average, percentile_sorted, Summary};
+pub use stats::{moving_average, percentile_permille, percentile_sorted, Summary};
 pub use telemetry::{EventRecord, Histogram, SpanRecord, Telemetry, TelemetryExport, TraceCtx};
 pub use time::{Dur, SimTime};
 pub use trace::{GroupAttribution, Segment, SloBurn, SloPolicy, TraceOutcome, TraceTree};

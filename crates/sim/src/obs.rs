@@ -70,6 +70,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::Mutex;
 
+use crate::json::JsonWriter;
+use crate::json::Layout::{Compact, Inline, Lines};
 use crate::time::{Dur, SimTime};
 
 /// Streaming log₂-bucket quantile sketch over `u64` samples.
@@ -786,81 +788,82 @@ impl ObsReport {
     /// Render the dashboard JSON: integer-only, deterministic key order,
     /// byte-identical across same-seed reruns.
     pub fn dashboard_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"window_ns\": {},\n", self.window_ns));
-        s.push_str("  \"windows\": [\n");
-        for (i, w) in self.windows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"start_ns\": {}, \"arrivals\": {}, \"finished\": {}, \"violations\": {}, \"ewma_rate_milli\": {}}}{}\n",
-                w.start_ns,
-                w.arrivals,
-                w.finished,
-                w.violations,
-                w.ewma_rate_milli,
-                if i + 1 < self.windows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"tenants\": [\n");
-        for (i, t) in self.tenants.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"tenant\": \"{}\", \"window_start_ns\": {}, \"total\": {}, \"violations\": {}, \"fast_burn_permille\": {}, \"slow_burn_permille\": {}, \"queue_share_permille\": {}}}{}\n",
-                t.tenant,
-                t.window_start_ns,
-                t.total,
-                t.violations,
-                t.fast_burn_permille,
-                t.slow_burn_permille,
-                t.queue_share_permille,
-                if i + 1 < self.tenants.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"alerts\": [\n");
-        for (i, a) in self.alerts.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"at_ns\": {}, \"window_start_ns\": {}, \"tenant\": \"{}\", \"kind\": \"{}\", \"fast_burn_permille\": {}, \"slow_burn_permille\": {}, \"queue_share_permille\": {}}}{}\n",
-                a.at.as_nanos(),
-                a.window_start_ns,
-                a.tenant,
-                a.kind.as_str(),
-                a.fast_burn_permille,
-                a.slow_burn_permille,
-                a.queue_share_permille,
-                if i + 1 < self.alerts.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"health\": {\n");
-        for (i, (label, tl)) in self.health.iter().enumerate() {
-            let samples: Vec<String> = tl.iter().map(|(t, v)| format!("[{t},{v}]")).collect();
-            s.push_str(&format!(
-                "    \"{}\": [{}]{}\n",
-                label,
-                samples.join(","),
-                if i + 1 < self.health.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"latency\": {\n");
-        s.push_str(&format!(
-            "    \"e2e\": {{\"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}},\n",
-            self.e2e_p50_ns, self.e2e_p95_ns, self.e2e_p99_ns
-        ));
-        s.push_str(&format!(
-            "    \"queue\": {{\"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}\n",
-            self.queue_p50_ns, self.queue_p95_ns, self.queue_p99_ns
-        ));
-        s.push_str("  }\n");
-        s.push_str("}\n");
-        s
+        let percentiles = |j: &mut JsonWriter, p50: u64, p95: u64, p99: u64| {
+            j.object(Inline, |j| {
+                j.key("p50_ns")
+                    .u64(p50)
+                    .key("p95_ns")
+                    .u64(p95)
+                    .key("p99_ns")
+                    .u64(p99);
+            });
+        };
+        let mut j = JsonWriter::new();
+        j.object(Lines(2), |j| {
+            j.key("window_ns").u64(self.window_ns);
+            j.key("windows").array(Lines(4), |j| {
+                for w in &self.windows {
+                    j.object(Inline, |j| {
+                        j.key("start_ns").u64(w.start_ns);
+                        j.key("arrivals").u64(w.arrivals);
+                        j.key("finished").u64(w.finished);
+                        j.key("violations").u64(w.violations);
+                        j.key("ewma_rate_milli").u64(w.ewma_rate_milli);
+                    });
+                }
+            });
+            j.key("tenants").array(Lines(4), |j| {
+                for t in &self.tenants {
+                    j.object(Inline, |j| {
+                        j.key("tenant").str(&t.tenant);
+                        j.key("window_start_ns").u64(t.window_start_ns);
+                        j.key("total").u64(t.total);
+                        j.key("violations").u64(t.violations);
+                        j.key("fast_burn_permille").u64(t.fast_burn_permille);
+                        j.key("slow_burn_permille").u64(t.slow_burn_permille);
+                        j.key("queue_share_permille").u64(t.queue_share_permille);
+                    });
+                }
+            });
+            j.key("alerts").array(Lines(4), |j| {
+                for a in &self.alerts {
+                    j.object(Inline, |j| {
+                        j.key("at_ns").u64(a.at.as_nanos());
+                        j.key("window_start_ns").u64(a.window_start_ns);
+                        j.key("tenant").str(&a.tenant);
+                        j.key("kind").str(a.kind.as_str());
+                        j.key("fast_burn_permille").u64(a.fast_burn_permille);
+                        j.key("slow_burn_permille").u64(a.slow_burn_permille);
+                        j.key("queue_share_permille").u64(a.queue_share_permille);
+                    });
+                }
+            });
+            j.key("health").object(Lines(4), |j| {
+                for (label, tl) in &self.health {
+                    j.key(label).array(Compact, |j| {
+                        for &(t, v) in tl {
+                            j.array(Compact, |j| {
+                                j.u64(t).u64(v);
+                            });
+                        }
+                    });
+                }
+            });
+            j.key("latency").object(Lines(4), |j| {
+                j.key("e2e");
+                percentiles(j, self.e2e_p50_ns, self.e2e_p95_ns, self.e2e_p99_ns);
+                j.key("queue");
+                percentiles(j, self.queue_p50_ns, self.queue_p95_ns, self.queue_p99_ns);
+            });
+        });
+        j.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::percentile_permille;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + Dur::from_millis(ms)
@@ -873,13 +876,6 @@ mod tests {
             .with_burn_windows(2, 4)
     }
 
-    /// Exact nearest-rank quantile, same rank rule as the sketch.
-    fn exact_quantile(sorted: &[u64], q_permille: u64) -> u64 {
-        let n = sorted.len() as u64;
-        let rank = ((n as u128 * q_permille as u128).div_ceil(1000) as u64).clamp(1, n);
-        sorted[(rank - 1) as usize]
-    }
-
     fn assert_bound(xs: &[u64], q: u64) {
         let mut sk = QuantileSketch::new();
         for &x in xs {
@@ -887,7 +883,7 @@ mod tests {
         }
         let mut sorted = xs.to_vec();
         sorted.sort_unstable();
-        let exact = exact_quantile(&sorted, q);
+        let exact = percentile_permille(&sorted, q);
         let est = sk.quantile(q);
         if exact == 0 {
             assert_eq!(est, 0, "q{q} over {} samples", xs.len());
@@ -1141,13 +1137,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::stats::percentile_permille;
     use proptest::prelude::*;
-
-    fn exact_quantile(sorted: &[u64], q_permille: u64) -> u64 {
-        let n = sorted.len() as u64;
-        let rank = ((n as u128 * q_permille as u128).div_ceil(1000) as u64).clamp(1, n);
-        sorted[(rank - 1) as usize]
-    }
 
     proptest! {
         /// The documented rank-error bound holds for arbitrary streams:
@@ -1164,7 +1155,7 @@ mod proptests {
             }
             let mut sorted = xs.clone();
             sorted.sort_unstable();
-            let exact = exact_quantile(&sorted, q);
+            let exact = percentile_permille(&sorted, q);
             let est = sk.quantile(q);
             if exact == 0 {
                 prop_assert_eq!(est, 0);

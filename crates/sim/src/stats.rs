@@ -70,6 +70,19 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
+/// Nearest-rank percentile of an ascending integer sample, `q` in permille:
+/// the element at rank ⌈n·q/1000⌉, clamped to `[1, n]`. An empty sample
+/// yields 0. Integer arithmetic only, so it is safe inside byte-deterministic
+/// exports.
+pub fn percentile_permille(sorted: &[u64], q_permille: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let n = sorted.len() as u128;
+    let rank = (n * u128::from(q_permille)).div_ceil(1000).clamp(1, n);
+    sorted[(rank - 1) as usize]
+}
+
 /// Jain's fairness index over `xs`, in permille: `(Σx)² / (n·Σx²)`.
 /// 1000 means every party gets the same value; 1000/n means one party gets
 /// everything. All-zero input is vacuously fair. Integer arithmetic only,
@@ -165,6 +178,41 @@ mod tests {
         // Values outside [0,1] clamp rather than indexing out of bounds.
         assert_eq!(percentile_sorted(&sorted, -1.0), 10.0);
         assert_eq!(percentile_sorted(&sorted, 42.0), 30.0);
+    }
+
+    #[test]
+    fn permille_percentiles_are_nearest_rank() {
+        let v = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+        assert_eq!(percentile_permille(&v, 500), 50);
+        assert_eq!(percentile_permille(&v, 990), 100);
+        assert_eq!(percentile_permille(&v, 999), 100);
+        assert_eq!(percentile_permille(&v, 1000), 100);
+        assert_eq!(percentile_permille(&v, 0), 10, "q = 0 clamps to rank 1");
+        assert_eq!(
+            percentile_permille(&v, 5000),
+            100,
+            "q > 1000 clamps to rank n"
+        );
+        let odd = [10u64, 20, 30, 40, 50];
+        assert_eq!(percentile_permille(&odd, 500), 30);
+        assert_eq!(percentile_permille(&odd, 990), 50);
+        assert_eq!(percentile_permille(&[], 500), 0);
+        assert_eq!(percentile_permille(&[7], 999), 7);
+        assert_eq!(percentile_permille(&[u64::MAX; 3], u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn jain_index_brackets() {
+        assert_eq!(jain_permille(&[500, 500]), 1000, "equal shares are fair");
+        assert_eq!(
+            jain_permille(&[800, 0]),
+            500,
+            "starvation halves 2-tenant J"
+        );
+        assert_eq!(jain_permille(&[]), 1000);
+        assert_eq!(jain_permille(&[0, 0]), 1000);
+        let j = jain_permille(&[900, 300]);
+        assert!(j > 500 && j < 1000, "skew lands between: {j}");
     }
 
     #[test]

@@ -38,6 +38,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::json::JsonWriter;
+use crate::json::Layout::{Compact, Inline, Lines};
 use crate::time::{Dur, SimTime};
 
 /// Request-scoped causal context, threaded from the serverless front door
@@ -517,64 +519,51 @@ impl Telemetry {
     /// across same-seed runs.
     pub fn metrics_json(&self) -> String {
         let st = self.state.lock();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in st.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_str(&mut out, k);
-            out.push_str(": ");
-            out.push_str(&v.to_string());
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, samples)) in st.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_str(&mut out, k);
-            out.push_str(": {\"samples\": [");
-            for (j, (at, v)) in samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{},{}]", at.as_nanos(), v));
-            }
-            let min = samples.iter().map(|&(_, v)| v).min().unwrap_or(0);
-            let peak = samples.iter().map(|&(_, v)| v).max().unwrap_or(0);
-            out.push_str(&format!(
-                "], \"min\": {min}, \"peak\": {peak}, \"twa\": {}}}",
-                gauge_twa(samples)
-            ));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in st.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_str(&mut out, k);
-            out.push_str(&format!(
-                ": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-                h.quantile_upper_bound(500),
-                h.quantile_upper_bound(950),
-                h.quantile_upper_bound(990),
-            ));
-        }
         let (spans, instants) = st.items.iter().fold((0u64, 0u64), |(s, e), it| match it {
             TraceItem::Span { .. } => (s + 1, e),
             TraceItem::Instant { .. } => (s, e + 1),
         });
-        out.push_str(&format!(
-            "\n  }},\n  \"spans\": {spans},\n  \"events\": {instants}\n}}\n"
-        ));
-        out
+        let mut j = JsonWriter::new();
+        j.object(Lines(2), |j| {
+            j.key("counters").object(Lines(4), |j| {
+                for (k, &v) in &st.counters {
+                    j.key(k).u64(v);
+                }
+            });
+            j.key("gauges").object(Lines(4), |j| {
+                for (k, samples) in &st.gauges {
+                    let values = samples.iter().map(|&(_, v)| v);
+                    j.key(k).object(Inline, |j| {
+                        j.key("samples").array(Compact, |j| {
+                            for &(at, v) in samples {
+                                j.array(Compact, |j| {
+                                    j.u64(at.as_nanos()).i64(v);
+                                });
+                            }
+                        });
+                        j.key("min").i64(values.clone().min().unwrap_or(0));
+                        j.key("peak").i64(values.max().unwrap_or(0));
+                        j.key("twa").i64(gauge_twa(samples));
+                    });
+                }
+            });
+            j.key("histograms").object(Lines(4), |j| {
+                for (k, h) in &st.histograms {
+                    j.key(k).object(Inline, |j| {
+                        j.key("count").u64(h.count);
+                        j.key("sum").u64(h.sum);
+                        j.key("min").u64(if h.count == 0 { 0 } else { h.min });
+                        j.key("max").u64(h.max);
+                        j.key("p50").u64(h.quantile_upper_bound(500));
+                        j.key("p95").u64(h.quantile_upper_bound(950));
+                        j.key("p99").u64(h.quantile_upper_bound(990));
+                    });
+                }
+            });
+            j.key("spans").u64(spans);
+            j.key("events").u64(instants);
+        });
+        j.finish()
     }
 
     /// Chrome trace-event JSON (the `{"traceEvents": [...]}` object form):
@@ -584,77 +573,61 @@ impl Telemetry {
     /// the output is byte-identical across same-seed runs.
     pub fn chrome_trace_json(&self) -> String {
         let st = self.state.lock();
-        let mut out = String::with_capacity(8192);
-        out.push_str("{\"traceEvents\": [\n");
-        let mut first = true;
-        for (tid, name) in st.tracks.iter().enumerate() {
-            sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"args\": {{\"name\": "
-            ));
-            json_str(&mut out, name);
-            out.push_str("}}");
-        }
-        for it in &st.items {
-            sep(&mut out, &mut first);
-            match it {
-                TraceItem::Span {
-                    track,
-                    name,
-                    cat,
-                    start,
-                    end,
-                    args,
-                } => {
-                    out.push_str("{\"name\": ");
-                    json_str(&mut out, name);
-                    out.push_str(", \"cat\": ");
-                    json_str(&mut out, cat);
-                    out.push_str(&format!(
-                        ", \"ph\": \"X\", \"pid\": 1, \"tid\": {track}, \"ts\": {}, \"dur\": {}",
-                        micros(start.as_nanos()),
-                        micros(end.since(*start).as_nanos()),
-                    ));
-                    if !args.is_empty() {
-                        out.push_str(", \"args\": {");
-                        for (j, (k, v)) in args.iter().enumerate() {
-                            if j > 0 {
-                                out.push_str(", ");
+        let args_json = |j: &mut JsonWriter, args: &[(String, String)]| {
+            j.key("args").object(Inline, |j| {
+                for (k, v) in args {
+                    j.key(k).str(v);
+                }
+            });
+        };
+        let mut j = JsonWriter::new();
+        j.object(Inline, |j| {
+            j.key("traceEvents").array(Lines(0), |j| {
+                for (tid, name) in st.tracks.iter().enumerate() {
+                    j.object(Inline, |j| {
+                        j.key("name").str("thread_name").key("ph").str("M");
+                        j.key("pid").u64(1).key("tid").u64(tid as u64);
+                        j.key("args").object(Inline, |j| {
+                            j.key("name").str(name);
+                        });
+                    });
+                }
+                for it in &st.items {
+                    j.object(Inline, |j| match it {
+                        TraceItem::Span {
+                            track,
+                            name,
+                            cat,
+                            start,
+                            end,
+                            args,
+                        } => {
+                            j.key("name").str(name).key("cat").str(cat);
+                            j.key("ph").str("X").key("pid").u64(1);
+                            j.key("tid").u64(u64::from(*track));
+                            j.key("ts").micros(start.as_nanos());
+                            j.key("dur").micros(end.since(*start).as_nanos());
+                            if !args.is_empty() {
+                                args_json(j, args);
                             }
-                            json_str(&mut out, k);
-                            out.push_str(": ");
-                            json_str(&mut out, v);
                         }
-                        out.push('}');
-                    }
-                    out.push('}');
-                }
-                TraceItem::Instant {
-                    track,
-                    name,
-                    at,
-                    args,
-                } => {
-                    out.push_str("{\"name\": ");
-                    json_str(&mut out, name);
-                    out.push_str(&format!(
-                        ", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": {track}, \"ts\": {}, \"args\": {{",
-                        micros(at.as_nanos()),
-                    ));
-                    for (j, (k, v)) in args.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
+                        TraceItem::Instant {
+                            track,
+                            name,
+                            at,
+                            args,
+                        } => {
+                            j.key("name").str(name);
+                            j.key("ph").str("i").key("s").str("t").key("pid").u64(1);
+                            j.key("tid").u64(u64::from(*track));
+                            j.key("ts").micros(at.as_nanos());
+                            args_json(j, args);
                         }
-                        json_str(&mut out, k);
-                        out.push_str(": ");
-                        json_str(&mut out, v);
-                    }
-                    out.push_str("}}");
+                    });
                 }
-            }
-        }
-        out.push_str("\n]}\n");
-        out
+            });
+        });
+        j.finish()
     }
 }
 
@@ -680,37 +653,6 @@ fn gauge_twa(samples: &[(SimTime, i64)]) -> i64 {
         cur = Some((t, v));
     }
     (weighted / i128::from(until.since(t0).as_nanos())) as i64
-}
-
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push_str(",\n");
-    }
-}
-
-/// Nanoseconds → microsecond timestamp with a fixed 3-digit fraction
-/// (integer math only; Chrome's `ts`/`dur` are microseconds).
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// Append `s` as a JSON string literal.
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::stats::percentile_permille;
 use crate::telemetry::{SpanRecord, Telemetry};
 use crate::time::{Dur, SimTime};
 
@@ -239,16 +240,6 @@ fn decompose(id: u64, req: &SpanRecord, related: &[&SpanRecord]) -> TraceTree {
     }
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille). Integer-only.
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 /// Distribution of one segment label's contribution across a group (zeros
 /// included for requests the label never touched, so percentiles are over
 /// *all* requests in the group).
@@ -329,9 +320,9 @@ pub fn attribute(trees: &[TraceTree], k: usize) -> Vec<GroupAttribution> {
                     let total: u64 = vals.iter().sum();
                     SegmentStats {
                         label: label.to_string(),
-                        p50_ns: percentile_sorted(&vals, 500),
-                        p95_ns: percentile_sorted(&vals, 950),
-                        p99_ns: percentile_sorted(&vals, 990),
+                        p50_ns: percentile_permille(&vals, 500),
+                        p95_ns: percentile_permille(&vals, 950),
+                        p99_ns: percentile_permille(&vals, 990),
                         max_ns: vals.last().copied().unwrap_or(0),
                         mean_ns: total / count.max(1),
                         total_ns: total,
@@ -356,8 +347,8 @@ pub fn attribute(trees: &[TraceTree], k: usize) -> Vec<GroupAttribution> {
                     .iter()
                     .filter(|t| t.outcome == TraceOutcome::Failed)
                     .count() as u64,
-                p50_e2e_ns: percentile_sorted(&e2e, 500),
-                p99_e2e_ns: percentile_sorted(&e2e, 990),
+                p50_e2e_ns: percentile_permille(&e2e, 500),
+                p99_e2e_ns: percentile_permille(&e2e, 990),
                 segments,
                 slowest: by_slowness.iter().take(k).map(|t| t.id).collect(),
             }

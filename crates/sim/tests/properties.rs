@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dgsf_sim::{percentile_sorted, Dur, GpsResource, Sim, SimTime, Summary};
+use dgsf_sim::{percentile_permille, percentile_sorted, Dur, GpsResource, Sim, SimTime, Summary};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -146,11 +146,13 @@ proptest! {
     /// Nearest-rank semantics, robust to ties: the percentile is a member
     /// of the sample, at least ⌈q·n⌉ samples are ≤ it, and fewer than
     /// ⌈q·n⌉ are strictly below it. The narrow value range makes heavy
-    /// ties the common case.
+    /// ties the common case. The integer `percentile_permille` obeys the
+    /// same rule at rank ⌈n·q‰/1000⌉, including q‰ above 1000.
     #[test]
     fn percentile_is_nearest_rank(
         values in proptest::collection::vec(0u32..20, 1..60),
         q in 0.0f64..1.0,
+        q_permille in 0u64..1200,
     ) {
         let mut sorted: Vec<f64> = values.iter().map(|&x| f64::from(x)).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -160,6 +162,16 @@ proptest! {
         prop_assert!(sorted.contains(&p), "percentile must be a sample member");
         let le = sorted.iter().filter(|&&x| x <= p).count();
         let lt = sorted.iter().filter(|&&x| x < p).count();
+        prop_assert!(le >= rank, "only {le} samples ≤ {p}, need ≥ {rank}");
+        prop_assert!(lt < rank, "{lt} samples < {p}, must be < {rank}");
+
+        let mut ints: Vec<u64> = values.iter().map(|&x| u64::from(x)).collect();
+        ints.sort_unstable();
+        let p = percentile_permille(&ints, q_permille);
+        let rank = ((n as u64 * q_permille).div_ceil(1000) as usize).clamp(1, n);
+        prop_assert!(ints.contains(&p), "percentile must be a sample member");
+        let le = ints.iter().filter(|&&x| x <= p).count();
+        let lt = ints.iter().filter(|&&x| x < p).count();
         prop_assert!(le >= rank, "only {le} samples ≤ {p}, need ≥ {rank}");
         prop_assert!(lt < rank, "{lt} samples < {p}, must be < {rank}");
     }
