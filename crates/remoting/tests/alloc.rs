@@ -9,16 +9,14 @@
 //! a subjective slowdown.
 //!
 //! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide. For the same reason the tests
-//! take [`SERIAL`] so they run one after the other: a simulation starting
-//! a process thread inside another test's measured window would be
-//! counted there. The single-threaded encode test reads only its own
-//! thread's counter, so libtest's main thread allocating while it handles
-//! the other test's result never lands in its window.
+//! `#[global_allocator]` is process-wide. Both tests read only their own
+//! thread's counters: a simulation runs every process as a coroutine on
+//! the thread that drives it, so the test's thread sees all of the
+//! simulation's allocations, and none that libtest's main thread makes
+//! while it handles the other test's result.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgsf_remoting::wire::{Request, Response};
@@ -26,27 +24,24 @@ use dgsf_remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
 use dgsf_sim::{Dur, Sim};
 use parking_lot::Mutex;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static SERIAL: Mutex<()> = Mutex::new(());
-
 thread_local! {
     // Const-initialised and destructor-free, so bumping it from inside the
-    // allocator never allocates itself.
-    static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    // allocator never allocates itself: (calls, bytes).
+    static THREAD_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 fn count_alloc(bytes: usize) {
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     // `try_with`: allocations during thread teardown outlive the slot.
-    let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_ALLOCS.try_with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes as u64));
+    });
 }
 
 struct CountingAlloc;
 
-// SAFETY: delegates straight to `System`; the counters are simple atomics
-// and a const-initialised thread-local `Cell`.
+// SAFETY: delegates straight to `System`; the counters are a
+// const-initialised thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc(layout.size());
@@ -64,21 +59,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocation calls and bytes made by the calling thread so far.
 fn snapshot() -> (u64, u64) {
-    (
-        ALLOC_CALLS.load(Ordering::SeqCst),
-        ALLOC_BYTES.load(Ordering::SeqCst),
-    )
-}
-
-/// Allocations made by the calling thread so far.
-fn thread_calls() -> u64 {
-    THREAD_ALLOC_CALLS.with(Cell::get)
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 #[test]
 fn steady_state_round_trip_allocation_is_bounded() {
-    let _serial = SERIAL.lock();
     const WARMUP: usize = 200;
     const MEASURED: u64 = 2_000;
     // Budget per round trip, with ~50% headroom over the measured 8 calls /
@@ -139,7 +126,6 @@ fn steady_state_round_trip_allocation_is_bounded() {
 
 #[test]
 fn encode_allocates_exactly_once() {
-    let _serial = SERIAL.lock();
     // The exact-capacity single-pass encode: one backing buffer, sized by
     // `encoded_len()`, never grown; `wire_size()` allocates nothing at all.
     let req = Request::Launch {
@@ -151,12 +137,12 @@ fn encode_allocates_exactly_once() {
             work_hint: Some(0.25),
         },
     };
-    let c0 = thread_calls();
+    let (c0, _) = snapshot();
     let size = req.wire_size();
-    let c1 = thread_calls();
+    let (c1, _) = snapshot();
     assert_eq!(c1 - c0, 0, "wire_size() must not allocate");
     let frame = req.encode();
-    let c2 = thread_calls();
+    let (c2, _) = snapshot();
     // BytesMut buffer + the Arc that freeze() wraps it in.
     assert!(
         c2 - c1 <= 2,

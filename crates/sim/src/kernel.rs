@@ -2,40 +2,46 @@
 //!
 //! The kernel is a *conservative, sequential* event executor: exactly one
 //! simulated process runs at any moment, so a run with a fixed seed is fully
-//! deterministic. Processes are backed by OS threads for ergonomics — a
-//! simulated GPU server or serverless function is written as ordinary
-//! straight-line Rust that calls blocking primitives ([`ProcCtx::sleep`],
-//! channel `recv`, resource `acquire`) — but the kernel only ever lets one of
-//! those threads make progress.
+//! deterministic. Each process is a stackful coroutine on the thread that
+//! calls [`Sim::run_until`]. A simulated GPU server or serverless function
+//! is written as ordinary straight-line Rust that calls blocking primitives
+//! ([`ProcCtx::sleep`], channel `recv`, resource `acquire`); blocking
+//! switches to another stack instead of parking an OS thread.
 //!
 //! # Handshake
 //!
-//! Exactly one thread holds the *baton* at any moment: the driver (inside
-//! [`Sim::run_until`]) or one process thread. Whoever gives up control runs
-//! the scheduler itself — the driver when a run starts, a process when it
+//! Exactly one context holds the *baton* at any moment: the driver (inside
+//! [`Sim::run_until`]) or one process. Whoever gives up control runs the
+//! scheduler itself — the driver when a run starts, a process when it
 //! parks or exits. Under the state lock it pops events in order, runs `Call`
 //! events inline (resources use these as cancellable completion timers) and
 //! skips stale wakes. The first live `Wake` decides where the baton goes:
 //!
-//! - a wake for the caller itself returns at once, with no thread switch;
-//! - a wake for a started process sets that process's baton flag and
-//!   `unpark`s its thread, and the caller parks on its own baton;
-//! - a wake for a process that has not started yet spawns its thread, which
-//!   begins holding the baton.
+//! - a wake for the caller itself returns at once, with no switch;
+//! - a wake for a started process switches to that process's saved stack
+//!   pointer;
+//! - a wake for a process that has not started yet takes a stack and
+//!   switches onto the process's entry.
 //!
-//! The driver gets the baton back only when the queue is empty, the next
-//! event lies past the deadline, the run is shutting down, or a process
-//! panicked (its payload is stored and re-raised by `run_until`). A wake
-//! therefore costs at most one OS context switch instead of a round trip
-//! through the driver.
+//! The driver is just another saved context. It gets the baton back only
+//! when the queue is empty, the next event lies past the deadline, the run
+//! is shutting down, or a process panicked (its payload is stored and
+//! re-raised by `run_until`). A wake therefore costs at most one stack
+//! switch — push six callee-saved registers, swap stack pointers, pop —
+//! and never a round trip through the driver. The state lock is always
+//! released before a switch, since the next holder takes it.
 //!
-//! # Process threads
+//! # Process stacks
 //!
 //! A process's body stays boxed in its record until its first live wake,
-//! so a process scheduled far in the future holds no thread. Exited
-//! threads are joined at the next thread start once they have finished,
-//! and the rest when the [`Sim`] drops. Bodies of processes that never
-//! started are dropped without running.
+//! so a process scheduled far in the future holds no stack. A stack is
+//! 2 MiB of anonymous `mmap` above one `PROT_NONE` guard page, the budget
+//! of a std thread. An exited process's stack is retired until the next
+//! scheduling pass, which runs on another stack, and then waits on a free
+//! list for the next process start; every stack is unmapped when the
+//! simulation's state drops. Bodies of processes that never started are
+//! dropped without running. The switch is written for x86_64 Linux only;
+//! other targets fail to compile.
 //!
 //! # Wake generations
 //!
@@ -46,19 +52,30 @@
 //!
 //! # Shutdown
 //!
-//! Dropping [`Sim`] (or finishing `run` with processes still blocked) raises
-//! a shutdown flag and resumes every parked process; blocking primitives then
-//! unwind the process via a [`ShutdownSignal`] panic, which the process
-//! wrapper catches. Well-behaved loops exit earlier by observing `None` from
-//! channel `recv`.
+//! Dropping [`Sim`] raises a shutdown flag and resumes every parked process
+//! in turn; blocking primitives then unwind the process via a
+//! [`ShutdownSignal`] panic, which the process's entry catches. Well-behaved
+//! loops exit earlier by observing `None` from channel `recv`.
+//!
+//! # Unwinding
+//!
+//! Unwinding never crosses a switch: each process's entry catches its
+//! body's panic before it exits. std counts panics per OS thread, so the
+//! driver and every process share one count. A process that parks while it
+//! unwinds (a `Drop` that calls `recv`, say) therefore never switches: the
+//! park returns at once as a shutdown resume, and no other process runs
+//! while `thread::panicking()` holds on its behalf. For the same reason a
+//! [`Sim`] dropped while its driver unwinds resumes none of its started
+//! processes; their stacks, and the state they keep alive, are leaked.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{self, AtomicBool};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, JoinHandle, Thread};
+use std::ptr;
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
@@ -66,6 +83,130 @@ use rand::SeedableRng;
 
 use crate::telemetry::Telemetry;
 use crate::time::{Dur, SimTime};
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!("dgsf-sim's process stack switch (`dgsf_sim_switch`) exists for x86_64 Linux only");
+
+// `dgsf_sim_switch(save, to)`: push the callee-saved registers, store the
+// stack pointer to `*save`, load `to`, pop the registers saved there and
+// return into the context that last switched away from that stack.
+// `dgsf_sim_start` is where a fresh stack's first switch returns to (see
+// `Stack::prepare`): it passes r13 to `coroutine_main`.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+std::arch::global_asm!(
+    ".pushsection .text.dgsf_sim_switch,\"ax\",@progbits",
+    ".p2align 4",
+    ".globl dgsf_sim_switch",
+    ".hidden dgsf_sim_switch",
+    ".type dgsf_sim_switch,@function",
+    "dgsf_sim_switch:",
+    "push rbp",
+    "push rbx",
+    "push r12",
+    "push r13",
+    "push r14",
+    "push r15",
+    "mov [rdi], rsp",
+    "mov rsp, rsi",
+    "pop r15",
+    "pop r14",
+    "pop r13",
+    "pop r12",
+    "pop rbx",
+    "pop rbp",
+    "ret",
+    ".size dgsf_sim_switch, .-dgsf_sim_switch",
+    ".globl dgsf_sim_start",
+    ".hidden dgsf_sim_start",
+    ".type dgsf_sim_start,@function",
+    "dgsf_sim_start:",
+    "mov rdi, r13",
+    "jmp {main}",
+    ".size dgsf_sim_start, .-dgsf_sim_start",
+    ".popsection",
+    main = sym coroutine_main,
+);
+
+extern "C" {
+    fn dgsf_sim_switch(save: *mut usize, to: usize);
+    fn dgsf_sim_start();
+    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
+    fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
+    fn munmap(addr: *mut u8, len: usize) -> i32;
+}
+
+/// Usable bytes of a process stack, as for a std thread.
+const STACK_BYTES: usize = 2 << 20;
+/// The `PROT_NONE` page below each stack.
+const GUARD_BYTES: usize = 4096;
+
+/// One process stack: an anonymous mapping of a guard page and
+/// `STACK_BYTES` above it, unmapped on drop.
+struct Stack(*mut u8);
+
+// SAFETY: a stack is plain memory. Only the process running on it touches
+// its contents, and one process runs at a time.
+unsafe impl Send for Stack {}
+
+impl Stack {
+    fn map() -> Stack {
+        const PROT_NONE: i32 = 0;
+        const PROT_READ: i32 = 1;
+        const PROT_WRITE: i32 = 2;
+        const MAP_PRIVATE: i32 = 0x02;
+        const MAP_ANONYMOUS: i32 = 0x20;
+        const MAP_NORESERVE: i32 = 0x4000;
+        const MAP_STACK: i32 = 0x20000;
+        let len = GUARD_BYTES + STACK_BYTES;
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
+        // SAFETY: a fresh anonymous mapping aliases nothing.
+        let base = unsafe { mmap(ptr::null_mut(), len, PROT_READ | PROT_WRITE, flags, -1, 0) };
+        assert!(base as isize != -1, "failed to map a process stack");
+        // SAFETY: the guard page is the start of the mapping just made.
+        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+        assert_eq!(rc, 0, "failed to protect a process stack's guard page");
+        Stack(base)
+    }
+
+    /// Lay out the frame that the first switch onto this stack pops, and
+    /// return its stack pointer. From the (16-byte aligned) top down: a zero
+    /// return address for `coroutine_main`, so backtraces stop there;
+    /// `dgsf_sim_start` for the switch's `ret`; rbp = 0, rbx, r12,
+    /// r13 = `start`, r14, r15.
+    fn prepare(&self, start: *mut Start) -> usize {
+        let entry = dgsf_sim_start as unsafe extern "C" fn() as usize;
+        let frame = [0, 0, start as usize, 0, 0, 0, entry, 0];
+        let top = self.0 as usize + GUARD_BYTES + STACK_BYTES;
+        let sp = top - std::mem::size_of_val(&frame);
+        // SAFETY: the frame lies in this stack's writable top, which no
+        // process uses: a stack is prepared only when it is not in use.
+        unsafe { (sp as *mut [usize; 8]).write(frame) };
+        sp
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: the mapping is ours and no frame on it will run again:
+        // stacks drop with the kernel state, and a started process that has
+        // not exited keeps that state alive through its `ProcCtx`.
+        unsafe { munmap(self.0, GUARD_BYTES + STACK_BYTES) };
+    }
+}
+
+/// What a new process's entry needs, boxed across the first switch.
+struct Start {
+    ctx: ProcCtx,
+    body: Body,
+}
+
+/// The first frame of every process stack, entered from `dgsf_sim_start`.
+extern "C" fn coroutine_main(start: *mut Start) -> ! {
+    // SAFETY: `Shared::next_target` leaked this box for this process alone.
+    let Start { ctx, body } = *unsafe { Box::from_raw(start) };
+    let panic = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx))).err();
+    ctx.exit(panic)
+}
 
 /// Identifier of a simulated process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -109,67 +250,32 @@ impl Ord for Event {
 
 type Body = Box<dyn FnOnce(&ProcCtx) + Send>;
 
-/// The right to run the simulation: a flag plus the thread that waits for
-/// it (see the module docs). `give`'s `Release` store pairs with `wait`'s
-/// `Acquire` swap, so the new holder sees everything the old one did.
-/// No spinning before `park`: with simulator threads sharing a CPU, a
-/// spinning waiter only delays the holder it waits for.
-struct Baton {
-    held: AtomicBool,
-    /// Set once, by the thread itself before it can first wait.
-    thread: OnceLock<Thread>,
-}
-
-impl Baton {
-    fn new() -> Baton {
-        Baton {
-            held: AtomicBool::new(false),
-            thread: OnceLock::new(),
-        }
-    }
-
-    fn for_current_thread() -> Arc<Baton> {
-        let baton = Baton::new();
-        let _ = baton.thread.set(thread::current());
-        Arc::new(baton)
-    }
-
-    /// Hand the baton to its thread.
-    fn give(&self) {
-        self.held.store(true, atomic::Ordering::Release);
-        self.thread
-            .get()
-            .expect("a baton's thread registers before it can wait")
-            .unpark();
-    }
-
-    /// Block the calling thread until the baton is handed to it.
-    fn wait(&self) {
-        while !self.held.swap(false, atomic::Ordering::Acquire) {
-            thread::park();
-        }
-    }
-}
-
 struct ProcRec {
     name: Arc<str>,
     /// Park generation; incremented on every park.
     generation: u64,
     parked: bool,
     alive: bool,
-    /// The process body, until its first live wake starts the thread.
+    /// The process body, until its first live wake starts the process.
     body: Option<Body>,
-    baton: Arc<Baton>,
-    thread: Option<JoinHandle<()>>,
+    /// The stack a started process runs on.
+    stack: Option<Stack>,
+    /// The stack pointer saved when the process last switched away.
+    sp: usize,
+}
+
+/// A context that can hold the baton.
+#[derive(Clone, Copy, PartialEq)]
+enum Holder {
+    Driver,
+    Proc(ProcId),
 }
 
 /// Where the baton goes after a scheduling pass.
 enum Next {
-    /// The caller's own wake came up: it keeps running.
-    Caller,
-    /// A started process, or the driver.
-    Give(Arc<Baton>),
-    /// A process that has not started: its new thread begins holding it.
+    /// The driver, or a started process.
+    Resume(Holder),
+    /// A process that has not started: it gets a stack.
     Start(ProcId, Body),
 }
 
@@ -189,12 +295,15 @@ pub(crate) struct SimState {
     executed: u64,
     /// Events later than this stay queued (the current `run_until` bound).
     deadline: SimTime,
-    /// The baton of the thread driving the run.
-    driver: Arc<Baton>,
+    /// The driver's stack pointer while a process holds the baton.
+    driver_sp: usize,
     /// The first non-shutdown panic of a process, for `run_until` to re-raise.
     panic: Option<Box<dyn Any + Send>>,
-    /// Exited processes whose threads are not joined yet.
-    exited: Vec<ProcId>,
+    /// The stack of the process that exited last, until the next scheduling
+    /// pass: the exiting process still runs on it while it switches away.
+    retired: Option<Stack>,
+    /// Stacks of exited processes, for the next process starts.
+    free: Vec<Stack>,
 }
 
 impl SimState {
@@ -202,25 +311,27 @@ impl SimState {
         &mut self.procs[pid.0 as usize]
     }
 
-    /// The driver's baton, re-registered if another thread now drives.
-    fn driver_baton(&mut self) -> Arc<Baton> {
-        let current = thread::current().id();
-        if self.driver.thread.get().map(Thread::id) != Some(current) {
-            self.driver = Baton::for_current_thread();
+    fn sp_slot(&mut self, holder: Holder) -> &mut usize {
+        match holder {
+            Holder::Driver => &mut self.driver_sp,
+            Holder::Proc(pid) => &mut self.proc_mut(pid).sp,
         }
-        Arc::clone(&self.driver)
     }
 
-    /// Execute events until one decides who holds the baton next; `caller`
-    /// is the parking process, if any (see the module docs).
-    fn next_holder(&mut self, caller: Option<ProcId>) -> Next {
+    /// Execute events until one decides who holds the baton next (see the
+    /// module docs).
+    fn next_holder(&mut self) -> Next {
+        // Whoever runs this pass is not on the retired stack.
+        if let Some(stack) = self.retired.take() {
+            self.free.push(stack);
+        }
         loop {
             if self.shutdown || self.panic.is_some() {
-                return Next::Give(Arc::clone(&self.driver));
+                return Next::Resume(Holder::Driver);
             }
             match self.queue.peek() {
                 Some(ev) if ev.time <= self.deadline => {}
-                _ => return Next::Give(Arc::clone(&self.driver)),
+                _ => return Next::Resume(Holder::Driver),
             }
             let ev = self.queue.pop().expect("peeked");
             self.now = self.now.max(ev.time);
@@ -233,12 +344,9 @@ impl SimState {
                         continue; // stale wake
                     }
                     rec.parked = false;
-                    if caller == Some(pid) {
-                        return Next::Caller;
-                    }
                     return match rec.body.take() {
                         Some(body) => Next::Start(pid, body),
-                        None => Next::Give(Arc::clone(&rec.baton)),
+                        None => Next::Resume(Holder::Proc(pid)),
                     };
                 }
             }
@@ -269,6 +377,19 @@ impl SimState {
     }
 }
 
+/// Release the state lock, save the running context as `from`'s and resume
+/// the context whose stack pointer is `to`. Returns when a later switch
+/// resumes `from`.
+fn switch(mut st: MutexGuard<'_, SimState>, from: Holder, to: usize) {
+    let save: *mut usize = st.sp_slot(from);
+    drop(st);
+    // SAFETY: `to` is the stack pointer of a parked context, saved by its
+    // last switch or laid out by `Stack::prepare`. One context runs at a
+    // time, so nothing touches `from`'s slot until this switch has written
+    // it.
+    unsafe { dgsf_sim_switch(save, to) };
+}
+
 pub(crate) struct Shared {
     pub(crate) state: Mutex<SimState>,
     /// Per-simulation telemetry registry (disabled by default). Lives
@@ -278,66 +399,38 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Run the scheduler as the baton holder and pass the baton on. Returns
-    /// `true` if `caller`'s own wake came up, so it keeps the baton.
-    fn pass_baton(
-        self: &Arc<Self>,
-        mut st: MutexGuard<'_, SimState>,
-        caller: Option<ProcId>,
-    ) -> bool {
-        match st.next_holder(caller) {
-            Next::Caller => return true,
-            Next::Give(baton) => {
-                drop(st);
-                baton.give();
-            }
+    /// Run the scheduler for `from`, the baton holder, and return the stack
+    /// pointer to switch to, or `None` if `from` keeps the baton.
+    fn next_target(self: &Arc<Self>, st: &mut SimState, from: Holder) -> Option<usize> {
+        match st.next_holder() {
+            Next::Resume(to) if to == from => None,
+            Next::Resume(to) => Some(*st.sp_slot(to)),
             Next::Start(pid, body) => {
-                let finished = self.start_thread(&mut st, pid, body);
-                drop(st);
-                for handle in finished {
-                    let _ = handle.join();
-                }
+                let stack = st.free.pop().unwrap_or_else(Stack::map);
+                let rec = st.proc_mut(pid);
+                let ctx = ProcCtx {
+                    pid,
+                    name: Arc::clone(&rec.name),
+                    shared: Arc::clone(self),
+                    _not_sync: PhantomData,
+                };
+                let sp = stack.prepare(Box::into_raw(Box::new(Start { ctx, body })));
+                rec.stack = Some(stack);
+                Some(sp)
             }
         }
-        false
     }
 
-    /// Spawn `pid`'s thread, which begins holding the baton, and hand back
-    /// the exited threads that have finished, for the caller to join.
-    fn start_thread(
-        self: &Arc<Self>,
-        st: &mut SimState,
-        pid: ProcId,
-        body: Body,
-    ) -> Vec<JoinHandle<()>> {
-        let mut finished = Vec::new();
-        let procs = &mut st.procs;
-        st.exited.retain(|p| {
-            let slot = &mut procs[p.0 as usize].thread;
-            if slot.as_ref().is_some_and(JoinHandle::is_finished) {
-                finished.extend(slot.take());
+    /// Run the scheduler as `from` and pass the baton on. Returns `true` if
+    /// `from` keeps the baton, `false` once it has been handed back.
+    fn pass_baton(self: &Arc<Self>, mut st: MutexGuard<'_, SimState>, from: Holder) -> bool {
+        match self.next_target(&mut st, from) {
+            None => true,
+            Some(to) => {
+                switch(st, from, to);
                 false
-            } else {
-                true
             }
-        });
-        let rec = st.proc_mut(pid);
-        let ctx = ProcCtx {
-            pid,
-            name: Arc::clone(&rec.name),
-            shared: Arc::clone(self),
-            baton: Arc::clone(&rec.baton),
-        };
-        let handle = thread::Builder::new()
-            .name(format!("sim-{}-{}", pid.0, rec.name))
-            .spawn(move || {
-                let _ = ctx.baton.thread.set(thread::current());
-                let panic = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx))).err();
-                ctx.exit(panic);
-            })
-            .expect("failed to spawn simulation process thread");
-        rec.thread = Some(handle);
-        finished
+        }
     }
 }
 
@@ -375,9 +468,10 @@ impl Sim {
                 rng: StdRng::seed_from_u64(seed),
                 executed: 0,
                 deadline: SimTime::MAX,
-                driver: Baton::for_current_thread(),
+                driver_sp: 0,
                 panic: None,
-                exited: Vec::new(),
+                retired: None,
+                free: Vec::new(),
             }),
             telemetry: Arc::new(Telemetry::new()),
         });
@@ -427,14 +521,9 @@ impl Sim {
 
     /// Run events with `time <= deadline`; later events stay queued.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let driver = {
-            let mut st = self.shared.state.lock();
-            st.deadline = deadline;
-            let driver = st.driver_baton();
-            self.shared.pass_baton(st, None);
-            driver
-        };
-        driver.wait();
+        let mut st = self.shared.state.lock();
+        st.deadline = deadline;
+        self.shared.pass_baton(st, Holder::Driver);
         let mut st = self.shared.state.lock();
         if let Some(payload) = st.panic.take() {
             drop(st);
@@ -464,13 +553,14 @@ impl Drop for Sim {
     fn drop(&mut self) {
         // Raise the shutdown flag, then resume every parked process one at a
         // time so each can unwind via ShutdownSignal. Processes spawned while
-        // others unwind are visited too, since the slab only grows.
-        let driver = {
+        // others unwind are visited too, since the slab only grows. A driver
+        // that is itself unwinding resumes none (see "Unwinding").
+        let resume = !std::thread::panicking();
+        {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
             st.queue.clear();
-            st.driver_baton()
-        };
+        }
         let mut idx = 0;
         let mut resumes = 0;
         loop {
@@ -484,7 +574,6 @@ impl Drop for Sim {
                 resumes = 0;
                 continue;
             }
-            rec.parked = false;
             if let Some(body) = rec.body.take() {
                 // Never started: drop what it captured without running it.
                 rec.alive = false;
@@ -492,21 +581,14 @@ impl Drop for Sim {
                 drop(body);
                 continue;
             }
+            if !resume {
+                idx += 1;
+                continue;
+            }
+            rec.parked = false;
             resumes += 1;
-            let baton = Arc::clone(&rec.baton);
-            drop(st);
-            baton.give();
-            driver.wait();
-        }
-        let threads: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock();
-            st.procs
-                .iter_mut()
-                .filter_map(|r| r.thread.take())
-                .collect()
-        };
-        for handle in threads {
-            let _ = handle.join();
+            let to = rec.sp;
+            switch(st, Holder::Driver, to);
         }
     }
 }
@@ -523,8 +605,8 @@ where
         parked: true, // parked on its initial wake
         alive: true,
         body: Some(Box::new(f)),
-        baton: Arc::new(Baton::new()),
-        thread: None,
+        stack: None,
+        sp: 0,
     });
     let at = at.max(st.now);
     st.schedule_wake(at, pid, 0);
@@ -534,7 +616,7 @@ where
 /// A cloneable, `Send` handle onto a simulation: lets library code create
 /// channels and resources and spawn processes without borrowing [`Sim`]
 /// itself (which stays with the driver) or a [`ProcCtx`] (which is pinned to
-/// its process thread).
+/// its process).
 #[derive(Clone)]
 pub struct SimHandle {
     pub(crate) shared: Arc<Shared>,
@@ -596,13 +678,23 @@ impl Sim {
 }
 
 /// Handle a simulated process uses to interact with virtual time and the
-/// kernel. Not `Clone`: it owns the process's baton and must stay on the
-/// process's thread.
+/// kernel. Neither `Clone` nor `Sync`: it stands for its process's stack,
+/// and a switch onto that stack from another OS thread would be undefined
+/// behaviour, so a `&ProcCtx` cannot leave the driver's thread.
+///
+/// ```compile_fail
+/// let mut sim = dgsf_sim::Sim::new(1);
+/// sim.spawn("p", |ctx| {
+///     std::thread::scope(|s| {
+///         s.spawn(|| ctx.sleep(dgsf_sim::Dur::from_millis(1)));
+///     });
+/// });
+/// ```
 pub struct ProcCtx {
     pub(crate) pid: ProcId,
     name: Arc<str>,
     pub(crate) shared: Arc<Shared>,
-    baton: Arc<Baton>,
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl ProcCtx {
@@ -688,35 +780,63 @@ impl ProcCtx {
     /// is shutting down (the caller is responsible for unwinding or
     /// returning cleanly).
     pub(crate) fn yield_parked_impl(&self) -> bool {
-        if self.shared.pass_baton(self.lock_state(), Some(self.pid)) {
+        let mut st = self.lock_state();
+        if std::thread::panicking() {
+            // Unwinding: never switch (see "Unwinding" in the module docs).
+            // Dropping the park makes its pending wakes stale.
+            st.proc_mut(self.pid).parked = false;
+            return true;
+        }
+        if self.shared.pass_baton(st, Holder::Proc(self.pid)) {
             // Our own wake came up; during shutdown the baton always goes
             // to the driver, so this is never a shutdown resume.
             return false;
         }
-        self.baton.wait();
         self.lock_state().shutdown
     }
 
-    /// Record this process's exit (and panic, if any) and pass the baton on
-    /// for the last time.
-    fn exit(&self, panic: Option<Box<dyn Any + Send>>) {
-        let mut st = self.lock_state();
-        let rec = st.proc_mut(self.pid);
+    /// Record this process's exit (and panic, if any), retire its stack and
+    /// switch away for the last time.
+    fn exit(self, panic: Option<Box<dyn Any + Send>>) -> ! {
+        let ProcCtx { pid, shared, .. } = self;
+        let mut st = shared.state.lock();
+        let rec = st.proc_mut(pid);
         rec.alive = false;
         rec.parked = false;
-        st.exited.push(self.pid);
         if let Some(payload) = panic {
             if !payload.is::<ShutdownSignal>() && st.panic.is_none() {
                 st.panic = Some(payload);
             }
         }
-        self.shared.pass_baton(st, None);
+        let to = shared
+            .next_target(&mut st, Holder::Proc(pid))
+            .expect("an exited process has no wake");
+        // After the scheduling pass, which freed the previous retired stack.
+        st.retired = st.proc_mut(pid).stack.take();
+        drop(st);
+        // The driver's `Sim` outlives every running process, so this is
+        // never the last reference; nothing on this stack is dropped later.
+        drop(shared);
+        let mut unused = 0;
+        // SAFETY: as in `switch`; this stack is retired, not freed, until
+        // the next holder's scheduling pass.
+        unsafe { dgsf_sim_switch(&mut unused, to) };
+        unreachable!("an exited process is never resumed")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{self, AtomicU32, AtomicU64};
+
+    /// Counts its drops into a shared counter.
+    struct Counted(Arc<AtomicU32>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, atomic::Ordering::SeqCst);
+        }
+    }
 
     #[test]
     fn sleep_advances_virtual_time_instantly() {
@@ -786,9 +906,17 @@ mod tests {
     #[test]
     fn process_panic_propagates() {
         let mut sim = Sim::new(1);
-        sim.spawn("bad", |_ctx| panic!("boom"));
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
-        assert!(err.is_err());
+        sim.spawn("bad", |ctx| {
+            ctx.sleep(Dur::from_millis(3));
+            panic!("boom at {} ms", ctx.now().as_nanos() / 1_000_000);
+        });
+        sim.spawn("bystander", |ctx| ctx.sleep(Dur::from_millis(1)));
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the process panic must reach the driver");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("boom at 3 ms")
+        );
     }
 
     #[test]
@@ -880,14 +1008,8 @@ mod tests {
 
     #[test]
     fn dropping_unstarted_processes_drops_their_bodies_unrun() {
-        struct Counted(std::sync::Arc<std::sync::atomic::AtomicU32>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, atomic::Ordering::SeqCst);
-            }
-        }
-        let dropped = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let ran = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let dropped = Arc::new(AtomicU32::new(0));
+        let ran = Arc::new(AtomicU32::new(0));
         let mut sim = Sim::new(1);
         for i in 0..3 {
             let c = Counted(dropped.clone());
@@ -905,35 +1027,199 @@ mod tests {
         assert_eq!(dropped.load(atomic::Ordering::SeqCst), 3);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn short_lived_processes_do_not_accumulate_threads() {
-        fn live_threads() -> u64 {
-            let status = std::fs::read_to_string("/proc/self/status").unwrap();
-            let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
-            line["Threads:".len()..].trim().parse().unwrap()
-        }
-        const N: u64 = 2_000;
+    fn shutdown_unwinds_every_parked_stack() {
+        const N: u32 = 40;
+        let dropped = Arc::new(AtomicU32::new(0));
+        let finished = Arc::new(AtomicU32::new(0));
         let mut sim = Sim::new(1);
-        let peak = std::sync::Arc::new(Mutex::new(0u64));
-        // All spawned up front, each running in its own 10 µs slot.
+        let (_tx, rx) = sim.channel::<u8>();
         for i in 0..N {
-            let p = peak.clone();
-            let at = SimTime::ZERO + Dur::from_micros(10 * i);
-            sim.spawn_at("short", at, move |ctx| {
-                ctx.sleep(Dur::from_micros(1));
-                if i % 100 == 0 {
-                    let mut peak = p.lock();
-                    *peak = (*peak).max(live_threads());
+            let c = Counted(dropped.clone());
+            let f = finished.clone();
+            let rx = rx.clone();
+            sim.spawn(&format!("p{i}"), move |ctx| {
+                let _c = c;
+                if i % 2 == 0 {
+                    assert!(rx.recv(ctx).is_none());
+                } else {
+                    let got = rx.recv_timeout(ctx, Dur::from_secs(3600));
+                    assert_eq!(got, Err(crate::RecvError::Shutdown));
+                }
+                // Parking again after shutdown unwinds with ShutdownSignal.
+                ctx.sleep(Dur::from_secs(1));
+                f.fetch_add(1, atomic::Ordering::SeqCst);
+            });
+        }
+        sim.run_until(SimTime::ZERO + Dur::from_secs(1));
+        assert_eq!(sim.blocked_processes().len(), N as usize);
+        assert_eq!(dropped.load(atomic::Ordering::SeqCst), 0);
+        drop(sim);
+        assert_eq!(dropped.load(atomic::Ordering::SeqCst), N);
+        assert_eq!(finished.load(atomic::Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn ten_thousand_coroutines_park_at_once_then_all_wake() {
+        const N: u64 = 10_000;
+        let live = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        let woken = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::new(1);
+        let (tx, rx) = sim.channel::<u64>();
+        for i in 0..N {
+            let (live, peak, woken, rx) = (live.clone(), peak.clone(), woken.clone(), rx.clone());
+            sim.spawn("waiter", move |ctx| {
+                // Stack-resident state that must survive every other switch.
+                let mine = [i; 8];
+                let now = live.fetch_add(1, atomic::Ordering::SeqCst) + 1;
+                peak.fetch_max(now, atomic::Ordering::SeqCst);
+                let v = rx.recv(ctx).expect("one message per waiter");
+                // Waiters park and wake in FIFO order.
+                assert_eq!((v, std::hint::black_box(mine)), (i, [i; 8]));
+                live.fetch_sub(1, atomic::Ordering::SeqCst);
+                woken.fetch_add(1, atomic::Ordering::SeqCst);
+            });
+        }
+        sim.spawn_at("waker", SimTime::ZERO + Dur::from_secs(1), move |ctx| {
+            for v in 0..N {
+                tx.send(ctx, v);
+            }
+        });
+        sim.run();
+        assert_eq!(peak.load(atomic::Ordering::SeqCst), N);
+        assert_eq!(woken.load(atomic::Ordering::SeqCst), N);
+        assert!(sim.blocked_processes().is_empty());
+    }
+
+    #[test]
+    fn a_megabyte_deep_recursion_fits_in_a_process_stack() {
+        /// Recurse until the frames below `top` span 1 MiB; returns the
+        /// stack depth reached, in bytes.
+        fn deep(top: usize) -> usize {
+            let frame = std::hint::black_box([0u8; 512]);
+            let used = top - frame.as_ptr() as usize;
+            let deepest = if used >= 1 << 20 { used } else { deep(top) };
+            std::hint::black_box(frame[511]) as usize + deepest
+        }
+        let mut sim = Sim::new(1);
+        let out = Arc::new(AtomicU64::new(0));
+        let o = out.clone();
+        sim.spawn("deep", move |ctx| {
+            ctx.sleep(Dur::from_millis(1));
+            let top = 0u8;
+            let used = deep(std::hint::black_box(&top) as *const u8 as usize);
+            o.store(used as u64, atomic::Ordering::SeqCst);
+        });
+        sim.run();
+        let used = out.load(atomic::Ordering::SeqCst);
+        assert!((1 << 20..1 << 21).contains(&used), "{used} bytes deep");
+    }
+
+    #[test]
+    fn parking_while_unwinding_keeps_the_panic_to_its_process() {
+        /// Calls `recv` from its `Drop`, while its process unwinds.
+        struct RecvOnDrop<'a>(crate::SimReceiver<u8>, &'a ProcCtx);
+        impl Drop for RecvOnDrop<'_> {
+            fn drop(&mut self) {
+                assert!(self.0.recv(self.1).is_none());
+            }
+        }
+        let saw_panicking = Arc::new(AtomicU32::new(0));
+        let mut sim = Sim::new(1);
+        let (_tx, rx) = sim.channel::<u8>();
+        for i in 0..3 {
+            let saw = saw_panicking.clone();
+            sim.spawn(&format!("watcher{i}"), move |ctx| {
+                let (_tx, rx) = ctx.handle().channel::<u8>();
+                for _ in 0..2_000 {
+                    if std::thread::panicking() {
+                        saw.fetch_add(1, atomic::Ordering::SeqCst);
+                    }
+                    if rx.recv_timeout(ctx, Dur::from_millis(1)) == Err(crate::RecvError::Shutdown)
+                    {
+                        break;
+                    }
+                }
+                if std::thread::panicking() {
+                    saw.fetch_add(1, atomic::Ordering::SeqCst);
                 }
             });
         }
+        sim.spawn("bad", move |ctx| {
+            ctx.sleep(Dur::from_millis(5));
+            let _guard = RecvOnDrop(rx, ctx);
+            panic!("original");
+        });
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the process panic must reach the driver");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"original"));
+        drop(sim);
+        assert_eq!(saw_panicking.load(atomic::Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn one_sim_runs_from_two_os_threads_in_turn() {
+        let mut sim = Sim::new(1);
+        let (tx, rx) = sim.channel::<u64>();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = log.clone();
+        sim.spawn("ping", move |ctx| {
+            for k in 0..4 {
+                ctx.sleep(Dur::from_secs(1));
+                tx.send(ctx, k);
+            }
+        });
+        sim.spawn("pong", move |ctx| {
+            while let Some(k) = rx.recv(ctx) {
+                l.lock().push((k, ctx.now()));
+            }
+        });
+        let half = SimTime::ZERO + Dur::from_millis(2500);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| sim.run_until(half));
+            assert_eq!(a.join().unwrap(), SimTime::ZERO + Dur::from_secs(2));
+        });
+        assert_eq!(log.lock().len(), 2);
+        std::thread::scope(|s| {
+            s.spawn(|| sim.run()).join().unwrap();
+        });
+        let want: Vec<(u64, SimTime)> = (0..4)
+            .map(|k| (k, SimTime::ZERO + Dur::from_secs(k + 1)))
+            .collect();
+        assert_eq!(*log.lock(), want);
+    }
+
+    #[test]
+    fn short_lived_processes_reuse_a_bounded_set_of_stacks() {
+        const N: u64 = 2_000;
+        let driver = std::thread::current().id();
+        let live = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        let max_free = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::new(1);
+        // All spawned up front, each running in its own 10 µs slot.
+        for i in 0..N {
+            let (live, peak, max_free) = (live.clone(), peak.clone(), max_free.clone());
+            let at = SimTime::ZERO + Dur::from_micros(10 * i);
+            sim.spawn_at("short", at, move |ctx| {
+                assert_eq!(std::thread::current().id(), driver);
+                let now = live.fetch_add(1, atomic::Ordering::SeqCst) + 1;
+                peak.fetch_max(now, atomic::Ordering::SeqCst);
+                let free = ctx.lock_state().free.len() as u64;
+                max_free.fetch_max(free, atomic::Ordering::SeqCst);
+                ctx.sleep(Dur::from_micros(1));
+                live.fetch_sub(1, atomic::Ordering::SeqCst);
+            });
+        }
         sim.run();
-        // Threads started at spawn would all be alive at once: N of them.
-        let peak = *peak.lock();
-        assert!(peak < 500, "peak live threads {peak}");
-        // Finished threads are joined as later ones start.
-        let unjoined = sim.shared.state.lock().exited.len();
-        assert!(unjoined < 10, "{unjoined} exited threads never joined");
+        let peak = peak.load(atomic::Ordering::SeqCst);
+        assert_eq!(peak, 1);
+        let st = sim.shared.state.lock();
+        assert!(st.procs.iter().all(|r| r.stack.is_none()));
+        let free = max_free
+            .load(atomic::Ordering::SeqCst)
+            .max(st.free.len() as u64);
+        assert!(free <= peak, "{free} free stacks for {peak} live processes");
     }
 }

@@ -5,7 +5,7 @@
 //! a conservative, sequential discrete-event simulator with
 //!
 //! * a virtual nanosecond clock ([`SimTime`], [`Dur`]),
-//! * thread-backed cooperative **processes** written as ordinary blocking
+//! * cooperative **processes**, stackful coroutines written as ordinary blocking
 //!   Rust ([`Sim::spawn`], [`ProcCtx`]),
 //! * MPMC **channels** with virtual-time blocking receives
 //!   ([`SimSender`], [`SimReceiver`]),
