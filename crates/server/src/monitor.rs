@@ -250,7 +250,17 @@ struct MonCtx {
     migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
     registry: Arc<Mutex<Vec<Arc<ApiServerShared>>>>,
     failed_servers: Arc<Mutex<HashSet<u32>>>,
-    obs: Option<(Arc<ObsPlane>, String)>,
+    obs: Option<Arc<ObsPlane>>,
+    /// One per GPU, built once so the per-tick sampling formats nothing.
+    gpu_keys: Vec<GpuKeys>,
+}
+
+/// Telemetry gauge names and the obs health label of one GPU.
+struct GpuKeys {
+    mem_used: String,
+    util_bp: String,
+    /// `{label}.gpu{i}`; empty when no obs plane is wired.
+    health: String,
 }
 
 /// Body of the monitor process.
@@ -270,6 +280,15 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         failed_servers,
         obs,
     } = args;
+    let gpu_keys = (0..gpus.len())
+        .map(|i| GpuKeys {
+            mem_used: format!("gpu.{i}.mem_used_bytes"),
+            util_bp: format!("gpu.{i}.util_bp"),
+            health: obs
+                .as_ref()
+                .map_or_else(String::new, |(_, label)| format!("{label}.gpu{i}")),
+        })
+        .collect();
     let a = MonCtx {
         h,
         cfg,
@@ -281,7 +300,8 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         migration_log,
         registry,
         failed_servers,
-        obs,
+        obs: obs.map(|(obs, _)| obs),
+        gpu_keys,
     };
     let spawn_time = p.now();
     let mut servers: Vec<SrvBook> = servers
@@ -476,21 +496,21 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
         return;
     }
     let window = now.since(since).as_nanos();
-    for (i, gpu) in a.gpus.iter().enumerate() {
+    for (gpu, keys) in a.gpus.iter().zip(&a.gpu_keys) {
         let used = gpu.used_mem();
         if tel.is_enabled() {
-            tel.gauge_set(&format!("gpu.{i}.mem_used_bytes"), now, used as i64);
+            tel.gauge_set(&keys.mem_used, now, used as i64);
         }
         let busy = gpu.busy_between(since, now).as_nanos();
         let util_bp = busy.saturating_mul(10_000).checked_div(window);
         if let (true, Some(util_bp)) = (tel.is_enabled(), util_bp) {
-            tel.gauge_set(&format!("gpu.{i}.util_bp"), now, util_bp as i64);
+            tel.gauge_set(&keys.util_bp, now, util_bp as i64);
         }
-        if let Some((obs, label)) = &a.obs {
+        if let Some(obs) = &a.obs {
             let mem_permille = used.saturating_mul(1000) / gpu.total_mem().max(1);
             let util_permille = util_bp.unwrap_or(0) / 10;
             let score = 1000u64.saturating_sub(mem_permille.max(util_permille).min(1000));
-            obs.record_health(now, &format!("{label}.gpu{i}"), score);
+            obs.record_health(now, &keys.health, score);
         }
     }
 }
@@ -735,7 +755,7 @@ fn autoscale_tick(
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
     // of tail latency (reactive-growth gate).
-    if let Some((obs, _)) = &a.obs {
+    if let Some(obs) = &a.obs {
         scaler.observe_signals(obs.rate_ramp(now), obs.tail_queue_share_permille(now));
     }
     scaler.observe_queue(oldest_wait);

@@ -654,9 +654,13 @@ impl ObsPlane {
         let score = score_permille.min(1000);
         let mut inner = self.inner.lock();
         inner.roll(&self.cfg, self.idx(now));
-        let tl = inner.health.entry(label.to_string()).or_default();
-        if tl.last().map(|&(_, s)| s) != Some(score) {
-            tl.push((now.as_nanos(), score));
+        let sample = (now.as_nanos(), score);
+        match inner.health.get_mut(label) {
+            Some(tl) if tl.last().map(|&(_, s)| s) == Some(score) => {}
+            Some(tl) => tl.push(sample),
+            None => {
+                inner.health.insert(label.to_string(), vec![sample]);
+            }
         }
     }
 

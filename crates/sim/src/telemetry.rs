@@ -21,18 +21,26 @@
 //! All timestamps are virtual ([`SimTime`]) and recording order follows the
 //! kernel's deterministic schedule, so two runs with the same seed produce
 //! **byte-identical** exports. To keep that property the registry never
-//! consults wall clocks, never iterates hash maps (state lives in `BTreeMap`s
-//! and append-ordered `Vec`s), never draws from any RNG, and exports only
-//! integers — no float formatting. Telemetry being enabled or disabled must
-//! not perturb the simulation itself: recording never sleeps, never yields
-//! and never touches the sim RNG.
+//! consults wall clocks, never *iterates* hash maps (state lives in
+//! `BTreeMap`s and append-ordered `Vec`s; a lookup-only index keeps
+//! first-use tids), never draws from any RNG, and exports only integers —
+//! no float formatting. Telemetry being enabled or disabled must not
+//! perturb the simulation itself: recording never sleeps, never yields and
+//! never touches the sim RNG.
+//!
+//! Recording is O(1) in the run length and allocates nothing once a key is
+//! known: track and span names are interned to `u32` ids, every item's
+//! arguments live in one flat `Vec`, and [`SpanRecord`]/[`EventRecord`]
+//! are rebuilt only when queried.
 //!
 //! Exports come in two shapes: a JSON metrics snapshot
 //! ([`Telemetry::metrics_json`]) and a Chrome trace-event file
 //! ([`Telemetry::chrome_trace_json`]) loadable in `chrome://tracing` /
 //! Perfetto.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -200,21 +208,52 @@ pub struct TelemetryExport {
     pub chrome_trace_json: String,
 }
 
-enum TraceItem {
+/// One recorded span or instant. `track` and `name` are [`Interner`] ids
+/// and `args` is a range into [`TelState::args`], so recording known names
+/// allocates nothing.
+struct TraceItem {
+    track: u32,
+    name: u32,
+    args: Range<u32>,
+    kind: ItemKind,
+}
+
+enum ItemKind {
     Span {
-        track: u32,
-        name: String,
         cat: &'static str,
         start: SimTime,
         end: SimTime,
-        args: Vec<(String, String)>,
     },
     Instant {
-        track: u32,
-        name: String,
         at: SimTime,
-        args: Vec<(String, String)>,
     },
+}
+
+/// Strings in first-use order (the index is the id) plus a lookup-only
+/// hash index, so interning is O(1). The index is never iterated: ids, and
+/// everything exported in id order, follow first use. Its keys are the
+/// program's own names, so it hashes with fixed keys rather than carrying
+/// per-map random state.
+#[derive(Default)]
+struct Interner {
+    names: Vec<String>,
+    index: HashMap<String, u32, BuildHasherDefault<DefaultHasher>>,
+}
+
+impl Interner {
+    fn id(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.index.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.index.insert(name.to_string(), id);
+        id
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
 }
 
 #[derive(Default)]
@@ -223,19 +262,46 @@ struct TelState {
     gauges: BTreeMap<String, Vec<(SimTime, i64)>>,
     histograms: BTreeMap<String, Histogram>,
     items: Vec<TraceItem>,
+    /// Key/value arguments of every item, back to back.
+    args: Vec<(&'static str, String)>,
     /// Track name → tid, in first-use order (deterministic).
-    tracks: Vec<String>,
+    tracks: Interner,
+    /// Span and instant names.
+    names: Interner,
 }
 
 impl TelState {
-    fn track_id(&mut self, name: &str) -> u32 {
-        match self.tracks.iter().position(|t| t == name) {
-            Some(i) => i as u32,
-            None => {
-                self.tracks.push(name.to_string());
-                (self.tracks.len() - 1) as u32
-            }
-        }
+    fn push(&mut self, track: &str, name: &str, args: &[(&'static str, String)], kind: ItemKind) {
+        let track = self.tracks.id(track);
+        let name = self.names.id(name);
+        let first = self.args.len() as u32;
+        self.args.extend_from_slice(args);
+        self.items.push(TraceItem {
+            track,
+            name,
+            args: first..self.args.len() as u32,
+            kind,
+        });
+    }
+
+    fn args(&self, it: &TraceItem) -> &[(&'static str, String)] {
+        &self.args[it.args.start as usize..it.args.end as usize]
+    }
+
+    fn owned_args(&self, it: &TraceItem) -> Vec<(String, String)> {
+        self.args(it)
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), v.clone()))
+            .collect()
+    }
+}
+
+/// Apply `f` to `map[name]`, created with `T::default()` on first use. A
+/// known key costs one lookup and no allocation.
+fn upsert<T: Default>(map: &mut BTreeMap<String, T>, name: &str, f: impl FnOnce(&mut T)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
     }
 }
 
@@ -290,8 +356,7 @@ impl Telemetry {
         if !self.is_enabled() || delta == 0 {
             return;
         }
-        let mut st = self.state.lock();
-        *st.counters.entry(name.to_string()).or_insert(0) += delta;
+        upsert(&mut self.state.lock().counters, name, |c| *c += delta);
     }
 
     /// Append a `(at, value)` sample to gauge `name`'s timeline.
@@ -299,11 +364,7 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
-        st.gauges
-            .entry(name.to_string())
-            .or_default()
-            .push((at, value));
+        upsert(&mut self.state.lock().gauges, name, |g| g.push((at, value)));
     }
 
     /// Record `value` into histogram `name`.
@@ -311,11 +372,7 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
-        st.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        upsert(&mut self.state.lock().histograms, name, |h| h.record(value));
     }
 
     /// Record a closed span of virtual time on `track`.
@@ -332,42 +389,23 @@ impl Telemetry {
         cat: &'static str,
         start: SimTime,
         end: SimTime,
-        args: &[(&str, String)],
+        args: &[(&'static str, String)],
     ) {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
-        let track = st.track_id(track);
-        st.items.push(TraceItem::Span {
-            track,
-            name: name.to_string(),
-            cat,
-            start,
-            end,
-            args: args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        });
+        let kind = ItemKind::Span { cat, start, end };
+        self.state.lock().push(track, name, args, kind);
     }
 
     /// Record an instant event on `track` with key/value `args`.
-    pub fn instant(&self, track: &str, name: &str, at: SimTime, args: &[(&str, String)]) {
+    pub fn instant(&self, track: &str, name: &str, at: SimTime, args: &[(&'static str, String)]) {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
-        let track = st.track_id(track);
-        st.items.push(TraceItem::Instant {
-            track,
-            name: name.to_string(),
-            at,
-            args: args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        });
+        self.state
+            .lock()
+            .push(track, name, args, ItemKind::Instant { at });
     }
 
     // ---- programmatic queries (test oracles) --------------------------
@@ -461,23 +499,16 @@ impl Telemetry {
         let st = self.state.lock();
         st.items
             .iter()
-            .filter_map(|it| match it {
-                TraceItem::Span {
-                    track,
-                    name,
-                    cat,
+            .filter_map(|it| match it.kind {
+                ItemKind::Span { cat, start, end } => Some(SpanRecord {
+                    track: st.tracks.name(it.track).to_string(),
+                    name: st.names.name(it.name).to_string(),
+                    cat: cat.to_string(),
                     start,
                     end,
-                    args,
-                } => Some(SpanRecord {
-                    track: st.tracks[*track as usize].clone(),
-                    name: name.clone(),
-                    cat: (*cat).to_string(),
-                    start: *start,
-                    end: *end,
-                    args: args.clone(),
+                    args: st.owned_args(it),
                 }),
-                TraceItem::Instant { .. } => None,
+                ItemKind::Instant { .. } => None,
             })
             .collect()
     }
@@ -487,19 +518,14 @@ impl Telemetry {
         let st = self.state.lock();
         st.items
             .iter()
-            .filter_map(|it| match it {
-                TraceItem::Instant {
-                    track,
-                    name,
+            .filter_map(|it| match it.kind {
+                ItemKind::Instant { at } => Some(EventRecord {
+                    track: st.tracks.name(it.track).to_string(),
+                    name: st.names.name(it.name).to_string(),
                     at,
-                    args,
-                } => Some(EventRecord {
-                    track: st.tracks[*track as usize].clone(),
-                    name: name.clone(),
-                    at: *at,
-                    args: args.clone(),
+                    args: st.owned_args(it),
                 }),
-                TraceItem::Span { .. } => None,
+                ItemKind::Span { .. } => None,
             })
             .collect()
     }
@@ -519,10 +545,12 @@ impl Telemetry {
     /// across same-seed runs.
     pub fn metrics_json(&self) -> String {
         let st = self.state.lock();
-        let (spans, instants) = st.items.iter().fold((0u64, 0u64), |(s, e), it| match it {
-            TraceItem::Span { .. } => (s + 1, e),
-            TraceItem::Instant { .. } => (s, e + 1),
-        });
+        let spans = st
+            .items
+            .iter()
+            .filter(|it| matches!(it.kind, ItemKind::Span { .. }))
+            .count() as u64;
+        let instants = st.items.len() as u64 - spans;
         let mut j = JsonWriter::new();
         j.object(Lines(2), |j| {
             j.key("counters").object(Lines(4), |j| {
@@ -573,7 +601,7 @@ impl Telemetry {
     /// the output is byte-identical across same-seed runs.
     pub fn chrome_trace_json(&self) -> String {
         let st = self.state.lock();
-        let args_json = |j: &mut JsonWriter, args: &[(String, String)]| {
+        let args_json = |j: &mut JsonWriter, args: &[(&'static str, String)]| {
             j.key("args").object(Inline, |j| {
                 for (k, v) in args {
                     j.key(k).str(v);
@@ -583,7 +611,7 @@ impl Telemetry {
         let mut j = JsonWriter::new();
         j.object(Inline, |j| {
             j.key("traceEvents").array(Lines(0), |j| {
-                for (tid, name) in st.tracks.iter().enumerate() {
+                for (tid, name) in st.tracks.names.iter().enumerate() {
                     j.object(Inline, |j| {
                         j.key("name").str("thread_name").key("ph").str("M");
                         j.key("pid").u64(1).key("tid").u64(tid as u64);
@@ -593,33 +621,23 @@ impl Telemetry {
                     });
                 }
                 for it in &st.items {
-                    j.object(Inline, |j| match it {
-                        TraceItem::Span {
-                            track,
-                            name,
-                            cat,
-                            start,
-                            end,
-                            args,
-                        } => {
+                    let name = st.names.name(it.name);
+                    let args = st.args(it);
+                    j.object(Inline, |j| match it.kind {
+                        ItemKind::Span { cat, start, end } => {
                             j.key("name").str(name).key("cat").str(cat);
                             j.key("ph").str("X").key("pid").u64(1);
-                            j.key("tid").u64(u64::from(*track));
+                            j.key("tid").u64(u64::from(it.track));
                             j.key("ts").micros(start.as_nanos());
-                            j.key("dur").micros(end.since(*start).as_nanos());
+                            j.key("dur").micros(end.since(start).as_nanos());
                             if !args.is_empty() {
                                 args_json(j, args);
                             }
                         }
-                        TraceItem::Instant {
-                            track,
-                            name,
-                            at,
-                            args,
-                        } => {
+                        ItemKind::Instant { at } => {
                             j.key("name").str(name);
                             j.key("ph").str("i").key("s").str("t").key("pid").u64(1);
-                            j.key("tid").u64(u64::from(*track));
+                            j.key("tid").u64(u64::from(it.track));
                             j.key("ts").micros(at.as_nanos());
                             args_json(j, args);
                         }
@@ -802,6 +820,109 @@ mod tests {
         assert!(t
             .chrome_trace_json()
             .contains("\"args\": {\"inv\": \"7\", \"tenant\": \"hot\"}"));
+    }
+
+    /// One recording call of the ordering test: track number (`t{n}`,
+    /// numbered in first-use order), span or instant, name and args.
+    struct Call {
+        track: usize,
+        span: bool,
+        name: String,
+        args: Vec<(&'static str, String)>,
+    }
+
+    /// 30,000 calls over 20,000 distinct tracks: two calls in three open a
+    /// new track, every third reuses a scattered earlier one.
+    fn interleaved_calls() -> Vec<Call> {
+        let mut tracks = 0;
+        (0..30_000usize)
+            .map(|k| {
+                let track = if k % 3 == 2 {
+                    (k * 7919) % tracks
+                } else {
+                    tracks += 1;
+                    tracks - 1
+                };
+                let args = match k % 5 {
+                    0 => vec![],
+                    _ => vec![("k", k.to_string()), ("track", track.to_string())],
+                };
+                Call {
+                    track,
+                    span: k % 2 == 0,
+                    name: format!("n{}", k % 37),
+                    args,
+                }
+            })
+            .collect()
+    }
+
+    fn feed(calls: &[Call]) -> Telemetry {
+        let t = Telemetry::new();
+        t.enable();
+        for (k, c) in calls.iter().enumerate() {
+            let track = format!("t{}", c.track);
+            let at = SimTime(k as u64);
+            if c.span {
+                t.span_args(&track, &c.name, "phase", at, at + Dur(5), &c.args);
+            } else {
+                t.instant(&track, &c.name, at, &c.args);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn interleaved_tracks_keep_first_use_tids_and_round_trip() {
+        let calls = interleaved_calls();
+        let tracks = calls.iter().map(|c| c.track).max().unwrap() + 1;
+        assert!(tracks >= 10_000);
+        let t = feed(&calls);
+
+        // Chrome export: one `thread_name` per track in first-use order,
+        // then every item on its first-use tid.
+        let json = t.chrome_trace_json();
+        let lines: Vec<&str> = json.lines().skip(1).collect();
+        assert_eq!(lines.len(), tracks + calls.len() + 1);
+        for (tid, line) in lines[..tracks].iter().enumerate() {
+            assert_eq!(
+                line.trim_end_matches(','),
+                format!(
+                    "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
+                     \"args\": {{\"name\": \"t{tid}\"}}}}"
+                )
+            );
+        }
+        for (c, line) in calls.iter().zip(&lines[tracks..]) {
+            assert!(line.contains(&format!("\"tid\": {}, ", c.track)), "{line}");
+        }
+
+        // Queries rebuild each record's track, name and args.
+        let owned = |c: &Call| -> Vec<(String, String)> {
+            c.args
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), v.clone()))
+                .collect()
+        };
+        let spans = t.spans();
+        let want: Vec<&Call> = calls.iter().filter(|c| c.span).collect();
+        assert_eq!(spans.len(), want.len());
+        for (s, c) in spans.iter().zip(want) {
+            assert_eq!(s.track, format!("t{}", c.track));
+            assert_eq!((&s.name, s.cat.as_str()), (&c.name, "phase"));
+            assert_eq!(s.args, owned(c));
+        }
+        let instants = t.instants();
+        let want: Vec<&Call> = calls.iter().filter(|c| !c.span).collect();
+        assert_eq!(instants.len(), want.len());
+        for (e, c) in instants.iter().zip(want) {
+            assert_eq!(e.track, format!("t{}", c.track));
+            assert_eq!(e.name, c.name);
+            assert_eq!(e.args, owned(c));
+        }
+
+        // Same calls, same order: byte-identical exports.
+        assert_eq!(t.export(), feed(&calls).export());
     }
 
     #[test]

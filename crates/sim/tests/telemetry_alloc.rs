@@ -1,0 +1,103 @@
+//! Allocation budget of telemetry recording on known keys.
+//!
+//! Once a counter, histogram, track or span name has been seen, recording
+//! against it must not allocate: counters and histograms update in place,
+//! and a span is a few interned ids appended to one `Vec`. A regression
+//! that goes back to allocating a key per record shows up here as
+//! thousands of allocations.
+//!
+//! Lives in its own integration-test binary because the counting
+//! `#[global_allocator]` is process-wide. Each test reads only its own
+//! thread's counter, so libtest's other threads do not leak into it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dgsf_sim::{SimTime, Telemetry};
+
+thread_local! {
+    // Const-initialised and destructor-free, so bumping it from inside the
+    // allocator never allocates itself.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown outlive the slot.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+struct CountingAlloc;
+
+// SAFETY: delegates straight to `System`; the counter is a
+// const-initialised thread-local `Cell`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocation calls made by the calling thread so far.
+fn allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+const CALLS: u64 = 10_000;
+
+#[test]
+fn counters_and_histograms_on_known_keys_do_not_allocate() {
+    let t = Telemetry::new();
+    t.enable();
+    t.counter_add("rpc.calls.launch", 1);
+    t.histogram_record("rpc.latency_ns.launch", 1);
+
+    let before = allocs();
+    for i in 0..CALLS {
+        t.counter_add("rpc.calls.launch", 1);
+        t.histogram_record("rpc.latency_ns.launch", i);
+    }
+    let made = allocs() - before;
+
+    assert_eq!(
+        made, 0,
+        "{made} allocations for {CALLS} counter + histogram records"
+    );
+    assert_eq!(t.counter("rpc.calls.launch"), CALLS + 1);
+    assert_eq!(
+        t.histogram("rpc.latency_ns.launch").unwrap().count,
+        CALLS + 1
+    );
+}
+
+#[test]
+fn argless_spans_on_a_known_track_allocate_only_to_grow_storage() {
+    // Amortized doubling of the item `Vec` takes log₂(10,000) ≈ 14
+    // reallocations; the budget leaves room for that and nothing per span.
+    const BUDGET: u64 = 32;
+
+    let t = Telemetry::new();
+    t.enable();
+    t.span("fn-0-0", "execute", "phase", SimTime(0), SimTime(1));
+
+    let before = allocs();
+    for i in 0..CALLS {
+        t.span("fn-0-0", "execute", "phase", SimTime(i), SimTime(i + 1));
+    }
+    let made = allocs() - before;
+
+    assert!(
+        made <= BUDGET,
+        "{made} allocations for {CALLS} spans (budget {BUDGET})"
+    );
+    assert_eq!(t.spans().len() as u64, CALLS + 1);
+}
