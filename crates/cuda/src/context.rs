@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgsf_gpu::{Gpu, PhysId, ReservationId, VaSpace};
-use dgsf_sim::{ProcCtx, SimHandle, SimSender};
-use parking_lot::Mutex;
+use dgsf_sim::{ProcCtx, SimCell, SimHandle, SimSender};
 
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
@@ -38,14 +37,14 @@ pub(crate) enum StreamCmd {
         name: String,
         cfg: LaunchConfig,
         args: KernelArgs,
-        va: Arc<Mutex<VaSpace>>,
+        va: Arc<SimCell<VaSpace>>,
         registry: Arc<ModuleRegistry>,
     },
     /// An aggregate cuDNN/cuBLAS operation costing `work` GPU-seconds.
     LibOp { work: f64 },
     /// Asynchronous device memset.
     Memset {
-        va: Arc<Mutex<VaSpace>>,
+        va: Arc<SimCell<VaSpace>>,
         ptr: DevPtr,
         len: u64,
         value: u8,
@@ -104,27 +103,27 @@ pub struct CudaContext {
     gpu: Arc<Gpu>,
     costs: Arc<CostTable>,
     handle: SimHandle,
-    ctx_reservation: Mutex<Option<ReservationId>>,
+    ctx_reservation: SimCell<Option<ReservationId>>,
     next_handle: AtomicU64,
-    fptrs: Mutex<HashMap<String, u64>>,
-    fptr_names: Mutex<HashMap<u64, String>>,
-    streams: Mutex<HashSet<u64>>,
-    events: Mutex<HashSet<u64>>,
+    fptrs: SimCell<HashMap<String, u64>>,
+    fptr_names: SimCell<HashMap<u64, String>>,
+    streams: SimCell<HashSet<u64>>,
+    events: SimCell<HashSet<u64>>,
     /// Library handles; `None` reservation for pooled handles whose memory
     /// is pre-reserved in the owning API server's idle footprint.
-    cudnn: Mutex<HashMap<u64, Option<ReservationId>>>,
-    cublas: Mutex<HashMap<u64, Option<ReservationId>>>,
+    cudnn: SimCell<HashMap<u64, Option<ReservationId>>>,
+    cublas: SimCell<HashMap<u64, Option<ReservationId>>>,
     /// One in-order executor per stream; key 0 is the default stream.
     /// Streams of the same context contend on the GPU's processor-sharing
     /// compute engine, so independent streams genuinely overlap.
-    engines: Mutex<HashMap<u64, SimSender<StreamCmd>>>,
+    engines: SimCell<HashMap<u64, SimSender<StreamCmd>>>,
     /// GPU-resident handoff buffers parked between DAG stages, keyed by
     /// the handoff key chosen by the publisher. The context outlives the
     /// sessions that come and go on it, so a buffer published here stays
     /// on-device across function invocations.
-    resident: Mutex<HashMap<u64, ResidentBuf>>,
+    resident: SimCell<HashMap<u64, ResidentBuf>>,
     /// Append-only audit log of resident-store traffic.
-    resident_log: Mutex<Vec<ResidentEvent>>,
+    resident_log: SimCell<Vec<ResidentEvent>>,
 }
 
 /// The default stream's key in the engine table.
@@ -157,20 +156,20 @@ impl CudaContext {
             gpu: Arc::clone(&gpu),
             costs: Arc::clone(&costs),
             handle: h.clone(),
-            ctx_reservation: Mutex::new(Some(reservation)),
+            ctx_reservation: SimCell::new(h, Some(reservation)),
             // Handle values are context-specific: embed the context id so
             // two contexts never hand out the same value (the property the
             // paper's migration translation exists to handle).
             next_handle: AtomicU64::new((id << 32) | 1),
-            fptrs: Mutex::new(HashMap::new()),
-            fptr_names: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashSet::new()),
-            events: Mutex::new(HashSet::new()),
-            cudnn: Mutex::new(HashMap::new()),
-            cublas: Mutex::new(HashMap::new()),
-            engines: Mutex::new(engines),
-            resident: Mutex::new(HashMap::new()),
-            resident_log: Mutex::new(Vec::new()),
+            fptrs: SimCell::new(h, HashMap::new()),
+            fptr_names: SimCell::new(h, HashMap::new()),
+            streams: SimCell::new(h, HashSet::new()),
+            events: SimCell::new(h, HashSet::new()),
+            cudnn: SimCell::new(h, HashMap::new()),
+            cublas: SimCell::new(h, HashMap::new()),
+            engines: SimCell::new(h, engines),
+            resident: SimCell::new(h, HashMap::new()),
+            resident_log: SimCell::new(h, Vec::new()),
         });
         Ok(ctx)
     }
@@ -193,21 +192,19 @@ impl CudaContext {
     /// Enqueue a command on a specific native stream. Unknown streams fall
     /// back to the default stream (callers validate handles beforehand).
     pub(crate) fn submit_on(&self, proc: &ProcCtx, stream: u64, cmd: StreamCmd) {
-        let tx = {
-            let engines = self.engines.lock();
-            engines
-                .get(&stream)
-                .or_else(|| engines.get(&DEFAULT_STREAM))
-                .cloned()
-                .expect("default stream engine always exists")
-        };
-        tx.send(proc, cmd);
+        let engines = self.engines.borrow_in(proc);
+        engines
+            .get(&stream)
+            .or_else(|| engines.get(&DEFAULT_STREAM))
+            .expect("default stream engine always exists")
+            .send(proc, cmd);
     }
 
     /// Block until every previously submitted command on *every* stream has
     /// retired (`cudaDeviceSynchronize`).
     pub fn sync(&self, proc: &ProcCtx) {
-        let senders: Vec<SimSender<StreamCmd>> = self.engines.lock().values().cloned().collect();
+        let senders: Vec<SimSender<StreamCmd>> =
+            self.engines.borrow_in(proc).values().cloned().collect();
         let mut waits = Vec::with_capacity(senders.len());
         for tx in senders {
             let (done_tx, done_rx) = self.handle.channel::<()>();
@@ -222,7 +219,7 @@ impl CudaContext {
     /// Block until one native stream's queue has drained
     /// (`cudaStreamSynchronize`).
     pub fn sync_stream(&self, proc: &ProcCtx, stream: u64) {
-        let tx = self.engines.lock().get(&stream).cloned();
+        let tx = self.engines.borrow_in(proc).get(&stream).cloned();
         if let Some(tx) = tx {
             let (done_tx, done_rx) = self.handle.channel::<()>();
             tx.send(proc, StreamCmd::Sync { done: done_tx });
@@ -484,7 +481,7 @@ fn spawn_stream_engine(
                     let work = def.cost.eval(&args);
                     exec_gpu.exec(pctx, work);
                     if let Some(f) = &def.func {
-                        let vag = va.lock();
+                        let vag = va.borrow_in(pctx);
                         let mut view = DeviceView::new(&vag, &exec_gpu);
                         f(&mut view, &cfg, &args);
                     }
@@ -499,7 +496,7 @@ fn spawn_stream_engine(
                     value,
                 } => {
                     exec_gpu.exec(pctx, len as f64 / exec_costs.memset_bw);
-                    let vag = va.lock();
+                    let vag = va.borrow_in(pctx);
                     let mut view = DeviceView::new(&vag, &exec_gpu);
                     view.fill(ptr, len, value);
                 }
@@ -582,7 +579,7 @@ mod tests {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
             let registry =
                 Arc::new(ModuleRegistry::new().with(crate::module::KernelDef::timed("k")));
-            let va = Arc::new(Mutex::new(VaSpace::new()));
+            let va = Arc::new(SimCell::new(&h, VaSpace::new()));
             let t0 = proc.now();
             for _ in 0..3 {
                 ctx.submit(
@@ -617,7 +614,7 @@ mod tests {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
             let registry =
                 Arc::new(ModuleRegistry::new().with(crate::module::KernelDef::timed("k")));
-            let va = Arc::new(Mutex::new(VaSpace::new()));
+            let va = Arc::new(SimCell::new(&h, VaSpace::new()));
             let t0 = proc.now();
             ctx.submit(
                 proc,

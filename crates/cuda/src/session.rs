@@ -13,8 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgsf_gpu::{VaRange, VaSpace, VA_GRANULARITY};
-use dgsf_sim::{Dur, ProcCtx, SimHandle, SimTime};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, ProcCtx, SimCell, SimHandle, SimTime};
 
 use crate::context::{CudaContext, StreamCmd};
 use crate::costs::CostTable;
@@ -120,7 +119,7 @@ pub struct GpuSession {
     /// Context the session started on (the API server's home GPU).
     home: Arc<CudaContext>,
     /// The application's virtual address space — survives migration intact.
-    va: Arc<Mutex<VaSpace>>,
+    va: Arc<SimCell<VaSpace>>,
     registry: Arc<ModuleRegistry>,
     allocs: HashMap<u64, SessionAlloc>,
     mem_limit: Option<u64>,
@@ -154,7 +153,7 @@ impl GpuSession {
             costs: Arc::clone(ctx.costs()),
             home: Arc::clone(&ctx),
             active: ctx,
-            va: Arc::new(Mutex::new(VaSpace::new())),
+            va: Arc::new(SimCell::new(h, VaSpace::new())),
             registry: Arc::new(ModuleRegistry::new()),
             allocs: HashMap::new(),
             mem_limit,
@@ -205,7 +204,7 @@ impl GpuSession {
     // ---- memory management ----
 
     /// `cudaMalloc`, realized through the VMM path.
-    pub fn malloc(&mut self, _proc: &ProcCtx, bytes: u64) -> CudaResult<DevPtr> {
+    pub fn malloc(&mut self, proc: &ProcCtx, bytes: u64) -> CudaResult<DevPtr> {
         if bytes == 0 {
             return Err(CudaError::InvalidValue("cudaMalloc(0)".into()));
         }
@@ -219,7 +218,7 @@ impl GpuSession {
             }
         }
         let phys = self.active.gpu().mem_create(mapped)?;
-        let mut va = self.va.lock();
+        let mut va = self.va.borrow_in(proc);
         let range = va.reserve(mapped)?;
         va.map(range.base, mapped, phys)?;
         drop(va);
@@ -247,7 +246,7 @@ impl GpuSession {
             .allocs
             .remove(&ptr.0)
             .ok_or_else(|| CudaError::InvalidValue(format!("cudaFree({:#x})", ptr.0)))?;
-        let mut va = self.va.lock();
+        let mut va = self.va.borrow_in(proc);
         va.unmap(a.range.base)?;
         va.release(a.range)?;
         drop(va);
@@ -278,7 +277,7 @@ impl GpuSession {
             .allocs
             .remove(&ptr.0)
             .ok_or_else(|| CudaError::InvalidValue(format!("publish_buffer({:#x})", ptr.0)))?;
-        let mut va = self.va.lock();
+        let mut va = self.va.borrow_in(proc);
         va.unmap(a.range.base)?;
         va.release(a.range)?;
         drop(va);
@@ -299,7 +298,7 @@ impl GpuSession {
     /// resident store: map its physical allocation into *this* session's
     /// VA space (at a fresh virtual address — the adopter never saw the
     /// publisher's) and take ownership as an ordinary allocation.
-    pub fn adopt_buffer(&mut self, _proc: &ProcCtx, key: u64) -> CudaResult<DevPtr> {
+    pub fn adopt_buffer(&mut self, proc: &ProcCtx, key: u64) -> CudaResult<DevPtr> {
         // Check the limit before taking the buffer out of the store so a
         // failed adopt leaves it parked (and later reclaimable).
         let mapped = {
@@ -315,7 +314,7 @@ impl GpuSession {
             }
         }
         let buf = self.active.take_resident(key)?;
-        let mut va = self.va.lock();
+        let mut va = self.va.borrow_in(proc);
         let range = va.reserve(buf.mapped)?;
         va.map(range.base, buf.mapped, buf.phys)?;
         drop(va);
@@ -335,7 +334,7 @@ impl GpuSession {
 
     /// `cudaMemset` (asynchronous, stream-ordered).
     pub fn memset(&mut self, proc: &ProcCtx, ptr: DevPtr, value: u8, bytes: u64) -> CudaResult<()> {
-        self.check_mapped(ptr, bytes)?;
+        self.check_mapped(proc, ptr, bytes)?;
         self.fence_h2d_range(proc, ptr.0, bytes);
         self.active.submit(
             proc,
@@ -361,10 +360,10 @@ impl GpuSession {
     /// in-flight copy; pipelined copies are not ordered against
     /// previously-submitted stream work.
     pub fn memcpy_h2d(&mut self, proc: &ProcCtx, dst: DevPtr, src: &HostBuf) -> CudaResult<()> {
-        self.check_mapped(dst, src.len())?;
+        self.check_mapped(proc, dst, src.len())?;
         if self.costs.h2d_pipelined {
             if let Some(bytes) = src.as_bytes() {
-                let va = self.va.lock();
+                let va = self.va.borrow_in(proc);
                 let mut view = DeviceView::new(&va, self.active.gpu());
                 view.write_bytes(dst, bytes);
             }
@@ -384,7 +383,7 @@ impl GpuSession {
         self.active.sync(proc);
         self.active.gpu().dma(proc, src.len());
         if let Some(bytes) = src.as_bytes() {
-            let va = self.va.lock();
+            let va = self.va.borrow_in(proc);
             let mut view = DeviceView::new(&va, self.active.gpu());
             view.write_bytes(dst, bytes);
         }
@@ -442,12 +441,12 @@ impl GpuSession {
         bytes: u64,
         want_data: bool,
     ) -> CudaResult<HostBuf> {
-        self.check_mapped(src, bytes)?;
+        self.check_mapped(proc, src, bytes)?;
         self.fence_h2d_range(proc, src.0, bytes);
         self.active.sync(proc);
         self.active.gpu().dma(proc, bytes);
         if want_data {
-            let va = self.va.lock();
+            let va = self.va.borrow_in(proc);
             let view = DeviceView::new(&va, self.active.gpu());
             let mut out = vec![0u8; bytes as usize];
             view.read_bytes(src, &mut out);
@@ -457,11 +456,11 @@ impl GpuSession {
         }
     }
 
-    fn check_mapped(&self, ptr: DevPtr, bytes: u64) -> CudaResult<()> {
+    fn check_mapped(&self, proc: &ProcCtx, ptr: DevPtr, bytes: u64) -> CudaResult<()> {
         if bytes == 0 {
             return Ok(());
         }
-        let va = self.va.lock();
+        let va = self.va.borrow_in(proc);
         va.resolve(ptr.0)?;
         if bytes > 1 {
             va.resolve(ptr.0 + bytes - 1)?;
@@ -746,7 +745,7 @@ impl GpuSession {
                 .mem_create_from(pa.store)
                 .expect("admission-checked target ran out of memory");
             self.va
-                .lock()
+                .borrow_in(proc)
                 .remap(a.range.base, new_phys)
                 .expect("remap of session allocation failed");
             a.phys = new_phys;
@@ -883,6 +882,7 @@ mod tests {
     use super::*;
     use dgsf_gpu::{Gpu, GpuId, MB};
     use dgsf_sim::Sim;
+    use parking_lot::Mutex;
 
     use crate::module::{KernelCost, KernelDef};
 

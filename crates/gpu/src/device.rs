@@ -11,8 +11,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dgsf_sim::{Dur, GpsResource, ProcCtx, SimHandle, SimReceiver, SimSender, SimTime, Timeline};
-use parking_lot::Mutex;
+use dgsf_sim::{
+    Dur, GpsResource, ProcCtx, SimCell, SimHandle, SimReceiver, SimSender, SimTime, Timeline,
+};
 
 use crate::pagestore::PageStore;
 use crate::vmm::PhysId;
@@ -91,6 +92,8 @@ struct MemState {
     /// handles). Keyed by caller-chosen tag.
     reservations: HashMap<u64, u64>,
     next_reservation: u64,
+    /// Low bits of the next physical allocation handle.
+    next_phys: u64,
 }
 
 /// Handle for a named memory reservation (e.g. a CUDA context footprint).
@@ -110,12 +113,11 @@ pub struct Gpu {
     props: DeviceProps,
     compute: GpsResource,
     pcie: GpsResource,
-    mem: Mutex<MemState>,
-    next_phys: Mutex<u64>,
+    mem: SimCell<MemState>,
     handle: SimHandle,
     /// Lazily created on the first pipelined transfer, preloaded with one
     /// token per DMA engine.
-    dma_tokens: Mutex<Option<DmaTokens>>,
+    dma_tokens: SimCell<Option<DmaTokens>>,
 }
 
 impl Gpu {
@@ -137,15 +139,18 @@ impl Gpu {
             props,
             compute: h.gps(compute_capacity),
             pcie: h.gps(pcie_bw),
-            mem: Mutex::new(MemState {
-                free,
-                allocs: HashMap::new(),
-                reservations: HashMap::new(),
-                next_reservation: 0,
-            }),
-            next_phys: Mutex::new(0),
+            mem: SimCell::new(
+                h,
+                MemState {
+                    free,
+                    allocs: HashMap::new(),
+                    reservations: HashMap::new(),
+                    next_reservation: 0,
+                    next_phys: 0,
+                },
+            ),
             handle: h.clone(),
-            dma_tokens: Mutex::new(None),
+            dma_tokens: SimCell::new(h, None),
         })
     }
 
@@ -206,15 +211,8 @@ impl Gpu {
 
     /// Create a physical allocation of `size` bytes (`cuMemCreate`).
     pub fn mem_create(&self, size: u64) -> Result<PhysId, OutOfMemory> {
-        let id = {
-            let mut n = self.next_phys.lock();
-            // Encode the device in the high bits so handles are globally
-            // unique and migrations are traceable in logs.
-            let id = PhysId(((self.id.0 as u64) << 48) | *n);
-            *n += 1;
-            id
-        };
         let mut m = self.mem.lock();
+        let id = self.next_phys_id(&mut m);
         if m.free < size {
             return Err(OutOfMemory {
                 requested: size,
@@ -238,13 +236,8 @@ impl Gpu {
     /// GPU followed by the D2D copy, collapsed). Returns the new handle.
     pub fn mem_create_from(&self, store: PageStore) -> Result<PhysId, OutOfMemory> {
         let size = store.len();
-        let id = {
-            let mut n = self.next_phys.lock();
-            let id = PhysId(((self.id.0 as u64) << 48) | *n);
-            *n += 1;
-            id
-        };
         let mut m = self.mem.lock();
+        let id = self.next_phys_id(&mut m);
         if m.free < size {
             return Err(OutOfMemory {
                 requested: size,
@@ -254,6 +247,16 @@ impl Gpu {
         m.free -= size;
         m.allocs.insert(id, PhysAlloc { id, size, store });
         Ok(id)
+    }
+
+    /// Take the next physical allocation handle (consumed even if the
+    /// allocation then fails).
+    fn next_phys_id(&self, m: &mut MemState) -> PhysId {
+        // Encode the device in the high bits so handles are globally
+        // unique and migrations are traceable in logs.
+        let id = PhysId(((self.id.0 as u64) << 48) | m.next_phys);
+        m.next_phys += 1;
+        id
     }
 
     /// Destroy a physical allocation (`cuMemRelease`). Returns its size.
@@ -346,7 +349,7 @@ impl Gpu {
             return done_rx;
         }
         let (tok_tx, tok_rx) = {
-            let mut slot = self.dma_tokens.lock();
+            let mut slot = self.dma_tokens.borrow_in(ctx);
             let pool = slot.get_or_insert_with(|| {
                 let (tx, rx) = self.handle.channel::<u32>();
                 for e in 0..engines.max(1) {
@@ -442,6 +445,7 @@ pub fn plan_chunks(bytes: u64, chunk: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use dgsf_sim::Sim;
+    use parking_lot::Mutex;
 
     fn mk() -> (Sim, Arc<Gpu>) {
         let sim = Sim::new(1);

@@ -15,8 +15,9 @@ use std::sync::Arc;
 use dgsf_cuda::{CostTable, CudaContext, GpuSession, MigrationReport, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId, ReservationId};
 use dgsf_remoting::{Delivery, Dispatcher, NetLink, RpcInbox};
-use dgsf_sim::{Dur, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx};
-use parking_lot::Mutex;
+use dgsf_sim::{
+    Dur, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx,
+};
 
 use crate::monitor::MonitorMsg;
 
@@ -73,7 +74,7 @@ pub struct ApiServerShared {
     pub id: u32,
     /// The GPU this server is provisioned on.
     pub home_gpu: GpuId,
-    state: Mutex<ApiSrvState>,
+    state: SimCell<ApiSrvState>,
     /// Set by the fault injector: a killed server stops responding,
     /// heartbeating and serving — permanently.
     killed: AtomicBool,
@@ -84,11 +85,12 @@ pub struct ApiServerShared {
     migrations_begun: AtomicU64,
     /// The pre-created cuDNN/cuBLAS handle-pool reservation (452 MB) on the
     /// home GPU, released when the autoscaler retires this server.
-    pool_reservation: Mutex<Option<ReservationId>>,
+    pool_reservation: SimCell<Option<ReservationId>>,
 }
 
 impl ApiServerShared {
     pub(crate) fn new(
+        h: &SimHandle,
         id: u32,
         home_gpu: GpuId,
         home_ctx: Arc<CudaContext>,
@@ -99,15 +101,18 @@ impl ApiServerShared {
         ApiServerShared {
             id,
             home_gpu,
-            state: Mutex::new(ApiSrvState {
-                current_gpu: home_gpu,
-                contexts,
-                migration_request: None,
-            }),
+            state: SimCell::new(
+                h,
+                ApiSrvState {
+                    current_gpu: home_gpu,
+                    contexts,
+                    migration_request: None,
+                },
+            ),
             killed: AtomicBool::new(false),
             migrating: AtomicBool::new(false),
             migrations_begun: AtomicU64::new(0),
-            pool_reservation: Mutex::new(pool_reservation),
+            pool_reservation: SimCell::new(h, pool_reservation),
         }
     }
 
@@ -163,8 +168,8 @@ impl ApiServerShared {
         by_gpu.into_iter().map(|(_, c)| c).collect()
     }
 
-    fn take_migration_request(&self) -> Option<GpuId> {
-        self.state.lock().migration_request.take()
+    fn take_migration_request(&self, p: &ProcCtx) -> Option<GpuId> {
+        self.state.borrow_in(p).migration_request.take()
     }
 
     fn context(&self, gpu: GpuId) -> Option<Arc<CudaContext>> {
@@ -206,7 +211,7 @@ pub(crate) struct ApiServerArgs {
     pub link: Arc<NetLink>,
     pub assign_rx: SimReceiver<ServerCmd>,
     pub monitor_tx: SimSender<MonitorMsg>,
-    pub migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
+    pub migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
     pub heartbeat_period: Dur,
     pub idle_timeout: Option<Dur>,
     /// Control-plane bytes (context + handle-pool descriptors) moved over
@@ -344,7 +349,7 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
 }
 
 fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
-    let Some(target) = a.shared.take_migration_request() else {
+    let Some(target) = a.shared.take_migration_request(p) else {
         return;
     };
     let skip = |reason: &str| {

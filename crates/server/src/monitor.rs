@@ -22,9 +22,9 @@ use dgsf_cuda::{CostTable, CudaContext, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{NetLink, RpcClient};
 use dgsf_sim::{
-    Dur, ObsPlane, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx,
+    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender, SimTime,
+    TraceCtx,
 };
-use parking_lot::Mutex;
 
 use crate::api_server::{
     run_api_server, ApiServerArgs, ApiServerShared, Assignment, MigrationRecord, ServerCmd,
@@ -219,19 +219,19 @@ pub(crate) struct MonitorArgs {
     pub link: Arc<NetLink>,
     pub servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)>,
     pub rx: SimReceiver<MonitorMsg>,
-    pub records: Arc<Mutex<HashMap<u64, InvocationRecord>>>,
+    pub records: Arc<SimCell<HashMap<u64, InvocationRecord>>>,
     /// Shared cost table (the autoscaler creates contexts for new servers).
     pub costs: Arc<CostTable>,
     /// The monitor's own inbox, handed to autoscaled API servers.
     pub monitor_tx: SimSender<MonitorMsg>,
     /// Migration log, handed to autoscaled API servers.
-    pub migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
+    pub migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
     /// Live-server registry shared with [`crate::GpuServer`]; the
     /// autoscaler pushes spawned servers and removes retired ones.
-    pub registry: Arc<Mutex<Vec<Arc<ApiServerShared>>>>,
+    pub registry: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
     /// Ids of API servers whose lease expired, shared with
     /// [`crate::GpuServer`] so the cluster balancer can see dead capacity.
-    pub failed_servers: Arc<Mutex<HashSet<u32>>>,
+    pub failed_servers: Arc<SimCell<HashSet<u32>>>,
     /// Online observability plane plus this server's stable label (e.g.
     /// `srv0`). When present the monitor feeds per-GPU health scores each
     /// tick and a predictive autoscaler reads its streamed signals.
@@ -244,12 +244,12 @@ struct MonCtx {
     cfg: GpuServerConfig,
     gpus: Vec<Arc<Gpu>>,
     link: Arc<NetLink>,
-    records: Arc<Mutex<HashMap<u64, InvocationRecord>>>,
+    records: Arc<SimCell<HashMap<u64, InvocationRecord>>>,
     costs: Arc<CostTable>,
     monitor_tx: SimSender<MonitorMsg>,
-    migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
-    registry: Arc<Mutex<Vec<Arc<ApiServerShared>>>>,
-    failed_servers: Arc<Mutex<HashSet<u32>>>,
+    migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
+    registry: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
+    failed_servers: Arc<SimCell<HashSet<u32>>>,
     obs: Option<Arc<ObsPlane>>,
     /// One per GPU, built once so the per-tick sampling formats nothing.
     gpu_keys: Vec<GpuKeys>,
@@ -870,7 +870,7 @@ fn spawn_server(
     };
     let id = *next_server_id;
     *next_server_id += 1;
-    let shared = Arc::new(ApiServerShared::new(id, gpu, ctx, Some(pool_res)));
+    let shared = Arc::new(ApiServerShared::new(&a.h, id, gpu, ctx, Some(pool_res)));
     let (assign_tx, assign_rx) = a.h.channel::<ServerCmd>();
     let args = ApiServerArgs {
         h: a.h.clone(),

@@ -17,8 +17,9 @@ use std::sync::atomic::AtomicBool;
 use dgsf_cuda::{CostTable, CudaContext, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{FaultStats, LinkFaults, NetLink, RpcClient};
-use dgsf_sim::{Dur, ObsPlane, ProcCtx, RecvError, SimHandle, SimSender, SimTime, TraceCtx};
-use parking_lot::Mutex;
+use dgsf_sim::{
+    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimSender, SimTime, TraceCtx,
+};
 
 use crate::api_server::{
     run_api_server, ApiServerArgs, ApiServerShared, MigrationRecord, ServerCmd,
@@ -124,11 +125,11 @@ pub struct GpuServer {
     monitor_tx: SimSender<MonitorMsg>,
     /// Live-server registry, shared with the monitor: the autoscaler
     /// pushes spawned servers and removes retired ones.
-    servers: Arc<Mutex<Vec<Arc<ApiServerShared>>>>,
-    records: Arc<Mutex<HashMap<u64, InvocationRecord>>>,
-    migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
+    servers: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
+    records: Arc<SimCell<HashMap<u64, InvocationRecord>>>,
+    migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
     /// Ids of lease-expired API servers, shared with the monitor.
-    failed_servers: Arc<Mutex<HashSet<u32>>>,
+    failed_servers: Arc<SimCell<HashSet<u32>>>,
     next_invocation: AtomicU64,
     provisioned_at: SimTime,
     faults: Option<Arc<LinkFaults>>,
@@ -172,8 +173,8 @@ impl GpuServer {
             .map(LinkFaults::new);
         let link = NetLink::with_faults(h, cfg.net.clone(), faults.clone());
         let (monitor_tx, monitor_rx) = h.channel::<MonitorMsg>();
-        let records = Arc::new(Mutex::new(HashMap::new()));
-        let migration_log = Arc::new(Mutex::new(Vec::new()));
+        let records = Arc::new(SimCell::new(h, HashMap::new()));
+        let migration_log = Arc::new(SimCell::new(h, Vec::new()));
 
         let mut servers = Vec::new();
         let mut monitor_servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)> = Vec::new();
@@ -189,7 +190,7 @@ impl GpuServer {
             let pool_res = gpu
                 .reserve(costs.cudnn_mem + costs.cublas_mem)
                 .expect("fresh GPU fits the handle pools");
-            let shared = Arc::new(ApiServerShared::new(id, home, ctx, Some(pool_res)));
+            let shared = Arc::new(ApiServerShared::new(h, id, home, ctx, Some(pool_res)));
             let (assign_tx, assign_rx) = h.channel::<ServerCmd>();
             let args = ApiServerArgs {
                 h: h.clone(),
@@ -211,8 +212,8 @@ impl GpuServer {
             servers.push(shared);
         }
 
-        let servers = Arc::new(Mutex::new(servers));
-        let failed_servers = Arc::new(Mutex::new(HashSet::new()));
+        let servers = Arc::new(SimCell::new(h, servers));
+        let failed_servers = Arc::new(SimCell::new(h, HashSet::new()));
         let margs = MonitorArgs {
             h: h.clone(),
             cfg: cfg.clone(),

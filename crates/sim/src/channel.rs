@@ -8,14 +8,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::SimCell;
 use crate::kernel::{ProcCtx, ProcId, Shared};
 use crate::time::Dur;
-
-struct ChanInner<T> {
-    state: Mutex<ChanState<T>>,
-}
 
 struct ChanState<T> {
     queue: VecDeque<T>,
@@ -26,12 +21,12 @@ struct ChanState<T> {
 
 /// Sending half of a simulation channel. Cloneable.
 pub struct SimSender<T> {
-    inner: Arc<ChanInner<T>>,
+    inner: Arc<SimCell<ChanState<T>>>,
 }
 
 /// Receiving half of a simulation channel. Cloneable (MPMC).
 pub struct SimReceiver<T> {
-    inner: Arc<ChanInner<T>>,
+    inner: Arc<SimCell<ChanState<T>>>,
 }
 
 impl<T> Clone for SimSender<T> {
@@ -60,13 +55,11 @@ pub enum RecvError {
 }
 
 pub(crate) fn channel<T: Send + 'static>(shared: &Arc<Shared>) -> (SimSender<T>, SimReceiver<T>) {
-    let _ = shared; // channels key off the caller's ProcCtx for kernel access
-    let inner = Arc::new(ChanInner {
-        state: Mutex::new(ChanState {
-            queue: VecDeque::new(),
-            waiters: VecDeque::new(),
-        }),
-    });
+    let state = ChanState {
+        queue: VecDeque::new(),
+        waiters: VecDeque::new(),
+    };
+    let inner = Arc::new(SimCell::with_lock(shared.state.lock_arc(), state));
     (
         SimSender {
             inner: Arc::clone(&inner),
@@ -79,10 +72,10 @@ impl<T: Send + 'static> SimSender<T> {
     /// Enqueue `v` and wake one parked receiver (at the current virtual
     /// time). Never blocks.
     pub fn send(&self, ctx: &ProcCtx, v: T) {
-        let mut st = ctx.lock_state();
-        let mut ch = self.inner.state.lock();
+        let mut ch = self.inner.borrow_in(ctx);
         ch.queue.push_back(v);
         if let Some((pid, generation)) = ch.waiters.pop_front() {
+            let mut st = ctx.state();
             let now = st.now;
             st.schedule_wake(now, pid, generation);
         }
@@ -90,7 +83,7 @@ impl<T: Send + 'static> SimSender<T> {
 
     /// Number of queued (undelivered) messages.
     pub fn queued(&self) -> usize {
-        self.inner.state.lock().queue.len()
+        self.inner.lock().queue.len()
     }
 }
 
@@ -99,25 +92,24 @@ impl<T: Send + 'static> SimReceiver<T> {
     /// when the simulation is shutting down.
     pub fn recv(&self, ctx: &ProcCtx) -> Option<T> {
         loop {
-            {
-                let mut st = ctx.lock_state();
-                let mut ch = self.inner.state.lock();
-                if let Some(v) = ch.queue.pop_front() {
-                    return Some(v);
-                }
-                if st.shutdown {
-                    return None;
-                }
-                let generation = st.begin_park(ctx.pid());
-                ch.waiters.push_back((ctx.pid(), generation));
+            let mut ch = self.inner.borrow_in(ctx);
+            if let Some(v) = ch.queue.pop_front() {
+                return Some(v);
             }
-            if ctx.yield_parked_raw() {
-                self.deregister(ctx);
+            let mut st = ctx.state();
+            if st.shutdown {
                 return None;
             }
-            // Spurious wake is possible under MPMC (another receiver took the
-            // message); loop and re-park.
+            let generation = st.begin_park(ctx.pid());
+            ch.waiters.push_back((ctx.pid(), generation));
+            drop(ch);
+            let shutdown = ctx.yield_parked_raw(st);
+            // A spurious wake is possible under MPMC (another receiver took
+            // the message); loop and re-park.
             self.deregister(ctx);
+            if shutdown {
+                return None;
+            }
         }
     }
 
@@ -125,23 +117,22 @@ impl<T: Send + 'static> SimReceiver<T> {
     pub fn recv_timeout(&self, ctx: &ProcCtx, timeout: Dur) -> Result<T, RecvError> {
         let deadline = ctx.now() + timeout;
         loop {
-            {
-                let mut st = ctx.lock_state();
-                let mut ch = self.inner.state.lock();
-                if let Some(v) = ch.queue.pop_front() {
-                    return Ok(v);
-                }
-                if st.shutdown {
-                    return Err(RecvError::Shutdown);
-                }
-                if st.now >= deadline {
-                    return Err(RecvError::Timeout);
-                }
-                let generation = st.begin_park(ctx.pid());
-                ch.waiters.push_back((ctx.pid(), generation));
-                st.schedule_wake(deadline, ctx.pid(), generation);
+            let mut ch = self.inner.borrow_in(ctx);
+            if let Some(v) = ch.queue.pop_front() {
+                return Ok(v);
             }
-            let shutdown = ctx.yield_parked_raw();
+            let mut st = ctx.state();
+            if st.shutdown {
+                return Err(RecvError::Shutdown);
+            }
+            if st.now >= deadline {
+                return Err(RecvError::Timeout);
+            }
+            let generation = st.begin_park(ctx.pid());
+            ch.waiters.push_back((ctx.pid(), generation));
+            drop(ch);
+            st.schedule_wake(deadline, ctx.pid(), generation);
+            let shutdown = ctx.yield_parked_raw(st);
             self.deregister(ctx);
             if shutdown {
                 return Err(RecvError::Shutdown);
@@ -151,29 +142,18 @@ impl<T: Send + 'static> SimReceiver<T> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.state.lock().queue.pop_front()
+        self.inner.lock().queue.pop_front()
     }
 
     /// Drain everything currently queued (non-blocking).
     pub fn drain(&self) -> Vec<T> {
-        let mut ch = self.inner.state.lock();
-        ch.queue.drain(..).collect()
+        self.inner.lock().queue.drain(..).collect()
     }
 
     /// Remove this process from the waiter list, if still registered.
     fn deregister(&self, ctx: &ProcCtx) {
-        let _st = ctx.lock_state();
-        let mut ch = self.inner.state.lock();
         let pid = ctx.pid();
-        ch.waiters.retain(|(p, _)| *p != pid);
-    }
-}
-
-impl ProcCtx {
-    /// Like `yield_parked` but reports shutdown instead of panicking, so
-    /// blocking primitives can offer a clean-exit path.
-    pub(crate) fn yield_parked_raw(&self) -> bool {
-        self.yield_parked_impl()
+        self.inner.borrow_in(ctx).waiters.retain(|(p, _)| *p != pid);
     }
 }
 
@@ -182,6 +162,7 @@ mod tests {
     use super::*;
     use crate::kernel::Sim;
     use crate::time::SimTime;
+    use parking_lot::Mutex;
 
     #[test]
     fn send_wakes_receiver_at_send_time() {

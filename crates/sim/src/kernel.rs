@@ -13,9 +13,10 @@
 //! Exactly one context holds the *baton* at any moment: the driver (inside
 //! [`Sim::run_until`]) or one process. Whoever gives up control runs the
 //! scheduler itself — the driver when a run starts, a process when it
-//! parks or exits. Under the state lock it pops events in order, runs `Call`
-//! events inline (resources use these as cancellable completion timers) and
-//! skips stale wakes. The first live `Wake` decides where the baton goes:
+//! parks or exits. With the kernel state borrowed it pops events in order,
+//! runs `Call` events inline (resources use these as cancellable completion
+//! timers) and skips stale wakes. The first live `Wake` decides where the
+//! baton goes:
 //!
 //! - a wake for the caller itself returns at once, with no switch;
 //! - a wake for a started process switches to that process's saved stack
@@ -28,8 +29,23 @@
 //! is shutting down, or a process panicked (its payload is stored and
 //! re-raised by `run_until`). A wake therefore costs at most one stack
 //! switch — push six callee-saved registers, swap stack pointers, pop —
-//! and never a round trip through the driver. The state lock is always
-//! released before a switch, since the next holder takes it.
+//! and never a round trip through the driver. The state borrow is always
+//! dropped before a switch, since the next holder takes it.
+//!
+//! # The simulation lock
+//!
+//! A simulation's mutable state — this kernel state, channels, resources,
+//! telemetry and the platform's hot maps — lives in [`SimCell`]s under one
+//! reentrant [`SimLock`](crate::cell), created by [`Sim::new`]. `run_until` and `Drop for Sim` hold it for their whole
+//! duration, so every process runs on the thread that holds it, and a
+//! `&ProcCtx` is proof of that: [`SimCell::borrow_in`] checks only that the
+//! cell belongs to the context's simulation and then borrows, with no
+//! atomic read-modify-write. Keyless entries (a [`SimHandle`], `Sim`'s own
+//! queries, [`SimCell::lock`]) enter the lock instead; on the holding
+//! thread that is a thread-identity read and a compare, and a caller on
+//! another thread blocks until the run ends. The thread identity is read
+//! afresh at every entry and never cached across a stack switch, since the
+//! next run may resume a process on another OS thread.
 //!
 //! # Process stacks
 //!
@@ -69,7 +85,7 @@
 //! processes; their stacks, and the state they keep alive, are leaked.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefMut};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
@@ -77,10 +93,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::cell::{SimCell, SimLock};
 use crate::telemetry::Telemetry;
 use crate::time::{Dur, SimTime};
 
@@ -279,9 +295,14 @@ enum Next {
     Start(ProcId, Body),
 }
 
-/// Mutable kernel state, guarded by a single mutex. Lock ordering throughout
-/// the crate is: kernel state first, then any resource/channel state.
+/// Mutable kernel state, a [`SimCell`] under the simulation's lock like all
+/// other simulation state. Cells carry no ordering: code may borrow them in
+/// any order, but never one that is already borrowed (a `RefCell` panic),
+/// and never across a switch.
 pub(crate) struct SimState {
+    /// The simulation's lock; a borrowed `SimState` proves it is held
+    /// ([`SimCell::borrow_with`]).
+    lock: Arc<SimLock>,
     pub(crate) now: SimTime,
     seq: u64,
     queue: BinaryHeap<Event>,
@@ -307,6 +328,11 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
+    #[inline]
+    pub(crate) fn sim_lock(&self) -> &SimLock {
+        &self.lock
+    }
+
     fn proc_mut(&mut self, pid: ProcId) -> &mut ProcRec {
         &mut self.procs[pid.0 as usize]
     }
@@ -375,12 +401,32 @@ impl SimState {
         rec.parked = true;
         rec.generation
     }
+
+    /// Register a process that becomes runnable at `at` (or now, if later).
+    fn spawn<F>(&mut self, name: &str, at: SimTime, f: F) -> ProcId
+    where
+        F: FnOnce(&ProcCtx) + Send + 'static,
+    {
+        let pid = ProcId(self.procs.len() as u64);
+        self.procs.push(ProcRec {
+            name: Arc::from(name),
+            generation: 0,
+            parked: true, // parked on its initial wake
+            alive: true,
+            body: Some(Box::new(f)),
+            stack: None,
+            sp: 0,
+        });
+        let at = at.max(self.now);
+        self.schedule_wake(at, pid, 0);
+        pid
+    }
 }
 
-/// Release the state lock, save the running context as `from`'s and resume
+/// Drop the state borrow, save the running context as `from`'s and resume
 /// the context whose stack pointer is `to`. Returns when a later switch
 /// resumes `from`.
-fn switch(mut st: MutexGuard<'_, SimState>, from: Holder, to: usize) {
+fn switch(mut st: RefMut<'_, SimState>, from: Holder, to: usize) {
     let save: *mut usize = st.sp_slot(from);
     drop(st);
     // SAFETY: `to` is the stack pointer of a parked context, saved by its
@@ -391,10 +437,10 @@ fn switch(mut st: MutexGuard<'_, SimState>, from: Holder, to: usize) {
 }
 
 pub(crate) struct Shared {
-    pub(crate) state: Mutex<SimState>,
-    /// Per-simulation telemetry registry (disabled by default). Lives
-    /// outside the state mutex: recording must never contend with the
-    /// scheduler.
+    pub(crate) state: SimCell<SimState>,
+    /// Per-simulation telemetry registry (disabled by default), under the
+    /// same lock as the state but in a cell of its own: recording never
+    /// borrows the scheduler's state.
     telemetry: Arc<Telemetry>,
 }
 
@@ -423,7 +469,7 @@ impl Shared {
 
     /// Run the scheduler as `from` and pass the baton on. Returns `true` if
     /// `from` keeps the baton, `false` once it has been handed back.
-    fn pass_baton(self: &Arc<Self>, mut st: MutexGuard<'_, SimState>, from: Holder) -> bool {
+    fn pass_baton(self: &Arc<Self>, mut st: RefMut<'_, SimState>, from: Holder) -> bool {
         match self.next_target(&mut st, from) {
             None => true,
             Some(to) => {
@@ -458,22 +504,25 @@ pub struct Sim {
 impl Sim {
     /// Create a simulation whose internal RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Sim {
+        let lock = SimLock::new();
+        let state = SimState {
+            lock: Arc::clone(&lock),
+            now: SimTime::ZERO,
+            seq: 0,
+            queue: BinaryHeap::new(),
+            procs: Vec::new(),
+            shutdown: false,
+            rng: StdRng::seed_from_u64(seed),
+            executed: 0,
+            deadline: SimTime::MAX,
+            driver_sp: 0,
+            panic: None,
+            retired: None,
+            free: Vec::new(),
+        };
         let shared = Arc::new(Shared {
-            state: Mutex::new(SimState {
-                now: SimTime::ZERO,
-                seq: 0,
-                queue: BinaryHeap::new(),
-                procs: Vec::new(),
-                shutdown: false,
-                rng: StdRng::seed_from_u64(seed),
-                executed: 0,
-                deadline: SimTime::MAX,
-                driver_sp: 0,
-                panic: None,
-                retired: None,
-                free: Vec::new(),
-            }),
-            telemetry: Arc::new(Telemetry::new()),
+            state: SimCell::with_lock(&lock, state),
+            telemetry: Arc::new(Telemetry::with_lock(&lock)),
         });
         Sim { shared }
     }
@@ -494,8 +543,7 @@ impl Sim {
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        let at = self.now();
-        spawn_inner(&self.shared, name, at, f)
+        self.spawn_at(name, SimTime::ZERO, f)
     }
 
     /// Spawn a process that becomes runnable at virtual time `at`.
@@ -503,7 +551,7 @@ impl Sim {
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        spawn_inner(&self.shared, name, at, f)
+        self.shared.state.lock().spawn(name, at, f)
     }
 
     /// Create an MPMC simulation channel (see [`crate::channel`]).
@@ -520,11 +568,21 @@ impl Sim {
     }
 
     /// Run events with `time <= deadline`; later events stay queued.
+    ///
+    /// Holds the simulation's lock throughout: a keyless call from another
+    /// OS thread ([`SimHandle::now`], say) waits until the run returns.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let mut st = self.shared.state.lock();
+        let held = self.shared.state.hold();
+        let mut st = self.shared.state.borrow_held(&held);
         st.deadline = deadline;
         self.shared.pass_baton(st, Holder::Driver);
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_held(&held);
+        assert_eq!(
+            st.lock.depth(),
+            1,
+            "the simulation's lock is still entered after the run: a `SimCell::lock` \
+             guard was kept across a park or across the run"
+        );
         if let Some(payload) = st.panic.take() {
             drop(st);
             panic::resume_unwind(payload);
@@ -556,15 +614,16 @@ impl Drop for Sim {
         // others unwind are visited too, since the slab only grows. A driver
         // that is itself unwinding resumes none (see "Unwinding").
         let resume = !std::thread::panicking();
+        let held = self.shared.state.hold();
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_held(&held);
             st.shutdown = true;
             st.queue.clear();
         }
         let mut idx = 0;
         let mut resumes = 0;
         loop {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_held(&held);
             let Some(rec) = st.procs.get_mut(idx) else {
                 break;
             };
@@ -593,30 +652,14 @@ impl Drop for Sim {
     }
 }
 
-fn spawn_inner<F>(shared: &Shared, name: &str, at: SimTime, f: F) -> ProcId
-where
-    F: FnOnce(&ProcCtx) + Send + 'static,
-{
-    let mut st = shared.state.lock();
-    let pid = ProcId(st.procs.len() as u64);
-    st.procs.push(ProcRec {
-        name: Arc::from(name),
-        generation: 0,
-        parked: true, // parked on its initial wake
-        alive: true,
-        body: Some(Box::new(f)),
-        stack: None,
-        sp: 0,
-    });
-    let at = at.max(st.now);
-    st.schedule_wake(at, pid, 0);
-    pid
-}
-
 /// A cloneable, `Send` handle onto a simulation: lets library code create
 /// channels and resources and spawn processes without borrowing [`Sim`]
 /// itself (which stays with the driver) or a [`ProcCtx`] (which is pinned to
 /// its process).
+///
+/// Every method enters the simulation's lock: from inside a run that costs
+/// a thread-identity read and a compare; from another OS thread it waits
+/// for the run to end.
 #[derive(Clone)]
 pub struct SimHandle {
     pub(crate) shared: Arc<Shared>,
@@ -633,8 +676,7 @@ impl SimHandle {
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        let at = self.now();
-        spawn_inner(&self.shared, name, at, f)
+        self.spawn_at(name, SimTime::ZERO, f)
     }
 
     /// Spawn a process runnable at `at`.
@@ -642,7 +684,7 @@ impl SimHandle {
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        spawn_inner(&self.shared, name, at, f)
+        self.shared.state.lock().spawn(name, at, f)
     }
 
     /// Create an MPMC simulation channel.
@@ -653,13 +695,12 @@ impl SimHandle {
     /// Create a processor-sharing resource with the given capacity
     /// (work units per second).
     pub fn gps(&self, capacity: f64) -> crate::GpsResource {
-        crate::resource::GpsResource::with_shared_pub(&self.shared, capacity)
+        crate::resource::GpsResource::with_shared(&self.shared, capacity)
     }
 
     /// Run `f` against the simulation's deterministic RNG.
     pub fn with_rng<R>(&self, f: impl FnOnce(&mut StdRng) -> R) -> R {
-        let mut st = self.shared.state.lock();
-        f(&mut st.rng)
+        f(&mut self.shared.state.lock().rng)
     }
 
     /// This simulation's telemetry registry.
@@ -680,7 +721,9 @@ impl Sim {
 /// Handle a simulated process uses to interact with virtual time and the
 /// kernel. Neither `Clone` nor `Sync`: it stands for its process's stack,
 /// and a switch onto that stack from another OS thread would be undefined
-/// behaviour, so a `&ProcCtx` cannot leave the driver's thread.
+/// behaviour, so a `&ProcCtx` cannot leave the driver's thread. That also
+/// makes a `&ProcCtx` proof that the simulation's lock is held by this
+/// thread, which [`SimCell::borrow_in`] relies on.
 ///
 /// ```compile_fail
 /// let mut sim = dgsf_sim::Sim::new(1);
@@ -716,7 +759,7 @@ impl ProcCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        self.state().now
     }
 
     /// Advance this process's virtual clock by `d`.
@@ -724,13 +767,11 @@ impl ProcCtx {
         if d == Dur::ZERO {
             return;
         }
-        {
-            let mut st = self.lock_state();
-            let generation = st.begin_park(self.pid);
-            let at = st.now + d;
-            st.schedule_wake(at, self.pid, generation);
-        }
-        self.yield_parked();
+        let mut st = self.state();
+        let generation = st.begin_park(self.pid);
+        let at = st.now + d;
+        st.schedule_wake(at, self.pid, generation);
+        self.yield_parked(st);
     }
 
     /// Sleep until absolute time `t` (no-op if `t` is in the past).
@@ -746,14 +787,12 @@ impl ProcCtx {
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        let at = self.now();
-        spawn_inner(&self.shared, name, at, f)
+        self.state().spawn(name, SimTime::ZERO, f)
     }
 
     /// Run `f` against the simulation's deterministic RNG.
     pub fn with_rng<R>(&self, f: impl FnOnce(&mut StdRng) -> R) -> R {
-        let mut st = self.shared.state.lock();
-        f(&mut st.rng)
+        f(&mut self.state().rng)
     }
 
     /// A cloneable handle onto this simulation.
@@ -763,24 +802,30 @@ impl ProcCtx {
         }
     }
 
-    pub(crate) fn lock_state(&self) -> parking_lot::MutexGuard<'_, SimState> {
-        self.shared.state.lock()
+    /// The lock of this process's simulation, which this thread holds.
+    #[inline]
+    pub(crate) fn sim_lock(&self) -> &SimLock {
+        self.shared.state.lock_arc()
+    }
+
+    /// Borrow the kernel state (held path: no lock entry).
+    pub(crate) fn state(&self) -> RefMut<'_, SimState> {
+        self.shared.state.borrow_in(self)
     }
 
     /// Pass the baton on after having registered a park (via
-    /// [`SimState::begin_park`]) and return once resumed. Panics with
-    /// [`ShutdownSignal`] if the simulation is shutting down.
-    pub(crate) fn yield_parked(&self) {
-        if self.yield_parked_impl() && !std::thread::panicking() {
+    /// [`SimState::begin_park`]) in `st`, and return once resumed. Panics
+    /// with [`ShutdownSignal`] if the simulation is shutting down.
+    pub(crate) fn yield_parked(&self, st: RefMut<'_, SimState>) {
+        if self.yield_parked_raw(st) && !std::thread::panicking() {
             panic::panic_any(ShutdownSignal);
         }
     }
 
     /// Pass the baton on and wait for it; returns `true` if the simulation
     /// is shutting down (the caller is responsible for unwinding or
-    /// returning cleanly).
-    pub(crate) fn yield_parked_impl(&self) -> bool {
-        let mut st = self.lock_state();
+    /// returning cleanly), so blocking primitives can offer a clean exit.
+    pub(crate) fn yield_parked_raw(&self, mut st: RefMut<'_, SimState>) -> bool {
         if std::thread::panicking() {
             // Unwinding: never switch (see "Unwinding" in the module docs).
             // Dropping the park makes its pending wakes stale.
@@ -792,31 +837,34 @@ impl ProcCtx {
             // to the driver, so this is never a shutdown resume.
             return false;
         }
-        self.lock_state().shutdown
+        self.state().shutdown
     }
 
     /// Record this process's exit (and panic, if any), retire its stack and
     /// switch away for the last time.
     fn exit(self, panic: Option<Box<dyn Any + Send>>) -> ! {
-        let ProcCtx { pid, shared, .. } = self;
-        let mut st = shared.state.lock();
-        let rec = st.proc_mut(pid);
-        rec.alive = false;
-        rec.parked = false;
-        if let Some(payload) = panic {
-            if !payload.is::<ShutdownSignal>() && st.panic.is_none() {
-                st.panic = Some(payload);
+        let to = {
+            let mut st = self.state();
+            let rec = st.proc_mut(self.pid);
+            rec.alive = false;
+            rec.parked = false;
+            if let Some(payload) = panic {
+                if !payload.is::<ShutdownSignal>() && st.panic.is_none() {
+                    st.panic = Some(payload);
+                }
             }
-        }
-        let to = shared
-            .next_target(&mut st, Holder::Proc(pid))
-            .expect("an exited process has no wake");
-        // After the scheduling pass, which freed the previous retired stack.
-        st.retired = st.proc_mut(pid).stack.take();
-        drop(st);
+            let to = self
+                .shared
+                .next_target(&mut st, Holder::Proc(self.pid))
+                .expect("an exited process has no wake");
+            // After the scheduling pass, which freed the previous retired
+            // stack.
+            st.retired = st.proc_mut(self.pid).stack.take();
+            to
+        };
         // The driver's `Sim` outlives every running process, so this is
         // never the last reference; nothing on this stack is dropped later.
-        drop(shared);
+        drop(self);
         let mut unused = 0;
         // SAFETY: as in `switch`; this stack is retired, not freed, until
         // the next holder's scheduling pass.
@@ -828,6 +876,7 @@ impl ProcCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{self, AtomicU32, AtomicU64};
 
     /// Counts its drops into a shared counter.
@@ -1206,7 +1255,7 @@ mod tests {
                 assert_eq!(std::thread::current().id(), driver);
                 let now = live.fetch_add(1, atomic::Ordering::SeqCst) + 1;
                 peak.fetch_max(now, atomic::Ordering::SeqCst);
-                let free = ctx.lock_state().free.len() as u64;
+                let free = ctx.state().free.len() as u64;
                 max_free.fetch_max(free, atomic::Ordering::SeqCst);
                 ctx.sleep(Dur::from_micros(1));
                 live.fetch_sub(1, atomic::Ordering::SeqCst);

@@ -11,9 +11,11 @@
 //!   ([`SimSender`], [`SimReceiver`]),
 //! * shared-capacity **resources** — processor-sharing ([`GpsResource`]) and
 //!   serialized ([`FifoResource`]) — with busy [`Timeline`]s for NVML-style
-//!   utilization sampling, and
+//!   utilization sampling,
 //! * a seeded RNG threaded through the kernel for reproducible arrival
-//!   processes.
+//!   processes, and
+//! * [`SimCell`]s: mutable state under the one lock each simulation holds for
+//!   the whole of a run, borrowed from inside the run with no atomics.
 //!
 //! Runs are fully deterministic for a given seed: exactly one simulated
 //! process executes at any moment and ties are broken in FIFO schedule
@@ -39,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+mod cell;
 mod channel;
 pub mod invariants;
 pub mod json;
@@ -51,6 +54,7 @@ pub mod telemetry;
 mod time;
 pub mod trace;
 
+pub use cell::{SimCell, SimGuard};
 pub use channel::{RecvError, SimReceiver, SimSender};
 pub use invariants::{
     InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, RequestOutcome, Violation,

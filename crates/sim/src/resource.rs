@@ -17,8 +17,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::SimCell;
 use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimState};
 use crate::time::{Dur, SimTime};
 
@@ -180,7 +179,7 @@ impl Gps {
 
 /// A generalized-processor-sharing resource.
 pub struct GpsResource {
-    inner: Arc<Mutex<Gps>>,
+    inner: Arc<SimCell<Gps>>,
 }
 
 impl GpsResource {
@@ -196,21 +195,17 @@ impl GpsResource {
         Self::with_shared(&ctx.shared, capacity)
     }
 
-    pub(crate) fn with_shared_pub(shared: &Arc<Shared>, capacity: f64) -> GpsResource {
-        Self::with_shared(shared, capacity)
-    }
-
-    fn with_shared(shared: &Arc<Shared>, capacity: f64) -> GpsResource {
+    pub(crate) fn with_shared(shared: &Shared, capacity: f64) -> GpsResource {
         assert!(capacity > 0.0, "resource capacity must be positive");
-        let _ = shared; // resources interact with the kernel via the caller's ProcCtx
+        let gps = Gps {
+            capacity,
+            jobs: Vec::new(),
+            last: SimTime::ZERO,
+            version: 0,
+            timeline: Timeline::default(),
+        };
         GpsResource {
-            inner: Arc::new(Mutex::new(Gps {
-                capacity,
-                jobs: Vec::new(),
-                last: SimTime::ZERO,
-                version: 0,
-                timeline: Timeline::default(),
-            })),
+            inner: Arc::new(SimCell::with_lock(shared.state.lock_arc(), gps)),
         }
     }
 
@@ -221,9 +216,9 @@ impl GpsResource {
         if work.is_nan() || work <= 0.0 {
             return;
         }
+        let mut st = ctx.state();
         {
-            let mut st = ctx.lock_state();
-            let mut g = self.inner.lock();
+            let mut g = self.inner.borrow_in(ctx);
             let now = st.now;
             g.settle(now);
             let generation = st.begin_park(ctx.pid());
@@ -235,15 +230,14 @@ impl GpsResource {
             let active = g.jobs.len() as u32;
             g.timeline.record(now, active);
             g.version += 1;
-            drop(g); // reschedule re-locks the resource state
-            reschedule(&mut st, &self.inner);
         }
-        ctx.yield_parked();
+        reschedule(&mut st, &self.inner);
+        ctx.yield_parked(st);
     }
 
     /// Convenience: `work` expressed as a duration of exclusive use.
     pub fn acquire_for(&self, ctx: &ProcCtx, d: Dur) {
-        let cap = self.inner.lock().capacity;
+        let cap = self.inner.borrow_in(ctx).capacity;
         self.acquire(ctx, d.as_secs_f64() * cap);
     }
 
@@ -270,10 +264,10 @@ impl GpsResource {
 }
 
 /// Schedule (or re-schedule) the completion timer for the earliest-finishing
-/// job. Must be called with the kernel state locked.
-fn reschedule(st: &mut SimState, inner: &Arc<Mutex<Gps>>) {
+/// job.
+fn reschedule(st: &mut SimState, inner: &Arc<SimCell<Gps>>) {
     let (at, version) = {
-        let g = inner.lock();
+        let g = inner.borrow_with(st);
         let Some(min_remaining) = g
             .jobs
             .iter()
@@ -291,7 +285,7 @@ fn reschedule(st: &mut SimState, inner: &Arc<Mutex<Gps>>) {
     st.schedule_call(
         at,
         Box::new(move |st: &mut SimState| {
-            let mut g = inner.lock();
+            let mut g = inner.borrow_with(st);
             if g.version != version {
                 return; // stale timer; a newer one exists
             }
@@ -328,31 +322,28 @@ struct Fifo {
 
 /// A strictly serialized resource: one job at a time, FIFO admission.
 pub struct FifoResource {
-    inner: Arc<Mutex<Fifo>>,
+    inner: Arc<SimCell<Fifo>>,
 }
 
 impl FifoResource {
     /// Create an idle FIFO resource.
     pub fn new(sim: &Sim) -> FifoResource {
-        let _ = &sim.shared;
-        FifoResource {
-            inner: Arc::new(Mutex::new(Fifo {
-                current: None,
-                waiters: VecDeque::new(),
-                timeline: Timeline::default(),
-            })),
-        }
+        Self::with_shared(&sim.shared)
     }
 
     /// Create from within a running process.
     pub fn new_in(ctx: &ProcCtx) -> FifoResource {
-        let _ = &ctx.shared;
+        Self::with_shared(&ctx.shared)
+    }
+
+    fn with_shared(shared: &Shared) -> FifoResource {
+        let fifo = Fifo {
+            current: None,
+            waiters: VecDeque::new(),
+            timeline: Timeline::default(),
+        };
         FifoResource {
-            inner: Arc::new(Mutex::new(Fifo {
-                current: None,
-                waiters: VecDeque::new(),
-                timeline: Timeline::default(),
-            })),
+            inner: Arc::new(SimCell::with_lock(shared.state.lock_arc(), fifo)),
         }
     }
 
@@ -362,16 +353,16 @@ impl FifoResource {
         if d == Dur::ZERO {
             return;
         }
+        let mut st = ctx.state();
         {
-            let mut st = ctx.lock_state();
-            let mut f = self.inner.lock();
+            let mut f = self.inner.borrow_in(ctx);
             let generation = st.begin_park(ctx.pid());
             f.waiters.push_back((ctx.pid(), generation, d));
             if f.current.is_none() {
                 start_next(&mut st, &self.inner, &mut f);
             }
         }
-        ctx.yield_parked();
+        ctx.yield_parked(st);
     }
 
     /// Inspect the busy timeline.
@@ -386,8 +377,8 @@ impl FifoResource {
     }
 }
 
-/// Pop the next waiter and schedule its completion. Kernel state locked.
-fn start_next(st: &mut SimState, inner: &Arc<Mutex<Fifo>>, f: &mut Fifo) {
+/// Pop the next waiter and schedule its completion.
+fn start_next(st: &mut SimState, inner: &Arc<SimCell<Fifo>>, f: &mut Fifo) {
     let Some((pid, generation, d)) = f.waiters.pop_front() else {
         f.timeline.record(st.now, 0);
         return;
@@ -398,7 +389,7 @@ fn start_next(st: &mut SimState, inner: &Arc<Mutex<Fifo>>, f: &mut Fifo) {
     st.schedule_call(
         st.now + d,
         Box::new(move |st: &mut SimState| {
-            let mut f = inner.lock();
+            let mut f = inner.borrow_with(st);
             let (pid, generation) = f.current.take().expect("fifo completion without owner");
             let now = st.now;
             st.schedule_wake(now, pid, generation);
@@ -411,6 +402,7 @@ fn start_next(st: &mut SimState, inner: &Arc<Mutex<Fifo>>, f: &mut Fifo) {
 mod tests {
     use super::*;
     use crate::kernel::Sim;
+    use parking_lot::Mutex;
 
     fn secs(s: f64) -> Dur {
         Dur::from_secs_f64(s)

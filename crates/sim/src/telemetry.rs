@@ -44,8 +44,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::{SimCell, SimLock};
 use crate::json::JsonWriter;
 use crate::json::Layout::{Compact, Inline, Lines};
 use crate::time::{Dur, SimTime};
@@ -309,7 +308,9 @@ fn upsert<T: Default>(map: &mut BTreeMap<String, T>, name: &str, f: impl FnOnce(
 /// the recording model and determinism contract.
 pub struct Telemetry {
     enabled: AtomicBool,
-    state: Mutex<TelState>,
+    /// Under the simulation's lock when [`Sim::new`](crate::Sim::new)
+    /// builds the registry; under a lock of its own otherwise.
+    state: SimCell<TelState>,
     next_trace: AtomicU64,
 }
 
@@ -320,11 +321,17 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A disabled registry (the state every [`Sim`](crate::Sim) starts in).
+    /// A disabled registry (the state every [`Sim`](crate::Sim) starts in),
+    /// under a lock of its own.
     pub fn new() -> Telemetry {
+        Telemetry::with_lock(&SimLock::new())
+    }
+
+    /// A disabled registry under a simulation's lock.
+    pub(crate) fn with_lock(lock: &Arc<SimLock>) -> Telemetry {
         Telemetry {
             enabled: AtomicBool::new(false),
-            state: Mutex::new(TelState::default()),
+            state: SimCell::with_lock(lock, TelState::default()),
             next_trace: AtomicU64::new(1),
         }
     }
