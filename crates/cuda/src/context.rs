@@ -34,7 +34,8 @@ static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
 pub(crate) enum StreamCmd {
     /// Launch a kernel.
     Exec {
-        name: String,
+        /// The registry's shared copy of the kernel's name.
+        name: Arc<str>,
         cfg: LaunchConfig,
         args: KernelArgs,
         va: Arc<SimCell<VaSpace>>,

@@ -92,7 +92,9 @@ impl std::fmt::Debug for KernelDef {
 /// The set of kernels an application ships (its "module" / fatbin).
 #[derive(Default, Clone, Debug)]
 pub struct ModuleRegistry {
-    kernels: HashMap<String, KernelDef>,
+    /// Keyed by shared names, so a launch can carry its kernel's name
+    /// without copying it (see [`ModuleRegistry::key`]).
+    kernels: HashMap<Arc<str>, KernelDef>,
 }
 
 impl ModuleRegistry {
@@ -103,7 +105,7 @@ impl ModuleRegistry {
 
     /// Register a kernel; replaces any existing kernel of the same name.
     pub fn register(&mut self, def: KernelDef) {
-        self.kernels.insert(def.name.clone(), def);
+        self.kernels.insert(Arc::from(def.name.as_str()), def);
     }
 
     /// Builder-style registration.
@@ -117,9 +119,14 @@ impl ModuleRegistry {
         self.kernels.get(name)
     }
 
+    /// The registry's shared copy of `name`, if that kernel is registered.
+    pub fn key(&self, name: &str) -> Option<Arc<str>> {
+        self.kernels.get_key_value(name).map(|(k, _)| Arc::clone(k))
+    }
+
     /// Kernel names, unordered.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.kernels.keys().map(|s| s.as_str())
+        self.kernels.keys().map(|s| &**s)
     }
 
     /// Number of registered kernels.

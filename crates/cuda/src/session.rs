@@ -508,9 +508,9 @@ impl GpuSession {
         cfg: LaunchConfig,
         args: KernelArgs,
     ) -> CudaResult<()> {
-        if self.registry.get(name).is_none() {
+        let Some(key) = self.registry.key(name) else {
             return Err(CudaError::InvalidValue(format!("unknown kernel {name:?}")));
-        }
+        };
         self.fence_h2d_for_ptrs(proc, &args.ptrs);
         let native = match stream {
             None => crate::context::DEFAULT_STREAM,
@@ -523,7 +523,7 @@ impl GpuSession {
             proc,
             native,
             StreamCmd::Exec {
-                name: name.to_string(),
+                name: key,
                 cfg,
                 args,
                 va: Arc::clone(&self.va),

@@ -35,7 +35,7 @@ pub struct Dispatcher {
     registry: Arc<ModuleRegistry>,
     /// Client-visible function pointer → kernel name. The translation that
     /// keeps launches correct after migration.
-    fptr_names: HashMap<u64, String>,
+    fptr_names: HashMap<u64, Arc<str>>,
     /// Configuration pushed by an unoptimized `__cudaPushCallConfiguration`.
     pending_cfg: Option<WireCfg>,
     per_call_cpu: Dur,
@@ -169,13 +169,13 @@ impl Dispatcher {
                 self.session.register_module(Arc::clone(&self.registry));
                 let mut fptrs = Vec::with_capacity(kernels.len());
                 for name in kernels {
-                    if self.registry.get(&name).is_none() {
+                    let Some(key) = self.registry.key(&name) else {
                         return error_response(&CudaError::InvalidValue(format!(
                             "unknown kernel {name:?}"
                         )));
-                    }
+                    };
                     let fptr = self.session.active_context().fptr_for(&name);
-                    self.fptr_names.insert(fptr, name.clone());
+                    self.fptr_names.insert(fptr, key);
                     fptrs.push((name, fptr));
                 }
                 Response::Fptrs(fptrs)
@@ -368,7 +368,7 @@ impl Dispatcher {
         cfg: WireCfg,
         args: crate::wire::WireArgs,
     ) -> Response {
-        let Some(name) = self.fptr_names.get(&fptr).cloned() else {
+        let Some(name) = self.fptr_names.get(&fptr) else {
             return error_response(&CudaError::InvalidValue(format!(
                 "unknown function pointer {fptr:#x}"
             )));
@@ -380,7 +380,7 @@ impl Dispatcher {
         };
         match self
             .session
-            .launch_on(p, stream, &name, LaunchConfig::from(cfg), args.into())
+            .launch_on(p, stream, name, LaunchConfig::from(cfg), args.into())
         {
             Ok(()) => Response::Ok,
             Err(e) => error_response(&e),

@@ -68,11 +68,13 @@ fn snapshot() -> (u64, u64) {
 fn steady_state_round_trip_allocation_is_bounded() {
     const WARMUP: usize = 200;
     const MEASURED: u64 = 2_000;
-    // Budget per round trip, with ~50% headroom over the measured 8 calls /
-    // 487 B (two frame Arcs, channel nodes, kernel wake bookkeeping). The
+    // Budget per round trip, with one call and ~35% of bytes of headroom
+    // over the measured 4.004 calls / 327.8 B: each of the two frames is a
+    // buffer plus the `Arc` that `freeze` wraps it in. The link's
+    // processor-sharing timers and the kernel's wakes allocate nothing. The
     // old double-encode + per-call reply channel path cannot fit in it.
-    const MAX_CALLS_PER_RT: u64 = 12;
-    const MAX_BYTES_PER_RT: u64 = 768;
+    const MAX_CALLS_PER_RT: u64 = 5;
+    const MAX_BYTES_PER_RT: u64 = 448;
 
     let mut sim = Sim::new(7);
     let h = sim.handle();

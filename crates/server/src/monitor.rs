@@ -124,6 +124,86 @@ impl InvocationRecord {
     pub fn failed(&self) -> bool {
         self.failed_at.is_some()
     }
+
+    /// Neither finished nor failed: queued or running.
+    fn active(&self) -> bool {
+        self.done_at.is_none() && self.failed_at.is_none()
+    }
+
+    /// Active and not yet assigned to an API server.
+    fn queued(&self) -> bool {
+        self.active() && self.assigned_at.is_none()
+    }
+}
+
+/// The invocation records of one GPU server, with the number of active and
+/// of queued invocations kept beside them: the cluster balancer reads both
+/// on every routing decision, and the record map only grows.
+#[derive(Default)]
+pub(crate) struct RecordBook {
+    records: HashMap<u64, InvocationRecord>,
+    active: usize,
+    queued: usize,
+}
+
+impl RecordBook {
+    pub(crate) fn insert(&mut self, rec: InvocationRecord) {
+        self.active += usize::from(rec.active());
+        self.queued += usize::from(rec.queued());
+        let old = self.records.insert(rec.invocation, rec);
+        debug_assert!(old.is_none(), "invocation ids are never reused");
+    }
+
+    pub(crate) fn get(&self, invocation: u64) -> Option<&InvocationRecord> {
+        self.records.get(&invocation)
+    }
+
+    /// Change one record through `f`, keeping the counts in step. `None`
+    /// if there is no such record.
+    pub(crate) fn update<R>(
+        &mut self,
+        invocation: u64,
+        f: impl FnOnce(&mut InvocationRecord) -> R,
+    ) -> Option<R> {
+        let rec = self.records.get_mut(&invocation)?;
+        let (active, queued) = (rec.active(), rec.queued());
+        let out = f(rec);
+        let (now_active, now_queued) = (rec.active(), rec.queued());
+        self.active = self.active + usize::from(now_active) - usize::from(active);
+        self.queued = self.queued + usize::from(now_queued) - usize::from(queued);
+        Some(out)
+    }
+
+    /// Declare `invocation` failed at `at`, unless it already finished or
+    /// failed. Returns whether it did.
+    pub(crate) fn mark_failed(&mut self, at: SimTime, invocation: u64) -> bool {
+        self.update(invocation, |rec| {
+            let fail = rec.active();
+            if fail {
+                rec.failed_at = Some(at);
+            }
+            fail
+        })
+        .unwrap_or(false)
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &InvocationRecord> {
+        self.records.values()
+    }
+
+    /// `(active, queued)`: invocations neither finished nor failed, and
+    /// those of them not yet assigned.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        (self.active, self.queued)
+    }
+
+    /// [`counts`](Self::counts) by scanning every record, for checking the
+    /// kept counts.
+    pub(crate) fn scan_counts(&self) -> (usize, usize) {
+        let active = self.values().filter(|r| r.active()).count();
+        let queued = self.values().filter(|r| r.queued()).count();
+        (active, queued)
+    }
 }
 
 struct SrvBook {
@@ -219,7 +299,7 @@ pub(crate) struct MonitorArgs {
     pub link: Arc<NetLink>,
     pub servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)>,
     pub rx: SimReceiver<MonitorMsg>,
-    pub records: Arc<SimCell<HashMap<u64, InvocationRecord>>>,
+    pub records: Arc<SimCell<RecordBook>>,
     /// Shared cost table (the autoscaler creates contexts for new servers).
     pub costs: Arc<CostTable>,
     /// The monitor's own inbox, handed to autoscaled API servers.
@@ -244,7 +324,7 @@ struct MonCtx {
     cfg: GpuServerConfig,
     gpus: Vec<Arc<Gpu>>,
     link: Arc<NetLink>,
-    records: Arc<SimCell<HashMap<u64, InvocationRecord>>>,
+    records: Arc<SimCell<RecordBook>>,
     costs: Arc<CostTable>,
     monitor_tx: SimSender<MonitorMsg>,
     migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
@@ -410,13 +490,13 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                     }
                     s.idle_since = p.now();
                 }
-                if let Some(rec) = a.records.lock().get_mut(&invocation) {
+                a.records.lock().update(invocation, |rec| {
                     // A lease may already have failed this invocation over;
                     // the late completion loses.
                     if rec.failed_at.is_none() {
                         rec.done_at = Some(p.now());
                     }
-                }
+                });
                 drain_queue(p, &a, &mut servers, &overhead, &mut queue);
             }
             Ok(MonitorMsg::Heartbeat { server }) => {
@@ -518,11 +598,8 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
 /// Fail `invocation` over (first failure wins; completed invocations are
 /// left alone).
 fn mark_failed(at: SimTime, a: &MonCtx, invocation: u64) {
-    if let Some(rec) = a.records.lock().get_mut(&invocation) {
-        if rec.done_at.is_none() && rec.failed_at.is_none() {
-            rec.failed_at = Some(at);
-            a.h.telemetry().counter_add("invocation.failures", 1);
-        }
+    if a.records.lock().mark_failed(at, invocation) {
+        a.h.telemetry().counter_add("invocation.failures", 1);
     }
 }
 
@@ -664,14 +741,11 @@ fn assign_request(
     });
     // An assignment counts as liveness: the lease clock starts now.
     s.last_heartbeat = now;
-    {
-        let mut recs = a.records.lock();
-        if let Some(rec) = recs.get_mut(&req.invocation) {
-            rec.assigned_at = Some(now);
-            rec.server = Some(s.shared.id);
-            rec.gpu = Some(s.shared.home_gpu);
-        }
-    }
+    a.records.lock().update(req.invocation, |rec| {
+        rec.assigned_at = Some(now);
+        rec.server = Some(s.shared.id);
+        rec.gpu = Some(s.shared.home_gpu);
+    });
     let tel = p.telemetry();
     tel.counter_add("monitor.assignments", 1);
     if tel.is_enabled() && !req.tenant.is_empty() {
@@ -994,7 +1068,7 @@ fn exec_share_permille(
         .iter()
         .filter(|s| s.shared.current_gpu() == gpu)
         .filter_map(|s| s.busy.as_ref())
-        .filter_map(|b| recs.get(&b.invocation))
+        .filter_map(|b| recs.get(b.invocation))
         .filter_map(|r| r.assigned_at)
         .map(|at| now.since(at).as_nanos())
         .sum();

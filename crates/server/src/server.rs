@@ -8,7 +8,7 @@
 //! off any function's critical path), and spawns the monitor and API server
 //! processes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,7 +25,9 @@ use crate::api_server::{
     run_api_server, ApiServerArgs, ApiServerShared, MigrationRecord, ServerCmd,
 };
 use crate::config::GpuServerConfig;
-use crate::monitor::{run_monitor, FnRequest, InvocationRecord, MonitorArgs, MonitorMsg};
+use crate::monitor::{
+    run_monitor, FnRequest, InvocationRecord, MonitorArgs, MonitorMsg, RecordBook,
+};
 
 /// Why [`GpuServer::try_request_gpu`] could not hand out a virtual GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +128,7 @@ pub struct GpuServer {
     /// Live-server registry, shared with the monitor: the autoscaler
     /// pushes spawned servers and removes retired ones.
     servers: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
-    records: Arc<SimCell<HashMap<u64, InvocationRecord>>>,
+    records: Arc<SimCell<RecordBook>>,
     migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
     /// Ids of lease-expired API servers, shared with the monitor.
     failed_servers: Arc<SimCell<HashSet<u32>>>,
@@ -173,7 +175,7 @@ impl GpuServer {
             .map(LinkFaults::new);
         let link = NetLink::with_faults(h, cfg.net.clone(), faults.clone());
         let (monitor_tx, monitor_rx) = h.channel::<MonitorMsg>();
-        let records = Arc::new(SimCell::new(h, HashMap::new()));
+        let records = Arc::new(SimCell::new(h, RecordBook::default()));
         let migration_log = Arc::new(SimCell::new(h, Vec::new()));
 
         let mut servers = Vec::new();
@@ -329,23 +331,20 @@ impl GpuServer {
             .as_ref()
             .map(|t| t.tenant.to_string())
             .unwrap_or_default();
-        self.records.lock().insert(
+        self.records.lock().insert(InvocationRecord {
             invocation,
-            InvocationRecord {
-                invocation,
-                name: name.to_string(),
-                mem,
-                requested_at: now,
-                assigned_at: None,
-                done_at: None,
-                failed_at: None,
-                attempts: attempt,
-                server: None,
-                gpu: None,
-                trace: trace.as_ref().map(|t| t.id),
-                tenant: tenant.clone(),
-            },
-        );
+            name: name.to_string(),
+            mem,
+            requested_at: now,
+            assigned_at: None,
+            done_at: None,
+            failed_at: None,
+            attempts: attempt,
+            server: None,
+            gpu: None,
+            trace: trace.as_ref().map(|t| t.id),
+            tenant: tenant.clone(),
+        });
         let cancelled = Arc::new(AtomicBool::new(false));
         let (reply_tx, reply_rx) = self.handle.channel::<RpcClient>();
         self.monitor_tx.send(
@@ -384,13 +383,10 @@ impl GpuServer {
     /// invocations are untouched). Called by the serverless layer when a
     /// guest-side RPC times out, and internally on queue timeout.
     pub fn mark_invocation_failed(&self, at: SimTime, invocation: u64) {
-        if let Some(rec) = self.records.lock().get_mut(&invocation) {
-            if rec.done_at.is_none() && rec.failed_at.is_none() {
-                rec.failed_at = Some(at);
-                self.handle
-                    .telemetry()
-                    .counter_add("invocation.failures", 1);
-            }
+        if self.records.lock().mark_failed(at, invocation) {
+            self.handle
+                .telemetry()
+                .counter_add("invocation.failures", 1);
         }
     }
 
@@ -400,7 +396,7 @@ impl GpuServer {
     /// done and only the response was lost — re-running it would execute
     /// the function twice.
     pub fn invocation_outcome(&self, invocation: u64) -> Option<InvocationOutcome> {
-        self.records.lock().get(&invocation).map(|r| {
+        self.records.lock().get(invocation).map(|r| {
             if r.done_at.is_some() {
                 InvocationOutcome::Completed
             } else if r.failed_at.is_some() {
@@ -415,7 +411,7 @@ impl GpuServer {
     /// far. The invoke layer reads this back after a successful attempt so
     /// GPU-resident DAG stages can pin their successors.
     pub fn invocation_server(&self, invocation: u64) -> Option<u32> {
-        self.records.lock().get(&invocation).and_then(|r| r.server)
+        self.records.lock().get(invocation).and_then(|r| r.server)
     }
 
     /// Fault counters of the link's chaos layer, if one is installed.
@@ -500,20 +496,12 @@ impl GpuServer {
     /// this (§IV: "choosing the least loaded GPU server to optimize
     /// latency or the opposite to increase utilization").
     pub fn active_functions(&self) -> usize {
-        self.records
-            .lock()
-            .values()
-            .filter(|r| r.done_at.is_none() && r.failed_at.is_none())
-            .count()
+        self.records.lock().counts().0
     }
 
     /// Functions still waiting in the monitor's queue.
     pub fn queued_functions(&self) -> usize {
-        self.records
-            .lock()
-            .values()
-            .filter(|r| r.assigned_at.is_none() && r.done_at.is_none() && r.failed_at.is_none())
-            .count()
+        self.records.lock().counts().1
     }
 
     /// API servers whose lease expired (declared dead by the monitor).
@@ -538,11 +526,20 @@ impl GpuServer {
             used += g.used_mem();
             total += g.total_mem();
         }
+        let (active_functions, queued_functions) = {
+            let records = self.records.lock();
+            debug_assert_eq!(
+                records.counts(),
+                records.scan_counts(),
+                "kept (active, queued) counts drifted from the records"
+            );
+            records.counts()
+        };
         ServerGauges {
             pool_size,
             failed_api_servers,
-            active_functions: self.active_functions(),
-            queued_functions: self.queued_functions(),
+            active_functions,
+            queued_functions,
             used_mem_bytes: used,
             total_mem_bytes: total,
             migrations_in_flight: self.migrations_in_flight(),

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::cell::SimCell;
-use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimState};
+use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimState, Timer};
 use crate::time::{Dur, SimTime};
 
 /// Transition log of a resource's active-job count. Appended on every
@@ -231,7 +231,7 @@ impl GpsResource {
             g.timeline.record(now, active);
             g.version += 1;
         }
-        reschedule(&mut st, &self.inner);
+        reschedule(&mut st, Arc::clone(&self.inner));
         ctx.yield_parked(st);
     }
 
@@ -264,8 +264,8 @@ impl GpsResource {
 }
 
 /// Schedule (or re-schedule) the completion timer for the earliest-finishing
-/// job.
-fn reschedule(st: &mut SimState, inner: &Arc<SimCell<Gps>>) {
+/// job. The timer carries the resource's current version as its token.
+fn reschedule(st: &mut SimState, inner: Arc<SimCell<Gps>>) {
     let (at, version) = {
         let g = inner.borrow_with(st);
         let Some(min_remaining) = g
@@ -281,36 +281,33 @@ fn reschedule(st: &mut SimState, inner: &Arc<SimCell<Gps>>) {
         // +1 ns so the settle at the timer strictly covers the work.
         (st.now + Dur::from_secs_f64(secs) + Dur(1), g.version)
     };
-    let inner = Arc::clone(inner);
-    st.schedule_call(
-        at,
-        Box::new(move |st: &mut SimState| {
-            let mut g = inner.borrow_with(st);
-            if g.version != version {
-                return; // stale timer; a newer one exists
+    st.schedule_timer(at, inner, version);
+}
+
+impl Timer for SimCell<Gps> {
+    fn fire(self: Arc<Self>, st: &mut SimState, version: u64) {
+        let mut g = self.borrow_with(st);
+        if g.version != version {
+            return; // stale timer; a newer one exists
+        }
+        let now = st.now;
+        g.settle(now);
+        let eps = g.completion_eps();
+        // The borrow is of the cell, not of `st`: finished jobs' wakes are
+        // scheduled as they leave, in job order.
+        g.jobs.retain(|j| {
+            let done = j.remaining <= eps;
+            if done {
+                st.schedule_wake(now, j.pid, j.generation);
             }
-            g.settle(st.now);
-            let eps = g.completion_eps();
-            let mut finished = Vec::new();
-            g.jobs.retain(|j| {
-                if j.remaining <= eps {
-                    finished.push((j.pid, j.generation));
-                    false
-                } else {
-                    true
-                }
-            });
-            let now = st.now;
-            let active = g.jobs.len() as u32;
-            g.timeline.record(now, active);
-            g.version += 1;
-            drop(g);
-            for (pid, generation) in finished {
-                st.schedule_wake(now, pid, generation);
-            }
-            reschedule(st, &inner);
-        }),
-    );
+            !done
+        });
+        let active = g.jobs.len() as u32;
+        g.timeline.record(now, active);
+        g.version += 1;
+        drop(g);
+        reschedule(st, self);
+    }
 }
 
 struct Fifo {
@@ -385,17 +382,20 @@ fn start_next(st: &mut SimState, inner: &Arc<SimCell<Fifo>>, f: &mut Fifo) {
     };
     f.current = Some((pid, generation));
     f.timeline.record(st.now, 1);
-    let inner = Arc::clone(inner);
-    st.schedule_call(
-        st.now + d,
-        Box::new(move |st: &mut SimState| {
-            let mut f = inner.borrow_with(st);
-            let (pid, generation) = f.current.take().expect("fifo completion without owner");
-            let now = st.now;
-            st.schedule_wake(now, pid, generation);
-            start_next(st, &inner, &mut f);
-        }),
-    );
+    let at = st.now + d;
+    st.schedule_timer(at, inner.clone(), 0);
+}
+
+/// The current job's completion. A FIFO job is never preempted, so its
+/// timer is never stale and the token is unused.
+impl Timer for SimCell<Fifo> {
+    fn fire(self: Arc<Self>, st: &mut SimState, _token: u64) {
+        let mut f = self.borrow_with(st);
+        let (pid, generation) = f.current.take().expect("fifo completion without owner");
+        let now = st.now;
+        st.schedule_wake(now, pid, generation);
+        start_next(st, &self, &mut f);
+    }
 }
 
 #[cfg(test)]
