@@ -34,23 +34,29 @@
 //!
 //! # Event queue
 //!
-//! Events run in `(time, seq)` order, where `seq` is the order in which
-//! they were scheduled. In the platform's workloads 40–48 % of events are
-//! scheduled for the current instant (a channel send's wake, a resource
-//! completion's wakes, a spawn at now), so the queue has two parts:
+//! Events run in time order, and events due at the same instant run in
+//! the order they were scheduled. The queue is a monotone radix queue
+//! (a radix heap: Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) with FIFO
+//! buckets. It keeps `last`, the time of the latest refill, and files an
+//! event due at `t` by the highest bit in which `t` differs from `last`:
+//! bucket 0 (`due`) holds events due at `last`, and bucket `b` those whose
+//! time first differs from `last` in bit `b − 1`. Every event is due at
+//! `last` or later. When `due` runs dry, the lowest non-empty bucket's
+//! minimum `m` becomes `last`, and that bucket's events move, in order,
+//! into lower buckets, so an event moves down at most 64 times in all.
+//! Why that is exactly schedule order among equal times:
 //!
-//! - a FIFO *lane* for events due at `now`;
-//! - a binary heap for every later event.
+//! - A push appends, so it lands after every event scheduled before it.
+//! - A refill drains the lowest non-empty bucket, in order, into buckets
+//!   that were all empty (every lower bucket, and `due`).
+//! - So every bucket stays in schedule order. Events due at `m` share one
+//!   bucket, and they reach `due` in schedule order before any later push
+//!   for `m` appends behind them.
 //!
-//! Every lane entry is due at `now`, and the lane is in `seq` order, since
-//! `seq` only grows. `now` cannot advance while the lane holds an entry: a
-//! heap event due later sorts after it. The scheduler takes the heap's top
-//! only when it sorts before the lane's front, which for a heap event due
-//! at `now` means a smaller `seq` (it was scheduled before `now` reached
-//! its time); otherwise it takes the lane's front. Merged that way, the
-//! two give exactly the `(time, seq)` order of one heap, while an event
-//! due now costs a deque push and pop instead of two heap sifts. The
-//! `run_until` deadline applies to both.
+//! `last` never passes `now` outside a pop, and every event is scheduled
+//! at `now` or later, so a push never lands below `last`. That holds for a
+//! driver that spawns or sends between `run_until` calls too. A refill
+//! happens only once the `run_until` deadline allows the minimum it finds.
 //!
 //! # The simulation lock
 //!
@@ -106,9 +112,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefMut};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::Arc;
@@ -268,25 +274,71 @@ enum EventKind {
 
 struct Event {
     time: SimTime,
-    seq: u64,
     kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// The monotone radix queue of pending events (see "Event queue").
+struct EventQueue {
+    /// The time of the latest refill; no event is due before it.
+    last: u64,
+    /// Bucket 0: events due at `last`, in schedule order.
+    due: VecDeque<Event>,
+    /// `buckets[b - 1]` is bucket `b`: events whose time first differs
+    /// from `last` in bit `b - 1`, in schedule order.
+    buckets: [Vec<Event>; 64],
+    /// Bit `b - 1` is set iff bucket `b` is non-empty.
+    mask: u64,
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl EventQueue {
+    fn new() -> EventQueue {
+        EventQueue {
+            last: 0,
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mask: 0,
+        }
     }
-}
-impl Ord for Event {
-    // Reversed: BinaryHeap is a max-heap and we want the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+
+    fn push(&mut self, ev: Event) {
+        let time = ev.time.0;
+        debug_assert!(time >= self.last, "an event scheduled in the past");
+        match 64 - (time ^ self.last).leading_zeros() {
+            0 => self.due.push_back(ev),
+            b => {
+                let i = b as usize - 1;
+                self.buckets[i].push(ev);
+                self.mask |= 1 << i;
+            }
+        }
+    }
+
+    /// Pop the next event unless it lies past `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Event> {
+        if self.due.is_empty() && self.mask != 0 {
+            let i = self.mask.trailing_zeros() as usize;
+            let m = self.buckets[i].iter().map(|ev| ev.time.0).min()?;
+            if m > deadline.0 {
+                return None;
+            }
+            self.last = m;
+            self.mask &= !(1 << i);
+            let mut bucket = mem::take(&mut self.buckets[i]);
+            for ev in bucket.drain(..) {
+                self.push(ev);
+            }
+            self.buckets[i] = bucket;
+        }
+        if self.due.front()?.time > deadline {
+            return None;
+        }
+        self.due.pop_front()
+    }
+
+    fn clear(&mut self) {
+        self.due.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.mask = 0;
     }
 }
 
@@ -330,11 +382,8 @@ pub(crate) struct SimState {
     /// ([`SimCell::borrow_with`]).
     lock: Arc<SimLock>,
     pub(crate) now: SimTime,
-    seq: u64,
-    /// Events due after `now` (see "Event queue").
-    queue: BinaryHeap<Event>,
-    /// Events due at `now`, in `seq` order.
-    lane: VecDeque<Event>,
+    /// Pending events (see "Event queue").
+    queue: EventQueue,
     /// Indexed by `ProcId.0`.
     procs: Vec<ProcRec>,
     pub(crate) shutdown: bool,
@@ -384,7 +433,7 @@ impl SimState {
             if self.shutdown || self.panic.is_some() {
                 return Next::Resume(Holder::Driver);
             }
-            let Some(ev) = self.pop_due() else {
+            let Some(ev) = self.queue.pop_due(self.deadline) else {
                 return Next::Resume(Holder::Driver);
             };
             self.now = self.now.max(ev.time);
@@ -406,35 +455,8 @@ impl SimState {
         }
     }
 
-    /// Pop the next event in `(time, seq)` order from the heap or the lane
-    /// (see "Event queue"), unless it lies past the deadline.
-    fn pop_due(&mut self) -> Option<Event> {
-        let top = self.queue.peek().map(|ev| (ev.time, ev.seq));
-        let front = self.lane.front().map(|ev| (ev.time, ev.seq));
-        let from_heap = match (top, front) {
-            (Some(top), Some(front)) => top < front,
-            (top, _) => top.is_some(),
-        };
-        let (time, _) = if from_heap { top } else { front }?;
-        if time > self.deadline {
-            return None;
-        }
-        if from_heap {
-            self.queue.pop()
-        } else {
-            self.lane.pop_front()
-        }
-    }
-
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        let ev = Event { time, seq, kind };
-        if time == self.now {
-            self.lane.push_back(ev);
-        } else {
-            self.queue.push(ev);
-        }
+        self.queue.push(Event { time, kind });
     }
 
     pub(crate) fn schedule_wake(&mut self, time: SimTime, pid: ProcId, generation: u64) {
@@ -560,9 +582,7 @@ impl Sim {
         let state = SimState {
             lock: Arc::clone(&lock),
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            lane: VecDeque::new(),
+            queue: EventQueue::new(),
             procs: Vec::new(),
             shutdown: false,
             rng: StdRng::seed_from_u64(seed),
@@ -673,7 +693,6 @@ impl Drop for Sim {
             let mut st = self.shared.state.borrow_held(&held);
             st.shutdown = true;
             st.queue.clear();
-            st.lane.clear();
         }
         let mut idx = 0;
         let mut resumes = 0;
@@ -939,6 +958,75 @@ mod tests {
     impl Drop for Counted {
         fn drop(&mut self) {
             self.0.fetch_add(1, atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// The id a model-test event carries, in its wake's pid.
+    fn id_of(ev: &Event) -> u64 {
+        match ev.kind {
+            EventKind::Wake { pid, .. } => pid.0,
+            EventKind::Timer(..) => unreachable!("the model test pushes wakes only"),
+        }
+    }
+
+    #[test]
+    fn event_queue_pops_in_time_then_schedule_order() {
+        use rand::Rng;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = EventQueue::new();
+            // The reference: a min-heap on (time, id), ids given out in
+            // schedule order.
+            let mut model = BinaryHeap::new();
+            let (mut now, mut next_id) = (0u64, 0u64);
+            for _ in 0..100_000 {
+                if rng.gen_range(0..100) < 55 {
+                    let offset = match rng.gen_range(0..10) {
+                        0..=2 => 0,
+                        3..=5 => rng.gen_range(1..64),
+                        6 | 7 => 1u64 << rng.gen_range(0..40u32),
+                        8 => (1u64 << rng.gen_range(1..40u32)) - 1,
+                        _ => rng.gen_range(0..1u64 << 50),
+                    };
+                    let time = now + offset;
+                    queue.push(Event {
+                        time: SimTime(time),
+                        kind: EventKind::Wake {
+                            pid: ProcId(next_id),
+                            generation: 0,
+                        },
+                    });
+                    model.push(Reverse((time, next_id)));
+                    next_id += 1;
+                    continue;
+                }
+                let next = model.peek().map(|&Reverse((t, _))| t);
+                let deadline = match (rng.gen_range(0..4), next) {
+                    (0, _) | (_, None) => u64::MAX,
+                    (1, Some(t)) => t,
+                    (2, Some(t)) => t.saturating_sub(1),
+                    (_, Some(t)) => now + (t - now) / 2,
+                };
+                let want = match model.peek() {
+                    Some(&Reverse((t, id))) if t <= deadline => {
+                        model.pop();
+                        now = t;
+                        Some(id)
+                    }
+                    _ => None,
+                };
+                let got = queue.pop_due(SimTime(deadline)).map(|ev| id_of(&ev));
+                assert_eq!(got, want, "seed {seed}, deadline {deadline}");
+                assert_eq!(queue.last, now, "seed {seed}");
+            }
+            while let Some(Reverse((_, id))) = model.pop() {
+                let got = queue.pop_due(SimTime::MAX).map(|ev| id_of(&ev));
+                assert_eq!(got, Some(id), "seed {seed}, draining");
+            }
+            assert!(queue.pop_due(SimTime::MAX).is_none());
+            assert_eq!(queue.mask, 0);
         }
     }
 

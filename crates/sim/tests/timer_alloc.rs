@@ -11,6 +11,10 @@
 //! the measured window. A regression to one allocation per job or per
 //! timer shows up as thousands.
 //!
+//! The event queue keeps its buckets' capacity across refills, so a process
+//! whose sleeps land in many different buckets allocates nothing either,
+//! however many far-future wakes sit parked above it.
+//!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide. Every simulated process runs on
 //! the thread that drives the simulation, so that thread's counter sees
@@ -142,4 +146,37 @@ fn a_lone_fifo_job_stream_does_not_allocate() {
 #[test]
 fn three_processes_queueing_on_a_fifo_resource_do_not_allocate() {
     check("queued FIFO jobs", fifo_jobs(3));
+}
+
+#[test]
+fn sleeps_across_bucket_levels_beside_far_sleepers_do_not_allocate() {
+    /// One cycle of the stepper's sleeps spans about 2^40 ns.
+    const CYCLE: u64 = 1 << 40;
+    let mut sim = Sim::new(1);
+    for i in 0..1_000 {
+        sim.spawn(&format!("sleeper{i}"), move |ctx| {
+            ctx.sleep(Dur::from_secs(1_000_000 + i));
+        });
+    }
+    let steps = Arc::new(AtomicU64::new(0));
+    let s = steps.clone();
+    sim.spawn("stepper", move |ctx| {
+        // 1 ns to about 9 minutes: a wake in every bucket up to bit 39.
+        for k in 0u64.. {
+            ctx.sleep(Dur((1 << (k % 40)) + k % 7));
+            s.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    // The sleeps repeat every 280 steps (7 cycles); warm up over more,
+    // and past 2^43. The first carry into a new top bit of the clock files
+    // a wake in a bucket never used before, so the measured window stays
+    // below 2^44.
+    sim.run_until(SimTime(9 * CYCLE));
+    let (allocs_before, steps_before) = (allocs(), steps.load(Ordering::Relaxed));
+    sim.run_until(SimTime(15 * CYCLE));
+    let made = allocs() - allocs_before;
+    let done = steps.load(Ordering::Relaxed) - steps_before;
+    assert!(done >= 200, "only {done} sleeps in the measured window");
+    assert_eq!(made, 0, "{made} allocations for {done} sleeps");
+    assert_eq!(sim.blocked_processes().len(), 1_001);
 }
