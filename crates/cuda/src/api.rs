@@ -11,7 +11,6 @@
 //! * **DGSF on AWS Lambda** — the same guest library under a
 //!   lower-bandwidth, higher-latency deployment profile.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgsf_gpu::DeviceProps;
@@ -54,7 +53,7 @@ impl LibOp {
 }
 
 /// Counters describing how an API implementation handled traffic.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ApiStats {
     /// API calls the application issued (aggregates expanded).
     pub issued_calls: u64,
@@ -72,15 +71,12 @@ pub struct ApiStats {
     pub bytes_to_device: u64,
     /// Bytes shipped device→host.
     pub bytes_to_host: u64,
-    /// Per-entry-point issue counts.
-    pub by_name: HashMap<&'static str, u64>,
 }
 
 impl ApiStats {
-    /// Record `n` issued calls against entry point `name`.
-    pub fn issue(&mut self, name: &'static str, n: u64) {
+    /// Record `n` issued calls.
+    pub fn issue(&mut self, n: u64) {
         self.issued_calls += n;
-        *self.by_name.entry(name).or_insert(0) += n;
     }
 
     /// Fraction of issued calls that did *not* cross the network
@@ -243,18 +239,9 @@ mod tests {
     #[test]
     fn forwarding_reduction_math() {
         let mut s = ApiStats::default();
-        s.issue("cudnnOp", 100);
+        s.issue(100);
         s.remoted_calls = 52;
         assert!((s.forwarding_reduction() - 0.48).abs() < 1e-12);
         assert_eq!(ApiStats::default().forwarding_reduction(), 0.0);
-    }
-
-    #[test]
-    fn by_name_counts_accumulate() {
-        let mut s = ApiStats::default();
-        s.issue("cudaMalloc", 1);
-        s.issue("cudaMalloc", 2);
-        assert_eq!(s.by_name["cudaMalloc"], 3);
-        assert_eq!(s.issued_calls, 3);
     }
 }

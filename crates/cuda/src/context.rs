@@ -14,17 +14,20 @@
 //! overlaps (contending on the GPU's processor-sharing compute engine, as
 //! under Hyper-Q), co-located contexts contend the same way, and
 //! `cudaDeviceSynchronize` / `cudaStreamSynchronize` are real rendezvous.
+//! Each executor owns one done-channel, created with it, on which every
+//! sync of that stream is answered; a device-wide sync visits the
+//! executors in creation order, so its event order replays exactly.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgsf_gpu::{Gpu, PhysId, ReservationId, VaSpace};
-use dgsf_sim::{ProcCtx, SimCell, SimHandle, SimSender};
+use dgsf_sim::{ProcCtx, SimCell, SimHandle, SimReceiver, SimSender};
 
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
-use crate::module::ModuleRegistry;
+use crate::module::{KernelId, ModuleRegistry};
 use crate::types::{DevPtr, KernelArgs, LaunchConfig};
 use crate::view::DeviceView;
 
@@ -34,8 +37,8 @@ static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
 pub(crate) enum StreamCmd {
     /// Launch a kernel.
     Exec {
-        /// The registry's shared copy of the kernel's name.
-        name: Arc<str>,
+        /// The kernel, resolved against `registry`.
+        kernel: KernelId,
         cfg: LaunchConfig,
         args: KernelArgs,
         va: Arc<SimCell<VaSpace>>,
@@ -108,16 +111,18 @@ pub struct CudaContext {
     next_handle: AtomicU64,
     fptrs: SimCell<HashMap<String, u64>>,
     fptr_names: SimCell<HashMap<u64, String>>,
-    streams: SimCell<HashSet<u64>>,
     events: SimCell<HashSet<u64>>,
     /// Library handles; `None` reservation for pooled handles whose memory
     /// is pre-reserved in the owning API server's idle footprint.
     cudnn: SimCell<HashMap<u64, Option<ReservationId>>>,
     cublas: SimCell<HashMap<u64, Option<ReservationId>>>,
-    /// One in-order executor per stream; key 0 is the default stream.
-    /// Streams of the same context contend on the GPU's processor-sharing
-    /// compute engine, so independent streams genuinely overlap.
-    engines: SimCell<HashMap<u64, SimSender<StreamCmd>>>,
+    /// One in-order executor per stream. Streams of the same context
+    /// contend on the GPU's processor-sharing compute engine, so
+    /// independent streams genuinely overlap.
+    default_engine: Engine,
+    /// Created streams and their executors, in creation order (which is
+    /// handle order: handles only grow).
+    streams: SimCell<Vec<(u64, Engine)>>,
     /// GPU-resident handoff buffers parked between DAG stages, keyed by
     /// the handoff key chosen by the publisher. The context outlives the
     /// sessions that come and go on it, so a buffer published here stays
@@ -127,8 +132,34 @@ pub struct CudaContext {
     resident_log: SimCell<Vec<ResidentEvent>>,
 }
 
-/// The default stream's key in the engine table.
+/// The default stream's handle.
 pub const DEFAULT_STREAM: u64 = 0;
+
+/// A stream executor's inbox and its done-channel.
+///
+/// One done-channel per executor is enough because only one process at a
+/// time waits on a context: an API server serves one function at a time on
+/// its own contexts, and a native application owns its context. Every
+/// sync marker it queues is answered before it returns, so the channel is
+/// empty between syncs.
+struct Engine {
+    tx: SimSender<StreamCmd>,
+    done_tx: SimSender<()>,
+    done_rx: SimReceiver<()>,
+}
+
+impl Engine {
+    /// Queue a sync marker, answered on the done-channel once every
+    /// command queued before it has retired.
+    fn request_sync(&self, proc: &ProcCtx) {
+        self.tx.send(
+            proc,
+            StreamCmd::Sync {
+                done: self.done_tx.clone(),
+            },
+        );
+    }
+}
 
 impl CudaContext {
     /// Create a context on `gpu`, reserving its ~303 MB footprint.
@@ -149,9 +180,7 @@ impl CudaContext {
         }
         let reservation = gpu.reserve(costs.cuda_ctx_mem)?;
         let id = NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed);
-        let tx = spawn_stream_engine(h, &gpu, &costs, &format!("ctx{id}-default"));
-        let mut engines = HashMap::new();
-        engines.insert(DEFAULT_STREAM, tx);
+        let default_engine = spawn_stream_engine(h, &gpu, &costs, &format!("ctx{id}-default"));
         let ctx = Arc::new(CudaContext {
             id,
             gpu: Arc::clone(&gpu),
@@ -164,11 +193,11 @@ impl CudaContext {
             next_handle: AtomicU64::new((id << 32) | 1),
             fptrs: SimCell::new(h, HashMap::new()),
             fptr_names: SimCell::new(h, HashMap::new()),
-            streams: SimCell::new(h, HashSet::new()),
             events: SimCell::new(h, HashSet::new()),
             cudnn: SimCell::new(h, HashMap::new()),
             cublas: SimCell::new(h, HashMap::new()),
-            engines: SimCell::new(h, engines),
+            default_engine,
+            streams: SimCell::new(h, Vec::new()),
             resident: SimCell::new(h, HashMap::new()),
             resident_log: SimCell::new(h, Vec::new()),
         });
@@ -193,26 +222,37 @@ impl CudaContext {
     /// Enqueue a command on a specific native stream. Unknown streams fall
     /// back to the default stream (callers validate handles beforehand).
     pub(crate) fn submit_on(&self, proc: &ProcCtx, stream: u64, cmd: StreamCmd) {
-        let engines = self.engines.borrow_in(proc);
-        engines
-            .get(&stream)
-            .or_else(|| engines.get(&DEFAULT_STREAM))
-            .expect("default stream engine always exists")
+        let streams = self.streams.borrow_in(proc);
+        self.engine(&streams, stream)
+            .unwrap_or(&self.default_engine)
+            .tx
             .send(proc, cmd);
     }
 
-    /// Block until every previously submitted command on *every* stream has
-    /// retired (`cudaDeviceSynchronize`).
-    pub fn sync(&self, proc: &ProcCtx) {
-        let senders: Vec<SimSender<StreamCmd>> =
-            self.engines.borrow_in(proc).values().cloned().collect();
-        let mut waits = Vec::with_capacity(senders.len());
-        for tx in senders {
-            let (done_tx, done_rx) = self.handle.channel::<()>();
-            tx.send(proc, StreamCmd::Sync { done: done_tx });
-            waits.push(done_rx);
+    /// The executor of `stream`: the default one, or one of `streams`.
+    fn engine<'a>(&'a self, streams: &'a [(u64, Engine)], stream: u64) -> Option<&'a Engine> {
+        if stream == DEFAULT_STREAM {
+            return Some(&self.default_engine);
         }
-        for rx in waits {
+        let i = streams.binary_search_by_key(&stream, |(h, _)| *h).ok()?;
+        Some(&streams[i].1)
+    }
+
+    /// Block until every previously submitted command on *every* stream has
+    /// retired (`cudaDeviceSynchronize`). Markers go out and are awaited in
+    /// creation order, the default stream first.
+    pub fn sync(&self, proc: &ProcCtx) {
+        self.default_engine.request_sync(proc);
+        let streams = self.streams.borrow_in(proc);
+        for (_, e) in streams.iter() {
+            e.request_sync(proc);
+        }
+        let n = streams.len();
+        drop(streams);
+        let _ = self.default_engine.done_rx.recv(proc);
+        for i in 0..n {
+            // No borrow may be held across the park in `recv`.
+            let rx = self.streams.borrow_in(proc)[i].1.done_rx.clone();
             let _ = rx.recv(proc);
         }
     }
@@ -220,12 +260,14 @@ impl CudaContext {
     /// Block until one native stream's queue has drained
     /// (`cudaStreamSynchronize`).
     pub fn sync_stream(&self, proc: &ProcCtx, stream: u64) {
-        let tx = self.engines.borrow_in(proc).get(&stream).cloned();
-        if let Some(tx) = tx {
-            let (done_tx, done_rx) = self.handle.channel::<()>();
-            tx.send(proc, StreamCmd::Sync { done: done_tx });
-            let _ = done_rx.recv(proc);
-        }
+        let streams = self.streams.borrow_in(proc);
+        let Some(e) = self.engine(&streams, stream) else {
+            return;
+        };
+        e.request_sync(proc);
+        let rx = e.done_rx.clone();
+        drop(streams);
+        let _ = rx.recv(proc);
     }
 
     fn alloc_handle(&self) -> u64 {
@@ -254,27 +296,35 @@ impl CudaContext {
     /// returns the context-local handle.
     pub fn create_stream(&self) -> u64 {
         let s = self.alloc_handle();
-        self.streams.lock().insert(s);
-        let tx = spawn_stream_engine(
+        let engine = spawn_stream_engine(
             &self.handle,
             &self.gpu,
             &self.costs,
             &format!("ctx{}-stream{s:x}", self.id),
         );
-        self.engines.lock().insert(s, tx);
+        let mut streams = self.streams.lock();
+        debug_assert!(streams.last().is_none_or(|(h, _)| *h < s));
+        streams.push((s, engine));
         s
     }
 
     /// Destroy a context-local stream handle (its executor exits at
     /// simulation shutdown; pending work was drained by the caller).
     pub fn destroy_stream(&self, s: u64) -> bool {
-        self.engines.lock().remove(&s);
-        self.streams.lock().remove(&s)
+        let mut streams = self.streams.lock();
+        match streams.binary_search_by_key(&s, |(h, _)| *h) {
+            Ok(i) => {
+                streams.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// True if `s` is a live stream of this context.
     pub fn has_stream(&self, s: u64) -> bool {
-        self.streams.lock().contains(&s)
+        let streams = self.streams.lock();
+        streams.binary_search_by_key(&s, |(h, _)| *h).is_ok()
     }
 
     /// Create an event in this context.
@@ -456,29 +506,30 @@ impl CudaContext {
     }
 }
 
-/// Spawn an in-order stream executor against `gpu`; returns its inbox.
+/// Spawn an in-order stream executor against `gpu`.
 fn spawn_stream_engine(
     h: &SimHandle,
     gpu: &Arc<Gpu>,
     costs: &Arc<CostTable>,
     label: &str,
-) -> SimSender<StreamCmd> {
+) -> Engine {
     let (tx, rx) = h.channel::<StreamCmd>();
+    let (done_tx, done_rx) = h.channel::<()>();
     let exec_gpu = Arc::clone(gpu);
     let exec_costs = Arc::clone(costs);
     h.spawn(&format!("stream-exec-{label}"), move |pctx| {
         while let Some(cmd) = rx.recv(pctx) {
             match cmd {
                 StreamCmd::Exec {
-                    name,
+                    kernel,
                     cfg,
                     args,
                     va,
                     registry,
                 } => {
                     let def = registry
-                        .get(&name)
-                        .unwrap_or_else(|| panic!("unvalidated kernel {name:?} reached executor"));
+                        .def(kernel)
+                        .expect("unvalidated kernel id reached executor");
                     let work = def.cost.eval(&args);
                     exec_gpu.exec(pctx, work);
                     if let Some(f) = &def.func {
@@ -507,7 +558,11 @@ fn spawn_stream_engine(
             }
         }
     });
-    tx
+    Engine {
+        tx,
+        done_tx,
+        done_rx,
+    }
 }
 
 #[cfg(test)]
@@ -580,13 +635,14 @@ mod tests {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
             let registry =
                 Arc::new(ModuleRegistry::new().with(crate::module::KernelDef::timed("k")));
+            let kernel = registry.id("k").unwrap();
             let va = Arc::new(SimCell::new(&h, VaSpace::new()));
             let t0 = proc.now();
             for _ in 0..3 {
                 ctx.submit(
                     proc,
                     StreamCmd::Exec {
-                        name: "k".into(),
+                        kernel,
                         cfg: LaunchConfig::linear(1, 32),
                         args: KernelArgs::timed(0.5, 0),
                         va: va.clone(),
@@ -615,12 +671,13 @@ mod tests {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
             let registry =
                 Arc::new(ModuleRegistry::new().with(crate::module::KernelDef::timed("k")));
+            let kernel = registry.id("k").unwrap();
             let va = Arc::new(SimCell::new(&h, VaSpace::new()));
             let t0 = proc.now();
             ctx.submit(
                 proc,
                 StreamCmd::Exec {
-                    name: "k".into(),
+                    kernel,
                     cfg: LaunchConfig::linear(1, 32),
                     args: KernelArgs::timed(1.0, 0),
                     va,

@@ -37,7 +37,7 @@ pub use api::{ApiStats, CudaApi, LibOp};
 pub use context::{CudaContext, ResidentBuf, ResidentEvent, DEFAULT_STREAM};
 pub use costs::CostTable;
 pub use error::{CudaError, CudaResult};
-pub use module::{KernelCost, KernelDef, KernelFn, ModuleRegistry};
+pub use module::{KernelCost, KernelDef, KernelFn, KernelId, ModuleRegistry};
 pub use native::NativeCuda;
 pub use session::{GpuSession, MigrationReport};
 pub use types::{

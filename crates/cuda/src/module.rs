@@ -6,8 +6,14 @@
 //! model* (how many GPU-seconds a launch consumes) and, optionally, a
 //! *functional body* that really reads/writes device memory — used by the
 //! real K-means and by migration correctness tests.
+//!
+//! A registry keeps its kernels sorted by name, so a name resolves by
+//! binary search and a kernel is then named by its position, a
+//! [`KernelId`]. Launch paths resolve a kernel once (the API server at
+//! module registration, the native runtime per call) and carry the id down
+//! to the stream executor, which indexes the registry directly: no launch
+//! hashes or compares a kernel name after that.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::types::{KernelArgs, LaunchConfig};
@@ -89,12 +95,16 @@ impl std::fmt::Debug for KernelDef {
     }
 }
 
+/// A kernel's position in its [`ModuleRegistry`]; valid for that registry
+/// only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct KernelId(u32);
+
 /// The set of kernels an application ships (its "module" / fatbin).
 #[derive(Default, Clone, Debug)]
 pub struct ModuleRegistry {
-    /// Keyed by shared names, so a launch can carry its kernel's name
-    /// without copying it (see [`ModuleRegistry::key`]).
-    kernels: HashMap<Arc<str>, KernelDef>,
+    /// Sorted by name, names unique.
+    kernels: Vec<KernelDef>,
 }
 
 impl ModuleRegistry {
@@ -103,9 +113,18 @@ impl ModuleRegistry {
         ModuleRegistry::default()
     }
 
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.kernels.binary_search_by(|k| k.name.as_str().cmp(name))
+    }
+
     /// Register a kernel; replaces any existing kernel of the same name.
+    /// Registration moves the ids of kernels that sort after `def`, so
+    /// resolve ids only once the module is complete.
     pub fn register(&mut self, def: KernelDef) {
-        self.kernels.insert(Arc::from(def.name.as_str()), def);
+        match self.search(&def.name) {
+            Ok(i) => self.kernels[i] = def,
+            Err(i) => self.kernels.insert(i, def),
+        }
     }
 
     /// Builder-style registration.
@@ -116,17 +135,22 @@ impl ModuleRegistry {
 
     /// Look up a kernel by name.
     pub fn get(&self, name: &str) -> Option<&KernelDef> {
-        self.kernels.get(name)
+        self.id(name).and_then(|id| self.def(id))
     }
 
-    /// The registry's shared copy of `name`, if that kernel is registered.
-    pub fn key(&self, name: &str) -> Option<Arc<str>> {
-        self.kernels.get_key_value(name).map(|(k, _)| Arc::clone(k))
+    /// Resolve a kernel name to its id.
+    pub fn id(&self, name: &str) -> Option<KernelId> {
+        self.search(name).ok().map(|i| KernelId(i as u32))
     }
 
-    /// Kernel names, unordered.
+    /// The kernel `id` names; `None` if `id` is out of range.
+    pub(crate) fn def(&self, id: KernelId) -> Option<&KernelDef> {
+        self.kernels.get(id.0 as usize)
+    }
+
+    /// Kernel names, in sorted order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.kernels.keys().map(|s| &**s)
+        self.kernels.iter().map(|k| k.name.as_str())
     }
 
     /// Number of registered kernels.
@@ -181,5 +205,19 @@ mod tests {
         });
         assert_eq!(r.len(), 1);
         assert_eq!(r.get("saxpy").unwrap().cost, KernelCost::Fixed(1.0));
+    }
+
+    #[test]
+    fn ids_follow_name_order() {
+        let r = ModuleRegistry::new()
+            .with(KernelDef::timed("gemm"))
+            .with(KernelDef::timed("axpy"))
+            .with(KernelDef::timed("relu"));
+        assert_eq!(r.names().collect::<Vec<_>>(), ["axpy", "gemm", "relu"]);
+        let gemm = r.id("gemm").unwrap();
+        assert_eq!(r.def(gemm).unwrap().name, "gemm");
+        assert!(r.id("axpy").unwrap() < gemm);
+        assert_eq!(r.id("conv"), None);
+        assert!(r.def(KernelId(3)).is_none());
     }
 }

@@ -49,9 +49,29 @@ impl NativeCuda {
     }
 
     /// Host-side cost of one local API call.
-    fn call(&mut self, p: &ProcCtx, name: &'static str) {
-        self.stats.issue(name, 1);
+    fn call(&mut self, p: &ProcCtx) {
+        self.stats.issue(1);
         p.sleep(self.costs.native_call_overhead);
+    }
+
+    /// Launch = push-call-configuration + the launch itself; the kernel
+    /// name resolves against the registered module on every call.
+    fn launch(
+        &mut self,
+        p: &ProcCtx,
+        stream: Option<StreamHandle>,
+        name: &str,
+        cfg: LaunchConfig,
+        args: KernelArgs,
+    ) -> CudaResult<()> {
+        self.stats.issue(2);
+        self.stats.kernel_launches += 1;
+        p.sleep(self.costs.kernel_launch_overhead);
+        let session = self.ensure(p)?;
+        let Some(kernel) = session.registry().id(name) else {
+            return Err(CudaError::InvalidValue(format!("unknown kernel {name:?}")));
+        };
+        session.launch_on(p, stream, kernel, cfg, args)
     }
 
     fn ensure(&mut self, p: &ProcCtx) -> CudaResult<&mut GpuSession> {
@@ -82,25 +102,25 @@ impl NativeCuda {
 
 impl CudaApi for NativeCuda {
     fn runtime_init(&mut self, p: &ProcCtx) -> CudaResult<()> {
-        self.call(p, "cudaRuntimeInit");
+        self.call(p);
         self.ensure(p)?;
         Ok(())
     }
 
     fn register_module(&mut self, p: &ProcCtx, registry: Arc<ModuleRegistry>) -> CudaResult<()> {
-        self.call(p, "cuModuleLoad");
+        self.call(p);
         self.ensure(p)?.register_module(registry);
         Ok(())
     }
 
     fn get_device_count(&mut self, p: &ProcCtx) -> CudaResult<u32> {
-        self.call(p, "cudaGetDeviceCount");
+        self.call(p);
         self.ensure(p)?;
         Ok(1)
     }
 
     fn get_device_properties(&mut self, p: &ProcCtx, dev: u32) -> CudaResult<DeviceProps> {
-        self.call(p, "cudaGetDeviceProperties");
+        self.call(p);
         if dev != 0 {
             return Err(CudaError::InvalidDevice { requested: dev });
         }
@@ -109,7 +129,7 @@ impl CudaApi for NativeCuda {
     }
 
     fn set_device(&mut self, p: &ProcCtx, dev: u32) -> CudaResult<()> {
-        self.call(p, "cudaSetDevice");
+        self.call(p);
         if dev != 0 {
             return Err(CudaError::InvalidDevice { requested: dev });
         }
@@ -118,22 +138,22 @@ impl CudaApi for NativeCuda {
     }
 
     fn malloc(&mut self, p: &ProcCtx, bytes: u64) -> CudaResult<DevPtr> {
-        self.call(p, "cudaMalloc");
+        self.call(p);
         self.ensure(p)?.malloc(p, bytes)
     }
 
     fn free(&mut self, p: &ProcCtx, ptr: DevPtr) -> CudaResult<()> {
-        self.call(p, "cudaFree");
+        self.call(p);
         self.ensure(p)?.free(p, ptr)
     }
 
     fn memset(&mut self, p: &ProcCtx, ptr: DevPtr, value: u8, bytes: u64) -> CudaResult<()> {
-        self.call(p, "cudaMemset");
+        self.call(p);
         self.ensure(p)?.memset(p, ptr, value, bytes)
     }
 
     fn memcpy_h2d(&mut self, p: &ProcCtx, dst: DevPtr, src: HostBuf) -> CudaResult<()> {
-        self.call(p, "cudaMemcpyH2D");
+        self.call(p);
         self.stats.bytes_to_device += src.len();
         self.ensure(p)?.memcpy_h2d(p, dst, &src)
     }
@@ -145,7 +165,7 @@ impl CudaApi for NativeCuda {
         bytes: u64,
         want_data: bool,
     ) -> CudaResult<HostBuf> {
-        self.call(p, "cudaMemcpyD2H");
+        self.call(p);
         self.stats.bytes_to_host += bytes;
         self.ensure(p)?.memcpy_d2h(p, src, bytes, want_data)
     }
@@ -157,11 +177,7 @@ impl CudaApi for NativeCuda {
         cfg: LaunchConfig,
         args: KernelArgs,
     ) -> CudaResult<()> {
-        // Launch = push-call-configuration + the launch itself.
-        self.stats.issue("cudaLaunchKernel", 2);
-        self.stats.kernel_launches += 1;
-        p.sleep(self.costs.kernel_launch_overhead);
-        self.ensure(p)?.launch(p, name, cfg, args)
+        self.launch(p, None, name, cfg, args)
     }
 
     fn launch_kernel_on(
@@ -172,67 +188,64 @@ impl CudaApi for NativeCuda {
         cfg: LaunchConfig,
         args: KernelArgs,
     ) -> CudaResult<()> {
-        self.stats.issue("cudaLaunchKernel", 2);
-        self.stats.kernel_launches += 1;
-        p.sleep(self.costs.kernel_launch_overhead);
-        self.ensure(p)?.launch_on(p, Some(stream), name, cfg, args)
+        self.launch(p, Some(stream), name, cfg, args)
     }
 
     fn device_synchronize(&mut self, p: &ProcCtx) -> CudaResult<()> {
-        self.call(p, "cudaDeviceSynchronize");
+        self.call(p);
         self.ensure(p)?.synchronize(p);
         Ok(())
     }
 
     fn stream_create(&mut self, p: &ProcCtx) -> CudaResult<StreamHandle> {
-        self.call(p, "cudaStreamCreate");
+        self.call(p);
         Ok(self.ensure(p)?.stream_create(p))
     }
 
     fn stream_destroy(&mut self, p: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
-        self.call(p, "cudaStreamDestroy");
+        self.call(p);
         self.ensure(p)?.stream_destroy(p, s)
     }
 
     fn stream_synchronize(&mut self, p: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
-        self.call(p, "cudaStreamSynchronize");
+        self.call(p);
         self.ensure(p)?.stream_synchronize(p, s)
     }
 
     fn event_create(&mut self, p: &ProcCtx) -> CudaResult<EventHandle> {
-        self.call(p, "cudaEventCreate");
+        self.call(p);
         Ok(self.ensure(p)?.event_create(p))
     }
 
     fn event_record(&mut self, p: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        self.call(p, "cudaEventRecord");
+        self.call(p);
         self.ensure(p)?.event_record(p, e)
     }
 
     fn event_synchronize(&mut self, p: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        self.call(p, "cudaEventSynchronize");
+        self.call(p);
         self.ensure(p)?.event_synchronize(p, e)
     }
 
     fn pointer_get_attributes(&mut self, p: &ProcCtx, ptr: DevPtr) -> CudaResult<PtrAttributes> {
-        self.call(p, "cudaPointerGetAttributes");
+        self.call(p);
         Ok(self.ensure(p)?.pointer_attributes(ptr))
     }
 
     fn malloc_host(&mut self, p: &ProcCtx, _bytes: u64) -> CudaResult<()> {
-        self.call(p, "cudaMallocHost");
+        self.call(p);
         self.ensure(p)?;
         Ok(())
     }
 
     fn cudnn_create(&mut self, p: &ProcCtx) -> CudaResult<CudnnHandle> {
-        self.call(p, "cudnnCreate");
+        self.call(p);
         // Native applications pay the full handle creation latency.
         self.ensure(p)?.cudnn_create(p, false)
     }
 
     fn cudnn_destroy(&mut self, p: &ProcCtx, h: CudnnHandle) -> CudaResult<()> {
-        self.call(p, "cudnnDestroy");
+        self.call(p);
         self.ensure(p)?.cudnn_destroy(p, h)
     }
 
@@ -242,7 +255,7 @@ impl CudaApi for NativeCuda {
         _kind: DescriptorKind,
         n: u64,
     ) -> CudaResult<Vec<CudnnDescriptor>> {
-        self.stats.issue("cudnnCreateDescriptor", n);
+        self.stats.issue(n);
         p.sleep(dgsf_sim::Dur(
             (self.costs.descriptor_create.as_nanos() + self.costs.native_call_overhead.as_nanos())
                 .saturating_mul(n),
@@ -260,7 +273,7 @@ impl CudaApi for NativeCuda {
     }
 
     fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: &[CudnnDescriptor]) -> CudaResult<()> {
-        self.stats.issue("cudnnSetDescriptor", descs.len() as u64);
+        self.stats.issue(descs.len() as u64);
         p.sleep(dgsf_sim::Dur(
             self.costs
                 .native_call_overhead
@@ -276,8 +289,7 @@ impl CudaApi for NativeCuda {
         p: &ProcCtx,
         descs: Vec<CudnnDescriptor>,
     ) -> CudaResult<()> {
-        self.stats
-            .issue("cudnnDestroyDescriptor", descs.len() as u64);
+        self.stats.issue(descs.len() as u64);
         p.sleep(dgsf_sim::Dur(
             self.costs
                 .native_call_overhead
@@ -290,7 +302,7 @@ impl CudaApi for NativeCuda {
     }
 
     fn cudnn_op(&mut self, p: &ProcCtx, _h: CudnnHandle, op: LibOp) -> CudaResult<()> {
-        self.stats.issue("cudnnOp", op.api_calls);
+        self.stats.issue(op.api_calls);
         p.sleep(dgsf_sim::Dur(
             self.costs
                 .native_call_overhead
@@ -302,17 +314,17 @@ impl CudaApi for NativeCuda {
     }
 
     fn cublas_create(&mut self, p: &ProcCtx) -> CudaResult<CublasHandle> {
-        self.call(p, "cublasCreate");
+        self.call(p);
         self.ensure(p)?.cublas_create(p, false)
     }
 
     fn cublas_destroy(&mut self, p: &ProcCtx, h: CublasHandle) -> CudaResult<()> {
-        self.call(p, "cublasDestroy");
+        self.call(p);
         self.ensure(p)?.cublas_destroy(p, h)
     }
 
     fn cublas_op(&mut self, p: &ProcCtx, _h: CublasHandle, op: LibOp) -> CudaResult<()> {
-        self.stats.issue("cublasOp", op.api_calls);
+        self.stats.issue(op.api_calls);
         p.sleep(dgsf_sim::Dur(
             self.costs
                 .native_call_overhead
@@ -426,7 +438,6 @@ mod tests {
             api.cudnn_set_descriptors(p, &descs).unwrap();
             api.cudnn_destroy_descriptors(p, descs).unwrap();
             assert_eq!(api.live_descriptors(), 0);
-            assert_eq!(api.stats().by_name["cudnnCreateDescriptor"], 100);
         });
         sim.run();
     }

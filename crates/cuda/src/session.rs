@@ -18,7 +18,7 @@ use dgsf_sim::{Dur, ProcCtx, SimCell, SimHandle, SimTime};
 use crate::context::{CudaContext, StreamCmd};
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
-use crate::module::ModuleRegistry;
+use crate::module::{KernelId, ModuleRegistry};
 use crate::types::{
     CublasHandle, CudnnHandle, DevPtr, EventHandle, HostBuf, KernelArgs, LaunchConfig,
     PtrAttributes, StreamHandle,
@@ -484,33 +484,25 @@ impl GpuSession {
 
     // ---- execution ----
 
-    /// Launch a kernel by name on the default stream (the wire layer
-    /// translates client function pointers to names before calling this).
-    pub fn launch(
-        &mut self,
-        proc: &ProcCtx,
-        name: &str,
-        cfg: LaunchConfig,
-        args: KernelArgs,
-    ) -> CudaResult<()> {
-        self.launch_on(proc, None, name, cfg, args)
-    }
-
     /// Launch a kernel on a specific (client-visible) stream, or the
     /// default stream when `stream` is `None`. Client handles are
     /// translated to the active context's twin, so launches stay on "the
-    /// same stream" across migrations.
+    /// same stream" across migrations. `kernel` is resolved against the
+    /// registered module ([`ModuleRegistry::id`]; the wire layer maps
+    /// client function pointers to ids once, at module registration).
     pub fn launch_on(
         &mut self,
         proc: &ProcCtx,
         stream: Option<StreamHandle>,
-        name: &str,
+        kernel: KernelId,
         cfg: LaunchConfig,
         args: KernelArgs,
     ) -> CudaResult<()> {
-        let Some(key) = self.registry.key(name) else {
-            return Err(CudaError::InvalidValue(format!("unknown kernel {name:?}")));
-        };
+        if self.registry.def(kernel).is_none() {
+            return Err(CudaError::InvalidValue(format!(
+                "kernel {kernel:?} not in the registered module"
+            )));
+        }
         self.fence_h2d_for_ptrs(proc, &args.ptrs);
         let native = match stream {
             None => crate::context::DEFAULT_STREAM,
@@ -523,7 +515,7 @@ impl GpuSession {
             proc,
             native,
             StreamCmd::Exec {
-                name: key,
+                kernel,
                 cfg,
                 args,
                 va: Arc::clone(&self.va),
@@ -1036,6 +1028,7 @@ mod tests {
                     view.write_f32s(p, &inc);
                 },
             )));
+            let inc = registry.id("inc").unwrap();
             s.register_module(registry);
             let buf = s.malloc(proc, 4 * MB).unwrap();
             s.memcpy_h2d(proc, buf, &HostBuf::from_f32s(&[0.0; 4]))
@@ -1045,11 +1038,11 @@ mod tests {
                 ptrs: vec![buf],
                 ..Default::default()
             };
-            s.launch(proc, "inc", LaunchConfig::linear(4, 32), args.clone())
+            s.launch_on(proc, None, inc, LaunchConfig::linear(4, 32), args.clone())
                 .unwrap();
             s.synchronize(proc);
             s.migrate(proc, &away).unwrap();
-            s.launch(proc, "inc", LaunchConfig::linear(4, 32), args)
+            s.launch_on(proc, None, inc, LaunchConfig::linear(4, 32), args)
                 .unwrap();
             s.synchronize(proc);
 
@@ -1103,12 +1096,14 @@ mod tests {
             let ctx = CudaContext::create(proc, &h, g0, pipelined_costs(), false).unwrap();
             let mut s = GpuSession::new(&h, ctx, None);
             let registry = Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")));
+            let k = registry.id("k").unwrap();
             s.register_module(registry);
             let buf = s.malloc(proc, 10_000 * MB).unwrap();
             let t0 = proc.now();
-            s.launch(
+            s.launch_on(
                 proc,
-                "k",
+                None,
+                k,
                 LaunchConfig::linear(1, 32),
                 KernelArgs::timed(1.0, 0),
             )
@@ -1143,6 +1138,7 @@ mod tests {
                     view.write_f32s(args.ptrs[1], &[v[0] + v[1]]);
                 },
             )));
+            let sum = registry.id("sum").unwrap();
             s.register_module(registry);
             let a = s.malloc(proc, 100 * MB).unwrap();
             let b = s.malloc(proc, MB).unwrap();
@@ -1157,7 +1153,7 @@ mod tests {
                 ptrs: vec![a, b],
                 ..Default::default()
             };
-            s.launch(proc, "sum", LaunchConfig::linear(2, 32), args)
+            s.launch_on(proc, None, sum, LaunchConfig::linear(2, 32), args)
                 .unwrap();
             assert!(
                 proc.now().since(t0).as_secs_f64() > 0.009,

@@ -7,11 +7,10 @@
 //! the restricted/simulated calls: `cudaGetDeviceCount` always answers 1 and
 //! device properties always describe the currently active GPU (§V-B).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgsf_cuda::{
-    CublasHandle, CudaContext, CudaError, CudnnHandle, DevPtr, EventHandle, GpuSession,
+    CublasHandle, CudaContext, CudaError, CudnnHandle, DevPtr, EventHandle, GpuSession, KernelId,
     LaunchConfig, MigrationReport, ModuleRegistry, StreamHandle,
 };
 use dgsf_sim::{Dur, ProcCtx, TraceCtx};
@@ -33,9 +32,10 @@ pub struct ServerStats {
 pub struct Dispatcher {
     session: GpuSession,
     registry: Arc<ModuleRegistry>,
-    /// Client-visible function pointer → kernel name. The translation that
-    /// keeps launches correct after migration.
-    fptr_names: HashMap<u64, Arc<str>>,
+    /// Client-visible function pointer → kernel, sorted by pointer and
+    /// resolved once at module registration. The translation that keeps
+    /// launches correct after migration.
+    fptr_kernels: Vec<(u64, KernelId)>,
     /// Configuration pushed by an unoptimized `__cudaPushCallConfiguration`.
     pending_cfg: Option<WireCfg>,
     per_call_cpu: Dur,
@@ -73,7 +73,7 @@ impl Dispatcher {
         Dispatcher {
             session,
             registry,
-            fptr_names: HashMap::new(),
+            fptr_kernels: Vec::new(),
             pending_cfg: None,
             per_call_cpu,
             finished: true, // idle until an Init arrives
@@ -169,13 +169,15 @@ impl Dispatcher {
                 self.session.register_module(Arc::clone(&self.registry));
                 let mut fptrs = Vec::with_capacity(kernels.len());
                 for name in kernels {
-                    let Some(key) = self.registry.key(&name) else {
+                    let Some(kernel) = self.registry.id(&name) else {
                         return error_response(&CudaError::InvalidValue(format!(
                             "unknown kernel {name:?}"
                         )));
                     };
                     let fptr = self.session.active_context().fptr_for(&name);
-                    self.fptr_names.insert(fptr, key);
+                    if let Err(i) = self.fptr_kernels.binary_search_by_key(&fptr, |e| e.0) {
+                        self.fptr_kernels.insert(i, (fptr, kernel));
+                    }
                     fptrs.push((name, fptr));
                 }
                 Response::Fptrs(fptrs)
@@ -344,7 +346,7 @@ impl Dispatcher {
             }
             EndFunction => {
                 self.session.release(p);
-                self.fptr_names.clear();
+                self.fptr_kernels.clear();
                 self.pending_cfg = None;
                 self.finished = true;
                 Response::Ok
@@ -368,11 +370,12 @@ impl Dispatcher {
         cfg: WireCfg,
         args: crate::wire::WireArgs,
     ) -> Response {
-        let Some(name) = self.fptr_names.get(&fptr) else {
+        let Ok(i) = self.fptr_kernels.binary_search_by_key(&fptr, |e| e.0) else {
             return error_response(&CudaError::InvalidValue(format!(
                 "unknown function pointer {fptr:#x}"
             )));
         };
+        let kernel = self.fptr_kernels[i].1;
         let stream = if stream == 0 {
             None
         } else {
@@ -380,17 +383,12 @@ impl Dispatcher {
         };
         match self
             .session
-            .launch_on(p, stream, name, LaunchConfig::from(cfg), args.into())
+            .launch_on(p, stream, kernel, LaunchConfig::from(cfg), args.into())
         {
             Ok(()) => Response::Ok,
             Err(e) => error_response(&e),
         }
     }
-
-    // EventHandle import is used in tests below; silence pedantic unused in
-    // non-test builds via this no-op.
-    #[allow(dead_code)]
-    fn _types(_: EventHandle) {}
 }
 
 #[cfg(test)]
@@ -557,6 +555,78 @@ mod tests {
                 1,
             );
             assert_eq!(d.handle(p, Request::Launch { fptr, args }, 1), Response::Ok);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn launch_with_unknown_or_foreign_fptr_is_invalid_value() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        sim.spawn("srv", move |p| {
+            let register = |d: &mut Dispatcher| {
+                d.handle(
+                    p,
+                    Request::Init {
+                        pooled_context: true,
+                    },
+                    1,
+                );
+                let fptr = match d.handle(
+                    p,
+                    Request::RegisterModule {
+                        kernels: vec!["fill7".into()],
+                    },
+                    1,
+                ) {
+                    Response::Fptrs(f) => f[0].1,
+                    other => panic!("{other:?}"),
+                };
+                match d.handle(p, Request::Malloc { bytes: MB }, 1) {
+                    Response::Ptr(ptr) => (fptr, ptr),
+                    other => panic!("{other:?}"),
+                }
+            };
+            let mut a = mk_dispatcher(p, &h);
+            let mut b = mk_dispatcher(p, &h);
+            let (fa, pa) = register(&mut a);
+            let (fb, pb) = register(&mut b);
+            assert_ne!(fa, fb, "each context hands out its own pointers");
+            let cfg = WireCfg {
+                grid: (1, 1, 1),
+                block: (1, 1, 1),
+            };
+            let args = |ptr| crate::wire::WireArgs {
+                ptrs: vec![ptr],
+                scalars: vec![],
+                bytes: 16,
+                work_hint: Some(0.0),
+            };
+            let configured = |fptr, ptr| Request::LaunchConfigured {
+                fptr,
+                stream: 0,
+                cfg,
+                args: args(ptr),
+            };
+            assert_eq!(a.handle(p, configured(fa, pa), 1), Response::Ok);
+            // An unregistered pointer and another context's pointer are
+            // rejected on both launch paths.
+            for fptr in [fa ^ 0xdead_0000, fb] {
+                match a.handle(p, configured(fptr, pa), 1) {
+                    Response::Err { class, .. } => assert_eq!(class, err_class::INVALID_VALUE),
+                    other => panic!("{fptr:#x}: {other:?}"),
+                }
+                a.handle(p, Request::PushCallConfiguration { cfg }, 1);
+                let launch = Request::Launch {
+                    fptr,
+                    args: args(pa),
+                };
+                match a.handle(p, launch, 1) {
+                    Response::Err { class, .. } => assert_eq!(class, err_class::INVALID_VALUE),
+                    other => panic!("{fptr:#x}: {other:?}"),
+                }
+            }
+            assert_eq!(b.handle(p, configured(fb, pb), 1), Response::Ok);
         });
         sim.run();
     }

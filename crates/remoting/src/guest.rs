@@ -114,8 +114,8 @@ pub struct RemoteCuda {
     /// Device allocations the guest has seen (ptr → requested size); lets
     /// `cudaPointerGetAttributes` answer locally.
     allocs: HashMap<u64, u64>,
-    /// Kernel name → client-visible function pointer.
-    fptrs: HashMap<String, u64>,
+    /// Kernel name → client-visible function pointer, sorted by name.
+    fptrs: Vec<(String, u64)>,
     /// Live client stream handles (guest-side validation).
     streams: std::collections::HashSet<u64>,
     /// Deferred asynchronous requests.
@@ -155,7 +155,7 @@ impl RemoteCuda {
             count_cache: None,
             props_cache: None,
             allocs: HashMap::new(),
-            fptrs: HashMap::new(),
+            fptrs: Vec::new(),
             streams: std::collections::HashSet::new(),
             batch: Vec::new(),
             next_local_descriptor: 0x8000_0000_0000_0000,
@@ -193,13 +193,27 @@ impl RemoteCuda {
         if self.batch.is_empty() {
             return Ok(());
         }
-        let reqs = std::mem::take(&mut self.batch);
         self.stats.remoted_calls += 1;
-        match self.rpc.call_repeated(p, &Request::Batch(reqs), 1) {
+        let batch = Request::Batch(std::mem::take(&mut self.batch));
+        let result = self.rpc.call_repeated(p, &batch, 1);
+        // Keep the vector's capacity for the next batch.
+        if let Request::Batch(mut reqs) = batch {
+            reqs.clear();
+            self.batch = reqs;
+        }
+        match result {
             Ok(Response::Err { class, msg }) => Err(resp_error(class, msg)),
             Ok(_) => Ok(()),
             Err(te) => Err(CudaError::Transport(te.to_string())),
         }
+    }
+
+    /// The client-visible function pointer of kernel `name`.
+    fn fptr(&self, name: &str) -> CudaResult<u64> {
+        self.fptrs
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .map(|i| self.fptrs[i].1)
+            .map_err(|_| CudaError::InvalidValue(format!("unregistered kernel {name:?}")))
     }
 
     fn defer(&mut self, p: &ProcCtx, req: Request, represented_calls: u64) -> CudaResult<()> {
@@ -223,7 +237,7 @@ impl RemoteCuda {
 
 impl CudaApi for RemoteCuda {
     fn runtime_init(&mut self, p: &ProcCtx) -> CudaResult<()> {
-        self.stats.issue("cudaRuntimeInit", 1);
+        self.stats.issue(1);
         self.call(
             p,
             &Request::Init {
@@ -234,11 +248,12 @@ impl CudaApi for RemoteCuda {
     }
 
     fn register_module(&mut self, p: &ProcCtx, registry: Arc<ModuleRegistry>) -> CudaResult<()> {
-        self.stats.issue("cuModuleLoad", 1);
+        self.stats.issue(1);
         let kernels: Vec<String> = registry.names().map(str::to_string).collect();
         match self.call(p, &Request::RegisterModule { kernels })? {
-            Response::Fptrs(fs) => {
-                self.fptrs = fs.into_iter().collect();
+            Response::Fptrs(mut fs) => {
+                fs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                self.fptrs = fs;
                 Ok(())
             }
             other => Err(CudaError::RemotingFailure(format!(
@@ -248,7 +263,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn get_device_count(&mut self, p: &ProcCtx) -> CudaResult<u32> {
-        self.stats.issue("cudaGetDeviceCount", 1);
+        self.stats.issue(1);
         if self.opts.localization {
             if let Some(c) = self.count_cache {
                 self.stats.localized_calls += 1;
@@ -265,7 +280,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn get_device_properties(&mut self, p: &ProcCtx, dev: u32) -> CudaResult<DeviceProps> {
-        self.stats.issue("cudaGetDeviceProperties", 1);
+        self.stats.issue(1);
         if dev != 0 {
             return Err(CudaError::InvalidDevice { requested: dev });
         }
@@ -291,7 +306,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn set_device(&mut self, p: &ProcCtx, dev: u32) -> CudaResult<()> {
-        self.stats.issue("cudaSetDevice", 1);
+        self.stats.issue(1);
         if dev != 0 {
             return Err(CudaError::InvalidDevice { requested: dev });
         }
@@ -305,7 +320,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn malloc(&mut self, p: &ProcCtx, bytes: u64) -> CudaResult<DevPtr> {
-        self.stats.issue("cudaMalloc", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         match self.call(p, &Request::Malloc { bytes })? {
             Response::Ptr(ptr) => {
@@ -317,7 +332,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn free(&mut self, p: &ProcCtx, ptr: DevPtr) -> CudaResult<()> {
-        self.stats.issue("cudaFree", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::Free { ptr: ptr.0 })?;
         self.allocs.remove(&ptr.0);
@@ -325,7 +340,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn publish_buffer(&mut self, p: &ProcCtx, key: u64, ptr: DevPtr) -> CudaResult<()> {
-        self.stats.issue("dgsfPublishBuffer", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::PublishBuffer { key, ptr: ptr.0 })?;
         self.allocs.remove(&ptr.0);
@@ -333,7 +348,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn adopt_buffer(&mut self, p: &ProcCtx, key: u64) -> CudaResult<DevPtr> {
-        self.stats.issue("dgsfAdoptBuffer", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         match self.call(p, &Request::AdoptBuffer { key })? {
             Response::Ptr(ptr) => {
@@ -349,7 +364,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn memset(&mut self, p: &ProcCtx, ptr: DevPtr, value: u8, bytes: u64) -> CudaResult<()> {
-        self.stats.issue("cudaMemset", 1);
+        self.stats.issue(1);
         let req = Request::Memset {
             ptr: ptr.0,
             value,
@@ -363,7 +378,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn memcpy_h2d(&mut self, p: &ProcCtx, dst: DevPtr, src: HostBuf) -> CudaResult<()> {
-        self.stats.issue("cudaMemcpyH2D", 1);
+        self.stats.issue(1);
         self.stats.bytes_to_device += src.len();
         self.flush(p)?;
         self.call(
@@ -383,7 +398,7 @@ impl CudaApi for RemoteCuda {
         bytes: u64,
         want_data: bool,
     ) -> CudaResult<HostBuf> {
-        self.stats.issue("cudaMemcpyD2H", 1);
+        self.stats.issue(1);
         self.stats.bytes_to_host += bytes;
         self.flush(p)?;
         match self.call(
@@ -408,12 +423,9 @@ impl CudaApi for RemoteCuda {
     ) -> CudaResult<()> {
         // A launch is really two interposed calls:
         // __cudaPushCallConfiguration + cudaLaunchKernel.
-        self.stats.issue("cudaLaunchKernel", 2);
+        self.stats.issue(2);
         self.stats.kernel_launches += 1;
-        let fptr = *self
-            .fptrs
-            .get(name)
-            .ok_or_else(|| CudaError::InvalidValue(format!("unregistered kernel {name:?}")))?;
+        let fptr = self.fptr(name)?;
         let wire_cfg = WireCfg::from(cfg);
         let wire_args = WireArgs::from(args);
         if self.opts.batching {
@@ -461,7 +473,7 @@ impl CudaApi for RemoteCuda {
         cfg: LaunchConfig,
         args: KernelArgs,
     ) -> CudaResult<()> {
-        self.stats.issue("cudaLaunchKernel", 2);
+        self.stats.issue(2);
         self.stats.kernel_launches += 1;
         if !self.streams.contains(&stream.0) {
             return Err(CudaError::InvalidResourceHandle(format!(
@@ -469,10 +481,7 @@ impl CudaApi for RemoteCuda {
                 stream.0
             )));
         }
-        let fptr = *self
-            .fptrs
-            .get(name)
-            .ok_or_else(|| CudaError::InvalidValue(format!("unregistered kernel {name:?}")))?;
+        let fptr = self.fptr(name)?;
         let req = Request::LaunchConfigured {
             fptr,
             stream: stream.0,
@@ -489,14 +498,14 @@ impl CudaApi for RemoteCuda {
     }
 
     fn device_synchronize(&mut self, p: &ProcCtx) -> CudaResult<()> {
-        self.stats.issue("cudaDeviceSynchronize", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::Sync)?;
         Ok(())
     }
 
     fn stream_create(&mut self, p: &ProcCtx) -> CudaResult<StreamHandle> {
-        self.stats.issue("cudaStreamCreate", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         match self.call(p, &Request::StreamCreate)? {
             Response::Handle(h) => {
@@ -508,7 +517,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn stream_destroy(&mut self, p: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
-        self.stats.issue("cudaStreamDestroy", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::StreamDestroy { h: s.0 })?;
         self.streams.remove(&s.0);
@@ -516,14 +525,14 @@ impl CudaApi for RemoteCuda {
     }
 
     fn stream_synchronize(&mut self, p: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
-        self.stats.issue("cudaStreamSynchronize", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::StreamSync { h: s.0 })?;
         Ok(())
     }
 
     fn event_create(&mut self, p: &ProcCtx) -> CudaResult<EventHandle> {
-        self.stats.issue("cudaEventCreate", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         match self.call(p, &Request::EventCreate)? {
             Response::Handle(h) => Ok(EventHandle(h)),
@@ -532,7 +541,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn event_record(&mut self, p: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        self.stats.issue("cudaEventRecord", 1);
+        self.stats.issue(1);
         let req = Request::EventRecord { h: e.0 };
         if self.opts.batching {
             self.defer(p, req, 1)
@@ -542,14 +551,14 @@ impl CudaApi for RemoteCuda {
     }
 
     fn event_synchronize(&mut self, p: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        self.stats.issue("cudaEventSynchronize", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::EventSync { h: e.0 })?;
         Ok(())
     }
 
     fn pointer_get_attributes(&mut self, p: &ProcCtx, ptr: DevPtr) -> CudaResult<PtrAttributes> {
-        self.stats.issue("cudaPointerGetAttributes", 1);
+        self.stats.issue(1);
         if self.opts.localization {
             // The guest tracks every device allocation; no remoting needed.
             self.stats.localized_calls += 1;
@@ -578,7 +587,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn malloc_host(&mut self, p: &ProcCtx, bytes: u64) -> CudaResult<()> {
-        self.stats.issue("cudaMallocHost", 1);
+        self.stats.issue(1);
         if self.opts.localization {
             // Host-only state: fully emulated client-side (§V-C).
             self.stats.localized_calls += 1;
@@ -589,7 +598,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn cudnn_create(&mut self, p: &ProcCtx) -> CudaResult<CudnnHandle> {
-        self.stats.issue("cudnnCreate", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         if self.opts.pooled_handles {
             self.stats.pool_hits += 1;
@@ -606,7 +615,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn cudnn_destroy(&mut self, p: &ProcCtx, h: CudnnHandle) -> CudaResult<()> {
-        self.stats.issue("cudnnDestroy", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::CudnnDestroy { h: h.0 })?;
         Ok(())
@@ -618,7 +627,7 @@ impl CudaApi for RemoteCuda {
         kind: DescriptorKind,
         n: u64,
     ) -> CudaResult<Vec<CudnnDescriptor>> {
-        self.stats.issue("cudnnCreateDescriptor", n);
+        self.stats.issue(n);
         if self.opts.descriptor_pools {
             // Served from the guest-side pool: no network traffic at all.
             self.stats.localized_calls += n;
@@ -647,7 +656,7 @@ impl CudaApi for RemoteCuda {
 
     fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: &[CudnnDescriptor]) -> CudaResult<()> {
         let n = descs.len() as u64;
-        self.stats.issue("cudnnSetDescriptor", n);
+        self.stats.issue(n);
         if self.opts.descriptor_pools {
             // Descriptor state is kept guest-side and piggybacked onto the
             // operations that use it.
@@ -664,7 +673,7 @@ impl CudaApi for RemoteCuda {
         descs: Vec<CudnnDescriptor>,
     ) -> CudaResult<()> {
         let n = descs.len() as u64;
-        self.stats.issue("cudnnDestroyDescriptor", n);
+        self.stats.issue(n);
         if self.opts.descriptor_pools {
             self.stats.localized_calls += n;
             self.live_local_descriptors = self.live_local_descriptors.saturating_sub(n);
@@ -675,7 +684,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn cudnn_op(&mut self, p: &ProcCtx, h: CudnnHandle, op: LibOp) -> CudaResult<()> {
-        self.stats.issue("cudnnOp", op.api_calls);
+        self.stats.issue(op.api_calls);
         let req = Request::CudnnOp {
             h: h.0,
             work: op.work,
@@ -686,7 +695,7 @@ impl CudaApi for RemoteCuda {
     }
 
     fn cublas_create(&mut self, p: &ProcCtx) -> CudaResult<CublasHandle> {
-        self.stats.issue("cublasCreate", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         if self.opts.pooled_handles {
             self.stats.pool_hits += 1;
@@ -703,14 +712,14 @@ impl CudaApi for RemoteCuda {
     }
 
     fn cublas_destroy(&mut self, p: &ProcCtx, h: CublasHandle) -> CudaResult<()> {
-        self.stats.issue("cublasDestroy", 1);
+        self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::CublasDestroy { h: h.0 })?;
         Ok(())
     }
 
     fn cublas_op(&mut self, p: &ProcCtx, h: CublasHandle, op: LibOp) -> CudaResult<()> {
-        self.stats.issue("cublasOp", op.api_calls);
+        self.stats.issue(op.api_calls);
         let req = Request::CublasOp {
             h: h.0,
             work: op.work,

@@ -8,6 +8,21 @@
 //! `repeat` round-trip latencies and `repeat × size` bandwidth while the
 //! server executes the aggregate once.
 //!
+//! Frames are reused rather than thrown away. Each side keeps the last
+//! frame it sent as a spare and encodes the next one into the spare's
+//! storage, which it may only do once every other view of that frame is
+//! gone (`Bytes::try_into_mut`). The receiver decodes payloads as
+//! zero-copy views of the frame (an h2d payload, d2h data handed to the
+//! application), so while any such view is alive the spare cannot be
+//! reclaimed and the next call encodes into a fresh frame instead. In the
+//! steady state, where the receiver has dropped its views by the time the
+//! reply arrives, a round trip allocates nothing. Only a frame of at most
+//! [`MAX_SPARE_FRAME`] bytes is kept as the spare; a spare grows, by
+//! doubling, only to fit such a frame, so it never holds twice that much
+//! storage. A larger frame (a real-data h2d or d2h) is freed once its
+//! receiver drops it, so one big transfer does not pin its storage for the
+//! rest of the connection.
+//!
 //! Failures are first-class: calls return [`TransportError`] when the
 //! connection closes, a frame cannot be decoded, or — with a timeout
 //! configured via [`RpcClient::set_timeout`] — the reply does not arrive in
@@ -21,6 +36,17 @@ use std::sync::Arc;
 
 use crate::net::{Delivery, Direction, NetLink};
 use crate::wire::{Request, Response, WireError};
+
+/// Largest frame, in bytes, that a connection side keeps as its spare.
+/// Well above the steady-state frames (a flushed batch of 100 launches is
+/// about 9 KiB), so only frames carrying bulk data are not kept.
+pub const MAX_SPARE_FRAME: usize = 64 << 10;
+
+/// The spare to keep after sending `frame`: a second view of it, unless it
+/// is too large to be worth holding on to.
+fn spare_of(frame: &Bytes) -> Option<Bytes> {
+    (frame.len() <= MAX_SPARE_FRAME).then(|| frame.clone())
+}
 
 /// Why an RPC round trip failed below the CUDA-semantics layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +100,9 @@ pub struct RpcEnvelope {
 /// Server side of a connection: the inbox an API server drains.
 pub struct RpcInbox {
     rx: SimReceiver<RpcEnvelope>,
+    /// The last response frame sent, reused by the next `respond` once the
+    /// client holds no view of it.
+    spare: Cell<Option<Bytes>>,
 }
 
 impl RpcInbox {
@@ -106,7 +135,8 @@ impl RpcInbox {
         env: &RpcEnvelope,
         resp: &Response,
     ) -> Delivery {
-        let (frame, wire_size) = resp.encode_sized();
+        let (frame, wire_size) = resp.encode_sized(self.spare.take());
+        self.spare.set(spare_of(&frame));
         let delivery = link.transfer(p, Direction::ToClient, wire_size, env.repeat);
         if delivery == Delivery::Delivered {
             env.reply.send(p, (env.seq, frame));
@@ -118,8 +148,6 @@ impl RpcInbox {
 /// Client side of a connection: what the guest library holds after the
 /// monitor hands it an API server address.
 pub struct RpcClient {
-    #[allow(dead_code)]
-    handle: SimHandle,
     link: Arc<NetLink>,
     tx: SimSender<RpcEnvelope>,
     /// Persistent reply path, created once at connect: a fresh channel per
@@ -128,6 +156,9 @@ pub struct RpcClient {
     /// out) are discarded in the receive loop.
     reply_tx: SimSender<(u64, Bytes)>,
     reply_rx: SimReceiver<(u64, Bytes)>,
+    /// The last request frame sent, reused by the next call once the server
+    /// holds no view of it.
+    spare: Cell<Option<Bytes>>,
     next_seq: Cell<u64>,
     timeout: Option<Dur>,
     trace: Option<TraceCtx>,
@@ -141,16 +172,19 @@ impl RpcClient {
         let (reply_tx, reply_rx) = h.channel::<(u64, Bytes)>();
         (
             RpcClient {
-                handle: h.clone(),
                 link,
                 tx,
                 reply_tx,
                 reply_rx,
+                spare: Cell::new(None),
                 next_seq: Cell::new(0),
                 timeout: None,
                 trace: None,
             },
-            RpcInbox { rx },
+            RpcInbox {
+                rx,
+                spare: Cell::new(None),
+            },
         )
     }
 
@@ -195,7 +229,8 @@ impl RpcClient {
         // Single-pass: encode once, derive the network charge from the
         // frame's length (wire v2 — the old path encoded a throwaway copy
         // just to measure it).
-        let (frame, req_bytes) = req.encode_sized();
+        let (frame, req_bytes) = req.encode_sized(self.spare.take());
+        self.spare.set(spare_of(&frame));
         let delivery = self
             .link
             .transfer(p, Direction::ToServer, req_bytes, repeat);
@@ -302,6 +337,7 @@ mod tests {
     use crate::faults::FaultPlan;
     use crate::faults::LinkFaults;
     use crate::net::NetProfile;
+    use crate::wire::WireBuf;
     use dgsf_sim::{Dur, Sim};
     use parking_lot::Mutex;
 
@@ -339,6 +375,57 @@ mod tests {
         assert_eq!(resp, Response::Count(1));
         // one uplink + one downlink latency
         assert!((t - 0.002).abs() < 1e-6, "round trip is 2 ms: {t}");
+    }
+
+    #[test]
+    fn only_small_frames_are_kept_as_spares() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let link = NetLink::new(&h, fast_profile());
+        let (client, inbox) = RpcClient::connect(&h, link.clone());
+        let big = MAX_SPARE_FRAME + 1;
+        let srv_link = link.clone();
+        sim.spawn("server", move |p| {
+            while let Some(env) = inbox.next(p) {
+                let resp = match RpcInbox::decode(&env).unwrap() {
+                    Request::MemcpyD2H { bytes, .. } => {
+                        Response::Data(WireBuf::Bytes(Bytes::from(vec![0; bytes as usize])))
+                    }
+                    _ => Response::Ok,
+                };
+                inbox.respond(p, &srv_link, &env, &resp);
+                let spare = inbox.spare.take();
+                assert_eq!(
+                    spare.is_some(),
+                    resp.encoded_len() as usize <= MAX_SPARE_FRAME
+                );
+                inbox.spare.set(spare);
+            }
+        });
+        sim.spawn("client", move |p| {
+            let kept = |c: &RpcClient| {
+                let spare = c.spare.take();
+                let kept = spare.is_some();
+                c.spare.set(spare);
+                kept
+            };
+            let h2d = Request::MemcpyH2D {
+                dst: 0,
+                data: WireBuf::Bytes(Bytes::from(vec![1; big])),
+            };
+            client.call(p, &h2d).unwrap();
+            assert!(!kept(&client), "a large request frame is not retained");
+            client.call(p, &Request::Sync).unwrap();
+            assert!(kept(&client), "a small one is");
+            let d2h = Request::MemcpyD2H {
+                src: 0,
+                bytes: big as u64,
+                want_data: true,
+            };
+            client.call(p, &d2h).unwrap();
+            client.call(p, &Request::Sync).unwrap();
+        });
+        sim.run();
     }
 
     #[test]

@@ -416,6 +416,21 @@ pub mod err_class {
 /// [`WireError`], not a stack overflow. The guest only ever produces depth 1.
 pub const MAX_BATCH_DEPTH: u32 = 4;
 
+/// A buffer to encode `len` bytes into: the storage of `spare` once no
+/// other view of it is alive (grown if it is too small), else a fresh
+/// exact-capacity buffer. A frame whose payload the receiver still borrows
+/// is never written over.
+fn frame_buf(spare: Option<Bytes>, len: usize) -> BytesMut {
+    match spare.map(Bytes::try_into_mut) {
+        Some(Ok(mut b)) => {
+            b.clear();
+            b.reserve(len);
+            b
+        }
+        _ => BytesMut::with_capacity(len),
+    }
+}
+
 fn put_str(b: &mut BytesMut, s: &str) {
     // The length prefix is u32: an oversize string would silently truncate
     // on `as u32` and produce a frame the decoder misparses. No caller can
@@ -727,10 +742,7 @@ impl Request {
     /// Serialize into a fresh frame (allocated at exactly
     /// [`Request::encoded_len`] bytes).
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len() as usize);
-        self.encode_into(&mut b);
-        debug_assert_eq!(b.len() as u64, self.encoded_len(), "encoded_len drift");
-        b.freeze()
+        self.encode_sized(None).0
     }
 
     fn encode_into(&self, b: &mut BytesMut) {
@@ -1042,11 +1054,14 @@ impl Request {
 
     /// Encode and compute [`Request::wire_size`] in one pass: the wire size
     /// is derived from the already-encoded frame's length instead of a
-    /// second traversal.
-    pub fn encode_sized(&self) -> (Bytes, u64) {
-        let frame = self.encode();
-        let size = frame.len() as u64 + self.logical_extra();
-        (frame, size)
+    /// second traversal. The frame reuses `spare`'s storage when no other
+    /// view of it is alive (see [`Bytes::try_into_mut`]).
+    pub fn encode_sized(&self, spare: Option<Bytes>) -> (Bytes, u64) {
+        let mut b = frame_buf(spare, self.encoded_len() as usize);
+        self.encode_into(&mut b);
+        debug_assert_eq!(b.len() as u64, self.encoded_len(), "encoded_len drift");
+        let size = b.len() as u64 + self.logical_extra();
+        (b.freeze(), size)
     }
 
     fn logical_extra(&self) -> u64 {
@@ -1082,14 +1097,17 @@ impl Response {
     /// Serialize into a fresh frame (allocated at exactly
     /// [`Response::encoded_len`] bytes).
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len() as usize);
+        self.encode_sized(None).0
+    }
+
+    fn encode_into(&self, b: &mut BytesMut) {
         use Response::*;
         match self {
             Ok => b.put_u8(0),
             Err { class, msg } => {
                 b.put_u8(1);
                 b.put_u8(*class);
-                put_str(&mut b, msg);
+                put_str(b, msg);
             }
             Ptr(p) => {
                 b.put_u8(2);
@@ -1101,7 +1119,7 @@ impl Response {
             }
             Props(p) => {
                 b.put_u8(4);
-                put_str(&mut b, &p.name);
+                put_str(b, &p.name);
                 b.put_u64_le(p.total_mem);
                 b.put_u32_le(p.sm_count);
                 b.put_u32_le(p.cc.0);
@@ -1113,17 +1131,17 @@ impl Response {
             }
             Data(d) => {
                 b.put_u8(6);
-                put_buf(&mut b, d);
+                put_buf(b, d);
             }
             Handles(hs) => {
                 b.put_u8(7);
-                put_vec_u64(&mut b, hs);
+                put_vec_u64(b, hs);
             }
             Fptrs(fs) => {
                 b.put_u8(8);
                 b.put_u32_le(fs.len() as u32);
                 for (name, fptr) in fs {
-                    put_str(&mut b, name);
+                    put_str(b, name);
                     b.put_u64_le(*fptr);
                 }
             }
@@ -1144,8 +1162,6 @@ impl Response {
                 b.put_u32_le(*device);
             }
         }
-        debug_assert_eq!(b.len() as u64, self.encoded_len(), "encoded_len drift");
-        b.freeze()
     }
 
     /// Deserialize from a frame.
@@ -1198,11 +1214,14 @@ impl Response {
         self.encoded_len() + self.logical_extra()
     }
 
-    /// Encode and compute [`Response::wire_size`] in one pass.
-    pub fn encode_sized(&self) -> (Bytes, u64) {
-        let frame = self.encode();
-        let size = frame.len() as u64 + self.logical_extra();
-        (frame, size)
+    /// Encode and compute [`Response::wire_size`] in one pass, reusing
+    /// `spare`'s storage as [`Request::encode_sized`] does.
+    pub fn encode_sized(&self, spare: Option<Bytes>) -> (Bytes, u64) {
+        let mut b = frame_buf(spare, self.encoded_len() as usize);
+        self.encode_into(&mut b);
+        debug_assert_eq!(b.len() as u64, self.encoded_len(), "encoded_len drift");
+        let size = b.len() as u64 + self.logical_extra();
+        (b.freeze(), size)
     }
 
     fn logical_extra(&self) -> u64 {

@@ -1,12 +1,13 @@
 //! Allocation budget of the steady-state RPC hot path.
 //!
-//! Wire v2's point is that a round trip allocates a small, *constant*
-//! amount: one exact-capacity frame per encode (no `wire_size()` throwaway
-//! encode, no per-call reply channel, no payload copy on decode). This
-//! harness counts real allocator traffic across thousands of steady-state
-//! round trips and pins the per-call budget; a regression that reintroduces
-//! a double encode or a per-call channel shows up as a budget blowout, not
-//! a subjective slowdown.
+//! A steady-state round trip allocates nothing: each side encodes into the
+//! frame it sent last time, reclaimed once the other side dropped its views
+//! of it (no `wire_size()` throwaway encode, no per-call reply channel, no
+//! payload copy on decode, no fresh frame). This harness counts real
+//! allocator traffic across thousands of steady-state round trips and pins
+//! the budget; a regression that reintroduces a per-call frame, a double
+//! encode or a per-call channel shows up as a budget blowout, not a
+//! subjective slowdown.
 //!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide. Both tests read only their own
@@ -68,13 +69,15 @@ fn snapshot() -> (u64, u64) {
 fn steady_state_round_trip_allocation_is_bounded() {
     const WARMUP: usize = 200;
     const MEASURED: u64 = 2_000;
-    // Budget per round trip, with one call and ~35% of bytes of headroom
-    // over the measured 4.004 calls / 327.8 B: each of the two frames is a
-    // buffer plus the `Arc` that `freeze` wraps it in. The link's
-    // processor-sharing timers and the kernel's wakes allocate nothing. The
-    // old double-encode + per-call reply channel path cannot fit in it.
-    const MAX_CALLS_PER_RT: u64 = 5;
-    const MAX_BYTES_PER_RT: u64 = 448;
+    // Budget per round trip. Measured: 15 allocator calls and 492,416 B over
+    // the 2,000 round trips (0.0075 calls / 246 B per round trip), none of
+    // them frames. Eight are the doubling reallocations of the link's two
+    // `Timeline`s (`GpsResource::acquire` records every job; 491,520 B);
+    // seven are event-queue buckets growing (896 B). Both are amortized:
+    // they thin out as the run gets longer. One fresh frame per round trip
+    // (a buffer plus its `Arc`) would be 40 times over the call budget.
+    const MAX_CALLS_PER_RT: f64 = 0.05;
+    const MAX_BYTES_PER_RT: u64 = 320;
 
     let mut sim = Sim::new(7);
     let h = sim.handle();
@@ -111,19 +114,49 @@ fn steady_state_round_trip_allocation_is_bounded() {
     sim.run();
     let (calls, bytes) = *measured.lock();
     assert!(calls > 0, "harness must observe allocator traffic");
-    let calls_per_rt = calls / MEASURED;
-    let bytes_per_rt = bytes / MEASURED;
+    let calls_per_rt = calls as f64 / MEASURED as f64;
+    let bytes_per_rt = bytes as f64 / MEASURED as f64;
     assert!(
         calls_per_rt <= MAX_CALLS_PER_RT,
-        "steady-state round trip allocates too often: {calls_per_rt} calls/rt \
-         (budget {MAX_CALLS_PER_RT}) — double encode or per-call channel regression?"
+        "steady-state round trip allocates too often: {calls} calls over {MEASURED} \
+         round trips (budget {MAX_CALLS_PER_RT}/rt) — frame reuse, double encode or \
+         per-call channel regression?"
     );
     assert!(
-        bytes_per_rt <= MAX_BYTES_PER_RT,
-        "steady-state round trip allocates too much: {bytes_per_rt} B/rt \
+        bytes <= MAX_BYTES_PER_RT * MEASURED,
+        "steady-state round trip allocates too much: {bytes_per_rt:.1} B/rt \
          (budget {MAX_BYTES_PER_RT})"
     );
-    println!("steady-state rpc: {calls_per_rt} allocs/rt, {bytes_per_rt} B/rt");
+    println!("steady-state rpc: {calls_per_rt:.4} allocs/rt, {bytes_per_rt:.1} B/rt");
+}
+
+#[test]
+fn encode_into_a_reclaimed_frame_allocates_nothing() {
+    let req = Request::Launch {
+        fptr: 7,
+        args: dgsf_remoting::wire::WireArgs {
+            ptrs: vec![1, 2],
+            scalars: vec![3],
+            bytes: 0,
+            work_hint: None,
+        },
+    };
+    let (first, _) = req.encode_sized(None);
+    let spare = first.clone();
+    drop(first);
+    let (c0, _) = snapshot();
+    let (again, size) = req.encode_sized(Some(spare));
+    let (c1, _) = snapshot();
+    assert_eq!(c1 - c0, 0, "the spare's storage and header are reused");
+    assert_eq!(again, req.encode());
+    assert_eq!(size, req.wire_size());
+
+    // A view the receiver still holds keeps the spare from being reused:
+    // the next encode gets a fresh frame and the view stays intact.
+    let view = again.slice(1..);
+    let (fresh, _) = Response::Ok.encode_sized(Some(again));
+    assert_eq!(fresh, Response::Ok.encode());
+    assert_eq!(view, req.encode().slice(1..));
 }
 
 #[test]

@@ -264,3 +264,43 @@ fn unrecorded_event_is_complete_and_double_sync_is_instant() {
         assert!(second - first < 0.05, "second sync is instant");
     });
 }
+
+/// One native run of 4 streams × 3 rounds of launch + device-wide sync.
+fn multi_stream_sync_run() -> (u64, dgsf::sim::SimTime) {
+    let mut sim = Sim::new(3);
+    let h = sim.handle();
+    let gpu = dgsf::gpu::Gpu::v100(&h, GpuId(0));
+    sim.spawn("app", move |p| {
+        let costs = Arc::new(dgsf::cuda::CostTable::default());
+        let mut api = dgsf::cuda::NativeCuda::new(&h, gpu, costs);
+        api.register_module(p, registry()).unwrap();
+        let streams: Vec<_> = (0..4).map(|_| api.stream_create(p).unwrap()).collect();
+        for round in 0..3u32 {
+            for (i, &s) in streams.iter().enumerate() {
+                let secs = 0.01 * f64::from(1 + (i as u32 + round) % 4);
+                api.launch_kernel_on(
+                    p,
+                    s,
+                    "spin",
+                    LaunchConfig::linear(1, 32),
+                    KernelArgs::timed(secs, 0),
+                )
+                .unwrap();
+            }
+            api.device_synchronize(p).unwrap();
+        }
+    });
+    let end = sim.run();
+    (sim.events_executed(), end)
+}
+
+#[test]
+fn multi_stream_device_sync_replays_exactly() {
+    // `cudaDeviceSynchronize` visits every stream's executor; the order it
+    // visits them in reaches the event count, so it must not depend on
+    // anything but the inputs (a hash map's per-process seed, say).
+    let first = multi_stream_sync_run();
+    for _ in 0..40 {
+        assert_eq!(multi_stream_sync_run(), first, "same seed, same run");
+    }
+}
