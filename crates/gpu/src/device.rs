@@ -382,9 +382,9 @@ impl Gpu {
                             s,
                             e,
                             &[
-                                ("engine", engine.to_string()),
-                                ("chunk", i.to_string()),
-                                ("bytes", cb.to_string()),
+                                ("engine", engine.into()),
+                                ("chunk", i.into()),
+                                ("bytes", cb.into()),
                             ],
                         );
                     }

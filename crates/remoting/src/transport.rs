@@ -256,8 +256,8 @@ impl RpcClient {
                 tel.counter_add(kind, 1);
                 tel.counter_add("rpc.transport_errors", 1);
                 if let Some(t) = &self.trace {
-                    let mut args = t.span_args().to_vec();
-                    args.push(("outcome", outcome.to_string()));
+                    let [inv, attempt] = t.span_args();
+                    let args = [inv, attempt, ("outcome", outcome.into())];
                     tel.span_args(p.name(), req.class(), "rpc", t0, p.now(), &args);
                 }
             }

@@ -16,7 +16,8 @@ use dgsf_cuda::{CostTable, CudaContext, GpuSession, MigrationReport, ModuleRegis
 use dgsf_gpu::{Gpu, GpuId, ReservationId};
 use dgsf_remoting::{Delivery, Dispatcher, NetLink, RpcInbox};
 use dgsf_sim::{
-    Dur, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx,
+    ArgValue, Dur, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender, SimTime,
+    TraceCtx,
 };
 
 use crate::monitor::MonitorMsg;
@@ -360,9 +361,9 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
                 "migration-skipped",
                 p.now(),
                 &[
-                    ("server", a.shared.id.to_string()),
-                    ("to", target.0.to_string()),
-                    ("reason", reason.to_string()),
+                    ("server", a.shared.id.into()),
+                    ("to", target.0.into()),
+                    ("reason", reason.into()),
                 ],
             );
         }
@@ -397,13 +398,13 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     a.shared.migrating.store(true, Ordering::Relaxed);
     let begun_at = p.now();
     let tel = p.telemetry();
-    let id_args = |extra: &[(&'static str, String)]| {
-        let mut args = vec![
-            ("server", a.shared.id.to_string()),
-            ("from", from.0.to_string()),
-            ("to", target.0.to_string()),
+    let id_args = |extra: &[(&'static str, ArgValue<'static>)]| {
+        let mut args: Vec<(&'static str, ArgValue)> = vec![
+            ("server", a.shared.id.into()),
+            ("from", from.0.into()),
+            ("to", target.0.into()),
         ];
-        args.extend(extra.iter().cloned());
+        args.extend_from_slice(extra);
         args
     };
     if tel.is_enabled() {
@@ -432,7 +433,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
         abort_migration(
             p,
             a,
-            &id_args(&[("reason", "state-transfer-dropped".to_string())]),
+            &id_args(&[("reason", "state-transfer-dropped".into())]),
         );
         return;
     }
@@ -445,11 +446,11 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
             if tel.is_enabled() {
                 tel.counter_add("migrations", 1);
                 let mut args = id_args(&[
-                    ("bytes_moved", report.bytes_moved.to_string()),
-                    ("allocs_moved", report.allocs_moved.to_string()),
+                    ("bytes_moved", report.bytes_moved.into()),
+                    ("allocs_moved", report.allocs_moved.into()),
                 ]);
                 if let Some(t) = d.trace() {
-                    args.push(("inv", t.id.to_string()));
+                    args.push(("inv", t.id.into()));
                 }
                 tel.instant(p.name(), "migration", at, &args);
             }
@@ -473,12 +474,12 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
         Err(_) => {
             // Target ran out of memory between decision and execution; the
             // session stays where it was.
-            abort_migration(p, a, &id_args(&[("reason", "target-capacity".to_string())]));
+            abort_migration(p, a, &id_args(&[("reason", "target-capacity".into())]));
         }
     }
 }
 
-fn abort_migration(p: &ProcCtx, a: &ApiServerArgs, args: &[(&'static str, String)]) {
+fn abort_migration(p: &ProcCtx, a: &ApiServerArgs, args: &[(&'static str, ArgValue)]) {
     a.shared.migrating.store(false, Ordering::Relaxed);
     let tel = p.telemetry();
     if tel.is_enabled() {

@@ -633,8 +633,8 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
                     "lease-expired",
                     now,
                     &[
-                        ("server", s.shared.id.to_string()),
-                        ("invocation", b.invocation.to_string()),
+                        ("server", s.shared.id.into()),
+                        ("invocation", b.invocation.into()),
                     ],
                 );
             }
@@ -867,7 +867,7 @@ fn autoscale_tick(
                     // Capacity added purely on the rate-ramp forecast,
                     // before any queue-delay breach.
                     tel.counter_add("autoscale.prewarms", 1);
-                    tel.instant(p.name(), "prewarm", now, &[("gpu", gpu.0.to_string())]);
+                    tel.instant(p.name(), "prewarm", now, &[("gpu", gpu.0.into())]);
                 }
                 return; // one action per tick
             }
@@ -982,7 +982,7 @@ fn spawn_server(
             p.name(),
             "scale-up",
             now,
-            &[("server", id.to_string()), ("gpu", gpu.0.to_string())],
+            &[("server", id.into()), ("gpu", gpu.0.into())],
         );
     }
     true
@@ -1029,7 +1029,7 @@ fn retire_server(
             p.name(),
             "scale-down",
             p.now(),
-            &[("server", id.to_string()), ("gpu", home.0.to_string())],
+            &[("server", id.into()), ("gpu", home.0.into())],
         );
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome, ShedPolicy};
-use dgsf_sim::{Dur, ObsPlane, ProcCtx, SimTime, TraceCtx};
+use dgsf_sim::{ArgValue, Dur, ObsPlane, ProcCtx, SimTime, TraceCtx};
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterBalancer;
@@ -422,9 +422,9 @@ impl Backend {
                                         "reply-recovered",
                                         p.now(),
                                         &[
-                                            ("workload", w.name().to_string()),
-                                            ("invocation", inv.to_string()),
-                                            ("inv", trace.id.to_string()),
+                                            ("workload", w.name().into()),
+                                            ("invocation", inv.into()),
+                                            ("inv", trace.id.into()),
                                         ],
                                     );
                                 }
@@ -477,10 +477,10 @@ impl Backend {
                                 "retry",
                                 p.now(),
                                 &[
-                                    ("workload", w.name().to_string()),
-                                    ("failed_attempt", attempt.to_string()),
-                                    ("error", f.error.to_string()),
-                                    ("inv", trace.id.to_string()),
+                                    ("workload", w.name().into()),
+                                    ("failed_attempt", attempt.into()),
+                                    ("error", ArgValue::Str(&f.error.to_string())),
+                                    ("inv", trace.id.into()),
                                 ],
                             );
                         }
@@ -502,9 +502,9 @@ impl Backend {
                     "shed",
                     p.now(),
                     &[
-                        ("workload", w.name().to_string()),
-                        ("reason", last.error.to_string()),
-                        ("inv", trace.id.to_string()),
+                        ("workload", w.name().into()),
+                        ("reason", ArgValue::Str(&last.error.to_string())),
+                        ("inv", trace.id.into()),
                     ],
                 );
             }
@@ -634,9 +634,9 @@ impl Backend {
                 "shed",
                 p.now(),
                 &[
-                    ("workload", w.name().to_string()),
-                    ("reason", reason.to_string()),
-                    ("inv", trace.id.to_string()),
+                    ("workload", w.name().into()),
+                    ("reason", reason.into()),
+                    ("inv", trace.id.into()),
                 ],
             );
         }

@@ -16,7 +16,7 @@ use dgsf_cuda::{CostTable, CudaApi, CudaError, CudaResult, NativeCuda};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::GpuServer;
-use dgsf_sim::{Dur, ProcCtx, SimHandle, SimTime, TraceCtx};
+use dgsf_sim::{ArgValue, Dur, ProcCtx, SimHandle, SimTime, TraceCtx};
 
 use crate::dag::{edge_key, DagWorkload, HandoffMode, StageRun};
 use crate::phases::{phase, PhaseRecorder};
@@ -394,8 +394,8 @@ impl<'a> Invoker<'a> {
                 rec.close(p);
                 let tel = p.telemetry();
                 if tel.is_enabled() {
-                    let mut args = trace.span_args().to_vec();
-                    args.push(("outcome", "acquire_error".to_string()));
+                    let [inv, att] = trace.span_args();
+                    let args = [inv, att, ("outcome", "acquire_error".into())];
                     tel.span_args(
                         p.name(),
                         &format!("invoke:{}:a{attempt}", w.name()),
@@ -534,10 +534,10 @@ pub(crate) fn record_request_span(
             start,
             end,
             &[
-                ("inv", trace.id.to_string()),
-                ("tenant", trace.tenant.to_string()),
-                ("outcome", outcome.to_string()),
-                ("attempts", attempts.to_string()),
+                ("inv", trace.id.into()),
+                ("tenant", ArgValue::Str(&trace.tenant)),
+                ("outcome", outcome.into()),
+                ("attempts", attempts.into()),
             ],
         );
     }

@@ -5,6 +5,8 @@
 //! and invokers record phases into a [`PhaseRecorder`]; the experiment
 //! harness reads them back by name.
 
+use std::borrow::Cow;
+
 use dgsf_sim::{Dur, ProcCtx, SimTime, TraceCtx};
 
 /// A canonical execution phase. [`PhaseRecorder::enter`] takes this enum —
@@ -29,6 +31,16 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every canonical phase.
+    const ALL: [Phase; 6] = [
+        Phase::Download,
+        Phase::Init,
+        Phase::Queue,
+        Phase::ModelLoad,
+        Phase::Processing,
+        Phase::Transfer,
+    ];
+
     /// The phase's canonical name — byte-identical to the historical `&str`
     /// constants, so existing goldens and telemetry spans are unmoved.
     pub const fn as_str(self) -> &'static str {
@@ -78,7 +90,8 @@ pub mod phase {
 /// Accumulates named phase durations for one function execution.
 #[derive(Debug, Default, Clone)]
 pub struct PhaseRecorder {
-    phases: Vec<(String, Dur)>,
+    /// Canonical phase names are borrowed; only ad-hoc names are owned.
+    phases: Vec<(Cow<'static, str>, Dur)>,
     open: Option<(Phase, SimTime)>,
     trace: Option<TraceCtx>,
 }
@@ -130,7 +143,12 @@ impl PhaseRecorder {
         if let Some(e) = self.phases.iter_mut().find(|(n, _)| n == name) {
             e.1 += d;
         } else {
-            self.phases.push((name.to_string(), d));
+            let name = Phase::ALL
+                .iter()
+                .map(|p| p.as_str())
+                .find(|&s| s == name)
+                .map_or_else(|| Cow::Owned(name.to_string()), Cow::Borrowed);
+            self.phases.push((name, d));
         }
     }
 
@@ -145,7 +163,7 @@ impl PhaseRecorder {
     }
 
     /// All phases in recording order.
-    pub fn all(&self) -> &[(String, Dur)] {
+    pub fn all(&self) -> &[(Cow<'static, str>, Dur)] {
         &self.phases
     }
 
@@ -183,6 +201,19 @@ mod tests {
         assert_eq!(rec.get(phase::PROCESSING), Dur::from_secs(4));
         assert_eq!(rec.get("nonexistent"), Dur::ZERO);
         assert_eq!(rec.total(), Dur::from_secs(6));
+    }
+
+    #[test]
+    fn canonical_phase_names_are_borrowed_and_ad_hoc_names_owned() {
+        let mut rec = PhaseRecorder::new();
+        rec.add(phase::INIT, Dur(1));
+        rec.add("model_load", Dur(2));
+        rec.add("harness", Dur(3));
+        let names: Vec<_> = rec.all().iter().map(|(n, _)| n).collect();
+        assert!(matches!(names[0], Cow::Borrowed("init")));
+        assert!(matches!(names[1], Cow::Borrowed("model_load")));
+        assert!(matches!(names[2], Cow::Owned(n) if n == "harness"));
+        assert_eq!(rec.get(phase::MODEL_LOAD), Dur(2));
     }
 
     #[test]

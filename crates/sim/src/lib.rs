@@ -65,6 +65,8 @@ pub use obs::{
 };
 pub use resource::{FifoResource, GpsResource, Timeline};
 pub use stats::{moving_average, percentile_permille, percentile_sorted, Summary};
-pub use telemetry::{EventRecord, Histogram, SpanRecord, Telemetry, TelemetryExport, TraceCtx};
+pub use telemetry::{
+    ArgValue, EventRecord, Histogram, SpanRecord, Telemetry, TelemetryExport, TraceCtx,
+};
 pub use time::{Dur, SimTime};
 pub use trace::{GroupAttribution, Segment, SloBurn, SloPolicy, TraceOutcome, TraceTree};

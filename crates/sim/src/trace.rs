@@ -435,10 +435,10 @@ mod tests {
             SimTime(start),
             SimTime(end),
             &[
-                ("inv", id.to_string()),
+                ("inv", id.into()),
                 ("tenant", tenant.into()),
                 ("outcome", outcome.into()),
-                ("attempts", attempts.to_string()),
+                ("attempts", attempts.into()),
             ],
         );
     }
@@ -462,7 +462,7 @@ mod tests {
             cat,
             SimTime(start),
             SimTime(end),
-            &[("inv", id.to_string()), ("attempt", attempt.to_string())],
+            &[("inv", id.into()), ("attempt", attempt.into())],
         );
     }
 

@@ -1,10 +1,11 @@
 //! Allocation budget of telemetry recording on known keys.
 //!
-//! Once a counter, histogram, track or span name has been seen, recording
-//! against it must not allocate: counters and histograms update in place,
-//! and a span is a few interned ids appended to one `Vec`. A regression
-//! that goes back to allocating a key per record shows up here as
-//! thousands of allocations.
+//! Once a counter, histogram, track, span name, argument key or text value
+//! has been seen, recording against it must not allocate: counters and
+//! histograms update in place, and a span or instant is a few interned ids
+//! and integer arguments appended to fixed-size chunks. A regression that
+//! goes back to allocating a key or an argument string per record shows up
+//! here as thousands of allocations.
 //!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide. Each test reads only its own
@@ -13,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dgsf_sim::{SimTime, Telemetry};
+use dgsf_sim::{ArgValue, Dur, SimTime, Telemetry, TraceCtx};
 
 thread_local! {
     // Const-initialised and destructor-free, so bumping it from inside the
@@ -100,4 +101,57 @@ fn argless_spans_on_a_known_track_allocate_only_to_grow_storage() {
         "{made} allocations for {CALLS} spans (budget {BUDGET})"
     );
     assert_eq!(t.spans().len() as u64, CALLS + 1);
+}
+
+#[test]
+fn traced_spans_and_instants_allocate_only_to_grow_storage() {
+    // 20,000 records and 40,000 arguments fill ten 64 KiB chunks of each;
+    // the rest of the budget is the chunk lists doubling.
+    const BUDGET: u64 = 32;
+
+    let t = Telemetry::new();
+    t.enable();
+    let ctx = TraceCtx::new(7, "tenant-a").with_attempt(1);
+    let instant_args = |i: u64| [("bytes", ArgValue::U64(i)), ("reason", "drained".into())];
+    t.span_args(
+        "fn-0-0",
+        "execute",
+        "phase",
+        SimTime(0),
+        SimTime(1),
+        &ctx.span_args(),
+    );
+    t.instant("fn-0-0", "retry", SimTime(0), &instant_args(0));
+
+    let before = allocs();
+    for i in 0..CALLS {
+        let at = SimTime(i);
+        t.span_args(
+            "fn-0-0",
+            "execute",
+            "phase",
+            at,
+            at + Dur(1),
+            &ctx.span_args(),
+        );
+        t.instant("fn-0-0", "retry", at, &instant_args(i));
+    }
+    let made = allocs() - before;
+
+    assert!(
+        made <= BUDGET,
+        "{made} allocations for {CALLS} traced spans and {CALLS} instants (budget {BUDGET})"
+    );
+    let spans = t.spans();
+    assert_eq!(spans.len() as u64, CALLS + 1);
+    assert_eq!(spans[1].args[0], ("inv".to_string(), "7".to_string()));
+    let instants = t.instants();
+    assert_eq!(instants.len() as u64, CALLS + 1);
+    assert_eq!(
+        instants[CALLS as usize].args,
+        [
+            ("bytes".to_string(), (CALLS - 1).to_string()),
+            ("reason".to_string(), "drained".to_string())
+        ]
+    );
 }
