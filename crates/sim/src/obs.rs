@@ -105,7 +105,7 @@ impl QuantileSketch {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
+        self.buckets[log2_bucket(v)] += 1;
         self.count += 1;
     }
 
@@ -117,24 +117,36 @@ impl QuantileSketch {
     /// Upper bound of the bucket holding the exact nearest-rank quantile
     /// (`q` in permille). 0 on an empty sketch.
     pub fn quantile(&self, q_permille: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank =
-            ((self.count as u128 * q_permille as u128).div_ceil(1000) as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return match b {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << b) - 1,
-                };
-            }
-        }
-        unreachable!("cumulative bucket count reaches self.count")
+        log2_quantile(&self.buckets, self.count, q_permille)
+            .expect("cumulative bucket count reaches self.count")
     }
+}
+
+/// The log₂ bucket of `v`: its bit length (bucket 0 is the value 0, bucket
+/// `b ≥ 1` covers `2^(b-1) ..= 2^b - 1`, bucket 64 everything `≥ 2^63`).
+pub(crate) fn log2_bucket(v: u64) -> usize {
+    (64 - v.leading_zeros()) as usize
+}
+
+/// Upper bound of the [`log2_bucket`] holding the nearest-rank quantile
+/// (`q` in permille) of `count` samples bucketed as `buckets`: 0 when there
+/// are none, `u64::MAX` for bucket 64. The rank is computed in u128, so no
+/// count overflows it. `None` if the buckets hold fewer than that rank.
+pub(crate) fn log2_quantile(buckets: &[u64], count: u64, q_permille: u64) -> Option<u64> {
+    if count == 0 {
+        return Some(0);
+    }
+    let rank = ((u128::from(count) * u128::from(q_permille)).div_ceil(1000) as u64).clamp(1, count);
+    let mut cum = 0u64;
+    let b = buckets.iter().position(|&c| {
+        cum += c;
+        cum >= rank
+    })?;
+    Some(match b {
+        0 => 0,
+        64 => u64::MAX,
+        _ => (1u64 << b) - 1,
+    })
 }
 
 /// Configuration of the observability plane. All thresholds are integer
