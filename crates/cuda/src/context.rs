@@ -27,7 +27,7 @@ use dgsf_sim::{ProcCtx, SimCell, SimHandle, SimReceiver, SimSender};
 
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
-use crate::module::{KernelId, ModuleRegistry};
+use crate::module::KernelFn;
 use crate::types::{DevPtr, KernelArgs, LaunchConfig};
 use crate::view::DeviceView;
 
@@ -35,17 +35,19 @@ static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Commands accepted by a context's stream executor, in order.
 pub(crate) enum StreamCmd {
-    /// Launch a kernel.
+    /// Occupy the GPU for `work` GPU-seconds: a timed kernel, whose cost
+    /// the launching session evaluated, or an aggregate cuDNN/cuBLAS
+    /// operation.
+    Compute { work: f64 },
+    /// A kernel with a functional body: occupy the GPU for `work`
+    /// GPU-seconds, then run `body` against the launching session's memory.
     Exec {
-        /// The kernel, resolved against `registry`.
-        kernel: KernelId,
+        work: f64,
+        body: KernelFn,
         cfg: LaunchConfig,
         args: KernelArgs,
         va: Arc<SimCell<VaSpace>>,
-        registry: Arc<ModuleRegistry>,
     },
-    /// An aggregate cuDNN/cuBLAS operation costing `work` GPU-seconds.
-    LibOp { work: f64 },
     /// Asynchronous device memset.
     Memset {
         va: Arc<SimCell<VaSpace>>,
@@ -520,26 +522,20 @@ fn spawn_stream_engine(
     h.spawn(&format!("stream-exec-{label}"), move |pctx| {
         while let Some(cmd) = rx.recv(pctx) {
             match cmd {
+                StreamCmd::Compute { work } => {
+                    exec_gpu.exec(pctx, work);
+                }
                 StreamCmd::Exec {
-                    kernel,
+                    work,
+                    body,
                     cfg,
                     args,
                     va,
-                    registry,
                 } => {
-                    let def = registry
-                        .def(kernel)
-                        .expect("unvalidated kernel id reached executor");
-                    let work = def.cost.eval(&args);
                     exec_gpu.exec(pctx, work);
-                    if let Some(f) = &def.func {
-                        let vag = va.borrow_in(pctx);
-                        let mut view = DeviceView::new(&vag, &exec_gpu);
-                        f(&mut view, &cfg, &args);
-                    }
-                }
-                StreamCmd::LibOp { work } => {
-                    exec_gpu.exec(pctx, work);
+                    let vag = va.borrow_in(pctx);
+                    let mut view = DeviceView::new(&vag, &exec_gpu);
+                    body(&mut view, &cfg, &args);
                 }
                 StreamCmd::Memset {
                     va,
@@ -633,22 +629,9 @@ mod tests {
         let (h, gpu, costs) = setup(&sim);
         sim.spawn("app", move |proc| {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
-            let registry =
-                Arc::new(ModuleRegistry::new().with(crate::module::KernelDef::timed("k")));
-            let kernel = registry.id("k").unwrap();
-            let va = Arc::new(SimCell::new(&h, VaSpace::new()));
             let t0 = proc.now();
             for _ in 0..3 {
-                ctx.submit(
-                    proc,
-                    StreamCmd::Exec {
-                        kernel,
-                        cfg: LaunchConfig::linear(1, 32),
-                        args: KernelArgs::timed(0.5, 0),
-                        va: va.clone(),
-                        registry: registry.clone(),
-                    },
-                );
+                ctx.submit(proc, StreamCmd::Compute { work: 0.5 });
             }
             // submission is asynchronous
             assert_eq!(proc.now(), t0);
@@ -669,21 +652,8 @@ mod tests {
         let (h, gpu, costs) = setup(&sim);
         sim.spawn("app", move |proc| {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
-            let registry =
-                Arc::new(ModuleRegistry::new().with(crate::module::KernelDef::timed("k")));
-            let kernel = registry.id("k").unwrap();
-            let va = Arc::new(SimCell::new(&h, VaSpace::new()));
             let t0 = proc.now();
-            ctx.submit(
-                proc,
-                StreamCmd::Exec {
-                    kernel,
-                    cfg: LaunchConfig::linear(1, 32),
-                    args: KernelArgs::timed(1.0, 0),
-                    va,
-                    registry,
-                },
-            );
+            ctx.submit(proc, StreamCmd::Compute { work: 1.0 });
             proc.sleep(Dur::from_secs(1)); // host work overlaps the kernel
             ctx.sync(proc);
             let elapsed = proc.now().since(t0).as_secs_f64();

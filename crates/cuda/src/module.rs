@@ -10,9 +10,10 @@
 //! A registry keeps its kernels sorted by name, so a name resolves by
 //! binary search and a kernel is then named by its position, a
 //! [`KernelId`]. Launch paths resolve a kernel once (the API server at
-//! module registration, the native runtime per call) and carry the id down
-//! to the stream executor, which indexes the registry directly: no launch
-//! hashes or compares a kernel name after that.
+//! module registration, the native runtime per call) and hand the id to the
+//! session, which indexes the registry once per launch: it evaluates the
+//! cost there and queues only that (and a functional kernel's body) on the
+//! stream. No launch hashes or compares a kernel name after resolution.
 
 use std::sync::Arc;
 

@@ -498,11 +498,13 @@ impl GpuSession {
         cfg: LaunchConfig,
         args: KernelArgs,
     ) -> CudaResult<()> {
-        if self.registry.def(kernel).is_none() {
+        let Some(def) = self.registry.def(kernel) else {
             return Err(CudaError::InvalidValue(format!(
                 "kernel {kernel:?} not in the registered module"
             )));
-        }
+        };
+        let work = def.cost.eval(&args);
+        let body = def.func.clone();
         self.fence_h2d_for_ptrs(proc, &args.ptrs);
         let native = match stream {
             None => crate::context::DEFAULT_STREAM,
@@ -511,17 +513,19 @@ impl GpuSession {
                 .get(s.0, self.active.id)
                 .ok_or_else(|| CudaError::InvalidResourceHandle(format!("stream {:#x}", s.0)))?,
         };
-        self.active.submit_on(
-            proc,
-            native,
-            StreamCmd::Exec {
-                kernel,
+        // A timed kernel's command is its cost; only a functional one
+        // carries what its body reads.
+        let cmd = match body {
+            None => StreamCmd::Compute { work },
+            Some(body) => StreamCmd::Exec {
+                work,
+                body,
                 cfg,
                 args,
                 va: Arc::clone(&self.va),
-                registry: Arc::clone(&self.registry),
             },
-        );
+        };
+        self.active.submit_on(proc, native, cmd);
         Ok(())
     }
 
@@ -537,7 +541,7 @@ impl GpuSession {
 
     /// Enqueue an aggregate cuDNN/cuBLAS operation of `work` GPU-seconds.
     pub fn lib_op(&mut self, proc: &ProcCtx, work: f64) {
-        self.active.submit(proc, StreamCmd::LibOp { work });
+        self.active.submit(proc, StreamCmd::Compute { work });
     }
 
     /// `cudaDeviceSynchronize`. Also fences every in-flight pipelined copy.

@@ -2,8 +2,12 @@
 //!
 //! Every interposed API call that must be remoted is serialized into a
 //! length-framed binary message and shipped to the API server; responses
-//! come back the same way. The codec is hand-rolled over [`bytes`] — no
-//! format crate — so framing is explicit, deterministic, and cheap.
+//! come back the same way. The codec is hand-rolled — no format crate — so
+//! framing is explicit, deterministic, and cheap. It reads and writes plain
+//! slices: an encoder sizes a frame to its exact length once and fills it
+//! through a `&mut [u8]` cursor, and a decoder reads through a `&[u8]`
+//! cursor, one `split_first_chunk` per scalar. [`bytes`] only holds the
+//! frames: a real payload decodes as a refcounted view of its frame.
 //!
 //! Trace-modeled workloads move *logical* payloads (size-only); the codec
 //! encodes them as a 9-byte marker but [`Request::wire_size`] reports the
@@ -21,7 +25,7 @@
 //! `class_keys` arm); a field type that is not yet on the wire needs one
 //! `Wire` impl.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use dgsf_cuda::{DescriptorKind, HostBuf, KernelArgs, LaunchConfig};
 
 /// Decode failure (malformed or truncated frame).
@@ -427,18 +431,91 @@ pub mod err_class {
 /// [`WireError`], not a stack overflow. The guest only ever produces depth 1.
 pub const MAX_BATCH_DEPTH: u32 = 4;
 
-/// A buffer to encode `len` bytes into: the storage of `spare` once no
-/// other view of it is alive (grown if it is too small), else a fresh
-/// exact-capacity buffer. A frame whose payload the receiver still borrows
-/// is never written over.
+/// A buffer of exactly `len` bytes to encode into: the storage of `spare`
+/// once no other view of it is alive (grown if it is too small), else a
+/// fresh one. A frame whose payload the receiver still borrows is never
+/// written over.
 fn frame_buf(spare: Option<Bytes>, len: usize) -> BytesMut {
-    match spare.map(Bytes::try_into_mut) {
+    let mut b = match spare.map(Bytes::try_into_mut) {
         Some(Ok(mut b)) => {
             b.clear();
-            b.reserve(len);
             b
         }
         _ => BytesMut::with_capacity(len),
+    };
+    b.resize(len, 0);
+    b
+}
+
+/// A decoder's position in one frame: the bytes not yet read, and the frame
+/// itself, of which a real payload takes a refcounted view.
+struct Reader<'a> {
+    frame: &'a Bytes,
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Read the next `N` bytes, or fail without consuming any.
+    #[inline(always)]
+    fn take<const N: usize>(&mut self, what: &str) -> WireResult<[u8; N]> {
+        let Some((head, rest)) = self.rest.split_first_chunk() else {
+            return Err(truncated(what));
+        };
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// The next `n` bytes, or `None` (consuming nothing) if fewer are left.
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(head)
+    }
+
+    /// The next `n` bytes as a view of the frame; `n` is within bounds.
+    fn view(&mut self, n: usize) -> Bytes {
+        let at = self.consumed();
+        self.rest = &self.rest[n..];
+        self.frame.slice(at..at + n)
+    }
+
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn consumed(&self) -> usize {
+        self.frame.len() - self.rest.len()
+    }
+}
+
+/// Decode one message from the front of `frame`, with the number of bytes
+/// read: on an error, how far the decoder got.
+fn decode_front<T: Wire>(frame: &Bytes) -> (WireResult<T>, usize) {
+    let mut r = Reader { frame, rest: frame };
+    let out = T::get(&mut r, 0);
+    (out, r.consumed())
+}
+
+/// An encoder's position in a frame sized to the message's exact length.
+/// Writing past the end panics: the size and the encoder disagree.
+struct Writer<'a>(&'a mut [u8]);
+
+impl Writer<'_> {
+    #[inline(always)]
+    fn put<const N: usize>(&mut self, v: [u8; N]) {
+        let (head, rest) = std::mem::take(&mut self.0)
+            .split_first_chunk_mut()
+            .expect("encoded_len drift");
+        *head = v;
+        self.0 = rest;
+    }
+
+    fn put_slice(&mut self, v: &[u8]) {
+        let (head, rest) = std::mem::take(&mut self.0)
+            .split_at_mut_checked(v.len())
+            .expect("encoded_len drift");
+        head.copy_from_slice(v);
+        self.0 = rest;
     }
 }
 
@@ -446,11 +523,14 @@ fn frame_buf(spare: Option<Bytes>, len: usize) -> BytesMut {
 /// size, its encoder, its decoder, and the bytes a logical payload adds to
 /// the network charge. Every frame is a tag byte followed by its fields'
 /// layouts in order, so these impls plus the `wire_enum!` tables below
-/// are the whole protocol.
+/// are the whole protocol. Encoders write through a [`Writer`] over a frame
+/// already sized by [`Wire::size`]; decoders read through a [`Reader`] over
+/// the frame's bytes, one `split_first_chunk` per scalar.
 ///
 /// The decoders of scalars, tuples, options and the field structs are
 /// `#[inline(always)]`: as calls, each returns its `Result` through memory,
-/// which made decoding a launch about a fifth slower.
+/// which made decoding a launch about a fifth slower. The scalar encoders
+/// and the cursors' fixed-width reads and writes are inlined the same way.
 trait Wire: Sized {
     /// The encoded size when every value has the same one (the fixed-width
     /// scalars): a vector of them is sized by multiplication and its length
@@ -458,9 +538,9 @@ trait Wire: Sized {
     const WIDTH: Option<u64> = None;
     /// Exact number of bytes [`Wire::put`] writes.
     fn size(&self) -> u64;
-    fn put(&self, b: &mut BytesMut);
+    fn put(&self, w: &mut Writer<'_>);
     /// Decode one value; `depth` counts the [`Request::Batch`]es around it.
-    fn get(b: &mut Bytes, depth: u32) -> WireResult<Self>;
+    fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self>;
     /// Bytes charged beyond the encoding: a [`WireBuf::Logical`] payload
     /// ships as a marker but costs its full size on the network.
     fn logical(&self) -> u64 {
@@ -479,45 +559,39 @@ fn truncated(what: &str) -> WireError {
     WireError(format!("truncated {what}"))
 }
 
+/// Little-endian fixed-width scalars.
 macro_rules! wire_scalar {
-    ($($t:ty: $w:literal, $put:ident, $get:ident;)*) => {$(
+    ($($t:ty: $w:literal),*) => {$(
         impl Wire for $t {
             const WIDTH: Option<u64> = Some($w);
             fn size(&self) -> u64 {
                 $w
             }
-            fn put(&self, b: &mut BytesMut) {
-                b.$put(*self);
+            #[inline(always)]
+            fn put(&self, w: &mut Writer<'_>) {
+                w.put(self.to_le_bytes());
             }
             #[inline(always)]
-            fn get(b: &mut Bytes, _: u32) -> WireResult<Self> {
-                if b.remaining() < $w {
-                    return Err(truncated(stringify!($t)));
-                }
-                Ok(b.$get())
+            fn get(r: &mut Reader<'_>, _: u32) -> WireResult<Self> {
+                Ok(<$t>::from_le_bytes(r.take(stringify!($t))?))
             }
         }
     )*};
 }
 
-wire_scalar! {
-    u8: 1, put_u8, get_u8;
-    u32: 4, put_u32_le, get_u32_le;
-    u64: 8, put_u64_le, get_u64_le;
-    f64: 8, put_f64_le, get_f64_le;
-}
+wire_scalar!(u8: 1, u32: 4, u64: 8, f64: 8);
 
 impl Wire for bool {
     const WIDTH: Option<u64> = Some(1);
     fn size(&self) -> u64 {
         1
     }
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u8(*self as u8);
+    fn put(&self, w: &mut Writer<'_>) {
+        (*self as u8).put(w);
     }
     #[inline(always)]
-    fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-        Ok(u8::get(b, depth)? != 0)
+    fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+        Ok(u8::get(r, depth)? != 0)
     }
 }
 
@@ -525,7 +599,7 @@ impl Wire for String {
     fn size(&self) -> u64 {
         4 + self.len() as u64
     }
-    fn put(&self, b: &mut BytesMut) {
+    fn put(&self, w: &mut Writer<'_>) {
         // The length prefix is u32: an oversize string would silently
         // truncate on `as u32` and produce a frame the decoder misparses. No
         // caller can legitimately ship a 4 GiB kernel name or error message.
@@ -534,16 +608,17 @@ impl Wire for String {
             "string too long for wire frame: {} bytes",
             self.len()
         );
-        b.put_u32_le(self.len() as u32);
-        b.put_slice(self.as_bytes());
+        (self.len() as u32).put(w);
+        w.put_slice(self.as_bytes());
     }
-    fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-        let n = u32::get(b, depth)? as usize;
-        if b.remaining() < n {
-            return Err(WireError("truncated string".into()));
-        }
-        let raw = b.split_to(n);
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError("invalid utf8".into()))
+    fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+        let n = u32::get(r, depth)? as usize;
+        let raw = r
+            .bytes(n)
+            .ok_or_else(|| WireError("truncated string".into()))?;
+        std::str::from_utf8(raw)
+            .map(str::to_owned)
+            .map_err(|_| WireError("invalid utf8".into()))
     }
 }
 
@@ -554,19 +629,19 @@ impl<T: Wire> Wire for Vec<T> {
             None => self.iter().map(Wire::size).sum::<u64>(),
         }
     }
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u32_le(self.len() as u32);
+    fn put(&self, w: &mut Writer<'_>) {
+        (self.len() as u32).put(w);
         for x in self {
-            x.put(b);
+            x.put(w);
         }
     }
-    fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
+    fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
         let depth = T::nest(depth)?;
-        let n = u32::get(b, depth)?;
+        let n = u32::get(r, depth)?;
         let cap = match T::WIDTH {
             // The byte count is computed in u64: `n as usize * w` would
             // overflow on 32-bit targets and let a truncated frame pass.
-            Some(w) if (b.remaining() as u64) < u64::from(n) * w => {
+            Some(w) if (r.remaining() as u64) < u64::from(n) * w => {
                 return Err(WireError("truncated vec".into()))
             }
             Some(_) => n as usize,
@@ -576,7 +651,7 @@ impl<T: Wire> Wire for Vec<T> {
         };
         let mut v = Vec::with_capacity(cap);
         for _ in 0..n {
-            v.push(T::get(b, depth)?);
+            v.push(T::get(r, depth)?);
         }
         Ok(v)
     }
@@ -589,17 +664,17 @@ impl<T: Wire> Wire for Option<T> {
     fn size(&self) -> u64 {
         1 + self.as_ref().map_or(0, Wire::size)
     }
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u8(self.is_some() as u8);
+    fn put(&self, w: &mut Writer<'_>) {
+        (self.is_some() as u8).put(w);
         if let Some(x) = self {
-            x.put(b);
+            x.put(w);
         }
     }
     #[inline(always)]
-    fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-        match u8::get(b, depth)? {
+    fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+        match u8::get(r, depth)? {
             0 => Ok(None),
-            1 => Ok(Some(T::get(b, depth)?)),
+            1 => Ok(Some(T::get(r, depth)?)),
             t => Err(WireError(format!("bad option tag {t}"))),
         }
     }
@@ -614,12 +689,12 @@ macro_rules! wire_tuple {
             fn size(&self) -> u64 {
                 0 $(+ self.$i.size())*
             }
-            fn put(&self, b: &mut BytesMut) {
-                $(self.$i.put(b);)*
+            fn put(&self, w: &mut Writer<'_>) {
+                $(self.$i.put(w);)*
             }
             #[inline(always)]
-            fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-                Ok(($($T::get(b, depth)?,)*))
+            fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+                Ok(($($T::get(r, depth)?,)*))
             }
             fn logical(&self) -> u64 {
                 0 $(+ self.$i.logical())*
@@ -638,12 +713,12 @@ macro_rules! wire_struct {
             fn size(&self) -> u64 {
                 0 $(+ self.$f.size())*
             }
-            fn put(&self, b: &mut BytesMut) {
-                $(self.$f.put(b);)*
+            fn put(&self, w: &mut Writer<'_>) {
+                $(self.$f.put(w);)*
             }
             #[inline(always)]
-            fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-                Ok($S { $($f: Wire::get(b, depth)?),* })
+            fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+                Ok($S { $($f: Wire::get(r, depth)?),* })
             }
             fn logical(&self) -> u64 {
                 0 $(+ self.$f.logical())*
@@ -668,32 +743,32 @@ impl Wire for WireBuf {
                 WireBuf::Logical(_) => 0,
             }
     }
-    fn put(&self, b: &mut BytesMut) {
+    fn put(&self, w: &mut Writer<'_>) {
         match self {
             WireBuf::Bytes(raw) => {
-                b.put_u8(0);
-                b.put_u64_le(raw.len() as u64);
-                b.put_slice(raw);
+                0u8.put(w);
+                (raw.len() as u64).put(w);
+                w.put_slice(raw);
             }
             WireBuf::Logical(n) => {
-                b.put_u8(1);
-                b.put_u64_le(*n);
+                1u8.put(w);
+                n.put(w);
             }
         }
     }
-    fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-        match u8::get(b, depth)? {
+    fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+        match u8::get(r, depth)? {
             0 => {
-                let n = u64::get(b, depth)?;
+                let n = u64::get(r, depth)?;
                 // Compare in u64 before narrowing: on 32-bit targets a huge
                 // length must fail the check, not wrap in the `as usize` cast.
-                if (b.remaining() as u64) < n {
+                if (r.remaining() as u64) < n {
                     return Err(WireError("truncated payload".into()));
                 }
-                // Zero-copy: the payload is a refcounted subslice of the frame.
-                Ok(WireBuf::Bytes(b.split_to(n as usize)))
+                // Zero-copy: the payload is a refcounted view of the frame.
+                Ok(WireBuf::Bytes(r.view(n as usize)))
             }
-            1 => Ok(WireBuf::Logical(u64::get(b, depth)?)),
+            1 => Ok(WireBuf::Logical(u64::get(r, depth)?)),
             t => Err(WireError(format!("bad WireBuf tag {t}"))),
         }
     }
@@ -823,20 +898,20 @@ macro_rules! wire_enum {
                     })*
                 }
             }
-            fn put(&self, b: &mut BytesMut) {
+            fn put(&self, w: &mut Writer<'_>) {
                 match self {
                     $($E::$V $({ $($f),* })? $(($x))? => {
-                        b.put_u8($tag);
-                        $($($f.put(b);)*)?
-                        $($x.put(b);)?
+                        w.put([$tag]);
+                        $($($f.put(w);)*)?
+                        $($x.put(w);)?
                     })*
                 }
             }
-            fn get(b: &mut Bytes, depth: u32) -> WireResult<Self> {
-                Ok(match u8::get(b, depth)? {
+            fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self> {
+                Ok(match u8::get(r, depth)? {
                     $($tag => $E::$V
-                        $({ $($f: <$T>::get(b, depth)?),* })?
-                        $((<$U>::get(b, depth)?))?,)*
+                        $({ $($f: <$T>::get(r, depth)?),* })?
+                        $((<$U>::get(r, depth)?))?,)*
                     t => return Err(WireError(format!(concat!("bad ", $what, " tag {}"), t))),
                 })
             }
@@ -863,12 +938,22 @@ macro_rules! wire_enum {
                 self.encode_sized(None).0
             }
 
-            /// Deserialize from a frame. Payloads ([`WireBuf::Bytes`]) are
-            /// zero-copy refcounted subslices of `frame`; nested
-            /// [`Request::Batch`] frames deeper than [`MAX_BATCH_DEPTH`] are
-            /// rejected with a [`WireError`].
+            /// Deserialize from the front of a frame and advance the frame
+            /// past the bytes read, on an error up to where decoding
+            /// stopped. Payloads ([`WireBuf::Bytes`]) are zero-copy
+            /// refcounted views of `frame`; nested [`Request::Batch`]
+            /// frames deeper than [`MAX_BATCH_DEPTH`] are rejected with a
+            /// [`WireError`].
             pub fn decode(frame: &mut Bytes) -> WireResult<$E> {
-                $E::get(frame, 0)
+                let (out, used) = decode_front(frame);
+                frame.advance(used);
+                out
+            }
+
+            /// [`Self::decode`] without advancing `frame`: for a receiver
+            /// that reads a frame once and keeps it whole.
+            pub(crate) fn decode_view(frame: &Bytes) -> WireResult<$E> {
+                decode_front(frame).0
             }
 
             /// Bytes on the wire, counting logical payloads at their full
@@ -884,10 +969,10 @@ macro_rules! wire_enum {
             pub fn encode_sized(&self, spare: Option<Bytes>) -> (Bytes, u64) {
                 let len = self.size();
                 let mut b = frame_buf(spare, len as usize);
-                self.put(&mut b);
-                debug_assert_eq!(b.len() as u64, len, "encoded_len drift");
-                let size = len + self.logical();
-                (b.freeze(), size)
+                let mut w = Writer(&mut b);
+                self.put(&mut w);
+                assert!(w.0.is_empty(), "encoded_len drift");
+                (b.freeze(), len + self.logical())
             }
         }
     };
@@ -968,7 +1053,7 @@ mod tests {
         let mut frame = r.encode();
         let back = Request::decode(&mut frame).expect("decode");
         assert_eq!(&back, r);
-        assert_eq!(frame.remaining(), 0, "frame fully consumed");
+        assert!(frame.is_empty(), "frame fully consumed");
     }
 
     fn roundtrip_resp(r: &Response) {
@@ -1507,6 +1592,13 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "encoded_len drift")]
+    fn encoding_past_the_sized_frame_panics() {
+        let mut short = [0u8; 8];
+        Request::Malloc { bytes: 1 }.put(&mut Writer(&mut short));
     }
 
     #[test]
