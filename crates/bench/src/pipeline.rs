@@ -23,8 +23,7 @@ use dgsf::serverless::{DagResult, DagWorkload, HandoffMode, ObjectStore};
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
 use dgsf::sim::stats::percentile_permille;
-use dgsf::sim::SimTime;
-use parking_lot::Mutex;
+use dgsf::sim::{SimCell, SimTime};
 
 use crate::report::TextTable;
 
@@ -91,20 +90,19 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
     let mut sim = Sim::new(seed);
     sim.telemetry().enable();
     let h = sim.handle();
-    let results: Arc<Mutex<Vec<(usize, DagResult)>>> = Arc::new(Mutex::new(Vec::new()));
-    let events: Arc<Mutex<Vec<ResidentEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let (r2, e2) = (Arc::clone(&results), Arc::clone(&events));
+    let results: Arc<SimCell<Vec<(usize, DagResult)>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let server_out: Arc<SimCell<Option<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, None));
+    let (r2, s2) = (Arc::clone(&results), Arc::clone(&server_out));
     let h2 = h.clone();
     sim.spawn("pipeline-root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
         let server = GpuServer::provision(p, &h2, cfg);
+        *s2.borrow_in(p) = Some(Arc::clone(&server));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
         for i in 0..n {
             let server = Arc::clone(&server);
             let store = Arc::clone(&store);
             let results = Arc::clone(&r2);
-            let done = Arc::clone(&done);
             let tenant = if i % 2 == 0 { "acme" } else { "globex" };
             let dag = DagWorkload::pipeline3(
                 "vision",
@@ -119,26 +117,29 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
             h2.spawn_at(&format!("dag-{i}"), at, move |p| {
                 let inv = Invoker::new(&server, &store);
                 let r = inv.invoke_dag(p, &dag, InvokeOptions::new(OptConfig::full()), 3);
-                results.lock().push((i, r));
-                *done.lock() += 1;
+                results.borrow_in(p).push((i, r));
             });
         }
-        let e3 = e2;
-        h2.spawn("collector", move |p| {
-            while *done.lock() < n {
-                p.sleep(Dur::from_millis(500));
-            }
-            p.sleep(Dur::from_secs(1));
-            // Fault-free arms must satisfy the handoff and memory oracles
-            // outright before their numbers are worth reporting.
-            dgsf::check_resident_handoff(&server).assert_ok();
-            dgsf::check_memory_balance(&server, true).assert_ok();
-            *e3.lock() = server.resident_events();
-        });
     });
     sim.run();
 
-    let mut runs = results.lock().clone();
+    let mut runs = std::mem::take(&mut *results.lock());
+    assert_eq!(
+        runs.len(),
+        n,
+        "only {} of {n} DAGs returned; still blocked: {:?}",
+        runs.len(),
+        sim.blocked_processes()
+    );
+    let server = server_out
+        .lock()
+        .take()
+        .expect("the root provisioned the server");
+    // Fault-free arms must satisfy the handoff and memory oracles outright
+    // before their numbers are worth reporting.
+    dgsf::check_resident_handoff(&server).assert_ok();
+    dgsf::check_memory_balance(&server, true).assert_ok();
+    let events = server.resident_events();
     runs.sort_by_key(|(i, _)| *i);
     let runs: Vec<DagResult> = runs.into_iter().map(|(_, r)| r).collect();
     let completed: Vec<&DagResult> = runs.iter().filter(|r| r.succeeded()).collect();
@@ -159,8 +160,7 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
             first.is_some() && r.stages.iter().all(|s| s.server == first)
         })
         .count() as u64;
-    let count_ev =
-        |f: fn(&ResidentEvent) -> bool| events.lock().iter().filter(|e| f(e)).count() as u64;
+    let count_ev = |f: fn(&ResidentEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
     PipelineArm {
         mode: mode.as_str(),
         launched: runs.len() as u64,

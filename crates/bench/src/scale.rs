@@ -23,8 +23,7 @@ use dgsf::remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
 use dgsf::sim::stats::percentile_permille;
-use dgsf::sim::{rng, Dur, Sim, SimTime};
-use parking_lot::Mutex;
+use dgsf::sim::{rng, Dur, Sim, SimCell, SimTime};
 
 use crate::report::TextTable;
 
@@ -141,8 +140,10 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
 
     // Completed invocations: (latency_ns, tenant). Completion order is
     // deterministic, so the vector is too.
-    let done: Arc<Mutex<Vec<(u64, u32)>>> =
-        Arc::new(Mutex::new(Vec::with_capacity(cfg.invocations as usize)));
+    let done: Arc<SimCell<Vec<(u64, u32)>>> = Arc::new(SimCell::new(
+        &h,
+        Vec::with_capacity(cfg.invocations as usize),
+    ));
 
     let (inv_tx, inv_rx) = h.channel::<Invocation>();
 
@@ -184,7 +185,7 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
                 };
                 let resp = client.call(p, &req).expect("scale servers never fail");
                 assert_eq!(resp, Response::Ok);
-                done.lock()
+                done.borrow_in(p)
                     .push((p.now().since(inv.arrival).as_nanos(), inv.tenant));
             }
         });
@@ -237,9 +238,7 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
         events,
     });
 
-    let done = Arc::try_unwrap(done)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|d| d.lock().clone());
+    let done = std::mem::take(&mut *done.lock());
     let completed = done.len() as u64;
     let hot = done.iter().filter(|(_, t)| *t == 0).count() as u64;
     let mut lat_us: Vec<u64> = done.iter().map(|(ns, _)| ns / 1_000).collect();

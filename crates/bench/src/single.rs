@@ -6,10 +6,9 @@ use std::sync::Arc;
 use dgsf::prelude::*;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{phase, InvokeOptions, Invoker, ObjectStore};
-use dgsf::sim::Sim;
+use dgsf::sim::{Sim, SimCell};
 use dgsf::workloads::{paper_suite, SyntheticMigration, TraceSpec};
 use dgsf::{gpu, remoting};
-use parking_lot::Mutex;
 
 use crate::report::{secs, secs2, TextTable};
 
@@ -73,12 +72,13 @@ pub fn table2() -> Vec<Table2Row> {
 pub fn migration_probe(w: &Arc<TraceSpec>) -> f64 {
     let mut sim = Sim::new(11);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(SimCell::new(&h, None));
     let o = Arc::clone(&out);
     let w = Arc::clone(w);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h2, GpuServerConfig::paper_default().gpus(2));
+        *o.lock() = Some(Arc::clone(&server));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         let server2 = Arc::clone(&server);
         let w2 = Arc::clone(&w);
@@ -101,22 +101,14 @@ pub fn migration_probe(w: &Arc<TraceSpec>) -> f64 {
                 server.force_migration(srv, gpu::GpuId(1));
             }
         }
-        // Wait for it to land, then read the report.
-        loop {
-            p.sleep(Dur::from_millis(500));
-            let migs = server.migrations();
-            if let Some(m) = migs.first() {
-                *o.lock() = m.report.data_copy.as_secs_f64();
-                break;
-            }
-            if server.records().first().map(|r| r.done_at.is_some()) == Some(true) {
-                break; // function finished before the boundary hit
-            }
-        }
     });
     sim.run();
-    let v = *out.lock();
-    v
+    // No migration when the function finished before the boundary hit.
+    let server = out.lock().take().expect("the root provisioned the server");
+    let migrations = server.migrations();
+    migrations
+        .first()
+        .map_or(0.0, |m| m.report.data_copy.as_secs_f64())
 }
 
 /// Render Table II in the paper's layout.
@@ -335,7 +327,7 @@ pub fn table5() -> Vec<Table5Row> {
 fn synthetic_with_forced_migration(w: &Arc<SyntheticMigration>) -> (f64, f64) {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let out = Arc::new(SimCell::new(&h, (0.0f64, 0.0f64)));
     let o = Arc::clone(&out);
     let w = Arc::clone(w);
     let h2 = h.clone();
@@ -431,12 +423,13 @@ pub fn migration_vs_restart() -> Vec<RestartRow> {
 fn migration_probe_total(w: &Arc<TraceSpec>) -> f64 {
     let mut sim = Sim::new(13);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(SimCell::new(&h, None));
     let o = Arc::clone(&out);
     let w = Arc::clone(w);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h2, GpuServerConfig::paper_default().gpus(2));
+        *o.lock() = Some(Arc::clone(&server));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         let server2 = Arc::clone(&server);
         let w2 = Arc::clone(&w);
@@ -455,20 +448,13 @@ fn migration_probe_total(w: &Arc<TraceSpec>) -> f64 {
                 server.force_migration(srv, gpu::GpuId(1));
             }
         }
-        loop {
-            p.sleep(Dur::from_millis(500));
-            if let Some(m) = server.migrations().first() {
-                *o.lock() = m.report.total.as_secs_f64();
-                break;
-            }
-            if server.records().first().map(|r| r.done_at.is_some()) == Some(true) {
-                break;
-            }
-        }
     });
     sim.run();
-    let v = *out.lock();
-    v
+    let server = out.lock().take().expect("the root provisioned the server");
+    let migrations = server.migrations();
+    migrations
+        .first()
+        .map_or(0.0, |m| m.report.total.as_secs_f64())
 }
 
 /// Render the migration-vs-restart analysis.

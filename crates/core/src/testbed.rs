@@ -16,8 +16,7 @@ use dgsf_server::{GpuServer, InvocationRecord, MigrationRecord};
 use dgsf_serverless::{
     invoke_cpu, invoke_native, Backend, FunctionResult, ObjectStore, Schedule, Workload,
 };
-use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimTime, Telemetry, Timeline};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimCell, SimTime, Telemetry, Timeline};
 
 use crate::PlatformConfig;
 
@@ -175,11 +174,11 @@ impl Testbed {
         let store = Arc::new(ObjectStore::new(
             dgsf_remoting::NetProfile::datacenter().s3_bw,
         ));
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&sim.handle(), None));
         let o = Arc::clone(&out);
         sim.spawn("cpu-root", move |p| {
             let r = invoke_cpu(p, &store, w.as_ref());
-            *o.lock() = Some(r);
+            *o.borrow_in(p) = Some(r);
         });
         sim.run();
         let r = out.lock().take().expect("ran");
@@ -203,22 +202,16 @@ fn run_platform(
         telemetry.enable();
     }
     let h = sim.handle();
-    type FleetSnapshot = (
-        Vec<Vec<InvocationRecord>>,
-        Vec<Vec<MigrationRecord>>,
-        Vec<usize>,
-        Vec<Arc<GpuServer>>,
-    );
-    let results = Arc::new(Mutex::new(Vec::new()));
-    let out: Arc<Mutex<Option<FleetSnapshot>>> = Arc::new(Mutex::new(None));
+    let results = Arc::new(SimCell::new(&h, Vec::new()));
+    let fleet_out: Arc<SimCell<Vec<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, Vec::new()));
     let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
     let cfg2 = cfg.clone();
     let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
     let schedule = schedule.clone();
     let n_functions = schedule.len();
     let results2 = Arc::clone(&results);
-    let out2 = Arc::clone(&out);
-    let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(o)));
+    let fleet_out2 = Arc::clone(&fleet_out);
+    let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(&h, o)));
     let plane2 = plane.clone();
     let h2 = h.clone();
     sim.spawn("platform-root", move |p| {
@@ -228,7 +221,7 @@ fn run_platform(
                 GpuServer::provision_observed(p, &h2, cfg2.server.clone(), obs)
             })
             .collect();
-        let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
+        let mut backend = Backend::new(&h2, fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
         if let Some(adm) = cfg2.admission.clone() {
             backend = backend.with_admission(adm);
         }
@@ -239,44 +232,36 @@ fn run_platform(
             backend = backend.with_obs(pl);
         }
         let backend = Arc::new(backend);
-        let done_count = Arc::new(Mutex::new(0usize));
         for (at, widx) in schedule.entries.iter().copied() {
             let w = Arc::clone(&suite[widx]);
             let backend = Arc::clone(&backend);
             let store = Arc::clone(&store);
             let results = Arc::clone(&results2);
-            let done_count = Arc::clone(&done_count);
             let opts = cfg2.opts;
             h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
                 let r = backend.invoke(p, &store, w.as_ref(), opts);
-                results.lock().push(r);
-                *done_count.lock() += 1;
+                results.borrow_in(p).push(r);
             });
         }
-        // Collector: snapshot the fleet's logs once everything finished,
-        // and hand the fleet out so its timelines can be moved out after
-        // the run.
-        let out3 = Arc::clone(&out2);
-        h2.spawn("collector", move |p| {
-            loop {
-                p.sleep(Dur::from_millis(500));
-                if *done_count.lock() >= n_functions {
-                    break;
-                }
-            }
-            let records = fleet.iter().map(|s| s.records()).collect();
-            let migrations = fleet.iter().map(|s| s.migrations()).collect();
-            let pools = fleet.iter().map(|s| s.pool_size()).collect();
-            *out3.lock() = Some((records, migrations, pools, fleet));
-        });
+        // The fleet's logs are read once the run is over, not when the last
+        // function returns: a server marks an invocation's record terminal
+        // only after the client already has its reply.
+        *fleet_out2.borrow_in(p) = fleet;
     });
     sim.run();
-    let mut results = Arc::try_unwrap(results)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
+    let mut results = std::mem::take(&mut *results.lock());
+    assert_eq!(
+        results.len(),
+        n_functions,
+        "only {} of {n_functions} scheduled functions returned; still blocked: {:?}",
+        results.len(),
+        sim.blocked_processes()
+    );
     results.sort_by_key(|r| r.finished_at);
-    let (records, migrations, pool_sizes, fleet) =
-        out.lock().take().expect("collector observed completion");
+    let fleet = std::mem::take(&mut *fleet_out.lock());
+    let records = fleet.iter().map(|s| s.records()).collect();
+    let migrations = fleet.iter().map(|s| s.migrations()).collect();
+    let pool_sizes = fleet.iter().map(|s| s.pool_size()).collect();
     let gpu_timelines = fleet
         .iter()
         .flat_map(|s| s.gpus.iter().map(|g| g.take_compute_timeline()))
@@ -337,14 +322,37 @@ fn run_native(
         dgsf_remoting::NetProfile::datacenter().s3_bw,
     ));
     let costs = Arc::new(costs.clone());
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(SimCell::new(&h, None));
     let o = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("native-root", move |p| {
         let r = invoke_native(p, &h2, &store, w.as_ref(), costs);
-        *o.lock() = Some(r);
+        *o.borrow_in(p) = Some(r);
     });
     sim.run();
     let r = out.lock().take().expect("ran");
     (r, telemetry)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dgsf_server::GpuServerConfig;
+
+    #[test]
+    fn an_empty_schedule_returns_empty_logs_and_the_provisioned_pools() {
+        let server = GpuServerConfig::paper_default().gpus(2).sharing(2);
+        let cfg = PlatformConfig::paper_default()
+            .with_server(server.clone())
+            .with_num_servers(3);
+        let out = Testbed::run_platform_schedule(&cfg, &[], &Schedule { entries: vec![] });
+        assert!(out.results.is_empty());
+        assert_eq!(out.records.len(), 3);
+        assert!(out.records.iter().all(Vec::is_empty));
+        assert_eq!(out.migrations.len(), 3);
+        assert!(out.migrations.iter().all(Vec::is_empty));
+        assert_eq!(out.pool_sizes, vec![server.total_api_servers() as usize; 3]);
+        assert_eq!(out.gpu_timelines.len(), 6);
+        assert_eq!(out.provider_e2e(), Dur::ZERO);
+    }
 }

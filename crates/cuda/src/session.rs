@@ -877,8 +877,7 @@ fn copy_makespan(sizes: &[u64], channels: u32, bw: f64) -> f64 {
 mod tests {
     use super::*;
     use dgsf_gpu::{Gpu, GpuId, MB};
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
 
     use crate::module::{KernelCost, KernelDef};
 
@@ -1222,7 +1221,7 @@ mod tests {
                 let mut sim = Sim::new(1);
                 let h = sim.handle();
                 let gpu = Gpu::v100(&h, GpuId(0));
-                let elapsed = Arc::new(Mutex::new(0u64));
+                let elapsed = Arc::new(SimCell::new(&h, 0u64));
                 let e = elapsed.clone();
                 sim.spawn("app", move |proc| {
                     let c = CostTable {

@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use dgsf_cuda::{CostTable, CudaContext, DevPtr, GpuSession, HostBuf};
 use dgsf_gpu::{Gpu, GpuId, MB};
-use dgsf_sim::Sim;
-use parking_lot::Mutex;
+use dgsf_sim::{Sim, SimCell};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -49,7 +48,7 @@ proptest! {
     fn session_survives_random_op_sequences(ops in proptest::collection::vec(sess_op(), 1..25)) {
         let mut sim = Sim::new(7);
         let h = sim.handle();
-        let failed = Arc::new(Mutex::new(None::<String>));
+        let failed = Arc::new(SimCell::new(&h, None::<String>));
         let f2 = failed.clone();
         sim.spawn("fuzz", move |p| {
             let costs = Arc::new(CostTable::default());
@@ -137,7 +136,7 @@ proptest! {
     fn migration_moves_exactly_the_live_bytes(mbs in proptest::collection::vec(1u64..64, 1..6)) {
         let mut sim = Sim::new(9);
         let h = sim.handle();
-        let ok = Arc::new(Mutex::new(false));
+        let ok = Arc::new(SimCell::new(&h, false));
         let ok2 = ok.clone();
         sim.spawn("m", move |p| {
             let costs = Arc::new(CostTable::default());

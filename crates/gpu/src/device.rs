@@ -444,8 +444,7 @@ pub fn plan_chunks(bytes: u64, chunk: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
 
     fn mk() -> (Sim, Arc<Gpu>) {
         let sim = Sim::new(1);
@@ -496,7 +495,7 @@ mod tests {
     fn compute_engine_shares_between_kernels() {
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Arc::new(Mutex::new(Vec::new()));
+        let done = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..2 {
             let gpu = gpu.clone();
             let done = done.clone();
@@ -515,7 +514,7 @@ mod tests {
     fn dma_respects_bandwidth() {
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Arc::new(Mutex::new(0.0f64));
+        let done = Arc::new(SimCell::new(&sim.handle(), 0.0f64));
         let d = done.clone();
         let g = gpu.clone();
         sim.spawn("copy", move |ctx| {
@@ -550,7 +549,7 @@ mod tests {
     fn pipelined_dma_zero_bytes_completes_instantly() {
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Arc::new(Mutex::new(None));
+        let done = Arc::new(SimCell::new(&sim.handle(), None));
         let d = done.clone();
         sim.spawn("copy", move |ctx| {
             let rx = gpu.dma_pipelined(ctx, 0, 4 * MB, 2);
@@ -568,7 +567,7 @@ mod tests {
         // shares the link.
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let t_first = Arc::new(Mutex::new(0.0f64));
+        let t_first = Arc::new(SimCell::new(&sim.handle(), 0.0f64));
         let t = t_first.clone();
         sim.spawn("copies", move |ctx| {
             let a = gpu.dma_pipelined(ctx, 10_000_000_000, 4 * MB, 1); // 1 s at 10 GB/s

@@ -15,8 +15,7 @@
 
 use std::sync::Arc;
 
-use dgsf_sim::{Dur, SimTime};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, SimCell, SimHandle, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -193,23 +192,26 @@ struct FaultRt {
 /// Runtime fault state attached to one [`crate::NetLink`].
 pub struct LinkFaults {
     plan: FaultPlan,
-    rt: Mutex<FaultRt>,
+    rt: SimCell<FaultRt>,
 }
 
 impl LinkFaults {
-    /// Compile a plan into runtime state.
-    pub fn new(plan: &FaultPlan) -> Arc<LinkFaults> {
+    /// Compile a plan into runtime state of the simulation `h` belongs to.
+    pub fn new(h: &SimHandle, plan: &FaultPlan) -> Arc<LinkFaults> {
         Arc::new(LinkFaults {
-            rt: Mutex::new(FaultRt {
-                rng: StdRng::seed_from_u64(plan.seed ^ 0x9e37_79b9_7f4a_7c15),
-                msg_index: 0,
-                // A distinct stream: migration-fate draws must not advance
-                // the ordinary link-fault RNG, or adding migration chaos to
-                // an existing plan would reshuffle every message fate.
-                mig_rng: StdRng::seed_from_u64(plan.seed ^ 0x2545_f491_4f6c_dd1d),
-                mig_index: 0,
-                stats: FaultStats::default(),
-            }),
+            rt: SimCell::new(
+                h,
+                FaultRt {
+                    rng: StdRng::seed_from_u64(plan.seed ^ 0x9e37_79b9_7f4a_7c15),
+                    msg_index: 0,
+                    // A distinct stream: migration-fate draws must not advance
+                    // the ordinary link-fault RNG, or adding migration chaos to
+                    // an existing plan would reshuffle every message fate.
+                    mig_rng: StdRng::seed_from_u64(plan.seed ^ 0x2545_f491_4f6c_dd1d),
+                    mig_index: 0,
+                    stats: FaultStats::default(),
+                },
+            ),
             plan: plan.clone(),
         })
     }
@@ -323,8 +325,12 @@ impl LinkFaults {
 mod tests {
     use super::*;
 
+    fn link_faults(plan: &FaultPlan) -> Arc<LinkFaults> {
+        LinkFaults::new(&dgsf_sim::Sim::new(0).handle(), plan)
+    }
+
     fn fates(plan: &FaultPlan, n: u64) -> Vec<MsgFate> {
-        let lf = LinkFaults::new(plan);
+        let lf = link_faults(plan);
         (0..n)
             .map(|i| lf.fate(SimTime::ZERO + Dur::from_millis(i), 1))
             .collect()
@@ -381,7 +387,7 @@ mod tests {
     #[test]
     fn indexed_drop_covers_aggregates() {
         // Messages 0..10 cross as one repeat=10 aggregate; index 7 is inside.
-        let lf = LinkFaults::new(&FaultPlan::new(0).drop_message(7));
+        let lf = link_faults(&FaultPlan::new(0).drop_message(7));
         assert_eq!(lf.fate(SimTime::ZERO, 10), MsgFate::Drop);
         assert!(matches!(
             lf.fate(SimTime::ZERO, 10),
@@ -394,7 +400,7 @@ mod tests {
     #[test]
     fn blackhole_drops_only_inside_the_window() {
         let t = |s: u64| SimTime::ZERO + Dur::from_secs(s);
-        let lf = LinkFaults::new(&FaultPlan::new(0).blackhole(t(2), t(4)));
+        let lf = link_faults(&FaultPlan::new(0).blackhole(t(2), t(4)));
         assert!(matches!(lf.fate(t(1), 1), MsgFate::Deliver { .. }));
         assert_eq!(lf.fate(t(2), 1), MsgFate::Drop);
         assert_eq!(lf.fate(t(3), 1), MsgFate::Drop);
@@ -415,8 +421,8 @@ mod tests {
         assert!(!base.has_migration_faults());
         assert!(chaotic.has_migration_faults());
 
-        let plain = LinkFaults::new(&base);
-        let mixed = LinkFaults::new(&chaotic);
+        let plain = link_faults(&base);
+        let mixed = link_faults(&chaotic);
         let mut a = Vec::new();
         let mut b = Vec::new();
         for i in 0..200u64 {
@@ -439,7 +445,7 @@ mod tests {
             .migration_drop_probability(0.4)
             .migration_delay_probability(0.4, Dur::from_millis(8));
         let run = || {
-            let lf = LinkFaults::new(&plan);
+            let lf = link_faults(&plan);
             (0..100u64)
                 .map(|i| lf.migration_fate(SimTime::ZERO + Dur::from_millis(i)))
                 .collect::<Vec<_>>()
@@ -449,7 +455,7 @@ mod tests {
 
     #[test]
     fn indexed_migration_drop_hits_exactly_that_transfer() {
-        let lf = LinkFaults::new(&FaultPlan::new(0).drop_migration(2));
+        let lf = link_faults(&FaultPlan::new(0).drop_migration(2));
         for i in 0..5u64 {
             let fate = lf.migration_fate(SimTime::ZERO + Dur::from_millis(i));
             if i == 2 {
@@ -472,7 +478,7 @@ mod tests {
         let plan = FaultPlan::new(0).kill_on_migration(3, 1);
         assert!(plan.has_migration_faults());
         assert!(!plan.has_link_faults());
-        let lf = LinkFaults::new(&plan);
+        let lf = link_faults(&plan);
         assert!(!lf.migration_kill_due(3, 0));
         assert!(lf.migration_kill_due(3, 1));
         assert!(!lf.migration_kill_due(2, 1));

@@ -214,8 +214,7 @@ impl NetLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
 
     #[test]
     fn latency_plus_bandwidth() {
@@ -229,7 +228,7 @@ mod tests {
                 s3_bw: 1e6,
             },
         );
-        let t = Arc::new(Mutex::new(0.0));
+        let t = Arc::new(SimCell::new(&sim.handle(), 0.0));
         let t2 = t.clone();
         sim.spawn("xfer", move |p| {
             link.transfer(p, Direction::ToServer, 1_000_000, 1);
@@ -255,7 +254,7 @@ mod tests {
                 s3_bw: 1e12,
             },
         );
-        let t = Arc::new(Mutex::new(0.0));
+        let t = Arc::new(SimCell::new(&sim.handle(), 0.0));
         let t2 = t.clone();
         sim.spawn("xfer", move |p| {
             link.transfer(p, Direction::ToServer, 64, 1000);
@@ -278,7 +277,7 @@ mod tests {
                 s3_bw: 1e6,
             },
         );
-        let done = Arc::new(Mutex::new(Vec::new()));
+        let done = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..2 {
             let link = link.clone();
             let done = done.clone();
@@ -313,7 +312,7 @@ mod tests {
                     s3_bw: 1e18,
                 },
             );
-            let t = Arc::new(Mutex::new(0.0));
+            let t = Arc::new(SimCell::new(&sim.handle(), 0.0));
             let t2 = t.clone();
             sim.spawn("xfer", move |p| {
                 link.transfer(p, Direction::ToServer, 64, n);
@@ -333,7 +332,7 @@ mod tests {
     fn faulted_link_drops_but_still_charges_the_send() {
         use crate::faults::{FaultPlan, LinkFaults};
         let mut sim = Sim::new(1);
-        let faults = LinkFaults::new(&FaultPlan::new(0).drop_message(0));
+        let faults = LinkFaults::new(&sim.handle(), &FaultPlan::new(0).drop_message(0));
         let link = NetLink::with_faults(
             &sim.handle(),
             NetProfile {
@@ -344,7 +343,7 @@ mod tests {
             },
             Some(faults.clone()),
         );
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&sim.handle(), None));
         let o = out.clone();
         sim.spawn("xfer", move |p| {
             let first = link.transfer(p, Direction::ToServer, 1_000_000, 1);

@@ -22,8 +22,7 @@ use std::sync::Arc;
 
 use dgsf_remoting::wire::{Request, Response};
 use dgsf_remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
-use dgsf_sim::{Dur, Sim};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, Sim, SimCell};
 
 thread_local! {
     // Const-initialised and destructor-free, so bumping it from inside the
@@ -98,7 +97,7 @@ fn steady_state_round_trip_allocation_is_bounded() {
             inbox.respond(p, &srv_link, &env, &Response::Ok);
         }
     });
-    let measured = Arc::new(Mutex::new((0u64, 0u64)));
+    let measured = Arc::new(SimCell::new(&h, (0u64, 0u64)));
     let m = measured.clone();
     sim.spawn("client", move |p| {
         for _ in 0..WARMUP {

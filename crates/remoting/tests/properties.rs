@@ -10,8 +10,7 @@ use dgsf_cuda::{
 };
 use dgsf_gpu::{Gpu, GpuId, MB};
 use dgsf_remoting::{Dispatcher, NetLink, NetProfile, OptConfig, RemoteCuda, RpcClient, RpcInbox};
-use dgsf_sim::Sim;
-use parking_lot::Mutex;
+use dgsf_sim::{Sim, SimCell};
 use proptest::prelude::*;
 
 fn registry() -> Arc<ModuleRegistry> {
@@ -33,7 +32,7 @@ fn registry() -> Arc<ModuleRegistry> {
 fn run_native(data: &[f32], steps: &[(f32, f32)]) -> Vec<f32> {
     let mut sim = Sim::new(1);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(SimCell::new(&h, None));
     let o = out.clone();
     let data = data.to_vec();
     let steps = steps.to_vec();
@@ -67,7 +66,7 @@ fn run_remote(data: &[f32], steps: &[(f32, f32)], opts: OptConfig) -> Vec<f32> {
             inbox.respond(p, &link, &env, &resp);
         }
     });
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(SimCell::new(&h, None));
     let o = out.clone();
     let data = data.to_vec();
     let steps = steps.to_vec();

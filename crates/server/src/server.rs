@@ -172,7 +172,7 @@ impl GpuServer {
             .faults
             .as_ref()
             .filter(|plan| plan.has_link_faults() || plan.has_migration_faults())
-            .map(LinkFaults::new);
+            .map(|plan| LinkFaults::new(h, plan));
         let link = NetLink::with_faults(h, cfg.net.clone(), faults.clone());
         let (monitor_tx, monitor_rx) = h.channel::<MonitorMsg>();
         let records = Arc::new(SimCell::new(h, RecordBook::default()));

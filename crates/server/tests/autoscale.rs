@@ -9,8 +9,7 @@ use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf_gpu::GB;
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::{AutoscaleConfig, GpuServer, GpuServerConfig};
-use dgsf_sim::{Dur, ProcCtx, Sim, SimTime};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, ProcCtx, Sim, SimCell, SimTime};
 
 fn registry() -> Arc<ModuleRegistry> {
     Arc::new(ModuleRegistry::new().with(KernelDef::timed("work")))
@@ -42,7 +41,7 @@ fn pool_grows_under_load_and_shrinks_back_to_the_floor() {
     let telemetry = sim.telemetry();
     telemetry.enable();
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(SimCell::new(&h, None));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -106,7 +105,7 @@ fn light_load_never_scales() {
     let telemetry = sim.telemetry();
     telemetry.enable();
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(SimCell::new(&h, None));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {

@@ -7,8 +7,7 @@ use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf_gpu::{GpuId, GB};
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::{GpuServer, GpuServerConfig, PlacementPolicy};
-use dgsf_sim::{Dur, ProcCtx, Sim, SimHandle};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, ProcCtx, Sim, SimCell, SimHandle};
 
 fn registry() -> Arc<ModuleRegistry> {
     Arc::new(ModuleRegistry::new().with(KernelDef::timed("work")))
@@ -19,7 +18,7 @@ fn registry() -> Arc<ModuleRegistry> {
 fn placements(policy: PlacementPolicy, mems: Vec<u64>, secs: f64) -> Vec<GpuId> {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o = out.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -112,7 +111,7 @@ fn small_functions_fill_in_around_large_ones() {
 fn utilization_accounting_sees_the_work() {
     let mut sim = Sim::new(6);
     let h: SimHandle = sim.handle();
-    let util = Arc::new(Mutex::new(0.0f64));
+    let util = Arc::new(SimCell::new(&h, 0.0f64));
     let u = util.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(1));

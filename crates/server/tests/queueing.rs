@@ -15,8 +15,7 @@ use dgsf_gpu::GB;
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::fairqueue::VTIME_SCALE;
 use dgsf_server::{AcquireError, GpuServer, GpuServerConfig, MqfqConfig, MqfqQueues, QueuePolicy};
-use dgsf_sim::{Dur, ProcCtx, Sim, SimTime, TraceCtx};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, ProcCtx, Sim, SimCell, SimTime, TraceCtx};
 use proptest::prelude::*;
 
 fn registry() -> Arc<ModuleRegistry> {
@@ -46,7 +45,7 @@ fn hold_gpu(p: &ProcCtx, srv: &GpuServer, name: &str, mem: u64, secs: f64) {
 fn serve_order(policy: QueuePolicy) -> Vec<String> {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -106,7 +105,7 @@ fn smallest_first_serves_by_footprint() {
 fn smallest_first_breaks_ties_by_arrival() {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -142,7 +141,7 @@ fn smallest_first_breaks_ties_by_arrival() {
 fn queue_timeout_abandons_the_request_and_records_the_failure() {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(SimCell::new(&h, None));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -193,7 +192,7 @@ fn queue_timeout_abandons_the_request_and_records_the_failure() {
 fn cancelled_unplaceable_head_cannot_stall(policy: QueuePolicy) {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -260,7 +259,7 @@ fn abandoned_request_never_occupies_a_server() {
     // arrival, not to the cancelled request.
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -450,7 +449,7 @@ fn hold_gpu_as(p: &ProcCtx, srv: &GpuServer, tenant: &str, id: u64, name: &str, 
 fn tenant_serve_order(fair: bool) -> Vec<String> {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -510,7 +509,7 @@ fn mqfq_alternates_equal_weight_tenants_where_fcfs_drains_in_arrival_order() {
 fn mqfq_records_tenants_on_invocation_records() {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {

@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome, ShedPolicy};
-use dgsf_sim::{ArgValue, Dur, ObsPlane, ProcCtx, SimTime, TraceCtx};
-use parking_lot::Mutex;
+use dgsf_sim::{ArgValue, Dur, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx};
 
 use crate::cluster::ClusterBalancer;
 use crate::invoke::{
@@ -170,7 +169,7 @@ struct AdmissionState {
 
 /// RAII release of an admission slot.
 struct AdmissionSlot<'a> {
-    state: &'a Mutex<AdmissionState>,
+    state: &'a SimCell<AdmissionState>,
     name: String,
     /// Tenant charged by the fair shedder, when fairness is on.
     tenant: Option<String>,
@@ -199,17 +198,20 @@ pub struct Backend {
     balancer: ClusterBalancer,
     retry: RetryPolicy,
     admission: Option<AdmissionConfig>,
-    admitted: Mutex<AdmissionState>,
+    admitted: SimCell<AdmissionState>,
     /// Online observability plane: fed one arrival per invocation and one
     /// completion per terminal outcome (with the queue wait summed across
     /// every attempt, matching the offline trace decomposition), and
     /// consulted for per-tenant burn-rate shedding.
     obs: Option<Arc<ObsPlane>>,
+    /// The simulation the backend's state belongs to.
+    sim: SimHandle,
 }
 
 impl Backend {
-    /// Build a backend over already-provisioned servers.
-    pub fn new(servers: Vec<Arc<GpuServer>>, policy: FleetPolicy) -> Backend {
+    /// Build a backend over already-provisioned servers of the simulation
+    /// `h` belongs to.
+    pub fn new(h: &SimHandle, servers: Vec<Arc<GpuServer>>, policy: FleetPolicy) -> Backend {
         assert!(
             !servers.is_empty(),
             "a backend needs at least one GPU server"
@@ -219,8 +221,9 @@ impl Backend {
             balancer: ClusterBalancer::new(policy),
             retry: RetryPolicy::default(),
             admission: None,
-            admitted: Mutex::new(AdmissionState::default()),
+            admitted: SimCell::new(h, AdmissionState::default()),
             obs: None,
+            sim: h.clone(),
         }
     }
 
@@ -243,7 +246,7 @@ impl Backend {
     /// Turn on admission control. Without it the backend admits everything
     /// and queues without bound (the paper's prototype behaviour).
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Backend {
-        self.admitted.get_mut().fair = admission.fairness.clone().map(FairShedder::new);
+        self.admitted.lock().fair = admission.fairness.clone().map(FairShedder::new);
         self.admission = Some(admission);
         self
     }
@@ -252,7 +255,7 @@ impl Backend {
     /// tenant back to its warm servers, capped at the configured fleet
     /// share (the MQFQ-Sticky locality half).
     pub fn with_sticky(mut self, sticky: crate::cluster::StickyConfig) -> Backend {
-        self.balancer = ClusterBalancer::new(self.balancer.policy()).with_sticky(sticky);
+        self.balancer = ClusterBalancer::new(self.balancer.policy()).with_sticky(&self.sim, sticky);
         self
     }
 
@@ -576,7 +579,7 @@ impl Backend {
             return Ok(None); // no admission control: everything enters
         };
         let name = w.name();
-        let mut st = self.admitted.lock();
+        let mut st = self.admitted.borrow_in(p);
         if st.inflight >= adm.max_inflight {
             return Err(format!(
                 "inflight limit reached ({}/{})",
@@ -668,7 +671,6 @@ mod tests {
     use dgsf_remoting::NetProfile;
     use dgsf_server::GpuServerConfig;
     use dgsf_sim::{Dur, Sim};
-    use parking_lot::Mutex;
 
     use crate::phases::PhaseRecorder;
 
@@ -712,7 +714,7 @@ mod tests {
         let cfg = GpuServerConfig::paper_default().gpus(1);
         let s1 = GpuServer::provision(p, h, cfg.clone());
         let s2 = GpuServer::provision(p, h, cfg);
-        Backend::new(vec![s1, s2], policy)
+        Backend::new(h, vec![s1, s2], policy)
     }
 
     #[test]
@@ -782,7 +784,7 @@ mod tests {
     fn least_loaded_spreads_most_loaded_packs() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let spread = Arc::new(Mutex::new((0usize, 0usize)));
+        let spread = Arc::new(SimCell::new(&h, (0usize, 0usize)));
         let s2 = spread.clone();
         sim.spawn("root", move |p| {
             let b = Arc::new(two_server_backend(p, &h, FleetPolicy::LeastLoaded));
@@ -811,13 +813,13 @@ mod tests {
     fn admission_sheds_beyond_the_inflight_limit() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let results = Arc::new(Mutex::new(Vec::new()));
+        let results = Arc::new(SimCell::new(&h, Vec::new()));
         let r2 = results.clone();
         sim.spawn("root", move |p| {
             let cfg = GpuServerConfig::paper_default().gpus(1);
             let srv = GpuServer::provision(p, &h, cfg);
             let b = Arc::new(
-                Backend::new(vec![srv], FleetPolicy::RoundRobin)
+                Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
                     .with_admission(AdmissionConfig::new(1)),
             );
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
@@ -888,13 +890,13 @@ mod tests {
         }
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let results = Arc::new(Mutex::new(Vec::new()));
+        let results = Arc::new(SimCell::new(&h, Vec::new()));
         let r2 = results.clone();
         sim.spawn("root", move |p| {
             let cfg = GpuServerConfig::paper_default().gpus(2).sharing(2);
             let srv = GpuServer::provision(p, &h, cfg);
             let b = Arc::new(
-                Backend::new(vec![srv], FleetPolicy::RoundRobin)
+                Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
                     .with_admission(AdmissionConfig::new(16).with_max_per_workload(1)),
             );
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
@@ -921,7 +923,7 @@ mod tests {
     fn most_loaded_consolidates_onto_one_server() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let spread = Arc::new(Mutex::new((0usize, 0usize)));
+        let spread = Arc::new(SimCell::new(&h, (0usize, 0usize)));
         let s2 = spread.clone();
         sim.spawn("root", move |p| {
             let b = Arc::new(two_server_backend(p, &h, FleetPolicy::MostLoaded));

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dgsf_server::{FleetPolicy, GpuServer, ServerGauges};
-use parking_lot::Mutex;
+use dgsf_sim::{SimCell, SimHandle};
 
 /// Weight of one active/queued function in the load-aware score, relative
 /// to one permille of memory pressure. Load dominates (a queued function
@@ -218,7 +218,7 @@ struct StickyState {
 pub struct ClusterBalancer {
     policy: FleetPolicy,
     rr: AtomicUsize,
-    sticky: Option<(StickyConfig, Mutex<StickyState>)>,
+    sticky: Option<(StickyConfig, SimCell<StickyState>)>,
 }
 
 impl ClusterBalancer {
@@ -231,9 +231,10 @@ impl ClusterBalancer {
         }
     }
 
-    /// Builder-style: enable bounded sticky tenant placement.
-    pub fn with_sticky(mut self, cfg: StickyConfig) -> ClusterBalancer {
-        self.sticky = Some((cfg, Mutex::new(StickyState::default())));
+    /// Builder-style: enable bounded sticky tenant placement, its warm-set
+    /// memory under the lock of the simulation `h` belongs to.
+    pub fn with_sticky(mut self, h: &SimHandle, cfg: StickyConfig) -> ClusterBalancer {
+        self.sticky = Some((cfg, SimCell::new(h, StickyState::default())));
         self
     }
 
@@ -337,6 +338,10 @@ impl ClusterBalancer {
 mod tests {
     use super::*;
 
+    fn handle() -> SimHandle {
+        dgsf_sim::Sim::new(0).handle()
+    }
+
     fn gauges(live: usize, failed: usize, active: usize, queued: usize) -> ServerGauges {
         ServerGauges {
             pool_size: live + failed,
@@ -420,7 +425,7 @@ mod tests {
             gauges(1, 0, 0, 0),
         ];
         let b = ClusterBalancer::new(FleetPolicy::RoundRobin)
-            .with_sticky(StickyConfig::new().with_max_share(500));
+            .with_sticky(&handle(), StickyConfig::new().with_max_share(500));
         for _ in 0..32 {
             let i = b.route_snapshots_for("heavy", &snaps, None).unwrap();
             assert!(b.warm_servers_of("heavy").contains(&i));
@@ -434,7 +439,7 @@ mod tests {
         let live = gauges(1, 0, 0, 0);
         let dead = gauges(0, 1, 0, 0);
         let b = ClusterBalancer::new(FleetPolicy::LoadAware)
-            .with_sticky(StickyConfig::new().with_max_share(500));
+            .with_sticky(&handle(), StickyConfig::new().with_max_share(500));
         let snaps = vec![live; 4];
         // The first route warms server 0; loading it past the warm bonus
         // spills the tenant onto a second server, filling the 50% share.
@@ -462,7 +467,7 @@ mod tests {
     #[test]
     fn warm_bonus_wins_ties_but_not_against_overload() {
         let b = ClusterBalancer::new(FleetPolicy::LoadAware)
-            .with_sticky(StickyConfig::new().with_max_share(1000));
+            .with_sticky(&handle(), StickyConfig::new().with_max_share(1000));
         // First route warms server 0 (tie → lowest index).
         let idle = vec![gauges(2, 0, 0, 0), gauges(2, 0, 0, 0)];
         assert_eq!(b.route_snapshots_for("t", &idle, None), Some(0));

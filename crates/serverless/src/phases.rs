@@ -176,14 +176,13 @@ impl PhaseRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
     use std::sync::Arc;
 
     #[test]
     fn phases_accumulate_by_name() {
         let mut sim = Sim::new(1);
-        let out = Arc::new(Mutex::new(PhaseRecorder::new()));
+        let out = Arc::new(SimCell::new(&sim.handle(), PhaseRecorder::new()));
         let o = out.clone();
         sim.spawn("f", move |p| {
             let mut rec = PhaseRecorder::new();

@@ -48,15 +48,14 @@ impl ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
     use std::sync::Arc;
 
     #[test]
     fn download_time_is_latency_plus_bandwidth() {
         let mut sim = Sim::new(1);
         let store = ObjectStore::new(1e6); // 1 MB/s
-        let t = Arc::new(Mutex::new(0.0));
+        let t = Arc::new(SimCell::new(&sim.handle(), 0.0));
         let t2 = t.clone();
         sim.spawn("dl", move |p| {
             store.download(p, 2_000_000);
@@ -83,7 +82,7 @@ mod tests {
     fn concurrent_downloads_do_not_contend() {
         let mut sim = Sim::new(1);
         let store = Arc::new(ObjectStore::new(1e6));
-        let done = Arc::new(Mutex::new(Vec::new()));
+        let done = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..4 {
             let store = store.clone();
             let done = done.clone();

@@ -17,8 +17,7 @@ use dgsf_serverless::{
     AdmissionConfig, Backend, ClusterBalancer, FairShedConfig, ObjectStore, PhaseRecorder,
     StickyConfig, Tenanted, Workload,
 };
-use dgsf_sim::{Dur, ProcCtx, Sim};
-use parking_lot::Mutex;
+use dgsf_sim::{Dur, ProcCtx, Sim, SimCell};
 use proptest::prelude::*;
 
 fn gauges_strategy() -> impl Strategy<Value = ServerGauges> {
@@ -115,7 +114,7 @@ proptest! {
         routes in 1usize..64,
     ) {
         let bal = ClusterBalancer::new(FleetPolicy::RoundRobin)
-            .with_sticky(StickyConfig::new().with_max_share(500));
+            .with_sticky(&Sim::new(0).handle(), StickyConfig::new().with_max_share(500));
         let cap = ((snaps.len() as u64 * 500) / 1000).max(1) as usize;
         for _ in 0..routes {
             let warm_before = bal.warm_servers_of("heavy");
@@ -189,7 +188,7 @@ impl Workload for Spin {
 fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
     let mut sim = Sim::new(7);
     let h = sim.handle();
-    let shed_by_tenant = Arc::new(Mutex::new((0usize, 0usize))); // (hot, cold)
+    let shed_by_tenant = Arc::new(SimCell::new(&h, (0usize, 0usize))); // (hot, cold)
     let counts = Arc::clone(&shed_by_tenant);
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
@@ -198,7 +197,7 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
         // bucket refill: borrowing is a one-shot burst, so the guarantee
         // is exercised in its tightest form.
         let b = Arc::new(
-            Backend::new(vec![srv], FleetPolicy::RoundRobin).with_admission(
+            Backend::new(&h, vec![srv], FleetPolicy::RoundRobin).with_admission(
                 AdmissionConfig::new(4).with_weighted_fair(
                     FairShedConfig::new()
                         .with_weight("hot", 1)
@@ -266,13 +265,13 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
 fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
     let mut sim = Sim::new(7);
     let h = sim.handle();
-    let cold_shed = Arc::new(Mutex::new(0usize));
+    let cold_shed = Arc::new(SimCell::new(&h, 0usize));
     let cold_counter = Arc::clone(&cold_shed);
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
         let srv = GpuServer::provision(p, &h, cfg);
         let b = Arc::new(
-            Backend::new(vec![srv], FleetPolicy::RoundRobin)
+            Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
                 .with_admission(AdmissionConfig::new(4)),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
@@ -347,8 +346,10 @@ fn sticky_placement_cuts_the_light_tenants_cold_placements_versus_round_robin() 
 
     // Sticky with max-share 50%: the same 16 routes pay at most 2 cold
     // placements, then stay on the warm pair.
-    let sticky = ClusterBalancer::new(FleetPolicy::RoundRobin)
-        .with_sticky(StickyConfig::new().with_max_share(500));
+    let sticky = ClusterBalancer::new(FleetPolicy::RoundRobin).with_sticky(
+        &Sim::new(0).handle(),
+        StickyConfig::new().with_max_share(500),
+    );
     let mut sticky_touched = BTreeSet::new();
     for _ in 0..16 {
         sticky_touched.insert(

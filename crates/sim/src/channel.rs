@@ -162,13 +162,12 @@ mod tests {
     use super::*;
     use crate::kernel::Sim;
     use crate::time::SimTime;
-    use parking_lot::Mutex;
 
     #[test]
     fn send_wakes_receiver_at_send_time() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let got = Arc::new(Mutex::new(None));
+        let got = Arc::new(SimCell::new(&sim.handle(), None));
         let g = got.clone();
         sim.spawn("rx", move |ctx| {
             let v = rx.recv(ctx).unwrap();
@@ -188,7 +187,7 @@ mod tests {
     fn recv_timeout_times_out_in_virtual_time() {
         let mut sim = Sim::new(1);
         let (_tx, rx) = sim.channel::<u32>();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&sim.handle(), None));
         let o = out.clone();
         sim.spawn("rx", move |ctx| {
             let r = rx.recv_timeout(ctx, Dur::from_secs(5));
@@ -204,7 +203,7 @@ mod tests {
     fn message_beats_timeout() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&sim.handle(), None));
         let o = out.clone();
         sim.spawn("rx", move |ctx| {
             let r = rx.recv_timeout(ctx, Dur::from_secs(5));
@@ -225,7 +224,7 @@ mod tests {
     fn fifo_order_between_messages() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let out = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         let o = out.clone();
         sim.spawn("rx", move |ctx| {
             for _ in 0..3 {
@@ -246,7 +245,7 @@ mod tests {
     fn mpmc_distributes_messages() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let count = Arc::new(Mutex::new(0u32));
+        let count = Arc::new(SimCell::new(&sim.handle(), 0u32));
         for i in 0..4 {
             let rx = rx.clone();
             let count = count.clone();

@@ -950,7 +950,6 @@ impl ProcCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::atomic::{self, AtomicU32, AtomicU64};
 
     /// Counts its drops into a shared counter.
@@ -1033,7 +1032,7 @@ mod tests {
     #[test]
     fn sleep_advances_virtual_time_instantly() {
         let mut sim = Sim::new(1);
-        let t = std::sync::Arc::new(Mutex::new(SimTime::ZERO));
+        let t = Arc::new(SimCell::new(&sim.handle(), SimTime::ZERO));
         let t2 = t.clone();
         sim.spawn("sleeper", move |ctx| {
             ctx.sleep(Dur::from_secs(3600)); // an hour of virtual time
@@ -1051,7 +1050,7 @@ mod tests {
     #[test]
     fn events_fire_in_time_order_with_fifo_tiebreak() {
         let mut sim = Sim::new(1);
-        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..5u32 {
             let log = log.clone();
             // All spawned at t=0; same wake time; must run in spawn order.
@@ -1066,7 +1065,7 @@ mod tests {
     #[test]
     fn nested_spawn_runs_at_parent_time() {
         let mut sim = Sim::new(1);
-        let seen = std::sync::Arc::new(Mutex::new(None));
+        let seen = Arc::new(SimCell::new(&sim.handle(), None));
         let seen2 = seen.clone();
         sim.spawn("parent", move |ctx| {
             ctx.sleep(Dur::from_millis(10));
@@ -1083,7 +1082,7 @@ mod tests {
     #[test]
     fn run_until_stops_at_deadline() {
         let mut sim = Sim::new(1);
-        let hits = std::sync::Arc::new(Mutex::new(0u32));
+        let hits = Arc::new(SimCell::new(&sim.handle(), 0u32));
         let h = hits.clone();
         sim.spawn("ticker", move |ctx| {
             for _ in 0..10 {
@@ -1127,7 +1126,7 @@ mod tests {
     fn rng_is_deterministic_across_runs() {
         let sample = |seed: u64| {
             let mut sim = Sim::new(seed);
-            let out = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let out = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
             let o = out.clone();
             sim.spawn("r", move |ctx| {
                 for _ in 0..8 {
@@ -1160,7 +1159,7 @@ mod tests {
     #[test]
     fn repeated_run_until_stops_at_each_deadline_and_resumes() {
         let mut sim = Sim::new(1);
-        let hits = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let hits = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         let h = hits.clone();
         sim.spawn("ticker", move |ctx| {
             for _ in 0..5 {
@@ -1354,7 +1353,7 @@ mod tests {
     fn one_sim_runs_from_two_os_threads_in_turn() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u64>();
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         let l = log.clone();
         sim.spawn("ping", move |ctx| {
             for k in 0..4 {

@@ -68,10 +68,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use parking_lot::Mutex;
-
+use crate::cell::SimCell;
 use crate::json::JsonWriter;
 use crate::json::Layout::{Compact, Inline, Lines};
+use crate::kernel::SimHandle;
 use crate::time::{Dur, SimTime};
 
 /// Streaming log₂-bucket quantile sketch over `u64` samples.
@@ -591,18 +591,18 @@ impl Inner {
 /// backend (arrival/completion feed), the monitors (health feed, scaling
 /// signals) and the harness (report export). Interior mutability only —
 /// every method takes `&self`.
-#[derive(Debug)]
 pub struct ObsPlane {
     cfg: ObsConfig,
-    inner: Mutex<Inner>,
+    inner: SimCell<Inner>,
 }
 
 impl ObsPlane {
-    /// A fresh plane under `cfg`.
-    pub fn new(cfg: ObsConfig) -> ObsPlane {
+    /// A fresh plane under `cfg`, its state under the lock of the
+    /// simulation `h` belongs to.
+    pub fn new(h: &SimHandle, cfg: ObsConfig) -> ObsPlane {
         ObsPlane {
             cfg,
-            inner: Mutex::new(Inner::new()),
+            inner: SimCell::new(h, Inner::new()),
         }
     }
 
@@ -885,6 +885,10 @@ mod tests {
         SimTime::ZERO + Dur::from_millis(ms)
     }
 
+    fn plane(cfg: ObsConfig) -> ObsPlane {
+        ObsPlane::new(&crate::Sim::new(0).handle(), cfg)
+    }
+
     fn cfg() -> ObsConfig {
         ObsConfig::paper_default()
             .with_window(Dur::from_millis(500))
@@ -964,7 +968,7 @@ mod tests {
 
     #[test]
     fn ewma_tracks_arrivals_and_ramp_fires_on_surge() {
-        let obs = ObsPlane::new(cfg());
+        let obs = plane(cfg());
         // Two calm windows of 2 arrivals each.
         for w in 0..2u64 {
             for k in 0..2u64 {
@@ -983,7 +987,7 @@ mod tests {
 
     #[test]
     fn gap_windows_finalize_as_zeros() {
-        let obs = ObsPlane::new(cfg());
+        let obs = plane(cfg());
         obs.record_arrival(t(100));
         obs.record_arrival(t(5100)); // 10 windows later
         let r = obs.report();
@@ -998,7 +1002,7 @@ mod tests {
         // Tenant "hot": every request violates (e2e 400ms > 100ms target)
         // with queue-dominated latency → alert fires. Tenant "cpu":
         // violates just as hard but with zero queueing → never alerts.
-        let obs = ObsPlane::new(cfg());
+        let obs = plane(cfg());
         for w in 0..4u64 {
             for k in 0..5u64 {
                 let at = t(w * 500 + 50 + k * 20);
@@ -1029,7 +1033,7 @@ mod tests {
 
     #[test]
     fn alerts_are_edge_triggered_and_clear() {
-        let obs = ObsPlane::new(cfg());
+        let obs = plane(cfg());
         // 4 bad windows, then 8 good ones (slow set drains).
         for w in 0..12u64 {
             for k in 0..5u64 {
@@ -1055,8 +1059,8 @@ mod tests {
     #[test]
     fn shed_due_requires_threshold_and_queue_gate() {
         let base = cfg();
-        let without = ObsPlane::new(base.clone());
-        let with = ObsPlane::new(base.with_shed_burn_threshold(1000));
+        let without = plane(base.clone());
+        let with = plane(base.with_shed_burn_threshold(1000));
         for k in 0..10u64 {
             let at = t(50 + k * 20);
             for obs in [&without, &with] {
@@ -1081,7 +1085,7 @@ mod tests {
 
     #[test]
     fn health_timeline_dedups_on_change() {
-        let obs = ObsPlane::new(cfg());
+        let obs = plane(cfg());
         obs.record_health(t(0), "srv0.gpu0", 1000);
         obs.record_health(t(200), "srv0.gpu0", 1000);
         obs.record_health(t(400), "srv0.gpu0", 700);
@@ -1093,7 +1097,7 @@ mod tests {
 
     #[test]
     fn report_is_repeatable_and_dashboard_deterministic() {
-        let obs = ObsPlane::new(cfg());
+        let obs = plane(cfg());
         for k in 0..7u64 {
             obs.record_arrival(t(k * 130));
             obs.record_completion(

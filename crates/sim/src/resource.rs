@@ -402,7 +402,6 @@ impl Timer for SimCell<Fifo> {
 mod tests {
     use super::*;
     use crate::kernel::Sim;
-    use parking_lot::Mutex;
 
     fn secs(s: f64) -> Dur {
         Dur::from_secs_f64(s)
@@ -412,7 +411,7 @@ mod tests {
     fn solo_job_runs_at_full_capacity() {
         let mut sim = Sim::new(1);
         let r = Arc::new(GpsResource::new(&sim, 2.0)); // 2 units/s
-        let done = Arc::new(Mutex::new(SimTime::ZERO));
+        let done = Arc::new(SimCell::new(&sim.handle(), SimTime::ZERO));
         let d = done.clone();
         let r2 = r.clone();
         sim.spawn("j", move |ctx| {
@@ -428,7 +427,7 @@ mod tests {
     fn two_equal_jobs_share_capacity() {
         let mut sim = Sim::new(1);
         let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let times = Arc::new(Mutex::new(Vec::new()));
+        let times = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..2 {
             let r = r.clone();
             let times = times.clone();
@@ -448,7 +447,7 @@ mod tests {
     fn late_arrival_reapportions_capacity() {
         let mut sim = Sim::new(1);
         let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let times = Arc::new(Mutex::new(Vec::new()));
+        let times = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         {
             let r = r.clone();
             let times = times.clone();
@@ -507,7 +506,7 @@ mod tests {
     fn fifo_serializes_in_arrival_order() {
         let mut sim = Sim::new(1);
         let r = Arc::new(FifoResource::new(&sim));
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..3u32 {
             let r = r.clone();
             let order = order.clone();
@@ -529,7 +528,7 @@ mod tests {
     fn zero_work_is_free() {
         let mut sim = Sim::new(1);
         let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let done = Arc::new(Mutex::new(false));
+        let done = Arc::new(SimCell::new(&sim.handle(), false));
         let d = done.clone();
         sim.spawn("z", move |ctx| {
             r.acquire(ctx, 0.0);

@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
-use dgsf_sim::{percentile_permille, percentile_sorted, Dur, GpsResource, Sim, SimTime, Summary};
-use parking_lot::Mutex;
+use dgsf_sim::{
+    percentile_permille, percentile_sorted, Dur, GpsResource, Sim, SimCell, SimTime, Summary,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -48,7 +49,7 @@ proptest! {
         let n = works.len();
         let mut sim = Sim::new(1);
         let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let finishes = Arc::new(Mutex::new(vec![0.0f64; n]));
+        let finishes = Arc::new(SimCell::new(&sim.handle(), vec![0.0f64; n]));
         for (i, w) in works.clone().into_iter().enumerate() {
             let r = r.clone();
             let f = finishes.clone();
@@ -77,7 +78,7 @@ proptest! {
     ) {
         let mut sim = Sim::new(1);
         let expected: u64 = durs.iter().sum();
-        let seen = Arc::new(Mutex::new(0u64));
+        let seen = Arc::new(SimCell::new(&sim.handle(), 0u64));
         let s = seen.clone();
         sim.spawn("sleeper", move |ctx| {
             for d in durs {
@@ -98,7 +99,7 @@ proptest! {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<usize>();
         let n = gaps.len();
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
         let g = got.clone();
         sim.spawn("rx", move |ctx| {
             for _ in 0..n {

@@ -245,8 +245,7 @@ mod tests {
     use super::*;
     use dgsf_cuda::{CostTable, NativeCuda};
     use dgsf_gpu::{Gpu, GpuId};
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
     use std::sync::Arc as StdArc;
 
     #[test]
@@ -255,7 +254,7 @@ mod tests {
         let cpu = prob.run_cpu(6);
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = StdArc::new(Mutex::new(None));
+        let out = StdArc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob2 = prob.clone();
         sim.spawn("app", move |p| {

@@ -222,8 +222,7 @@ mod tests {
     use super::*;
     use dgsf_cuda::{CostTable, NativeCuda};
     use dgsf_gpu::{Gpu, GpuId};
-    use dgsf_sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf_sim::{Sim, SimCell};
     use std::sync::Arc;
 
     fn tiny_spec() -> TraceSpec {
@@ -260,7 +259,7 @@ mod tests {
     fn trace_runs_natively_with_expected_phases() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&h, None));
         let o = out.clone();
         sim.spawn("f", move |p| {
             let gpu = Gpu::v100(&h, GpuId(0));

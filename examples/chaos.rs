@@ -16,7 +16,7 @@ use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{Backend, FleetPolicy, ObjectStore, RetryPolicy};
-use parking_lot::Mutex;
+use dgsf::sim::SimCell;
 
 /// One function's client-observed outcome.
 type Outcome = (usize, u64, u32, Option<String>);
@@ -24,9 +24,9 @@ type Outcome = (usize, u64, u32, Option<String>);
 fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
-    let out: Arc<Mutex<Vec<Outcome>>> = Arc::new(Mutex::new(Vec::new()));
-    let stats = Arc::new(Mutex::new((0u64, 0usize)));
-    let (o2, s2, h2) = (Arc::clone(&out), Arc::clone(&stats), h.clone());
+    let out: Arc<SimCell<Vec<Outcome>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let servers: Arc<SimCell<Vec<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let (o2, s2, h2) = (Arc::clone(&out), Arc::clone(&servers), h.clone());
     sim.spawn("chaos-root", move |p| {
         // Server A dies 8 s in — mid-invocation — and its link drops the
         // 6th message. Timeouts are filled in by "chaos implies hardening"
@@ -41,20 +41,16 @@ fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
         let b = GpuServer::provision(p, &h2, cfg);
         let backend = Arc::new(
             Backend::new(
+                &h2,
                 vec![Arc::clone(&a), Arc::clone(&b)],
                 FleetPolicy::RoundRobin,
             )
             .with_retry(RetryPolicy::default()),
         );
+        *s2.lock() = vec![a, b];
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
         for i in 0..n {
-            let (backend, store, out, done) = (
-                Arc::clone(&backend),
-                Arc::clone(&store),
-                Arc::clone(&o2),
-                Arc::clone(&done),
-            );
+            let (backend, store, out) = (Arc::clone(&backend), Arc::clone(&store), Arc::clone(&o2));
             h2.spawn_at(
                 &format!("fn-{i}"),
                 SimTime::ZERO + Dur::from_secs(2 * i as u64),
@@ -63,29 +59,20 @@ fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
                     let r = backend.invoke(p, &store, &w, OptConfig::full());
                     out.lock()
                         .push((i, r.e2e().as_nanos(), r.attempts, r.failure.clone()));
-                    *done.lock() += 1;
                 },
             );
         }
-        let s3 = Arc::clone(&s2);
-        h2.spawn("collector", move |p| {
-            while *done.lock() < n {
-                p.sleep(Dur::from_millis(500));
-            }
-            let dropped = a.fault_stats().map(|s| s.dropped).unwrap_or(0);
-            let failed = a
-                .records()
-                .iter()
-                .chain(b.records().iter())
-                .filter(|r| r.failed_at.is_some())
-                .count();
-            *s3.lock() = (dropped, failed);
-        });
     });
     sim.run();
     let mut results = out.lock().clone();
     results.sort_by_key(|(i, ..)| *i);
-    let (dropped, failed) = *stats.lock();
+    let servers = servers.lock();
+    let dropped = servers[0].fault_stats().map(|s| s.dropped).unwrap_or(0);
+    let failed = servers
+        .iter()
+        .flat_map(|s| s.records())
+        .filter(|r| r.failed_at.is_some())
+        .count();
     (results, dropped, failed)
 }
 

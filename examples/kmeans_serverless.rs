@@ -22,9 +22,8 @@ use dgsf::gpu::{Gpu, GpuId};
 use dgsf::prelude::*;
 use dgsf::remoting::RemoteCuda;
 use dgsf::server::GpuServer;
-use dgsf::sim::Sim;
+use dgsf::sim::{Sim, SimCell};
 use dgsf::workloads::{max_abs_diff, KMeansProblem};
-use parking_lot::Mutex;
 
 fn main() {
     let prob = KMeansProblem::synthetic(4000, 8, 5, 12, 2024);
@@ -45,7 +44,7 @@ fn main() {
     let native = {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         sim.spawn("native-app", move |p| {
@@ -70,7 +69,7 @@ fn main() {
     let dgsf = {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         let h2 = h.clone();

@@ -13,8 +13,8 @@ use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{Backend, FleetPolicy, FunctionResult, ObjectStore, RetryPolicy};
 use dgsf::sim::trace::{assemble, TraceOutcome, TraceTree};
+use dgsf::sim::SimCell;
 use dgsf::workloads::{as_workloads, paper_suite};
-use parking_lot::Mutex;
 
 const GB: u64 = 1 << 30;
 
@@ -146,7 +146,7 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<Mutex<Vec<FunctionResult>>> = Arc::new(Mutex::new(Vec::new()));
+    let out: Arc<SimCell<Vec<FunctionResult>>> = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("chaos-root", move |p| {
@@ -158,7 +158,8 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
         let backend = Arc::new(
-            Backend::new(vec![a, b], FleetPolicy::RoundRobin).with_retry(RetryPolicy::default()),
+            Backend::new(&h2, vec![a, b], FleetPolicy::RoundRobin)
+                .with_retry(RetryPolicy::default()),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {

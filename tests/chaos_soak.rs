@@ -19,7 +19,7 @@ use dgsf::remoting::FaultPlan;
 use dgsf::server::{GpuServer, MigrationRecord};
 use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
 use dgsf::sim::invariants::check_migration_telemetry;
-use parking_lot::Mutex;
+use dgsf::sim::SimCell;
 
 const GB: u64 = 1 << 30;
 
@@ -226,7 +226,7 @@ fn migration_log_matches_telemetry_exactly_on_the_happy_path() {
     tel.enable();
     let h = sim.handle();
     type Snapshot = (Vec<MigrationRecord>, dgsf::sim::InvariantReport);
-    let out: Arc<Mutex<Option<Snapshot>>> = Arc::new(Mutex::new(None));
+    let out: Arc<SimCell<Option<Snapshot>>> = Arc::new(SimCell::new(&h, None));
     let o2 = Arc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -237,11 +237,12 @@ fn migration_log_matches_telemetry_exactly_on_the_happy_path() {
             .with_migration(true);
         let server = GpuServer::provision(p, &h2, cfg);
         let backend = Arc::new(Backend::new(
+            &h2,
             vec![Arc::clone(&server)],
             FleetPolicy::RoundRobin,
         ));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
+        let done = Arc::new(SimCell::new(&h2, 0usize));
         // A best-fit-stranded pair: both land on GPU 0, the monitor moves
         // one to the idle GPU 1.
         for i in 0..2 {

@@ -14,7 +14,7 @@ use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{DagWorkload, HandoffMode, ObjectStore};
-use parking_lot::Mutex;
+use dgsf::sim::SimCell;
 
 const MB: u64 = 1 << 20;
 
@@ -53,10 +53,10 @@ fn run_dags(
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<Mutex<Vec<(usize, DagKey)>>> = Arc::new(Mutex::new(Vec::new()));
-    let handoff: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let memory: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let events = Arc::new(Mutex::new(0usize));
+    let out: Arc<SimCell<Vec<(usize, DagKey)>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let handoff: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let memory: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let events = Arc::new(SimCell::new(&h, 0usize));
     let (o2, h2ref, m2, e2) = (
         Arc::clone(&out),
         Arc::clone(&handoff),
@@ -75,7 +75,7 @@ fn run_dags(
         }
         let server = GpuServer::provision(p, &h2, cfg);
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
+        let done = Arc::new(SimCell::new(&h2, 0usize));
         for i in 0..n {
             let server = Arc::clone(&server);
             let store = Arc::clone(&store);

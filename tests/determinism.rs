@@ -115,12 +115,11 @@ fn memory_fully_returns_after_a_run() {
     // idle footprints — nothing leaks across invocations.
     use dgsf::server::GpuServer;
     use dgsf::serverless::{InvokeOptions, Invoker, ObjectStore};
-    use dgsf::sim::Sim;
-    use parking_lot::Mutex;
+    use dgsf::sim::{Sim, SimCell};
 
     let mut sim = Sim::new(3);
     let h = sim.handle();
-    let leaked = Arc::new(Mutex::new(None));
+    let leaked = Arc::new(SimCell::new(&h, None));
     let l2 = leaked.clone();
     sim.spawn("root", move |p| {
         let server =

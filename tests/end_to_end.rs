@@ -180,9 +180,8 @@ fn functional_workload_identical_results_native_and_remote() {
     use dgsf::gpu::{Gpu, GpuId};
     use dgsf::remoting::RemoteCuda;
     use dgsf::server::GpuServer;
-    use dgsf::sim::Sim;
+    use dgsf::sim::{Sim, SimCell};
     use dgsf::workloads::{max_abs_diff, KMeansProblem};
-    use parking_lot::Mutex;
 
     let prob = KMeansProblem::synthetic(1200, 6, 4, 6, 99);
     let cpu = prob.run_cpu(6);
@@ -191,7 +190,7 @@ fn functional_workload_identical_results_native_and_remote() {
     let native = {
         let mut sim = Sim::new(3);
         let h = sim.handle();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         sim.spawn("app", move |p| {
@@ -210,7 +209,7 @@ fn functional_workload_identical_results_native_and_remote() {
     let remoted = {
         let mut sim = Sim::new(3);
         let h = sim.handle();
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         let h2 = h.clone();
@@ -278,21 +277,20 @@ fn errors_propagate_across_the_wire_with_their_class() {
 fn backend_routes_functions_across_gpu_servers() {
     use dgsf::server::GpuServer;
     use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
-    use dgsf::sim::Sim;
+    use dgsf::sim::{Sim, SimCell};
     use dgsf::workloads;
-    use parking_lot::Mutex;
 
     let mut sim = Sim::new(12);
     let h = sim.handle();
-    let counts = Arc::new(Mutex::new((0usize, 0usize)));
+    let counts = Arc::new(SimCell::new(&h, (0usize, 0usize)));
     let c2 = counts.clone();
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(1);
         let s1 = GpuServer::provision(p, &h, cfg.clone());
         let s2 = GpuServer::provision(p, &h, cfg);
-        let backend = Arc::new(Backend::new(vec![s1, s2], FleetPolicy::RoundRobin));
+        let backend = Arc::new(Backend::new(&h, vec![s1, s2], FleetPolicy::RoundRobin));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
+        let done = Arc::new(SimCell::new(&h, 0usize));
         for i in 0..4 {
             let backend = Arc::clone(&backend);
             let store = Arc::clone(&store);

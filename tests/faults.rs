@@ -13,7 +13,7 @@ use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::{GpuServer, InvocationRecord};
 use dgsf::serverless::{Backend, FleetPolicy, ObjectStore, RetryPolicy};
-use parking_lot::Mutex;
+use dgsf::sim::SimCell;
 
 const GB: u64 = 1 << 30;
 
@@ -109,9 +109,9 @@ fn chaos_run(
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<Mutex<Vec<(usize, ResultKey)>>> = Arc::new(Mutex::new(Vec::new()));
-    let records: Arc<Mutex<Vec<Vec<InvocationRecord>>>> = Arc::new(Mutex::new(Vec::new()));
-    let dropped = Arc::new(Mutex::new(0u64));
+    let out: Arc<SimCell<Vec<(usize, ResultKey)>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let records: Arc<SimCell<Vec<Vec<InvocationRecord>>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let dropped = Arc::new(SimCell::new(&h, 0u64));
     let o2 = Arc::clone(&out);
     let rec2 = Arc::clone(&records);
     let d2 = Arc::clone(&dropped);
@@ -126,13 +126,14 @@ fn chaos_run(
         let b = GpuServer::provision(p, &h2, cfg);
         let backend = Arc::new(
             Backend::new(
+                &h2,
                 vec![Arc::clone(&a), Arc::clone(&b)],
                 FleetPolicy::RoundRobin,
             )
             .with_retry(RetryPolicy::default()),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
+        let done = Arc::new(SimCell::new(&h2, 0usize));
         for i in 0..n {
             let backend = Arc::clone(&backend);
             let store = Arc::clone(&store);
@@ -336,8 +337,8 @@ fn chaos_run_no_faults(
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<Mutex<Vec<(usize, ResultKey)>>> = Arc::new(Mutex::new(Vec::new()));
-    let records: Arc<Mutex<Vec<Vec<InvocationRecord>>>> = Arc::new(Mutex::new(Vec::new()));
+    let out: Arc<SimCell<Vec<(usize, ResultKey)>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let records: Arc<SimCell<Vec<Vec<InvocationRecord>>>> = Arc::new(SimCell::new(&h, Vec::new()));
     let o2 = Arc::clone(&out);
     let rec2 = Arc::clone(&records);
     let h2 = h.clone();
@@ -351,13 +352,14 @@ fn chaos_run_no_faults(
         let b = GpuServer::provision(p, &h2, cfg);
         let backend = Arc::new(
             Backend::new(
+                &h2,
                 vec![Arc::clone(&a), Arc::clone(&b)],
                 FleetPolicy::RoundRobin,
             )
             .with_retry(RetryPolicy::default()),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(Mutex::new(0usize));
+        let done = Arc::new(SimCell::new(&h2, 0usize));
         for i in 0..n {
             let backend = Arc::clone(&backend);
             let store = Arc::clone(&store);

@@ -11,8 +11,7 @@ use dgsf::gpu::{GpuId, MB};
 use dgsf::prelude::*;
 use dgsf::remoting::RemoteCuda;
 use dgsf::server::GpuServer;
-use dgsf::sim::Sim;
-use parking_lot::Mutex;
+use dgsf::sim::{Sim, SimCell};
 
 fn registry() -> Arc<ModuleRegistry> {
     Arc::new(
@@ -37,7 +36,7 @@ fn forced_migration_is_invisible_to_the_function() {
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let checked: Arc<Mutex<Option<(u64, usize)>>> = Arc::new(Mutex::new(None));
+    let checked: Arc<SimCell<Option<(u64, usize)>>> = Arc::new(SimCell::new(&h, None));
     let c2 = checked.clone();
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(2));
@@ -139,7 +138,7 @@ fn monitor_fixes_the_fig8_imbalance() {
     let run = |migration: bool| {
         let mut sim = Sim::new(4);
         let h = sim.handle();
-        let done = Arc::new(Mutex::new((0.0f64, 0usize)));
+        let done = Arc::new(SimCell::new(&h, (0.0f64, 0usize)));
         let d2 = done.clone();
         sim.spawn("root", move |p| {
             let server = Arc::new(GpuServer::provision(
@@ -151,7 +150,7 @@ fn monitor_fixes_the_fig8_imbalance() {
                     .with_policy(PlacementPolicy::BestFit)
                     .with_migration(migration),
             ));
-            let finished = Arc::new(Mutex::new(0usize));
+            let finished = Arc::new(SimCell::new(&h, 0usize));
             for i in 0..2 {
                 let server = Arc::clone(&server);
                 let finished = Arc::clone(&finished);
@@ -211,7 +210,7 @@ fn repeat_migration_charges_each_context_at_most_once() {
     // shrink availability below the probe and starve it.
     let mut sim = Sim::new(3);
     let h = sim.handle();
-    let probe_ok = Arc::new(Mutex::new(None));
+    let probe_ok = Arc::new(SimCell::new(&h, None));
     let p2 = probe_ok.clone();
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default()

@@ -11,8 +11,7 @@ use dgsf::gpu::{GpuId, MB};
 use dgsf::prelude::*;
 use dgsf::remoting::RemoteCuda;
 use dgsf::server::GpuServer;
-use dgsf::sim::Sim;
-use parking_lot::Mutex;
+use dgsf::sim::{Sim, SimCell};
 
 fn registry() -> Arc<ModuleRegistry> {
     Arc::new(
@@ -35,30 +34,34 @@ fn registry() -> Arc<ModuleRegistry> {
     )
 }
 
-/// Drive a body against a one-GPU server through the remoting stack.
-fn with_remote(
+/// Drive a body against a one-GPU server through the remoting stack and
+/// return what it returned.
+fn with_remote<R: Send + 'static>(
     seed: u64,
-    body: impl FnOnce(&dgsf::sim::ProcCtx, &mut RemoteCuda) + Send + 'static,
-) {
+    body: impl FnOnce(&dgsf::sim::ProcCtx, &mut RemoteCuda) -> R + Send + 'static,
+) -> R {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
+    let out = Arc::new(SimCell::new(&h, None));
+    let o = Arc::clone(&out);
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(2));
         let (client, _) = server.request_gpu(p, "streams", 1024 * MB, registry());
         let mut api = RemoteCuda::new(client, OptConfig::full());
         api.runtime_init(p).unwrap();
         api.register_module(p, registry()).unwrap();
-        body(p, &mut api);
+        let r = body(p, &mut api);
         api.finish(p).unwrap();
+        *o.lock() = Some(r);
     });
     sim.run();
+    let r = out.lock().take().expect("the body ran");
+    r
 }
 
 #[test]
 fn same_stream_is_ordered_different_streams_overlap() {
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
-    let o = out.clone();
-    with_remote(1, move |p, api| {
+    let (t_a, t_all) = with_remote(1, move |p, api| {
         let a = api.stream_create(p).unwrap();
         let b = api.stream_create(p).unwrap();
         let t0 = p.now();
@@ -83,9 +86,8 @@ fn same_stream_is_ordered_different_streams_overlap() {
         let t_a = p.now().since(t0).as_secs_f64();
         api.device_synchronize(p).unwrap();
         let t_all = p.now().since(t0).as_secs_f64();
-        *o.lock() = (t_a, t_all);
+        (t_a, t_all)
     });
-    let (t_a, t_all) = *out.lock();
     // GPS: A runs at half speed while B is active → done ≈ 1.0 s, not 2.5 s
     // (which is what in-order same-stream execution would give).
     assert!(
@@ -104,9 +106,7 @@ fn same_stream_is_ordered_different_streams_overlap() {
 
 #[test]
 fn per_stream_ordering_is_preserved() {
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let o = out.clone();
-    with_remote(2, move |p, api| {
+    let v = with_remote(2, move |p, api| {
         let s = api.stream_create(p).unwrap();
         let buf = api.malloc(p, 4 * MB).unwrap();
         api.memcpy_h2d(p, buf, HostBuf::from_f32s(&[0.0; 8]))
@@ -127,18 +127,17 @@ fn per_stream_ordering_is_preserved() {
         }
         api.stream_synchronize(p, s).unwrap();
         let data = api.memcpy_d2h(p, buf, 16, true).unwrap();
-        *o.lock() = data.to_f32s().unwrap();
+        data.to_f32s().unwrap()
     });
-    let v = out.lock().clone();
     assert_eq!(v, vec![3.0, 11.0, 22.0, 33.0], "in-order within a stream");
 }
 
 #[test]
 fn streams_survive_migration() {
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let o = out.clone();
     let mut sim = Sim::new(3);
     let h = sim.handle();
+    let out = Arc::new(SimCell::new(&h, Vec::new()));
+    let o = out.clone();
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(2));
         let (client, _) = server.request_gpu(p, "mig-streams", 1024 * MB, registry());
@@ -204,9 +203,7 @@ fn invalid_stream_launch_is_rejected() {
 
 #[test]
 fn event_record_marks_a_point_in_stream_order() {
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
-    let o = out.clone();
-    with_remote(5, move |p, api| {
+    let (t_event, t_all) = with_remote(5, move |p, api| {
         let e = api.event_create(p).unwrap();
         let t0 = p.now();
         // 1 s of work, then the event marker, then 2 s more work.
@@ -229,9 +226,8 @@ fn event_record_marks_a_point_in_stream_order() {
         let t_event = p.now().since(t0).as_secs_f64();
         api.device_synchronize(p).unwrap();
         let t_all = p.now().since(t0).as_secs_f64();
-        *o.lock() = (t_event, t_all);
+        (t_event, t_all)
     });
-    let (t_event, t_all) = *out.lock();
     assert!(
         (0.9..1.4).contains(&t_event),
         "event fires after the first kernel only: {t_event}"
