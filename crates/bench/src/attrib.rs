@@ -200,13 +200,9 @@ pub fn attrib(base_seed: u64, quick: bool) -> AttribOutput {
         seed: base_seed,
         window_secs,
         launched: out.results.len() as u64,
-        completed: out.results.iter().filter(|r| r.succeeded()).count() as u64,
-        shed: out.results.iter().filter(|r| r.shed).count() as u64,
-        failed: out
-            .results
-            .iter()
-            .filter(|r| !r.succeeded() && !r.shed)
-            .count() as u64,
+        completed: out.completed() as u64,
+        shed: out.shed() as u64,
+        failed: out.failed() as u64,
         queue_depth_min: tel.gauge_min("monitor.queue_depth").unwrap_or(0),
         queue_depth_peak: tel.gauge_peak("monitor.queue_depth").unwrap_or(0),
         queue_depth_mean: tel

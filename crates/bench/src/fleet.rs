@@ -27,6 +27,7 @@ use dgsf::prelude::*;
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
 use dgsf::sim::stats::{jain_permille, percentile_permille};
+use dgsf::sim::TraceOutcome::{Completed, Shed};
 
 use crate::report::TextTable;
 
@@ -290,8 +291,8 @@ fn fleet_config(seed: u64, policy: FleetPolicy, fair: bool) -> PlatformConfig {
 /// Tenant slice of a run's results.
 fn tenant_point(results: &[&dgsf::serverless::FunctionResult], window_ns: u64) -> TenantPoint {
     let launched = results.len() as u64;
-    let completed = results.iter().filter(|r| r.succeeded()).count() as u64;
-    let shed = results.iter().filter(|r| r.shed).count() as u64;
+    let completed = results.iter().filter(|r| r.outcome() == Completed).count() as u64;
+    let shed = results.iter().filter(|r| r.outcome() == Shed).count() as u64;
     let mut e2e_us: Vec<u64> = results
         .iter()
         .filter(|r| r.succeeded())

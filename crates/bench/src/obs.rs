@@ -384,4 +384,17 @@ mod tests {
         assert_eq!(s, diurnal(42, true).0, "schedule must be seed-stable");
         assert_ne!(s, diurnal(43, true).0);
     }
+
+    #[test]
+    fn both_modes_reconcile_with_the_obs_plane_and_the_counters() {
+        let (schedule, _, _) = diurnal(42, true);
+        let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
+        for predictive in [false, true] {
+            let cfg = ramp_config(42, predictive);
+            let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+            assert!(predictive || out.shed() > 0, "the reactive run must shed");
+            dgsf::check_obs_reconciles(&out, &obs_config()).assert_ok();
+            dgsf::check_backend_counters(&out, &tel).assert_ok();
+        }
+    }
 }

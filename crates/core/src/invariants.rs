@@ -5,13 +5,17 @@
 //! [`FunctionResult`]s, [`MigrationRecord`]s and a live [`GpuServer`] —
 //! into those facts and runs the exactly-once / migration-state-machine /
 //! memory-balance rules over them. The chaos-soak harness calls
-//! [`check_backend_run`] after every seed.
+//! [`check_backend_run`] after every seed, and the two cross-plane oracles
+//! besides it.
+
+use std::collections::BTreeMap;
 
 use dgsf_server::{GpuServer, InvocationRecord, MigrationRecord};
 use dgsf_serverless::FunctionResult;
 use dgsf_sim::invariants::{
-    check, InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, RequestOutcome,
+    check, InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, Violation,
 };
+use dgsf_sim::{ObsConfig, Telemetry};
 
 use crate::testbed::BackendRunOutput;
 
@@ -37,14 +41,10 @@ pub fn request_facts(results: &[FunctionResult]) -> Vec<RequestFacts> {
     results
         .iter()
         .filter_map(|r| {
-            let outcome = if r.shed {
-                RequestOutcome::Shed
-            } else if r.succeeded() {
-                RequestOutcome::Completed
-            } else {
-                RequestOutcome::Failed
-            };
-            r.trace.map(|trace| RequestFacts { trace, outcome })
+            r.trace.map(|trace| RequestFacts {
+                trace,
+                outcome: r.outcome(),
+            })
         })
         .collect()
 }
@@ -84,6 +84,77 @@ pub fn check_backend_run(out: &BackendRunOutput) -> InvariantReport {
     report
 }
 
+/// Check a traced run's backend counters against what its results and
+/// instants show, exactly: invocations, sheds, failures and attempts
+/// against the results; retries and recovered replies against their
+/// `retry` and `reply-recovered` instants.
+pub fn check_backend_counters(out: &BackendRunOutput, tel: &Telemetry) -> InvariantReport {
+    let instants = tel.instants();
+    let events = |name| instants.iter().filter(|e| e.name == name).count() as u64;
+    let attempts = out.results.iter().map(|r| u64::from(r.attempts)).sum();
+    let mut report = InvariantReport::default();
+    for (counter, want) in [
+        ("backend.invocations", out.results.len() as u64),
+        ("backend.shed", out.shed() as u64),
+        ("backend.failures", out.failed() as u64),
+        ("backend.attempts", attempts),
+        ("backend.retries", events("retry")),
+        ("backend.recovered_replies", events("reply-recovered")),
+    ] {
+        let got = tel.counter(counter);
+        if got != want {
+            report.violations.push(Violation {
+                rule: "backend-counter-matches-run",
+                detail: format!("{counter} is {got} but the run shows {want}"),
+            });
+        }
+    }
+    report
+}
+
+/// Check a run's obs report against its results: the windows count every
+/// request once as an arrival and once as finished, and per tenant the
+/// burn rows sum to its results and to those that violated the SLO under
+/// [`dgsf_sim::ObsPlane::record_completion`]'s rule (not completed, or
+/// slower than `cfg.slo_target`). Panics when the run had no obs plane.
+pub fn check_obs_reconciles(out: &BackendRunOutput, cfg: &ObsConfig) -> InvariantReport {
+    let obs = out.obs.as_ref().expect("the run had an obs plane");
+    let n = out.results.len() as u64;
+    let arrivals: u64 = obs.windows.iter().map(|w| w.arrivals).sum();
+    let finished: u64 = obs.windows.iter().map(|w| w.finished).sum();
+    // (requests, SLO violations) per tenant, from the results and the rows.
+    let mut results: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for r in &out.results {
+        let t = results.entry(&r.tenant).or_default();
+        t.0 += 1;
+        t.1 += u64::from(!r.succeeded() || r.e2e() > cfg.slo_target);
+    }
+    let mut rows: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for row in &obs.tenants {
+        let t = rows.entry(&row.tenant).or_default();
+        t.0 += row.total;
+        t.1 += row.violations;
+    }
+    let mut report = InvariantReport::default();
+    for (rule, holds, detail) in [
+        (
+            "obs-windows-count-every-request",
+            arrivals == n && finished == n,
+            format!("{arrivals} arrivals and {finished} finished for {n} results"),
+        ),
+        (
+            "obs-tenant-rows-match-results",
+            results == rows,
+            format!("(requests, violations) per tenant: results {results:?}, rows {rows:?}"),
+        ),
+    ] {
+        if !holds {
+            report.violations.push(Violation { rule, detail });
+        }
+    }
+    report
+}
+
 /// Run the handoff exactly-once oracle over a fleet's resident-store
 /// audit log: every published buffer was published under a fresh key and
 /// reached exactly one terminal state (adopted by a successor stage or
@@ -108,7 +179,7 @@ pub fn check_resident_handoff(server: &GpuServer) -> InvariantReport {
     for key in keys {
         let (published, adopted, reclaimed) = by_key[&key];
         if published != 1 || adopted + reclaimed != 1 {
-            report.violations.push(dgsf_sim::invariants::Violation {
+            report.violations.push(Violation {
                 rule: "resident-handoff-exactly-once",
                 detail: format!(
                     "key {key:#x}: published {published}, adopted {adopted}, \
@@ -119,7 +190,7 @@ pub fn check_resident_handoff(server: &GpuServer) -> InvariantReport {
     }
     let parked = server.resident_in_store();
     if parked != 0 {
-        report.violations.push(dgsf_sim::invariants::Violation {
+        report.violations.push(Violation {
             rule: "resident-store-drains",
             detail: format!("{parked} buffer(s) still parked at quiescence"),
         });
@@ -148,7 +219,7 @@ pub fn check_memory_balance(server: &GpuServer, strict: bool) -> InvariantReport
             used < expected
         };
         if broken {
-            report.violations.push(dgsf_sim::invariants::Violation {
+            report.violations.push(Violation {
                 rule: "memory-balances",
                 detail: format!(
                     "GPU {} holds {used} bytes but the registry implies {expected} \

@@ -49,7 +49,10 @@ pub mod invariants;
 mod platform;
 mod testbed;
 
-pub use invariants::{check_backend_run, check_memory_balance, check_resident_handoff};
+pub use invariants::{
+    check_backend_counters, check_backend_run, check_memory_balance, check_obs_reconciles,
+    check_resident_handoff,
+};
 pub use platform::{ConfigError, PlatformConfig};
 pub use testbed::{BackendRunOutput, Testbed};
 

@@ -16,6 +16,7 @@ use dgsf_server::{GpuServer, InvocationRecord, MigrationRecord};
 use dgsf_serverless::{
     invoke_cpu, invoke_native, Backend, FunctionResult, ObjectStore, Schedule, Workload,
 };
+use dgsf_sim::TraceOutcome;
 use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimCell, SimTime, Telemetry, Timeline};
 
 use crate::PlatformConfig;
@@ -47,20 +48,21 @@ pub struct BackendRunOutput {
 impl BackendRunOutput {
     /// Functions that completed successfully.
     pub fn completed(&self) -> usize {
-        self.results.iter().filter(|r| r.succeeded()).count()
+        self.ended(TraceOutcome::Completed)
     }
 
     /// Functions shed by admission control / overload.
     pub fn shed(&self) -> usize {
-        self.results.iter().filter(|r| r.shed).count()
+        self.ended(TraceOutcome::Shed)
     }
 
     /// Functions that failed for any non-shed reason.
     pub fn failed(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| !r.succeeded() && !r.shed)
-            .count()
+        self.ended(TraceOutcome::Failed)
+    }
+
+    fn ended(&self, o: TraceOutcome) -> usize {
+        self.results.iter().filter(|r| r.outcome() == o).count()
     }
 
     /// Provider end-to-end time: launch of the first function to completion

@@ -18,13 +18,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dgsf_cuda::ApiStats;
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome, ShedPolicy};
-use dgsf_sim::{ArgValue, Dur, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx};
+use dgsf_sim::{
+    ArgValue, Dur, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx, TraceOutcome,
+};
 
 use crate::cluster::ClusterBalancer;
 use crate::invoke::{
-    record_request_span, FailureClass, FunctionResult, InvokeFailure, InvokeOptions, Invoker,
+    failure_text, record_request_span, FailureClass, FunctionResult, InvokeOptions, Invoker,
 };
 use crate::phases::{phase, PhaseRecorder};
 use crate::store::ObjectStore;
@@ -191,6 +194,52 @@ impl Drop for AdmissionSlot<'_> {
     }
 }
 
+/// How a request ended, before it is reported: what each exit of
+/// [`Backend::invoke`] hands to its one `finish`, and what an attempt that
+/// completes returns. It ends at the instant it is reported: no exit parks
+/// between deciding the outcome and reporting it.
+pub(crate) struct Terminal {
+    pub(crate) outcome: TraceOutcome,
+    /// Why the request did not complete; empty when it did.
+    pub(crate) reason: String,
+    pub(crate) phases: PhaseRecorder,
+    pub(crate) api_stats: ApiStats,
+    pub(crate) invocation: Option<u64>,
+    pub(crate) attempts: u32,
+    /// API server the last attempt ran on, when known.
+    pub(crate) server: Option<u32>,
+    /// Queue wait summed across every attempt.
+    pub(crate) queue_wait: Dur,
+}
+
+impl Terminal {
+    /// The caller's view of this end of `w`'s request `trace`, launched at
+    /// `launched_at` and ended at `finished_at`.
+    pub(crate) fn into_result(
+        self,
+        w: &dyn Workload,
+        launched_at: SimTime,
+        finished_at: SimTime,
+        trace: u64,
+    ) -> FunctionResult {
+        FunctionResult {
+            name: w.name().to_string(),
+            tenant: w.tenant().to_string(),
+            mode: "dgsf".into(),
+            launched_at,
+            finished_at,
+            phases: self.phases,
+            api_stats: self.api_stats,
+            invocation: self.invocation,
+            attempts: self.attempts,
+            failure: failure_text(self.outcome, self.reason),
+            shed: self.outcome == TraceOutcome::Shed,
+            trace: Some(trace),
+            server: self.server,
+        }
+    }
+}
+
 /// The central serverless backend: a registry of GPU servers plus the
 /// cluster balancer that routes across them.
 pub struct Backend {
@@ -311,7 +360,7 @@ impl Backend {
     /// DGSF path against it, and on a transient failure retry (with
     /// backoff, preferring a different server) up to the attempt budget.
     ///
-    /// Always returns: check [`FunctionResult::succeeded`] for the outcome.
+    /// Always returns: check [`FunctionResult::outcome`] for how it ended.
     /// `launched_at`/`finished_at` span the whole invocation including
     /// retries and backoff, so `e2e()` reflects what the client observed.
     pub fn invoke(
@@ -331,11 +380,38 @@ impl Backend {
         // id rides the admission slot, the monitor queue and the RPC
         // envelopes so every layer's spans share it.
         let trace = TraceCtx::new(tel.next_trace_id(), w.tenant());
-        // Admission control: claim a slot or shed on the spot.
-        let _slot = match self.try_admit(p, w) {
-            Ok(slot) => slot,
-            Err(reason) => return self.shed(p, w, &trace, launched_at, &reason),
+        // Admission control: claim a slot (held until the request is
+        // reported) or shed on the spot, never retried.
+        let (_slot, end) = match self.try_admit(p, w) {
+            Ok(slot) => (slot, self.attempts(p, store, w, opts, &trace)),
+            Err(reason) => (
+                None,
+                Terminal {
+                    outcome: TraceOutcome::Shed,
+                    reason,
+                    phases: PhaseRecorder::new(),
+                    api_stats: ApiStats::default(),
+                    invocation: None,
+                    attempts: 0,
+                    server: None,
+                    queue_wait: Dur::ZERO,
+                },
+            ),
         };
+        self.finish(p, w, &trace, launched_at, end)
+    }
+
+    /// Run an admitted request's attempts until one completes, its reply
+    /// is recovered, or the failures stop it.
+    fn attempts(
+        &self,
+        p: &ProcCtx,
+        store: &ObjectStore,
+        w: &dyn Workload,
+        opts: OptConfig,
+        trace: &TraceCtx,
+    ) -> Terminal {
+        let tel = p.telemetry();
         let max_queue_age = self.admission.as_ref().and_then(|a| a.max_queue_age);
         let mut avoid = None;
         let mut attempt = 1;
@@ -343,221 +419,146 @@ impl Backend {
         // offline trace decomposition assigns to the "queue" segment, so
         // online burn alerts reconcile with post-hoc attribution.
         let mut queue_wait = Dur::ZERO;
-        let last: InvokeFailure = loop {
+        loop {
             // Routing: the balancer never hands out a lease-expired
             // server. A fully expired fleet is a permanent failure, not a
             // shed — retrying or queueing cannot help.
             let Some(idx) = self.balancer.route_for(w.tenant(), &self.servers, avoid) else {
-                tel.counter_add("backend.failures", 1);
-                record_request_span(
-                    p,
-                    &trace,
-                    w.name(),
-                    launched_at,
-                    p.now(),
-                    "failed",
-                    attempt - 1,
-                );
-                self.observe_completion(p.now(), w.tenant(), launched_at, queue_wait, false);
-                return FunctionResult {
-                    name: w.name().to_string(),
-                    tenant: w.tenant().to_string(),
-                    mode: "dgsf".into(),
-                    launched_at,
-                    finished_at: p.now(),
+                return Terminal {
+                    outcome: TraceOutcome::Failed,
+                    reason: "no live GPU server: every lease expired".into(),
                     phases: PhaseRecorder::new(),
-                    api_stats: dgsf_cuda::ApiStats::default(),
+                    api_stats: ApiStats::default(),
                     invocation: None,
                     attempts: attempt - 1,
-                    failure: Some("no live GPU server: every lease expired".into()),
-                    shed: false,
-                    trace: Some(trace.id),
                     server: None,
+                    queue_wait,
                 };
             };
             tel.counter_add("backend.attempts", 1);
-            match Invoker::new(&self.servers[idx], store).invoke(
-                p,
-                w,
-                InvokeOptions::new(opts)
-                    .with_attempt(attempt)
-                    .with_max_queue_age(max_queue_age)
-                    .with_trace(trace.with_attempt(attempt)),
-            ) {
-                Ok(mut r) => {
-                    r.launched_at = launched_at;
-                    r.attempts = attempt;
-                    record_request_span(
-                        p,
-                        &trace,
-                        w.name(),
-                        launched_at,
-                        r.finished_at,
-                        "completed",
-                        attempt,
-                    );
-                    self.observe_completion(
-                        r.finished_at,
-                        w.tenant(),
-                        launched_at,
-                        queue_wait + r.phases.get(phase::QUEUE),
-                        true,
-                    );
-                    return r;
+            let options = InvokeOptions::new(opts)
+                .with_attempt(attempt)
+                .with_max_queue_age(max_queue_age);
+            let invoker = Invoker::new(&self.servers[idx], store);
+            let f = match invoker.attempt(p, w, &options, trace.with_attempt(attempt)) {
+                Ok(done) => {
+                    let queue_wait = queue_wait + done.queue_wait;
+                    return Terminal { queue_wait, ..done };
                 }
-                Err(f) => {
-                    queue_wait += f.phases.get(phase::QUEUE);
-                    // Exactly-once fence: from here a lost *reply* is
-                    // indistinguishable from a lost request. If the server's
-                    // own record says the invocation completed, the work
-                    // happened and only the response died on the wire —
-                    // re-running it would execute the function twice, so
-                    // recover the completion instead of retrying.
-                    if f.class == FailureClass::Transient {
-                        if let Some(inv) = f.invocation {
-                            if self.servers[idx].invocation_outcome(inv)
-                                == Some(InvocationOutcome::Completed)
-                            {
-                                tel.counter_add("backend.recovered_replies", 1);
-                                if tel.is_enabled() {
-                                    tel.instant(
-                                        p.name(),
-                                        "reply-recovered",
-                                        p.now(),
-                                        &[
-                                            ("workload", w.name().into()),
-                                            ("invocation", inv.into()),
-                                            ("inv", trace.id.into()),
-                                        ],
-                                    );
-                                }
-                                record_request_span(
-                                    p,
-                                    &trace,
-                                    w.name(),
-                                    launched_at,
-                                    p.now(),
-                                    "completed",
-                                    attempt,
-                                );
-                                // `queue_wait` already includes this
-                                // attempt's wait (summed on entry to the
-                                // Err arm).
-                                self.observe_completion(
-                                    p.now(),
-                                    w.tenant(),
-                                    launched_at,
-                                    queue_wait,
-                                    true,
-                                );
-                                return FunctionResult {
-                                    name: w.name().to_string(),
-                                    tenant: w.tenant().to_string(),
-                                    mode: "dgsf".into(),
-                                    launched_at,
-                                    finished_at: p.now(),
-                                    phases: *f.phases,
-                                    // The reply carried the stats; they died
-                                    // with it.
-                                    api_stats: dgsf_cuda::ApiStats::default(),
-                                    invocation: Some(inv),
-                                    attempts: attempt,
-                                    failure: None,
-                                    shed: false,
-                                    trace: Some(trace.id),
-                                    server: self.servers[idx].invocation_server(inv),
-                                };
-                            }
-                        }
-                    }
-                    // Overloaded is deliberately not retried: piling
-                    // retries onto a saturated platform makes it worse.
-                    if f.class == FailureClass::Transient && attempt < self.retry.max_attempts {
+                Err(f) => f,
+            };
+            queue_wait += f.phases.get(phase::QUEUE);
+            // Exactly-once fence: from here a lost *reply* is
+            // indistinguishable from a lost request. If the server's own
+            // record says the invocation completed, the work happened and
+            // only the response died on the wire — re-running it would
+            // execute the function twice, so recover the completion
+            // instead of retrying.
+            if f.class == FailureClass::Transient {
+                if let Some(inv) = f.invocation {
+                    if self.servers[idx].invocation_outcome(inv)
+                        == Some(InvocationOutcome::Completed)
+                    {
+                        tel.counter_add("backend.recovered_replies", 1);
                         if tel.is_enabled() {
-                            tel.counter_add("backend.retries", 1);
                             tel.instant(
                                 p.name(),
-                                "retry",
+                                "reply-recovered",
                                 p.now(),
                                 &[
                                     ("workload", w.name().into()),
-                                    ("failed_attempt", attempt.into()),
-                                    ("error", ArgValue::Str(&f.error.to_string())),
+                                    ("invocation", inv.into()),
                                     ("inv", trace.id.into()),
                                 ],
                             );
                         }
-                        avoid = Some(idx);
-                        p.sleep(self.retry.backoff(attempt));
-                        attempt += 1;
-                    } else {
-                        break f;
+                        return Terminal {
+                            outcome: TraceOutcome::Completed,
+                            reason: String::new(),
+                            phases: *f.phases,
+                            // The reply carried the stats; they died with it.
+                            api_stats: ApiStats::default(),
+                            invocation: Some(inv),
+                            attempts: attempt,
+                            server: self.servers[idx].invocation_server(inv),
+                            queue_wait,
+                        };
                     }
                 }
             }
-        };
-        let shed = last.class == FailureClass::Overloaded;
-        if shed {
-            tel.counter_add("backend.shed", 1);
+            // Overloaded is deliberately not retried: piling retries onto
+            // a saturated platform makes it worse.
+            if f.class != FailureClass::Transient || attempt >= self.retry.max_attempts {
+                return Terminal {
+                    outcome: f.outcome(),
+                    reason: f.error.to_string(),
+                    phases: *f.phases,
+                    api_stats: ApiStats::default(),
+                    invocation: f.invocation,
+                    attempts: attempt,
+                    server: None,
+                    queue_wait,
+                };
+            }
             if tel.is_enabled() {
+                tel.counter_add("backend.retries", 1);
                 tel.instant(
                     p.name(),
-                    "shed",
+                    "retry",
                     p.now(),
                     &[
                         ("workload", w.name().into()),
-                        ("reason", ArgValue::Str(&last.error.to_string())),
+                        ("failed_attempt", attempt.into()),
+                        ("error", ArgValue::Str(&f.error.to_string())),
                         ("inv", trace.id.into()),
                     ],
                 );
             }
-        } else {
-            tel.counter_add("backend.failures", 1);
-        }
-        record_request_span(
-            p,
-            &trace,
-            w.name(),
-            launched_at,
-            p.now(),
-            if shed { "shed" } else { "failed" },
-            attempt,
-        );
-        let failure = if shed {
-            format!("overloaded: {}", last.error)
-        } else {
-            last.error.to_string()
-        };
-        self.observe_completion(p.now(), w.tenant(), launched_at, queue_wait, false);
-        FunctionResult {
-            name: w.name().to_string(),
-            tenant: w.tenant().to_string(),
-            mode: "dgsf".into(),
-            launched_at,
-            finished_at: p.now(),
-            phases: *last.phases,
-            api_stats: dgsf_cuda::ApiStats::default(),
-            invocation: last.invocation,
-            attempts: attempt,
-            failure: Some(failure),
-            shed,
-            trace: Some(trace.id),
-            server: None,
+            avoid = Some(idx);
+            p.sleep(self.retry.backoff(attempt));
+            attempt += 1;
         }
     }
 
-    /// Feed one terminal outcome to the obs plane (no-op without one).
-    fn observe_completion(
+    /// Report how a request ended, in one place: the `backend.shed` or
+    /// `backend.failures` counter (with a `shed` instant), the `req:`
+    /// request span and the obs plane's completion, then the caller's
+    /// [`FunctionResult`].
+    fn finish(
         &self,
-        now: SimTime,
-        tenant: &str,
+        p: &ProcCtx,
+        w: &dyn Workload,
+        trace: &TraceCtx,
         launched_at: SimTime,
-        queue_wait: Dur,
-        completed: bool,
-    ) {
-        if let Some(obs) = &self.obs {
-            obs.record_completion(now, tenant, now.since(launched_at), queue_wait, completed);
+        end: Terminal,
+    ) -> FunctionResult {
+        let (tel, now) = (p.telemetry(), p.now());
+        match end.outcome {
+            TraceOutcome::Completed => {}
+            TraceOutcome::Shed => {
+                tel.counter_add("backend.shed", 1);
+                if tel.is_enabled() {
+                    tel.instant(
+                        p.name(),
+                        TraceOutcome::Shed.as_str(),
+                        now,
+                        &[
+                            ("workload", w.name().into()),
+                            ("reason", ArgValue::Str(&end.reason)),
+                            ("inv", trace.id.into()),
+                        ],
+                    );
+                }
+            }
+            TraceOutcome::Failed => tel.counter_add("backend.failures", 1),
         }
+        record_request_span(p, trace, w.name(), launched_at, end.outcome, end.attempts);
+        let completed = end.outcome == TraceOutcome::Completed;
+        if let Some(obs) = &self.obs {
+            let e2e = now.since(launched_at);
+            obs.record_completion(now, w.tenant(), e2e, end.queue_wait, completed);
+        }
+        end.into_result(w, launched_at, now, trace.id)
     }
 
     /// Claim an admission slot for `w`, or say why it was refused.
@@ -617,49 +618,6 @@ impl Backend {
             name: name.to_string(),
             tenant,
         }))
-    }
-
-    /// A refused invocation: returns immediately, marked shed, never
-    /// retried.
-    fn shed(
-        &self,
-        p: &ProcCtx,
-        w: &dyn Workload,
-        trace: &TraceCtx,
-        launched_at: dgsf_sim::SimTime,
-        reason: &str,
-    ) -> FunctionResult {
-        let tel = p.telemetry();
-        tel.counter_add("backend.shed", 1);
-        if tel.is_enabled() {
-            tel.instant(
-                p.name(),
-                "shed",
-                p.now(),
-                &[
-                    ("workload", w.name().into()),
-                    ("reason", reason.into()),
-                    ("inv", trace.id.into()),
-                ],
-            );
-        }
-        record_request_span(p, trace, w.name(), launched_at, p.now(), "shed", 0);
-        self.observe_completion(p.now(), w.tenant(), launched_at, Dur::ZERO, false);
-        FunctionResult {
-            name: w.name().to_string(),
-            tenant: w.tenant().to_string(),
-            mode: "dgsf".into(),
-            launched_at,
-            finished_at: p.now(),
-            phases: PhaseRecorder::new(),
-            api_stats: dgsf_cuda::ApiStats::default(),
-            invocation: None,
-            attempts: 0,
-            failure: Some(format!("overloaded: {reason}")),
-            shed: true,
-            trace: Some(trace.id),
-            server: None,
-        }
     }
 }
 

@@ -16,8 +16,9 @@ use dgsf_cuda::{CostTable, CudaApi, CudaError, CudaResult, NativeCuda};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::GpuServer;
-use dgsf_sim::{ArgValue, Dur, ProcCtx, SimHandle, SimTime, TraceCtx};
+use dgsf_sim::{ArgValue, Dur, ProcCtx, SimHandle, SimTime, TraceCtx, TraceOutcome};
 
+use crate::backend::Terminal;
 use crate::dag::{edge_key, DagWorkload, HandoffMode, StageRun};
 use crate::phases::{phase, PhaseRecorder};
 use crate::store::ObjectStore;
@@ -86,6 +87,31 @@ impl FunctionResult {
     pub fn succeeded(&self) -> bool {
         self.failure.is_none()
     }
+
+    /// How the function ended.
+    pub fn outcome(&self) -> TraceOutcome {
+        outcome_of(self.shed, &self.failure)
+    }
+}
+
+/// The outcome a result's `shed` flag and `failure` text report.
+fn outcome_of(shed: bool, failure: &Option<String>) -> TraceOutcome {
+    match (shed, failure) {
+        (true, _) => TraceOutcome::Shed,
+        (false, None) => TraceOutcome::Completed,
+        (false, Some(_)) => TraceOutcome::Failed,
+    }
+}
+
+/// The caller-visible `failure` text of a request that ended in `outcome`
+/// for `reason`: none when it completed, `overloaded: {reason}` when it
+/// was shed, the reason itself when it failed.
+pub(crate) fn failure_text(outcome: TraceOutcome, reason: String) -> Option<String> {
+    match outcome {
+        TraceOutcome::Completed => None,
+        TraceOutcome::Shed => Some(format!("overloaded: {reason}")),
+        TraceOutcome::Failed => Some(reason),
+    }
 }
 
 /// One failed DGSF attempt, with enough context to retry or report.
@@ -104,6 +130,17 @@ pub struct InvokeFailure {
     pub launched_at: SimTime,
     /// When it failed.
     pub failed_at: SimTime,
+}
+
+impl InvokeFailure {
+    /// How a request ends when this failure is its last: shed when the
+    /// platform was overloaded, failed otherwise.
+    pub fn outcome(&self) -> TraceOutcome {
+        match self.class {
+            FailureClass::Overloaded => TraceOutcome::Shed,
+            FailureClass::Transient | FailureClass::Permanent => TraceOutcome::Failed,
+        }
+    }
 }
 
 impl std::fmt::Display for InvokeFailure {
@@ -200,42 +237,19 @@ impl<'a> Invoker<'a> {
         options: InvokeOptions,
     ) -> Result<FunctionResult, InvokeFailure> {
         let attempt = options.attempt.max(1);
-        match options.trace.clone() {
-            Some(trace) => self.attempt(p, w, &options, trace),
-            None => {
-                let trace =
-                    TraceCtx::new(p.telemetry().next_trace_id(), w.tenant()).with_attempt(attempt);
-                let out = self.attempt(p, w, &options, trace.clone());
-                match &out {
-                    Ok(r) => record_request_span(
-                        p,
-                        &trace,
-                        w.name(),
-                        r.launched_at,
-                        r.finished_at,
-                        "completed",
-                        attempt,
-                    ),
-                    Err(f) => {
-                        let outcome = if f.class == FailureClass::Overloaded {
-                            "shed"
-                        } else {
-                            "failed"
-                        };
-                        record_request_span(
-                            p,
-                            &trace,
-                            w.name(),
-                            f.launched_at,
-                            f.failed_at,
-                            outcome,
-                            attempt,
-                        );
-                    }
-                }
-                out
-            }
+        let launched_at = p.now();
+        let trace = match &options.trace {
+            Some(trace) => trace.clone(),
+            None => TraceCtx::new(p.telemetry().next_trace_id(), w.tenant()).with_attempt(attempt),
+        };
+        let out = self.attempt(p, w, &options, trace.clone());
+        if options.trace.is_none() {
+            let outcome = out
+                .as_ref()
+                .map_or_else(InvokeFailure::outcome, |t| t.outcome);
+            record_request_span(p, &trace, w.name(), launched_at, outcome, attempt);
         }
+        Ok(out?.into_result(w, launched_at, p.now(), trace.id))
     }
 
     /// Run a function DAG stage by stage, each stage a separate platform
@@ -271,7 +285,7 @@ impl<'a> Invoker<'a> {
         };
         let max_attempts = max_attempts.max(1);
 
-        let mut terminal: Option<(String, bool)> = None; // (failure, shed)
+        let mut terminal: Option<InvokeFailure> = None;
         let mut stages: Vec<FunctionResult> = Vec::new();
         let mut attempts_taken = 0;
         'dag: for attempt in 1..=max_attempts {
@@ -300,44 +314,21 @@ impl<'a> Invoker<'a> {
                                 self.server.reclaim_resident(edge_key(trace.id, attempt, e));
                             }
                         }
-                        match f.class {
-                            FailureClass::Transient if attempt < max_attempts => continue 'dag,
-                            FailureClass::Overloaded => {
-                                terminal = Some((f.error.to_string(), true));
-                                break 'dag;
-                            }
-                            _ => {
-                                terminal = Some((f.error.to_string(), false));
-                                break 'dag;
-                            }
+                        if f.class == FailureClass::Transient && attempt < max_attempts {
+                            continue 'dag;
                         }
+                        terminal = Some(f);
+                        break 'dag;
                     }
                 }
             }
-            terminal = None;
             break 'dag;
         }
 
-        let (failure, shed) = match terminal {
-            Some((e, shed)) => (Some(e), shed),
-            None => (None, false),
-        };
-        let outcome = if failure.is_none() {
-            "completed"
-        } else if shed {
-            "shed"
-        } else {
-            "failed"
-        };
-        record_request_span(
-            p,
-            &trace,
-            &dag.name,
-            launched_at,
-            p.now(),
-            outcome,
-            attempts_taken,
-        );
+        let outcome = terminal
+            .as_ref()
+            .map_or(TraceOutcome::Completed, InvokeFailure::outcome);
+        record_request_span(p, &trace, &dag.name, launched_at, outcome, attempts_taken);
         DagResult {
             name: dag.name.clone(),
             tenant: dag.tenant.clone(),
@@ -346,21 +337,25 @@ impl<'a> Invoker<'a> {
             launched_at,
             finished_at: p.now(),
             attempts: attempts_taken,
-            failure,
-            shed,
+            failure: failure_text(
+                outcome,
+                terminal.map(|f| f.error.to_string()).unwrap_or_default(),
+            ),
+            shed: outcome == TraceOutcome::Shed,
             trace: trace.id,
         }
     }
 
     /// One attempt: download, acquire (bounded, possibly pinned), drive
     /// the workload over the remoted API, settle the invocation record.
-    fn attempt(
+    /// Runs under `trace`; `options.trace` is not read.
+    pub(crate) fn attempt(
         &self,
         p: &ProcCtx,
         w: &dyn Workload,
         options: &InvokeOptions,
         trace: TraceCtx,
-    ) -> Result<FunctionResult, InvokeFailure> {
+    ) -> Result<Terminal, InvokeFailure> {
         let server = self.server;
         let attempt = options.attempt.max(1);
         let launched_at = p.now();
@@ -439,19 +434,14 @@ impl<'a> Invoker<'a> {
             );
         }
         match outcome {
-            Ok(()) => Ok(FunctionResult {
-                name: w.name().to_string(),
-                tenant: w.tenant().to_string(),
-                mode: "dgsf".into(),
-                launched_at,
-                finished_at: p.now(),
+            Ok(()) => Ok(Terminal {
+                outcome: TraceOutcome::Completed,
+                reason: String::new(),
+                queue_wait: rec.get(phase::QUEUE),
                 phases: rec,
                 api_stats: api.stats(),
                 invocation: Some(invocation),
                 attempts: attempt,
-                failure: None,
-                shed: false,
-                trace: Some(trace.id),
                 server: server.invocation_server(invocation),
             }),
             Err(error) => {
@@ -511,18 +501,22 @@ impl DagResult {
     pub fn succeeded(&self) -> bool {
         self.failure.is_none()
     }
+
+    /// How the DAG ended.
+    pub fn outcome(&self) -> TraceOutcome {
+        outcome_of(self.shed, &self.failure)
+    }
 }
 
 /// Record the top-level `req:{workload}` span that roots a causal trace:
-/// one per request, spanning every attempt, carrying the trace id, tenant,
-/// terminal outcome and attempt count as span arguments.
+/// one per request, spanning every attempt from `start` until now, with
+/// the trace id, tenant, outcome and attempt count as span arguments.
 pub(crate) fn record_request_span(
     p: &ProcCtx,
     trace: &TraceCtx,
     workload: &str,
     start: SimTime,
-    end: SimTime,
-    outcome: &str,
+    outcome: TraceOutcome,
     attempts: u32,
 ) {
     let tel = p.telemetry();
@@ -532,11 +526,11 @@ pub(crate) fn record_request_span(
             &format!("req:{workload}"),
             "request",
             start,
-            end,
+            p.now(),
             &[
                 ("inv", trace.id.into()),
                 ("tenant", ArgValue::Str(&trace.tenant)),
-                ("outcome", outcome.into()),
+                ("outcome", outcome.as_str().into()),
                 ("attempts", attempts.into()),
             ],
         );

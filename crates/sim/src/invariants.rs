@@ -15,6 +15,7 @@
 
 use crate::telemetry::EventRecord;
 use crate::time::SimTime;
+use crate::trace::TraceOutcome;
 
 /// Lifecycle facts of one GPU invocation, as the server recorded it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,24 +34,13 @@ pub struct InvocationFacts {
     pub trace: Option<u64>,
 }
 
-/// Terminal outcome of one serverless request (one trace id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    /// The request returned a successful result to the caller.
-    Completed,
-    /// The request failed after exhausting its attempts.
-    Failed,
-    /// The request was shed (admission control / overload).
-    Shed,
-}
-
 /// Facts of one serverless request, keyed by trace id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestFacts {
     /// Platform-unique trace id.
     pub trace: u64,
     /// What the caller was told.
-    pub outcome: RequestOutcome,
+    pub outcome: TraceOutcome,
 }
 
 /// Facts of one committed migration.
@@ -230,7 +220,7 @@ pub fn check(
             .unwrap_or(0);
         let attempts = by_trace.get(&req.trace).map(|v| v.len()).unwrap_or(0);
         match req.outcome {
-            RequestOutcome::Completed => {
+            TraceOutcome::Completed => {
                 if attempts > 0 && dones != 1 {
                     r.violate(
                         "completed-exactly-once",
@@ -242,7 +232,7 @@ pub fn check(
                     );
                 }
             }
-            RequestOutcome::Failed | RequestOutcome::Shed => {
+            TraceOutcome::Failed | TraceOutcome::Shed => {
                 if dones != 0 {
                     r.violate(
                         "failed-means-no-run",
@@ -439,11 +429,11 @@ mod tests {
         let reqs = [
             RequestFacts {
                 trace: 7,
-                outcome: RequestOutcome::Completed,
+                outcome: TraceOutcome::Completed,
             },
             RequestFacts {
                 trace: 8,
-                outcome: RequestOutcome::Failed,
+                outcome: TraceOutcome::Failed,
             },
         ];
         let migs = [MigrationFacts {
@@ -492,7 +482,7 @@ mod tests {
             &[inv(1, 7)],
             &[RequestFacts {
                 trace: 7,
-                outcome: RequestOutcome::Failed,
+                outcome: TraceOutcome::Failed,
             }],
             &[],
         );

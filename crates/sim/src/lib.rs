@@ -56,9 +56,7 @@ pub mod trace;
 
 pub use cell::{SimCell, SimGuard};
 pub use channel::{RecvError, SimReceiver, SimSender};
-pub use invariants::{
-    InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, RequestOutcome, Violation,
-};
+pub use invariants::{InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, Violation};
 pub use kernel::{ProcCtx, ProcId, ShutdownSignal, Sim, SimHandle};
 pub use obs::{
     AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, QuantileSketch, TenantBurnRow, WindowRow,

@@ -35,10 +35,12 @@ use crate::stats::percentile_permille;
 use crate::telemetry::{SpanRecord, Telemetry};
 use crate::time::{Dur, SimTime};
 
-/// Terminal state of one traced request.
+/// Terminal state of one request: the one three-state outcome that the
+/// backend's results, its `req:` spans, the exactly-once oracle and the
+/// trace assembler all share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceOutcome {
-    /// The request returned a successful [`FunctionResult`]-style outcome.
+    /// The request returned a successful result to its caller.
     Completed,
     /// Admission control (or queue-age overload) shed the request.
     Shed,
@@ -331,22 +333,14 @@ pub fn attribute(trees: &[TraceTree], k: usize) -> Vec<GroupAttribution> {
                 .collect();
             let mut by_slowness = members.clone();
             by_slowness.sort_by_key(|t| (std::cmp::Reverse(t.e2e().as_nanos()), t.id));
+            let ended = |o| members.iter().filter(|t| t.outcome == o).count() as u64;
             GroupAttribution {
                 tenant,
                 workload,
                 count,
-                completed: members
-                    .iter()
-                    .filter(|t| t.outcome == TraceOutcome::Completed)
-                    .count() as u64,
-                shed: members
-                    .iter()
-                    .filter(|t| t.outcome == TraceOutcome::Shed)
-                    .count() as u64,
-                failed: members
-                    .iter()
-                    .filter(|t| t.outcome == TraceOutcome::Failed)
-                    .count() as u64,
+                completed: ended(TraceOutcome::Completed),
+                shed: ended(TraceOutcome::Shed),
+                failed: ended(TraceOutcome::Failed),
                 p50_e2e_ns: percentile_permille(&e2e, 500),
                 p99_e2e_ns: percentile_permille(&e2e, 990),
                 segments,

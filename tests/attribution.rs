@@ -12,7 +12,7 @@ use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{Backend, FleetPolicy, FunctionResult, ObjectStore, RetryPolicy};
-use dgsf::sim::trace::{assemble, TraceOutcome, TraceTree};
+use dgsf::sim::trace::{assemble, TraceTree};
 use dgsf::sim::SimCell;
 use dgsf::workloads::{as_workloads, paper_suite};
 
@@ -30,14 +30,7 @@ fn check_consistency(results: &[FunctionResult], trees: &[TraceTree]) {
             .iter()
             .find(|t| t.id == id)
             .unwrap_or_else(|| panic!("no assembled trace for request {id}"));
-        let expect = if r.succeeded() {
-            TraceOutcome::Completed
-        } else if r.shed {
-            TraceOutcome::Shed
-        } else {
-            TraceOutcome::Failed
-        };
-        assert_eq!(t.outcome, expect, "trace {id} terminal state");
+        assert_eq!(t.outcome, r.outcome(), "trace {id} terminal state");
         assert_eq!(t.start, r.launched_at, "trace {id} window start");
         assert_eq!(t.end, r.finished_at, "trace {id} window end");
         assert_eq!(t.attempts, r.attempts, "trace {id} attempt count");

@@ -14,7 +14,7 @@ use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{DagWorkload, HandoffMode, ObjectStore};
-use dgsf::sim::SimCell;
+use dgsf::sim::{SimCell, TraceOutcome};
 
 const MB: u64 = 1 << 20;
 
@@ -229,4 +229,53 @@ fn dag_chaos_holds_handoff_exactly_once_and_replays() {
     let b = run();
     assert_eq!(a.results, b.results, "same seed, same chaotic timeline");
     assert_eq!(a.resident_events, b.resident_events);
+}
+
+#[test]
+fn a_dag_shed_on_queue_age_reports_the_overloaded_reason() {
+    let mut sim = Sim::new(1);
+    let h = sim.handle();
+    let out = Arc::new(SimCell::new(&h, None));
+    let o2 = Arc::clone(&out);
+    let h2 = h.clone();
+    sim.spawn("dag-root", move |p| {
+        // One GPU with one API server: the second DAG's first stage queues
+        // behind the first DAG's, longer than its queue-age bound.
+        let server = GpuServer::provision(p, &h2, GpuServerConfig::paper_default().gpus(1));
+        let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
+        let dag =
+            || DagWorkload::pipeline3("vision", HandoffMode::HostBounce, MB, MB, MB, [1.0; 3]);
+        let (s2, st2, busy) = (Arc::clone(&server), Arc::clone(&store), dag());
+        h2.spawn("dag-busy", move |p| {
+            let r = Invoker::new(&s2, &st2).invoke_dag(
+                p,
+                &busy,
+                InvokeOptions::new(OptConfig::full()),
+                1,
+            );
+            assert!(
+                r.succeeded(),
+                "the first DAG runs unhindered: {:?}",
+                r.failure
+            );
+        });
+        h2.spawn_at("dag-shed", t(0.1), move |p| {
+            let opts = InvokeOptions::new(OptConfig::full())
+                .with_max_queue_age(Some(Dur::from_millis(100)));
+            let r = Invoker::new(&server, &store).invoke_dag(p, &dag(), opts, 3);
+            *o2.borrow_in(p) = Some(r);
+        });
+    });
+    sim.run();
+    let r = out.lock().take().expect("the second DAG returned");
+    assert!(r.shed);
+    assert_eq!(r.outcome(), TraceOutcome::Shed);
+    assert_eq!(r.attempts, 1, "a shed DAG is not retried");
+    assert!(
+        r.failure
+            .as_deref()
+            .is_some_and(|f| f.starts_with("overloaded:")),
+        "a shed DAG's failure names the overload, as a shed function's does: {:?}",
+        r.failure
+    );
 }

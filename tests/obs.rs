@@ -114,6 +114,10 @@ fn overloaded_run(seed: u64) -> (ObsConfig, dgsf::BackendRunOutput, Arc<dgsf::si
         },
     );
     let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+    // The plane's windows and burn rows, and the backend's counters,
+    // count every request's end exactly as the results do.
+    dgsf::check_obs_reconciles(&out, &ocfg).assert_ok();
+    dgsf::check_backend_counters(&out, &tel).assert_ok();
     (ocfg, out, tel)
 }
 

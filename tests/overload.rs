@@ -62,9 +62,11 @@ fn overload_config(seed: u64) -> PlatformConfig {
         )
         .with_max_inflight(24)
         .with_max_queue_age(Dur::from_secs(3))
+        .with_obs(ObsConfig::paper_default())
 }
 
-/// Poisson arrivals at 8 rps — double the 4 rps ceiling.
+/// Poisson arrivals at 8 rps — double the 4 rps ceiling. Checks the
+/// counter and obs oracles on every run.
 fn overload_run(seed: u64) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
     let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
     let schedule = Schedule::mixed(
@@ -75,7 +77,13 @@ fn overload_run(seed: u64) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
             mean: Dur::from_millis(125),
         },
     );
-    Testbed::run_platform_schedule_traced(&overload_config(seed), &suite, &schedule)
+    let (out, tel) =
+        Testbed::run_platform_schedule_traced(&overload_config(seed), &suite, &schedule);
+    // The counters, the instants and the obs plane report each request's
+    // end exactly as the results do, sheds included.
+    dgsf::check_backend_counters(&out, &tel).assert_ok();
+    dgsf::check_obs_reconciles(&out, &ObsConfig::paper_default()).assert_ok();
+    (out, tel)
 }
 
 /// A per-function fingerprint capturing everything overload-relevant.

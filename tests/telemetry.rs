@@ -27,7 +27,8 @@ fn mixed_cfg(seed: u64) -> (PlatformConfig, Vec<Arc<dyn Workload>>, Schedule) {
 
 fn traced_export(seed: u64) -> TelemetryExport {
     let (cfg, suite, schedule) = mixed_cfg(seed);
-    let (_out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+    let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+    dgsf::check_backend_counters(&out, &tel).assert_ok();
     tel.export()
 }
 
@@ -78,6 +79,7 @@ fn tracing_does_not_perturb_the_simulation() {
     let (cfg, suite, schedule) = mixed_cfg(42);
     let plain = Testbed::run_platform_schedule(&cfg, &suite, &schedule);
     let (traced, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+    dgsf::check_backend_counters(&traced, &tel).assert_ok();
     assert_eq!(digest(&plain), digest(&traced));
     assert_eq!(plain.all_done, traced.all_done);
     assert!(tel.counter("backend.invocations") > 0 || tel.counter("monitor.assignments") > 0);
@@ -114,7 +116,8 @@ fn rpc_accounting_is_consistent() {
     // class as clients issued, and every histogram's count matches its
     // class counter.
     let (cfg, suite, schedule) = mixed_cfg(42);
-    let (_out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+    let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
+    dgsf::check_backend_counters(&out, &tel).assert_ok();
     for (name, calls) in tel.counters() {
         if let Some(class) = name.strip_prefix("rpc.calls.") {
             assert_eq!(
