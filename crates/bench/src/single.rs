@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use dgsf::cuda::MigrationReport;
 use dgsf::prelude::*;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{phase, InvokeOptions, Invoker, ObjectStore};
@@ -46,7 +47,10 @@ pub fn table2() -> Vec<Table2Row> {
             let dgsf_run = Testbed::run_dgsf_once(&cfg, dynw.clone());
             let lambda = Testbed::run_dgsf_once(&lambda_cfg, dynw.clone());
             let cpu = Testbed::run_cpu_once(1, dynw.clone());
-            let mig = migration_probe(w);
+            // Trigger once the function is mid-processing.
+            let mid = Dur::from_secs_f64(w.load.work + 1.0)
+                + Dur::from_secs_f64(w.host_secs / 2.0 + w.total_gpu_work() / 2.0);
+            let mig = migration_probe(w, 11, mid, |r| r.data_copy);
             let peak = w.alloc_split.iter().sum::<u64>()
                 + cfg.server.costs.cuda_ctx_mem
                 + if w.uses_dnn {
@@ -67,10 +71,17 @@ pub fn table2() -> Vec<Table2Row> {
         .collect()
 }
 
-/// Force a migration mid-processing and report the data-copy seconds
-/// (Table II's "Aprox. Migration Time").
-pub fn migration_probe(w: &Arc<TraceSpec>) -> f64 {
-    let mut sim = Sim::new(11);
+/// Run `w` alone on a two-GPU server under `seed`, force its API server
+/// onto GPU 1 `after_download` past the input download, and report the
+/// migration's `part` in seconds (Table II's "Aprox. Migration Time" reads
+/// the data copy). 0 when the function finished before the boundary hit.
+pub fn migration_probe(
+    w: &Arc<TraceSpec>,
+    seed: u64,
+    after_download: Dur,
+    part: fn(&MigrationReport) -> Dur,
+) -> f64 {
+    let mut sim = Sim::new(seed);
     let h = sim.handle();
     let out = Arc::new(SimCell::new(&h, None));
     let o = Arc::clone(&out);
@@ -90,12 +101,7 @@ pub fn migration_probe(w: &Arc<TraceSpec>) -> f64 {
                 InvokeOptions::new(OptConfig::full()),
             );
         });
-        // Trigger the migration once the function is mid-processing.
-        let dl = store.download_time(w.download_bytes());
-        let mid = dl
-            + Dur::from_secs_f64(w.load.work + 1.0)
-            + Dur::from_secs_f64(w.host_secs / 2.0 + w.total_gpu_work() / 2.0);
-        p.sleep(mid);
+        p.sleep(store.download_time(w.download_bytes()) + after_download);
         if let Some(rec) = server.records().first() {
             if let Some(srv) = rec.server {
                 server.force_migration(srv, gpu::GpuId(1));
@@ -103,12 +109,11 @@ pub fn migration_probe(w: &Arc<TraceSpec>) -> f64 {
         }
     });
     sim.run();
-    // No migration when the function finished before the boundary hit.
     let server = out.lock().take().expect("the root provisioned the server");
     let migrations = server.migrations();
     migrations
         .first()
-        .map_or(0.0, |m| m.report.data_copy.as_secs_f64())
+        .map_or(0.0, |m| part(&m.report).as_secs_f64())
 }
 
 /// Render Table II in the paper's layout.
@@ -404,9 +409,9 @@ pub fn migration_vs_restart() -> Vec<RestartRow> {
         .map(|w| {
             let dynw: Arc<dyn Workload> = Arc::clone(w) as Arc<dyn Workload>;
             let e2e = Testbed::run_dgsf_once(&cfg, dynw).e2e().as_secs_f64();
-            // total migration cost at mid-run: copy + stop + lib recreate;
-            // reuse the probe but read the full report.
-            let migration = migration_probe_total(w);
+            // total migration cost at mid-run: copy + stop + lib recreate.
+            let mid = Dur::from_secs_f64(w.load.work + 1.0 + w.total_gpu_work() / 2.0);
+            let migration = migration_probe(w, 13, mid, |r| r.total);
             RestartRow {
                 name: w.name.clone(),
                 e2e,
@@ -417,44 +422,6 @@ pub fn migration_vs_restart() -> Vec<RestartRow> {
             }
         })
         .collect()
-}
-
-/// Like [`migration_probe`] but returns the migration's *total* time.
-fn migration_probe_total(w: &Arc<TraceSpec>) -> f64 {
-    let mut sim = Sim::new(13);
-    let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o = Arc::clone(&out);
-    let w = Arc::clone(w);
-    let h2 = h.clone();
-    sim.spawn("root", move |p| {
-        let server = GpuServer::provision(p, &h2, GpuServerConfig::paper_default().gpus(2));
-        *o.lock() = Some(Arc::clone(&server));
-        let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let server2 = Arc::clone(&server);
-        let w2 = Arc::clone(&w);
-        let store2 = Arc::clone(&store);
-        h2.spawn("fn", move |p| {
-            let _ = Invoker::new(&server2, &store2).invoke(
-                p,
-                w2.as_ref(),
-                InvokeOptions::new(OptConfig::full()),
-            );
-        });
-        let dl = store.download_time(w.download_bytes());
-        p.sleep(dl + Dur::from_secs_f64(w.load.work + 1.0 + w.total_gpu_work() / 2.0));
-        if let Some(rec) = server.records().first() {
-            if let Some(srv) = rec.server {
-                server.force_migration(srv, gpu::GpuId(1));
-            }
-        }
-    });
-    sim.run();
-    let server = out.lock().take().expect("the root provisioned the server");
-    let migrations = server.migrations();
-    migrations
-        .first()
-        .map_or(0.0, |m| m.report.total.as_secs_f64())
 }
 
 /// Render the migration-vs-restart analysis.

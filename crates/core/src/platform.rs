@@ -38,12 +38,6 @@ pub enum ConfigError {
         /// The offending tenant.
         tenant: String,
     },
-    /// The default weight of a weight map is 0, so every unnamed tenant
-    /// would weigh nothing.
-    ZeroDefaultWeight {
-        /// Which policy the default belongs to (`"fair_shed"` / `"mqfq"`).
-        policy: &'static str,
-    },
     /// The MQFQ provisional service charge is 0, which would collapse the
     /// in-flight rotation.
     ZeroAssumedService,
@@ -67,11 +61,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "{policy} weight for tenant {tenant:?} is 0: a zero-weight tenant \
                  would be starved forever; give every tenant a weight >= 1"
-            ),
-            ConfigError::ZeroDefaultWeight { policy } => write!(
-                f,
-                "{policy} default weight is 0: tenants without an explicit weight \
-                 would be starved forever; use a default weight >= 1"
             ),
             ConfigError::ZeroAssumedService => write!(
                 f,
@@ -253,12 +242,12 @@ impl PlatformConfig {
     /// runners call this before provisioning anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(fair) = self.admission.as_ref().and_then(|a| a.fairness.as_ref()) {
-            check_weights("fair_shed", &fair.weights, fair.default_weight)?;
+            check_weights("fair_shed", &fair.weights)?;
         }
         if self.server.queue == QueuePolicy::Mqfq {
             let default = MqfqConfig::default();
             let mqfq = self.server.fair_queue.as_ref().unwrap_or(&default);
-            check_weights("mqfq", &mqfq.weights, mqfq.default_weight)?;
+            check_weights("mqfq", &mqfq.weights)?;
             if mqfq.assumed_service_ns == 0 {
                 return Err(ConfigError::ZeroAssumedService);
             }
@@ -308,16 +297,12 @@ impl PlatformConfig {
 fn check_weights(
     policy: &'static str,
     weights: &std::collections::BTreeMap<String, u64>,
-    default_weight: u64,
 ) -> Result<(), ConfigError> {
     if let Some((tenant, _)) = weights.iter().find(|(_, &w)| w == 0) {
         return Err(ConfigError::ZeroWeight {
             policy,
             tenant: tenant.clone(),
         });
-    }
-    if default_weight == 0 {
-        return Err(ConfigError::ZeroDefaultWeight { policy });
     }
     Ok(())
 }
@@ -393,17 +378,6 @@ mod tests {
                 tenant: "ghost".into(),
             })
         );
-        let mut fair2 = FairShedConfig::new();
-        fair2.default_weight = 0;
-        let cfg2 = PlatformConfig::paper_default()
-            .with_max_inflight(8)
-            .with_weighted_fair(fair2);
-        assert_eq!(
-            cfg2.validate(),
-            Err(ConfigError::ZeroDefaultWeight {
-                policy: "fair_shed"
-            })
-        );
     }
 
     #[test]
@@ -417,12 +391,6 @@ mod tests {
                 policy: "mqfq",
                 tenant: "ghost".into(),
             })
-        );
-        let mut mqfq2 = MqfqConfig::new();
-        mqfq2.default_weight = 0;
-        assert_eq!(
-            PlatformConfig::paper_default().with_mqfq(mqfq2).validate(),
-            Err(ConfigError::ZeroDefaultWeight { policy: "mqfq" })
         );
         let mqfq3 = MqfqConfig::new().with_assumed_service(0);
         assert_eq!(

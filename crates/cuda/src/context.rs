@@ -410,16 +410,6 @@ impl CudaContext {
         Ok(())
     }
 
-    /// Number of live cuDNN handles.
-    pub fn cudnn_handle_count(&self) -> usize {
-        self.cudnn.lock().len()
-    }
-
-    /// Number of live cuBLAS handles.
-    pub fn cublas_handle_count(&self) -> usize {
-        self.cublas.lock().len()
-    }
-
     /// Park a buffer in the resident store under `key`. Fails if the key
     /// is already taken (handoff keys are single-use by construction).
     pub fn publish_resident(&self, key: u64, buf: ResidentBuf) -> CudaResult<()> {

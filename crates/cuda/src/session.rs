@@ -174,11 +174,6 @@ impl GpuSession {
         &self.active
     }
 
-    /// The session's home context.
-    pub fn home_context(&self) -> &Arc<CudaContext> {
-        &self.home
-    }
-
     /// Register the application's kernels (the guest library ships them at
     /// connection time, Figure 2 step ②).
     pub fn register_module(&mut self, registry: Arc<ModuleRegistry>) {

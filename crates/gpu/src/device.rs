@@ -395,11 +395,6 @@ impl Gpu {
         done_rx
     }
 
-    /// Number of kernels currently resident on the compute engine.
-    pub fn active_kernels(&self) -> usize {
-        self.compute.active_jobs()
-    }
-
     // ---- utilization (NVML-style) ----
 
     /// Busy time of the compute engine within `[a, b)`.

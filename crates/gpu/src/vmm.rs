@@ -202,16 +202,6 @@ impl VaSpace {
     pub fn mappings(&self) -> impl Iterator<Item = &Mapping> {
         self.mappings.values()
     }
-
-    /// Number of live mappings.
-    pub fn mapping_count(&self) -> usize {
-        self.mappings.len()
-    }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.mappings.values().map(|m| m.size).sum()
-    }
 }
 
 fn ranges_overlap(a: u64, alen: u64, b: u64, blen: u64) -> bool {

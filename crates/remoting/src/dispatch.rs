@@ -97,11 +97,6 @@ impl Dispatcher {
         &self.session
     }
 
-    /// Mutable session access (migration).
-    pub fn session_mut(&mut self) -> &mut GpuSession {
-        &mut self.session
-    }
-
     /// True once `EndFunction` has been processed (or before any `Init`).
     pub fn finished(&self) -> bool {
         self.finished

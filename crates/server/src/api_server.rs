@@ -203,26 +203,81 @@ impl ApiServerShared {
     }
 }
 
-/// Everything an API server process needs.
-pub(crate) struct ApiServerArgs {
+/// How often a busy API server heartbeats the monitor. The monitor's lease
+/// (`monitor::LEASE_TIMEOUT`) is defined as a multiple of it.
+pub(crate) const HEARTBEAT_PERIOD: Dur = Dur::from_millis(200);
+
+/// Control-plane bytes moved over the NIC per migration: the serialized
+/// context descriptor plus handle-pool table. The bulk GPU allocations move
+/// device-to-device inside the box (charged by the session's migration
+/// report); only this metadata crosses the network.
+const MIGRATION_STATE_BYTES: u64 = 8 * 1024 * 1024;
+
+/// What every API server of one GPU server shares with its siblings and
+/// the monitor.
+#[derive(Clone)]
+pub(crate) struct ApiServerEnv {
     pub h: SimHandle,
-    pub shared: Arc<ApiServerShared>,
     pub gpus: Vec<Arc<Gpu>>,
     pub costs: Arc<CostTable>,
     pub link: Arc<NetLink>,
-    pub assign_rx: SimReceiver<ServerCmd>,
     pub monitor_tx: SimSender<MonitorMsg>,
     pub migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
-    pub heartbeat_period: Dur,
+    /// How long an assigned function may stay silent before it is aborted.
     pub idle_timeout: Option<Dur>,
-    /// Control-plane bytes (context + handle-pool descriptors) moved over
-    /// the NIC per migration.
-    pub migration_state_bytes: u64,
+}
+
+/// Everything an API server process needs.
+struct ApiServerArgs {
+    env: ApiServerEnv,
+    shared: Arc<ApiServerShared>,
+    assign_rx: SimReceiver<ServerCmd>,
+}
+
+/// Start API server `id` homed on `gpu`: pre-initialize its CUDA context
+/// and cuDNN/cuBLAS handle pools (the 755 MB idle footprint, charged but
+/// off any function's critical path, so no init latency is slept), then
+/// spawn its process. Returns the server's shared state and command
+/// channel, or `None` — releasing the context again — when the GPU cannot
+/// fit the footprint.
+pub(crate) fn start_api_server(
+    p: &ProcCtx,
+    env: &ApiServerEnv,
+    id: u32,
+    gpu: GpuId,
+) -> Option<(Arc<ApiServerShared>, SimSender<ServerCmd>)> {
+    let gpu_arc = &env.gpus[gpu.0 as usize];
+    // Pre-initialized context (303 MB).
+    let ctx = CudaContext::create(
+        p,
+        &env.h,
+        Arc::clone(gpu_arc),
+        Arc::clone(&env.costs),
+        false,
+    )
+    .ok()?;
+    // Pre-created cuDNN + cuBLAS pool footprint (452 MB), held for the
+    // server's lifetime (released if the autoscaler retires it).
+    let Ok(pool_res) = gpu_arc.reserve(env.costs.cudnn_mem + env.costs.cublas_mem) else {
+        ctx.release();
+        return None;
+    };
+    let shared = Arc::new(ApiServerShared::new(&env.h, id, gpu, ctx, Some(pool_res)));
+    let (assign_tx, assign_rx) = env.h.channel::<ServerCmd>();
+    let args = ApiServerArgs {
+        env: env.clone(),
+        shared: Arc::clone(&shared),
+        assign_rx,
+    };
+    env.h.spawn(&format!("api-server-{id}"), move |pp| {
+        run_api_server(pp, args)
+    });
+    Some((shared, assign_tx))
 }
 
 /// Body of the API server process. Returns when the simulation shuts
 /// down, the monitor retires the server, or the fault injector kills it.
-pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
+fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
     while let Some(cmd) = a.assign_rx.recv(p) {
         let asg = match cmd {
             ServerCmd::Assign(asg) => asg,
@@ -230,7 +285,7 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                 // A killed process frees nothing — the crash leaks its GPU
                 // footprint exactly as a real dead worker would.
                 if !a.shared.is_killed() {
-                    a.shared.release_resources(&a.gpus);
+                    a.shared.release_resources(&a.env.gpus);
                 }
                 return;
             }
@@ -245,7 +300,7 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
             .context(a.shared.home_gpu)
             .expect("home context provisioned");
         let serve_start = p.now();
-        let session = GpuSession::new(&a.h, home_ctx, Some(asg.mem_limit));
+        let session = GpuSession::new(&a.env.h, home_ctx, Some(asg.mem_limit));
         let mut d = Dispatcher::new(session, asg.registry);
         d.set_trace(asg.trace.clone());
         // Heartbeat the monitor while serving, so the lease check can tell
@@ -254,19 +309,18 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
         {
             let stop = Arc::clone(&stop_hb);
             let shared = Arc::clone(&a.shared);
-            let tx = a.monitor_tx.clone();
-            let period = a.heartbeat_period;
+            let tx = a.env.monitor_tx.clone();
             let name = format!("hb-{}-{}", a.shared.id, asg.invocation);
-            a.h.spawn(&name, move |pp| {
+            a.env.h.spawn(&name, move |pp| {
                 while !stop.load(Ordering::Relaxed) && !shared.is_killed() {
                     tx.send(pp, MonitorMsg::Heartbeat { server: shared.id });
-                    pp.sleep(period);
+                    pp.sleep(HEARTBEAT_PERIOD);
                 }
             });
         }
         let mut aborted = false;
         loop {
-            let env = match a.idle_timeout {
+            let env = match a.env.idle_timeout {
                 Some(t) => match asg.inbox.next_timeout(p, t) {
                     Ok(env) => env,
                     Err(RecvError::Timeout) => {
@@ -306,7 +360,7 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
             if a.shared.is_killed() {
                 return; // crashed mid-call: the reply is never sent
             }
-            asg.inbox.respond(p, &a.link, &env, &resp);
+            asg.inbox.respond(p, &a.env.link, &env, &resp);
             if d.finished() {
                 break;
             }
@@ -345,7 +399,7 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                 invocation: asg.invocation,
             }
         };
-        a.monitor_tx.send(p, msg);
+        a.env.monitor_tx.send(p, msg);
     }
 }
 
@@ -378,8 +432,8 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     let ctx = match a.shared.context(target) {
         Some(c) => c,
         None => {
-            let gpu = a.gpus[target.0 as usize].clone();
-            match CudaContext::create(p, &a.h, gpu, Arc::clone(&a.costs), false) {
+            let gpu = a.env.gpus[target.0 as usize].clone();
+            match CudaContext::create(p, &a.env.h, gpu, Arc::clone(&a.env.costs), false) {
                 Ok(c) => {
                     a.shared.insert_context(target, Arc::clone(&c));
                     c
@@ -416,8 +470,9 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     // over the NIC; the bulk allocations move device-to-device inside
     // `d.migrate`. The transfer is where chaos bites: it can be dropped or
     // delayed, and the fault plan may kill this very server mid-flight.
-    let delivery = a.link.transfer_state(p, a.migration_state_bytes);
-    if a.link
+    let delivery = a.env.link.transfer_state(p, MIGRATION_STATE_BYTES);
+    if a.env
+        .link
         .faults()
         .is_some_and(|f| f.migration_kill_due(a.shared.id, nth))
     {
@@ -454,7 +509,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
                 }
                 tel.instant(p.name(), "migration", at, &args);
             }
-            a.migration_log.lock().push(MigrationRecord {
+            a.env.migration_log.lock().push(MigrationRecord {
                 server: a.shared.id,
                 from,
                 to: target,
@@ -462,7 +517,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
                 begun_at,
                 at,
             });
-            a.monitor_tx.send(
+            a.env.monitor_tx.send(
                 p,
                 MonitorMsg::Migrated {
                     server: a.shared.id,

@@ -112,11 +112,6 @@ impl AutoscaleConfig {
         self
     }
 
-    /// Whether the predictive layer is enabled.
-    pub fn is_predictive(&self) -> bool {
-        self.predictive.is_some()
-    }
-
     /// Builder-style: set the queue-delay target that triggers growth.
     pub fn with_target_queue_delay(mut self, d: Dur) -> Self {
         self.target_queue_delay = d;

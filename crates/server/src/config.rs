@@ -23,35 +23,14 @@ pub struct GpuServerConfig {
     pub queue: QueuePolicy,
     /// Whether the monitor may live-migrate API servers to fix imbalance.
     pub migration: bool,
-    /// Monitor tick: utilization sampling / migration checks. The paper
-    /// samples NVML every 200 ms.
-    pub monitor_period: Dur,
     /// Network profile of the server's NIC.
     pub net: NetProfile,
     /// Calibrated CUDA cost table.
     pub costs: CostTable,
-    /// Minimum utilization imbalance window before migrating.
-    pub migration_min_busy: Dur,
     /// Cooldown between monitor-initiated migration requests, in monitor
     /// ticks: damping so a borderline imbalance cannot thrash servers back
     /// and forth between GPUs.
     pub migration_cooldown_ticks: u32,
-    /// Upper bound on migrations in flight (requested or mid-transfer) at
-    /// once. The paper migrates one server at a time; raising this trades
-    /// rebalancing speed for transfer contention on the NIC.
-    pub max_concurrent_migrations: u32,
-    /// Attribution gate: only migrate off a GPU whose tail is
-    /// *execution*-caused. The monitor compares busy-execution time against
-    /// queue-wait time (per-mille of their sum, from the invocation records
-    /// and live queue) and skips migration below this share — a
-    /// queue-dominated tail means the fleet is saturated, and moving servers
-    /// around would churn without relieving anything.
-    pub migration_min_exec_share_permille: u64,
-    /// Control-plane bytes moved over the NIC per migration: the serialized
-    /// context descriptor plus handle-pool table. The bulk GPU allocations
-    /// move device-to-device inside the box (charged by the session's
-    /// migration report); only this metadata crosses the network.
-    pub migration_state_bytes: u64,
     /// Guest-side RPC timeout. `None` (the default) blocks forever, which
     /// is safe on a fault-free link; provisioning with faults fills in a
     /// default so chaos runs always terminate.
@@ -63,12 +42,6 @@ pub struct GpuServerConfig {
     /// function before declaring the guest gone and failing the
     /// invocation. `None` waits forever.
     pub idle_timeout: Option<Dur>,
-    /// How often a busy API server heartbeats the monitor.
-    pub heartbeat_period: Dur,
-    /// Monitor-side lease: a busy API server silent for longer than this is
-    /// declared dead, its memory commitment released and its invocation
-    /// failed over.
-    pub lease_timeout: Dur,
     /// Optional seeded chaos schedule (server kills, RPC drops/delays,
     /// blackholes). `None` injects nothing and leaves behaviour
     /// bit-identical to a fault-free build.
@@ -90,19 +63,12 @@ impl GpuServerConfig {
             policy: PlacementPolicy::BestFit,
             queue: QueuePolicy::Fcfs,
             migration: false,
-            monitor_period: Dur::from_millis(200),
             net: NetProfile::datacenter(),
             costs: CostTable::default(),
-            migration_min_busy: Dur::from_millis(600),
             migration_cooldown_ticks: 15,
-            max_concurrent_migrations: 1,
-            migration_min_exec_share_permille: 500,
-            migration_state_bytes: 8 * 1024 * 1024,
             rpc_timeout: None,
             queue_timeout: None,
             idle_timeout: None,
-            heartbeat_period: Dur::from_millis(200),
-            lease_timeout: Dur::from_secs(1),
             faults: None,
             autoscale: None,
             fair_queue: None,
@@ -145,24 +111,6 @@ impl GpuServerConfig {
         self
     }
 
-    /// Builder-style: bound concurrent migrations.
-    pub fn with_max_concurrent_migrations(mut self, n: u32) -> Self {
-        self.max_concurrent_migrations = n.max(1);
-        self
-    }
-
-    /// Builder-style: set the exec-share attribution gate (per mille).
-    pub fn with_migration_exec_share(mut self, permille: u64) -> Self {
-        self.migration_min_exec_share_permille = permille.min(1000);
-        self
-    }
-
-    /// Builder-style: set the control-plane state-transfer size.
-    pub fn with_migration_state_bytes(mut self, bytes: u64) -> Self {
-        self.migration_state_bytes = bytes;
-        self
-    }
-
     /// Builder-style: set the network profile.
     pub fn with_net(mut self, net: NetProfile) -> Self {
         self.net = net;
@@ -184,14 +132,6 @@ impl GpuServerConfig {
     /// Builder-style: set the API-server idle timeout.
     pub fn with_idle_timeout(mut self, t: Dur) -> Self {
         self.idle_timeout = Some(t);
-        self
-    }
-
-    /// Builder-style: set heartbeat period and lease timeout together (the
-    /// lease should be a small multiple of the heartbeat).
-    pub fn with_lease(mut self, heartbeat: Dur, lease: Dur) -> Self {
-        self.heartbeat_period = heartbeat;
-        self.lease_timeout = lease;
         self
     }
 

@@ -9,7 +9,7 @@
 //! server off an overloaded GPU onto an idle one.
 //!
 //! It is also the failure detector: busy API servers heartbeat the monitor,
-//! and a server silent past the configured lease is declared dead — its
+//! and a server silent past its lease is declared dead — its
 //! memory commitment is released, its invocation marked failed (so the
 //! serverless layer can retry elsewhere), and it is excluded from future
 //! placement.
@@ -18,16 +18,15 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use dgsf_cuda::{CostTable, CudaContext, ModuleRegistry};
+use dgsf_cuda::ModuleRegistry;
 use dgsf_gpu::{Gpu, GpuId};
-use dgsf_remoting::{NetLink, RpcClient};
+use dgsf_remoting::RpcClient;
 use dgsf_sim::{
-    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender, SimTime,
-    TraceCtx,
+    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime, TraceCtx,
 };
 
 use crate::api_server::{
-    run_api_server, ApiServerArgs, ApiServerShared, Assignment, MigrationRecord, ServerCmd,
+    start_api_server, ApiServerEnv, ApiServerShared, Assignment, ServerCmd, HEARTBEAT_PERIOD,
 };
 use crate::autoscale::Autoscaler;
 use crate::config::{GpuServerConfig, PlacementPolicy, QueuePolicy};
@@ -293,19 +292,13 @@ impl MonQueue {
 }
 
 pub(crate) struct MonitorArgs {
-    pub h: SimHandle,
+    /// The API servers' shared environment: the GPUs, the NIC, and what
+    /// the autoscaler hands to the servers it starts.
+    pub env: ApiServerEnv,
     pub cfg: GpuServerConfig,
-    pub gpus: Vec<Arc<Gpu>>,
-    pub link: Arc<NetLink>,
     pub servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)>,
     pub rx: SimReceiver<MonitorMsg>,
     pub records: Arc<SimCell<RecordBook>>,
-    /// Shared cost table (the autoscaler creates contexts for new servers).
-    pub costs: Arc<CostTable>,
-    /// The monitor's own inbox, handed to autoscaled API servers.
-    pub monitor_tx: SimSender<MonitorMsg>,
-    /// Migration log, handed to autoscaled API servers.
-    pub migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
     /// Live-server registry shared with [`crate::GpuServer`]; the
     /// autoscaler pushes spawned servers and removes retired ones.
     pub registry: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
@@ -320,14 +313,9 @@ pub(crate) struct MonitorArgs {
 
 /// Immutable monitor context shared by the helpers below.
 struct MonCtx {
-    h: SimHandle,
+    env: ApiServerEnv,
     cfg: GpuServerConfig,
-    gpus: Vec<Arc<Gpu>>,
-    link: Arc<NetLink>,
     records: Arc<SimCell<RecordBook>>,
-    costs: Arc<CostTable>,
-    monitor_tx: SimSender<MonitorMsg>,
-    migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
     registry: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
     failed_servers: Arc<SimCell<HashSet<u32>>>,
     obs: Option<Arc<ObsPlane>>,
@@ -343,24 +331,27 @@ struct GpuKeys {
     health: String,
 }
 
+/// Monitor tick: utilization sampling, lease and migration checks. The
+/// paper samples NVML every 200 ms.
+const MONITOR_PERIOD: Dur = Dur::from_millis(200);
+
+/// Upper bound on migrations in flight (requested or mid-transfer) at
+/// once. The paper migrates one server at a time.
+const MAX_CONCURRENT_MIGRATIONS: usize = 1;
+
 /// Body of the monitor process.
 pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
     let MonitorArgs {
-        h,
+        env,
         cfg,
-        gpus,
-        link,
         servers,
         rx,
         records,
-        costs,
-        monitor_tx,
-        migration_log,
         registry,
         failed_servers,
         obs,
     } = args;
-    let gpu_keys = (0..gpus.len())
+    let gpu_keys = (0..env.gpus.len())
         .map(|i| GpuKeys {
             mem_used: format!("gpu.{i}.mem_used_bytes"),
             util_bp: format!("gpu.{i}.util_bp"),
@@ -370,14 +361,9 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         })
         .collect();
     let a = MonCtx {
-        h,
+        env,
         cfg,
-        gpus,
-        link,
         records,
-        costs,
-        monitor_tx,
-        migration_log,
         registry,
         failed_servers,
         obs: obs.map(|(obs, _)| obs),
@@ -415,13 +401,11 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
     // Migration damping: bound concurrent migrations, and let the system
     // settle before judging imbalance again. `None` = never requested.
     let mut last_migration_request: Option<SimTime> = None;
-    let migration_cooldown = Dur(a
-        .cfg
-        .monitor_period
+    let migration_cooldown = Dur(MONITOR_PERIOD
         .as_nanos()
         .saturating_mul(a.cfg.migration_cooldown_ticks as u64));
 
-    let mut next_tick = p.now() + a.cfg.monitor_period;
+    let mut next_tick = p.now() + MONITOR_PERIOD;
     // Telemetry bookkeeping: only emit the queue-depth gauge on change, and
     // sample per-GPU timelines once per tick over the since-last-sample
     // window.
@@ -450,7 +434,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
             .as_ref()
             .map(|sc| {
                 let min = sc.config().min_per_gpu as usize;
-                (0..a.gpus.len()).any(|g| {
+                (0..a.env.gpus.len()).any(|g| {
                     servers
                         .iter()
                         .filter(|s| !s.failed && s.shared.home_gpu == GpuId(g as u32))
@@ -470,7 +454,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         } else {
             match rx.recv(p) {
                 Some(m) => {
-                    next_tick = p.now() + a.cfg.monitor_period;
+                    next_tick = p.now() + MONITOR_PERIOD;
                     Ok(m)
                 }
                 None => Err(RecvError::Shutdown),
@@ -523,7 +507,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                 }
             }
             Err(RecvError::Timeout) => {
-                next_tick = p.now() + a.cfg.monitor_period;
+                next_tick = p.now() + MONITOR_PERIOD;
                 sample_gpus(p, &a, &mut last_gpu_sample);
                 check_leases(p, &a, &mut servers, &mut queue);
                 if let Some(sc) = scaler.as_mut() {
@@ -549,7 +533,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                     .count();
                 let cooled = migration_cooled(p.now(), last_migration_request, migration_cooldown);
                 if a.cfg.migration
-                    && in_flight < a.cfg.max_concurrent_migrations as usize
+                    && in_flight < MAX_CONCURRENT_MIGRATIONS
                     && cooled
                     && migration_tick(p, &a, &servers, &overhead, &queue)
                 {
@@ -576,7 +560,7 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
         return;
     }
     let window = now.since(since).as_nanos();
-    for (gpu, keys) in a.gpus.iter().zip(&a.gpu_keys) {
+    for (gpu, keys) in a.env.gpus.iter().zip(&a.gpu_keys) {
         let used = gpu.used_mem();
         if tel.is_enabled() {
             tel.gauge_set(&keys.mem_used, now, used as i64);
@@ -599,12 +583,17 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
 /// left alone).
 fn mark_failed(at: SimTime, a: &MonCtx, invocation: u64) {
     if a.records.lock().mark_failed(at, invocation) {
-        a.h.telemetry().counter_add("invocation.failures", 1);
+        a.env.h.telemetry().counter_add("invocation.failures", 1);
     }
 }
 
+/// Monitor-side lease: a busy API server silent for longer than this is
+/// declared dead, its memory commitment released and its invocation failed
+/// over. Five of the API servers' heartbeat periods (1 s).
+const LEASE_TIMEOUT: Dur = Dur(HEARTBEAT_PERIOD.0 * 5);
+
 /// Declare busy servers dead when their lease expires: no heartbeat for
-/// longer than `lease_timeout` means the server was killed (or is
+/// longer than [`LEASE_TIMEOUT`] means the server was killed (or is
 /// unreachable, which is indistinguishable from the monitor's seat).
 /// Releases the memory commitment and fails the invocation over. Returns
 /// true if any server was declared dead (freed capacity may unblock the
@@ -620,7 +609,7 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
         if s.failed || s.busy.is_none() {
             continue;
         }
-        if now.since(s.last_heartbeat) > a.cfg.lease_timeout {
+        if now.since(s.last_heartbeat) > LEASE_TIMEOUT {
             s.failed = true;
             a.failed_servers.lock().insert(s.shared.id);
             let b = s.busy.take().expect("checked busy");
@@ -729,7 +718,7 @@ fn assign_request(
     req: FnRequest,
 ) {
     let now = p.now();
-    let (mut client, inbox) = RpcClient::connect(&a.h, Arc::clone(&a.link));
+    let (mut client, inbox) = RpcClient::connect(&a.env.h, Arc::clone(&a.env.link));
     client.set_timeout(a.cfg.rpc_timeout);
     client.set_trace(req.trace.clone());
     let s = &mut servers[srv_idx];
@@ -791,7 +780,7 @@ fn pick_server(
             continue;
         }
         let gpu = s.shared.home_gpu;
-        let free = avail(&a.gpus, servers, overhead, gpu);
+        let free = avail(&a.env.gpus, servers, overhead, gpu);
         if free < mem as i64 {
             continue;
         }
@@ -842,7 +831,7 @@ fn autoscale_tick(
         // 755 MB idle footprint (ties: lowest GPU id).
         let max = scaler.config().max_per_gpu;
         let mut best: Option<(GpuId, i64)> = None;
-        for g in 0..a.gpus.len() {
+        for g in 0..a.env.gpus.len() {
             let gpu = GpuId(g as u32);
             let homed = servers
                 .iter()
@@ -851,7 +840,7 @@ fn autoscale_tick(
             if homed >= max {
                 continue;
             }
-            let free = avail(&a.gpus, servers, overhead, gpu);
+            let free = avail(&a.env.gpus, servers, overhead, gpu);
             if free < idle_fp as i64 {
                 continue;
             }
@@ -913,11 +902,10 @@ fn live_pool(servers: &[SrvBook]) -> i64 {
     servers.iter().filter(|s| !s.failed).count() as i64
 }
 
-/// Spawn one autoscaled API server homed on `gpu`: pre-initialize its CUDA
-/// context and cuDNN/cuBLAS handle pools (the same 755 MB idle footprint a
-/// provisioned server pays), register it everywhere, and start its
-/// process. Returns false — without charging anything — if the GPU cannot
-/// actually fit the footprint.
+/// Spawn one autoscaled API server homed on `gpu` (the same 755 MB idle
+/// footprint a provisioned server pays), register it everywhere, and start
+/// its process. Returns false — without charging anything — if the GPU
+/// cannot actually fit the footprint.
 fn spawn_server(
     p: &ProcCtx,
     a: &MonCtx,
@@ -927,41 +915,11 @@ fn spawn_server(
     next_server_id: &mut u32,
     gpu: GpuId,
 ) -> bool {
-    let gpu_arc = Arc::clone(&a.gpus[gpu.0 as usize]);
-    // Warm-pool spawn is off any function's critical path; like
-    // provisioning, the footprint is charged but no init latency is
-    // slept here.
-    let Ok(ctx) = CudaContext::create(p, &a.h, Arc::clone(&gpu_arc), Arc::clone(&a.costs), false)
-    else {
+    let id = *next_server_id;
+    let Some((shared, assign_tx)) = start_api_server(p, &a.env, id, gpu) else {
         return false;
     };
-    let pool_res = match gpu_arc.reserve(a.cfg.costs.cudnn_mem + a.cfg.costs.cublas_mem) {
-        Ok(r) => r,
-        Err(_) => {
-            ctx.release();
-            return false;
-        }
-    };
-    let id = *next_server_id;
     *next_server_id += 1;
-    let shared = Arc::new(ApiServerShared::new(&a.h, id, gpu, ctx, Some(pool_res)));
-    let (assign_tx, assign_rx) = a.h.channel::<ServerCmd>();
-    let args = ApiServerArgs {
-        h: a.h.clone(),
-        shared: Arc::clone(&shared),
-        gpus: a.gpus.clone(),
-        costs: Arc::clone(&a.costs),
-        link: Arc::clone(&a.link),
-        assign_rx,
-        monitor_tx: a.monitor_tx.clone(),
-        migration_log: Arc::clone(&a.migration_log),
-        heartbeat_period: a.cfg.heartbeat_period,
-        idle_timeout: a.cfg.idle_timeout,
-        migration_state_bytes: a.cfg.migration_state_bytes,
-    };
-    a.h.spawn(&format!("api-server-{id}"), move |pp| {
-        run_api_server(pp, args)
-    });
     *overhead.entry(gpu).or_insert(0) += a.cfg.costs.idle_worker_mem();
     known_ctxs.insert((id, gpu));
     a.registry.lock().push(Arc::clone(&shared));
@@ -1084,6 +1042,12 @@ fn exec_share_permille(
     ((exec_ns as u128 * 1000) / total) as u64
 }
 
+/// Attribution gate: only migrate off a GPU whose tail is
+/// *execution*-caused. [`exec_share_permille`] below this share means a
+/// queue-dominated tail: the fleet is saturated, and moving servers around
+/// would churn without relieving anything.
+const MIGRATION_MIN_EXEC_SHARE_PERMILLE: u64 = 500;
+
 /// Detect load imbalance and request a migration: a GPU running ≥2 busy API
 /// servers at high utilization while another GPU is idle (the §VIII-E
 /// scenario), provided the tail there is execution-attributed.
@@ -1095,12 +1059,13 @@ fn migration_tick(
     queue: &MonQueue,
 ) -> bool {
     let now = p.now();
-    let window = Dur(a.cfg.monitor_period.as_nanos() * 3);
-    let since = SimTime(now.as_nanos().saturating_sub(window.as_nanos()));
-    if now.since(since) < a.cfg.migration_min_busy {
-        return false; // too early to judge
+    // NVML-style utilization window: the last three monitor ticks.
+    let window = Dur(MONITOR_PERIOD.as_nanos() * 3);
+    if now.as_nanos() < window.as_nanos() {
+        return false; // too early to judge: less than one full window observed
     }
-    let num_gpus = a.gpus.len();
+    let since = SimTime(now.as_nanos() - window.as_nanos());
+    let num_gpus = a.env.gpus.len();
     let mut busy_count = vec![0u32; num_gpus];
     for s in servers {
         if s.busy.is_some() {
@@ -1114,13 +1079,13 @@ fn migration_tick(
         if count < 2 {
             continue;
         }
-        let busy = a.gpus[g].busy_between(since, now).as_secs_f64();
+        let busy = a.env.gpus[g].busy_between(since, now).as_secs_f64();
         let util = busy / window.as_secs_f64().max(1e-9);
         if util < 0.8 {
             continue; // contended in count but not in compute
         }
         if exec_share_permille(now, a, servers, queue, GpuId(g as u32))
-            < a.cfg.migration_min_exec_share_permille
+            < MIGRATION_MIN_EXEC_SHARE_PERMILLE
         {
             continue; // tail is queue-caused; migration would not relieve it
         }
@@ -1137,7 +1102,7 @@ fn migration_tick(
             } else {
                 a.cfg.costs.cuda_ctx_mem
             };
-            if avail(&a.gpus, servers, overhead, target) < (b.mem + extra_ctx) as i64 {
+            if avail(&a.env.gpus, servers, overhead, target) < (b.mem + extra_ctx) as i64 {
                 continue;
             }
             if cand.map(|(_, m)| b.mem < m).unwrap_or(true) {

@@ -14,16 +14,14 @@ use std::sync::Arc;
 
 use std::sync::atomic::AtomicBool;
 
-use dgsf_cuda::{CostTable, CudaContext, ModuleRegistry};
+use dgsf_cuda::{CostTable, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{FaultStats, LinkFaults, NetLink, RpcClient};
 use dgsf_sim::{
     Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimSender, SimTime, TraceCtx,
 };
 
-use crate::api_server::{
-    run_api_server, ApiServerArgs, ApiServerShared, MigrationRecord, ServerCmd,
-};
+use crate::api_server::{start_api_server, ApiServerEnv, ApiServerShared, MigrationRecord};
 use crate::config::GpuServerConfig;
 use crate::monitor::{
     run_monitor, FnRequest, InvocationRecord, MonitorArgs, MonitorMsg, RecordBook,
@@ -178,38 +176,20 @@ impl GpuServer {
         let records = Arc::new(SimCell::new(h, RecordBook::default()));
         let migration_log = Arc::new(SimCell::new(h, Vec::new()));
 
+        let env = ApiServerEnv {
+            h: h.clone(),
+            gpus: gpus.clone(),
+            costs: Arc::clone(&costs),
+            link: Arc::clone(&link),
+            monitor_tx: monitor_tx.clone(),
+            migration_log: Arc::clone(&migration_log),
+            idle_timeout: cfg.idle_timeout,
+        };
         let mut servers = Vec::new();
-        let mut monitor_servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)> = Vec::new();
+        let mut monitor_servers = Vec::new();
         for id in 0..cfg.total_api_servers() {
-            let home = GpuId(id % cfg.num_gpus);
-            let gpu = Arc::clone(&gpus[home.0 as usize]);
-            // Pre-initialized context (303 MB) — the pool fill happens at
-            // provisioning, so no sleep is charged here.
-            let ctx = CudaContext::create(p, h, Arc::clone(&gpu), Arc::clone(&costs), false)
-                .expect("fresh GPU fits a context");
-            // Pre-created cuDNN + cuBLAS pool footprint (452 MB), held for
-            // the server's lifetime (released if the autoscaler retires it).
-            let pool_res = gpu
-                .reserve(costs.cudnn_mem + costs.cublas_mem)
-                .expect("fresh GPU fits the handle pools");
-            let shared = Arc::new(ApiServerShared::new(h, id, home, ctx, Some(pool_res)));
-            let (assign_tx, assign_rx) = h.channel::<ServerCmd>();
-            let args = ApiServerArgs {
-                h: h.clone(),
-                shared: Arc::clone(&shared),
-                gpus: gpus.clone(),
-                costs: Arc::clone(&costs),
-                link: Arc::clone(&link),
-                assign_rx,
-                monitor_tx: monitor_tx.clone(),
-                migration_log: Arc::clone(&migration_log),
-                heartbeat_period: cfg.heartbeat_period,
-                idle_timeout: cfg.idle_timeout,
-                migration_state_bytes: cfg.migration_state_bytes,
-            };
-            h.spawn(&format!("api-server-{id}"), move |pp| {
-                run_api_server(pp, args)
-            });
+            let (shared, assign_tx) = start_api_server(p, &env, id, GpuId(id % cfg.num_gpus))
+                .expect("a fresh GPU fits an API server's idle footprint");
             monitor_servers.push((Arc::clone(&shared), assign_tx));
             servers.push(shared);
         }
@@ -217,16 +197,11 @@ impl GpuServer {
         let servers = Arc::new(SimCell::new(h, servers));
         let failed_servers = Arc::new(SimCell::new(h, HashSet::new()));
         let margs = MonitorArgs {
-            h: h.clone(),
+            env,
             cfg: cfg.clone(),
-            gpus: gpus.clone(),
-            link: Arc::clone(&link),
             servers: monitor_servers,
             rx: monitor_rx,
             records: Arc::clone(&records),
-            costs: Arc::clone(&costs),
-            monitor_tx: monitor_tx.clone(),
-            migration_log: Arc::clone(&migration_log),
             registry: Arc::clone(&servers),
             failed_servers: Arc::clone(&failed_servers),
             obs,

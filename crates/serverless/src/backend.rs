@@ -34,7 +34,12 @@ use crate::store::ObjectStore;
 use crate::tenant::{FairShedConfig, FairShedder};
 use crate::workload::Workload;
 
-/// Bounded retry-with-backoff for transient invocation failures.
+/// Attempt budget per function, first try included: a transient failure is
+/// retried at most twice.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Bounded retry-with-backoff for transient invocation failures, up to
+/// three attempts per function.
 ///
 /// All arithmetic is integer milliseconds: the old `f64` `powi` path
 /// rounded differently across platforms and silently went infinite for
@@ -42,9 +47,6 @@ use crate::workload::Workload;
 /// factors (×1.5 = 1500) stay exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempt budget per function (first try included). 1 disables
-    /// retries.
-    pub max_attempts: u32,
     /// Backoff before the second attempt, in milliseconds.
     pub initial_backoff_ms: u64,
     /// Growth factor for each subsequent backoff, in permille
@@ -55,7 +57,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
-            max_attempts: 3,
             initial_backoff_ms: 50,
             backoff_multiplier_permille: 2000,
         }
@@ -63,12 +64,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Builder-style: set the attempt budget.
-    pub fn with_max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
     /// Builder-style: set the first backoff in milliseconds.
     pub fn with_initial_backoff_ms(mut self, ms: u64) -> Self {
         self.initial_backoff_ms = ms;
@@ -488,7 +483,7 @@ impl Backend {
             }
             // Overloaded is deliberately not retried: piling retries onto
             // a saturated platform makes it worse.
-            if f.class != FailureClass::Transient || attempt >= self.retry.max_attempts {
+            if f.class != FailureClass::Transient || attempt >= MAX_ATTEMPTS {
                 return Terminal {
                     outcome: f.outcome(),
                     reason: f.error.to_string(),

@@ -69,25 +69,18 @@ pub struct StickyConfig {
     /// span; once reached, the tenant's traffic is confined to its warm
     /// servers. At least one server is always allowed.
     pub max_share_permille: u64,
-    /// Load-score bonus a warm server gets under
-    /// [`FleetPolicy::LoadAware`] before the cap bites: large enough to
-    /// win most ties against cold servers, small enough that a genuinely
-    /// overloaded warm server still loses (1 000 000 = one whole function
-    /// per slot of load).
-    pub sticky_bonus: u64,
 }
 
 impl Default for StickyConfig {
     fn default() -> Self {
         StickyConfig {
             max_share_permille: 500,
-            sticky_bonus: 1_500_000,
         }
     }
 }
 
 impl StickyConfig {
-    /// Default stickiness: half the fleet per tenant, a 1.5-function bonus.
+    /// Default stickiness: half the fleet per tenant.
     pub fn new() -> StickyConfig {
         StickyConfig::default()
     }
@@ -95,12 +88,6 @@ impl StickyConfig {
     /// Set the max-share bound (per mille, clamped to 1..=1000).
     pub fn with_max_share(mut self, permille: u64) -> Self {
         self.max_share_permille = permille.clamp(1, 1000);
-        self
-    }
-
-    /// Set the warm-server load-score bonus.
-    pub fn with_bonus(mut self, bonus: u64) -> Self {
-        self.sticky_bonus = bonus;
         self
     }
 }
@@ -113,9 +100,13 @@ pub struct TenantAffinity {
     /// True when the warm set has reached the max-share bound: routing is
     /// confined to warm servers (unless none is live).
     pub capped: bool,
-    /// Load-score bonus for warm servers under load-aware selection.
-    pub bonus: u64,
 }
+
+/// Load-score bonus a warm server gets under [`FleetPolicy::LoadAware`]
+/// before the max-share cap bites: large enough to win most ties against
+/// cold servers, small enough that a genuinely overloaded warm server still
+/// loses: 1.5 functions per slot of load (1 000 000 = one whole function).
+const STICKY_BONUS: u64 = 1_500_000;
 
 /// Choose a fleet index under `policy` from gauge `snaps`.
 ///
@@ -179,7 +170,7 @@ pub fn select_with_affinity(
     }
     let warm_bonus = |i: usize| -> u64 {
         match affinity {
-            Some(aff) if aff.warm.contains(&i) => aff.bonus,
+            Some(aff) if aff.warm.contains(&i) => STICKY_BONUS,
             _ => 0,
         }
     };
@@ -302,7 +293,6 @@ impl ClusterBalancer {
         let aff = TenantAffinity {
             warm: warm.clone(),
             capped: warm.len() >= cap,
-            bonus: cfg.sticky_bonus,
         };
         let pick = select_with_affinity(self.policy, snaps, rr, avoid, Some(&aff))?;
         if warm.insert(pick) {

@@ -203,12 +203,6 @@ impl InvokeOptions {
         self.trace = Some(trace);
         self
     }
-
-    /// Builder-style: pin the attempt to one API server.
-    pub fn with_pin_server(mut self, server: u32) -> Self {
-        self.pin_server = Some(server);
-        self
-    }
 }
 
 /// The single DGSF invocation entry point: download, request a virtual GPU

@@ -21,17 +21,18 @@ use dgsf_sim::SimTime;
 /// Milli-tokens consumed per borrowed admission.
 const TOKEN_MILLI: u64 = 1000;
 
+/// Weight of a tenant not named in [`FairShedConfig::weights`].
+const DEFAULT_WEIGHT: u64 = 1;
+
 /// Configuration of per-tenant weighted fair shedding.
 ///
 /// Built with [`FairShedConfig::new`] plus `with_*` builders and installed
 /// via [`crate::AdmissionConfig::with_weighted_fair`].
 #[derive(Debug, Clone)]
 pub struct FairShedConfig {
-    /// Per-tenant weights. Tenants absent from the map get
-    /// [`default_weight`](Self::default_weight) on first arrival.
+    /// Per-tenant weights. Tenants absent from the map get weight 1 on
+    /// first arrival.
     pub weights: BTreeMap<String, u64>,
-    /// Weight assigned to tenants not named in `weights`.
-    pub default_weight: u64,
     /// Token-bucket capacity, in tokens: how many admissions beyond its
     /// fair share a tenant may burst before the refill rate binds.
     pub burst_tokens: u64,
@@ -46,7 +47,6 @@ impl FairShedConfig {
     pub fn new() -> FairShedConfig {
         FairShedConfig {
             weights: BTreeMap::new(),
-            default_weight: 1,
             burst_tokens: 4,
             refill_milli_per_sec_per_weight: 1000,
         }
@@ -55,12 +55,6 @@ impl FairShedConfig {
     /// Builder-style: set one tenant's weight.
     pub fn with_weight(mut self, tenant: &str, weight: u64) -> Self {
         self.weights.insert(tenant.to_string(), weight.max(1));
-        self
-    }
-
-    /// Builder-style: weight for tenants not explicitly listed.
-    pub fn with_default_weight(mut self, weight: u64) -> Self {
-        self.default_weight = weight.max(1);
         self
     }
 
@@ -82,7 +76,7 @@ impl FairShedConfig {
         self.weights
             .get(tenant)
             .copied()
-            .unwrap_or(self.default_weight)
+            .unwrap_or(DEFAULT_WEIGHT)
             .max(1)
     }
 }
@@ -242,14 +236,6 @@ impl FairShedder {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.inflight = t.inflight.saturating_sub(1);
         }
-    }
-
-    /// Normalized over-budget factor of `tenant` in permille:
-    /// `inflight / share`. 1000 means exactly at its fair share.
-    pub fn over_budget_permille(&self, tenant: &str, max_inflight: usize) -> u64 {
-        let share = self.share_of(tenant, max_inflight).max(1) as u64;
-        let inflight = self.inflight_of(tenant) as u64;
-        inflight * 1000 / share
     }
 }
 

@@ -140,11 +140,6 @@ impl<T: Send + 'static> SimReceiver<T> {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
-    }
-
     /// Drain everything currently queued (non-blocking).
     pub fn drain(&self) -> Vec<T> {
         self.inner.lock().queue.drain(..).collect()

@@ -627,7 +627,8 @@ impl Sim {
         self.shared.state.lock().spawn(name, at, f)
     }
 
-    /// Create an MPMC simulation channel (see [`crate::channel`]).
+    /// Create an MPMC simulation channel: a [`SimSender`](crate::SimSender)
+    /// and [`SimReceiver`](crate::SimReceiver) pair.
     pub fn channel<T: Send + 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
         crate::channel::channel(&self.shared)
     }

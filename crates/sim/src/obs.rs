@@ -52,9 +52,9 @@
 //! sustainable rate. An alert fires for a tenant when both the fast
 //! window set (the last [`ObsConfig::fast_windows`] windows) and the slow
 //! set (the last [`ObsConfig::slow_windows`]) burn at or above
-//! [`ObsConfig::burn_threshold_permille`] *and* the tenant's violating
-//! requests spent at least [`ObsConfig::queue_share_threshold_permille`]
-//! of their end-to-end time queueing. Alerts are edge-triggered: one
+//! [`BURN_THRESHOLD_PERMILLE`] *and* the tenant's violating requests
+//! spent at least [`QUEUE_SHARE_THRESHOLD_PERMILLE`] of their end-to-end
+//! time queueing. Alerts are edge-triggered: one
 //! `fired` event when the condition becomes true, one `cleared` when it
 //! stops.
 //!
@@ -149,24 +149,23 @@ pub(crate) fn log2_quantile(buckets: &[u64], count: u64, q_permille: u64) -> Opt
     })
 }
 
+/// Burn rate (permille of the budget's sustainable rate) both window sets
+/// must reach before an alert fires. 1000 = burning the budget exactly as
+/// fast as it refills.
+pub const BURN_THRESHOLD_PERMILLE: u64 = 1000;
+
+/// Queue-attributed share of the violating requests' end-to-end time
+/// (permille) required before an alert fires, and before burn-rate
+/// shedding refuses a tenant — the online analogue of the critical-path
+/// attribution gate.
+pub const QUEUE_SHARE_THRESHOLD_PERMILLE: u64 = 300;
+
 /// Configuration of the observability plane. All thresholds are integer
 /// permille; all windows are virtual-time durations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Fixed aggregation window length.
     pub window: Dur,
-    /// EWMA smoothing factor for the arrival-rate estimator, in permille
-    /// (300 = each finalized window contributes 30%).
-    pub ewma_alpha_permille: u64,
-    /// Rate-ramp trigger as a ratio over the EWMA: a ramp is signalled
-    /// while the *current* window's arrivals ≥ `ramp_num/ramp_den` × the
-    /// smoothed per-window rate.
-    pub ramp_num: u64,
-    /// Denominator of the ramp ratio.
-    pub ramp_den: u64,
-    /// Minimum arrivals in the current window before a ramp can be
-    /// signalled (suppresses cold-start noise).
-    pub min_ramp_arrivals: u64,
     /// End-to-end latency SLO target; a completed request above it
     /// violates (shed and failed requests always violate).
     pub slo_target: Dur,
@@ -176,14 +175,6 @@ pub struct ObsConfig {
     pub fast_windows: usize,
     /// Slow alert window, in aggregation windows (≥ `fast_windows`).
     pub slow_windows: usize,
-    /// Burn-rate (permille of the budget's sustainable rate) both window
-    /// sets must reach before an alert fires. 1000 = burning the budget
-    /// exactly as fast as it refills.
-    pub burn_threshold_permille: u64,
-    /// Queue-attributed share of the violating requests' end-to-end time
-    /// (permille) required before an alert fires — the online analogue of
-    /// PR 5's critical-path attribution gate.
-    pub queue_share_threshold_permille: u64,
     /// When set, the backend sheds new requests from a tenant whose
     /// fast-window burn rate is at or above this threshold (and whose
     /// burn alert gate holds). `None` — the default — never sheds on
@@ -192,23 +183,17 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Moderate defaults: 500 ms windows, 30% EWMA, ramp at 1.5× the
-    /// smoothed rate, 2 s SLO with a 10% budget, 2-window fast / 8-window
-    /// slow burn pair at 1× budget rate, 300‰ queue-share gate, no
-    /// burn-rate shedding.
+    /// Moderate defaults: 500 ms windows, a 2 s SLO with a 10% budget, a
+    /// 2-window fast / 8-window slow burn pair, no burn-rate shedding. The
+    /// EWMA, ramp and alert thresholds are fixed: see
+    /// [`BURN_THRESHOLD_PERMILLE`] and [`QUEUE_SHARE_THRESHOLD_PERMILLE`].
     pub fn paper_default() -> ObsConfig {
         ObsConfig {
             window: Dur::from_millis(500),
-            ewma_alpha_permille: 300,
-            ramp_num: 3,
-            ramp_den: 2,
-            min_ramp_arrivals: 4,
             slo_target: Dur::from_secs(2),
             error_budget_permille: 100,
             fast_windows: 2,
             slow_windows: 8,
-            burn_threshold_permille: 1000,
-            queue_share_threshold_permille: 300,
             shed_burn_threshold_permille: None,
         }
     }
@@ -233,25 +218,6 @@ impl ObsConfig {
         self
     }
 
-    /// Builder-style: set the burn-rate alert threshold.
-    pub fn with_burn_threshold(mut self, permille: u64) -> Self {
-        self.burn_threshold_permille = permille;
-        self
-    }
-
-    /// Builder-style: set the queue-attribution alert gate.
-    pub fn with_queue_share_threshold(mut self, permille: u64) -> Self {
-        self.queue_share_threshold_permille = permille;
-        self
-    }
-
-    /// Builder-style: set the ramp trigger ratio.
-    pub fn with_ramp_ratio(mut self, num: u64, den: u64) -> Self {
-        self.ramp_num = num;
-        self.ramp_den = den;
-        self
-    }
-
     /// Builder-style: shed new work from tenants burning at or above
     /// `permille` of the sustainable budget rate.
     pub fn with_shed_burn_threshold(mut self, permille: u64) -> Self {
@@ -263,12 +229,6 @@ impl ObsConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.window == Dur::ZERO {
             return Err("obs window must be non-zero".into());
-        }
-        if self.ewma_alpha_permille == 0 || self.ewma_alpha_permille > 1000 {
-            return Err("obs EWMA alpha must be in 1..=1000 permille".into());
-        }
-        if self.ramp_den == 0 {
-            return Err("obs ramp ratio denominator must be non-zero".into());
         }
         if self.fast_windows == 0 {
             return Err("obs fast window must cover at least one window".into());
@@ -406,6 +366,10 @@ fn share_permille(part: u64, whole: u64) -> Option<u64> {
     Some(((part as u128 * 1000) / whole as u128) as u64)
 }
 
+/// EWMA smoothing factor of the arrival-rate estimator, in permille: each
+/// finalized window contributes 30%.
+const EWMA_ALPHA_PERMILLE: u64 = 300;
+
 #[derive(Debug, Clone)]
 struct Inner {
     /// Window currently accumulating. Meaningless until `started`.
@@ -473,7 +437,7 @@ impl Inner {
         // EWMA of per-window arrivals, in arrivals ×1000.
         let sample = self.cur.arrivals * 1000;
         self.ewma_rate_milli = if self.ewma_seeded {
-            let a = cfg.ewma_alpha_permille;
+            let a = EWMA_ALPHA_PERMILLE;
             (a * sample + (1000 - a) * self.ewma_rate_milli) / 1000
         } else {
             self.ewma_seeded = true;
@@ -524,9 +488,9 @@ impl Inner {
                 slow_burn_permille: slow_burn.unwrap_or(0),
                 queue_share_permille: share.unwrap_or(0),
             });
-            let firing = fast_burn.is_some_and(|b| b >= cfg.burn_threshold_permille)
-                && slow_burn.is_some_and(|b| b >= cfg.burn_threshold_permille)
-                && share.is_some_and(|s| s >= cfg.queue_share_threshold_permille);
+            let firing = fast_burn.is_some_and(|b| b >= BURN_THRESHOLD_PERMILLE)
+                && slow_burn.is_some_and(|b| b >= BURN_THRESHOLD_PERMILLE)
+                && share.is_some_and(|s| s >= QUEUE_SHARE_THRESHOLD_PERMILLE);
             let active = self.alert_active.entry(tenant.clone()).or_insert(false);
             if firing != *active {
                 *active = firing;
@@ -586,6 +550,15 @@ impl Inner {
         share_permille(acc.tail_queue_ns, acc.tail_e2e_ns)
     }
 }
+
+/// Rate-ramp trigger: a ramp is signalled while the current window's
+/// arrivals reach `RAMP_NUM/RAMP_DEN` × the smoothed per-window rate.
+const RAMP_NUM: u64 = 3;
+const RAMP_DEN: u64 = 2;
+
+/// Arrivals the current window needs before a ramp can be signalled
+/// (suppresses cold-start noise).
+const MIN_RAMP_ARRIVALS: u64 = 4;
 
 /// The online observability plane. Shared (`Arc`) between the serverless
 /// backend (arrival/completion feed), the monitors (health feed, scaling
@@ -676,21 +649,21 @@ impl ObsPlane {
         }
     }
 
-    /// True while the current window's arrivals already exceed
-    /// `ramp_num/ramp_den` × the smoothed per-window rate (with at least
-    /// [`ObsConfig::min_ramp_arrivals`] arrivals) — the predictive
+    /// True while the current window's arrivals already reach
+    /// `RAMP_NUM/RAMP_DEN` (1.5) × the smoothed per-window rate, with at
+    /// least `MIN_RAMP_ARRIVALS` (4) arrivals — the predictive
     /// autoscaler's pre-warm signal.
     pub fn rate_ramp(&self, now: SimTime) -> bool {
         let mut inner = self.inner.lock();
         inner.roll(&self.cfg, self.idx(now));
         let cur = inner.cur.arrivals;
-        if cur < self.cfg.min_ramp_arrivals {
+        if cur < MIN_RAMP_ARRIVALS {
             return false;
         }
         // Floor the baseline at one arrival per window so a cold start
         // cannot divide by (near) zero and call everything a ramp.
         let baseline = inner.ewma_rate_milli.max(1000);
-        cur * 1000 * self.cfg.ramp_den >= baseline * self.cfg.ramp_num
+        cur * 1000 * RAMP_DEN >= baseline * RAMP_NUM
     }
 
     /// Smoothed arrival rate: EWMA of per-window arrivals ×1000.
@@ -715,13 +688,6 @@ impl ObsPlane {
         share_permille(q, e)
     }
 
-    /// One tenant's live fast-window burn rate (`None` without data).
-    pub fn tenant_burn_permille(&self, now: SimTime, tenant: &str) -> Option<u64> {
-        let mut inner = self.inner.lock();
-        inner.roll(&self.cfg, self.idx(now));
-        inner.live_fast_burn(&self.cfg, tenant)
-    }
-
     /// True when the backend should shed new work from `tenant`:
     /// [`ObsConfig::shed_burn_threshold_permille`] is set, the tenant's
     /// live fast-window burn is at or above it, and the queue-share gate
@@ -737,7 +703,7 @@ impl ObsPlane {
             .is_some_and(|b| b >= th)
             && inner
                 .live_queue_share(&self.cfg, tenant)
-                .is_some_and(|s| s >= self.cfg.queue_share_threshold_permille)
+                .is_some_and(|s| s >= QUEUE_SHARE_THRESHOLD_PERMILLE)
     }
 
     /// Snapshot everything into an [`ObsReport`]. Non-destructive and
@@ -1143,13 +1109,7 @@ mod tests {
             .validate()
             .is_err());
         let mut c = ObsConfig::paper_default();
-        c.ramp_den = 0;
-        assert!(c.validate().is_err());
-        c = ObsConfig::paper_default();
         c.error_budget_permille = 0;
-        assert!(c.validate().is_err());
-        c = ObsConfig::paper_default();
-        c.ewma_alpha_permille = 1001;
         assert!(c.validate().is_err());
     }
 }

@@ -189,12 +189,6 @@ impl GpsResource {
         Self::with_shared(&sim.shared, capacity)
     }
 
-    /// Create from a process context (e.g. a manager building a GPU at run
-    /// time).
-    pub fn new_in(ctx: &ProcCtx, capacity: f64) -> GpsResource {
-        Self::with_shared(&ctx.shared, capacity)
-    }
-
     pub(crate) fn with_shared(shared: &Shared, capacity: f64) -> GpsResource {
         assert!(capacity > 0.0, "resource capacity must be positive");
         let gps = Gps {
@@ -326,11 +320,6 @@ impl FifoResource {
     /// Create an idle FIFO resource.
     pub fn new(sim: &Sim) -> FifoResource {
         Self::with_shared(&sim.shared)
-    }
-
-    /// Create from within a running process.
-    pub fn new_in(ctx: &ProcCtx) -> FifoResource {
-        Self::with_shared(&ctx.shared)
     }
 
     fn with_shared(shared: &Shared) -> FifoResource {

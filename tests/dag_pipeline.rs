@@ -40,7 +40,8 @@ struct DagRunOut {
 
 /// Run `n` staggered copies of the three-stage vision pipeline in `mode`
 /// through one two-API-server GPU server, optionally under a fault plan.
-/// Oracles run inside the sim after all DAGs settle.
+/// Oracles run once the run is over, when every DAG and every teardown
+/// (EndFunction, idle retirements) has settled.
 fn run_dags(
     seed: u64,
     mode: HandoffMode,
@@ -54,15 +55,8 @@ fn run_dags(
     tel.enable();
     let h = sim.handle();
     let out: Arc<SimCell<Vec<(usize, DagKey)>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let handoff: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let memory: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let events = Arc::new(SimCell::new(&h, 0usize));
-    let (o2, h2ref, m2, e2) = (
-        Arc::clone(&out),
-        Arc::clone(&handoff),
-        Arc::clone(&memory),
-        Arc::clone(&events),
-    );
+    let server_out: Arc<SimCell<Option<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, None));
+    let (o2, s2) = (Arc::clone(&out), Arc::clone(&server_out));
     let h2 = h.clone();
     sim.spawn("dag-root", move |p| {
         let mut cfg = GpuServerConfig::paper_default()
@@ -75,12 +69,10 @@ fn run_dags(
         }
         let server = GpuServer::provision(p, &h2, cfg);
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(SimCell::new(&h2, 0usize));
         for i in 0..n {
             let server = Arc::clone(&server);
             let store = Arc::clone(&store);
             let out = Arc::clone(&o2);
-            let done = Arc::clone(&done);
             // Two tenants interleave so placement sees real contention.
             let tenant = if i % 2 == 0 { "acme" } else { "globex" };
             let dag = DagWorkload::pipeline3("vision", mode, 8 * MB, 128 * MB, MB, gpu_secs)
@@ -99,34 +91,25 @@ fn run_dags(
                         r.trace,
                     ),
                 ));
-                *done.lock() += 1;
             });
         }
-        let (h3, m3, e3) = (h2ref, m2, e2);
-        h2.spawn("collector", move |p| {
-            while *done.lock() < n {
-                p.sleep(Dur::from_millis(500));
-            }
-            // Let in-flight teardown (EndFunction, idle retirements) settle.
-            p.sleep(Dur::from_secs(1));
-            let rep = dgsf::check_resident_handoff(&server);
-            *h3.lock() = rep.violations.iter().map(|v| format!("{v:?}")).collect();
-            let rep = dgsf::check_memory_balance(&server, strict_memory);
-            *m3.lock() = rep.violations.iter().map(|v| format!("{v:?}")).collect();
-            *e3.lock() = server.resident_events().len();
-        });
+        *s2.borrow_in(p) = Some(server);
     });
     sim.run();
     let mut results = out.lock().clone();
     results.sort_by_key(|(i, _)| *i);
-    let handoff_violations = handoff.lock().clone();
-    let memory_violations = memory.lock().clone();
-    let resident_events = *events.lock();
+    let server = server_out
+        .lock()
+        .take()
+        .expect("the root provisioned the server");
+    let violations = |rep: dgsf::sim::InvariantReport| -> Vec<String> {
+        rep.violations.iter().map(|v| format!("{v:?}")).collect()
+    };
     DagRunOut {
         results: results.into_iter().map(|(_, k)| k).collect(),
-        handoff_violations,
-        memory_violations,
-        resident_events,
+        handoff_violations: violations(dgsf::check_resident_handoff(&server)),
+        memory_violations: violations(dgsf::check_memory_balance(&server, strict_memory)),
+        resident_events: server.resident_events().len(),
     }
 }
 

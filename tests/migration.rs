@@ -138,10 +138,13 @@ fn monitor_fixes_the_fig8_imbalance() {
     let run = |migration: bool| {
         let mut sim = Sim::new(4);
         let h = sim.handle();
-        let done = Arc::new(SimCell::new(&h, (0.0f64, 0usize)));
-        let d2 = done.clone();
+        // (makespan in seconds, long functions finished): the makespan is
+        // when the last long function returned.
+        let makespan = Arc::new(SimCell::new(&h, (0.0f64, 0usize)));
+        let server_out: Arc<SimCell<Option<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, None));
+        let (m2, s2) = (Arc::clone(&makespan), Arc::clone(&server_out));
         sim.spawn("root", move |p| {
-            let server = Arc::new(GpuServer::provision(
+            let server = GpuServer::provision(
                 p,
                 &h,
                 GpuServerConfig::paper_default()
@@ -149,11 +152,10 @@ fn monitor_fixes_the_fig8_imbalance() {
                     .sharing(2)
                     .with_policy(PlacementPolicy::BestFit)
                     .with_migration(migration),
-            ));
-            let finished = Arc::new(SimCell::new(&h, 0usize));
+            );
             for i in 0..2 {
                 let server = Arc::clone(&server);
-                let finished = Arc::clone(&finished);
+                let makespan = Arc::clone(&m2);
                 h.spawn(&format!("long{i}"), move |p| {
                     let (client, _) = server.request_gpu(p, "long", 2048 * MB, registry());
                     let mut api = RemoteCuda::new(client, OptConfig::full());
@@ -170,24 +172,21 @@ fn monitor_fixes_the_fig8_imbalance() {
                         api.device_synchronize(p).unwrap();
                     }
                     api.finish(p).unwrap();
-                    *finished.lock() += 1;
+                    let mut m = makespan.borrow_in(p);
+                    m.0 = m.0.max(p.now().as_secs_f64());
+                    m.1 += 1;
                 });
             }
-            let server2 = Arc::clone(&server);
-            let d3 = d2.clone();
-            h.spawn("waiter", move |p| {
-                loop {
-                    p.sleep(Dur::from_millis(500));
-                    if *finished.lock() == 2 {
-                        break;
-                    }
-                }
-                *d3.lock() = (p.now().as_secs_f64(), server2.migrations().len());
-            });
+            *s2.borrow_in(p) = Some(server);
         });
         sim.run();
-        let r = *done.lock();
-        r
+        let server = server_out
+            .lock()
+            .take()
+            .expect("the root provisioned the server");
+        let (makespan, finished) = *makespan.lock();
+        assert_eq!(finished, 2, "both long functions returned");
+        (makespan, server.migrations().len())
     };
     let (t_none, m_none) = run(false);
     let (t_mig, m_mig) = run(true);

@@ -47,7 +47,7 @@ impl Workload for Spin {
 const MAX_PER_GPU: u32 = 4;
 const NUM_GPUS: u32 = 2;
 
-fn overload_config(seed: u64) -> PlatformConfig {
+fn overload_config(seed: u64, obs: &ObsConfig) -> PlatformConfig {
     PlatformConfig::paper_default()
         .with_seed(seed)
         .with_server(
@@ -62,12 +62,17 @@ fn overload_config(seed: u64) -> PlatformConfig {
         )
         .with_max_inflight(24)
         .with_max_queue_age(Dur::from_secs(3))
-        .with_obs(ObsConfig::paper_default())
+        .with_obs(obs.clone())
 }
 
 /// Poisson arrivals at 8 rps — double the 4 rps ceiling. Checks the
 /// counter and obs oracles on every run.
 fn overload_run(seed: u64) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
+    overload_run_with(seed, &ObsConfig::paper_default())
+}
+
+/// [`overload_run`] under the obs plane configuration `obs`.
+fn overload_run_with(seed: u64, obs: &ObsConfig) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
     let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
     let schedule = Schedule::mixed(
         seed,
@@ -78,11 +83,11 @@ fn overload_run(seed: u64) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
         },
     );
     let (out, tel) =
-        Testbed::run_platform_schedule_traced(&overload_config(seed), &suite, &schedule);
+        Testbed::run_platform_schedule_traced(&overload_config(seed, obs), &suite, &schedule);
     // The counters, the instants and the obs plane report each request's
     // end exactly as the results do, sheds included.
     dgsf::check_backend_counters(&out, &tel).assert_ok();
-    dgsf::check_obs_reconciles(&out, &ObsConfig::paper_default()).assert_ok();
+    dgsf::check_obs_reconciles(&out, obs).assert_ok();
     (out, tel)
 }
 
@@ -99,6 +104,35 @@ fn fingerprint(out: &BackendRunOutput) -> Vec<(u64, u64, bool, Option<String>)> 
             )
         })
         .collect()
+}
+
+#[test]
+fn burn_rate_shedding_refuses_a_tenant_burning_its_budget_on_queueing() {
+    // Shed new work once the tenant's fast-window burn reaches its budget
+    // rate and its violating requests spent the gate's share queueing.
+    let obs = ObsConfig::paper_default().with_shed_burn_threshold(1000);
+    let (a, tel_a) = overload_run_with(11, &obs);
+    let burn_shed = a
+        .results
+        .iter()
+        .filter(|r| {
+            r.shed
+                && r.failure
+                    .as_deref()
+                    .is_some_and(|f| f.contains("over SLO burn-rate budget"))
+        })
+        .count();
+    assert!(
+        burn_shed > 0,
+        "8 rps against a 4 rps ceiling burns the budget"
+    );
+    let (b, tel_b) = overload_run_with(11, &obs);
+    assert_eq!(
+        fingerprint(&a),
+        fingerprint(&b),
+        "same seed ⇒ identical burn-shed set and timings"
+    );
+    assert_eq!(tel_a.metrics_json(), tel_b.metrics_json());
 }
 
 #[test]
