@@ -137,7 +137,7 @@ impl Gpu {
         Arc::new(Gpu {
             id,
             props,
-            compute: h.gps(compute_capacity),
+            compute: h.gps_with_busy_log(compute_capacity),
             pcie: h.gps(pcie_bw),
             mem: SimCell::new(
                 h,

@@ -68,15 +68,14 @@ fn snapshot() -> (u64, u64) {
 fn steady_state_round_trip_allocation_is_bounded() {
     const WARMUP: usize = 200;
     const MEASURED: u64 = 2_000;
-    // Budget per round trip. Measured: 15 allocator calls and 492,416 B over
-    // the 2,000 round trips (0.0075 calls / 246 B per round trip), none of
-    // them frames. Eight are the doubling reallocations of the link's two
-    // `Timeline`s (`GpsResource::acquire` records every job; 491,520 B);
-    // seven are event-queue buckets growing (896 B). Both are amortized:
-    // they thin out as the run gets longer. One fresh frame per round trip
-    // (a buffer plus its `Arc`) would be 40 times over the call budget.
-    const MAX_CALLS_PER_RT: f64 = 0.05;
-    const MAX_BYTES_PER_RT: u64 = 320;
+    // Budget per round trip. Measured: 7 allocator calls and 896 B over the
+    // 2,000 round trips (0.0035 calls / 0.4 B per round trip), none of them
+    // frames: all seven are event-queue buckets growing, amortized so that
+    // they thin out as the run gets longer. The link's resources keep no
+    // busy log. One fresh frame per round trip (a buffer plus its `Arc`)
+    // would be 400 times over the call budget.
+    const MAX_CALLS_PER_RT: f64 = 0.005;
+    const MAX_BYTES_PER_RT: u64 = 1;
 
     let mut sim = Sim::new(7);
     let h = sim.handle();

@@ -768,9 +768,15 @@ impl SimHandle {
     }
 
     /// Create a processor-sharing resource with the given capacity
-    /// (work units per second).
+    /// (work units per second). It keeps no busy log.
     pub fn gps(&self, capacity: f64) -> crate::GpsResource {
-        crate::resource::GpsResource::with_shared(&self.shared, capacity)
+        crate::resource::GpsResource::with_shared(&self.shared, capacity, false)
+    }
+
+    /// Create a processor-sharing resource that logs when it is busy, for
+    /// [`GpsResource::with_timeline`](crate::GpsResource::with_timeline).
+    pub fn gps_with_busy_log(&self, capacity: f64) -> crate::GpsResource {
+        crate::resource::GpsResource::with_shared(&self.shared, capacity, true)
     }
 
     /// Run `f` against the simulation's deterministic RNG.

@@ -10,8 +10,8 @@
 //! * MPMC **channels** with virtual-time blocking receives
 //!   ([`SimSender`], [`SimReceiver`]),
 //! * shared-capacity **resources** — processor-sharing ([`GpsResource`]) and
-//!   serialized ([`FifoResource`]) — with busy [`Timeline`]s for NVML-style
-//!   utilization sampling,
+//!   serialized ([`FifoResource`]) — where a processor-sharing resource can
+//!   keep a busy [`Timeline`] for NVML-style utilization sampling,
 //! * a seeded RNG threaded through the kernel for reproducible arrival
 //!   processes, and
 //! * [`SimCell`]s: mutable state under the one lock each simulation holds for

@@ -4,15 +4,18 @@
 //!
 //! * [`GpsResource`] — generalized processor sharing. All active jobs share
 //!   the capacity equally; when the active set changes, remaining work is
-//!   re-apportioned. This is how the GPU compute engine, NICs, PCIe links and
-//!   the object store are modeled: two compute-heavy functions that share one
-//!   GPU each run at roughly half speed, which is the behaviour DGSF's
-//!   sharing/migration experiments depend on.
-//! * [`FifoResource`] — strict serialization. Used for the ablation that
-//!   compares processor-sharing against serialized kernel execution.
+//!   re-apportioned. This is how the GPU compute engine, NICs and PCIe links
+//!   are modeled: two compute-heavy functions that share one GPU each run at
+//!   roughly half speed, which is the behaviour DGSF's sharing/migration
+//!   experiments depend on.
+//! * [`FifoResource`] — strict serialization: one job at a time, in arrival
+//!   order. No platform resource uses it; it is kept as the serialized
+//!   counterpart to processor sharing.
 //!
-//! Both record a [`Timeline`] of their active-job count, from which NVML-like
-//! utilization samples are derived.
+//! Only a processor-sharing resource built with
+//! [`SimHandle::gps_with_busy_log`](crate::SimHandle::gps_with_busy_log) —
+//! the GPU compute engine — records a [`Timeline`] of when it was busy, from
+//! which NVML-like utilization samples are derived. The others keep no log.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,65 +24,48 @@ use crate::cell::SimCell;
 use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimState, Timer};
 use crate::time::{Dur, SimTime};
 
-/// Transition log of a resource's active-job count. Appended on every
-/// arrival/departure; queried for busy time and utilization.
+/// Busy log of a resource: the instants at which it turned busy or idle.
+/// Kept only by resources built with
+/// [`SimHandle::gps_with_busy_log`](crate::SimHandle::gps_with_busy_log);
+/// queried for busy time and utilization.
 #[derive(Default, Clone)]
 pub struct Timeline {
-    /// `(time, active)` — the active count from `time` until the next entry.
-    entries: Vec<(SimTime, u32)>,
+    /// Even indices start a busy interval, odd indices end it; an odd
+    /// length means the resource is still busy.
+    toggles: Vec<SimTime>,
 }
 
 impl Timeline {
-    fn record(&mut self, t: SimTime, active: u32) {
-        if let Some(last) = self.entries.last_mut() {
-            if last.0 == t {
-                last.1 = active;
-                return;
-            }
-            if last.1 == active {
-                return;
-            }
+    /// The resource went from idle to busy at `t`. A job that starts at the
+    /// instant the last one finished continues that busy interval instead of
+    /// leaving a zero-length idle gap.
+    fn busy(&mut self, t: SimTime) {
+        if self.toggles.last() == Some(&t) {
+            self.toggles.pop();
+        } else {
+            self.toggles.push(t);
         }
-        self.entries.push((t, active));
     }
 
-    /// Active count at time `t` (0 before the first entry).
-    pub fn active_at(&self, t: SimTime) -> u32 {
-        match self.entries.binary_search_by_key(&t, |e| e.0) {
-            Ok(i) => self.entries[i].1,
-            Err(0) => 0,
-            Err(i) => self.entries[i - 1].1,
-        }
+    /// The resource went from busy to idle at `t`.
+    fn idle(&mut self, t: SimTime) {
+        self.toggles.push(t);
     }
 
     /// Time within `[a, b)` during which at least one job was active.
     pub fn busy_between(&self, a: SimTime, b: SimTime) -> Dur {
-        if b <= a || self.entries.is_empty() {
+        if b <= a {
             return Dur::ZERO;
         }
+        // The interval that holds `a`, or else the first one after it.
+        let first = self.toggles.partition_point(|&t| t <= a) / 2;
         let mut busy = 0u64;
-        let start_idx = match self.entries.binary_search_by_key(&a, |e| e.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        for (i, &(t, active)) in self.entries.iter().enumerate().skip(start_idx) {
-            let seg_start = t.max(a);
-            let seg_end = self
-                .entries
-                .get(i + 1)
-                .map(|e| e.0)
-                .unwrap_or(SimTime::MAX)
-                .min(b);
-            if seg_end <= seg_start {
-                if t >= b {
-                    break;
-                }
-                continue;
+        for pair in self.toggles[2 * first..].chunks(2) {
+            if pair[0] >= b {
+                break;
             }
-            if active >= 1 {
-                busy += seg_end.since(seg_start).as_nanos();
-            }
+            let end = pair.get(1).copied().unwrap_or(SimTime::MAX).min(b);
+            busy += end.since(pair[0].max(a)).as_nanos();
         }
         Dur(busy)
     }
@@ -106,35 +92,15 @@ impl Timeline {
         out
     }
 
-    /// Mean active-job count over `[a, b)` (time-weighted).
-    pub fn avg_active(&self, a: SimTime, b: SimTime) -> f64 {
-        if b <= a || self.entries.is_empty() {
-            return 0.0;
-        }
-        let mut weighted = 0.0;
-        for (i, &(t, active)) in self.entries.iter().enumerate() {
-            let seg_start = t.max(a);
-            let seg_end = self
-                .entries
-                .get(i + 1)
-                .map(|e| e.0)
-                .unwrap_or(SimTime::MAX)
-                .min(b);
-            if seg_end > seg_start {
-                weighted += active as f64 * seg_end.since(seg_start).as_secs_f64();
-            }
-        }
-        weighted / b.since(a).as_secs_f64()
-    }
-
-    /// Number of recorded transitions (for memory diagnostics).
+    /// Number of recorded toggles: twice the busy intervals, less one while
+    /// the resource is still busy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.toggles.len()
     }
 
-    /// True if nothing was ever recorded.
+    /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.toggles.is_empty()
     }
 }
 
@@ -152,7 +118,7 @@ struct Gps {
     last: SimTime,
     /// Bumped on every state change; stale completion timers check it.
     version: u64,
-    timeline: Timeline,
+    busy_log: Option<Timeline>,
 }
 
 impl Gps {
@@ -184,19 +150,20 @@ pub struct GpsResource {
 
 impl GpsResource {
     /// `capacity` is in work units per second (e.g. bytes/s for a link,
-    /// 1.0 for "seconds of exclusive use" on a GPU).
+    /// 1.0 for "seconds of exclusive use" on a GPU). The resource keeps no
+    /// busy log.
     pub fn new(sim: &Sim, capacity: f64) -> GpsResource {
-        Self::with_shared(&sim.shared, capacity)
+        Self::with_shared(&sim.shared, capacity, false)
     }
 
-    pub(crate) fn with_shared(shared: &Shared, capacity: f64) -> GpsResource {
+    pub(crate) fn with_shared(shared: &Shared, capacity: f64, busy_log: bool) -> GpsResource {
         assert!(capacity > 0.0, "resource capacity must be positive");
         let gps = Gps {
             capacity,
             jobs: Vec::new(),
             last: SimTime::ZERO,
             version: 0,
-            timeline: Timeline::default(),
+            busy_log: busy_log.then(Timeline::default),
         };
         GpsResource {
             inner: Arc::new(SimCell::with_lock(shared.state.lock_arc(), gps)),
@@ -216,13 +183,16 @@ impl GpsResource {
             let now = st.now;
             g.settle(now);
             let generation = st.begin_park(ctx.pid());
+            if g.jobs.is_empty() {
+                if let Some(log) = g.busy_log.as_mut() {
+                    log.busy(now);
+                }
+            }
             g.jobs.push(GpsJob {
                 pid: ctx.pid(),
                 generation,
                 remaining: work,
             });
-            let active = g.jobs.len() as u32;
-            g.timeline.record(now, active);
             g.version += 1;
         }
         reschedule(&mut st, Arc::clone(&self.inner));
@@ -245,16 +215,31 @@ impl GpsResource {
         self.inner.lock().jobs.len()
     }
 
-    /// Inspect the busy timeline.
+    /// Inspect the busy log.
+    ///
+    /// # Panics
+    ///
+    /// If the resource was built without one.
     pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
-        f(&self.inner.lock().timeline)
+        f(busy_log(&mut self.inner.lock().busy_log))
     }
 
-    /// Move the busy timeline out, leaving an empty one behind. Meant for
-    /// collecting results after a run, without copying the transition log.
+    /// Move the busy log out, leaving an empty one behind. Meant for
+    /// collecting results after a run, without copying the log.
+    ///
+    /// # Panics
+    ///
+    /// If the resource was built without one.
     pub fn take_timeline(&self) -> Timeline {
-        std::mem::take(&mut self.inner.lock().timeline)
+        std::mem::take(busy_log(&mut self.inner.lock().busy_log))
     }
+}
+
+/// The log of a resource built to keep one. An empty log in its place would
+/// read as 0 % utilization, so a resource without one panics instead.
+fn busy_log(log: &mut Option<Timeline>) -> &mut Timeline {
+    log.as_mut()
+        .expect("this resource keeps no busy log; build it with SimHandle::gps_with_busy_log")
 }
 
 /// Schedule (or re-schedule) the completion timer for the earliest-finishing
@@ -296,8 +281,11 @@ impl Timer for SimCell<Gps> {
             }
             !done
         });
-        let active = g.jobs.len() as u32;
-        g.timeline.record(now, active);
+        if g.jobs.is_empty() {
+            if let Some(log) = g.busy_log.as_mut() {
+                log.idle(now);
+            }
+        }
         g.version += 1;
         drop(g);
         reschedule(st, self);
@@ -308,7 +296,6 @@ struct Fifo {
     /// The job currently holding the resource, if any.
     current: Option<(ProcId, u64)>,
     waiters: VecDeque<(ProcId, u64, Dur)>,
-    timeline: Timeline,
 }
 
 /// A strictly serialized resource: one job at a time, FIFO admission.
@@ -326,7 +313,6 @@ impl FifoResource {
         let fifo = Fifo {
             current: None,
             waiters: VecDeque::new(),
-            timeline: Timeline::default(),
         };
         FifoResource {
             inner: Arc::new(SimCell::with_lock(shared.state.lock_arc(), fifo)),
@@ -351,11 +337,6 @@ impl FifoResource {
         ctx.yield_parked(st);
     }
 
-    /// Inspect the busy timeline.
-    pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
-        f(&self.inner.lock().timeline)
-    }
-
     /// Jobs waiting plus the one in service.
     pub fn queue_len(&self) -> usize {
         let f = self.inner.lock();
@@ -366,11 +347,9 @@ impl FifoResource {
 /// Pop the next waiter and schedule its completion.
 fn start_next(st: &mut SimState, inner: &Arc<SimCell<Fifo>>, f: &mut Fifo) {
     let Some((pid, generation, d)) = f.waiters.pop_front() else {
-        f.timeline.record(st.now, 0);
         return;
     };
     f.current = Some((pid, generation));
-    f.timeline.record(st.now, 1);
     let at = st.now + d;
     st.schedule_timer(at, inner.clone(), 0);
 }
@@ -468,7 +447,7 @@ mod tests {
     #[test]
     fn timeline_tracks_busy_time_and_utilization() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, 1.0));
+        let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
         let r2 = r.clone();
         sim.spawn("j", move |ctx| {
             ctx.sleep(secs(1.0));
@@ -489,6 +468,33 @@ mod tests {
             assert!(samples[2] < 0.01);
             assert!(samples[3] > 0.99);
         });
+    }
+
+    #[test]
+    fn back_to_back_jobs_leave_one_busy_interval() {
+        let mut sim = Sim::new(1);
+        let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+        let r2 = r.clone();
+        sim.spawn("j", move |ctx| {
+            // The second job starts at the instant the first one finishes.
+            r2.acquire(ctx, 1.0);
+            r2.acquire(ctx, 1.0);
+        });
+        let end = sim.run();
+        r.with_timeline(|tl| {
+            assert_eq!(tl.len(), 2, "one busy interval");
+            assert_eq!(
+                tl.busy_between(SimTime::ZERO, end),
+                end.since(SimTime::ZERO)
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no busy log")]
+    fn reading_the_log_of_a_resource_without_one_panics() {
+        let sim = Sim::new(1);
+        GpsResource::new(&sim, 1.0).with_timeline(|tl| tl.len());
     }
 
     #[test]

@@ -21,7 +21,7 @@ proptest! {
     ) {
         let n = works.len().min(starts.len());
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, capacity));
+        let r = Arc::new(sim.handle().gps_with_busy_log(capacity));
         for i in 0..n {
             let r = r.clone();
             let w = works[i];
@@ -68,6 +68,55 @@ proptest! {
         // the last finisher ends exactly when all work is done
         let last = fin.iter().cloned().fold(0.0, f64::max);
         prop_assert!((last - total).abs() < 1e-3, "makespan {last} vs total {total}");
+    }
+
+    /// The busy log against an oracle of its own: each job records the
+    /// `[start, finish)` it spent in service, and the log's busy time in any
+    /// window is the length of the union of those intervals inside it, to
+    /// the nanosecond. A zero gap starts a process's next job at the instant
+    /// its last one finished; the cut leaves jobs still in service, whose
+    /// intervals are open.
+    #[test]
+    fn busy_log_matches_the_union_of_job_intervals(
+        streams in proptest::collection::vec(
+            proptest::collection::vec(
+                (prop_oneof![0u64..1, 1u64..3_000_000], 1u64..2_000_000),
+                1..8,
+            ),
+            1..4,
+        ),
+        cut in 1u64..20_000_000,
+        windows in proptest::collection::vec((0u64..25_000_000, 0u64..25_000_000), 1..16),
+    ) {
+        let mut sim = Sim::new(1);
+        let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+        let spans = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        for (i, jobs) in streams.into_iter().enumerate() {
+            let (r, spans) = (r.clone(), spans.clone());
+            sim.spawn(&format!("p{i}"), move |ctx| {
+                for (gap, work_ns) in jobs {
+                    if gap > 0 {
+                        ctx.sleep(Dur(gap));
+                    }
+                    let k = {
+                        let mut spans = spans.lock();
+                        spans.push((ctx.now().as_nanos(), u64::MAX));
+                        spans.len() - 1
+                    };
+                    r.acquire(ctx, work_ns as f64 * 1e-9);
+                    spans.lock()[k].1 = ctx.now().as_nanos();
+                }
+            });
+        }
+        sim.run_until(SimTime(cut));
+        let spans = spans.lock().clone();
+        r.with_timeline(|tl| {
+            for &(x, y) in &windows {
+                let (a, b) = (x.min(y), x.max(y));
+                let logged = tl.busy_between(SimTime(a), SimTime(b)).as_nanos();
+                prop_assert_eq!(logged, union_within(&spans, a, b), "window [{a}, {b})");
+            }
+        });
     }
 
     /// Virtual sleeps from concurrent processes interleave consistently:
@@ -193,10 +242,28 @@ proptest! {
     }
 }
 
+/// Length of the union of the `[start, finish)` intervals inside `[a, b)`.
+fn union_within(spans: &[(u64, u64)], a: u64, b: u64) -> u64 {
+    let mut clipped: Vec<(u64, u64)> = spans
+        .iter()
+        .map(|&(start, finish)| (start.max(a), finish.min(b)))
+        .filter(|&(start, finish)| start < finish)
+        .collect();
+    clipped.sort_unstable();
+    let (mut total, mut covered) = (0, 0);
+    for (start, finish) in clipped {
+        if finish > covered {
+            total += finish - start.max(covered);
+            covered = finish;
+        }
+    }
+    total
+}
+
 #[test]
 fn utilization_samples_are_bounded() {
     let mut sim = Sim::new(1);
-    let r = Arc::new(GpsResource::new(&sim, 1.0));
+    let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
     for i in 0..3 {
         let r = r.clone();
         sim.spawn_at(
@@ -216,11 +283,11 @@ fn utilization_samples_are_bounded() {
 }
 
 #[test]
-fn timeline_active_at_and_avg_active() {
-    use dgsf_sim::Dur;
+fn overlapping_jobs_make_one_busy_interval() {
     let mut sim = Sim::new(2);
-    let r = Arc::new(GpsResource::new(&sim, 1.0));
-    // two overlapping jobs: [0,2] and [1,2] in arrival terms
+    let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+    // Job a runs alone for 1 s, shares with b until b's 0.25 s of work is
+    // done at 1.5 s, then finishes its last 0.25 s alone at 1.75 s.
     {
         let r = r.clone();
         sim.spawn("a", move |ctx| r.acquire(ctx, 1.5));
@@ -231,27 +298,17 @@ fn timeline_active_at_and_avg_active() {
     }
     sim.run();
     r.with_timeline(|tl| {
-        // at t=0.5s exactly one job is active
-        assert_eq!(tl.active_at(SimTime(500_000_000)), 1);
-        // at t=1.2s both are active
-        assert_eq!(tl.active_at(SimTime(1_200_000_000)), 2);
-        // before anything started
-        assert!(tl.active_at(SimTime(0)) >= 1); // job a starts at t=0
-        let avg = tl.avg_active(SimTime::ZERO, SimTime::ZERO + Dur::from_secs(2));
-        assert!(
-            avg > 0.9 && avg < 2.0,
-            "time-weighted mean in (0.9,2): {avg}"
-        );
-        assert!(!tl.is_empty());
-        assert!(tl.len() >= 2);
+        assert_eq!(tl.len(), 2, "one busy interval");
+        let busy = tl.busy_between(SimTime::ZERO, SimTime(2_000_000_000));
+        // 1.75 s, plus the 1 ns of slack each completion timer adds.
+        assert_eq!(busy.as_nanos(), 1_750_000_002);
     });
 }
 
 #[test]
 fn busy_between_is_additive_over_adjacent_windows() {
-    use dgsf_sim::Dur;
     let mut sim = Sim::new(3);
-    let r = Arc::new(GpsResource::new(&sim, 1.0));
+    let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
     for i in 0..4u64 {
         let r = r.clone();
         sim.spawn_at(&format!("j{i}"), SimTime(i * 700_000_000), move |ctx| {

@@ -5,11 +5,11 @@
 //! event queue and the resource's job list have grown to their working
 //! size, none of that allocates: the timer is an `Arc` clone of the
 //! resource, not a boxed closure, and finished jobs are woken as they leave
-//! the job list, with no list of their own. The one thing that keeps
-//! growing is the resource's busy [`Timeline`](dgsf_sim::Timeline), whose
-//! `Vec` doubles now and then; the budget leaves room for one such step in
-//! the measured window. A regression to one allocation per job or per
-//! timer shows up as thousands.
+//! the job list, with no list of their own. Neither resource keeps a busy
+//! log (only one built with `SimHandle::gps_with_busy_log` does, and that
+//! log grows with its busy periods), so nothing else grows either. A
+//! regression to one allocation per job or per timer shows up as
+//! thousands.
 //!
 //! The event queue keeps its buckets' capacity across refills, so a process
 //! whose sleeps land in many different buckets allocates nothing either,
@@ -63,10 +63,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
-
-/// Allocations allowed in the measured window: one growth step of the
-/// busy timeline.
-const BUDGET: u64 = 1;
 
 /// End of the warm-up and of the measured window.
 const WARM: SimTime = SimTime(10_000_000);
@@ -122,10 +118,7 @@ fn fifo_jobs(processes: u64) -> (u64, u64) {
 }
 
 fn check(what: &str, (made, jobs): (u64, u64)) {
-    assert!(
-        made <= BUDGET,
-        "{made} allocations for {jobs} {what} (budget {BUDGET}, i.e. 0 per job)"
-    );
+    assert_eq!(made, 0, "{made} allocations for {jobs} {what}");
 }
 
 #[test]

@@ -12,9 +12,9 @@
 //! on average (kmeans 893, covidctnet 199, face detection 493, face
 //! identification 493, nlp 827, image classification 2,844) when every
 //! frame, sync channel and batch vector was fresh and every launch went
-//! through hashed name lookups. Measured now: 125, 87, 101, 101, 115 and
-//! 212. Image classification does not meet 150 and has its own bound at
-//! its measured figure: 129 of its 212 are the vectors
+//! through hashed name lookups. Measured now: 119, 83, 95, 95, 111 and
+//! 207. Image classification does not meet 150 and has its own bound at
+//! its measured figure: 129 of its 207 are the vectors
 //! `CudaApi::cudnn_create_descriptors` returns, one per processing batch.
 //! The rest, there and in the other five, is mostly per-function setup
 //! (the function's module registry, its process, its connection and its
@@ -84,7 +84,7 @@ const MAX_ALLOCS: u64 = 150;
 /// with the reason.
 const OVER_BUDGET: &[(&str, u64, &str)] = &[(
     "image_classification",
-    212,
+    207,
     "one Vec per cudnn_create_descriptors call, 129 batches",
 )];
 
