@@ -14,6 +14,7 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::ResidentEvent;
@@ -90,9 +91,9 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
     let mut sim = Sim::new(seed);
     sim.telemetry().enable();
     let h = sim.handle();
-    let results: Arc<SimCell<Vec<(usize, DagResult)>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let server_out: Arc<SimCell<Option<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, None));
-    let (r2, s2) = (Arc::clone(&results), Arc::clone(&server_out));
+    let results: Rc<SimCell<Vec<(usize, DagResult)>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let server_out: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+    let (r2, s2) = (Rc::clone(&results), Rc::clone(&server_out));
     let h2 = h.clone();
     sim.spawn("pipeline-root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
@@ -102,7 +103,7 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
         for i in 0..n {
             let server = Arc::clone(&server);
             let store = Arc::clone(&store);
-            let results = Arc::clone(&r2);
+            let results = Rc::clone(&r2);
             let tenant = if i % 2 == 0 { "acme" } else { "globex" };
             let dag = DagWorkload::pipeline3(
                 "vision",

@@ -16,7 +16,7 @@
 //! a committed golden. Wall-clock throughput (events/sec, invocations/
 //! sec) is *not* in the JSON; the binary prints it alongside.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dgsf::remoting::wire::{Request, Response, WireArgs};
 use dgsf::remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
@@ -140,7 +140,7 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
 
     // Completed invocations: (latency_ns, tenant). Completion order is
     // deterministic, so the vector is too.
-    let done: Arc<SimCell<Vec<(u64, u32)>>> = Arc::new(SimCell::new(
+    let done: Rc<SimCell<Vec<(u64, u32)>>> = Rc::new(SimCell::new(
         &h,
         Vec::with_capacity(cfg.invocations as usize),
     ));

@@ -1,6 +1,7 @@
 //! Single-workload experiments: Table II, Figure 3, Figure 4, Table V and
 //! the forwarded-API-count statistics (§V-C).
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::MigrationReport;
@@ -83,8 +84,8 @@ pub fn migration_probe(
 ) -> f64 {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o = Rc::clone(&out);
     let w = Arc::clone(w);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
@@ -332,8 +333,8 @@ pub fn table5() -> Vec<Table5Row> {
 fn synthetic_with_forced_migration(w: &Arc<SyntheticMigration>) -> (f64, f64) {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, (0.0f64, 0.0f64)));
-    let o = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, (0.0f64, 0.0f64)));
+    let o = Rc::clone(&out);
     let w = Arc::clone(w);
     let h2 = h.clone();
     sim.spawn("root", move |p| {

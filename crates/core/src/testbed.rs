@@ -9,6 +9,7 @@
 //! through the serverless backend in front of a fleet described by one
 //! [`PlatformConfig`]; a single server is a fleet of one.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::CostTable;
@@ -176,8 +177,8 @@ impl Testbed {
         let store = Arc::new(ObjectStore::new(
             dgsf_remoting::NetProfile::datacenter().s3_bw,
         ));
-        let out = Arc::new(SimCell::new(&sim.handle(), None));
-        let o = Arc::clone(&out);
+        let out = Rc::new(SimCell::new(&sim.handle(), None));
+        let o = Rc::clone(&out);
         sim.spawn("cpu-root", move |p| {
             let r = invoke_cpu(p, &store, w.as_ref());
             *o.borrow_in(p) = Some(r);
@@ -204,16 +205,16 @@ fn run_platform(
         telemetry.enable();
     }
     let h = sim.handle();
-    let results = Arc::new(SimCell::new(&h, Vec::new()));
-    let fleet_out: Arc<SimCell<Vec<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, Vec::new()));
+    let results = Rc::new(SimCell::new(&h, Vec::new()));
+    let fleet_out: Rc<SimCell<Vec<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, Vec::new()));
     let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
     let cfg2 = cfg.clone();
     let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
     let schedule = schedule.clone();
     let n_functions = schedule.len();
-    let results2 = Arc::clone(&results);
-    let fleet_out2 = Arc::clone(&fleet_out);
-    let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(&h, o)));
+    let results2 = Rc::clone(&results);
+    let fleet_out2 = Rc::clone(&fleet_out);
+    let plane = cfg.obs.clone().map(|o| Rc::new(ObsPlane::new(&h, o)));
     let plane2 = plane.clone();
     let h2 = h.clone();
     sim.spawn("platform-root", move |p| {
@@ -233,12 +234,12 @@ fn run_platform(
         if let Some(pl) = plane2.clone() {
             backend = backend.with_obs(pl);
         }
-        let backend = Arc::new(backend);
+        let backend = Rc::new(backend);
         for (at, widx) in schedule.entries.iter().copied() {
             let w = Arc::clone(&suite[widx]);
-            let backend = Arc::clone(&backend);
+            let backend = Rc::clone(&backend);
             let store = Arc::clone(&store);
-            let results = Arc::clone(&results2);
+            let results = Rc::clone(&results2);
             let opts = cfg2.opts;
             h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
                 let r = backend.invoke(p, &store, w.as_ref(), opts);
@@ -324,8 +325,8 @@ fn run_native(
         dgsf_remoting::NetProfile::datacenter().s3_bw,
     ));
     let costs = Arc::new(costs.clone());
-    let out = Arc::new(SimCell::new(&h, None));
-    let o = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("native-root", move |p| {
         let r = invoke_native(p, &h2, &store, w.as_ref(), costs);

@@ -18,7 +18,9 @@
 //! sync of that stream is answered; a device-wide sync visits the
 //! executors in creation order, so its event order replays exactly.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,11 +48,11 @@ pub(crate) enum StreamCmd {
         body: KernelFn,
         cfg: LaunchConfig,
         args: KernelArgs,
-        va: Arc<SimCell<VaSpace>>,
+        va: Rc<SimCell<VaSpace>>,
     },
     /// Asynchronous device memset.
     Memset {
-        va: Arc<SimCell<VaSpace>>,
+        va: Rc<SimCell<VaSpace>>,
         ptr: DevPtr,
         len: u64,
         value: u8,
@@ -106,11 +108,11 @@ pub enum ResidentEvent {
 pub struct CudaContext {
     /// Globally unique context id.
     pub id: u64,
-    gpu: Arc<Gpu>,
+    gpu: Rc<Gpu>,
     costs: Arc<CostTable>,
     handle: SimHandle,
     ctx_reservation: SimCell<Option<ReservationId>>,
-    next_handle: AtomicU64,
+    next_handle: Cell<u64>,
     fptrs: SimCell<HashMap<String, u64>>,
     fptr_names: SimCell<HashMap<u64, String>>,
     events: SimCell<HashSet<u64>>,
@@ -173,26 +175,26 @@ impl CudaContext {
     pub fn create(
         proc: &ProcCtx,
         h: &SimHandle,
-        gpu: Arc<Gpu>,
+        gpu: Rc<Gpu>,
         costs: Arc<CostTable>,
         pay_init: bool,
-    ) -> CudaResult<Arc<CudaContext>> {
+    ) -> CudaResult<Rc<CudaContext>> {
         if pay_init {
             proc.sleep(costs.cuda_init);
         }
         let reservation = gpu.reserve(costs.cuda_ctx_mem)?;
         let id = NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed);
         let default_engine = spawn_stream_engine(h, &gpu, &costs, &format!("ctx{id}-default"));
-        let ctx = Arc::new(CudaContext {
+        let ctx = Rc::new(CudaContext {
             id,
-            gpu: Arc::clone(&gpu),
+            gpu: Rc::clone(&gpu),
             costs: Arc::clone(&costs),
             handle: h.clone(),
             ctx_reservation: SimCell::new(h, Some(reservation)),
             // Handle values are context-specific: embed the context id so
             // two contexts never hand out the same value (the property the
             // paper's migration translation exists to handle).
-            next_handle: AtomicU64::new((id << 32) | 1),
+            next_handle: Cell::new((id << 32) | 1),
             fptrs: SimCell::new(h, HashMap::new()),
             fptr_names: SimCell::new(h, HashMap::new()),
             events: SimCell::new(h, HashSet::new()),
@@ -207,7 +209,7 @@ impl CudaContext {
     }
 
     /// The physical GPU this context is bound to.
-    pub fn gpu(&self) -> &Arc<Gpu> {
+    pub fn gpu(&self) -> &Rc<Gpu> {
         &self.gpu
     }
 
@@ -273,7 +275,7 @@ impl CudaContext {
     }
 
     fn alloc_handle(&self) -> u64 {
-        self.next_handle.fetch_add(1, Ordering::Relaxed)
+        self.next_handle.replace(self.next_handle.get() + 1)
     }
 
     /// Function pointer of kernel `name` in *this* context (assigned
@@ -501,13 +503,13 @@ impl CudaContext {
 /// Spawn an in-order stream executor against `gpu`.
 fn spawn_stream_engine(
     h: &SimHandle,
-    gpu: &Arc<Gpu>,
+    gpu: &Rc<Gpu>,
     costs: &Arc<CostTable>,
     label: &str,
 ) -> Engine {
     let (tx, rx) = h.channel::<StreamCmd>();
     let (done_tx, done_rx) = h.channel::<()>();
-    let exec_gpu = Arc::clone(gpu);
+    let exec_gpu = Rc::clone(gpu);
     let exec_costs = Arc::clone(costs);
     h.spawn(&format!("stream-exec-{label}"), move |pctx| {
         while let Some(cmd) = rx.recv(pctx) {
@@ -557,7 +559,7 @@ mod tests {
     use dgsf_gpu::{GpuId, MB};
     use dgsf_sim::{Dur, Sim};
 
-    fn setup(sim: &Sim) -> (SimHandle, Arc<Gpu>, Arc<CostTable>) {
+    fn setup(sim: &Sim) -> (SimHandle, Rc<Gpu>, Arc<CostTable>) {
         let h = sim.handle();
         let gpu = Gpu::v100(&h, GpuId(0));
         (h, gpu, Arc::new(CostTable::default()))

@@ -7,6 +7,7 @@
 //! (≈0.2 s) all land on the critical path (§V-C "Native GPU applications
 //! cannot pre-initialize their own runtime").
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_gpu::{DeviceProps, Gpu};
@@ -26,7 +27,7 @@ use crate::types::{
 /// Direct execution on a local GPU.
 pub struct NativeCuda {
     handle: SimHandle,
-    gpu: Arc<Gpu>,
+    gpu: Rc<Gpu>,
     costs: Arc<CostTable>,
     session: Option<GpuSession>,
     stats: ApiStats,
@@ -36,7 +37,7 @@ pub struct NativeCuda {
 
 impl NativeCuda {
     /// An application process on a machine with a physically attached GPU.
-    pub fn new(h: &SimHandle, gpu: Arc<Gpu>, costs: Arc<CostTable>) -> NativeCuda {
+    pub fn new(h: &SimHandle, gpu: Rc<Gpu>, costs: Arc<CostTable>) -> NativeCuda {
         NativeCuda {
             handle: h.clone(),
             gpu,
@@ -80,7 +81,7 @@ impl NativeCuda {
             let ctx = CudaContext::create(
                 p,
                 &self.handle,
-                Arc::clone(&self.gpu),
+                Rc::clone(&self.gpu),
                 Arc::clone(&self.costs),
                 true,
             )?;

@@ -10,6 +10,7 @@
 //! which no argument-translation scheme could fix up.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_gpu::{VaRange, VaSpace, VA_GRANULARITY};
@@ -115,11 +116,11 @@ pub struct GpuSession {
     handle: SimHandle,
     costs: Arc<CostTable>,
     /// Context currently executing this session's work.
-    active: Arc<CudaContext>,
+    active: Rc<CudaContext>,
     /// Context the session started on (the API server's home GPU).
-    home: Arc<CudaContext>,
+    home: Rc<CudaContext>,
     /// The application's virtual address space — survives migration intact.
-    va: Arc<SimCell<VaSpace>>,
+    va: Rc<SimCell<VaSpace>>,
     registry: Arc<ModuleRegistry>,
     allocs: HashMap<u64, SessionAlloc>,
     mem_limit: Option<u64>,
@@ -147,13 +148,13 @@ struct EventWait {
 
 impl GpuSession {
     /// Start a session on `ctx` with an optional declared GPU memory limit.
-    pub fn new(h: &SimHandle, ctx: Arc<CudaContext>, mem_limit: Option<u64>) -> GpuSession {
+    pub fn new(h: &SimHandle, ctx: Rc<CudaContext>, mem_limit: Option<u64>) -> GpuSession {
         GpuSession {
             handle: h.clone(),
             costs: Arc::clone(ctx.costs()),
-            home: Arc::clone(&ctx),
+            home: Rc::clone(&ctx),
             active: ctx,
-            va: Arc::new(SimCell::new(h, VaSpace::new())),
+            va: Rc::new(SimCell::new(h, VaSpace::new())),
             registry: Arc::new(ModuleRegistry::new()),
             allocs: HashMap::new(),
             mem_limit,
@@ -170,7 +171,7 @@ impl GpuSession {
     }
 
     /// The context currently serving this session.
-    pub fn active_context(&self) -> &Arc<CudaContext> {
+    pub fn active_context(&self) -> &Rc<CudaContext> {
         &self.active
     }
 
@@ -334,7 +335,7 @@ impl GpuSession {
         self.active.submit(
             proc,
             StreamCmd::Memset {
-                va: Arc::clone(&self.va),
+                va: Rc::clone(&self.va),
                 ptr,
                 len: bytes,
                 value,
@@ -517,7 +518,7 @@ impl GpuSession {
                 body,
                 cfg,
                 args,
-                va: Arc::clone(&self.va),
+                va: Rc::clone(&self.va),
             },
         };
         self.active.submit_on(proc, native, cmd);
@@ -696,7 +697,7 @@ impl GpuSession {
     pub fn migrate(
         &mut self,
         proc: &ProcCtx,
-        target: &Arc<CudaContext>,
+        target: &Rc<CudaContext>,
     ) -> CudaResult<MigrationReport> {
         if target.id == self.active.id {
             return Ok(MigrationReport {
@@ -724,8 +725,8 @@ impl GpuSession {
                 free: target.gpu().free_mem(),
             });
         }
-        let src_gpu = Arc::clone(self.active.gpu());
-        let dst_gpu = Arc::clone(target.gpu());
+        let src_gpu = Rc::clone(self.active.gpu());
+        let dst_gpu = Rc::clone(target.gpu());
         let mut sizes = Vec::with_capacity(self.allocs.len());
         for a in self.allocs.values_mut() {
             let pa = src_gpu
@@ -792,7 +793,7 @@ impl GpuSession {
         }
         let t_end = proc.now();
 
-        self.active = Arc::clone(target);
+        self.active = Rc::clone(target);
         self.migrations += 1;
         Ok(MigrationReport {
             bytes_moved: sizes.iter().sum(),
@@ -838,7 +839,7 @@ impl GpuSession {
         for h in self.cublas.clients() {
             let _ = self.cublas_destroy(proc, CublasHandle(h));
         }
-        self.active = Arc::clone(&self.home);
+        self.active = Rc::clone(&self.home);
     }
 
     /// Number of live allocations.
@@ -876,7 +877,7 @@ mod tests {
 
     use crate::module::{KernelCost, KernelDef};
 
-    fn two_gpu_session(sim: &Sim) -> (Arc<Gpu>, Arc<Gpu>) {
+    fn two_gpu_session(sim: &Sim) -> (Rc<Gpu>, Rc<Gpu>) {
         let h = sim.handle();
         (Gpu::v100(&h, GpuId(0)), Gpu::v100(&h, GpuId(1)))
     }
@@ -1216,7 +1217,7 @@ mod tests {
                 let mut sim = Sim::new(1);
                 let h = sim.handle();
                 let gpu = Gpu::v100(&h, GpuId(0));
-                let elapsed = Arc::new(SimCell::new(&h, 0u64));
+                let elapsed = Rc::new(SimCell::new(&h, 0u64));
                 let e = elapsed.clone();
                 sim.spawn("app", move |proc| {
                     let c = CostTable {

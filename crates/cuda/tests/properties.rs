@@ -3,6 +3,7 @@
 //! and memory accounting across GPUs.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{CostTable, CudaContext, DevPtr, GpuSession, HostBuf};
@@ -48,12 +49,12 @@ proptest! {
     fn session_survives_random_op_sequences(ops in proptest::collection::vec(sess_op(), 1..25)) {
         let mut sim = Sim::new(7);
         let h = sim.handle();
-        let failed = Arc::new(SimCell::new(&h, None::<String>));
+        let failed = Rc::new(SimCell::new(&h, None::<String>));
         let f2 = failed.clone();
         sim.spawn("fuzz", move |p| {
             let costs = Arc::new(CostTable::default());
-            let gpus: Vec<Arc<Gpu>> = (0..3).map(|i| Gpu::v100(&h, GpuId(i))).collect();
-            let ctxs: Vec<Arc<CudaContext>> = gpus
+            let gpus: Vec<Rc<Gpu>> = (0..3).map(|i| Gpu::v100(&h, GpuId(i))).collect();
+            let ctxs: Vec<Rc<CudaContext>> = gpus
                 .iter()
                 .map(|g| CudaContext::create(p, &h, g.clone(), costs.clone(), false).unwrap())
                 .collect();
@@ -136,7 +137,7 @@ proptest! {
     fn migration_moves_exactly_the_live_bytes(mbs in proptest::collection::vec(1u64..64, 1..6)) {
         let mut sim = Sim::new(9);
         let h = sim.handle();
-        let ok = Arc::new(SimCell::new(&h, false));
+        let ok = Rc::new(SimCell::new(&h, false));
         let ok2 = ok.clone();
         sim.spawn("m", move |p| {
             let costs = Arc::new(CostTable::default());

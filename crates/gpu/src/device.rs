@@ -9,7 +9,7 @@
 //! * the busy timeline from which NVML-style utilization is sampled.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dgsf_sim::{
     Dur, GpsResource, ProcCtx, SimCell, SimHandle, SimReceiver, SimSender, SimTime, Timeline,
@@ -106,7 +106,7 @@ struct DmaTokens {
     rx: SimReceiver<u32>,
 }
 
-/// A simulated physical GPU. Cheap to share (`Arc<Gpu>`).
+/// A simulated physical GPU. Cheap to share (`Rc<Gpu>`).
 pub struct Gpu {
     /// Device index within its GPU server.
     pub id: GpuId,
@@ -132,9 +132,9 @@ impl Gpu {
         props: DeviceProps,
         compute_capacity: f64,
         pcie_bw: f64,
-    ) -> Arc<Gpu> {
+    ) -> Rc<Gpu> {
         let free = props.total_mem;
-        Arc::new(Gpu {
+        Rc::new(Gpu {
             id,
             props,
             compute: h.gps_with_busy_log(compute_capacity),
@@ -156,7 +156,7 @@ impl Gpu {
 
     /// Create the paper's reference device: a V100 with 16 GB, PCIe at
     /// 10 GB/s.
-    pub fn v100(h: &SimHandle, id: GpuId) -> Arc<Gpu> {
+    pub fn v100(h: &SimHandle, id: GpuId) -> Rc<Gpu> {
         Gpu::new(h, id, DeviceProps::v100(), 1.0, 10.0e9)
     }
 
@@ -337,7 +337,7 @@ impl Gpu {
     /// telemetry spans on track `gpu<id>/dma<engine>`; chunking never adds
     /// latency — the link is acquired once for the whole copy.
     pub fn dma_pipelined(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &ProcCtx,
         bytes: u64,
         chunk_bytes: u64,
@@ -359,7 +359,7 @@ impl Gpu {
             });
             (pool.tx.clone(), pool.rx.clone())
         };
-        let gpu = Arc::clone(self);
+        let gpu = Rc::clone(self);
         self.handle
             .spawn(&format!("gpu{}-h2d-dma", self.id.0), move |p| {
                 let engine = tok_rx.recv(p).unwrap_or(0);
@@ -441,7 +441,7 @@ mod tests {
     use super::*;
     use dgsf_sim::{Sim, SimCell};
 
-    fn mk() -> (Sim, Arc<Gpu>) {
+    fn mk() -> (Sim, Rc<Gpu>) {
         let sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
         (sim, gpu)
@@ -490,7 +490,7 @@ mod tests {
     fn compute_engine_shares_between_kernels() {
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let done = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..2 {
             let gpu = gpu.clone();
             let done = done.clone();
@@ -509,7 +509,7 @@ mod tests {
     fn dma_respects_bandwidth() {
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Arc::new(SimCell::new(&sim.handle(), 0.0f64));
+        let done = Rc::new(SimCell::new(&sim.handle(), 0.0f64));
         let d = done.clone();
         let g = gpu.clone();
         sim.spawn("copy", move |ctx| {
@@ -544,7 +544,7 @@ mod tests {
     fn pipelined_dma_zero_bytes_completes_instantly() {
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Arc::new(SimCell::new(&sim.handle(), None));
+        let done = Rc::new(SimCell::new(&sim.handle(), None));
         let d = done.clone();
         sim.spawn("copy", move |ctx| {
             let rx = gpu.dma_pipelined(ctx, 0, 4 * MB, 2);
@@ -562,7 +562,7 @@ mod tests {
         // shares the link.
         let mut sim = Sim::new(1);
         let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let t_first = Arc::new(SimCell::new(&sim.handle(), 0.0f64));
+        let t_first = Rc::new(SimCell::new(&sim.handle(), 0.0f64));
         let t = t_first.clone();
         sim.spawn("copies", move |ctx| {
             let a = gpu.dma_pipelined(ctx, 10_000_000_000, 4 * MB, 1); // 1 s at 10 GB/s

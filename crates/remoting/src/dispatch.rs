@@ -7,6 +7,7 @@
 //! the restricted/simulated calls: `cudaGetDeviceCount` always answers 1 and
 //! device properties always describe the currently active GPU (§V-B).
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{
@@ -106,7 +107,7 @@ impl Dispatcher {
     pub fn migrate(
         &mut self,
         p: &ProcCtx,
-        target: &Arc<CudaContext>,
+        target: &Rc<CudaContext>,
     ) -> Result<MigrationReport, CudaError> {
         self.session.migrate(p, target)
     }

@@ -13,7 +13,7 @@
 //! is keyed off the virtual clock and a per-link message counter, both of
 //! which are reproducible by construction.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dgsf_sim::{Dur, SimCell, SimHandle, SimTime};
 use rand::rngs::StdRng;
@@ -197,8 +197,8 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// Compile a plan into runtime state of the simulation `h` belongs to.
-    pub fn new(h: &SimHandle, plan: &FaultPlan) -> Arc<LinkFaults> {
-        Arc::new(LinkFaults {
+    pub fn new(h: &SimHandle, plan: &FaultPlan) -> Rc<LinkFaults> {
+        Rc::new(LinkFaults {
             rt: SimCell::new(
                 h,
                 FaultRt {
@@ -325,7 +325,7 @@ impl LinkFaults {
 mod tests {
     use super::*;
 
-    fn link_faults(plan: &FaultPlan) -> Arc<LinkFaults> {
+    fn link_faults(plan: &FaultPlan) -> Rc<LinkFaults> {
         LinkFaults::new(&dgsf_sim::Sim::new(0).handle(), plan)
     }
 

@@ -35,6 +35,7 @@ mod tests {
     };
     use dgsf_gpu::{Gpu, GpuId, MB};
     use dgsf_sim::{Dur, Sim, SimCell};
+    use std::rc::Rc;
     use std::sync::Arc;
 
     /// Spin up a one-GPU API server process and return a connected guest.
@@ -42,7 +43,7 @@ mod tests {
         sim: &Sim,
         registry: Arc<ModuleRegistry>,
         opts: OptConfig,
-    ) -> Arc<SimCell<Option<RemoteCuda>>> {
+    ) -> Rc<SimCell<Option<RemoteCuda>>> {
         let h = sim.handle();
         let gpu = Gpu::v100(&h, GpuId(0));
         let link = NetLink::new(&h, NetProfile::datacenter());
@@ -59,7 +60,7 @@ mod tests {
                 inbox.respond(p, &link, &env, &resp);
             }
         });
-        Arc::new(SimCell::new(&h, Some(RemoteCuda::new(client, opts))))
+        Rc::new(SimCell::new(&h, Some(RemoteCuda::new(client, opts))))
     }
 
     fn functional_registry() -> Arc<ModuleRegistry> {
@@ -79,7 +80,7 @@ mod tests {
     fn functional_workload_runs_identically_over_the_wire() {
         let mut sim = Sim::new(7);
         let api = serve(&sim, functional_registry(), OptConfig::full());
-        let out = Arc::new(SimCell::new(&sim.handle(), None));
+        let out = Rc::new(SimCell::new(&sim.handle(), None));
         let o = out.clone();
         let registry = functional_registry();
         sim.spawn("guest", move |p| {
@@ -121,7 +122,7 @@ mod tests {
         let run = |opts: OptConfig| {
             let mut sim = Sim::new(7);
             let api = serve(&sim, functional_registry(), opts);
-            let stats_out = Arc::new(SimCell::new(&sim.handle(), None));
+            let stats_out = Rc::new(SimCell::new(&sim.handle(), None));
             let so = stats_out.clone();
             let registry = functional_registry();
             sim.spawn("guest", move |p| {
@@ -175,7 +176,7 @@ mod tests {
         let run = |opts: OptConfig| {
             let mut sim = Sim::new(7);
             let api = serve(&sim, functional_registry(), opts);
-            let out = Arc::new(SimCell::new(&sim.handle(), Dur::ZERO));
+            let out = Rc::new(SimCell::new(&sim.handle(), Dur::ZERO));
             let o = out.clone();
             sim.spawn("guest", move |p| {
                 let mut api = api.lock().take().unwrap();
@@ -204,7 +205,7 @@ mod tests {
             let mut opts = OptConfig::full();
             opts.batch_flush_threshold = threshold;
             let api = serve(&sim, functional_registry(), opts);
-            let out = Arc::new(SimCell::new(&sim.handle(), None));
+            let out = Rc::new(SimCell::new(&sim.handle(), None));
             let o = out.clone();
             let registry = functional_registry();
             sim.spawn("guest", move |p| {

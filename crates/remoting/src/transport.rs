@@ -334,6 +334,7 @@ mod tests {
     use crate::net::NetProfile;
     use crate::wire::WireBuf;
     use dgsf_sim::{Dur, Sim, SimCell};
+    use std::rc::Rc;
 
     fn fast_profile() -> NetProfile {
         NetProfile {
@@ -358,7 +359,7 @@ mod tests {
                 inbox.respond(p, &srv_link, &env, &Response::Count(1));
             }
         });
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         sim.spawn("client", move |p| {
             let resp = client.call(p, &Request::GetDeviceCount).unwrap();
@@ -469,7 +470,7 @@ mod tests {
             },
         );
         let (client, inbox) = RpcClient::connect(&h, link.clone());
-        let executions = Arc::new(SimCell::new(&h, 0u32));
+        let executions = Rc::new(SimCell::new(&h, 0u32));
         let e2 = executions.clone();
         let srv_link = link.clone();
         sim.spawn("server", move |p| {
@@ -478,7 +479,7 @@ mod tests {
                 inbox.respond(p, &srv_link, &env, &Response::Ok);
             }
         });
-        let t_out = Arc::new(SimCell::new(&h, 0.0));
+        let t_out = Rc::new(SimCell::new(&h, 0.0));
         let t2 = t_out.clone();
         sim.spawn("client", move |p| {
             let r = client.call_repeated(p, &Request::Sync, 500).unwrap();
@@ -499,7 +500,7 @@ mod tests {
         let link = NetLink::new(&h, fast_profile());
         let (mut client, inbox) = RpcClient::connect(&h, link);
         client.set_timeout(Some(Dur::from_millis(500)));
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         sim.spawn("client", move |p| {
             let _keep_inbox_alive = &inbox; // server never answers
@@ -526,7 +527,7 @@ mod tests {
         let link = NetLink::with_faults(&h, fast_profile(), Some(faults));
         let (mut client, inbox) = RpcClient::connect(&h, link.clone());
         client.set_timeout(Some(Dur::from_millis(100)));
-        let served = Arc::new(SimCell::new(&h, 0u32));
+        let served = Rc::new(SimCell::new(&h, 0u32));
         let s2 = served.clone();
         let srv_link = link.clone();
         sim.spawn("server", move |p| {
@@ -535,7 +536,7 @@ mod tests {
                 inbox.respond(p, &srv_link, &env, &Response::Ok);
             }
         });
-        let out = Arc::new(SimCell::new(&h, Vec::new()));
+        let out = Rc::new(SimCell::new(&h, Vec::new()));
         let o = out.clone();
         sim.spawn("client", move |p| {
             // message 0 is dropped → timeout; message 1+2 (request+reply) pass

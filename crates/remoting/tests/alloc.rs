@@ -18,7 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dgsf_remoting::wire::{Request, Response};
 use dgsf_remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
@@ -96,7 +96,7 @@ fn steady_state_round_trip_allocation_is_bounded() {
             inbox.respond(p, &srv_link, &env, &Response::Ok);
         }
     });
-    let measured = Arc::new(SimCell::new(&h, (0u64, 0u64)));
+    let measured = Rc::new(SimCell::new(&h, (0u64, 0u64)));
     let m = measured.clone();
     sim.spawn("client", move |p| {
         for _ in 0..WARMUP {

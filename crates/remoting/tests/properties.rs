@@ -2,6 +2,7 @@
 //! transparency claim (C1) as a property — *no optimization configuration
 //! may change observable results*, only timing.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{
@@ -32,7 +33,7 @@ fn registry() -> Arc<ModuleRegistry> {
 fn run_native(data: &[f32], steps: &[(f32, f32)]) -> Vec<f32> {
     let mut sim = Sim::new(1);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
+    let out = Rc::new(SimCell::new(&h, None));
     let o = out.clone();
     let data = data.to_vec();
     let steps = steps.to_vec();
@@ -66,7 +67,7 @@ fn run_remote(data: &[f32], steps: &[(f32, f32)], opts: OptConfig) -> Vec<f32> {
             inbox.respond(p, &link, &env, &resp);
         }
     });
-    let out = Arc::new(SimCell::new(&h, None));
+    let out = Rc::new(SimCell::new(&h, None));
     let o = out.clone();
     let data = data.to_vec();
     let steps = steps.to_vec();

@@ -8,8 +8,9 @@
 //! GPU; migration happens at API-call boundaries, and when the function
 //! finishes the server reverts to its home GPU.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{CostTable, CudaContext, GpuSession, MigrationReport, ModuleRegistry};
@@ -62,7 +63,7 @@ pub struct MigrationRecord {
 
 struct ApiSrvState {
     current_gpu: GpuId,
-    contexts: HashMap<GpuId, Arc<CudaContext>>,
+    contexts: HashMap<GpuId, Rc<CudaContext>>,
     /// Set by the monitor (or a forced-migration experiment); consumed at
     /// the next API-call boundary.
     migration_request: Option<GpuId>,
@@ -78,12 +79,12 @@ pub struct ApiServerShared {
     state: SimCell<ApiSrvState>,
     /// Set by the fault injector: a killed server stops responding,
     /// heartbeating and serving — permanently.
-    killed: AtomicBool,
+    killed: Cell<bool>,
     /// True while a migration is mid-flight (state transfer + re-bind).
-    migrating: AtomicBool,
+    migrating: Cell<bool>,
     /// Migrations this server has *begun* (whether or not they committed);
     /// indexes the fault plan's kill-on-migration schedule.
-    migrations_begun: AtomicU64,
+    migrations_begun: Cell<u64>,
     /// The pre-created cuDNN/cuBLAS handle-pool reservation (452 MB) on the
     /// home GPU, released when the autoscaler retires this server.
     pool_reservation: SimCell<Option<ReservationId>>,
@@ -94,7 +95,7 @@ impl ApiServerShared {
         h: &SimHandle,
         id: u32,
         home_gpu: GpuId,
-        home_ctx: Arc<CudaContext>,
+        home_ctx: Rc<CudaContext>,
         pool_reservation: Option<ReservationId>,
     ) -> ApiServerShared {
         let mut contexts = HashMap::new();
@@ -110,9 +111,9 @@ impl ApiServerShared {
                     migration_request: None,
                 },
             ),
-            killed: AtomicBool::new(false),
-            migrating: AtomicBool::new(false),
-            migrations_begun: AtomicU64::new(0),
+            killed: Cell::new(false),
+            migrating: Cell::new(false),
+            migrations_begun: Cell::new(0),
             pool_reservation: SimCell::new(h, pool_reservation),
         }
     }
@@ -120,12 +121,12 @@ impl ApiServerShared {
     /// Kill the server: it silently discards everything from now on. The
     /// crash is detected by the monitor's lease check, not announced.
     pub fn kill(&self) {
-        self.killed.store(true, Ordering::Relaxed);
+        self.killed.set(true);
     }
 
     /// True once [`kill`](Self::kill) has been called.
     pub fn is_killed(&self) -> bool {
-        self.killed.load(Ordering::Relaxed)
+        self.killed.get()
     }
 
     /// GPU the server is currently executing on.
@@ -146,7 +147,7 @@ impl ApiServerShared {
     /// True while the server is mid-migration (state transfer started, not
     /// yet committed or aborted).
     pub fn migration_in_flight(&self) -> bool {
-        self.migrating.load(Ordering::Relaxed)
+        self.migrating.get()
     }
 
     /// GPUs this server holds a CUDA context on (home + lazily created
@@ -158,12 +159,12 @@ impl ApiServerShared {
 
     /// All CUDA contexts this server currently holds, ordered by GPU id
     /// (deterministic — the state map is a `HashMap`).
-    pub(crate) fn contexts(&self) -> Vec<Arc<CudaContext>> {
+    pub(crate) fn contexts(&self) -> Vec<Rc<CudaContext>> {
         let state = self.state.lock();
-        let mut by_gpu: Vec<(GpuId, Arc<CudaContext>)> = state
+        let mut by_gpu: Vec<(GpuId, Rc<CudaContext>)> = state
             .contexts
             .iter()
-            .map(|(g, c)| (*g, Arc::clone(c)))
+            .map(|(g, c)| (*g, Rc::clone(c)))
             .collect();
         by_gpu.sort_by_key(|(g, _)| g.0);
         by_gpu.into_iter().map(|(_, c)| c).collect()
@@ -173,7 +174,7 @@ impl ApiServerShared {
         self.state.borrow_in(p).migration_request.take()
     }
 
-    fn context(&self, gpu: GpuId) -> Option<Arc<CudaContext>> {
+    fn context(&self, gpu: GpuId) -> Option<Rc<CudaContext>> {
         self.state.lock().contexts.get(&gpu).cloned()
     }
 
@@ -181,15 +182,15 @@ impl ApiServerShared {
         self.state.lock().current_gpu = gpu;
     }
 
-    fn insert_context(&self, gpu: GpuId, ctx: Arc<CudaContext>) {
+    fn insert_context(&self, gpu: GpuId, ctx: Rc<CudaContext>) {
         self.state.lock().contexts.insert(gpu, ctx);
     }
 
     /// Release every GPU resource this server holds: all lazily created
     /// CUDA contexts (303 MB each) plus the pooled-handle reservation
     /// (452 MB). Called by the server process when it is retired.
-    fn release_resources(&self, gpus: &[Arc<Gpu>]) {
-        let contexts: Vec<Arc<CudaContext>> = {
+    fn release_resources(&self, gpus: &[Rc<Gpu>]) {
+        let contexts: Vec<Rc<CudaContext>> = {
             let mut st = self.state.lock();
             st.migration_request = None;
             st.contexts.drain().map(|(_, c)| c).collect()
@@ -218,11 +219,11 @@ const MIGRATION_STATE_BYTES: u64 = 8 * 1024 * 1024;
 #[derive(Clone)]
 pub(crate) struct ApiServerEnv {
     pub h: SimHandle,
-    pub gpus: Vec<Arc<Gpu>>,
+    pub gpus: Vec<Rc<Gpu>>,
     pub costs: Arc<CostTable>,
     pub link: Arc<NetLink>,
     pub monitor_tx: SimSender<MonitorMsg>,
-    pub migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
+    pub migration_log: Rc<SimCell<Vec<MigrationRecord>>>,
     /// How long an assigned function may stay silent before it is aborted.
     pub idle_timeout: Option<Dur>,
 }
@@ -230,7 +231,7 @@ pub(crate) struct ApiServerEnv {
 /// Everything an API server process needs.
 struct ApiServerArgs {
     env: ApiServerEnv,
-    shared: Arc<ApiServerShared>,
+    shared: Rc<ApiServerShared>,
     assign_rx: SimReceiver<ServerCmd>,
 }
 
@@ -245,28 +246,28 @@ pub(crate) fn start_api_server(
     env: &ApiServerEnv,
     id: u32,
     gpu: GpuId,
-) -> Option<(Arc<ApiServerShared>, SimSender<ServerCmd>)> {
-    let gpu_arc = &env.gpus[gpu.0 as usize];
+) -> Option<(Rc<ApiServerShared>, SimSender<ServerCmd>)> {
+    let home_gpu = &env.gpus[gpu.0 as usize];
     // Pre-initialized context (303 MB).
     let ctx = CudaContext::create(
         p,
         &env.h,
-        Arc::clone(gpu_arc),
+        Rc::clone(home_gpu),
         Arc::clone(&env.costs),
         false,
     )
     .ok()?;
     // Pre-created cuDNN + cuBLAS pool footprint (452 MB), held for the
     // server's lifetime (released if the autoscaler retires it).
-    let Ok(pool_res) = gpu_arc.reserve(env.costs.cudnn_mem + env.costs.cublas_mem) else {
+    let Ok(pool_res) = home_gpu.reserve(env.costs.cudnn_mem + env.costs.cublas_mem) else {
         ctx.release();
         return None;
     };
-    let shared = Arc::new(ApiServerShared::new(&env.h, id, gpu, ctx, Some(pool_res)));
+    let shared = Rc::new(ApiServerShared::new(&env.h, id, gpu, ctx, Some(pool_res)));
     let (assign_tx, assign_rx) = env.h.channel::<ServerCmd>();
     let args = ApiServerArgs {
         env: env.clone(),
-        shared: Arc::clone(&shared),
+        shared: Rc::clone(&shared),
         assign_rx,
     };
     env.h.spawn(&format!("api-server-{id}"), move |pp| {
@@ -305,14 +306,14 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
         d.set_trace(asg.trace.clone());
         // Heartbeat the monitor while serving, so the lease check can tell
         // "slow function" from "dead server".
-        let stop_hb = Arc::new(AtomicBool::new(false));
+        let stop_hb = Rc::new(Cell::new(false));
         {
-            let stop = Arc::clone(&stop_hb);
-            let shared = Arc::clone(&a.shared);
+            let stop = Rc::clone(&stop_hb);
+            let shared = Rc::clone(&a.shared);
             let tx = a.env.monitor_tx.clone();
             let name = format!("hb-{}-{}", a.shared.id, asg.invocation);
             a.env.h.spawn(&name, move |pp| {
-                while !stop.load(Ordering::Relaxed) && !shared.is_killed() {
+                while !stop.get() && !shared.is_killed() {
                     tx.send(pp, MonitorMsg::Heartbeat { server: shared.id });
                     pp.sleep(HEARTBEAT_PERIOD);
                 }
@@ -330,14 +331,14 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                         break;
                     }
                     Err(RecvError::Shutdown) => {
-                        stop_hb.store(true, Ordering::Relaxed);
+                        stop_hb.set(true);
                         return;
                     }
                 },
                 None => match asg.inbox.next(p) {
                     Some(env) => env,
                     None => {
-                        stop_hb.store(true, Ordering::Relaxed);
+                        stop_hb.set(true);
                         return; // simulation shutting down
                     }
                 },
@@ -365,7 +366,7 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                 break;
             }
         }
-        stop_hb.store(true, Ordering::Relaxed);
+        stop_hb.set(true);
         let tel = p.telemetry();
         if tel.is_enabled() {
             let serve_name = format!("serve:inv{}", asg.invocation);
@@ -435,7 +436,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
             let gpu = a.env.gpus[target.0 as usize].clone();
             match CudaContext::create(p, &a.env.h, gpu, Arc::clone(&a.env.costs), false) {
                 Ok(c) => {
-                    a.shared.insert_context(target, Arc::clone(&c));
+                    a.shared.insert_context(target, Rc::clone(&c));
                     c
                 }
                 Err(_) => {
@@ -448,8 +449,11 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     let from = a.shared.current_gpu();
 
     // ---- begin: the migration state machine is now mid-flight ----
-    let nth = a.shared.migrations_begun.fetch_add(1, Ordering::Relaxed);
-    a.shared.migrating.store(true, Ordering::Relaxed);
+    let nth = a
+        .shared
+        .migrations_begun
+        .replace(a.shared.migrations_begun.get() + 1);
+    a.shared.migrating.set(true);
     let begun_at = p.now();
     let tel = p.telemetry();
     let id_args = |extra: &[(&'static str, ArgValue<'static>)]| {
@@ -481,7 +485,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     if a.shared.is_killed() {
         // Died mid-migration: no commit, no abort event — the crash is
         // silent and the monitor's lease check must discover it.
-        a.shared.migrating.store(false, Ordering::Relaxed);
+        a.shared.migrating.set(false);
         return;
     }
     if delivery == Delivery::Dropped {
@@ -496,7 +500,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     match d.migrate(p, &ctx) {
         Ok(report) => {
             a.shared.set_current(target);
-            a.shared.migrating.store(false, Ordering::Relaxed);
+            a.shared.migrating.set(false);
             let at = p.now();
             if tel.is_enabled() {
                 tel.counter_add("migrations", 1);
@@ -535,7 +539,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
 }
 
 fn abort_migration(p: &ProcCtx, a: &ApiServerArgs, args: &[(&'static str, ArgValue)]) {
-    a.shared.migrating.store(false, Ordering::Relaxed);
+    a.shared.migrating.set(false);
     let tel = p.telemetry();
     if tel.is_enabled() {
         tel.counter_add("migration.aborts", 1);

@@ -45,6 +45,7 @@ mod tests {
     use dgsf_gpu::{GpuId, GB, MB};
     use dgsf_remoting::{OptConfig, RemoteCuda};
     use dgsf_sim::{Dur, Sim, SimCell};
+    use std::rc::Rc;
     use std::sync::Arc;
 
     fn registry() -> Arc<ModuleRegistry> {
@@ -91,7 +92,7 @@ mod tests {
     fn end_to_end_function_on_gpu_server() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         sim.spawn("root", move |p| {
             let srv = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(1));
@@ -131,7 +132,7 @@ mod tests {
         // 1 GPU, no sharing: the second function queues behind the first.
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let delays = Arc::new(SimCell::new(&h, Vec::new()));
+        let delays = Rc::new(SimCell::new(&h, Vec::new()));
         let delays_in = delays.clone();
         sim.spawn("root", move |p| {
             let delays = delays_in;
@@ -173,7 +174,7 @@ mod tests {
         let run = |per_gpu: u32| {
             let mut sim = Sim::new(1);
             let h = sim.handle();
-            let finish = Arc::new(SimCell::new(&h, Vec::new()));
+            let finish = Rc::new(SimCell::new(&h, Vec::new()));
             let f2 = finish.clone();
             sim.spawn("root", move |p| {
                 let srv = GpuServer::provision(
@@ -219,7 +220,7 @@ mod tests {
         let order_of = |policy: QueuePolicy| {
             let mut sim = Sim::new(1);
             let h = sim.handle();
-            let order = Arc::new(SimCell::new(&h, Vec::new()));
+            let order = Rc::new(SimCell::new(&h, Vec::new()));
             let o2 = order.clone();
             sim.spawn("root", move |p| {
                 let srv = GpuServer::provision(
@@ -311,7 +312,7 @@ mod tests {
         // GPU 1 sits idle; with migration enabled the monitor moves one.
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let migrated = Arc::new(SimCell::new(&h, 0usize));
+        let migrated = Rc::new(SimCell::new(&h, 0usize));
         let m2 = migrated.clone();
         sim.spawn("root", move |p| {
             let srv = GpuServer::provision(

@@ -14,8 +14,9 @@
 //! serverless layer can retry elsewhere), and it is excluded from future
 //! placement.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::ModuleRegistry;
@@ -43,7 +44,7 @@ pub(crate) struct FnRequest {
     pub requested_at: SimTime,
     /// Set by the requester when it gives up waiting (queue timeout); the
     /// monitor purges cancelled requests instead of assigning them.
-    pub cancelled: Arc<AtomicBool>,
+    pub cancelled: Rc<Cell<bool>>,
     /// Causal context of the serverless request this queue entry serves;
     /// handed on to the RPC client and the API-server assignment.
     pub trace: Option<TraceCtx>,
@@ -206,7 +207,7 @@ impl RecordBook {
 }
 
 struct SrvBook {
-    shared: Arc<ApiServerShared>,
+    shared: Rc<ApiServerShared>,
     assign_tx: SimSender<ServerCmd>,
     busy: Option<BusyInfo>,
     /// Declared dead by the lease check; excluded from placement forever.
@@ -256,7 +257,7 @@ impl MonQueue {
 
     /// Drop requests whose senders gave up (queue timeout).
     fn purge_cancelled(&mut self) {
-        let keep = |r: &FnRequest| !r.cancelled.load(Ordering::Relaxed);
+        let keep = |r: &FnRequest| !r.cancelled.get();
         match self {
             MonQueue::Flat(q) => q.retain(keep),
             MonQueue::Fair(fq) => fq.retain(keep),
@@ -296,29 +297,29 @@ pub(crate) struct MonitorArgs {
     /// the autoscaler hands to the servers it starts.
     pub env: ApiServerEnv,
     pub cfg: GpuServerConfig,
-    pub servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)>,
+    pub servers: Vec<(Rc<ApiServerShared>, SimSender<ServerCmd>)>,
     pub rx: SimReceiver<MonitorMsg>,
-    pub records: Arc<SimCell<RecordBook>>,
+    pub records: Rc<SimCell<RecordBook>>,
     /// Live-server registry shared with [`crate::GpuServer`]; the
     /// autoscaler pushes spawned servers and removes retired ones.
-    pub registry: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
+    pub registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
     /// Ids of API servers whose lease expired, shared with
     /// [`crate::GpuServer`] so the cluster balancer can see dead capacity.
-    pub failed_servers: Arc<SimCell<HashSet<u32>>>,
+    pub failed_servers: Rc<SimCell<HashSet<u32>>>,
     /// Online observability plane plus this server's stable label (e.g.
     /// `srv0`). When present the monitor feeds per-GPU health scores each
     /// tick and a predictive autoscaler reads its streamed signals.
-    pub obs: Option<(Arc<ObsPlane>, String)>,
+    pub obs: Option<(Rc<ObsPlane>, String)>,
 }
 
 /// Immutable monitor context shared by the helpers below.
 struct MonCtx {
     env: ApiServerEnv,
     cfg: GpuServerConfig,
-    records: Arc<SimCell<RecordBook>>,
-    registry: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
-    failed_servers: Arc<SimCell<HashSet<u32>>>,
-    obs: Option<Arc<ObsPlane>>,
+    records: Rc<SimCell<RecordBook>>,
+    registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
+    failed_servers: Rc<SimCell<HashSet<u32>>>,
+    obs: Option<Rc<ObsPlane>>,
     /// One per GPU, built once so the per-tick sampling formats nothing.
     gpu_keys: Vec<GpuKeys>,
 }
@@ -635,12 +636,7 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
 }
 
 /// Declared-memory availability of a GPU, as the monitor sees it.
-fn avail(
-    gpus: &[Arc<Gpu>],
-    servers: &[SrvBook],
-    overhead: &HashMap<GpuId, u64>,
-    gpu: GpuId,
-) -> i64 {
+fn avail(gpus: &[Rc<Gpu>], servers: &[SrvBook], overhead: &HashMap<GpuId, u64>, gpu: GpuId) -> i64 {
     let total = gpus[gpu.0 as usize].total_mem() as i64;
     let oh = *overhead.get(&gpu).unwrap_or(&0) as i64;
     let committed: i64 = servers
@@ -812,7 +808,7 @@ fn autoscale_tick(
     let now = p.now();
     let oldest_wait = queue
         .iter()
-        .filter(|r| !r.cancelled.load(Ordering::Relaxed))
+        .filter(|r| !r.cancelled.get())
         .map(|r| now.since(r.requested_at))
         .max();
     // Predictive mode reads the obs plane's streamed signals: the
@@ -922,7 +918,7 @@ fn spawn_server(
     *next_server_id += 1;
     *overhead.entry(gpu).or_insert(0) += a.cfg.costs.idle_worker_mem();
     known_ctxs.insert((id, gpu));
-    a.registry.lock().push(Arc::clone(&shared));
+    a.registry.lock().push(Rc::clone(&shared));
     let now = p.now();
     servers.push(SrvBook {
         shared,
@@ -1032,7 +1028,7 @@ fn exec_share_permille(
         .sum();
     let queue_ns: u64 = queue
         .iter()
-        .filter(|r| !r.cancelled.load(Ordering::Relaxed))
+        .filter(|r| !r.cancelled.get())
         .map(|r| now.since(r.requested_at).as_nanos())
         .sum();
     let total = exec_ns as u128 + queue_ns as u128;

@@ -8,11 +8,10 @@
 //! off any function's critical path), and spawns the monitor and API server
 //! processes.
 
+use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use std::sync::atomic::AtomicBool;
 
 use dgsf_cuda::{CostTable, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId};
@@ -115,7 +114,7 @@ impl ServerGauges {
 /// A provisioned, running GPU server.
 pub struct GpuServer {
     /// The physical GPUs.
-    pub gpus: Vec<Arc<Gpu>>,
+    pub gpus: Vec<Rc<Gpu>>,
     /// The server's NIC.
     pub link: Arc<NetLink>,
     /// Calibrated cost table in force.
@@ -125,14 +124,14 @@ pub struct GpuServer {
     monitor_tx: SimSender<MonitorMsg>,
     /// Live-server registry, shared with the monitor: the autoscaler
     /// pushes spawned servers and removes retired ones.
-    servers: Arc<SimCell<Vec<Arc<ApiServerShared>>>>,
-    records: Arc<SimCell<RecordBook>>,
-    migration_log: Arc<SimCell<Vec<MigrationRecord>>>,
+    servers: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
+    records: Rc<SimCell<RecordBook>>,
+    migration_log: Rc<SimCell<Vec<MigrationRecord>>>,
     /// Ids of lease-expired API servers, shared with the monitor.
-    failed_servers: Arc<SimCell<HashSet<u32>>>,
-    next_invocation: AtomicU64,
+    failed_servers: Rc<SimCell<HashSet<u32>>>,
+    next_invocation: Cell<u64>,
     provisioned_at: SimTime,
-    faults: Option<Arc<LinkFaults>>,
+    faults: Option<Rc<LinkFaults>>,
 }
 
 impl GpuServer {
@@ -149,11 +148,16 @@ impl GpuServer {
     /// the monitor feeds per-GPU health scores each tick, and a predictive
     /// autoscaler ([`crate::AutoscaleConfig::predictive`]) reads the
     /// plane's streamed rate-ramp and queue-attribution signals.
+    #[expect(
+        clippy::arc_with_non_send_sync,
+        reason = "`GpuServer::provision` returns an `Arc`, an entry point the benchmark \
+                  pins; it becomes an `Rc` when ROADMAP item 1 re-pins the benchmark"
+    )]
     pub fn provision_observed(
         p: &ProcCtx,
         h: &SimHandle,
         cfg: GpuServerConfig,
-        obs: Option<(Arc<ObsPlane>, String)>,
+        obs: Option<(Rc<ObsPlane>, String)>,
     ) -> Arc<GpuServer> {
         let mut cfg = cfg;
         // Chaos implies hardening: a faulted run must terminate even when
@@ -165,7 +169,7 @@ impl GpuServer {
             cfg.queue_timeout.get_or_insert(Dur::from_secs(60));
         }
         let costs = Arc::new(cfg.costs.clone());
-        let gpus: Vec<Arc<Gpu>> = (0..cfg.num_gpus).map(|i| Gpu::v100(h, GpuId(i))).collect();
+        let gpus: Vec<Rc<Gpu>> = (0..cfg.num_gpus).map(|i| Gpu::v100(h, GpuId(i))).collect();
         let faults = cfg
             .faults
             .as_ref()
@@ -173,8 +177,8 @@ impl GpuServer {
             .map(|plan| LinkFaults::new(h, plan));
         let link = NetLink::with_faults(h, cfg.net.clone(), faults.clone());
         let (monitor_tx, monitor_rx) = h.channel::<MonitorMsg>();
-        let records = Arc::new(SimCell::new(h, RecordBook::default()));
-        let migration_log = Arc::new(SimCell::new(h, Vec::new()));
+        let records = Rc::new(SimCell::new(h, RecordBook::default()));
+        let migration_log = Rc::new(SimCell::new(h, Vec::new()));
 
         let env = ApiServerEnv {
             h: h.clone(),
@@ -182,7 +186,7 @@ impl GpuServer {
             costs: Arc::clone(&costs),
             link: Arc::clone(&link),
             monitor_tx: monitor_tx.clone(),
-            migration_log: Arc::clone(&migration_log),
+            migration_log: Rc::clone(&migration_log),
             idle_timeout: cfg.idle_timeout,
         };
         let mut servers = Vec::new();
@@ -190,20 +194,20 @@ impl GpuServer {
         for id in 0..cfg.total_api_servers() {
             let (shared, assign_tx) = start_api_server(p, &env, id, GpuId(id % cfg.num_gpus))
                 .expect("a fresh GPU fits an API server's idle footprint");
-            monitor_servers.push((Arc::clone(&shared), assign_tx));
+            monitor_servers.push((Rc::clone(&shared), assign_tx));
             servers.push(shared);
         }
 
-        let servers = Arc::new(SimCell::new(h, servers));
-        let failed_servers = Arc::new(SimCell::new(h, HashSet::new()));
+        let servers = Rc::new(SimCell::new(h, servers));
+        let failed_servers = Rc::new(SimCell::new(h, HashSet::new()));
         let margs = MonitorArgs {
             env,
             cfg: cfg.clone(),
             servers: monitor_servers,
             rx: monitor_rx,
-            records: Arc::clone(&records),
-            registry: Arc::clone(&servers),
-            failed_servers: Arc::clone(&failed_servers),
+            records: Rc::clone(&records),
+            registry: Rc::clone(&servers),
+            failed_servers: Rc::clone(&failed_servers),
             obs,
         };
         h.spawn("monitor", move |pp| run_monitor(pp, margs));
@@ -212,7 +216,7 @@ impl GpuServer {
         if let Some(plan) = &cfg.faults {
             for &(sid, at) in plan.kills() {
                 if let Some(shared) = servers.lock().iter().find(|s| s.id == sid) {
-                    let shared = Arc::clone(shared);
+                    let shared = Rc::clone(shared);
                     h.spawn_at(&format!("fault-kill-{sid}"), at, move |_pp| shared.kill());
                 }
             }
@@ -229,7 +233,7 @@ impl GpuServer {
             records,
             migration_log,
             failed_servers,
-            next_invocation: AtomicU64::new(1),
+            next_invocation: Cell::new(1),
             provisioned_at: p.now(),
             faults,
         })
@@ -300,7 +304,7 @@ impl GpuServer {
         trace: Option<TraceCtx>,
         pin_server: Option<u32>,
     ) -> Result<(RpcClient, u64), AcquireError> {
-        let invocation = self.next_invocation.fetch_add(1, Ordering::Relaxed);
+        let invocation = self.next_invocation.replace(self.next_invocation.get() + 1);
         let now = p.now();
         let tenant = trace
             .as_ref()
@@ -320,7 +324,7 @@ impl GpuServer {
             trace: trace.as_ref().map(|t| t.id),
             tenant: tenant.clone(),
         });
-        let cancelled = Arc::new(AtomicBool::new(false));
+        let cancelled = Rc::new(Cell::new(false));
         let (reply_tx, reply_rx) = self.handle.channel::<RpcClient>();
         self.monitor_tx.send(
             p,
@@ -330,7 +334,7 @@ impl GpuServer {
                 reply: reply_tx,
                 invocation,
                 requested_at: now,
-                cancelled: Arc::clone(&cancelled),
+                cancelled: Rc::clone(&cancelled),
                 trace,
                 tenant,
                 pin_server,
@@ -343,7 +347,7 @@ impl GpuServer {
         match got {
             Ok(client) => Ok((client, invocation)),
             Err(RecvError::Timeout) => {
-                cancelled.store(true, std::sync::atomic::Ordering::Relaxed);
+                cancelled.set(true);
                 p.telemetry().counter_add("server.queue_timeouts", 1);
                 self.mark_invocation_failed(p.now(), invocation);
                 Err(AcquireError::Timeout {

@@ -3,6 +3,7 @@
 //! the simulation still terminates (the monitor keeps ticking only while
 //! there is work in flight or excess live servers to retire).
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -41,8 +42,8 @@ fn pool_grows_under_load_and_shrinks_back_to_the_floor() {
     let telemetry = sim.telemetry();
     telemetry.enable();
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -69,7 +70,7 @@ fn pool_grows_under_load_and_shrinks_back_to_the_floor() {
                 move |p| hold_gpu(p, &srv, &name, GB, 2.0),
             );
         }
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             // Past all work (≈4-8 s) plus the idle TTL and cooldowns.
             p.sleep(Dur::from_secs(20));
@@ -105,8 +106,8 @@ fn light_load_never_scales() {
     let telemetry = sim.telemetry();
     telemetry.enable();
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -126,7 +127,7 @@ fn light_load_never_scales() {
                 move |p| hold_gpu(p, &srv, &name, GB, 0.5),
             );
         }
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(10));
             *o3.lock() = Some(srv.pool_size());

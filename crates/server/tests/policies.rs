@@ -1,6 +1,7 @@
 //! Placement-policy behaviour through the public API: best-fit packs,
 //! worst-fit spreads, memory admission blocks oversized co-tenants.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -18,7 +19,7 @@ fn registry() -> Arc<ModuleRegistry> {
 fn placements(policy: PlacementPolicy, mems: Vec<u64>, secs: f64) -> Vec<GpuId> {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
     let o = out.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -111,7 +112,7 @@ fn small_functions_fill_in_around_large_ones() {
 fn utilization_accounting_sees_the_work() {
     let mut sim = Sim::new(6);
     let h: SimHandle = sim.handle();
-    let util = Arc::new(SimCell::new(&h, 0.0f64));
+    let util = Rc::new(SimCell::new(&h, 0.0f64));
     let u = util.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(1));

@@ -8,6 +8,7 @@
 //! server, real API servers) rather than poking the monitor directly, so
 //! they pin the externally observable serving order.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -45,8 +46,8 @@ fn hold_gpu(p: &ProcCtx, srv: &GpuServer, name: &str, mem: u64, secs: f64) {
 fn serve_order(policy: QueuePolicy) -> Vec<String> {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -72,7 +73,7 @@ fn serve_order(policy: QueuePolicy) -> Vec<String> {
                 move |p| hold_gpu(p, &srv, name, mem, secs),
             );
         }
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(10));
             let mut recs = srv.records();
@@ -105,8 +106,8 @@ fn smallest_first_serves_by_footprint() {
 fn smallest_first_breaks_ties_by_arrival() {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -125,7 +126,7 @@ fn smallest_first_breaks_ties_by_arrival() {
                 move |p| hold_gpu(p, &srv, name, GB, secs),
             );
         }
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(10));
             let mut recs = srv.records();
@@ -141,8 +142,8 @@ fn smallest_first_breaks_ties_by_arrival() {
 fn queue_timeout_abandons_the_request_and_records_the_failure() {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -155,7 +156,7 @@ fn queue_timeout_abandons_the_request_and_records_the_failure() {
         let s2 = Arc::clone(&srv);
         h2.spawn("hold", move |p| hold_gpu(p, &s2, "hold", GB, 3.0));
         let s3 = Arc::clone(&srv);
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn_at("starved", SimTime::ZERO + Dur::from_millis(100), move |p| {
             let requested = p.now();
             let err = match s3.try_request_gpu(p, "starved", GB, registry(), 1) {
@@ -192,8 +193,8 @@ fn queue_timeout_abandons_the_request_and_records_the_failure() {
 fn cancelled_unplaceable_head_cannot_stall(policy: QueuePolicy) {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -221,7 +222,7 @@ fn cancelled_unplaceable_head_cannot_stall(policy: QueuePolicy) {
         h2.spawn_at("small", SimTime::ZERO + Dur::from_millis(500), move |p| {
             hold_gpu(p, &s3, "small", GB, 0.2);
         });
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(10));
             *o3.lock() = srv.records();
@@ -259,8 +260,8 @@ fn abandoned_request_never_occupies_a_server() {
     // arrival, not to the cancelled request.
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -282,7 +283,7 @@ fn abandoned_request_never_occupies_a_server() {
         h2.spawn_at("late", SimTime::ZERO + Dur::from_secs(2), move |p| {
             hold_gpu(p, &s4, "late", GB, 0.2);
         });
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(10));
             *o3.lock() = srv.records();
@@ -449,8 +450,8 @@ fn hold_gpu_as(p: &ProcCtx, srv: &GpuServer, tenant: &str, id: u64, name: &str, 
 fn tenant_serve_order(fair: bool) -> Vec<String> {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let mut cfg = GpuServerConfig::paper_default().gpus(1);
@@ -478,7 +479,7 @@ fn tenant_serve_order(fair: bool) -> Vec<String> {
                 move |p| hold_gpu_as(p, &srv, tenant, i as u64 + 1, name, 0.2),
             );
         }
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(20));
             let mut recs = srv.records();
@@ -509,8 +510,8 @@ fn mqfq_alternates_equal_weight_tenants_where_fcfs_drains_in_arrival_order() {
 fn mqfq_records_tenants_on_invocation_records() {
     let mut sim = Sim::new(5);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let srv = GpuServer::provision(
@@ -522,7 +523,7 @@ fn mqfq_records_tenants_on_invocation_records() {
         );
         let s2 = Arc::clone(&srv);
         h2.spawn("a", move |p| hold_gpu_as(p, &s2, "alpha", 1, "a", 0.1));
-        let o3 = Arc::clone(&o2);
+        let o3 = Rc::clone(&o2);
         h2.spawn("collector", move |p| {
             p.sleep(Dur::from_secs(10));
             *o3.lock() = srv.records();

@@ -16,6 +16,7 @@
 //! budget is spent.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::ApiStats;
@@ -247,7 +248,7 @@ pub struct Backend {
     /// completion per terminal outcome (with the queue wait summed across
     /// every attempt, matching the offline trace decomposition), and
     /// consulted for per-tenant burn-rate shedding.
-    obs: Option<Arc<ObsPlane>>,
+    obs: Option<Rc<ObsPlane>>,
     /// The simulation the backend's state belongs to.
     sim: SimHandle,
 }
@@ -276,7 +277,7 @@ impl Backend {
     /// wait) on any terminal outcome, and — when the plane's shed
     /// threshold is configured — new work from a tenant burning its SLO
     /// budget on queueing is refused at the front door.
-    pub fn with_obs(mut self, obs: Arc<ObsPlane>) -> Backend {
+    pub fn with_obs(mut self, obs: Rc<ObsPlane>) -> Backend {
         self.obs = Some(obs);
         self
     }
@@ -737,14 +738,14 @@ mod tests {
     fn least_loaded_spreads_most_loaded_packs() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let spread = Arc::new(SimCell::new(&h, (0usize, 0usize)));
+        let spread = Rc::new(SimCell::new(&h, (0usize, 0usize)));
         let s2 = spread.clone();
         sim.spawn("root", move |p| {
-            let b = Arc::new(two_server_backend(p, &h, FleetPolicy::LeastLoaded));
+            let b = Rc::new(two_server_backend(p, &h, FleetPolicy::LeastLoaded));
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
             // launch 4 concurrent functions through the backend
             for i in 0..4 {
-                let b = Arc::clone(&b);
+                let b = Rc::clone(&b);
                 let store = Arc::clone(&store);
                 h.spawn(&format!("fn{i}"), move |p| {
                     let _ = b.invoke(p, &store, &Spin, OptConfig::full());
@@ -766,18 +767,18 @@ mod tests {
     fn admission_sheds_beyond_the_inflight_limit() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let results = Arc::new(SimCell::new(&h, Vec::new()));
+        let results = Rc::new(SimCell::new(&h, Vec::new()));
         let r2 = results.clone();
         sim.spawn("root", move |p| {
             let cfg = GpuServerConfig::paper_default().gpus(1);
             let srv = GpuServer::provision(p, &h, cfg);
-            let b = Arc::new(
+            let b = Rc::new(
                 Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
                     .with_admission(AdmissionConfig::new(1)),
             );
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
             for i in 0..2 {
-                let b = Arc::clone(&b);
+                let b = Rc::clone(&b);
                 let store = Arc::clone(&store);
                 let r = r2.clone();
                 h.spawn(&format!("fn{i}"), move |p| {
@@ -843,18 +844,18 @@ mod tests {
         }
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let results = Arc::new(SimCell::new(&h, Vec::new()));
+        let results = Rc::new(SimCell::new(&h, Vec::new()));
         let r2 = results.clone();
         sim.spawn("root", move |p| {
             let cfg = GpuServerConfig::paper_default().gpus(2).sharing(2);
             let srv = GpuServer::provision(p, &h, cfg);
-            let b = Arc::new(
+            let b = Rc::new(
                 Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
                     .with_admission(AdmissionConfig::new(16).with_max_per_workload(1)),
             );
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
             for (i, name) in ["hot", "hot", "cold"].into_iter().enumerate() {
-                let b = Arc::clone(&b);
+                let b = Rc::clone(&b);
                 let store = Arc::clone(&store);
                 let r = r2.clone();
                 h.spawn(&format!("fn{i}"), move |p| {
@@ -876,13 +877,13 @@ mod tests {
     fn most_loaded_consolidates_onto_one_server() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let spread = Arc::new(SimCell::new(&h, (0usize, 0usize)));
+        let spread = Rc::new(SimCell::new(&h, (0usize, 0usize)));
         let s2 = spread.clone();
         sim.spawn("root", move |p| {
-            let b = Arc::new(two_server_backend(p, &h, FleetPolicy::MostLoaded));
+            let b = Rc::new(two_server_backend(p, &h, FleetPolicy::MostLoaded));
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
             for i in 0..3 {
-                let b = Arc::clone(&b);
+                let b = Rc::clone(&b);
                 let store = Arc::clone(&store);
                 h.spawn(&format!("fn{i}"), move |p| {
                     // stagger so load is observable at choice time

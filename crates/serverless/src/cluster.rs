@@ -26,8 +26,8 @@
 //! fair queues inside each monitor. Warm entries for lease-expired servers
 //! are pruned, so a dead server's slot returns to the pool.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dgsf_server::{FleetPolicy, GpuServer, ServerGauges};
@@ -208,7 +208,7 @@ struct StickyState {
 /// share; [`crate::Backend`] owns one and consults it per attempt.
 pub struct ClusterBalancer {
     policy: FleetPolicy,
-    rr: AtomicUsize,
+    rr: Cell<usize>,
     sticky: Option<(StickyConfig, SimCell<StickyState>)>,
 }
 
@@ -217,13 +217,13 @@ impl ClusterBalancer {
     pub fn new(policy: FleetPolicy) -> ClusterBalancer {
         ClusterBalancer {
             policy,
-            rr: AtomicUsize::new(0),
+            rr: Cell::new(0),
             sticky: None,
         }
     }
 
     /// Builder-style: enable bounded sticky tenant placement, its warm-set
-    /// memory under the lock of the simulation `h` belongs to.
+    /// memory in a cell of the simulation `h` belongs to.
     pub fn with_sticky(mut self, h: &SimHandle, cfg: StickyConfig) -> ClusterBalancer {
         self.sticky = Some((cfg, SimCell::new(h, StickyState::default())));
         self
@@ -246,7 +246,7 @@ impl ClusterBalancer {
     /// entry point; advances the round-robin cursor exactly like `route`).
     pub fn route_snapshots(&self, snaps: &[ServerGauges], avoid: Option<usize>) -> Option<usize> {
         let rr = match self.policy {
-            FleetPolicy::RoundRobin => self.rr.fetch_add(1, Ordering::Relaxed),
+            FleetPolicy::RoundRobin => self.rr.replace(self.rr.get() + 1),
             _ => 0,
         };
         select(self.policy, snaps, rr, avoid)
@@ -281,7 +281,7 @@ impl ClusterBalancer {
             return self.route_snapshots(snaps, avoid);
         };
         let rr = match self.policy {
-            FleetPolicy::RoundRobin => self.rr.fetch_add(1, Ordering::Relaxed),
+            FleetPolicy::RoundRobin => self.rr.replace(self.rr.get() + 1),
             _ => 0,
         };
         let mut st = state.lock();

@@ -177,12 +177,12 @@ impl PhaseRecorder {
 mod tests {
     use super::*;
     use dgsf_sim::{Sim, SimCell};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn phases_accumulate_by_name() {
         let mut sim = Sim::new(1);
-        let out = Arc::new(SimCell::new(&sim.handle(), PhaseRecorder::new()));
+        let out = Rc::new(SimCell::new(&sim.handle(), PhaseRecorder::new()));
         let o = out.clone();
         sim.spawn("f", move |p| {
             let mut rec = PhaseRecorder::new();

@@ -49,13 +49,14 @@ impl ObjectStore {
 mod tests {
     use super::*;
     use dgsf_sim::{Sim, SimCell};
+    use std::rc::Rc;
     use std::sync::Arc;
 
     #[test]
     fn download_time_is_latency_plus_bandwidth() {
         let mut sim = Sim::new(1);
         let store = ObjectStore::new(1e6); // 1 MB/s
-        let t = Arc::new(SimCell::new(&sim.handle(), 0.0));
+        let t = Rc::new(SimCell::new(&sim.handle(), 0.0));
         let t2 = t.clone();
         sim.spawn("dl", move |p| {
             store.download(p, 2_000_000);
@@ -82,7 +83,7 @@ mod tests {
     fn concurrent_downloads_do_not_contend() {
         let mut sim = Sim::new(1);
         let store = Arc::new(ObjectStore::new(1e6));
-        let done = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let done = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..4 {
             let store = store.clone();
             let done = done.clone();

@@ -101,7 +101,7 @@ struct TenantState {
 }
 
 /// The fair shedder: per-tenant buckets plus share accounting. Owned by
-/// the backend's admission state, consulted under its lock.
+/// the backend's admission state, consulted through its cell.
 #[derive(Debug)]
 pub struct FairShedder {
     cfg: FairShedConfig,

@@ -6,6 +6,7 @@
 //! cold-placement spread versus round-robin.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -188,15 +189,15 @@ impl Workload for Spin {
 fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
     let mut sim = Sim::new(7);
     let h = sim.handle();
-    let shed_by_tenant = Arc::new(SimCell::new(&h, (0usize, 0usize))); // (hot, cold)
-    let counts = Arc::clone(&shed_by_tenant);
+    let shed_by_tenant = Rc::new(SimCell::new(&h, (0usize, 0usize))); // (hot, cold)
+    let counts = Rc::clone(&shed_by_tenant);
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
         let srv = GpuServer::provision(p, &h, cfg);
         // 4 slots, equal weights ⇒ 2 guaranteed slots per tenant. No
         // bucket refill: borrowing is a one-shot burst, so the guarantee
         // is exercised in its tightest form.
-        let b = Arc::new(
+        let b = Rc::new(
             Backend::new(&h, vec![srv], FleetPolicy::RoundRobin).with_admission(
                 AdmissionConfig::new(4).with_weighted_fair(
                     FairShedConfig::new()
@@ -210,9 +211,9 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         // Hot floods 40 functions in the first 200 ms.
         for i in 0..40 {
-            let b = Arc::clone(&b);
+            let b = Rc::clone(&b);
             let store = Arc::clone(&store);
-            let counts = Arc::clone(&counts);
+            let counts = Rc::clone(&counts);
             h.spawn(&format!("hot{i}"), move |p| {
                 p.sleep(Dur::from_millis(5 * i as u64));
                 let r = b.invoke(
@@ -228,9 +229,9 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
         }
         // Cold launches sequentially: at most 1 in flight — always within
         // its guaranteed share of 2.
-        let b2 = Arc::clone(&b);
+        let b2 = Rc::clone(&b);
         let store2 = Arc::clone(&store);
-        let counts2 = Arc::clone(&counts);
+        let counts2 = Rc::clone(&counts);
         h.spawn("cold", move |p| {
             for _ in 0..8 {
                 let r = b2.invoke(
@@ -265,18 +266,18 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
 fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
     let mut sim = Sim::new(7);
     let h = sim.handle();
-    let cold_shed = Arc::new(SimCell::new(&h, 0usize));
-    let cold_counter = Arc::clone(&cold_shed);
+    let cold_shed = Rc::new(SimCell::new(&h, 0usize));
+    let cold_counter = Rc::clone(&cold_shed);
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
         let srv = GpuServer::provision(p, &h, cfg);
-        let b = Arc::new(
+        let b = Rc::new(
             Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
                 .with_admission(AdmissionConfig::new(4)),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..40 {
-            let b = Arc::clone(&b);
+            let b = Rc::clone(&b);
             let store = Arc::clone(&store);
             h.spawn(&format!("hot{i}"), move |p| {
                 p.sleep(Dur::from_millis(5 * i as u64));
@@ -288,9 +289,9 @@ fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
                 );
             });
         }
-        let b2 = Arc::clone(&b);
+        let b2 = Rc::clone(&b);
         let store2 = Arc::clone(&store);
-        let counter = Arc::clone(&cold_counter);
+        let counter = Rc::clone(&cold_counter);
         h.spawn("cold", move |p| {
             // Arrive just after the flood has filled every slot.
             p.sleep(Dur::from_millis(50));

@@ -6,7 +6,7 @@
 //! model network/queueing delay explicitly with resources or sleeps.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::cell::SimCell;
 use crate::kernel::{ProcCtx, ProcId, Shared};
@@ -21,18 +21,18 @@ struct ChanState<T> {
 
 /// Sending half of a simulation channel. Cloneable.
 pub struct SimSender<T> {
-    inner: Arc<SimCell<ChanState<T>>>,
+    inner: Rc<SimCell<ChanState<T>>>,
 }
 
 /// Receiving half of a simulation channel. Cloneable (MPMC).
 pub struct SimReceiver<T> {
-    inner: Arc<SimCell<ChanState<T>>>,
+    inner: Rc<SimCell<ChanState<T>>>,
 }
 
 impl<T> Clone for SimSender<T> {
     fn clone(&self) -> Self {
         SimSender {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
@@ -40,7 +40,7 @@ impl<T> Clone for SimSender<T> {
 impl<T> Clone for SimReceiver<T> {
     fn clone(&self) -> Self {
         SimReceiver {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
@@ -54,21 +54,21 @@ pub enum RecvError {
     Shutdown,
 }
 
-pub(crate) fn channel<T: Send + 'static>(shared: &Arc<Shared>) -> (SimSender<T>, SimReceiver<T>) {
+pub(crate) fn channel<T>(shared: &Shared) -> (SimSender<T>, SimReceiver<T>) {
     let state = ChanState {
         queue: VecDeque::new(),
         waiters: VecDeque::new(),
     };
-    let inner = Arc::new(SimCell::with_lock(shared.state.lock_arc(), state));
+    let inner = Rc::new(SimCell::with_id(shared.state.sim_id(), state));
     (
         SimSender {
-            inner: Arc::clone(&inner),
+            inner: Rc::clone(&inner),
         },
         SimReceiver { inner },
     )
 }
 
-impl<T: Send + 'static> SimSender<T> {
+impl<T> SimSender<T> {
     /// Enqueue `v` and wake one parked receiver (at the current virtual
     /// time). Never blocks.
     pub fn send(&self, ctx: &ProcCtx, v: T) {
@@ -87,7 +87,7 @@ impl<T: Send + 'static> SimSender<T> {
     }
 }
 
-impl<T: Send + 'static> SimReceiver<T> {
+impl<T> SimReceiver<T> {
     /// Block the simulated process until a message arrives. Returns `None`
     /// when the simulation is shutting down.
     pub fn recv(&self, ctx: &ProcCtx) -> Option<T> {
@@ -162,7 +162,7 @@ mod tests {
     fn send_wakes_receiver_at_send_time() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let got = Arc::new(SimCell::new(&sim.handle(), None));
+        let got = Rc::new(SimCell::new(&sim.handle(), None));
         let g = got.clone();
         sim.spawn("rx", move |ctx| {
             let v = rx.recv(ctx).unwrap();
@@ -182,7 +182,7 @@ mod tests {
     fn recv_timeout_times_out_in_virtual_time() {
         let mut sim = Sim::new(1);
         let (_tx, rx) = sim.channel::<u32>();
-        let out = Arc::new(SimCell::new(&sim.handle(), None));
+        let out = Rc::new(SimCell::new(&sim.handle(), None));
         let o = out.clone();
         sim.spawn("rx", move |ctx| {
             let r = rx.recv_timeout(ctx, Dur::from_secs(5));
@@ -198,7 +198,7 @@ mod tests {
     fn message_beats_timeout() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let out = Arc::new(SimCell::new(&sim.handle(), None));
+        let out = Rc::new(SimCell::new(&sim.handle(), None));
         let o = out.clone();
         sim.spawn("rx", move |ctx| {
             let r = rx.recv_timeout(ctx, Dur::from_secs(5));
@@ -219,7 +219,7 @@ mod tests {
     fn fifo_order_between_messages() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let out = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let out = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         let o = out.clone();
         sim.spawn("rx", move |ctx| {
             for _ in 0..3 {
@@ -240,7 +240,7 @@ mod tests {
     fn mpmc_distributes_messages() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u32>();
-        let count = Arc::new(SimCell::new(&sim.handle(), 0u32));
+        let count = Rc::new(SimCell::new(&sim.handle(), 0u32));
         for i in 0..4 {
             let rx = rx.clone();
             let count = count.clone();

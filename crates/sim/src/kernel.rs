@@ -58,20 +58,15 @@
 //! driver that spawns or sends between `run_until` calls too. A refill
 //! happens only once the `run_until` deadline allows the minimum it finds.
 //!
-//! # The simulation lock
+//! # One thread
 //!
 //! A simulation's mutable state — this kernel state, channels, resources,
-//! telemetry and the platform's hot maps — lives in [`SimCell`]s under one
-//! reentrant [`SimLock`](crate::cell), created by [`Sim::new`]. `run_until` and `Drop for Sim` hold it for their whole
-//! duration, so every process runs on the thread that holds it, and a
-//! `&ProcCtx` is proof of that: [`SimCell::borrow_in`] checks only that the
-//! cell belongs to the context's simulation and then borrows, with no
-//! atomic read-modify-write. Keyless entries (a [`SimHandle`], `Sim`'s own
-//! queries, [`SimCell::lock`]) enter the lock instead; on the holding
-//! thread that is a thread-identity read and a compare, and a caller on
-//! another thread blocks until the run ends. The thread identity is read
-//! afresh at every entry and never cached across a stack switch, since the
-//! next run may resume a process on another OS thread.
+//! telemetry and the platform's hot maps — lives in [`SimCell`]s tagged
+//! with the id [`Sim::new`] draws. A `SimCell` is neither `Send` nor
+//! `Sync`, so a [`Sim`], its [`SimHandle`]s and every process stay on the
+//! thread that built the simulation, and a borrow is a `RefCell` flag.
+//! [`SimCell::borrow_in`] also checks that the cell belongs to the
+//! context's simulation.
 //!
 //! # Process stacks
 //!
@@ -111,18 +106,18 @@
 //! processes; their stacks, and the state they keep alive, are leaked.
 
 use std::any::Any;
-use std::cell::{Cell, RefMut};
+use std::cell::RefMut;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cell::{SimCell, SimLock};
+use crate::cell::{next_sim_id, SimCell};
 use crate::telemetry::Telemetry;
 use crate::time::{Dur, SimTime};
 
@@ -185,10 +180,6 @@ const GUARD_BYTES: usize = 4096;
 /// One process stack: an anonymous mapping of a guard page and
 /// `STACK_BYTES` above it, unmapped on drop.
 struct Stack(*mut u8);
-
-// SAFETY: a stack is plain memory. Only the process running on it touches
-// its contents, and one process runs at a time.
-unsafe impl Send for Stack {}
 
 impl Stack {
     fn map() -> Stack {
@@ -259,17 +250,17 @@ pub struct ShutdownSignal;
 
 /// A resource's completion timer: fired by the scheduler, with the kernel
 /// state borrowed, at the time it was scheduled for.
-pub(crate) trait Timer: Send + Sync {
+pub(crate) trait Timer {
     /// `token` is the value the timer was scheduled with; a resource uses
     /// it to recognise a timer that a later change made stale.
-    fn fire(self: Arc<Self>, st: &mut SimState, token: u64);
+    fn fire(self: Rc<Self>, st: &mut SimState, token: u64);
 }
 
 enum EventKind {
     /// Resume a parked process, if its park generation still matches.
     Wake { pid: ProcId, generation: u64 },
     /// Fire a resource's completion timer with its token.
-    Timer(Arc<dyn Timer>, u64),
+    Timer(Rc<dyn Timer>, u64),
 }
 
 struct Event {
@@ -342,7 +333,7 @@ impl EventQueue {
     }
 }
 
-type Body = Box<dyn FnOnce(&ProcCtx) + Send>;
+type Body = Box<dyn FnOnce(&ProcCtx)>;
 
 struct ProcRec {
     name: Arc<str>,
@@ -373,14 +364,13 @@ enum Next {
     Start(ProcId, Body),
 }
 
-/// Mutable kernel state, a [`SimCell`] under the simulation's lock like all
-/// other simulation state. Cells carry no ordering: code may borrow them in
-/// any order, but never one that is already borrowed (a `RefCell` panic),
-/// and never across a switch.
+/// Mutable kernel state, a [`SimCell`] like all other simulation state.
+/// Cells carry no ordering: code may borrow them in any order, but never
+/// one that is already borrowed (a `RefCell` panic), and never across a
+/// switch.
 pub(crate) struct SimState {
-    /// The simulation's lock; a borrowed `SimState` proves it is held
-    /// ([`SimCell::borrow_with`]).
-    lock: Arc<SimLock>,
+    /// The simulation's id, which [`SimCell::borrow_with`] checks.
+    sim: u64,
     pub(crate) now: SimTime,
     /// Pending events (see "Event queue").
     queue: EventQueue,
@@ -407,8 +397,8 @@ pub(crate) struct SimState {
 
 impl SimState {
     #[inline]
-    pub(crate) fn sim_lock(&self) -> &SimLock {
-        &self.lock
+    pub(crate) fn sim_id(&self) -> u64 {
+        self.sim
     }
 
     fn proc_mut(&mut self, pid: ProcId) -> &mut ProcRec {
@@ -463,7 +453,7 @@ impl SimState {
         self.schedule(time, EventKind::Wake { pid, generation });
     }
 
-    pub(crate) fn schedule_timer(&mut self, time: SimTime, timer: Arc<dyn Timer>, token: u64) {
+    pub(crate) fn schedule_timer(&mut self, time: SimTime, timer: Rc<dyn Timer>, token: u64) {
         self.schedule(time, EventKind::Timer(timer, token));
     }
 
@@ -479,7 +469,7 @@ impl SimState {
     /// Register a process that becomes runnable at `at` (or now, if later).
     fn spawn<F>(&mut self, name: &str, at: SimTime, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         let pid = ProcId(self.procs.len() as u64);
         self.procs.push(ProcRec {
@@ -512,16 +502,15 @@ fn switch(mut st: RefMut<'_, SimState>, from: Holder, to: usize) {
 
 pub(crate) struct Shared {
     pub(crate) state: SimCell<SimState>,
-    /// Per-simulation telemetry registry (disabled by default), under the
-    /// same lock as the state but in a cell of its own: recording never
-    /// borrows the scheduler's state.
+    /// Per-simulation telemetry registry (disabled by default), in a cell
+    /// of its own: recording never borrows the scheduler's state.
     telemetry: Arc<Telemetry>,
 }
 
 impl Shared {
     /// Run the scheduler for `from`, the baton holder, and return the stack
     /// pointer to switch to, or `None` if `from` keeps the baton.
-    fn next_target(self: &Arc<Self>, st: &mut SimState, from: Holder) -> Option<usize> {
+    fn next_target(self: &Rc<Self>, st: &mut SimState, from: Holder) -> Option<usize> {
         match st.next_holder() {
             Next::Resume(to) if to == from => None,
             Next::Resume(to) => Some(*st.sp_slot(to)),
@@ -531,8 +520,7 @@ impl Shared {
                 let ctx = ProcCtx {
                     pid,
                     name: Arc::clone(&rec.name),
-                    shared: Arc::clone(self),
-                    _not_sync: PhantomData,
+                    shared: Rc::clone(self),
                 };
                 let sp = stack.prepare(Box::into_raw(Box::new(Start { ctx, body })));
                 rec.stack = Some(stack);
@@ -543,7 +531,7 @@ impl Shared {
 
     /// Run the scheduler as `from` and pass the baton on. Returns `true` if
     /// `from` keeps the baton, `false` once it has been handed back.
-    fn pass_baton(self: &Arc<Self>, mut st: RefMut<'_, SimState>, from: Holder) -> bool {
+    fn pass_baton(self: &Rc<Self>, mut st: RefMut<'_, SimState>, from: Holder) -> bool {
         match self.next_target(&mut st, from) {
             None => true,
             Some(to) => {
@@ -571,16 +559,23 @@ impl Shared {
 /// });
 /// sim.run();
 /// ```
+///
+/// A simulation stays on the thread that built it:
+///
+/// ```compile_fail
+/// let mut sim = dgsf_sim::Sim::new(1);
+/// std::thread::spawn(move || sim.run());
+/// ```
 pub struct Sim {
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
 }
 
 impl Sim {
     /// Create a simulation whose internal RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Sim {
-        let lock = SimLock::new();
+        let sim = next_sim_id();
         let state = SimState {
-            lock: Arc::clone(&lock),
+            sim,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             procs: Vec::new(),
@@ -593,9 +588,15 @@ impl Sim {
             retired: None,
             free: Vec::new(),
         };
-        let shared = Arc::new(Shared {
-            state: SimCell::with_lock(&lock, state),
-            telemetry: Arc::new(Telemetry::with_lock(&lock)),
+        #[expect(
+            clippy::arc_with_non_send_sync,
+            reason = "`Sim::telemetry` returns an `Arc`, an entry point the benchmark pins; \
+                      it becomes an `Rc` when ROADMAP item 1 re-pins the benchmark"
+        )]
+        let telemetry = Arc::new(Telemetry::with_sim(sim));
+        let shared = Rc::new(Shared {
+            state: SimCell::with_id(sim, state),
+            telemetry,
         });
         Sim { shared }
     }
@@ -614,7 +615,7 @@ impl Sim {
     /// Spawn a process that becomes runnable at the current virtual time.
     pub fn spawn<F>(&self, name: &str, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         self.spawn_at(name, SimTime::ZERO, f)
     }
@@ -622,14 +623,14 @@ impl Sim {
     /// Spawn a process that becomes runnable at virtual time `at`.
     pub fn spawn_at<F>(&self, name: &str, at: SimTime, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         self.shared.state.lock().spawn(name, at, f)
     }
 
     /// Create an MPMC simulation channel: a [`SimSender`](crate::SimSender)
     /// and [`SimReceiver`](crate::SimReceiver) pair.
-    pub fn channel<T: Send + 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
+    pub fn channel<T: 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
         crate::channel::channel(&self.shared)
     }
 
@@ -642,21 +643,11 @@ impl Sim {
     }
 
     /// Run events with `time <= deadline`; later events stay queued.
-    ///
-    /// Holds the simulation's lock throughout: a keyless call from another
-    /// OS thread ([`SimHandle::now`], say) waits until the run returns.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let held = self.shared.state.hold();
-        let mut st = self.shared.state.borrow_held(&held);
+        let mut st = self.shared.state.lock();
         st.deadline = deadline;
         self.shared.pass_baton(st, Holder::Driver);
-        let mut st = self.shared.state.borrow_held(&held);
-        assert_eq!(
-            st.lock.depth(),
-            1,
-            "the simulation's lock is still entered after the run: a `SimCell::lock` \
-             guard was kept across a park or across the run"
-        );
+        let mut st = self.shared.state.lock();
         if let Some(payload) = st.panic.take() {
             drop(st);
             panic::resume_unwind(payload);
@@ -689,16 +680,15 @@ impl Drop for Sim {
         // others unwind are visited too, since the slab only grows. A driver
         // that is itself unwinding resumes none (see "Unwinding").
         let resume = !std::thread::panicking();
-        let held = self.shared.state.hold();
         {
-            let mut st = self.shared.state.borrow_held(&held);
+            let mut st = self.shared.state.lock();
             st.shutdown = true;
             st.queue.clear();
         }
         let mut idx = 0;
         let mut resumes = 0;
         loop {
-            let mut st = self.shared.state.borrow_held(&held);
+            let mut st = self.shared.state.lock();
             let Some(rec) = st.procs.get_mut(idx) else {
                 break;
             };
@@ -727,17 +717,19 @@ impl Drop for Sim {
     }
 }
 
-/// A cloneable, `Send` handle onto a simulation: lets library code create
-/// channels and resources and spawn processes without borrowing [`Sim`]
-/// itself (which stays with the driver) or a [`ProcCtx`] (which is pinned to
-/// its process).
+/// A cloneable handle onto a simulation: lets library code create channels
+/// and resources and spawn processes without borrowing [`Sim`] itself
+/// (which stays with the driver) or a [`ProcCtx`] (which is pinned to its
+/// process). Like the simulation, it stays on the thread that built it:
 ///
-/// Every method enters the simulation's lock: from inside a run that costs
-/// a thread-identity read and a compare; from another OS thread it waits
-/// for the run to end.
+/// ```compile_fail
+/// let sim = dgsf_sim::Sim::new(1);
+/// let h = sim.handle();
+/// std::thread::spawn(move || h.now());
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
 }
 
 impl SimHandle {
@@ -749,7 +741,7 @@ impl SimHandle {
     /// Spawn a process runnable at the current virtual time.
     pub fn spawn<F>(&self, name: &str, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         self.spawn_at(name, SimTime::ZERO, f)
     }
@@ -757,13 +749,13 @@ impl SimHandle {
     /// Spawn a process runnable at `at`.
     pub fn spawn_at<F>(&self, name: &str, at: SimTime, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         self.shared.state.lock().spawn(name, at, f)
     }
 
     /// Create an MPMC simulation channel.
-    pub fn channel<T: Send + 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
+    pub fn channel<T: 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
         crate::channel::channel(&self.shared)
     }
 
@@ -794,7 +786,7 @@ impl Sim {
     /// A cloneable handle onto this simulation.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
@@ -802,9 +794,7 @@ impl Sim {
 /// Handle a simulated process uses to interact with virtual time and the
 /// kernel. Neither `Clone` nor `Sync`: it stands for its process's stack,
 /// and a switch onto that stack from another OS thread would be undefined
-/// behaviour, so a `&ProcCtx` cannot leave the driver's thread. That also
-/// makes a `&ProcCtx` proof that the simulation's lock is held by this
-/// thread, which [`SimCell::borrow_in`] relies on.
+/// behaviour, so a `&ProcCtx` cannot leave the driver's thread.
 ///
 /// ```compile_fail
 /// let mut sim = dgsf_sim::Sim::new(1);
@@ -817,8 +807,7 @@ impl Sim {
 pub struct ProcCtx {
     pub(crate) pid: ProcId,
     name: Arc<str>,
-    pub(crate) shared: Arc<Shared>,
-    _not_sync: PhantomData<Cell<()>>,
+    pub(crate) shared: Rc<Shared>,
 }
 
 impl ProcCtx {
@@ -866,7 +855,7 @@ impl ProcCtx {
     /// Spawn a child process runnable at the current virtual time.
     pub fn spawn<F>(&self, name: &str, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         self.state().spawn(name, SimTime::ZERO, f)
     }
@@ -879,17 +868,17 @@ impl ProcCtx {
     /// A cloneable handle onto this simulation.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
-    /// The lock of this process's simulation, which this thread holds.
+    /// The id of this process's simulation.
     #[inline]
-    pub(crate) fn sim_lock(&self) -> &SimLock {
-        self.shared.state.lock_arc()
+    pub(crate) fn sim_id(&self) -> u64 {
+        self.shared.state.sim_id()
     }
 
-    /// Borrow the kernel state (held path: no lock entry).
+    /// Borrow the kernel state.
     pub(crate) fn state(&self) -> RefMut<'_, SimState> {
         self.shared.state.borrow_in(self)
     }
@@ -1039,7 +1028,7 @@ mod tests {
     #[test]
     fn sleep_advances_virtual_time_instantly() {
         let mut sim = Sim::new(1);
-        let t = Arc::new(SimCell::new(&sim.handle(), SimTime::ZERO));
+        let t = Rc::new(SimCell::new(&sim.handle(), SimTime::ZERO));
         let t2 = t.clone();
         sim.spawn("sleeper", move |ctx| {
             ctx.sleep(Dur::from_secs(3600)); // an hour of virtual time
@@ -1057,7 +1046,7 @@ mod tests {
     #[test]
     fn events_fire_in_time_order_with_fifo_tiebreak() {
         let mut sim = Sim::new(1);
-        let log = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let log = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..5u32 {
             let log = log.clone();
             // All spawned at t=0; same wake time; must run in spawn order.
@@ -1072,7 +1061,7 @@ mod tests {
     #[test]
     fn nested_spawn_runs_at_parent_time() {
         let mut sim = Sim::new(1);
-        let seen = Arc::new(SimCell::new(&sim.handle(), None));
+        let seen = Rc::new(SimCell::new(&sim.handle(), None));
         let seen2 = seen.clone();
         sim.spawn("parent", move |ctx| {
             ctx.sleep(Dur::from_millis(10));
@@ -1089,7 +1078,7 @@ mod tests {
     #[test]
     fn run_until_stops_at_deadline() {
         let mut sim = Sim::new(1);
-        let hits = Arc::new(SimCell::new(&sim.handle(), 0u32));
+        let hits = Rc::new(SimCell::new(&sim.handle(), 0u32));
         let h = hits.clone();
         sim.spawn("ticker", move |ctx| {
             for _ in 0..10 {
@@ -1133,7 +1122,7 @@ mod tests {
     fn rng_is_deterministic_across_runs() {
         let sample = |seed: u64| {
             let mut sim = Sim::new(seed);
-            let out = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+            let out = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
             let o = out.clone();
             sim.spawn("r", move |ctx| {
                 for _ in 0..8 {
@@ -1166,7 +1155,7 @@ mod tests {
     #[test]
     fn repeated_run_until_stops_at_each_deadline_and_resumes() {
         let mut sim = Sim::new(1);
-        let hits = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let hits = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         let h = hits.clone();
         sim.spawn("ticker", move |ctx| {
             for _ in 0..5 {
@@ -1357,10 +1346,10 @@ mod tests {
     }
 
     #[test]
-    fn one_sim_runs_from_two_os_threads_in_turn() {
+    fn one_sim_runs_in_two_turns() {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<u64>();
-        let log = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let log = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         let l = log.clone();
         sim.spawn("ping", move |ctx| {
             for k in 0..4 {
@@ -1374,14 +1363,9 @@ mod tests {
             }
         });
         let half = SimTime::ZERO + Dur::from_millis(2500);
-        std::thread::scope(|s| {
-            let a = s.spawn(|| sim.run_until(half));
-            assert_eq!(a.join().unwrap(), SimTime::ZERO + Dur::from_secs(2));
-        });
+        assert_eq!(sim.run_until(half), SimTime::ZERO + Dur::from_secs(2));
         assert_eq!(log.lock().len(), 2);
-        std::thread::scope(|s| {
-            s.spawn(|| sim.run()).join().unwrap();
-        });
+        sim.run();
         let want: Vec<(u64, SimTime)> = (0..4)
             .map(|k| (k, SimTime::ZERO + Dur::from_secs(k + 1)))
             .collect();

@@ -14,8 +14,9 @@
 //!   keep a busy [`Timeline`] for NVML-style utilization sampling,
 //! * a seeded RNG threaded through the kernel for reproducible arrival
 //!   processes, and
-//! * [`SimCell`]s: mutable state under the one lock each simulation holds for
-//!   the whole of a run, borrowed from inside the run with no atomics.
+//! * [`SimCell`]s: a simulation's mutable state, borrowed with a `RefCell`
+//!   flag. A simulation and everything built on it stay on the thread that
+//!   made them.
 //!
 //! Runs are fully deterministic for a given seed: exactly one simulated
 //! process executes at any moment and ties are broken in FIFO schedule
@@ -25,10 +26,10 @@
 //!
 //! ```
 //! use dgsf_sim::{Sim, Dur, GpsResource};
-//! use std::sync::Arc;
+//! use std::rc::Rc;
 //!
 //! let mut sim = Sim::new(7);
-//! let gpu = Arc::new(GpsResource::new(&sim, 1.0)); // 1 "GPU-second" per second
+//! let gpu = Rc::new(GpsResource::new(&sim, 1.0)); // 1 "GPU-second" per second
 //! for i in 0..2 {
 //!     let gpu = gpu.clone();
 //!     sim.spawn(&format!("kernel{i}"), move |ctx| {
@@ -54,7 +55,7 @@ pub mod telemetry;
 mod time;
 pub mod trace;
 
-pub use cell::{SimCell, SimGuard};
+pub use cell::SimCell;
 pub use channel::{RecvError, SimReceiver, SimSender};
 pub use invariants::{InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, Violation};
 pub use kernel::{ProcCtx, ProcId, ShutdownSignal, Sim, SimHandle};

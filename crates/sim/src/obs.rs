@@ -560,7 +560,7 @@ const RAMP_DEN: u64 = 2;
 /// (suppresses cold-start noise).
 const MIN_RAMP_ARRIVALS: u64 = 4;
 
-/// The online observability plane. Shared (`Arc`) between the serverless
+/// The online observability plane. Shared (`Rc`) between the serverless
 /// backend (arrival/completion feed), the monitors (health feed, scaling
 /// signals) and the harness (report export). Interior mutability only —
 /// every method takes `&self`.
@@ -570,8 +570,8 @@ pub struct ObsPlane {
 }
 
 impl ObsPlane {
-    /// A fresh plane under `cfg`, its state under the lock of the
-    /// simulation `h` belongs to.
+    /// A fresh plane under `cfg`, its state in a cell of the simulation `h`
+    /// belongs to.
     pub fn new(h: &SimHandle, cfg: ObsConfig) -> ObsPlane {
         ObsPlane {
             cfg,

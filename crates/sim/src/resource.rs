@@ -18,7 +18,7 @@
 //! which NVML-like utilization samples are derived. The others keep no log.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::cell::SimCell;
 use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimState, Timer};
@@ -145,7 +145,7 @@ impl Gps {
 
 /// A generalized-processor-sharing resource.
 pub struct GpsResource {
-    inner: Arc<SimCell<Gps>>,
+    inner: Rc<SimCell<Gps>>,
 }
 
 impl GpsResource {
@@ -166,7 +166,7 @@ impl GpsResource {
             busy_log: busy_log.then(Timeline::default),
         };
         GpsResource {
-            inner: Arc::new(SimCell::with_lock(shared.state.lock_arc(), gps)),
+            inner: Rc::new(SimCell::with_id(shared.state.sim_id(), gps)),
         }
     }
 
@@ -195,7 +195,7 @@ impl GpsResource {
             });
             g.version += 1;
         }
-        reschedule(&mut st, Arc::clone(&self.inner));
+        reschedule(&mut st, Rc::clone(&self.inner));
         ctx.yield_parked(st);
     }
 
@@ -244,7 +244,7 @@ fn busy_log(log: &mut Option<Timeline>) -> &mut Timeline {
 
 /// Schedule (or re-schedule) the completion timer for the earliest-finishing
 /// job. The timer carries the resource's current version as its token.
-fn reschedule(st: &mut SimState, inner: Arc<SimCell<Gps>>) {
+fn reschedule(st: &mut SimState, inner: Rc<SimCell<Gps>>) {
     let (at, version) = {
         let g = inner.borrow_with(st);
         let Some(min_remaining) = g
@@ -264,7 +264,7 @@ fn reschedule(st: &mut SimState, inner: Arc<SimCell<Gps>>) {
 }
 
 impl Timer for SimCell<Gps> {
-    fn fire(self: Arc<Self>, st: &mut SimState, version: u64) {
+    fn fire(self: Rc<Self>, st: &mut SimState, version: u64) {
         let mut g = self.borrow_with(st);
         if g.version != version {
             return; // stale timer; a newer one exists
@@ -300,7 +300,7 @@ struct Fifo {
 
 /// A strictly serialized resource: one job at a time, FIFO admission.
 pub struct FifoResource {
-    inner: Arc<SimCell<Fifo>>,
+    inner: Rc<SimCell<Fifo>>,
 }
 
 impl FifoResource {
@@ -315,7 +315,7 @@ impl FifoResource {
             waiters: VecDeque::new(),
         };
         FifoResource {
-            inner: Arc::new(SimCell::with_lock(shared.state.lock_arc(), fifo)),
+            inner: Rc::new(SimCell::with_id(shared.state.sim_id(), fifo)),
         }
     }
 
@@ -345,7 +345,7 @@ impl FifoResource {
 }
 
 /// Pop the next waiter and schedule its completion.
-fn start_next(st: &mut SimState, inner: &Arc<SimCell<Fifo>>, f: &mut Fifo) {
+fn start_next(st: &mut SimState, inner: &Rc<SimCell<Fifo>>, f: &mut Fifo) {
     let Some((pid, generation, d)) = f.waiters.pop_front() else {
         return;
     };
@@ -357,7 +357,7 @@ fn start_next(st: &mut SimState, inner: &Arc<SimCell<Fifo>>, f: &mut Fifo) {
 /// The current job's completion. A FIFO job is never preempted, so its
 /// timer is never stale and the token is unused.
 impl Timer for SimCell<Fifo> {
-    fn fire(self: Arc<Self>, st: &mut SimState, _token: u64) {
+    fn fire(self: Rc<Self>, st: &mut SimState, _token: u64) {
         let mut f = self.borrow_with(st);
         let (pid, generation) = f.current.take().expect("fifo completion without owner");
         let now = st.now;
@@ -378,8 +378,8 @@ mod tests {
     #[test]
     fn solo_job_runs_at_full_capacity() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, 2.0)); // 2 units/s
-        let done = Arc::new(SimCell::new(&sim.handle(), SimTime::ZERO));
+        let r = Rc::new(GpsResource::new(&sim, 2.0)); // 2 units/s
+        let done = Rc::new(SimCell::new(&sim.handle(), SimTime::ZERO));
         let d = done.clone();
         let r2 = r.clone();
         sim.spawn("j", move |ctx| {
@@ -394,8 +394,8 @@ mod tests {
     #[test]
     fn two_equal_jobs_share_capacity() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let times = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let r = Rc::new(GpsResource::new(&sim, 1.0));
+        let times = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..2 {
             let r = r.clone();
             let times = times.clone();
@@ -414,8 +414,8 @@ mod tests {
     #[test]
     fn late_arrival_reapportions_capacity() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let times = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let r = Rc::new(GpsResource::new(&sim, 1.0));
+        let times = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         {
             let r = r.clone();
             let times = times.clone();
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn timeline_tracks_busy_time_and_utilization() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+        let r = Rc::new(sim.handle().gps_with_busy_log(1.0));
         let r2 = r.clone();
         sim.spawn("j", move |ctx| {
             ctx.sleep(secs(1.0));
@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn back_to_back_jobs_leave_one_busy_interval() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+        let r = Rc::new(sim.handle().gps_with_busy_log(1.0));
         let r2 = r.clone();
         sim.spawn("j", move |ctx| {
             // The second job starts at the instant the first one finishes.
@@ -500,8 +500,8 @@ mod tests {
     #[test]
     fn fifo_serializes_in_arrival_order() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(FifoResource::new(&sim));
-        let order = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let r = Rc::new(FifoResource::new(&sim));
+        let order = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         for i in 0..3u32 {
             let r = r.clone();
             let order = order.clone();
@@ -522,8 +522,8 @@ mod tests {
     #[test]
     fn zero_work_is_free() {
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let done = Arc::new(SimCell::new(&sim.handle(), false));
+        let r = Rc::new(GpsResource::new(&sim, 1.0));
+        let done = Rc::new(SimCell::new(&sim.handle(), false));
         let d = done.clone();
         sim.spawn("z", move |ctx| {
             r.acquire(ctx, 0.0);

@@ -1,7 +1,7 @@
 //! Deterministic sim-time telemetry: spans, counters, gauges, histograms.
 //!
 //! Every [`Sim`](crate::Sim) owns one [`Telemetry`] registry, disabled by
-//! default (recording methods early-return on a single relaxed atomic load).
+//! default (recording methods early-return on a single flag read).
 //! When enabled, instrumented layers record
 //!
 //! * **spans** — named intervals of virtual time on a named track
@@ -57,10 +57,10 @@
 //! ([`Telemetry::chrome_trace_json`]) loadable in `chrome://tracing` /
 //! Perfetto.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-use crate::cell::{SimCell, SimLock};
+use crate::cell::{next_sim_id, SimCell};
 use crate::json::JsonWriter;
 use crate::json::Layout::{Compact, Inline, Lines};
 use crate::obs::{log2_bucket, log2_quantile};
@@ -609,11 +609,11 @@ impl TelState {
 /// The per-simulation telemetry registry. See the [module docs](self) for
 /// the recording model and determinism contract.
 pub struct Telemetry {
-    enabled: AtomicBool,
-    /// Under the simulation's lock when [`Sim::new`](crate::Sim::new)
-    /// builds the registry; under a lock of its own otherwise.
+    enabled: Cell<bool>,
+    /// A cell of the simulation when [`Sim::new`](crate::Sim::new) builds
+    /// the registry; of a simulation id of its own otherwise.
     state: SimCell<TelState>,
-    next_trace: AtomicU64,
+    next_trace: Cell<u64>,
 }
 
 impl Default for Telemetry {
@@ -624,38 +624,38 @@ impl Default for Telemetry {
 
 impl Telemetry {
     /// A disabled registry (the state every [`Sim`](crate::Sim) starts in),
-    /// under a lock of its own.
+    /// with a simulation id of its own.
     pub fn new() -> Telemetry {
-        Telemetry::with_lock(&SimLock::new())
+        Telemetry::with_sim(next_sim_id())
     }
 
-    /// A disabled registry under a simulation's lock.
-    pub(crate) fn with_lock(lock: &Arc<SimLock>) -> Telemetry {
+    /// A disabled registry of the simulation `sim`.
+    pub(crate) fn with_sim(sim: u64) -> Telemetry {
         Telemetry {
-            enabled: AtomicBool::new(false),
-            state: SimCell::with_lock(lock, TelState::default()),
-            next_trace: AtomicU64::new(1),
+            enabled: Cell::new(false),
+            state: SimCell::with_id(sim, TelState::default()),
+            next_trace: Cell::new(1),
         }
     }
 
     /// Allocate the next platform-unique trace id. Unlike recording, this
     /// is *not* gated on [`Telemetry::is_enabled`]: the id sequence must be
     /// identical between traced and untraced runs of the same seed, and a
-    /// relaxed fetch-add cannot perturb the simulation (exactly one process
-    /// runs at a time, so allocation order is the kernel's schedule).
+    /// counter cannot perturb the simulation (exactly one process runs at a
+    /// time, so allocation order is the kernel's schedule).
     pub fn next_trace_id(&self) -> u64 {
-        self.next_trace.fetch_add(1, Ordering::Relaxed)
+        self.next_trace.replace(self.next_trace.get() + 1)
     }
 
     /// Turn recording on. Everything recorded before this call was dropped.
     pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
+        self.enabled.set(true);
     }
 
     /// Whether recording is on. Call sites that build a name with `format!`
     /// should guard on this to keep the disabled path free.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled.get()
     }
 
     // ---- recording ----------------------------------------------------

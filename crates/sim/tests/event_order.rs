@@ -22,6 +22,7 @@
 //! events far apart, with the driver spawning between runs. Its digests
 //! are pinned in a table of their own.
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use dgsf_sim::{Dur, FifoResource, GpsResource, ProcCtx, RecvError, Sim, SimHandle, SimTime};
@@ -87,8 +88,8 @@ fn steps(ctx: &ProcCtx, max: u64) -> Dur {
 #[derive(Clone)]
 struct World {
     log: SharedLog,
-    gps: Arc<GpsResource>,
-    fifo: Arc<FifoResource>,
+    gps: Rc<GpsResource>,
+    fifo: Rc<FifoResource>,
     tx: dgsf_sim::SimSender<u64>,
     rx: dgsf_sim::SimReceiver<u64>,
     handle: SimHandle,
@@ -96,7 +97,7 @@ struct World {
 
 /// One process: `rounds` random steps, spawning children while `depth`
 /// allows.
-fn actor(w: World, rounds: u32, depth: u32) -> impl FnOnce(&ProcCtx) + Send + 'static {
+fn actor(w: World, rounds: u32, depth: u32) -> impl FnOnce(&ProcCtx) + 'static {
     move |ctx| {
         note(&w.log, ctx, 1);
         for round in 0..rounds {
@@ -212,8 +213,8 @@ fn run(seed: u64) -> (u64, u64, [u64; KINDS]) {
     let (tx, rx) = sim.channel::<u64>();
     let w = World {
         log: log.clone(),
-        gps: Arc::new(GpsResource::new(&sim, 1e6)),
-        fifo: Arc::new(FifoResource::new(&sim)),
+        gps: Rc::new(GpsResource::new(&sim, 1e6)),
+        fifo: Rc::new(FifoResource::new(&sim)),
         tx,
         rx,
         handle: sim.handle(),
@@ -328,7 +329,7 @@ fn near_power_of_two(ctx: &ProcCtx) -> u64 {
 #[derive(Clone)]
 struct FarWorld {
     log: SharedLog,
-    gps: Arc<GpsResource>,
+    gps: Rc<GpsResource>,
     tx: dgsf_sim::SimSender<u64>,
     handle: SimHandle,
 }
@@ -339,7 +340,7 @@ fn far_saw(log: &SharedLog, kind: Far) {
 
 /// One far-future process: `rounds` steps that each park until far ahead,
 /// spawning a child at a shared instant while `depth` allows.
-fn far_actor(w: FarWorld, rounds: u32, depth: u32) -> impl FnOnce(&ProcCtx) + Send + 'static {
+fn far_actor(w: FarWorld, rounds: u32, depth: u32) -> impl FnOnce(&ProcCtx) + 'static {
     move |ctx| {
         note(&w.log, ctx, 1);
         for round in 0..rounds {
@@ -404,7 +405,7 @@ fn run_far(seed: u64) -> (u64, u64, [u64; KINDS]) {
     let (tx, rx) = sim.channel::<u64>();
     let w = FarWorld {
         log: log.clone(),
-        gps: Arc::new(GpsResource::new(&sim, 1e9)),
+        gps: Rc::new(GpsResource::new(&sim, 1e9)),
         tx,
         handle: sim.handle(),
     };

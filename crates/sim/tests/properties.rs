@@ -1,6 +1,6 @@
 //! Property-based tests of the DES kernel and its resources.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dgsf_sim::{
     percentile_permille, percentile_sorted, Dur, GpsResource, Sim, SimCell, SimTime, Summary,
@@ -21,7 +21,7 @@ proptest! {
     ) {
         let n = works.len().min(starts.len());
         let mut sim = Sim::new(1);
-        let r = Arc::new(sim.handle().gps_with_busy_log(capacity));
+        let r = Rc::new(sim.handle().gps_with_busy_log(capacity));
         for i in 0..n {
             let r = r.clone();
             let w = works[i];
@@ -48,8 +48,8 @@ proptest! {
     ) {
         let n = works.len();
         let mut sim = Sim::new(1);
-        let r = Arc::new(GpsResource::new(&sim, 1.0));
-        let finishes = Arc::new(SimCell::new(&sim.handle(), vec![0.0f64; n]));
+        let r = Rc::new(GpsResource::new(&sim, 1.0));
+        let finishes = Rc::new(SimCell::new(&sim.handle(), vec![0.0f64; n]));
         for (i, w) in works.clone().into_iter().enumerate() {
             let r = r.clone();
             let f = finishes.clone();
@@ -89,8 +89,8 @@ proptest! {
         windows in proptest::collection::vec((0u64..25_000_000, 0u64..25_000_000), 1..16),
     ) {
         let mut sim = Sim::new(1);
-        let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
-        let spans = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let r = Rc::new(sim.handle().gps_with_busy_log(1.0));
+        let spans = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         for (i, jobs) in streams.into_iter().enumerate() {
             let (r, spans) = (r.clone(), spans.clone());
             sim.spawn(&format!("p{i}"), move |ctx| {
@@ -127,7 +127,7 @@ proptest! {
     ) {
         let mut sim = Sim::new(1);
         let expected: u64 = durs.iter().sum();
-        let seen = Arc::new(SimCell::new(&sim.handle(), 0u64));
+        let seen = Rc::new(SimCell::new(&sim.handle(), 0u64));
         let s = seen.clone();
         sim.spawn("sleeper", move |ctx| {
             for d in durs {
@@ -148,7 +148,7 @@ proptest! {
         let mut sim = Sim::new(1);
         let (tx, rx) = sim.channel::<usize>();
         let n = gaps.len();
-        let got = Arc::new(SimCell::new(&sim.handle(), Vec::new()));
+        let got = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
         let g = got.clone();
         sim.spawn("rx", move |ctx| {
             for _ in 0..n {
@@ -263,7 +263,7 @@ fn union_within(spans: &[(u64, u64)], a: u64, b: u64) -> u64 {
 #[test]
 fn utilization_samples_are_bounded() {
     let mut sim = Sim::new(1);
-    let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+    let r = Rc::new(sim.handle().gps_with_busy_log(1.0));
     for i in 0..3 {
         let r = r.clone();
         sim.spawn_at(
@@ -285,7 +285,7 @@ fn utilization_samples_are_bounded() {
 #[test]
 fn overlapping_jobs_make_one_busy_interval() {
     let mut sim = Sim::new(2);
-    let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+    let r = Rc::new(sim.handle().gps_with_busy_log(1.0));
     // Job a runs alone for 1 s, shares with b until b's 0.25 s of work is
     // done at 1.5 s, then finishes its last 0.25 s alone at 1.75 s.
     {
@@ -308,7 +308,7 @@ fn overlapping_jobs_make_one_busy_interval() {
 #[test]
 fn busy_between_is_additive_over_adjacent_windows() {
     let mut sim = Sim::new(3);
-    let r = Arc::new(sim.handle().gps_with_busy_log(1.0));
+    let r = Rc::new(sim.handle().gps_with_busy_log(1.0));
     for i in 0..4u64 {
         let r = r.clone();
         sim.spawn_at(&format!("j{i}"), SimTime(i * 700_000_000), move |ctx| {

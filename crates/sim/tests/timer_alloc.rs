@@ -3,7 +3,7 @@
 //! A processor-sharing or FIFO job parks its process, schedules a typed
 //! completion timer and wakes the process when the timer fires. Once the
 //! event queue and the resource's job list have grown to their working
-//! size, none of that allocates: the timer is an `Arc` clone of the
+//! size, none of that allocates: the timer is an `Rc` clone of the
 //! resource, not a boxed closure, and finished jobs are woken as they leave
 //! the job list, with no list of their own. Neither resource keeps a busy
 //! log (only one built with `SimHandle::gps_with_busy_log` does, and that
@@ -22,6 +22,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -87,7 +88,7 @@ fn micros(process: u64, k: u64) -> u64 {
 
 fn gps_jobs(processes: u64) -> (u64, u64) {
     let sim = Sim::new(1);
-    let gps = Arc::new(GpsResource::new(&sim, 1.0));
+    let gps = Rc::new(GpsResource::new(&sim, 1.0));
     let jobs = Arc::new(AtomicU64::new(0));
     for i in 0..processes {
         let (gps, jobs) = (gps.clone(), jobs.clone());
@@ -103,7 +104,7 @@ fn gps_jobs(processes: u64) -> (u64, u64) {
 
 fn fifo_jobs(processes: u64) -> (u64, u64) {
     let sim = Sim::new(1);
-    let fifo = Arc::new(FifoResource::new(&sim));
+    let fifo = Rc::new(FifoResource::new(&sim));
     let jobs = Arc::new(AtomicU64::new(0));
     for i in 0..processes {
         let (fifo, jobs) = (fifo.clone(), jobs.clone());

@@ -246,6 +246,7 @@ mod tests {
     use dgsf_cuda::{CostTable, NativeCuda};
     use dgsf_gpu::{Gpu, GpuId};
     use dgsf_sim::{Sim, SimCell};
+    use std::rc::Rc;
     use std::sync::Arc as StdArc;
 
     #[test]
@@ -254,7 +255,7 @@ mod tests {
         let cpu = prob.run_cpu(6);
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = StdArc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob2 = prob.clone();
         sim.spawn("app", move |p| {

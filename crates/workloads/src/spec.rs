@@ -223,6 +223,7 @@ mod tests {
     use dgsf_cuda::{CostTable, NativeCuda};
     use dgsf_gpu::{Gpu, GpuId};
     use dgsf_sim::{Sim, SimCell};
+    use std::rc::Rc;
     use std::sync::Arc;
 
     fn tiny_spec() -> TraceSpec {
@@ -259,7 +260,7 @@ mod tests {
     fn trace_runs_natively_with_expected_phases() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         sim.spawn("f", move |p| {
             let gpu = Gpu::v100(&h, GpuId(0));

@@ -10,6 +10,7 @@
 //! on the surviving server, so every invocation terminates. The whole
 //! chaotic timeline replays byte-identically from the seed.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::prelude::*;
@@ -24,9 +25,9 @@ type Outcome = (usize, u64, u32, Option<String>);
 fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
-    let out: Arc<SimCell<Vec<Outcome>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let servers: Arc<SimCell<Vec<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let (o2, s2, h2) = (Arc::clone(&out), Arc::clone(&servers), h.clone());
+    let out: Rc<SimCell<Vec<Outcome>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let servers: Rc<SimCell<Vec<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let (o2, s2, h2) = (Rc::clone(&out), Rc::clone(&servers), h.clone());
     sim.spawn("chaos-root", move |p| {
         // Server A dies 8 s in — mid-invocation — and its link drops the
         // 6th message. Timeouts are filled in by "chaos implies hardening"
@@ -39,7 +40,7 @@ fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
             .with_rpc_timeout(Dur::from_secs(2));
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Arc::new(
+        let backend = Rc::new(
             Backend::new(
                 &h2,
                 vec![Arc::clone(&a), Arc::clone(&b)],
@@ -50,7 +51,7 @@ fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
         *s2.lock() = vec![a, b];
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {
-            let (backend, store, out) = (Arc::clone(&backend), Arc::clone(&store), Arc::clone(&o2));
+            let (backend, store, out) = (Rc::clone(&backend), Arc::clone(&store), Rc::clone(&o2));
             h2.spawn_at(
                 &format!("fn-{i}"),
                 SimTime::ZERO + Dur::from_secs(2 * i as u64),

@@ -15,6 +15,7 @@
 //! and all three produce the same centroids. The migration is completely
 //! invisible to the function: same pointers, same results.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::{CostTable, CudaApi, NativeCuda};
@@ -44,7 +45,7 @@ fn main() {
     let native = {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         sim.spawn("native-app", move |p| {
@@ -69,7 +70,7 @@ fn main() {
     let dgsf = {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         let h2 = h.clone();

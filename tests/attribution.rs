@@ -5,6 +5,7 @@
 //! the recorded end-to-end latency, and re-running the same seed must
 //! reproduce the same trees byte-for-byte.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -139,8 +140,8 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<SimCell<Vec<FunctionResult>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out: Rc<SimCell<Vec<FunctionResult>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("chaos-root", move |p| {
         let cfg = GpuServerConfig::paper_default()
@@ -150,15 +151,15 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
             .with_idle_timeout(Dur::from_secs(5));
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Arc::new(
+        let backend = Rc::new(
             Backend::new(&h2, vec![a, b], FleetPolicy::RoundRobin)
                 .with_retry(RetryPolicy::default()),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {
-            let backend = Arc::clone(&backend);
+            let backend = Rc::clone(&backend);
             let store = Arc::clone(&store);
-            let out = Arc::clone(&o2);
+            let out = Rc::clone(&o2);
             h2.spawn_at(&format!("fn-{i}"), t(0.6 * i as f64), move |p| {
                 let r =
                     backend.invoke(p, &store, &SpinFn { secs: 1.5, mem: GB }, OptConfig::full());

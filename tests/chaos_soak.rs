@@ -9,6 +9,7 @@
 //! * the migration log and the telemetry stream agree instant-for-instant;
 //! * the same seed replays the whole chaotic timeline byte-for-byte.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -16,7 +17,7 @@ use dgsf::gpu::GpuId;
 use dgsf::invariants::migration_facts;
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
-use dgsf::server::{GpuServer, MigrationRecord};
+use dgsf::server::GpuServer;
 use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
 use dgsf::sim::invariants::check_migration_telemetry;
 use dgsf::sim::SimCell;
@@ -289,9 +290,9 @@ fn migration_log_matches_telemetry_exactly_on_the_happy_path() {
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    type Snapshot = (Vec<MigrationRecord>, dgsf::sim::InvariantReport);
-    let out: Arc<SimCell<Option<Snapshot>>> = Arc::new(SimCell::new(&h, None));
-    let o2 = Arc::clone(&out);
+    let server_out: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+    let done = Rc::new(SimCell::new(&h, 0usize));
+    let (s2, d2) = (Rc::clone(&server_out), Rc::clone(&done));
     let h2 = h.clone();
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default()
@@ -300,39 +301,36 @@ fn migration_log_matches_telemetry_exactly_on_the_happy_path() {
             .with_policy(PlacementPolicy::BestFit)
             .with_migration(true);
         let server = GpuServer::provision(p, &h2, cfg);
-        let backend = Arc::new(Backend::new(
+        let backend = Rc::new(Backend::new(
             &h2,
             vec![Arc::clone(&server)],
             FleetPolicy::RoundRobin,
         ));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(SimCell::new(&h2, 0usize));
         // A best-fit-stranded pair: both land on GPU 0, the monitor moves
         // one to the idle GPU 1.
         for i in 0..2 {
-            let backend = Arc::clone(&backend);
+            let backend = Rc::clone(&backend);
             let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
+            let done = Rc::clone(&d2);
             h2.spawn_at(&format!("fn-{i}"), t_ms(i), move |p| {
                 let r = backend.invoke(p, &store, &Chunked { chunks: 12 }, OptConfig::full());
                 assert!(r.succeeded(), "happy path must complete: {:?}", r.failure);
-                *done.lock() += 1;
+                *done.borrow_in(p) += 1;
             });
         }
-        let o3 = Arc::clone(&o2);
-        h2.spawn("collector", move |p| {
-            while *done.lock() < 2 {
-                p.sleep(Dur::from_millis(500));
-            }
-            // Quiescent: sessions released, monitor idle. Memory must
-            // balance exactly (strict) — nothing leaks on the happy path.
-            let mem = dgsf::check_memory_balance(&server, true);
-            *o3.lock() = Some((server.migrations(), mem));
-        });
+        *s2.borrow_in(p) = Some(server);
     });
     sim.run();
-    let (migrations, mem_report) = out.lock().take().expect("collector ran");
-    mem_report.assert_ok();
+    let server = server_out
+        .lock()
+        .take()
+        .expect("the root provisioned the server");
+    assert_eq!(*done.lock(), 2, "both functions returned");
+    // Quiescent: sessions released, monitor idle. Memory must balance
+    // exactly (strict) — nothing leaks on the happy path.
+    dgsf::check_memory_balance(&server, true).assert_ok();
+    let migrations = server.migrations();
     assert!(
         !migrations.is_empty(),
         "the stranded pair must trigger at least one migration"

@@ -8,6 +8,7 @@
 //! terminal state (adopted or reclaimed) with the resident store empty at
 //! quiescence.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::prelude::*;
@@ -54,9 +55,9 @@ fn run_dags(
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<SimCell<Vec<(usize, DagKey)>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let server_out: Arc<SimCell<Option<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, None));
-    let (o2, s2) = (Arc::clone(&out), Arc::clone(&server_out));
+    let out: Rc<SimCell<Vec<(usize, DagKey)>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let server_out: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+    let (o2, s2) = (Rc::clone(&out), Rc::clone(&server_out));
     let h2 = h.clone();
     sim.spawn("dag-root", move |p| {
         let mut cfg = GpuServerConfig::paper_default()
@@ -72,7 +73,7 @@ fn run_dags(
         for i in 0..n {
             let server = Arc::clone(&server);
             let store = Arc::clone(&store);
-            let out = Arc::clone(&o2);
+            let out = Rc::clone(&o2);
             // Two tenants interleave so placement sees real contention.
             let tenant = if i % 2 == 0 { "acme" } else { "globex" };
             let dag = DagWorkload::pipeline3("vision", mode, 8 * MB, 128 * MB, MB, gpu_secs)
@@ -218,8 +219,8 @@ fn dag_chaos_holds_handoff_exactly_once_and_replays() {
 fn a_dag_shed_on_queue_age_reports_the_overloaded_reason() {
     let mut sim = Sim::new(1);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o2 = Rc::clone(&out);
     let h2 = h.clone();
     sim.spawn("dag-root", move |p| {
         // One GPU with one API server: the second DAG's first stage queues

@@ -2,6 +2,7 @@
 //! produce bit-identical experiment outcomes, and the scheduler/queueing
 //! machinery must behave sanely under load.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::prelude::*;
@@ -119,7 +120,7 @@ fn memory_fully_returns_after_a_run() {
 
     let mut sim = Sim::new(3);
     let h = sim.handle();
-    let leaked = Arc::new(SimCell::new(&h, None));
+    let leaked = Rc::new(SimCell::new(&h, None));
     let l2 = leaked.clone();
     sim.spawn("root", move |p| {
         let server =

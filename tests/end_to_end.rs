@@ -2,6 +2,7 @@
 //! layer (platform → guest library → wire protocol → network → API server →
 //! virtual CUDA → simulated GPU) in both native and DGSF modes.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::prelude::*;
@@ -190,7 +191,7 @@ fn functional_workload_identical_results_native_and_remote() {
     let native = {
         let mut sim = Sim::new(3);
         let h = sim.handle();
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         sim.spawn("app", move |p| {
@@ -209,7 +210,7 @@ fn functional_workload_identical_results_native_and_remote() {
     let remoted = {
         let mut sim = Sim::new(3);
         let h = sim.handle();
-        let out = Arc::new(SimCell::new(&h, None));
+        let out = Rc::new(SimCell::new(&h, None));
         let o = out.clone();
         let prob = prob.clone();
         let h2 = h.clone();
@@ -282,19 +283,19 @@ fn backend_routes_functions_across_gpu_servers() {
 
     let mut sim = Sim::new(12);
     let h = sim.handle();
-    let counts = Arc::new(SimCell::new(&h, (0usize, 0usize)));
+    let counts = Rc::new(SimCell::new(&h, (0usize, 0usize)));
     let c2 = counts.clone();
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(1);
         let s1 = GpuServer::provision(p, &h, cfg.clone());
         let s2 = GpuServer::provision(p, &h, cfg);
-        let backend = Arc::new(Backend::new(&h, vec![s1, s2], FleetPolicy::RoundRobin));
+        let backend = Rc::new(Backend::new(&h, vec![s1, s2], FleetPolicy::RoundRobin));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let done = Arc::new(SimCell::new(&h, 0usize));
+        let done = Rc::new(SimCell::new(&h, 0usize));
         for i in 0..4 {
-            let backend = Arc::clone(&backend);
+            let backend = Rc::clone(&backend);
             let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
+            let done = Rc::clone(&done);
             h.spawn(&format!("fn{i}"), move |p| {
                 let w = workloads::kmeans();
                 let r = backend.invoke(p, &store, &w, OptConfig::full());
@@ -302,7 +303,7 @@ fn backend_routes_functions_across_gpu_servers() {
                 *done.lock() += 1;
             });
         }
-        let backend2 = Arc::clone(&backend);
+        let backend2 = Rc::clone(&backend);
         let c3 = c2.clone();
         h.spawn("wait", move |p| {
             loop {

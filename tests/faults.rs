@@ -6,6 +6,7 @@
 //! timeline is reproducible byte-for-byte from the seed. An *empty* fault
 //! plan must be invisible: bit-identical to a run with no plan at all.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
@@ -109,10 +110,10 @@ fn chaos_run(
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let out: Arc<SimCell<Vec<(usize, ResultKey)>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let fleet: Arc<SimCell<Vec<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, Vec::new()));
-    let o2 = Arc::clone(&out);
-    let f2 = Arc::clone(&fleet);
+    let out: Rc<SimCell<Vec<(usize, ResultKey)>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let fleet: Rc<SimCell<Vec<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
+    let f2 = Rc::clone(&fleet);
     let h2 = h.clone();
     sim.spawn("chaos-root", move |p| {
         let cfg = GpuServerConfig::paper_default()
@@ -126,7 +127,7 @@ fn chaos_run(
         };
         let a = GpuServer::provision(p, &h2, a_cfg);
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Arc::new(
+        let backend = Rc::new(
             Backend::new(
                 &h2,
                 vec![Arc::clone(&a), Arc::clone(&b)],
@@ -136,9 +137,9 @@ fn chaos_run(
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {
-            let backend = Arc::clone(&backend);
+            let backend = Rc::clone(&backend);
             let store = Arc::clone(&store);
-            let out = Arc::clone(&o2);
+            let out = Rc::clone(&o2);
             h2.spawn_at(&format!("fn-{i}"), t(0.6 * i as f64), move |p| {
                 let r = backend.invoke(p, &store, &SpinFn { secs: 1.5 }, OptConfig::full());
                 out.lock().push((

@@ -2,6 +2,7 @@
 //! stack (guest → wire → API server → session → GPUs), plus the monitor's
 //! imbalance-driven migration policy.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::{
@@ -36,7 +37,7 @@ fn forced_migration_is_invisible_to_the_function() {
     let tel = sim.telemetry();
     tel.enable();
     let h = sim.handle();
-    let checked: Arc<SimCell<Option<(u64, usize)>>> = Arc::new(SimCell::new(&h, None));
+    let checked: Rc<SimCell<Option<(u64, usize)>>> = Rc::new(SimCell::new(&h, None));
     let c2 = checked.clone();
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(2));
@@ -140,9 +141,9 @@ fn monitor_fixes_the_fig8_imbalance() {
         let h = sim.handle();
         // (makespan in seconds, long functions finished): the makespan is
         // when the last long function returned.
-        let makespan = Arc::new(SimCell::new(&h, (0.0f64, 0usize)));
-        let server_out: Arc<SimCell<Option<Arc<GpuServer>>>> = Arc::new(SimCell::new(&h, None));
-        let (m2, s2) = (Arc::clone(&makespan), Arc::clone(&server_out));
+        let makespan = Rc::new(SimCell::new(&h, (0.0f64, 0usize)));
+        let server_out: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+        let (m2, s2) = (Rc::clone(&makespan), Rc::clone(&server_out));
         sim.spawn("root", move |p| {
             let server = GpuServer::provision(
                 p,
@@ -155,7 +156,7 @@ fn monitor_fixes_the_fig8_imbalance() {
             );
             for i in 0..2 {
                 let server = Arc::clone(&server);
-                let makespan = Arc::clone(&m2);
+                let makespan = Rc::clone(&m2);
                 h.spawn(&format!("long{i}"), move |p| {
                     let (client, _) = server.request_gpu(p, "long", 2048 * MB, registry());
                     let mut api = RemoteCuda::new(client, OptConfig::full());
@@ -209,7 +210,7 @@ fn repeat_migration_charges_each_context_at_most_once() {
     // shrink availability below the probe and starve it.
     let mut sim = Sim::new(3);
     let h = sim.handle();
-    let probe_ok = Arc::new(SimCell::new(&h, None));
+    let probe_ok = Rc::new(SimCell::new(&h, None));
     let p2 = probe_ok.clone();
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default()

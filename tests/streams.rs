@@ -2,6 +2,7 @@
 //! cross-stream overlap, stream-scoped synchronization, and stream
 //! stability across live migration.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::cuda::{
@@ -36,14 +37,14 @@ fn registry() -> Arc<ModuleRegistry> {
 
 /// Drive a body against a one-GPU server through the remoting stack and
 /// return what it returned.
-fn with_remote<R: Send + 'static>(
+fn with_remote<R: 'static>(
     seed: u64,
-    body: impl FnOnce(&dgsf::sim::ProcCtx, &mut RemoteCuda) -> R + Send + 'static,
+    body: impl FnOnce(&dgsf::sim::ProcCtx, &mut RemoteCuda) -> R + 'static,
 ) -> R {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, None));
-    let o = Arc::clone(&out);
+    let out = Rc::new(SimCell::new(&h, None));
+    let o = Rc::clone(&out);
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(2));
         let (client, _) = server.request_gpu(p, "streams", 1024 * MB, registry());
@@ -136,7 +137,7 @@ fn per_stream_ordering_is_preserved() {
 fn streams_survive_migration() {
     let mut sim = Sim::new(3);
     let h = sim.handle();
-    let out = Arc::new(SimCell::new(&h, Vec::new()));
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
     let o = out.clone();
     sim.spawn("root", move |p| {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(2));
