@@ -1,6 +1,9 @@
 //! `dgsf-expt` — regenerate the paper's tables and figures.
 //!
-//! Usage: `dgsf-expt <table2|fig3|fig4|table3|fig5|table4|fig6|fig7|fig8|table5|apicounts|all> [--quick]`
+//! Usage: `dgsf-expt <table2|fig3|fig4|table3|fig5|table4|fig6|fig7|fig8|table5|apicounts|restart|sjf|all|trace|sweep|fleet|pipeline|scale|obs|attribute> [--quick] [--out DIR]`
+//!
+//! An unknown subcommand prints this usage to stderr and exits with
+//! status 2.
 //!
 //! `--quick` shrinks the mixed-workload experiments (2 copies instead of
 //! 10) for fast smoke runs.
@@ -55,6 +58,24 @@ use std::path::{Path, PathBuf};
 
 use dgsf_bench::{attrib, fleet, mixed, obs, pipeline, scale, single, sweep, trace};
 
+/// Subcommands that print a table or figure; `all` prints every one.
+const PRINTED: [&str; 14] = [
+    "table2",
+    "fig3",
+    "fig4",
+    "table3",
+    "fig5",
+    "table4",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table5",
+    "apicounts",
+    "restart",
+    "sjf",
+    "all",
+];
+
 /// Where each exporting subcommand writes when `--out` is not given.
 const DEFAULT_OUT: [(&str, &str); 7] = [
     ("trace", "target/trace"),
@@ -108,6 +129,19 @@ fn main() {
         .first()
         .cloned()
         .unwrap_or_else(|| "all".to_string());
+    let cmds: Vec<&str> = PRINTED
+        .iter()
+        .chain(DEFAULT_OUT.iter().map(|(cmd, _)| cmd))
+        .copied()
+        .collect();
+    if !cmds.contains(&what.as_str()) {
+        eprintln!("unknown subcommand {what:?}");
+        eprintln!(
+            "usage: dgsf-expt <{}> [--quick] [--out DIR]",
+            cmds.join("|")
+        );
+        std::process::exit(2);
+    }
     let seed = 42;
     let dir = out_dir.unwrap_or_else(|| {
         let default = DEFAULT_OUT.iter().find(|(cmd, _)| *cmd == what);

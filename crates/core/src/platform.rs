@@ -43,12 +43,6 @@ pub enum ConfigError {
     ZeroAssumedService,
     /// The sticky max-share bound is outside 1..=1000 per mille.
     BadStickyShare(u64),
-    /// Pipelined host→GPU transfers are enabled with a zero chunk size, so
-    /// the DMA engines would have nothing to slice copies into.
-    ZeroDmaChunk,
-    /// Pipelined host→GPU transfers are enabled with zero DMA engines, so
-    /// no transfer could ever start.
-    ZeroDmaEngines,
     /// The observability-plane configuration is internally inconsistent
     /// (zero window, inverted burn-window pair, zero budget, ...).
     BadObsConfig(String),
@@ -71,16 +65,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "sticky max_share_permille is {p}: must be within 1..=1000 \
                  (per mille of the fleet one tenant may hold)"
-            ),
-            ConfigError::ZeroDmaChunk => write!(
-                f,
-                "h2d_pipelined is set with h2d_chunk_bytes 0: pipelined \
-                 transfers need a non-zero chunk size to slice copies into"
-            ),
-            ConfigError::ZeroDmaEngines => write!(
-                f,
-                "h2d_pipelined is set with h2d_dma_engines 0: pipelined \
-                 transfers need at least one DMA engine to run on"
             ),
             ConfigError::BadObsConfig(reason) => write!(f, "obs config rejected: {reason}"),
         }
@@ -257,14 +241,6 @@ impl PlatformConfig {
                 return Err(ConfigError::BadStickyShare(sticky.max_share_permille));
             }
         }
-        if self.server.costs.h2d_pipelined {
-            if self.server.costs.h2d_chunk_bytes == 0 {
-                return Err(ConfigError::ZeroDmaChunk);
-            }
-            if self.server.costs.h2d_dma_engines == 0 {
-                return Err(ConfigError::ZeroDmaEngines);
-            }
-        }
         if let Some(obs) = &self.obs {
             obs.validate().map_err(ConfigError::BadObsConfig)?;
         }
@@ -417,26 +393,6 @@ mod tests {
         // Error messages are actionable.
         let msg = cfg2.validate().unwrap_err().to_string();
         assert!(msg.contains("1500") && msg.contains("1..=1000"), "{msg}");
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_pipelined_transfer_knobs() {
-        // The builder keeps chunk/engines sane; a literal 0 needs the
-        // public fields, and only matters once pipelining is switched on.
-        let mut cfg = PlatformConfig::paper_default();
-        cfg.server.costs.h2d_chunk_bytes = 0;
-        cfg.server.costs.h2d_dma_engines = 0;
-        assert_eq!(cfg.validate(), Ok(()), "knobs are inert while disabled");
-        cfg.server.costs.h2d_pipelined = true;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroDmaChunk));
-        cfg.server.costs.h2d_chunk_bytes = 1 << 20;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroDmaEngines));
-        cfg.server.costs.h2d_dma_engines = 2;
-        assert_eq!(cfg.validate(), Ok(()));
-        // And the builder-configured form is valid as-is.
-        let built = PlatformConfig::paper_default()
-            .with_server(GpuServerConfig::paper_default().with_pipelined_h2d(4 << 20, 2));
-        assert_eq!(built.validate(), Ok(()));
     }
 
     #[test]

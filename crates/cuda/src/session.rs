@@ -39,20 +39,6 @@ struct SessionAlloc {
     range: VaRange,
 }
 
-/// A pipelined host→device copy not yet known to have retired: the VA range
-/// it targets plus the background transfer's completion signal.
-struct PendingH2d {
-    base: u64,
-    len: u64,
-    done: dgsf_sim::SimReceiver<()>,
-}
-
-impl PendingH2d {
-    fn overlaps(&self, base: u64, len: u64) -> bool {
-        len > 0 && self.len > 0 && base < self.base + self.len && self.base < base + len
-    }
-}
-
 /// Client-visible handle twins: the value the application holds, mapped to
 /// the per-context native value for every context the session has visited.
 #[derive(Default)]
@@ -132,9 +118,6 @@ pub struct GpuSession {
     cublas: TwinMap,
     /// Pending `cudaEventRecord` markers: client event → wait state.
     event_waits: HashMap<u64, EventWait>,
-    /// In-flight pipelined host→device copies (empty unless
-    /// [`CostTable::h2d_pipelined`] is set).
-    pending_h2d: Vec<PendingH2d>,
     /// Number of completed migrations.
     pub migrations: u32,
 }
@@ -165,7 +148,6 @@ impl GpuSession {
             cudnn: TwinMap::default(),
             cublas: TwinMap::default(),
             event_waits: HashMap::new(),
-            pending_h2d: Vec::new(),
             migrations: 0,
         }
     }
@@ -234,10 +216,6 @@ impl GpuSession {
 
     /// `cudaFree`.
     pub fn free(&mut self, proc: &ProcCtx, ptr: DevPtr) -> CudaResult<()> {
-        if let Some(a) = self.allocs.get(&ptr.0) {
-            let (base, mapped) = (a.range.base, a.mapped);
-            self.fence_h2d_range(proc, base, mapped);
-        }
         let a = self
             .allocs
             .remove(&ptr.0)
@@ -255,8 +233,7 @@ impl GpuSession {
     /// `key` (DGSF handoff extension): the buffer leaves this session —
     /// its VA is released and its bytes stop counting against the memory
     /// limit — but the *physical* allocation stays on the GPU, data
-    /// intact, for a later session on the same context to adopt. Pending
-    /// pipelined copies into the range are fenced first.
+    /// intact, for a later session on the same context to adopt.
     pub fn publish_buffer(&mut self, proc: &ProcCtx, key: u64, ptr: DevPtr) -> CudaResult<()> {
         // Reject duplicate keys before dismantling the mapping, so a
         // failed publish leaves the allocation untouched in this session.
@@ -264,10 +241,6 @@ impl GpuSession {
             return Err(CudaError::InvalidResourceHandle(format!(
                 "resident key {key:#x} already published"
             )));
-        }
-        if let Some(a) = self.allocs.get(&ptr.0) {
-            let (base, mapped) = (a.range.base, a.mapped);
-            self.fence_h2d_range(proc, base, mapped);
         }
         let a = self
             .allocs
@@ -331,7 +304,6 @@ impl GpuSession {
     /// `cudaMemset` (asynchronous, stream-ordered).
     pub fn memset(&mut self, proc: &ProcCtx, ptr: DevPtr, value: u8, bytes: u64) -> CudaResult<()> {
         self.check_mapped(proc, ptr, bytes)?;
-        self.fence_h2d_range(proc, ptr.0, bytes);
         self.active.submit(
             proc,
             StreamCmd::Memset {
@@ -344,38 +316,11 @@ impl GpuSession {
         Ok(())
     }
 
-    /// `cudaMemcpy` host→device.
-    ///
-    /// Synchronous by default: drains the stream first (as a default-stream
-    /// pageable copy does), then charges PCIe time. With
-    /// [`CostTable::h2d_pipelined`] set the call instead *stages* the copy
-    /// and returns immediately — the bytes are snapshotted (as a pinned
-    /// staging copy would) and the DMA engines move them in the background,
-    /// overlapping the transfer with compute and host work. Subsequent
-    /// kernel launches touching the destination buffer fence on the
-    /// in-flight copy; pipelined copies are not ordered against
-    /// previously-submitted stream work.
+    /// `cudaMemcpy` host→device: synchronous, as the paper's remoted copy
+    /// is. Drains the stream first (as a default-stream pageable copy
+    /// does), then charges PCIe time.
     pub fn memcpy_h2d(&mut self, proc: &ProcCtx, dst: DevPtr, src: &HostBuf) -> CudaResult<()> {
         self.check_mapped(proc, dst, src.len())?;
-        if self.costs.h2d_pipelined {
-            if let Some(bytes) = src.as_bytes() {
-                let va = self.va.borrow_in(proc);
-                let mut view = DeviceView::new(&va, self.active.gpu());
-                view.write_bytes(dst, bytes);
-            }
-            let done = self.active.gpu().dma_pipelined(
-                proc,
-                src.len(),
-                self.costs.h2d_chunk_bytes,
-                self.costs.h2d_dma_engines,
-            );
-            self.pending_h2d.push(PendingH2d {
-                base: dst.0,
-                len: src.len(),
-                done,
-            });
-            return Ok(());
-        }
         self.active.sync(proc);
         self.active.gpu().dma(proc, src.len());
         if let Some(bytes) = src.as_bytes() {
@@ -384,49 +329,6 @@ impl GpuSession {
             view.write_bytes(dst, bytes);
         }
         Ok(())
-    }
-
-    /// Wait for in-flight pipelined copies overlapping `[base, base+len)`.
-    fn fence_h2d_range(&mut self, proc: &ProcCtx, base: u64, len: u64) {
-        if self.pending_h2d.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_h2d);
-        for t in pending {
-            if t.overlaps(base, len) {
-                let _ = t.done.recv(proc);
-            } else {
-                self.pending_h2d.push(t);
-            }
-        }
-    }
-
-    /// Wait for every in-flight pipelined copy.
-    fn fence_h2d_all(&mut self, proc: &ProcCtx) {
-        for t in std::mem::take(&mut self.pending_h2d) {
-            let _ = t.done.recv(proc);
-        }
-    }
-
-    /// Fence in-flight pipelined copies against the allocations any of
-    /// `ptrs` point into (a kernel may read anywhere in a buffer it is
-    /// handed, so the fence covers the whole allocation).
-    fn fence_h2d_for_ptrs(&mut self, proc: &ProcCtx, ptrs: &[DevPtr]) {
-        if self.pending_h2d.is_empty() {
-            return;
-        }
-        let spans: Vec<(u64, u64)> = ptrs
-            .iter()
-            .filter_map(|p| {
-                self.allocs
-                    .values()
-                    .find(|a| p.0 >= a.range.base && p.0 < a.range.base + a.mapped)
-                    .map(|a| (a.range.base, a.mapped))
-            })
-            .collect();
-        for (base, len) in spans {
-            self.fence_h2d_range(proc, base, len);
-        }
     }
 
     /// `cudaMemcpy` device→host. Returns real bytes when `want_data`.
@@ -438,7 +340,6 @@ impl GpuSession {
         want_data: bool,
     ) -> CudaResult<HostBuf> {
         self.check_mapped(proc, src, bytes)?;
-        self.fence_h2d_range(proc, src.0, bytes);
         self.active.sync(proc);
         self.active.gpu().dma(proc, bytes);
         if want_data {
@@ -501,7 +402,6 @@ impl GpuSession {
         };
         let work = def.cost.eval(&args);
         let body = def.func.clone();
-        self.fence_h2d_for_ptrs(proc, &args.ptrs);
         let native = match stream {
             None => crate::context::DEFAULT_STREAM,
             Some(s) => self
@@ -540,9 +440,8 @@ impl GpuSession {
         self.active.submit(proc, StreamCmd::Compute { work });
     }
 
-    /// `cudaDeviceSynchronize`. Also fences every in-flight pipelined copy.
+    /// `cudaDeviceSynchronize`.
     pub fn synchronize(&mut self, proc: &ProcCtx) {
-        self.fence_h2d_all(proc);
         self.active.sync(proc);
     }
 
@@ -712,8 +611,7 @@ impl GpuSession {
         }
         let t0 = proc.now();
 
-        // (1) quiesce: in-flight pipelined copies, then all stream work
-        self.fence_h2d_all(proc);
+        // (1) quiesce: all stream work
         self.active.sync(proc);
         let t_quiesced = proc.now();
 
@@ -821,7 +719,6 @@ impl GpuSession {
     /// (after which the server flips back to its home GPU for the next
     /// function — with nothing left to copy).
     pub fn release(&mut self, proc: &ProcCtx) {
-        self.fence_h2d_all(proc);
         self.active.sync(proc);
         let ptrs: Vec<u64> = self.allocs.keys().copied().collect();
         for p in ptrs {
@@ -873,7 +770,7 @@ fn copy_makespan(sizes: &[u64], channels: u32, bw: f64) -> f64 {
 mod tests {
     use super::*;
     use dgsf_gpu::{Gpu, GpuId, MB};
-    use dgsf_sim::{Sim, SimCell};
+    use dgsf_sim::Sim;
 
     use crate::module::{KernelCost, KernelDef};
 
@@ -1075,175 +972,6 @@ mod tests {
             assert_eq!(data.to_f32s().unwrap(), vec![0.0]);
         });
         sim.run();
-    }
-
-    fn pipelined_costs() -> Arc<CostTable> {
-        Arc::new(CostTable {
-            h2d_pipelined: true,
-            ..CostTable::default()
-        })
-    }
-
-    #[test]
-    fn pipelined_h2d_overlaps_compute() {
-        // A pipelined copy runs while an already-submitted kernel computes:
-        // 1 s of kernel + 1 s of PCIe finish together, not back to back.
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let (g0, _g1) = two_gpu_session(&sim);
-        sim.spawn("app", move |proc| {
-            let ctx = CudaContext::create(proc, &h, g0, pipelined_costs(), false).unwrap();
-            let mut s = GpuSession::new(&h, ctx, None);
-            let registry = Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")));
-            let k = registry.id("k").unwrap();
-            s.register_module(registry);
-            let buf = s.malloc(proc, 10_000 * MB).unwrap();
-            let t0 = proc.now();
-            s.launch_on(
-                proc,
-                None,
-                k,
-                LaunchConfig::linear(1, 32),
-                KernelArgs::timed(1.0, 0),
-            )
-            .unwrap();
-            // 10 GB at 10 GB/s = 1 s, staged while the kernel runs
-            s.memcpy_h2d(proc, buf, &HostBuf::Logical(10_000_000_000))
-                .unwrap();
-            assert_eq!(proc.now(), t0, "pipelined copy returns immediately");
-            s.synchronize(proc);
-            let elapsed = proc.now().since(t0).as_secs_f64();
-            assert!(
-                elapsed < 1.1,
-                "copy and kernel overlap, not serialize: {elapsed}"
-            );
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn pipelined_h2d_fences_dependent_launches_only() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let (g0, _g1) = two_gpu_session(&sim);
-        sim.spawn("app", move |proc| {
-            let ctx = CudaContext::create(proc, &h, g0, pipelined_costs(), false).unwrap();
-            let mut s = GpuSession::new(&h, ctx, None);
-            let registry = Arc::new(ModuleRegistry::new().with(KernelDef::functional(
-                "sum",
-                KernelCost::Fixed(0.0),
-                |view, _cfg, args| {
-                    let v = view.read_f32s(args.ptrs[0], 2);
-                    view.write_f32s(args.ptrs[1], &[v[0] + v[1]]);
-                },
-            )));
-            let sum = registry.id("sum").unwrap();
-            s.register_module(registry);
-            let a = s.malloc(proc, 100 * MB).unwrap();
-            let b = s.malloc(proc, MB).unwrap();
-            let mut payload = vec![0u8; 100 * MB as usize];
-            payload[..4].copy_from_slice(&2.0f32.to_le_bytes());
-            payload[4..8].copy_from_slice(&3.0f32.to_le_bytes());
-            s.memcpy_h2d(proc, a, &HostBuf::Bytes(payload.into()))
-                .unwrap();
-            let t0 = proc.now();
-            // kernel reads `a`: the launch fences on the in-flight copy
-            let args = KernelArgs {
-                ptrs: vec![a, b],
-                ..Default::default()
-            };
-            s.launch_on(proc, None, sum, LaunchConfig::linear(2, 32), args)
-                .unwrap();
-            assert!(
-                proc.now().since(t0).as_secs_f64() > 0.009,
-                "launch waited for the 100 MB copy (~10 ms)"
-            );
-            let out = s.memcpy_d2h(proc, b, 4, true).unwrap();
-            assert_eq!(out.to_f32s().unwrap(), vec![5.0]);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn pipelined_h2d_zero_bytes_is_free() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let (g0, _g1) = two_gpu_session(&sim);
-        sim.spawn("app", move |proc| {
-            let ctx = CudaContext::create(proc, &h, g0, pipelined_costs(), false).unwrap();
-            let mut s = GpuSession::new(&h, ctx, None);
-            let buf = s.malloc(proc, MB).unwrap();
-            let t0 = proc.now();
-            s.memcpy_h2d(proc, buf, &HostBuf::Logical(0)).unwrap();
-            s.synchronize(proc);
-            assert_eq!(proc.now(), t0, "zero-byte pipelined copy costs nothing");
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn pipelined_h2d_release_fences_in_flight_copies() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let (g0, _g1) = two_gpu_session(&sim);
-        sim.spawn("app", move |proc| {
-            let ctx = CudaContext::create(proc, &h, g0, pipelined_costs(), false).unwrap();
-            let mut s = GpuSession::new(&h, ctx, None);
-            let buf = s.malloc(proc, 10_000 * MB).unwrap();
-            let t0 = proc.now();
-            s.memcpy_h2d(proc, buf, &HostBuf::Logical(10_000_000_000))
-                .unwrap();
-            s.release(proc);
-            assert!(
-                proc.now().since(t0).as_secs_f64() > 0.99,
-                "release drained the in-flight copy"
-            );
-            assert_eq!(s.alloc_count(), 0);
-        });
-        sim.run();
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-        /// Chunking is telemetry-only: a pipelined (chunked) copy never
-        /// finishes later than the synchronous unchunked copy of the same
-        /// bytes at the same bandwidth.
-        #[test]
-        fn pipelined_copy_never_slower_than_sync(
-            bytes in 1u64..2_000_000_000,
-            chunk in 1u64..64 * MB,
-        ) {
-            let run = |pipelined: bool| -> u64 {
-                let mut sim = Sim::new(1);
-                let h = sim.handle();
-                let gpu = Gpu::v100(&h, GpuId(0));
-                let elapsed = Rc::new(SimCell::new(&h, 0u64));
-                let e = elapsed.clone();
-                sim.spawn("app", move |proc| {
-                    let c = CostTable {
-                        h2d_pipelined: pipelined,
-                        h2d_chunk_bytes: chunk,
-                        ..CostTable::default()
-                    };
-                    let ctx = CudaContext::create(proc, &h, gpu, Arc::new(c), false).unwrap();
-                    let mut s = GpuSession::new(&h, ctx, None);
-                    let buf = s.malloc(proc, bytes.div_ceil(MB) * MB).unwrap();
-                    let t0 = proc.now();
-                    s.memcpy_h2d(proc, buf, &HostBuf::Logical(bytes)).unwrap();
-                    s.synchronize(proc);
-                    *e.lock() = proc.now().since(t0).as_nanos();
-                });
-                sim.run();
-                let v = *elapsed.lock();
-                v
-            };
-            let chunked = run(true);
-            let unchunked = run(false);
-            proptest::prop_assert!(
-                chunked <= unchunked,
-                "chunked {chunked} ns > unchunked {unchunked} ns"
-            );
-        }
     }
 
     #[test]

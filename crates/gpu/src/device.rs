@@ -11,9 +11,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dgsf_sim::{
-    Dur, GpsResource, ProcCtx, SimCell, SimHandle, SimReceiver, SimSender, SimTime, Timeline,
-};
+use dgsf_sim::{Dur, GpsResource, ProcCtx, SimCell, SimHandle, SimTime, Timeline};
 
 use crate::pagestore::PageStore;
 use crate::vmm::PhysId;
@@ -100,12 +98,6 @@ struct MemState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReservationId(u64);
 
-/// Engine-token pool gating concurrently in-flight pipelined transfers.
-struct DmaTokens {
-    tx: SimSender<u32>,
-    rx: SimReceiver<u32>,
-}
-
 /// A simulated physical GPU. Cheap to share (`Rc<Gpu>`).
 pub struct Gpu {
     /// Device index within its GPU server.
@@ -114,10 +106,6 @@ pub struct Gpu {
     compute: GpsResource,
     pcie: GpsResource,
     mem: SimCell<MemState>,
-    handle: SimHandle,
-    /// Lazily created on the first pipelined transfer, preloaded with one
-    /// token per DMA engine.
-    dma_tokens: SimCell<Option<DmaTokens>>,
 }
 
 impl Gpu {
@@ -149,8 +137,6 @@ impl Gpu {
                     next_phys: 0,
                 },
             ),
-            handle: h.clone(),
-            dma_tokens: SimCell::new(h, None),
         })
     }
 
@@ -326,75 +312,6 @@ impl Gpu {
         self.pcie.acquire(ctx, bytes as f64);
     }
 
-    /// Submit `bytes` for a *pipelined* host→device transfer and return
-    /// immediately; the copy proceeds in a background process and the
-    /// returned receiver yields exactly one unit when it retires.
-    ///
-    /// At most `engines` transfers are in flight at once (the engine-token
-    /// pool is sized on first use; `engines` is fixed per run by the cost
-    /// table). In-flight transfers share the one PCIe link's bandwidth.
-    /// The busy window is sliced into `chunk_bytes` chunks for per-chunk
-    /// telemetry spans on track `gpu<id>/dma<engine>`; chunking never adds
-    /// latency — the link is acquired once for the whole copy.
-    pub fn dma_pipelined(
-        self: &Rc<Self>,
-        ctx: &ProcCtx,
-        bytes: u64,
-        chunk_bytes: u64,
-        engines: u32,
-    ) -> SimReceiver<()> {
-        let (done_tx, done_rx) = self.handle.channel::<()>();
-        if bytes == 0 {
-            done_tx.send(ctx, ());
-            return done_rx;
-        }
-        let (tok_tx, tok_rx) = {
-            let mut slot = self.dma_tokens.borrow_in(ctx);
-            let pool = slot.get_or_insert_with(|| {
-                let (tx, rx) = self.handle.channel::<u32>();
-                for e in 0..engines.max(1) {
-                    tx.send(ctx, e);
-                }
-                DmaTokens { tx, rx }
-            });
-            (pool.tx.clone(), pool.rx.clone())
-        };
-        let gpu = Rc::clone(self);
-        self.handle
-            .spawn(&format!("gpu{}-h2d-dma", self.id.0), move |p| {
-                let engine = tok_rx.recv(p).unwrap_or(0);
-                let t0 = p.now();
-                gpu.pcie.acquire(p, bytes as f64);
-                let t1 = p.now();
-                let tel = p.telemetry();
-                if tel.is_enabled() {
-                    let track = format!("gpu{}/dma{engine}", gpu.id.0);
-                    let total = t1.since(t0).as_nanos() as u128;
-                    let mut acc = 0u64;
-                    for (i, cb) in plan_chunks(bytes, chunk_bytes).into_iter().enumerate() {
-                        let s = t0 + Dur((total * acc as u128 / bytes as u128) as u64);
-                        acc += cb;
-                        let e = t0 + Dur((total * acc as u128 / bytes as u128) as u64);
-                        tel.span_args(
-                            &track,
-                            "h2d_chunk",
-                            "transfer",
-                            s,
-                            e,
-                            &[
-                                ("engine", engine.into()),
-                                ("chunk", i.into()),
-                                ("bytes", cb.into()),
-                            ],
-                        );
-                    }
-                }
-                tok_tx.send(p, engine);
-                done_tx.send(p, ());
-            });
-        done_rx
-    }
-
     // ---- utilization (NVML-style) ----
 
     /// Busy time of the compute engine within `[a, b)`.
@@ -402,38 +319,11 @@ impl Gpu {
         self.compute.with_timeline(|tl| tl.busy_between(a, b))
     }
 
-    /// NVML-style utilization samples: for each `period` within
-    /// `[start, end)`, the fraction of time ≥1 kernel was executing.
-    /// The paper samples every 200 ms with an underlying NVML period of
-    /// 167 ms; callers choose.
-    pub fn utilization_samples(&self, start: SimTime, end: SimTime, period: Dur) -> Vec<f64> {
-        self.compute
-            .with_timeline(|tl| tl.utilization_samples(start, end, period))
-    }
-
     /// Move the compute busy timeline out (see
     /// [`GpsResource::take_timeline`]).
     pub fn take_compute_timeline(&self) -> Timeline {
         self.compute.take_timeline()
     }
-}
-
-/// Slice a `bytes`-long transfer into chunks of at most `chunk` bytes (the
-/// last chunk carries the remainder). Zero bytes plan to no chunks; a chunk
-/// size of zero is treated as one byte.
-pub fn plan_chunks(bytes: u64, chunk: u64) -> Vec<u64> {
-    if bytes == 0 {
-        return Vec::new();
-    }
-    let chunk = chunk.max(1);
-    let mut out = Vec::with_capacity(bytes.div_ceil(chunk) as usize);
-    let mut left = bytes;
-    while left > 0 {
-        let c = left.min(chunk);
-        out.push(c);
-        left -= c;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -518,118 +408,6 @@ mod tests {
         });
         sim.run();
         assert!((*done.lock() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn plan_chunks_covers_edge_cases() {
-        assert!(plan_chunks(0, 4 * MB).is_empty());
-        assert_eq!(
-            plan_chunks(MB, 4 * MB),
-            vec![MB],
-            "chunk >= total: one chunk"
-        );
-        assert_eq!(plan_chunks(10, 4), vec![4, 4, 2]);
-        assert_eq!(plan_chunks(8, 4), vec![4, 4]);
-        assert_eq!(
-            plan_chunks(5, 0),
-            vec![1; 5],
-            "zero chunk treated as one byte"
-        );
-        for (bytes, chunk) in [(1u64, 1u64), (4 * MB + 1, MB), (GB, 7)] {
-            assert_eq!(plan_chunks(bytes, chunk).iter().sum::<u64>(), bytes);
-        }
-    }
-
-    #[test]
-    fn pipelined_dma_zero_bytes_completes_instantly() {
-        let mut sim = Sim::new(1);
-        let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let done = Rc::new(SimCell::new(&sim.handle(), None));
-        let d = done.clone();
-        sim.spawn("copy", move |ctx| {
-            let rx = gpu.dma_pipelined(ctx, 0, 4 * MB, 2);
-            assert_eq!(rx.recv(ctx), Some(()));
-            *d.lock() = Some(ctx.now().as_nanos());
-        });
-        sim.run();
-        assert_eq!(*done.lock(), Some(0), "zero-byte copy costs no time");
-    }
-
-    #[test]
-    fn pipelined_dma_single_engine_serializes_transfers() {
-        // With one engine the second copy cannot start until the first
-        // retires, so the first finishes at exactly bytes/bw — it never
-        // shares the link.
-        let mut sim = Sim::new(1);
-        let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        let t_first = Rc::new(SimCell::new(&sim.handle(), 0.0f64));
-        let t = t_first.clone();
-        sim.spawn("copies", move |ctx| {
-            let a = gpu.dma_pipelined(ctx, 10_000_000_000, 4 * MB, 1); // 1 s at 10 GB/s
-            let b = gpu.dma_pipelined(ctx, 5_000_000_000, 4 * MB, 1); // 0.5 s
-            assert_eq!(a.recv(ctx), Some(()));
-            *t.lock() = ctx.now().as_secs_f64();
-            assert_eq!(b.recv(ctx), Some(()));
-            assert!((ctx.now().as_secs_f64() - 1.5).abs() < 1e-6);
-        });
-        sim.run();
-        assert!(
-            (*t_first.lock() - 1.0).abs() < 1e-6,
-            "single engine: first copy ran exclusively"
-        );
-    }
-
-    #[test]
-    fn pipelined_dma_two_engines_share_the_link() {
-        // With two engines both copies are in flight at once and GPS-share
-        // the PCIe link: two equal copies finish together at 2×.
-        let mut sim = Sim::new(1);
-        let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        sim.spawn("copies", move |ctx| {
-            let a = gpu.dma_pipelined(ctx, 5_000_000_000, 4 * MB, 2);
-            let b = gpu.dma_pipelined(ctx, 5_000_000_000, 4 * MB, 2);
-            assert_eq!(a.recv(ctx), Some(()));
-            assert_eq!(b.recv(ctx), Some(()));
-            assert!((ctx.now().as_secs_f64() - 1.0).abs() < 1e-6);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn pipelined_dma_emits_per_chunk_telemetry() {
-        let mut sim = Sim::new(1);
-        sim.handle().telemetry().enable();
-        let gpu = Gpu::v100(&sim.handle(), GpuId(0));
-        sim.spawn("copy", move |ctx| {
-            let rx = gpu.dma_pipelined(ctx, 10 * MB, 4 * MB, 2);
-            assert_eq!(rx.recv(ctx), Some(()));
-        });
-        sim.run();
-        let spans: Vec<_> = sim
-            .handle()
-            .telemetry()
-            .spans()
-            .into_iter()
-            .filter(|s| s.name == "h2d_chunk")
-            .collect();
-        assert_eq!(spans.len(), 3, "10 MB in 4 MB chunks = 3 chunk spans");
-        let total_bytes: u64 = spans
-            .iter()
-            .map(|s| {
-                s.args
-                    .iter()
-                    .find(|(k, _)| k == "bytes")
-                    .map(|(_, v)| v.parse::<u64>().unwrap())
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total_bytes, 10 * MB);
-        assert!(spans.iter().all(|s| s.track == "gpu0/dma0"));
-        // chunk spans tile the busy window: contiguous, ordered, non-empty
-        for w in spans.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-        assert!(spans.iter().all(|s| s.end > s.start));
     }
 
     #[test]

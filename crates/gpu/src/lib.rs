@@ -20,8 +20,6 @@ mod device;
 mod pagestore;
 mod vmm;
 
-pub use device::{
-    plan_chunks, DeviceProps, Gpu, GpuId, OutOfMemory, PhysAlloc, ReservationId, GB, MB,
-};
+pub use device::{DeviceProps, Gpu, GpuId, OutOfMemory, PhysAlloc, ReservationId, GB, MB};
 pub use pagestore::{PageStore, PAGE_SIZE};
 pub use vmm::{Mapping, PhysId, VaRange, VaSpace, VmmError, VA_BASE, VA_GRANULARITY};

@@ -50,11 +50,6 @@ pub struct OptConfig {
     /// Emulate host-answerable APIs guest-side and piggyback launch
     /// configurations ("avoiding other unnecessary APIs").
     pub localization: bool,
-    /// Flush the batch once it holds this many deferred requests (0 =
-    /// unbounded: flush only at synchronous calls). Bounding the batch
-    /// trades round trips for smaller frames and earlier server-side
-    /// progress — the "batching flush policy" ablation.
-    pub batch_flush_threshold: usize,
 }
 
 impl OptConfig {
@@ -66,7 +61,6 @@ impl OptConfig {
             descriptor_pools: false,
             batching: false,
             localization: false,
-            batch_flush_threshold: 0,
         }
     }
 
@@ -216,14 +210,10 @@ impl RemoteCuda {
             .map_err(|_| CudaError::InvalidValue(format!("unregistered kernel {name:?}")))
     }
 
-    fn defer(&mut self, p: &ProcCtx, req: Request, represented_calls: u64) -> CudaResult<()> {
+    /// Hold `req` in the batch until the next synchronous call flushes it.
+    fn defer(&mut self, req: Request, represented_calls: u64) {
         self.stats.batched_calls += represented_calls;
         self.batch.push(req);
-        let threshold = self.opts.batch_flush_threshold;
-        if threshold > 0 && self.batch.len() >= threshold {
-            self.flush(p)?;
-        }
-        Ok(())
     }
 
     /// Finish the function: flush pending work and release all server-side
@@ -371,7 +361,8 @@ impl CudaApi for RemoteCuda {
             bytes,
         };
         if self.opts.batching {
-            self.defer(p, req, 1)
+            self.defer(req, 1);
+            Ok(())
         } else {
             self.call(p, &req).map(|_| ())
         }
@@ -430,7 +421,6 @@ impl CudaApi for RemoteCuda {
         let wire_args = WireArgs::from(args);
         if self.opts.batching {
             self.defer(
-                p,
                 Request::LaunchConfigured {
                     fptr,
                     stream: 0,
@@ -438,7 +428,8 @@ impl CudaApi for RemoteCuda {
                     args: wire_args,
                 },
                 2,
-            )
+            );
+            Ok(())
         } else if self.opts.localization {
             // Piggyback the configuration: one round trip instead of two.
             self.stats.localized_calls += 1;
@@ -489,7 +480,8 @@ impl CudaApi for RemoteCuda {
             args: WireArgs::from(args),
         };
         if self.opts.batching {
-            self.defer(p, req, 2)
+            self.defer(req, 2);
+            Ok(())
         } else {
             // Stream launches always piggyback the configuration.
             self.stats.localized_calls += 1;
@@ -544,7 +536,8 @@ impl CudaApi for RemoteCuda {
         self.stats.issue(1);
         let req = Request::EventRecord { h: e.0 };
         if self.opts.batching {
-            self.defer(p, req, 1)
+            self.defer(req, 1);
+            Ok(())
         } else {
             self.call(p, &req).map(|_| ())
         }
@@ -744,13 +737,13 @@ impl RemoteCuda {
             let elided = op.elidable_calls.min(op.api_calls);
             let sync_calls = op.api_calls - elided;
             if sync_calls == 0 {
-                self.defer(p, req, op.api_calls)
+                self.defer(req, op.api_calls);
             } else {
                 self.stats.batched_calls += elided;
                 self.flush(p)?;
                 self.call_n(p, &req, sync_calls.max(1) as u32)?;
-                Ok(())
             }
+            Ok(())
         } else {
             self.call_n(p, &req, op.api_calls.max(1) as u32)?;
             Ok(())

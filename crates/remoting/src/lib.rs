@@ -199,57 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_flush_threshold_bounds_deferral_without_changing_semantics() {
-        let run = |threshold: usize| {
-            let mut sim = Sim::new(7);
-            let mut opts = OptConfig::full();
-            opts.batch_flush_threshold = threshold;
-            let api = serve(&sim, functional_registry(), opts);
-            let out = Rc::new(SimCell::new(&sim.handle(), None));
-            let o = out.clone();
-            let registry = functional_registry();
-            sim.spawn("guest", move |p| {
-                let mut api = api.lock().take().unwrap();
-                api.runtime_init(p).unwrap();
-                api.register_module(p, registry).unwrap();
-                let buf = api.malloc(p, MB).unwrap();
-                api.memcpy_h2d(p, buf, HostBuf::from_f32s(&[1.0; 8]))
-                    .unwrap();
-                // 40 async launches before a single sync point
-                for _ in 0..40 {
-                    api.launch_kernel(
-                        p,
-                        "scale2",
-                        LaunchConfig::linear(8, 32),
-                        KernelArgs {
-                            ptrs: vec![buf],
-                            scalars: vec![8],
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                }
-                api.device_synchronize(p).unwrap();
-                let data = api.memcpy_d2h(p, buf, 32, true).unwrap();
-                api.finish(p).unwrap();
-                *o.lock() = Some((data.to_f32s().unwrap(), api.stats().remoted_calls));
-            });
-            sim.run();
-            let r = out.lock().take().unwrap();
-            r
-        };
-        let (vals_unbounded, rpcs_unbounded) = run(0);
-        let (vals_bounded, rpcs_bounded) = run(8);
-        // identical results (2^40 overflows f32 to inf — still identical)
-        assert_eq!(vals_unbounded, vals_bounded);
-        // bounding the batch costs more round trips
-        assert!(
-            rpcs_bounded > rpcs_unbounded,
-            "threshold forces extra flushes: {rpcs_bounded} vs {rpcs_unbounded}"
-        );
-    }
-
-    #[test]
     fn unknown_kernel_is_rejected_end_to_end() {
         let mut sim = Sim::new(7);
         let api = serve(&sim, functional_registry(), OptConfig::full());

@@ -123,15 +123,13 @@ fn opt_config() -> impl Strategy<Value = OptConfig> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        0usize..16,
     )
-        .prop_map(|(a, b, c, d, e, t)| OptConfig {
+        .prop_map(|(a, b, c, d, e)| OptConfig {
             pooled_runtime: a,
             pooled_handles: b,
             descriptor_pools: c,
             batching: d,
             localization: e,
-            batch_flush_threshold: t,
         })
 }
 

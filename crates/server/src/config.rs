@@ -157,16 +157,6 @@ impl GpuServerConfig {
         self
     }
 
-    /// Builder-style: turn on pipelined host→GPU transfers, sliced into
-    /// `chunk_bytes` chunks across `engines` simulated DMA engines per GPU
-    /// (see [`CostTable::h2d_pipelined`]).
-    pub fn with_pipelined_h2d(mut self, chunk_bytes: u64, engines: u32) -> Self {
-        self.costs.h2d_pipelined = true;
-        self.costs.h2d_chunk_bytes = chunk_bytes;
-        self.costs.h2d_dma_engines = engines;
-        self
-    }
-
     /// Total API servers this configuration provisions.
     pub fn total_api_servers(&self) -> u32 {
         self.num_gpus * self.api_servers_per_gpu

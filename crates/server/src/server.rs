@@ -130,7 +130,6 @@ pub struct GpuServer {
     /// Ids of lease-expired API servers, shared with the monitor.
     failed_servers: Rc<SimCell<HashSet<u32>>>,
     next_invocation: Cell<u64>,
-    provisioned_at: SimTime,
     faults: Option<Rc<LinkFaults>>,
 }
 
@@ -234,7 +233,6 @@ impl GpuServer {
             migration_log,
             failed_servers,
             next_invocation: Cell::new(1),
-            provisioned_at: p.now(),
             faults,
         })
     }
@@ -470,24 +468,6 @@ impl GpuServer {
         self.servers.lock().len()
     }
 
-    /// Functions currently on this server: assigned-but-unfinished plus
-    /// queued. The serverless backend's load-balancing policies key off
-    /// this (§IV: "choosing the least loaded GPU server to optimize
-    /// latency or the opposite to increase utilization").
-    pub fn active_functions(&self) -> usize {
-        self.records.lock().counts().0
-    }
-
-    /// Functions still waiting in the monitor's queue.
-    pub fn queued_functions(&self) -> usize {
-        self.records.lock().counts().1
-    }
-
-    /// API servers whose lease expired (declared dead by the monitor).
-    pub fn failed_api_servers(&self) -> usize {
-        self.failed_servers.lock().len()
-    }
-
     /// True while at least one API server holds a valid lease; a server
     /// with none cannot serve anything and must not be routed to.
     pub fn lease_live(&self) -> bool {
@@ -526,7 +506,7 @@ impl GpuServer {
     }
 
     /// API servers with a migration requested or mid-transfer.
-    pub fn migrations_in_flight(&self) -> usize {
+    fn migrations_in_flight(&self) -> usize {
         self.servers
             .lock()
             .iter()
@@ -568,11 +548,6 @@ impl GpuServer {
         self.migration_log.lock().clone()
     }
 
-    /// NVML-style utilization samples for one GPU over `[start, end)`.
-    pub fn utilization(&self, gpu: u32, start: SimTime, end: SimTime, period: Dur) -> Vec<f64> {
-        self.gpus[gpu as usize].utilization_samples(start, end, period)
-    }
-
     /// Mean utilization across all GPUs over `[start, end)` (busy-time
     /// fraction).
     pub fn mean_utilization(&self, start: SimTime, end: SimTime) -> f64 {
@@ -586,10 +561,5 @@ impl GpuServer {
             .map(|g| g.busy_between(start, end).as_secs_f64() / span)
             .sum();
         total / self.gpus.len() as f64
-    }
-
-    /// When the server finished provisioning.
-    pub fn provisioned_at(&self) -> SimTime {
-        self.provisioned_at
     }
 }

@@ -15,7 +15,6 @@
 //! comes back as a [`FunctionResult`] with `failure` set after the attempt
 //! budget is spent.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -107,9 +106,6 @@ pub struct AdmissionConfig {
     /// Maximum time one attempt may wait in a GPU server's queue before
     /// the work is shed as overload (bounds queue *age*, not just depth).
     pub max_queue_age: Option<Dur>,
-    /// Per-workload concurrency cap: one hot function cannot occupy the
-    /// whole admitted set.
-    pub max_per_workload: Option<usize>,
     /// Per-tenant weighted fair shedding ([`ShedPolicy::WeightedFair`]).
     /// `None` is the FIFO baseline: slots go to whoever arrives first,
     /// tenant-blind.
@@ -117,14 +113,12 @@ pub struct AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Admit up to `max_inflight` concurrent invocations; no age or
-    /// per-workload bounds.
+    /// Admit up to `max_inflight` concurrent invocations; no age bound.
     pub fn new(max_inflight: usize) -> AdmissionConfig {
         assert!(max_inflight >= 1, "admitting nothing serves nothing");
         AdmissionConfig {
             max_inflight,
             max_queue_age: None,
-            max_per_workload: None,
             fairness: None,
         }
     }
@@ -132,12 +126,6 @@ impl AdmissionConfig {
     /// Builder-style: bound per-attempt queue wait.
     pub fn with_max_queue_age(mut self, d: Dur) -> Self {
         self.max_queue_age = Some(d);
-        self
-    }
-
-    /// Builder-style: cap concurrent invocations of any single workload.
-    pub fn with_max_per_workload(mut self, n: usize) -> Self {
-        self.max_per_workload = Some(n.max(1));
         self
     }
 
@@ -161,7 +149,6 @@ impl AdmissionConfig {
 #[derive(Default)]
 struct AdmissionState {
     inflight: usize,
-    per_workload: HashMap<String, usize>,
     /// Present iff the admission config asked for weighted fair shedding.
     fair: Option<FairShedder>,
 }
@@ -169,7 +156,6 @@ struct AdmissionState {
 /// RAII release of an admission slot.
 struct AdmissionSlot<'a> {
     state: &'a SimCell<AdmissionState>,
-    name: String,
     /// Tenant charged by the fair shedder, when fairness is on.
     tenant: Option<String>,
 }
@@ -178,12 +164,6 @@ impl Drop for AdmissionSlot<'_> {
     fn drop(&mut self) {
         let mut st = self.state.lock();
         st.inflight -= 1;
-        if let Some(n) = st.per_workload.get_mut(&self.name) {
-            *n -= 1;
-            if *n == 0 {
-                st.per_workload.remove(&self.name);
-            }
-        }
         if let (Some(t), Some(fair)) = (&self.tenant, st.fair.as_mut()) {
             fair.release(t);
         }
@@ -575,19 +555,12 @@ impl Backend {
         let Some(adm) = &self.admission else {
             return Ok(None); // no admission control: everything enters
         };
-        let name = w.name();
         let mut st = self.admitted.borrow_in(p);
         if st.inflight >= adm.max_inflight {
             return Err(format!(
                 "inflight limit reached ({}/{})",
                 st.inflight, adm.max_inflight
             ));
-        }
-        let running = st.per_workload.get(name).copied().unwrap_or(0);
-        if let Some(cap) = adm.max_per_workload {
-            if running >= cap {
-                return Err(format!("workload cap reached ({running}/{cap})"));
-            }
         }
         // Weighted fair shedding: within the global budget, each tenant
         // owns its weighted share and borrows beyond it only as fast as
@@ -608,10 +581,8 @@ impl Backend {
             None
         };
         st.inflight += 1;
-        *st.per_workload.entry(name.to_string()).or_insert(0) += 1;
         Ok(Some(AdmissionSlot {
             state: &self.admitted,
-            name: name.to_string(),
             tenant,
         }))
     }
@@ -803,74 +774,6 @@ mod tests {
             res.iter().any(|r| r.succeeded()),
             "the admitted invocation completed"
         );
-    }
-
-    #[test]
-    fn per_workload_cap_spares_other_workloads() {
-        struct Named(&'static str);
-        impl Workload for Named {
-            fn name(&self) -> &str {
-                self.0
-            }
-            fn registry(&self) -> Arc<ModuleRegistry> {
-                Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-            }
-            fn required_gpu_mem(&self) -> u64 {
-                GB
-            }
-            fn download_bytes(&self) -> u64 {
-                0
-            }
-            fn run(
-                &self,
-                p: &ProcCtx,
-                api: &mut dyn dgsf_cuda::CudaApi,
-                rec: &mut PhaseRecorder,
-            ) -> CudaResult<()> {
-                rec.enter(p, crate::phases::phase::PROCESSING);
-                api.launch_kernel(
-                    p,
-                    "k",
-                    LaunchConfig::linear(1, 32),
-                    KernelArgs::timed(1.0, 0),
-                )?;
-                api.device_synchronize(p)?;
-                rec.close(p);
-                Ok(())
-            }
-            fn cpu_secs(&self) -> f64 {
-                30.0
-            }
-        }
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let results = Rc::new(SimCell::new(&h, Vec::new()));
-        let r2 = results.clone();
-        sim.spawn("root", move |p| {
-            let cfg = GpuServerConfig::paper_default().gpus(2).sharing(2);
-            let srv = GpuServer::provision(p, &h, cfg);
-            let b = Rc::new(
-                Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
-                    .with_admission(AdmissionConfig::new(16).with_max_per_workload(1)),
-            );
-            let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-            for (i, name) in ["hot", "hot", "cold"].into_iter().enumerate() {
-                let b = Rc::clone(&b);
-                let store = Arc::clone(&store);
-                let r = r2.clone();
-                h.spawn(&format!("fn{i}"), move |p| {
-                    p.sleep(Dur::from_millis(i as u64));
-                    let res = b.invoke(p, &store, &Named(name), OptConfig::full());
-                    r.lock().push((name, res.shed));
-                });
-            }
-        });
-        sim.run();
-        let res = results.lock().clone();
-        let hot_shed = res.iter().filter(|(n, s)| *n == "hot" && *s).count();
-        let cold_shed = res.iter().filter(|(n, s)| *n == "cold" && *s).count();
-        assert_eq!(hot_shed, 1, "second concurrent 'hot' hits the cap");
-        assert_eq!(cold_shed, 0, "'cold' is unaffected by 'hot''s cap");
     }
 
     #[test]
