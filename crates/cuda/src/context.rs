@@ -1,4 +1,4 @@
-//! CUDA contexts and their stream executors.
+//! CUDA contexts and their streams.
 //!
 //! A [`CudaContext`] is bound to one physical GPU and owns everything whose
 //! *values* are context-specific in real CUDA: kernel function pointers,
@@ -7,25 +7,27 @@
 //! translate client-visible handles to per-context twins on migration
 //! (paper §V-D); [`crate::GpuSession`] implements that translation.
 //!
-//! Each context runs one **stream executor per stream** — simulated
-//! processes that drain in-order queues of kernel launches, library ops and
-//! memsets against the context's GPU. Launches are therefore asynchronous to
+//! Each stream of a context is an in-order queue of kernel launches,
+//! library ops and memsets on the GPU's compute engine ([`Gpu::stream`]).
+//! No process drains it: the simulation's scheduler starts a stream's next
+//! job when the last one retires, and runs the finished kernel's functional
+//! body or memset fill right there. Launches are therefore asynchronous to
 //! the caller (as in CUDA), work on different streams of the same context
 //! overlaps (contending on the GPU's processor-sharing compute engine, as
 //! under Hyper-Q), co-located contexts contend the same way, and
 //! `cudaDeviceSynchronize` / `cudaStreamSynchronize` are real rendezvous.
-//! Each executor owns one done-channel, created with it, on which every
-//! sync of that stream is answered; a device-wide sync visits the
-//! executors in creation order, so its event order replays exactly.
+//! Each stream owns one [`SyncMarker`], reused by every sync of that
+//! stream; a device-wide sync records the markers and then waits for them
+//! in creation order, so its event order replays exactly.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgsf_gpu::{Gpu, PhysId, ReservationId, VaSpace};
-use dgsf_sim::{ProcCtx, SimCell, SimHandle, SimReceiver, SimSender};
+use dgsf_sim::{GpsStream, ProcCtx, SimCell, SimHandle, SyncMarker};
 
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
@@ -35,30 +37,56 @@ use crate::view::DeviceView;
 
 static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Commands accepted by a context's stream executor, in order.
+/// What a stream does once a command's GPU work has retired. The work
+/// itself is given with the command, when it is submitted.
 pub(crate) enum StreamCmd {
-    /// Occupy the GPU for `work` GPU-seconds: a timed kernel, whose cost
-    /// the launching session evaluated, or an aggregate cuDNN/cuBLAS
-    /// operation.
-    Compute { work: f64 },
-    /// A kernel with a functional body: occupy the GPU for `work`
-    /// GPU-seconds, then run `body` against the launching session's memory.
+    /// A timed kernel, whose cost the launching session evaluated, or an
+    /// aggregate cuDNN/cuBLAS operation: nothing.
+    Timed,
+    /// A kernel with a functional body: run `body` against the launching
+    /// session's memory.
     Exec {
-        work: f64,
         body: KernelFn,
         cfg: LaunchConfig,
         args: KernelArgs,
         va: Rc<SimCell<VaSpace>>,
     },
-    /// Asynchronous device memset.
+    /// Asynchronous device memset: fill the range.
     Memset {
         va: Rc<SimCell<VaSpace>>,
         ptr: DevPtr,
         len: u64,
         value: u8,
     },
-    /// Rendezvous: reply once all prior commands have retired.
-    Sync { done: SimSender<()> },
+}
+
+impl StreamCmd {
+    /// Apply the command's effect to device memory, inside the scheduler.
+    /// The GPU is held weakly, since its compute engine holds the stream
+    /// while a job is in flight.
+    fn retire(self, gpu: &Weak<Gpu>) {
+        if let StreamCmd::Timed = self {
+            return;
+        }
+        let Some(gpu) = gpu.upgrade() else {
+            return;
+        };
+        match self {
+            StreamCmd::Timed => {}
+            StreamCmd::Exec {
+                body,
+                cfg,
+                args,
+                va,
+            } => body(&mut DeviceView::new(&va.lock(), &gpu), &cfg, &args),
+            StreamCmd::Memset {
+                va,
+                ptr,
+                len,
+                value,
+            } => DeviceView::new(&va.lock(), &gpu).fill(ptr, len, value),
+        }
+    }
 }
 
 /// A device buffer parked in a context's resident store between DAG
@@ -120,13 +148,13 @@ pub struct CudaContext {
     /// is pre-reserved in the owning API server's idle footprint.
     cudnn: SimCell<HashMap<u64, Option<ReservationId>>>,
     cublas: SimCell<HashMap<u64, Option<ReservationId>>>,
-    /// One in-order executor per stream. Streams of the same context
-    /// contend on the GPU's processor-sharing compute engine, so
-    /// independent streams genuinely overlap.
-    default_engine: Engine,
-    /// Created streams and their executors, in creation order (which is
-    /// handle order: handles only grow).
-    streams: SimCell<Vec<(u64, Engine)>>,
+    /// The default stream. Streams of the same context contend on the
+    /// GPU's processor-sharing compute engine, so independent streams
+    /// genuinely overlap.
+    default_stream: Stream,
+    /// Created streams, in creation order (which is handle order: handles
+    /// only grow).
+    streams: SimCell<Vec<Stream>>,
     /// GPU-resident handoff buffers parked between DAG stages, keyed by
     /// the handoff key chosen by the publisher. The context outlives the
     /// sessions that come and go on it, so a buffer published here stays
@@ -139,29 +167,31 @@ pub struct CudaContext {
 /// The default stream's handle.
 pub const DEFAULT_STREAM: u64 = 0;
 
-/// A stream executor's inbox and its done-channel.
+/// One stream of a context and its sync marker.
 ///
-/// One done-channel per executor is enough because only one process at a
-/// time waits on a context: an API server serves one function at a time on
-/// its own contexts, and a native application owns its context. Every
-/// sync marker it queues is answered before it returns, so the channel is
-/// empty between syncs.
-struct Engine {
-    tx: SimSender<StreamCmd>,
-    done_tx: SimSender<()>,
-    done_rx: SimReceiver<()>,
+/// One marker per stream is enough because only one process at a time
+/// waits on a context: an API server serves one function at a time on its
+/// own contexts, and a native application owns its context.
+struct Stream {
+    handle: u64,
+    jobs: GpsStream<StreamCmd>,
+    synced: SyncMarker,
 }
 
-impl Engine {
-    /// Queue a sync marker, answered on the done-channel once every
-    /// command queued before it has retired.
+impl Stream {
+    fn new(h: &SimHandle, gpu: &Rc<Gpu>, handle: u64) -> Stream {
+        let weak = Rc::downgrade(gpu);
+        Stream {
+            handle,
+            jobs: gpu.stream(move |cmd: StreamCmd, _| cmd.retire(&weak)),
+            synced: SyncMarker::new(h),
+        }
+    }
+
+    /// Queue the stream's sync marker, which fires once every command
+    /// queued before it has retired.
     fn request_sync(&self, proc: &ProcCtx) {
-        self.tx.send(
-            proc,
-            StreamCmd::Sync {
-                done: self.done_tx.clone(),
-            },
-        );
+        self.jobs.record(proc, &self.synced);
     }
 }
 
@@ -184,7 +214,7 @@ impl CudaContext {
         }
         let reservation = gpu.reserve(costs.cuda_ctx_mem)?;
         let id = NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed);
-        let default_engine = spawn_stream_engine(h, &gpu, &costs, &format!("ctx{id}-default"));
+        let default_stream = Stream::new(h, &gpu, DEFAULT_STREAM);
         let ctx = Rc::new(CudaContext {
             id,
             gpu: Rc::clone(&gpu),
@@ -200,7 +230,7 @@ impl CudaContext {
             events: SimCell::new(h, HashSet::new()),
             cudnn: SimCell::new(h, HashMap::new()),
             cublas: SimCell::new(h, HashMap::new()),
-            default_engine,
+            default_stream,
             streams: SimCell::new(h, Vec::new()),
             resident: SimCell::new(h, HashMap::new()),
             resident_log: SimCell::new(h, Vec::new()),
@@ -218,46 +248,53 @@ impl CudaContext {
         &self.costs
     }
 
-    /// Enqueue a command on the context's default stream.
-    pub(crate) fn submit(&self, proc: &ProcCtx, cmd: StreamCmd) {
-        self.submit_on(proc, DEFAULT_STREAM, cmd);
+    /// Enqueue a command of `work` GPU-seconds on the context's default
+    /// stream.
+    pub(crate) fn submit(&self, proc: &ProcCtx, work: f64, cmd: StreamCmd) {
+        self.default_stream.jobs.submit(proc, work, cmd);
     }
 
-    /// Enqueue a command on a specific native stream. Unknown streams fall
-    /// back to the default stream (callers validate handles beforehand).
-    pub(crate) fn submit_on(&self, proc: &ProcCtx, stream: u64, cmd: StreamCmd) {
+    /// Enqueue a command of `work` GPU-seconds on a specific native stream.
+    /// Unknown streams fall back to the default stream (callers validate
+    /// handles beforehand).
+    pub(crate) fn submit_on(&self, proc: &ProcCtx, stream: u64, work: f64, cmd: StreamCmd) {
         let streams = self.streams.borrow_in(proc);
-        self.engine(&streams, stream)
-            .unwrap_or(&self.default_engine)
-            .tx
-            .send(proc, cmd);
+        self.stream(&streams, stream)
+            .unwrap_or(&self.default_stream)
+            .jobs
+            .submit(proc, work, cmd);
     }
 
-    /// The executor of `stream`: the default one, or one of `streams`.
-    fn engine<'a>(&'a self, streams: &'a [(u64, Engine)], stream: u64) -> Option<&'a Engine> {
+    /// Queue `marker` on the default stream (`cudaEventRecord`).
+    pub(crate) fn record(&self, proc: &ProcCtx, marker: &SyncMarker) {
+        self.default_stream.jobs.record(proc, marker);
+    }
+
+    /// `stream`: the default one, or one of `streams`.
+    fn stream<'a>(&'a self, streams: &'a [Stream], stream: u64) -> Option<&'a Stream> {
         if stream == DEFAULT_STREAM {
-            return Some(&self.default_engine);
+            return Some(&self.default_stream);
         }
-        let i = streams.binary_search_by_key(&stream, |(h, _)| *h).ok()?;
-        Some(&streams[i].1)
+        let i = streams.binary_search_by_key(&stream, |s| s.handle).ok()?;
+        Some(&streams[i])
     }
 
     /// Block until every previously submitted command on *every* stream has
     /// retired (`cudaDeviceSynchronize`). Markers go out and are awaited in
     /// creation order, the default stream first.
     pub fn sync(&self, proc: &ProcCtx) {
-        self.default_engine.request_sync(proc);
+        self.default_stream.request_sync(proc);
         let streams = self.streams.borrow_in(proc);
-        for (_, e) in streams.iter() {
-            e.request_sync(proc);
+        for s in streams.iter() {
+            s.request_sync(proc);
         }
         let n = streams.len();
         drop(streams);
-        let _ = self.default_engine.done_rx.recv(proc);
+        self.default_stream.synced.wait(proc);
         for i in 0..n {
-            // No borrow may be held across the park in `recv`.
-            let rx = self.streams.borrow_in(proc)[i].1.done_rx.clone();
-            let _ = rx.recv(proc);
+            // No borrow may be held across the park in `wait`.
+            let synced = self.streams.borrow_in(proc)[i].synced.clone();
+            synced.wait(proc);
         }
     }
 
@@ -265,13 +302,13 @@ impl CudaContext {
     /// (`cudaStreamSynchronize`).
     pub fn sync_stream(&self, proc: &ProcCtx, stream: u64) {
         let streams = self.streams.borrow_in(proc);
-        let Some(e) = self.engine(&streams, stream) else {
+        let Some(s) = self.stream(&streams, stream) else {
             return;
         };
-        e.request_sync(proc);
-        let rx = e.done_rx.clone();
+        s.request_sync(proc);
+        let synced = s.synced.clone();
         drop(streams);
-        let _ = rx.recv(proc);
+        synced.wait(proc);
     }
 
     fn alloc_handle(&self) -> u64 {
@@ -296,27 +333,23 @@ impl CudaContext {
         self.fptr_names.lock().get(&fptr).cloned()
     }
 
-    /// Create a stream in this context with its own in-order executor;
-    /// returns the context-local handle.
+    /// Create an in-order stream in this context; returns the
+    /// context-local handle.
     pub fn create_stream(&self) -> u64 {
         let s = self.alloc_handle();
-        let engine = spawn_stream_engine(
-            &self.handle,
-            &self.gpu,
-            &self.costs,
-            &format!("ctx{}-stream{s:x}", self.id),
-        );
+        let stream = Stream::new(&self.handle, &self.gpu, s);
         let mut streams = self.streams.lock();
-        debug_assert!(streams.last().is_none_or(|(h, _)| *h < s));
-        streams.push((s, engine));
+        debug_assert!(streams.last().is_none_or(|last| last.handle < s));
+        streams.push(stream);
         s
     }
 
-    /// Destroy a context-local stream handle (its executor exits at
-    /// simulation shutdown; pending work was drained by the caller).
+    /// Destroy a context-local stream handle. Nothing outlives it but its
+    /// queued work: commands already submitted still retire, in order, as
+    /// after `cudaStreamDestroy`, and then the stream is freed.
     pub fn destroy_stream(&self, s: u64) -> bool {
         let mut streams = self.streams.lock();
-        match streams.binary_search_by_key(&s, |(h, _)| *h) {
+        match streams.binary_search_by_key(&s, |st| st.handle) {
             Ok(i) => {
                 streams.remove(i);
                 true
@@ -328,7 +361,7 @@ impl CudaContext {
     /// True if `s` is a live stream of this context.
     pub fn has_stream(&self, s: u64) -> bool {
         let streams = self.streams.lock();
-        streams.binary_search_by_key(&s, |(h, _)| *h).is_ok()
+        streams.binary_search_by_key(&s, |st| st.handle).is_ok()
     }
 
     /// Create an event in this context.
@@ -474,8 +507,9 @@ impl CudaContext {
     }
 
     /// Tear the context down: release its footprint and all library handle
-    /// reservations, and reclaim any resident buffers never adopted. (The
-    /// stream executor exits at simulation shutdown.)
+    /// reservations, and reclaim any resident buffers never adopted. Its
+    /// streams hold no process and need no teardown; work still queued on
+    /// them retires, and they are freed with the context.
     pub fn release(&self) {
         // Sort for determinism: HashMap iteration order is seeded per
         // process, and reclaim order reaches the GPU free lists and log.
@@ -500,64 +534,11 @@ impl CudaContext {
     }
 }
 
-/// Spawn an in-order stream executor against `gpu`.
-fn spawn_stream_engine(
-    h: &SimHandle,
-    gpu: &Rc<Gpu>,
-    costs: &Arc<CostTable>,
-    label: &str,
-) -> Engine {
-    let (tx, rx) = h.channel::<StreamCmd>();
-    let (done_tx, done_rx) = h.channel::<()>();
-    let exec_gpu = Rc::clone(gpu);
-    let exec_costs = Arc::clone(costs);
-    h.spawn(&format!("stream-exec-{label}"), move |pctx| {
-        while let Some(cmd) = rx.recv(pctx) {
-            match cmd {
-                StreamCmd::Compute { work } => {
-                    exec_gpu.exec(pctx, work);
-                }
-                StreamCmd::Exec {
-                    work,
-                    body,
-                    cfg,
-                    args,
-                    va,
-                } => {
-                    exec_gpu.exec(pctx, work);
-                    let vag = va.borrow_in(pctx);
-                    let mut view = DeviceView::new(&vag, &exec_gpu);
-                    body(&mut view, &cfg, &args);
-                }
-                StreamCmd::Memset {
-                    va,
-                    ptr,
-                    len,
-                    value,
-                } => {
-                    exec_gpu.exec(pctx, len as f64 / exec_costs.memset_bw);
-                    let vag = va.borrow_in(pctx);
-                    let mut view = DeviceView::new(&vag, &exec_gpu);
-                    view.fill(ptr, len, value);
-                }
-                StreamCmd::Sync { done } => {
-                    done.send(pctx, ());
-                }
-            }
-        }
-    });
-    Engine {
-        tx,
-        done_tx,
-        done_rx,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dgsf_gpu::{GpuId, MB};
-    use dgsf_sim::{Dur, Sim};
+    use dgsf_sim::{Dur, Sim, SimTime};
 
     fn setup(sim: &Sim) -> (SimHandle, Rc<Gpu>, Arc<CostTable>) {
         let h = sim.handle();
@@ -623,7 +604,7 @@ mod tests {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
             let t0 = proc.now();
             for _ in 0..3 {
-                ctx.submit(proc, StreamCmd::Compute { work: 0.5 });
+                ctx.submit(proc, 0.5, StreamCmd::Timed);
             }
             // submission is asynchronous
             assert_eq!(proc.now(), t0);
@@ -638,6 +619,48 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_sim_mid_job_frees_the_queued_body() {
+        /// Counts its drops.
+        struct Counted(Arc<AtomicU64>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicU64::new(0));
+        let counted = Counted(dropped.clone());
+        let body: KernelFn = Arc::new(move |_view, _cfg, _args| {
+            let _keep = &counted;
+        });
+        let mut sim = Sim::new(1);
+        let (h, gpu, costs) = setup(&sim);
+        let va = Rc::new(SimCell::new(&h, VaSpace::new()));
+        let g2 = gpu.clone();
+        sim.spawn("app", move |proc| {
+            let ctx = CudaContext::create(proc, &h, g2, costs, false).unwrap();
+            let s = ctx.create_stream();
+            ctx.submit_on(proc, s, 1.0, StreamCmd::Timed);
+            let exec = StreamCmd::Exec {
+                body,
+                cfg: LaunchConfig::linear(1, 1),
+                args: KernelArgs::default(),
+                va,
+            };
+            ctx.submit_on(proc, s, 1.0, exec);
+            // The context goes; the job in flight keeps its stream.
+            ctx.release();
+        });
+        // Half-way through the first job.
+        sim.run_until(SimTime::ZERO + Dur::from_millis(500));
+        assert_eq!(dropped.load(Ordering::SeqCst), 0, "the body is queued");
+        // The job holds its stream, the stream its queued body; nothing on
+        // that path holds the job's resource or GPU.
+        drop(sim);
+        drop(gpu);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1, "the body was freed");
+    }
+
+    #[test]
     fn sleeping_does_not_block_the_stream() {
         // Kernel runs while the host sleeps — classic async overlap.
         let mut sim = Sim::new(1);
@@ -645,7 +668,7 @@ mod tests {
         sim.spawn("app", move |proc| {
             let ctx = CudaContext::create(proc, &h, gpu, costs, false).unwrap();
             let t0 = proc.now();
-            ctx.submit(proc, StreamCmd::Compute { work: 1.0 });
+            ctx.submit(proc, 1.0, StreamCmd::Timed);
             proc.sleep(Dur::from_secs(1)); // host work overlaps the kernel
             ctx.sync(proc);
             let elapsed = proc.now().since(t0).as_secs_f64();

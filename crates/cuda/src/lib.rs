@@ -8,8 +8,8 @@
 //!   local (simulated) GPU, paying runtime initialization on the critical
 //!   path,
 //! * [`CudaContext`] — per-GPU contexts with context-specific function
-//!   pointers and handles, each with an in-order asynchronous stream
-//!   executor,
+//!   pointers and handles, and in-order asynchronous streams that the
+//!   simulation's scheduler runs on the GPU's compute engine,
 //! * [`GpuSession`] — the per-function state an API server maintains, with
 //!   **VMM-backed allocation** and **VA-preserving live migration** between
 //!   contexts/GPUs (paper §V-D), and

@@ -47,8 +47,10 @@ impl KernelCost {
     }
 }
 
-/// A functional kernel body. Runs on the API server's stream executor with a
-/// view of the application's device memory.
+/// A functional kernel body, run with a view of the application's device
+/// memory once the launch's GPU work has retired. It runs inside the
+/// simulation's scheduler, which retires the stream's kernels itself, so it
+/// must never park; it takes no `ProcCtx`, so it cannot.
 pub type KernelFn = Arc<dyn Fn(&mut DeviceView<'_>, &LaunchConfig, &KernelArgs) + Send + Sync>;
 
 /// Definition of one kernel.

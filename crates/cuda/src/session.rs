@@ -14,7 +14,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_gpu::{VaRange, VaSpace, VA_GRANULARITY};
-use dgsf_sim::{Dur, ProcCtx, SimCell, SimHandle, SimTime};
+use dgsf_sim::{Dur, ProcCtx, SimCell, SimHandle, SimTime, SyncMarker};
 
 use crate::context::{CudaContext, StreamCmd};
 use crate::costs::CostTable;
@@ -116,17 +116,11 @@ pub struct GpuSession {
     events: TwinMap,
     cudnn: TwinMap,
     cublas: TwinMap,
-    /// Pending `cudaEventRecord` markers: client event → wait state.
-    event_waits: HashMap<u64, EventWait>,
+    /// `cudaEventRecord` markers: client event → its marker, made at the
+    /// event's first record and reused by every later one.
+    event_waits: HashMap<u64, SyncMarker>,
     /// Number of completed migrations.
     pub migrations: u32,
-}
-
-/// State of a recorded event: a rendezvous that fires when every command
-/// submitted to the stream before the record has retired.
-struct EventWait {
-    rx: dgsf_sim::SimReceiver<()>,
-    completed: bool,
 }
 
 impl GpuSession {
@@ -306,6 +300,7 @@ impl GpuSession {
         self.check_mapped(proc, ptr, bytes)?;
         self.active.submit(
             proc,
+            bytes as f64 / self.active.costs().memset_bw,
             StreamCmd::Memset {
                 va: Rc::clone(&self.va),
                 ptr,
@@ -412,16 +407,15 @@ impl GpuSession {
         // A timed kernel's command is its cost; only a functional one
         // carries what its body reads.
         let cmd = match body {
-            None => StreamCmd::Compute { work },
+            None => StreamCmd::Timed,
             Some(body) => StreamCmd::Exec {
-                work,
                 body,
                 cfg,
                 args,
                 va: Rc::clone(&self.va),
             },
         };
-        self.active.submit_on(proc, native, cmd);
+        self.active.submit_on(proc, native, work, cmd);
         Ok(())
     }
 
@@ -437,7 +431,7 @@ impl GpuSession {
 
     /// Enqueue an aggregate cuDNN/cuBLAS operation of `work` GPU-seconds.
     pub fn lib_op(&mut self, proc: &ProcCtx, work: f64) {
-        self.active.submit(proc, StreamCmd::Compute { work });
+        self.active.submit(proc, work, StreamCmd::Timed);
     }
 
     /// `cudaDeviceSynchronize`.
@@ -502,27 +496,20 @@ impl GpuSession {
                 e.0
             )));
         }
-        let (tx, rx) = self.handle.channel::<()>();
-        self.active.submit(proc, StreamCmd::Sync { done: tx });
-        self.event_waits.insert(
-            e.0,
-            EventWait {
-                rx,
-                completed: false,
-            },
-        );
+        let marker = self
+            .event_waits
+            .entry(e.0)
+            .or_insert_with(|| SyncMarker::new(&self.handle));
+        self.active.record(proc, marker);
         Ok(())
     }
 
-    /// `cudaEventSynchronize`: wait until the last recorded marker fires.
+    /// `cudaEventSynchronize`: wait until the last record has fired.
     /// An event that was never recorded is complete by definition (CUDA
     /// semantics).
     pub fn event_synchronize(&mut self, proc: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        if let Some(w) = self.event_waits.get_mut(&e.0) {
-            if !w.completed {
-                let _ = w.rx.recv(proc);
-                w.completed = true;
-            }
+        if let Some(marker) = self.event_waits.get(&e.0) {
+            marker.wait(proc);
         }
         Ok(())
     }

@@ -4,14 +4,15 @@
 //! * a memory pool (capacity accounting + the table of physical allocations
 //!   with their sparse byte stores),
 //! * a processor-sharing **compute engine** (kernels from co-located API
-//!   servers time-share it, as under Hyper-Q),
+//!   servers time-share it, as under Hyper-Q), on which CUDA streams queue
+//!   their kernels ([`Gpu::stream`]),
 //! * a processor-sharing **PCIe/DMA engine** for host↔device transfers, and
 //! * the busy timeline from which NVML-style utilization is sampled.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dgsf_sim::{Dur, GpsResource, ProcCtx, SimCell, SimHandle, SimTime, Timeline};
+use dgsf_sim::{Dur, GpsResource, GpsStream, ProcCtx, SimCell, SimHandle, SimTime, Timeline};
 
 use crate::pagestore::PageStore;
 use crate::vmm::PhysId;
@@ -305,6 +306,14 @@ impl Gpu {
     /// Blocks the calling simulated process until the work retires.
     pub fn exec(&self, ctx: &ProcCtx, gpu_seconds: f64) {
         self.compute.acquire(ctx, gpu_seconds);
+    }
+
+    /// A new in-order stream on the (shared) compute engine — a CUDA
+    /// stream. The scheduler runs its jobs without a process and hands each
+    /// finished operation to `retire`, with the instant it retired (see
+    /// [`GpsStream`]).
+    pub fn stream<Op: 'static>(&self, retire: impl Fn(Op, SimTime) + 'static) -> GpsStream<Op> {
+        self.compute.stream(retire)
     }
 
     /// Transfer `bytes` over the (shared) PCIe/DMA engine.

@@ -87,6 +87,12 @@
 //! what makes `recv_timeout` (a race between a sender's wake and a timer
 //! wake) correct without any cancellation machinery.
 //!
+//! An exited process's record (its [`ProcId`]) is reused by a later spawn,
+//! so the process table stays as large as the most processes alive at
+//! once, not as every process ever spawned. The generation counter carries
+//! on across the reuse: wakes still queued for the slot's last process are
+//! older than any generation of its new one, and stay stale.
+//!
 //! # Shutdown
 //!
 //! Dropping [`Sim`] raises a shutdown flag and resumes every parked process
@@ -347,7 +353,13 @@ struct ProcRec {
     stack: Option<Stack>,
     /// The stack pointer saved when the process last switched away.
     sp: usize,
+    /// The next exited record after this one, while this one waits in the
+    /// free list (`SimState::free_procs`).
+    next_free: u32,
 }
+
+/// The end of the free list of process records.
+const NO_PROC: u32 = u32::MAX;
 
 /// A context that can hold the baton.
 #[derive(Clone, Copy, PartialEq)]
@@ -393,6 +405,10 @@ pub(crate) struct SimState {
     retired: Option<Stack>,
     /// Stacks of exited processes, for the next process starts.
     free: Vec<Stack>,
+    /// The first record of an exited process, for the next spawn: the head
+    /// of a list linked through `ProcRec::next_free` (kept intrusive, so
+    /// it costs this state no more than the padding it sits in).
+    free_procs: u32,
 }
 
 impl SimState {
@@ -457,6 +473,15 @@ impl SimState {
         self.schedule(time, EventKind::Timer(timer, token));
     }
 
+    /// True if no event is due at the current instant, so an event
+    /// scheduled now would be the next one popped. Meant for a timer
+    /// that is firing: `last` is then the current instant, and every event
+    /// due at it sits in the `due` bucket.
+    pub(crate) fn nothing_due_now(&self) -> bool {
+        debug_assert_eq!(self.queue.last, self.now.0, "asked outside a firing timer");
+        self.queue.due.is_empty()
+    }
+
     /// Mark `pid` as about to park and return the generation a waker must
     /// present to resume it.
     pub(crate) fn begin_park(&mut self, pid: ProcId) -> u64 {
@@ -471,8 +496,7 @@ impl SimState {
     where
         F: FnOnce(&ProcCtx) + 'static,
     {
-        let pid = ProcId(self.procs.len() as u64);
-        self.procs.push(ProcRec {
+        let mut rec = ProcRec {
             name: Arc::from(name),
             generation: 0,
             parked: true, // parked on its initial wake
@@ -480,9 +504,25 @@ impl SimState {
             body: Some(Box::new(f)),
             stack: None,
             sp: 0,
-        });
+            next_free: NO_PROC,
+        };
+        // While the run shuts down the table only grows, so that `Sim`'s
+        // drop visits processes spawned by unwinding ones.
+        let pid = if self.free_procs == NO_PROC || self.shutdown {
+            self.procs.push(rec);
+            ProcId(self.procs.len() as u64 - 1)
+        } else {
+            let pid = ProcId(u64::from(self.free_procs));
+            let slot = self.proc_mut(pid);
+            rec.generation = slot.generation + 1;
+            let next = slot.next_free;
+            *slot = rec;
+            self.free_procs = next;
+            pid
+        };
+        let generation = self.proc_mut(pid).generation;
         let at = at.max(self.now);
-        self.schedule_wake(at, pid, 0);
+        self.schedule_wake(at, pid, generation);
         pid
     }
 }
@@ -587,6 +627,7 @@ impl Sim {
             panic: None,
             retired: None,
             free: Vec::new(),
+            free_procs: NO_PROC,
         };
         #[expect(
             clippy::arc_with_non_send_sync,
@@ -930,6 +971,11 @@ impl ProcCtx {
             // After the scheduling pass, which freed the previous retired
             // stack.
             st.retired = st.proc_mut(self.pid).stack.take();
+            if let Ok(i) = u32::try_from(self.pid.0) {
+                let head = st.free_procs;
+                st.proc_mut(self.pid).next_free = head;
+                st.free_procs = i;
+            }
             to
         };
         // The driver's `Sim` outlives every running process, so this is
@@ -1370,6 +1416,44 @@ mod tests {
             .map(|k| (k, SimTime::ZERO + Dur::from_secs(k + 1)))
             .collect();
         assert_eq!(*log.lock(), want);
+    }
+
+    #[test]
+    fn a_reused_process_record_ignores_its_last_owners_stale_wakes() {
+        let mut sim = Sim::new(1);
+        let (tx, rx) = sim.channel::<u8>();
+        let (tx2, rx2) = sim.channel::<u8>();
+        let second = Rc::new(SimCell::new(&sim.handle(), None));
+        // The message beats the timeout, whose wake stays queued for 10 s.
+        let first = sim.spawn("first", move |ctx| {
+            assert_eq!(rx.recv_timeout(ctx, Dur::from_secs(10)), Ok(1));
+        });
+        let s = second.clone();
+        sim.spawn("parent", move |ctx| {
+            tx.send(ctx, 1);
+            ctx.sleep(Dur::from_secs(2));
+            let s2 = s.clone();
+            let pid = ctx.spawn("second", move |ctx| {
+                assert_eq!(rx2.recv(ctx), Some(2));
+                let woke = ctx.now();
+                if let Some((_, at)) = s2.lock().as_mut() {
+                    *at = Some(woke);
+                }
+            });
+            *s.lock() = Some((pid, None));
+            ctx.sleep(Dur::from_secs(18));
+            tx2.send(ctx, 2);
+        });
+        sim.run();
+        let (pid, woke) = second.lock().expect("the second process was spawned");
+        assert_eq!(pid, first, "the exited process's record is reused");
+        let at_20s = SimTime::ZERO + Dur::from_secs(20);
+        assert_eq!(
+            woke,
+            Some(at_20s),
+            "woken by the message, not the stale 10 s wake"
+        );
+        assert_eq!(sim.shared.state.lock().procs.len(), 2);
     }
 
     #[test]

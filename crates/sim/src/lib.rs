@@ -12,6 +12,9 @@
 //! * shared-capacity **resources** — processor-sharing ([`GpsResource`]) and
 //!   serialized ([`FifoResource`]) — where a processor-sharing resource can
 //!   keep a busy [`Timeline`] for NVML-style utilization sampling,
+//! * in-order **streams** of jobs on a processor-sharing resource
+//!   ([`GpsStream`], a CUDA stream) with [`SyncMarker`] rendezvous; the
+//!   scheduler runs a stream itself, with no process behind it,
 //! * a seeded RNG threaded through the kernel for reproducible arrival
 //!   processes, and
 //! * [`SimCell`]s: a simulation's mutable state, borrowed with a `RefCell`
@@ -62,7 +65,7 @@ pub use kernel::{ProcCtx, ProcId, ShutdownSignal, Sim, SimHandle};
 pub use obs::{
     AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, QuantileSketch, TenantBurnRow, WindowRow,
 };
-pub use resource::{FifoResource, GpsResource, Timeline};
+pub use resource::{FifoResource, GpsResource, GpsStream, SyncMarker, Timeline};
 pub use stats::{moving_average, percentile_permille, percentile_sorted, Summary};
 pub use telemetry::{
     ArgValue, EventRecord, Histogram, SpanRecord, Telemetry, TelemetryExport, TraceCtx,

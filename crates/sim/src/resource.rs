@@ -16,12 +16,41 @@
 //! [`SimHandle::gps_with_busy_log`](crate::SimHandle::gps_with_busy_log) —
 //! the GPU compute engine — records a [`Timeline`] of when it was busy, from
 //! which NVML-like utilization samples are derived. The others keep no log.
+//!
+//! # Streams
+//!
+//! A processor-sharing job is owned either by a process parked in
+//! [`GpsResource::acquire`] or by a [`GpsStream`]: an in-order queue of jobs
+//! and [`SyncMarker`]s (a CUDA stream) that the scheduler runs itself. When
+//! a stream's job retires, its *continuation* hands the finished operation
+//! to the stream's retire function, fires the markers queued behind it and
+//! starts the next job. This is what a process that loops over a channel,
+//! calling `acquire` per job, would do at each wake, and the continuation
+//! takes exactly the event slot that wake would have taken:
+//!
+//! - a submit to an idle stream schedules it at the current instant, as a
+//!   channel send schedules the wake (the submitter keeps running, so the
+//!   job never starts inline);
+//! - a completion schedules it in retain order, among the wakes of the
+//!   other jobs that finish at the same instant;
+//! - it runs inline in the completion only when it would have been the
+//!   next event popped: its job is the first the completion retires and
+//!   nothing else is due at this instant. The resource then reschedules
+//!   once, instead of leaving a stale completion timer behind.
+//!
+//! So a stream costs no process, stack switch or wake per job, and a run
+//! replays event for event what a process per stream would have done, but
+//! with fewer events executed.
+//!
+//! The resource holds the stream of a job in flight (queued work retires
+//! even after its owner drops the stream); the stream holds its resource
+//! weakly, so in-flight work is no reference cycle.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use crate::cell::SimCell;
-use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimState, Timer};
+use crate::kernel::{ProcCtx, ProcId, Shared, Sim, SimHandle, SimState, Timer};
 use crate::time::{Dur, SimTime};
 
 /// Busy log of a resource: the instants at which it turned busy or idle.
@@ -104,9 +133,20 @@ impl Timeline {
     }
 }
 
+/// Who a processor-sharing job belongs to, and so who goes on when it
+/// retires.
+#[derive(Clone, Copy)]
+enum Owner {
+    /// A process parked in [`GpsResource::acquire`]: woken.
+    Proc { pid: ProcId, generation: u64 },
+    /// A [`GpsStream`], held in `Gps::streams` at this index: its
+    /// continuation runs. (A plain index keeps jobs free of drop glue,
+    /// which process jobs would otherwise pay for in every completion.)
+    Stream(u32),
+}
+
 struct GpsJob {
-    pid: ProcId,
-    generation: u64,
+    owner: Owner,
     /// Remaining work, in units of `capacity × seconds`.
     remaining: f64,
 }
@@ -115,6 +155,9 @@ struct Gps {
     /// Work units completed per second when a single job is active.
     capacity: f64,
     jobs: Vec<GpsJob>,
+    /// The streams whose jobs are in flight, by the index their jobs hold;
+    /// a slot is empty once its job retires, for the next stream job.
+    streams: Vec<Option<Rc<dyn Resume>>>,
     last: SimTime,
     /// Bumped on every state change; stale completion timers check it.
     version: u64,
@@ -137,10 +180,46 @@ impl Gps {
         self.last = now;
     }
 
+    /// Admit a job of `work` (positive) units at `now`. The caller
+    /// reschedules the completion timer.
+    #[inline]
+    fn start(&mut self, now: SimTime, owner: Owner, work: f64) {
+        self.settle(now);
+        if self.jobs.is_empty() {
+            if let Some(log) = self.busy_log.as_mut() {
+                log.busy(now);
+            }
+        }
+        self.jobs.push(GpsJob {
+            owner,
+            remaining: work,
+        });
+        self.version += 1;
+    }
+
+    /// Hold `stream` while its job is in flight; returns its slot.
+    fn hold(&mut self, stream: Rc<dyn Resume>) -> Owner {
+        let slot = match self.streams.iter().position(Option::is_none) {
+            Some(slot) => slot,
+            None => {
+                self.streams.push(None);
+                self.streams.len() - 1
+            }
+        };
+        self.streams[slot] = Some(stream);
+        Owner::Stream(slot as u32)
+    }
+
     fn completion_eps(&self) -> f64 {
         // One event-queue tick (1 ns) of slack, scaled to work units.
         self.capacity * 2e-9 + 1e-12
     }
+}
+
+/// True for work that occupies a resource: NaN work is treated like zero
+/// work, hence the explicit check.
+fn occupies(work: f64) -> bool {
+    !work.is_nan() && work > 0.0
 }
 
 /// A generalized-processor-sharing resource.
@@ -161,6 +240,7 @@ impl GpsResource {
         let gps = Gps {
             capacity,
             jobs: Vec::new(),
+            streams: Vec::new(),
             last: SimTime::ZERO,
             version: 0,
             busy_log: busy_log.then(Timeline::default),
@@ -173,27 +253,18 @@ impl GpsResource {
     /// Block the calling process until `work` units complete under the
     /// processor-sharing discipline.
     pub fn acquire(&self, ctx: &ProcCtx, work: f64) {
-        // NaN work is treated like zero work, hence the explicit check.
-        if work.is_nan() || work <= 0.0 {
+        if !occupies(work) {
             return;
         }
         let mut st = ctx.state();
         {
             let mut g = self.inner.borrow_in(ctx);
-            let now = st.now;
-            g.settle(now);
             let generation = st.begin_park(ctx.pid());
-            if g.jobs.is_empty() {
-                if let Some(log) = g.busy_log.as_mut() {
-                    log.busy(now);
-                }
-            }
-            g.jobs.push(GpsJob {
+            let owner = Owner::Proc {
                 pid: ctx.pid(),
                 generation,
-                remaining: work,
-            });
-            g.version += 1;
+            };
+            g.start(st.now, owner, work);
         }
         reschedule(&mut st, Rc::clone(&self.inner));
         ctx.yield_parked(st);
@@ -203,6 +274,24 @@ impl GpsResource {
     pub fn acquire_for(&self, ctx: &ProcCtx, d: Dur) {
         let cap = self.inner.borrow_in(ctx).capacity;
         self.acquire(ctx, d.as_secs_f64() * cap);
+    }
+
+    /// An in-order stream of jobs on this resource. Each operation that
+    /// retires is handed to `retire` with the current instant, inside the
+    /// scheduler (see "Streams" in the module docs).
+    pub fn stream<Op: 'static>(&self, retire: impl Fn(Op, SimTime) + 'static) -> GpsStream<Op> {
+        let state = StreamState {
+            gps: Rc::downgrade(&self.inner),
+            queue: VecDeque::new(),
+            current: None,
+            busy: false,
+        };
+        GpsStream {
+            inner: Rc::new(StreamCell {
+                state: SimCell::with_id(self.inner.sim_id(), state),
+                retire: Box::new(retire),
+            }),
+        }
     }
 
     /// Capacity in work units per second.
@@ -272,12 +361,31 @@ impl Timer for SimCell<Gps> {
         let now = st.now;
         g.settle(now);
         let eps = g.completion_eps();
-        // The borrow is of the cell, not of `st`: finished jobs' wakes are
-        // scheduled as they leave, in job order.
-        g.jobs.retain(|j| {
+        // The first job to retire is resumed inline if it is a stream's and
+        // its continuation would be the next event popped anyway: nothing
+        // else is due now (and, being first, it has scheduled nothing yet).
+        let mut first = true;
+        let mut inline = None;
+        // The borrow is of the cell, not of `st`: finished jobs' wakes and
+        // continuations are scheduled as they leave, in job order.
+        let Gps { jobs, streams, .. } = &mut *g;
+        jobs.retain(|j| {
             let done = j.remaining <= eps;
             if done {
-                st.schedule_wake(now, j.pid, j.generation);
+                match j.owner {
+                    Owner::Proc { pid, generation } => st.schedule_wake(now, pid, generation),
+                    Owner::Stream(slot) => {
+                        let s = streams[slot as usize]
+                            .take()
+                            .expect("a stream job's stream");
+                        if first && st.nothing_due_now() {
+                            inline = Some(s);
+                        } else {
+                            st.schedule_timer(now, s, 0);
+                        }
+                    }
+                }
+                first = false;
             }
             !done
         });
@@ -287,8 +395,201 @@ impl Timer for SimCell<Gps> {
             }
         }
         g.version += 1;
+        if let Some(s) = inline {
+            s.resume(st, &mut g);
+        }
         drop(g);
         reschedule(st, self);
+    }
+}
+
+/// A stream as a job owner: what its continuation does.
+trait Resume: Timer {
+    /// Retire the job in flight, if any, then fire the markers queued
+    /// behind it and start the next job on `g`. Returns whether a job
+    /// started (the caller then reschedules `g`'s completion timer).
+    fn resume(self: Rc<Self>, st: &mut SimState, g: &mut Gps) -> bool;
+}
+
+/// One entry of a stream's queue.
+enum Item<Op> {
+    /// An operation and its work units.
+    Job(f64, Op),
+    /// A marker that fires once everything queued before it has retired.
+    Mark(SyncMarker),
+}
+
+struct StreamState<Op> {
+    /// Held weakly: the resource holds the stream while its job is in
+    /// flight.
+    gps: Weak<SimCell<Gps>>,
+    queue: VecDeque<Item<Op>>,
+    /// The operation whose job is in flight.
+    current: Option<Op>,
+    /// A job is in flight or a continuation is scheduled; an idle stream's
+    /// next submit schedules one.
+    busy: bool,
+}
+
+struct StreamCell<Op> {
+    state: SimCell<StreamState<Op>>,
+    retire: Box<dyn Fn(Op, SimTime)>,
+}
+
+/// An in-order queue of jobs on one [`GpsResource`] that the scheduler runs
+/// without a process: a CUDA stream on a GPU's compute engine (see
+/// "Streams" in the module docs). Built by [`GpsResource::stream`].
+///
+/// Jobs of one stream run one at a time, in submit order; jobs of different
+/// streams, and processes' jobs, share the resource.
+pub struct GpsStream<Op> {
+    inner: Rc<StreamCell<Op>>,
+}
+
+impl<Op: 'static> GpsStream<Op> {
+    /// Queue `op`, to occupy the resource for `work` units and then be
+    /// retired. Never blocks; zero, negative or NaN work retires `op` as
+    /// soon as its turn comes.
+    pub fn submit(&self, ctx: &ProcCtx, work: f64, op: Op) {
+        self.push(ctx, Item::Job(work, op));
+    }
+
+    /// Queue `marker`: it fires once every job submitted before it has
+    /// retired. Never blocks; wait with [`SyncMarker::wait`].
+    pub fn record(&self, ctx: &ProcCtx, marker: &SyncMarker) {
+        marker.inner.borrow_in(ctx).armed += 1;
+        self.push(ctx, Item::Mark(marker.clone()));
+    }
+
+    fn push(&self, ctx: &ProcCtx, item: Item<Op>) {
+        let mut s = self.inner.state.borrow_in(ctx);
+        s.queue.push_back(item);
+        if !s.busy {
+            s.busy = true;
+            let mut st = ctx.state();
+            let now = st.now;
+            st.schedule_timer(now, self.inner.clone(), 0);
+        }
+    }
+}
+
+impl<Op: 'static> Resume for StreamCell<Op> {
+    fn resume(self: Rc<Self>, st: &mut SimState, g: &mut Gps) -> bool {
+        let finished = self.state.borrow_with(st).current.take();
+        if let Some(op) = finished {
+            (self.retire)(op, st.now);
+        }
+        loop {
+            let mut s = self.state.borrow_with(st);
+            let Some(item) = s.queue.pop_front() else {
+                s.busy = false;
+                return false;
+            };
+            match item {
+                Item::Mark(marker) => {
+                    drop(s);
+                    marker.fire(st);
+                }
+                Item::Job(work, op) if occupies(work) => {
+                    s.current = Some(op);
+                    drop(s);
+                    let owner = g.hold(self);
+                    g.start(st.now, owner, work);
+                    return true;
+                }
+                Item::Job(_, op) => {
+                    drop(s);
+                    (self.retire)(op, st.now);
+                }
+            }
+        }
+    }
+}
+
+/// A continuation scheduled as an event of its own.
+impl<Op: 'static> Timer for StreamCell<Op> {
+    fn fire(self: Rc<Self>, st: &mut SimState, _token: u64) {
+        let gps = self.state.borrow_with(st).gps.upgrade();
+        let Some(gps) = gps else {
+            return; // the resource is gone, and its jobs with it
+        };
+        let started = self.resume(st, &mut gps.borrow_with(st));
+        if started {
+            reschedule(st, gps);
+        }
+    }
+}
+
+struct Marker {
+    /// Times the marker was queued on a stream, and times it fired.
+    armed: u64,
+    fired: u64,
+    /// The process waiting for the last firing.
+    waiter: Option<(ProcId, u64)>,
+}
+
+/// A rendezvous with streams: [`GpsStream::record`] queues it, and
+/// [`wait`](Self::wait) returns once every recording of it has fired —
+/// `cudaStreamSynchronize`'s and `cudaEventSynchronize`'s wait. One marker
+/// is reused across recordings and costs no allocation per use. Clones
+/// share the marker.
+#[derive(Clone)]
+pub struct SyncMarker {
+    inner: Rc<SimCell<Marker>>,
+}
+
+impl SyncMarker {
+    /// A marker that nothing waits for yet.
+    pub fn new(h: &SimHandle) -> SyncMarker {
+        let marker = Marker {
+            armed: 0,
+            fired: 0,
+            waiter: None,
+        };
+        SyncMarker {
+            inner: Rc::new(SimCell::new(h, marker)),
+        }
+    }
+
+    /// Block the calling process until every recording of the marker has
+    /// fired. Returns at once if it has; returns early if the simulation
+    /// shuts down.
+    ///
+    /// # Panics
+    ///
+    /// If another process already waits for the marker.
+    pub fn wait(&self, ctx: &ProcCtx) {
+        loop {
+            let mut m = self.inner.borrow_in(ctx);
+            if m.fired == m.armed {
+                return;
+            }
+            let mut st = ctx.state();
+            if st.shutdown {
+                return;
+            }
+            assert!(m.waiter.is_none(), "a sync marker has one waiter at a time");
+            m.waiter = Some((ctx.pid(), st.begin_park(ctx.pid())));
+            drop(m);
+            let shutdown = ctx.yield_parked_raw(st);
+            self.inner.borrow_in(ctx).waiter = None;
+            if shutdown {
+                return;
+            }
+        }
+    }
+
+    /// One recording reached the head of its stream: wake the waiter if
+    /// it was the last one outstanding.
+    fn fire(&self, st: &mut SimState) {
+        let mut m = self.inner.borrow_with(st);
+        m.fired += 1;
+        if m.fired == m.armed {
+            if let Some((pid, generation)) = m.waiter.take() {
+                let now = st.now;
+                st.schedule_wake(now, pid, generation);
+            }
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 use std::rc::Rc;
 
 use dgsf_sim::{
-    percentile_permille, percentile_sorted, Dur, GpsResource, Sim, SimCell, SimTime, Summary,
+    percentile_permille, percentile_sorted, Dur, GpsResource, GpsStream, ProcCtx, Sim, SimCell,
+    SimReceiver, SimSender, SimTime, Summary, SyncMarker,
 };
 use proptest::prelude::*;
 
@@ -170,6 +171,38 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A kernel-run [`GpsStream`] against the process it replaces: an
+    /// executor per stream that receives commands on a channel and calls
+    /// `acquire` per job, answering sync markers on a channel of the
+    /// waiter's. Submitters queue jobs of zero, negative, NaN and a few
+    /// microseconds of work, often at one instant, on up to three streams,
+    /// sync one stream or all of them, while processes run jobs of their
+    /// own on the same resource. Every job retires at the same instant in
+    /// both, and the log of who went on, when, and in what order, is
+    /// identical, as is the run's end.
+    #[test]
+    fn streams_replay_a_process_per_stream(
+        streams in 1usize..4,
+        procs in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0u8..6), 1..6),
+            0..3,
+        ),
+        submitters in proptest::collection::vec(
+            proptest::collection::vec((0u8..10, 0u8..3, 0u8..6), 1..14),
+            1..3,
+        ),
+    ) {
+        let scenario = Scenario { streams, procs, submitters };
+        let (kernel_log, kernel_end) = run_scenario(&scenario, false);
+        let (reference_log, reference_end) = run_scenario(&scenario, true);
+        prop_assert_eq!(kernel_log, reference_log);
+        prop_assert_eq!(kernel_end, reference_end);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Percentiles are monotone in q, and every percentile of a sample lies
@@ -331,4 +364,164 @@ fn busy_between_is_additive_over_adjacent_windows() {
             whole as f64 / 1e9
         );
     });
+}
+
+/// What [`streams_replay_a_process_per_stream`] runs: streams, processes
+/// with jobs of their own (a gap before each, in µs, and a work code), and
+/// submitters' scripts of `(action, stream, argument)`.
+struct Scenario {
+    streams: usize,
+    procs: Vec<Vec<(u8, u8)>>,
+    submitters: Vec<Vec<(u8, u8, u8)>>,
+}
+
+/// Work units for a work code: zero, NaN, negative, then 1–3 µs.
+fn work_of(code: u8) -> f64 {
+    match code {
+        0 => 0.0,
+        1 => f64::NAN,
+        2 => -1e-6,
+        c => f64::from(c - 2) * 1e-6,
+    }
+}
+
+/// Who went on, and when: `(ns, kind, a, b)`, where kind 0 is a stream
+/// job retiring (stream, job), 1 a process's job (process, job) and 2 a
+/// submitter's sync returning (submitter, step).
+type Log = Rc<SimCell<Vec<(u64, u8, u32, u32)>>>;
+
+/// A command of the reference executor.
+enum Cmd {
+    Job(u32, f64),
+    Sync(SimSender<()>),
+}
+
+/// One stream, run by the kernel or by a reference executor.
+enum Lane {
+    Kernel(GpsStream<u32>),
+    Executor(SimSender<Cmd>),
+}
+
+/// One submitter's rendezvous with one stream.
+enum Waiter {
+    Marker(SyncMarker),
+    Channel(SimSender<()>, SimReceiver<()>),
+}
+
+impl Lane {
+    fn submit(&self, ctx: &ProcCtx, job: u32, work: f64) {
+        match self {
+            Lane::Kernel(s) => s.submit(ctx, work, job),
+            Lane::Executor(tx) => tx.send(ctx, Cmd::Job(job, work)),
+        }
+    }
+
+    fn mark(&self, ctx: &ProcCtx, waiter: &Waiter) {
+        match (self, waiter) {
+            (Lane::Kernel(s), Waiter::Marker(m)) => s.record(ctx, m),
+            (Lane::Executor(tx), Waiter::Channel(done, _)) => tx.send(ctx, Cmd::Sync(done.clone())),
+            _ => unreachable!("lanes and waiters come in matching kinds"),
+        }
+    }
+}
+
+impl Waiter {
+    fn wait(&self, ctx: &ProcCtx) {
+        match self {
+            Waiter::Marker(m) => m.wait(ctx),
+            Waiter::Channel(_, rx) => {
+                rx.recv(ctx);
+            }
+        }
+    }
+}
+
+/// Run `s` with kernel-run streams, or with an executor process per
+/// stream; returns the log and the instant the run ended.
+fn run_scenario(s: &Scenario, reference: bool) -> (Vec<(u64, u8, u32, u32)>, SimTime) {
+    let mut sim = Sim::new(1);
+    let h = sim.handle();
+    let gps = Rc::new(GpsResource::new(&sim, 1.0));
+    let log: Log = Rc::new(SimCell::new(&h, Vec::new()));
+    // Executors first, so each is parked in `recv` before anything is sent.
+    let lanes: Rc<Vec<Lane>> = Rc::new(
+        (0..s.streams as u32)
+            .map(|l| {
+                if reference {
+                    let (tx, rx) = sim.channel::<Cmd>();
+                    let (gps, log) = (gps.clone(), log.clone());
+                    sim.spawn(&format!("exec{l}"), move |ctx| {
+                        while let Some(cmd) = rx.recv(ctx) {
+                            match cmd {
+                                Cmd::Job(job, work) => {
+                                    gps.acquire(ctx, work);
+                                    log.lock().push((ctx.now().as_nanos(), 0, l, job));
+                                }
+                                Cmd::Sync(done) => done.send(ctx, ()),
+                            }
+                        }
+                    });
+                    Lane::Executor(tx)
+                } else {
+                    let log = log.clone();
+                    Lane::Kernel(gps.stream(move |job, now: SimTime| {
+                        log.lock().push((now.as_nanos(), 0, l, job));
+                    }))
+                }
+            })
+            .collect(),
+    );
+    for (p, jobs) in s.procs.iter().enumerate() {
+        let (gps, log, jobs) = (gps.clone(), log.clone(), jobs.clone());
+        sim.spawn(&format!("proc{p}"), move |ctx| {
+            for (k, (gap, work)) in jobs.into_iter().enumerate() {
+                ctx.sleep(Dur::from_micros(u64::from(gap)));
+                gps.acquire(ctx, work_of(work));
+                log.lock()
+                    .push((ctx.now().as_nanos(), 1, p as u32, k as u32));
+            }
+        });
+    }
+    for (q, script) in s.submitters.iter().enumerate() {
+        let (lanes, log, script) = (lanes.clone(), log.clone(), script.clone());
+        let waiters: Vec<Waiter> = (0..s.streams)
+            .map(|_| {
+                if reference {
+                    let (tx, rx) = h.channel();
+                    Waiter::Channel(tx, rx)
+                } else {
+                    Waiter::Marker(SyncMarker::new(&h))
+                }
+            })
+            .collect();
+        sim.spawn(&format!("submitter{q}"), move |ctx| {
+            for (k, (action, lane, arg)) in script.into_iter().enumerate() {
+                let lane = usize::from(lane) % lanes.len();
+                let synced = match action {
+                    0..=5 => {
+                        let job = (q as u32) << 16 | k as u32;
+                        lanes[lane].submit(ctx, job, work_of(arg));
+                        continue;
+                    }
+                    6 | 7 => {
+                        ctx.sleep(Dur::from_micros(u64::from(arg % 4)));
+                        continue;
+                    }
+                    8 => lane..lane + 1,
+                    _ => 0..lanes.len(),
+                };
+                for l in synced.clone() {
+                    lanes[l].mark(ctx, &waiters[l]);
+                }
+                for l in synced {
+                    waiters[l].wait(ctx);
+                }
+                log.lock()
+                    .push((ctx.now().as_nanos(), 2, q as u32, k as u32));
+            }
+        });
+    }
+    let end = sim.run();
+    let log = log.lock().clone();
+    (log, end)
 }

@@ -11,6 +11,11 @@
 //! regression to one allocation per job or per timer shows up as
 //! thousands.
 //!
+//! A stream's jobs park no process: the scheduler retires each and starts
+//! the next, and a sync marker is a counter pair and a waiter slot reused
+//! by every sync. Once the stream's queue has grown to its working size, a
+//! steady stream of jobs and syncs allocates nothing either.
+//!
 //! The event queue keeps its buckets' capacity across refills, so a process
 //! whose sleeps land in many different buckets allocates nothing either,
 //! however many far-future wakes sit parked above it.
@@ -26,7 +31,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dgsf_sim::{Dur, FifoResource, GpsResource, Sim, SimTime};
+use dgsf_sim::{Dur, FifoResource, GpsResource, GpsStream, Sim, SimTime, SyncMarker};
 
 thread_local! {
     // Const-initialised and destructor-free, so bumping it from inside the
@@ -118,6 +123,42 @@ fn fifo_jobs(processes: u64) -> (u64, u64) {
     measure(sim, &jobs)
 }
 
+/// One submitter queueing four jobs on each of `streams` streams, then a
+/// sync marker on each, waiting for the markers and pausing for 1 ns, over
+/// and over. (A marker's wait returns when the run shuts down; the pause
+/// is where the submitter then unwinds.)
+fn stream_jobs(streams: u64) -> (u64, u64) {
+    let sim = Sim::new(1);
+    let gps = GpsResource::new(&sim, 1.0);
+    let jobs = Arc::new(AtomicU64::new(0));
+    let lanes: Vec<GpsStream<u64>> = (0..streams)
+        .map(|_| {
+            let jobs = jobs.clone();
+            gps.stream(move |_k: u64, _now| {
+                jobs.fetch_add(1, Ordering::Relaxed);
+            })
+        })
+        .collect();
+    let markers: Vec<SyncMarker> = (0..streams)
+        .map(|_| SyncMarker::new(&sim.handle()))
+        .collect();
+    sim.spawn("submitter", move |ctx| {
+        for k in 0.. {
+            for (i, (lane, marker)) in (0..).zip(lanes.iter().zip(&markers)) {
+                for j in 0..4 {
+                    lane.submit(ctx, micros(i, k + j) as f64 * 1e-6, k);
+                }
+                lane.record(ctx, marker);
+            }
+            for marker in &markers {
+                marker.wait(ctx);
+            }
+            ctx.sleep(Dur(1));
+        }
+    });
+    measure(sim, &jobs)
+}
+
 fn check(what: &str, (made, jobs): (u64, u64)) {
     assert_eq!(made, 0, "{made} allocations for {jobs} {what}");
 }
@@ -130,6 +171,16 @@ fn a_lone_gps_job_stream_does_not_allocate() {
 #[test]
 fn three_processes_sharing_a_gps_resource_do_not_allocate() {
     check("shared GPS jobs", gps_jobs(3));
+}
+
+#[test]
+fn a_lone_stream_of_jobs_and_syncs_does_not_allocate() {
+    check("lone stream jobs", stream_jobs(1));
+}
+
+#[test]
+fn three_streams_sharing_a_gps_resource_do_not_allocate() {
+    check("shared stream jobs", stream_jobs(3));
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! on average (kmeans 893, covidctnet 199, face detection 493, face
 //! identification 493, nlp 827, image classification 2,844) when every
 //! frame, sync channel and batch vector was fresh and every launch went
-//! through hashed name lookups. Measured now: 119, 83, 95, 95, 111 and
+//! through hashed name lookups. Measured now: 119, 82, 95, 95, 111 and
 //! 207. Image classification does not meet 150 and has its own bound at
 //! its measured figure: 129 of its 207 are the vectors
 //! `CudaApi::cudnn_create_descriptors` returns, one per processing batch.

@@ -293,11 +293,42 @@ fn multi_stream_sync_run() -> (u64, dgsf::sim::SimTime) {
 
 #[test]
 fn multi_stream_device_sync_replays_exactly() {
-    // `cudaDeviceSynchronize` visits every stream's executor; the order it
-    // visits them in reaches the event count, so it must not depend on
-    // anything but the inputs (a hash map's per-process seed, say).
+    // `cudaDeviceSynchronize` queues a marker on every stream and waits for
+    // each; the order it visits them in reaches the event count, so it must
+    // not depend on anything but the inputs (a hash map's per-process seed,
+    // say).
     let first = multi_stream_sync_run();
     for _ in 0..40 {
         assert_eq!(multi_stream_sync_run(), first, "same seed, same run");
     }
+}
+
+#[test]
+fn destroyed_streams_leave_no_process_behind() {
+    // A stream is a queue the scheduler runs, not a process, so a thousand
+    // created and destroyed leave nothing parked. Work queued on a stream
+    // before its destroy still retires, as after `cudaStreamDestroy`.
+    let mut sim = Sim::new(1);
+    let h = sim.handle();
+    let gpu = dgsf::gpu::Gpu::v100(&h, GpuId(0));
+    let g = Rc::clone(&gpu);
+    sim.spawn("app", move |p| {
+        let costs = Arc::new(dgsf::cuda::CostTable::default());
+        let mut api = dgsf::cuda::NativeCuda::new(&h, g, costs);
+        api.register_module(p, registry()).unwrap();
+        for _ in 0..1_000 {
+            let s = api.stream_create(p).unwrap();
+            let args = KernelArgs::timed(0.001, 0);
+            api.launch_kernel_on(p, s, "spin", LaunchConfig::linear(1, 32), args)
+                .unwrap();
+            api.stream_destroy(p, s).unwrap();
+        }
+    });
+    let end = sim.run();
+    let parked = sim.blocked_processes();
+    assert!(parked.is_empty(), "{} processes left parked", parked.len());
+    let busy = gpu
+        .busy_between(dgsf::sim::SimTime::ZERO, end)
+        .as_secs_f64();
+    assert!((busy - 1.0).abs() < 1e-6, "1,000 × 1 ms retired: {busy} s");
 }
