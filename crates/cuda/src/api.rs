@@ -19,7 +19,7 @@ use dgsf_sim::ProcCtx;
 use crate::error::CudaResult;
 use crate::module::ModuleRegistry;
 use crate::types::{
-    CublasHandle, CudnnDescriptor, CudnnHandle, DescriptorKind, DevPtr, EventHandle, HostBuf,
+    CublasHandle, CudnnHandle, DescriptorKind, DescriptorRange, DevPtr, EventHandle, HostBuf,
     KernelArgs, LaunchConfig, PtrAttributes, StreamHandle,
 };
 
@@ -209,15 +209,11 @@ pub trait CudaApi {
         p: &ProcCtx,
         kind: DescriptorKind,
         n: u64,
-    ) -> CudaResult<Vec<CudnnDescriptor>>;
+    ) -> CudaResult<DescriptorRange>;
     /// Configure descriptors (`cudnnSet*Descriptor` — host-side).
-    fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: &[CudnnDescriptor]) -> CudaResult<()>;
+    fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()>;
     /// Destroy descriptors.
-    fn cudnn_destroy_descriptors(
-        &mut self,
-        p: &ProcCtx,
-        descs: Vec<CudnnDescriptor>,
-    ) -> CudaResult<()>;
+    fn cudnn_destroy_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()>;
     /// Execute an aggregate cuDNN operation.
     fn cudnn_op(&mut self, p: &ProcCtx, h: CudnnHandle, op: LibOp) -> CudaResult<()>;
 

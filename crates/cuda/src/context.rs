@@ -21,13 +21,13 @@
 //! in creation order, so its event order replays exactly.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgsf_gpu::{Gpu, PhysId, ReservationId, VaSpace};
-use dgsf_sim::{GpsStream, ProcCtx, SimCell, SimHandle, SyncMarker};
+use dgsf_sim::{Dur, GpsStream, ProcCtx, SimCell, SimHandle, SyncMarker};
 
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
@@ -132,6 +132,62 @@ pub enum ResidentEvent {
     },
 }
 
+/// The kind of a library handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LibKind {
+    /// A cuDNN handle (≈1.2 s, 382 MB).
+    Cudnn,
+    /// A cuBLAS handle (≈0.2 s, 70 MB).
+    Cublas,
+}
+
+impl LibKind {
+    /// Device memory one handle of this kind holds.
+    pub fn mem(self, costs: &CostTable) -> u64 {
+        match self {
+            LibKind::Cudnn => costs.cudnn_mem,
+            LibKind::Cublas => costs.cublas_mem,
+        }
+    }
+
+    fn create_latency(self, costs: &CostTable) -> Dur {
+        match self {
+            LibKind::Cudnn => costs.cudnn_create,
+            LibKind::Cublas => costs.cublas_create,
+        }
+    }
+
+    /// The library's name, as error messages give it.
+    pub fn name(self) -> &'static str {
+        match self {
+            LibKind::Cudnn => "cudnn",
+            LibKind::Cublas => "cublas",
+        }
+    }
+}
+
+/// How a library handle comes to be, and so what it costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LibCreate {
+    /// Handed out from the API server's pre-created pool: no creation
+    /// latency and no *additional* memory (the pool's footprint is part of
+    /// the server's idle 755 MB reservation).
+    Pooled,
+    /// Created on demand (the unoptimized and the native path): pays the
+    /// creation latency and reserves the footprint.
+    Cold,
+    /// A migration twin: reserves the footprint but pays no creation
+    /// latency (migration charges its library recreation once).
+    Twin,
+}
+
+/// A library handle of a context and the footprint it owns, if any.
+struct LibHandle {
+    handle: u64,
+    kind: LibKind,
+    reservation: Option<ReservationId>,
+}
+
 /// A CUDA context bound to one physical GPU.
 pub struct CudaContext {
     /// Globally unique context id.
@@ -142,12 +198,8 @@ pub struct CudaContext {
     ctx_reservation: SimCell<Option<ReservationId>>,
     next_handle: Cell<u64>,
     fptrs: SimCell<HashMap<String, u64>>,
-    fptr_names: SimCell<HashMap<u64, String>>,
-    events: SimCell<HashSet<u64>>,
-    /// Library handles; `None` reservation for pooled handles whose memory
-    /// is pre-reserved in the owning API server's idle footprint.
-    cudnn: SimCell<HashMap<u64, Option<ReservationId>>>,
-    cublas: SimCell<HashMap<u64, Option<ReservationId>>>,
+    /// cuDNN and cuBLAS handles, in creation order (which is handle order).
+    libs: SimCell<Vec<LibHandle>>,
     /// The default stream. Streams of the same context contend on the
     /// GPU's processor-sharing compute engine, so independent streams
     /// genuinely overlap.
@@ -159,7 +211,7 @@ pub struct CudaContext {
     /// the handoff key chosen by the publisher. The context outlives the
     /// sessions that come and go on it, so a buffer published here stays
     /// on-device across function invocations.
-    resident: SimCell<HashMap<u64, ResidentBuf>>,
+    resident: SimCell<BTreeMap<u64, ResidentBuf>>,
     /// Append-only audit log of resident-store traffic.
     resident_log: SimCell<Vec<ResidentEvent>>,
 }
@@ -226,13 +278,10 @@ impl CudaContext {
             // paper's migration translation exists to handle).
             next_handle: Cell::new((id << 32) | 1),
             fptrs: SimCell::new(h, HashMap::new()),
-            fptr_names: SimCell::new(h, HashMap::new()),
-            events: SimCell::new(h, HashSet::new()),
-            cudnn: SimCell::new(h, HashMap::new()),
-            cublas: SimCell::new(h, HashMap::new()),
+            libs: SimCell::new(h, Vec::new()),
             default_stream,
             streams: SimCell::new(h, Vec::new()),
-            resident: SimCell::new(h, HashMap::new()),
+            resident: SimCell::new(h, BTreeMap::new()),
             resident_log: SimCell::new(h, Vec::new()),
         });
         Ok(ctx)
@@ -324,13 +373,7 @@ impl CudaContext {
         }
         let p = self.alloc_handle();
         f.insert(name.to_string(), p);
-        self.fptr_names.lock().insert(p, name.to_string());
         p
-    }
-
-    /// Kernel name for a function pointer from this context.
-    pub fn kernel_name(&self, fptr: u64) -> Option<String> {
-        self.fptr_names.lock().get(&fptr).cloned()
     }
 
     /// Create an in-order stream in this context; returns the
@@ -364,82 +407,46 @@ impl CudaContext {
         streams.binary_search_by_key(&s, |st| st.handle).is_ok()
     }
 
-    /// Create an event in this context.
+    /// Create an event in this context. An event is a handle value and
+    /// nothing more: its marker belongs to the session that records it.
     pub fn create_event(&self) -> u64 {
-        let e = self.alloc_handle();
-        self.events.lock().insert(e);
-        e
+        self.alloc_handle()
     }
 
-    /// Destroy a context-local event handle.
-    pub fn destroy_event(&self, e: u64) -> bool {
-        self.events.lock().remove(&e)
-    }
-
-    /// Create a cuDNN handle in this context. Pays the ≈1.2 s creation
-    /// latency when `pay_time` (pool pre-creation at provisioning and the
-    /// unoptimized cold path pass `true`; migration twin creation passes
-    /// `false` — memory but no creation latency).
-    pub fn create_cudnn_handle(&self, proc: &ProcCtx, pay_time: bool) -> CudaResult<u64> {
-        if pay_time {
-            proc.sleep(self.costs.cudnn_create);
+    /// Create a cuDNN or cuBLAS handle in this context; see [`LibCreate`]
+    /// for what each way of creating it costs.
+    pub(crate) fn create_lib_handle(
+        &self,
+        proc: &ProcCtx,
+        kind: LibKind,
+        how: LibCreate,
+    ) -> CudaResult<u64> {
+        if how == LibCreate::Cold {
+            proc.sleep(kind.create_latency(&self.costs));
         }
-        let r = self.gpu.reserve(self.costs.cudnn_mem)?;
-        let h = self.alloc_handle();
-        self.cudnn.lock().insert(h, Some(r));
-        Ok(h)
+        let reservation = match how {
+            LibCreate::Pooled => None,
+            LibCreate::Cold | LibCreate::Twin => Some(self.gpu.reserve(kind.mem(&self.costs))?),
+        };
+        let handle = self.alloc_handle();
+        self.libs.lock().push(LibHandle {
+            handle,
+            kind,
+            reservation,
+        });
+        Ok(handle)
     }
 
-    /// Hand out a cuDNN handle from the API server's pre-created pool: no
-    /// creation latency and no *additional* memory (the pool's footprint is
-    /// part of the server's idle 755 MB reservation).
-    pub fn serve_pooled_cudnn_handle(&self) -> u64 {
-        let h = self.alloc_handle();
-        self.cudnn.lock().insert(h, None);
-        h
-    }
-
-    /// Destroy a cuDNN handle, releasing its device footprint (if it owns
+    /// Destroy a library handle, releasing its device footprint (if it owns
     /// one).
-    pub fn destroy_cudnn_handle(&self, h: u64) -> CudaResult<()> {
-        let r = self
-            .cudnn
-            .lock()
-            .remove(&h)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("cudnn {h:#x}")))?;
-        if let Some(r) = r {
-            self.gpu.release(r);
-        }
-        Ok(())
-    }
-
-    /// Create a cuBLAS handle in this context (≈0.2 s, 70 MB).
-    pub fn create_cublas_handle(&self, proc: &ProcCtx, pay_time: bool) -> CudaResult<u64> {
-        if pay_time {
-            proc.sleep(self.costs.cublas_create);
-        }
-        let r = self.gpu.reserve(self.costs.cublas_mem)?;
-        let h = self.alloc_handle();
-        self.cublas.lock().insert(h, Some(r));
-        Ok(h)
-    }
-
-    /// Pooled cuBLAS analogue of [`CudaContext::serve_pooled_cudnn_handle`].
-    pub fn serve_pooled_cublas_handle(&self) -> u64 {
-        let h = self.alloc_handle();
-        self.cublas.lock().insert(h, None);
-        h
-    }
-
-    /// Destroy a cuBLAS handle, releasing its device footprint (if it owns
-    /// one).
-    pub fn destroy_cublas_handle(&self, h: u64) -> CudaResult<()> {
-        let r = self
-            .cublas
-            .lock()
-            .remove(&h)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("cublas {h:#x}")))?;
-        if let Some(r) = r {
+    pub(crate) fn destroy_lib_handle(&self, kind: LibKind, h: u64) -> CudaResult<()> {
+        let mut libs = self.libs.lock();
+        let i = libs
+            .binary_search_by_key(&h, |l| l.handle)
+            .ok()
+            .filter(|&i| libs[i].kind == kind)
+            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("{} {h:#x}", kind.name())))?;
+        if let Some(r) = libs.remove(i).reservation {
             self.gpu.release(r);
         }
         Ok(())
@@ -488,12 +495,16 @@ impl CudaContext {
         let Some(buf) = self.resident.lock().remove(&key) else {
             return false;
         };
+        self.reclaim(key, buf);
+        true
+    }
+
+    fn reclaim(&self, key: u64, buf: ResidentBuf) {
         self.gpu.mem_free(buf.phys);
         self.resident_log.lock().push(ResidentEvent::Reclaimed {
             key,
             bytes: buf.mapped,
         });
-        true
     }
 
     /// Number of buffers currently parked in the resident store.
@@ -511,23 +522,15 @@ impl CudaContext {
     /// streams hold no process and need no teardown; work still queued on
     /// them retires, and they are freed with the context.
     pub fn release(&self) {
-        // Sort for determinism: HashMap iteration order is seeded per
-        // process, and reclaim order reaches the GPU free lists and log.
-        let mut orphans: Vec<u64> = self.resident.lock().keys().copied().collect();
-        orphans.sort_unstable();
-        for key in orphans {
-            self.reclaim_resident(key);
+        let orphans = std::mem::take(&mut *self.resident.lock());
+        for (key, buf) in orphans {
+            self.reclaim(key, buf);
         }
         if let Some(r) = self.ctx_reservation.lock().take() {
             self.gpu.release(r);
         }
-        for (_, r) in self.cudnn.lock().drain() {
-            if let Some(r) = r {
-                self.gpu.release(r);
-            }
-        }
-        for (_, r) in self.cublas.lock().drain() {
-            if let Some(r) = r {
+        for lib in self.libs.lock().drain(..) {
+            if let Some(r) = lib.reservation {
                 self.gpu.release(r);
             }
         }
@@ -572,8 +575,6 @@ mod tests {
             let fb = b.fptr_for("saxpy");
             assert_ne!(fa, fb, "function pointers are unique per context");
             assert_eq!(a.fptr_for("saxpy"), fa, "stable within a context");
-            assert_eq!(a.kernel_name(fa).as_deref(), Some("saxpy"));
-            assert_eq!(b.kernel_name(fa), None, "foreign fptr does not resolve");
         });
         sim.run();
     }
@@ -586,12 +587,18 @@ mod tests {
         sim.spawn("app", move |proc| {
             let ctx = CudaContext::create(proc, &h, g2.clone(), costs, false).unwrap();
             let before = proc.now();
-            let hdl = ctx.create_cudnn_handle(proc, true).unwrap();
+            let hdl = ctx
+                .create_lib_handle(proc, LibKind::Cudnn, LibCreate::Cold)
+                .unwrap();
             assert!((proc.now().since(before).as_secs_f64() - 1.2).abs() < 1e-9);
             assert_eq!(g2.used_mem(), (303 + 382) * MB);
-            ctx.destroy_cudnn_handle(hdl).unwrap();
+            assert!(
+                ctx.destroy_lib_handle(LibKind::Cublas, hdl).is_err(),
+                "a cuDNN handle is not a cuBLAS one"
+            );
+            ctx.destroy_lib_handle(LibKind::Cudnn, hdl).unwrap();
             assert_eq!(g2.used_mem(), 303 * MB);
-            assert!(ctx.destroy_cudnn_handle(hdl).is_err());
+            assert!(ctx.destroy_lib_handle(LibKind::Cudnn, hdl).is_err());
         });
         sim.run();
     }

@@ -41,7 +41,7 @@ pub use module::{KernelCost, KernelDef, KernelFn, KernelId, ModuleRegistry};
 pub use native::NativeCuda;
 pub use session::{GpuSession, MigrationReport};
 pub use types::{
-    CublasHandle, CudnnDescriptor, CudnnHandle, DescriptorKind, DevPtr, EventHandle, HostBuf,
+    CublasHandle, CudnnHandle, DescriptorKind, DescriptorRange, DevPtr, EventHandle, HostBuf,
     KernelArgs, LaunchConfig, PtrAttributes, StreamHandle,
 };
 pub use view::DeviceView;

@@ -20,7 +20,7 @@ use crate::error::{CudaError, CudaResult};
 use crate::module::ModuleRegistry;
 use crate::session::GpuSession;
 use crate::types::{
-    CublasHandle, CudnnDescriptor, CudnnHandle, DescriptorKind, DevPtr, EventHandle, HostBuf,
+    CublasHandle, CudnnHandle, DescriptorKind, DescriptorRange, DevPtr, EventHandle, HostBuf,
     KernelArgs, LaunchConfig, PtrAttributes, StreamHandle,
 };
 
@@ -255,49 +255,43 @@ impl CudaApi for NativeCuda {
         p: &ProcCtx,
         _kind: DescriptorKind,
         n: u64,
-    ) -> CudaResult<Vec<CudnnDescriptor>> {
+    ) -> CudaResult<DescriptorRange> {
         self.stats.issue(n);
         p.sleep(dgsf_sim::Dur(
             (self.costs.descriptor_create.as_nanos() + self.costs.native_call_overhead.as_nanos())
                 .saturating_mul(n),
         ));
         self.ensure(p)?;
-        let out = (0..n)
-            .map(|_| {
-                let d = CudnnDescriptor(self.next_descriptor);
-                self.next_descriptor += 1;
-                d
-            })
-            .collect();
+        let out = DescriptorRange {
+            first: self.next_descriptor,
+            count: n,
+        };
+        self.next_descriptor += n;
         self.live_descriptors += n;
         Ok(out)
     }
 
-    fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: &[CudnnDescriptor]) -> CudaResult<()> {
-        self.stats.issue(descs.len() as u64);
+    fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()> {
+        self.stats.issue(descs.count);
         p.sleep(dgsf_sim::Dur(
             self.costs
                 .native_call_overhead
                 .as_nanos()
-                .saturating_mul(descs.len() as u64),
+                .saturating_mul(descs.count),
         ));
         self.ensure(p)?;
         Ok(())
     }
 
-    fn cudnn_destroy_descriptors(
-        &mut self,
-        p: &ProcCtx,
-        descs: Vec<CudnnDescriptor>,
-    ) -> CudaResult<()> {
-        self.stats.issue(descs.len() as u64);
+    fn cudnn_destroy_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()> {
+        self.stats.issue(descs.count);
         p.sleep(dgsf_sim::Dur(
             self.costs
                 .native_call_overhead
                 .as_nanos()
-                .saturating_mul(descs.len() as u64),
+                .saturating_mul(descs.count),
         ));
-        self.live_descriptors = self.live_descriptors.saturating_sub(descs.len() as u64);
+        self.live_descriptors = self.live_descriptors.saturating_sub(descs.count);
         self.ensure(p)?;
         Ok(())
     }
@@ -434,9 +428,9 @@ mod tests {
             let descs = api
                 .cudnn_create_descriptors(p, DescriptorKind::Tensor, 100)
                 .unwrap();
-            assert_eq!(descs.len(), 100);
+            assert_eq!(descs.count, 100);
             assert_eq!(api.live_descriptors(), 100);
-            api.cudnn_set_descriptors(p, &descs).unwrap();
+            api.cudnn_set_descriptors(p, descs).unwrap();
             api.cudnn_destroy_descriptors(p, descs).unwrap();
             assert_eq!(api.live_descriptors(), 0);
         });

@@ -9,14 +9,14 @@
 //! including indirect device pointers stored *inside* device data structures,
 //! which no argument-translation scheme could fix up.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_gpu::{VaRange, VaSpace, VA_GRANULARITY};
 use dgsf_sim::{Dur, ProcCtx, SimCell, SimHandle, SimTime, SyncMarker};
 
-use crate::context::{CudaContext, StreamCmd};
+use crate::context::{CudaContext, LibCreate, LibKind, StreamCmd};
 use crate::costs::CostTable;
 use crate::error::{CudaError, CudaResult};
 use crate::module::{KernelId, ModuleRegistry};
@@ -39,40 +39,57 @@ struct SessionAlloc {
     range: VaRange,
 }
 
-/// Client-visible handle twins: the value the application holds, mapped to
-/// the per-context native value for every context the session has visited.
-#[derive(Default)]
-struct TwinMap {
-    /// client handle -> (context id -> native handle)
-    twins: HashMap<u64, HashMap<u64, u64>>,
+/// What a client handle names.
+enum HandleKind {
+    Stream,
+    /// An event, with the marker its records queue: made at the first
+    /// `cudaEventRecord` and reused by every later one.
+    Event(Option<SyncMarker>),
+    Lib(LibKind),
 }
 
-impl TwinMap {
-    fn insert(&mut self, client: u64, ctx: u64, native: u64) {
-        self.twins.entry(client).or_default().insert(ctx, native);
-    }
-    fn get(&self, client: u64, ctx: u64) -> Option<u64> {
-        self.twins.get(&client).and_then(|m| m.get(&ctx)).copied()
-    }
-    fn remove(&mut self, client: u64) -> Option<HashMap<u64, u64>> {
-        self.twins.remove(&client)
-    }
-    /// True if the client handle is known at all.
-    fn contains(&self, client: u64) -> bool {
-        self.twins.contains_key(&client)
-    }
-    /// Drop one context's twin of a client handle (after destroying it).
-    fn remove_twin(&mut self, client: u64, ctx: u64) {
-        if let Some(m) = self.twins.get_mut(&client) {
-            m.remove(&ctx);
+impl HandleKind {
+    /// The kind's name, as error messages give it.
+    fn name(&self) -> &'static str {
+        match self {
+            HandleKind::Stream => "stream",
+            HandleKind::Event(_) => "event",
+            HandleKind::Lib(kind) => kind.name(),
         }
     }
-    fn clients(&self) -> Vec<u64> {
-        self.twins.keys().copied().collect()
+
+    /// Create a native twin of this kind on `ctx`. A library twin made here
+    /// is a migration twin: footprint, no creation latency.
+    fn create_on(&self, proc: &ProcCtx, ctx: &CudaContext) -> CudaResult<u64> {
+        match self {
+            HandleKind::Stream => Ok(ctx.create_stream()),
+            HandleKind::Event(_) => Ok(ctx.create_event()),
+            HandleKind::Lib(kind) => ctx.create_lib_handle(proc, *kind, LibCreate::Twin),
+        }
     }
-    fn len(&self) -> usize {
-        self.twins.len()
+
+    /// Destroy the native twin `native` of this kind on `ctx`.
+    fn destroy_on(&self, ctx: &CudaContext, native: u64) -> CudaResult<()> {
+        match self {
+            HandleKind::Stream => {
+                ctx.destroy_stream(native);
+                Ok(())
+            }
+            HandleKind::Event(_) => Ok(()),
+            HandleKind::Lib(kind) => ctx.destroy_lib_handle(*kind, native),
+        }
     }
+}
+
+/// One client-visible handle and its one native twin, on the session's
+/// active context.
+struct Handle {
+    /// The value the application holds: the twin's native value on the
+    /// context that created it. Stable across migrations.
+    client: u64,
+    /// The twin's value on the active context.
+    native: u64,
+    kind: HandleKind,
 }
 
 /// Outcome of one live migration.
@@ -108,17 +125,14 @@ pub struct GpuSession {
     /// The application's virtual address space — survives migration intact.
     va: Rc<SimCell<VaSpace>>,
     registry: Arc<ModuleRegistry>,
-    allocs: HashMap<u64, SessionAlloc>,
+    /// Allocations by base address.
+    allocs: BTreeMap<u64, SessionAlloc>,
     mem_limit: Option<u64>,
     mem_used: u64,
     peak_mem: u64,
-    streams: TwinMap,
-    events: TwinMap,
-    cudnn: TwinMap,
-    cublas: TwinMap,
-    /// `cudaEventRecord` markers: client event → its marker, made at the
-    /// event's first record and reused by every later one.
-    event_waits: HashMap<u64, SyncMarker>,
+    /// Every stream, event and library handle of the session, in creation
+    /// order.
+    handles: Vec<Handle>,
     /// Number of completed migrations.
     pub migrations: u32,
 }
@@ -133,15 +147,11 @@ impl GpuSession {
             active: ctx,
             va: Rc::new(SimCell::new(h, VaSpace::new())),
             registry: Arc::new(ModuleRegistry::new()),
-            allocs: HashMap::new(),
+            allocs: BTreeMap::new(),
             mem_limit,
             mem_used: 0,
             peak_mem: 0,
-            streams: TwinMap::default(),
-            events: TwinMap::default(),
-            cudnn: TwinMap::default(),
-            cublas: TwinMap::default(),
-            event_waits: HashMap::new(),
+            handles: Vec::new(),
             migrations: 0,
         }
     }
@@ -210,17 +220,23 @@ impl GpuSession {
 
     /// `cudaFree`.
     pub fn free(&mut self, proc: &ProcCtx, ptr: DevPtr) -> CudaResult<()> {
+        let a = self.unmap(proc, ptr, "cudaFree")?;
+        self.active.gpu().mem_free(a.phys);
+        Ok(())
+    }
+
+    /// Take the allocation at `ptr` out of the session and release its
+    /// virtual range. Its physical allocation is left to the caller.
+    fn unmap(&mut self, proc: &ProcCtx, ptr: DevPtr, call: &str) -> CudaResult<SessionAlloc> {
         let a = self
             .allocs
             .remove(&ptr.0)
-            .ok_or_else(|| CudaError::InvalidValue(format!("cudaFree({:#x})", ptr.0)))?;
+            .ok_or_else(|| CudaError::InvalidValue(format!("{call}({:#x})", ptr.0)))?;
         let mut va = self.va.borrow_in(proc);
         va.unmap(a.range.base)?;
         va.release(a.range)?;
-        drop(va);
-        self.active.gpu().mem_free(a.phys);
         self.mem_used -= a.mapped;
-        Ok(())
+        Ok(a)
     }
 
     /// Park an allocation in the active context's resident store under
@@ -236,14 +252,7 @@ impl GpuSession {
                 "resident key {key:#x} already published"
             )));
         }
-        let a = self
-            .allocs
-            .remove(&ptr.0)
-            .ok_or_else(|| CudaError::InvalidValue(format!("publish_buffer({:#x})", ptr.0)))?;
-        let mut va = self.va.borrow_in(proc);
-        va.unmap(a.range.base)?;
-        va.release(a.range)?;
-        drop(va);
+        let a = self.unmap(proc, ptr, "publish_buffer")?;
         // No `mem_free`: the physical pages survive as the parked buffer.
         self.active.publish_resident(
             key,
@@ -252,9 +261,7 @@ impl GpuSession {
                 requested: a.requested,
                 mapped: a.mapped,
             },
-        )?;
-        self.mem_used -= a.mapped;
-        Ok(())
+        )
     }
 
     /// Adopt the buffer parked under `key` in the active context's
@@ -365,8 +372,10 @@ impl GpuSession {
     pub fn pointer_attributes(&self, ptr: DevPtr) -> PtrAttributes {
         let known = self
             .allocs
-            .values()
-            .find(|a| ptr.0 >= a.range.base && ptr.0 < a.range.base + a.mapped);
+            .range(..=ptr.0)
+            .next_back()
+            .map(|(_, a)| a)
+            .filter(|a| ptr.0 < a.range.base + a.mapped);
         PtrAttributes {
             is_device: known.is_some(),
             alloc_size: known.map(|a| a.requested),
@@ -399,10 +408,7 @@ impl GpuSession {
         let body = def.func.clone();
         let native = match stream {
             None => crate::context::DEFAULT_STREAM,
-            Some(s) => self
-                .streams
-                .get(s.0, self.active.id)
-                .ok_or_else(|| CudaError::InvalidResourceHandle(format!("stream {:#x}", s.0)))?,
+            Some(s) => self.handles[self.find(s.0, "stream")?].native,
         };
         // A timed kernel's command is its cost; only a functional one
         // carries what its body reads.
@@ -421,10 +427,7 @@ impl GpuSession {
 
     /// `cudaStreamSynchronize`: drain one client stream's queue.
     pub fn stream_synchronize(&mut self, proc: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
-        let native = self
-            .streams
-            .get(s.0, self.active.id)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("stream {:#x}", s.0)))?;
+        let native = self.handles[self.find(s.0, "stream")?].native;
         self.active.sync_stream(proc, native);
         Ok(())
     }
@@ -441,66 +444,79 @@ impl GpuSession {
 
     // ---- handles (client-visible values are stable across migration) ----
 
-    /// `cudaStreamCreate`. The twin is pre-created on the current context;
-    /// further twins appear at migration time.
+    /// Index of client handle `client` of kind `what` in the table.
+    fn find(&self, client: u64, what: &'static str) -> CudaResult<usize> {
+        self.handles
+            .iter()
+            .position(|h| h.client == client && h.kind.name() == what)
+            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("{what} {client:#x}")))
+    }
+
+    /// Add a handle whose twin `native` was just created on the active
+    /// context; its client value is that native value.
+    fn insert(&mut self, kind: HandleKind, native: u64) -> u64 {
+        self.handles.push(Handle {
+            client: native,
+            native,
+            kind,
+        });
+        native
+    }
+
+    /// Remove a client handle and destroy its twin.
+    fn destroy(&mut self, client: u64, what: &'static str) -> CudaResult<()> {
+        let h = self.handles.remove(self.find(client, what)?);
+        h.kind.destroy_on(&self.active, h.native)
+    }
+
+    /// Create a cuDNN or cuBLAS handle, pooled or cold.
+    fn lib_create(&mut self, proc: &ProcCtx, kind: LibKind, pooled: bool) -> CudaResult<u64> {
+        let how = if pooled {
+            LibCreate::Pooled
+        } else {
+            LibCreate::Cold
+        };
+        let native = self.active.create_lib_handle(proc, kind, how)?;
+        Ok(self.insert(HandleKind::Lib(kind), native))
+    }
+
+    /// `cudaStreamCreate`. The twin is created on the current context and
+    /// moves with the session.
     pub fn stream_create(&mut self, _proc: &ProcCtx) -> StreamHandle {
-        let native = self.active.create_stream();
-        self.streams.insert(native, self.active.id, native);
-        StreamHandle(native)
+        StreamHandle(self.insert(HandleKind::Stream, self.active.create_stream()))
     }
 
     /// `cudaStreamDestroy`.
     pub fn stream_destroy(&mut self, _proc: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
-        let twins = self
-            .streams
-            .remove(s.0)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("stream {:#x}", s.0)))?;
-        if let Some(&native) = twins.get(&self.active.id) {
-            self.active.destroy_stream(native);
-        }
-        Ok(())
+        self.destroy(s.0, "stream")
     }
 
     /// Native stream handle backing a client stream on the active context —
     /// exercised by migration tests.
     pub fn native_stream(&self, s: StreamHandle) -> Option<u64> {
-        self.streams.get(s.0, self.active.id)
+        self.find(s.0, "stream")
+            .ok()
+            .map(|i| self.handles[i].native)
     }
 
     /// `cudaEventCreate`.
     pub fn event_create(&mut self, _proc: &ProcCtx) -> EventHandle {
-        let native = self.active.create_event();
-        self.events.insert(native, self.active.id, native);
-        EventHandle(native)
+        EventHandle(self.insert(HandleKind::Event(None), self.active.create_event()))
     }
 
     /// `cudaEventDestroy`.
     pub fn event_destroy(&mut self, _proc: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        let twins = self
-            .events
-            .remove(e.0)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("event {:#x}", e.0)))?;
-        if let Some(&native) = twins.get(&self.active.id) {
-            self.active.destroy_event(native);
-        }
-        self.event_waits.remove(&e.0);
-        Ok(())
+        self.destroy(e.0, "event")
     }
 
     /// `cudaEventRecord` on the default stream: the event completes once
     /// every command submitted before this point has retired.
     pub fn event_record(&mut self, proc: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        if !self.events.contains(e.0) {
-            return Err(CudaError::InvalidResourceHandle(format!(
-                "event {:#x}",
-                e.0
-            )));
+        let i = self.find(e.0, "event")?;
+        if let HandleKind::Event(marker) = &mut self.handles[i].kind {
+            let marker = marker.get_or_insert_with(|| SyncMarker::new(&self.handle));
+            self.active.record(proc, marker);
         }
-        let marker = self
-            .event_waits
-            .entry(e.0)
-            .or_insert_with(|| SyncMarker::new(&self.handle));
-        self.active.record(proc, marker);
         Ok(())
     }
 
@@ -508,8 +524,10 @@ impl GpuSession {
     /// An event that was never recorded is complete by definition (CUDA
     /// semantics).
     pub fn event_synchronize(&mut self, proc: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        if let Some(marker) = self.event_waits.get(&e.0) {
-            marker.wait(proc);
+        if let Ok(i) = self.find(e.0, "event") {
+            if let HandleKind::Event(Some(marker)) = &self.handles[i].kind {
+                marker.wait(proc);
+            }
         }
         Ok(())
     }
@@ -518,55 +536,38 @@ impl GpuSession {
     /// pre-created pool: no creation latency, no additional device memory
     /// (it is part of the server's idle footprint). Cold handles pay both.
     pub fn cudnn_create(&mut self, proc: &ProcCtx, pooled: bool) -> CudaResult<CudnnHandle> {
-        let native = if pooled {
-            self.active.serve_pooled_cudnn_handle()
-        } else {
-            self.active.create_cudnn_handle(proc, true)?
-        };
-        self.cudnn.insert(native, self.active.id, native);
-        Ok(CudnnHandle(native))
+        self.lib_create(proc, LibKind::Cudnn, pooled)
+            .map(CudnnHandle)
     }
 
     /// `cudnnDestroy`.
     pub fn cudnn_destroy(&mut self, _proc: &ProcCtx, h: CudnnHandle) -> CudaResult<()> {
-        let twins = self
-            .cudnn
-            .remove(h.0)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("cudnn {:#x}", h.0)))?;
-        if let Some(&native) = twins.get(&self.active.id) {
-            self.active.destroy_cudnn_handle(native)?;
-        }
-        Ok(())
+        self.destroy(h.0, "cudnn")
     }
 
     /// `cublasCreate`. See [`GpuSession::cudnn_create`] for the `pooled`
     /// semantics.
     pub fn cublas_create(&mut self, proc: &ProcCtx, pooled: bool) -> CudaResult<CublasHandle> {
-        let native = if pooled {
-            self.active.serve_pooled_cublas_handle()
-        } else {
-            self.active.create_cublas_handle(proc, true)?
-        };
-        self.cublas.insert(native, self.active.id, native);
-        Ok(CublasHandle(native))
+        self.lib_create(proc, LibKind::Cublas, pooled)
+            .map(CublasHandle)
     }
 
     /// `cublasDestroy`.
     pub fn cublas_destroy(&mut self, _proc: &ProcCtx, h: CublasHandle) -> CudaResult<()> {
-        let twins = self
-            .cublas
-            .remove(h.0)
-            .ok_or_else(|| CudaError::InvalidResourceHandle(format!("cublas {:#x}", h.0)))?;
-        if let Some(&native) = twins.get(&self.active.id) {
-            self.active.destroy_cublas_handle(native)?;
-        }
-        Ok(())
+        self.destroy(h.0, "cublas")
     }
 
-    /// True if the session holds any cuDNN or cuBLAS handles (migration must
-    /// then recreate library state on the target).
-    pub fn uses_dnn_libs(&self) -> bool {
-        self.cudnn.len() > 0 || self.cublas.len() > 0
+    /// Device memory the session's library twins need on a migration
+    /// target: one footprint per handle, pooled ones included (a twin away
+    /// from its pool owns its footprint).
+    fn lib_mem(&self) -> u64 {
+        self.handles
+            .iter()
+            .map(|h| match h.kind {
+                HandleKind::Lib(kind) => kind.mem(&self.costs),
+                _ => 0,
+            })
+            .sum()
     }
 
     // ---- migration (§V-D) ----
@@ -578,8 +579,17 @@ impl GpuSession {
     ///    copy the data D2D (overlapping allocations across DMA channels),
     ///    and *remap the unchanged virtual range* onto the new physical
     ///    allocation.
-    /// 3. Recreate cuDNN/cuBLAS/stream/event twins on the target context and
-    ///    extend the client→native translation maps.
+    /// 3. Walk the handle table once: create each handle's twin on the
+    ///    target context and destroy the one on the source, so every client
+    ///    handle keeps exactly one twin, on the active context. Charge the
+    ///    library recreation once, after the copy, if any library handle
+    ///    moved.
+    ///
+    /// The target must hold the allocations *and* one footprint per library
+    /// twin. That is checked before anything moves, and all of it is taken
+    /// in the same instant, so a migration that does not fit fails with the
+    /// session untouched where it was, and memory another process takes on
+    /// the target during the copy cannot strand it.
     pub fn migrate(
         &mut self,
         proc: &ProcCtx,
@@ -603,7 +613,7 @@ impl GpuSession {
         let t_quiesced = proc.now();
 
         // (2) move memory. Admission-check the target first.
-        let need: u64 = self.allocs.values().map(|a| a.mapped).sum();
+        let need = self.allocs.values().map(|a| a.mapped).sum::<u64>() + self.lib_mem();
         if target.gpu().free_mem() < need {
             return Err(CudaError::MemoryAllocation {
                 requested: need,
@@ -627,6 +637,20 @@ impl GpuSession {
                 .expect("remap of session allocation failed");
             a.phys = new_phys;
         }
+        // (3) move every handle's twin to the target context, still in the
+        // admission check's instant.
+        let mut libs_moved = false;
+        for h in &mut self.handles {
+            let native = h
+                .kind
+                .create_on(proc, target)
+                .expect("admission-checked target ran out of memory");
+            h.kind
+                .destroy_on(&self.active, h.native)
+                .expect("session handle missing from the source context");
+            h.native = native;
+            libs_moved |= matches!(h.kind, HandleKind::Lib(_));
+        }
         let copy_secs = copy_makespan(
             &sizes,
             self.costs.d2d_channels.max(1),
@@ -638,42 +662,7 @@ impl GpuSession {
         proc.sleep(Dur::from_secs_f64(gated));
         let t_copied = proc.now();
 
-        // (3) recreate handles on the target context.
-        for client in self.streams.clients() {
-            if self.streams.get(client, target.id).is_none() {
-                let native = target.create_stream();
-                self.streams.insert(client, target.id, native);
-            }
-        }
-        for client in self.events.clients() {
-            if self.events.get(client, target.id).is_none() {
-                let native = target.create_event();
-                self.events.insert(client, target.id, native);
-            }
-        }
-        let uses_libs = self.uses_dnn_libs();
-        for client in self.cudnn.clients() {
-            if self.cudnn.get(client, target.id).is_none() {
-                let native = target.create_cudnn_handle(proc, false)?;
-                self.cudnn.insert(client, target.id, native);
-                // the old twin's footprint leaves the source GPU
-                if let Some(old) = self.cudnn.get(client, self.active.id) {
-                    self.active.destroy_cudnn_handle(old)?;
-                    self.cudnn.remove_twin(client, self.active.id);
-                }
-            }
-        }
-        for client in self.cublas.clients() {
-            if self.cublas.get(client, target.id).is_none() {
-                let native = target.create_cublas_handle(proc, false)?;
-                self.cublas.insert(client, target.id, native);
-                if let Some(old) = self.cublas.get(client, self.active.id) {
-                    self.active.destroy_cublas_handle(old)?;
-                    self.cublas.remove_twin(client, self.active.id);
-                }
-            }
-        }
-        if uses_libs {
+        if libs_moved {
             proc.sleep(self.costs.migration_lib_recreate);
         }
         let t_end = proc.now();
@@ -707,21 +696,11 @@ impl GpuSession {
     /// function — with nothing left to copy).
     pub fn release(&mut self, proc: &ProcCtx) {
         self.active.sync(proc);
-        let ptrs: Vec<u64> = self.allocs.keys().copied().collect();
-        for p in ptrs {
-            let _ = self.free(proc, DevPtr(p));
+        while let Some(&base) = self.allocs.keys().next() {
+            let _ = self.free(proc, DevPtr(base));
         }
-        for s in self.streams.clients() {
-            let _ = self.stream_destroy(proc, StreamHandle(s));
-        }
-        for e in self.events.clients() {
-            let _ = self.event_destroy(proc, EventHandle(e));
-        }
-        for h in self.cudnn.clients() {
-            let _ = self.cudnn_destroy(proc, CudnnHandle(h));
-        }
-        for h in self.cublas.clients() {
-            let _ = self.cublas_destroy(proc, CublasHandle(h));
+        for h in self.handles.drain(..) {
+            let _ = h.kind.destroy_on(&self.active, h.native);
         }
         self.active = Rc::clone(&self.home);
     }
@@ -957,6 +936,120 @@ mod tests {
                 .memcpy_d2h(proc, DevPtr(dgsf_gpu::VA_BASE), 4, true)
                 .unwrap();
             assert_eq!(data.to_f32s().unwrap(), vec![0.0]);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn no_context_keeps_a_twin_after_release() {
+        // One-way (home → away) and round-trip (home → away → home)
+        // migrations: each client handle has one twin, which moves, so
+        // once the session is released neither context holds a stream or
+        // a library footprint of it.
+        for round_trip in [false, true] {
+            let mut sim = Sim::new(1);
+            let h = sim.handle();
+            let (g0, g1) = two_gpu_session(&sim);
+            sim.spawn("app", move |proc| {
+                let costs = Arc::new(CostTable::default());
+                let home = CudaContext::create(proc, &h, g0.clone(), costs.clone(), false).unwrap();
+                let away = CudaContext::create(proc, &h, g1.clone(), costs, false).unwrap();
+                let base = (g0.used_mem(), g1.used_mem());
+                let mut s = GpuSession::new(&h, home.clone(), None);
+                let stream = s.stream_create(proc);
+                s.event_create(proc);
+                s.cudnn_create(proc, false).unwrap();
+                s.cublas_create(proc, true).unwrap();
+                let mut twins = vec![(home.clone(), s.native_stream(stream).unwrap())];
+                let route = if round_trip {
+                    vec![away.clone(), home.clone()]
+                } else {
+                    vec![away.clone()]
+                };
+                for ctx in route {
+                    s.migrate(proc, &ctx).unwrap();
+                    let native = s.native_stream(stream).unwrap();
+                    for (old, n) in &twins {
+                        assert!(!old.has_stream(*n), "the source twin is destroyed");
+                    }
+                    assert!(ctx.has_stream(native));
+                    twins.push((ctx, native));
+                }
+                s.release(proc);
+                for (ctx, n) in &twins {
+                    assert!(!ctx.has_stream(*n), "stream twin {n:#x} outlived release");
+                }
+                assert_eq!((g0.used_mem(), g1.used_mem()), base, "no library footprint");
+            });
+            sim.run();
+        }
+    }
+
+    #[test]
+    fn migration_that_cannot_fit_a_library_twin_moves_nothing() {
+        // The target has room for the allocation but not for the cuDNN
+        // handle's twin: the migration is refused before anything moves,
+        // and the session keeps working where it was.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (g0, g1) = two_gpu_session(&sim);
+        sim.spawn("app", move |proc| {
+            let costs = Arc::new(CostTable::default());
+            let home = CudaContext::create(proc, &h, g0.clone(), costs.clone(), false).unwrap();
+            let ctx_mem = costs.cuda_ctx_mem;
+            let away = CudaContext::create(proc, &h, g1.clone(), costs, false).unwrap();
+            let _hog = g1.reserve(g1.free_mem() - 100 * MB).unwrap();
+            let g1_used = g1.used_mem();
+            let mut s = GpuSession::new(&h, home.clone(), None);
+            let p = s.malloc(proc, 64 * MB).unwrap();
+            s.memcpy_h2d(proc, p, &HostBuf::from_f32s(&[4.5])).unwrap();
+            s.cudnn_create(proc, false).unwrap();
+            let g0_used = g0.used_mem();
+            let err = s.migrate(proc, &away).unwrap_err();
+            assert_eq!((g0.used_mem(), g1.used_mem()), (g0_used, g1_used));
+            assert!(Rc::ptr_eq(s.active_context(), &home));
+            assert!(matches!(
+                err,
+                CudaError::MemoryAllocation { requested, free }
+                    if requested == 64 * MB + 382 * MB && free == 100 * MB
+            ));
+            let back = s.memcpy_d2h(proc, p, 4, true).unwrap();
+            assert_eq!(back.to_f32s().unwrap(), vec![4.5]);
+            s.free(proc, p).unwrap();
+            assert_eq!(g1.used_mem(), g1_used, "nothing of the session on GPU 1");
+            s.release(proc);
+            assert_eq!(g0.used_mem(), ctx_mem, "GPU 0 back to its context");
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn memory_taken_on_the_target_during_the_copy_cannot_strand_the_session() {
+        // Another process fills the target GPU while the migration copies.
+        // Everything the session needs there was taken at the admission
+        // check, so the migration completes and release empties GPU 1.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (g0, g1) = two_gpu_session(&sim);
+        let hog_gpu = g1.clone();
+        h.spawn("hog", move |proc| {
+            proc.sleep(Dur::from_millis(100));
+            let _hog = hog_gpu.reserve(hog_gpu.free_mem()).unwrap();
+            proc.sleep(Dur::from_secs(100));
+        });
+        sim.spawn("app", move |proc| {
+            let costs = Arc::new(CostTable::default());
+            let home = CudaContext::create(proc, &h, g0.clone(), costs.clone(), false).unwrap();
+            let away = CudaContext::create(proc, &h, g1.clone(), costs, false).unwrap();
+            let mut s = GpuSession::new(&h, home, None);
+            s.malloc(proc, 64 * MB).unwrap();
+            s.cudnn_create(proc, true).unwrap();
+            let report = s.migrate(proc, &away).unwrap();
+            assert!(report.copy >= Dur::from_millis(100), "the hog ran mid-copy");
+            assert_eq!(g1.free_mem(), 0);
+            s.release(proc);
+            assert_eq!(g1.alloc_count(), 0);
+            assert_eq!(g1.free_mem(), 64 * MB + 382 * MB);
         });
         sim.run();
     }

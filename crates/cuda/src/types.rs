@@ -14,8 +14,8 @@ impl DevPtr {
 }
 
 /// A CUDA stream handle, as seen by the application. Handle *values* are
-/// context-specific; DGSF keeps a per-context twin map so migration can
-/// translate (§V-D).
+/// context-specific; a session keeps one native twin per client handle, on
+/// its active context, and migration moves it (§V-D).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct StreamHandle(pub u64);
 
@@ -31,11 +31,17 @@ pub struct CudnnHandle(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CublasHandle(pub u64);
 
-/// A cuDNN descriptor (tensor/convolution/filter/… descriptor). These are
-/// host-side opaque structs; DGSF's guest library pools them to avoid
-/// remoting their create/destroy calls (§V-C).
+/// A batch of cuDNN descriptors (tensor/convolution/filter/… descriptors)
+/// with consecutive ids, as one aggregated create call hands them out.
+/// Descriptors are host-side opaque structs; DGSF's guest library pools
+/// them to avoid remoting their create/destroy calls (§V-C).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CudnnDescriptor(pub u64);
+pub struct DescriptorRange {
+    /// Id of the first descriptor.
+    pub first: u64,
+    /// Number of descriptors.
+    pub count: u64,
+}
 
 /// Kind of cuDNN descriptor, for pool bookkeeping.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -17,12 +17,12 @@
 //! Which classes are active is controlled by [`OptConfig`], the knob the
 //! ablation study (Figure 4) sweeps.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use dgsf_cuda::{
-    ApiStats, CublasHandle, CudaApi, CudaError, CudaResult, CudnnDescriptor, CudnnHandle,
-    DescriptorKind, DevPtr, EventHandle, HostBuf, KernelArgs, LaunchConfig, LibOp, ModuleRegistry,
+    ApiStats, CublasHandle, CudaApi, CudaError, CudaResult, CudnnHandle, DescriptorKind,
+    DescriptorRange, DevPtr, EventHandle, HostBuf, KernelArgs, LaunchConfig, LibOp, ModuleRegistry,
     PtrAttributes, StreamHandle,
 };
 use dgsf_gpu::DeviceProps;
@@ -105,13 +105,15 @@ pub struct RemoteCuda {
     stats: ApiStats,
     count_cache: Option<u32>,
     props_cache: Option<DeviceProps>,
-    /// Device allocations the guest has seen (ptr → requested size); lets
-    /// `cudaPointerGetAttributes` answer locally.
-    allocs: HashMap<u64, u64>,
+    /// Device allocations the guest has seen, by base pointer, with the
+    /// requested size; lets `cudaPointerGetAttributes` answer locally. An
+    /// adopted buffer's size is unknown here (`None`): the server answers
+    /// the adoption with the pointer only.
+    allocs: BTreeMap<u64, Option<u64>>,
     /// Kernel name → client-visible function pointer, sorted by name.
     fptrs: Vec<(String, u64)>,
     /// Live client stream handles (guest-side validation).
-    streams: std::collections::HashSet<u64>,
+    streams: HashSet<u64>,
     /// Deferred asynchronous requests.
     batch: Vec<Request>,
     next_local_descriptor: u64,
@@ -148,9 +150,9 @@ impl RemoteCuda {
             stats: ApiStats::default(),
             count_cache: None,
             props_cache: None,
-            allocs: HashMap::new(),
+            allocs: BTreeMap::new(),
             fptrs: Vec::new(),
-            streams: std::collections::HashSet::new(),
+            streams: HashSet::new(),
             batch: Vec::new(),
             next_local_descriptor: 0x8000_0000_0000_0000,
             live_local_descriptors: 0,
@@ -314,7 +316,7 @@ impl CudaApi for RemoteCuda {
         self.flush(p)?;
         match self.call(p, &Request::Malloc { bytes })? {
             Response::Ptr(ptr) => {
-                self.allocs.insert(ptr, bytes);
+                self.allocs.insert(ptr, Some(bytes));
                 Ok(DevPtr(ptr))
             }
             other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
@@ -342,11 +344,7 @@ impl CudaApi for RemoteCuda {
         self.flush(p)?;
         match self.call(p, &Request::AdoptBuffer { key })? {
             Response::Ptr(ptr) => {
-                // The server answers only with the fresh pointer; record it
-                // with an unknown (zero) size so local
-                // `pointer_get_attributes` still classifies it as a device
-                // pointer.
-                self.allocs.insert(ptr, 0);
+                self.allocs.insert(ptr, None);
                 Ok(DevPtr(ptr))
             }
             other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
@@ -552,16 +550,17 @@ impl CudaApi for RemoteCuda {
 
     fn pointer_get_attributes(&mut self, p: &ProcCtx, ptr: DevPtr) -> CudaResult<PtrAttributes> {
         self.stats.issue(1);
-        if self.opts.localization {
-            // The guest tracks every device allocation; no remoting needed.
+        // The guest tracks every device allocation and answers locally,
+        // unless the pointer may lie in an adopted buffer, whose size only
+        // the server knows.
+        let below = self.allocs.range(..=ptr.0).next_back();
+        let maybe_adopted = matches!(below, Some((_, None)));
+        if self.opts.localization && !maybe_adopted {
             self.stats.localized_calls += 1;
-            let hit = self
-                .allocs
-                .iter()
-                .find(|(base, size)| ptr.0 >= **base && ptr.0 < **base + **size);
+            let alloc_size = below.and_then(|(base, size)| size.filter(|size| ptr.0 < base + size));
             return Ok(PtrAttributes {
-                is_device: hit.is_some(),
-                alloc_size: hit.map(|(_, s)| *s),
+                is_device: alloc_size.is_some(),
+                alloc_size,
                 device: 0,
             });
         }
@@ -619,19 +618,17 @@ impl CudaApi for RemoteCuda {
         p: &ProcCtx,
         kind: DescriptorKind,
         n: u64,
-    ) -> CudaResult<Vec<CudnnDescriptor>> {
+    ) -> CudaResult<DescriptorRange> {
         self.stats.issue(n);
         if self.opts.descriptor_pools {
             // Served from the guest-side pool: no network traffic at all.
             self.stats.localized_calls += n;
             self.live_local_descriptors += n;
-            let out = (0..n)
-                .map(|_| {
-                    let d = CudnnDescriptor(self.next_local_descriptor);
-                    self.next_local_descriptor += 1;
-                    d
-                })
-                .collect();
+            let out = DescriptorRange {
+                first: self.next_local_descriptor,
+                count: n,
+            };
+            self.next_local_descriptor += n;
             return Ok(out);
         }
         match self.call_n(
@@ -642,13 +639,17 @@ impl CudaApi for RemoteCuda {
             },
             n.max(1) as u32,
         )? {
-            Response::Handles(hs) => Ok(hs.into_iter().map(CudnnDescriptor).collect()),
+            // The server hands out consecutive ids.
+            Response::Handles(hs) => Ok(DescriptorRange {
+                first: hs.first().copied().unwrap_or(0),
+                count: hs.len() as u64,
+            }),
             other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
         }
     }
 
-    fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: &[CudnnDescriptor]) -> CudaResult<()> {
-        let n = descs.len() as u64;
+    fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()> {
+        let n = descs.count;
         self.stats.issue(n);
         if self.opts.descriptor_pools {
             // Descriptor state is kept guest-side and piggybacked onto the
@@ -660,12 +661,8 @@ impl CudaApi for RemoteCuda {
         Ok(())
     }
 
-    fn cudnn_destroy_descriptors(
-        &mut self,
-        p: &ProcCtx,
-        descs: Vec<CudnnDescriptor>,
-    ) -> CudaResult<()> {
-        let n = descs.len() as u64;
+    fn cudnn_destroy_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()> {
+        let n = descs.count;
         self.stats.issue(n);
         if self.opts.descriptor_pools {
             self.stats.localized_calls += n;

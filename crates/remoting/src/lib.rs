@@ -30,8 +30,8 @@ pub use transport::{RpcClient, RpcEnvelope, RpcInbox, TransportError};
 mod tests {
     use super::*;
     use dgsf_cuda::{
-        CostTable, CudaApi, CudaContext, GpuSession, HostBuf, KernelArgs, KernelCost, KernelDef,
-        LaunchConfig, LibOp, ModuleRegistry,
+        CostTable, CudaApi, CudaContext, DevPtr, GpuSession, HostBuf, KernelArgs, KernelCost,
+        KernelDef, LaunchConfig, LibOp, ModuleRegistry,
     };
     use dgsf_gpu::{Gpu, GpuId, MB};
     use dgsf_sim::{Dur, Sim, SimCell};
@@ -133,7 +133,7 @@ mod tests {
                 let descs = api
                     .cudnn_create_descriptors(p, dgsf_cuda::DescriptorKind::Tensor, 200)
                     .unwrap();
-                api.cudnn_set_descriptors(p, &descs).unwrap();
+                api.cudnn_set_descriptors(p, descs).unwrap();
                 for _ in 0..10 {
                     api.cudnn_op(
                         p,
@@ -196,6 +196,42 @@ mod tests {
         // cold pays 3.2 + 1.2 + 0.2 ≈ 4.6 s; pooled pays only round trips
         assert!(cold > 4.5, "cold start pays full init: {cold}");
         assert!(pooled < 0.1, "pooled start hides init: {pooled}");
+    }
+
+    #[test]
+    fn adopted_pointer_reads_as_device_memory_with_and_without_localization() {
+        // The guest learns only an adopted buffer's pointer, not its size;
+        // its answer must still be the server's.
+        let run = |opts: OptConfig| {
+            let mut sim = Sim::new(7);
+            let api = serve(&sim, functional_registry(), opts);
+            let out = Rc::new(SimCell::new(&sim.handle(), Vec::new()));
+            let o = out.clone();
+            sim.spawn("guest", move |p| {
+                let mut api = api.lock().take().unwrap();
+                api.runtime_init(p).unwrap();
+                let mine = api.malloc(p, MB).unwrap();
+                let parked = api.malloc(p, MB).unwrap();
+                api.publish_buffer(p, 0xAD, parked).unwrap();
+                let adopted = api.adopt_buffer(p, 0xAD).unwrap();
+                for ptr in [adopted, adopted.offset(4096), mine, DevPtr(0x10)] {
+                    let attrs = api.pointer_get_attributes(p, ptr).unwrap();
+                    o.lock().push((attrs.is_device, attrs.alloc_size));
+                }
+                api.finish(p).unwrap();
+            });
+            sim.run();
+            let answers = out.lock().clone();
+            answers
+        };
+        let local = run(OptConfig::full());
+        let remote = run(OptConfig {
+            localization: false,
+            ..OptConfig::full()
+        });
+        let device = (true, Some(MB));
+        assert_eq!(local, vec![device, device, device, (false, None)]);
+        assert_eq!(local, remote, "the guest answers as the server does");
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Workload for TraceSpec {
         if self.load.descriptors > 0 {
             let d =
                 api.cudnn_create_descriptors(p, DescriptorKind::Tensor, self.load.descriptors)?;
-            api.cudnn_set_descriptors(p, &d)?;
+            api.cudnn_set_descriptors(p, d)?;
             api.cudnn_destroy_descriptors(p, d)?;
         }
         if self.weights > 0 {
@@ -173,7 +173,7 @@ impl Workload for TraceSpec {
             if self.proc.descriptors > 0 {
                 let d =
                     api.cudnn_create_descriptors(p, DescriptorKind::Tensor, self.proc.descriptors)?;
-                api.cudnn_set_descriptors(p, &d)?;
+                api.cudnn_set_descriptors(p, d)?;
                 api.cudnn_destroy_descriptors(p, d)?;
             }
             if let Some(dnn) = dnn {
