@@ -504,11 +504,6 @@ impl GpuSession {
         EventHandle(self.insert(HandleKind::Event(None), self.active.create_event()))
     }
 
-    /// `cudaEventDestroy`.
-    pub fn event_destroy(&mut self, _proc: &ProcCtx, e: EventHandle) -> CudaResult<()> {
-        self.destroy(e.0, "event")
-    }
-
     /// `cudaEventRecord` on the default stream: the event completes once
     /// every command submitted before this point has retired.
     pub fn event_record(&mut self, proc: &ProcCtx, e: EventHandle) -> CudaResult<()> {

@@ -17,7 +17,7 @@
 //! Which classes are active is controlled by [`OptConfig`], the knob the
 //! ablation study (Figure 4) sweeps.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dgsf_cuda::{
@@ -112,8 +112,9 @@ pub struct RemoteCuda {
     allocs: BTreeMap<u64, Option<u64>>,
     /// Kernel name → client-visible function pointer, sorted by name.
     fptrs: Vec<(String, u64)>,
-    /// Live client stream handles (guest-side validation).
-    streams: HashSet<u64>,
+    /// Live client stream handles (guest-side validation); a guest holds a
+    /// handful, so a linear scan is the cheapest lookup.
+    streams: Vec<u64>,
     /// Deferred asynchronous requests.
     batch: Vec<Request>,
     next_local_descriptor: u64,
@@ -152,7 +153,7 @@ impl RemoteCuda {
             props_cache: None,
             allocs: BTreeMap::new(),
             fptrs: Vec::new(),
-            streams: HashSet::new(),
+            streams: Vec::new(),
             batch: Vec::new(),
             next_local_descriptor: 0x8000_0000_0000_0000,
             live_local_descriptors: 0,
@@ -499,7 +500,7 @@ impl CudaApi for RemoteCuda {
         self.flush(p)?;
         match self.call(p, &Request::StreamCreate)? {
             Response::Handle(h) => {
-                self.streams.insert(h);
+                self.streams.push(h);
                 Ok(StreamHandle(h))
             }
             other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
@@ -510,7 +511,7 @@ impl CudaApi for RemoteCuda {
         self.stats.issue(1);
         self.flush(p)?;
         self.call(p, &Request::StreamDestroy { h: s.0 })?;
-        self.streams.remove(&s.0);
+        self.streams.retain(|&h| h != s.0);
         Ok(())
     }
 

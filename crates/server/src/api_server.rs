@@ -9,7 +9,7 @@
 //! finishes the server reverts to its home GPU.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ pub struct MigrationRecord {
 
 struct ApiSrvState {
     current_gpu: GpuId,
-    contexts: HashMap<GpuId, Rc<CudaContext>>,
+    contexts: BTreeMap<GpuId, Rc<CudaContext>>,
     /// Set by the monitor (or a forced-migration experiment); consumed at
     /// the next API-call boundary.
     migration_request: Option<GpuId>,
@@ -82,6 +82,9 @@ pub struct ApiServerShared {
     killed: Cell<bool>,
     /// True while a migration is mid-flight (state transfer + re-bind).
     migrating: Cell<bool>,
+    /// Set by the monitor when this server's lease expires: it is declared
+    /// dead and excluded from placement forever.
+    lease_expired: Cell<bool>,
     /// Migrations this server has *begun* (whether or not they committed);
     /// indexes the fault plan's kill-on-migration schedule.
     migrations_begun: Cell<u64>,
@@ -98,8 +101,6 @@ impl ApiServerShared {
         home_ctx: Rc<CudaContext>,
         pool_reservation: Option<ReservationId>,
     ) -> ApiServerShared {
-        let mut contexts = HashMap::new();
-        contexts.insert(home_gpu, home_ctx);
         ApiServerShared {
             id,
             home_gpu,
@@ -107,12 +108,13 @@ impl ApiServerShared {
                 h,
                 ApiSrvState {
                     current_gpu: home_gpu,
-                    contexts,
+                    contexts: BTreeMap::from([(home_gpu, home_ctx)]),
                     migration_request: None,
                 },
             ),
             killed: Cell::new(false),
             migrating: Cell::new(false),
+            lease_expired: Cell::new(false),
             migrations_begun: Cell::new(0),
             pool_reservation: SimCell::new(h, pool_reservation),
         }
@@ -150,24 +152,34 @@ impl ApiServerShared {
         self.migrating.get()
     }
 
-    /// GPUs this server holds a CUDA context on (home + lazily created
-    /// migration contexts). Used by the invariant checker to balance the
-    /// fleet's memory books after migrations.
-    pub fn context_gpus(&self) -> Vec<GpuId> {
-        self.state.lock().contexts.keys().copied().collect()
+    /// True once the monitor has declared this server dead (lease expired).
+    pub(crate) fn lease_expired(&self) -> bool {
+        self.lease_expired.get()
     }
 
-    /// All CUDA contexts this server currently holds, ordered by GPU id
-    /// (deterministic — the state map is a `HashMap`).
+    pub(crate) fn expire_lease(&self) {
+        self.lease_expired.set(true);
+    }
+
+    /// GPU memory this server declares on `gpu`: its idle footprint
+    /// (context + handle pools) on its home GPU, one context on any other
+    /// GPU where it holds one (lazily created for a migration, whether or
+    /// not that migration committed), nothing elsewhere. The monitor places
+    /// by it and the memory-balance check compares it with the GPUs' real
+    /// reservations.
+    pub(crate) fn declared_mem(&self, gpu: GpuId, costs: &CostTable) -> u64 {
+        if gpu == self.home_gpu {
+            costs.idle_worker_mem()
+        } else if self.state.lock().contexts.contains_key(&gpu) {
+            costs.cuda_ctx_mem
+        } else {
+            0
+        }
+    }
+
+    /// All CUDA contexts this server currently holds, ordered by GPU id.
     pub(crate) fn contexts(&self) -> Vec<Rc<CudaContext>> {
-        let state = self.state.lock();
-        let mut by_gpu: Vec<(GpuId, Rc<CudaContext>)> = state
-            .contexts
-            .iter()
-            .map(|(g, c)| (*g, Rc::clone(c)))
-            .collect();
-        by_gpu.sort_by_key(|(g, _)| g.0);
-        by_gpu.into_iter().map(|(_, c)| c).collect()
+        self.state.lock().contexts.values().cloned().collect()
     }
 
     fn take_migration_request(&self, p: &ProcCtx) -> Option<GpuId> {
@@ -193,7 +205,7 @@ impl ApiServerShared {
         let contexts: Vec<Rc<CudaContext>> = {
             let mut st = self.state.lock();
             st.migration_request = None;
-            st.contexts.drain().map(|(_, c)| c).collect()
+            std::mem::take(&mut st.contexts).into_values().collect()
         };
         for ctx in contexts {
             ctx.release();
@@ -521,14 +533,6 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
                 begun_at,
                 at,
             });
-            a.env.monitor_tx.send(
-                p,
-                MonitorMsg::Migrated {
-                    server: a.shared.id,
-                    from,
-                    to: target,
-                },
-            );
         }
         Err(_) => {
             // Target ran out of memory between decision and execution; the

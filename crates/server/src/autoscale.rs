@@ -7,9 +7,9 @@
 //! request's wait on every tick, and the [`Autoscaler`] decides — with
 //! hysteresis, an idle TTL, and a shared cooldown that rate-limits both
 //! directions — when to grow or shrink the pool. The *mechanics* of
-//! spawning and retiring API servers (contexts, handle pools, overhead
-//! accounting) live in the monitor; this type is pure policy, so the
-//! hysteresis behaviour is unit-testable without a simulation.
+//! spawning and retiring API servers (contexts and handle pools) live in
+//! the monitor; this type is pure policy, so the hysteresis behaviour is
+//! unit-testable without a simulation.
 //!
 //! ## Predictive mode
 //!

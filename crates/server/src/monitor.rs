@@ -15,12 +15,12 @@
 //! placement.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::ModuleRegistry;
-use dgsf_gpu::{Gpu, GpuId};
+use dgsf_gpu::GpuId;
 use dgsf_remoting::RpcClient;
 use dgsf_sim::{
     Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime, TraceCtx,
@@ -69,8 +69,6 @@ pub(crate) enum MonitorMsg {
     Heartbeat { server: u32 },
     /// An API server aborted its function (guest vanished / idle timeout).
     FunctionFailed { server: u32, invocation: u64 },
-    /// An API server completed a migration.
-    Migrated { server: u32, from: GpuId, to: GpuId },
 }
 
 /// Lifecycle record of one invocation, kept for the experiment harness.
@@ -138,10 +136,12 @@ impl InvocationRecord {
 
 /// The invocation records of one GPU server, with the number of active and
 /// of queued invocations kept beside them: the cluster balancer reads both
-/// on every routing decision, and the record map only grows.
+/// on every routing decision, and the record list only grows. Invocation
+/// ids are handed out as 1, 2, … in insert order, so record `i` sits at
+/// index `i - 1`.
 #[derive(Default)]
 pub(crate) struct RecordBook {
-    records: HashMap<u64, InvocationRecord>,
+    records: Vec<InvocationRecord>,
     active: usize,
     queued: usize,
 }
@@ -150,12 +150,16 @@ impl RecordBook {
     pub(crate) fn insert(&mut self, rec: InvocationRecord) {
         self.active += usize::from(rec.active());
         self.queued += usize::from(rec.queued());
-        let old = self.records.insert(rec.invocation, rec);
-        debug_assert!(old.is_none(), "invocation ids are never reused");
+        debug_assert_eq!(
+            rec.invocation,
+            self.records.len() as u64 + 1,
+            "invocation ids are handed out in insert order"
+        );
+        self.records.push(rec);
     }
 
     pub(crate) fn get(&self, invocation: u64) -> Option<&InvocationRecord> {
-        self.records.get(&invocation)
+        self.records.get(invocation.checked_sub(1)? as usize)
     }
 
     /// Change one record through `f`, keeping the counts in step. `None`
@@ -165,7 +169,7 @@ impl RecordBook {
         invocation: u64,
         f: impl FnOnce(&mut InvocationRecord) -> R,
     ) -> Option<R> {
-        let rec = self.records.get_mut(&invocation)?;
+        let rec = self.records.get_mut(invocation.checked_sub(1)? as usize)?;
         let (active, queued) = (rec.active(), rec.queued());
         let out = f(rec);
         let (now_active, now_queued) = (rec.active(), rec.queued());
@@ -187,8 +191,9 @@ impl RecordBook {
         .unwrap_or(false)
     }
 
-    pub(crate) fn values(&self) -> impl Iterator<Item = &InvocationRecord> {
-        self.records.values()
+    /// Every record, in invocation order.
+    pub(crate) fn all(&self) -> &[InvocationRecord] {
+        &self.records
     }
 
     /// `(active, queued)`: invocations neither finished nor failed, and
@@ -200,8 +205,8 @@ impl RecordBook {
     /// [`counts`](Self::counts) by scanning every record, for checking the
     /// kept counts.
     pub(crate) fn scan_counts(&self) -> (usize, usize) {
-        let active = self.values().filter(|r| r.active()).count();
-        let queued = self.values().filter(|r| r.queued()).count();
+        let active = self.records.iter().filter(|r| r.active()).count();
+        let queued = self.records.iter().filter(|r| r.queued()).count();
         (active, queued)
     }
 }
@@ -210,8 +215,6 @@ struct SrvBook {
     shared: Rc<ApiServerShared>,
     assign_tx: SimSender<ServerCmd>,
     busy: Option<BusyInfo>,
-    /// Declared dead by the lease check; excluded from placement forever.
-    failed: bool,
     /// Last liveness signal (assignment or heartbeat).
     last_heartbeat: SimTime,
     /// Start of the server's current idle period (spawn, or the moment its
@@ -303,9 +306,6 @@ pub(crate) struct MonitorArgs {
     /// Live-server registry shared with [`crate::GpuServer`]; the
     /// autoscaler pushes spawned servers and removes retired ones.
     pub registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
-    /// Ids of API servers whose lease expired, shared with
-    /// [`crate::GpuServer`] so the cluster balancer can see dead capacity.
-    pub failed_servers: Rc<SimCell<HashSet<u32>>>,
     /// Online observability plane plus this server's stable label (e.g.
     /// `srv0`). When present the monitor feeds per-GPU health scores each
     /// tick and a predictive autoscaler reads its streamed signals.
@@ -318,7 +318,6 @@ struct MonCtx {
     cfg: GpuServerConfig,
     records: Rc<SimCell<RecordBook>>,
     registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
-    failed_servers: Rc<SimCell<HashSet<u32>>>,
     obs: Option<Rc<ObsPlane>>,
     /// One per GPU, built once so the per-tick sampling formats nothing.
     gpu_keys: Vec<GpuKeys>,
@@ -349,7 +348,6 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         rx,
         records,
         registry,
-        failed_servers,
         obs,
     } = args;
     let gpu_keys = (0..env.gpus.len())
@@ -366,7 +364,6 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         cfg,
         records,
         registry,
-        failed_servers,
         obs: obs.map(|(obs, _)| obs),
         gpu_keys,
     };
@@ -377,22 +374,9 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
             shared,
             assign_tx,
             busy: None,
-            failed: false,
             last_heartbeat: SimTime::ZERO,
             idle_since: spawn_time,
         })
-        .collect();
-    // Static per-GPU overhead: each homed server holds its 755 MB idle
-    // footprint; lazily created migration contexts add 303 MB each.
-    let idle_fp = a.cfg.costs.idle_worker_mem();
-    let ctx_fp = a.cfg.costs.cuda_ctx_mem;
-    let mut overhead: HashMap<GpuId, u64> = HashMap::new();
-    for s in &servers {
-        *overhead.entry(s.shared.home_gpu).or_insert(0) += idle_fp;
-    }
-    let mut known_ctxs: HashSet<(u32, GpuId)> = servers
-        .iter()
-        .map(|s| (s.shared.id, s.shared.home_gpu))
         .collect();
     // Warm-pool autoscaling state: ids continue past the provisioned
     // fleet; the scaler is pure policy (hysteresis/TTL/cooldown).
@@ -438,7 +422,9 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                 (0..a.env.gpus.len()).any(|g| {
                     servers
                         .iter()
-                        .filter(|s| !s.failed && s.shared.home_gpu == GpuId(g as u32))
+                        .filter(|s| {
+                            !s.shared.lease_expired() && s.shared.home_gpu == GpuId(g as u32)
+                        })
                         .count()
                         > min
                 })
@@ -464,7 +450,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         match msg {
             Ok(MonitorMsg::Request(req)) => {
                 queue.push(req);
-                drain_queue(p, &a, &mut servers, &overhead, &mut queue);
+                drain_queue(p, &a, &mut servers, &mut queue);
             }
             Ok(MonitorMsg::FunctionDone { server, invocation }) => {
                 if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
@@ -482,7 +468,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                         rec.done_at = Some(p.now());
                     }
                 });
-                drain_queue(p, &a, &mut servers, &overhead, &mut queue);
+                drain_queue(p, &a, &mut servers, &mut queue);
             }
             Ok(MonitorMsg::Heartbeat { server }) => {
                 if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
@@ -499,35 +485,20 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                     s.idle_since = p.now();
                 }
                 mark_failed(p.now(), &a, invocation);
-                drain_queue(p, &a, &mut servers, &overhead, &mut queue);
-            }
-            Ok(MonitorMsg::Migrated { server, from, to }) => {
-                let _ = from; // informative in logs; unused by the policy
-                if known_ctxs.insert((server, to)) {
-                    *overhead.entry(to).or_insert(0) += ctx_fp;
-                }
+                drain_queue(p, &a, &mut servers, &mut queue);
             }
             Err(RecvError::Timeout) => {
                 next_tick = p.now() + MONITOR_PERIOD;
                 sample_gpus(p, &a, &mut last_gpu_sample);
                 check_leases(p, &a, &mut servers, &mut queue);
                 if let Some(sc) = scaler.as_mut() {
-                    autoscale_tick(
-                        p,
-                        &a,
-                        sc,
-                        &mut servers,
-                        &mut overhead,
-                        &mut known_ctxs,
-                        &mut next_server_id,
-                        &queue,
-                    );
+                    autoscale_tick(p, &a, sc, &mut servers, &mut next_server_id, &queue);
                 }
                 // Drain unconditionally: a lease expiry or scale-up may
                 // have freed capacity, and a cancelled head-of-line
                 // request must not strand placeable requests behind it
                 // until the next message arrives.
-                drain_queue(p, &a, &mut servers, &overhead, &mut queue);
+                drain_queue(p, &a, &mut servers, &mut queue);
                 let in_flight = servers
                     .iter()
                     .filter(|s| s.shared.migration_pending() || s.shared.migration_in_flight())
@@ -536,7 +507,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                 if a.cfg.migration
                     && in_flight < MAX_CONCURRENT_MIGRATIONS
                     && cooled
-                    && migration_tick(p, &a, &servers, &overhead, &queue)
+                    && migration_tick(p, &a, &servers, &queue)
                 {
                     last_migration_request = Some(p.now());
                 }
@@ -596,23 +567,20 @@ const LEASE_TIMEOUT: Dur = Dur(HEARTBEAT_PERIOD.0 * 5);
 /// Declare busy servers dead when their lease expires: no heartbeat for
 /// longer than [`LEASE_TIMEOUT`] means the server was killed (or is
 /// unreachable, which is indistinguishable from the monitor's seat).
-/// Releases the memory commitment and fails the invocation over. Returns
-/// true if any server was declared dead (freed capacity may unblock the
-/// queue — not for the failed server, which is excluded from placement,
-/// but its GPU's committed memory is released for servers homed there).
-/// The dead server's service-so-far is charged to its tenant's fair-queue
+/// Releases the memory commitment and fails the invocation over (the freed
+/// capacity may unblock the queue — not for the failed server, which is
+/// excluded from placement, but for servers homed on its GPU; the caller
+/// drains the queue after every tick). The dead server's service-so-far is charged to its tenant's fair-queue
 /// flow, so a tenant whose functions keep dying still pays for the GPU
 /// time they held.
-fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) -> bool {
+fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
     let now = p.now();
-    let mut any = false;
     for s in servers.iter_mut() {
-        if s.failed || s.busy.is_none() {
+        if s.shared.lease_expired() || s.busy.is_none() {
             continue;
         }
         if now.since(s.last_heartbeat) > LEASE_TIMEOUT {
-            s.failed = true;
-            a.failed_servers.lock().insert(s.shared.id);
+            s.shared.expire_lease();
             let b = s.busy.take().expect("checked busy");
             queue.charge(&b.tenant, now.since(b.assigned_at).as_nanos());
             let tel = p.telemetry();
@@ -629,22 +597,28 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
                 );
             }
             mark_failed(now, a, b.invocation);
-            any = true;
         }
     }
-    any
 }
 
-/// Declared-memory availability of a GPU, as the monitor sees it.
-fn avail(gpus: &[Rc<Gpu>], servers: &[SrvBook], overhead: &HashMap<GpuId, u64>, gpu: GpuId) -> i64 {
-    let total = gpus[gpu.0 as usize].total_mem() as i64;
-    let oh = *overhead.get(&gpu).unwrap_or(&0) as i64;
-    let committed: i64 = servers
+/// Declared-memory availability of a GPU, as the monitor sees it: its
+/// capacity less every server's declared memory there
+/// ([`ApiServerShared::declared_mem`]) and the commitments of the functions
+/// running on it.
+fn avail(a: &MonCtx, servers: &[SrvBook], gpu: GpuId) -> i64 {
+    let total = a.env.gpus[gpu.0 as usize].total_mem() as i64;
+    let held: i64 = servers
         .iter()
-        .filter(|s| s.busy.is_some() && s.shared.current_gpu() == gpu)
-        .map(|s| s.busy.as_ref().expect("filtered busy").mem as i64)
+        .map(|s| {
+            let declared = s.shared.declared_mem(gpu, &a.env.costs);
+            let committed = match &s.busy {
+                Some(b) if s.shared.current_gpu() == gpu => b.mem,
+                _ => 0,
+            };
+            (declared + committed) as i64
+        })
         .sum();
-    total - oh - committed
+    total - held
 }
 
 /// Drain the queue under the configured discipline: strict FCFS assigns
@@ -652,13 +626,7 @@ fn avail(gpus: &[Rc<Gpu>], servers: &[SrvBook], overhead: &HashMap<GpuId, u64>, 
 /// smallest-first scans for the smallest placeable request; MQFQ serves
 /// the backlogged tenant with the lowest virtual time, falling back to
 /// any backlogged tenant whose head fits (work conservation).
-fn drain_queue(
-    p: &ProcCtx,
-    a: &MonCtx,
-    servers: &mut [SrvBook],
-    overhead: &HashMap<GpuId, u64>,
-    queue: &mut MonQueue,
-) {
+fn drain_queue(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
     loop {
         // Purge cancelled requests *before* placement. Checking only after
         // a successful `pick_server` left a cancelled head-of-line request
@@ -683,16 +651,13 @@ fn drain_queue(
                         0
                     }
                 };
-                let Some(srv_idx) =
-                    pick_server(a, servers, overhead, q[pos].mem, q[pos].pin_server)
-                else {
+                let Some(srv_idx) = pick_server(a, servers, q[pos].mem, q[pos].pin_server) else {
                     return;
                 };
                 (q.remove(pos).expect("index in bounds"), srv_idx)
             }
             MonQueue::Fair(fq) => {
-                let Some(picked) =
-                    fq.pop_next(|r| pick_server(a, servers, overhead, r.mem, r.pin_server))
+                let Some(picked) = fq.pop_next(|r| pick_server(a, servers, r.mem, r.pin_server))
                 else {
                     return; // no backlogged tenant's head fits anywhere
                 };
@@ -760,23 +725,17 @@ fn assign_request(
 /// server is busy means the request waits for it, and a pin on a failed
 /// (lease-expired) or retired server never places, leaving the requester's
 /// queue timeout to fail the invocation over.
-fn pick_server(
-    a: &MonCtx,
-    servers: &[SrvBook],
-    overhead: &HashMap<GpuId, u64>,
-    mem: u64,
-    pin: Option<u32>,
-) -> Option<usize> {
+fn pick_server(a: &MonCtx, servers: &[SrvBook], mem: u64, pin: Option<u32>) -> Option<usize> {
     let mut best: Option<(usize, i64)> = None;
     for (i, s) in servers.iter().enumerate() {
-        if s.busy.is_some() || s.failed {
+        if s.busy.is_some() || s.shared.lease_expired() {
             continue;
         }
         if pin.is_some_and(|id| s.shared.id != id) {
             continue;
         }
         let gpu = s.shared.home_gpu;
-        let free = avail(&a.env.gpus, servers, overhead, gpu);
+        let free = avail(a, servers, gpu);
         if free < mem as i64 {
             continue;
         }
@@ -794,14 +753,11 @@ fn pick_server(
 
 /// One autoscaler tick: feed the queue-delay signal, then fire at most one
 /// scaling action (scale-up wins over scale-down when both are due).
-#[allow(clippy::too_many_arguments)]
 fn autoscale_tick(
     p: &ProcCtx,
     a: &MonCtx,
     scaler: &mut Autoscaler,
     servers: &mut Vec<SrvBook>,
-    overhead: &mut HashMap<GpuId, u64>,
-    known_ctxs: &mut HashSet<(u32, GpuId)>,
     next_server_id: &mut u32,
     queue: &MonQueue,
 ) {
@@ -831,12 +787,12 @@ fn autoscale_tick(
             let gpu = GpuId(g as u32);
             let homed = servers
                 .iter()
-                .filter(|s| !s.failed && s.shared.home_gpu == gpu)
+                .filter(|s| !s.shared.lease_expired() && s.shared.home_gpu == gpu)
                 .count() as u32;
             if homed >= max {
                 continue;
             }
-            let free = avail(&a.env.gpus, servers, overhead, gpu);
+            let free = avail(a, servers, gpu);
             if free < idle_fp as i64 {
                 continue;
             }
@@ -845,7 +801,7 @@ fn autoscale_tick(
             }
         }
         if let Some((gpu, _)) = best {
-            if spawn_server(p, a, servers, overhead, known_ctxs, next_server_id, gpu) {
+            if spawn_server(p, a, servers, next_server_id, gpu) {
                 scaler.record_action(now);
                 let tel = p.telemetry();
                 if prewarm && !reactive_up && tel.is_enabled() {
@@ -864,12 +820,12 @@ fn autoscale_tick(
     let min = scaler.config().min_per_gpu;
     let mut cand: Option<usize> = None;
     for (i, s) in servers.iter().enumerate() {
-        if s.failed || s.busy.is_some() || s.shared.migration_pending() {
+        if s.shared.lease_expired() || s.busy.is_some() || s.shared.migration_pending() {
             continue;
         }
         let live_homed = servers
             .iter()
-            .filter(|t| !t.failed && t.shared.home_gpu == s.shared.home_gpu)
+            .filter(|t| !t.shared.lease_expired() && t.shared.home_gpu == s.shared.home_gpu)
             .count() as u32;
         if live_homed <= min || !scaler.scale_down_due(now, s.idle_since) {
             continue;
@@ -887,7 +843,7 @@ fn autoscale_tick(
         }
     }
     if let Some(i) = cand {
-        retire_server(p, a, servers, overhead, known_ctxs, i);
+        retire_server(p, a, servers, i);
         scaler.record_action(now);
     }
 }
@@ -895,19 +851,17 @@ fn autoscale_tick(
 /// Number of live (non-failed) servers in the pool, for the pool-size
 /// gauge.
 fn live_pool(servers: &[SrvBook]) -> i64 {
-    servers.iter().filter(|s| !s.failed).count() as i64
+    servers.iter().filter(|s| !s.shared.lease_expired()).count() as i64
 }
 
 /// Spawn one autoscaled API server homed on `gpu` (the same 755 MB idle
 /// footprint a provisioned server pays), register it everywhere, and start
-/// its process. Returns false — without charging anything — if the GPU
-/// cannot actually fit the footprint.
+/// its process. Returns false if the GPU cannot actually fit the
+/// footprint.
 fn spawn_server(
     p: &ProcCtx,
     a: &MonCtx,
     servers: &mut Vec<SrvBook>,
-    overhead: &mut HashMap<GpuId, u64>,
-    known_ctxs: &mut HashSet<(u32, GpuId)>,
     next_server_id: &mut u32,
     gpu: GpuId,
 ) -> bool {
@@ -916,15 +870,12 @@ fn spawn_server(
         return false;
     };
     *next_server_id += 1;
-    *overhead.entry(gpu).or_insert(0) += a.cfg.costs.idle_worker_mem();
-    known_ctxs.insert((id, gpu));
     a.registry.lock().push(Rc::clone(&shared));
     let now = p.now();
     servers.push(SrvBook {
         shared,
         assign_tx,
         busy: None,
-        failed: false,
         last_heartbeat: now,
         idle_since: now,
     });
@@ -942,37 +893,13 @@ fn spawn_server(
     true
 }
 
-/// Retire the idle server at `idx`: roll back its declared overhead (idle
-/// footprint on its home GPU plus every lazily created migration context
-/// elsewhere), deregister it, and send `Retire` so the process releases
-/// its real reservations and exits.
-fn retire_server(
-    p: &ProcCtx,
-    a: &MonCtx,
-    servers: &mut Vec<SrvBook>,
-    overhead: &mut HashMap<GpuId, u64>,
-    known_ctxs: &mut HashSet<(u32, GpuId)>,
-    idx: usize,
-) {
+/// Retire the idle server at `idx`: deregister it (its declared memory
+/// goes with it) and send `Retire` so the process releases its real
+/// reservations and exits.
+fn retire_server(p: &ProcCtx, a: &MonCtx, servers: &mut Vec<SrvBook>, idx: usize) {
     let s = servers.remove(idx);
     let id = s.shared.id;
     let home = s.shared.home_gpu;
-    if let Some(o) = overhead.get_mut(&home) {
-        *o = o.saturating_sub(a.cfg.costs.idle_worker_mem());
-    }
-    let ctx_gpus: Vec<GpuId> = known_ctxs
-        .iter()
-        .filter(|(sid, _)| *sid == id)
-        .map(|&(_, g)| g)
-        .collect();
-    for g in ctx_gpus {
-        known_ctxs.remove(&(id, g));
-        if g != home {
-            if let Some(o) = overhead.get_mut(&g) {
-                *o = o.saturating_sub(a.cfg.costs.cuda_ctx_mem);
-            }
-        }
-    }
     a.registry.lock().retain(|sh| sh.id != id);
     s.assign_tx.send(p, ServerCmd::Retire);
     let tel = p.telemetry();
@@ -1010,21 +937,12 @@ fn migration_cooled(now: SimTime, last: Option<SimTime>, cooldown: Dur) -> bool 
 /// share means the fleet is queue-saturated and moving servers around
 /// would only churn. An empty system scores 1000 (nothing contradicts
 /// migrating).
-fn exec_share_permille(
-    now: SimTime,
-    a: &MonCtx,
-    servers: &[SrvBook],
-    queue: &MonQueue,
-    gpu: GpuId,
-) -> u64 {
-    let recs = a.records.lock();
+fn exec_share_permille(now: SimTime, servers: &[SrvBook], queue: &MonQueue, gpu: GpuId) -> u64 {
     let exec_ns: u64 = servers
         .iter()
         .filter(|s| s.shared.current_gpu() == gpu)
         .filter_map(|s| s.busy.as_ref())
-        .filter_map(|b| recs.get(b.invocation))
-        .filter_map(|r| r.assigned_at)
-        .map(|at| now.since(at).as_nanos())
+        .map(|b| now.since(b.assigned_at).as_nanos())
         .sum();
     let queue_ns: u64 = queue
         .iter()
@@ -1047,13 +965,7 @@ const MIGRATION_MIN_EXEC_SHARE_PERMILLE: u64 = 500;
 /// Detect load imbalance and request a migration: a GPU running ≥2 busy API
 /// servers at high utilization while another GPU is idle (the §VIII-E
 /// scenario), provided the tail there is execution-attributed.
-fn migration_tick(
-    p: &ProcCtx,
-    a: &MonCtx,
-    servers: &[SrvBook],
-    overhead: &HashMap<GpuId, u64>,
-    queue: &MonQueue,
-) -> bool {
+fn migration_tick(p: &ProcCtx, a: &MonCtx, servers: &[SrvBook], queue: &MonQueue) -> bool {
     let now = p.now();
     // NVML-style utilization window: the last three monitor ticks.
     let window = Dur(MONITOR_PERIOD.as_nanos() * 3);
@@ -1080,7 +992,7 @@ fn migration_tick(
         if util < 0.8 {
             continue; // contended in count but not in compute
         }
-        if exec_share_permille(now, a, servers, queue, GpuId(g as u32))
+        if exec_share_permille(now, servers, queue, GpuId(g as u32))
             < MIGRATION_MIN_EXEC_SHARE_PERMILLE
         {
             continue; // tail is queue-caused; migration would not relieve it
@@ -1098,7 +1010,7 @@ fn migration_tick(
             } else {
                 a.cfg.costs.cuda_ctx_mem
             };
-            if avail(&a.env.gpus, servers, overhead, target) < (b.mem + extra_ctx) as i64 {
+            if avail(a, servers, target) < (b.mem + extra_ctx) as i64 {
                 continue;
             }
             if cand.map(|(_, m)| b.mem < m).unwrap_or(true) {

@@ -9,7 +9,6 @@
 //! processes.
 
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -127,8 +126,6 @@ pub struct GpuServer {
     servers: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
     records: Rc<SimCell<RecordBook>>,
     migration_log: Rc<SimCell<Vec<MigrationRecord>>>,
-    /// Ids of lease-expired API servers, shared with the monitor.
-    failed_servers: Rc<SimCell<HashSet<u32>>>,
     next_invocation: Cell<u64>,
     faults: Option<Rc<LinkFaults>>,
 }
@@ -198,7 +195,6 @@ impl GpuServer {
         }
 
         let servers = Rc::new(SimCell::new(h, servers));
-        let failed_servers = Rc::new(SimCell::new(h, HashSet::new()));
         let margs = MonitorArgs {
             env,
             cfg: cfg.clone(),
@@ -206,7 +202,6 @@ impl GpuServer {
             rx: monitor_rx,
             records: Rc::clone(&records),
             registry: Rc::clone(&servers),
-            failed_servers: Rc::clone(&failed_servers),
             obs,
         };
         h.spawn("monitor", move |pp| run_monitor(pp, margs));
@@ -231,7 +226,6 @@ impl GpuServer {
             servers,
             records,
             migration_log,
-            failed_servers,
             next_invocation: Cell::new(1),
             faults,
         })
@@ -475,11 +469,15 @@ impl GpuServer {
     }
 
     /// One consistent gauge snapshot for the cluster balancer: pool and
-    /// lease state from the monitor's bookkeeping, load from the
-    /// invocation records, memory from the GPUs' real reservations.
+    /// lease state from the live-server registry (the monitor sets each
+    /// server's lease-expired bit), load from the invocation records,
+    /// memory from the GPUs' real reservations.
     pub fn gauges(&self) -> ServerGauges {
-        let pool_size = self.servers.lock().len();
-        let failed_api_servers = self.failed_servers.lock().len();
+        let (pool_size, failed_api_servers) = {
+            let servers = self.servers.lock();
+            let failed = servers.iter().filter(|s| s.lease_expired()).count();
+            (servers.len(), failed)
+        };
         let (mut used, mut total) = (0u64, 0u64);
         for g in &self.gpus {
             used += g.used_mem();
@@ -514,33 +512,24 @@ impl GpuServer {
             .count()
     }
 
-    /// Expected quiescent memory footprint on `gpu`: every home server's
-    /// idle footprint (context + handle pools) plus one context per lazily
-    /// created migration context parked there. The invariant checker
-    /// compares this against the GPU's real reservations after a run
-    /// settles — any difference means a migration leaked or double-charged
-    /// memory.
+    /// Expected quiescent memory footprint on `gpu`: every server's
+    /// declared memory there, the same sum the monitor places by — home
+    /// servers' idle footprints (context + handle pools) plus one context
+    /// per lazily created migration context parked there. The invariant
+    /// checker compares this against the GPU's real reservations after a
+    /// run settles — any difference means a migration leaked or
+    /// double-charged memory.
     pub fn expected_idle_mem(&self, gpu: GpuId) -> u64 {
-        let servers = self.servers.lock();
-        let mut total = 0u64;
-        for s in servers.iter() {
-            if s.home_gpu == gpu {
-                total += self.costs.idle_worker_mem();
-            }
-            for g in s.context_gpus() {
-                if g == gpu && g != s.home_gpu {
-                    total += self.costs.cuda_ctx_mem;
-                }
-            }
-        }
-        total
+        self.servers
+            .lock()
+            .iter()
+            .map(|s| s.declared_mem(gpu, &self.costs))
+            .sum()
     }
 
-    /// Snapshot of all invocation records.
+    /// Snapshot of all invocation records, in invocation order.
     pub fn records(&self) -> Vec<InvocationRecord> {
-        let mut v: Vec<InvocationRecord> = self.records.lock().values().cloned().collect();
-        v.sort_by_key(|r| r.invocation);
-        v
+        self.records.lock().all().to_vec()
     }
 
     /// All completed migrations.

@@ -62,9 +62,7 @@ pub use cell::SimCell;
 pub use channel::{RecvError, SimReceiver, SimSender};
 pub use invariants::{InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, Violation};
 pub use kernel::{ProcCtx, ProcId, ShutdownSignal, Sim, SimHandle};
-pub use obs::{
-    AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, QuantileSketch, TenantBurnRow, WindowRow,
-};
+pub use obs::{AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, TenantBurnRow, WindowRow};
 pub use resource::{FifoResource, GpsResource, GpsStream, SyncMarker, Timeline};
 pub use stats::{moving_average, percentile_permille, percentile_sorted, Summary};
 pub use telemetry::{

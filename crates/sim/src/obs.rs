@@ -12,9 +12,9 @@
 //!   estimator** (per-window counts, smoothed in units of arrivals ×1000 so
 //!   no float ever enters the state) whose rate-ramp signal the predictive
 //!   autoscaler pre-warms on;
-//! * a bounded-error **log₂ quantile sketch** ([`QuantileSketch`]) over
-//!   end-to-end and queue latencies — the streamed equivalent of the
-//!   offline histograms, with a proptest-certified rank-error bound;
+//! * bounded-error **log₂ histograms** ([`Histogram`]) over end-to-end and
+//!   queue latencies — the same type the offline telemetry records, with
+//!   a proptest-certified rank-error bound;
 //! * a **multi-window SLO burn-rate evaluator**: per tenant, violation
 //!   rates over a fast and a slow window pair are compared against the
 //!   error budget, and an alert fires only when *both* burn and the
@@ -32,16 +32,18 @@
 //! quantity a pure function of the event stream — independent of when
 //! queries happen between events.
 //!
-//! ## Sketch error bound
+//! ## Quantile error bound
 //!
-//! [`QuantileSketch`] buckets a value `v` by its bit length, so bucket
-//! `b ≥ 1` covers `[2^(b-1), 2^b - 1]`. A quantile query finds the bucket
-//! containing the exact nearest-rank element and returns that bucket's
-//! upper bound. The estimate `est` therefore brackets the exact value
-//! `x` as `x ≤ est ≤ 2x − 1` (and `est = 0` exactly when `x = 0`):
-//! never an underestimate, never more than one power of two high. The
-//! proptest battery in this module certifies the bound against exact
-//! sorted quantiles for constant, bimodal and heavy-tailed inputs.
+//! [`Histogram`] buckets a value `v` by its bit length, so bucket `b ≥ 1`
+//! covers `[2^(b-1), 2^b - 1]`. A quantile query
+//! ([`Histogram::quantile_upper_bound`]) finds the bucket containing the
+//! exact nearest-rank element and returns that bucket's upper bound. The
+//! estimate `est` therefore brackets the exact value `x` as
+//! `x ≤ est ≤ 2x − 1` (and `est = 0` exactly when `x = 0`): never an
+//! underestimate, never more than one power of two high. The telemetry
+//! module's tests certify the bound against exact sorted quantiles for
+//! constant, bimodal and heavy-tailed inputs, and a proptest for arbitrary
+//! streams.
 //!
 //! ## Burn-rate math
 //!
@@ -72,82 +74,8 @@ use crate::cell::SimCell;
 use crate::json::JsonWriter;
 use crate::json::Layout::{Compact, Inline, Lines};
 use crate::kernel::SimHandle;
+use crate::telemetry::Histogram;
 use crate::time::{Dur, SimTime};
-
-/// Streaming log₂-bucket quantile sketch over `u64` samples.
-///
-/// O(1) insert, 65 buckets of fixed state, and a certified error bound:
-/// for an exact nearest-rank quantile `x`, the estimate `est` satisfies
-/// `x ≤ est ≤ 2x − 1` (with `est = 0` iff `x = 0`). See the
-/// [module docs](self) for the argument.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantileSketch {
-    /// `buckets[b]` counts samples of bit length `b` (bucket 0 is the
-    /// value 0; bucket 64 covers `≥ 2^63`).
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        QuantileSketch::new()
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch.
-    pub fn new() -> QuantileSketch {
-        QuantileSketch {
-            buckets: vec![0; 65],
-            count: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[log2_bucket(v)] += 1;
-        self.count += 1;
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Upper bound of the bucket holding the exact nearest-rank quantile
-    /// (`q` in permille). 0 on an empty sketch.
-    pub fn quantile(&self, q_permille: u64) -> u64 {
-        log2_quantile(&self.buckets, self.count, q_permille)
-            .expect("cumulative bucket count reaches self.count")
-    }
-}
-
-/// The log₂ bucket of `v`: its bit length (bucket 0 is the value 0, bucket
-/// `b ≥ 1` covers `2^(b-1) ..= 2^b - 1`, bucket 64 everything `≥ 2^63`).
-pub(crate) fn log2_bucket(v: u64) -> usize {
-    (64 - v.leading_zeros()) as usize
-}
-
-/// Upper bound of the [`log2_bucket`] holding the nearest-rank quantile
-/// (`q` in permille) of `count` samples bucketed as `buckets`: 0 when there
-/// are none, `u64::MAX` for bucket 64. The rank is computed in u128, so no
-/// count overflows it. `None` if the buckets hold fewer than that rank.
-pub(crate) fn log2_quantile(buckets: &[u64], count: u64, q_permille: u64) -> Option<u64> {
-    if count == 0 {
-        return Some(0);
-    }
-    let rank = ((u128::from(count) * u128::from(q_permille)).div_ceil(1000) as u64).clamp(1, count);
-    let mut cum = 0u64;
-    let b = buckets.iter().position(|&c| {
-        cum += c;
-        cum >= rank
-    })?;
-    Some(match b {
-        0 => 0,
-        64 => u64::MAX,
-        _ => (1u64 << b) - 1,
-    })
-}
 
 /// Burn rate (permille of the budget's sustainable rate) both window sets
 /// must reach before an alert fires. 1000 = burning the budget exactly as
@@ -390,8 +318,8 @@ struct Inner {
     tenant_rows: Vec<TenantBurnRow>,
     alert_active: BTreeMap<String, bool>,
     alerts: Vec<AlertEvent>,
-    e2e_sketch: QuantileSketch,
-    queue_sketch: QuantileSketch,
+    e2e_hist: Histogram,
+    queue_hist: Histogram,
     /// Per-server-label health timelines (ns, score in permille),
     /// recorded on change.
     health: BTreeMap<String, Vec<(u64, u64)>>,
@@ -412,8 +340,8 @@ impl Inner {
             tenant_rows: Vec::new(),
             alert_active: BTreeMap::new(),
             alerts: Vec::new(),
-            e2e_sketch: QuantileSketch::new(),
-            queue_sketch: QuantileSketch::new(),
+            e2e_hist: Histogram::default(),
+            queue_hist: Histogram::default(),
             health: BTreeMap::new(),
         }
     }
@@ -612,8 +540,8 @@ impl ObsPlane {
         let violated = !completed || e2e > self.cfg.slo_target;
         let mut inner = self.inner.lock();
         inner.roll(&self.cfg, self.idx(now));
-        inner.e2e_sketch.record(e2e.as_nanos());
-        inner.queue_sketch.record(queue_wait.as_nanos());
+        inner.e2e_hist.record(e2e.as_nanos());
+        inner.queue_hist.record(queue_wait.as_nanos());
         inner.cur.finished += 1;
         let tw = inner.cur_tenants.entry(tenant.to_string()).or_default();
         tw.total += 1;
@@ -722,12 +650,12 @@ impl ObsPlane {
             tenants: inner.tenant_rows,
             alerts: inner.alerts,
             health: inner.health.into_iter().collect(),
-            e2e_p50_ns: inner.e2e_sketch.quantile(500),
-            e2e_p95_ns: inner.e2e_sketch.quantile(950),
-            e2e_p99_ns: inner.e2e_sketch.quantile(990),
-            queue_p50_ns: inner.queue_sketch.quantile(500),
-            queue_p95_ns: inner.queue_sketch.quantile(950),
-            queue_p99_ns: inner.queue_sketch.quantile(990),
+            e2e_p50_ns: inner.e2e_hist.quantile_upper_bound(500),
+            e2e_p95_ns: inner.e2e_hist.quantile_upper_bound(950),
+            e2e_p99_ns: inner.e2e_hist.quantile_upper_bound(990),
+            queue_p50_ns: inner.queue_hist.quantile_upper_bound(500),
+            queue_p95_ns: inner.queue_hist.quantile_upper_bound(950),
+            queue_p99_ns: inner.queue_hist.quantile_upper_bound(990),
         }
     }
 }
@@ -747,7 +675,7 @@ pub struct ObsReport {
     pub alerts: Vec<AlertEvent>,
     /// Per-server health timelines, sorted by label.
     pub health: Vec<(String, Vec<(u64, u64)>)>,
-    /// Streamed end-to-end p50 (sketch upper bound, ns).
+    /// Streamed end-to-end p50 (histogram bucket upper bound, ns).
     pub e2e_p50_ns: u64,
     /// Streamed end-to-end p95 (ns).
     pub e2e_p95_ns: u64,
@@ -845,7 +773,6 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::percentile_permille;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + Dur::from_millis(ms)
@@ -860,76 +787,6 @@ mod tests {
             .with_window(Dur::from_millis(500))
             .with_slo(Dur::from_millis(100), 100)
             .with_burn_windows(2, 4)
-    }
-
-    fn assert_bound(xs: &[u64], q: u64) {
-        let mut sk = QuantileSketch::new();
-        for &x in xs {
-            sk.record(x);
-        }
-        let mut sorted = xs.to_vec();
-        sorted.sort_unstable();
-        let exact = percentile_permille(&sorted, q);
-        let est = sk.quantile(q);
-        if exact == 0 {
-            assert_eq!(est, 0, "q{q} over {} samples", xs.len());
-        } else {
-            assert!(
-                exact <= est && est < 2 * exact,
-                "q{q}: exact {exact}, est {est} out of [x, 2x-1]"
-            );
-        }
-    }
-
-    #[test]
-    fn sketch_is_exact_on_powers_of_two_minus_one() {
-        let mut sk = QuantileSketch::new();
-        for v in [0u64, 1, 3, 7, 15] {
-            sk.record(v);
-        }
-        assert_eq!(sk.quantile(1000), 15);
-        assert_eq!(sk.quantile(1), 0);
-        assert_eq!(sk.quantile(500), 3);
-    }
-
-    #[test]
-    fn sketch_handles_extremes() {
-        let mut sk = QuantileSketch::new();
-        assert_eq!(sk.quantile(500), 0, "empty sketch");
-        sk.record(u64::MAX);
-        assert_eq!(sk.quantile(500), u64::MAX, "top bucket saturates");
-    }
-
-    #[test]
-    fn sketch_bound_on_adversarial_distributions() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        // Constant stream.
-        assert_bound(&vec![42_000u64; 500], 500);
-        assert_bound(&vec![42_000u64; 500], 990);
-        // Bimodal: tight cluster + far cluster.
-        let mut bimodal: Vec<u64> = vec![10; 450];
-        bimodal.extend(vec![1_000_000u64; 50]);
-        for q in [500, 950, 990] {
-            assert_bound(&bimodal, q);
-        }
-        // Heavy-tailed Zipf ranks mapped to exponential-ish magnitudes.
-        let mut rng = StdRng::seed_from_u64(7);
-        let z = crate::rng::Zipf::new(64, 1.2);
-        let zipf: Vec<u64> = (0..2000)
-            .map(|_| 1u64 << (z.sample(&mut rng).min(40) as u32))
-            .collect();
-        for q in [500, 950, 990] {
-            assert_bound(&zipf, q);
-        }
-        // Log-normal durations via the sim's deterministic sampler.
-        let mut rng = StdRng::seed_from_u64(11);
-        let lognorm: Vec<u64> = (0..2000)
-            .map(|_| crate::rng::lognormal_dur(&mut rng, (0.01f64).ln(), 1.5).as_nanos())
-            .collect();
-        for q in [500, 950, 990] {
-            assert_bound(&lognorm, q);
-        }
     }
 
     #[test]
@@ -1111,61 +968,5 @@ mod tests {
         let mut c = ObsConfig::paper_default();
         c.error_budget_permille = 0;
         assert!(c.validate().is_err());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::stats::percentile_permille;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The documented rank-error bound holds for arbitrary streams:
-        /// the estimate never undershoots the exact nearest-rank value
-        /// and never reaches twice it.
-        #[test]
-        fn sketch_bound_holds_for_arbitrary_streams(
-            xs in proptest::collection::vec(0u64..u64::MAX, 1..512),
-            q in 1u64..1001,
-        ) {
-            let mut sk = QuantileSketch::new();
-            for &x in &xs {
-                sk.record(x);
-            }
-            let mut sorted = xs.clone();
-            sorted.sort_unstable();
-            let exact = percentile_permille(&sorted, q);
-            let est = sk.quantile(q);
-            if exact == 0 {
-                prop_assert_eq!(est, 0);
-            } else {
-                prop_assert!(exact <= est, "under: exact {} est {}", exact, est);
-                // est ≤ 2·exact − 1, saturating so exact near u64::MAX
-                // cannot overflow the check.
-                prop_assert!(
-                    est < exact.saturating_mul(2) || est == u64::MAX && exact > (1 << 63),
-                    "over: exact {} est {}", exact, est
-                );
-            }
-        }
-
-        /// Insert order never matters (the sketch is a pure multiset).
-        #[test]
-        fn sketch_is_order_insensitive(
-            xs in proptest::collection::vec(0u64..1_000_000, 2..128),
-        ) {
-            let mut a = QuantileSketch::new();
-            for &x in &xs {
-                a.record(x);
-            }
-            let mut xs = xs;
-            xs.reverse();
-            let mut b = QuantileSketch::new();
-            for &x in &xs {
-                b.record(x);
-            }
-            prop_assert_eq!(a, b);
-        }
     }
 }

@@ -63,7 +63,6 @@ use std::sync::Arc;
 use crate::cell::{next_sim_id, SimCell};
 use crate::json::JsonWriter;
 use crate::json::Layout::{Compact, Inline, Lines};
-use crate::obs::{log2_bucket, log2_quantile};
 use crate::time::{Dur, SimTime};
 
 /// Request-scoped causal context, threaded from the serverless front door
@@ -115,7 +114,11 @@ impl TraceCtx {
 /// holds values with bit length `b` (i.e. `2^(b-1) ..= 2^b - 1`).
 const HIST_BUCKETS: usize = 65;
 
-/// A log₂-bucketed distribution of `u64` samples.
+/// A log₂-bucketed distribution of `u64` samples: 65 counters of fixed
+/// state, O(1) insert, and a certified quantile error bound (see
+/// [`quantile_upper_bound`](Self::quantile_upper_bound)). The telemetry
+/// registry's histograms and the observability plane's streamed latency
+/// percentiles are both this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Number of recorded samples.
@@ -143,19 +146,40 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    fn record(&mut self, value: u64) {
+    /// Record one sample.
+    pub fn record(&mut self, value: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buckets[log2_bucket(value)] += 1;
+        self.buckets[(64 - value.leading_zeros()) as usize] += 1;
     }
 
-    /// Nearest-rank quantile estimate from the buckets: the upper bound of
-    /// the bucket containing the q-th sample (exact for min/max, a ≤2×
-    /// overestimate inside a bucket). Integer-only, so deterministic.
+    /// Nearest-rank quantile estimate (`q` in permille) from the buckets:
+    /// the upper bound of the bucket containing the q-th sample. For an
+    /// exact nearest-rank quantile `x` the estimate `est` satisfies
+    /// `x ≤ est ≤ 2x − 1` (with `est = 0` iff `x = 0`); bucket 64 (samples
+    /// `≥ 2^63`) reads `u64::MAX`. 0 on an empty histogram. The rank is
+    /// taken in u128, so no count overflows it. Integer-only, so
+    /// deterministic.
     pub fn quantile_upper_bound(&self, q_permille: u64) -> u64 {
-        log2_quantile(&self.buckets, self.count, q_permille).unwrap_or(self.max)
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((u128::from(self.count) * u128::from(q_permille)).div_ceil(1000) as u64)
+            .clamp(1, self.count);
+        let mut cum = 0u64;
+        let Some(b) = self.buckets.iter().position(|&c| {
+            cum += c;
+            cum >= rank
+        }) else {
+            return self.max; // buckets hold fewer samples than `count`
+        };
+        match b {
+            0 => 0,
+            64 => u64::MAX,
+            _ => (1u64 << b) - 1,
+        }
     }
 }
 
@@ -985,6 +1009,81 @@ fn gauge_twa(samples: &[(SimTime, i64)]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::percentile_permille;
+
+    fn assert_bound(xs: &[u64], q: u64) {
+        let mut h = Histogram::default();
+        for &x in xs {
+            h.record(x);
+        }
+        let mut sorted = xs.to_vec();
+        sorted.sort_unstable();
+        let exact = percentile_permille(&sorted, q);
+        let est = h.quantile_upper_bound(q);
+        if exact == 0 {
+            assert_eq!(est, 0, "q{q} over {} samples", xs.len());
+        } else {
+            assert!(
+                exact <= est && est < 2 * exact,
+                "q{q}: exact {exact}, est {est} out of [x, 2x-1]"
+            );
+        }
+    }
+
+    #[test]
+    fn histogram_is_exact_on_powers_of_two_minus_one() {
+        let mut h = Histogram::default();
+        for v in [0u64, 1, 3, 7, 15] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile_upper_bound(1000), 15);
+        assert_eq!(h.quantile_upper_bound(1), 0);
+        assert_eq!(h.quantile_upper_bound(500), 3);
+    }
+
+    #[test]
+    fn histogram_handles_extremes() {
+        let mut h = Histogram::default();
+        assert_eq!(h.quantile_upper_bound(500), 0, "empty histogram");
+        h.record(u64::MAX);
+        assert_eq!(
+            h.quantile_upper_bound(500),
+            u64::MAX,
+            "top bucket saturates"
+        );
+    }
+
+    #[test]
+    fn histogram_bound_on_adversarial_distributions() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // Constant stream.
+        assert_bound(&vec![42_000u64; 500], 500);
+        assert_bound(&vec![42_000u64; 500], 990);
+        // Bimodal: tight cluster + far cluster.
+        let mut bimodal: Vec<u64> = vec![10; 450];
+        bimodal.extend(vec![1_000_000u64; 50]);
+        for q in [500, 950, 990] {
+            assert_bound(&bimodal, q);
+        }
+        // Heavy-tailed Zipf ranks mapped to exponential-ish magnitudes.
+        let mut rng = StdRng::seed_from_u64(7);
+        let z = crate::rng::Zipf::new(64, 1.2);
+        let zipf: Vec<u64> = (0..2000)
+            .map(|_| 1u64 << (z.sample(&mut rng).min(40) as u32))
+            .collect();
+        for q in [500, 950, 990] {
+            assert_bound(&zipf, q);
+        }
+        // Log-normal durations via the sim's deterministic sampler.
+        let mut rng = StdRng::seed_from_u64(11);
+        let lognorm: Vec<u64> = (0..2000)
+            .map(|_| crate::rng::lognormal_dur(&mut rng, (0.01f64).ln(), 1.5).as_nanos())
+            .collect();
+        for q in [500, 950, 990] {
+            assert_bound(&lognorm, q);
+        }
+    }
 
     #[test]
     fn disabled_registry_records_nothing() {
@@ -1431,5 +1530,61 @@ mod tests {
         };
         huge.buckets[3] = count;
         assert_eq!(huge.quantile_upper_bound(990), 7);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::stats::percentile_permille;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The documented rank-error bound holds for arbitrary streams:
+        /// the estimate never undershoots the exact nearest-rank value
+        /// and never reaches twice it.
+        #[test]
+        fn histogram_bound_holds_for_arbitrary_streams(
+            xs in proptest::collection::vec(0u64..u64::MAX, 1..512),
+            q in 1u64..1001,
+        ) {
+            let mut h = Histogram::default();
+            for &x in &xs {
+                h.record(x);
+            }
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            let exact = percentile_permille(&sorted, q);
+            let est = h.quantile_upper_bound(q);
+            if exact == 0 {
+                prop_assert_eq!(est, 0);
+            } else {
+                prop_assert!(exact <= est, "under: exact {} est {}", exact, est);
+                // est ≤ 2·exact − 1, saturating so exact near u64::MAX
+                // cannot overflow the check.
+                prop_assert!(
+                    est < exact.saturating_mul(2) || est == u64::MAX && exact > (1 << 63),
+                    "over: exact {} est {}", exact, est
+                );
+            }
+        }
+
+        /// Insert order never matters (the histogram is a pure multiset).
+        #[test]
+        fn histogram_is_order_insensitive(
+            xs in proptest::collection::vec(0u64..1_000_000, 2..128),
+        ) {
+            let mut a = Histogram::default();
+            for &x in &xs {
+                a.record(x);
+            }
+            let mut xs = xs;
+            xs.reverse();
+            let mut b = Histogram::default();
+            for &x in &xs {
+                b.record(x);
+            }
+            prop_assert_eq!(a, b);
+        }
     }
 }

@@ -10,7 +10,7 @@ use dgsf::cuda::{
 };
 use dgsf::gpu::{GpuId, MB};
 use dgsf::prelude::*;
-use dgsf::remoting::RemoteCuda;
+use dgsf::remoting::{FaultPlan, RemoteCuda};
 use dgsf::server::GpuServer;
 use dgsf::sim::{Sim, SimCell};
 
@@ -203,10 +203,10 @@ fn monitor_fixes_the_fig8_imbalance() {
 fn repeat_migration_charges_each_context_at_most_once() {
     // Migration contexts are created lazily, once per (server, GPU) pair
     // (§V-B): a server bouncing between the same two GPUs reuses the
-    // context from its first visit. The monitor's overhead accounting must
-    // match — charge the 303 MB context footprint on the *first* arrival
-    // only. This test pins that with a placement probe sized to fit GPU 1
-    // exactly iff the context was charged once: double-charging would
+    // context from its first visit. The memory the monitor places by must
+    // match — count the 303 MB context footprint once, from the *first*
+    // arrival on. This test pins that with a placement probe sized to fit
+    // GPU 1 exactly iff the context was charged once: double-charging would
     // shrink availability below the probe and starve it.
     let mut sim = Sim::new(3);
     let h = sim.handle();
@@ -288,6 +288,80 @@ fn repeat_migration_charges_each_context_at_most_once() {
         "the probe must fit GPU 1: repeat migrations may not re-charge the \
          303 MB context footprint"
     );
+}
+
+#[test]
+fn an_aborted_migration_still_counts_its_context_on_the_target() {
+    // A migration creates its context on the target before the state
+    // transfer; when the transfer is dropped the migration aborts, but the
+    // 303 MB context stays. The monitor must place by it: B asks for more
+    // than GPU 1 really has left, so it may not land on server 1 (GPU 1)
+    // and must wait for server 0 (GPU 0), which A holds.
+    let mut sim = Sim::new(5);
+    let h = sim.handle();
+    let b_malloc = Rc::new(SimCell::new(&h, None));
+    let b_out = Rc::clone(&b_malloc);
+    let server_out: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+    let s_out = Rc::clone(&server_out);
+    sim.spawn("root", move |p| {
+        let cfg = GpuServerConfig::paper_default()
+            .gpus(2)
+            .with_faults(FaultPlan::new(0).drop_migration(0));
+        let ctx_fp = cfg.costs.cuda_ctx_mem;
+        let idle_fp = cfg.costs.idle_worker_mem();
+        let server = GpuServer::provision(p, &h, cfg);
+
+        let s2 = Arc::clone(&server);
+        h.spawn("a", move |p| {
+            let (client, _) = s2.request_gpu(p, "a", 64 * MB, registry());
+            let mut api = RemoteCuda::new(client, OptConfig::full());
+            api.runtime_init(p).unwrap();
+            api.register_module(p, registry()).unwrap();
+            s2.force_migration(0, GpuId(1));
+            api.device_synchronize(p).unwrap(); // boundary: migration aborts
+            api.launch_kernel(
+                p,
+                "spin",
+                LaunchConfig::linear(1, 32),
+                KernelArgs::timed(1.0, 0),
+            )
+            .unwrap();
+            api.device_synchronize(p).unwrap();
+            api.finish(p).unwrap();
+        });
+
+        let s3 = Arc::clone(&server);
+        h.spawn_at("b", SimTime::ZERO + Dur::from_millis(500), move |p| {
+            // The abort left server 0 home and its context on GPU 1.
+            assert_eq!(s3.server_current_gpu(0), GpuId(0));
+            assert!(s3.migrations().is_empty(), "the migration aborted");
+            assert_eq!(s3.gpus[1].used_mem(), idle_fp + ctx_fp);
+            let need = s3.gpus[1].free_mem() + 100 * MB;
+            let (client, _) = s3.request_gpu(p, "b", need, registry());
+            let mut api = RemoteCuda::new(client, OptConfig::full());
+            api.runtime_init(p).unwrap();
+            api.register_module(p, registry()).unwrap();
+            *b_out.borrow_in(p) = Some(api.malloc(p, need).is_ok());
+            api.finish(p).unwrap();
+        });
+        *s_out.borrow_in(p) = Some(server);
+    });
+    sim.run();
+    assert_eq!(
+        b_malloc.lock().take(),
+        Some(true),
+        "B must wait for server 0 instead of being placed on GPU 1, which \
+         cannot hold it next to the aborted migration's context"
+    );
+    let server = server_out.lock().take().expect("the root provisioned it");
+    let records = server.records();
+    let (a, b) = (&records[0], &records[1]);
+    assert_eq!((b.name.as_str(), b.server), ("b", Some(0)));
+    assert!(
+        a.done_at.is_some() && b.assigned_at >= a.done_at,
+        "B waited for A to leave server 0"
+    );
+    dgsf::check_memory_balance(&server, true).assert_ok();
 }
 
 #[test]
