@@ -239,8 +239,9 @@ pub struct QueueArm {
 pub struct FleetVariant {
     /// Cluster-balancer routing policy label.
     pub fleet_policy: &'static str,
-    /// Shed policy label.
-    pub shed_policy: &'static str,
+    /// Admission shedding label: `weighted_fair` or `fifo` (fairness
+    /// unset).
+    pub shedding: &'static str,
     /// The measured curve, in offered-rate order.
     pub points: Vec<FleetPoint>,
 }
@@ -658,7 +659,7 @@ pub fn fleet(seed: u64, quick: bool) -> FleetOutput {
         .iter()
         .map(|&(policy, fair)| FleetVariant {
             fleet_policy: policy.label(),
-            shed_policy: if fair { "weighted_fair" } else { "fifo" },
+            shedding: if fair { "weighted_fair" } else { "fifo" },
             points: HOT_RATES_MILLI_RPS
                 .iter()
                 .enumerate()
@@ -735,7 +736,7 @@ pub fn fleet_json(f: &FleetOutput) -> String {
             for v in &f.variants {
                 j.object(Inline, |j| {
                     j.key("fleet_policy").str(v.fleet_policy);
-                    j.key("shed_policy").str(v.shed_policy);
+                    j.key("shed_policy").str(v.shedding);
                     j.key("points").array(Lines(6), |j| {
                         for p in &v.points {
                             j.object(Inline, |j| {
@@ -797,7 +798,7 @@ pub fn fleet_text(f: &FleetOutput) -> String {
         for p in &v.points {
             t.row(vec![
                 v.fleet_policy.to_string(),
-                v.shed_policy.to_string(),
+                v.shedding.to_string(),
                 format!("{:.1}", p.hot_rps_milli as f64 / 1000.0),
                 format!("{:.2}s", p.p99_e2e_us as f64 / 1e6),
                 format!("{:.3}", p.jain_permille as f64 / 1000.0),

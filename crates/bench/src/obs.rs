@@ -147,7 +147,7 @@ pub struct ObsOutput {
 /// The observability plane both runs attach: 2 s windows so the 10×
 /// surge clears the ramp detector's minimum-arrivals floor well inside
 /// one window, everything else at the paper defaults (2 s SLO, 10%
-/// budget, 2/8 burn windows).
+/// budget; the 2/8 burn windows are fixed).
 fn obs_config() -> ObsConfig {
     ObsConfig::paper_default().with_window(Dur::from_secs(2))
 }

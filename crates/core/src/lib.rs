@@ -84,12 +84,11 @@ pub mod prelude {
     pub use dgsf_remoting::{NetProfile, OptConfig};
     pub use dgsf_server::{
         AutoscaleConfig, FleetPolicy, GpuServerConfig, MqfqConfig, PlacementPolicy,
-        PredictiveConfig, QueuePolicy, ShedPolicy,
+        PredictiveConfig, QueuePolicy,
     };
     pub use dgsf_serverless::{
         AdmissionConfig, ArrivalPattern, ClusterBalancer, FailureClass, FairShedConfig,
-        InvokeOptions, Invoker, Phase, PhaseRecorder, RetryPolicy, Schedule, StickyConfig,
-        Tenanted, Workload,
+        InvokeOptions, Invoker, Phase, PhaseRecorder, Schedule, StickyConfig, Tenanted, Workload,
     };
     pub use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime};
 }

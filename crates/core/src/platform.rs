@@ -2,7 +2,7 @@
 //! platform run.
 //!
 //! One builder covers the server shape, the fleet in front of it, and the
-//! backend's routing, retry and admission policies. Start from
+//! backend's routing and admission policies. Start from
 //! [`PlatformConfig::paper_default`], chain `with_*` calls, and hand the
 //! result to [`Testbed::run_platform_schedule`](crate::Testbed::run_platform_schedule)
 //! or [`Testbed::run_dgsf_once`](crate::Testbed::run_dgsf_once).
@@ -22,8 +22,8 @@
 //! ```
 
 use dgsf_remoting::OptConfig;
-use dgsf_server::{FleetPolicy, GpuServerConfig, MqfqConfig, QueuePolicy, ShedPolicy};
-use dgsf_serverless::{AdmissionConfig, FairShedConfig, RetryPolicy, StickyConfig};
+use dgsf_server::{FleetPolicy, GpuServerConfig, MqfqConfig, QueuePolicy};
+use dgsf_serverless::{AdmissionConfig, FairShedConfig, StickyConfig};
 use dgsf_sim::ObsConfig;
 
 /// A rejected [`PlatformConfig`]: the build was internally inconsistent
@@ -44,7 +44,7 @@ pub enum ConfigError {
     /// The sticky max-share bound is outside 1..=1000 per mille.
     BadStickyShare(u64),
     /// The observability-plane configuration is internally inconsistent
-    /// (zero window, inverted burn-window pair, zero budget, ...).
+    /// (zero window or zero error budget).
     BadObsConfig(String),
 }
 
@@ -86,8 +86,6 @@ pub struct PlatformConfig {
     pub num_servers: usize,
     /// Cluster-balancer routing policy.
     pub policy: FleetPolicy,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
     /// Optional admission control (overload shedding).
     pub admission: Option<AdmissionConfig>,
     /// Optional bounded sticky tenant→server placement (MQFQ-Sticky's
@@ -103,14 +101,13 @@ pub struct PlatformConfig {
 
 impl PlatformConfig {
     /// The paper's default platform: one paper-default GPU server behind a
-    /// round-robin backend, default retries, no admission control.
+    /// round-robin backend, no admission control.
     pub fn paper_default() -> PlatformConfig {
         PlatformConfig {
             seed: 42,
             server: GpuServerConfig::paper_default(),
             num_servers: 1,
             policy: FleetPolicy::RoundRobin,
-            retry: RetryPolicy::default(),
             admission: None,
             sticky: None,
             opts: OptConfig::full(),
@@ -143,12 +140,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Builder-style: set the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Builder-style: install a complete admission configuration.
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
         self.admission = Some(admission);
@@ -157,15 +148,16 @@ impl PlatformConfig {
 
     /// Builder-style: admission control with a platform-wide in-flight
     /// cap (creating a default [`AdmissionConfig`] if none is set yet).
+    /// Panics on 0 whether or not a cap was set before.
     pub fn with_max_inflight(mut self, n: usize) -> Self {
-        let adm = match self.admission.take() {
-            Some(mut a) => {
-                a.max_inflight = n.max(1);
-                a
-            }
-            None => AdmissionConfig::new(n),
-        };
-        self.admission = Some(adm);
+        let fresh = AdmissionConfig::new(n);
+        self.admission = Some(match self.admission.take() {
+            Some(a) => AdmissionConfig {
+                max_inflight: fresh.max_inflight,
+                ..a
+            },
+            None => fresh,
+        });
         self
     }
 
@@ -247,14 +239,6 @@ impl PlatformConfig {
         Ok(())
     }
 
-    /// The shed policy this platform implements.
-    pub fn shed_policy(&self) -> ShedPolicy {
-        self.admission
-            .as_ref()
-            .map(|a| a.shed_policy())
-            .unwrap_or(ShedPolicy::Fifo)
-    }
-
     /// The single-server view of this platform: same seed, server shape
     /// and optimization level, with every fleet setting at its default.
     pub fn testbed(&self) -> PlatformConfig {
@@ -302,7 +286,7 @@ mod tests {
         assert_eq!(cfg.policy, FleetPolicy::LoadAware);
         let adm = cfg.admission.expect("admission configured");
         assert_eq!(adm.max_inflight, 32);
-        assert_eq!(adm.shed_policy(), ShedPolicy::WeightedFair);
+        assert!(adm.fairness.is_some(), "weighted fair shedding on");
     }
 
     #[test]
@@ -321,11 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_reflects_fairness() {
-        let fifo = PlatformConfig::paper_default().with_max_inflight(8);
-        assert_eq!(fifo.shed_policy(), ShedPolicy::Fifo);
-        let fair = fifo.with_weighted_fair(FairShedConfig::new());
-        assert_eq!(fair.shed_policy(), ShedPolicy::WeightedFair);
+    #[should_panic(expected = "admitting nothing serves nothing")]
+    fn max_inflight_zero_panics_after_an_earlier_cap() {
+        let _ = PlatformConfig::paper_default()
+            .with_max_inflight(8)
+            .with_max_inflight(0);
     }
 
     #[test]

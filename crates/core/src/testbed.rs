@@ -224,7 +224,7 @@ fn run_platform(
                 GpuServer::provision_observed(p, &h2, cfg2.server.clone(), obs)
             })
             .collect();
-        let mut backend = Backend::new(&h2, fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
+        let mut backend = Backend::new(&h2, fleet.clone(), cfg2.policy);
         if let Some(adm) = cfg2.admission.clone() {
             backend = backend.with_admission(adm);
         }

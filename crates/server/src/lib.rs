@@ -33,7 +33,7 @@ pub use autoscale::{AutoscaleConfig, Autoscaler, PredictiveConfig};
 pub use config::GpuServerConfig;
 pub use fairqueue::{MqfqConfig, MqfqQueues};
 pub use monitor::InvocationRecord;
-pub use policy::{FleetPolicy, PlacementPolicy, QueuePolicy, ShedPolicy};
+pub use policy::{FleetPolicy, PlacementPolicy, QueuePolicy};
 pub use server::{AcquireError, GpuServer, InvocationOutcome, ServerGauges};
 
 #[cfg(test)]

@@ -6,9 +6,12 @@
 //! * [`PlacementPolicy`] — which GPU the monitor homes a function on;
 //! * [`QueuePolicy`] — the monitor's queue discipline;
 //! * [`FleetPolicy`] — which GPU *server* the cluster balancer routes an
-//!   invocation to (the paper's §IV open policy space);
-//! * [`ShedPolicy`] — how admission control picks what to shed under
-//!   overload.
+//!   invocation to (the paper's §IV open policy space).
+//!
+//! What admission control sheds under overload is not an enum: the
+//! serverless backend's `AdmissionConfig::fairness` either holds a
+//! weighted-fair configuration or is unset, and unset sheds tenant-blind,
+//! whoever arrives while the platform is full.
 //!
 //! Historically `PlacementPolicy`/`QueuePolicy` lived in
 //! `dgsf_server::config` and the fleet selection enum in
@@ -82,29 +85,6 @@ impl FleetPolicy {
     }
 }
 
-/// What admission control sheds when the platform is overloaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Tenant-blind: whoever arrives while the platform is full is shed,
-    /// regardless of who already holds the in-flight budget.
-    Fifo,
-    /// Per-tenant weighted fair shedding: each tenant owns a weighted
-    /// share of the in-flight budget plus a token bucket for bursts;
-    /// overload sheds the most over-budget tenant first, so one hot
-    /// customer cannot eat the whole budget.
-    WeightedFair,
-}
-
-impl ShedPolicy {
-    /// Stable lowercase label, used in benchmark exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShedPolicy::Fifo => "fifo",
-            ShedPolicy::WeightedFair => "weighted_fair",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +93,5 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(FleetPolicy::RoundRobin.label(), "round_robin");
         assert_eq!(FleetPolicy::LoadAware.label(), "load_aware");
-        assert_eq!(ShedPolicy::Fifo.label(), "fifo");
-        assert_eq!(ShedPolicy::WeightedFair.label(), "weighted_fair");
     }
 }

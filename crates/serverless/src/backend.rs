@@ -1,4 +1,4 @@
-//! The serverless backend's GPU-server selection (§IV) and retry policy.
+//! The serverless backend's GPU-server selection (§IV) and retries.
 //!
 //! "Our prototype uses a fixed policy to choose, given a function requesting
 //! a GPU, which GPU server to use. Different policies can be used in a
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use dgsf_cuda::ApiStats;
 use dgsf_remoting::OptConfig;
-use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome, ShedPolicy};
+use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome};
 use dgsf_sim::{
     ArgValue, Dur, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx, TraceOutcome,
 };
@@ -38,60 +38,13 @@ use crate::workload::Workload;
 /// retried at most twice.
 const MAX_ATTEMPTS: u32 = 3;
 
-/// Bounded retry-with-backoff for transient invocation failures, up to
-/// three attempts per function.
-///
-/// All arithmetic is integer milliseconds: the old `f64` `powi` path
-/// rounded differently across platforms and silently went infinite for
-/// large attempt counts. Growth is expressed in permille so non-integral
-/// factors (×1.5 = 1500) stay exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Backoff before the second attempt, in milliseconds.
-    pub initial_backoff_ms: u64,
-    /// Growth factor for each subsequent backoff, in permille
-    /// (2000 = double each time).
-    pub backoff_multiplier_permille: u64,
-}
+/// Backoff before the second attempt; each later backoff doubles it.
+const INITIAL_BACKOFF: Dur = Dur::from_millis(50);
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            initial_backoff_ms: 50,
-            backoff_multiplier_permille: 2000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Builder-style: set the first backoff in milliseconds.
-    pub fn with_initial_backoff_ms(mut self, ms: u64) -> Self {
-        self.initial_backoff_ms = ms;
-        self
-    }
-
-    /// Builder-style: set the growth factor in permille (2000 = ×2).
-    pub fn with_multiplier_permille(mut self, permille: u64) -> Self {
-        self.backoff_multiplier_permille = permille;
-        self
-    }
-
-    /// Backoff to sleep after failed attempt number `attempt` (1-based).
-    /// Saturates instead of overflowing: absurd policies produce the
-    /// longest representable backoff, never a wrapped short one.
-    pub fn backoff(&self, attempt: u32) -> Dur {
-        // Largest millisecond count Dur's u64 nanoseconds can hold.
-        const MAX_MS: u128 = (u64::MAX / 1_000_000) as u128;
-        let mut ms: u128 = self.initial_backoff_ms as u128;
-        for _ in 1..attempt {
-            ms = ms.saturating_mul(self.backoff_multiplier_permille as u128) / 1000;
-            if ms >= MAX_MS {
-                ms = MAX_MS;
-                break;
-            }
-        }
-        Dur::from_millis(ms.min(MAX_MS) as u64)
-    }
+/// Backoff to sleep after failed attempt number `attempt` (1-based):
+/// 50 ms, then 100 ms within the attempt budget.
+fn backoff(attempt: u32) -> Dur {
+    Dur(INITIAL_BACKOFF.0 << (attempt - 1))
 }
 
 /// Admission control at the backend's front door: bounded concurrency and
@@ -106,7 +59,7 @@ pub struct AdmissionConfig {
     /// Maximum time one attempt may wait in a GPU server's queue before
     /// the work is shed as overload (bounds queue *age*, not just depth).
     pub max_queue_age: Option<Dur>,
-    /// Per-tenant weighted fair shedding ([`ShedPolicy::WeightedFair`]).
+    /// Per-tenant weighted fair shedding.
     /// `None` is the FIFO baseline: slots go to whoever arrives first,
     /// tenant-blind.
     pub fairness: Option<FairShedConfig>,
@@ -133,15 +86,6 @@ impl AdmissionConfig {
     pub fn with_weighted_fair(mut self, fairness: FairShedConfig) -> Self {
         self.fairness = Some(fairness);
         self
-    }
-
-    /// Which shed policy this configuration implements.
-    pub fn shed_policy(&self) -> ShedPolicy {
-        if self.fairness.is_some() {
-            ShedPolicy::WeightedFair
-        } else {
-            ShedPolicy::Fifo
-        }
     }
 }
 
@@ -221,13 +165,11 @@ impl Terminal {
 pub struct Backend {
     servers: Vec<Arc<GpuServer>>,
     balancer: ClusterBalancer,
-    retry: RetryPolicy,
     admission: Option<AdmissionConfig>,
     admitted: SimCell<AdmissionState>,
     /// Online observability plane: fed one arrival per invocation and one
     /// completion per terminal outcome (with the queue wait summed across
-    /// every attempt, matching the offline trace decomposition), and
-    /// consulted for per-tenant burn-rate shedding.
+    /// every attempt, matching the offline trace decomposition).
     obs: Option<Rc<ObsPlane>>,
     /// The simulation the backend's state belongs to.
     sim: SimHandle,
@@ -244,7 +186,6 @@ impl Backend {
         Backend {
             servers,
             balancer: ClusterBalancer::new(policy),
-            retry: RetryPolicy::default(),
             admission: None,
             admitted: SimCell::new(h, AdmissionState::default()),
             obs: None,
@@ -254,17 +195,10 @@ impl Backend {
 
     /// Feed the online observability plane: every invocation records an
     /// arrival on entry and a completion (with its attempt-summed queue
-    /// wait) on any terminal outcome, and — when the plane's shed
-    /// threshold is configured — new work from a tenant burning its SLO
-    /// budget on queueing is refused at the front door.
+    /// wait) on any terminal outcome. The plane only watches: it never
+    /// changes what the backend admits or where it routes.
     pub fn with_obs(mut self, obs: Rc<ObsPlane>) -> Backend {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Override the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Backend {
-        self.retry = retry;
         self
     }
 
@@ -294,15 +228,6 @@ impl Backend {
         self.balancer.policy()
     }
 
-    /// The shed policy admission control implements ([`ShedPolicy::Fifo`]
-    /// when admission control is off entirely).
-    pub fn shed_policy(&self) -> ShedPolicy {
-        self.admission
-            .as_ref()
-            .map(|a| a.shed_policy())
-            .unwrap_or(ShedPolicy::Fifo)
-    }
-
     /// Invocations currently admitted (holding an admission slot).
     pub fn inflight(&self) -> usize {
         self.admitted.lock().inflight
@@ -317,19 +242,6 @@ impl Backend {
     /// The registered servers.
     pub fn servers(&self) -> &[Arc<GpuServer>] {
         &self.servers
-    }
-
-    /// Choose a server for the next function under the configured policy.
-    ///
-    /// Panics when every registered server's lease has expired — use
-    /// [`invoke`](Self::invoke), which reports that case as a failed
-    /// [`FunctionResult`] instead.
-    pub fn choose(&self) -> &Arc<GpuServer> {
-        let idx = self
-            .balancer
-            .route(&self.servers, None)
-            .expect("every registered GPU server's lease has expired");
-        &self.servers[idx]
     }
 
     /// Invoke a workload through the backend: choose a server, run the full
@@ -491,7 +403,7 @@ impl Backend {
                 );
             }
             avoid = Some(idx);
-            p.sleep(self.retry.backoff(attempt));
+            p.sleep(backoff(attempt));
             attempt += 1;
         }
     }
@@ -543,15 +455,6 @@ impl Backend {
         p: &ProcCtx,
         w: &dyn Workload,
     ) -> Result<Option<AdmissionSlot<'_>>, String> {
-        // Burn-rate shedding: when the obs plane says this tenant is
-        // burning its SLO budget on queueing faster than the configured
-        // threshold, refuse new work before it joins the queue and makes
-        // the burn worse. Independent of classic admission control.
-        if let Some(obs) = &self.obs {
-            if obs.shed_due(p.now(), w.tenant()) {
-                return Err(format!("tenant '{}' over SLO burn-rate budget", w.tenant()));
-            }
-        }
         let Some(adm) = &self.admission else {
             return Ok(None); // no admission control: everything enters
         };
@@ -648,9 +551,8 @@ mod tests {
         let h = sim.handle();
         sim.spawn("root", move |p| {
             let b = two_server_backend(p, &h, FleetPolicy::RoundRobin);
-            let a = Arc::as_ptr(b.choose());
-            let c = Arc::as_ptr(b.choose());
-            let d = Arc::as_ptr(b.choose());
+            let route = || b.balancer().route_for("t", b.servers(), None);
+            let (a, c, d) = (route(), route(), route());
             assert_ne!(a, c);
             assert_eq!(a, d);
         });
@@ -659,50 +561,9 @@ mod tests {
 
     #[test]
     fn retry_backoff_grows_geometrically() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff(1), Dur::from_millis(50));
-        assert_eq!(r.backoff(2), Dur::from_millis(100));
-        assert_eq!(r.backoff(3), Dur::from_millis(200));
-    }
-
-    #[test]
-    fn retry_backoff_is_exact_integer_millis() {
-        // Non-integral growth (×1.5) stays exact in milli arithmetic —
-        // pinned so the sequence can never drift with float rounding.
-        let r = RetryPolicy::default()
-            .with_initial_backoff_ms(100)
-            .with_multiplier_permille(1500);
-        let seq: Vec<Dur> = (1..=5).map(|a| r.backoff(a)).collect();
-        assert_eq!(
-            seq,
-            vec![
-                Dur::from_millis(100),
-                Dur::from_millis(150),
-                Dur::from_millis(225),
-                Dur::from_millis(337), // 337.5 floors: integer millis
-                Dur::from_millis(505), // 337 * 1500 / 1000
-            ]
-        );
-    }
-
-    #[test]
-    fn retry_backoff_saturates_instead_of_overflowing() {
-        let r = RetryPolicy::default()
-            .with_initial_backoff_ms(u64::MAX)
-            .with_multiplier_permille(u64::MAX);
-        // The longest backoff Dur's u64 nanoseconds can represent,
-        // reached monotonically — never a wrapped-around short sleep.
-        let cap = Dur::from_millis(u64::MAX / 1_000_000);
-        assert_eq!(r.backoff(1), cap);
-        assert_eq!(r.backoff(64), cap);
-        let grow = RetryPolicy::default().with_initial_backoff_ms(50);
-        let mut prev = Dur::ZERO;
-        for a in 1..=80 {
-            let b = grow.backoff(a);
-            assert!(b >= prev, "backoff shrank at attempt {a}");
-            prev = b;
-        }
-        assert_eq!(prev, cap);
+        assert_eq!(backoff(1), Dur::from_millis(50));
+        assert_eq!(backoff(2), Dur::from_millis(100));
+        assert_eq!(backoff(3), Dur::from_millis(200));
     }
 
     #[test]

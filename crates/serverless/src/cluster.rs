@@ -114,25 +114,14 @@ const STICKY_BONUS: u64 = 1_500_000;
 /// * `avoid` (the server a previous attempt just failed on) is skipped
 ///   when any other live server exists.
 /// * `rr` is the round-robin cursor value for [`FleetPolicy::RoundRobin`].
+/// * A tenant `affinity` (sticky placement) confines a capped tenant to
+///   its live warm servers (falling back to the whole fleet only when none
+///   of them is live); an uncapped tenant sees its warm servers win
+///   load-aware ties through the score bonus.
 /// * Ties break toward the lowest index, so the choice is deterministic.
 ///
 /// Returns `None` when every server's lease has expired.
 pub fn select(
-    policy: FleetPolicy,
-    snaps: &[ServerGauges],
-    rr: usize,
-    avoid: Option<usize>,
-) -> Option<usize> {
-    select_with_affinity(policy, snaps, rr, avoid, None)
-}
-
-/// [`select`] with an optional tenant affinity (sticky placement).
-///
-/// A capped tenant is confined to its live warm servers (falling back to
-/// the whole fleet only when none of them is live); an uncapped tenant
-/// sees its warm servers win load-aware ties through the score bonus. The
-/// liveness and `avoid` rules of [`select`] hold unchanged.
-pub fn select_with_affinity(
     policy: FleetPolicy,
     snaps: &[ServerGauges],
     rr: usize,
@@ -234,27 +223,9 @@ impl ClusterBalancer {
         self.policy
     }
 
-    /// Route one invocation across `fleet`, steering away from `avoid`
-    /// when possible. `None` means the whole fleet is lease-expired.
-    /// Tenant-blind: sticky state is neither consulted nor updated.
-    pub fn route(&self, fleet: &[Arc<GpuServer>], avoid: Option<usize>) -> Option<usize> {
-        let snaps: Vec<ServerGauges> = fleet.iter().map(|s| s.gauges()).collect();
-        self.route_snapshots(&snaps, avoid)
-    }
-
-    /// [`route`](Self::route) over pre-collected gauges (the testable
-    /// entry point; advances the round-robin cursor exactly like `route`).
-    pub fn route_snapshots(&self, snaps: &[ServerGauges], avoid: Option<usize>) -> Option<usize> {
-        let rr = match self.policy {
-            FleetPolicy::RoundRobin => self.rr.replace(self.rr.get() + 1),
-            _ => 0,
-        };
-        select(self.policy, snaps, rr, avoid)
-    }
-
-    /// Route one of `tenant`'s invocations across `fleet` with sticky
-    /// placement (falls back to tenant-blind routing when stickiness is
-    /// not configured).
+    /// Route one of `tenant`'s invocations across `fleet`, steering away
+    /// from `avoid` when possible, with sticky placement when it is
+    /// configured. `None` means the whole fleet is lease-expired.
     pub fn route_for(
         &self,
         tenant: &str,
@@ -265,24 +236,26 @@ impl ClusterBalancer {
         self.route_snapshots_for(tenant, &snaps, avoid)
     }
 
-    /// [`route_for`](Self::route_for) over pre-collected gauges.
+    /// [`route_for`](Self::route_for) over pre-collected gauges (the
+    /// testable entry point).
     ///
-    /// Prunes lease-expired servers from the tenant's warm set, applies
-    /// the max-share cap and warm bonus, and records the chosen server
-    /// back into the warm set (counting a cold placement when the server
-    /// was new to the tenant).
+    /// Advances the round-robin cursor. With stickiness on, it also prunes
+    /// lease-expired servers from the tenant's warm set, applies the
+    /// max-share cap and warm bonus, and records the chosen server back
+    /// into the warm set (counting a cold placement when the server was
+    /// new to the tenant).
     pub fn route_snapshots_for(
         &self,
         tenant: &str,
         snaps: &[ServerGauges],
         avoid: Option<usize>,
     ) -> Option<usize> {
-        let Some((cfg, state)) = &self.sticky else {
-            return self.route_snapshots(snaps, avoid);
-        };
         let rr = match self.policy {
             FleetPolicy::RoundRobin => self.rr.replace(self.rr.get() + 1),
             _ => 0,
+        };
+        let Some((cfg, state)) = &self.sticky else {
+            return select(self.policy, snaps, rr, avoid, None);
         };
         let mut st = state.lock();
         let warm = st.warm.entry(tenant.to_string()).or_default();
@@ -294,7 +267,7 @@ impl ClusterBalancer {
             warm: warm.clone(),
             capped: warm.len() >= cap,
         };
-        let pick = select_with_affinity(self.policy, snaps, rr, avoid, Some(&aff))?;
+        let pick = select(self.policy, snaps, rr, avoid, Some(&aff))?;
         if warm.insert(pick) {
             *st.cold_placements.entry(tenant.to_string()).or_insert(0) += 1;
         }
@@ -349,7 +322,7 @@ mod tests {
         let snaps = vec![gauges(1, 0, 0, 0), gauges(0, 2, 0, 0), gauges(1, 0, 0, 0)];
         let b = ClusterBalancer::new(FleetPolicy::RoundRobin);
         let picks: Vec<usize> = (0..4)
-            .map(|_| b.route_snapshots(&snaps, None).unwrap())
+            .map(|_| b.route_snapshots_for("t", &snaps, None).unwrap())
             .collect();
         assert_eq!(picks, vec![0, 2, 0, 2]);
     }
@@ -360,14 +333,17 @@ mod tests {
         let mut a = gauges(2, 0, 1, 0);
         a.used_mem_bytes = 8 << 30;
         let b_ = gauges(2, 0, 1, 0); // 0 bytes used
-        assert_eq!(select(FleetPolicy::LoadAware, &[a, b_], 0, None), Some(1));
+        assert_eq!(
+            select(FleetPolicy::LoadAware, &[a, b_], 0, None, None),
+            Some(1)
+        );
         // Queue depth dominates memory.
         let mut busy = gauges(2, 0, 2, 3);
         busy.used_mem_bytes = 0;
         let mut calm = gauges(2, 0, 1, 0);
         calm.used_mem_bytes = 12 << 30;
         assert_eq!(
-            select(FleetPolicy::LoadAware, &[busy, calm], 0, None),
+            select(FleetPolicy::LoadAware, &[busy, calm], 0, None, None),
             Some(1)
         );
     }
@@ -376,11 +352,14 @@ mod tests {
     fn avoid_is_respected_unless_it_is_the_last_live_server() {
         let snaps = vec![gauges(1, 0, 0, 0), gauges(1, 0, 5, 5)];
         assert_eq!(
-            select(FleetPolicy::LeastLoaded, &snaps, 0, Some(0)),
+            select(FleetPolicy::LeastLoaded, &snaps, 0, Some(0), None),
             Some(1)
         );
         let lone = vec![gauges(1, 0, 0, 0), gauges(0, 1, 0, 0)];
-        assert_eq!(select(FleetPolicy::LeastLoaded, &lone, 0, Some(0)), Some(0));
+        assert_eq!(
+            select(FleetPolicy::LeastLoaded, &lone, 0, Some(0), None),
+            Some(0)
+        );
     }
 
     #[test]
@@ -391,7 +370,7 @@ mod tests {
         migrating.migrations_in_flight = 1;
         let calm = gauges(2, 0, 1, 0);
         assert_eq!(
-            select(FleetPolicy::LoadAware, &[migrating, calm], 0, None),
+            select(FleetPolicy::LoadAware, &[migrating, calm], 0, None, None),
             Some(1)
         );
         // The penalty is transient and bounded: a migrating-but-idle server
@@ -400,7 +379,13 @@ mod tests {
         migrating_idle.migrations_in_flight = 1;
         let queued = gauges(2, 0, 2, 2);
         assert_eq!(
-            select(FleetPolicy::LoadAware, &[migrating_idle, queued], 0, None),
+            select(
+                FleetPolicy::LoadAware,
+                &[migrating_idle, queued],
+                0,
+                None,
+                None
+            ),
             Some(0)
         );
     }
@@ -478,7 +463,7 @@ mod tests {
             FleetPolicy::MostLoaded,
             FleetPolicy::LoadAware,
         ] {
-            assert_eq!(select(p, &snaps, 0, None), None);
+            assert_eq!(select(p, &snaps, 0, None, None), None);
         }
     }
 }

@@ -25,10 +25,10 @@ mod tenant;
 mod workload;
 
 pub use arrivals::{ArrivalPattern, Schedule};
-pub use backend::{AdmissionConfig, Backend, RetryPolicy};
+pub use backend::{AdmissionConfig, Backend};
 pub use cluster::{ClusterBalancer, StickyConfig};
 pub use dag::{DagStage, DagWorkload, HandoffMode};
-pub use dgsf_server::{FleetPolicy, ShedPolicy};
+pub use dgsf_server::FleetPolicy;
 pub use invoke::{
     invoke_cpu, invoke_native, DagResult, FailureClass, FunctionResult, InvokeFailure,
     InvokeOptions, Invoker,

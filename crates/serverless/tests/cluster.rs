@@ -66,7 +66,7 @@ proptest! {
         avoid_raw in proptest::option::of(0usize..10),
     ) {
         let avoid = avoid_raw.map(|a| a % snaps.len());
-        let picked = select(policy, &snaps, rr, avoid);
+        let picked = select(policy, &snaps, rr, avoid, None);
         let any_live = snaps.iter().any(|g| g.lease_live());
         match picked {
             Some(i) => {
@@ -82,7 +82,7 @@ proptest! {
             ),
         }
         // And the choice is a pure function of its inputs.
-        prop_assert_eq!(picked, select(policy, &snaps, rr, avoid));
+        prop_assert_eq!(picked, select(policy, &snaps, rr, avoid, None));
     }
 
     /// `avoid` steers away from the named server whenever any other live
@@ -99,7 +99,7 @@ proptest! {
             .iter()
             .enumerate()
             .any(|(i, g)| i != avoid && g.lease_live());
-        if let Some(i) = select(policy, &snaps, rr, Some(avoid)) {
+        if let Some(i) = select(policy, &snaps, rr, Some(avoid), None) {
             if others_live {
                 prop_assert_ne!(i, avoid, "picked the avoided server {avoid}");
             }
@@ -337,7 +337,10 @@ fn sticky_placement_cuts_the_light_tenants_cold_placements_versus_round_robin() 
     let rr = ClusterBalancer::new(FleetPolicy::RoundRobin);
     let mut rr_touched = BTreeSet::new();
     for _ in 0..16 {
-        rr_touched.insert(rr.route_snapshots(&snaps, None).expect("live fleet"));
+        rr_touched.insert(
+            rr.route_snapshots_for("t", &snaps, None)
+                .expect("live fleet"),
+        );
     }
     assert_eq!(
         rr_touched.len(),

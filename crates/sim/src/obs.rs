@@ -52,8 +52,8 @@
 //! the burn is `(violations·1000/total) · 1000 / error_budget_permille`
 //! per mille: 1000 means the budget is being consumed exactly at its
 //! sustainable rate. An alert fires for a tenant when both the fast
-//! window set (the last [`ObsConfig::fast_windows`] windows) and the slow
-//! set (the last [`ObsConfig::slow_windows`]) burn at or above
+//! window set (the last [`FAST_WINDOWS`] windows) and the slow
+//! set (the last [`SLOW_WINDOWS`]) burn at or above
 //! [`BURN_THRESHOLD_PERMILLE`] *and* the tenant's violating requests
 //! spent at least [`QUEUE_SHARE_THRESHOLD_PERMILLE`] of their end-to-end
 //! time queueing. Alerts are edge-triggered: one
@@ -83,10 +83,15 @@ use crate::time::{Dur, SimTime};
 pub const BURN_THRESHOLD_PERMILLE: u64 = 1000;
 
 /// Queue-attributed share of the violating requests' end-to-end time
-/// (permille) required before an alert fires, and before burn-rate
-/// shedding refuses a tenant — the online analogue of the critical-path
-/// attribution gate.
+/// (permille) required before an alert fires — the online analogue of the
+/// critical-path attribution gate.
 pub const QUEUE_SHARE_THRESHOLD_PERMILLE: u64 = 300;
+
+/// Fast alert window set, in aggregation windows.
+pub const FAST_WINDOWS: usize = 2;
+
+/// Slow alert window set, in aggregation windows (≥ [`FAST_WINDOWS`]).
+pub const SLOW_WINDOWS: usize = 8;
 
 /// Configuration of the observability plane. All thresholds are integer
 /// permille; all windows are virtual-time durations.
@@ -99,30 +104,18 @@ pub struct ObsConfig {
     pub slo_target: Dur,
     /// Error budget: permille of requests allowed to violate.
     pub error_budget_permille: u64,
-    /// Fast alert window, in aggregation windows.
-    pub fast_windows: usize,
-    /// Slow alert window, in aggregation windows (≥ `fast_windows`).
-    pub slow_windows: usize,
-    /// When set, the backend sheds new requests from a tenant whose
-    /// fast-window burn rate is at or above this threshold (and whose
-    /// burn alert gate holds). `None` — the default — never sheds on
-    /// burn rate.
-    pub shed_burn_threshold_permille: Option<u64>,
 }
 
 impl ObsConfig {
-    /// Moderate defaults: 500 ms windows, a 2 s SLO with a 10% budget, a
-    /// 2-window fast / 8-window slow burn pair, no burn-rate shedding. The
-    /// EWMA, ramp and alert thresholds are fixed: see
-    /// [`BURN_THRESHOLD_PERMILLE`] and [`QUEUE_SHARE_THRESHOLD_PERMILLE`].
+    /// Moderate defaults: 500 ms windows and a 2 s SLO with a 10% budget.
+    /// The EWMA, ramp, alert thresholds and burn window sets are fixed: see
+    /// [`BURN_THRESHOLD_PERMILLE`], [`QUEUE_SHARE_THRESHOLD_PERMILLE`],
+    /// [`FAST_WINDOWS`] and [`SLOW_WINDOWS`].
     pub fn paper_default() -> ObsConfig {
         ObsConfig {
             window: Dur::from_millis(500),
             slo_target: Dur::from_secs(2),
             error_budget_permille: 100,
-            fast_windows: 2,
-            slow_windows: 8,
-            shed_burn_threshold_permille: None,
         }
     }
 
@@ -139,30 +132,10 @@ impl ObsConfig {
         self
     }
 
-    /// Builder-style: set the fast/slow burn window pair.
-    pub fn with_burn_windows(mut self, fast: usize, slow: usize) -> Self {
-        self.fast_windows = fast;
-        self.slow_windows = slow;
-        self
-    }
-
-    /// Builder-style: shed new work from tenants burning at or above
-    /// `permille` of the sustainable budget rate.
-    pub fn with_shed_burn_threshold(mut self, permille: u64) -> Self {
-        self.shed_burn_threshold_permille = Some(permille);
-        self
-    }
-
     /// Check the configuration for internal consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.window == Dur::ZERO {
             return Err("obs window must be non-zero".into());
-        }
-        if self.fast_windows == 0 {
-            return Err("obs fast window must cover at least one window".into());
-        }
-        if self.slow_windows < self.fast_windows {
-            return Err("obs slow window must be at least the fast window".into());
         }
         if self.error_budget_permille == 0 {
             return Err("obs error budget must be non-zero".into());
@@ -308,11 +281,11 @@ struct Inner {
     ewma_rate_milli: u64,
     ewma_seeded: bool,
     /// Finalized per-tenant windows, most recent at the back, bounded to
-    /// `slow_windows`. Every known tenant gets a (possibly zero) entry
+    /// [`SLOW_WINDOWS`]. Every known tenant gets a (possibly zero) entry
     /// per finalized window, so sets stay time-aligned.
     tenant_hist: BTreeMap<String, VecDeque<TenantWin>>,
     /// Global (tail_queue, tail_e2e) of recent finalized windows, bounded
-    /// to `fast_windows` (drives the autoscaler's attribution gate).
+    /// to [`FAST_WINDOWS`] (drives the autoscaler's attribution gate).
     share_hist: VecDeque<(u64, u64)>,
     windows: Vec<WindowRow>,
     tenant_rows: Vec<TenantBurnRow>,
@@ -380,7 +353,7 @@ impl Inner {
         });
         self.share_hist
             .push_back((self.cur.tail_queue_ns, self.cur.tail_e2e_ns));
-        while self.share_hist.len() > cfg.fast_windows {
+        while self.share_hist.len() > FAST_WINDOWS {
             self.share_hist.pop_front();
         }
         // Per-tenant: every known tenant gets an entry (zeros when idle
@@ -398,10 +371,10 @@ impl Inner {
             let tw = cur_tenants.get(&tenant).cloned().unwrap_or_default();
             let hist = self.tenant_hist.entry(tenant.clone()).or_default();
             hist.push_back(tw);
-            while hist.len() > cfg.slow_windows {
+            while hist.len() > SLOW_WINDOWS {
                 hist.pop_front();
             }
-            let fast_n = cfg.fast_windows.min(hist.len());
+            let fast_n = FAST_WINDOWS.min(hist.len());
             let fast = sum_set(hist.iter().skip(hist.len() - fast_n));
             let slow = sum_set(hist.iter());
             let fast_burn = burn_permille(fast.total, fast.violations, cfg.error_budget_permille);
@@ -438,44 +411,6 @@ impl Inner {
             }
         }
         self.cur = WinAgg::default();
-    }
-
-    /// Fast-set + current-partial-window burn for one tenant (the *live*
-    /// signal, ahead of finalization).
-    fn live_fast_burn(&self, cfg: &ObsConfig, tenant: &str) -> Option<u64> {
-        let mut acc = self
-            .tenant_hist
-            .get(tenant)
-            .map(|hist| {
-                let n = cfg.fast_windows.min(hist.len());
-                sum_set(hist.iter().skip(hist.len() - n))
-            })
-            .unwrap_or_default();
-        if let Some(cur) = self.cur_tenants.get(tenant) {
-            acc.total += cur.total;
-            acc.violations += cur.violations;
-            acc.tail_queue_ns += cur.tail_queue_ns;
-            acc.tail_e2e_ns += cur.tail_e2e_ns;
-        }
-        burn_permille(acc.total, acc.violations, cfg.error_budget_permille)
-    }
-
-    /// Fast-set + current-partial queue share of one tenant's violating
-    /// latency (the live analogue of the alert's attribution gate).
-    fn live_queue_share(&self, cfg: &ObsConfig, tenant: &str) -> Option<u64> {
-        let mut acc = self
-            .tenant_hist
-            .get(tenant)
-            .map(|hist| {
-                let n = cfg.fast_windows.min(hist.len());
-                sum_set(hist.iter().skip(hist.len() - n))
-            })
-            .unwrap_or_default();
-        if let Some(cur) = self.cur_tenants.get(tenant) {
-            acc.tail_queue_ns += cur.tail_queue_ns;
-            acc.tail_e2e_ns += cur.tail_e2e_ns;
-        }
-        share_permille(acc.tail_queue_ns, acc.tail_e2e_ns)
     }
 }
 
@@ -614,24 +549,6 @@ impl ObsPlane {
         q += inner.cur.tail_queue_ns;
         e += inner.cur.tail_e2e_ns;
         share_permille(q, e)
-    }
-
-    /// True when the backend should shed new work from `tenant`:
-    /// [`ObsConfig::shed_burn_threshold_permille`] is set, the tenant's
-    /// live fast-window burn is at or above it, and the queue-share gate
-    /// holds (burn caused by queueing overload, not by exec slowness).
-    pub fn shed_due(&self, now: SimTime, tenant: &str) -> bool {
-        let Some(th) = self.cfg.shed_burn_threshold_permille else {
-            return false;
-        };
-        let mut inner = self.inner.lock();
-        inner.roll(&self.cfg, self.idx(now));
-        inner
-            .live_fast_burn(&self.cfg, tenant)
-            .is_some_and(|b| b >= th)
-            && inner
-                .live_queue_share(&self.cfg, tenant)
-                .is_some_and(|s| s >= QUEUE_SHARE_THRESHOLD_PERMILLE)
     }
 
     /// Snapshot everything into an [`ObsReport`]. Non-destructive and
@@ -786,7 +703,6 @@ mod tests {
         ObsConfig::paper_default()
             .with_window(Dur::from_millis(500))
             .with_slo(Dur::from_millis(100), 100)
-            .with_burn_windows(2, 4)
     }
 
     #[test]
@@ -880,33 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_due_requires_threshold_and_queue_gate() {
-        let base = cfg();
-        let without = plane(base.clone());
-        let with = plane(base.with_shed_burn_threshold(1000));
-        for k in 0..10u64 {
-            let at = t(50 + k * 20);
-            for obs in [&without, &with] {
-                obs.record_completion(
-                    at,
-                    "hot",
-                    Dur::from_millis(400),
-                    Dur::from_millis(300),
-                    true,
-                );
-                obs.record_completion(at, "cpu", Dur::from_millis(400), Dur::ZERO, true);
-            }
-        }
-        assert!(!without.shed_due(t(300), "hot"), "no threshold configured");
-        assert!(with.shed_due(t(300), "hot"), "burning and queue-caused");
-        assert!(
-            !with.shed_due(t(300), "cpu"),
-            "exec-caused burn never sheds"
-        );
-        assert!(!with.shed_due(t(300), "idle"), "unknown tenant has no data");
-    }
-
-    #[test]
     fn health_timeline_dedups_on_change() {
         let obs = plane(cfg());
         obs.record_health(t(0), "srv0.gpu0", 1000);
@@ -955,14 +844,6 @@ mod tests {
         assert!(ObsConfig::paper_default().validate().is_ok());
         assert!(ObsConfig::paper_default()
             .with_window(Dur::ZERO)
-            .validate()
-            .is_err());
-        assert!(ObsConfig::paper_default()
-            .with_burn_windows(0, 4)
-            .validate()
-            .is_err());
-        assert!(ObsConfig::paper_default()
-            .with_burn_windows(4, 2)
             .validate()
             .is_err());
         let mut c = ObsConfig::paper_default();

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
-use dgsf::serverless::{Backend, FleetPolicy, ObjectStore, RetryPolicy};
+use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
 use dgsf::sim::SimCell;
 
 /// One function's client-observed outcome.
@@ -40,14 +40,11 @@ fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
             .with_rpc_timeout(Dur::from_secs(2));
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Rc::new(
-            Backend::new(
-                &h2,
-                vec![Arc::clone(&a), Arc::clone(&b)],
-                FleetPolicy::RoundRobin,
-            )
-            .with_retry(RetryPolicy::default()),
-        );
+        let backend = Rc::new(Backend::new(
+            &h2,
+            vec![Arc::clone(&a), Arc::clone(&b)],
+            FleetPolicy::RoundRobin,
+        ));
         *s2.lock() = vec![a, b];
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {

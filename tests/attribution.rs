@@ -12,7 +12,7 @@ use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, Modul
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
-use dgsf::serverless::{Backend, FleetPolicy, FunctionResult, ObjectStore, RetryPolicy};
+use dgsf::serverless::{Backend, FleetPolicy, FunctionResult, ObjectStore};
 use dgsf::sim::trace::{assemble, TraceTree};
 use dgsf::sim::SimCell;
 use dgsf::workloads::{as_workloads, paper_suite};
@@ -151,10 +151,7 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
             .with_idle_timeout(Dur::from_secs(5));
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Rc::new(
-            Backend::new(&h2, vec![a, b], FleetPolicy::RoundRobin)
-                .with_retry(RetryPolicy::default()),
-        );
+        let backend = Rc::new(Backend::new(&h2, vec![a, b], FleetPolicy::RoundRobin));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {
             let backend = Rc::clone(&backend);

@@ -329,9 +329,8 @@ fn backend_routes_functions_across_gpu_servers() {
 fn run_dgsf_once_validates_the_platform_config() {
     // Single-function runs go through the same platform runner as
     // schedules, so they reject an inconsistent config up front instead
-    // of stalling: a slow burn window shorter than the fast one is
-    // inconsistent.
-    let cfg = PlatformConfig::paper_default()
-        .with_obs(ObsConfig::paper_default().with_burn_windows(4, 2));
+    // of stalling: a zero-length obs window is inconsistent.
+    let cfg =
+        PlatformConfig::paper_default().with_obs(ObsConfig::paper_default().with_window(Dur::ZERO));
     Testbed::run_dgsf_once(&cfg, Arc::new(workloads::kmeans()));
 }

@@ -13,7 +13,7 @@ use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, Modul
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::{GpuServer, InvocationRecord};
-use dgsf::serverless::{Backend, FleetPolicy, ObjectStore, RetryPolicy};
+use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
 use dgsf::sim::SimCell;
 
 const GB: u64 = 1 << 30;
@@ -127,14 +127,11 @@ fn chaos_run(
         };
         let a = GpuServer::provision(p, &h2, a_cfg);
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Rc::new(
-            Backend::new(
-                &h2,
-                vec![Arc::clone(&a), Arc::clone(&b)],
-                FleetPolicy::RoundRobin,
-            )
-            .with_retry(RetryPolicy::default()),
-        );
+        let backend = Rc::new(Backend::new(
+            &h2,
+            vec![Arc::clone(&a), Arc::clone(&b)],
+            FleetPolicy::RoundRobin,
+        ));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {
             let backend = Rc::clone(&backend);

@@ -11,12 +11,12 @@ use dgsf_bench::fleet;
 fn variant<'a>(
     f: &'a fleet::FleetOutput,
     fleet_policy: &str,
-    shed_policy: &str,
+    shedding: &str,
 ) -> &'a fleet::FleetVariant {
     f.variants
         .iter()
-        .find(|v| v.fleet_policy == fleet_policy && v.shed_policy == shed_policy)
-        .unwrap_or_else(|| panic!("missing variant {fleet_policy}/{shed_policy}"))
+        .find(|v| v.fleet_policy == fleet_policy && v.shedding == shedding)
+        .unwrap_or_else(|| panic!("missing variant {fleet_policy}/{shedding}"))
 }
 
 #[test]

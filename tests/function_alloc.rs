@@ -21,6 +21,23 @@
 //! records), not the remoting path; a budget of 64 is out of reach without
 //! changing that setup, which this test does not attempt.
 //!
+//! Where kmeans's extra allocations come from, found by capturing a
+//! backtrace for every allocation made while its warmed copy's `run` is
+//! on (47 more than nlp's 8 in that window):
+//!
+//! * 40 are the API server's decode of kmeans's 40 batch frames: `Vec<T>`'s
+//!   `Wire::get` in `wire.rs` allocates one `Vec<Request>` of about 100
+//!   launches per `Request::Batch`. kmeans reads its centroids back every
+//!   50 batches, and each of those 40 `memcpy_d2h` calls flushes the
+//!   launches deferred before it; the other functions flush a handful.
+//!   Reusing one decode vector per API server would need a decode-into
+//!   entry point and a buffer that does not exist yet.
+//! * 6 are the guest's batch vector doubling up to 128 entries in
+//!   `RemoteCuda::defer`: each function gets a fresh `RemoteCuda`, whose
+//!   batch starts empty.
+//! * 1 is the guest's reclaimed request frame growing to the first batch
+//!   frame's 6.6 kB.
+//!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide; it reads only its own thread's
 //! counters, and a simulation runs every process on the thread that

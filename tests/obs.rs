@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::prelude::*;
-use dgsf::sim::obs::QUEUE_SHARE_THRESHOLD_PERMILLE;
+use dgsf::sim::obs::{FAST_WINDOWS, QUEUE_SHARE_THRESHOLD_PERMILLE};
 use dgsf::sim::trace::{assemble, TraceOutcome};
 use dgsf_bench::obs as bench_obs;
 
@@ -133,7 +133,7 @@ fn fired_alerts_reconcile_exactly_with_offline_attribution() {
     let trees = assemble(&tel);
     assert_eq!(trees.len(), out.results.len(), "one tree per request");
     let win = ocfg.window.as_nanos();
-    let fast_span = ocfg.fast_windows as u64 * win;
+    let fast_span = FAST_WINDOWS as u64 * win;
     for alert in report.fired() {
         // Recompute the alert's fast-set queue share offline, from the
         // assembled critical-path trees: violating requests (same rule as

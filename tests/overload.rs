@@ -1,7 +1,8 @@
 //! Overload behaviour of the admission-controlled, autoscaled platform:
 //! deterministic shedding, telemetry consistent with the invocation ground
-//! truth, and graceful saturation (bounded tail latency, shed rate below
-//! 100%) at twice the fleet's compute ceiling.
+//! truth, graceful saturation (bounded tail latency, shed rate below
+//! 100%) at twice the fleet's compute ceiling, and an obs plane that only
+//! watches the reactive autoscaler's run.
 
 use std::sync::Arc;
 
@@ -47,7 +48,7 @@ impl Workload for Spin {
 const MAX_PER_GPU: u32 = 4;
 const NUM_GPUS: u32 = 2;
 
-fn overload_config(seed: u64, obs: &ObsConfig) -> PlatformConfig {
+fn overload_config(seed: u64) -> PlatformConfig {
     PlatformConfig::paper_default()
         .with_seed(seed)
         .with_server(
@@ -62,17 +63,12 @@ fn overload_config(seed: u64, obs: &ObsConfig) -> PlatformConfig {
         )
         .with_max_inflight(24)
         .with_max_queue_age(Dur::from_secs(3))
-        .with_obs(obs.clone())
 }
 
-/// Poisson arrivals at 8 rps — double the 4 rps ceiling. Checks the
-/// counter and obs oracles on every run.
-fn overload_run(seed: u64) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
-    overload_run_with(seed, &ObsConfig::paper_default())
-}
-
-/// [`overload_run`] under the obs plane configuration `obs`.
-fn overload_run_with(seed: u64, obs: &ObsConfig) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
+/// Poisson arrivals at 8 rps — double the 4 rps ceiling, with or without
+/// the obs plane. Checks the counter oracle on every run, and the obs
+/// oracle when the plane is on.
+fn overload_run(seed: u64, with_obs: bool) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
     let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
     let schedule = Schedule::mixed(
         seed,
@@ -82,12 +78,18 @@ fn overload_run_with(seed: u64, obs: &ObsConfig) -> (BackendRunOutput, Arc<dgsf:
             mean: Dur::from_millis(125),
         },
     );
-    let (out, tel) =
-        Testbed::run_platform_schedule_traced(&overload_config(seed, obs), &suite, &schedule);
+    let obs = ObsConfig::paper_default();
+    let mut cfg = overload_config(seed);
+    if with_obs {
+        cfg = cfg.with_obs(obs.clone());
+    }
+    let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
     // The counters, the instants and the obs plane report each request's
     // end exactly as the results do, sheds included.
     dgsf::check_backend_counters(&out, &tel).assert_ok();
-    dgsf::check_obs_reconciles(&out, obs).assert_ok();
+    if with_obs {
+        dgsf::check_obs_reconciles(&out, &obs).assert_ok();
+    }
     (out, tel)
 }
 
@@ -107,38 +109,27 @@ fn fingerprint(out: &BackendRunOutput) -> Vec<(u64, u64, bool, Option<String>)> 
 }
 
 #[test]
-fn burn_rate_shedding_refuses_a_tenant_burning_its_budget_on_queueing() {
-    // Shed new work once the tenant's fast-window burn reaches its budget
-    // rate and its violating requests spent the gate's share queueing.
-    let obs = ObsConfig::paper_default().with_shed_burn_threshold(1000);
-    let (a, tel_a) = overload_run_with(11, &obs);
-    let burn_shed = a
-        .results
-        .iter()
-        .filter(|r| {
-            r.shed
-                && r.failure
-                    .as_deref()
-                    .is_some_and(|f| f.contains("over SLO burn-rate budget"))
-        })
-        .count();
+fn the_obs_plane_is_read_only_under_reactive_scaling() {
+    // Without a predictive autoscaler nothing reads the plane's signals:
+    // turning it on must not move a single admission, route or timing.
+    let (watched, _) = overload_run(11, true);
+    let (blind, _) = overload_run(11, false);
     assert!(
-        burn_shed > 0,
-        "8 rps against a 4 rps ceiling burns the budget"
+        watched.shed() > 0,
+        "8 rps against a 4 rps ceiling must shed"
     );
-    let (b, tel_b) = overload_run_with(11, &obs);
+    assert!(watched.obs.is_some() && blind.obs.is_none());
     assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "same seed ⇒ identical burn-shed set and timings"
+        fingerprint(&watched),
+        fingerprint(&blind),
+        "the obs plane changed the run it only watches"
     );
-    assert_eq!(tel_a.metrics_json(), tel_b.metrics_json());
 }
 
 #[test]
 fn shedding_is_deterministic_per_seed() {
-    let (a, tel_a) = overload_run(11);
-    let (b, tel_b) = overload_run(11);
+    let (a, tel_a) = overload_run(11, true);
+    let (b, tel_b) = overload_run(11, true);
     assert!(a.shed() > 0, "8 rps against a 4 rps ceiling must shed");
     assert_eq!(
         fingerprint(&a),
@@ -150,7 +141,7 @@ fn shedding_is_deterministic_per_seed() {
         tel_b.metrics_json(),
         "same seed ⇒ byte-identical telemetry export"
     );
-    let (c, _) = overload_run(12);
+    let (c, _) = overload_run(12, true);
     assert_ne!(
         fingerprint(&a),
         fingerprint(&c),
@@ -160,7 +151,7 @@ fn shedding_is_deterministic_per_seed() {
 
 #[test]
 fn telemetry_matches_the_invocation_ground_truth() {
-    let (out, tel) = overload_run(11);
+    let (out, tel) = overload_run(11, true);
     assert_eq!(
         tel.counter("backend.shed"),
         out.shed() as u64,
@@ -185,7 +176,7 @@ fn telemetry_matches_the_invocation_ground_truth() {
 
 #[test]
 fn saturation_is_graceful() {
-    let (out, _) = overload_run(11);
+    let (out, _) = overload_run(11, true);
     let launched = out.results.len();
     let shed = out.shed();
     let completed = out.completed();
