@@ -14,10 +14,6 @@
 //! per seed** across runs and machines — CI diffs the quick variant
 //! against a committed golden.
 
-use std::sync::Arc;
-
-use dgsf::cuda::{CudaResult, KernelDef};
-use dgsf::gpu::GB;
 use dgsf::prelude::*;
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
@@ -25,61 +21,14 @@ use dgsf::sim::trace::{
     assemble, attribute, slo_burn, GroupAttribution, SegmentStats, SloBurn, SloPolicy, TraceTree,
 };
 
-use crate::report::TextTable;
+use crate::fleet::hot_cold_mix;
+use crate::report::{point_seed, summary_of, TextTable};
 
-/// A synthetic spin workload with a configurable footprint, so the two
-/// tenants stress the platform differently.
-struct Spin {
-    name: &'static str,
-    secs: f64,
-    mem: u64,
-}
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
-
-/// GPU seconds per hot-tenant invocation.
-const HOT_SECS: f64 = 0.3;
-/// GPU seconds per cold-tenant invocation.
-const COLD_SECS: f64 = 1.2;
-/// Hot-tenant offered rate (milli-requests/second).
+/// Hot-tenant offered rate (milli-requests/second). With the cold
+/// tenant's 2 rps of 1.2 s functions the offered load is ~4.8
+/// GPU-seconds/second against 2 GPUs, so the scenario sheds — the
+/// attribution must account shed and completed requests alike.
 const HOT_RPS_MILLI: u64 = 8_000;
-/// Cold-tenant offered rate (milli-requests/second). Together the offered
-/// load is ~4.8 GPU-seconds/second against 2 GPUs, so the scenario sheds —
-/// the attribution must account shed and completed requests alike.
-const COLD_RPS_MILLI: u64 = 2_000;
 /// Platform-wide admission budget (2 slots per server).
 const MAX_INFLIGHT: usize = 4;
 /// Slowest-k exemplar traces kept per (tenant, workload) group.
@@ -129,46 +78,8 @@ pub struct AttribOutput {
 pub fn attrib(base_seed: u64, quick: bool) -> AttribOutput {
     let window_secs: u64 = if quick { 3 } else { 8 };
     // Same derivation scheme as the fleet sweep's load points.
-    let seed = base_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let hot_n = (HOT_RPS_MILLI * window_secs / 1000) as usize;
-    let cold_n = (COLD_RPS_MILLI * window_secs / 1000) as usize;
-    let suite: Vec<Arc<dyn Workload>> = vec![
-        Arc::new(Tenanted::new(
-            "hot",
-            Spin {
-                name: "hot-spin",
-                secs: HOT_SECS,
-                mem: GB,
-            },
-        )),
-        Arc::new(Tenanted::new(
-            "cold",
-            Spin {
-                name: "cold-spin",
-                secs: COLD_SECS,
-                mem: 4 * GB,
-            },
-        )),
-    ];
-    let schedule = dgsf::serverless::Schedule::merged(
-        seed,
-        &[
-            (
-                0,
-                hot_n,
-                ArrivalPattern::Exponential {
-                    mean: Dur(1_000_000_000_000 / HOT_RPS_MILLI),
-                },
-            ),
-            (
-                1,
-                cold_n,
-                ArrivalPattern::Exponential {
-                    mean: Dur(1_000_000_000_000 / COLD_RPS_MILLI),
-                },
-            ),
-        ],
-    );
+    let seed = point_seed(base_seed, 0);
+    let (suite, schedule) = hot_cold_mix(seed, HOT_RPS_MILLI, window_secs);
     let cfg = PlatformConfig::paper_default()
         .with_seed(seed)
         .with_server(GpuServerConfig::paper_default().gpus(1))
@@ -194,15 +105,16 @@ pub fn attrib(base_seed: u64, quick: bool) -> AttribOutput {
             t.id
         );
     }
+    let arm = summary_of(&out, |_| true);
     let groups = attribute(&trees, EXEMPLARS);
     let slo = slo_burn(&trees, &slo_policy());
     AttribOutput {
         seed: base_seed,
         window_secs,
-        launched: out.results.len() as u64,
-        completed: out.completed() as u64,
-        shed: out.shed() as u64,
-        failed: out.failed() as u64,
+        launched: arm.launched,
+        completed: arm.completed,
+        shed: arm.shed,
+        failed: arm.failed,
         queue_depth_min: tel.gauge_min("monitor.queue_depth").unwrap_or(0),
         queue_depth_peak: tel.gauge_peak("monitor.queue_depth").unwrap_or(0),
         queue_depth_mean: tel

@@ -21,105 +21,13 @@
 
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
 use dgsf::sim::stats::{jain_permille, percentile_permille};
-use dgsf::sim::TraceOutcome::{Completed, Shed};
 
-use crate::report::TextTable;
-
-/// A synthetic spin workload with a configurable footprint, so the two
-/// tenants stress the fleet differently.
-struct Spin {
-    name: &'static str,
-    secs: f64,
-    mem: u64,
-}
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
-
-/// A chunked spin: `chunks` kernels with a sync after each, so the
-/// function crosses many API-call boundaries — each one a point where the
-/// monitor can land a live migration.
-struct ChunkedSpin {
-    name: &'static str,
-    chunks: usize,
-    chunk_secs: f64,
-    mem: u64,
-}
-
-impl Workload for ChunkedSpin {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        for _ in 0..self.chunks {
-            api.launch_kernel(
-                p,
-                "k",
-                LaunchConfig::linear(1, 32),
-                KernelArgs::timed(self.chunk_secs, 0),
-            )?;
-            api.device_synchronize(p)?;
-        }
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
+use crate::report::{point_seed, poisson, summary_of, TextTable};
 
 /// GPU seconds per hot-tenant invocation.
 const HOT_SECS: f64 = 0.3;
@@ -289,29 +197,71 @@ fn fleet_config(seed: u64, policy: FleetPolicy, fair: bool) -> PlatformConfig {
     cfg
 }
 
+/// Two tenants' Poisson streams over `window_secs`: each `(tenant, spin,
+/// rate)` offers `rate` milli-requests/second of `spin` deployed by
+/// `tenant`. Returns the suite, in stream order, and the merged schedule.
+fn tenant_mix(
+    seed: u64,
+    window_secs: u64,
+    tenants: [(&str, Spin, u64); 2],
+) -> (Vec<Arc<dyn Workload>>, Schedule) {
+    let mut suite: Vec<Arc<dyn Workload>> = Vec::new();
+    let mut streams = Vec::new();
+    for (i, (tenant, spin, milli_rps)) in tenants.into_iter().enumerate() {
+        suite.push(Arc::new(Tenanted::new(tenant, spin)));
+        let launches = (milli_rps * window_secs / 1000) as usize;
+        streams.push((i, launches, poisson(milli_rps)));
+    }
+    (suite, Schedule::merged(seed, &streams))
+}
+
+/// The load points' two-tenant mix (the attribution run drives it too):
+/// the hot tenant's short functions at `hot_rps_milli`, the cold tenant's
+/// heavy 4 GB ones at [`COLD_RPS_MILLI`].
+pub(crate) fn hot_cold_mix(
+    seed: u64,
+    hot_rps_milli: u64,
+    window_secs: u64,
+) -> (Vec<Arc<dyn Workload>>, Schedule) {
+    tenant_mix(
+        seed,
+        window_secs,
+        [
+            (
+                "hot",
+                Spin {
+                    name: "hot-spin",
+                    gpu_secs: HOT_SECS,
+                    ..Spin::default()
+                },
+                hot_rps_milli,
+            ),
+            (
+                "cold",
+                Spin {
+                    name: "cold-spin",
+                    gpu_secs: COLD_SECS,
+                    mem: 4 * GB,
+                    ..Spin::default()
+                },
+                COLD_RPS_MILLI,
+            ),
+        ],
+    )
+}
+
 /// Tenant slice of a run's results.
-fn tenant_point(results: &[&dgsf::serverless::FunctionResult], window_ns: u64) -> TenantPoint {
-    let launched = results.len() as u64;
-    let completed = results.iter().filter(|r| r.outcome() == Completed).count() as u64;
-    let shed = results.iter().filter(|r| r.outcome() == Shed).count() as u64;
-    let mut e2e_us: Vec<u64> = results
-        .iter()
-        .filter(|r| r.succeeded())
-        .map(|r| r.e2e().as_nanos() / 1_000)
-        .collect();
-    e2e_us.sort_unstable();
-    let goodput_rps_milli = if window_ns == 0 {
-        0
-    } else {
-        ((completed as u128 * 1_000_000_000_000) / window_ns as u128) as u64
-    };
+fn tenant_point(out: &BackendRunOutput, tenant: &str) -> TenantPoint {
+    let arm = summary_of(out, |r| r.tenant == tenant);
     TenantPoint {
-        launched,
-        completed,
-        shed,
-        goodput_rps_milli,
-        completion_permille: (completed * 1000).checked_div(launched).unwrap_or(0),
-        p99_e2e_us: percentile_permille(&e2e_us, 990),
+        launched: arm.launched,
+        completed: arm.completed,
+        shed: arm.shed,
+        goodput_rps_milli: arm.goodput_rps_milli,
+        completion_permille: (arm.completed * 1000)
+            .checked_div(arm.launched)
+            .unwrap_or(0),
+        p99_e2e_us: arm.p99_e2e_us,
     }
 }
 
@@ -327,69 +277,20 @@ fn run_point(
 ) -> FleetPoint {
     // Distinct, deterministic seed per load point — shared across the
     // four variants so their schedules are identical.
-    let seed = base_seed.wrapping_add((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let hot_n = (hot_rps_milli * window_secs / 1000) as usize;
-    let cold_n = (COLD_RPS_MILLI * window_secs / 1000) as usize;
-    let suite: Vec<Arc<dyn Workload>> = vec![
-        Arc::new(Tenanted::new(
-            "hot",
-            Spin {
-                name: "hot-spin",
-                secs: HOT_SECS,
-                mem: GB,
-            },
-        )),
-        Arc::new(Tenanted::new(
-            "cold",
-            Spin {
-                name: "cold-spin",
-                secs: COLD_SECS,
-                mem: 4 * GB,
-            },
-        )),
-    ];
-    let schedule = dgsf::serverless::Schedule::merged(
-        seed,
-        &[
-            (
-                0,
-                hot_n,
-                ArrivalPattern::Exponential {
-                    mean: Dur(1_000_000_000_000 / hot_rps_milli),
-                },
-            ),
-            (
-                1,
-                cold_n,
-                ArrivalPattern::Exponential {
-                    mean: Dur(1_000_000_000_000 / COLD_RPS_MILLI),
-                },
-            ),
-        ],
-    );
+    let seed = point_seed(base_seed, idx as u64);
+    let (suite, schedule) = hot_cold_mix(seed, hot_rps_milli, window_secs);
     let cfg = fleet_config(seed, policy, fair);
     let out = Testbed::run_platform_schedule(&cfg, &suite, &schedule);
-    let window_ns = out.all_done.since(out.first_launch).as_nanos();
-    let hot_results: Vec<&dgsf::serverless::FunctionResult> =
-        out.results.iter().filter(|r| r.tenant == "hot").collect();
-    let cold_results: Vec<&dgsf::serverless::FunctionResult> =
-        out.results.iter().filter(|r| r.tenant == "cold").collect();
-    let hot = tenant_point(&hot_results, window_ns);
-    let cold = tenant_point(&cold_results, window_ns);
-    let mut all_e2e_us: Vec<u64> = out
-        .results
-        .iter()
-        .filter(|r| r.succeeded())
-        .map(|r| r.e2e().as_nanos() / 1_000)
-        .collect();
-    all_e2e_us.sort_unstable();
+    let hot = tenant_point(&out, "hot");
+    let cold = tenant_point(&out, "cold");
+    let all = summary_of(&out, |_| true);
     // Equal tenant weights, so the weight-normalized goodputs are the
     // goodputs themselves.
     let jain = jain_permille(&[hot.goodput_rps_milli, cold.goodput_rps_milli]);
     FleetPoint {
         hot_rps_milli,
-        p50_e2e_us: percentile_permille(&all_e2e_us, 500),
-        p99_e2e_us: percentile_permille(&all_e2e_us, 990),
+        p50_e2e_us: all.p50_e2e_us,
+        p99_e2e_us: all.p99_e2e_us,
         jain_permille: jain,
         hot,
         cold,
@@ -435,34 +336,27 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
     let suite: Vec<Arc<dyn Workload>> = vec![
         Arc::new(Tenanted::new(
             "batch",
-            ChunkedSpin {
+            Spin {
                 name: "batch-chunked",
+                gpu_secs: 0.25,
                 chunks: BATCH_CHUNKS,
-                chunk_secs: 0.25,
                 mem: 2 * GB,
+                ..Spin::default()
             },
         )),
         Arc::new(Tenanted::new(
             "interactive",
-            ChunkedSpin {
+            Spin {
                 name: "interactive-chunked",
+                gpu_secs: 0.15,
                 chunks: 2,
-                chunk_secs: 0.15,
-                mem: GB,
+                ..Spin::default()
             },
         )),
     ];
     let n_interactive = (INTERACTIVE_RPS_MILLI * window_secs / 1000) as usize;
-    let mut schedule = Schedule::merged(
-        seed,
-        &[(
-            1,
-            n_interactive,
-            ArrivalPattern::Exponential {
-                mean: Dur(1_000_000_000_000 / INTERACTIVE_RPS_MILLI),
-            },
-        )],
-    );
+    let mut schedule =
+        Schedule::merged(seed, &[(1, n_interactive, poisson(INTERACTIVE_RPS_MILLI))]);
     // The batch pairs launch once the fleet is provisioned and routable
     // (at t=0 a member may not have registered a live API server yet,
     // skewing the round-robin split), milliseconds apart so best-fit
@@ -476,31 +370,15 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
     let out = Testbed::run_platform_schedule(&migration_config(seed, on), &suite, &schedule);
     // Fault-free arms must satisfy the exactly-once oracle outright.
     dgsf::check_backend_run(&out).assert_ok();
-    let p99_of = |tenant: &str| {
-        let mut us: Vec<u64> = out
-            .results
-            .iter()
-            .filter(|r| r.tenant == tenant && r.succeeded())
-            .map(|r| r.e2e().as_nanos() / 1_000)
-            .collect();
-        us.sort_unstable();
-        percentile_permille(&us, 990)
-    };
-    let mut all_e2e_us: Vec<u64> = out
-        .results
-        .iter()
-        .filter(|r| r.succeeded())
-        .map(|r| r.e2e().as_nanos() / 1_000)
-        .collect();
-    all_e2e_us.sort_unstable();
+    let all = summary_of(&out, |_| true);
     MigrationArm {
         migration: if on { "on" } else { "off" },
-        completed: out.completed() as u64,
+        completed: all.completed,
         migrations: out.migrations.iter().map(|m| m.len() as u64).sum(),
-        p50_e2e_us: percentile_permille(&all_e2e_us, 500),
-        p99_e2e_us: percentile_permille(&all_e2e_us, 990),
-        batch_p99_e2e_us: p99_of("batch"),
-        interactive_p99_e2e_us: p99_of("interactive"),
+        p50_e2e_us: all.p50_e2e_us,
+        p99_e2e_us: all.p99_e2e_us,
+        batch_p99_e2e_us: summary_of(&out, |r| r.tenant == "batch").p99_e2e_us,
+        interactive_p99_e2e_us: summary_of(&out, |r| r.tenant == "interactive").p99_e2e_us,
     }
 }
 
@@ -551,40 +429,28 @@ fn queueing_arm(
     sticky: bool,
 ) -> QueueArm {
     let seed = base_seed.wrapping_add(0x0FA1_2C55);
-    let suite: Vec<Arc<dyn Workload>> = vec![
-        Arc::new(Tenanted::new(
-            "heavy",
-            Spin {
-                name: "heavy-spin",
-                secs: HEAVY_SECS,
-                mem: 2 * GB,
-            },
-        )),
-        Arc::new(Tenanted::new(
-            "light",
-            Spin {
-                name: "light-spin",
-                secs: LIGHT_SECS,
-                mem: GB,
-            },
-        )),
-    ];
-    let schedule = dgsf::serverless::Schedule::merged(
+    let (suite, schedule) = tenant_mix(
         seed,
-        &[
+        window_secs,
+        [
             (
-                0,
-                (HEAVY_RPS_MILLI * window_secs / 1000) as usize,
-                ArrivalPattern::Exponential {
-                    mean: Dur(1_000_000_000_000 / HEAVY_RPS_MILLI),
+                "heavy",
+                Spin {
+                    name: "heavy-spin",
+                    gpu_secs: HEAVY_SECS,
+                    mem: 2 * GB,
+                    ..Spin::default()
                 },
+                HEAVY_RPS_MILLI,
             ),
             (
-                1,
-                (LIGHT_RPS_MILLI * window_secs / 1000) as usize,
-                ArrivalPattern::Exponential {
-                    mean: Dur(1_000_000_000_000 / LIGHT_RPS_MILLI),
+                "light",
+                Spin {
+                    name: "light-spin",
+                    gpu_secs: LIGHT_SECS,
+                    ..Spin::default()
                 },
+                LIGHT_RPS_MILLI,
             ),
         ],
     );
@@ -618,11 +484,7 @@ fn queueing_arm(
         }
         delays_us.sort_unstable();
         QueueTenant {
-            completed: out
-                .results
-                .iter()
-                .filter(|r| r.tenant == tenant && r.succeeded())
-                .count() as u64,
+            completed: summary_of(&out, |r| r.tenant == tenant).completed,
             served_by_horizon_ms: served_ns / 1_000_000,
             p50_queue_delay_us: percentile_permille(&delays_us, 500),
             p99_queue_delay_us: percentile_permille(&delays_us, 990),

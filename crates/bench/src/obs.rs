@@ -1,14 +1,15 @@
 //! `dgsf-expt obs` — the observability-plane experiment: predictive vs
 //! reactive autoscaling on a 10× diurnal ramp.
 //!
-//! Replays the sweep's synthetic workload through the same autoscaled,
-//! admission-controlled fleet, but with a diurnal arrival profile: a low
-//! baseline rate, a 10× surge, then the baseline again. Both runs attach
-//! the online observability plane (`sim::obs`); the *predictive* run
-//! additionally puts the autoscaler in predictive mode, so it pre-warms
-//! API servers on the plane's rate-ramp signal instead of waiting for
-//! sustained queue-delay breaches, and gates reactive scale-ups on the
-//! streamed queue-attributed share of tail latency.
+//! Drives a host-heavy synthetic workload (0.75 s on the host, then 0.5 s
+//! on the GPU) through an autoscaled, admission-controlled 2-GPU fleet
+//! with a diurnal arrival profile: a low baseline rate, a 10× surge, then
+//! the baseline again. Both runs attach the online observability plane
+//! (`sim::obs`); the *predictive* run additionally puts the autoscaler in
+//! predictive mode, so it pre-warms API servers on the plane's rate-ramp
+//! signal instead of waiting for sustained queue-delay breaches, and
+//! gates reactive scale-ups on the streamed queue-attributed share of
+//! tail latency.
 //!
 //! The experiment reports, per mode, the shed count and the pool-grow
 //! latency (first scale-up/prewarm after surge onset) — the paper-style
@@ -20,14 +21,11 @@
 
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
-use dgsf::gpu::GB;
 use dgsf::prelude::*;
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
-use dgsf::sim::stats::percentile_permille;
 
-use crate::report::TextTable;
+use crate::report::{point_seed, poisson, pool_peak, summary_of, TextTable};
 
 /// The ramp's synthetic workload: 0.75 s of host-side pre-processing
 /// followed by 0.5 s of GPU work (1 GB footprint, no download). The host
@@ -35,49 +33,13 @@ use crate::report::TextTable;
 /// GPU, so the fleet's service rate is set by the *pool size* until GPU
 /// compute saturates — exactly the regime where autoscaling lag turns
 /// into queueing and sheds.
-struct Spin;
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        p.sleep(Dur::from_millis(HOST_MS)); // host-side pre-processing
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(SPIN_SECS, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
+fn ramp_spin() -> Spin {
+    Spin {
+        gpu_secs: 0.5,
+        host: Dur::from_millis(750),
+        ..Spin::default()
     }
 }
-
-/// GPU seconds of work per invocation.
-const SPIN_SECS: f64 = 0.5;
-
-/// Host milliseconds per invocation (API server busy, GPU free).
-const HOST_MS: u64 = 750;
 
 /// Baseline (off-peak) arrival rate, milli-requests/second.
 const LOW_RPS_MILLI: u64 = 360;
@@ -152,10 +114,11 @@ fn obs_config() -> ObsConfig {
     ObsConfig::paper_default().with_window(Dur::from_secs(2))
 }
 
-/// The fleet under test — the sweep's: 2 GPUs, autoscaling 1→4 API
-/// servers per GPU, admission-controlled, 3 s queue-age shed bound.
-/// `predictive` only toggles the autoscaler mode; the hardware ceiling
-/// is identical.
+/// The fleet under test: 2 GPUs shared 4 ways, autoscaling 1→4 API
+/// servers per GPU (250 ms delay target over 4 ticks, 3 s idle TTL,
+/// 600 ms cooldown), at most 24 functions in flight, 1.4 s queue-age shed
+/// bound. `predictive` only toggles the autoscaler mode; the hardware
+/// ceiling is identical.
 fn ramp_config(seed: u64, predictive: bool) -> PlatformConfig {
     let mut auto = AutoscaleConfig::new(1, 4)
         .with_target_queue_delay(Dur::from_millis(250))
@@ -182,10 +145,9 @@ fn ramp_config(seed: u64, predictive: bool) -> PlatformConfig {
 /// a seeded exponential-gap stream truncated to the segment. Deterministic
 /// per seed.
 fn segment(seed: u64, start: SimTime, len: Dur, rate_milli_rps: u64) -> Vec<(SimTime, usize)> {
-    let mean = Dur(1_000_000_000_000 / rate_milli_rps);
     let expect = (len.as_nanos() as u128 * rate_milli_rps as u128 / 1_000_000_000_000) as usize;
     let over = expect * 2 + 16; // generous overdraw, then truncate
-    let s = Schedule::mixed(seed, 1, over, ArrivalPattern::Exponential { mean });
+    let s = Schedule::mixed(seed, 1, over, poisson(rate_milli_rps));
     s.entries
         .into_iter()
         .filter(|(t, _)| t.since(SimTime::ZERO) < len)
@@ -201,7 +163,7 @@ fn diurnal(seed: u64, quick: bool) -> (Schedule, u64, u64) {
     } else {
         (30_000, 40_000)
     };
-    let sub = |k: u64| seed.wrapping_add((k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let sub = |k: u64| point_seed(seed, k);
     let mut entries = segment(
         sub(0),
         SimTime::ZERO,
@@ -230,17 +192,11 @@ fn run_mode(
     surge_start_ms: u64,
     predictive: bool,
 ) -> (ModeStats, ObsReport) {
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(ramp_spin())];
     let cfg = ramp_config(seed, predictive);
     let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, schedule);
     let report = out.obs.clone().expect("obs plane was configured");
-    let mut e2e_us: Vec<u64> = out
-        .results
-        .iter()
-        .filter(|r| r.succeeded())
-        .map(|r| r.e2e().as_nanos() / 1_000)
-        .collect();
-    e2e_us.sort_unstable();
+    let arm = summary_of(&out, |_| true);
     let surge_start = SimTime::ZERO + Dur::from_millis(surge_start_ms);
     let first_grow_ms_after_surge = tel
         .instants()
@@ -251,16 +207,13 @@ fn run_mode(
         .unwrap_or(-1);
     let fired = report.fired().count() as u64;
     let stats = ModeStats {
-        launched: out.results.len() as u64,
-        completed: out.completed() as u64,
-        shed: out.shed() as u64,
-        failed: out.failed() as u64,
-        p50_e2e_us: percentile_permille(&e2e_us, 500),
-        p99_e2e_us: percentile_permille(&e2e_us, 990),
-        pool_peak: tel.gauge_peak("monitor.pool_size").unwrap_or(
-            // pool never moved: it stayed at the provisioned baseline
-            cfg.server.total_api_servers() as i64,
-        ),
+        launched: arm.launched,
+        completed: arm.completed,
+        shed: arm.shed,
+        failed: arm.failed,
+        p50_e2e_us: arm.p50_e2e_us,
+        p99_e2e_us: arm.p99_e2e_us,
+        pool_peak: pool_peak(&tel, &cfg),
         scale_ups: tel.counter("autoscale.scale_ups"),
         prewarms: tel.counter("autoscale.prewarms"),
         scale_downs: tel.counter("autoscale.scale_downs"),
@@ -388,7 +341,7 @@ mod tests {
     #[test]
     fn both_modes_reconcile_with_the_obs_plane_and_the_counters() {
         let (schedule, _, _) = diurnal(42, true);
-        let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
+        let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(ramp_spin())];
         for predictive in [false, true] {
             let cfg = ramp_config(42, predictive);
             let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);

@@ -23,10 +23,9 @@ use dgsf::server::GpuServer;
 use dgsf::serverless::{DagResult, DagWorkload, HandoffMode, ObjectStore};
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
-use dgsf::sim::stats::percentile_permille;
 use dgsf::sim::{SimCell, SimTime};
 
-use crate::report::TextTable;
+use crate::report::{ArmSummary, TextTable};
 
 const MB: u64 = 1 << 20;
 
@@ -143,19 +142,16 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
     let events = server.resident_events();
     runs.sort_by_key(|(i, _)| *i);
     let runs: Vec<DagResult> = runs.into_iter().map(|(_, r)| r).collect();
-    let completed: Vec<&DagResult> = runs.iter().filter(|r| r.succeeded()).collect();
-    let mut e2e_us: Vec<u64> = completed
-        .iter()
-        .map(|r| r.e2e().as_nanos() / 1_000)
-        .collect();
-    e2e_us.sort_unstable();
+    // The arm reports no goodput, so it needs no window.
+    let arm = ArmSummary::of(runs.iter().map(|r| (r.outcome(), r.e2e())), Dur::ZERO);
     let transfer_ns: u64 = runs
         .iter()
         .flat_map(|r| &r.stages)
         .map(|s| s.phases.get(dgsf::serverless::phase::TRANSFER).as_nanos())
         .sum();
-    let colocated = completed
+    let colocated = runs
         .iter()
+        .filter(|r| r.succeeded())
         .filter(|r| {
             let first = r.stages.first().and_then(|s| s.server);
             first.is_some() && r.stages.iter().all(|s| s.server == first)
@@ -164,15 +160,13 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
     let count_ev = |f: fn(&ResidentEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
     PipelineArm {
         mode: mode.as_str(),
-        launched: runs.len() as u64,
-        completed: completed.len() as u64,
-        failed: runs.len() as u64 - completed.len() as u64,
-        p50_e2e_us: percentile_permille(&e2e_us, 500),
-        p99_e2e_us: percentile_permille(&e2e_us, 990),
+        launched: arm.launched,
+        completed: arm.completed,
+        failed: arm.shed + arm.failed,
+        p50_e2e_us: arm.p50_e2e_us,
+        p99_e2e_us: arm.p99_e2e_us,
         transfer_ms: transfer_ns / 1_000_000,
-        colocated_permille: (colocated * 1000)
-            .checked_div(completed.len() as u64)
-            .unwrap_or(0),
+        colocated_permille: (colocated * 1000).checked_div(arm.completed).unwrap_or(0),
         publishes: count_ev(|e| matches!(e, ResidentEvent::Published { .. })),
         adopts: count_ev(|e| matches!(e, ResidentEvent::Adopted { .. })),
         reclaims: count_ev(|e| matches!(e, ResidentEvent::Reclaimed { .. })),

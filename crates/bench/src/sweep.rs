@@ -14,57 +14,16 @@
 
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
-use dgsf::gpu::GB;
 use dgsf::prelude::*;
 use dgsf::sim::json::JsonWriter;
 use dgsf::sim::json::Layout::{Inline, Lines};
-use dgsf::sim::stats::percentile_permille;
 
-use crate::report::TextTable;
+use crate::report::{point_seed, poisson, pool_peak, summary_of, TextTable};
 
-/// The sweep's synthetic workload: 0.5 s of GPU work, 1 GB footprint, no
-/// download. Small enough that the saturation point is set by compute, not
-/// memory.
-struct Spin;
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(SPIN_SECS, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
-
-/// GPU seconds of work per invocation. With 2 GPUs the fleet's compute
-/// ceiling is `2 / SPIN_SECS` = 4 functions per second.
+/// GPU seconds of work per invocation of the sweep's synthetic workload
+/// (one kernel, 1 GB footprint, no download — small enough that the
+/// saturation point is set by compute, not memory). With 2 GPUs the
+/// fleet's compute ceiling is `2 / SPIN_SECS` = 4 functions per second.
 const SPIN_SECS: f64 = 0.5;
 
 /// Offered load points, in milli-requests-per-second. The ceiling of the
@@ -133,45 +92,25 @@ fn sweep_config(seed: u64) -> PlatformConfig {
 /// Run one point: `launches` Poisson arrivals at `rate_milli_rps` through
 /// the admission-controlled, autoscaled fleet.
 fn run_point(base_seed: u64, idx: usize, rate_milli_rps: u64, launches: usize) -> SweepPoint {
-    // Distinct, deterministic seed per point.
-    let seed = base_seed.wrapping_add((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mean_gap = Dur(1_000_000_000_000 / rate_milli_rps);
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
-    let schedule = Schedule::mixed(
-        seed,
-        1,
-        launches,
-        ArrivalPattern::Exponential { mean: mean_gap },
-    );
+    let seed = point_seed(base_seed, idx as u64);
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin {
+        gpu_secs: SPIN_SECS,
+        ..Spin::default()
+    })];
+    let schedule = Schedule::mixed(seed, 1, launches, poisson(rate_milli_rps));
     let cfg = sweep_config(seed);
     let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
-    let mut e2e_us: Vec<u64> = out
-        .results
-        .iter()
-        .filter(|r| r.succeeded())
-        .map(|r| r.e2e().as_nanos() / 1_000)
-        .collect();
-    e2e_us.sort_unstable();
-    let completed = out.completed() as u64;
-    let window_ns = out.all_done.since(out.first_launch).as_nanos();
-    let throughput_rps_milli = if window_ns == 0 {
-        0
-    } else {
-        ((completed as u128 * 1_000_000_000_000) / window_ns as u128) as u64
-    };
+    let arm = summary_of(&out, |_| true);
     SweepPoint {
         offered_rps_milli: rate_milli_rps,
-        launched: out.results.len() as u64,
-        completed,
-        shed: out.shed() as u64,
-        failed: out.failed() as u64,
-        p50_e2e_us: percentile_permille(&e2e_us, 500),
-        p99_e2e_us: percentile_permille(&e2e_us, 990),
-        throughput_rps_milli,
-        pool_peak: tel.gauge_peak("monitor.pool_size").unwrap_or(
-            // pool never moved: it stayed at the provisioned baseline
-            cfg.server.total_api_servers() as i64,
-        ),
+        launched: arm.launched,
+        completed: arm.completed,
+        shed: arm.shed,
+        failed: arm.failed,
+        p50_e2e_us: arm.p50_e2e_us,
+        p99_e2e_us: arm.p99_e2e_us,
+        throughput_rps_milli: arm.goodput_rps_milli,
+        pool_peak: pool_peak(&tel, &cfg),
         scale_ups: tel.counter("autoscale.scale_ups"),
         scale_downs: tel.counter("autoscale.scale_downs"),
     }

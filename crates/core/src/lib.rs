@@ -88,7 +88,8 @@ pub mod prelude {
     };
     pub use dgsf_serverless::{
         AdmissionConfig, ArrivalPattern, ClusterBalancer, FailureClass, FairShedConfig,
-        InvokeOptions, Invoker, Phase, PhaseRecorder, Schedule, StickyConfig, Tenanted, Workload,
+        InvokeOptions, Invoker, Phase, PhaseRecorder, Schedule, Spin, StickyConfig, Tenanted,
+        Workload,
     };
     pub use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime};
 }

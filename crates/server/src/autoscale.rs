@@ -26,31 +26,22 @@
 //!   the cooldown.
 //! * **Attribution gate**: a reactive (breach-driven) scale-up is
 //!   suppressed when the obs plane attributes less than
-//!   [`PredictiveConfig::queue_share_gate_permille`] of tail latency to
-//!   queueing — if requests are slow because of exec or transport, more
-//!   servers will not help. When no attribution data exists yet the gate
-//!   stays open (reactive behaviour), so a cold start can never deadlock.
+//!   [`QUEUE_SHARE_THRESHOLD_PERMILLE`] of tail latency to queueing — if
+//!   requests are slow because of exec or transport, more servers will
+//!   not help. When no attribution data exists yet the gate stays open
+//!   (reactive behaviour), so a cold start can never deadlock.
 
+use dgsf_sim::obs::QUEUE_SHARE_THRESHOLD_PERMILLE;
 use dgsf_sim::{Dur, SimTime};
 
-/// Knobs for the predictive layer of the autoscaler.
-#[derive(Debug, Clone)]
-pub struct PredictiveConfig {
-    /// Minimum queue-attributed share (permille) of tail latency the obs
-    /// plane must report before a *reactive* scale-up is allowed. Ramps
-    /// (pre-warms) bypass this gate; a tick with no attribution data
-    /// leaves the gate open.
-    pub queue_share_gate_permille: u64,
-}
-
-impl Default for PredictiveConfig {
-    /// Gate reactive scale-ups on ≥ 300‰ queue-attributed tail share.
-    fn default() -> PredictiveConfig {
-        PredictiveConfig {
-            queue_share_gate_permille: 300,
-        }
-    }
-}
+/// The predictive layer of the autoscaler. It has no settable values: a
+/// reactive scale-up needs the obs plane to attribute at least
+/// [`QUEUE_SHARE_THRESHOLD_PERMILLE`] of tail latency to queueing — the
+/// share at which the plane's burn-rate alerts call the tail
+/// queue-dominated. Ramps (pre-warms) bypass this gate; a tick with no
+/// attribution data leaves the gate open.
+#[derive(Debug, Clone, Default)]
+pub struct PredictiveConfig {}
 
 /// Autoscaling policy knobs. All decisions are driven by the monitor's
 /// tick (so they are deterministic in virtual time, like everything else).
@@ -98,15 +89,15 @@ impl AutoscaleConfig {
         }
     }
 
-    /// Like [`AutoscaleConfig::new`] but in predictive mode with default
-    /// [`PredictiveConfig`] knobs: pre-warm on rate ramps, gate reactive
+    /// Like [`AutoscaleConfig::new`] but in predictive mode
+    /// ([`PredictiveConfig`]): pre-warm on rate ramps, gate reactive
     /// growth on queue attribution. Requires an obs plane to be wired into
     /// the monitor; without one the policy degrades to plain reactive.
     pub fn predictive(min_per_gpu: u32, max_per_gpu: u32) -> AutoscaleConfig {
         AutoscaleConfig::new(min_per_gpu, max_per_gpu).with_predictive(PredictiveConfig::default())
     }
 
-    /// Builder-style: enable predictive mode with explicit knobs.
+    /// Builder-style: enable predictive mode.
     pub fn with_predictive(mut self, p: PredictiveConfig) -> Self {
         self.predictive = Some(p);
         self
@@ -209,7 +200,7 @@ impl Autoscaler {
     /// share below the gate. With no data the gate stays open.
     pub fn suppressed_by_attribution(&self) -> bool {
         match (&self.cfg.predictive, self.tail_queue_share) {
-            (Some(p), Some(share)) => share < p.queue_share_gate_permille,
+            (Some(_), Some(share)) => share < QUEUE_SHARE_THRESHOLD_PERMILLE,
             _ => false,
         }
     }

@@ -494,47 +494,17 @@ impl Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgsf_cuda::{CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
-    use dgsf_gpu::GB;
     use dgsf_remoting::NetProfile;
     use dgsf_server::GpuServerConfig;
     use dgsf_sim::{Dur, Sim};
 
-    use crate::phases::PhaseRecorder;
+    use crate::Spin;
 
-    struct Spin;
-    impl Workload for Spin {
-        fn name(&self) -> &str {
-            "spin"
-        }
-        fn registry(&self) -> Arc<ModuleRegistry> {
-            Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-        }
-        fn required_gpu_mem(&self) -> u64 {
-            GB
-        }
-        fn download_bytes(&self) -> u64 {
-            0
-        }
-        fn run(
-            &self,
-            p: &ProcCtx,
-            api: &mut dyn dgsf_cuda::CudaApi,
-            rec: &mut PhaseRecorder,
-        ) -> CudaResult<()> {
-            rec.enter(p, crate::phases::phase::PROCESSING);
-            api.launch_kernel(
-                p,
-                "k",
-                LaunchConfig::linear(1, 32),
-                KernelArgs::timed(1.0, 0),
-            )?;
-            api.device_synchronize(p)?;
-            rec.close(p);
-            Ok(())
-        }
-        fn cpu_secs(&self) -> f64 {
-            30.0
+    /// One 1 s kernel per call.
+    fn spin() -> Spin {
+        Spin {
+            gpu_secs: 1.0,
+            ..Spin::default()
         }
     }
 
@@ -580,7 +550,7 @@ mod tests {
                 let b = Rc::clone(&b);
                 let store = Arc::clone(&store);
                 h.spawn(&format!("fn{i}"), move |p| {
-                    let _ = b.invoke(p, &store, &Spin, OptConfig::full());
+                    let _ = b.invoke(p, &store, &spin(), OptConfig::full());
                 });
             }
             p.sleep(Dur::from_secs(30));
@@ -617,7 +587,7 @@ mod tests {
                     // stagger by 1 ms so fn0 holds the only slot when fn1
                     // arrives (both well within fn0's ~1 s runtime)
                     p.sleep(Dur::from_millis(i as u64));
-                    let res = b.invoke(p, &store, &Spin, OptConfig::full());
+                    let res = b.invoke(p, &store, &spin(), OptConfig::full());
                     r.lock().push(res);
                 });
             }
@@ -652,7 +622,7 @@ mod tests {
                 h.spawn(&format!("fn{i}"), move |p| {
                     // stagger so load is observable at choice time
                     p.sleep(Dur::from_millis(200 * i as u64));
-                    let _ = b.invoke(p, &store, &Spin, OptConfig::full());
+                    let _ = b.invoke(p, &store, &spin(), OptConfig::full());
                 });
             }
             p.sleep(Dur::from_secs(30));

@@ -36,4 +36,4 @@ pub use invoke::{
 pub use phases::{phase, Phase, PhaseRecorder};
 pub use store::ObjectStore;
 pub use tenant::{FairRefusal, FairShedConfig, FairShedder, Tenanted};
-pub use workload::Workload;
+pub use workload::{Spin, Workload};

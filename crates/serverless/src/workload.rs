@@ -3,10 +3,11 @@
 
 use std::sync::Arc;
 
-use dgsf_cuda::{CudaApi, CudaResult, ModuleRegistry};
-use dgsf_sim::ProcCtx;
+use dgsf_cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
+use dgsf_gpu::GB;
+use dgsf_sim::{Dur, ProcCtx};
 
-use crate::phases::PhaseRecorder;
+use crate::phases::{phase, PhaseRecorder};
 
 /// A GPU-accelerated serverless function.
 ///
@@ -44,4 +45,73 @@ pub trait Workload: Send + Sync {
 
     /// Calibrated CPU execution time (6 threads), for the CPU baseline row.
     fn cpu_secs(&self) -> f64;
+}
+
+/// The synthetic function the load experiments and tests drive: `host` of
+/// host-side pre-processing (the API server busy, the GPU free), then
+/// `chunks` timed kernels of `gpu_secs` each, with a device sync after
+/// every kernel — each sync an API boundary where a live migration can
+/// land. No download. Build one with struct update syntax:
+/// `Spin { gpu_secs: 0.3, ..Spin::default() }`.
+#[derive(Debug, Clone)]
+pub struct Spin {
+    /// Function name (as deployed).
+    pub name: &'static str,
+    /// GPU seconds of each kernel.
+    pub gpu_secs: f64,
+    /// Kernels per invocation.
+    pub chunks: usize,
+    /// Host time before the first kernel. Zero means no sleep at all.
+    pub host: Dur,
+    /// Declared GPU memory requirement.
+    pub mem: u64,
+}
+
+impl Default for Spin {
+    /// `"spin"`: one 0.5 s kernel, 1 GB, no host time.
+    fn default() -> Spin {
+        Spin {
+            name: "spin",
+            gpu_secs: 0.5,
+            chunks: 1,
+            host: Dur::ZERO,
+            mem: GB,
+        }
+    }
+}
+
+impl Workload for Spin {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn registry(&self) -> Arc<ModuleRegistry> {
+        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
+    }
+    fn required_gpu_mem(&self) -> u64 {
+        self.mem
+    }
+    fn download_bytes(&self) -> u64 {
+        0
+    }
+    fn run(&self, p: &ProcCtx, api: &mut dyn CudaApi, rec: &mut PhaseRecorder) -> CudaResult<()> {
+        rec.enter(p, phase::PROCESSING);
+        if self.host > Dur::ZERO {
+            p.sleep(self.host);
+        }
+        for _ in 0..self.chunks {
+            api.launch_kernel(
+                p,
+                "k",
+                LaunchConfig::linear(1, 32),
+                KernelArgs::timed(self.gpu_secs, 0),
+            )?;
+            api.device_synchronize(p)?;
+        }
+        rec.close(p);
+        Ok(())
+    }
+    /// A fixed 30 s: no load experiment runs the CPU baseline.
+    fn cpu_secs(&self) -> f64 {
+        30.0
+    }
 }

@@ -9,16 +9,15 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dgsf_cuda::{CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf_gpu::GB;
 use dgsf_remoting::{NetProfile, OptConfig};
 use dgsf_server::{FleetPolicy, GpuServer, GpuServerConfig, ServerGauges};
 use dgsf_serverless::cluster::select;
 use dgsf_serverless::{
-    AdmissionConfig, Backend, ClusterBalancer, FairShedConfig, ObjectStore, PhaseRecorder,
-    StickyConfig, Tenanted, Workload,
+    AdmissionConfig, Backend, ClusterBalancer, FairShedConfig, ObjectStore, Spin, StickyConfig,
+    Tenanted,
 };
-use dgsf_sim::{Dur, ProcCtx, Sim, SimCell};
+use dgsf_sim::{Dur, Sim, SimCell};
 use proptest::prelude::*;
 
 fn gauges_strategy() -> impl Strategy<Value = ServerGauges> {
@@ -144,40 +143,10 @@ proptest! {
 }
 
 /// A short spin function with a configurable name.
-struct Spin(&'static str);
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        self.0
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &ProcCtx,
-        api: &mut dyn dgsf_cuda::CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf_serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(0.5, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
+fn spin(name: &'static str) -> Spin {
+    Spin {
+        name,
+        ..Spin::default()
     }
 }
 
@@ -219,7 +188,7 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
                 let r = b.invoke(
                     p,
                     &store,
-                    &Tenanted::new("hot", Spin("hot-fn")),
+                    &Tenanted::new("hot", spin("hot-fn")),
                     OptConfig::full(),
                 );
                 if r.shed {
@@ -237,7 +206,7 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
                 let r = b2.invoke(
                     p,
                     &store2,
-                    &Tenanted::new("cold", Spin("cold-fn")),
+                    &Tenanted::new("cold", spin("cold-fn")),
                     OptConfig::full(),
                 );
                 if r.shed {
@@ -284,7 +253,7 @@ fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
                 let _ = b.invoke(
                     p,
                     &store,
-                    &Tenanted::new("hot", Spin("hot-fn")),
+                    &Tenanted::new("hot", spin("hot-fn")),
                     OptConfig::full(),
                 );
             });
@@ -299,7 +268,7 @@ fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
                 let r = b2.invoke(
                     p,
                     &store2,
-                    &Tenanted::new("cold", Spin("cold-fn")),
+                    &Tenanted::new("cold", spin("cold-fn")),
                     OptConfig::full(),
                 );
                 if r.shed {

@@ -8,7 +8,6 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
@@ -86,48 +85,6 @@ fn happy_path_traces_decompose_exactly() {
     assert_eq!(trees, trees2, "trace assembly must replay byte-for-byte");
 }
 
-/// A function with one long timed kernel — long enough that a mid-run
-/// server kill lands inside it.
-struct SpinFn {
-    secs: f64,
-    mem: u64,
-}
-
-impl Workload for SpinFn {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1 << 20, 256),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        self.secs * 30.0
-    }
-}
-
 fn t(secs: f64) -> SimTime {
     SimTime::ZERO + Dur::from_secs_f64(secs)
 }
@@ -158,8 +115,13 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
             let store = Arc::clone(&store);
             let out = Rc::clone(&o2);
             h2.spawn_at(&format!("fn-{i}"), t(0.6 * i as f64), move |p| {
-                let r =
-                    backend.invoke(p, &store, &SpinFn { secs: 1.5, mem: GB }, OptConfig::full());
+                // One kernel long enough that a mid-run server kill lands
+                // inside it.
+                let spin = Spin {
+                    gpu_secs: 1.5,
+                    ..Spin::default()
+                };
+                let r = backend.invoke(p, &store, &spin, OptConfig::full());
                 out.lock().push(r);
             });
         }
@@ -199,12 +161,19 @@ fn overloaded_fleet_traces_decompose_exactly_including_sheds() {
     // shed-on-arrival requests (zero-width trees) alongside completions.
     let run = |seed: u64| {
         let suite: Vec<Arc<dyn Workload>> = vec![
-            Arc::new(Tenanted::new("hot", SpinFn { secs: 0.3, mem: GB })),
+            Arc::new(Tenanted::new(
+                "hot",
+                Spin {
+                    gpu_secs: 0.3,
+                    ..Spin::default()
+                },
+            )),
             Arc::new(Tenanted::new(
                 "cold",
-                SpinFn {
-                    secs: 1.2,
+                Spin {
+                    gpu_secs: 1.2,
                     mem: 4 * GB,
+                    ..Spin::default()
                 },
             )),
         ];

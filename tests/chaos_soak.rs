@@ -12,7 +12,6 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::gpu::GpuId;
 use dgsf::invariants::migration_facts;
 use dgsf::prelude::*;
@@ -24,46 +23,15 @@ use dgsf::sim::SimCell;
 
 const GB: u64 = 1 << 30;
 
-/// A function of many short kernels with a sync after each — every sync is
-/// an API boundary where a migration request can land.
-struct Chunked {
-    chunks: usize,
-}
-
-impl Workload for Chunked {
-    fn name(&self) -> &str {
-        "chunked"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        2 * GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        for _ in 0..self.chunks {
-            api.launch_kernel(
-                p,
-                "k",
-                LaunchConfig::linear(1, 32),
-                KernelArgs::timed(0.25, 0),
-            )?;
-            api.device_synchronize(p)?;
-        }
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
+/// A function of `chunks` short kernels with a sync after each — every
+/// sync is an API boundary where a migration request can land.
+fn chunked(chunks: usize) -> Spin {
+    Spin {
+        name: "chunked",
+        gpu_secs: 0.25,
+        chunks,
+        mem: 2 * GB,
+        ..Spin::default()
     }
 }
 
@@ -118,7 +86,7 @@ fn soak_schedule() -> Schedule {
 }
 
 fn run_soak(seed: u64, faults: Option<FaultPlan>) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Chunked { chunks: 10 })];
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(chunked(10))];
     Testbed::run_platform_schedule_traced(&soak_cfg(seed, faults), &suite, &soak_schedule())
 }
 
@@ -314,7 +282,7 @@ fn migration_log_matches_telemetry_exactly_on_the_happy_path() {
             let store = Arc::clone(&store);
             let done = Rc::clone(&d2);
             h2.spawn_at(&format!("fn-{i}"), t_ms(i), move |p| {
-                let r = backend.invoke(p, &store, &Chunked { chunks: 12 }, OptConfig::full());
+                let r = backend.invoke(p, &store, &chunked(12), OptConfig::full());
                 assert!(r.succeeded(), "happy path must complete: {:?}", r.failure);
                 *done.borrow_in(p) += 1;
             });

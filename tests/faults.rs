@@ -9,55 +9,11 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::{GpuServer, InvocationRecord};
 use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
 use dgsf::sim::SimCell;
-
-const GB: u64 = 1 << 30;
-
-/// A function with one long timed kernel — long enough that a mid-run
-/// server kill lands inside it.
-struct SpinFn {
-    secs: f64,
-}
-
-impl Workload for SpinFn {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1 << 20, 256),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        self.secs * 30.0
-    }
-}
 
 fn t(secs: f64) -> SimTime {
     SimTime::ZERO + Dur::from_secs_f64(secs)
@@ -138,7 +94,13 @@ fn chaos_run(
             let store = Arc::clone(&store);
             let out = Rc::clone(&o2);
             h2.spawn_at(&format!("fn-{i}"), t(0.6 * i as f64), move |p| {
-                let r = backend.invoke(p, &store, &SpinFn { secs: 1.5 }, OptConfig::full());
+                // One kernel long enough that a mid-run server kill lands
+                // inside it.
+                let spin = Spin {
+                    gpu_secs: 1.5,
+                    ..Spin::default()
+                };
+                let r = backend.invoke(p, &store, &spin, OptConfig::full());
                 out.lock().push((
                     i,
                     (

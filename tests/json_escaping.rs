@@ -5,51 +5,12 @@
 
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::prelude::*;
 use dgsf::sim::trace::{assemble, attribute, slo_burn, SloPolicy};
 use dgsf_bench::attrib::{attrib_json, traces_json, AttribOutput};
 
-const GB: u64 = 1 << 30;
 const TENANT: &str = "a\"b\\c";
 const ESCAPED: &str = r#""a\"b\\c""#;
-
-struct SpinFn;
-
-impl Workload for SpinFn {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(0.2, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        6.0
-    }
-}
 
 /// The artifact carries the tenant escaped, and never as a raw literal.
 fn assert_escaped(artifact: &str, json: &str) {
@@ -69,7 +30,13 @@ fn tenant_names_are_escaped_in_every_artifact() {
         .with_seed(7)
         .with_server(GpuServerConfig::paper_default().gpus(1))
         .with_obs(ObsConfig::paper_default().with_window(Dur::from_millis(500)));
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Tenanted::new(TENANT, SpinFn))];
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Tenanted::new(
+        TENANT,
+        Spin {
+            gpu_secs: 0.2,
+            ..Spin::default()
+        },
+    ))];
     let schedule = Schedule::mixed(
         7,
         1,

@@ -7,53 +7,10 @@
 
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::prelude::*;
 use dgsf::sim::obs::{FAST_WINDOWS, QUEUE_SHARE_THRESHOLD_PERMILLE};
 use dgsf::sim::trace::{assemble, TraceOutcome};
 use dgsf_bench::obs as bench_obs;
-
-const GB: u64 = 1 << 30;
-
-/// One timed kernel, enough memory to fit anywhere.
-struct SpinFn {
-    secs: f64,
-}
-
-impl Workload for SpinFn {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        self.secs * 30.0
-    }
-}
 
 #[test]
 fn ramp_is_byte_deterministic_and_predictive_sheds_strictly_fewer() {
@@ -105,7 +62,10 @@ fn overloaded_run(seed: u64) -> (ObsConfig, dgsf::BackendRunOutput, Arc<dgsf::si
         .with_seed(seed)
         .with_server(GpuServerConfig::paper_default().gpus(1).sharing(2))
         .with_obs(ocfg.clone());
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(SpinFn { secs: 0.4 })];
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin {
+        gpu_secs: 0.4,
+        ..Spin::default()
+    })];
     let schedule = Schedule::mixed(
         seed,
         1,

@@ -6,44 +6,7 @@
 
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
-use dgsf::gpu::GB;
 use dgsf::prelude::*;
-use dgsf::serverless::phase;
-use dgsf::sim::ProcCtx;
-
-/// 0.5 s of GPU work per call: two GPUs cap the fleet at 4 rps.
-struct Spin;
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(&self, p: &ProcCtx, api: &mut dyn CudaApi, rec: &mut PhaseRecorder) -> CudaResult<()> {
-        rec.enter(p, phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(0.5, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
 
 const MAX_PER_GPU: u32 = 4;
 const NUM_GPUS: u32 = 2;
@@ -69,7 +32,8 @@ fn overload_config(seed: u64) -> PlatformConfig {
 /// the obs plane. Checks the counter oracle on every run, and the obs
 /// oracle when the plane is on.
 fn overload_run(seed: u64, with_obs: bool) -> (BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
+    // One 0.5 s kernel per call: two GPUs cap the fleet at 4 rps.
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin::default())];
     let schedule = Schedule::mixed(
         seed,
         1,
