@@ -38,9 +38,6 @@ pub enum ConfigError {
         /// The offending tenant.
         tenant: String,
     },
-    /// The MQFQ provisional service charge is 0, which would collapse the
-    /// in-flight rotation.
-    ZeroAssumedService,
     /// The sticky max-share bound is outside 1..=1000 per mille.
     BadStickyShare(u64),
     /// The observability-plane configuration is internally inconsistent
@@ -55,11 +52,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "{policy} weight for tenant {tenant:?} is 0: a zero-weight tenant \
                  would be starved forever; give every tenant a weight >= 1"
-            ),
-            ConfigError::ZeroAssumedService => write!(
-                f,
-                "MQFQ assumed_service_ns is 0: the provisional in-flight charge \
-                 must be at least 1 ns"
             ),
             ConfigError::BadStickyShare(p) => write!(
                 f,
@@ -213,20 +205,15 @@ impl PlatformConfig {
     }
 
     /// Check the configuration for inconsistencies that would silently
-    /// distort a run: zero (or zero-total) fairness weights, a zero MQFQ
-    /// provisional charge, an out-of-range sticky share. The platform
+    /// distort a run: zero (or zero-total) fairness weights, an
+    /// out-of-range sticky share. The platform
     /// runners call this before provisioning anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(fair) = self.admission.as_ref().and_then(|a| a.fairness.as_ref()) {
             check_weights("fair_shed", &fair.weights)?;
         }
-        if self.server.queue == QueuePolicy::Mqfq {
-            let default = MqfqConfig::default();
-            let mqfq = self.server.fair_queue.as_ref().unwrap_or(&default);
+        if let (QueuePolicy::Mqfq, Some(mqfq)) = (self.server.queue, &self.server.fair_queue) {
             check_weights("mqfq", &mqfq.weights)?;
-            if mqfq.assumed_service_ns == 0 {
-                return Err(ConfigError::ZeroAssumedService);
-            }
         }
         if let Some(sticky) = &self.sticky {
             if !(1..=1000).contains(&sticky.max_share_permille) {
@@ -341,10 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_mqfq_weights_and_charge() {
+    fn validate_rejects_zero_mqfq_weights() {
         let mut mqfq = MqfqConfig::new();
         mqfq.weights.insert("ghost".into(), 0);
-        let cfg = PlatformConfig::paper_default().with_mqfq(mqfq);
+        let cfg = PlatformConfig::paper_default().with_mqfq(mqfq.clone());
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::ZeroWeight {
@@ -352,15 +339,10 @@ mod tests {
                 tenant: "ghost".into(),
             })
         );
-        let mqfq3 = MqfqConfig::new().with_assumed_service(0);
-        assert_eq!(
-            PlatformConfig::paper_default().with_mqfq(mqfq3).validate(),
-            Err(ConfigError::ZeroAssumedService)
-        );
         // The same weights are fine when MQFQ is not the queue policy:
         // validation judges what the run will actually use.
         let mut unused = PlatformConfig::paper_default();
-        unused.server.fair_queue = Some(MqfqConfig::new().with_assumed_service(0));
+        unused.server.fair_queue = Some(mqfq);
         assert_eq!(unused.validate(), Ok(()));
     }
 

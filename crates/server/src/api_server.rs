@@ -401,18 +401,14 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
         // changes its current GPU to the originally assigned one" — with
         // nothing left to copy, since the session was released.
         a.shared.set_current(a.shared.home_gpu);
-        let msg = if aborted {
-            MonitorMsg::FunctionFailed {
+        a.env.monitor_tx.send(
+            p,
+            MonitorMsg::FunctionEnded {
                 server: a.shared.id,
                 invocation: asg.invocation,
-            }
-        } else {
-            MonitorMsg::FunctionDone {
-                server: a.shared.id,
-                invocation: asg.invocation,
-            }
-        };
-        a.env.monitor_tx.send(p, msg);
+                failed: aborted,
+            },
+        );
     }
 }
 

@@ -6,9 +6,7 @@ use dgsf_sim::Dur;
 
 use crate::autoscale::AutoscaleConfig;
 use crate::fairqueue::MqfqConfig;
-// The policy enums historically lived here; they moved to the unified
-// `policy` module and are re-exported for compatibility.
-pub use crate::policy::{PlacementPolicy, QueuePolicy};
+use crate::policy::{PlacementPolicy, QueuePolicy};
 
 /// Configuration of one disaggregated GPU server.
 #[derive(Debug, Clone)]

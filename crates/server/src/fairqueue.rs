@@ -23,8 +23,8 @@
 //!   accumulate an unbounded "debt" claim and lock out everyone else on
 //!   return.
 //!
-//! In-flight functions are provisionally charged `assumed_service_ns`
-//! against their flow's dispatch key; the exact charge replaces the
+//! In-flight functions are provisionally charged `ASSUMED_SERVICE_NS`
+//! (100 ms) against their flow's dispatch key; the exact charge replaces the
 //! assumption when the function completes. Without this, a tenant with
 //! many idle servers available could dispatch its whole queue back-to-back
 //! before the first completion ever advanced its virtual time.
@@ -41,28 +41,20 @@ pub const VTIME_SCALE: u128 = 1000;
 /// Weight of a tenant without an explicit entry in [`MqfqConfig::weights`].
 const DEFAULT_WEIGHT: u64 = 1;
 
+/// Provisional per-dispatch charge (ns) held against a flow while its
+/// functions are in flight, replaced by the exact service time on
+/// completion: 100 ms, a typical short function.
+const ASSUMED_SERVICE_NS: u64 = 100_000_000;
+
 /// Configuration of the per-tenant fair queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MqfqConfig {
     /// Per-tenant weights; tenants absent here weigh 1.
     pub weights: BTreeMap<String, u64>,
-    /// Provisional per-dispatch charge (ns) held against a flow while its
-    /// functions are in flight, replaced by the exact service time on
-    /// completion.
-    pub assumed_service_ns: u64,
-}
-
-impl Default for MqfqConfig {
-    fn default() -> Self {
-        Self {
-            weights: BTreeMap::new(),
-            assumed_service_ns: 100_000_000, // 100 ms — a typical short function
-        }
-    }
 }
 
 impl MqfqConfig {
-    /// Equal-weight configuration with the default provisional charge.
+    /// Equal-weight configuration.
     pub fn new() -> Self {
         Self::default()
     }
@@ -70,12 +62,6 @@ impl MqfqConfig {
     /// Set a tenant's weight (clamped to at least 1).
     pub fn with_weight(mut self, tenant: &str, weight: u64) -> Self {
         self.weights.insert(tenant.to_string(), weight.max(1));
-        self
-    }
-
-    /// Set the provisional in-flight charge in nanoseconds.
-    pub fn with_assumed_service(mut self, ns: u64) -> Self {
-        self.assumed_service_ns = ns;
         self
     }
 
@@ -202,7 +188,7 @@ impl<T> MqfqQueues<T> {
             .flows
             .iter()
             .filter(|(_, f)| !f.queue.is_empty())
-            .map(|(name, f)| (effective_key(f, self.cfg.assumed_service_ns), name))
+            .map(|(name, f)| (effective_key(f), name))
             .collect();
         order.sort();
         let mut chosen: Option<(String, C)> = None;
@@ -297,9 +283,9 @@ impl<T> MqfqQueues<T> {
 /// Dispatch key of a flow: its virtual time plus a provisional charge for
 /// every function in flight, so back-to-back dispatches before the first
 /// completion still rotate across tenants.
-fn effective_key<T>(f: &Flow<T>, assumed_service_ns: u64) -> u128 {
+fn effective_key<T>(f: &Flow<T>) -> u128 {
     let w = f.weight.max(1) as u128;
-    f.vtime + f.inflight as u128 * (assumed_service_ns as u128 * VTIME_SCALE) / w
+    f.vtime + f.inflight as u128 * (ASSUMED_SERVICE_NS as u128 * VTIME_SCALE) / w
 }
 
 #[cfg(test)]
@@ -315,8 +301,7 @@ mod tests {
         // heavy:light = 2:1; both always backlogged, unit service cost.
         let mut q = fq(MqfqConfig::new()
             .with_weight("heavy", 2)
-            .with_weight("light", 1)
-            .with_assumed_service(1));
+            .with_weight("light", 1));
         for i in 0..30 {
             q.push("heavy", i);
             q.push("light", 100 + i);
@@ -357,7 +342,7 @@ mod tests {
     #[test]
     fn idle_time_banks_no_credit() {
         // Items <100 belong to "busy", ≥100 to "idle".
-        let mut q = fq(MqfqConfig::new().with_assumed_service(1));
+        let mut q = fq(MqfqConfig::new());
         // "busy" works alone for a while.
         for i in 0..10 {
             q.push("busy", i);
@@ -383,7 +368,7 @@ mod tests {
 
     #[test]
     fn inflight_holds_rotate_dispatch_before_any_completion() {
-        let mut q = fq(MqfqConfig::new().with_assumed_service(1_000_000));
+        let mut q = fq(MqfqConfig::new());
         for i in 0..4 {
             q.push("a", i);
             q.push("b", 10 + i);

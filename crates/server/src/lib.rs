@@ -113,7 +113,8 @@ mod tests {
                 let data = api.memcpy_d2h(p, buf, 8, true).unwrap();
                 *o.lock() = Some(data);
             });
-            // FunctionDone reaches the monitor one scheduling tick later.
+            // The function-end message reaches the monitor one scheduling
+            // tick later.
             p.sleep(Dur::from_millis(1));
             let recs = srv.records();
             assert_eq!(recs.len(), 1);

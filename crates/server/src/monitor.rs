@@ -23,15 +23,17 @@ use dgsf_cuda::ModuleRegistry;
 use dgsf_gpu::GpuId;
 use dgsf_remoting::RpcClient;
 use dgsf_sim::{
-    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime, TraceCtx,
+    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime, Telemetry,
+    TraceCtx,
 };
 
 use crate::api_server::{
     start_api_server, ApiServerEnv, ApiServerShared, Assignment, ServerCmd, HEARTBEAT_PERIOD,
 };
 use crate::autoscale::Autoscaler;
-use crate::config::{GpuServerConfig, PlacementPolicy, QueuePolicy};
+use crate::config::GpuServerConfig;
 use crate::fairqueue::MqfqQueues;
+use crate::policy::{PlacementPolicy, QueuePolicy};
 
 /// A function's request for a virtual GPU.
 pub(crate) struct FnRequest {
@@ -48,10 +50,6 @@ pub(crate) struct FnRequest {
     /// Causal context of the serverless request this queue entry serves;
     /// handed on to the RPC client and the API-server assignment.
     pub trace: Option<TraceCtx>,
-    /// Tenant this request belongs to (from the trace context; empty when
-    /// the caller threaded no trace). Keys the MQFQ flow and the
-    /// per-tenant queue-delay gauges.
-    pub tenant: String,
     /// Restrict assignment to this one API server: the request waits (FCFS
     /// head-of-line rules apply) until that server is idle and its GPU
     /// fits, and is never placed elsewhere. GPU-resident DAG stages pin to
@@ -59,16 +57,28 @@ pub(crate) struct FnRequest {
     pub pin_server: Option<u32>,
 }
 
+impl FnRequest {
+    /// Tenant this request belongs to, from its trace context (empty when
+    /// the caller threaded none). Keys the MQFQ flow and the per-tenant
+    /// queue-delay gauges.
+    fn tenant(&self) -> &str {
+        self.trace.as_ref().map_or("", |t| &t.tenant)
+    }
+}
+
 /// Messages the monitor consumes.
 pub(crate) enum MonitorMsg {
     /// A function wants a GPU.
     Request(FnRequest),
-    /// An API server finished its function.
-    FunctionDone { server: u32, invocation: u64 },
+    /// An API server's function left it: finished, or aborted (`failed`:
+    /// the guest vanished or went idle past its timeout).
+    FunctionEnded {
+        server: u32,
+        invocation: u64,
+        failed: bool,
+    },
     /// A busy API server signalling liveness.
     Heartbeat { server: u32 },
-    /// An API server aborted its function (guest vanished / idle timeout).
-    FunctionFailed { server: u32, invocation: u64 },
 }
 
 /// Lifecycle record of one invocation, kept for the experiment harness.
@@ -178,17 +188,20 @@ impl RecordBook {
         Some(out)
     }
 
-    /// Declare `invocation` failed at `at`, unless it already finished or
-    /// failed. Returns whether it did.
-    pub(crate) fn mark_failed(&mut self, at: SimTime, invocation: u64) -> bool {
-        self.update(invocation, |rec| {
+    /// Declare `invocation` failed at `at` and count it in `tel`'s
+    /// `invocation.failures`, unless it already finished or failed (the
+    /// first failure wins).
+    pub(crate) fn mark_failed(&mut self, at: SimTime, invocation: u64, tel: &Telemetry) {
+        let failed = self.update(invocation, |rec| {
             let fail = rec.active();
             if fail {
                 rec.failed_at = Some(at);
             }
             fail
-        })
-        .unwrap_or(false)
+        });
+        if failed == Some(true) {
+            tel.counter_add("invocation.failures", 1);
+        }
     }
 
     /// Every record, in invocation order.
@@ -222,13 +235,11 @@ struct SrvBook {
     idle_since: SimTime,
 }
 
+/// The function a server runs. Its tenant and assignment time are in its
+/// [`InvocationRecord`].
 struct BusyInfo {
     invocation: u64,
     mem: u64,
-    /// Tenant of the running function, for the fair queue's service charge.
-    tenant: String,
-    /// When the function was assigned; the charge is `done - assigned`.
-    assigned_at: SimTime,
 }
 
 /// The monitor's queue: one flat FIFO under FCFS/SmallestFirst, or
@@ -252,8 +263,8 @@ impl MonQueue {
         match self {
             MonQueue::Flat(q) => q.push_back(req),
             MonQueue::Fair(fq) => {
-                let tenant = req.tenant.clone();
-                fq.push(&tenant, req);
+                let tenant = req.trace.as_ref().map(|t| Arc::clone(&t.tenant));
+                fq.push(tenant.as_deref().unwrap_or(""), req);
             }
         }
     }
@@ -285,50 +296,47 @@ impl MonQueue {
             MonQueue::Fair(fq) => Box::new(fq.iter()),
         }
     }
-
-    /// Credit a completed function's exact service time to its tenant's
-    /// flow (no-op for the flat queue).
-    fn charge(&mut self, tenant: &str, service_ns: u64) {
-        if let MonQueue::Fair(fq) = self {
-            fq.charge(tenant, service_ns);
-        }
-    }
 }
 
-pub(crate) struct MonitorArgs {
+/// The monitor's immutable context, built at provisioning and shared by
+/// the helpers below.
+pub(crate) struct MonCtx {
     /// The API servers' shared environment: the GPUs, the NIC, and what
     /// the autoscaler hands to the servers it starts.
     pub env: ApiServerEnv,
     pub cfg: GpuServerConfig,
-    pub servers: Vec<(Rc<ApiServerShared>, SimSender<ServerCmd>)>,
-    pub rx: SimReceiver<MonitorMsg>,
     pub records: Rc<SimCell<RecordBook>>,
     /// Live-server registry shared with [`crate::GpuServer`]; the
     /// autoscaler pushes spawned servers and removes retired ones.
     pub registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
-    /// Online observability plane plus this server's stable label (e.g.
-    /// `srv0`). When present the monitor feeds per-GPU health scores each
-    /// tick and a predictive autoscaler reads its streamed signals.
-    pub obs: Option<(Rc<ObsPlane>, String)>,
-}
-
-/// Immutable monitor context shared by the helpers below.
-struct MonCtx {
-    env: ApiServerEnv,
-    cfg: GpuServerConfig,
-    records: Rc<SimCell<RecordBook>>,
-    registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
-    obs: Option<Rc<ObsPlane>>,
+    /// Online observability plane. When present the monitor feeds per-GPU
+    /// health scores each tick and a predictive autoscaler reads its
+    /// streamed signals.
+    pub obs: Option<Rc<ObsPlane>>,
     /// One per GPU, built once so the per-tick sampling formats nothing.
-    gpu_keys: Vec<GpuKeys>,
+    pub gpu_keys: Vec<GpuKeys>,
 }
 
 /// Telemetry gauge names and the obs health label of one GPU.
-struct GpuKeys {
+pub(crate) struct GpuKeys {
     mem_used: String,
     util_bp: String,
     /// `{label}.gpu{i}`; empty when no obs plane is wired.
     health: String,
+}
+
+impl GpuKeys {
+    /// The keys of GPUs `0..n`; `obs_label` is this server's stable label
+    /// on the obs plane (e.g. `srv0`), when one is wired.
+    pub(crate) fn for_gpus(n: u32, obs_label: Option<&str>) -> Vec<GpuKeys> {
+        (0..n)
+            .map(|i| GpuKeys {
+                mem_used: format!("gpu.{i}.mem_used_bytes"),
+                util_bp: format!("gpu.{i}.util_bp"),
+                health: obs_label.map_or_else(String::new, |label| format!("{label}.gpu{i}")),
+            })
+            .collect()
+    }
 }
 
 /// Monitor tick: utilization sampling, lease and migration checks. The
@@ -340,33 +348,12 @@ const MONITOR_PERIOD: Dur = Dur::from_millis(200);
 const MAX_CONCURRENT_MIGRATIONS: usize = 1;
 
 /// Body of the monitor process.
-pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
-    let MonitorArgs {
-        env,
-        cfg,
-        servers,
-        rx,
-        records,
-        registry,
-        obs,
-    } = args;
-    let gpu_keys = (0..env.gpus.len())
-        .map(|i| GpuKeys {
-            mem_used: format!("gpu.{i}.mem_used_bytes"),
-            util_bp: format!("gpu.{i}.util_bp"),
-            health: obs
-                .as_ref()
-                .map_or_else(String::new, |(_, label)| format!("{label}.gpu{i}")),
-        })
-        .collect();
-    let a = MonCtx {
-        env,
-        cfg,
-        records,
-        registry,
-        obs: obs.map(|(obs, _)| obs),
-        gpu_keys,
-    };
+pub(crate) fn run_monitor(
+    p: &ProcCtx,
+    a: MonCtx,
+    servers: Vec<(Rc<ApiServerShared>, SimSender<ServerCmd>)>,
+    rx: SimReceiver<MonitorMsg>,
+) {
     let spawn_time = p.now();
     let mut servers: Vec<SrvBook> = servers
         .into_iter()
@@ -415,21 +402,10 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         // keep the tick armed. The deadline is absolute: heartbeat traffic
         // must not indefinitely re-arm the timeout and starve the tick.
         let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || !queue.is_empty();
-        let excess_live = scaler
-            .as_ref()
-            .map(|sc| {
-                let min = sc.config().min_per_gpu as usize;
-                (0..a.env.gpus.len()).any(|g| {
-                    servers
-                        .iter()
-                        .filter(|s| {
-                            !s.shared.lease_expired() && s.shared.home_gpu == GpuId(g as u32)
-                        })
-                        .count()
-                        > min
-                })
-            })
-            .unwrap_or(false);
+        let excess_live = scaler.as_ref().is_some_and(|sc| {
+            (0..a.env.gpus.len())
+                .any(|g| homed(&servers, GpuId(g as u32)) > sc.config().min_per_gpu)
+        });
         let msg = if work_in_flight || excess_live {
             let now = p.now();
             let wait = if next_tick > now {
@@ -452,40 +428,37 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                 queue.push(req);
                 drain_queue(p, &a, &mut servers, &mut queue);
             }
-            Ok(MonitorMsg::FunctionDone { server, invocation }) => {
+            Ok(MonitorMsg::FunctionEnded {
+                server,
+                invocation,
+                failed,
+            }) => {
+                // An aborted function fails only its invocation: the server
+                // stays in the placement pool.
                 if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
-                    if let Some(b) = s.busy.take() {
-                        // Credit the exact service time to the tenant's
-                        // fair-queue flow, releasing its provisional hold.
-                        queue.charge(&b.tenant, p.now().since(b.assigned_at).as_nanos());
-                    }
-                    s.idle_since = p.now();
+                    release(p.now(), &a, s, &mut queue);
                 }
-                a.records.lock().update(invocation, |rec| {
-                    // A lease may already have failed this invocation over;
-                    // the late completion loses.
-                    if rec.failed_at.is_none() {
-                        rec.done_at = Some(p.now());
-                    }
-                });
+                if failed {
+                    a.records
+                        .lock()
+                        .mark_failed(p.now(), invocation, p.telemetry());
+                } else {
+                    a.records.lock().update(invocation, |rec| {
+                        // A lease may already have failed this invocation
+                        // over; the late completion loses.
+                        if rec.failed_at.is_none() {
+                            rec.done_at = Some(p.now());
+                        }
+                    });
+                }
+                // Both borrows of the records ended above: assignment
+                // takes them again.
                 drain_queue(p, &a, &mut servers, &mut queue);
             }
             Ok(MonitorMsg::Heartbeat { server }) => {
                 if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
                     s.last_heartbeat = p.now();
                 }
-            }
-            Ok(MonitorMsg::FunctionFailed { server, invocation }) => {
-                // The server itself aborted (guest vanished); it stays in
-                // the placement pool — only the invocation failed.
-                if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
-                    if let Some(b) = s.busy.take() {
-                        queue.charge(&b.tenant, p.now().since(b.assigned_at).as_nanos());
-                    }
-                    s.idle_since = p.now();
-                }
-                mark_failed(p.now(), &a, invocation);
-                drain_queue(p, &a, &mut servers, &mut queue);
             }
             Err(RecvError::Timeout) => {
                 next_tick = p.now() + MONITOR_PERIOD;
@@ -551,12 +524,23 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
     }
 }
 
-/// Fail `invocation` over (first failure wins; completed invocations are
-/// left alone).
-fn mark_failed(at: SimTime, a: &MonCtx, invocation: u64) {
-    if a.records.lock().mark_failed(at, invocation) {
-        a.env.h.telemetry().counter_add("invocation.failures", 1);
+/// A function left server `s` (it finished, aborted, or the server's
+/// lease expired): the server is idle from `now` on, and the function's
+/// tenant is charged its exact service time on the fair queue, which
+/// releases the flow's provisional hold. Returns the invocation the server
+/// ran, if any.
+fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MonQueue) -> Option<u64> {
+    s.idle_since = now;
+    let b = s.busy.take()?;
+    if let MonQueue::Fair(fq) = queue {
+        let records = a.records.lock();
+        let rec = records
+            .get(b.invocation)
+            .expect("a running invocation has a record");
+        let assigned_at = rec.assigned_at.expect("a running invocation was assigned");
+        fq.charge(&rec.tenant, now.since(assigned_at).as_nanos());
     }
+    Some(b.invocation)
 }
 
 /// Monitor-side lease: a busy API server silent for longer than this is
@@ -570,9 +554,9 @@ const LEASE_TIMEOUT: Dur = Dur(HEARTBEAT_PERIOD.0 * 5);
 /// Releases the memory commitment and fails the invocation over (the freed
 /// capacity may unblock the queue — not for the failed server, which is
 /// excluded from placement, but for servers homed on its GPU; the caller
-/// drains the queue after every tick). The dead server's service-so-far is charged to its tenant's fair-queue
-/// flow, so a tenant whose functions keep dying still pays for the GPU
-/// time they held.
+/// drains the queue after every tick). The dead server's service so far is
+/// charged to its tenant's fair-queue flow, so a tenant whose functions
+/// keep dying still pays for the GPU time they held.
 fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
     let now = p.now();
     for s in servers.iter_mut() {
@@ -581,8 +565,7 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
         }
         if now.since(s.last_heartbeat) > LEASE_TIMEOUT {
             s.shared.expire_lease();
-            let b = s.busy.take().expect("checked busy");
-            queue.charge(&b.tenant, now.since(b.assigned_at).as_nanos());
+            let invocation = release(now, a, s, queue).expect("checked busy");
             let tel = p.telemetry();
             if tel.is_enabled() {
                 tel.counter_add("monitor.lease_expirations", 1);
@@ -592,11 +575,11 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
                     now,
                     &[
                         ("server", s.shared.id.into()),
-                        ("invocation", b.invocation.into()),
+                        ("invocation", invocation.into()),
                     ],
                 );
             }
-            mark_failed(now, a, b.invocation);
+            a.records.lock().mark_failed(now, invocation, tel);
         }
     }
 }
@@ -686,8 +669,6 @@ fn assign_request(
     s.busy = Some(BusyInfo {
         invocation: req.invocation,
         mem: req.mem,
-        tenant: req.tenant.clone(),
-        assigned_at: now,
     });
     // An assignment counts as liveness: the lease clock starts now.
     s.last_heartbeat = now;
@@ -698,11 +679,11 @@ fn assign_request(
     });
     let tel = p.telemetry();
     tel.counter_add("monitor.assignments", 1);
-    if tel.is_enabled() && !req.tenant.is_empty() {
-        tel.counter_add(&format!("monitor.tenant.{}.dispatches", req.tenant), 1);
+    if tel.is_enabled() && !req.tenant().is_empty() {
+        tel.counter_add(&format!("monitor.tenant.{}.dispatches", req.tenant()), 1);
         let delay_us = now.since(req.requested_at).as_nanos() / 1_000;
         tel.gauge_set(
-            &format!("monitor.tenant.{}.queue_delay_us", req.tenant),
+            &format!("monitor.tenant.{}.queue_delay_us", req.tenant()),
             now,
             delay_us as i64,
         );
@@ -785,11 +766,7 @@ fn autoscale_tick(
         let mut best: Option<(GpuId, i64)> = None;
         for g in 0..a.env.gpus.len() {
             let gpu = GpuId(g as u32);
-            let homed = servers
-                .iter()
-                .filter(|s| !s.shared.lease_expired() && s.shared.home_gpu == gpu)
-                .count() as u32;
-            if homed >= max {
+            if homed(servers, gpu) >= max {
                 continue;
             }
             let free = avail(a, servers, gpu);
@@ -823,11 +800,7 @@ fn autoscale_tick(
         if s.shared.lease_expired() || s.busy.is_some() || s.shared.migration_pending() {
             continue;
         }
-        let live_homed = servers
-            .iter()
-            .filter(|t| !t.shared.lease_expired() && t.shared.home_gpu == s.shared.home_gpu)
-            .count() as u32;
-        if live_homed <= min || !scaler.scale_down_due(now, s.idle_since) {
+        if homed(servers, s.shared.home_gpu) <= min || !scaler.scale_down_due(now, s.idle_since) {
             continue;
         }
         let better = match cand {
@@ -848,10 +821,30 @@ fn autoscale_tick(
     }
 }
 
-/// Number of live (non-failed) servers in the pool, for the pool-size
-/// gauge.
-fn live_pool(servers: &[SrvBook]) -> i64 {
-    servers.iter().filter(|s| !s.shared.lease_expired()).count() as i64
+/// Live (non-failed) servers homed on `gpu`.
+fn homed(servers: &[SrvBook], gpu: GpuId) -> u32 {
+    servers
+        .iter()
+        .filter(|s| !s.shared.lease_expired() && s.shared.home_gpu == gpu)
+        .count() as u32
+}
+
+/// Telemetry of one scaling action on server `id`, homed on `gpu`: the
+/// action's `counter`, the live pool-size gauge and an `event` instant.
+fn scaled(p: &ProcCtx, servers: &[SrvBook], counter: &str, event: &str, id: u32, gpu: GpuId) {
+    let tel = p.telemetry();
+    if !tel.is_enabled() {
+        return;
+    }
+    let live = servers.iter().filter(|s| !s.shared.lease_expired()).count();
+    tel.counter_add(counter, 1);
+    tel.gauge_set("monitor.pool_size", p.now(), live as i64);
+    tel.instant(
+        p.name(),
+        event,
+        p.now(),
+        &[("server", id.into()), ("gpu", gpu.0.into())],
+    );
 }
 
 /// Spawn one autoscaled API server homed on `gpu` (the same 755 MB idle
@@ -871,25 +864,14 @@ fn spawn_server(
     };
     *next_server_id += 1;
     a.registry.lock().push(Rc::clone(&shared));
-    let now = p.now();
     servers.push(SrvBook {
         shared,
         assign_tx,
         busy: None,
-        last_heartbeat: now,
-        idle_since: now,
+        last_heartbeat: p.now(),
+        idle_since: p.now(),
     });
-    let tel = p.telemetry();
-    if tel.is_enabled() {
-        tel.counter_add("autoscale.scale_ups", 1);
-        tel.gauge_set("monitor.pool_size", now, live_pool(servers));
-        tel.instant(
-            p.name(),
-            "scale-up",
-            now,
-            &[("server", id.into()), ("gpu", gpu.0.into())],
-        );
-    }
+    scaled(p, servers, "autoscale.scale_ups", "scale-up", id, gpu);
     true
 }
 
@@ -899,20 +881,10 @@ fn spawn_server(
 fn retire_server(p: &ProcCtx, a: &MonCtx, servers: &mut Vec<SrvBook>, idx: usize) {
     let s = servers.remove(idx);
     let id = s.shared.id;
-    let home = s.shared.home_gpu;
     a.registry.lock().retain(|sh| sh.id != id);
     s.assign_tx.send(p, ServerCmd::Retire);
-    let tel = p.telemetry();
-    if tel.is_enabled() {
-        tel.counter_add("autoscale.scale_downs", 1);
-        tel.gauge_set("monitor.pool_size", p.now(), live_pool(servers));
-        tel.instant(
-            p.name(),
-            "scale-down",
-            p.now(),
-            &[("server", id.into()), ("gpu", home.0.into())],
-        );
-    }
+    let gpu = s.shared.home_gpu;
+    scaled(p, servers, "autoscale.scale_downs", "scale-down", id, gpu);
 }
 
 /// True when enough time has passed since the last migration request.
@@ -937,12 +909,19 @@ fn migration_cooled(now: SimTime, last: Option<SimTime>, cooldown: Dur) -> bool 
 /// share means the fleet is queue-saturated and moving servers around
 /// would only churn. An empty system scores 1000 (nothing contradicts
 /// migrating).
-fn exec_share_permille(now: SimTime, servers: &[SrvBook], queue: &MonQueue, gpu: GpuId) -> u64 {
+fn exec_share_permille(
+    now: SimTime,
+    a: &MonCtx,
+    servers: &[SrvBook],
+    queue: &MonQueue,
+    gpu: GpuId,
+) -> u64 {
+    let records = a.records.lock();
     let exec_ns: u64 = servers
         .iter()
         .filter(|s| s.shared.current_gpu() == gpu)
-        .filter_map(|s| s.busy.as_ref())
-        .map(|b| now.since(b.assigned_at).as_nanos())
+        .filter_map(|s| records.get(s.busy.as_ref()?.invocation)?.assigned_at)
+        .map(|assigned_at| now.since(assigned_at).as_nanos())
         .sum();
     let queue_ns: u64 = queue
         .iter()
@@ -961,6 +940,14 @@ fn exec_share_permille(now: SimTime, servers: &[SrvBook], queue: &MonQueue, gpu:
 /// queue-dominated tail: the fleet is saturated, and moving servers around
 /// would churn without relieving anything.
 const MIGRATION_MIN_EXEC_SHARE_PERMILLE: u64 = 500;
+
+/// Migration's compute gate: a GPU busy for `busy_ns` of the last
+/// `window_ns` (non-zero) is loaded enough to migrate off at 80 %
+/// utilization or more. Integer per mille, so no float reaches the
+/// decision.
+fn saturated(busy_ns: u64, window_ns: u64) -> bool {
+    busy_ns * 1000 / window_ns >= 800
+}
 
 /// Detect load imbalance and request a migration: a GPU running ≥2 busy API
 /// servers at high utilization while another GPU is idle (the §VIII-E
@@ -987,12 +974,13 @@ fn migration_tick(p: &ProcCtx, a: &MonCtx, servers: &[SrvBook], queue: &MonQueue
         if count < 2 {
             continue;
         }
-        let busy = a.env.gpus[g].busy_between(since, now).as_secs_f64();
-        let util = busy / window.as_secs_f64().max(1e-9);
-        if util < 0.8 {
+        if !saturated(
+            a.env.gpus[g].busy_between(since, now).as_nanos(),
+            window.as_nanos(),
+        ) {
             continue; // contended in count but not in compute
         }
-        if exec_share_permille(now, servers, queue, GpuId(g as u32))
+        if exec_share_permille(now, a, servers, queue, GpuId(g as u32))
             < MIGRATION_MIN_EXEC_SHARE_PERMILLE
         {
             continue; // tail is queue-caused; migration would not relieve it
@@ -1045,5 +1033,26 @@ mod tests {
         // And the ordinary case away from the epoch.
         assert!(!migration_cooled(t(5000), Some(t(4000)), cooldown));
         assert!(migration_cooled(t(7000), Some(t(4000)), cooldown));
+    }
+
+    #[test]
+    fn the_compute_gate_opens_at_exactly_eighty_percent() {
+        // The gate's window: the last three 200 ms monitor ticks.
+        let window = Dur(MONITOR_PERIOD.as_nanos() * 3).as_nanos();
+        assert_eq!(window, 600_000_000);
+        assert!(saturated(480_000_000, window));
+        assert!(!saturated(479_999_999, window));
+        assert!(saturated(window, window));
+        assert!(!saturated(0, window));
+        // The float test it replaced, `busy / window < 0.8` in seconds,
+        // skipped the same side of the boundary.
+        let float_skips = |busy: u64| Dur(busy).as_secs_f64() / Dur(window).as_secs_f64() < 0.8;
+        for busy in [0, 479_999_999, 480_000_000, 480_000_001, window] {
+            assert_eq!(
+                float_skips(busy),
+                !saturated(busy, window),
+                "{busy} ns busy"
+            );
+        }
     }
 }

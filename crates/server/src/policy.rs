@@ -12,11 +12,6 @@
 //! serverless backend's `AdmissionConfig::fairness` either holds a
 //! weighted-fair configuration or is unset, and unset sheds tenant-blind,
 //! whoever arrives while the platform is full.
-//!
-//! Historically `PlacementPolicy`/`QueuePolicy` lived in
-//! `dgsf_server::config` and the fleet selection enum in
-//! `dgsf_serverless::backend`; those paths re-export
-//! from here so existing code compiles unchanged.
 
 /// How the monitor picks a GPU for an incoming function (§VIII-D/E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +57,6 @@ pub enum QueuePolicy {
 pub enum FleetPolicy {
     /// Rotate through live servers (the fixed policy of the prototype).
     RoundRobin,
-    /// Fewest active functions — optimizes latency.
-    LeastLoaded,
-    /// Most active functions — consolidates to maximize utilization (and
-    /// lets the provider idle whole servers).
-    MostLoaded,
     /// Cluster-level scoring over the monitor's exported gauges: queue
     /// depth, active functions, live capacity and memory pressure combine
     /// into one load score; the lowest-scored live server wins.
@@ -78,8 +68,6 @@ impl FleetPolicy {
     pub fn label(self) -> &'static str {
         match self {
             FleetPolicy::RoundRobin => "round_robin",
-            FleetPolicy::LeastLoaded => "least_loaded",
-            FleetPolicy::MostLoaded => "most_loaded",
             FleetPolicy::LoadAware => "load_aware",
         }
     }

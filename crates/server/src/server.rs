@@ -22,7 +22,7 @@ use dgsf_sim::{
 use crate::api_server::{start_api_server, ApiServerEnv, ApiServerShared, MigrationRecord};
 use crate::config::GpuServerConfig;
 use crate::monitor::{
-    run_monitor, FnRequest, InvocationRecord, MonitorArgs, MonitorMsg, RecordBook,
+    run_monitor, FnRequest, GpuKeys, InvocationRecord, MonCtx, MonitorMsg, RecordBook,
 };
 
 /// Why [`GpuServer::try_request_gpu`] could not hand out a virtual GPU.
@@ -56,7 +56,8 @@ impl std::error::Error for AcquireError {}
 pub enum InvocationOutcome {
     /// Neither completed nor failed yet.
     InFlight,
-    /// The server recorded `FunctionDone` — the work happened exactly once.
+    /// The server recorded the function's completion — the work happened
+    /// exactly once.
     Completed,
     /// The server recorded a failure (queue timeout, lease expiry, abort).
     Failed,
@@ -195,16 +196,17 @@ impl GpuServer {
         }
 
         let servers = Rc::new(SimCell::new(h, servers));
-        let margs = MonitorArgs {
+        let monitor = MonCtx {
             env,
             cfg: cfg.clone(),
-            servers: monitor_servers,
-            rx: monitor_rx,
             records: Rc::clone(&records),
             registry: Rc::clone(&servers),
-            obs,
+            gpu_keys: GpuKeys::for_gpus(cfg.num_gpus, obs.as_ref().map(|(_, l)| l.as_str())),
+            obs: obs.map(|(obs, _)| obs),
         };
-        h.spawn("monitor", move |pp| run_monitor(pp, margs));
+        h.spawn("monitor", move |pp| {
+            run_monitor(pp, monitor, monitor_servers, monitor_rx)
+        });
 
         // Schedule the fault plan's API-server kills on the virtual clock.
         if let Some(plan) = &cfg.faults {
@@ -298,10 +300,6 @@ impl GpuServer {
     ) -> Result<(RpcClient, u64), AcquireError> {
         let invocation = self.next_invocation.replace(self.next_invocation.get() + 1);
         let now = p.now();
-        let tenant = trace
-            .as_ref()
-            .map(|t| t.tenant.to_string())
-            .unwrap_or_default();
         self.records.lock().insert(InvocationRecord {
             invocation,
             name: name.to_string(),
@@ -314,7 +312,10 @@ impl GpuServer {
             server: None,
             gpu: None,
             trace: trace.as_ref().map(|t| t.id),
-            tenant: tenant.clone(),
+            tenant: trace
+                .as_ref()
+                .map(|t| t.tenant.to_string())
+                .unwrap_or_default(),
         });
         let cancelled = Rc::new(Cell::new(false));
         let (reply_tx, reply_rx) = self.handle.channel::<RpcClient>();
@@ -328,7 +329,6 @@ impl GpuServer {
                 requested_at: now,
                 cancelled: Rc::clone(&cancelled),
                 trace,
-                tenant,
                 pin_server,
             }),
         );
@@ -354,11 +354,9 @@ impl GpuServer {
     /// invocations are untouched). Called by the serverless layer when a
     /// guest-side RPC times out, and internally on queue timeout.
     pub fn mark_invocation_failed(&self, at: SimTime, invocation: u64) {
-        if self.records.lock().mark_failed(at, invocation) {
-            self.handle
-                .telemetry()
-                .counter_add("invocation.failures", 1);
-        }
+        self.records
+            .lock()
+            .mark_failed(at, invocation, &self.handle.telemetry());
     }
 
     /// Terminal state of an invocation as the *server* recorded it. The

@@ -165,14 +165,6 @@ pub fn select(
     };
     let pick = match policy {
         FleetPolicy::RoundRobin => eligible[rr % eligible.len()],
-        FleetPolicy::LeastLoaded => eligible
-            .into_iter()
-            .min_by_key(|&i| (snaps[i].active_functions, i))
-            .expect("non-empty"),
-        FleetPolicy::MostLoaded => eligible
-            .into_iter()
-            .max_by_key(|&i| (snaps[i].active_functions, usize::MAX - i))
-            .expect("non-empty"),
         FleetPolicy::LoadAware => eligible
             .into_iter()
             .min_by_key(|&i| (load_score(&snaps[i]).saturating_sub(warm_bonus(i)), i))
@@ -352,12 +344,12 @@ mod tests {
     fn avoid_is_respected_unless_it_is_the_last_live_server() {
         let snaps = vec![gauges(1, 0, 0, 0), gauges(1, 0, 5, 5)];
         assert_eq!(
-            select(FleetPolicy::LeastLoaded, &snaps, 0, Some(0), None),
+            select(FleetPolicy::LoadAware, &snaps, 0, Some(0), None),
             Some(1)
         );
         let lone = vec![gauges(1, 0, 0, 0), gauges(0, 1, 0, 0)];
         assert_eq!(
-            select(FleetPolicy::LeastLoaded, &lone, 0, Some(0), None),
+            select(FleetPolicy::LoadAware, &lone, 0, Some(0), None),
             Some(0)
         );
     }
@@ -457,12 +449,7 @@ mod tests {
     #[test]
     fn all_dead_routes_nowhere() {
         let snaps = vec![gauges(0, 1, 0, 0), gauges(0, 4, 0, 0)];
-        for p in [
-            FleetPolicy::RoundRobin,
-            FleetPolicy::LeastLoaded,
-            FleetPolicy::MostLoaded,
-            FleetPolicy::LoadAware,
-        ] {
+        for p in [FleetPolicy::RoundRobin, FleetPolicy::LoadAware] {
             assert_eq!(select(p, &snaps, 0, None, None), None);
         }
     }

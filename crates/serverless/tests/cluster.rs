@@ -43,10 +43,8 @@ fn gauges_strategy() -> impl Strategy<Value = ServerGauges> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = FleetPolicy> {
-    (0usize..4).prop_map(|i| match i {
+    (0usize..2).prop_map(|i| match i {
         0 => FleetPolicy::RoundRobin,
-        1 => FleetPolicy::LeastLoaded,
-        2 => FleetPolicy::MostLoaded,
         _ => FleetPolicy::LoadAware,
     })
 }
