@@ -333,3 +333,51 @@ fn blackhole_window_terminates_every_invocation() {
         assert!(finished > launched);
     }
 }
+
+/// Record of the first invocation on a one-GPU server whose API server 0
+/// the fault plan kills at `kill_at`, while one 5 s kernel launched and
+/// assigned at t = 0 runs there.
+fn killed_lease_record(kill_at: SimTime) -> InvocationRecord {
+    let mut sim = Sim::new(1);
+    let h = sim.handle();
+    let slot: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+    let s2 = Rc::clone(&slot);
+    let h2 = h.clone();
+    sim.spawn("lease-root", move |p| {
+        let plan = FaultPlan::new(1).kill_server(0, kill_at);
+        let cfg = GpuServerConfig::paper_default().gpus(1).with_faults(plan);
+        let server = GpuServer::provision(p, &h2, cfg);
+        *s2.borrow_in(p) = Some(Arc::clone(&server));
+        let backend = Backend::new(&h2, vec![server], FleetPolicy::RoundRobin);
+        let store = ObjectStore::new(NetProfile::datacenter().s3_bw);
+        let spin = Spin {
+            gpu_secs: 5.0,
+            ..Spin::default()
+        };
+        backend.invoke(p, &store, &spin, OptConfig::full());
+    });
+    sim.run();
+    let server = slot.lock().clone().expect("provisioned");
+    server.records()[0].clone()
+}
+
+#[test]
+fn a_killed_servers_lease_lapses_one_timeout_after_its_last_beat() {
+    // Beats fall every 200 ms from the assignment, and a beat due at the
+    // kill instant is not sent. The 200 ms monitor tick fails the
+    // invocation at the first tick more than 1 s after the last beat.
+    let ns = |n: u64| SimTime::ZERO + Dur(n);
+    for (kill_at, failed_at) in [
+        (ns(0), t(1.2)),
+        (ns(1), t(1.2)),
+        (ns(599_999_999), t(1.6)),
+        (ns(600_000_000), t(1.6)),
+        (ns(600_000_001), t(1.8)),
+        (t(2.0), t(3.0)),
+    ] {
+        let rec = killed_lease_record(kill_at);
+        assert_eq!(rec.assigned_at, Some(SimTime::ZERO), "kill at {kill_at:?}");
+        assert_eq!(rec.failed_at, Some(failed_at), "kill at {kill_at:?}");
+        assert_eq!(rec.done_at, None, "kill at {kill_at:?}");
+    }
+}
