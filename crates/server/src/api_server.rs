@@ -77,9 +77,9 @@ pub struct ApiServerShared {
     /// The GPU this server is provisioned on.
     pub home_gpu: GpuId,
     state: SimCell<ApiSrvState>,
-    /// Set by the fault injector: a killed server stops responding,
-    /// heartbeating and serving — permanently.
-    killed: Cell<bool>,
+    /// When the fault injector kills the server, if it does: from then on
+    /// it stops responding, heartbeating and serving — permanently.
+    killed_at: Cell<Option<SimTime>>,
     /// True while a migration is mid-flight (state transfer + re-bind).
     migrating: Cell<bool>,
     /// Set by the monitor when this server's lease expires: it is declared
@@ -112,7 +112,7 @@ impl ApiServerShared {
                     migration_request: None,
                 },
             ),
-            killed: Cell::new(false),
+            killed_at: Cell::new(None),
             migrating: Cell::new(false),
             lease_expired: Cell::new(false),
             migrations_begun: Cell::new(0),
@@ -120,15 +120,17 @@ impl ApiServerShared {
         }
     }
 
-    /// Kill the server: it silently discards everything from now on. The
-    /// crash is detected by the monitor's lease check, not announced.
-    pub fn kill(&self) {
-        self.killed.set(true);
+    /// Kill the server at `at`: it silently discards everything from then
+    /// on. The earliest kill wins. The crash is detected by the monitor's
+    /// lease check, not announced.
+    pub fn kill(&self, at: SimTime) {
+        let first = self.killed_at.get().map_or(at, |k| k.min(at));
+        self.killed_at.set(Some(first));
     }
 
-    /// True once [`kill`](Self::kill) has been called.
-    pub fn is_killed(&self) -> bool {
-        self.killed.get()
+    /// When the server was killed, if that is at or before `now`.
+    pub fn killed_by(&self, now: SimTime) -> Option<SimTime> {
+        self.killed_at.get().filter(|&k| k <= now)
     }
 
     /// GPU the server is currently executing on.
@@ -216,8 +218,10 @@ impl ApiServerShared {
     }
 }
 
-/// How often a busy API server heartbeats the monitor. The monitor's lease
-/// (`monitor::LEASE_TIMEOUT`) is defined as a multiple of it.
+/// How often a busy API server heartbeats the monitor, from its assignment
+/// until it is killed. The monitor computes the beats rather than receiving
+/// them (`monitor::last_heartbeat`); its lease (`monitor::LEASE_TIMEOUT`)
+/// is defined as a multiple of the period.
 pub(crate) const HEARTBEAT_PERIOD: Dur = Dur::from_millis(200);
 
 /// Control-plane bytes moved over the NIC per migration: the serialized
@@ -297,13 +301,13 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
             ServerCmd::Retire => {
                 // A killed process frees nothing — the crash leaks its GPU
                 // footprint exactly as a real dead worker would.
-                if !a.shared.is_killed() {
+                if a.shared.killed_by(p.now()).is_none() {
                     a.shared.release_resources(&a.env.gpus);
                 }
                 return;
             }
         };
-        if a.shared.is_killed() {
+        if a.shared.killed_by(p.now()).is_some() {
             // Crashed while idle: the assignment is silently swallowed; the
             // monitor's lease check will notice and fail the invocation over.
             return;
@@ -316,21 +320,6 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
         let session = GpuSession::new(&a.env.h, home_ctx, Some(asg.mem_limit));
         let mut d = Dispatcher::new(session, asg.registry);
         d.set_trace(asg.trace.clone());
-        // Heartbeat the monitor while serving, so the lease check can tell
-        // "slow function" from "dead server".
-        let stop_hb = Rc::new(Cell::new(false));
-        {
-            let stop = Rc::clone(&stop_hb);
-            let shared = Rc::clone(&a.shared);
-            let tx = a.env.monitor_tx.clone();
-            let name = format!("hb-{}-{}", a.shared.id, asg.invocation);
-            a.env.h.spawn(&name, move |pp| {
-                while !stop.get() && !shared.is_killed() {
-                    tx.send(pp, MonitorMsg::Heartbeat { server: shared.id });
-                    pp.sleep(HEARTBEAT_PERIOD);
-                }
-            });
-        }
         let mut aborted = false;
         loop {
             let env = match a.env.idle_timeout {
@@ -342,25 +331,19 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                         aborted = true;
                         break;
                     }
-                    Err(RecvError::Shutdown) => {
-                        stop_hb.set(true);
-                        return;
-                    }
+                    Err(RecvError::Shutdown) => return,
                 },
                 None => match asg.inbox.next(p) {
                     Some(env) => env,
-                    None => {
-                        stop_hb.set(true);
-                        return; // simulation shutting down
-                    }
+                    None => return, // simulation shutting down
                 },
             };
-            if a.shared.is_killed() {
+            if a.shared.killed_by(p.now()).is_some() {
                 return; // crashed: swallow the request, never respond
             }
             // Migration happens at API-call boundaries (§V-A).
             maybe_migrate(p, &a, &mut d);
-            if a.shared.is_killed() {
+            if a.shared.killed_by(p.now()).is_some() {
                 return; // killed mid-migration: the request dies with us
             }
             let resp = match RpcInbox::decode(&env) {
@@ -370,7 +353,7 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                     msg: e.to_string(),
                 },
             };
-            if a.shared.is_killed() {
+            if a.shared.killed_by(p.now()).is_some() {
                 return; // crashed mid-call: the reply is never sent
             }
             asg.inbox.respond(p, &a.env.link, &env, &resp);
@@ -378,7 +361,6 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
                 break;
             }
         }
-        stop_hb.set(true);
         let tel = p.telemetry();
         if tel.is_enabled() {
             let serve_name = format!("serve:inv{}", asg.invocation);
@@ -488,9 +470,9 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
         .faults()
         .is_some_and(|f| f.migration_kill_due(a.shared.id, nth))
     {
-        a.shared.kill();
+        a.shared.kill(p.now());
     }
-    if a.shared.is_killed() {
+    if a.shared.killed_by(p.now()).is_some() {
         // Died mid-migration: no commit, no abort event — the crash is
         // silent and the monitor's lease check must discover it.
         a.shared.migrating.set(false);

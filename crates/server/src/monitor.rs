@@ -8,11 +8,11 @@
 //! [`crate::fairqueue`]), and — when migration is enabled — moves an API
 //! server off an overloaded GPU onto an idle one.
 //!
-//! It is also the failure detector: busy API servers heartbeat the monitor,
-//! and a server silent past its lease is declared dead — its
-//! memory commitment is released, its invocation marked failed (so the
-//! serverless layer can retry elsewhere), and it is excluded from future
-//! placement.
+//! It is also the failure detector: busy API servers heartbeat the monitor
+//! (beats it computes from the assignment and kill instants), and a server
+//! silent past its lease is declared dead — its memory commitment is
+//! released, its invocation marked failed (so the serverless layer can
+//! retry elsewhere), and it is excluded from future placement.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -77,8 +77,6 @@ pub(crate) enum MonitorMsg {
         invocation: u64,
         failed: bool,
     },
-    /// A busy API server signalling liveness.
-    Heartbeat { server: u32 },
 }
 
 /// Lifecycle record of one invocation, kept for the experiment harness.
@@ -228,8 +226,6 @@ struct SrvBook {
     shared: Rc<ApiServerShared>,
     assign_tx: SimSender<ServerCmd>,
     busy: Option<BusyInfo>,
-    /// Last liveness signal (assignment or heartbeat).
-    last_heartbeat: SimTime,
     /// Start of the server's current idle period (spawn, or the moment its
     /// last function left). Drives the autoscaler's scale-down TTL.
     idle_since: SimTime,
@@ -289,12 +285,16 @@ impl MonQueue {
         self.len() == 0
     }
 
-    /// All queued requests, in a deterministic (not dispatch) order.
-    fn iter(&self) -> Box<dyn Iterator<Item = &FnRequest> + '_> {
-        match self {
-            MonQueue::Flat(q) => Box::new(q.iter()),
-            MonQueue::Fair(fq) => Box::new(fq.iter()),
-        }
+    /// How long each queued request that is not cancelled has waited by
+    /// `now`, in a deterministic (not dispatch) order.
+    fn live_waits(&self, now: SimTime) -> impl Iterator<Item = Dur> + '_ {
+        let (flat, fair) = match self {
+            MonQueue::Flat(q) => (Some(q.iter()), None),
+            MonQueue::Fair(fq) => (None, Some(fq.iter())),
+        };
+        let all = flat.into_iter().flatten().chain(fair.into_iter().flatten());
+        all.filter(|r| !r.cancelled.get())
+            .map(move |r| now.since(r.requested_at))
     }
 }
 
@@ -361,7 +361,6 @@ pub(crate) fn run_monitor(
             shared,
             assign_tx,
             busy: None,
-            last_heartbeat: SimTime::ZERO,
             idle_since: spawn_time,
         })
         .collect();
@@ -399,7 +398,7 @@ pub(crate) fn run_monitor(
         // must eventually be retired). An idle monitor blocks indefinitely,
         // which lets the simulation's event queue drain and `Sim::run`
         // terminate naturally. Failed servers never retire, so they do not
-        // keep the tick armed. The deadline is absolute: heartbeat traffic
+        // keep the tick armed. The deadline is absolute: message traffic
         // must not indefinitely re-arm the timeout and starve the tick.
         let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || !queue.is_empty();
         let excess_live = scaler.as_ref().is_some_and(|sc| {
@@ -454,11 +453,6 @@ pub(crate) fn run_monitor(
                 // Both borrows of the records ended above: assignment
                 // takes them again.
                 drain_queue(p, &a, &mut servers, &mut queue);
-            }
-            Ok(MonitorMsg::Heartbeat { server }) => {
-                if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
-                    s.last_heartbeat = p.now();
-                }
             }
             Err(RecvError::Timeout) => {
                 next_tick = p.now() + MONITOR_PERIOD;
@@ -543,27 +537,41 @@ fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MonQueue) -> O
     Some(b.invocation)
 }
 
-/// Monitor-side lease: a busy API server silent for longer than this is
-/// declared dead, its memory commitment released and its invocation failed
-/// over. Five of the API servers' heartbeat periods (1 s).
+/// Monitor-side lease: a busy API server whose last heartbeat is older than
+/// this is declared dead, its memory commitment released and its invocation
+/// failed over. Five of the API servers' heartbeat periods (1 s).
 const LEASE_TIMEOUT: Dur = Dur(HEARTBEAT_PERIOD.0 * 5);
 
-/// Declare busy servers dead when their lease expires: no heartbeat for
-/// longer than [`LEASE_TIMEOUT`] means the server was killed (or is
-/// unreachable, which is indistinguishable from the monitor's seat).
-/// Releases the memory commitment and fails the invocation over (the freed
-/// capacity may unblock the queue — not for the failed server, which is
-/// excluded from placement, but for servers homed on its GPU; the caller
-/// drains the queue after every tick). The dead server's service so far is
-/// charged to its tenant's fair-queue flow, so a tenant whose functions
-/// keep dying still pays for the GPU time they held.
+/// The last heartbeat of a server assigned at `assigned` and killed at
+/// `killed`: the assignment counts as a beat, one follows every
+/// [`HEARTBEAT_PERIOD`], and a beat due at the kill instant is not sent.
+/// The assignment itself when the kill came at or before it.
+fn last_heartbeat(assigned: SimTime, killed: SimTime) -> SimTime {
+    let alive = killed.as_nanos().saturating_sub(assigned.as_nanos() + 1);
+    assigned + Dur(alive - alive % HEARTBEAT_PERIOD.as_nanos())
+}
+
+/// Declare busy servers dead when their lease expires: their last
+/// heartbeat ([`last_heartbeat`], from the invocation record's assignment
+/// time and the kill) is older than [`LEASE_TIMEOUT`]. A server not killed
+/// by now keeps beating, so its lease never lapses, and a lapsed one is
+/// never busy again. Releases the memory commitment and fails the
+/// invocation over (the freed capacity may unblock the queue — not for the
+/// failed server, which is excluded from placement, but for servers homed
+/// on its GPU; the caller drains the queue after every tick). The dead
+/// server's service so far is charged to its tenant's fair-queue flow, so a
+/// tenant whose functions keep dying still pays for the GPU time they held.
 fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
     let now = p.now();
     for s in servers.iter_mut() {
-        if s.shared.lease_expired() || s.busy.is_none() {
+        let (Some(b), Some(killed)) = (&s.busy, s.shared.killed_by(now)) else {
             continue;
-        }
-        if now.since(s.last_heartbeat) > LEASE_TIMEOUT {
+        };
+        let records = a.records.lock();
+        let assigned = records.get(b.invocation).and_then(|r| r.assigned_at);
+        drop(records); // `release` below takes the records again
+        let assigned = assigned.expect("a running invocation was assigned");
+        if now.since(last_heartbeat(assigned, killed)) > LEASE_TIMEOUT {
             s.shared.expire_lease();
             let invocation = release(now, a, s, queue).expect("checked busy");
             let tel = p.telemetry();
@@ -670,8 +678,6 @@ fn assign_request(
         invocation: req.invocation,
         mem: req.mem,
     });
-    // An assignment counts as liveness: the lease clock starts now.
-    s.last_heartbeat = now;
     a.records.lock().update(req.invocation, |rec| {
         rec.assigned_at = Some(now);
         rec.server = Some(s.shared.id);
@@ -743,11 +749,7 @@ fn autoscale_tick(
     queue: &MonQueue,
 ) {
     let now = p.now();
-    let oldest_wait = queue
-        .iter()
-        .filter(|r| !r.cancelled.get())
-        .map(|r| now.since(r.requested_at))
-        .max();
+    let oldest_wait = queue.live_waits(now).max();
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
     // of tail latency (reactive-growth gate).
@@ -868,7 +870,6 @@ fn spawn_server(
         shared,
         assign_tx,
         busy: None,
-        last_heartbeat: p.now(),
         idle_since: p.now(),
     });
     scaled(p, servers, "autoscale.scale_ups", "scale-up", id, gpu);
@@ -923,11 +924,7 @@ fn exec_share_permille(
         .filter_map(|s| records.get(s.busy.as_ref()?.invocation)?.assigned_at)
         .map(|assigned_at| now.since(assigned_at).as_nanos())
         .sum();
-    let queue_ns: u64 = queue
-        .iter()
-        .filter(|r| !r.cancelled.get())
-        .map(|r| now.since(r.requested_at).as_nanos())
-        .sum();
+    let queue_ns: u64 = queue.live_waits(now).map(Dur::as_nanos).sum();
     let total = exec_ns as u128 + queue_ns as u128;
     if total == 0 {
         return 1000;
@@ -961,17 +958,17 @@ fn migration_tick(p: &ProcCtx, a: &MonCtx, servers: &[SrvBook], queue: &MonQueue
     }
     let since = SimTime(now.as_nanos() - window.as_nanos());
     let num_gpus = a.env.gpus.len();
-    let mut busy_count = vec![0u32; num_gpus];
-    for s in servers {
-        if s.busy.is_some() {
-            busy_count[s.shared.current_gpu().0 as usize] += 1;
-        }
-    }
-    let Some(idle_gpu) = (0..num_gpus).find(|&g| busy_count[g] == 0) else {
+    let busy_on = |g: usize| {
+        servers
+            .iter()
+            .filter(|s| s.busy.is_some() && s.shared.current_gpu().0 as usize == g)
+            .count()
+    };
+    let Some(idle_gpu) = (0..num_gpus).find(|&g| busy_on(g) == 0) else {
         return false;
     };
-    for (g, &count) in busy_count.iter().enumerate() {
-        if count < 2 {
+    for g in 0..num_gpus {
+        if busy_on(g) < 2 {
             continue;
         }
         if !saturated(
@@ -1033,6 +1030,30 @@ mod tests {
         // And the ordinary case away from the epoch.
         assert!(!migration_cooled(t(5000), Some(t(4000)), cooldown));
         assert!(migration_cooled(t(7000), Some(t(4000)), cooldown));
+    }
+
+    #[test]
+    fn the_last_heartbeat_is_the_last_beat_before_the_kill() {
+        let ns = |n: u64| SimTime::ZERO + Dur(n);
+        let ms = |m: u64| SimTime::ZERO + Dur::from_millis(m);
+        // Assigned at 0: the assignment is a beat, a beat due at the kill
+        // instant is not sent.
+        for (killed, last) in [
+            (ns(0), ms(0)),
+            (ns(1), ms(0)),
+            (ns(599_999_999), ms(400)),
+            (ns(600_000_000), ms(400)),
+            (ns(600_000_001), ms(600)),
+            (ms(2000), ms(1800)),
+        ] {
+            assert_eq!(last_heartbeat(SimTime::ZERO, killed), last, "{killed:?}");
+        }
+        // The schedule counts from the assignment, and a kill at or before
+        // it leaves the assignment as the only beat.
+        assert_eq!(last_heartbeat(ms(150), ms(1000)), ms(950));
+        assert_eq!(last_heartbeat(ms(150), ms(1150)), ms(950));
+        assert_eq!(last_heartbeat(ms(150), ms(150)), ms(150));
+        assert_eq!(last_heartbeat(ms(150), ms(100)), ms(150));
     }
 
     #[test]

@@ -208,13 +208,11 @@ impl GpuServer {
             run_monitor(pp, monitor, monitor_servers, monitor_rx)
         });
 
-        // Schedule the fault plan's API-server kills on the virtual clock.
-        if let Some(plan) = &cfg.faults {
-            for &(sid, at) in plan.kills() {
-                if let Some(shared) = servers.lock().iter().find(|s| s.id == sid) {
-                    let shared = Rc::clone(shared);
-                    h.spawn_at(&format!("fault-kill-{sid}"), at, move |_pp| shared.kill());
-                }
+        // Record the fault plan's kills of the provisioned API servers; each
+        // takes effect on the virtual clock at its time.
+        for &(sid, at) in cfg.faults.iter().flat_map(|plan| plan.kills()) {
+            if let Some(shared) = servers.lock().iter().find(|s| s.id == sid) {
+                shared.kill(at);
             }
         }
 
