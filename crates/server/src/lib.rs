@@ -34,7 +34,7 @@ pub use config::GpuServerConfig;
 pub use fairqueue::{MqfqConfig, MqfqQueues};
 pub use monitor::InvocationRecord;
 pub use policy::{FleetPolicy, PlacementPolicy, QueuePolicy};
-pub use server::{AcquireError, GpuServer, InvocationOutcome, ServerGauges};
+pub use server::{AcquireError, GpuServer, ServerGauges};
 
 #[cfg(test)]
 mod tests {

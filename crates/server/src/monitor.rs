@@ -14,7 +14,6 @@
 //! released, its invocation marked failed (so the serverless layer can
 //! retry elsewhere), and it is excluded from future placement.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -35,7 +34,9 @@ use crate::config::GpuServerConfig;
 use crate::fairqueue::MqfqQueues;
 use crate::policy::{PlacementPolicy, QueuePolicy};
 
-/// A function's request for a virtual GPU.
+/// A function's request for a virtual GPU. Its requester has given up
+/// (queue timeout) exactly when its [`InvocationRecord`] has failed: nothing
+/// else fails an invocation that was never assigned.
 pub(crate) struct FnRequest {
     pub mem: u64,
     pub registry: Arc<ModuleRegistry>,
@@ -44,9 +45,6 @@ pub(crate) struct FnRequest {
     /// When the requester asked (drives the autoscaler's queue-delay
     /// signal).
     pub requested_at: SimTime,
-    /// Set by the requester when it gives up waiting (queue timeout); the
-    /// monitor purges cancelled requests instead of assigning them.
-    pub cancelled: Rc<Cell<bool>>,
     /// Causal context of the serverless request this queue entry serves;
     /// handed on to the RPC client and the API-server assignment.
     pub trace: Option<TraceCtx>,
@@ -63,6 +61,13 @@ impl FnRequest {
     /// queue-delay gauges.
     fn tenant(&self) -> &str {
         self.trace.as_ref().map_or("", |t| &t.tenant)
+    }
+
+    /// True once the requester gave up waiting: its record has failed.
+    fn abandoned(&self, records: &RecordBook) -> bool {
+        records
+            .get(self.invocation)
+            .is_some_and(InvocationRecord::failed)
     }
 }
 
@@ -144,9 +149,9 @@ impl InvocationRecord {
 
 /// The invocation records of one GPU server, with the number of active and
 /// of queued invocations kept beside them: the cluster balancer reads both
-/// on every routing decision, and the record list only grows. Invocation
-/// ids are handed out as 1, 2, … in insert order, so record `i` sits at
-/// index `i - 1`.
+/// on every routing decision, and the record list only grows. The book
+/// hands out invocation ids as 1, 2, … in insert order, so record `i` sits
+/// at index `i - 1`.
 #[derive(Default)]
 pub(crate) struct RecordBook {
     records: Vec<InvocationRecord>,
@@ -155,15 +160,15 @@ pub(crate) struct RecordBook {
 }
 
 impl RecordBook {
-    pub(crate) fn insert(&mut self, rec: InvocationRecord) {
+    /// Add the record `rec` builds for the next invocation id, and return
+    /// that id.
+    pub(crate) fn insert(&mut self, rec: impl FnOnce(u64) -> InvocationRecord) -> u64 {
+        let invocation = self.records.len() as u64 + 1;
+        let rec = rec(invocation);
         self.active += usize::from(rec.active());
         self.queued += usize::from(rec.queued());
-        debug_assert_eq!(
-            rec.invocation,
-            self.records.len() as u64 + 1,
-            "invocation ids are handed out in insert order"
-        );
         self.records.push(rec);
+        invocation
     }
 
     pub(crate) fn get(&self, invocation: u64) -> Option<&InvocationRecord> {
@@ -222,13 +227,30 @@ impl RecordBook {
     }
 }
 
-struct SrvBook {
-    shared: Rc<ApiServerShared>,
+/// One API server in the GPU server's list: what [`crate::GpuServer`]
+/// reads of it, and the monitor's book-keeping.
+pub(crate) struct SrvBook {
+    pub(crate) shared: Rc<ApiServerShared>,
     assign_tx: SimSender<ServerCmd>,
     busy: Option<BusyInfo>,
     /// Start of the server's current idle period (spawn, or the moment its
     /// last function left). Drives the autoscaler's scale-down TTL.
     idle_since: SimTime,
+}
+
+impl SrvBook {
+    /// An idle server started at `now` (see [`start_api_server`]).
+    pub(crate) fn new(
+        (shared, assign_tx): (Rc<ApiServerShared>, SimSender<ServerCmd>),
+        now: SimTime,
+    ) -> SrvBook {
+        SrvBook {
+            shared,
+            assign_tx,
+            busy: None,
+            idle_since: now,
+        }
+    }
 }
 
 /// The function a server runs. Its tenant and assignment time are in its
@@ -265,9 +287,9 @@ impl MonQueue {
         }
     }
 
-    /// Drop requests whose senders gave up (queue timeout).
-    fn purge_cancelled(&mut self) {
-        let keep = |r: &FnRequest| !r.cancelled.get();
+    /// Drop requests whose requesters gave up (queue timeout).
+    fn drop_abandoned(&mut self, records: &RecordBook) {
+        let keep = |r: &FnRequest| !r.abandoned(records);
         match self {
             MonQueue::Flat(q) => q.retain(keep),
             MonQueue::Fair(fq) => fq.retain(keep),
@@ -285,16 +307,15 @@ impl MonQueue {
         self.len() == 0
     }
 
-    /// How long each queued request that is not cancelled has waited by
-    /// `now`, in a deterministic (not dispatch) order.
-    fn live_waits(&self, now: SimTime) -> impl Iterator<Item = Dur> + '_ {
+    /// How long each queued request has waited by `now`, in a
+    /// deterministic (not dispatch) order.
+    fn waits(&self, now: SimTime) -> impl Iterator<Item = Dur> + '_ {
         let (flat, fair) = match self {
             MonQueue::Flat(q) => (Some(q.iter()), None),
             MonQueue::Fair(fq) => (None, Some(fq.iter())),
         };
         let all = flat.into_iter().flatten().chain(fair.into_iter().flatten());
-        all.filter(|r| !r.cancelled.get())
-            .map(move |r| now.since(r.requested_at))
+        all.map(move |r| now.since(r.requested_at))
     }
 }
 
@@ -306,9 +327,10 @@ pub(crate) struct MonCtx {
     pub env: ApiServerEnv,
     pub cfg: GpuServerConfig,
     pub records: Rc<SimCell<RecordBook>>,
-    /// Live-server registry shared with [`crate::GpuServer`]; the
-    /// autoscaler pushes spawned servers and removes retired ones.
-    pub registry: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
+    /// The API servers, in spawn order, shared with [`crate::GpuServer`]:
+    /// the autoscaler pushes spawned servers and removes retired ones. The
+    /// monitor borrows it for one wake at a time, never across `recv`.
+    pub servers: Rc<SimCell<Vec<SrvBook>>>,
     /// Online observability plane. When present the monitor feeds per-GPU
     /// health scores each tick and a predictive autoscaler reads its
     /// streamed signals.
@@ -347,26 +369,14 @@ const MONITOR_PERIOD: Dur = Dur::from_millis(200);
 /// once. The paper migrates one server at a time.
 const MAX_CONCURRENT_MIGRATIONS: usize = 1;
 
-/// Body of the monitor process.
-pub(crate) fn run_monitor(
-    p: &ProcCtx,
-    a: MonCtx,
-    servers: Vec<(Rc<ApiServerShared>, SimSender<ServerCmd>)>,
-    rx: SimReceiver<MonitorMsg>,
-) {
-    let spawn_time = p.now();
-    let mut servers: Vec<SrvBook> = servers
-        .into_iter()
-        .map(|(shared, assign_tx)| SrvBook {
-            shared,
-            assign_tx,
-            busy: None,
-            idle_since: spawn_time,
-        })
-        .collect();
+/// Body of the monitor process. Each wake (a message or a tick) first
+/// drops the queued requests whose requesters gave up, then handles what
+/// woke it with the server list borrowed; the borrow ends before the next
+/// `recv`, so other processes can read the list while the monitor waits.
+pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
     // Warm-pool autoscaling state: ids continue past the provisioned
     // fleet; the scaler is pure policy (hysteresis/TTL/cooldown).
-    let mut next_server_id = servers.len() as u32;
+    let mut next_server_id = a.servers.lock().len() as u32;
     let mut scaler = a.cfg.autoscale.clone().map(Autoscaler::new);
     let mut queue = MonQueue::for_cfg(&a.cfg);
     // Migration damping: bound concurrent migrations, and let the system
@@ -384,9 +394,6 @@ pub(crate) fn run_monitor(
     let mut last_gpu_sample = p.now();
 
     loop {
-        // Drop requests whose senders gave up (queue timeout) before they
-        // can occupy a server.
-        queue.purge_cancelled();
         if p.telemetry().is_enabled() && queue.len() != last_depth {
             last_depth = queue.len();
             p.telemetry()
@@ -400,11 +407,13 @@ pub(crate) fn run_monitor(
         // terminate naturally. Failed servers never retire, so they do not
         // keep the tick armed. The deadline is absolute: message traffic
         // must not indefinitely re-arm the timeout and starve the tick.
+        let servers = a.servers.lock();
         let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || !queue.is_empty();
         let excess_live = scaler.as_ref().is_some_and(|sc| {
             (0..a.env.gpus.len())
                 .any(|g| homed(&servers, GpuId(g as u32)) > sc.config().min_per_gpu)
         });
+        drop(servers); // never held across `recv`
         let msg = if work_in_flight || excess_live {
             let now = p.now();
             let wait = if next_tick > now {
@@ -422,9 +431,19 @@ pub(crate) fn run_monitor(
                 None => Err(RecvError::Shutdown),
             }
         };
+        // Once per wake: a request abandoned while the monitor waited must
+        // neither take a server nor count as its tenant's backlog when that
+        // tenant's next request is pushed (MQFQ clamps a tenant's virtual
+        // time only when it re-activates from idle).
+        queue.drop_abandoned(&a.records.lock());
+        let mut servers = a.servers.lock();
         match msg {
             Ok(MonitorMsg::Request(req)) => {
-                queue.push(req);
+                // Under a zero queue timeout the requester has already
+                // given up.
+                if !req.abandoned(&a.records.lock()) {
+                    queue.push(req);
+                }
                 drain_queue(p, &a, &mut servers, &mut queue);
             }
             Ok(MonitorMsg::FunctionEnded {
@@ -462,9 +481,9 @@ pub(crate) fn run_monitor(
                     autoscale_tick(p, &a, sc, &mut servers, &mut next_server_id, &queue);
                 }
                 // Drain unconditionally: a lease expiry or scale-up may
-                // have freed capacity, and a cancelled head-of-line
-                // request must not strand placeable requests behind it
-                // until the next message arrives.
+                // have freed capacity, and a head-of-line request dropped
+                // at this wake must not strand placeable requests behind
+                // it until the next message arrives.
                 drain_queue(p, &a, &mut servers, &mut queue);
                 let in_flight = servers
                     .iter()
@@ -616,14 +635,11 @@ fn avail(a: &MonCtx, servers: &[SrvBook], gpu: GpuId) -> i64 {
 /// from the head only (head-of-line blocking, the paper's policy);
 /// smallest-first scans for the smallest placeable request; MQFQ serves
 /// the backlogged tenant with the lowest virtual time, falling back to
-/// any backlogged tenant whose head fits (work conservation).
+/// any backlogged tenant whose head fits (work conservation). Every queued
+/// request is live: [`run_monitor`] dropped the abandoned ones at this
+/// wake, and none can give up before the monitor waits again.
 fn drain_queue(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
     loop {
-        // Purge cancelled requests *before* placement. Checking only after
-        // a successful `pick_server` left a cancelled head-of-line request
-        // that fits no GPU blocking the FCFS queue (and the SmallestFirst
-        // early-return) forever.
-        queue.purge_cancelled();
         let (req, srv_idx) = match queue {
             MonQueue::Flat(q) => {
                 let pos = match a.cfg.queue {
@@ -749,7 +765,7 @@ fn autoscale_tick(
     queue: &MonQueue,
 ) {
     let now = p.now();
-    let oldest_wait = queue.live_waits(now).max();
+    let oldest_wait = queue.waits(now).max();
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
     // of tail latency (reactive-growth gate).
@@ -818,7 +834,7 @@ fn autoscale_tick(
         }
     }
     if let Some(i) = cand {
-        retire_server(p, a, servers, i);
+        retire_server(p, servers, i);
         scaler.record_action(now);
     }
 }
@@ -850,8 +866,8 @@ fn scaled(p: &ProcCtx, servers: &[SrvBook], counter: &str, event: &str, id: u32,
 }
 
 /// Spawn one autoscaled API server homed on `gpu` (the same 755 MB idle
-/// footprint a provisioned server pays), register it everywhere, and start
-/// its process. Returns false if the GPU cannot actually fit the
+/// footprint a provisioned server pays), add it to the server list, and
+/// start its process. Returns false if the GPU cannot actually fit the
 /// footprint.
 fn spawn_server(
     p: &ProcCtx,
@@ -861,28 +877,21 @@ fn spawn_server(
     gpu: GpuId,
 ) -> bool {
     let id = *next_server_id;
-    let Some((shared, assign_tx)) = start_api_server(p, &a.env, id, gpu) else {
+    let Some(started) = start_api_server(p, &a.env, id, gpu) else {
         return false;
     };
     *next_server_id += 1;
-    a.registry.lock().push(Rc::clone(&shared));
-    servers.push(SrvBook {
-        shared,
-        assign_tx,
-        busy: None,
-        idle_since: p.now(),
-    });
+    servers.push(SrvBook::new(started, p.now()));
     scaled(p, servers, "autoscale.scale_ups", "scale-up", id, gpu);
     true
 }
 
-/// Retire the idle server at `idx`: deregister it (its declared memory
-/// goes with it) and send `Retire` so the process releases its real
-/// reservations and exits.
-fn retire_server(p: &ProcCtx, a: &MonCtx, servers: &mut Vec<SrvBook>, idx: usize) {
+/// Retire the idle server at `idx`: remove it from the server list (its
+/// declared memory goes with it) and send `Retire` so the process releases
+/// its real reservations and exits.
+fn retire_server(p: &ProcCtx, servers: &mut Vec<SrvBook>, idx: usize) {
     let s = servers.remove(idx);
     let id = s.shared.id;
-    a.registry.lock().retain(|sh| sh.id != id);
     s.assign_tx.send(p, ServerCmd::Retire);
     let gpu = s.shared.home_gpu;
     scaled(p, servers, "autoscale.scale_downs", "scale-down", id, gpu);
@@ -924,7 +933,7 @@ fn exec_share_permille(
         .filter_map(|s| records.get(s.busy.as_ref()?.invocation)?.assigned_at)
         .map(|assigned_at| now.since(assigned_at).as_nanos())
         .sum();
-    let queue_ns: u64 = queue.live_waits(now).map(Dur::as_nanos).sum();
+    let queue_ns: u64 = queue.waits(now).map(Dur::as_nanos).sum();
     let total = exec_ns as u128 + queue_ns as u128;
     if total == 0 {
         return 1000;

@@ -8,7 +8,6 @@
 //! off any function's critical path), and spawns the monitor and API server
 //! processes.
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -19,10 +18,10 @@ use dgsf_sim::{
     Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimSender, SimTime, TraceCtx,
 };
 
-use crate::api_server::{start_api_server, ApiServerEnv, ApiServerShared, MigrationRecord};
+use crate::api_server::{start_api_server, ApiServerEnv, MigrationRecord};
 use crate::config::GpuServerConfig;
 use crate::monitor::{
-    run_monitor, FnRequest, GpuKeys, InvocationRecord, MonCtx, MonitorMsg, RecordBook,
+    run_monitor, FnRequest, GpuKeys, InvocationRecord, MonCtx, MonitorMsg, RecordBook, SrvBook,
 };
 
 /// Why [`GpuServer::try_request_gpu`] could not hand out a virtual GPU.
@@ -49,19 +48,6 @@ impl std::fmt::Display for AcquireError {
 }
 
 impl std::error::Error for AcquireError {}
-
-/// Server-side terminal state of one invocation, for the retry layer's
-/// exactly-once probe (see [`GpuServer::invocation_outcome`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvocationOutcome {
-    /// Neither completed nor failed yet.
-    InFlight,
-    /// The server recorded the function's completion — the work happened
-    /// exactly once.
-    Completed,
-    /// The server recorded a failure (queue timeout, lease expiry, abort).
-    Failed,
-}
 
 /// One gauge snapshot of a GPU server, exported by the monitor's
 /// bookkeeping for the cluster balancer (and any other external observer).
@@ -122,12 +108,11 @@ pub struct GpuServer {
     cfg: GpuServerConfig,
     handle: SimHandle,
     monitor_tx: SimSender<MonitorMsg>,
-    /// Live-server registry, shared with the monitor: the autoscaler
-    /// pushes spawned servers and removes retired ones.
-    servers: Rc<SimCell<Vec<Rc<ApiServerShared>>>>,
+    /// The API servers, shared with the monitor: the autoscaler pushes
+    /// spawned servers and removes retired ones.
+    servers: Rc<SimCell<Vec<SrvBook>>>,
     records: Rc<SimCell<RecordBook>>,
     migration_log: Rc<SimCell<Vec<MigrationRecord>>>,
-    next_invocation: Cell<u64>,
     faults: Option<Rc<LinkFaults>>,
 }
 
@@ -186,33 +171,29 @@ impl GpuServer {
             migration_log: Rc::clone(&migration_log),
             idle_timeout: cfg.idle_timeout,
         };
-        let mut servers = Vec::new();
-        let mut monitor_servers = Vec::new();
-        for id in 0..cfg.total_api_servers() {
-            let (shared, assign_tx) = start_api_server(p, &env, id, GpuId(id % cfg.num_gpus))
-                .expect("a fresh GPU fits an API server's idle footprint");
-            monitor_servers.push((Rc::clone(&shared), assign_tx));
-            servers.push(shared);
-        }
-
+        let servers: Vec<SrvBook> = (0..cfg.total_api_servers())
+            .map(|id| {
+                let started = start_api_server(p, &env, id, GpuId(id % cfg.num_gpus))
+                    .expect("a fresh GPU fits an API server's idle footprint");
+                SrvBook::new(started, p.now())
+            })
+            .collect();
         let servers = Rc::new(SimCell::new(h, servers));
         let monitor = MonCtx {
             env,
             cfg: cfg.clone(),
             records: Rc::clone(&records),
-            registry: Rc::clone(&servers),
+            servers: Rc::clone(&servers),
             gpu_keys: GpuKeys::for_gpus(cfg.num_gpus, obs.as_ref().map(|(_, l)| l.as_str())),
             obs: obs.map(|(obs, _)| obs),
         };
-        h.spawn("monitor", move |pp| {
-            run_monitor(pp, monitor, monitor_servers, monitor_rx)
-        });
+        h.spawn("monitor", move |pp| run_monitor(pp, monitor, monitor_rx));
 
         // Record the fault plan's kills of the provisioned API servers; each
         // takes effect on the virtual clock at its time.
         for &(sid, at) in cfg.faults.iter().flat_map(|plan| plan.kills()) {
-            if let Some(shared) = servers.lock().iter().find(|s| s.id == sid) {
-                shared.kill(at);
+            if let Some(s) = servers.lock().iter().find(|s| s.shared.id == sid) {
+                s.shared.kill(at);
             }
         }
 
@@ -226,7 +207,6 @@ impl GpuServer {
             servers,
             records,
             migration_log,
-            next_invocation: Cell::new(1),
             faults,
         })
     }
@@ -296,9 +276,8 @@ impl GpuServer {
         trace: Option<TraceCtx>,
         pin_server: Option<u32>,
     ) -> Result<(RpcClient, u64), AcquireError> {
-        let invocation = self.next_invocation.replace(self.next_invocation.get() + 1);
         let now = p.now();
-        self.records.lock().insert(InvocationRecord {
+        let invocation = self.records.lock().insert(|invocation| InvocationRecord {
             invocation,
             name: name.to_string(),
             mem,
@@ -315,7 +294,6 @@ impl GpuServer {
                 .map(|t| t.tenant.to_string())
                 .unwrap_or_default(),
         });
-        let cancelled = Rc::new(Cell::new(false));
         let (reply_tx, reply_rx) = self.handle.channel::<RpcClient>();
         self.monitor_tx.send(
             p,
@@ -325,7 +303,6 @@ impl GpuServer {
                 reply: reply_tx,
                 invocation,
                 requested_at: now,
-                cancelled: Rc::clone(&cancelled),
                 trace,
                 pin_server,
             }),
@@ -337,7 +314,6 @@ impl GpuServer {
         match got {
             Ok(client) => Ok((client, invocation)),
             Err(RecvError::Timeout) => {
-                cancelled.set(true);
                 p.telemetry().counter_add("server.queue_timeouts", 1);
                 self.mark_invocation_failed(p.now(), invocation);
                 Err(AcquireError::Timeout {
@@ -357,21 +333,15 @@ impl GpuServer {
             .mark_failed(at, invocation, &self.handle.telemetry());
     }
 
-    /// Terminal state of an invocation as the *server* recorded it. The
+    /// True once the *server* recorded the invocation's completion. The
     /// retry layer probes this before re-running a function whose reply
-    /// never arrived: [`InvocationOutcome::Completed`] means the work was
-    /// done and only the response was lost — re-running it would execute
-    /// the function twice.
-    pub fn invocation_outcome(&self, invocation: u64) -> Option<InvocationOutcome> {
-        self.records.lock().get(invocation).map(|r| {
-            if r.done_at.is_some() {
-                InvocationOutcome::Completed
-            } else if r.failed_at.is_some() {
-                InvocationOutcome::Failed
-            } else {
-                InvocationOutcome::InFlight
-            }
-        })
+    /// never arrived: a completed invocation did its work and only the
+    /// response was lost — re-running it would execute the function twice.
+    pub fn invocation_completed(&self, invocation: u64) -> bool {
+        self.records
+            .lock()
+            .get(invocation)
+            .is_some_and(|r| r.done_at.is_some())
     }
 
     /// API server an invocation was assigned to, if the monitor got that
@@ -392,9 +362,8 @@ impl GpuServer {
     /// context holds the key (already adopted, reclaimed, or never
     /// published).
     pub fn reclaim_resident(&self, key: u64) -> bool {
-        let servers: Vec<_> = self.servers.lock().iter().cloned().collect();
-        for s in servers {
-            for ctx in s.contexts() {
+        for s in self.servers.lock().iter() {
+            for ctx in s.shared.contexts() {
                 if ctx.reclaim_resident(key) {
                     return true;
                 }
@@ -408,10 +377,9 @@ impl GpuServer {
     /// handoff exactly-once oracle — every `Published` key must be followed
     /// by exactly one `Adopted` or `Reclaimed`.
     pub fn resident_events(&self) -> Vec<dgsf_cuda::ResidentEvent> {
-        let servers: Vec<_> = self.servers.lock().iter().cloned().collect();
         let mut out = Vec::new();
-        for s in servers {
-            for ctx in s.contexts() {
+        for s in self.servers.lock().iter() {
+            for ctx in s.shared.contexts() {
                 out.extend(ctx.resident_events());
             }
         }
@@ -421,10 +389,10 @@ impl GpuServer {
     /// Buffers currently parked in resident stores fleet-wide (leak probe:
     /// zero once every DAG has completed or been reclaimed).
     pub fn resident_in_store(&self) -> usize {
-        let servers: Vec<_> = self.servers.lock().iter().cloned().collect();
-        servers
+        self.servers
+            .lock()
             .iter()
-            .flat_map(|s| s.contexts())
+            .flat_map(|s| s.shared.contexts())
             .map(|c| c.resident_count())
             .sum()
     }
@@ -433,8 +401,8 @@ impl GpuServer {
     /// boundary (Table V's forced-migration microbenchmark). No-op if the
     /// server has been retired.
     pub fn force_migration(&self, server: u32, target: GpuId) {
-        if let Some(s) = self.servers.lock().iter().find(|s| s.id == server) {
-            s.request_migration(target);
+        if let Some(s) = self.servers.lock().iter().find(|s| s.shared.id == server) {
+            s.shared.request_migration(target);
         }
     }
 
@@ -446,8 +414,9 @@ impl GpuServer {
         self.servers
             .lock()
             .iter()
-            .find(|s| s.id == server)
+            .find(|s| s.shared.id == server)
             .expect("server exists")
+            .shared
             .current_gpu()
     }
 
@@ -465,13 +434,13 @@ impl GpuServer {
     }
 
     /// One consistent gauge snapshot for the cluster balancer: pool and
-    /// lease state from the live-server registry (the monitor sets each
-    /// server's lease-expired bit), load from the invocation records,
-    /// memory from the GPUs' real reservations.
+    /// lease state from the server list (the monitor sets each server's
+    /// lease-expired bit), load from the invocation records, memory from
+    /// the GPUs' real reservations.
     pub fn gauges(&self) -> ServerGauges {
         let (pool_size, failed_api_servers) = {
             let servers = self.servers.lock();
-            let failed = servers.iter().filter(|s| s.lease_expired()).count();
+            let failed = servers.iter().filter(|s| s.shared.lease_expired()).count();
             (servers.len(), failed)
         };
         let (mut used, mut total) = (0u64, 0u64);
@@ -504,7 +473,7 @@ impl GpuServer {
         self.servers
             .lock()
             .iter()
-            .filter(|s| s.migration_pending() || s.migration_in_flight())
+            .filter(|s| s.shared.migration_pending() || s.shared.migration_in_flight())
             .count()
     }
 
@@ -519,7 +488,7 @@ impl GpuServer {
         self.servers
             .lock()
             .iter()
-            .map(|s| s.declared_mem(gpu, &self.costs))
+            .map(|s| s.shared.declared_mem(gpu, &self.costs))
             .sum()
     }
 

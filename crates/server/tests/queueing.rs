@@ -535,3 +535,129 @@ fn mqfq_records_tenants_on_invocation_records() {
     assert_eq!(a.tenant, "alpha", "the trace tenant lands on the record");
     assert!(a.done_at.is_some());
 }
+
+/// Regression for a tenant re-entering MQFQ behind its own timed-out
+/// request. Tenant alpha runs a backlog of short functions on the only
+/// server; tenant beta's only request (64 GB, unplaceable) waits at beta's
+/// virtual time from t = 5 ms until its 0.5 s timeout. At that same instant
+/// the timed-out process queues three normal beta requests. Beta was idle
+/// the moment its request gave up, so the first new push re-enters it at
+/// alpha's virtual time: with equal service per function and alpha winning
+/// ties by name, the two alternate. Counting the dead request as backlog
+/// skipped that clamp, and beta, still at its t = 5 ms virtual time, ran
+/// its whole batch ahead of alpha.
+#[test]
+fn mqfq_tenant_reenters_at_the_active_virtual_time_after_its_request_times_out() {
+    let mut sim = Sim::new(5);
+    let h = sim.handle();
+    let out = Rc::new(SimCell::new(&h, Vec::new()));
+    let o2 = Rc::clone(&out);
+    let h2 = h.clone();
+    sim.spawn("root", move |p| {
+        let cfg = GpuServerConfig::paper_default()
+            .gpus(1)
+            .with_fair_queue(MqfqConfig::new());
+        let srv = GpuServer::provision(p, &h2, cfg);
+        for i in 0..12u64 {
+            let srv = Arc::clone(&srv);
+            let name = format!("a{}", i + 1);
+            h2.spawn_at(&name.clone(), SimTime::ZERO + Dur(i), move |p| {
+                hold_gpu_as(p, &srv, "alpha", 100 + i, &name, 0.1)
+            });
+        }
+        let s2 = Arc::clone(&srv);
+        let h3 = h2.clone();
+        h2.spawn_at("giant", SimTime::ZERO + Dur::from_millis(5), move |p| {
+            let got = s2.try_request_gpu_with_timeout(
+                p,
+                "giant",
+                64 * GB,
+                registry(),
+                1,
+                Some(Dur::from_millis(500)),
+                Some(TraceCtx::new(1, "beta")),
+                None,
+            );
+            assert!(matches!(got, Err(AcquireError::Timeout { .. })));
+            for i in 0..3u64 {
+                let srv = Arc::clone(&s2);
+                let name = format!("b{}", i + 1);
+                h3.spawn(&name.clone(), move |p| {
+                    hold_gpu_as(p, &srv, "beta", 2 + i, &name, 0.1)
+                });
+            }
+        });
+        let o3 = Rc::clone(&o2);
+        h2.spawn("collector", move |p| {
+            p.sleep(Dur::from_secs(20));
+            let mut recs: Vec<_> = srv.records().into_iter().filter(|r| !r.failed()).collect();
+            recs.sort_by_key(|r| r.assigned_at.expect("every live request got served"));
+            *o3.lock() = recs.into_iter().map(|r| r.name).collect();
+        });
+    });
+    sim.run();
+    let order = out.lock().clone();
+    assert_eq!(
+        order,
+        [
+            "a1", "a2", "a3", "a4", "a5", "a6", "b1", "a7", "b2", "a8", "b3", "a9", "a10", "a11",
+            "a12"
+        ],
+        "beta re-enters at alpha's virtual time and alternates with it"
+    );
+}
+
+/// A zero queue timeout: the requester gives up before the monitor runs,
+/// so the monitor receives a request whose invocation has already failed.
+/// It must never be assigned, and must not disturb the next request.
+fn zero_queue_timeout_fails_the_request_and_serves_the_next(cfg: GpuServerConfig) {
+    let mut sim = Sim::new(5);
+    let h = sim.handle();
+    let out = Rc::new(SimCell::new(&h, None));
+    let o2 = Rc::clone(&out);
+    let h2 = h.clone();
+    sim.spawn("root", move |p| {
+        let srv = GpuServer::provision(p, &h2, cfg.gpus(1).with_queue_timeout(Dur::ZERO));
+        let s2 = Arc::clone(&srv);
+        h2.spawn("doomed", move |p| {
+            let got = s2.try_request_gpu(p, "doomed", GB, registry(), 1);
+            assert!(
+                matches!(got, Err(AcquireError::Timeout { waited }) if waited == Dur::ZERO),
+                "an idle server cannot answer within zero time"
+            );
+        });
+        let s3 = Arc::clone(&srv);
+        h2.spawn_at("later", SimTime::ZERO + Dur::from_millis(100), move |p| {
+            hold_gpu_as(p, &s3, "alpha", 1, "later", 0.1);
+        });
+        let o3 = Rc::clone(&o2);
+        h2.spawn("collector", move |p| {
+            p.sleep(Dur::from_secs(10));
+            *o3.lock() = Some(srv.records());
+        });
+    });
+    sim.run();
+    let recs = out.lock().take().expect("collector ran");
+    let by_name = |n: &str| recs.iter().find(|r| r.name == n).unwrap().clone();
+    let doomed = by_name("doomed");
+    assert_eq!(doomed.failed_at, Some(SimTime::ZERO));
+    assert!(doomed.assigned_at.is_none() && doomed.server.is_none());
+    let later = by_name("later");
+    assert_eq!(
+        later.assigned_at,
+        Some(SimTime::ZERO + Dur::from_millis(100))
+    );
+    assert!(later.done_at.is_some() && later.failed_at.is_none());
+}
+
+#[test]
+fn zero_queue_timeout_fails_the_request_and_serves_the_next_fcfs() {
+    zero_queue_timeout_fails_the_request_and_serves_the_next(GpuServerConfig::paper_default());
+}
+
+#[test]
+fn zero_queue_timeout_fails_the_request_and_serves_the_next_mqfq() {
+    zero_queue_timeout_fails_the_request_and_serves_the_next(
+        GpuServerConfig::paper_default().with_fair_queue(MqfqConfig::new()),
+    );
+}

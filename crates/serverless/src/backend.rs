@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use dgsf_cuda::ApiStats;
 use dgsf_remoting::OptConfig;
-use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome};
+use dgsf_server::{FleetPolicy, GpuServer};
 use dgsf_sim::{
     ArgValue, Dur, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx, TraceOutcome,
 };
@@ -346,9 +346,7 @@ impl Backend {
             // instead of retrying.
             if f.class == FailureClass::Transient {
                 if let Some(inv) = f.invocation {
-                    if self.servers[idx].invocation_outcome(inv)
-                        == Some(InvocationOutcome::Completed)
-                    {
+                    if self.servers[idx].invocation_completed(inv) {
                         tel.counter_add("backend.recovered_replies", 1);
                         if tel.is_enabled() {
                             tel.instant(

@@ -8,13 +8,15 @@
 //! already set up, so what remains is the per-call remoting path plus the
 //! function's own per-invocation setup.
 //!
-//! The budget is per function and the same for all six: at most 111
-//! allocations each, the measured maximum (kmeans 111, covidctnet 66,
-//! face detection 65, face identification 65, nlp 65, image
-//! classification 65). Each was 5 more while every assignment spawned a
-//! heartbeat process: every spawn allocates (at least its name and its
-//! boxed body), so the budget also catches a per-invocation process
-//! coming back. When every frame, sync channel and batch vector was
+//! The budget is per function and the same for all six: at most 110
+//! allocations each, the measured maximum in debug and release builds
+//! alike (kmeans 110, covidctnet 65, face detection 64, face
+//! identification 64, nlp 64, image classification 64). Each was 1 more
+//! while every queued GPU request carried a shared cancel flag (an
+//! `Rc<Cell<bool>>`), and 5 more before that while every assignment
+//! spawned a heartbeat process: every spawn allocates (at least its name
+//! and its boxed body), so the budget also catches a per-invocation
+//! process coming back. When every frame, sync channel and batch vector was
 //! fresh and every launch went through hashed name lookups, they averaged
 //! 952 (kmeans 893, covidctnet 199, face detection 493, face
 //! identification 493, nlp 827, image classification 2,844). cuDNN
@@ -97,7 +99,7 @@ fn run_copies(suite: &[Arc<dyn Workload>], w: usize, copies: u64) -> u64 {
 }
 
 /// Allocator calls allowed for one warmed function.
-const MAX_ALLOCS: u64 = 111;
+const MAX_ALLOCS: u64 = 110;
 
 #[test]
 fn warmed_function_allocation_is_bounded() {
