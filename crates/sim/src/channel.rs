@@ -103,13 +103,14 @@ impl<T> SimReceiver<T> {
             let generation = st.begin_park(ctx.pid());
             ch.waiters.push_back((ctx.pid(), generation));
             drop(ch);
-            let shutdown = ctx.yield_parked_raw(st);
-            // A spurious wake is possible under MPMC (another receiver took
-            // the message); loop and re-park.
-            self.deregister(ctx);
-            if shutdown {
+            // Short of shutdown, only a sender wakes this park, and it has
+            // popped this process's entry already.
+            if ctx.yield_parked_raw(st) {
+                self.deregister(ctx);
                 return None;
             }
+            // A spurious wake is possible under MPMC (another receiver took
+            // the message); loop and re-park.
         }
     }
 
@@ -145,10 +146,16 @@ impl<T> SimReceiver<T> {
         self.inner.lock().queue.drain(..).collect()
     }
 
-    /// Remove this process from the waiter list, if still registered.
+    /// Remove this process from the waiter list, where a timeout or a
+    /// shutdown leaves it. A sender's wake has popped it already, often
+    /// leaving the list empty.
     fn deregister(&self, ctx: &ProcCtx) {
+        let mut ch = self.inner.borrow_in(ctx);
+        if ch.waiters.is_empty() {
+            return;
+        }
         let pid = ctx.pid();
-        self.inner.borrow_in(ctx).waiters.retain(|(p, _)| *p != pid);
+        ch.waiters.retain(|(p, _)| *p != pid);
     }
 }
 
@@ -234,6 +241,37 @@ mod tests {
         });
         sim.run();
         assert_eq!(*out.lock(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_spurious_wake_leaves_one_waiter_entry_per_parked_receiver() {
+        let mut sim = Sim::new(1);
+        let (tx, rx) = sim.channel::<u32>();
+        let got = Rc::new(SimCell::new(&sim.handle(), 0u32));
+        for i in 0..3 {
+            let (rx, got) = (rx.clone(), got.clone());
+            sim.spawn(&format!("rx{i}"), move |ctx| {
+                while rx.recv(ctx).is_some() {
+                    *got.lock() += 1;
+                }
+            });
+        }
+        let thief = rx.clone();
+        sim.spawn("tx", move |ctx| {
+            ctx.sleep(Dur::from_millis(1));
+            for v in 0..4 {
+                // Wakes the first waiter; every other time its message is
+                // gone by the time it runs, and it parks again.
+                tx.send(ctx, v);
+                if v % 2 == 0 {
+                    assert_eq!(thief.drain(), vec![v]);
+                }
+                ctx.sleep(Dur::from_millis(1));
+            }
+        });
+        sim.run();
+        assert_eq!(*got.lock(), 2);
+        assert_eq!(rx.inner.lock().waiters.len(), 3);
     }
 
     #[test]

@@ -44,10 +44,12 @@
 //! `last` or later. When `due` runs dry, the lowest non-empty bucket's
 //! minimum `m` becomes `last`, and that bucket's events move, in order,
 //! into lower buckets, so an event moves down at most 64 times in all.
+//! Each bucket keeps its minimum as events are pushed, so a refill reads
+//! `m` instead of scanning the bucket for it.
 //! Why that is exactly schedule order among equal times:
 //!
 //! - A push appends, so it lands after every event scheduled before it.
-//! - A refill drains the lowest non-empty bucket, in order, into buckets
+//! - A refill copies the lowest non-empty bucket, in order, into buckets
 //!   that were all empty (every lower bucket, and `due`).
 //! - So every bucket stays in schedule order. Events due at `m` share one
 //!   bucket, and they reach `due` in schedule order before any later push
@@ -57,6 +59,24 @@
 //! at `now` or later, so a push never lands below `last`. That holds for a
 //! driver that spawns or sends between `run_until` calls too. A refill
 //! happens only once the `run_until` deadline allows the minimum it finds.
+//!
+//! An event is 24 bytes of plain data, with no drop glue: its time, a
+//! 64-bit stamp (a wake's park generation or a timer's token) and a 32-bit
+//! target. The target is a process id, or, with its top bit set, a slot of
+//! the timer slab (`TimerSlab`): a `Vec` of slots, each holding one pending
+//! timer's `Rc<dyn Timer>`, with an intrusive free list. The slot is freed
+//! when its event pops, just before the timer fires, so a timer that
+//! reschedules itself takes the same slot again. Since events are copied,
+//! never dropped, `due` is a `Vec` read through a head cursor and emptied
+//! when the cursor reaches its end, and a refill copies the bucket it
+//! empties.
+//!
+//! The stamp keeps 64 bits, which makes the event 24 bytes and not 16. A
+//! `recv_timeout` whose message comes first leaves its timeout wake queued
+//! (see "Wake generations"); if its process parked 2^32 more times before
+//! that wake's time, a 32-bit generation would wrap back to the stale
+//! wake's value, and the wake would resume the process from an unrelated
+//! park.
 //!
 //! # One thread
 //!
@@ -113,7 +133,6 @@
 
 use std::any::Any;
 use std::cell::RefMut;
-use std::collections::VecDeque;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
@@ -262,27 +281,98 @@ pub(crate) trait Timer {
     fn fire(self: Rc<Self>, st: &mut SimState, token: u64);
 }
 
-enum EventKind {
-    /// Resume a parked process, if its park generation still matches.
-    Wake { pid: ProcId, generation: u64 },
-    /// Fire a resource's completion timer with its token.
-    Timer(Rc<dyn Timer>, u64),
-}
-
+/// A pending event: plain data (see "Event queue").
+#[derive(Clone, Copy)]
 struct Event {
     time: SimTime,
-    kind: EventKind,
+    /// A wake's park generation, or a timer's token.
+    stamp: u64,
+    /// A wake's process id, or `TIMER` with a timer's slab slot.
+    target: u32,
+}
+
+const _: () = assert!(mem::size_of::<Event>() == 24);
+
+/// The tag bit of a timer event's target. The 31 bits below it hold a
+/// process id or a slab slot.
+const TIMER: u32 = 1 << 31;
+
+/// `index`, a process id or a timer slot, as the low 31 bits of an event's
+/// target.
+fn target_field(index: u64, what: &str) -> u32 {
+    match u32::try_from(index) {
+        Ok(field) if field & TIMER == 0 => field,
+        _ => panic!("{what} {index} does not fit an event's 31-bit target field"),
+    }
+}
+
+/// Pending timers, one slot per timer event in the queue (see "Event
+/// queue").
+struct TimerSlab {
+    slots: Vec<TimerSlot>,
+    /// The first free slot: the head of a list linked through
+    /// `TimerSlot::Free`.
+    free: u32,
+}
+
+enum TimerSlot {
+    Pending(Rc<dyn Timer>),
+    /// A free slot, and the next free one after it.
+    Free(u32),
+}
+
+impl TimerSlab {
+    fn new() -> TimerSlab {
+        TimerSlab {
+            slots: Vec::new(),
+            free: LIST_END,
+        }
+    }
+
+    /// Park `timer` in a free slot and return the slot.
+    fn park(&mut self, timer: Rc<dyn Timer>) -> u32 {
+        let slot = self.free;
+        match self.slots.get_mut(slot as usize) {
+            Some(s) => {
+                let TimerSlot::Free(next) = *s else {
+                    unreachable!("the free list links free slots")
+                };
+                *s = TimerSlot::Pending(timer);
+                self.free = next;
+                slot
+            }
+            None => {
+                self.slots.push(TimerSlot::Pending(timer));
+                target_field(self.slots.len() as u64 - 1, "timer slot")
+            }
+        }
+    }
+
+    /// Free `slot` and return the timer it held.
+    fn take(&mut self, slot: u32) -> Rc<dyn Timer> {
+        let s = mem::replace(&mut self.slots[slot as usize], TimerSlot::Free(self.free));
+        self.free = slot;
+        let TimerSlot::Pending(timer) = s else {
+            unreachable!("a timer event's slot holds its timer")
+        };
+        timer
+    }
 }
 
 /// The monotone radix queue of pending events (see "Event queue").
 struct EventQueue {
     /// The time of the latest refill; no event is due before it.
     last: u64,
-    /// Bucket 0: events due at `last`, in schedule order.
-    due: VecDeque<Event>,
+    /// Bucket 0: events due at `last`, in schedule order. Those before
+    /// `head` have popped; it is emptied when `head` reaches its end.
+    due: Vec<Event>,
+    head: usize,
     /// `buckets[b - 1]` is bucket `b`: events whose time first differs
     /// from `last` in bit `b - 1`, in schedule order.
     buckets: [Vec<Event>; 64],
+    /// `mins[b - 1]` is the earliest time in bucket `b`, or `u64::MAX`
+    /// while it is empty.
+    mins: [u64; 64],
     /// Bit `b - 1` is set iff bucket `b` is non-empty.
     mask: u64,
 }
@@ -291,8 +381,10 @@ impl EventQueue {
     fn new() -> EventQueue {
         EventQueue {
             last: 0,
-            due: VecDeque::new(),
+            due: Vec::new(),
+            head: 0,
             buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; 64],
             mask: 0,
         }
     }
@@ -301,10 +393,11 @@ impl EventQueue {
         let time = ev.time.0;
         debug_assert!(time >= self.last, "an event scheduled in the past");
         match 64 - (time ^ self.last).leading_zeros() {
-            0 => self.due.push_back(ev),
+            0 => self.due.push(ev),
             b => {
                 let i = b as usize - 1;
                 self.buckets[i].push(ev);
+                self.mins[i] = self.mins[i].min(time);
                 self.mask |= 1 << i;
             }
         }
@@ -314,28 +407,30 @@ impl EventQueue {
     fn pop_due(&mut self, deadline: SimTime) -> Option<Event> {
         if self.due.is_empty() && self.mask != 0 {
             let i = self.mask.trailing_zeros() as usize;
-            let m = self.buckets[i].iter().map(|ev| ev.time.0).min()?;
+            let m = self.mins[i];
             if m > deadline.0 {
                 return None;
             }
             self.last = m;
             self.mask &= !(1 << i);
+            self.mins[i] = u64::MAX;
             let mut bucket = mem::take(&mut self.buckets[i]);
-            for ev in bucket.drain(..) {
+            for &ev in &bucket {
                 self.push(ev);
             }
+            bucket.clear();
             self.buckets[i] = bucket;
         }
-        if self.due.front()?.time > deadline {
+        let ev = *self.due.get(self.head)?;
+        if ev.time > deadline {
             return None;
         }
-        self.due.pop_front()
-    }
-
-    fn clear(&mut self) {
-        self.due.clear();
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.mask = 0;
+        self.head += 1;
+        if self.head == self.due.len() {
+            self.due.clear();
+            self.head = 0;
+        }
+        Some(ev)
     }
 }
 
@@ -358,8 +453,8 @@ struct ProcRec {
     next_free: u32,
 }
 
-/// The end of the free list of process records.
-const NO_PROC: u32 = u32::MAX;
+/// The end of an intrusive free list, of process records or timer slots.
+const LIST_END: u32 = u32::MAX;
 
 /// A context that can hold the baton.
 #[derive(Clone, Copy, PartialEq)]
@@ -386,6 +481,8 @@ pub(crate) struct SimState {
     pub(crate) now: SimTime,
     /// Pending events (see "Event queue").
     queue: EventQueue,
+    /// The timers of pending timer events.
+    timers: TimerSlab,
     /// Indexed by `ProcId.0`.
     procs: Vec<ProcRec>,
     pub(crate) shutdown: bool,
@@ -444,33 +541,40 @@ impl SimState {
             };
             self.now = self.now.max(ev.time);
             self.executed += 1;
-            match ev.kind {
-                EventKind::Timer(timer, token) => timer.fire(self, token),
-                EventKind::Wake { pid, generation } => {
-                    let rec = self.proc_mut(pid);
-                    if !(rec.alive && rec.parked && rec.generation == generation) {
-                        continue; // stale wake
-                    }
-                    rec.parked = false;
-                    return match rec.body.take() {
-                        Some(body) => Next::Start(pid, body),
-                        None => Next::Resume(Holder::Proc(pid)),
-                    };
-                }
+            if ev.target & TIMER != 0 {
+                let timer = self.timers.take(ev.target & !TIMER);
+                timer.fire(self, ev.stamp);
+                continue;
             }
+            let pid = ProcId(u64::from(ev.target));
+            let rec = self.proc_mut(pid);
+            if !(rec.alive && rec.parked && rec.generation == ev.stamp) {
+                continue; // stale wake
+            }
+            rec.parked = false;
+            return match rec.body.take() {
+                Some(body) => Next::Start(pid, body),
+                None => Next::Resume(Holder::Proc(pid)),
+            };
         }
     }
 
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        self.queue.push(Event { time, kind });
-    }
-
     pub(crate) fn schedule_wake(&mut self, time: SimTime, pid: ProcId, generation: u64) {
-        self.schedule(time, EventKind::Wake { pid, generation });
+        let target = target_field(pid.0, "process id");
+        self.queue.push(Event {
+            time,
+            stamp: generation,
+            target,
+        });
     }
 
     pub(crate) fn schedule_timer(&mut self, time: SimTime, timer: Rc<dyn Timer>, token: u64) {
-        self.schedule(time, EventKind::Timer(timer, token));
+        let target = TIMER | self.timers.park(timer);
+        self.queue.push(Event {
+            time,
+            stamp: token,
+            target,
+        });
     }
 
     /// True if no event is due at the current instant, so an event
@@ -504,11 +608,11 @@ impl SimState {
             body: Some(Box::new(f)),
             stack: None,
             sp: 0,
-            next_free: NO_PROC,
+            next_free: LIST_END,
         };
         // While the run shuts down the table only grows, so that `Sim`'s
         // drop visits processes spawned by unwinding ones.
-        let pid = if self.free_procs == NO_PROC || self.shutdown {
+        let pid = if self.free_procs == LIST_END || self.shutdown {
             self.procs.push(rec);
             ProcId(self.procs.len() as u64 - 1)
         } else {
@@ -618,6 +722,7 @@ impl Sim {
             sim,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            timers: TimerSlab::new(),
             procs: Vec::new(),
             shutdown: false,
             rng: StdRng::seed_from_u64(seed),
@@ -627,7 +732,7 @@ impl Sim {
             panic: None,
             retired: None,
             free: Vec::new(),
-            free_procs: NO_PROC,
+            free_procs: LIST_END,
         };
         #[expect(
             clippy::arc_with_non_send_sync,
@@ -718,13 +823,16 @@ impl Drop for Sim {
     fn drop(&mut self) {
         // Raise the shutdown flag, then resume every parked process one at a
         // time so each can unwind via ShutdownSignal. Processes spawned while
-        // others unwind are visited too, since the slab only grows. A driver
-        // that is itself unwinding resumes none (see "Unwinding").
+        // others unwind are visited too, since the process table only grows.
+        // A driver that is itself unwinding resumes none (see "Unwinding").
+        // No event pops once the flag is up, so the queue keeps its events,
+        // but the pending timers go: one that holds the simulation would
+        // otherwise keep it alive.
         let resume = !std::thread::panicking();
         {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-            st.queue.clear();
+            st.timers = TimerSlab::new();
         }
         let mut idx = 0;
         let mut resumes = 0;
@@ -1002,12 +1110,10 @@ mod tests {
         }
     }
 
-    /// The id a model-test event carries, in its wake's pid.
-    fn id_of(ev: &Event) -> u64 {
-        match ev.kind {
-            EventKind::Wake { pid, .. } => pid.0,
-            EventKind::Timer(..) => unreachable!("the model test pushes wakes only"),
-        }
+    /// What a model-test event carries: its target and its stamp, which
+    /// is the id the model gave it.
+    fn key(ev: Event) -> (u32, u64) {
+        (ev.target, ev.stamp)
     }
 
     #[test]
@@ -1019,7 +1125,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut queue = EventQueue::new();
             // The reference: a min-heap on (time, id), ids given out in
-            // schedule order.
+            // schedule order, with each event's target beside its id.
             let mut model = BinaryHeap::new();
             let (mut now, mut next_id) = (0u64, 0u64);
             for _ in 0..100_000 {
@@ -1032,18 +1138,24 @@ mod tests {
                         _ => rng.gen_range(0..1u64 << 50),
                     };
                     let time = now + offset;
+                    // Wakes and timers, with targets over the whole 31-bit
+                    // field.
+                    let index = u64::from(rng.gen_range(0..TIMER));
+                    let target = if rng.gen_bool(0.5) {
+                        target_field(index, "process id")
+                    } else {
+                        TIMER | target_field(index, "timer slot")
+                    };
                     queue.push(Event {
                         time: SimTime(time),
-                        kind: EventKind::Wake {
-                            pid: ProcId(next_id),
-                            generation: 0,
-                        },
+                        stamp: next_id,
+                        target,
                     });
-                    model.push(Reverse((time, next_id)));
+                    model.push(Reverse((time, next_id, target)));
                     next_id += 1;
                     continue;
                 }
-                let next = model.peek().map(|&Reverse((t, _))| t);
+                let next = model.peek().map(|&Reverse((t, ..))| t);
                 let deadline = match (rng.gen_range(0..4), next) {
                     (0, _) | (_, None) => u64::MAX,
                     (1, Some(t)) => t,
@@ -1051,24 +1163,89 @@ mod tests {
                     (_, Some(t)) => now + (t - now) / 2,
                 };
                 let want = match model.peek() {
-                    Some(&Reverse((t, id))) if t <= deadline => {
+                    Some(&Reverse((t, id, target))) if t <= deadline => {
                         model.pop();
                         now = t;
-                        Some(id)
+                        Some((target, id))
                     }
                     _ => None,
                 };
-                let got = queue.pop_due(SimTime(deadline)).map(|ev| id_of(&ev));
+                let got = queue.pop_due(SimTime(deadline)).map(key);
                 assert_eq!(got, want, "seed {seed}, deadline {deadline}");
                 assert_eq!(queue.last, now, "seed {seed}");
             }
-            while let Some(Reverse((_, id))) = model.pop() {
-                let got = queue.pop_due(SimTime::MAX).map(|ev| id_of(&ev));
-                assert_eq!(got, Some(id), "seed {seed}, draining");
+            while let Some(Reverse((_, id, target))) = model.pop() {
+                let got = queue.pop_due(SimTime::MAX).map(key);
+                assert_eq!(got, Some((target, id)), "seed {seed}, draining");
             }
             assert!(queue.pop_due(SimTime::MAX).is_none());
             assert_eq!(queue.mask, 0);
+            assert_eq!((queue.due.len(), queue.head), (0, 0));
+            assert!(queue.mins.iter().all(|&m| m == u64::MAX));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "process id 2147483648 does not fit an event's 31-bit target field")]
+    fn a_process_id_past_31_bits_does_not_pack_into_an_event() {
+        assert_eq!(target_field(u64::from(TIMER) - 1, "process id"), TIMER - 1);
+        target_field(u64::from(TIMER), "process id");
+    }
+
+    #[test]
+    fn dropping_a_sim_releases_each_pending_timer_once() {
+        /// A timer that holds its simulation, as a stream's retire
+        /// function may, and a `Counted`; it does nothing when it fires.
+        struct Probe {
+            _sim: SimHandle,
+            _counted: Counted,
+        }
+        impl Timer for Probe {
+            fn fire(self: Rc<Self>, _st: &mut SimState, _token: u64) {}
+        }
+        let dropped = Arc::new(AtomicU32::new(0));
+        let mut sim = Sim::new(1);
+        let handle = sim.handle();
+        let probe = || {
+            Rc::new(Probe {
+                _sim: handle.clone(),
+                _counted: Counted(dropped.clone()),
+            })
+        };
+        let at = |secs| SimTime::ZERO + Dur::from_secs(secs);
+        // Rescheduled twice, as a resource does: two of its three events
+        // are stale by the time they pop, and the kernel cannot tell.
+        let kept = probe();
+        {
+            let mut st = sim.shared.state.lock();
+            for (token, secs) in [(0, 1), (1, 5), (2, 9)] {
+                st.schedule_timer(at(secs), kept.clone(), token);
+            }
+            for secs in [2, 3, 7] {
+                st.schedule_timer(at(secs), probe(), 0);
+            }
+        }
+        sim.run_until(at(4));
+        assert_eq!(
+            dropped.load(atomic::Ordering::SeqCst),
+            2,
+            "fired at 2 s and 3 s"
+        );
+        assert_eq!(Rc::strong_count(&kept), 3, "ours and two pending events");
+        {
+            // Into the slots the three fired events freed.
+            let mut st = sim.shared.state.lock();
+            st.schedule_timer(at(6), probe(), 0);
+            st.schedule_timer(at(8), kept.clone(), 3);
+            assert_eq!(st.timers.slots.len(), 6);
+        }
+        drop(handle);
+        // The pending timers hold the simulation; its drop releases them.
+        drop(sim);
+        assert_eq!(Rc::strong_count(&kept), 1);
+        assert_eq!(dropped.load(atomic::Ordering::SeqCst), 4);
+        drop(kept);
+        assert_eq!(dropped.load(atomic::Ordering::SeqCst), 5);
     }
 
     #[test]

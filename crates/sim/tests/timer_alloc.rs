@@ -2,10 +2,12 @@
 //!
 //! A processor-sharing or FIFO job parks its process, schedules a typed
 //! completion timer and wakes the process when the timer fires. Once the
-//! event queue and the resource's job list have grown to their working
-//! size, none of that allocates: the timer is an `Rc` clone of the
-//! resource, not a boxed closure, and finished jobs are woken as they leave
-//! the job list, with no list of their own. Neither resource keeps a busy
+//! event queue, the kernel's timer slab and the resource's job list have
+//! grown to their working size, none of that allocates: the timer is an
+//! `Rc` clone of the resource, not a boxed closure, parked in a slab slot
+//! that its event frees when it pops and a later timer reuses (the event
+//! itself is plain data naming the slot), and finished jobs are woken as
+//! they leave the job list, with no list of their own. Neither resource keeps a busy
 //! log (only one built with `SimHandle::gps_with_busy_log` does, and that
 //! log grows with its busy periods), so nothing else grows either. A
 //! regression to one allocation per job or per timer shows up as
