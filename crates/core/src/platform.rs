@@ -212,7 +212,7 @@ impl PlatformConfig {
         if let Some(fair) = self.admission.as_ref().and_then(|a| a.fairness.as_ref()) {
             check_weights("fair_shed", &fair.weights)?;
         }
-        if let (QueuePolicy::Mqfq, Some(mqfq)) = (self.server.queue, &self.server.fair_queue) {
+        if let QueuePolicy::Mqfq(mqfq) = &self.server.queue {
             check_weights("mqfq", &mqfq.weights)?;
         }
         if let Some(sticky) = &self.sticky {
@@ -331,7 +331,7 @@ mod tests {
     fn validate_rejects_zero_mqfq_weights() {
         let mut mqfq = MqfqConfig::new();
         mqfq.weights.insert("ghost".into(), 0);
-        let cfg = PlatformConfig::paper_default().with_mqfq(mqfq.clone());
+        let cfg = PlatformConfig::paper_default().with_mqfq(mqfq);
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::ZeroWeight {
@@ -339,11 +339,6 @@ mod tests {
                 tenant: "ghost".into(),
             })
         );
-        // The same weights are fine when MQFQ is not the queue policy:
-        // validation judges what the run will actually use.
-        let mut unused = PlatformConfig::paper_default();
-        unused.server.fair_queue = Some(mqfq);
-        assert_eq!(unused.validate(), Ok(()));
     }
 
     #[test]
@@ -367,7 +362,9 @@ mod tests {
             .with_sticky(StickyConfig::new().with_max_share(250))
             .with_mqfq(MqfqConfig::new().with_weight("hot", 2));
         assert_eq!(cfg.sticky.map(|s| s.max_share_permille), Some(250));
-        assert_eq!(cfg.server.queue, QueuePolicy::Mqfq);
-        assert_eq!(cfg.server.fair_queue.map(|m| m.weight_of("hot")), Some(2));
+        let QueuePolicy::Mqfq(weights) = &cfg.server.queue else {
+            panic!("with_mqfq sets the MQFQ queue policy");
+        };
+        assert_eq!(weights.weight_of("hot"), 2);
     }
 }

@@ -57,7 +57,9 @@ impl FaultPlan {
 
     /// Kill API server `server` at virtual time `at`: from then on it never
     /// responds, never heartbeats, and silently discards anything it
-    /// receives. `at` must not precede the server's provisioning time.
+    /// receives. A kill dated before the server starts (an autoscaled
+    /// server spawns later than the provisioned fleet) takes effect when it
+    /// starts.
     pub fn kill_server(mut self, server: u32, at: SimTime) -> Self {
         self.kills.push((server, at));
         self

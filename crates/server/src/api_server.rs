@@ -163,20 +163,27 @@ impl ApiServerShared {
         self.lease_expired.set(true);
     }
 
-    /// GPU memory this server declares on `gpu`: its idle footprint
-    /// (context + handle pools) on its home GPU, one context on any other
-    /// GPU where it holds one (lazily created for a migration, whether or
-    /// not that migration committed), nothing elsewhere. The monitor places
-    /// by it and the memory-balance check compares it with the GPUs' real
-    /// reservations.
-    pub(crate) fn declared_mem(&self, gpu: GpuId, costs: &CostTable) -> u64 {
-        if gpu == self.home_gpu {
-            costs.idle_worker_mem()
-        } else if self.state.lock().contexts.contains_key(&gpu) {
-            costs.cuda_ctx_mem
-        } else {
-            0
+    /// Call `f` with each GPU where this server declares memory, and the
+    /// amount: its idle footprint (context + handle pools) on its home GPU,
+    /// one context on any other GPU where it holds one (lazily created for a
+    /// migration, whether or not that migration committed). The monitor
+    /// places by it and the memory-balance check compares it with the GPUs'
+    /// real reservations. Returns, from the same read, the GPU the server
+    /// executes on and whether a migration request is pending.
+    pub(crate) fn declared(
+        &self,
+        costs: &CostTable,
+        mut f: impl FnMut(GpuId, u64),
+    ) -> (GpuId, bool) {
+        f(self.home_gpu, costs.idle_worker_mem());
+        let st = self.state.lock();
+        // Only a server that ever migrated holds a context off its home.
+        if st.contexts.len() > 1 {
+            for &gpu in st.contexts.keys().filter(|&&g| g != self.home_gpu) {
+                f(gpu, costs.cuda_ctx_mem);
+            }
         }
+        (st.current_gpu, st.migration_request.is_some())
     }
 
     /// All CUDA contexts this server currently holds, ordered by GPU id.
@@ -242,6 +249,8 @@ pub(crate) struct ApiServerEnv {
     pub migration_log: Rc<SimCell<Vec<MigrationRecord>>>,
     /// How long an assigned function may stay silent before it is aborted.
     pub idle_timeout: Option<Dur>,
+    /// The fault plan's API-server kills, `(server id, at)`.
+    pub kills: Rc<[(u32, SimTime)]>,
 }
 
 /// Everything an API server process needs.
@@ -254,9 +263,11 @@ struct ApiServerArgs {
 /// Start API server `id` homed on `gpu`: pre-initialize its CUDA context
 /// and cuDNN/cuBLAS handle pools (the 755 MB idle footprint, charged but
 /// off any function's critical path, so no init latency is slept), then
-/// spawn its process. Returns the server's shared state and command
-/// channel, or `None` — releasing the context again — when the GPU cannot
-/// fit the footprint.
+/// spawn its process. The fault plan's kills of `id` are recorded here,
+/// where every server starts, provisioned or autoscaled; a kill dated
+/// before the start takes effect at once. Returns the server's shared
+/// state and command channel, or `None` — releasing the context again —
+/// when the GPU cannot fit the footprint.
 pub(crate) fn start_api_server(
     p: &ProcCtx,
     env: &ApiServerEnv,
@@ -280,6 +291,9 @@ pub(crate) fn start_api_server(
         return None;
     };
     let shared = Rc::new(ApiServerShared::new(&env.h, id, gpu, ctx, Some(pool_res)));
+    for &(_, at) in env.kills.iter().filter(|(sid, _)| *sid == id) {
+        shared.kill(at);
+    }
     let (assign_tx, assign_rx) = env.h.channel::<ServerCmd>();
     let args = ApiServerArgs {
         env: env.clone(),

@@ -47,9 +47,6 @@ pub struct GpuServerConfig {
     /// Optional warm-pool autoscaling policy. `None` keeps the paper's
     /// fixed fleet of `api_servers_per_gpu` servers per GPU.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Per-tenant fair-queueing weights, used when `queue` is
-    /// [`QueuePolicy::Mqfq`]. `None` with MQFQ enabled means equal weights.
-    pub fair_queue: Option<MqfqConfig>,
 }
 
 impl GpuServerConfig {
@@ -69,7 +66,6 @@ impl GpuServerConfig {
             idle_timeout: None,
             faults: None,
             autoscale: None,
-            fair_queue: None,
         }
     }
 
@@ -148,10 +144,9 @@ impl GpuServerConfig {
     }
 
     /// Builder-style: switch the queue discipline to per-tenant fair
-    /// queueing under `weights` (implies [`QueuePolicy::Mqfq`]).
+    /// queueing under `weights` ([`QueuePolicy::Mqfq`]).
     pub fn with_fair_queue(mut self, weights: MqfqConfig) -> Self {
-        self.queue = QueuePolicy::Mqfq;
-        self.fair_queue = Some(weights);
+        self.queue = QueuePolicy::Mqfq(weights);
         self
     }
 

@@ -13,13 +13,20 @@
 //! silent past its lease is declared dead — its memory commitment is
 //! released, its invocation marked failed (so the serverless layer can
 //! retry elsewhere), and it is excluded from future placement.
+//!
+//! Each wake reads one plain-integer [`View`], and pure functions decide
+//! from it: placement ([`pick_server`]), scaling ([`scale_up_gpu`],
+//! [`scale_down_victim`]), migration ([`migration_move`]) and lease lapses
+//! ([`lapsed`]). [`run_monitor`] applies each result and reads the view
+//! afresh before the next decision.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::ModuleRegistry;
-use dgsf_gpu::GpuId;
+use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::RpcClient;
 use dgsf_sim::{
     Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime, Telemetry,
@@ -34,17 +41,14 @@ use crate::config::GpuServerConfig;
 use crate::fairqueue::MqfqQueues;
 use crate::policy::{PlacementPolicy, QueuePolicy};
 
-/// A function's request for a virtual GPU. Its requester has given up
-/// (queue timeout) exactly when its [`InvocationRecord`] has failed: nothing
-/// else fails an invocation that was never assigned.
+/// A function's request for a virtual GPU. Its memory and arrival time are
+/// in its [`InvocationRecord`]. Its requester has given up (queue timeout)
+/// exactly when that record has failed: nothing else fails an invocation
+/// that was never assigned.
 pub(crate) struct FnRequest {
-    pub mem: u64,
     pub registry: Arc<ModuleRegistry>,
     pub reply: SimSender<RpcClient>,
     pub invocation: u64,
-    /// When the requester asked (drives the autoscaler's queue-delay
-    /// signal).
-    pub requested_at: SimTime,
     /// Causal context of the serverless request this queue entry serves;
     /// handed on to the RPC client and the API-server assignment.
     pub trace: Option<TraceCtx>,
@@ -65,9 +69,14 @@ impl FnRequest {
 
     /// True once the requester gave up waiting: its record has failed.
     fn abandoned(&self, records: &RecordBook) -> bool {
+        self.record(records).failed()
+    }
+
+    /// This request's record.
+    fn record<'r>(&self, records: &'r RecordBook) -> &'r InvocationRecord {
         records
             .get(self.invocation)
-            .is_some_and(InvocationRecord::failed)
+            .expect("a queued request has a record")
     }
 }
 
@@ -232,7 +241,9 @@ impl RecordBook {
 pub(crate) struct SrvBook {
     pub(crate) shared: Rc<ApiServerShared>,
     assign_tx: SimSender<ServerCmd>,
-    busy: Option<BusyInfo>,
+    /// The invocation the server runs; its memory, tenant and assignment
+    /// time are in its [`InvocationRecord`].
+    busy: Option<u64>,
     /// Start of the server's current idle period (spawn, or the moment its
     /// last function left). Drives the autoscaler's scale-down TTL.
     idle_since: SimTime,
@@ -253,11 +264,100 @@ impl SrvBook {
     }
 }
 
-/// The function a server runs. Its tenant and assignment time are in its
+/// What the monitor's decisions read of one GPU: its declared free memory
+/// (capacity less every server's declared memory there, see
+/// [`ApiServerShared::declared`], and the memory of the functions running
+/// there; negative when over-committed), its live (not lease-expired)
+/// homed servers and the busy servers executing on it.
+#[derive(Clone, Copy, Debug, Default)]
+struct GpuView {
+    free: i64,
+    homed: u32,
+    busy: u32,
+}
+
+/// What the monitor's decisions read of one API server: `live` is "not
+/// lease-expired", `killed` the kill instant if it is not after the
+/// view's, `migrating` a migration pending or in flight, and `busy` the
+/// running invocation, its memory and assignment time read from its
 /// [`InvocationRecord`].
-struct BusyInfo {
+#[derive(Clone, Copy, Debug)]
+struct SrvView {
+    id: u32,
+    home: GpuId,
+    current: GpuId,
+    live: bool,
+    killed: Option<SimTime>,
+    migrating: bool,
+    idle_since: SimTime,
+    busy: Option<Running>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Running {
     invocation: u64,
     mem: u64,
+    assigned_at: SimTime,
+}
+
+/// The plain-integer view the monitor decides from, read at one instant:
+/// per GPU (by id) and per server (in list order). Its buffers are reused
+/// from read to read.
+#[derive(Debug, Default)]
+struct View {
+    now: SimTime,
+    gpus: Vec<GpuView>,
+    servers: Vec<SrvView>,
+}
+
+impl View {
+    /// Read the view at `now` from the server list and the records.
+    fn read(&mut self, now: SimTime, a: &MonCtx, servers: &[SrvBook]) {
+        self.now = now;
+        self.gpus.clear();
+        self.gpus.extend(a.env.gpus.iter().map(|g| GpuView {
+            free: g.total_mem() as i64,
+            ..GpuView::default()
+        }));
+        self.servers.clear();
+        let records = a.records.lock();
+        for s in servers {
+            let sh = &s.shared;
+            let gpus = &mut self.gpus;
+            let (current, pending) =
+                sh.declared(&a.env.costs, |g, mem| gpus[g.0 as usize].free -= mem as i64);
+            let live = !sh.lease_expired();
+            if live {
+                gpus[sh.home_gpu.0 as usize].homed += 1;
+            }
+            let busy = s.busy.map(|invocation| {
+                let rec = records
+                    .get(invocation)
+                    .expect("a running invocation has a record");
+                let assigned_at = rec.assigned_at.expect("a running invocation was assigned");
+                Running {
+                    invocation,
+                    mem: rec.mem,
+                    assigned_at,
+                }
+            });
+            if let Some(b) = busy {
+                let g = &mut gpus[current.0 as usize];
+                g.free -= b.mem as i64;
+                g.busy += 1;
+            }
+            self.servers.push(SrvView {
+                id: sh.id,
+                home: sh.home_gpu,
+                current,
+                live,
+                killed: sh.killed_by(now),
+                migrating: pending || sh.migration_in_flight(),
+                idle_since: s.idle_since,
+                busy,
+            });
+        }
+    }
 }
 
 /// The monitor's queue: one flat FIFO under FCFS/SmallestFirst, or
@@ -268,15 +368,6 @@ enum MonQueue {
 }
 
 impl MonQueue {
-    fn for_cfg(cfg: &GpuServerConfig) -> MonQueue {
-        match cfg.queue {
-            QueuePolicy::Mqfq => {
-                MonQueue::Fair(MqfqQueues::new(cfg.fair_queue.clone().unwrap_or_default()))
-            }
-            _ => MonQueue::Flat(VecDeque::new()),
-        }
-    }
-
     fn push(&mut self, req: FnRequest) {
         match self {
             MonQueue::Flat(q) => q.push_back(req),
@@ -303,19 +394,19 @@ impl MonQueue {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// How long each queued request has waited by `now`, in a
     /// deterministic (not dispatch) order.
-    fn waits(&self, now: SimTime) -> impl Iterator<Item = Dur> + '_ {
+    fn waits<'q>(
+        &'q self,
+        records: &'q RecordBook,
+        now: SimTime,
+    ) -> impl Iterator<Item = Dur> + 'q {
         let (flat, fair) = match self {
             MonQueue::Flat(q) => (Some(q.iter()), None),
             MonQueue::Fair(fq) => (None, Some(fq.iter())),
         };
         let all = flat.into_iter().flatten().chain(fair.into_iter().flatten());
-        all.map(move |r| now.since(r.requested_at))
+        all.map(move |r| now.since(r.record(records).requested_at))
     }
 }
 
@@ -365,26 +456,36 @@ impl GpuKeys {
 /// paper samples NVML every 200 ms.
 const MONITOR_PERIOD: Dur = Dur::from_millis(200);
 
+/// Migration's NVML-style utilization window: the last three monitor
+/// ticks.
+const MIGRATION_WINDOW: Dur = Dur(MONITOR_PERIOD.0 * 3);
+
 /// Upper bound on migrations in flight (requested or mid-transfer) at
 /// once. The paper migrates one server at a time.
 const MAX_CONCURRENT_MIGRATIONS: usize = 1;
 
 /// Body of the monitor process. Each wake (a message or a tick) first
 /// drops the queued requests whose requesters gave up, then handles what
-/// woke it with the server list borrowed; the borrow ends before the next
-/// `recv`, so other processes can read the list while the monitor waits.
+/// woke it with the server list borrowed: it reads the [`View`] right
+/// before each decision, so a decision sees every action taken before it.
+/// The borrow ends before the next `recv`, so other processes can read the
+/// list while the monitor waits.
 pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
     // Warm-pool autoscaling state: ids continue past the provisioned
     // fleet; the scaler is pure policy (hysteresis/TTL/cooldown).
     let mut next_server_id = a.servers.lock().len() as u32;
     let mut scaler = a.cfg.autoscale.clone().map(Autoscaler::new);
-    let mut queue = MonQueue::for_cfg(&a.cfg);
+    let mut queue = match &a.cfg.queue {
+        QueuePolicy::Mqfq(weights) => MonQueue::Fair(MqfqQueues::new(weights.clone())),
+        QueuePolicy::Fcfs | QueuePolicy::SmallestFirst => MonQueue::Flat(VecDeque::new()),
+    };
     // Migration damping: bound concurrent migrations, and let the system
     // settle before judging imbalance again. `None` = never requested.
-    let mut last_migration_request: Option<SimTime> = None;
-    let migration_cooldown = Dur(MONITOR_PERIOD
-        .as_nanos()
-        .saturating_mul(a.cfg.migration_cooldown_ticks as u64));
+    let mut last_migration: Option<SimTime> = None;
+    let mut view = View::default();
+    // Each GPU's busy time over the migration window, read at the ticks
+    // that judge migration.
+    let mut busy_ns: Vec<u64> = Vec::with_capacity(a.env.gpus.len());
 
     let mut next_tick = p.now() + MONITOR_PERIOD;
     // Telemetry bookkeeping: only emit the queue-depth gauge on change, and
@@ -408,11 +509,12 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
         // keep the tick armed. The deadline is absolute: message traffic
         // must not indefinitely re-arm the timeout and starve the tick.
         let servers = a.servers.lock();
-        let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || !queue.is_empty();
-        let excess_live = scaler.as_ref().is_some_and(|sc| {
-            (0..a.env.gpus.len())
-                .any(|g| homed(&servers, GpuId(g as u32)) > sc.config().min_per_gpu)
-        });
+        let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || queue.len() > 0;
+        let excess_live = !work_in_flight
+            && scaler.as_ref().is_some_and(|sc| {
+                view.read(p.now(), &a, &servers);
+                view.gpus.iter().any(|g| g.homed > sc.config().min_per_gpu)
+            });
         drop(servers); // never held across `recv`
         let msg = if work_in_flight || excess_live {
             let now = p.now();
@@ -437,6 +539,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
         // time only when it re-activates from idle).
         queue.drop_abandoned(&a.records.lock());
         let mut servers = a.servers.lock();
+        let now = p.now();
         match msg {
             Ok(MonitorMsg::Request(req)) => {
                 // Under a zero queue timeout the requester has already
@@ -444,7 +547,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                 if !req.abandoned(&a.records.lock()) {
                     queue.push(req);
                 }
-                drain_queue(p, &a, &mut servers, &mut queue);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue);
             }
             Ok(MonitorMsg::FunctionEnded {
                 server,
@@ -454,48 +557,47 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                 // An aborted function fails only its invocation: the server
                 // stays in the placement pool.
                 if let Some(s) = servers.iter_mut().find(|s| s.shared.id == server) {
-                    release(p.now(), &a, s, &mut queue);
+                    release(now, &a, s, &mut queue);
                 }
                 if failed {
-                    a.records
-                        .lock()
-                        .mark_failed(p.now(), invocation, p.telemetry());
+                    a.records.lock().mark_failed(now, invocation, p.telemetry());
                 } else {
                     a.records.lock().update(invocation, |rec| {
                         // A lease may already have failed this invocation
                         // over; the late completion loses.
                         if rec.failed_at.is_none() {
-                            rec.done_at = Some(p.now());
+                            rec.done_at = Some(now);
                         }
                     });
                 }
-                // Both borrows of the records ended above: assignment
-                // takes them again.
-                drain_queue(p, &a, &mut servers, &mut queue);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue);
             }
             Err(RecvError::Timeout) => {
-                next_tick = p.now() + MONITOR_PERIOD;
+                next_tick = now + MONITOR_PERIOD;
                 sample_gpus(p, &a, &mut last_gpu_sample);
-                check_leases(p, &a, &mut servers, &mut queue);
+                view.read(now, &a, &servers);
+                expire_leases(p, &a, &mut view, &mut servers, &mut queue);
                 if let Some(sc) = scaler.as_mut() {
-                    autoscale_tick(p, &a, sc, &mut servers, &mut next_server_id, &queue);
+                    let id = &mut next_server_id;
+                    autoscale_tick(p, &a, sc, &view, &mut servers, id, &queue);
                 }
                 // Drain unconditionally: a lease expiry or scale-up may
                 // have freed capacity, and a head-of-line request dropped
                 // at this wake must not strand placeable requests behind
                 // it until the next message arrives.
-                drain_queue(p, &a, &mut servers, &mut queue);
-                let in_flight = servers
-                    .iter()
-                    .filter(|s| s.shared.migration_pending() || s.shared.migration_in_flight())
-                    .count();
-                let cooled = migration_cooled(p.now(), last_migration_request, migration_cooldown);
-                if a.cfg.migration
-                    && in_flight < MAX_CONCURRENT_MIGRATIONS
-                    && cooled
-                    && migration_tick(p, &a, &servers, &queue)
-                {
-                    last_migration_request = Some(p.now());
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue);
+                if a.cfg.migration {
+                    view.read(now, &a, &servers);
+                    let since = now.as_nanos().saturating_sub(MIGRATION_WINDOW.as_nanos());
+                    let busy = |g: &Rc<Gpu>| g.busy_between(SimTime(since), now).as_nanos();
+                    busy_ns.clear();
+                    busy_ns.extend(a.env.gpus.iter().map(busy));
+                    let waited = queue.waits(&a.records.lock(), now).map(Dur::as_nanos).sum();
+                    let mv = migration_move(&view, &a.cfg, &busy_ns, waited, last_migration);
+                    if let Some((i, target)) = mv {
+                        servers[i].shared.request_migration(target);
+                        last_migration = Some(now);
+                    }
                 }
             }
             Err(RecvError::Shutdown) => return,
@@ -540,20 +642,18 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
 /// A function left server `s` (it finished, aborted, or the server's
 /// lease expired): the server is idle from `now` on, and the function's
 /// tenant is charged its exact service time on the fair queue, which
-/// releases the flow's provisional hold. Returns the invocation the server
-/// ran, if any.
-fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MonQueue) -> Option<u64> {
+/// releases the flow's provisional hold.
+fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MonQueue) {
     s.idle_since = now;
-    let b = s.busy.take()?;
-    if let MonQueue::Fair(fq) = queue {
-        let records = a.records.lock();
-        let rec = records
-            .get(b.invocation)
-            .expect("a running invocation has a record");
-        let assigned_at = rec.assigned_at.expect("a running invocation was assigned");
-        fq.charge(&rec.tenant, now.since(assigned_at).as_nanos());
-    }
-    Some(b.invocation)
+    let (Some(invocation), MonQueue::Fair(fq)) = (s.busy.take(), queue) else {
+        return;
+    };
+    let records = a.records.lock();
+    let rec = records
+        .get(invocation)
+        .expect("a running invocation has a record");
+    let assigned_at = rec.assigned_at.expect("a running invocation was assigned");
+    fq.charge(&rec.tenant, now.since(assigned_at).as_nanos());
 }
 
 /// Monitor-side lease: a busy API server whose last heartbeat is older than
@@ -570,202 +670,204 @@ fn last_heartbeat(assigned: SimTime, killed: SimTime) -> SimTime {
     assigned + Dur(alive - alive % HEARTBEAT_PERIOD.as_nanos())
 }
 
-/// Declare busy servers dead when their lease expires: their last
-/// heartbeat ([`last_heartbeat`], from the invocation record's assignment
-/// time and the kill) is older than [`LEASE_TIMEOUT`]. A server not killed
-/// by now keeps beating, so its lease never lapses, and a lapsed one is
-/// never busy again. Releases the memory commitment and fails the
-/// invocation over (the freed capacity may unblock the queue — not for the
-/// failed server, which is excluded from placement, but for servers homed
-/// on its GPU; the caller drains the queue after every tick). The dead
-/// server's service so far is charged to its tenant's fair-queue flow, so a
-/// tenant whose functions keep dying still pays for the GPU time they held.
-fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
-    let now = p.now();
-    for s in servers.iter_mut() {
-        let (Some(b), Some(killed)) = (&s.busy, s.shared.killed_by(now)) else {
-            continue;
-        };
-        let records = a.records.lock();
-        let assigned = records.get(b.invocation).and_then(|r| r.assigned_at);
-        drop(records); // `release` below takes the records again
-        let assigned = assigned.expect("a running invocation was assigned");
-        if now.since(last_heartbeat(assigned, killed)) > LEASE_TIMEOUT {
-            s.shared.expire_lease();
-            let invocation = release(now, a, s, queue).expect("checked busy");
-            let tel = p.telemetry();
-            if tel.is_enabled() {
-                tel.counter_add("monitor.lease_expirations", 1);
-                tel.instant(
-                    p.name(),
-                    "lease-expired",
-                    now,
-                    &[
-                        ("server", s.shared.id.into()),
-                        ("invocation", invocation.into()),
-                    ],
-                );
-            }
-            a.records.lock().mark_failed(now, invocation, tel);
-        }
-    }
+/// Lease decision: the busy servers, as (list index, invocation) in list
+/// order, killed with their last heartbeat ([`last_heartbeat`]) more than
+/// [`LEASE_TIMEOUT`] before the view's instant. A server not killed keeps
+/// beating, so its lease never lapses, and a lapsed one is never busy
+/// again.
+fn lapsed(view: &View) -> impl Iterator<Item = (usize, u64)> + '_ {
+    view.servers.iter().enumerate().filter_map(|(i, s)| {
+        let (b, killed) = (s.busy?, s.killed?);
+        let lapsed = view.now.since(last_heartbeat(b.assigned_at, killed)) > LEASE_TIMEOUT;
+        lapsed.then_some((i, b.invocation))
+    })
 }
 
-/// Declared-memory availability of a GPU, as the monitor sees it: its
-/// capacity less every server's declared memory there
-/// ([`ApiServerShared::declared_mem`]) and the commitments of the functions
-/// running on it.
-fn avail(a: &MonCtx, servers: &[SrvBook], gpu: GpuId) -> i64 {
-    let total = a.env.gpus[gpu.0 as usize].total_mem() as i64;
-    let held: i64 = servers
-        .iter()
-        .map(|s| {
-            let declared = s.shared.declared_mem(gpu, &a.env.costs);
-            let committed = match &s.busy {
-                Some(b) if s.shared.current_gpu() == gpu => b.mem,
-                _ => 0,
-            };
-            (declared + committed) as i64
-        })
-        .sum();
-    total - held
+/// Declare the [`lapsed`] servers dead: exclude each from placement,
+/// release its memory commitment and fail its invocation over (the freed
+/// capacity may unblock the queue — not for the failed server, but for
+/// servers homed on its GPU; the caller drains the queue after every tick).
+/// The dead server's service so far is charged to its tenant's fair-queue
+/// flow, so a tenant whose functions keep dying still pays for the GPU time
+/// they held.
+fn expire_leases(
+    p: &ProcCtx,
+    a: &MonCtx,
+    view: &mut View,
+    servers: &mut [SrvBook],
+    queue: &mut MonQueue,
+) {
+    let now = view.now;
+    let mut lapses = 0;
+    for (i, invocation) in lapsed(view) {
+        lapses += 1;
+        let s = &mut servers[i];
+        s.shared.expire_lease();
+        release(now, a, s, queue);
+        let tel = p.telemetry();
+        if tel.is_enabled() {
+            tel.counter_add("monitor.lease_expirations", 1);
+            tel.instant(
+                p.name(),
+                "lease-expired",
+                now,
+                &[
+                    ("server", s.shared.id.into()),
+                    ("invocation", invocation.into()),
+                ],
+            );
+        }
+        a.records.lock().mark_failed(now, invocation, tel);
+    }
+    if lapses > 0 {
+        view.read(now, a, servers);
+    }
 }
 
 /// Drain the queue under the configured discipline: strict FCFS assigns
 /// from the head only (head-of-line blocking, the paper's policy);
-/// smallest-first scans for the smallest placeable request; MQFQ serves
-/// the backlogged tenant with the lowest virtual time, falling back to
-/// any backlogged tenant whose head fits (work conservation). Every queued
+/// smallest-first takes the smallest request and waits while it does not
+/// place; MQFQ serves the backlogged tenant with the lowest virtual time,
+/// falling back to any backlogged tenant whose head fits (work
+/// conservation). Each request is placed by [`pick_server`]. Every queued
 /// request is live: [`run_monitor`] dropped the abandoned ones at this
-/// wake, and none can give up before the monitor waits again.
-fn drain_queue(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut MonQueue) {
-    loop {
-        let (req, srv_idx) = match queue {
+/// wake, and none can give up before the monitor waits again. The view is
+/// read before each placement.
+fn drain_queue(
+    p: &ProcCtx,
+    a: &MonCtx,
+    view: &mut View,
+    servers: &mut [SrvBook],
+    queue: &mut MonQueue,
+) {
+    let (policy, now) = (a.cfg.policy, p.now());
+    while queue.len() > 0 {
+        view.read(now, a, servers);
+        let records = a.records.lock();
+        let place = |r: &FnRequest| pick_server(view, policy, r.record(&records).mem, r.pin_server);
+        let picked = match queue {
             MonQueue::Flat(q) => {
                 let pos = match a.cfg.queue {
                     QueuePolicy::SmallestFirst => {
-                        let Some(pos) = (0..q.len()).min_by_key(|&i| q[i].mem) else {
-                            return;
-                        };
-                        pos
+                        (0..q.len()).min_by_key(|&i| q[i].record(&records).mem)
                     }
                     // FCFS: head only; an unplaceable head blocks the line
                     // (the paper's policy).
-                    _ => {
-                        if q.is_empty() {
-                            return;
-                        }
-                        0
-                    }
+                    _ => (!q.is_empty()).then_some(0),
                 };
-                let Some(srv_idx) = pick_server(a, servers, q[pos].mem, q[pos].pin_server) else {
-                    return;
-                };
-                (q.remove(pos).expect("index in bounds"), srv_idx)
+                pos.and_then(|pos| Some((pos, place(&q[pos])?)))
+                    .map(|(pos, srv)| (q.remove(pos).expect("index in bounds"), srv))
             }
-            MonQueue::Fair(fq) => {
-                let Some(picked) = fq.pop_next(|r| pick_server(a, servers, r.mem, r.pin_server))
-                else {
-                    return; // no backlogged tenant's head fits anywhere
-                };
-                picked
-            }
+            MonQueue::Fair(fq) => fq.pop_next(place),
         };
-        assign_request(p, a, servers, srv_idx, req);
-    }
-}
-
-/// Hand `req` to the idle server at `srv_idx`: connect the RPC client, set
-/// the busy book-keeping, update the invocation record, emit telemetry
-/// (including the per-tenant queue-delay gauge), and send the assignment.
-fn assign_request(
-    p: &ProcCtx,
-    a: &MonCtx,
-    servers: &mut [SrvBook],
-    srv_idx: usize,
-    req: FnRequest,
-) {
-    let now = p.now();
-    let (mut client, inbox) = RpcClient::connect(&a.env.h, Arc::clone(&a.env.link));
-    client.set_timeout(a.cfg.rpc_timeout);
-    client.set_trace(req.trace.clone());
-    let s = &mut servers[srv_idx];
-    s.busy = Some(BusyInfo {
-        invocation: req.invocation,
-        mem: req.mem,
-    });
-    a.records.lock().update(req.invocation, |rec| {
-        rec.assigned_at = Some(now);
-        rec.server = Some(s.shared.id);
-        rec.gpu = Some(s.shared.home_gpu);
-    });
-    let tel = p.telemetry();
-    tel.counter_add("monitor.assignments", 1);
-    if tel.is_enabled() && !req.tenant().is_empty() {
-        tel.counter_add(&format!("monitor.tenant.{}.dispatches", req.tenant()), 1);
-        let delay_us = now.since(req.requested_at).as_nanos() / 1_000;
-        tel.gauge_set(
-            &format!("monitor.tenant.{}.queue_delay_us", req.tenant()),
-            now,
-            delay_us as i64,
-        );
-    }
-    s.assign_tx.send(
-        p,
-        ServerCmd::Assign(Assignment {
+        drop(records); // assignment updates the record
+        let Some((req, srv_idx)) = picked else {
+            return;
+        };
+        // Connect the RPC client, mark the server busy, update the record,
+        // emit telemetry (with the per-tenant queue delay) and assign.
+        let (mut client, inbox) = RpcClient::connect(&a.env.h, Arc::clone(&a.env.link));
+        client.set_timeout(a.cfg.rpc_timeout);
+        client.set_trace(req.trace.clone());
+        let s = &mut servers[srv_idx];
+        s.busy = Some(req.invocation);
+        let mut records = a.records.lock();
+        let (mem, requested_at) = records
+            .update(req.invocation, |rec| {
+                rec.assigned_at = Some(now);
+                rec.server = Some(s.shared.id);
+                rec.gpu = Some(s.shared.home_gpu);
+                (rec.mem, rec.requested_at)
+            })
+            .expect("a queued request has a record");
+        drop(records);
+        let tel = p.telemetry();
+        tel.counter_add("monitor.assignments", 1);
+        if tel.is_enabled() && !req.tenant().is_empty() {
+            tel.counter_add(&format!("monitor.tenant.{}.dispatches", req.tenant()), 1);
+            let delay_us = now.since(requested_at).as_nanos() / 1_000;
+            let key = format!("monitor.tenant.{}.queue_delay_us", req.tenant());
+            tel.gauge_set(&key, now, delay_us as i64);
+        }
+        let assignment = Assignment {
             inbox,
             registry: req.registry,
-            mem_limit: req.mem,
+            mem_limit: mem,
             invocation: req.invocation,
             trace: req.trace.clone(),
-        }),
-    );
-    req.reply.send(p, client);
+        };
+        s.assign_tx.send(p, ServerCmd::Assign(assignment));
+        req.reply.send(p, client);
+    }
 }
 
-/// Choose an idle API server whose home GPU fits `mem`, by policy. A
-/// pinned request considers only its pinned server — `None` while that
-/// server is busy means the request waits for it, and a pin on a failed
-/// (lease-expired) or retired server never places, leaving the requester's
-/// queue timeout to fail the invocation over.
-fn pick_server(a: &MonCtx, servers: &[SrvBook], mem: u64, pin: Option<u32>) -> Option<usize> {
-    let mut best: Option<(usize, i64)> = None;
-    for (i, s) in servers.iter().enumerate() {
-        if s.busy.is_some() || s.shared.lease_expired() {
-            continue;
-        }
-        if pin.is_some_and(|id| s.shared.id != id) {
-            continue;
-        }
-        let gpu = s.shared.home_gpu;
-        let free = avail(a, servers, gpu);
-        if free < mem as i64 {
-            continue;
-        }
-        let better = match (best, a.cfg.policy) {
-            (None, _) => true,
-            (Some((_, bf)), PlacementPolicy::BestFit) => free < bf,
-            (Some((_, bf)), PlacementPolicy::WorstFit) => free > bf,
-        };
-        if better {
-            best = Some((i, free));
-        }
-    }
+/// Placement decision: the idle, live server (list index) whose home GPU
+/// fits `mem`, by policy — best fit takes the least declared free memory,
+/// worst fit the most, ties to the lowest index. A pinned request considers
+/// only its pinned server — `None` while that server is busy means the
+/// request waits for it, and a pin on a failed (lease-expired) or retired
+/// server never places, leaving the requester's queue timeout to fail the
+/// invocation over.
+fn pick_server(view: &View, policy: PlacementPolicy, mem: u64, pin: Option<u32>) -> Option<usize> {
+    let fits = view
+        .servers
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.live && s.busy.is_none() && pin.is_none_or(|id| s.id == id))
+        .map(|(i, s)| (i, view.gpus[s.home.0 as usize].free))
+        .filter(|&(_, free)| free >= mem as i64);
+    let best = match policy {
+        PlacementPolicy::BestFit => fits.min_by_key(|&(_, free)| free),
+        PlacementPolicy::WorstFit => fits.min_by_key(|&(_, free)| Reverse(free)),
+    };
     best.map(|(i, _)| i)
 }
 
+/// Scale-up decision: the GPU with the most declared free memory among
+/// those under the per-GPU ceiling that still fit the idle footprint (ties:
+/// lowest GPU id).
+fn scale_up_gpu(view: &View, max_per_gpu: u32, idle_footprint: u64) -> Option<GpuId> {
+    view.gpus
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| g.homed < max_per_gpu && g.free >= idle_footprint as i64)
+        .min_by_key(|(_, g)| Reverse(g.free))
+        .map(|(i, _)| GpuId(i as u32))
+}
+
+/// Scale-down decision: the live, idle server (list index) not migrating
+/// whose idle period passed the TTL, idle longest (ties:
+/// lowest server id), as long as its GPU keeps more live servers than the
+/// floor.
+fn scale_down_victim(view: &View, scaler: &Autoscaler) -> Option<usize> {
+    let min = scaler.config().min_per_gpu;
+    view.servers
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.live && s.busy.is_none() && !s.migrating)
+        .filter(|(_, s)| view.gpus[s.home.0 as usize].homed > min)
+        .filter(|(_, s)| scaler.scale_down_due(view.now, s.idle_since))
+        .min_by_key(|(_, s)| (s.idle_since, s.id))
+        .map(|(i, _)| i)
+}
+
 /// One autoscaler tick: feed the queue-delay signal, then fire at most one
-/// scaling action (scale-up wins over scale-down when both are due).
+/// scaling action (scale-up wins over scale-down when both are due). A
+/// spawned server pays the same 755 MB idle footprint as a provisioned one
+/// (no spawn when the GPU cannot actually fit it); a retired one leaves the
+/// list with its declared memory, and `Retire` makes its process release
+/// its real reservations and exit.
 fn autoscale_tick(
     p: &ProcCtx,
     a: &MonCtx,
     scaler: &mut Autoscaler,
+    view: &View,
     servers: &mut Vec<SrvBook>,
     next_server_id: &mut u32,
     queue: &MonQueue,
 ) {
-    let now = p.now();
-    let oldest_wait = queue.waits(now).max();
+    let now = view.now;
+    let oldest_wait = queue.waits(&a.records.lock(), now).max();
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
     // of tail latency (reactive-growth gate).
@@ -773,78 +875,34 @@ fn autoscale_tick(
         scaler.observe_signals(obs.rate_ramp(now), obs.tail_queue_share_permille(now));
     }
     scaler.observe_queue(oldest_wait);
-    let idle_fp = a.cfg.costs.idle_worker_mem();
     let reactive_up = scaler.scale_up_due(now);
     let prewarm = scaler.prewarm_due(now);
     if reactive_up || prewarm {
-        // Home the new server on the GPU with the most declared free
-        // memory among those under the per-GPU ceiling that still fit the
-        // 755 MB idle footprint (ties: lowest GPU id).
-        let max = scaler.config().max_per_gpu;
-        let mut best: Option<(GpuId, i64)> = None;
-        for g in 0..a.env.gpus.len() {
-            let gpu = GpuId(g as u32);
-            if homed(servers, gpu) >= max {
-                continue;
+        let (id, idle_fp) = (*next_server_id, a.cfg.costs.idle_worker_mem());
+        let started = scale_up_gpu(view, scaler.config().max_per_gpu, idle_fp)
+            .and_then(|gpu| Some((gpu, start_api_server(p, &a.env, id, gpu)?)));
+        if let Some((gpu, started)) = started {
+            *next_server_id += 1;
+            servers.push(SrvBook::new(started, now));
+            scaled(p, servers, "autoscale.scale_ups", "scale-up", id, gpu);
+            scaler.record_action(now);
+            let tel = p.telemetry();
+            if prewarm && !reactive_up && tel.is_enabled() {
+                // Capacity added purely on the rate-ramp forecast,
+                // before any queue-delay breach.
+                tel.counter_add("autoscale.prewarms", 1);
+                tel.instant(p.name(), "prewarm", now, &[("gpu", gpu.0.into())]);
             }
-            let free = avail(a, servers, gpu);
-            if free < idle_fp as i64 {
-                continue;
-            }
-            if best.map(|(_, bf)| free > bf).unwrap_or(true) {
-                best = Some((gpu, free));
-            }
-        }
-        if let Some((gpu, _)) = best {
-            if spawn_server(p, a, servers, next_server_id, gpu) {
-                scaler.record_action(now);
-                let tel = p.telemetry();
-                if prewarm && !reactive_up && tel.is_enabled() {
-                    // Capacity added purely on the rate-ramp forecast,
-                    // before any queue-delay breach.
-                    tel.counter_add("autoscale.prewarms", 1);
-                    tel.instant(p.name(), "prewarm", now, &[("gpu", gpu.0.into())]);
-                }
-                return; // one action per tick
-            }
+            return; // one action per tick
         }
     }
-    // Scale down the longest-idle live server whose idle period passed the
-    // TTL, as long as its GPU stays at or above the floor (ties: lowest
-    // server id).
-    let min = scaler.config().min_per_gpu;
-    let mut cand: Option<usize> = None;
-    for (i, s) in servers.iter().enumerate() {
-        if s.shared.lease_expired() || s.busy.is_some() || s.shared.migration_pending() {
-            continue;
-        }
-        if homed(servers, s.shared.home_gpu) <= min || !scaler.scale_down_due(now, s.idle_since) {
-            continue;
-        }
-        let better = match cand {
-            None => true,
-            Some(j) => {
-                let c = &servers[j];
-                s.idle_since < c.idle_since
-                    || (s.idle_since == c.idle_since && s.shared.id < c.shared.id)
-            }
-        };
-        if better {
-            cand = Some(i);
-        }
-    }
-    if let Some(i) = cand {
-        retire_server(p, servers, i);
+    if let Some(i) = scale_down_victim(view, scaler) {
+        let s = servers.remove(i);
+        s.assign_tx.send(p, ServerCmd::Retire);
+        let (id, gpu) = (s.shared.id, s.shared.home_gpu);
+        scaled(p, servers, "autoscale.scale_downs", "scale-down", id, gpu);
         scaler.record_action(now);
     }
-}
-
-/// Live (non-failed) servers homed on `gpu`.
-fn homed(servers: &[SrvBook], gpu: GpuId) -> u32 {
-    servers
-        .iter()
-        .filter(|s| !s.shared.lease_expired() && s.shared.home_gpu == gpu)
-        .count() as u32
 }
 
 /// Telemetry of one scaling action on server `id`, homed on `gpu`: the
@@ -865,76 +923,21 @@ fn scaled(p: &ProcCtx, servers: &[SrvBook], counter: &str, event: &str, id: u32,
     );
 }
 
-/// Spawn one autoscaled API server homed on `gpu` (the same 755 MB idle
-/// footprint a provisioned server pays), add it to the server list, and
-/// start its process. Returns false if the GPU cannot actually fit the
-/// footprint.
-fn spawn_server(
-    p: &ProcCtx,
-    a: &MonCtx,
-    servers: &mut Vec<SrvBook>,
-    next_server_id: &mut u32,
-    gpu: GpuId,
-) -> bool {
-    let id = *next_server_id;
-    let Some(started) = start_api_server(p, &a.env, id, gpu) else {
-        return false;
-    };
-    *next_server_id += 1;
-    servers.push(SrvBook::new(started, p.now()));
-    scaled(p, servers, "autoscale.scale_ups", "scale-up", id, gpu);
-    true
-}
-
-/// Retire the idle server at `idx`: remove it from the server list (its
-/// declared memory goes with it) and send `Retire` so the process releases
-/// its real reservations and exits.
-fn retire_server(p: &ProcCtx, servers: &mut Vec<SrvBook>, idx: usize) {
-    let s = servers.remove(idx);
-    let id = s.shared.id;
-    s.assign_tx.send(p, ServerCmd::Retire);
-    let gpu = s.shared.home_gpu;
-    scaled(p, servers, "autoscale.scale_downs", "scale-down", id, gpu);
-}
-
-/// True when enough time has passed since the last migration request.
-///
-/// `None` means "never requested", which always counts as cooled. The old
-/// `SimTime::ZERO` sentinel conflated that with a genuine request at t=0,
-/// silently disabling the cooldown for the earliest possible migration —
-/// `Option` makes the two states unconfusable.
-fn migration_cooled(now: SimTime, last: Option<SimTime>, cooldown: Dur) -> bool {
-    match last {
-        None => true,
-        Some(t) => now.since(t) >= cooldown,
-    }
-}
-
-/// Execution share of the load signal on `gpu`, in integer per mille:
-/// accumulated busy-execution time of the functions currently running
-/// there versus accumulated queue-wait of everything still in the
-/// monitor's queue. This is the critical-path attribution split at tick
-/// granularity — a high share means the tail is *exec*-caused (co-located
-/// functions slowing each other down), which migration can fix; a low
-/// share means the fleet is queue-saturated and moving servers around
-/// would only churn. An empty system scores 1000 (nothing contradicts
-/// migrating).
-fn exec_share_permille(
-    now: SimTime,
-    a: &MonCtx,
-    servers: &[SrvBook],
-    queue: &MonQueue,
-    gpu: GpuId,
-) -> u64 {
-    let records = a.records.lock();
-    let exec_ns: u64 = servers
+/// Execution share of the load signal on GPU `g`, in integer per mille:
+/// how long the functions running there have executed, against
+/// `queue_wait_ns`, how long everything queued has waited. A high share
+/// means an *exec*-caused tail (co-located functions slowing each other
+/// down), which migration can fix; a low one a queue-saturated fleet, where
+/// moving servers would only churn. An empty system scores 1000.
+fn exec_share_permille(view: &View, g: usize, queue_wait_ns: u64) -> u64 {
+    let exec_ns: u64 = view
+        .servers
         .iter()
-        .filter(|s| s.shared.current_gpu() == gpu)
-        .filter_map(|s| records.get(s.busy.as_ref()?.invocation)?.assigned_at)
-        .map(|assigned_at| now.since(assigned_at).as_nanos())
+        .filter(|s| s.current.0 as usize == g)
+        .filter_map(|s| s.busy)
+        .map(|b| view.now.since(b.assigned_at).as_nanos())
         .sum();
-    let queue_ns: u64 = queue.waits(now).map(Dur::as_nanos).sum();
-    let total = exec_ns as u128 + queue_ns as u128;
+    let total = exec_ns as u128 + queue_wait_ns as u128;
     if total == 0 {
         return 1000;
     }
@@ -955,90 +958,315 @@ fn saturated(busy_ns: u64, window_ns: u64) -> bool {
     busy_ns * 1000 / window_ns >= 800
 }
 
-/// Detect load imbalance and request a migration: a GPU running ≥2 busy API
-/// servers at high utilization while another GPU is idle (the §VIII-E
-/// scenario), provided the tail there is execution-attributed.
-fn migration_tick(p: &ProcCtx, a: &MonCtx, servers: &[SrvBook], queue: &MonQueue) -> bool {
-    let now = p.now();
-    // NVML-style utilization window: the last three monitor ticks.
-    let window = Dur(MONITOR_PERIOD.as_nanos() * 3);
-    if now.as_nanos() < window.as_nanos() {
-        return false; // too early to judge: less than one full window observed
+/// Migration decision: which server (list index) to move to which GPU to
+/// fix a load imbalance, the §VIII-E scenario. Nothing moves while a
+/// migration is in flight, before `cfg`'s cooldown since the `last`
+/// request has passed (never requested: always cooled, even at t = 0), or
+/// before one full [`MIGRATION_WINDOW`] has been observed. The target is
+/// the first GPU running no busy server; the source the first GPU running
+/// ≥2 busy servers, busy for ≥80 % of the window (`busy_ns`, by GPU) and
+/// with an execution-attributed tail ([`exec_share_permille`]). The server
+/// moved runs the source's smallest function that fits the target,
+/// counting the extra context when the target is not the server's home.
+fn migration_move(
+    view: &View,
+    cfg: &GpuServerConfig,
+    busy_ns: &[u64],
+    queue_wait_ns: u64,
+    last: Option<SimTime>,
+) -> Option<(usize, GpuId)> {
+    let cooldown = MONITOR_PERIOD
+        .0
+        .saturating_mul(cfg.migration_cooldown_ticks as u64);
+    let cooled = last.is_none_or(|t| view.now.since(t).as_nanos() >= cooldown);
+    let in_flight = view.servers.iter().filter(|s| s.migrating).count();
+    if in_flight >= MAX_CONCURRENT_MIGRATIONS || !cooled || view.now.0 < MIGRATION_WINDOW.0 {
+        return None;
     }
-    let since = SimTime(now.as_nanos() - window.as_nanos());
-    let num_gpus = a.env.gpus.len();
-    let busy_on = |g: usize| {
-        servers
-            .iter()
-            .filter(|s| s.busy.is_some() && s.shared.current_gpu().0 as usize == g)
-            .count()
-    };
-    let Some(idle_gpu) = (0..num_gpus).find(|&g| busy_on(g) == 0) else {
-        return false;
-    };
-    for g in 0..num_gpus {
-        if busy_on(g) < 2 {
-            continue;
-        }
-        if !saturated(
-            a.env.gpus[g].busy_between(since, now).as_nanos(),
-            window.as_nanos(),
-        ) {
-            continue; // contended in count but not in compute
-        }
-        if exec_share_permille(now, a, servers, queue, GpuId(g as u32))
-            < MIGRATION_MIN_EXEC_SHARE_PERMILLE
-        {
-            continue; // tail is queue-caused; migration would not relieve it
-        }
-        // Move the smallest-footprint migratable function.
-        let target = GpuId(idle_gpu as u32);
-        let mut cand: Option<(&SrvBook, u64)> = None;
-        for s in servers {
-            if s.shared.current_gpu().0 as usize != g || s.shared.migration_pending() {
-                continue;
-            }
-            let Some(b) = &s.busy else { continue };
-            let extra_ctx = if s.shared.home_gpu == target {
+    let target = view.gpus.iter().position(|g| g.busy == 0)?;
+    let target_free = view.gpus[target].free;
+    let target = GpuId(target as u32);
+    let mut loaded = (0..view.gpus.len()).filter(|&g| {
+        view.gpus[g].busy >= 2
+            && saturated(busy_ns[g], MIGRATION_WINDOW.0)
+            && exec_share_permille(view, g, queue_wait_ns) >= MIGRATION_MIN_EXEC_SHARE_PERMILLE
+    });
+    loaded.find_map(|g| {
+        let movable = view.servers.iter().enumerate().filter_map(|(i, s)| {
+            let b = s
+                .busy
+                .filter(|_| s.current.0 as usize == g && !s.migrating)?;
+            let extra_ctx = if s.home == target {
                 0
             } else {
-                a.cfg.costs.cuda_ctx_mem
+                cfg.costs.cuda_ctx_mem
             };
-            if avail(a, servers, target) < (b.mem + extra_ctx) as i64 {
-                continue;
-            }
-            if cand.map(|(_, m)| b.mem < m).unwrap_or(true) {
-                cand = Some((s, b.mem));
-            }
-        }
-        if let Some((s, _)) = cand {
-            s.shared.request_migration(target);
-            return true; // one migration per tick
-        }
-    }
-    false
+            (target_free >= (b.mem + extra_ctx) as i64).then_some((i, b.mem))
+        });
+        movable
+            .min_by_key(|&(_, mem)| mem)
+            .map(|(i, _)| (i, target))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::AutoscaleConfig;
+    use dgsf_cuda::CostTable;
+    use dgsf_gpu::{GB, MB};
+
+    fn ms(m: u64) -> SimTime {
+        SimTime::ZERO + Dur::from_millis(m)
+    }
+
+    /// A GPU with `free` bytes of declared free memory.
+    fn gpu(free: u64, homed: u32, busy: u32) -> GpuView {
+        GpuView {
+            free: free as i64,
+            homed,
+            busy,
+        }
+    }
+
+    /// Live, idle server `id` at home on GPU `home`, idle since t = 0.
+    fn srv(id: u32, home: u32) -> SrvView {
+        SrvView {
+            id,
+            home: GpuId(home),
+            current: GpuId(home),
+            live: true,
+            killed: None,
+            migrating: false,
+            idle_since: SimTime::ZERO,
+            busy: None,
+        }
+    }
+
+    /// `s` running invocation `id` of `mem` bytes, assigned at `at`.
+    fn running(s: SrvView, id: u64, mem: u64, at: SimTime) -> SrvView {
+        SrvView {
+            busy: Some(Running {
+                invocation: id,
+                mem,
+                assigned_at: at,
+            }),
+            ..s
+        }
+    }
+
+    fn view(now: SimTime, gpus: Vec<GpuView>, servers: Vec<SrvView>) -> View {
+        View { now, gpus, servers }
+    }
+
+    #[test]
+    fn best_fit_packs_and_worst_fit_spreads_with_ties_to_the_lowest_index() {
+        use PlacementPolicy::{BestFit, WorstFit};
+        let gpus = vec![
+            gpu(8 * GB, 1, 0),
+            gpu(3 * GB, 1, 0),
+            gpu(12 * GB, 1, 0),
+            gpu(3 * GB, 1, 0),
+        ];
+        let v = view(SimTime::ZERO, gpus, (0..4).map(|i| srv(i, i)).collect());
+        // The least free GPU that fits: 3 GB on GPUs 1 and 3, so index 1.
+        assert_eq!(pick_server(&v, BestFit, 2 * GB, None), Some(1));
+        assert_eq!(pick_server(&v, BestFit, 3 * GB, None), Some(1));
+        assert_eq!(pick_server(&v, BestFit, 3 * GB + 1, None), Some(0));
+        assert_eq!(pick_server(&v, WorstFit, 2 * GB, None), Some(2));
+        assert_eq!(pick_server(&v, BestFit, 12 * GB + 1, None), None);
+        // Worst fit ties go to the lowest index too.
+        let even = view(
+            SimTime::ZERO,
+            vec![gpu(5 * GB, 1, 0); 2],
+            vec![srv(0, 0), srv(1, 1)],
+        );
+        assert_eq!(pick_server(&even, WorstFit, GB, None), Some(0));
+        assert_eq!(pick_server(&even, BestFit, GB, None), Some(0));
+        // A busy server is skipped, whatever its GPU offers.
+        let mut v = v;
+        v.servers[1] = running(v.servers[1], 7, GB, SimTime::ZERO);
+        assert_eq!(pick_server(&v, BestFit, 2 * GB, None), Some(3));
+    }
+
+    #[test]
+    fn a_pinned_request_waits_for_its_server_and_a_lapsed_server_never_places() {
+        use PlacementPolicy::BestFit;
+        let gpus = vec![gpu(10 * GB, 2, 1), gpu(10 * GB, 1, 0)];
+        let servers = vec![
+            running(srv(0, 0), 1, GB, SimTime::ZERO),
+            srv(1, 0),
+            srv(2, 1),
+        ];
+        let mut v = view(SimTime::ZERO, gpus, servers);
+        // Pinned to the busy server 0: waits, though 1 and 2 are idle.
+        assert_eq!(pick_server(&v, BestFit, GB, Some(0)), None);
+        assert_eq!(pick_server(&v, BestFit, GB, Some(2)), Some(2));
+        // A pin on a server not in the list (retired) never places.
+        assert_eq!(pick_server(&v, BestFit, GB, Some(9)), None);
+        // A lease-expired server never places, pinned or not.
+        v.servers[1].live = false;
+        v.servers[2].live = false;
+        assert_eq!(pick_server(&v, BestFit, GB, Some(2)), None);
+        assert_eq!(pick_server(&v, BestFit, GB, None), None);
+    }
+
+    #[test]
+    fn scale_up_respects_the_ceiling_and_the_idle_footprint() {
+        let fp = CostTable::default().idle_worker_mem();
+        assert_eq!(fp, 755 * MB);
+        let gpus = vec![gpu(10 * GB, 2, 0), gpu(fp - 1, 1, 0), gpu(5 * GB, 1, 0)];
+        let v = view(SimTime::ZERO, gpus, Vec::new());
+        // GPU 0 is at the ceiling of 2 and GPU 1 cannot fit the footprint.
+        assert_eq!(scale_up_gpu(&v, 2, fp), Some(GpuId(2)));
+        assert_eq!(scale_up_gpu(&v, 3, fp), Some(GpuId(0)));
+        assert_eq!(scale_up_gpu(&v, 1, fp), None);
+        // Exactly the footprint fits; ties go to the lowest GPU id.
+        let v = view(SimTime::ZERO, vec![gpu(fp, 1, 0); 2], Vec::new());
+        assert_eq!(scale_up_gpu(&v, 2, fp), Some(GpuId(0)));
+    }
+
+    #[test]
+    fn scale_down_retires_the_longest_idle_server_above_the_floor() {
+        let scaler = Autoscaler::new(AutoscaleConfig::new(1, 4).with_idle_ttl(Dur::from_secs(5)));
+        let idle = |s: SrvView, at: u64| SrvView {
+            idle_since: ms(at),
+            ..s
+        };
+        let now = ms(10_000);
+        // GPU 0 holds five live servers, GPU 1 only its floor of one.
+        let gpus = vec![gpu(0, 5, 1), gpu(0, 1, 0)];
+        let servers = vec![
+            idle(srv(7, 0), 2_000),
+            idle(srv(3, 0), 2_000),
+            idle(srv(4, 0), 4_000),
+            running(srv(5, 0), 1, GB, ms(9_000)),
+            idle(srv(6, 1), 0),
+        ];
+        let mut v = view(now, gpus, servers);
+        // Servers 7 and 3 idled longest; the tie goes to the lower id, 3.
+        // Server 6 idled longer still, but GPU 1 is at its floor.
+        assert_eq!(scale_down_victim(&v, &scaler), Some(1));
+        // Neither a failed nor a migrating server retires, nor one idle
+        // for less than the TTL (server 4: 6 s pass it, 4.999 s do not).
+        v.servers[1].live = false;
+        v.servers[0].migrating = true;
+        assert_eq!(scale_down_victim(&v, &scaler), Some(2));
+        v.servers[2].idle_since = ms(5_001);
+        assert_eq!(scale_down_victim(&v, &scaler), None);
+        // A busy server never retires, however long it idled before.
+        v.servers[3].idle_since = SimTime::ZERO;
+        assert_eq!(scale_down_victim(&v, &scaler), None);
+        // At the floor nothing retires.
+        v.servers[2].idle_since = SimTime::ZERO;
+        v.gpus[0].homed = 1;
+        assert_eq!(scale_down_victim(&v, &scaler), None);
+    }
+
+    /// GPU 0 runs two functions on servers homed there (`small` and 4 GB,
+    /// assigned at t = 0) and GPU 1 runs none; the last migration window
+    /// saw GPU 0 busy for `busy_ns`.
+    fn imbalance(now: SimTime, small: u64, target_free: u64) -> View {
+        let gpus = vec![gpu(0, 2, 2), gpu(target_free, 0, 0)];
+        let servers = vec![
+            running(srv(0, 0), 1, 4 * GB, SimTime::ZERO),
+            running(srv(1, 0), 2, small, SimTime::ZERO),
+        ];
+        view(now, gpus, servers)
+    }
+
+    #[test]
+    fn migration_moves_the_smallest_function_that_fits_the_idle_gpu() {
+        // The default cooldown: 15 ticks of 200 ms.
+        let cfg = GpuServerConfig::paper_default();
+        let ctx = cfg.costs.cuda_ctx_mem;
+        let mv = |v: &View, busy_ns: u64, queue_ns: u64, last: Option<SimTime>| {
+            migration_move(v, &cfg, &[busy_ns, 0], queue_ns, last)
+        };
+        let full = MIGRATION_WINDOW.as_nanos();
+        let now = ms(1000);
+        // The smallest footprint moves, counting the extra context the
+        // target needs.
+        let v = imbalance(now, 2 * GB, 2 * GB + ctx);
+        assert_eq!(mv(&v, full, 0, None), Some((1, GpuId(1))));
+        let v = imbalance(now, 2 * GB, 2 * GB + ctx - 1);
+        assert_eq!(mv(&v, full, 0, None), None);
+        // A server whose home is the target needs no extra context there.
+        let mut v = imbalance(now, 2 * GB, 2 * GB);
+        v.servers[1].home = GpuId(1);
+        assert_eq!(mv(&v, full, 0, None), Some((1, GpuId(1))));
+        // One migration at a time: a pending or in-flight one blocks all.
+        let mut v = imbalance(now, 2 * GB, 8 * GB);
+        v.servers[0].migrating = true;
+        assert_eq!(mv(&v, full, 0, None), None);
+        v.servers[0].migrating = false;
+        assert_eq!(mv(&v, full, 0, None), Some((1, GpuId(1))));
+        // Busy for 80 % of the window or more.
+        assert_eq!(mv(&v, full * 8 / 10, 0, None), Some((1, GpuId(1))));
+        assert_eq!(mv(&v, full * 8 / 10 - 1, 0, None), None);
+        // An execution share of 500 ‰ or more: 2 s of execution on GPU 0
+        // against up to 2 s of queue wait.
+        let two_s = Dur::from_secs(2).as_nanos();
+        assert_eq!(mv(&v, full, two_s, None), Some((1, GpuId(1))));
+        assert_eq!(mv(&v, full, two_s + 1, None), None);
+        // Not before one full window.
+        let early = view(ms(599), v.gpus.clone(), v.servers.clone());
+        assert_eq!(mv(&early, full, 0, None), None);
+        // One busy server is no imbalance, and neither is a fleet with no
+        // idle GPU.
+        let mut one = imbalance(now, 2 * GB, 8 * GB);
+        one.servers.remove(0);
+        one.gpus[0].busy = 1;
+        assert_eq!(mv(&one, full, 0, None), None);
+        let mut none_idle = imbalance(now, 2 * GB, 8 * GB);
+        none_idle.gpus[1].busy = 1;
+        assert_eq!(mv(&none_idle, full, 0, None), None);
+    }
+
+    #[test]
+    fn a_lease_lapses_exactly_one_timeout_after_the_last_heartbeat() {
+        let ns = |n: u64| SimTime::ZERO + Dur(n);
+        // Assigned at 0 and killed just after the 600 ms beat: the lease
+        // lapses once more than 1 s has passed since that beat.
+        let killed = |now: SimTime| {
+            let mut s = running(srv(4, 0), 9, GB, SimTime::ZERO);
+            s.killed = Some(ns(600_000_001));
+            view(now, vec![gpu(0, 1, 1)], vec![srv(3, 0), s])
+        };
+        assert_eq!(lapsed(&killed(ms(1600))).count(), 0);
+        assert_eq!(
+            lapsed(&killed(ns(1_600_000_001))).collect::<Vec<_>>(),
+            vec![(1, 9)]
+        );
+        // A server not killed keeps beating, and an idle one holds no lease.
+        let mut v = killed(ms(5000));
+        v.servers[1].killed = None;
+        assert_eq!(lapsed(&v).count(), 0);
+        v.servers[0].killed = Some(SimTime::ZERO);
+        assert_eq!(lapsed(&v).count(), 0);
+    }
 
     #[test]
     fn cooldown_distinguishes_never_from_a_request_at_t0() {
-        let t = |ms: u64| SimTime::ZERO + Dur::from_millis(ms);
-        let cooldown = Dur::from_secs(3);
-        // Never requested: always cooled, even at t=0.
-        assert!(migration_cooled(SimTime::ZERO, None, cooldown));
-        assert!(migration_cooled(t(1), None, cooldown));
-        // A genuine request at t=0 must hold the cooldown. The old
-        // `SimTime::ZERO` sentinel returned true here, letting a second
-        // migration fire immediately after one at the epoch.
-        assert!(!migration_cooled(t(100), Some(SimTime::ZERO), cooldown));
-        assert!(!migration_cooled(t(2999), Some(SimTime::ZERO), cooldown));
-        assert!(migration_cooled(t(3000), Some(SimTime::ZERO), cooldown));
+        // An imbalance the migration decision fixes once cooled, under the
+        // default cooldown of 15 ticks of 200 ms.
+        let cfg = GpuServerConfig::paper_default();
+        let full = MIGRATION_WINDOW.as_nanos();
+        let cooled = |now: u64, last: Option<SimTime>| {
+            let v = imbalance(ms(now), GB, 8 * GB);
+            migration_move(&v, &cfg, &[full, 0], 0, last).is_some()
+        };
+        // Never requested: always cooled, from the first full window on.
+        assert!(cooled(600, None));
+        // A genuine request at t=0 must hold the cooldown. A
+        // `SimTime::ZERO` sentinel for "never" passed here, letting a
+        // second migration fire right after one at the epoch.
+        assert!(!cooled(600, Some(SimTime::ZERO)));
+        assert!(!cooled(2999, Some(SimTime::ZERO)));
+        assert!(cooled(3000, Some(SimTime::ZERO)));
         // And the ordinary case away from the epoch.
-        assert!(!migration_cooled(t(5000), Some(t(4000)), cooldown));
-        assert!(migration_cooled(t(7000), Some(t(4000)), cooldown));
+        assert!(!cooled(5000, Some(ms(4000))));
+        assert!(cooled(7000, Some(ms(4000))));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! weighted-fair configuration or is unset, and unset sheds tenant-blind,
 //! whoever arrives while the platform is full.
 
+use crate::fairqueue::MqfqConfig;
+
 /// How the monitor picks a GPU for an incoming function (§VIII-D/E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
@@ -27,7 +29,7 @@ pub enum PlacementPolicy {
 /// "leaves exploration of policies like shortest-function-first, which
 /// could improve throughput at some loss of fairness, for future work"
 /// (§VIII-D) — implemented here as [`QueuePolicy::SmallestFirst`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Strict first-come-first-serve with head-of-line blocking (the
     /// paper's evaluated policy).
@@ -40,9 +42,8 @@ pub enum QueuePolicy {
     /// Multi-queue fair queueing (MQFQ-Sticky): one FIFO flow per tenant,
     /// dispatch by lowest integer-ns virtual time with configurable
     /// weights, work-conserving fallback to any backlogged tenant when the
-    /// lowest-vtime head cannot be placed. Weights come from
-    /// [`crate::MqfqConfig`] via `GpuServerConfig::with_fair_queue`.
-    Mqfq,
+    /// lowest-vtime head cannot be placed, under these per-tenant weights.
+    Mqfq(MqfqConfig),
 }
 
 /// How the serverless backend picks a GPU server from the fleet for a

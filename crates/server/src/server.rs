@@ -170,6 +170,11 @@ impl GpuServer {
             monitor_tx: monitor_tx.clone(),
             migration_log: Rc::clone(&migration_log),
             idle_timeout: cfg.idle_timeout,
+            kills: cfg
+                .faults
+                .as_ref()
+                .map_or(&[][..], |plan| plan.kills())
+                .into(),
         };
         let servers: Vec<SrvBook> = (0..cfg.total_api_servers())
             .map(|id| {
@@ -188,14 +193,6 @@ impl GpuServer {
             obs: obs.map(|(obs, _)| obs),
         };
         h.spawn("monitor", move |pp| run_monitor(pp, monitor, monitor_rx));
-
-        // Record the fault plan's kills of the provisioned API servers; each
-        // takes effect on the virtual clock at its time.
-        for &(sid, at) in cfg.faults.iter().flat_map(|plan| plan.kills()) {
-            if let Some(s) = servers.lock().iter().find(|s| s.shared.id == sid) {
-                s.shared.kill(at);
-            }
-        }
 
         Arc::new(GpuServer {
             gpus,
@@ -298,11 +295,9 @@ impl GpuServer {
         self.monitor_tx.send(
             p,
             MonitorMsg::Request(FnRequest {
-                mem,
                 registry,
                 reply: reply_tx,
                 invocation,
-                requested_at: now,
                 trace,
                 pin_server,
             }),
@@ -485,11 +480,15 @@ impl GpuServer {
     /// run settles — any difference means a migration leaked or
     /// double-charged memory.
     pub fn expected_idle_mem(&self, gpu: GpuId) -> u64 {
-        self.servers
-            .lock()
-            .iter()
-            .map(|s| s.shared.declared_mem(gpu, &self.costs))
-            .sum()
+        let mut sum = 0;
+        for s in self.servers.lock().iter() {
+            s.shared.declared(&self.costs, |g, mem| {
+                if g == gpu {
+                    sum += mem;
+                }
+            });
+        }
+        sum
     }
 
     /// Snapshot of all invocation records, in invocation order.

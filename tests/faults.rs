@@ -381,3 +381,64 @@ fn a_killed_servers_lease_lapses_one_timeout_after_its_last_beat() {
         assert_eq!(rec.done_at, None, "kill at {kill_at:?}");
     }
 }
+
+#[test]
+fn a_planned_kill_of_an_autoscaled_server_fails_over_through_its_lease() {
+    // One GPU, one provisioned server (id 0) and room for one more: the
+    // autoscaler starts server 1 once the second of two 2 s functions has
+    // queued past the 500 ms target for two ticks. The plan kills server 1
+    // while that function runs there.
+    let mut sim = Sim::new(1);
+    let h = sim.handle();
+    let slot: Rc<SimCell<Option<Arc<GpuServer>>>> = Rc::new(SimCell::new(&h, None));
+    let results = Rc::new(SimCell::new(&h, Vec::new()));
+    let (s2, r2, h2) = (Rc::clone(&slot), Rc::clone(&results), h.clone());
+    sim.spawn("autoscaled-kill-root", move |p| {
+        let plan = FaultPlan::new(1).kill_server(1, t(1.5));
+        let cfg = GpuServerConfig::paper_default()
+            .gpus(1)
+            .with_autoscale(AutoscaleConfig::new(1, 2))
+            .with_faults(plan);
+        let server = GpuServer::provision(p, &h2, cfg);
+        let backend = Rc::new(Backend::new(
+            &h2,
+            vec![Arc::clone(&server)],
+            FleetPolicy::RoundRobin,
+        ));
+        let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
+        for i in 0..2 {
+            let (backend, store, out) = (Rc::clone(&backend), Arc::clone(&store), Rc::clone(&r2));
+            h2.spawn(&format!("fn-{i}"), move |p| {
+                let spin = Spin {
+                    gpu_secs: 2.0,
+                    ..Spin::default()
+                };
+                let r = backend.invoke(p, &store, &spin, OptConfig::full());
+                out.lock().push((r.attempts, r.failure.clone()));
+            });
+        }
+        *s2.borrow_in(p) = Some(server);
+    });
+    // Terminates: the lapsed server keeps no tick armed.
+    sim.run();
+    let server = slot.lock().clone().expect("provisioned");
+    let records = server.records();
+    let ms = |m: u64| SimTime::ZERO + Dur::from_millis(m);
+    let on_1: Vec<&InvocationRecord> = records.iter().filter(|r| r.server == Some(1)).collect();
+    assert_eq!(on_1.len(), 1, "{records:#?}");
+    let killed = on_1[0];
+    // Scaled up at the 800 ms tick; killed at 1.5 s, after its 1.4 s beat;
+    // failed over at the first tick more than 1 s after that beat.
+    assert_eq!(killed.assigned_at, Some(ms(800)));
+    assert_eq!(killed.failed_at, Some(ms(2600)), "{killed:?}");
+    assert_eq!(killed.done_at, None);
+    // Both functions completed, the killed one on its second attempt.
+    let mut outcomes = results.lock().clone();
+    outcomes.sort();
+    assert_eq!(outcomes, vec![(1, None), (2, None)]);
+    // The lapsed server counts toward neither the floor nor the servers
+    // above it: one live server stays and every extra one was retired.
+    let g = server.gauges();
+    assert_eq!(g.failed_api_servers, 1);
+    assert_eq!(g.live_api_servers(), 1);
+}
