@@ -1,36 +1,43 @@
-//! Per-tenant virtual-time fair queueing (MQFQ) for the monitor's queue.
+//! Per-tenant virtual-time fair queueing (MQFQ): the monitor's queue.
 //!
-//! Implements the in-queue half of the MQFQ-Sticky design: instead of one
-//! flat FCFS queue, the monitor keeps one FIFO flow per tenant and
-//! dispatches the flow with the lowest *virtual time* — an integer-ns
-//! counter of normalized service each tenant has received. A tenant's
-//! virtual time advances by `service_ns / weight` per completed function
-//! (computed with an exact remainder carry, so no rounding error
-//! accumulates), which converges long-run GPU time to the configured
-//! weight ratio regardless of how bursty each tenant's arrivals are.
+//! Implements the in-queue half of the MQFQ-Sticky design: the monitor
+//! keeps one FIFO flow per tenant and dispatches the flow with the lowest
+//! *virtual time* — an integer-ns counter of normalized service each
+//! tenant has received. A tenant's virtual time advances by
+//! `service_ns / weight` per completed function (computed with an exact
+//! remainder carry, so no rounding error accumulates), which converges
+//! long-run GPU time to the configured weight ratio regardless of how
+//! bursty each tenant's arrivals are.
+//!
+//! It is the monitor's only queue. Under FCFS and smallest-first every
+//! request joins one flow, so dispatch offers that flow's candidate (its
+//! head, or its first request of smallest memory) and waits while it does
+//! not place: the paper's head-of-line blocking.
 //!
 //! Two refinements matter in a serverless fleet:
 //!
-//! * **Work conservation.** Dispatch scans flows in virtual-time order and
-//!   takes the first whose head *fits* (the caller supplies the placement
-//!   check). If the lowest-vtime tenant's head function cannot be placed —
-//!   say it needs more GPU memory than any idle server offers — the next
-//!   backlogged tenant is tried, so the GPU never idles while any queue
-//!   holds placeable work.
+//! * **Work conservation.** [`MqfqQueues::decide`] offers each backlogged
+//!   flow's candidate to the caller's placement check and chooses, among
+//!   the candidates that place, the flow of least virtual time. If the
+//!   lowest-vtime tenant's candidate cannot be placed — say it needs more
+//!   GPU memory than any idle server offers — another backlogged tenant is
+//!   served, so the GPU never idles while any queue holds placeable work.
 //! * **No banked credit.** When a flow re-activates after an idle period,
 //!   its virtual time is clamped up to the minimum over currently active
 //!   flows (start-time fair queueing). An idle tenant therefore cannot
 //!   accumulate an unbounded "debt" claim and lock out everyone else on
 //!   return.
 //!
-//! In-flight functions are provisionally charged `ASSUMED_SERVICE_NS`
-//! (100 ms) against their flow's dispatch key; the exact charge replaces the
+//! In-flight functions are provisionally charged [`ASSUMED_SERVICE_NS`]
+//! against their flow's dispatch key; the exact charge replaces the
 //! assumption when the function completes. Without this, a tenant with
 //! many idle servers available could dispatch its whole queue back-to-back
 //! before the first completion ever advanced its virtual time.
 //!
-//! The structure is pure (no simulator types), deterministic (BTreeMap
-//! iteration, integer arithmetic only), and generic over the queued item.
+//! The structure is pure (no simulator types), deterministic (integer
+//! arithmetic only, ties broken by tenant name), and generic over the
+//! queued item. Dispatch is a decision over `&self` ([`MqfqQueues::decide`])
+//! and its application ([`MqfqQueues::take`]).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -44,7 +51,7 @@ const DEFAULT_WEIGHT: u64 = 1;
 /// Provisional per-dispatch charge (ns) held against a flow while its
 /// functions are in flight, replaced by the exact service time on
 /// completion: 100 ms, a typical short function.
-const ASSUMED_SERVICE_NS: u64 = 100_000_000;
+pub const ASSUMED_SERVICE_NS: u64 = 100_000_000;
 
 /// Configuration of the per-tenant fair queue.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -78,6 +85,8 @@ impl MqfqConfig {
 /// One tenant's flow: FIFO backlog plus fair-queueing accounting.
 #[derive(Debug)]
 struct Flow<T> {
+    /// The tenant, named when the flow is first seen.
+    name: String,
     weight: u64,
     queue: VecDeque<T>,
     /// Virtual time in `VTIME_SCALE`-scaled units of normalized service.
@@ -93,6 +102,45 @@ struct Flow<T> {
     service_ns: u64,
 }
 
+impl<T> Flow<T> {
+    /// No backlog and nothing in flight.
+    fn idle(&self) -> bool {
+        self.queue.is_empty() && self.inflight == 0
+    }
+
+    /// Dispatch key: the virtual time plus a provisional charge for every
+    /// function in flight, so back-to-back dispatches before the first
+    /// completion still rotate across tenants, then the tenant name.
+    fn key(&self) -> (u128, &str) {
+        let hold = self.inflight as u128 * (ASSUMED_SERVICE_NS as u128 * VTIME_SCALE);
+        (self.vtime + hold / self.weight as u128, &self.name)
+    }
+}
+
+/// Position of the first item of least `rank` in a non-empty `queue`. A
+/// rank of 0 ends the scan, since nothing ranks lower.
+fn candidate<T>(queue: &VecDeque<T>, rank: impl Fn(&T) -> u64) -> usize {
+    let mut best = (u64::MAX, 0);
+    for (i, item) in queue.iter().enumerate() {
+        let r = rank(item);
+        if r < best.0 {
+            best = (r, i);
+        }
+        if r == 0 {
+            break;
+        }
+    }
+    best.1
+}
+
+/// A queued item chosen by [`MqfqQueues::decide`]: valid for
+/// [`MqfqQueues::take`] until the queue next changes.
+#[derive(Debug, Clone, Copy)]
+pub struct Pick {
+    flow: usize,
+    pos: usize,
+}
+
 /// Multi-queue fair queueing over items of type `T`, keyed by tenant name.
 ///
 /// See the module docs for the model. Flows persist after their backlog
@@ -101,7 +149,8 @@ struct Flow<T> {
 #[derive(Debug)]
 pub struct MqfqQueues<T> {
     cfg: MqfqConfig,
-    flows: BTreeMap<String, Flow<T>>,
+    /// Every flow seen so far, in first-sight order.
+    flows: Vec<Flow<T>>,
     /// High-water mark of dispatch-time virtual times; re-activating flows
     /// are clamped here when no other flow is active.
     floor: u128,
@@ -113,7 +162,7 @@ impl<T> MqfqQueues<T> {
     pub fn new(cfg: MqfqConfig) -> Self {
         Self {
             cfg,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             floor: 0,
             len: 0,
         }
@@ -129,100 +178,103 @@ impl<T> MqfqQueues<T> {
         self.len == 0
     }
 
-    /// Append `item` to `tenant`'s flow, creating the flow on first sight.
+    fn flow(&self, tenant: &str) -> Option<&Flow<T>> {
+        self.flows.iter().find(|f| f.name == tenant)
+    }
+
+    /// Append `item` to `tenant`'s flow, creating (and naming) the flow on
+    /// first sight.
     ///
     /// A flow re-activating from idle (no backlog, nothing in flight) has
     /// its virtual time clamped up to the minimum over active flows — or
     /// the dispatch floor when it is alone — so idle time never banks
     /// credit.
     pub fn push(&mut self, tenant: &str, item: T) {
-        let weight = self.cfg.weight_of(tenant);
-        let was_idle = self
-            .flows
-            .get(tenant)
-            .map(|f| f.queue.is_empty() && f.inflight == 0)
-            .unwrap_or(true);
-        if was_idle {
-            let active_min = self
-                .flows
-                .iter()
-                .filter(|(name, f)| {
-                    name.as_str() != tenant && (!f.queue.is_empty() || f.inflight > 0)
-                })
-                .map(|(_, f)| f.vtime)
-                .min();
-            let clamp = active_min.unwrap_or(self.floor);
-            let flow = self.flows.entry(tenant.to_string()).or_insert(Flow {
-                weight,
-                queue: VecDeque::new(),
-                vtime: 0,
-                rem: 0,
-                inflight: 0,
-                dispatched: 0,
-                service_ns: 0,
-            });
+        let i = match self.flows.iter().position(|f| f.name == tenant) {
+            Some(i) => i,
+            None => {
+                self.flows.push(Flow {
+                    name: tenant.to_string(),
+                    weight: self.cfg.weight_of(tenant),
+                    queue: VecDeque::new(),
+                    vtime: 0,
+                    rem: 0,
+                    inflight: 0,
+                    dispatched: 0,
+                    service_ns: 0,
+                });
+                self.flows.len() - 1
+            }
+        };
+        if self.flows[i].idle() {
+            let active = self.flows.iter().filter(|f| !f.idle());
+            let clamp = active.map(|f| f.vtime).min().unwrap_or(self.floor);
+            let flow = &mut self.flows[i];
             if flow.vtime < clamp {
                 flow.vtime = clamp;
                 flow.rem = 0;
             }
-            flow.weight = weight;
-            flow.queue.push_back(item);
-        } else {
-            let flow = self.flows.get_mut(tenant).expect("non-idle flow exists");
-            flow.queue.push_back(item);
         }
+        self.flows[i].queue.push_back(item);
         self.len += 1;
     }
 
-    /// Pop the next item to dispatch, work-conservingly.
+    /// Dispatch decision, work-conserving: which queued item to dispatch,
+    /// with what `place` returned for it.
     ///
-    /// Backlogged flows are visited in order of their *effective* virtual
-    /// time — actual vtime plus the provisional charge for functions still
-    /// in flight — with the tenant name as the deterministic tie-break.
-    /// For each flow, only the head is offered (FIFO within a tenant). The
-    /// first head for which `fits` returns `Some(c)` is dispatched: the
-    /// item is removed, the flow's in-flight count incremented, and
-    /// `(item, c)` returned. Returns `None` when no queued head fits.
-    pub fn pop_next<C>(&mut self, mut fits: impl FnMut(&T) -> Option<C>) -> Option<(T, C)> {
-        let mut order: Vec<(u128, &String)> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| !f.queue.is_empty())
-            .map(|(name, f)| (effective_key(f), name))
-            .collect();
-        order.sort();
-        let mut chosen: Option<(String, C)> = None;
-        for (_, name) in order {
-            let f = &self.flows[name];
-            let head = f.queue.front().expect("backlogged flow has a head");
-            if let Some(c) = fits(head) {
-                chosen = Some((name.clone(), c));
-                break;
+    /// Each backlogged flow offers one candidate, its first item of least
+    /// `rank` (rank every item alike to offer the head). Among the
+    /// candidates for which `place` returns `Some`, the flow with the least
+    /// *effective* virtual time wins — actual vtime plus the provisional
+    /// charge for functions still in flight — with the tenant name as the
+    /// deterministic tie-break. `None` when no candidate places. A flow
+    /// that cannot beat the best placed one so far is not offered, and a
+    /// lone backlogged flow's key is never worked out.
+    pub fn decide<C>(
+        &self,
+        rank: impl Fn(&T) -> u64,
+        mut place: impl FnMut(&T) -> Option<C>,
+    ) -> Option<(Pick, C)> {
+        let mut best: Option<(Pick, C)> = None;
+        for (flow, f) in self.flows.iter().enumerate() {
+            let beaten = |(b, _): &(Pick, C)| self.flows[b.flow].key() < f.key();
+            if f.queue.is_empty() || best.as_ref().is_some_and(beaten) {
+                continue;
+            }
+            let pos = candidate(&f.queue, &rank);
+            if let Some(c) = place(&f.queue[pos]) {
+                best = Some((Pick { flow, pos }, c));
             }
         }
-        let (name, c) = chosen?;
-        let flow = self.flows.get_mut(&name).expect("chosen flow exists");
-        let item = flow.queue.pop_front().expect("chosen flow has a head");
+        best
+    }
+
+    /// Dispatch `pick`: remove its item, hold one in-flight charge against
+    /// its flow and raise the dispatch floor to the flow's virtual time.
+    pub fn take(&mut self, pick: Pick) -> T {
+        let flow = &mut self.flows[pick.flow];
+        let item = flow
+            .queue
+            .remove(pick.pos)
+            .expect("a pick names a queued item");
         flow.inflight += 1;
         flow.dispatched += 1;
-        if flow.vtime > self.floor {
-            self.floor = flow.vtime;
-        }
+        self.floor = self.floor.max(flow.vtime);
         self.len -= 1;
-        Some((item, c))
+        item
     }
 
     /// Charge `tenant` for `service_ns` nanoseconds of completed service,
     /// advancing its virtual time by `service_ns / weight` (exact, with
     /// remainder carry) and releasing one provisional in-flight hold.
     pub fn charge(&mut self, tenant: &str, service_ns: u64) {
-        let Some(flow) = self.flows.get_mut(tenant) else {
+        let Some(flow) = self.flows.iter_mut().find(|f| f.name == tenant) else {
             return;
         };
         flow.inflight = flow.inflight.saturating_sub(1);
         let c = service_ns.max(1);
         flow.service_ns = flow.service_ns.saturating_add(c);
-        let w = flow.weight.max(1) as u128;
+        let w = flow.weight as u128;
         let num = c as u128 * VTIME_SCALE + flow.rem;
         flow.vtime += num / w;
         flow.rem = num % w;
@@ -232,60 +284,39 @@ impl<T> MqfqQueues<T> {
     /// accounting (virtual time, in-flight holds) is untouched.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         let mut len = 0;
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             f.queue.retain(&mut keep);
             len += f.queue.len();
         }
         self.len = len;
     }
 
-    /// Iterate over all queued items, tenants in name order, FIFO within a
-    /// tenant. (Deterministic, but *not* dispatch order.)
+    /// Iterate over all queued items, flows in first-sight order, FIFO
+    /// within a flow. (Deterministic, but *not* dispatch order.)
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.flows.values().flat_map(|f| f.queue.iter())
-    }
-
-    /// Tenants with at least one queued or in-flight function, name order.
-    pub fn tenants(&self) -> impl Iterator<Item = &str> {
-        self.flows
-            .iter()
-            .filter(|(_, f)| !f.queue.is_empty() || f.inflight > 0)
-            .map(|(name, _)| name.as_str())
+        self.flows.iter().flat_map(|f| f.queue.iter())
     }
 
     /// `tenant`'s current virtual time in scaled units (None before its
     /// first push).
     pub fn vtime_of(&self, tenant: &str) -> Option<u128> {
-        self.flows.get(tenant).map(|f| f.vtime)
+        self.flow(tenant).map(|f| f.vtime)
     }
 
     /// Total exact service (ns) charged to `tenant` so far.
     pub fn service_of(&self, tenant: &str) -> u64 {
-        self.flows.get(tenant).map(|f| f.service_ns).unwrap_or(0)
+        self.flow(tenant).map_or(0, |f| f.service_ns)
     }
 
     /// Total dispatches from `tenant`'s flow so far.
     pub fn dispatches_of(&self, tenant: &str) -> u64 {
-        self.flows.get(tenant).map(|f| f.dispatched).unwrap_or(0)
+        self.flow(tenant).map_or(0, |f| f.dispatched)
     }
 
     /// Queued backlog of `tenant` (in-flight functions not counted).
     pub fn backlog_of(&self, tenant: &str) -> usize {
-        self.flows.get(tenant).map(|f| f.queue.len()).unwrap_or(0)
+        self.flow(tenant).map_or(0, |f| f.queue.len())
     }
-
-    /// The configuration this queue set was built with.
-    pub fn config(&self) -> &MqfqConfig {
-        &self.cfg
-    }
-}
-
-/// Dispatch key of a flow: its virtual time plus a provisional charge for
-/// every function in flight, so back-to-back dispatches before the first
-/// completion still rotate across tenants.
-fn effective_key<T>(f: &Flow<T>) -> u128 {
-    let w = f.weight.max(1) as u128;
-    f.vtime + f.inflight as u128 * (ASSUMED_SERVICE_NS as u128 * VTIME_SCALE) / w
 }
 
 #[cfg(test)]
@@ -294,6 +325,12 @@ mod tests {
 
     fn fq(cfg: MqfqConfig) -> MqfqQueues<u64> {
         MqfqQueues::new(cfg)
+    }
+
+    /// Decide on the heads for which `fits` holds, and take the choice.
+    fn pop(q: &mut MqfqQueues<u64>, fits: impl Fn(u64) -> bool) -> Option<u64> {
+        let (pick, ()) = q.decide(|_| 0, |&x| fits(x).then_some(()))?;
+        Some(q.take(pick))
     }
 
     #[test]
@@ -308,7 +345,7 @@ mod tests {
         }
         let mut counts = (0u64, 0u64);
         for _ in 0..30 {
-            let (item, ()) = q.pop_next(|_| Some(())).expect("backlogged");
+            let item = pop(&mut q, |_| true).expect("backlogged");
             if item < 100 {
                 counts.0 += 1;
                 q.charge("heavy", 1_000_000);
@@ -328,14 +365,10 @@ mod tests {
         q.push("b", 1);
         // "a" has the lower name (tie at vtime 0) but its head doesn't fit
         // a 4 GB budget; work conservation serves "b".
-        let (item, ()) = q
-            .pop_next(|&mem| if mem <= 4 { Some(()) } else { None })
-            .expect("b's head fits");
+        let item = pop(&mut q, |mem| mem <= 4).expect("b's head fits");
         assert_eq!(item, 1);
         // Nothing fits → None, with "a" still backlogged.
-        assert!(q
-            .pop_next(|&mem| if mem <= 4 { Some(()) } else { None })
-            .is_none());
+        assert!(pop(&mut q, |mem| mem <= 4).is_none());
         assert_eq!(q.backlog_of("a"), 1);
     }
 
@@ -346,7 +379,7 @@ mod tests {
         // "busy" works alone for a while.
         for i in 0..10 {
             q.push("busy", i);
-            let _ = q.pop_next(|_| Some(())).unwrap();
+            let _ = pop(&mut q, |_| true).unwrap();
             q.charge("busy", 1_000_000_000);
         }
         let busy_v = q.vtime_of("busy").unwrap();
@@ -360,9 +393,9 @@ mod tests {
         for i in 101..105 {
             q.push("idle", i);
         }
-        let (first, ()) = q.pop_next(|_| Some(())).unwrap();
+        let first = pop(&mut q, |_| true).unwrap();
         q.charge(if first < 100 { "busy" } else { "idle" }, 1_000_000_000);
-        let (second, ()) = q.pop_next(|_| Some(())).unwrap();
+        let second = pop(&mut q, |_| true).unwrap();
         assert_ne!(first < 100, second < 100);
     }
 
@@ -377,7 +410,7 @@ mod tests {
         // alternate tenants 2:2, not drain one flow 4:0.
         let mut a = 0;
         for _ in 0..4 {
-            let (item, ()) = q.pop_next(|_| Some(())).unwrap();
+            let item = pop(&mut q, |_| true).unwrap();
             if item < 10 {
                 a += 1;
             }
@@ -391,7 +424,7 @@ mod tests {
         q.push("t", 1);
         q.push("t", 2);
         q.push("u", 3);
-        let _ = q.pop_next(|_| Some(())).unwrap();
+        let _ = pop(&mut q, |_| true).unwrap();
         q.retain(|&x| x != 2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.dispatches_of("t") + q.dispatches_of("u"), 1);
@@ -403,7 +436,7 @@ mod tests {
         // after 3 charges the vtime must be exactly 10000, not 9999.
         let mut q = fq(MqfqConfig::new().with_weight("t", 3));
         q.push("t", 0);
-        let _ = q.pop_next(|_| Some(())).unwrap();
+        let _ = pop(&mut q, |_| true).unwrap();
         q.charge("t", 10);
         q.charge("t", 10);
         q.charge("t", 10);

@@ -2,11 +2,12 @@
 //!
 //! The monitor tracks per-GPU memory commitments and utilization, assigns
 //! incoming function requests to idle API servers under a best-fit or
-//! worst-fit policy with a strict FCFS queue (head-of-line blocking is the
-//! paper's stated behaviour) or per-tenant virtual-time fair queues
-//! ([`QueuePolicy::Mqfq`], the MQFQ-Sticky design — see
-//! [`crate::fairqueue`]), and — when migration is enabled — moves an API
-//! server off an overloaded GPU onto an idle one.
+//! worst-fit policy, and — when migration is enabled — moves an API server
+//! off an overloaded GPU onto an idle one. Its one queue is
+//! [`MqfqQueues`] (the MQFQ-Sticky design, see [`crate::fairqueue`]): one
+//! flow per tenant under [`QueuePolicy::Mqfq`], and a single flow under
+//! strict FCFS (head-of-line blocking is the paper's stated behaviour) and
+//! smallest-first.
 //!
 //! It is also the failure detector: busy API servers heartbeat the monitor
 //! (beats it computes from the assignment and kill instants), and a server
@@ -15,13 +16,12 @@
 //! retry elsewhere), and it is excluded from future placement.
 //!
 //! Each wake reads one plain-integer [`View`], and pure functions decide
-//! from it: placement ([`pick_server`]), scaling ([`scale_up_gpu`],
-//! [`scale_down_victim`]), migration ([`migration_move`]) and lease lapses
-//! ([`lapsed`]). [`run_monitor`] applies each result and reads the view
-//! afresh before the next decision.
+//! from it: dispatch ([`MqfqQueues::decide`] with [`pick_server`]'s
+//! placement), scaling ([`scale_up_gpu`], [`scale_down_victim`]), migration
+//! ([`migration_move`]) and lease lapses ([`lapsed`]). [`run_monitor`]
+//! applies each result and reads the view afresh before the next decision.
 
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ use crate::api_server::{
 };
 use crate::autoscale::Autoscaler;
 use crate::config::GpuServerConfig;
-use crate::fairqueue::MqfqQueues;
+use crate::fairqueue::{MqfqConfig, MqfqQueues};
 use crate::policy::{PlacementPolicy, QueuePolicy};
 
 /// A function's request for a virtual GPU. Its memory and arrival time are
@@ -360,54 +360,25 @@ impl View {
     }
 }
 
-/// The monitor's queue: one flat FIFO under FCFS/SmallestFirst, or
-/// per-tenant virtual-time flows under MQFQ.
-enum MonQueue {
-    Flat(VecDeque<FnRequest>),
-    Fair(MqfqQueues<FnRequest>),
+/// The queue flow a request of `tenant` joins: its tenant's under MQFQ,
+/// one shared flow under FCFS and smallest-first.
+fn flow_of<'t>(policy: &QueuePolicy, tenant: &'t str) -> &'t str {
+    match policy {
+        QueuePolicy::Mqfq(_) => tenant,
+        QueuePolicy::Fcfs | QueuePolicy::SmallestFirst => "",
+    }
 }
 
-impl MonQueue {
-    fn push(&mut self, req: FnRequest) {
-        match self {
-            MonQueue::Flat(q) => q.push_back(req),
-            MonQueue::Fair(fq) => {
-                let tenant = req.trace.as_ref().map(|t| Arc::clone(&t.tenant));
-                fq.push(tenant.as_deref().unwrap_or(""), req);
-            }
-        }
-    }
-
-    /// Drop requests whose requesters gave up (queue timeout).
-    fn drop_abandoned(&mut self, records: &RecordBook) {
-        let keep = |r: &FnRequest| !r.abandoned(records);
-        match self {
-            MonQueue::Flat(q) => q.retain(keep),
-            MonQueue::Fair(fq) => fq.retain(keep),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MonQueue::Flat(q) => q.len(),
-            MonQueue::Fair(fq) => fq.len(),
-        }
-    }
-
-    /// How long each queued request has waited by `now`, in a
-    /// deterministic (not dispatch) order.
-    fn waits<'q>(
-        &'q self,
-        records: &'q RecordBook,
-        now: SimTime,
-    ) -> impl Iterator<Item = Dur> + 'q {
-        let (flat, fair) = match self {
-            MonQueue::Flat(q) => (Some(q.iter()), None),
-            MonQueue::Fair(fq) => (None, Some(fq.iter())),
-        };
-        let all = flat.into_iter().flatten().chain(fair.into_iter().flatten());
-        all.map(move |r| now.since(r.record(records).requested_at))
-    }
+/// How long each queued request has waited by `now`, in a deterministic
+/// (not dispatch) order.
+fn waits<'q>(
+    queue: &'q MqfqQueues<FnRequest>,
+    records: &'q RecordBook,
+    now: SimTime,
+) -> impl Iterator<Item = Dur> + 'q {
+    queue
+        .iter()
+        .map(move |r| now.since(r.record(records).requested_at))
 }
 
 /// The monitor's immutable context, built at provisioning and shared by
@@ -475,10 +446,10 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
     // fleet; the scaler is pure policy (hysteresis/TTL/cooldown).
     let mut next_server_id = a.servers.lock().len() as u32;
     let mut scaler = a.cfg.autoscale.clone().map(Autoscaler::new);
-    let mut queue = match &a.cfg.queue {
-        QueuePolicy::Mqfq(weights) => MonQueue::Fair(MqfqQueues::new(weights.clone())),
-        QueuePolicy::Fcfs | QueuePolicy::SmallestFirst => MonQueue::Flat(VecDeque::new()),
-    };
+    let mut queue: MqfqQueues<FnRequest> = MqfqQueues::new(match &a.cfg.queue {
+        QueuePolicy::Mqfq(weights) => weights.clone(),
+        QueuePolicy::Fcfs | QueuePolicy::SmallestFirst => MqfqConfig::new(),
+    });
     // Migration damping: bound concurrent migrations, and let the system
     // settle before judging imbalance again. `None` = never requested.
     let mut last_migration: Option<SimTime> = None;
@@ -509,7 +480,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
         // keep the tick armed. The deadline is absolute: message traffic
         // must not indefinitely re-arm the timeout and starve the tick.
         let servers = a.servers.lock();
-        let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || queue.len() > 0;
+        let work_in_flight = servers.iter().any(|s| s.busy.is_some()) || !queue.is_empty();
         let excess_live = !work_in_flight
             && scaler.as_ref().is_some_and(|sc| {
                 view.read(p.now(), &a, &servers);
@@ -537,7 +508,9 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
         // neither take a server nor count as its tenant's backlog when that
         // tenant's next request is pushed (MQFQ clamps a tenant's virtual
         // time only when it re-activates from idle).
-        queue.drop_abandoned(&a.records.lock());
+        let records = a.records.lock();
+        queue.retain(|r| !r.abandoned(&records));
+        drop(records);
         let mut servers = a.servers.lock();
         let now = p.now();
         match msg {
@@ -545,7 +518,8 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                 // Under a zero queue timeout the requester has already
                 // given up.
                 if !req.abandoned(&a.records.lock()) {
-                    queue.push(req);
+                    let tenant = req.trace.as_ref().map(|t| Arc::clone(&t.tenant));
+                    queue.push(flow_of(&a.cfg.queue, tenant.as_deref().unwrap_or("")), req);
                 }
                 drain_queue(p, &a, &mut view, &mut servers, &mut queue);
             }
@@ -592,7 +566,9 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                     let busy = |g: &Rc<Gpu>| g.busy_between(SimTime(since), now).as_nanos();
                     busy_ns.clear();
                     busy_ns.extend(a.env.gpus.iter().map(busy));
-                    let waited = queue.waits(&a.records.lock(), now).map(Dur::as_nanos).sum();
+                    let waited = waits(&queue, &a.records.lock(), now)
+                        .map(Dur::as_nanos)
+                        .sum();
                     let mv = migration_move(&view, &a.cfg, &busy_ns, waited, last_migration);
                     if let Some((i, target)) = mv {
                         servers[i].shared.request_migration(target);
@@ -641,11 +617,11 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
 
 /// A function left server `s` (it finished, aborted, or the server's
 /// lease expired): the server is idle from `now` on, and the function's
-/// tenant is charged its exact service time on the fair queue, which
-/// releases the flow's provisional hold.
-fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MonQueue) {
+/// flow is charged its exact service time, which releases the flow's
+/// provisional hold.
+fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MqfqQueues<FnRequest>) {
     s.idle_since = now;
-    let (Some(invocation), MonQueue::Fair(fq)) = (s.busy.take(), queue) else {
+    let Some(invocation) = s.busy.take() else {
         return;
     };
     let records = a.records.lock();
@@ -653,7 +629,8 @@ fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MonQueue) {
         .get(invocation)
         .expect("a running invocation has a record");
     let assigned_at = rec.assigned_at.expect("a running invocation was assigned");
-    fq.charge(&rec.tenant, now.since(assigned_at).as_nanos());
+    let flow = flow_of(&a.cfg.queue, &rec.tenant);
+    queue.charge(flow, now.since(assigned_at).as_nanos());
 }
 
 /// Monitor-side lease: a busy API server whose last heartbeat is older than
@@ -695,7 +672,7 @@ fn expire_leases(
     a: &MonCtx,
     view: &mut View,
     servers: &mut [SrvBook],
-    queue: &mut MonQueue,
+    queue: &mut MqfqQueues<FnRequest>,
 ) {
     let now = view.now;
     let mut lapses = 0;
@@ -724,46 +701,36 @@ fn expire_leases(
     }
 }
 
-/// Drain the queue under the configured discipline: strict FCFS assigns
-/// from the head only (head-of-line blocking, the paper's policy);
-/// smallest-first takes the smallest request and waits while it does not
-/// place; MQFQ serves the backlogged tenant with the lowest virtual time,
-/// falling back to any backlogged tenant whose head fits (work
-/// conservation). Each request is placed by [`pick_server`]. Every queued
-/// request is live: [`run_monitor`] dropped the abandoned ones at this
-/// wake, and none can give up before the monitor waits again. The view is
-/// read before each placement.
+/// Drain the queue under the configured discipline, one pure decision
+/// ([`MqfqQueues::decide`]) and its [`MqfqQueues::take`] at a time: strict
+/// FCFS offers its one flow's head (head-of-line blocking, the paper's
+/// policy); smallest-first offers its one flow's smallest request and waits
+/// while it does not place; MQFQ offers each tenant's head and serves the
+/// lowest virtual time among those that place (work conservation). Each
+/// request is placed by [`pick_server`]. Every queued request is live:
+/// [`run_monitor`] dropped the abandoned ones at this wake, and none can
+/// give up before the monitor waits again. The view is read before each
+/// decision.
 fn drain_queue(
     p: &ProcCtx,
     a: &MonCtx,
     view: &mut View,
     servers: &mut [SrvBook],
-    queue: &mut MonQueue,
+    queue: &mut MqfqQueues<FnRequest>,
 ) {
     let (policy, now) = (a.cfg.policy, p.now());
-    while queue.len() > 0 {
+    let smallest = a.cfg.queue == QueuePolicy::SmallestFirst;
+    while !queue.is_empty() {
         view.read(now, a, servers);
         let records = a.records.lock();
-        let place = |r: &FnRequest| pick_server(view, policy, r.record(&records).mem, r.pin_server);
-        let picked = match queue {
-            MonQueue::Flat(q) => {
-                let pos = match a.cfg.queue {
-                    QueuePolicy::SmallestFirst => {
-                        (0..q.len()).min_by_key(|&i| q[i].record(&records).mem)
-                    }
-                    // FCFS: head only; an unplaceable head blocks the line
-                    // (the paper's policy).
-                    _ => (!q.is_empty()).then_some(0),
-                };
-                pos.and_then(|pos| Some((pos, place(&q[pos])?)))
-                    .map(|(pos, srv)| (q.remove(pos).expect("index in bounds"), srv))
-            }
-            MonQueue::Fair(fq) => fq.pop_next(place),
-        };
+        let mem = |r: &FnRequest| r.record(&records).mem;
+        let rank = |r: &FnRequest| if smallest { mem(r) } else { 0 };
+        let picked = queue.decide(rank, |r| pick_server(view, policy, mem(r), r.pin_server));
         drop(records); // assignment updates the record
-        let Some((req, srv_idx)) = picked else {
+        let Some((pick, srv_idx)) = picked else {
             return;
         };
+        let req = queue.take(pick);
         // Connect the RPC client, mark the server busy, update the record,
         // emit telemetry (with the per-tenant queue delay) and assign.
         let (mut client, inbox) = RpcClient::connect(&a.env.h, Arc::clone(&a.env.link));
@@ -864,10 +831,10 @@ fn autoscale_tick(
     view: &View,
     servers: &mut Vec<SrvBook>,
     next_server_id: &mut u32,
-    queue: &MonQueue,
+    queue: &MqfqQueues<FnRequest>,
 ) {
     let now = view.now;
-    let oldest_wait = queue.waits(&a.records.lock(), now).max();
+    let oldest_wait = waits(queue, &a.records.lock(), now).max();
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
     // of tail latency (reactive-growth gate).

@@ -29,20 +29,26 @@ pub enum PlacementPolicy {
 /// "leaves exploration of policies like shortest-function-first, which
 /// could improve throughput at some loss of fairness, for future work"
 /// (§VIII-D) — implemented here as [`QueuePolicy::SmallestFirst`].
+///
+/// Every discipline runs on the monitor's one queue,
+/// [`MqfqQueues`](crate::MqfqQueues): FCFS and smallest-first put every
+/// request in one flow, MQFQ each tenant's requests in the tenant's own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Strict first-come-first-serve with head-of-line blocking (the
     /// paper's evaluated policy).
     Fcfs,
     /// Serve the queued function with the smallest declared GPU memory
-    /// first (a practical proxy for shortest-function-first: small
+    /// first, ties to the earliest arrival, and wait while it does not
+    /// place (a practical proxy for shortest-function-first: small
     /// footprints correlate with short runs in the paper's suite). Improves
     /// throughput; large functions can be bypassed repeatedly.
     SmallestFirst,
     /// Multi-queue fair queueing (MQFQ-Sticky): one FIFO flow per tenant,
-    /// dispatch by lowest integer-ns virtual time with configurable
-    /// weights, work-conserving fallback to any backlogged tenant when the
-    /// lowest-vtime head cannot be placed, under these per-tenant weights.
+    /// dispatch by lowest integer-ns virtual time, work-conserving: the
+    /// lowest-vtime tenant whose head places is served, so an unplaceable
+    /// head blocks only its own tenant. Weighted by these per-tenant
+    /// weights.
     Mqfq(MqfqConfig),
 }
 

@@ -1,8 +1,9 @@
 //! Monitor queue-discipline tests: strict FCFS vs SmallestFirst ordering,
 //! tie-breaking, queue-timeout abandonment, and the MQFQ fairness
 //! battery — proptests over the pure per-tenant virtual-time queue
-//! (no starvation, work conservation, bounded normalized-service lag)
-//! plus the externally observable MQFQ serving order.
+//! (no starvation, work conservation, bounded normalized-service lag, and
+//! the dispatch decision against sort-then-first-fit) plus the externally
+//! observable MQFQ serving order.
 //!
 //! These run through the public `GpuServer` surface (a real provisioned
 //! server, real API servers) rather than poking the monitor directly, so
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf_gpu::GB;
 use dgsf_remoting::{OptConfig, RemoteCuda};
-use dgsf_server::fairqueue::VTIME_SCALE;
+use dgsf_server::fairqueue::{ASSUMED_SERVICE_NS, VTIME_SCALE};
 use dgsf_server::{AcquireError, GpuServer, GpuServerConfig, MqfqConfig, MqfqQueues, QueuePolicy};
 use dgsf_sim::{Dur, ProcCtx, Sim, SimCell, SimTime, TraceCtx};
 use proptest::prelude::*;
@@ -305,9 +306,9 @@ fn abandoned_request_never_occupies_a_server() {
 // MQFQ fairness battery — proptests over the pure virtual-time queue.
 //
 // The model mirrors the monitor's serial dispatch loop on a single slot:
-// pop the lowest-virtual-time backlogged tenant, run it, charge its actual
-// service. Items carry their tenant index so the tests can attribute every
-// dispatch.
+// decide on the lowest-virtual-time backlogged tenant, take its head, run
+// it, charge its actual service. Items carry their tenant index so the
+// tests can attribute every dispatch.
 // ---------------------------------------------------------------------------
 
 /// Build an equal-arity queue: `weights[i]` is tenant `t{i}`'s weight, and
@@ -327,6 +328,13 @@ fn backlogged_queues(weights: &[u64], depth: usize) -> MqfqQueues<usize> {
     q
 }
 
+/// Decide on the heads that place (every one, here) and take the choice,
+/// as the monitor's drain loop does.
+fn dispatch(q: &mut MqfqQueues<usize>) -> Option<usize> {
+    let (pick, ()) = q.decide(|_| 0, |_| Some(()))?;
+    Some(q.take(pick))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -341,7 +349,7 @@ proptest! {
         let mut q = backlogged_queues(&weights, costs.len());
         let mut served = vec![0u64; weights.len()];
         for &c in &costs {
-            let (tenant, _) = q.pop_next(|&i| Some(i)).expect("backlogged");
+            let tenant = dispatch(&mut q).expect("backlogged");
             served[tenant] += 1;
             q.charge(&format!("t{tenant}"), c);
         }
@@ -365,13 +373,13 @@ proptest! {
                 prop_assert_eq!(q.len(), before + 1);
             } else {
                 let backlogged = !q.is_empty();
-                let popped = q.pop_next(|&i| Some(i));
+                let popped = dispatch(&mut q);
                 prop_assert_eq!(
                     popped.is_some(),
                     backlogged,
                     "pop must succeed exactly when the queue is non-empty"
                 );
-                if let Some((t, _)) = popped {
+                if let Some(t) = popped {
                     q.charge(&format!("t{t}"), 1);
                 }
             }
@@ -390,7 +398,7 @@ proptest! {
     ) {
         let mut q = backlogged_queues(&weights, costs.len());
         for &c in &costs {
-            let (tenant, _) = q.pop_next(|&i| Some(i)).expect("backlogged");
+            let tenant = dispatch(&mut q).expect("backlogged");
             q.charge(&format!("t{tenant}"), c);
         }
         let normalized: Vec<u128> = weights
@@ -409,6 +417,78 @@ proptest! {
             max - min,
             bound
         );
+    }
+}
+
+/// An item of the decision proptest: its tenant's index and a sequence
+/// number unique across the run.
+type Item = (usize, u64);
+
+/// The dispatch decision by its definition: sort the backlogged flows'
+/// candidates (each flow's first item of least `rank`) by effective key —
+/// virtual time plus the provisional charge of the `inflight` functions
+/// at the tenant's weight — then tenant name, and take the first that
+/// `fits`.
+fn first_fit_in_key_order(
+    q: &MqfqQueues<Item>,
+    weights: &[u64],
+    inflight: &[u64],
+    rank: impl Fn(&Item) -> u64,
+    fits: impl Fn(&Item) -> bool,
+) -> Option<Item> {
+    let mut heads: Vec<(u128, String, Item)> = Vec::new();
+    for (t, &w) in weights.iter().enumerate() {
+        let name = format!("t{t}");
+        let Some(&head) = q.iter().filter(|it| it.0 == t).min_by_key(|it| rank(it)) else {
+            continue;
+        };
+        let hold = inflight[t] as u128 * ASSUMED_SERVICE_NS as u128 * VTIME_SCALE / w as u128;
+        heads.push((q.vtime_of(&name).expect("pushed") + hold, name, head));
+    }
+    heads.sort();
+    heads.into_iter().map(|h| h.2).find(|it| fits(it))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dispatch decision (no sort) equals sort-then-first-fit after
+    /// any mix of pushes, charges and dispatches: random weights, service
+    /// charges, in-flight holds and fit masks, with each flow offering its
+    /// head or (`ranked`) its first item of least rank.
+    #[test]
+    fn mqfq_decision_is_the_first_fit_in_key_order(
+        weights in proptest::collection::vec(1u64..9, 1..6),
+        ops in proptest::collection::vec((0usize..6, 0u8..3, 1u64..300_000_001, any::<u64>()), 1..160),
+        ranked in any::<bool>(),
+    ) {
+        let mut cfg = MqfqConfig::new();
+        for (i, &w) in weights.iter().enumerate() {
+            cfg = cfg.with_weight(&format!("t{i}"), w);
+        }
+        let mut q = MqfqQueues::new(cfg);
+        let mut inflight = vec![0u64; weights.len()];
+        let rank = |it: &Item| if ranked { it.1 * 7919 % 5 } else { 0 };
+        for (seq, (t, op, cost, mask)) in ops.into_iter().enumerate() {
+            let t = t % weights.len();
+            match op {
+                0 => q.push(&format!("t{t}"), (t, seq as u64)),
+                1 => {
+                    q.charge(&format!("t{t}"), cost);
+                    inflight[t] = inflight[t].saturating_sub(1);
+                }
+                _ => {
+                    let fits = |it: &Item| mask >> (it.1 % 64) & 1 == 1;
+                    let want = first_fit_in_key_order(&q, &weights, &inflight, rank, fits);
+                    let got = q.decide(rank, |it| fits(it).then_some(*it));
+                    prop_assert_eq!(got.map(|(_, it)| it), want);
+                    if let Some((pick, it)) = got {
+                        prop_assert_eq!(q.take(pick), it);
+                        inflight[it.0] += 1;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -93,10 +93,11 @@ impl StickyConfig {
 }
 
 /// One tenant's placement affinity, resolved against the live fleet.
-#[derive(Debug, Clone)]
-pub struct TenantAffinity {
-    /// Fleet indices already warm for the tenant (lease-live only).
-    pub warm: BTreeSet<usize>,
+#[derive(Debug, Clone, Copy)]
+pub struct TenantAffinity<'w> {
+    /// Fleet indices already warm for the tenant (lease-live only),
+    /// borrowed from the balancer's warm-set memory.
+    pub warm: &'w BTreeSet<usize>,
     /// True when the warm set has reached the max-share bound: routing is
     /// confined to warm servers (unless none is live).
     pub capped: bool,
@@ -126,7 +127,7 @@ pub fn select(
     snaps: &[ServerGauges],
     rr: usize,
     avoid: Option<usize>,
-    affinity: Option<&TenantAffinity>,
+    affinity: Option<TenantAffinity>,
 ) -> Option<usize> {
     let live = |i: &usize| snaps[*i].lease_live();
     let mut pool: Vec<usize> = (0..snaps.len()).collect();
@@ -256,10 +257,10 @@ impl ClusterBalancer {
         warm.retain(|&i| i < snaps.len() && snaps[i].lease_live());
         let cap = ((snaps.len() as u64 * cfg.max_share_permille) / 1000).max(1) as usize;
         let aff = TenantAffinity {
-            warm: warm.clone(),
+            warm,
             capped: warm.len() >= cap,
         };
-        let pick = select(self.policy, snaps, rr, avoid, Some(&aff))?;
+        let pick = select(self.policy, snaps, rr, avoid, Some(aff))?;
         if warm.insert(pick) {
             *st.cold_placements.entry(tenant.to_string()).or_insert(0) += 1;
         }

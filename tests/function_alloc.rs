@@ -3,7 +3,8 @@
 //! Each of the paper's six functions runs through the whole platform (the
 //! invoker, the monitor, an API server and the `RemoteCuda` guest library)
 //! on the paper's default testbed, once alone and once followed by a second
-//! copy after the first has finished. The difference in allocator calls is
+//! copy after the first has finished, under the paper's FCFS queue and
+//! under per-tenant MQFQ. The difference in allocator calls is
 //! what one warmed copy costs: the platform, pools and connection state are
 //! already set up, so what remains is the per-call remoting path plus the
 //! function's own per-invocation setup.
@@ -11,7 +12,10 @@
 //! The budget is per function and the same for all six: at most 110
 //! allocations each, the measured maximum in debug and release builds
 //! alike (kmeans 110, covidctnet 65, face detection 64, face
-//! identification 64, nlp 64, image classification 64). Each was 1 more
+//! identification 64, nlp 64, image classification 64), under either
+//! queue: both run through the same flow structure, which names a flow
+//! only when it first sees it and decides dispatch without collecting or
+//! sorting the flows (each MQFQ count was 3 more while it did). Each was 1 more
 //! while every queued GPU request carried a shared cancel flag (an
 //! `Rc<Cell<bool>>`), and 5 more before that while every assignment
 //! spawned a heartbeat process: every spawn allocates (at least its name
@@ -52,6 +56,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use dgsf::prelude::MqfqConfig;
 use dgsf::serverless::{Schedule, Workload};
 use dgsf::sim::{Dur, SimTime};
 use dgsf::{PlatformConfig, Testbed};
@@ -84,15 +89,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocator calls made by running `copies` sequential copies of suite
-/// function `w` on the paper's default testbed.
-fn run_copies(suite: &[Arc<dyn Workload>], w: usize, copies: u64) -> u64 {
+/// function `w` on the paper's default testbed under `cfg`.
+fn run_copies(cfg: &PlatformConfig, suite: &[Arc<dyn Workload>], w: usize, copies: u64) -> u64 {
     let entries = (0..copies)
         .map(|k| (SimTime::ZERO + Dur::from_secs(200 * k), w))
         .collect();
     let schedule = Schedule { entries };
-    let cfg = PlatformConfig::paper_default();
     let before = THREAD_ALLOCS.with(Cell::get);
-    let out = Testbed::run_platform_schedule(&cfg, suite, &schedule);
+    let out = Testbed::run_platform_schedule(cfg, suite, &schedule);
     let after = THREAD_ALLOCS.with(Cell::get);
     assert_eq!(out.completed() as u64, copies, "every copy completes");
     after - before
@@ -107,18 +111,22 @@ fn warmed_function_allocation_is_bounded() {
         .into_iter()
         .map(|w| w as Arc<dyn Workload>)
         .collect();
-    let mut per_function = Vec::new();
-    for (w, f) in suite.iter().enumerate() {
-        let one = run_copies(&suite, w, 1);
-        let two = run_copies(&suite, w, 2);
-        per_function.push((f.name().to_string(), two.saturating_sub(one)));
-    }
-    println!("allocations per warmed function: {per_function:?}");
-    for (name, n) in &per_function {
-        assert!(
-            *n <= MAX_ALLOCS,
-            "a warmed {name} allocates {n} times (budget {MAX_ALLOCS}) — \
-             fresh frames, sync channels or batch vectors again?"
-        );
+    let fcfs = PlatformConfig::paper_default();
+    let mqfq = PlatformConfig::paper_default().with_mqfq(MqfqConfig::new());
+    for (queue, cfg) in [("fcfs", fcfs), ("mqfq", mqfq)] {
+        let mut per_function = Vec::new();
+        for (w, f) in suite.iter().enumerate() {
+            let one = run_copies(&cfg, &suite, w, 1);
+            let two = run_copies(&cfg, &suite, w, 2);
+            per_function.push((f.name().to_string(), two.saturating_sub(one)));
+        }
+        println!("allocations per warmed function under {queue}: {per_function:?}");
+        for (name, n) in &per_function {
+            assert!(
+                *n <= MAX_ALLOCS,
+                "a warmed {name} allocates {n} times under {queue} (budget {MAX_ALLOCS}) — \
+                 fresh frames, sync channels or batch vectors again?"
+            );
+        }
     }
 }
