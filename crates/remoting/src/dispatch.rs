@@ -16,7 +16,7 @@ use dgsf_cuda::{
 };
 use dgsf_sim::{Dur, ProcCtx, TraceCtx};
 
-use crate::wire::{err_class, Request, Response, WireCfg, WireProps};
+use crate::wire::{error_to_wire, Request, Response, WireArgs};
 
 /// Counters an API server keeps about the function it is serving.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct Dispatcher {
     /// launches correct after migration.
     fptr_kernels: Vec<(u64, KernelId)>,
     /// Configuration pushed by an unoptimized `__cudaPushCallConfiguration`.
-    pending_cfg: Option<WireCfg>,
+    pending_cfg: Option<LaunchConfig>,
     per_call_cpu: Dur,
     finished: bool,
     /// Causal context of the invocation being served (threaded down from
@@ -46,24 +46,6 @@ pub struct Dispatcher {
     trace: Option<TraceCtx>,
     /// Execution counters.
     pub stats: ServerStats,
-}
-
-/// Map a [`CudaError`] onto the wire.
-pub fn error_response(e: &CudaError) -> Response {
-    let class = match e {
-        CudaError::MemoryAllocation { .. } => err_class::OOM,
-        CudaError::InvalidValue(_) => err_class::INVALID_VALUE,
-        CudaError::InvalidDevice { .. } => err_class::INVALID_DEVICE,
-        CudaError::InvalidResourceHandle(_) => err_class::INVALID_HANDLE,
-        CudaError::Unsupported(_) => err_class::UNSUPPORTED,
-        CudaError::MemoryLimitExceeded { .. } => err_class::MEM_LIMIT,
-        CudaError::Transport(_) => err_class::TRANSPORT,
-        _ => err_class::OTHER,
-    };
-    Response::Err {
-        class,
-        msg: e.to_string(),
-    }
 }
 
 impl Dispatcher {
@@ -166,7 +148,7 @@ impl Dispatcher {
                 let mut fptrs = Vec::with_capacity(kernels.len());
                 for name in kernels {
                     let Some(kernel) = self.registry.id(&name) else {
-                        return error_response(&CudaError::InvalidValue(format!(
+                        return error_to_wire(&CudaError::InvalidValue(format!(
                             "unknown kernel {name:?}"
                         )));
                     };
@@ -182,49 +164,41 @@ impl Dispatcher {
             // inventory is never revealed to a function
             GetDeviceProps { dev } => {
                 if dev != 0 {
-                    return error_response(&CudaError::InvalidDevice { requested: dev });
+                    return error_to_wire(&CudaError::InvalidDevice { requested: dev });
                 }
-                let props = self.session.active_context().gpu().props().clone();
-                Response::Props(WireProps {
-                    name: props.name,
-                    total_mem: props.total_mem,
-                    sm_count: props.sm_count,
-                    cc: props.compute_capability,
-                })
+                Response::Props(self.session.active_context().gpu().props().clone())
             }
             SetDevice { dev } => {
                 if dev != 0 {
-                    return error_response(&CudaError::InvalidDevice { requested: dev });
+                    return error_to_wire(&CudaError::InvalidDevice { requested: dev });
                 }
                 Response::Ok
             }
             Malloc { bytes } => match self.session.malloc(p, bytes) {
                 Ok(ptr) => Response::Ptr(ptr.0),
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             Free { ptr } => match self.session.free(p, DevPtr(ptr)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             Memset { ptr, value, bytes } => {
                 match self.session.memset(p, DevPtr(ptr), value, bytes) {
                     Ok(()) => Response::Ok,
-                    Err(e) => error_response(&e),
+                    Err(e) => error_to_wire(&e),
                 }
             }
-            MemcpyH2D { dst, data } => {
-                match self.session.memcpy_h2d(p, DevPtr(dst), &data.into()) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => error_response(&e),
-                }
-            }
+            MemcpyH2D { dst, data } => match self.session.memcpy_h2d(p, DevPtr(dst), &data) {
+                Ok(()) => Response::Ok,
+                Err(e) => error_to_wire(&e),
+            },
             MemcpyD2H {
                 src,
                 bytes,
                 want_data,
             } => match self.session.memcpy_d2h(p, DevPtr(src), bytes, want_data) {
-                Ok(buf) => Response::Data(buf.into()),
-                Err(e) => error_response(&e),
+                Ok(buf) => Response::Data(buf),
+                Err(e) => error_to_wire(&e),
             },
             PushCallConfiguration { cfg } => {
                 self.pending_cfg = Some(cfg);
@@ -232,7 +206,7 @@ impl Dispatcher {
             }
             Launch { fptr, args } => {
                 let Some(cfg) = self.pending_cfg.take() else {
-                    return error_response(&CudaError::InvalidValue(
+                    return error_to_wire(&CudaError::InvalidValue(
                         "launch without pushed call configuration".into(),
                     ));
                 };
@@ -251,20 +225,20 @@ impl Dispatcher {
             StreamCreate => Response::Handle(self.session.stream_create(p).0),
             StreamDestroy { h } => match self.session.stream_destroy(p, StreamHandle(h)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             StreamSync { h } => match self.session.stream_synchronize(p, StreamHandle(h)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             EventCreate => Response::Handle(self.session.event_create(p).0),
             EventRecord { h } => match self.session.event_record(p, EventHandle(h)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             EventSync { h } => match self.session.event_synchronize(p, EventHandle(h)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             PointerGetAttributes { ptr } => {
                 let a = self.session.pointer_attributes(DevPtr(ptr));
@@ -283,12 +257,12 @@ impl Dispatcher {
                 }
                 match self.session.cudnn_create(p, pooled) {
                     Ok(h) => Response::Handle(h.0),
-                    Err(e) => error_response(&e),
+                    Err(e) => error_to_wire(&e),
                 }
             }
             CudnnDestroy { h } => match self.session.cudnn_destroy(p, CudnnHandle(h)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             CudnnCreateDescriptors { kind: _, n } => {
                 // Host-side opaque structs on the server; hand out ids.
@@ -314,12 +288,12 @@ impl Dispatcher {
                 }
                 match self.session.cublas_create(p, pooled) {
                     Ok(h) => Response::Handle(h.0),
-                    Err(e) => error_response(&e),
+                    Err(e) => error_to_wire(&e),
                 }
             }
             CublasDestroy { h } => match self.session.cublas_destroy(p, CublasHandle(h)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             CublasOp {
                 h: _,
@@ -349,11 +323,11 @@ impl Dispatcher {
             }
             PublishBuffer { key, ptr } => match self.session.publish_buffer(p, key, DevPtr(ptr)) {
                 Ok(()) => Response::Ok,
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
             AdoptBuffer { key } => match self.session.adopt_buffer(p, key) {
                 Ok(ptr) => Response::Ptr(ptr.0),
-                Err(e) => error_response(&e),
+                Err(e) => error_to_wire(&e),
             },
         }
     }
@@ -363,11 +337,11 @@ impl Dispatcher {
         p: &ProcCtx,
         fptr: u64,
         stream: u64,
-        cfg: WireCfg,
-        args: crate::wire::WireArgs,
+        cfg: LaunchConfig,
+        args: WireArgs,
     ) -> Response {
         let Ok(i) = self.fptr_kernels.binary_search_by_key(&fptr, |e| e.0) else {
-            return error_response(&CudaError::InvalidValue(format!(
+            return error_to_wire(&CudaError::InvalidValue(format!(
                 "unknown function pointer {fptr:#x}"
             )));
         };
@@ -377,12 +351,9 @@ impl Dispatcher {
         } else {
             Some(StreamHandle(stream))
         };
-        match self
-            .session
-            .launch_on(p, stream, kernel, LaunchConfig::from(cfg), args.into())
-        {
+        match self.session.launch_on(p, stream, kernel, cfg, args.into()) {
             Ok(()) => Response::Ok,
-            Err(e) => error_response(&e),
+            Err(e) => error_to_wire(&e),
         }
     }
 }
@@ -390,7 +361,8 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireBuf;
+    use crate::wire::err_class;
+    use dgsf_cuda::HostBuf;
     use dgsf_cuda::{CostTable, KernelCost, KernelDef};
     use dgsf_gpu::{Gpu, GpuId, MB};
     use dgsf_sim::Sim;
@@ -460,11 +432,11 @@ mod tests {
                 Request::LaunchConfigured {
                     fptr,
                     stream: 0,
-                    cfg: WireCfg {
+                    cfg: LaunchConfig {
                         grid: (1, 1, 1),
                         block: (32, 1, 1),
                     },
-                    args: crate::wire::WireArgs {
+                    args: WireArgs {
                         ptrs: vec![ptr],
                         scalars: vec![],
                         bytes: 16,
@@ -484,7 +456,7 @@ mod tests {
                 },
                 1,
             ) {
-                Response::Data(WireBuf::Bytes(b)) => assert_eq!(b, vec![7, 7, 7, 7]),
+                Response::Data(HostBuf::Bytes(b)) => assert_eq!(b, vec![7, 7, 7, 7]),
                 other => panic!("{other:?}"),
             }
             assert_eq!(d.handle(p, Request::EndFunction, 1), Response::Ok);
@@ -521,7 +493,7 @@ mod tests {
                 Response::Ptr(x) => x,
                 _ => unreachable!(),
             };
-            let args = crate::wire::WireArgs {
+            let args = WireArgs {
                 ptrs: vec![ptr],
                 scalars: vec![],
                 bytes: 0,
@@ -543,7 +515,7 @@ mod tests {
             d.handle(
                 p,
                 Request::PushCallConfiguration {
-                    cfg: WireCfg {
+                    cfg: LaunchConfig {
                         grid: (1, 1, 1),
                         block: (1, 1, 1),
                     },
@@ -588,11 +560,11 @@ mod tests {
             let (fa, pa) = register(&mut a);
             let (fb, pb) = register(&mut b);
             assert_ne!(fa, fb, "each context hands out its own pointers");
-            let cfg = WireCfg {
+            let cfg = LaunchConfig {
                 grid: (1, 1, 1),
                 block: (1, 1, 1),
             };
-            let args = |ptr| crate::wire::WireArgs {
+            let args = |ptr| WireArgs {
                 ptrs: vec![ptr],
                 scalars: vec![],
                 bytes: 16,
@@ -656,7 +628,7 @@ mod tests {
                 p,
                 Request::MemcpyH2D {
                     dst: ptr,
-                    data: vec![5, 6, 7, 8].into(),
+                    data: HostBuf::Bytes(vec![5, 6, 7, 8].into()),
                 },
                 1,
             );
@@ -703,7 +675,7 @@ mod tests {
                 },
                 1,
             ) {
-                Response::Data(WireBuf::Bytes(b)) => assert_eq!(b, vec![5, 6, 7, 8]),
+                Response::Data(HostBuf::Bytes(b)) => assert_eq!(b, vec![5, 6, 7, 8]),
                 other => panic!("{other:?}"),
             }
             // A second adopt of the same key fails: handoff is exactly-once.
@@ -786,7 +758,7 @@ mod tests {
                 },
                 1,
             ) {
-                Response::Data(WireBuf::Bytes(b)) => {
+                Response::Data(HostBuf::Bytes(b)) => {
                     assert_eq!(b, vec![9; 8], "first entry ran, third did not")
                 }
                 other => panic!("{other:?}"),

@@ -29,9 +29,7 @@ use dgsf_gpu::DeviceProps;
 use dgsf_sim::ProcCtx;
 
 use crate::transport::RpcClient;
-use crate::wire::{
-    descriptor_kind_to_u8, err_class, Request, Response, WireArgs, WireBuf, WireCfg,
-};
+use crate::wire::{descriptor_kind_to_u8, error_from_wire, Request, Response, WireArgs};
 
 /// Which serverless-specialization layers are active — the ablation knob of
 /// Figure 4. Layers are cumulative in the paper's study.
@@ -121,27 +119,6 @@ pub struct RemoteCuda {
     live_local_descriptors: u64,
 }
 
-fn resp_error(class: u8, msg: String) -> CudaError {
-    match class {
-        err_class::OOM => CudaError::MemoryAllocation {
-            requested: 0,
-            free: 0,
-        },
-        err_class::INVALID_VALUE => CudaError::InvalidValue(msg),
-        err_class::INVALID_DEVICE => CudaError::InvalidDevice {
-            requested: u32::MAX,
-        },
-        err_class::INVALID_HANDLE => CudaError::InvalidResourceHandle(msg),
-        err_class::UNSUPPORTED => CudaError::Unsupported(msg),
-        err_class::MEM_LIMIT => CudaError::MemoryLimitExceeded {
-            would_use: 0,
-            limit: 0,
-        },
-        err_class::TRANSPORT => CudaError::Transport(msg),
-        _ => CudaError::RemotingFailure(msg),
-    }
-}
-
 impl RemoteCuda {
     /// Wrap an RPC connection to an API server.
     pub fn new(rpc: RpcClient, opts: OptConfig) -> RemoteCuda {
@@ -179,7 +156,7 @@ impl RemoteCuda {
     fn call_n(&mut self, p: &ProcCtx, req: &Request, n: u32) -> CudaResult<Response> {
         self.stats.remoted_calls += n as u64;
         match self.rpc.call_repeated(p, req, n) {
-            Ok(Response::Err { class, msg }) => Err(resp_error(class, msg)),
+            Ok(Response::Err { class, msg }) => Err(error_from_wire(class, msg)),
             Ok(ok) => Ok(ok),
             Err(te) => Err(CudaError::Transport(te.to_string())),
         }
@@ -190,19 +167,14 @@ impl RemoteCuda {
         if self.batch.is_empty() {
             return Ok(());
         }
-        self.stats.remoted_calls += 1;
         let batch = Request::Batch(std::mem::take(&mut self.batch));
-        let result = self.rpc.call_repeated(p, &batch, 1);
+        let result = self.call_n(p, &batch, 1);
         // Keep the vector's capacity for the next batch.
         if let Request::Batch(mut reqs) = batch {
             reqs.clear();
             self.batch = reqs;
         }
-        match result {
-            Ok(Response::Err { class, msg }) => Err(resp_error(class, msg)),
-            Ok(_) => Ok(()),
-            Err(te) => Err(CudaError::Transport(te.to_string())),
-        }
+        result.map(|_| ())
     }
 
     /// The client-visible function pointer of kernel `name`.
@@ -284,13 +256,7 @@ impl CudaApi for RemoteCuda {
             }
         }
         match self.call(p, &Request::GetDeviceProps { dev })? {
-            Response::Props(w) => {
-                let props = DeviceProps {
-                    name: w.name,
-                    total_mem: w.total_mem,
-                    sm_count: w.sm_count,
-                    compute_capability: w.cc,
-                };
+            Response::Props(props) => {
                 self.props_cache = Some(props.clone());
                 Ok(props)
             }
@@ -375,7 +341,7 @@ impl CudaApi for RemoteCuda {
             p,
             &Request::MemcpyH2D {
                 dst: dst.0,
-                data: WireBuf::from(src),
+                data: src,
             },
         )?;
         Ok(())
@@ -399,7 +365,7 @@ impl CudaApi for RemoteCuda {
                 want_data,
             },
         )? {
-            Response::Data(d) => Ok(d.into()),
+            Response::Data(d) => Ok(d),
             other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
         }
     }
@@ -416,15 +382,14 @@ impl CudaApi for RemoteCuda {
         self.stats.issue(2);
         self.stats.kernel_launches += 1;
         let fptr = self.fptr(name)?;
-        let wire_cfg = WireCfg::from(cfg);
-        let wire_args = WireArgs::from(args);
+        let args = WireArgs::from(args);
         if self.opts.batching {
             self.defer(
                 Request::LaunchConfigured {
                     fptr,
                     stream: 0,
-                    cfg: wire_cfg,
-                    args: wire_args,
+                    cfg,
+                    args,
                 },
                 2,
             );
@@ -437,21 +402,14 @@ impl CudaApi for RemoteCuda {
                 &Request::LaunchConfigured {
                     fptr,
                     stream: 0,
-                    cfg: wire_cfg,
-                    args: wire_args,
+                    cfg,
+                    args,
                 },
             )
             .map(|_| ())
         } else {
-            self.call(p, &Request::PushCallConfiguration { cfg: wire_cfg })?;
-            self.call(
-                p,
-                &Request::Launch {
-                    fptr,
-                    args: wire_args,
-                },
-            )
-            .map(|_| ())
+            self.call(p, &Request::PushCallConfiguration { cfg })?;
+            self.call(p, &Request::Launch { fptr, args }).map(|_| ())
         }
     }
 
@@ -475,7 +433,7 @@ impl CudaApi for RemoteCuda {
         let req = Request::LaunchConfigured {
             fptr,
             stream: stream.0,
-            cfg: WireCfg::from(cfg),
+            cfg,
             args: WireArgs::from(args),
         };
         if self.opts.batching {

@@ -20,7 +20,7 @@ mod net;
 mod transport;
 pub mod wire;
 
-pub use dispatch::{error_response, Dispatcher, ServerStats};
+pub use dispatch::{Dispatcher, ServerStats};
 pub use faults::{FaultPlan, FaultStats, LinkFaults, MsgFate};
 pub use guest::{OptConfig, RemoteCuda};
 pub use net::{Delivery, Direction, NetLink, NetProfile};

@@ -332,7 +332,7 @@ mod tests {
     use crate::faults::FaultPlan;
     use crate::faults::LinkFaults;
     use crate::net::NetProfile;
-    use crate::wire::WireBuf;
+    use dgsf_cuda::HostBuf;
     use dgsf_sim::{Dur, Sim, SimCell};
     use std::rc::Rc;
 
@@ -384,7 +384,7 @@ mod tests {
             while let Some(env) = inbox.next(p) {
                 let resp = match RpcInbox::decode(&env).unwrap() {
                     Request::MemcpyD2H { bytes, .. } => {
-                        Response::Data(WireBuf::Bytes(Bytes::from(vec![0; bytes as usize])))
+                        Response::Data(HostBuf::Bytes(Bytes::from(vec![0; bytes as usize])))
                     }
                     _ => Response::Ok,
                 };
@@ -406,7 +406,7 @@ mod tests {
             };
             let h2d = Request::MemcpyH2D {
                 dst: 0,
-                data: WireBuf::Bytes(Bytes::from(vec![1; big])),
+                data: HostBuf::Bytes(Bytes::from(vec![1; big])),
             };
             client.call(p, &h2d).unwrap();
             assert!(!kept(&client), "a large request frame is not retained");
@@ -434,7 +434,7 @@ mod tests {
         sim.spawn("server", move |p| {
             while let Some(env) = inbox.next(p) {
                 let resp = match RpcInbox::decode(&env).unwrap() {
-                    Request::MemcpyD2H { bytes, .. } => Response::Data(WireBuf::Logical(bytes)),
+                    Request::MemcpyD2H { bytes, .. } => Response::Data(HostBuf::Logical(bytes)),
                     _ => Response::Ok,
                 };
                 inbox.respond(p, &srv_link, &env, &resp);
@@ -445,7 +445,7 @@ mod tests {
             bytes: 1 << 20,
             want_data: false,
         };
-        let expected = d2h.wire_size() + Response::Data(WireBuf::Logical(1 << 20)).wire_size();
+        let expected = d2h.wire_size() + Response::Data(HostBuf::Logical(1 << 20)).wire_size();
         sim.spawn("client", move |p| {
             client.call_repeated(p, &d2h, 2).unwrap();
         });

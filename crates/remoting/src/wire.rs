@@ -16,17 +16,22 @@
 //!
 //! Every layout is written once. A private `Wire` trait gives each field
 //! type (integers, `bool`, `f64`, strings, vectors, options, tuples,
-//! [`WireBuf`], [`WireCfg`], [`WireArgs`], [`WireProps`]) its size, encoder
-//! and decoder together; a frame is a tag byte followed by its fields in
-//! order. The `wire_enum!` tables at the end of the codec list each
-//! variant as one row, `tag => Variant { field: Type, .. }`, and generate
-//! `encoded_len`, `encode`, `encode_sized`, `wire_size` and `decode` for
-//! both enums from it. Adding a variant is adding a row (and a
-//! `class_keys` arm); a field type that is not yet on the wire needs one
-//! `Wire` impl.
+//! [`WireArgs`], and the CUDA types themselves: [`HostBuf`],
+//! [`LaunchConfig`], [`DeviceProps`]) its size, encoder and decoder
+//! together; a frame is a tag byte followed by its fields in order. The
+//! `wire_enum!` tables at the end of the codec list each variant as one
+//! row, `tag => Variant { field: Type, .. }`, and generate `encoded_len`,
+//! `encode`, `encode_sized`, `wire_size` and `decode` for both enums from
+//! it. Adding a variant is adding a row (and a `class_keys` arm); a field
+//! type that is not yet on the wire needs one `Wire` impl.
+//!
+//! A failed call travels as [`Response::Err`]: an [`err_class`] and the
+//! error's message. [`error_to_wire`] (on the API server) and
+//! [`error_from_wire`] (in the guest) are that mapping and its inverse.
 
 use bytes::{Bytes, BytesMut};
-use dgsf_cuda::{DescriptorKind, HostBuf, KernelArgs, LaunchConfig};
+use dgsf_cuda::{CudaError, DescriptorKind, HostBuf, KernelArgs, LaunchConfig};
+use dgsf_gpu::DeviceProps;
 
 /// Decode failure (malformed or truncated frame).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +97,7 @@ pub enum Request {
         /// Destination pointer.
         dst: u64,
         /// Payload.
-        data: WireBuf,
+        data: HostBuf,
     },
     /// `cudaMemcpy` device→host.
     MemcpyD2H {
@@ -106,7 +111,7 @@ pub enum Request {
     /// Unoptimized launch prelude (`__cudaPushCallConfiguration`).
     PushCallConfiguration {
         /// Launch geometry.
-        cfg: WireCfg,
+        cfg: LaunchConfig,
     },
     /// Unoptimized launch (consumes the pushed configuration).
     Launch {
@@ -122,7 +127,7 @@ pub enum Request {
         /// Client stream handle (0 = default stream).
         stream: u64,
         /// Launch geometry.
-        cfg: WireCfg,
+        cfg: LaunchConfig,
         /// Arguments.
         args: WireArgs,
     },
@@ -241,84 +246,6 @@ pub enum Request {
     },
 }
 
-/// Payload crossing the wire.
-///
-/// Real payloads are refcounted [`Bytes`] views: decoding subslices the
-/// received frame instead of copying, so a payload travels guest → frame →
-/// dispatch → device without duplication.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireBuf {
-    /// Real bytes (zero-copy view into the carrying frame after decode).
-    Bytes(Bytes),
-    /// Size-only payload (trace-modeled data); charged at full size by the
-    /// network model without materializing.
-    Logical(u64),
-}
-
-impl WireBuf {
-    /// Logical length in bytes.
-    pub fn len(&self) -> u64 {
-        match self {
-            WireBuf::Bytes(b) => b.len() as u64,
-            WireBuf::Logical(n) => *n,
-        }
-    }
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl From<Vec<u8>> for WireBuf {
-    fn from(v: Vec<u8>) -> Self {
-        WireBuf::Bytes(v.into())
-    }
-}
-
-impl From<HostBuf> for WireBuf {
-    fn from(h: HostBuf) -> Self {
-        match h {
-            HostBuf::Bytes(b) => WireBuf::Bytes(b),
-            HostBuf::Logical(n) => WireBuf::Logical(n),
-        }
-    }
-}
-
-impl From<WireBuf> for HostBuf {
-    fn from(w: WireBuf) -> Self {
-        match w {
-            WireBuf::Bytes(b) => HostBuf::Bytes(b),
-            WireBuf::Logical(n) => HostBuf::Logical(n),
-        }
-    }
-}
-
-/// Launch geometry on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireCfg {
-    /// Grid dims.
-    pub grid: (u32, u32, u32),
-    /// Block dims.
-    pub block: (u32, u32, u32),
-}
-
-impl From<LaunchConfig> for WireCfg {
-    fn from(c: LaunchConfig) -> Self {
-        WireCfg {
-            grid: c.grid,
-            block: c.block,
-        }
-    }
-}
-impl From<WireCfg> for LaunchConfig {
-    fn from(c: WireCfg) -> Self {
-        LaunchConfig {
-            grid: c.grid,
-            block: c.block,
-        }
-    }
-}
-
 /// Kernel arguments on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireArgs {
@@ -353,19 +280,6 @@ impl From<WireArgs> for KernelArgs {
     }
 }
 
-/// Device properties on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireProps {
-    /// Device name.
-    pub name: String,
-    /// Total device memory.
-    pub total_mem: u64,
-    /// SM count.
-    pub sm_count: u32,
-    /// Compute capability.
-    pub cc: (u32, u32),
-}
-
 /// A response from the API server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -383,11 +297,11 @@ pub enum Response {
     /// A count (`cudaGetDeviceCount`).
     Count(u32),
     /// Device properties.
-    Props(WireProps),
+    Props(DeviceProps),
     /// A handle (stream/event/cudnn/cublas).
     Handle(u64),
     /// Data coming back from the device.
-    Data(WireBuf),
+    Data(HostBuf),
     /// A batch of fresh handles (descriptors).
     Handles(Vec<u64>),
     /// Kernel name → function pointer assignments.
@@ -422,6 +336,49 @@ pub mod err_class {
     pub const TRANSPORT: u8 = 7;
     /// Other.
     pub const OTHER: u8 = 0;
+}
+
+/// Map a [`CudaError`] onto the wire: its [`err_class`] and its message.
+/// The match has no catch-all, so a new error variant must pick its class.
+pub fn error_to_wire(e: &CudaError) -> Response {
+    let class = match e {
+        CudaError::MemoryAllocation { .. } => err_class::OOM,
+        CudaError::InvalidValue(_) => err_class::INVALID_VALUE,
+        CudaError::InvalidDevice { .. } => err_class::INVALID_DEVICE,
+        CudaError::InvalidResourceHandle(_) => err_class::INVALID_HANDLE,
+        CudaError::Unsupported(_) => err_class::UNSUPPORTED,
+        CudaError::MemoryLimitExceeded { .. } => err_class::MEM_LIMIT,
+        CudaError::Transport(_) => err_class::TRANSPORT,
+        CudaError::NotInitialized | CudaError::RemotingFailure(_) => err_class::OTHER,
+    };
+    Response::Err {
+        class,
+        msg: e.to_string(),
+    }
+}
+
+/// Inverse of [`error_to_wire`] on the class: the [`CudaError`] the guest
+/// raises for a [`Response::Err`]. Only the message crosses the wire, so
+/// the sizes and the ordinal of a rebuilt error are placeholders.
+pub fn error_from_wire(class: u8, msg: String) -> CudaError {
+    match class {
+        err_class::OOM => CudaError::MemoryAllocation {
+            requested: 0,
+            free: 0,
+        },
+        err_class::INVALID_VALUE => CudaError::InvalidValue(msg),
+        err_class::INVALID_DEVICE => CudaError::InvalidDevice {
+            requested: u32::MAX,
+        },
+        err_class::INVALID_HANDLE => CudaError::InvalidResourceHandle(msg),
+        err_class::UNSUPPORTED => CudaError::Unsupported(msg),
+        err_class::MEM_LIMIT => CudaError::MemoryLimitExceeded {
+            would_use: 0,
+            limit: 0,
+        },
+        err_class::TRANSPORT => CudaError::Transport(msg),
+        _ => CudaError::RemotingFailure(msg),
+    }
 }
 
 // ---------------- codec helpers ----------------
@@ -541,7 +498,7 @@ trait Wire: Sized {
     fn put(&self, w: &mut Writer<'_>);
     /// Decode one value; `depth` counts the [`Request::Batch`]es around it.
     fn get(r: &mut Reader<'_>, depth: u32) -> WireResult<Self>;
-    /// Bytes charged beyond the encoding: a [`WireBuf::Logical`] payload
+    /// Bytes charged beyond the encoding: a [`HostBuf::Logical`] payload
     /// ships as a marker but costs its full size on the network.
     fn logical(&self) -> u64 {
         0
@@ -728,29 +685,29 @@ macro_rules! wire_struct {
 }
 
 wire_struct! {
-    WireCfg { grid, block }
+    LaunchConfig { grid, block }
     WireArgs { ptrs, scalars, bytes, work_hint }
-    WireProps { name, total_mem, sm_count, cc }
+    DeviceProps { name, total_mem, sm_count, compute_capability }
 }
 
 /// A payload is a tag byte (0 = real bytes, 1 = logical) and a u64 length,
 /// followed by the bytes themselves only when they are real.
-impl Wire for WireBuf {
+impl Wire for HostBuf {
     fn size(&self) -> u64 {
         1 + 8
             + match self {
-                WireBuf::Bytes(raw) => raw.len() as u64,
-                WireBuf::Logical(_) => 0,
+                HostBuf::Bytes(raw) => raw.len() as u64,
+                HostBuf::Logical(_) => 0,
             }
     }
     fn put(&self, w: &mut Writer<'_>) {
         match self {
-            WireBuf::Bytes(raw) => {
+            HostBuf::Bytes(raw) => {
                 0u8.put(w);
                 (raw.len() as u64).put(w);
                 w.put_slice(raw);
             }
-            WireBuf::Logical(n) => {
+            HostBuf::Logical(n) => {
                 1u8.put(w);
                 n.put(w);
             }
@@ -766,16 +723,17 @@ impl Wire for WireBuf {
                     return Err(WireError("truncated payload".into()));
                 }
                 // Zero-copy: the payload is a refcounted view of the frame.
-                Ok(WireBuf::Bytes(r.view(n as usize)))
+                Ok(HostBuf::Bytes(r.view(n as usize)))
             }
-            1 => Ok(WireBuf::Logical(u64::get(r, depth)?)),
+            1 => Ok(HostBuf::Logical(u64::get(r, depth)?)),
+            // The message keeps the payload type's former name.
             t => Err(WireError(format!("bad WireBuf tag {t}"))),
         }
     }
     fn logical(&self) -> u64 {
         match self {
-            WireBuf::Bytes(_) => 0,
-            WireBuf::Logical(n) => *n,
+            HostBuf::Bytes(_) => 0,
+            HostBuf::Logical(n) => *n,
         }
     }
 }
@@ -940,7 +898,7 @@ macro_rules! wire_enum {
 
             /// Deserialize from the front of a frame and advance the frame
             /// past the bytes read, on an error up to where decoding
-            /// stopped. Payloads ([`WireBuf::Bytes`]) are zero-copy
+            /// stopped. Payloads ([`HostBuf::Bytes`]) are zero-copy
             /// refcounted views of `frame`; nested [`Request::Batch`]
             /// frames deeper than [`MAX_BATCH_DEPTH`] are rejected with a
             /// [`WireError`].
@@ -988,11 +946,11 @@ wire_enum! {
         6 => Malloc { bytes: u64 },
         7 => Free { ptr: u64 },
         8 => Memset { ptr: u64, value: u8, bytes: u64 },
-        9 => MemcpyH2D { dst: u64, data: WireBuf },
+        9 => MemcpyH2D { dst: u64, data: HostBuf },
         10 => MemcpyD2H { src: u64, bytes: u64, want_data: bool },
-        11 => PushCallConfiguration { cfg: WireCfg },
+        11 => PushCallConfiguration { cfg: LaunchConfig },
         12 => Launch { fptr: u64, args: WireArgs },
-        13 => LaunchConfigured { fptr: u64, stream: u64, cfg: WireCfg, args: WireArgs },
+        13 => LaunchConfigured { fptr: u64, stream: u64, cfg: LaunchConfig, args: WireArgs },
         14 => Sync,
         15 => StreamCreate,
         16 => StreamDestroy { h: u64 },
@@ -1035,9 +993,9 @@ wire_enum! {
         1 => Err { class: u8, msg: String },
         2 => Ptr(p: u64),
         3 => Count(c: u32),
-        4 => Props(p: WireProps),
+        4 => Props(p: DeviceProps),
         5 => Handle(h: u64),
-        6 => Data(d: WireBuf),
+        6 => Data(d: HostBuf),
         7 => Handles(hs: Vec<u64>),
         8 => Fptrs(fs: Vec<(String, u64)>),
         9 => Attrs { is_device: bool, alloc_size: Option<u64>, device: u32 },
@@ -1072,12 +1030,12 @@ mod tests {
         });
         roundtrip_req(&Request::MemcpyH2D {
             dst: 0x7000_0000_0000,
-            data: vec![1, 2, 3].into(),
+            data: HostBuf::Bytes(vec![1, 2, 3].into()),
         });
         roundtrip_req(&Request::LaunchConfigured {
             fptr: 42,
             stream: 7,
-            cfg: WireCfg {
+            cfg: LaunchConfig {
                 grid: (1, 2, 3),
                 block: (4, 5, 6),
             },
@@ -1110,11 +1068,11 @@ mod tests {
             class: err_class::OOM,
             msg: "requested 1 GB".into(),
         });
-        roundtrip_resp(&Response::Props(WireProps {
+        roundtrip_resp(&Response::Props(DeviceProps {
             name: "V100".into(),
             total_mem: 16 << 30,
             sm_count: 80,
-            cc: (7, 0),
+            compute_capability: (7, 0),
         }));
         roundtrip_resp(&Response::Fptrs(vec![("k".into(), 7)]));
         roundtrip_resp(&Response::Attrs {
@@ -1122,14 +1080,14 @@ mod tests {
             alloc_size: Some(100),
             device: 0,
         });
-        roundtrip_resp(&Response::Data(WireBuf::Logical(1 << 30)));
+        roundtrip_resp(&Response::Data(HostBuf::Logical(1 << 30)));
     }
 
     #[test]
     fn logical_payloads_counted_at_full_size_but_encoded_small() {
         let r = Request::MemcpyH2D {
             dst: 0,
-            data: WireBuf::Logical(1 << 30),
+            data: HostBuf::Logical(1 << 30),
         };
         assert!(r.encode().len() < 64, "marker only");
         assert!(r.wire_size() >= 1 << 30, "network charge is the real size");
@@ -1160,6 +1118,55 @@ mod tests {
         assert!(descriptor_kind_from_u8(200).is_err());
     }
 
+    #[test]
+    fn error_classes_round_trip() {
+        use err_class::*;
+        let classes = [
+            OTHER,
+            OOM,
+            INVALID_VALUE,
+            INVALID_DEVICE,
+            INVALID_HANDLE,
+            UNSUPPORTED,
+            MEM_LIMIT,
+            TRANSPORT,
+        ];
+        for class in classes {
+            match error_to_wire(&error_from_wire(class, "detail".into())) {
+                Response::Err { class: back, .. } => assert_eq!(back, class),
+                other => panic!("class {class}: {other:?}"),
+            }
+        }
+        // Each error's class, as the API server has always sent it.
+        let pinned = [
+            (
+                CudaError::MemoryAllocation {
+                    requested: 1,
+                    free: 0,
+                },
+                OOM,
+            ),
+            (CudaError::InvalidValue("v".into()), INVALID_VALUE),
+            (CudaError::InvalidDevice { requested: 1 }, INVALID_DEVICE),
+            (CudaError::InvalidResourceHandle("h".into()), INVALID_HANDLE),
+            (CudaError::NotInitialized, OTHER),
+            (CudaError::Unsupported("u".into()), UNSUPPORTED),
+            (CudaError::RemotingFailure("r".into()), OTHER),
+            (CudaError::Transport("t".into()), TRANSPORT),
+            (
+                CudaError::MemoryLimitExceeded {
+                    would_use: 2,
+                    limit: 1,
+                },
+                MEM_LIMIT,
+            ),
+        ];
+        for (e, class) in pinned {
+            let msg = e.to_string();
+            assert_eq!(error_to_wire(&e), Response::Err { class, msg });
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_launch_args_roundtrip(
@@ -1180,7 +1187,7 @@ mod tests {
 
         #[test]
         fn prop_h2d_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2048), dst in any::<u64>()) {
-            let r = Request::MemcpyH2D { dst, data: data.into() };
+            let r = Request::MemcpyH2D { dst, data: HostBuf::Bytes(data.into()) };
             let mut frame = r.encode();
             prop_assert_eq!(Request::decode(&mut frame).unwrap(), r);
         }
@@ -1251,12 +1258,17 @@ mod tests {
             .collect()
     }
 
-    fn gen_buf(rng: &mut TestRng) -> WireBuf {
+    fn gen_buf(rng: &mut TestRng) -> HostBuf {
         if rng.next_u64().is_multiple_of(2) {
             let len = rng.range(0usize..64);
-            WireBuf::from((0..len).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>())
+            HostBuf::Bytes(
+                (0..len)
+                    .map(|_| rng.next_u64() as u8)
+                    .collect::<Vec<u8>>()
+                    .into(),
+            )
         } else {
-            WireBuf::Logical(rng.next_u64())
+            HostBuf::Logical(rng.next_u64())
         }
     }
 
@@ -1269,8 +1281,8 @@ mod tests {
         }
     }
 
-    fn gen_cfg(rng: &mut TestRng) -> WireCfg {
-        WireCfg {
+    fn gen_cfg(rng: &mut TestRng) -> LaunchConfig {
+        LaunchConfig {
             grid: (
                 rng.next_u64() as u32,
                 rng.next_u64() as u32,
@@ -1399,11 +1411,11 @@ mod tests {
             },
             2 => Ptr(rng.next_u64()),
             3 => Count(rng.next_u64() as u32),
-            4 => Props(WireProps {
+            4 => Props(DeviceProps {
                 name: gen_string(rng),
                 total_mem: rng.next_u64(),
                 sm_count: rng.next_u64() as u32,
-                cc: (rng.next_u64() as u32, rng.next_u64() as u32),
+                compute_capability: (rng.next_u64() as u32, rng.next_u64() as u32),
             }),
             5 => Handle(rng.next_u64()),
             6 => Data(gen_buf(rng)),
@@ -1570,18 +1582,18 @@ mod tests {
 
     #[test]
     fn decoded_payload_borrows_from_the_frame() {
-        // Zero-copy contract: the decoded WireBuf is a subslice of the
+        // Zero-copy contract: the decoded HostBuf is a subslice of the
         // arriving frame, not a fresh allocation.
         let r = Request::MemcpyH2D {
             dst: 7,
-            data: vec![9u8; 4096].into(),
+            data: HostBuf::Bytes(vec![9u8; 4096].into()),
         };
         let frame = r.encode();
         let mut f = frame.clone();
         let back = Request::decode(&mut f).unwrap();
         match back {
             Request::MemcpyH2D {
-                data: WireBuf::Bytes(b),
+                data: HostBuf::Bytes(b),
                 ..
             } => {
                 assert_eq!(b.len(), 4096);

@@ -22,6 +22,7 @@
 //! applies each result and reads the view afresh before the next decision.
 
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -60,11 +61,11 @@ pub(crate) struct FnRequest {
 }
 
 impl FnRequest {
-    /// Tenant this request belongs to, from its trace context (empty when
+    /// Tenant this request belongs to, from its trace context (`None` when
     /// the caller threaded none). Keys the MQFQ flow and the per-tenant
-    /// queue-delay gauges.
-    fn tenant(&self) -> &str {
-        self.trace.as_ref().map_or("", |t| &t.tenant)
+    /// telemetry.
+    fn tenant(&self) -> Option<&Arc<str>> {
+        self.trace.as_ref().map(|t| &t.tenant)
     }
 
     /// True once the requester gave up waiting: its record has failed.
@@ -464,6 +465,9 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
     // window.
     let mut last_depth: usize = 0;
     let mut last_gpu_sample = p.now();
+    // Each tenant's dispatch counter and queue-delay gauge names, built at
+    // its first dispatch.
+    let mut tenant_keys = BTreeMap::new();
 
     loop {
         if p.telemetry().is_enabled() && queue.len() != last_depth {
@@ -518,10 +522,10 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                 // Under a zero queue timeout the requester has already
                 // given up.
                 if !req.abandoned(&a.records.lock()) {
-                    let tenant = req.trace.as_ref().map(|t| Arc::clone(&t.tenant));
+                    let tenant = req.tenant().cloned();
                     queue.push(flow_of(&a.cfg.queue, tenant.as_deref().unwrap_or("")), req);
                 }
-                drain_queue(p, &a, &mut view, &mut servers, &mut queue);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
             }
             Ok(MonitorMsg::FunctionEnded {
                 server,
@@ -544,7 +548,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                         }
                     });
                 }
-                drain_queue(p, &a, &mut view, &mut servers, &mut queue);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
             }
             Err(RecvError::Timeout) => {
                 next_tick = now + MONITOR_PERIOD;
@@ -559,7 +563,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                 // have freed capacity, and a head-of-line request dropped
                 // at this wake must not strand placeable requests behind
                 // it until the next message arrives.
-                drain_queue(p, &a, &mut view, &mut servers, &mut queue);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
                 if a.cfg.migration {
                     view.read(now, &a, &servers);
                     let since = now.as_nanos().saturating_sub(MIGRATION_WINDOW.as_nanos());
@@ -717,6 +721,7 @@ fn drain_queue(
     view: &mut View,
     servers: &mut [SrvBook],
     queue: &mut MqfqQueues<FnRequest>,
+    tenant_keys: &mut BTreeMap<Arc<str>, (String, String)>,
 ) {
     let (policy, now) = (a.cfg.policy, p.now());
     let smallest = a.cfg.queue == QueuePolicy::SmallestFirst;
@@ -750,11 +755,16 @@ fn drain_queue(
         drop(records);
         let tel = p.telemetry();
         tel.counter_add("monitor.assignments", 1);
-        if tel.is_enabled() && !req.tenant().is_empty() {
-            tel.counter_add(&format!("monitor.tenant.{}.dispatches", req.tenant()), 1);
+        if let Some(t) = req.tenant().filter(|t| tel.is_enabled() && !t.is_empty()) {
+            if !tenant_keys.contains_key(&**t) {
+                let dispatches = format!("monitor.tenant.{t}.dispatches");
+                let delay = format!("monitor.tenant.{t}.queue_delay_us");
+                tenant_keys.insert(Arc::clone(t), (dispatches, delay));
+            }
+            let (dispatches, delay) = &tenant_keys[&**t];
+            tel.counter_add(dispatches, 1);
             let delay_us = now.since(requested_at).as_nanos() / 1_000;
-            let key = format!("monitor.tenant.{}.queue_delay_us", req.tenant());
-            tel.gauge_set(&key, now, delay_us as i64);
+            tel.gauge_set(delay, now, delay_us as i64);
         }
         let assignment = Assignment {
             inbox,

@@ -251,7 +251,11 @@ impl ClusterBalancer {
             return select(self.policy, snaps, rr, avoid, None);
         };
         let mut st = state.lock();
-        let warm = st.warm.entry(tenant.to_string()).or_default();
+        // The tenant's name is allocated only when it is first seen.
+        if !st.warm.contains_key(tenant) {
+            st.warm.insert(tenant.to_owned(), BTreeSet::new());
+        }
+        let warm = st.warm.get_mut(tenant).expect("inserted above");
         // A dead server's warm contexts are gone; its slot in the share
         // returns to the pool.
         warm.retain(|&i| i < snaps.len() && snaps[i].lease_live());
@@ -262,7 +266,12 @@ impl ClusterBalancer {
         };
         let pick = select(self.policy, snaps, rr, avoid, Some(aff))?;
         if warm.insert(pick) {
-            *st.cold_placements.entry(tenant.to_string()).or_insert(0) += 1;
+            match st.cold_placements.get_mut(tenant) {
+                Some(n) => *n += 1,
+                None => {
+                    st.cold_placements.insert(tenant.to_owned(), 1);
+                }
+            }
         }
         Some(pick)
     }

@@ -13,6 +13,8 @@
 //! oracle has no dependency on the server/serverless crates and can be
 //! exercised directly in unit tests with hand-built histories.
 
+use std::collections::BTreeMap;
+
 use crate::telemetry::EventRecord;
 use crate::time::SimTime;
 use crate::trace::TraceOutcome;
@@ -189,9 +191,9 @@ pub fn check(
     }
 
     // Per-request (trace) rules: a trace must complete at most once across
-    // every attempt the retry layer made for it.
-    let mut by_trace: std::collections::HashMap<u64, Vec<&InvocationFacts>> =
-        std::collections::HashMap::new();
+    // every attempt the retry layer made for it. Groups are ordered maps,
+    // so a report lists its violations in the same order in every process.
+    let mut by_trace: BTreeMap<u64, Vec<&InvocationFacts>> = BTreeMap::new();
     for inv in invocations {
         if let Some(t) = inv.trace {
             by_trace.entry(t).or_default().push(inv);
@@ -249,8 +251,7 @@ pub fn check(
 
     // Migration state machine: time moves forward and one server is never
     // in two migrations at once.
-    let mut by_server: std::collections::HashMap<u32, Vec<&MigrationFacts>> =
-        std::collections::HashMap::new();
+    let mut by_server: BTreeMap<u32, Vec<&MigrationFacts>> = BTreeMap::new();
     for m in migrations {
         if m.from == m.to {
             r.violate(
@@ -462,6 +463,20 @@ mod tests {
         // re-ran work whose first run succeeded.
         let r = check(&[inv(1, 7), inv(2, 7)], &[], &[]);
         assert!(r.violations.iter().any(|v| v.rule == "never-double-run"));
+    }
+
+    #[test]
+    fn double_runs_are_reported_in_trace_order() {
+        // 16 traces, each completed twice, listed out of trace order.
+        let invs: Vec<InvocationFacts> = (0..32).map(|i| inv(i, (i * 7) % 16)).collect();
+        let r = check(&invs, &[], &[]);
+        let traces: Vec<u64> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == "never-double-run")
+            .map(|v| v.detail.split(' ').nth(1).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(traces, (0..16).collect::<Vec<u64>>());
     }
 
     #[test]
