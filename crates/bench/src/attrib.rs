@@ -86,13 +86,7 @@ pub fn attrib(base_seed: u64, quick: bool) -> AttribOutput {
         .with_num_servers(2)
         .with_fleet_policy(FleetPolicy::LoadAware)
         .with_max_inflight(MAX_INFLIGHT)
-        .with_weighted_fair(
-            FairShedConfig::new()
-                .with_weight("hot", 1)
-                .with_weight("cold", 1)
-                .with_burst(2)
-                .with_refill(1_000),
-        );
+        .with_weighted_fair();
     let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
     let trees = assemble(&tel);
     // The invariant the whole module exists for: every request's critical

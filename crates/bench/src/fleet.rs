@@ -4,10 +4,10 @@
 //! functions and a "cold" tenant with sparse long functions) across a
 //! fleet of 4 GPU servers, for every combination of cluster-balancer
 //! routing (round-robin vs load-aware) and shed policy (FIFO vs
-//! per-tenant weighted fair). Every variant replays the *same* arrival
+//! per-tenant fair). Every variant replays the *same* arrival
 //! schedule per load point, so differences are attributable to policy
 //! alone. Per point it records per-tenant goodput, completion ratios and
-//! Jain's fairness index over the tenants' weight-normalized goodput.
+//! Jain's fairness index over the tenants' goodputs.
 //!
 //! Two fixed-hardware comparisons ride along: migration off/on under a
 //! stranded batch-pair mix, and the MQFQ-Sticky queueing arms — FCFS vs
@@ -79,9 +79,8 @@ pub struct FleetPoint {
     pub p50_e2e_us: u64,
     /// p99 end-to-end latency over all completions (microseconds).
     pub p99_e2e_us: u64,
-    /// Jain's fairness index over the two tenants' weight-normalized
-    /// goodputs, in permille (1000 = each tenant's served rate matches
-    /// its weight). Meaningful at the backlogged points, where demand
+    /// Jain's fairness index over the two tenants' goodputs, in permille
+    /// (1000 = both tenants are served at the same rate). Meaningful at the backlogged points, where demand
     /// exceeds every tenant's share.
     pub jain_permille: u64,
 }
@@ -134,7 +133,7 @@ pub struct QueueArm {
     pub completed: u64,
     /// Jain's index over the two tenants' served-by-horizon occupancy, in
     /// permille. FCFS serves in proportion to offered load; MQFQ splits
-    /// the backlogged horizon by weight.
+    /// the backlogged horizon evenly.
     pub jain_served_permille: u64,
     /// The heavy tenant's slice (few long functions, most of the demand).
     pub heavy: QueueTenant,
@@ -147,8 +146,8 @@ pub struct QueueArm {
 pub struct FleetVariant {
     /// Cluster-balancer routing policy label.
     pub fleet_policy: &'static str,
-    /// Admission shedding label: `weighted_fair` or `fifo` (fairness
-    /// unset).
+    /// Admission shedding label: `weighted_fair` (per-tenant fair
+    /// shedding) or `fifo`.
     pub shedding: &'static str,
     /// The measured curve, in offered-rate order.
     pub points: Vec<FleetPoint>,
@@ -176,8 +175,8 @@ pub struct FleetOutput {
 }
 
 /// The fleet under test: 4 single-GPU servers behind the cluster
-/// balancer, platform-wide admission control, optional weighted fair
-/// shedding with equal tenant weights.
+/// balancer, platform-wide admission control, optional per-tenant fair
+/// shedding.
 fn fleet_config(seed: u64, policy: FleetPolicy, fair: bool) -> PlatformConfig {
     let mut cfg = PlatformConfig::paper_default()
         .with_seed(seed)
@@ -186,13 +185,7 @@ fn fleet_config(seed: u64, policy: FleetPolicy, fair: bool) -> PlatformConfig {
         .with_fleet_policy(policy)
         .with_max_inflight(MAX_INFLIGHT);
     if fair {
-        cfg = cfg.with_weighted_fair(
-            FairShedConfig::new()
-                .with_weight("hot", 1)
-                .with_weight("cold", 1)
-                .with_burst(2)
-                .with_refill(1_000),
-        );
+        cfg = cfg.with_weighted_fair();
     }
     cfg
 }
@@ -284,8 +277,6 @@ fn run_point(
     let hot = tenant_point(&out, "hot");
     let cold = tenant_point(&out, "cold");
     let all = summary_of(&out, |_| true);
-    // Equal tenant weights, so the weight-normalized goodputs are the
-    // goodputs themselves.
     let jain = jain_permille(&[hot.goodput_rps_milli, cold.goodput_rps_milli]);
     FleetPoint {
         hot_rps_milli,
@@ -406,14 +397,10 @@ fn queueing_config(seed: u64, policy: FleetPolicy, mqfq: bool, sticky: bool) -> 
         .with_num_servers(2)
         .with_fleet_policy(policy);
     if mqfq {
-        cfg = cfg.with_mqfq(
-            MqfqConfig::new()
-                .with_weight("heavy", 1)
-                .with_weight("light", 1),
-        );
+        cfg = cfg.with_mqfq();
     }
     if sticky {
-        cfg = cfg.with_sticky(StickyConfig::new().with_max_share(500));
+        cfg = cfg.with_sticky();
     }
     cfg
 }

@@ -83,13 +83,12 @@ pub mod prelude {
     pub use dgsf_cuda::{CostTable, CudaApi, HostBuf, KernelArgs, LaunchConfig, ModuleRegistry};
     pub use dgsf_remoting::{NetProfile, OptConfig};
     pub use dgsf_server::{
-        AutoscaleConfig, FleetPolicy, GpuServerConfig, MqfqConfig, PlacementPolicy,
-        PredictiveConfig, QueuePolicy,
+        AutoscaleConfig, FleetPolicy, GpuServerConfig, PlacementPolicy, PredictiveConfig,
+        QueuePolicy,
     };
     pub use dgsf_serverless::{
-        AdmissionConfig, ArrivalPattern, ClusterBalancer, FailureClass, FairShedConfig,
-        InvokeOptions, Invoker, Phase, PhaseRecorder, Schedule, Spin, StickyConfig, Tenanted,
-        Workload,
+        AdmissionConfig, ArrivalPattern, ClusterBalancer, FailureClass, InvokeOptions, Invoker,
+        Phase, PhaseRecorder, Schedule, Spin, Tenanted, Workload,
     };
     pub use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime};
 }

@@ -9,37 +9,27 @@
 //!
 //! ```
 //! use dgsf::{PlatformConfig, Testbed};
-//! use dgsf::serverless::{FairShedConfig, FleetPolicy};
+//! use dgsf::serverless::FleetPolicy;
 //!
 //! let cfg = PlatformConfig::paper_default()
 //!     .with_seed(7)
 //!     .with_num_servers(4)
 //!     .with_fleet_policy(FleetPolicy::LoadAware)
 //!     .with_max_inflight(64)
-//!     .with_weighted_fair(FairShedConfig::new().with_weight("hot", 1));
+//!     .with_weighted_fair();
 //! assert_eq!(cfg.num_servers, 4);
 //! assert_eq!(cfg.validate(), Ok(()));
 //! ```
 
 use dgsf_remoting::OptConfig;
-use dgsf_server::{FleetPolicy, GpuServerConfig, MqfqConfig, QueuePolicy};
-use dgsf_serverless::{AdmissionConfig, FairShedConfig, StickyConfig};
+use dgsf_server::{FleetPolicy, GpuServerConfig, QueuePolicy};
+use dgsf_serverless::AdmissionConfig;
 use dgsf_sim::ObsConfig;
 
 /// A rejected [`PlatformConfig`]: the build was internally inconsistent
-/// in a way that would silently distort a run (e.g. a zero fairness
-/// weight, which would starve that tenant forever).
+/// in a way that would silently distort a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A fair-shedding or MQFQ weight map names a tenant with weight 0.
-    ZeroWeight {
-        /// Which policy the weight belongs to (`"fair_shed"` / `"mqfq"`).
-        policy: &'static str,
-        /// The offending tenant.
-        tenant: String,
-    },
-    /// The sticky max-share bound is outside 1..=1000 per mille.
-    BadStickyShare(u64),
     /// The observability-plane configuration is internally inconsistent
     /// (zero window or zero error budget).
     BadObsConfig(String),
@@ -48,16 +38,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroWeight { policy, tenant } => write!(
-                f,
-                "{policy} weight for tenant {tenant:?} is 0: a zero-weight tenant \
-                 would be starved forever; give every tenant a weight >= 1"
-            ),
-            ConfigError::BadStickyShare(p) => write!(
-                f,
-                "sticky max_share_permille is {p}: must be within 1..=1000 \
-                 (per mille of the fleet one tenant may hold)"
-            ),
             ConfigError::BadObsConfig(reason) => write!(f, "obs config rejected: {reason}"),
         }
     }
@@ -80,9 +60,9 @@ pub struct PlatformConfig {
     pub policy: FleetPolicy,
     /// Optional admission control (overload shedding).
     pub admission: Option<AdmissionConfig>,
-    /// Optional bounded sticky tenant→server placement (MQFQ-Sticky's
-    /// locality half).
-    pub sticky: Option<StickyConfig>,
+    /// Bounded sticky tenant→server placement (MQFQ-Sticky's locality
+    /// half), each tenant held to half the fleet.
+    pub sticky: bool,
     /// Guest-library optimization level.
     pub opts: OptConfig,
     /// Optional online observability plane: streaming windowed
@@ -101,7 +81,7 @@ impl PlatformConfig {
             num_servers: 1,
             policy: FleetPolicy::RoundRobin,
             admission: None,
-            sticky: None,
+            sticky: false,
             opts: OptConfig::full(),
             obs: None,
         }
@@ -165,27 +145,27 @@ impl PlatformConfig {
         self
     }
 
-    /// Builder-style: per-tenant weighted fair shedding (requires
-    /// admission control to be configured first).
-    pub fn with_weighted_fair(mut self, fairness: FairShedConfig) -> Self {
+    /// Builder-style: per-tenant fair shedding, every tenant an equal
+    /// share (requires admission control to be configured first).
+    pub fn with_weighted_fair(mut self) -> Self {
         let adm = self
             .admission
             .take()
             .expect("set with_max_inflight before with_weighted_fair");
-        self.admission = Some(adm.with_weighted_fair(fairness));
+        self.admission = Some(adm.with_weighted_fair());
         self
     }
 
     /// Builder-style: switch every GPU server's queue to per-tenant MQFQ
-    /// fair queueing under `weights`.
-    pub fn with_mqfq(mut self, weights: MqfqConfig) -> Self {
-        self.server = self.server.with_fair_queue(weights);
+    /// fair queueing.
+    pub fn with_mqfq(mut self) -> Self {
+        self.server = self.server.with_queue_policy(QueuePolicy::Mqfq);
         self
     }
 
     /// Builder-style: enable bounded sticky tenant→server placement.
-    pub fn with_sticky(mut self, sticky: StickyConfig) -> Self {
-        self.sticky = Some(sticky);
+    pub fn with_sticky(mut self) -> Self {
+        self.sticky = true;
         self
     }
 
@@ -205,21 +185,9 @@ impl PlatformConfig {
     }
 
     /// Check the configuration for inconsistencies that would silently
-    /// distort a run: zero (or zero-total) fairness weights, an
-    /// out-of-range sticky share. The platform
+    /// distort a run: an inconsistent observability plane. The platform
     /// runners call this before provisioning anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if let Some(fair) = self.admission.as_ref().and_then(|a| a.fairness.as_ref()) {
-            check_weights("fair_shed", &fair.weights)?;
-        }
-        if let QueuePolicy::Mqfq(mqfq) = &self.server.queue {
-            check_weights("mqfq", &mqfq.weights)?;
-        }
-        if let Some(sticky) = &self.sticky {
-            if !(1..=1000).contains(&sticky.max_share_permille) {
-                return Err(ConfigError::BadStickyShare(sticky.max_share_permille));
-            }
-        }
         if let Some(obs) = &self.obs {
             obs.validate().map_err(ConfigError::BadObsConfig)?;
         }
@@ -238,22 +206,6 @@ impl PlatformConfig {
     }
 }
 
-/// Reject zero weights in a tenant→weight map: the builders clamp to 1,
-/// but both config types expose public fields, and a literal 0 would
-/// starve the tenant (fair shed) or stall its virtual clock (MQFQ).
-fn check_weights(
-    policy: &'static str,
-    weights: &std::collections::BTreeMap<String, u64>,
-) -> Result<(), ConfigError> {
-    if let Some((tenant, _)) = weights.iter().find(|(_, &w)| w == 0) {
-        return Err(ConfigError::ZeroWeight {
-            policy,
-            tenant: tenant.clone(),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,13 +219,13 @@ mod tests {
             .with_fleet_policy(FleetPolicy::LoadAware)
             .with_max_inflight(32)
             .with_max_queue_age(Dur::from_secs(2))
-            .with_weighted_fair(FairShedConfig::new());
+            .with_weighted_fair();
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.num_servers, 4);
         assert_eq!(cfg.policy, FleetPolicy::LoadAware);
         let adm = cfg.admission.expect("admission configured");
         assert_eq!(adm.max_inflight, 32);
-        assert!(adm.fairness.is_some(), "weighted fair shedding on");
+        assert!(adm.fair, "fair shedding on");
     }
 
     #[test]
@@ -300,71 +252,20 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_the_defaults_and_well_formed_fairness() {
+    fn validate_accepts_the_defaults_and_every_tenant_protection() {
         assert_eq!(PlatformConfig::paper_default().validate(), Ok(()));
         let cfg = PlatformConfig::paper_default()
             .with_max_inflight(8)
-            .with_weighted_fair(FairShedConfig::new().with_weight("hot", 3))
-            .with_mqfq(MqfqConfig::new().with_weight("hot", 3))
-            .with_sticky(StickyConfig::new());
+            .with_weighted_fair()
+            .with_mqfq()
+            .with_sticky();
         assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
-    fn validate_rejects_zero_fair_shed_weights() {
-        // The builders clamp to 1; a literal 0 needs the public fields.
-        let mut fair = FairShedConfig::new();
-        fair.weights.insert("ghost".into(), 0);
-        let cfg = PlatformConfig::paper_default()
-            .with_max_inflight(8)
-            .with_weighted_fair(fair);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroWeight {
-                policy: "fair_shed",
-                tenant: "ghost".into(),
-            })
-        );
-    }
-
-    #[test]
-    fn validate_rejects_zero_mqfq_weights() {
-        let mut mqfq = MqfqConfig::new();
-        mqfq.weights.insert("ghost".into(), 0);
-        let cfg = PlatformConfig::paper_default().with_mqfq(mqfq);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroWeight {
-                policy: "mqfq",
-                tenant: "ghost".into(),
-            })
-        );
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_sticky_share() {
-        let mut sticky = StickyConfig::new();
-        sticky.max_share_permille = 0;
-        let cfg = PlatformConfig::paper_default().with_sticky(sticky);
-        assert_eq!(cfg.validate(), Err(ConfigError::BadStickyShare(0)));
-        let mut sticky2 = StickyConfig::new();
-        sticky2.max_share_permille = 1500;
-        let cfg2 = PlatformConfig::paper_default().with_sticky(sticky2);
-        assert_eq!(cfg2.validate(), Err(ConfigError::BadStickyShare(1500)));
-        // Error messages are actionable.
-        let msg = cfg2.validate().unwrap_err().to_string();
-        assert!(msg.contains("1500") && msg.contains("1..=1000"), "{msg}");
-    }
-
-    #[test]
     fn builder_sets_sticky_and_mqfq() {
-        let cfg = PlatformConfig::paper_default()
-            .with_sticky(StickyConfig::new().with_max_share(250))
-            .with_mqfq(MqfqConfig::new().with_weight("hot", 2));
-        assert_eq!(cfg.sticky.map(|s| s.max_share_permille), Some(250));
-        let QueuePolicy::Mqfq(weights) = &cfg.server.queue else {
-            panic!("with_mqfq sets the MQFQ queue policy");
-        };
-        assert_eq!(weights.weight_of("hot"), 2);
+        let cfg = PlatformConfig::paper_default().with_sticky().with_mqfq();
+        assert!(cfg.sticky);
+        assert_eq!(cfg.server.queue, QueuePolicy::Mqfq);
     }
 }

@@ -226,10 +226,10 @@ fn run_platform(
             .collect();
         let mut backend = Backend::new(&h2, fleet.clone(), cfg2.policy);
         if let Some(adm) = cfg2.admission.clone() {
-            backend = backend.with_admission(adm);
+            backend = backend.with_admission(adm, suite.iter().map(|w| w.tenant()));
         }
-        if let Some(sticky) = cfg2.sticky.clone() {
-            backend = backend.with_sticky(sticky);
+        if cfg2.sticky {
+            backend = backend.with_sticky();
         }
         if let Some(pl) = plane2.clone() {
             backend = backend.with_obs(pl);

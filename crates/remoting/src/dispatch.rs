@@ -16,7 +16,7 @@ use dgsf_cuda::{
 };
 use dgsf_sim::{Dur, ProcCtx, TraceCtx};
 
-use crate::wire::{error_to_wire, Request, Response, WireArgs};
+use crate::wire::{descriptor_kind_from_u8, error_to_wire, Request, Response, WireArgs};
 
 /// Counters an API server keeps about the function it is serving.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -264,7 +264,10 @@ impl Dispatcher {
                 Ok(()) => Response::Ok,
                 Err(e) => error_to_wire(&e),
             },
-            CudnnCreateDescriptors { kind: _, n } => {
+            CudnnCreateDescriptors { kind, n } => {
+                if let Err(e) = descriptor_kind_from_u8(kind) {
+                    return error_to_wire(&CudaError::InvalidValue(e.0));
+                }
                 // Host-side opaque structs on the server; hand out ids.
                 let base = 0x4000_0000_0000_0000u64 + self.stats.requests;
                 Response::Handles((0..n).map(|i| base + i).collect())
@@ -392,6 +395,29 @@ mod tests {
                 Response::Err { class, .. } => assert_eq!(class, err_class::INVALID_DEVICE),
                 other => panic!("expected error, got {other:?}"),
             }
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn unknown_descriptor_kind_is_an_invalid_value() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        sim.spawn("srv", move |p| {
+            let mut d = mk_dispatcher(p, &h);
+            let init = Request::Init {
+                pooled_context: true,
+            };
+            d.handle(p, init, 1);
+            match d.handle(p, Request::CudnnCreateDescriptors { kind: 200, n: 2 }, 1) {
+                Response::Err { class, msg } => {
+                    assert_eq!(class, err_class::INVALID_VALUE);
+                    assert!(msg.contains("200"), "{msg}");
+                }
+                other => panic!("expected an error, got {other:?}"),
+            }
+            let known = Request::CudnnCreateDescriptors { kind: 4, n: 2 };
+            assert!(matches!(d.handle(p, known, 1), Response::Handles(ids) if ids.len() == 2));
         });
         sim.run();
     }

@@ -357,28 +357,51 @@ pub fn error_to_wire(e: &CudaError) -> Response {
     }
 }
 
-/// Inverse of [`error_to_wire`] on the class: the [`CudaError`] the guest
-/// raises for a [`Response::Err`]. Only the message crosses the wire, so
-/// the sizes and the ordinal of a rebuilt error are placeholders.
+/// Inverse of [`error_to_wire`]: the [`CudaError`] the guest raises for a
+/// [`Response::Err`]. Only the message crosses the wire, so the sizes and
+/// the ordinal of a rebuilt error are read back from it (the error's
+/// `Display`); a message that does not parse leaves them as placeholders
+/// (zero sizes, ordinal `u32::MAX`).
 pub fn error_from_wire(class: u8, msg: String) -> CudaError {
     match class {
-        err_class::OOM => CudaError::MemoryAllocation {
-            requested: 0,
-            free: 0,
-        },
+        err_class::OOM => {
+            let [requested, free] =
+                numbers_after(&msg, ["requested ", ", free "]).unwrap_or([0; 2]);
+            CudaError::MemoryAllocation { requested, free }
+        }
         err_class::INVALID_VALUE => CudaError::InvalidValue(msg),
         err_class::INVALID_DEVICE => CudaError::InvalidDevice {
-            requested: u32::MAX,
+            requested: numbers_after(&msg, ["ordinal "])
+                .and_then(|[n]| u32::try_from(n).ok())
+                .unwrap_or(u32::MAX),
         },
         err_class::INVALID_HANDLE => CudaError::InvalidResourceHandle(msg),
         err_class::UNSUPPORTED => CudaError::Unsupported(msg),
-        err_class::MEM_LIMIT => CudaError::MemoryLimitExceeded {
-            would_use: 0,
-            limit: 0,
-        },
+        err_class::MEM_LIMIT => {
+            let [would_use, limit] =
+                numbers_after(&msg, ["would use ", ", limit "]).unwrap_or([0; 2]);
+            CudaError::MemoryLimitExceeded { would_use, limit }
+        }
         err_class::TRANSPORT => CudaError::Transport(msg),
         _ => CudaError::RemotingFailure(msg),
     }
+}
+
+/// The decimal numbers that directly follow each of `labels` in `msg`,
+/// each label searched for after the previous number; `None` when a label
+/// is missing or not followed by a number.
+fn numbers_after<const N: usize>(msg: &str, labels: [&str; N]) -> Option<[u64; N]> {
+    let mut rest = msg;
+    let mut out = [0; N];
+    for (n, label) in out.iter_mut().zip(labels) {
+        rest = &rest[rest.find(label)? + label.len()..];
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        *n = rest[..end].parse().ok()?;
+        rest = &rest[end..];
+    }
+    Some(out)
 }
 
 // ---------------- codec helpers ----------------
@@ -1165,6 +1188,41 @@ mod tests {
             let msg = e.to_string();
             assert_eq!(error_to_wire(&e), Response::Err { class, msg });
         }
+    }
+
+    #[test]
+    fn error_numbers_survive_the_wire() {
+        let errors = [
+            CudaError::MemoryAllocation {
+                requested: 4 << 30,
+                free: 123_456_789,
+            },
+            CudaError::InvalidDevice { requested: 3 },
+            CudaError::MemoryLimitExceeded {
+                would_use: u64::MAX,
+                limit: 1 << 30,
+            },
+        ];
+        for e in errors {
+            let Response::Err { class, msg } = error_to_wire(&e) else {
+                unreachable!("an error crosses as Response::Err");
+            };
+            assert_eq!(error_from_wire(class, msg), e);
+        }
+        // A message that does not parse keeps the placeholders.
+        assert_eq!(
+            error_from_wire(err_class::OOM, "out of memory".into()),
+            CudaError::MemoryAllocation {
+                requested: 0,
+                free: 0
+            }
+        );
+        assert_eq!(
+            error_from_wire(err_class::INVALID_DEVICE, "ordinal 99999999999".into()),
+            CudaError::InvalidDevice {
+                requested: u32::MAX
+            }
+        );
     }
 
     proptest! {

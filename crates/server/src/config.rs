@@ -5,7 +5,6 @@ use dgsf_remoting::{FaultPlan, NetProfile};
 use dgsf_sim::Dur;
 
 use crate::autoscale::AutoscaleConfig;
-use crate::fairqueue::MqfqConfig;
 use crate::policy::{PlacementPolicy, QueuePolicy};
 
 /// Configuration of one disaggregated GPU server.
@@ -140,13 +139,6 @@ impl GpuServerConfig {
     /// normally match it.
     pub fn with_autoscale(mut self, policy: AutoscaleConfig) -> Self {
         self.autoscale = Some(policy);
-        self
-    }
-
-    /// Builder-style: switch the queue discipline to per-tenant fair
-    /// queueing under `weights` ([`QueuePolicy::Mqfq`]).
-    pub fn with_fair_queue(mut self, weights: MqfqConfig) -> Self {
-        self.queue = QueuePolicy::Mqfq(weights);
         self
     }
 

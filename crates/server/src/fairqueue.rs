@@ -3,11 +3,10 @@
 //! Implements the in-queue half of the MQFQ-Sticky design: the monitor
 //! keeps one FIFO flow per tenant and dispatches the flow with the lowest
 //! *virtual time* — an integer-ns counter of normalized service each
-//! tenant has received. A tenant's virtual time advances by
-//! `service_ns / weight` per completed function (computed with an exact
-//! remainder carry, so no rounding error accumulates), which converges
-//! long-run GPU time to the configured weight ratio regardless of how
-//! bursty each tenant's arrivals are.
+//! tenant has received. A tenant's virtual time advances by its service
+//! time per completed function, which converges long-run GPU time to an
+//! equal split between backlogged tenants regardless of how bursty each
+//! tenant's arrivals are.
 //!
 //! It is the monitor's only queue. Under FCFS and smallest-first every
 //! request joins one flow, so dispatch offers that flow's candidate (its
@@ -39,61 +38,25 @@
 //! queued item. Dispatch is a decision over `&self` ([`MqfqQueues::decide`])
 //! and its application ([`MqfqQueues::take`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// Fixed-point scale of the virtual clock: one weight unit of service for
-/// one nanosecond advances the clock by `SCALE / weight`.
+/// Fixed-point scale of the virtual clock: one nanosecond of service
+/// advances the clock by `SCALE`.
 pub const VTIME_SCALE: u128 = 1000;
-
-/// Weight of a tenant without an explicit entry in [`MqfqConfig::weights`].
-const DEFAULT_WEIGHT: u64 = 1;
 
 /// Provisional per-dispatch charge (ns) held against a flow while its
 /// functions are in flight, replaced by the exact service time on
 /// completion: 100 ms, a typical short function.
 pub const ASSUMED_SERVICE_NS: u64 = 100_000_000;
 
-/// Configuration of the per-tenant fair queue.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MqfqConfig {
-    /// Per-tenant weights; tenants absent here weigh 1.
-    pub weights: BTreeMap<String, u64>,
-}
-
-impl MqfqConfig {
-    /// Equal-weight configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set a tenant's weight (clamped to at least 1).
-    pub fn with_weight(mut self, tenant: &str, weight: u64) -> Self {
-        self.weights.insert(tenant.to_string(), weight.max(1));
-        self
-    }
-
-    /// Effective weight of `tenant` (never zero).
-    pub fn weight_of(&self, tenant: &str) -> u64 {
-        self.weights
-            .get(tenant)
-            .copied()
-            .unwrap_or(DEFAULT_WEIGHT)
-            .max(1)
-    }
-}
-
 /// One tenant's flow: FIFO backlog plus fair-queueing accounting.
 #[derive(Debug)]
 struct Flow<T> {
     /// The tenant, named when the flow is first seen.
     name: String,
-    weight: u64,
     queue: VecDeque<T>,
-    /// Virtual time in `VTIME_SCALE`-scaled units of normalized service.
+    /// Virtual time in `VTIME_SCALE`-scaled units of service.
     vtime: u128,
-    /// Remainder carry of the vtime division, so repeated charges lose no
-    /// precision: `vtime` advances by `(service·SCALE + rem) / weight`.
-    rem: u128,
     /// Dispatched functions whose exact service charge has not arrived yet.
     inflight: u64,
     /// Total dispatches (monotonic; for tests and telemetry).
@@ -113,7 +76,7 @@ impl<T> Flow<T> {
     /// completion still rotate across tenants, then the tenant name.
     fn key(&self) -> (u128, &str) {
         let hold = self.inflight as u128 * (ASSUMED_SERVICE_NS as u128 * VTIME_SCALE);
-        (self.vtime + hold / self.weight as u128, &self.name)
+        (self.vtime + hold, &self.name)
     }
 }
 
@@ -148,7 +111,6 @@ pub struct Pick {
 /// and the iterators only see queued items.
 #[derive(Debug)]
 pub struct MqfqQueues<T> {
-    cfg: MqfqConfig,
     /// Every flow seen so far, in first-sight order.
     flows: Vec<Flow<T>>,
     /// High-water mark of dispatch-time virtual times; re-activating flows
@@ -157,17 +119,18 @@ pub struct MqfqQueues<T> {
     len: usize,
 }
 
-impl<T> MqfqQueues<T> {
-    /// Empty queue set under `cfg`.
-    pub fn new(cfg: MqfqConfig) -> Self {
+impl<T> Default for MqfqQueues<T> {
+    /// Empty queue set.
+    fn default() -> Self {
         Self {
-            cfg,
             flows: Vec::new(),
             floor: 0,
             len: 0,
         }
     }
+}
 
+impl<T> MqfqQueues<T> {
     /// Total queued items across all flows.
     pub fn len(&self) -> usize {
         self.len
@@ -195,10 +158,8 @@ impl<T> MqfqQueues<T> {
             None => {
                 self.flows.push(Flow {
                     name: tenant.to_string(),
-                    weight: self.cfg.weight_of(tenant),
                     queue: VecDeque::new(),
                     vtime: 0,
-                    rem: 0,
                     inflight: 0,
                     dispatched: 0,
                     service_ns: 0,
@@ -210,10 +171,7 @@ impl<T> MqfqQueues<T> {
             let active = self.flows.iter().filter(|f| !f.idle());
             let clamp = active.map(|f| f.vtime).min().unwrap_or(self.floor);
             let flow = &mut self.flows[i];
-            if flow.vtime < clamp {
-                flow.vtime = clamp;
-                flow.rem = 0;
-            }
+            flow.vtime = flow.vtime.max(clamp);
         }
         self.flows[i].queue.push_back(item);
         self.len += 1;
@@ -265,8 +223,8 @@ impl<T> MqfqQueues<T> {
     }
 
     /// Charge `tenant` for `service_ns` nanoseconds of completed service,
-    /// advancing its virtual time by `service_ns / weight` (exact, with
-    /// remainder carry) and releasing one provisional in-flight hold.
+    /// advancing its virtual time by that service and releasing one
+    /// provisional in-flight hold.
     pub fn charge(&mut self, tenant: &str, service_ns: u64) {
         let Some(flow) = self.flows.iter_mut().find(|f| f.name == tenant) else {
             return;
@@ -274,10 +232,7 @@ impl<T> MqfqQueues<T> {
         flow.inflight = flow.inflight.saturating_sub(1);
         let c = service_ns.max(1);
         flow.service_ns = flow.service_ns.saturating_add(c);
-        let w = flow.weight as u128;
-        let num = c as u128 * VTIME_SCALE + flow.rem;
-        flow.vtime += num / w;
-        flow.rem = num % w;
+        flow.vtime += c as u128 * VTIME_SCALE;
     }
 
     /// Keep only queued items for which `keep` returns true. Flow
@@ -323,8 +278,8 @@ impl<T> MqfqQueues<T> {
 mod tests {
     use super::*;
 
-    fn fq(cfg: MqfqConfig) -> MqfqQueues<u64> {
-        MqfqQueues::new(cfg)
+    fn fq() -> MqfqQueues<u64> {
+        MqfqQueues::default()
     }
 
     /// Decide on the heads for which `fits` holds, and take the choice.
@@ -334,11 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_service_converges_to_the_weight_ratio() {
-        // heavy:light = 2:1; both always backlogged, unit service cost.
-        let mut q = fq(MqfqConfig::new()
-            .with_weight("heavy", 2)
-            .with_weight("light", 1));
+    fn service_time_not_dispatch_count_is_split_evenly() {
+        // heavy's functions cost twice light's; both always backlogged.
+        let mut q = fq();
         for i in 0..30 {
             q.push("heavy", i);
             q.push("light", 100 + i);
@@ -348,19 +301,20 @@ mod tests {
             let item = pop(&mut q, |_| true).expect("backlogged");
             if item < 100 {
                 counts.0 += 1;
-                q.charge("heavy", 1_000_000);
+                q.charge("heavy", 2_000_000);
             } else {
                 counts.1 += 1;
                 q.charge("light", 1_000_000);
             }
         }
-        // 30 unit-cost dispatches at weights 2:1 → 20:10.
-        assert_eq!(counts, (20, 10));
+        // 30 dispatches at costs 2:1 → 10:20, equal service each.
+        assert_eq!(counts, (10, 20));
+        assert_eq!(q.service_of("heavy"), q.service_of("light"));
     }
 
     #[test]
     fn dispatch_falls_back_when_the_lowest_vtime_head_does_not_fit() {
-        let mut q = fq(MqfqConfig::new());
+        let mut q = fq();
         q.push("a", 16); // head needs 16 "GB"
         q.push("b", 1);
         // "a" has the lower name (tie at vtime 0) but its head doesn't fit
@@ -375,7 +329,7 @@ mod tests {
     #[test]
     fn idle_time_banks_no_credit() {
         // Items <100 belong to "busy", ≥100 to "idle".
-        let mut q = fq(MqfqConfig::new());
+        let mut q = fq();
         // "busy" works alone for a while.
         for i in 0..10 {
             q.push("busy", i);
@@ -401,7 +355,7 @@ mod tests {
 
     #[test]
     fn inflight_holds_rotate_dispatch_before_any_completion() {
-        let mut q = fq(MqfqConfig::new());
+        let mut q = fq();
         for i in 0..4 {
             q.push("a", i);
             q.push("b", 10 + i);
@@ -420,7 +374,7 @@ mod tests {
 
     #[test]
     fn retain_purges_without_touching_accounting() {
-        let mut q = fq(MqfqConfig::new());
+        let mut q = fq();
         q.push("t", 1);
         q.push("t", 2);
         q.push("u", 3);
@@ -428,18 +382,5 @@ mod tests {
         q.retain(|&x| x != 2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.dispatches_of("t") + q.dispatches_of("u"), 1);
-    }
-
-    #[test]
-    fn remainder_carry_loses_no_service() {
-        // weight 3: each 10 ns charge is 10·1000/3 = 3333.33… scaled units;
-        // after 3 charges the vtime must be exactly 10000, not 9999.
-        let mut q = fq(MqfqConfig::new().with_weight("t", 3));
-        q.push("t", 0);
-        let _ = pop(&mut q, |_| true).unwrap();
-        q.charge("t", 10);
-        q.charge("t", 10);
-        q.charge("t", 10);
-        assert_eq!(q.vtime_of("t").unwrap(), 10 * VTIME_SCALE);
     }
 }

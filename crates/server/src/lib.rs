@@ -31,7 +31,7 @@ mod server;
 pub use api_server::{ApiServerShared, MigrationRecord};
 pub use autoscale::{AutoscaleConfig, Autoscaler, PredictiveConfig};
 pub use config::GpuServerConfig;
-pub use fairqueue::{MqfqConfig, MqfqQueues};
+pub use fairqueue::MqfqQueues;
 pub use monitor::InvocationRecord;
 pub use policy::{FleetPolicy, PlacementPolicy, QueuePolicy};
 pub use server::{AcquireError, GpuServer, ServerGauges};

@@ -39,7 +39,7 @@ use crate::api_server::{
 };
 use crate::autoscale::Autoscaler;
 use crate::config::GpuServerConfig;
-use crate::fairqueue::{MqfqConfig, MqfqQueues};
+use crate::fairqueue::MqfqQueues;
 use crate::policy::{PlacementPolicy, QueuePolicy};
 
 /// A function's request for a virtual GPU. Its memory and arrival time are
@@ -363,9 +363,9 @@ impl View {
 
 /// The queue flow a request of `tenant` joins: its tenant's under MQFQ,
 /// one shared flow under FCFS and smallest-first.
-fn flow_of<'t>(policy: &QueuePolicy, tenant: &'t str) -> &'t str {
+fn flow_of(policy: QueuePolicy, tenant: &str) -> &str {
     match policy {
-        QueuePolicy::Mqfq(_) => tenant,
+        QueuePolicy::Mqfq => tenant,
         QueuePolicy::Fcfs | QueuePolicy::SmallestFirst => "",
     }
 }
@@ -447,10 +447,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
     // fleet; the scaler is pure policy (hysteresis/TTL/cooldown).
     let mut next_server_id = a.servers.lock().len() as u32;
     let mut scaler = a.cfg.autoscale.clone().map(Autoscaler::new);
-    let mut queue: MqfqQueues<FnRequest> = MqfqQueues::new(match &a.cfg.queue {
-        QueuePolicy::Mqfq(weights) => weights.clone(),
-        QueuePolicy::Fcfs | QueuePolicy::SmallestFirst => MqfqConfig::new(),
-    });
+    let mut queue: MqfqQueues<FnRequest> = MqfqQueues::default();
     // Migration damping: bound concurrent migrations, and let the system
     // settle before judging imbalance again. `None` = never requested.
     let mut last_migration: Option<SimTime> = None;
@@ -523,7 +520,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                 // given up.
                 if !req.abandoned(&a.records.lock()) {
                     let tenant = req.tenant().cloned();
-                    queue.push(flow_of(&a.cfg.queue, tenant.as_deref().unwrap_or("")), req);
+                    queue.push(flow_of(a.cfg.queue, tenant.as_deref().unwrap_or("")), req);
                 }
                 drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
             }
@@ -633,7 +630,7 @@ fn release(now: SimTime, a: &MonCtx, s: &mut SrvBook, queue: &mut MqfqQueues<FnR
         .get(invocation)
         .expect("a running invocation has a record");
     let assigned_at = rec.assigned_at.expect("a running invocation was assigned");
-    let flow = flow_of(&a.cfg.queue, &rec.tenant);
+    let flow = flow_of(a.cfg.queue, &rec.tenant);
     queue.charge(flow, now.since(assigned_at).as_nanos());
 }
 

@@ -9,11 +9,9 @@
 //!   invocation to (the paper's §IV open policy space).
 //!
 //! What admission control sheds under overload is not an enum: the
-//! serverless backend's `AdmissionConfig::fairness` either holds a
-//! weighted-fair configuration or is unset, and unset sheds tenant-blind,
-//! whoever arrives while the platform is full.
-
-use crate::fairqueue::MqfqConfig;
+//! serverless backend's `AdmissionConfig::fair` either turns on per-tenant
+//! fair shedding or is off, and off sheds tenant-blind, whoever arrives
+//! while the platform is full.
 
 /// How the monitor picks a GPU for an incoming function (§VIII-D/E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +31,7 @@ pub enum PlacementPolicy {
 /// Every discipline runs on the monitor's one queue,
 /// [`MqfqQueues`](crate::MqfqQueues): FCFS and smallest-first put every
 /// request in one flow, MQFQ each tenant's requests in the tenant's own.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Strict first-come-first-serve with head-of-line blocking (the
     /// paper's evaluated policy).
@@ -47,9 +45,8 @@ pub enum QueuePolicy {
     /// Multi-queue fair queueing (MQFQ-Sticky): one FIFO flow per tenant,
     /// dispatch by lowest integer-ns virtual time, work-conserving: the
     /// lowest-vtime tenant whose head places is served, so an unplaceable
-    /// head blocks only its own tenant. Weighted by these per-tenant
-    /// weights.
-    Mqfq(MqfqConfig),
+    /// head blocks only its own tenant. Every tenant weighs the same.
+    Mqfq,
 }
 
 /// How the serverless backend picks a GPU server from the fleet for a

@@ -16,7 +16,7 @@ use dgsf_cuda::{CudaApi, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf_gpu::GB;
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::fairqueue::{ASSUMED_SERVICE_NS, VTIME_SCALE};
-use dgsf_server::{AcquireError, GpuServer, GpuServerConfig, MqfqConfig, MqfqQueues, QueuePolicy};
+use dgsf_server::{AcquireError, GpuServer, GpuServerConfig, MqfqQueues, QueuePolicy};
 use dgsf_sim::{Dur, ProcCtx, Sim, SimCell, SimTime, TraceCtx};
 use proptest::prelude::*;
 
@@ -311,16 +311,11 @@ fn abandoned_request_never_occupies_a_server() {
 // tests can attribute every dispatch.
 // ---------------------------------------------------------------------------
 
-/// Build an equal-arity queue: `weights[i]` is tenant `t{i}`'s weight, and
-/// every tenant starts backlogged with `depth` items (each item = its
-/// tenant's index).
-fn backlogged_queues(weights: &[u64], depth: usize) -> MqfqQueues<usize> {
-    let mut cfg = MqfqConfig::new();
-    for (i, &w) in weights.iter().enumerate() {
-        cfg = cfg.with_weight(&format!("t{i}"), w);
-    }
-    let mut q = MqfqQueues::new(cfg);
-    for i in 0..weights.len() {
+/// Build an equal-arity queue: `tenants` tenants `t{i}`, every one
+/// backlogged with `depth` items (each item = its tenant's index).
+fn backlogged_queues(tenants: usize, depth: usize) -> MqfqQueues<usize> {
+    let mut q = MqfqQueues::default();
+    for i in 0..tenants {
         for _ in 0..depth {
             q.push(&format!("t{i}"), i);
         }
@@ -340,14 +335,14 @@ proptest! {
 
     /// No starvation: with every tenant backlogged, each one is dispatched
     /// at least once well before the round count exceeds the tenant count,
-    /// whatever the weights and per-dispatch costs.
+    /// whatever the per-dispatch costs.
     #[test]
     fn mqfq_never_starves_a_backlogged_tenant(
-        weights in proptest::collection::vec(1u64..9, 2..6),
+        tenants in 2usize..6,
         costs in proptest::collection::vec(1u64..10_000_001, 64),
     ) {
-        let mut q = backlogged_queues(&weights, costs.len());
-        let mut served = vec![0u64; weights.len()];
+        let mut q = backlogged_queues(tenants, costs.len());
+        let mut served = vec![0u64; tenants];
         for &c in &costs {
             let tenant = dispatch(&mut q).expect("backlogged");
             served[tenant] += 1;
@@ -365,7 +360,7 @@ proptest! {
     fn mqfq_dispatch_is_work_conserving(
         ops in proptest::collection::vec((0usize..5, any::<bool>()), 1..200),
     ) {
-        let mut q = MqfqQueues::new(MqfqConfig::new());
+        let mut q = MqfqQueues::default();
         for (tenant, is_push) in ops {
             if is_push {
                 let before = q.len();
@@ -387,30 +382,27 @@ proptest! {
     }
 
     /// Bounded lag: under serial dispatch+charge with every tenant
-    /// backlogged, each tenant's weight-normalized service stays within
-    /// `2 · VTIME_SCALE · max_cost / min_weight` of every other's — the
+    /// backlogged, each tenant's normalized service stays within
+    /// `2 · VTIME_SCALE · max_cost` of every other's — the
     /// start-time-fair-queueing guarantee that nobody drifts arbitrarily
-    /// far from its ideal weighted share.
+    /// far from its equal share.
     #[test]
     fn mqfq_normalized_service_lag_is_bounded(
-        weights in proptest::collection::vec(1u64..9, 2..6),
+        tenants in 2usize..6,
         costs in proptest::collection::vec(1u64..10_000_001, 32..129),
     ) {
-        let mut q = backlogged_queues(&weights, costs.len());
+        let mut q = backlogged_queues(tenants, costs.len());
         for &c in &costs {
             let tenant = dispatch(&mut q).expect("backlogged");
             q.charge(&format!("t{tenant}"), c);
         }
-        let normalized: Vec<u128> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| q.service_of(&format!("t{i}")) as u128 * VTIME_SCALE / w as u128)
+        let normalized: Vec<u128> = (0..tenants)
+            .map(|i| q.service_of(&format!("t{i}")) as u128 * VTIME_SCALE)
             .collect();
         let max = *normalized.iter().max().unwrap();
         let min = *normalized.iter().min().unwrap();
         let max_cost = *costs.iter().max().unwrap() as u128;
-        let min_weight = *weights.iter().min().unwrap() as u128;
-        let bound = 2 * VTIME_SCALE * max_cost / min_weight;
+        let bound = 2 * VTIME_SCALE * max_cost;
         prop_assert!(
             max - min <= bound,
             "normalized service spread {} exceeds the SFQ bound {}",
@@ -427,22 +419,20 @@ type Item = (usize, u64);
 /// The dispatch decision by its definition: sort the backlogged flows'
 /// candidates (each flow's first item of least `rank`) by effective key —
 /// virtual time plus the provisional charge of the `inflight` functions
-/// at the tenant's weight — then tenant name, and take the first that
-/// `fits`.
+/// — then tenant name, and take the first that `fits`.
 fn first_fit_in_key_order(
     q: &MqfqQueues<Item>,
-    weights: &[u64],
     inflight: &[u64],
     rank: impl Fn(&Item) -> u64,
     fits: impl Fn(&Item) -> bool,
 ) -> Option<Item> {
     let mut heads: Vec<(u128, String, Item)> = Vec::new();
-    for (t, &w) in weights.iter().enumerate() {
+    for (t, &n) in inflight.iter().enumerate() {
         let name = format!("t{t}");
         let Some(&head) = q.iter().filter(|it| it.0 == t).min_by_key(|it| rank(it)) else {
             continue;
         };
-        let hold = inflight[t] as u128 * ASSUMED_SERVICE_NS as u128 * VTIME_SCALE / w as u128;
+        let hold = n as u128 * ASSUMED_SERVICE_NS as u128 * VTIME_SCALE;
         heads.push((q.vtime_of(&name).expect("pushed") + hold, name, head));
     }
     heads.sort();
@@ -453,24 +443,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The dispatch decision (no sort) equals sort-then-first-fit after
-    /// any mix of pushes, charges and dispatches: random weights, service
-    /// charges, in-flight holds and fit masks, with each flow offering its
-    /// head or (`ranked`) its first item of least rank.
+    /// any mix of pushes, charges and dispatches: random tenant counts,
+    /// service charges, in-flight holds and fit masks, with each flow
+    /// offering its head or (`ranked`) its first item of least rank.
     #[test]
     fn mqfq_decision_is_the_first_fit_in_key_order(
-        weights in proptest::collection::vec(1u64..9, 1..6),
+        tenants in 1usize..6,
         ops in proptest::collection::vec((0usize..6, 0u8..3, 1u64..300_000_001, any::<u64>()), 1..160),
         ranked in any::<bool>(),
     ) {
-        let mut cfg = MqfqConfig::new();
-        for (i, &w) in weights.iter().enumerate() {
-            cfg = cfg.with_weight(&format!("t{i}"), w);
-        }
-        let mut q = MqfqQueues::new(cfg);
-        let mut inflight = vec![0u64; weights.len()];
+        let mut q = MqfqQueues::default();
+        let mut inflight = vec![0u64; tenants];
         let rank = |it: &Item| if ranked { it.1 * 7919 % 5 } else { 0 };
         for (seq, (t, op, cost, mask)) in ops.into_iter().enumerate() {
-            let t = t % weights.len();
+            let t = t % tenants;
             match op {
                 0 => q.push(&format!("t{t}"), (t, seq as u64)),
                 1 => {
@@ -479,7 +465,7 @@ proptest! {
                 }
                 _ => {
                     let fits = |it: &Item| mask >> (it.1 % 64) & 1 == 1;
-                    let want = first_fit_in_key_order(&q, &weights, &inflight, rank, fits);
+                    let want = first_fit_in_key_order(&q, &inflight, rank, fits);
                     let got = q.decide(rank, |it| fits(it).then_some(*it));
                     prop_assert_eq!(got.map(|(_, it)| it), want);
                     if let Some((pick, it)) = got {
@@ -536,7 +522,7 @@ fn tenant_serve_order(fair: bool) -> Vec<String> {
     sim.spawn("root", move |p| {
         let mut cfg = GpuServerConfig::paper_default().gpus(1);
         if fair {
-            cfg = cfg.with_fair_queue(MqfqConfig::new());
+            cfg = cfg.with_queue_policy(QueuePolicy::Mqfq);
         }
         let srv = GpuServer::provision(p, &h2, cfg);
         let s0 = Arc::clone(&srv);
@@ -599,7 +585,7 @@ fn mqfq_records_tenants_on_invocation_records() {
             &h2,
             GpuServerConfig::paper_default()
                 .gpus(1)
-                .with_fair_queue(MqfqConfig::new().with_weight("alpha", 2)),
+                .with_queue_policy(QueuePolicy::Mqfq),
         );
         let s2 = Arc::clone(&srv);
         h2.spawn("a", move |p| hold_gpu_as(p, &s2, "alpha", 1, "a", 0.1));
@@ -636,7 +622,7 @@ fn mqfq_tenant_reenters_at_the_active_virtual_time_after_its_request_times_out()
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default()
             .gpus(1)
-            .with_fair_queue(MqfqConfig::new());
+            .with_queue_policy(QueuePolicy::Mqfq);
         let srv = GpuServer::provision(p, &h2, cfg);
         for i in 0..12u64 {
             let srv = Arc::clone(&srv);
@@ -738,6 +724,6 @@ fn zero_queue_timeout_fails_the_request_and_serves_the_next_fcfs() {
 #[test]
 fn zero_queue_timeout_fails_the_request_and_serves_the_next_mqfq() {
     zero_queue_timeout_fails_the_request_and_serves_the_next(
-        GpuServerConfig::paper_default().with_fair_queue(MqfqConfig::new()),
+        GpuServerConfig::paper_default().with_queue_policy(QueuePolicy::Mqfq),
     );
 }

@@ -33,7 +33,7 @@ use crate::invoke::{
 };
 use crate::phases::{phase, PhaseRecorder};
 use crate::store::ObjectStore;
-use crate::tenant::{FairShedConfig, FairShedder};
+use crate::tenant::FairShedder;
 use crate::workload::Workload;
 
 /// Attempt budget per function, first try included: a transient failure is
@@ -61,10 +61,10 @@ pub struct AdmissionConfig {
     /// Maximum time one attempt may wait in a GPU server's queue before
     /// the work is shed as overload (bounds queue *age*, not just depth).
     pub max_queue_age: Option<Dur>,
-    /// Per-tenant weighted fair shedding.
-    /// `None` is the FIFO baseline: slots go to whoever arrives first,
-    /// tenant-blind.
-    pub fairness: Option<FairShedConfig>,
+    /// Per-tenant fair shedding: each tenant owns an equal share of the
+    /// budget and borrows beyond it from a token bucket. `false` is the
+    /// FIFO baseline: slots go to whoever arrives first, tenant-blind.
+    pub fair: bool,
 }
 
 impl AdmissionConfig {
@@ -74,7 +74,7 @@ impl AdmissionConfig {
         AdmissionConfig {
             max_inflight,
             max_queue_age: None,
-            fairness: None,
+            fair: false,
         }
     }
 
@@ -84,9 +84,9 @@ impl AdmissionConfig {
         self
     }
 
-    /// Builder-style: shed per tenant (weighted fair) instead of FIFO.
-    pub fn with_weighted_fair(mut self, fairness: FairShedConfig) -> Self {
-        self.fairness = Some(fairness);
+    /// Builder-style: shed per tenant (fair share) instead of FIFO.
+    pub fn with_weighted_fair(mut self) -> Self {
+        self.fair = true;
         self
     }
 }
@@ -95,14 +95,14 @@ impl AdmissionConfig {
 #[derive(Default)]
 struct AdmissionState {
     inflight: usize,
-    /// Present iff the admission config asked for weighted fair shedding.
+    /// Present iff the admission config asked for fair shedding.
     fair: Option<FairShedder>,
 }
 
 /// RAII release of an admission slot.
 struct AdmissionSlot<'a> {
     state: &'a SimCell<AdmissionState>,
-    /// Tenant charged by the fair shedder, when fairness is on.
+    /// Tenant charged by the fair shedder, when fair shedding is on.
     tenant: Option<String>,
 }
 
@@ -205,18 +205,26 @@ impl Backend {
     }
 
     /// Turn on admission control. Without it the backend admits everything
-    /// and queues without bound (the paper's prototype behaviour).
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Backend {
-        self.admitted.lock().fair = admission.fairness.clone().map(FairShedder::new);
+    /// and queues without bound (the paper's prototype behaviour). Under
+    /// fair shedding, `tenants` (those of the functions the run may invoke)
+    /// split the budget from t = 0, before any of them has arrived.
+    pub fn with_admission<'t>(
+        mut self,
+        admission: AdmissionConfig,
+        tenants: impl IntoIterator<Item = &'t str>,
+    ) -> Backend {
+        if admission.fair {
+            self.admitted.lock().fair = Some(FairShedder::new(tenants));
+        }
         self.admission = Some(admission);
         self
     }
 
     /// Turn on bounded sticky tenant placement: the balancer steers each
-    /// tenant back to its warm servers, capped at the configured fleet
-    /// share (the MQFQ-Sticky locality half).
-    pub fn with_sticky(mut self, sticky: crate::cluster::StickyConfig) -> Backend {
-        self.balancer = ClusterBalancer::new(self.balancer.policy()).with_sticky(&self.sim, sticky);
+    /// tenant back to its warm servers, capped at half the fleet (the
+    /// MQFQ-Sticky locality half).
+    pub fn with_sticky(mut self) -> Backend {
+        self.balancer = ClusterBalancer::new(self.balancer.policy()).with_sticky(&self.sim);
         self
     }
 
@@ -465,18 +473,17 @@ impl Backend {
                 st.inflight, adm.max_inflight
             ));
         }
-        // Weighted fair shedding: within the global budget, each tenant
-        // owns its weighted share and borrows beyond it only as fast as
-        // its token bucket refills — the most over-budget tenant is the
-        // one refused.
+        // Fair shedding: within the global budget, each tenant owns an
+        // equal share and borrows beyond it only as fast as its token
+        // bucket refills — the most over-budget tenant is the one refused.
         let max_inflight = adm.max_inflight;
         let tenant = if let Some(fair) = st.fair.as_mut() {
             let t = w.tenant();
-            if fair.try_admit(t, p.now(), max_inflight).is_err() {
+            if !fair.try_admit(t, p.now(), max_inflight) {
                 return Err(format!(
                     "tenant '{t}' over fair share ({} inflight / {} slots, bucket empty)",
                     fair.inflight_of(t),
-                    fair.share_of(t, max_inflight),
+                    fair.share(max_inflight),
                 ));
             }
             Some(t.to_string())
@@ -547,7 +554,7 @@ mod tests {
             let srv = GpuServer::provision(p, &h, cfg);
             let b = Rc::new(
                 Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
-                    .with_admission(AdmissionConfig::new(1)),
+                    .with_admission(AdmissionConfig::new(1), []),
             );
             let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
             for i in 0..2 {

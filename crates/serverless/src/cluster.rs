@@ -14,12 +14,13 @@
 //!
 //! ## Sticky tenant placement (MQFQ-Sticky)
 //!
-//! With a [`StickyConfig`] installed, the balancer remembers which fleet
+//! With stickiness on ([`ClusterBalancer::with_sticky`]), the balancer
+//! remembers which fleet
 //! members each tenant has landed on (its *warm set* — servers already
 //! holding the tenant's warm contexts and cached modules) and steers
 //! repeat traffic back there: warm servers get a score bonus under
 //! [`FleetPolicy::LoadAware`], and once a tenant's warm set reaches the
-//! **max-share bound** (`max_share_permille` of the fleet), routing is
+//! **max-share bound** ([`MAX_SHARE_PERMILLE`] of the fleet), routing is
 //! confined to the warm set entirely — a heavy tenant concentrates on its
 //! slice of the fleet instead of spraying cold starts everywhere, and it
 //! can never capture servers beyond its share and defeat the per-tenant
@@ -61,36 +62,11 @@ fn load_score(g: &ServerGauges) -> u64 {
         .saturating_add((g.migrations_in_flight as u64).saturating_mul(MIGRATION_WEIGHT))
 }
 
-/// Bounded sticky tenant→server placement (the "Sticky" half of
-/// MQFQ-Sticky).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StickyConfig {
-    /// Largest fraction of the fleet (per mille) one tenant's warm set may
-    /// span; once reached, the tenant's traffic is confined to its warm
-    /// servers. At least one server is always allowed.
-    pub max_share_permille: u64,
-}
-
-impl Default for StickyConfig {
-    fn default() -> Self {
-        StickyConfig {
-            max_share_permille: 500,
-        }
-    }
-}
-
-impl StickyConfig {
-    /// Default stickiness: half the fleet per tenant.
-    pub fn new() -> StickyConfig {
-        StickyConfig::default()
-    }
-
-    /// Set the max-share bound (per mille, clamped to 1..=1000).
-    pub fn with_max_share(mut self, permille: u64) -> Self {
-        self.max_share_permille = permille.clamp(1, 1000);
-        self
-    }
-}
+/// Largest fraction of the fleet (per mille) one tenant's warm set may
+/// span under sticky placement (the "Sticky" half of MQFQ-Sticky): half
+/// the fleet. Once reached, the tenant's traffic is confined to its warm
+/// servers. At least one server is always allowed.
+pub const MAX_SHARE_PERMILLE: u64 = 500;
 
 /// One tenant's placement affinity, resolved against the live fleet.
 #[derive(Debug, Clone, Copy)]
@@ -191,7 +167,7 @@ struct StickyState {
 pub struct ClusterBalancer {
     policy: FleetPolicy,
     rr: Cell<usize>,
-    sticky: Option<(StickyConfig, SimCell<StickyState>)>,
+    sticky: Option<SimCell<StickyState>>,
 }
 
 impl ClusterBalancer {
@@ -206,8 +182,8 @@ impl ClusterBalancer {
 
     /// Builder-style: enable bounded sticky tenant placement, its warm-set
     /// memory in a cell of the simulation `h` belongs to.
-    pub fn with_sticky(mut self, h: &SimHandle, cfg: StickyConfig) -> ClusterBalancer {
-        self.sticky = Some((cfg, SimCell::new(h, StickyState::default())));
+    pub fn with_sticky(mut self, h: &SimHandle) -> ClusterBalancer {
+        self.sticky = Some(SimCell::new(h, StickyState::default()));
         self
     }
 
@@ -247,7 +223,7 @@ impl ClusterBalancer {
             FleetPolicy::RoundRobin => self.rr.replace(self.rr.get() + 1),
             _ => 0,
         };
-        let Some((cfg, state)) = &self.sticky else {
+        let Some(state) = &self.sticky else {
             return select(self.policy, snaps, rr, avoid, None);
         };
         let mut st = state.lock();
@@ -259,7 +235,7 @@ impl ClusterBalancer {
         // A dead server's warm contexts are gone; its slot in the share
         // returns to the pool.
         warm.retain(|&i| i < snaps.len() && snaps[i].lease_live());
-        let cap = ((snaps.len() as u64 * cfg.max_share_permille) / 1000).max(1) as usize;
+        let cap = ((snaps.len() as u64 * MAX_SHARE_PERMILLE) / 1000).max(1) as usize;
         let aff = TenantAffinity {
             warm,
             capped: warm.len() >= cap,
@@ -279,7 +255,7 @@ impl ClusterBalancer {
     /// The tenant's current warm set (empty when stickiness is off).
     pub fn warm_servers_of(&self, tenant: &str) -> BTreeSet<usize> {
         match &self.sticky {
-            Some((_, state)) => state.lock().warm.get(tenant).cloned().unwrap_or_default(),
+            Some(state) => state.lock().warm.get(tenant).cloned().unwrap_or_default(),
             None => BTreeSet::new(),
         }
     }
@@ -288,7 +264,7 @@ impl ClusterBalancer {
     /// touched (cold placements; 0 when stickiness is off).
     pub fn cold_placements_of(&self, tenant: &str) -> u64 {
         match &self.sticky {
-            Some((_, state)) => state
+            Some(state) => state
                 .lock()
                 .cold_placements
                 .get(tenant)
@@ -401,8 +377,7 @@ mod tests {
             gauges(1, 0, 0, 0),
             gauges(1, 0, 0, 0),
         ];
-        let b = ClusterBalancer::new(FleetPolicy::RoundRobin)
-            .with_sticky(&handle(), StickyConfig::new().with_max_share(500));
+        let b = ClusterBalancer::new(FleetPolicy::RoundRobin).with_sticky(&handle());
         for _ in 0..32 {
             let i = b.route_snapshots_for("heavy", &snaps, None).unwrap();
             assert!(b.warm_servers_of("heavy").contains(&i));
@@ -415,8 +390,7 @@ mod tests {
     fn sticky_prunes_dead_warm_servers_and_refills_the_share() {
         let live = gauges(1, 0, 0, 0);
         let dead = gauges(0, 1, 0, 0);
-        let b = ClusterBalancer::new(FleetPolicy::LoadAware)
-            .with_sticky(&handle(), StickyConfig::new().with_max_share(500));
+        let b = ClusterBalancer::new(FleetPolicy::LoadAware).with_sticky(&handle());
         let snaps = vec![live; 4];
         // The first route warms server 0; loading it past the warm bonus
         // spills the tenant onto a second server, filling the 50% share.
@@ -443,16 +417,17 @@ mod tests {
 
     #[test]
     fn warm_bonus_wins_ties_but_not_against_overload() {
-        let b = ClusterBalancer::new(FleetPolicy::LoadAware)
-            .with_sticky(&handle(), StickyConfig::new().with_max_share(1000));
+        let b = ClusterBalancer::new(FleetPolicy::LoadAware).with_sticky(&handle());
+        // Four servers: the tenant stays uncapped until it is warm on two.
         // First route warms server 0 (tie → lowest index).
-        let idle = vec![gauges(2, 0, 0, 0), gauges(2, 0, 0, 0)];
+        let idle = vec![gauges(2, 0, 0, 0); 4];
         assert_eq!(b.route_snapshots_for("t", &idle, None), Some(0));
         // Equal load: the warm server wins the tie.
-        let even = vec![gauges(2, 0, 1, 0), gauges(2, 0, 1, 0)];
+        let even = vec![gauges(2, 0, 1, 0); 4];
         assert_eq!(b.route_snapshots_for("t", &even, None), Some(0));
         // Server 0 heavily overloaded: the bonus must not pin traffic there.
-        let skewed = vec![gauges(2, 0, 6, 6), gauges(2, 0, 0, 0)];
+        let mut skewed = idle.clone();
+        skewed[0] = gauges(2, 0, 6, 6);
         assert_eq!(b.route_snapshots_for("t", &skewed, None), Some(1));
     }
 

@@ -26,7 +26,7 @@ mod workload;
 
 pub use arrivals::{ArrivalPattern, Schedule};
 pub use backend::{AdmissionConfig, Backend};
-pub use cluster::{ClusterBalancer, StickyConfig};
+pub use cluster::ClusterBalancer;
 pub use dag::{DagStage, DagWorkload, HandoffMode};
 pub use dgsf_server::FleetPolicy;
 pub use invoke::{
@@ -35,5 +35,5 @@ pub use invoke::{
 };
 pub use phases::{phase, Phase, PhaseRecorder};
 pub use store::ObjectStore;
-pub use tenant::{FairRefusal, FairShedConfig, FairShedder, Tenanted};
-pub use workload::{Spin, Workload};
+pub use tenant::FairShedder;
+pub use workload::{Spin, Tenanted, Workload};

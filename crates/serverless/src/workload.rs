@@ -19,9 +19,8 @@ pub trait Workload: Send + Sync {
     fn name(&self) -> &str;
 
     /// Tenant (customer account) that deployed the function. Admission
-    /// control's weighted fair shedding budgets by this label; wrap a
-    /// workload in [`crate::Tenanted`] to set it. Defaults to a single
-    /// shared tenant.
+    /// control's fair shedding budgets by this label; wrap a workload in
+    /// [`Tenanted`] to set it. Defaults to a single shared tenant.
     fn tenant(&self) -> &str {
         "default"
     }
@@ -45,6 +44,59 @@ pub trait Workload: Send + Sync {
 
     /// Calibrated CPU execution time (6 threads), for the CPU baseline row.
     fn cpu_secs(&self) -> f64;
+}
+
+/// Wrap a workload with a tenant label (and an optional distinct name), so
+/// multi-tenant schedules can reuse one workload body.
+pub struct Tenanted<W> {
+    inner: W,
+    tenant: String,
+    name: String,
+}
+
+impl<W: Workload> Tenanted<W> {
+    /// `inner` deployed by `tenant`; the function keeps its own name.
+    pub fn new(tenant: &str, inner: W) -> Tenanted<W> {
+        let name = inner.name().to_string();
+        Tenanted {
+            inner,
+            tenant: tenant.to_string(),
+            name,
+        }
+    }
+
+    /// `inner` deployed by `tenant` under an explicit function name.
+    pub fn named(tenant: &str, name: &str, inner: W) -> Tenanted<W> {
+        Tenanted {
+            inner,
+            tenant: tenant.to_string(),
+            name: name.to_string(),
+        }
+    }
+}
+
+impl<W: Workload> Workload for Tenanted<W> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn tenant(&self) -> &str {
+        &self.tenant
+    }
+    fn registry(&self) -> Arc<ModuleRegistry> {
+        self.inner.registry()
+    }
+    fn required_gpu_mem(&self) -> u64 {
+        self.inner.required_gpu_mem()
+    }
+    fn download_bytes(&self) -> u64 {
+        self.inner.download_bytes()
+    }
+    fn run(&self, p: &ProcCtx, api: &mut dyn CudaApi, rec: &mut PhaseRecorder) -> CudaResult<()> {
+        self.inner.run(p, api, rec)
+    }
+    fn cpu_secs(&self) -> f64 {
+        self.inner.cpu_secs()
+    }
 }
 
 /// The synthetic function the load experiments and tests drive: `host` of

@@ -1,5 +1,5 @@
 //! Cluster-layer invariants: the balancer never routes to a lease-expired
-//! server (property-tested over arbitrary gauge snapshots), weighted
+//! server (property-tested over arbitrary gauge snapshots), per-tenant
 //! fair shedding guarantees a tenant its share no matter how hard another
 //! tenant floods the platform, and sticky tenant placement never lets a
 //! tenant's warm set outgrow the max-share bound while cutting its
@@ -12,11 +12,8 @@ use std::sync::Arc;
 use dgsf_gpu::GB;
 use dgsf_remoting::{NetProfile, OptConfig};
 use dgsf_server::{FleetPolicy, GpuServer, GpuServerConfig, ServerGauges};
-use dgsf_serverless::cluster::select;
-use dgsf_serverless::{
-    AdmissionConfig, Backend, ClusterBalancer, FairShedConfig, ObjectStore, Spin, StickyConfig,
-    Tenanted,
-};
+use dgsf_serverless::cluster::{select, MAX_SHARE_PERMILLE};
+use dgsf_serverless::{AdmissionConfig, Backend, ClusterBalancer, ObjectStore, Spin, Tenanted};
 use dgsf_sim::{Dur, Sim, SimCell};
 use proptest::prelude::*;
 
@@ -111,9 +108,8 @@ proptest! {
         snaps in proptest::collection::vec(gauges_strategy(), 2..10),
         routes in 1usize..64,
     ) {
-        let bal = ClusterBalancer::new(FleetPolicy::RoundRobin)
-            .with_sticky(&Sim::new(0).handle(), StickyConfig::new().with_max_share(500));
-        let cap = ((snaps.len() as u64 * 500) / 1000).max(1) as usize;
+        let bal = ClusterBalancer::new(FleetPolicy::RoundRobin).with_sticky(&Sim::new(0).handle());
+        let cap = ((snaps.len() as u64 * MAX_SHARE_PERMILLE) / 1000).max(1) as usize;
         for _ in 0..routes {
             let warm_before = bal.warm_servers_of("heavy");
             let picked = bal.route_snapshots_for("heavy", &snaps, None);
@@ -149,7 +145,7 @@ fn spin(name: &'static str) -> Spin {
 }
 
 /// The fair-shedding guarantee: a flooding hot tenant can never push a
-/// tenant that stays within its weighted share into being shed. The cold
+/// tenant that stays within its fair share into being shed. The cold
 /// tenant's shed count stays zero however many functions the hot tenant
 /// throws at the platform.
 #[test]
@@ -161,18 +157,13 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
     sim.spawn("root", move |p| {
         let cfg = GpuServerConfig::paper_default().gpus(2);
         let srv = GpuServer::provision(p, &h, cfg);
-        // 4 slots, equal weights ⇒ 2 guaranteed slots per tenant. No
-        // bucket refill: borrowing is a one-shot burst, so the guarantee
-        // is exercised in its tightest form.
+        // 8 slots, two tenants ⇒ 4 guaranteed slots each. Over the
+        // 200 ms flood hot's bucket refills a fifth of a token, so hot
+        // holds at most its share plus its 2-token burst: 6 slots.
         let b = Rc::new(
             Backend::new(&h, vec![srv], FleetPolicy::RoundRobin).with_admission(
-                AdmissionConfig::new(4).with_weighted_fair(
-                    FairShedConfig::new()
-                        .with_weight("hot", 1)
-                        .with_weight("cold", 1)
-                        .with_burst(1)
-                        .with_refill(0),
-                ),
+                AdmissionConfig::new(8).with_weighted_fair(),
+                ["hot", "cold"],
             ),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
@@ -220,15 +211,12 @@ fn hot_tenant_cannot_shed_a_tenant_within_its_share() {
         hot_shed > 0,
         "the flood must exceed hot's share and be shed ({hot_shed})"
     );
-    assert_eq!(
-        cold_shed, 0,
-        "a tenant within its weighted share is never shed"
-    );
+    assert_eq!(cold_shed, 0, "a tenant within its fair share is never shed");
 }
 
 /// Sanity check of the FIFO baseline on the identical scenario: the flood
-/// does spill onto the cold tenant, which is exactly what weighted fair
-/// shedding prevents.
+/// does spill onto the cold tenant, which is exactly what fair shedding
+/// prevents.
 #[test]
 fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
     let mut sim = Sim::new(7);
@@ -240,7 +228,7 @@ fn fifo_baseline_lets_the_flood_starve_the_cold_tenant() {
         let srv = GpuServer::provision(p, &h, cfg);
         let b = Rc::new(
             Backend::new(&h, vec![srv], FleetPolicy::RoundRobin)
-                .with_admission(AdmissionConfig::new(4)),
+                .with_admission(AdmissionConfig::new(8), []),
         );
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..40 {
@@ -315,12 +303,9 @@ fn sticky_placement_cuts_the_light_tenants_cold_placements_versus_round_robin() 
         "round-robin spreads over the whole fleet"
     );
 
-    // Sticky with max-share 50%: the same 16 routes pay at most 2 cold
+    // Sticky (max share 50%): the same 16 routes pay at most 2 cold
     // placements, then stay on the warm pair.
-    let sticky = ClusterBalancer::new(FleetPolicy::RoundRobin).with_sticky(
-        &Sim::new(0).handle(),
-        StickyConfig::new().with_max_share(500),
-    );
+    let sticky = ClusterBalancer::new(FleetPolicy::RoundRobin).with_sticky(&Sim::new(0).handle());
     let mut sticky_touched = BTreeSet::new();
     for _ in 0..16 {
         sticky_touched.insert(

@@ -1,10 +1,11 @@
 //! Fleet-sweep oracles: byte-determinism of `BENCH_fleet.json` against a
 //! committed golden, plus the policy effects the experiment exists to
 //! demonstrate — load-aware routing beats round-robin on p99 at and past
-//! the saturation knee, weighted fair shedding raises Jain's fairness
-//! index over FIFO once both tenants are backlogged, and MQFQ-Sticky
-//! fair queueing splits a backlogged fleet by weight while cutting the
-//! light tenant's queue-delay tail at equal completed demand.
+//! the saturation knee, per-tenant fair shedding (the `weighted_fair`
+//! variant) raises Jain's fairness index over FIFO once both tenants are
+//! backlogged, and MQFQ-Sticky fair queueing splits a backlogged fleet
+//! evenly between its tenants while cutting the light tenant's
+//! queue-delay tail at equal completed demand.
 
 use dgsf_bench::fleet;
 
@@ -99,7 +100,7 @@ fn mqfq_raises_jain_and_cuts_the_light_tenant_tail_over_fcfs() {
     assert_eq!(mqfq.completed, fcfs.completed, "equal completed demand");
     assert_eq!(sticky.completed, fcfs.completed, "equal completed demand");
     // With both tenants backlogged past their half share, FCFS serves in
-    // proportion to offered load while MQFQ splits the horizon by weight.
+    // proportion to offered load while MQFQ splits the horizon evenly.
     assert!(
         mqfq.jain_served_permille > fcfs.jain_served_permille,
         "MQFQ Jain {} must exceed FCFS {}",
@@ -149,7 +150,7 @@ fn weighted_fair_shedding_raises_jain_index_over_fifo() {
                 fifo.points[i].jain_permille,
             );
             // Fairness must never come at the cold tenant's expense: its
-            // goodput holds or improves under weighted fair shedding.
+            // goodput holds or improves under fair shedding.
             assert!(
                 fair.points[i].cold.goodput_rps_milli >= fifo.points[i].cold.goodput_rps_milli,
                 "{routing}: weighted fair must not lower the cold tenant's goodput"

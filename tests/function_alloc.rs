@@ -56,7 +56,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use dgsf::prelude::MqfqConfig;
 use dgsf::serverless::{Schedule, Workload};
 use dgsf::sim::{Dur, SimTime};
 use dgsf::{PlatformConfig, Testbed};
@@ -112,7 +111,7 @@ fn warmed_function_allocation_is_bounded() {
         .map(|w| w as Arc<dyn Workload>)
         .collect();
     let fcfs = PlatformConfig::paper_default();
-    let mqfq = PlatformConfig::paper_default().with_mqfq(MqfqConfig::new());
+    let mqfq = PlatformConfig::paper_default().with_mqfq();
     for (queue, cfg) in [("fcfs", fcfs), ("mqfq", mqfq)] {
         let mut per_function = Vec::new();
         for (w, f) in suite.iter().enumerate() {

@@ -173,3 +173,39 @@ fn saturation_is_graceful() {
         assert!(!r.succeeded());
     }
 }
+
+/// Fair shedding splits the budget among every tenant of the run from
+/// t = 0. A tenant that first arrives after another has used up its part
+/// of the budget still finds free slots, because the first tenant was held
+/// to its share (plus its burst) even while it was alone.
+#[test]
+fn fair_shedding_keeps_a_share_for_a_tenant_that_has_not_arrived() {
+    let suite: Vec<Arc<dyn Workload>> = vec![
+        Arc::new(Tenanted::new("early", Spin::default())),
+        Arc::new(Tenanted::new("late", Spin::default())),
+    ];
+    // Ten early functions at t = 0; four late ones at 100 ms, while every
+    // admitted early one still runs its 0.5 s kernel.
+    let late = SimTime::ZERO + Dur::from_millis(100);
+    let mut entries: Vec<(SimTime, usize)> = vec![(SimTime::ZERO, 0); 10];
+    entries.extend([(late, 1); 4]);
+    let cfg = PlatformConfig::paper_default()
+        .with_server(GpuServerConfig::paper_default().gpus(1))
+        .with_max_inflight(8)
+        .with_weighted_fair();
+    let out = Testbed::run_platform_schedule(&cfg, &suite, &Schedule { entries });
+    let admitted = |t: &str| {
+        out.results
+            .iter()
+            .filter(|r| r.tenant == t && !r.shed)
+            .count()
+    };
+    // 8 slots, two tenants: early gets its share of 4 plus its 2-token
+    // burst, which leaves 2 slots for late.
+    assert_eq!((admitted("early"), admitted("late")), (6, 2));
+    for r in out.results.iter().filter(|r| r.tenant == "early" && r.shed) {
+        let why = r.failure.as_deref().unwrap_or_default();
+        assert!(why.contains("(6 inflight / 4 slots"), "{why}");
+    }
+    assert_eq!(out.completed(), 8);
+}
