@@ -14,7 +14,7 @@ use dgsf_cuda::{
     CublasHandle, CudaContext, CudaError, CudnnHandle, DevPtr, EventHandle, GpuSession, KernelId,
     LaunchConfig, MigrationReport, ModuleRegistry, StreamHandle,
 };
-use dgsf_sim::{Dur, ProcCtx, TraceCtx};
+use dgsf_sim::{lit, Dur, ProcCtx, TraceCtx};
 
 use crate::wire::{descriptor_kind_from_u8, error_to_wire, Request, Response, WireArgs};
 
@@ -109,23 +109,30 @@ impl Dispatcher {
         }
         let keys = req.class_keys();
         let t0 = p.now();
-        let before = self.stats.clone();
         let resp = self.execute(p, req);
+        let (track, server) = (p.track(), lit!("server"));
         match &self.trace {
-            Some(t) => tel.span_args(p.name(), keys.class, "server", t0, p.now(), &t.span_args()),
-            None => tel.span(p.name(), keys.class, "server", t0, p.now()),
+            Some(t) => tel.span_args(track, &keys.class, server, t0, p.now(), t),
+            None => tel.span(track, &keys.class, server, t0, p.now()),
         }
-        tel.counter_add(keys.server_requests, repeat.max(1) as u64);
-        // Deltas rather than absolutes so Batch recursion is accounted once.
-        tel.counter_add("server.pool_hits", self.stats.pool_hits - before.pool_hits);
-        tel.counter_add(
-            "server.cold_creates",
-            self.stats.cold_creates - before.cold_creates,
-        );
+        tel.counter_add(&keys.server_requests, repeat.max(1) as u64);
         if matches!(resp, Response::Err { .. }) {
-            tel.counter_add("server.errors", 1);
+            tel.counter_add(lit!("server.errors"), 1);
         }
         resp
+    }
+
+    /// Count one create-call: served from a pre-created pool (`pooled`) or
+    /// paying full creation latency. The telemetry counter is bumped here,
+    /// where the create happens, so batch entries count once each.
+    fn count_create(&mut self, p: &ProcCtx, pooled: bool) {
+        let (n, name) = if pooled {
+            (&mut self.stats.pool_hits, lit!("server.pool_hits"))
+        } else {
+            (&mut self.stats.cold_creates, lit!("server.cold_creates"))
+        };
+        *n += 1;
+        p.telemetry().counter_add(name, 1);
     }
 
     fn execute(&mut self, p: &ProcCtx, req: Request) -> Response {
@@ -137,10 +144,8 @@ impl Dispatcher {
                     // On-demand context creation (the unoptimized baseline).
                     let init = self.session.active_context().costs().cuda_init;
                     p.sleep(init);
-                    self.stats.cold_creates += 1;
-                } else {
-                    self.stats.pool_hits += 1;
                 }
+                self.count_create(p, pooled_context);
                 Response::Ok
             }
             RegisterModule { kernels } => {
@@ -250,11 +255,7 @@ impl Dispatcher {
             }
             MallocHost { bytes: _ } => Response::Ok,
             CudnnCreate { pooled } => {
-                if pooled {
-                    self.stats.pool_hits += 1;
-                } else {
-                    self.stats.cold_creates += 1;
-                }
+                self.count_create(p, pooled);
                 match self.session.cudnn_create(p, pooled) {
                     Ok(h) => Response::Handle(h.0),
                     Err(e) => error_to_wire(&e),
@@ -284,11 +285,7 @@ impl Dispatcher {
                 Response::Ok
             }
             CublasCreate { pooled } => {
-                if pooled {
-                    self.stats.pool_hits += 1;
-                } else {
-                    self.stats.cold_creates += 1;
-                }
+                self.count_create(p, pooled);
                 match self.session.cublas_create(p, pooled) {
                     Ok(h) => Response::Handle(h.0),
                     Err(e) => error_to_wire(&e),

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dgsf_sim::{rng, Dur, GpsResource, ProcCtx, SimHandle};
+use dgsf_sim::{lit, rng, Dur, GpsResource, ProcCtx, SimHandle};
 
 use crate::faults::{LinkFaults, MsgFate};
 
@@ -137,16 +137,16 @@ impl NetLink {
         };
         let tel = p.telemetry();
         if tel.is_enabled() {
-            tel.counter_add("net.messages", repeat as u64);
+            tel.counter_add(lit!("net.messages"), repeat as u64);
             let key = match dir {
-                Direction::ToServer => "net.bytes.up",
-                Direction::ToClient => "net.bytes.down",
+                Direction::ToServer => lit!("net.bytes.up"),
+                Direction::ToClient => lit!("net.bytes.down"),
             };
             tel.histogram_record(key, bytes.saturating_mul(repeat as u64));
             match fate {
-                MsgFate::Drop => tel.counter_add("net.dropped", 1),
+                MsgFate::Drop => tel.counter_add(lit!("net.dropped"), 1),
                 MsgFate::Deliver { extra_delay } if extra_delay > Dur::ZERO => {
-                    tel.counter_add("net.delayed", 1)
+                    tel.counter_add(lit!("net.delayed"), 1)
                 }
                 MsgFate::Deliver { .. } => {}
             }
@@ -195,12 +195,12 @@ impl NetLink {
         };
         let tel = p.telemetry();
         if tel.is_enabled() {
-            tel.counter_add("net.migration_messages", 1);
-            tel.histogram_record("net.bytes.migration", bytes);
+            tel.counter_add(lit!("net.migration_messages"), 1);
+            tel.histogram_record(lit!("net.bytes.migration"), bytes);
             match fate {
-                MsgFate::Drop => tel.counter_add("net.migration_dropped", 1),
+                MsgFate::Drop => tel.counter_add(lit!("net.migration_dropped"), 1),
                 MsgFate::Deliver { extra_delay } if extra_delay > Dur::ZERO => {
-                    tel.counter_add("net.migration_delayed", 1)
+                    tel.counter_add(lit!("net.migration_delayed"), 1)
                 }
                 MsgFate::Deliver { .. } => {}
             }

@@ -30,7 +30,9 @@
 //! link fault).
 
 use bytes::Bytes;
-use dgsf_sim::{Dur, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, TraceCtx};
+use dgsf_sim::{
+    lit, ArgValue, Dur, Lit, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, TraceCtx,
+};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -245,14 +247,15 @@ impl RpcClient {
         // On failure the client still records a span for the time it spent
         // waiting: the trace decomposition needs timed-out round trips on
         // the critical path just like successful ones.
-        let fail = |kind: &'static str, outcome: &str| {
+        let fail = |kind: &'static Lit, outcome: &'static Lit| {
             if tel.is_enabled() {
                 tel.counter_add(kind, 1);
-                tel.counter_add("rpc.transport_errors", 1);
+                tel.counter_add(lit!("rpc.transport_errors"), 1);
                 if let Some(t) = &self.trace {
                     let [inv, attempt] = t.span_args();
-                    let args = [inv, attempt, ("outcome", outcome.into())];
-                    tel.span_args(p.name(), req.class(), "rpc", t0, p.now(), &args);
+                    let args = [inv, attempt, (lit!("outcome"), ArgValue::Lit(outcome))];
+                    let class = &req.class_keys().class;
+                    tel.span_args(p.track(), class, lit!("rpc"), t0, p.now(), &args);
                 }
             }
         };
@@ -270,11 +273,11 @@ impl RpcClient {
                     match self.reply_rx.recv_timeout(p, remaining) {
                         Ok(r) => r,
                         Err(RecvError::Timeout) => {
-                            fail("rpc.timeouts", "timeout");
+                            fail(lit!("rpc.timeouts"), lit!("timeout"));
                             return Err(TransportError::Timeout { waited: t });
                         }
                         Err(RecvError::Shutdown) => {
-                            fail("rpc.closed", "closed");
+                            fail(lit!("rpc.closed"), lit!("closed"));
                             return Err(TransportError::Closed);
                         }
                     }
@@ -282,7 +285,7 @@ impl RpcClient {
                 None => match self.reply_rx.recv(p) {
                     Some(r) => r,
                     None => {
-                        fail("rpc.closed", "closed");
+                        fail(lit!("rpc.closed"), lit!("closed"));
                         return Err(TransportError::Closed);
                     }
                 },
@@ -296,25 +299,24 @@ impl RpcClient {
                 if tel.is_enabled() {
                     let keys = req.class_keys();
                     let end = p.now();
+                    let (track, rpc) = (p.track(), lit!("rpc"));
                     match &self.trace {
-                        Some(t) => {
-                            tel.span_args(p.name(), keys.class, "rpc", t0, end, &t.span_args())
-                        }
-                        None => tel.span(p.name(), keys.class, "rpc", t0, end),
+                        Some(t) => tel.span_args(track, &keys.class, rpc, t0, end, t),
+                        None => tel.span(track, &keys.class, rpc, t0, end),
                     }
-                    tel.histogram_record(keys.latency_ns, end.since(t0).as_nanos());
+                    tel.histogram_record(&keys.latency_ns, end.since(t0).as_nanos());
                     // Both directions at their wire size: a logical reply
                     // payload counts at the size the link charged for it.
                     tel.histogram_record(
-                        keys.bytes,
+                        &keys.bytes,
                         (req_bytes + resp.wire_size()).saturating_mul(repeat as u64),
                     );
-                    tel.counter_add(keys.calls, repeat as u64);
+                    tel.counter_add(&keys.calls, repeat as u64);
                 }
                 Ok(resp)
             }
             Err(e) => {
-                fail("rpc.decode_errors", "decode");
+                fail(lit!("rpc.decode_errors"), lit!("decode"));
                 Err(TransportError::Decode(e))
             }
         }

@@ -32,6 +32,7 @@
 use bytes::{Bytes, BytesMut};
 use dgsf_cuda::{CudaError, DescriptorKind, HostBuf, KernelArgs, LaunchConfig};
 use dgsf_gpu::DeviceProps;
+use dgsf_sim::Lit;
 
 /// Decode failure (malformed or truncated frame).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -784,34 +785,36 @@ pub fn descriptor_kind_from_u8(v: u8) -> WireResult<DescriptorKind> {
     })
 }
 
-/// Pre-joined telemetry key strings for one API class. The RPC and dispatch
-/// hot paths record several metrics per call; building these names with
-/// `format!` allocated three strings per request, so they are interned here
-/// once per class at compile time. The strings are byte-identical to what
-/// the old `format!` calls produced (golden traces depend on them).
+/// Pre-joined telemetry names for one API class, one static set per class.
+/// The RPC and dispatch hot paths record several metrics per call, so each
+/// name is a [`Lit`] that a registry resolves once: a record is an index,
+/// with no string built or looked up. The names are byte-identical to what
+/// `format!` once produced (golden traces depend on them).
 pub struct ClassKeys {
-    /// The bare class label (what [`Request::class`] returns).
-    pub class: &'static str,
+    /// The bare class label (what [`Request::class`] returns), also the
+    /// span name of the class's RPCs.
+    pub class: Lit,
     /// `rpc.latency_ns.<class>` — client round-trip latency histogram.
-    pub latency_ns: &'static str,
+    pub latency_ns: Lit,
     /// `rpc.bytes.<class>` — client per-call wire bytes histogram.
-    pub bytes: &'static str,
+    pub bytes: Lit,
     /// `rpc.calls.<class>` — client round-trip counter.
-    pub calls: &'static str,
+    pub calls: Lit,
     /// `server.requests.<class>` — dispatcher served-request counter.
-    pub server_requests: &'static str,
+    pub server_requests: Lit,
 }
 
 macro_rules! class_keys {
-    ($class:literal) => {
-        &ClassKeys {
-            class: $class,
-            latency_ns: concat!("rpc.latency_ns.", $class),
-            bytes: concat!("rpc.bytes.", $class),
-            calls: concat!("rpc.calls.", $class),
-            server_requests: concat!("server.requests.", $class),
-        }
-    };
+    ($class:literal) => {{
+        static KEYS: ClassKeys = ClassKeys {
+            class: Lit::new($class),
+            latency_ns: Lit::new(concat!("rpc.latency_ns.", $class)),
+            bytes: Lit::new(concat!("rpc.bytes.", $class)),
+            calls: Lit::new(concat!("rpc.calls.", $class)),
+            server_requests: Lit::new(concat!("server.requests.", $class)),
+        };
+        &KEYS
+    }};
 }
 
 impl Request {
@@ -820,7 +823,7 @@ impl Request {
     /// literature buckets it (memory ops, copies, launches, sync, library
     /// handles). Used to key per-class latency/bytes histograms.
     pub fn class(&self) -> &'static str {
-        self.class_keys().class
+        self.class_keys().class.name()
     }
 
     /// The interned per-class telemetry key set (see [`ClassKeys`]).

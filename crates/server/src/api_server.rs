@@ -10,6 +10,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -17,8 +18,8 @@ use dgsf_cuda::{CostTable, CudaContext, GpuSession, MigrationReport, ModuleRegis
 use dgsf_gpu::{Gpu, GpuId, ReservationId};
 use dgsf_remoting::{Delivery, Dispatcher, NetLink, RpcInbox};
 use dgsf_sim::{
-    ArgValue, Dur, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender, SimTime,
-    TraceCtx,
+    lit, ArgValue, Dur, Lit, ProcCtx, RecvError, SimCell, SimHandle, SimReceiver, SimSender,
+    SimTime, TraceCtx,
 };
 
 use crate::monitor::MonitorMsg;
@@ -309,6 +310,8 @@ pub(crate) fn start_api_server(
 /// Body of the API server process. Returns when the simulation shuts
 /// down, the monitor retires the server, or the fault injector kills it.
 fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
+    // Each invocation's serve span name, written over one buffer.
+    let mut serve_name = String::new();
     while let Some(cmd) = a.assign_rx.recv(p) {
         let asg = match cmd {
             ServerCmd::Assign(asg) => asg,
@@ -377,20 +380,15 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
         }
         let tel = p.telemetry();
         if tel.is_enabled() {
-            let serve_name = format!("serve:inv{}", asg.invocation);
+            serve_name.clear();
+            write!(serve_name, "serve:inv{}", asg.invocation).expect("writing to a String");
+            let (track, serve) = (p.track(), lit!("serve"));
             match &asg.trace {
-                Some(t) => tel.span_args(
-                    p.name(),
-                    &serve_name,
-                    "serve",
-                    serve_start,
-                    p.now(),
-                    &t.span_args(),
-                ),
-                None => tel.span(p.name(), &serve_name, "serve", serve_start, p.now()),
+                Some(t) => tel.span_args(track, &serve_name, serve, serve_start, p.now(), t),
+                None => tel.span(track, &serve_name, serve, serve_start, p.now()),
             }
             if aborted {
-                tel.counter_add("server.aborts", 1);
+                tel.counter_add(lit!("server.aborts"), 1);
             }
         }
         // "When the current serverless function finishes, the API server
@@ -416,13 +414,13 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
         let tel = p.telemetry();
         if tel.is_enabled() {
             tel.instant(
-                p.name(),
-                "migration-skipped",
+                p.track(),
+                lit!("migration-skipped"),
                 p.now(),
                 &[
-                    ("server", a.shared.id.into()),
-                    ("to", target.0.into()),
-                    ("reason", reason.into()),
+                    (lit!("server"), a.shared.id.into()),
+                    (lit!("to"), target.0.into()),
+                    (lit!("reason"), reason.into()),
                 ],
             );
         }
@@ -460,18 +458,19 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     a.shared.migrating.set(true);
     let begun_at = p.now();
     let tel = p.telemetry();
-    let id_args = |extra: &[(&'static str, ArgValue<'static>)]| {
-        let mut args: Vec<(&'static str, ArgValue)> = vec![
-            ("server", a.shared.id.into()),
-            ("from", from.0.into()),
-            ("to", target.0.into()),
+    let id_args = |extra: &[(&'static Lit, ArgValue<'static>)]| {
+        let mut args: Vec<(&'static Lit, ArgValue)> = vec![
+            (lit!("server"), a.shared.id.into()),
+            (lit!("from"), from.0.into()),
+            (lit!("to"), target.0.into()),
         ];
         args.extend_from_slice(extra);
         args
     };
     if tel.is_enabled() {
-        tel.counter_add("migration.begins", 1);
-        tel.instant(p.name(), "migration-begin", begun_at, &id_args(&[]));
+        tel.counter_add(lit!("migration.begins"), 1);
+        let args = id_args(&[]);
+        tel.instant(p.track(), lit!("migration-begin"), begun_at, &args);
     }
 
     // Ship the control-plane state (context descriptor + handle-pool table)
@@ -496,7 +495,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
         abort_migration(
             p,
             a,
-            &id_args(&[("reason", "state-transfer-dropped".into())]),
+            &id_args(&[(lit!("reason"), "state-transfer-dropped".into())]),
         );
         return;
     }
@@ -507,15 +506,15 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
             a.shared.migrating.set(false);
             let at = p.now();
             if tel.is_enabled() {
-                tel.counter_add("migrations", 1);
+                tel.counter_add(lit!("migrations"), 1);
                 let mut args = id_args(&[
-                    ("bytes_moved", report.bytes_moved.into()),
-                    ("allocs_moved", report.allocs_moved.into()),
+                    (lit!("bytes_moved"), report.bytes_moved.into()),
+                    (lit!("allocs_moved"), report.allocs_moved.into()),
                 ]);
                 if let Some(t) = d.trace() {
-                    args.push(("inv", t.id.into()));
+                    args.push((lit!("inv"), t.id.into()));
                 }
-                tel.instant(p.name(), "migration", at, &args);
+                tel.instant(p.track(), lit!("migration"), at, &args);
             }
             a.env.migration_log.lock().push(MigrationRecord {
                 server: a.shared.id,
@@ -529,16 +528,20 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
         Err(_) => {
             // Target ran out of memory between decision and execution; the
             // session stays where it was.
-            abort_migration(p, a, &id_args(&[("reason", "target-capacity".into())]));
+            abort_migration(
+                p,
+                a,
+                &id_args(&[(lit!("reason"), "target-capacity".into())]),
+            );
         }
     }
 }
 
-fn abort_migration(p: &ProcCtx, a: &ApiServerArgs, args: &[(&'static str, ArgValue)]) {
+fn abort_migration(p: &ProcCtx, a: &ApiServerArgs, args: &[(&'static Lit, ArgValue)]) {
     a.shared.migrating.set(false);
     let tel = p.telemetry();
     if tel.is_enabled() {
-        tel.counter_add("migration.aborts", 1);
-        tel.instant(p.name(), "migration-aborted", p.now(), args);
+        tel.counter_add(lit!("migration.aborts"), 1);
+        tel.instant(p.track(), lit!("migration-aborted"), p.now(), args);
     }
 }

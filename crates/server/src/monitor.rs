@@ -21,6 +21,7 @@
 //! ([`migration_move`]) and lease lapses ([`lapsed`]). [`run_monitor`]
 //! applies each result and reads the view afresh before the next decision.
 
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -29,9 +30,10 @@ use std::sync::Arc;
 use dgsf_cuda::ModuleRegistry;
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::RpcClient;
+use dgsf_sim::telemetry::kind::{Counter, Gauge};
 use dgsf_sim::{
-    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime, Telemetry,
-    TraceCtx,
+    lit, Dur, Id, ObsPlane, ProcCtx, RecvError, SimCell, SimReceiver, SimSender, SimTime,
+    Telemetry, TraceCtx,
 };
 
 use crate::api_server::{
@@ -213,7 +215,7 @@ impl RecordBook {
             fail
         });
         if failed == Some(true) {
-            tel.counter_add("invocation.failures", 1);
+            tel.counter_add(lit!("invocation.failures"), 1);
         }
     }
 
@@ -262,6 +264,12 @@ impl SrvBook {
             busy: None,
             idle_since: now,
         }
+    }
+
+    /// Idle and live (not lease-expired): the only kind of server a
+    /// placement or a scale-down can pick.
+    fn idle(&self) -> bool {
+        self.busy.is_none() && !self.shared.lease_expired()
     }
 }
 
@@ -406,6 +414,8 @@ pub(crate) struct MonCtx {
 pub(crate) struct GpuKeys {
     mem_used: String,
     util_bp: String,
+    /// The two gauges' ids, resolved at the first sample.
+    gauges: OnceCell<[Id<Gauge>; 2]>,
     /// `{label}.gpu{i}`; empty when no obs plane is wired.
     health: String,
 }
@@ -418,11 +428,23 @@ impl GpuKeys {
             .map(|i| GpuKeys {
                 mem_used: format!("gpu.{i}.mem_used_bytes"),
                 util_bp: format!("gpu.{i}.util_bp"),
+                gauges: OnceCell::new(),
                 health: obs_label.map_or_else(String::new, |label| format!("{label}.gpu{i}")),
             })
             .collect()
     }
+
+    /// The memory and utilization gauges' ids in `tel`.
+    fn gauges(&self, tel: &Telemetry) -> [Id<Gauge>; 2] {
+        *self
+            .gauges
+            .get_or_init(|| [tel.id(&self.mem_used), tel.id(&self.util_bp)])
+    }
 }
+
+/// A tenant's dispatch counter and queue-delay gauge, by tenant, resolved at
+/// the tenant's first dispatch.
+type TenantKeys = BTreeMap<Arc<str>, (Id<Counter>, Id<Gauge>)>;
 
 /// Monitor tick: utilization sampling, lease and migration checks. The
 /// paper samples NVML every 200 ms.
@@ -462,15 +484,14 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
     // window.
     let mut last_depth: usize = 0;
     let mut last_gpu_sample = p.now();
-    // Each tenant's dispatch counter and queue-delay gauge names, built at
-    // its first dispatch.
-    let mut tenant_keys = BTreeMap::new();
+    // Each tenant's dispatch counter and queue-delay gauge.
+    let tenants = &mut TenantKeys::new();
 
     loop {
         if p.telemetry().is_enabled() && queue.len() != last_depth {
             last_depth = queue.len();
             p.telemetry()
-                .gauge_set("monitor.queue_depth", p.now(), last_depth as i64);
+                .gauge_set(lit!("monitor.queue_depth"), p.now(), last_depth as i64);
         }
         // Periodic ticks drive the migration policy, the lease check and
         // the autoscaler; they are armed only while work is in flight or
@@ -522,7 +543,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                     let tenant = req.tenant().cloned();
                     queue.push(flow_of(a.cfg.queue, tenant.as_deref().unwrap_or("")), req);
                 }
-                drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue, tenants, false);
             }
             Ok(MonitorMsg::FunctionEnded {
                 server,
@@ -545,22 +566,38 @@ pub(crate) fn run_monitor(p: &ProcCtx, a: MonCtx, rx: SimReceiver<MonitorMsg>) {
                         }
                     });
                 }
-                drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue, tenants, false);
             }
             Err(RecvError::Timeout) => {
                 next_tick = now + MONITOR_PERIOD;
                 sample_gpus(p, &a, &mut last_gpu_sample);
-                view.read(now, &a, &servers);
-                expire_leases(p, &a, &mut view, &mut servers, &mut queue);
+                // The view is read only for a decision that can act: a
+                // lease lapses only on a killed server, and the autoscaler
+                // acts only when a scale-up is due or an idle server's
+                // scale-down is.
+                let mut fresh = false;
+                if servers.iter().any(|s| s.shared.killed_by(now).is_some()) {
+                    view.read(now, &a, &servers);
+                    expire_leases(p, &a, &mut view, &mut servers, &mut queue);
+                    fresh = true;
+                }
                 if let Some(sc) = scaler.as_mut() {
-                    let id = &mut next_server_id;
-                    autoscale_tick(p, &a, sc, &view, &mut servers, id, &queue);
+                    let due = autoscale_due(&a, sc, &queue, now);
+                    let down = |s: &SrvBook| s.idle() && sc.scale_down_due(now, s.idle_since);
+                    if due.0 || due.1 || servers.iter().any(down) {
+                        if !fresh {
+                            view.read(now, &a, &servers);
+                        }
+                        let id = &mut next_server_id;
+                        fresh = !autoscale_tick(p, &a, sc, &view, &mut servers, id, due);
+                    }
                 }
                 // Drain unconditionally: a lease expiry or scale-up may
                 // have freed capacity, and a head-of-line request dropped
                 // at this wake must not strand placeable requests behind
-                // it until the next message arrives.
-                drain_queue(p, &a, &mut view, &mut servers, &mut queue, &mut tenant_keys);
+                // it until the next message arrives. The view is still
+                // current if it was read and the autoscaler did not act.
+                drain_queue(p, &a, &mut view, &mut servers, &mut queue, tenants, fresh);
                 if a.cfg.migration {
                     view.read(now, &a, &servers);
                     let since = now.as_nanos().saturating_sub(MIGRATION_WINDOW.as_nanos());
@@ -599,13 +636,14 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
     let window = now.since(since).as_nanos();
     for (gpu, keys) in a.env.gpus.iter().zip(&a.gpu_keys) {
         let used = gpu.used_mem();
-        if tel.is_enabled() {
-            tel.gauge_set(&keys.mem_used, now, used as i64);
-        }
         let busy = gpu.busy_between(since, now).as_nanos();
         let util_bp = busy.saturating_mul(10_000).checked_div(window);
-        if let (true, Some(util_bp)) = (tel.is_enabled(), util_bp) {
-            tel.gauge_set(&keys.util_bp, now, util_bp as i64);
+        if tel.is_enabled() {
+            let [mem_used, util] = keys.gauges(tel);
+            tel.gauge_set(mem_used, now, used as i64);
+            if let Some(util_bp) = util_bp {
+                tel.gauge_set(util, now, util_bp as i64);
+            }
         }
         if let Some(obs) = &a.obs {
             let mem_permille = used.saturating_mul(1000) / gpu.total_mem().max(1);
@@ -684,14 +722,14 @@ fn expire_leases(
         release(now, a, s, queue);
         let tel = p.telemetry();
         if tel.is_enabled() {
-            tel.counter_add("monitor.lease_expirations", 1);
+            tel.counter_add(lit!("monitor.lease_expirations"), 1);
             tel.instant(
-                p.name(),
-                "lease-expired",
+                p.track(),
+                lit!("lease-expired"),
                 now,
                 &[
-                    ("server", s.shared.id.into()),
-                    ("invocation", invocation.into()),
+                    (lit!("server"), s.shared.id.into()),
+                    (lit!("invocation"), invocation.into()),
                 ],
             );
         }
@@ -711,19 +749,28 @@ fn expire_leases(
 /// request is placed by [`pick_server`]. Every queued request is live:
 /// [`run_monitor`] dropped the abandoned ones at this wake, and none can
 /// give up before the monitor waits again. The view is read before each
-/// decision.
+/// decision, except the first when the caller's view is `fresh` (nothing
+/// acted since it was read). Only an idle live server places a request, so
+/// without one the drain stops before reading the view.
 fn drain_queue(
     p: &ProcCtx,
     a: &MonCtx,
     view: &mut View,
     servers: &mut [SrvBook],
     queue: &mut MqfqQueues<FnRequest>,
-    tenant_keys: &mut BTreeMap<Arc<str>, (String, String)>,
+    tenant_keys: &mut TenantKeys,
+    mut fresh: bool,
 ) {
     let (policy, now) = (a.cfg.policy, p.now());
     let smallest = a.cfg.queue == QueuePolicy::SmallestFirst;
     while !queue.is_empty() {
-        view.read(now, a, servers);
+        if !servers.iter().any(SrvBook::idle) {
+            return;
+        }
+        if !fresh {
+            view.read(now, a, servers);
+        }
+        fresh = false;
         let records = a.records.lock();
         let mem = |r: &FnRequest| r.record(&records).mem;
         let rank = |r: &FnRequest| if smallest { mem(r) } else { 0 };
@@ -751,14 +798,18 @@ fn drain_queue(
             .expect("a queued request has a record");
         drop(records);
         let tel = p.telemetry();
-        tel.counter_add("monitor.assignments", 1);
+        tel.counter_add(lit!("monitor.assignments"), 1);
         if let Some(t) = req.tenant().filter(|t| tel.is_enabled() && !t.is_empty()) {
-            if !tenant_keys.contains_key(&**t) {
-                let dispatches = format!("monitor.tenant.{t}.dispatches");
-                let delay = format!("monitor.tenant.{t}.queue_delay_us");
-                tenant_keys.insert(Arc::clone(t), (dispatches, delay));
-            }
-            let (dispatches, delay) = &tenant_keys[&**t];
+            let (dispatches, delay) = match tenant_keys.get(&**t) {
+                Some(&keys) => keys,
+                None => {
+                    let dispatches = tel.id(&format!("monitor.tenant.{t}.dispatches"));
+                    let delay = tel.id(&format!("monitor.tenant.{t}.queue_delay_us"));
+                    *tenant_keys
+                        .entry(Arc::clone(t))
+                        .or_insert((dispatches, delay))
+                }
+            };
             tel.counter_add(dispatches, 1);
             let delay_us = now.since(requested_at).as_nanos() / 1_000;
             tel.gauge_set(delay, now, delay_us as i64);
@@ -825,22 +876,15 @@ fn scale_down_victim(view: &View, scaler: &Autoscaler) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// One autoscaler tick: feed the queue-delay signal, then fire at most one
-/// scaling action (scale-up wins over scale-down when both are due). A
-/// spawned server pays the same 755 MB idle footprint as a provisioned one
-/// (no spawn when the GPU cannot actually fit it); a retired one leaves the
-/// list with its declared memory, and `Retire` makes its process release
-/// its real reservations and exit.
-fn autoscale_tick(
-    p: &ProcCtx,
+/// The autoscaler's tick input: feed it the queue-delay signal (and, in
+/// predictive mode, the obs plane's), and say whether a reactive scale-up
+/// and a pre-warm are due.
+fn autoscale_due(
     a: &MonCtx,
     scaler: &mut Autoscaler,
-    view: &View,
-    servers: &mut Vec<SrvBook>,
-    next_server_id: &mut u32,
     queue: &MqfqQueues<FnRequest>,
-) {
-    let now = view.now;
+    now: SimTime,
+) -> (bool, bool) {
     let oldest_wait = waits(queue, &a.records.lock(), now).max();
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
@@ -849,8 +893,26 @@ fn autoscale_tick(
         scaler.observe_signals(obs.rate_ramp(now), obs.tail_queue_share_permille(now));
     }
     scaler.observe_queue(oldest_wait);
-    let reactive_up = scaler.scale_up_due(now);
-    let prewarm = scaler.prewarm_due(now);
+    (scaler.scale_up_due(now), scaler.prewarm_due(now))
+}
+
+/// One autoscaler action, at most, on the view: a scale-up when one is
+/// `due` (reactive, pre-warm; see [`autoscale_due`]), which wins over a
+/// scale-down. A spawned server pays the same 755 MB idle footprint as a
+/// provisioned one (no spawn when the GPU cannot actually fit it); a
+/// retired one leaves the list with its declared memory, and `Retire`
+/// makes its process release its real reservations and exit. Whether it
+/// acted.
+fn autoscale_tick(
+    p: &ProcCtx,
+    a: &MonCtx,
+    scaler: &mut Autoscaler,
+    view: &View,
+    servers: &mut Vec<SrvBook>,
+    next_server_id: &mut u32,
+    (reactive_up, prewarm): (bool, bool),
+) -> bool {
+    let now = view.now;
     if reactive_up || prewarm {
         let (id, idle_fp) = (*next_server_id, a.cfg.costs.idle_worker_mem());
         let started = scale_up_gpu(view, scaler.config().max_per_gpu, idle_fp)
@@ -864,23 +926,27 @@ fn autoscale_tick(
             if prewarm && !reactive_up && tel.is_enabled() {
                 // Capacity added purely on the rate-ramp forecast,
                 // before any queue-delay breach.
-                tel.counter_add("autoscale.prewarms", 1);
-                tel.instant(p.name(), "prewarm", now, &[("gpu", gpu.0.into())]);
+                tel.counter_add(lit!("autoscale.prewarms"), 1);
+                let args = [(lit!("gpu"), gpu.0.into())];
+                tel.instant(p.track(), lit!("prewarm"), now, &args);
             }
-            return; // one action per tick
+            return true; // one action per tick
         }
     }
-    if let Some(i) = scale_down_victim(view, scaler) {
-        let s = servers.remove(i);
-        s.assign_tx.send(p, ServerCmd::Retire);
-        let (id, gpu) = (s.shared.id, s.shared.home_gpu);
-        scaled(p, servers, "autoscale.scale_downs", "scale-down", id, gpu);
-        scaler.record_action(now);
-    }
+    let Some(i) = scale_down_victim(view, scaler) else {
+        return false;
+    };
+    let s = servers.remove(i);
+    s.assign_tx.send(p, ServerCmd::Retire);
+    let (id, gpu) = (s.shared.id, s.shared.home_gpu);
+    scaled(p, servers, "autoscale.scale_downs", "scale-down", id, gpu);
+    scaler.record_action(now);
+    true
 }
 
 /// Telemetry of one scaling action on server `id`, homed on `gpu`: the
 /// action's `counter`, the live pool-size gauge and an `event` instant.
+/// Scaling is rare, so the names are looked up by their bytes.
 fn scaled(p: &ProcCtx, servers: &[SrvBook], counter: &str, event: &str, id: u32, gpu: GpuId) {
     let tel = p.telemetry();
     if !tel.is_enabled() {
@@ -888,12 +954,12 @@ fn scaled(p: &ProcCtx, servers: &[SrvBook], counter: &str, event: &str, id: u32,
     }
     let live = servers.iter().filter(|s| !s.shared.lease_expired()).count();
     tel.counter_add(counter, 1);
-    tel.gauge_set("monitor.pool_size", p.now(), live as i64);
+    tel.gauge_set(lit!("monitor.pool_size"), p.now(), live as i64);
     tel.instant(
-        p.name(),
+        p.track(),
         event,
         p.now(),
-        &[("server", id.into()), ("gpu", gpu.0.into())],
+        &[(lit!("server"), id.into()), (lit!("gpu"), gpu.0.into())],
     );
 }
 

@@ -15,7 +15,7 @@ use dgsf_cuda::{CostTable, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{FaultStats, LinkFaults, NetLink, RpcClient};
 use dgsf_sim::{
-    Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimSender, SimTime, TraceCtx,
+    lit, Dur, ObsPlane, ProcCtx, RecvError, SimCell, SimHandle, SimSender, SimTime, TraceCtx,
 };
 
 use crate::api_server::{start_api_server, ApiServerEnv, MigrationRecord};
@@ -309,7 +309,7 @@ impl GpuServer {
         match got {
             Ok(client) => Ok((client, invocation)),
             Err(RecvError::Timeout) => {
-                p.telemetry().counter_add("server.queue_timeouts", 1);
+                p.telemetry().counter_add(lit!("server.queue_timeouts"), 1);
                 self.mark_invocation_failed(p.now(), invocation);
                 Err(AcquireError::Timeout {
                     waited: p.now().since(now),

@@ -23,8 +23,9 @@ use std::sync::Arc;
 use dgsf_cuda::ApiStats;
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer};
+use dgsf_sim::telemetry::kind::Label;
 use dgsf_sim::{
-    ArgValue, Dur, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx, TraceOutcome,
+    lit, ArgValue, Dur, Id, ObsPlane, ProcCtx, SimCell, SimHandle, SimTime, TraceCtx, TraceOutcome,
 };
 
 use crate::cluster::ClusterBalancer;
@@ -173,8 +174,23 @@ pub struct Backend {
     /// completion per terminal outcome (with the queue wait summed across
     /// every attempt, matching the offline trace decomposition).
     obs: Option<Rc<ObsPlane>>,
+    /// Span names of each function traced so far, in first-use order.
+    labels: SimCell<Vec<FnLabels>>,
     /// The simulation the backend's state belongs to.
     sim: SimHandle,
+}
+
+/// One function's span names, resolved in the simulation's telemetry
+/// registry at its first traced invocation, so a repeated invocation
+/// formats and looks up none of them.
+struct FnLabels {
+    /// The function's name.
+    name: Box<str>,
+    /// `req:{name}`.
+    req: Id<Label>,
+    /// `invoke:{name}:a{k}` at index `k - 1`, resolved up to the highest
+    /// attempt seen.
+    invoke: Vec<Id<Label>>,
 }
 
 impl Backend {
@@ -191,6 +207,7 @@ impl Backend {
             admission: None,
             admitted: SimCell::new(h, AdmissionState::default()),
             obs: None,
+            labels: SimCell::new(h, Vec::new()),
             sim: h.clone(),
         }
     }
@@ -270,7 +287,7 @@ impl Backend {
     ) -> FunctionResult {
         let launched_at = p.now();
         let tel = p.telemetry();
-        tel.counter_add("backend.invocations", 1);
+        tel.counter_add(lit!("backend.invocations"), 1);
         if let Some(obs) = &self.obs {
             obs.record_arrival(launched_at);
         }
@@ -333,12 +350,13 @@ impl Backend {
                     queue_wait,
                 };
             };
-            tel.counter_add("backend.attempts", 1);
+            tel.counter_add(lit!("backend.attempts"), 1);
             let options = InvokeOptions::new(opts)
                 .with_attempt(attempt)
                 .with_max_queue_age(max_queue_age);
             let invoker = Invoker::new(&self.servers[idx], store);
-            let f = match invoker.attempt(p, w, &options, trace.with_attempt(attempt)) {
+            let label = tel.is_enabled().then(|| self.label(p, w, attempt).into());
+            let f = match invoker.attempt(p, w, &options, trace.with_attempt(attempt), label) {
                 Ok(done) => {
                     let queue_wait = queue_wait + done.queue_wait;
                     return Terminal { queue_wait, ..done };
@@ -355,16 +373,16 @@ impl Backend {
             if f.class == FailureClass::Transient {
                 if let Some(inv) = f.invocation {
                     if self.servers[idx].invocation_completed(inv) {
-                        tel.counter_add("backend.recovered_replies", 1);
+                        tel.counter_add(lit!("backend.recovered_replies"), 1);
                         if tel.is_enabled() {
                             tel.instant(
-                                p.name(),
-                                "reply-recovered",
+                                p.track(),
+                                lit!("reply-recovered"),
                                 p.now(),
                                 &[
-                                    ("workload", w.name().into()),
-                                    ("invocation", inv.into()),
-                                    ("inv", trace.id.into()),
+                                    (lit!("workload"), w.name().into()),
+                                    (lit!("invocation"), inv.into()),
+                                    (lit!("inv"), trace.id.into()),
                                 ],
                             );
                         }
@@ -397,16 +415,16 @@ impl Backend {
                 };
             }
             if tel.is_enabled() {
-                tel.counter_add("backend.retries", 1);
+                tel.counter_add(lit!("backend.retries"), 1);
                 tel.instant(
-                    p.name(),
-                    "retry",
+                    p.track(),
+                    lit!("retry"),
                     p.now(),
                     &[
-                        ("workload", w.name().into()),
-                        ("failed_attempt", attempt.into()),
-                        ("error", ArgValue::Str(&f.error.to_string())),
-                        ("inv", trace.id.into()),
+                        (lit!("workload"), w.name().into()),
+                        (lit!("failed_attempt"), attempt.into()),
+                        (lit!("error"), ArgValue::Str(&f.error.to_string())),
+                        (lit!("inv"), trace.id.into()),
                     ],
                 );
             }
@@ -432,29 +450,59 @@ impl Backend {
         match end.outcome {
             TraceOutcome::Completed => {}
             TraceOutcome::Shed => {
-                tel.counter_add("backend.shed", 1);
+                tel.counter_add(lit!("backend.shed"), 1);
                 if tel.is_enabled() {
                     tel.instant(
-                        p.name(),
-                        TraceOutcome::Shed.as_str(),
+                        p.track(),
+                        TraceOutcome::Shed.lit(),
                         now,
                         &[
-                            ("workload", w.name().into()),
-                            ("reason", ArgValue::Str(&end.reason)),
-                            ("inv", trace.id.into()),
+                            (lit!("workload"), w.name().into()),
+                            (lit!("reason"), ArgValue::Str(&end.reason)),
+                            (lit!("inv"), trace.id.into()),
                         ],
                     );
                 }
             }
-            TraceOutcome::Failed => tel.counter_add("backend.failures", 1),
+            TraceOutcome::Failed => tel.counter_add(lit!("backend.failures"), 1),
         }
-        record_request_span(p, trace, w.name(), launched_at, end.outcome, end.attempts);
+        if tel.is_enabled() {
+            let req = self.label(p, w, 0).into();
+            record_request_span(p, trace, req, launched_at, end.outcome, end.attempts);
+        }
         let completed = end.outcome == TraceOutcome::Completed;
         if let Some(obs) = &self.obs {
             let e2e = now.since(launched_at);
             obs.record_completion(now, w.tenant(), e2e, end.queue_wait, completed);
         }
         end.into_result(w, launched_at, now, trace.id)
+    }
+
+    /// `w`'s `req:` span name (`attempt` 0), or its `invoke:` span name of
+    /// `attempt`, resolved at the first call.
+    fn label(&self, p: &ProcCtx, w: &dyn Workload, attempt: u32) -> Id<Label> {
+        let tel = p.telemetry();
+        let mut all = self.labels.borrow_in(p);
+        let i = match all.iter().position(|l| *l.name == *w.name()) {
+            Some(i) => i,
+            None => {
+                all.push(FnLabels {
+                    name: w.name().into(),
+                    req: tel.id(&format!("req:{}", w.name())),
+                    invoke: Vec::new(),
+                });
+                all.len() - 1
+            }
+        };
+        let l = &mut all[i];
+        let Some(k) = (attempt as usize).checked_sub(1) else {
+            return l.req;
+        };
+        while l.invoke.len() <= k {
+            let n = l.invoke.len() + 1;
+            l.invoke.push(tel.id(&format!("invoke:{}:a{n}", w.name())));
+        }
+        l.invoke[k]
     }
 
     /// Claim an admission slot for `w`, or say why it was refused.

@@ -16,7 +16,8 @@ use dgsf_cuda::{CostTable, CudaApi, CudaError, CudaResult, NativeCuda};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::GpuServer;
-use dgsf_sim::{ArgValue, Dur, ProcCtx, SimHandle, SimTime, TraceCtx, TraceOutcome};
+use dgsf_sim::telemetry::kind::Label;
+use dgsf_sim::{lit, ArgValue, Dur, Name, ProcCtx, SimHandle, SimTime, TraceCtx, TraceOutcome};
 
 use crate::backend::Terminal;
 use crate::dag::{edge_key, DagWorkload, HandoffMode, StageRun};
@@ -236,12 +237,23 @@ impl<'a> Invoker<'a> {
             Some(trace) => trace.clone(),
             None => TraceCtx::new(p.telemetry().next_trace_id(), w.tenant()).with_attempt(attempt),
         };
-        let out = self.attempt(p, w, &options, trace.clone());
-        if options.trace.is_none() {
+        let tel = p.telemetry();
+        let label = tel
+            .is_enabled()
+            .then(|| format!("invoke:{}:a{attempt}", w.name()));
+        let out = self.attempt(
+            p,
+            w,
+            &options,
+            trace.clone(),
+            label.as_ref().map(Name::from),
+        );
+        if options.trace.is_none() && tel.is_enabled() {
             let outcome = out
                 .as_ref()
                 .map_or_else(InvokeFailure::outcome, |t| t.outcome);
-            record_request_span(p, &trace, w.name(), launched_at, outcome, attempt);
+            let req = format!("req:{}", w.name());
+            record_request_span(p, &trace, (&req).into(), launched_at, outcome, attempt);
         }
         Ok(out?.into_result(w, launched_at, p.now(), trace.id))
     }
@@ -322,7 +334,17 @@ impl<'a> Invoker<'a> {
         let outcome = terminal
             .as_ref()
             .map_or(TraceOutcome::Completed, InvokeFailure::outcome);
-        record_request_span(p, &trace, &dag.name, launched_at, outcome, attempts_taken);
+        if p.telemetry().is_enabled() {
+            let req = format!("req:{}", dag.name);
+            record_request_span(
+                p,
+                &trace,
+                (&req).into(),
+                launched_at,
+                outcome,
+                attempts_taken,
+            );
+        }
         DagResult {
             name: dag.name.clone(),
             tenant: dag.tenant.clone(),
@@ -342,13 +364,15 @@ impl<'a> Invoker<'a> {
 
     /// One attempt: download, acquire (bounded, possibly pinned), drive
     /// the workload over the remoted API, settle the invocation record.
-    /// Runs under `trace`; `options.trace` is not read.
+    /// Runs under `trace`; `options.trace` is not read. With telemetry on,
+    /// `label` names the attempt's `invoke:{workload}:a{attempt}` span.
     pub(crate) fn attempt(
         &self,
         p: &ProcCtx,
         w: &dyn Workload,
         options: &InvokeOptions,
         trace: TraceCtx,
+        label: Option<Name<'_, Label>>,
     ) -> Result<Terminal, InvokeFailure> {
         let server = self.server;
         let attempt = options.attempt.max(1);
@@ -381,18 +405,12 @@ impl<'a> Invoker<'a> {
             Ok(x) => x,
             Err(e) => {
                 rec.close(p);
-                let tel = p.telemetry();
-                if tel.is_enabled() {
+                if let Some(label) = label {
                     let [inv, att] = trace.span_args();
-                    let args = [inv, att, ("outcome", "acquire_error".into())];
-                    tel.span_args(
-                        p.name(),
-                        &format!("invoke:{}:a{attempt}", w.name()),
-                        "invocation",
-                        launched_at,
-                        p.now(),
-                        &args,
-                    );
+                    let args = [inv, att, (lit!("outcome"), "acquire_error".into())];
+                    let (track, cat) = (p.track(), lit!("invocation"));
+                    p.telemetry()
+                        .span_args(track, label, cat, launched_at, p.now(), &args);
                 }
                 let error = CudaError::Transport(e.to_string());
                 let timed_out = matches!(e, dgsf_server::AcquireError::Timeout { .. });
@@ -416,16 +434,10 @@ impl<'a> Invoker<'a> {
         let mut api = RemoteCuda::new(client, options.opts);
         let outcome = drive(p, &mut api, w, &mut rec);
         rec.close(p);
-        let tel = p.telemetry();
-        if tel.is_enabled() {
-            tel.span_args(
-                p.name(),
-                &format!("invoke:{}:a{attempt}", w.name()),
-                "invocation",
-                launched_at,
-                p.now(),
-                &trace.span_args(),
-            );
+        if let Some(label) = label {
+            let (track, cat) = (p.track(), lit!("invocation"));
+            p.telemetry()
+                .span_args(track, label, cat, launched_at, p.now(), &trace);
         }
         match outcome {
             Ok(()) => Ok(Terminal {
@@ -502,13 +514,14 @@ impl DagResult {
     }
 }
 
-/// Record the top-level `req:{workload}` span that roots a causal trace:
-/// one per request, spanning every attempt from `start` until now, with
-/// the trace id, tenant, outcome and attempt count as span arguments.
+/// Record the top-level `req:{workload}` span (named `req`) that roots a
+/// causal trace: one per request, spanning every attempt from `start` until
+/// now, with the trace id, tenant, outcome and attempt count as span
+/// arguments.
 pub(crate) fn record_request_span(
     p: &ProcCtx,
     trace: &TraceCtx,
-    workload: &str,
+    req: Name<'_, Label>,
     start: SimTime,
     outcome: TraceOutcome,
     attempts: u32,
@@ -516,16 +529,16 @@ pub(crate) fn record_request_span(
     let tel = p.telemetry();
     if tel.is_enabled() {
         tel.span_args(
-            p.name(),
-            &format!("req:{workload}"),
-            "request",
+            p.track(),
+            req,
+            lit!("request"),
             start,
             p.now(),
             &[
-                ("inv", trace.id.into()),
-                ("tenant", ArgValue::Str(&trace.tenant)),
-                ("outcome", outcome.as_str().into()),
-                ("attempts", attempts.into()),
+                (lit!("inv"), trace.id.into()),
+                (lit!("tenant"), ArgValue::Str(&trace.tenant)),
+                (lit!("outcome"), ArgValue::Lit(outcome.lit())),
+                (lit!("attempts"), attempts.into()),
             ],
         );
     }
@@ -579,9 +592,9 @@ pub fn invoke_native(
     let tel = p.telemetry();
     if tel.is_enabled() {
         tel.span(
-            p.name(),
+            p.track(),
             &format!("invoke:{}:native", w.name()),
-            "invocation",
+            lit!("invocation"),
             launched_at,
             p.now(),
         );

@@ -7,7 +7,7 @@
 
 use std::borrow::Cow;
 
-use dgsf_sim::{Dur, ProcCtx, SimTime, TraceCtx};
+use dgsf_sim::{lit, Dur, Lit, ProcCtx, SimTime, TraceCtx};
 
 /// A canonical execution phase. [`PhaseRecorder::enter`] takes this enum —
 /// not a bare string — so a typo'd phase name is a compile error instead of
@@ -52,6 +52,19 @@ impl Phase {
             Phase::Processing => "processing",
             Phase::Transfer => "transfer",
         }
+    }
+
+    /// The phase's span name as a telemetry literal.
+    fn lit(self) -> &'static Lit {
+        static LITS: [Lit; 6] = [
+            Lit::new(Phase::Download.as_str()),
+            Lit::new(Phase::Init.as_str()),
+            Lit::new(Phase::Queue.as_str()),
+            Lit::new(Phase::ModelLoad.as_str()),
+            Lit::new(Phase::Processing.as_str()),
+            Lit::new(Phase::Transfer.as_str()),
+        ];
+        &LITS[self as usize]
     }
 }
 
@@ -122,17 +135,15 @@ impl PhaseRecorder {
     pub fn close(&mut self, p: &ProcCtx) {
         if let Some((phase, start)) = self.open.take() {
             let d = p.now().since(start);
-            let name = phase.as_str();
             let tel = p.telemetry();
             if tel.is_enabled() {
+                let (track, name, cat) = (p.track(), phase.lit(), lit!("phase"));
                 match &self.trace {
-                    Some(t) => {
-                        tel.span_args(p.name(), name, "phase", start, p.now(), &t.span_args())
-                    }
-                    None => tel.span(p.name(), name, "phase", start, p.now()),
+                    Some(t) => tel.span_args(track, name, cat, start, p.now(), t),
+                    None => tel.span(track, name, cat, start, p.now()),
                 }
             }
-            self.add(name, d);
+            self.add(phase.as_str(), d);
         }
     }
 

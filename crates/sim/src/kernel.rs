@@ -132,7 +132,7 @@
 //! processes; their stacks, and the state they keep alive, are leaked.
 
 use std::any::Any;
-use std::cell::RefMut;
+use std::cell::{Cell, RefMut};
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
@@ -143,7 +143,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cell::{next_sim_id, SimCell};
-use crate::telemetry::Telemetry;
+use crate::telemetry::kind::Track;
+use crate::telemetry::{Id, Telemetry};
 use crate::time::{Dur, SimTime};
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
@@ -664,6 +665,7 @@ impl Shared {
                 let ctx = ProcCtx {
                     pid,
                     name: Arc::clone(&rec.name),
+                    track: Cell::new(None),
                     shared: Rc::clone(self),
                 };
                 let sp = stack.prepare(Box::into_raw(Box::new(Start { ctx, body })));
@@ -956,6 +958,8 @@ impl Sim {
 pub struct ProcCtx {
     pub(crate) pid: ProcId,
     name: Arc<str>,
+    /// The name's track id in this simulation's registry, once resolved.
+    track: Cell<Option<Id<Track>>>,
     pub(crate) shared: Rc<Shared>,
 }
 
@@ -969,6 +973,17 @@ impl ProcCtx {
     /// span track.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// This process's telemetry track: its name, given an id of its own in
+    /// this simulation's registry at the first call and kept, so no record
+    /// on it looks the name up. Resolving records nothing.
+    pub fn track(&self) -> Id<Track> {
+        self.track.get().unwrap_or_else(|| {
+            let id = self.telemetry().process_track(&self.name);
+            self.track.set(Some(id));
+            id
+        })
     }
 
     /// This simulation's telemetry registry.

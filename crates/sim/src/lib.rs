@@ -66,7 +66,8 @@ pub use obs::{AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, TenantBurnR
 pub use resource::{FifoResource, GpsResource, GpsStream, SyncMarker, Timeline};
 pub use stats::{moving_average, percentile_permille, percentile_sorted, Summary};
 pub use telemetry::{
-    ArgValue, EventRecord, Histogram, SpanRecord, Telemetry, TelemetryExport, TraceCtx,
+    ArgValue, Args, EventRecord, Histogram, Id, Lit, Name, SpanRecord, Telemetry, TelemetryExport,
+    TraceCtx,
 };
 pub use time::{Dur, SimTime};
 pub use trace::{GroupAttribution, Segment, SloBurn, SloPolicy, TraceOutcome, TraceTree};

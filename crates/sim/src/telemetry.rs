@@ -21,32 +21,45 @@
 //! All timestamps are virtual ([`SimTime`]) and recording order follows the
 //! kernel's deterministic schedule, so two runs with the same seed produce
 //! **byte-identical** exports. To keep that property the registry never
-//! consults wall clocks, never iterates a hash table (every name gets a
-//! dense id in first-use order, and exports walk ids: tracks in first-use
-//! order, which makes them the Chrome tids, and metrics sorted by name),
-//! never draws from any RNG, and exports only integers — no float
-//! formatting. The lookup tables hash with fixed keys, and the memo in
-//! front of them is keyed by string addresses, but both only find an id;
-//! neither decides one. Telemetry being enabled or disabled must not
-//! perturb the simulation itself: recording never sleeps, never yields and
-//! never touches the sim RNG.
+//! consults wall clocks, never iterates a hash table, never draws from any
+//! RNG, and exports only integers — no float formatting. Exports never
+//! depend on ids: metrics are sorted by name, and Chrome tids number track
+//! names in the order of their first record. A name that was resolved and
+//! never recorded appears in no export. The lookup tables hash with fixed
+//! keys, and a [`Lit`]'s slot and remembered id are process-wide, but all
+//! of them only find an id; none decides one. Telemetry being enabled or
+//! disabled must not perturb the simulation itself: recording never
+//! sleeps, never yields and never touches the sim RNG.
 //!
 //! # Recording cost
 //!
-//! A record on a known key makes no allocation of its own (only storage
-//! growth allocates: a gauge timeline, a new chunk) and builds no string:
+//! A record is an index plus an append. Every name a record takes (track,
+//! span or instant name, category, argument key, metric name) is resolved
+//! to its id once, lazily, where the name is made, and later records go
+//! through that id with no hash, no memo probe and no byte compare:
 //!
-//! * every name (track, span or instant name, category, argument key, text
-//!   argument, metric name) is interned per kind: its bytes are appended to
-//!   one string, and an open-addressing table of ids, hashed with an
-//!   Fx-style hash, finds it again. A memo keyed by the caller's string
-//!   address answers repeated lookups from the same literal or process name
-//!   without hashing;
-//! * counters, gauges and histograms are dense `Vec`s indexed by name id;
-//! * a span or instant appends one 32-byte item (track, name and category
-//!   ids, an argument range, its times), and each argument one 16-byte
-//!   record (a key id and an integer or a text id). Both live in fixed-size
-//!   chunks, so growth never moves earlier records.
+//! * a literal is a [`Lit`] ([`lit!`](crate::lit)) at its call site: its
+//!   id is read from the literal itself, or from a per-registry table by
+//!   the literal's slot;
+//! * a name built at run time is resolved once with [`Telemetry::id`] and
+//!   kept as an [`Id`] by its owner (the monitor's per-GPU and per-tenant
+//!   keys, the backend's per-function span names);
+//! * a process's track is given an id of its own the first time it records
+//!   ([`ProcCtx::track`](crate::ProcCtx::track)), with no lookup;
+//! * a [`TraceCtx`]'s `inv`/`attempt` pair ([`Args::Trace`]) is stored once
+//!   per attempt, and every span of the attempt points at it.
+//!
+//! Storage: counters and histograms are dense `Vec`s indexed by name id; a
+//! gauge timeline grows by segments that are never copied; a span or
+//! instant appends one 32-byte item (track, name and category ids, an
+//! argument range, its times), and each stored argument one 16-byte record
+//! (a key id and an integer or a text id), both in fixed-size chunks. What
+//! still allocates: storage growth (a new chunk or segment), a name's first
+//! resolution, and the names made per invocation, each looked up once by
+//! its bytes (an interned table of ids hashed with an Fx-style hash): a
+//! span name holding an invocation id and a text argument such as a
+//! tenant. `&str` names go through the same lookup on every record; tests
+//! and cold paths use them.
 //!
 //! Arguments are typed ([`ArgValue`]): integers are stored as integers and
 //! rendered in decimal only by the queries and exporters.
@@ -58,6 +71,9 @@
 //! Perfetto.
 
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cell::{next_sim_id, SimCell};
@@ -105,8 +121,11 @@ impl TraceCtx {
 
     /// The standard `inv`/`attempt` span argument pair for this context, as
     /// integers: building it allocates nothing.
-    pub fn span_args(&self) -> [(&'static str, ArgValue<'static>); 2] {
-        [("inv", self.id.into()), ("attempt", self.attempt.into())]
+    pub fn span_args(&self) -> [(&'static Lit, ArgValue<'static>); 2] {
+        [
+            (crate::lit!("inv"), self.id.into()),
+            (crate::lit!("attempt"), self.attempt.into()),
+        ]
     }
 }
 
@@ -130,7 +149,7 @@ pub struct Histogram {
     /// Largest sample.
     pub max: u64,
     /// Bucket counts; index = bit length of the sample value.
-    pub buckets: Vec<u64>,
+    pub buckets: [u64; HIST_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -140,7 +159,7 @@ impl Default for Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: vec![0; HIST_BUCKETS],
+            buckets: [0; HIST_BUCKETS],
         }
     }
 }
@@ -231,8 +250,9 @@ pub struct TelemetryExport {
 }
 
 /// One recorded span or instant, 32 bytes. `track`, `name` and `cat` are
-/// [`Interner`] ids and `args` indexes [`TelState::args`], so recording on
-/// known names allocates nothing.
+/// interned ids and `args` indexes [`TelState::args`], so recording on
+/// resolved names allocates nothing. `track` is the track's id, not its
+/// Chrome `tid`: exports number tracks in first-record order.
 struct Item {
     /// Span start, or the instant's time.
     start: SimTime,
@@ -271,8 +291,10 @@ struct Arg {
 pub enum ArgValue<'a> {
     /// An id, count, size or other unsigned integer.
     U64(u64),
-    /// A text value (tenant, outcome, workload, reason, ...).
+    /// A text value (tenant, workload, reason, ...), looked up by its bytes.
     Str(&'a str),
+    /// A text literal (an outcome), resolved once per registry.
+    Lit(&'static Lit),
 }
 
 impl From<u64> for ArgValue<'_> {
@@ -299,12 +321,257 @@ impl<'a> From<&'a str> for ArgValue<'a> {
     }
 }
 
+/// The arguments of a span or instant: a list, or a trace context's
+/// `inv`/`attempt` pair. A list converts from a slice, an array or a `Vec`
+/// of `(key, value)` pairs; the pair from a `&TraceCtx`.
+pub enum Args<'a, A> {
+    /// Key/value pairs, in recording order.
+    List(&'a [(A, ArgValue<'a>)]),
+    /// [`TraceCtx::span_args`]: the registry stores each context's pair
+    /// once, and the records of the context and its clones share it.
+    Trace(&'a TraceCtx),
+}
+
+impl<'a, A> From<&'a [(A, ArgValue<'a>)]> for Args<'a, A> {
+    fn from(list: &'a [(A, ArgValue<'a>)]) -> Self {
+        Args::List(list)
+    }
+}
+
+impl<'a, A, const N: usize> From<&'a [(A, ArgValue<'a>); N]> for Args<'a, A> {
+    fn from(list: &'a [(A, ArgValue<'a>); N]) -> Self {
+        Args::List(list)
+    }
+}
+
+impl<'a, A> From<&'a Vec<(A, ArgValue<'a>)>> for Args<'a, A> {
+    fn from(list: &'a Vec<(A, ArgValue<'a>)>) -> Self {
+        Args::List(list)
+    }
+}
+
+impl<'a> From<&'a TraceCtx> for Args<'a, &'static Lit> {
+    fn from(trace: &'a TraceCtx) -> Self {
+        Args::Trace(trace)
+    }
+}
+
 impl std::fmt::Display for ArgValue<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArgValue::U64(v) => write!(f, "{v}"),
             ArgValue::Str(s) => f.write_str(s),
+            ArgValue::Lit(l) => f.write_str(l.name),
         }
+    }
+}
+
+/// A name written in the program: a counter, span name, category, argument
+/// key or text that every registry resolves once, at its first record.
+/// Make one per call site with [`lit!`](crate::lit):
+/// `tel.counter_add(lit!("net.messages"), 1)`.
+///
+/// A literal takes a process-wide slot number on first use; each registry
+/// keeps, per kind of name, a table from slot to its own id. A record reads
+/// the slot and indexes the table: no hash, no compare. The literal also
+/// remembers the last id it resolved to, with the registry and kind, so a
+/// process running one simulation at a time reads the id from the literal
+/// itself. The slot and the remembered id only find an id, so ids still
+/// follow each registry's first use.
+pub struct Lit {
+    name: &'static str,
+    /// Slot number plus one; 0 until first used.
+    slot: AtomicU32,
+    /// The last resolution, packed by [`Lit::tag`] with the id in the low
+    /// half; 0 for none.
+    last: AtomicU64,
+}
+
+impl Lit {
+    /// A literal named `name`. Use it from a `static` (see
+    /// [`lit!`](crate::lit)): the slot lives in the value.
+    pub const fn new(name: &'static str) -> Lit {
+        Lit {
+            name,
+            slot: AtomicU32::new(0),
+            last: AtomicU64::new(0),
+        }
+    }
+
+    /// The high half of [`Lit::last`] for kind `kind` in the registry of
+    /// simulation `reg`: a set top bit, the registry's id and the kind.
+    /// `None` for a registry id too large to pack whole.
+    fn tag(reg: u64, kind: usize) -> Option<u64> {
+        (reg < 1 << 28).then_some((1 << 31 | reg << 3 | kind as u64) << 32)
+    }
+
+    /// The id this literal last resolved to, if that was kind `kind` in
+    /// the registry of simulation `reg`.
+    #[inline]
+    fn last(&self, reg: u64, kind: usize) -> Option<u32> {
+        let last = self.last.load(Ordering::Relaxed);
+        let tag = Lit::tag(reg, kind)?;
+        (last & !u64::from(u32::MAX) == tag).then_some(last as u32)
+    }
+
+    fn remember(&self, reg: u64, kind: usize, id: u32) {
+        if let Some(tag) = Lit::tag(reg, kind) {
+            self.last.store(tag | u64::from(id), Ordering::Relaxed);
+        }
+    }
+
+    /// The literal's text.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn slot(&self) -> usize {
+        match self.slot.load(Ordering::Relaxed) {
+            0 => self.take_slot(),
+            s => s as usize - 1,
+        }
+    }
+
+    #[cold]
+    fn take_slot(&self) -> usize {
+        static NEXT: AtomicU32 = AtomicU32::new(1);
+        let mine = NEXT.fetch_add(1, Ordering::Relaxed);
+        // A thread that loses the race keeps the winner's slot; the lost
+        // number is never used.
+        let s = match self
+            .slot
+            .compare_exchange(0, mine, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => mine,
+            Err(theirs) => theirs,
+        };
+        s as usize - 1
+    }
+}
+
+impl std::fmt::Debug for Lit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "lit!({:?})", self.name)
+    }
+}
+
+/// Two literals are equal when their texts are.
+impl PartialEq for Lit {
+    fn eq(&self, other: &Lit) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Eq for Lit {}
+
+/// A [`Lit`] of its own for this call site, as a `&'static Lit`.
+#[macro_export]
+macro_rules! lit {
+    ($name:expr) => {{
+        static LIT: $crate::telemetry::Lit = $crate::telemetry::Lit::new($name);
+        &LIT
+    }};
+}
+
+/// The kinds of names: each has an id space of its own per registry, and
+/// [`Id`] and [`Name`] carry their kind so an id of one cannot name another.
+pub mod kind {
+    mod sealed {
+        pub trait Sealed {}
+    }
+
+    /// A kind of name. Implemented only by this module's types.
+    pub trait Kind: sealed::Sealed + Copy {
+        /// Index of the kind's id space.
+        #[doc(hidden)]
+        const INDEX: usize;
+    }
+
+    macro_rules! kinds {
+        ($($(#[$doc:meta])* $kind:ident = $index:expr;)*) => {
+            $(
+                $(#[$doc])*
+                #[derive(Debug, Clone, Copy)]
+                pub enum $kind {}
+                impl sealed::Sealed for $kind {}
+                impl Kind for $kind {
+                    const INDEX: usize = $index;
+                }
+            )*
+        };
+    }
+
+    kinds! {
+        /// Counter names.
+        Counter = 0;
+        /// Gauge names.
+        Gauge = 1;
+        /// Histogram names.
+        Hist = 2;
+        /// Tracks: the lanes spans and instants sit on (process names).
+        Track = 3;
+        /// Span and instant names.
+        Label = 4;
+        /// Span categories.
+        Cat = 5;
+        /// Argument keys.
+        Key = 6;
+    }
+
+    /// Text argument values (only through [`ArgValue`](super::ArgValue)).
+    pub(super) const TEXT: usize = 7;
+    /// Number of id spaces.
+    pub(super) const KINDS: usize = 8;
+}
+
+use kind::{Cat, Counter, Gauge, Hist, Key, Kind, Label, Track};
+
+/// A name resolved in one registry ([`Telemetry::id`]): recording through
+/// it is an index, with no lookup. Only the registry that resolved it takes
+/// it; another one panics.
+#[derive(Debug, Clone, Copy)]
+pub struct Id<K> {
+    id: u32,
+    /// The resolving registry's simulation id.
+    reg: u64,
+    kind: PhantomData<K>,
+}
+
+/// A name as a record takes it: looked up by its bytes, a [`Lit`] resolved
+/// once per registry, or an [`Id`] resolved earlier. Every recording method
+/// takes `impl Into<Name>`, so `&str`, `&String`, `&'static Lit` and `Id`
+/// all work.
+#[derive(Clone, Copy)]
+pub enum Name<'a, K> {
+    /// Looked up by its bytes at every record: tests and cold paths.
+    Str(&'a str),
+    /// Resolved once per registry.
+    Lit(&'static Lit),
+    /// Resolved already.
+    Id(Id<K>),
+}
+
+impl<'a, K> From<&'a str> for Name<'a, K> {
+    fn from(s: &'a str) -> Self {
+        Name::Str(s)
+    }
+}
+
+impl<'a, K> From<&'a String> for Name<'a, K> {
+    fn from(s: &'a String) -> Self {
+        Name::Str(s)
+    }
+}
+
+impl<K> From<&'static Lit> for Name<'_, K> {
+    fn from(l: &'static Lit) -> Self {
+        Name::Lit(l)
+    }
+}
+
+impl<K> From<Id<K>> for Name<'_, K> {
+    fn from(id: Id<K>) -> Self {
+        Name::Id(id)
     }
 }
 
@@ -332,10 +599,10 @@ struct Slot {
 const EMPTY: u32 = u32::MAX;
 
 /// Names in first-use order (the id is the index), stored back to back in
-/// one string, plus a lookup-only open-addressing table of ids. A new name
-/// costs no allocation of its own; a known one costs one [`fx_hash`] and
-/// usually one compare. The table is never iterated: ids, and everything
-/// exported in id order, follow first use.
+/// one string, plus a lookup-only open-addressing table of ids and the ids
+/// of the [`Lit`]s resolved so far. A new name costs no allocation of its
+/// own; a known one costs one [`fx_hash`] and usually one compare. The
+/// table is never iterated, and no export depends on ids.
 #[derive(Default)]
 struct Interner {
     bytes: String,
@@ -343,15 +610,11 @@ struct Interner {
     ends: Vec<u32>,
     /// Power-of-two sized, at most half full.
     slots: Vec<Slot>,
-    /// Recent lookups: a caller's string address and length, and the id
-    /// found for it (see [`Interner::id`]).
-    memo: Vec<(usize, u32, u32)>,
+    /// Names in `slots`: all but the appended ones ([`Interner::append`]).
+    hashed: usize,
+    /// `lits[slot]`: the id of the [`Lit`] with that slot, or [`EMPTY`].
+    lits: Vec<u32>,
 }
-
-/// Entries of [`Interner`]'s address memo, a power of two. A busy platform
-/// records on the tracks of many live processes at once: on `fleet_surge`,
-/// 256 entries made traced runs about 5 % faster than 64 did.
-const MEMO: usize = 256;
 
 impl Interner {
     fn len(&self) -> u32 {
@@ -392,49 +655,7 @@ impl Interner {
     }
 
     /// `name`'s id, interned on first use.
-    ///
-    /// Callers mostly pass the same string from the same place: a literal,
-    /// or a process's name. So a small memo maps a string's address to the
-    /// id last found for it, and a hit costs one compare of the bytes and
-    /// no hash. The compare makes a stale entry harmless.
     fn id(&mut self, name: &str) -> u32 {
-        match self.memo_hit(name) {
-            Some(id) if self.bytes.as_bytes()[self.span(id)] == *name.as_bytes() => id,
-            _ => self.intern(name),
-        }
-    }
-
-    /// [`Interner::id`] for a string that lives as long as the program: the
-    /// same address and length hold the same bytes, so a memo hit compares
-    /// none.
-    fn static_id(&mut self, name: &'static str) -> u32 {
-        match self.memo_hit(name) {
-            Some(id) => id,
-            None => self.intern(name),
-        }
-    }
-
-    fn memo_slot(name: &str) -> usize {
-        let h = (name.as_ptr() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h >> (64 - MEMO.trailing_zeros())) as usize
-    }
-
-    /// The id the memo holds for `name`'s address and length, if any.
-    fn memo_hit(&self, name: &str) -> Option<u32> {
-        let &(addr, len, id) = self.memo.get(Self::memo_slot(name))?;
-        (addr == name.as_ptr() as usize && len as usize == name.len()).then_some(id)
-    }
-
-    fn intern(&mut self, name: &str) -> u32 {
-        let id = self.lookup_or_insert(name);
-        if self.memo.is_empty() {
-            self.memo = vec![(0, 0, 0); MEMO];
-        }
-        self.memo[Self::memo_slot(name)] = (name.as_ptr() as usize, name.len() as u32, id);
-        id
-    }
-
-    fn lookup_or_insert(&mut self, name: &str) -> u32 {
         let hash = fx_hash(name);
         if !self.slots.is_empty() {
             let id = self.slots[self.probe(name, hash)].id;
@@ -442,16 +663,25 @@ impl Interner {
                 return id;
             }
         }
-        if 2 * (self.ends.len() + 1) > self.slots.len() {
+        if 2 * (self.hashed + 1) > self.slots.len() {
             self.grow();
         }
         let i = self.probe(name, hash);
+        let id = self.append(name);
+        self.hashed += 1;
+        self.slots[i] = Slot { hash, id };
+        id
+    }
+
+    /// A new id for `name`, without looking it up or making it findable:
+    /// for a name that is its own owner's (a process's track). Two ids may
+    /// then name the same bytes; exports go by the bytes.
+    fn append(&mut self, name: &str) -> u32 {
         let id = self.len();
         assert!(id != EMPTY, "fewer than 2^32 - 1 names of one kind");
         self.bytes.push_str(name);
         let end = u32::try_from(self.bytes.len()).expect("names of one kind fit in 4 GiB");
         self.ends.push(end);
-        self.slots[i] = Slot { hash, id };
         id
     }
 
@@ -477,72 +707,79 @@ impl Interner {
     }
 }
 
-/// Named counters, gauges or histograms: interned names over one dense
-/// `Vec` of values.
-#[derive(Default)]
-struct Metrics<T> {
-    names: Interner,
-    values: Vec<T>,
-}
-
-impl<T: Default> Metrics<T> {
-    /// `name`'s value, created with `T::default()` on first use.
-    fn entry(&mut self, name: &str) -> &mut T {
-        let id = self.names.id(name) as usize;
-        if id == self.values.len() {
-            self.values.push(T::default());
-        }
-        &mut self.values[id]
-    }
-
-    fn get(&self, name: &str) -> Option<&T> {
-        self.names.get(name).map(|id| &self.values[id as usize])
-    }
-
-    /// Every value with its name, sorted by name.
-    fn sorted(&self) -> impl Iterator<Item = (&str, &T)> {
-        let ids = self.names.sorted();
-        ids.into_iter()
-            .map(|id| (self.names.name(id), &self.values[id as usize]))
-    }
-}
-
 /// An append-only sequence in fixed-size chunks: growth allocates a new
-/// chunk and never moves earlier records.
+/// chunk and never moves earlier records. The chunk being filled sits
+/// inline, so an append reaches it without an indirection.
 struct Chunks<T, const N: usize> {
-    chunks: Vec<Vec<T>>,
+    full: Vec<Vec<T>>,
+    tail: Vec<T>,
 }
 
 impl<T, const N: usize> Default for Chunks<T, N> {
     fn default() -> Self {
-        Chunks { chunks: Vec::new() }
+        Chunks {
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
     }
 }
 
 impl<T, const N: usize> Chunks<T, N> {
     fn len(&self) -> usize {
-        self.chunks
-            .last()
-            .map_or(0, |c| (self.chunks.len() - 1) * N + c.len())
+        self.full.len() * N + self.tail.len()
     }
 
     fn push(&mut self, v: T) {
-        match self.chunks.last_mut() {
-            Some(c) if c.len() < N => c.push(v),
-            _ => {
-                let mut c = Vec::with_capacity(N);
-                c.push(v);
-                self.chunks.push(c);
+        if self.tail.len() == self.tail.capacity().min(N) {
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(N));
+            if !full.is_empty() {
+                self.full.push(full);
             }
         }
+        self.tail.push(v);
     }
 
     fn get(&self, i: usize) -> &T {
-        &self.chunks[i / N][i % N]
+        &self.full.get(i / N).unwrap_or(&self.tail)[i % N]
     }
 
     fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flatten()
+        self.full.iter().flatten().chain(&self.tail)
+    }
+}
+
+/// A gauge's timeline in segments whose capacity doubles up to
+/// [`SEGMENT`] samples: growth allocates a segment and never copies
+/// earlier samples. The segment being filled sits inline.
+#[derive(Default)]
+struct Samples {
+    full: Vec<Vec<(SimTime, i64)>>,
+    tail: Vec<(SimTime, i64)>,
+}
+
+/// Largest segment of a gauge timeline: 64 KiB.
+const SEGMENT: usize = 4096;
+
+impl Samples {
+    fn push(&mut self, sample: (SimTime, i64)) {
+        if self.tail.len() == self.tail.capacity() {
+            let cap = (2 * self.tail.capacity()).clamp(4, SEGMENT);
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(cap));
+            if !full.is_empty() {
+                self.full.push(full);
+            }
+        }
+        self.tail.push(sample);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tail.is_empty()
+    }
+
+    fn to_vec(&self) -> Vec<(SimTime, i64)> {
+        let mut all = self.full.concat();
+        all.extend_from_slice(&self.tail);
+        all
     }
 }
 
@@ -550,50 +787,119 @@ impl<T, const N: usize> Chunks<T, N> {
 const ITEM_CHUNK: usize = 2048;
 const ARG_CHUNK: usize = 4096;
 
+/// Entries of [`TelState::traces`], a power of two: room for the attempts
+/// in flight on a busy platform.
+const TRACES: usize = 256;
+
+/// A registry's records. A resolved name has an id and, for a metric, a
+/// value slot; it is exported only once recorded: a counter once nonzero
+/// (adding zero records nothing), a gauge once sampled, a histogram once
+/// it holds a sample, a track once an item sits on it. The fields every
+/// record reaches come first, in declaration order, so they share a few
+/// cache lines; the name tables, which records reach only on a first
+/// resolution, come last.
 #[derive(Default)]
+#[repr(C)]
 struct TelState {
-    counters: Metrics<u64>,
-    gauges: Metrics<Vec<(SimTime, i64)>>,
-    histograms: Metrics<Histogram>,
+    /// Indexed by counter id.
+    counters: Vec<u64>,
+    /// Indexed by histogram id.
+    histograms: Vec<Histogram>,
+    /// Indexed by gauge id.
+    gauges: Vec<Samples>,
+    /// Recently stored trace contexts' pairs, `(inv, attempt, first)`, by
+    /// a hash of the pair: the spans of one invocation attempt all carry
+    /// it, and store it once.
+    traces: Vec<(u64, u32, u32)>,
     items: Chunks<Item, ITEM_CHUNK>,
-    /// Arguments of every item, back to back.
+    /// Argument lists of the items, back to back; the spans of one trace
+    /// context share its stored pair.
     args: Chunks<Arg, ARG_CHUNK>,
-    /// Track name → tid, in first-use order (deterministic).
-    tracks: Interner,
-    /// Span and instant names.
-    names: Interner,
-    cats: Interner,
-    /// Argument keys.
-    keys: Interner,
-    /// Text argument values.
-    texts: Interner,
+    /// One id space per [`kind`], indexed by [`Kind::INDEX`].
+    names: [Interner; kind::KINDS],
 }
 
 impl TelState {
-    fn push(
+    /// `name`'s id in kind `kind`, interned (with its metric value) on
+    /// first use.
+    fn intern(&mut self, kind: usize, name: &str) -> u32 {
+        let id = self.names[kind].id(name);
+        // Metric ids are dense: a new one is the next index.
+        let new = id as usize;
+        match kind {
+            Counter::INDEX if self.counters.len() == new => self.counters.push(0),
+            Gauge::INDEX if self.gauges.len() == new => self.gauges.push(Samples::default()),
+            Hist::INDEX if self.histograms.len() == new => {
+                self.histograms.push(Histogram::default())
+            }
+            _ => {}
+        }
+        id
+    }
+
+    /// `lit`'s id in kind `kind` of this registry (of simulation `reg`):
+    /// the literal's remembered id, or one table read once resolved.
+    #[inline]
+    fn lit(&mut self, kind: usize, lit: &'static Lit, reg: u64) -> u32 {
+        if let Some(id) = lit.last(reg, kind) {
+            return id;
+        }
+        let slot = lit.slot();
+        let id = match self.names[kind].lits.get(slot) {
+            Some(&id) if id != EMPTY => id,
+            _ => self.resolve_lit(kind, slot, lit.name),
+        };
+        lit.remember(reg, kind, id);
+        id
+    }
+
+    #[cold]
+    fn resolve_lit(&mut self, kind: usize, slot: usize, name: &str) -> u32 {
+        let id = self.intern(kind, name);
+        let lits = &mut self.names[kind].lits;
+        if lits.len() <= slot {
+            lits.resize(slot + 1, EMPTY);
+        }
+        lits[slot] = id;
+        id
+    }
+
+    #[inline]
+    fn resolve<K: Kind>(&mut self, name: Name<'_, K>, reg: u64) -> u32 {
+        match name {
+            Name::Id(id) => {
+                assert!(
+                    id.reg == reg,
+                    "an Id recorded into a registry that did not resolve it"
+                );
+                id.id
+            }
+            Name::Lit(l) => self.lit(K::INDEX, l, reg),
+            Name::Str(s) => self.intern(K::INDEX, s),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn push<'a, A: Into<Name<'a, Key>> + Copy>(
         &mut self,
-        track: &str,
-        name: &str,
+        reg: u64,
+        track: Name<'_, Track>,
+        name: Name<'_, Label>,
         cat: u16,
         start: SimTime,
         end: SimTime,
-        args: &[(&'static str, ArgValue<'_>)],
+        args: Args<'_, A>,
     ) {
-        let first = u32::try_from(self.args.len()).expect("fewer than 2^32 arguments");
-        let nargs = u16::try_from(args.len()).expect("at most 65,535 arguments per record");
-        for &(key, v) in args {
-            let key = self.keys.static_id(key);
-            let (text, value) = match v {
-                ArgValue::U64(v) => (false, v),
-                ArgValue::Str(s) => (true, u64::from(self.texts.id(s))),
-            };
-            self.args.push(Arg { key, text, value });
-        }
+        let (first, nargs) = match args {
+            Args::List(list) => (self.store(list, reg), list.len()),
+            Args::Trace(trace) => (self.trace_pair(trace, reg), 2),
+        };
+        let nargs = u16::try_from(nargs).expect("at most 65,535 arguments per record");
         let item = Item {
             start,
             end,
-            track: self.tracks.id(track),
-            name: self.names.id(name),
+            track: self.resolve(track, reg),
+            name: self.resolve(name, reg),
             args: first,
             nargs,
             cat,
@@ -601,12 +907,108 @@ impl TelState {
         self.items.push(item);
     }
 
-    fn cat(&mut self, cat: &'static str) -> u16 {
-        let id = self.cats.static_id(cat);
+    /// The first argument index of `trace`'s stored `inv`/`attempt` pair,
+    /// stored now unless a recent record stored it.
+    fn trace_pair(&mut self, trace: &TraceCtx, reg: u64) -> u32 {
+        // Trace ids are sequential, so the attempts in flight sit in
+        // neighbouring slots.
+        let slot = (trace.id.wrapping_mul(4) + u64::from(trace.attempt)) as usize % TRACES;
+        if self.traces.is_empty() {
+            self.traces = vec![(0, 0, EMPTY); TRACES];
+        }
+        match self.traces[slot] {
+            (id, attempt, first)
+                if first != EMPTY && (id, attempt) == (trace.id, trace.attempt) =>
+            {
+                first
+            }
+            _ => {
+                let first = self.store(&trace.span_args(), reg);
+                self.traces[slot] = (trace.id, trace.attempt, first);
+                first
+            }
+        }
+    }
+
+    /// Store `list` and return the index of its first argument.
+    fn store<'a, A: Into<Name<'a, Key>> + Copy>(
+        &mut self,
+        list: &[(A, ArgValue<'_>)],
+        reg: u64,
+    ) -> u32 {
+        let first = u32::try_from(self.args.len()).expect("fewer than 2^32 arguments");
+        for &(key, v) in list {
+            let a = self.arg(key.into(), v, reg);
+            self.args.push(a);
+        }
+        first
+    }
+
+    fn arg(&mut self, key: Name<'_, Key>, v: ArgValue<'_>, reg: u64) -> Arg {
+        let key = self.resolve(key, reg);
+        let (text, value) = match v {
+            ArgValue::U64(v) => (false, v),
+            ArgValue::Str(s) => (true, u64::from(self.intern(kind::TEXT, s))),
+            ArgValue::Lit(l) => (true, u64::from(self.lit(kind::TEXT, l, reg))),
+        };
+        Arg { key, text, value }
+    }
+
+    fn cat(&mut self, cat: Name<'_, Cat>, reg: u64) -> u16 {
+        let id = self.resolve(cat, reg);
         u16::try_from(id)
             .ok()
             .filter(|&c| c != INSTANT)
             .expect("fewer than 65,535 categories")
+    }
+
+    fn name(&self, kind: usize, id: u32) -> &str {
+        self.names[kind].name(id)
+    }
+
+    /// `kind`'s metric values that were recorded, with their names, sorted
+    /// by name.
+    fn recorded<'s, T>(
+        &'s self,
+        kind: usize,
+        values: &'s [T],
+        recorded: impl Fn(&T) -> bool + 's,
+    ) -> impl Iterator<Item = (&'s str, &'s T)> + 's {
+        let names = &self.names[kind];
+        names
+            .sorted()
+            .into_iter()
+            .map(move |id| (names.name(id), &values[id as usize]))
+            .filter(move |(_, v)| recorded(v))
+    }
+
+    fn counters(&self) -> impl Iterator<Item = (&str, &u64)> {
+        self.recorded(Counter::INDEX, &self.counters, |&v| v != 0)
+    }
+
+    fn gauges(&self) -> impl Iterator<Item = (&str, &Samples)> {
+        self.recorded(Gauge::INDEX, &self.gauges, |v| !v.is_empty())
+    }
+
+    fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        self.recorded(Hist::INDEX, &self.histograms, |h| h.count != 0)
+    }
+
+    /// The recorded value of metric `name` of kind `kind`.
+    fn get<'s, T>(
+        &'s self,
+        kind: usize,
+        values: &'s [T],
+        name: &str,
+        recorded: impl Fn(&T) -> bool,
+    ) -> Option<&'s T> {
+        let id = self.names[kind].get(name)?;
+        Some(&values[id as usize]).filter(|v| recorded(v))
+    }
+
+    fn gauge(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
+        self.get(Gauge::INDEX, &self.gauges, name, |v| !v.is_empty())
+            .map(Samples::to_vec)
     }
 
     /// `it`'s arguments, keys and values resolved.
@@ -615,11 +1017,11 @@ impl TelState {
         (first..first + usize::from(it.nargs)).map(move |i| {
             let a = self.args.get(i);
             let v = if a.text {
-                ArgValue::Str(self.texts.name(a.value as u32))
+                ArgValue::Str(self.name(kind::TEXT, a.value as u32))
             } else {
                 ArgValue::U64(a.value)
             };
-            (self.keys.name(a.key), v)
+            (self.name(Key::INDEX, a.key), v)
         })
     }
 
@@ -628,6 +1030,27 @@ impl TelState {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect()
     }
+
+    /// Chrome `tid` by track id: track names numbered in the order of
+    /// their first item (ids of one name share it); `EMPTY` for a track
+    /// with none. Also the first recorded id of each name, in tid order.
+    fn tids(&self) -> (Vec<u32>, Vec<u32>) {
+        let tracks = &self.names[Track::INDEX];
+        let mut tid = vec![EMPTY; tracks.len() as usize];
+        let mut by_name = HashMap::new();
+        let mut order = Vec::new();
+        for it in self.items.iter() {
+            if tid[it.track as usize] == EMPTY {
+                let next = order.len() as u32;
+                let t = *by_name.entry(tracks.name(it.track)).or_insert(next);
+                if t == next {
+                    order.push(it.track);
+                }
+                tid[it.track as usize] = t;
+            }
+        }
+        (tid, order)
+    }
 }
 
 /// The per-simulation telemetry registry. See the [module docs](self) for
@@ -635,7 +1058,8 @@ impl TelState {
 pub struct Telemetry {
     enabled: Cell<bool>,
     /// A cell of the simulation when [`Sim::new`](crate::Sim::new) builds
-    /// the registry; of a simulation id of its own otherwise.
+    /// the registry; of a simulation id of its own otherwise. That id also
+    /// tags the registry's [`Id`]s.
     state: SimCell<TelState>,
     next_trace: Cell<u64>,
 }
@@ -682,95 +1106,129 @@ impl Telemetry {
         self.enabled.get()
     }
 
+    /// `name`'s id of kind `K` in this registry, for recording without a
+    /// lookup. Resolving records nothing: a name resolved and never
+    /// recorded appears in no export, and tracks keep their first-record
+    /// order. Works whether or not recording is on.
+    pub fn id<K: Kind>(&self, name: &str) -> Id<K> {
+        Id {
+            id: self.state.lock().intern(K::INDEX, name),
+            reg: self.state.sim_id(),
+            kind: PhantomData,
+        }
+    }
+
+    /// A track id of its own for a process named `name`, without a lookup
+    /// ([`ProcCtx::track`](crate::ProcCtx::track) keeps it).
+    pub(crate) fn process_track(&self, name: &str) -> Id<Track> {
+        Id {
+            id: self.state.lock().names[Track::INDEX].append(name),
+            reg: self.state.sim_id(),
+            kind: PhantomData,
+        }
+    }
+
     // ---- recording ----------------------------------------------------
 
     /// Add `delta` to counter `name` (created at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    pub fn counter_add<'a>(&self, name: impl Into<Name<'a, Counter>>, delta: u64) {
         if !self.is_enabled() || delta == 0 {
             return;
         }
-        *self.state.lock().counters.entry(name) += delta;
+        let mut st = self.state.lock();
+        let id = st.resolve(name.into(), self.state.sim_id());
+        st.counters[id as usize] += delta;
     }
 
     /// Append a `(at, value)` sample to gauge `name`'s timeline.
-    pub fn gauge_set(&self, name: &str, at: SimTime, value: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.state.lock().gauges.entry(name).push((at, value));
-    }
-
-    /// Record `value` into histogram `name`.
-    pub fn histogram_record(&self, name: &str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.state.lock().histograms.entry(name).record(value);
-    }
-
-    /// Record a closed span of virtual time on `track`.
-    pub fn span(&self, track: &str, name: &str, cat: &'static str, start: SimTime, end: SimTime) {
-        self.span_args(track, name, cat, start, end, &[]);
-    }
-
-    /// Record a closed span with key/value `args` (e.g. the `inv`/`attempt`
-    /// pair of a [`TraceCtx`], or a terminal `outcome`).
-    pub fn span_args(
-        &self,
-        track: &str,
-        name: &str,
-        cat: &'static str,
-        start: SimTime,
-        end: SimTime,
-        args: &[(&'static str, ArgValue<'_>)],
-    ) {
+    pub fn gauge_set<'a>(&self, name: impl Into<Name<'a, Gauge>>, at: SimTime, value: i64) {
         if !self.is_enabled() {
             return;
         }
         let mut st = self.state.lock();
-        let cat = st.cat(cat);
-        st.push(track, name, cat, start, end, args);
+        let id = st.resolve(name.into(), self.state.sim_id());
+        st.gauges[id as usize].push((at, value));
     }
 
-    /// Record an instant event on `track` with key/value `args`.
-    pub fn instant(
+    /// Record `value` into histogram `name`.
+    pub fn histogram_record<'a>(&self, name: impl Into<Name<'a, Hist>>, value: u64) {
+        if !self.is_enabled() {
+            return;
+        }
+        let mut st = self.state.lock();
+        let id = st.resolve(name.into(), self.state.sim_id());
+        st.histograms[id as usize].record(value);
+    }
+
+    /// Record a closed span of virtual time on `track`.
+    pub fn span<'a>(
         &self,
-        track: &str,
-        name: &str,
-        at: SimTime,
-        args: &[(&'static str, ArgValue<'_>)],
+        track: impl Into<Name<'a, Track>>,
+        name: impl Into<Name<'a, Label>>,
+        cat: impl Into<Name<'a, Cat>>,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        self.span_args::<&str>(track, name, cat, start, end, &[]);
+    }
+
+    /// Record a closed span with key/value `args`: a list (e.g. a terminal
+    /// `outcome`), or a [`TraceCtx`] for its `inv`/`attempt` pair.
+    pub fn span_args<'a, 'b, A: Into<Name<'a, Key>> + Copy + 'b>(
+        &self,
+        track: impl Into<Name<'a, Track>>,
+        name: impl Into<Name<'a, Label>>,
+        cat: impl Into<Name<'a, Cat>>,
+        start: SimTime,
+        end: SimTime,
+        args: impl Into<Args<'b, A>>,
     ) {
         if !self.is_enabled() {
             return;
         }
-        self.state.lock().push(track, name, INSTANT, at, at, args);
+        let reg = self.state.sim_id();
+        let mut st = self.state.lock();
+        let cat = st.cat(cat.into(), reg);
+        st.push(reg, track.into(), name.into(), cat, start, end, args.into());
+    }
+
+    /// Record an instant event on `track` with key/value `args`.
+    pub fn instant<'a, 'b, A: Into<Name<'a, Key>> + Copy + 'b>(
+        &self,
+        track: impl Into<Name<'a, Track>>,
+        name: impl Into<Name<'a, Label>>,
+        at: SimTime,
+        args: impl Into<Args<'b, A>>,
+    ) {
+        if !self.is_enabled() {
+            return;
+        }
+        let reg = self.state.sim_id();
+        let mut st = self.state.lock();
+        st.push(reg, track.into(), name.into(), INSTANT, at, at, args.into());
     }
 
     // ---- programmatic queries (test oracles) --------------------------
 
     /// Current value of counter `name` (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        *self.state.lock().counters.get(name).unwrap_or(&0)
+        let st = self.state.lock();
+        *st.get(Counter::INDEX, &st.counters, name, |&v| v != 0)
+            .unwrap_or(&0)
     }
 
     /// Snapshot of every counter, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
         self.state
             .lock()
-            .counters
-            .sorted()
+            .counters()
             .map(|(k, &v)| (k.to_string(), v))
             .collect()
     }
 
     /// Timeline of gauge `name` (empty if never touched).
     pub fn gauge(&self, name: &str) -> Vec<(SimTime, i64)> {
-        self.state
-            .lock()
-            .gauges
-            .get(name)
-            .cloned()
-            .unwrap_or_default()
+        self.state.lock().gauge(name).unwrap_or_default()
     }
 
     /// Highest value ever recorded on gauge `name` (`None` if never
@@ -778,8 +1236,7 @@ impl Telemetry {
     pub fn gauge_peak(&self, name: &str) -> Option<i64> {
         self.state
             .lock()
-            .gauges
-            .get(name)
+            .gauge(name)
             .and_then(|samples| samples.iter().map(|&(_, v)| v).max())
     }
 
@@ -788,8 +1245,7 @@ impl Telemetry {
     pub fn gauge_min(&self, name: &str) -> Option<i64> {
         self.state
             .lock()
-            .gauges
-            .get(name)
+            .gauge(name)
             .and_then(|samples| samples.iter().map(|&(_, v)| v).min())
     }
 
@@ -801,7 +1257,7 @@ impl Telemetry {
     /// sample), `None` when the gauge was never touched.
     pub fn gauge_time_weighted_mean(&self, name: &str, until: SimTime) -> Option<i64> {
         let st = self.state.lock();
-        let samples = st.gauges.get(name)?;
+        let samples = st.gauge(name)?;
         let (&(t0, v0), rest) = samples.split_first()?;
         if until <= t0 {
             return Some(samples.last().map(|&(_, v)| v).unwrap_or(v0));
@@ -829,7 +1285,9 @@ impl Telemetry {
 
     /// Snapshot of histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.state.lock().histograms.get(name).cloned()
+        let st = self.state.lock();
+        st.get(Hist::INDEX, &st.histograms, name, |h| h.count != 0)
+            .cloned()
     }
 
     /// All closed spans, in recording order.
@@ -839,9 +1297,9 @@ impl Telemetry {
             .iter()
             .filter(|it| it.is_span())
             .map(|it| SpanRecord {
-                track: st.tracks.name(it.track).to_string(),
-                name: st.names.name(it.name).to_string(),
-                cat: st.cats.name(u32::from(it.cat)).to_string(),
+                track: st.name(Track::INDEX, it.track).to_string(),
+                name: st.name(Label::INDEX, it.name).to_string(),
+                cat: st.name(Cat::INDEX, u32::from(it.cat)).to_string(),
                 start: it.start,
                 end: it.end,
                 args: st.owned_args(it),
@@ -856,8 +1314,8 @@ impl Telemetry {
             .iter()
             .filter(|it| !it.is_span())
             .map(|it| EventRecord {
-                track: st.tracks.name(it.track).to_string(),
-                name: st.names.name(it.name).to_string(),
+                track: st.name(Track::INDEX, it.track).to_string(),
+                name: st.name(Label::INDEX, it.name).to_string(),
                 at: it.start,
                 args: st.owned_args(it),
             })
@@ -884,16 +1342,17 @@ impl Telemetry {
         let mut j = JsonWriter::new();
         j.object(Lines(2), |j| {
             j.key("counters").object(Lines(4), |j| {
-                for (k, &v) in st.counters.sorted() {
+                for (k, &v) in st.counters() {
                     j.key(k).u64(v);
                 }
             });
             j.key("gauges").object(Lines(4), |j| {
-                for (k, samples) in st.gauges.sorted() {
+                for (k, samples) in st.gauges() {
+                    let samples = samples.to_vec();
                     let values = samples.iter().map(|&(_, v)| v);
                     j.key(k).object(Inline, |j| {
                         j.key("samples").array(Compact, |j| {
-                            for &(at, v) in samples {
+                            for &(at, v) in &samples {
                                 j.array(Compact, |j| {
                                     j.u64(at.as_nanos()).i64(v);
                                 });
@@ -901,12 +1360,12 @@ impl Telemetry {
                         });
                         j.key("min").i64(values.clone().min().unwrap_or(0));
                         j.key("peak").i64(values.max().unwrap_or(0));
-                        j.key("twa").i64(gauge_twa(samples));
+                        j.key("twa").i64(gauge_twa(&samples));
                     });
                 }
             });
             j.key("histograms").object(Lines(4), |j| {
-                for (k, h) in st.histograms.sorted() {
+                for (k, h) in st.histograms() {
                     j.key(k).object(Inline, |j| {
                         j.key("count").u64(h.count);
                         j.key("sum").u64(h.sum);
@@ -937,31 +1396,34 @@ impl Telemetry {
                     match v {
                         ArgValue::U64(_) => j.key(k).str(&v.to_string()),
                         ArgValue::Str(s) => j.key(k).str(s),
+                        ArgValue::Lit(l) => j.key(k).str(l.name),
                     };
                 }
             });
         };
+        let (tids, tracks) = st.tids();
         let mut j = JsonWriter::new();
         j.object(Inline, |j| {
             j.key("traceEvents").array(Lines(0), |j| {
-                for tid in 0..st.tracks.len() {
-                    let name = st.tracks.name(tid);
+                for (tid, &track) in tracks.iter().enumerate() {
+                    let name = st.name(Track::INDEX, track);
                     j.object(Inline, |j| {
                         j.key("name").str("thread_name").key("ph").str("M");
-                        j.key("pid").u64(1).key("tid").u64(u64::from(tid));
+                        j.key("pid").u64(1).key("tid").u64(tid as u64);
                         j.key("args").object(Inline, |j| {
                             j.key("name").str(name);
                         });
                     });
                 }
                 for it in st.items.iter() {
-                    let name = st.names.name(it.name);
+                    let name = st.name(Label::INDEX, it.name);
+                    let tid = u64::from(tids[it.track as usize]);
                     j.object(Inline, |j| {
                         if it.is_span() {
-                            let cat = st.cats.name(u32::from(it.cat));
+                            let cat = st.name(Cat::INDEX, u32::from(it.cat));
                             j.key("name").str(name).key("cat").str(cat);
                             j.key("ph").str("X").key("pid").u64(1);
-                            j.key("tid").u64(u64::from(it.track));
+                            j.key("tid").u64(tid);
                             j.key("ts").micros(it.start.as_nanos());
                             j.key("dur").micros(it.end.since(it.start).as_nanos());
                             if it.nargs > 0 {
@@ -970,7 +1432,7 @@ impl Telemetry {
                         } else {
                             j.key("name").str(name);
                             j.key("ph").str("i").key("s").str("t").key("pid").u64(1);
-                            j.key("tid").u64(u64::from(it.track));
+                            j.key("tid").u64(tid);
                             j.key("ts").micros(it.start.as_nanos());
                             args_json(j, it);
                         }
@@ -1092,7 +1554,7 @@ mod tests {
         t.gauge_set("g", SimTime(5), 1);
         t.histogram_record("h", 9);
         t.span("trk", "s", "cat", SimTime(0), SimTime(1));
-        t.instant("trk", "e", SimTime(2), &[]);
+        t.instant::<&str>("trk", "e", SimTime(2), &[]);
         assert_eq!(t.counter("c"), 0);
         assert!(t.gauge("g").is_empty());
         assert!(t.histogram("h").is_none());
@@ -1410,7 +1872,7 @@ mod tests {
         let a2 = ctx.with_attempt(2);
         assert_eq!((a2.id, a2.attempt, &*a2.tenant), (2, 2, "tenant-x"));
         assert_eq!(
-            a2.span_args(),
+            a2.span_args().map(|(k, v)| (k.name(), v)),
             [("inv", ArgValue::U64(2)), ("attempt", ArgValue::U64(2))]
         );
     }
@@ -1438,20 +1900,57 @@ mod tests {
     }
 
     #[test]
-    fn interner_memo_never_trusts_a_reused_address() {
-        let mut names = Interner::default();
+    fn a_literal_resolves_in_each_registry_in_that_registrys_first_use_order() {
+        static A: Lit = Lit::new("a");
+        let (one, two) = (Telemetry::new(), Telemetry::new());
+        one.enable();
+        two.enable();
+        one.counter_add(&A, 1);
+        two.counter_add("b", 1);
+        two.counter_add(&A, 2);
+        one.counter_add(&A, 1);
+        assert_eq!((one.counter("a"), two.counter("a")), (2, 2));
+        assert_eq!(one.state.lock().names[Counter::INDEX].get("a"), Some(0));
+        assert_eq!(two.state.lock().names[Counter::INDEX].get("a"), Some(1));
+        // One literal as two kinds of name: each kind keeps its own id.
+        two.gauge_set(&A, SimTime(1), 5);
+        two.counter_add(&A, 1);
+        two.gauge_set(&A, SimTime(2), 6);
+        assert_eq!(two.counter("a"), 3);
+        assert_eq!(two.gauge("a"), vec![(SimTime(1), 5), (SimTime(2), 6)]);
+        // A reused buffer with new bytes is a new name.
         let mut s = String::from("serve:inv1");
-        let first = names.id(&s);
-        // Same buffer, same length, new bytes: the memo entry is stale.
+        let first = one.id::<Label>(&s);
         s.replace_range(.., "serve:inv2");
-        let second = names.id(&s);
-        assert_ne!(first, second);
-        assert_eq!(
-            (names.name(first), names.name(second)),
-            ("serve:inv1", "serve:inv2")
-        );
-        assert_eq!(names.id("serve:inv1"), first);
-        assert_eq!(names.static_id("serve:inv2"), second);
+        let second = one.id::<Label>(&s);
+        assert_ne!(first.id, second.id);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not resolve it")]
+    fn an_id_of_another_registry_is_refused() {
+        let (one, two) = (Telemetry::new(), Telemetry::new());
+        two.enable();
+        two.counter_add(one.id::<Counter>("c"), 1);
+    }
+
+    #[test]
+    fn processes_of_one_name_share_a_track() {
+        let mut sim = crate::Sim::new(1);
+        sim.telemetry().enable();
+        for (i, name) in ["w", "v", "w"].into_iter().enumerate() {
+            let at = SimTime(10 * i as u64);
+            sim.spawn_at(name, at, move |p| {
+                let tel = p.telemetry();
+                tel.span(p.track(), "s", "phase", at, at + Dur(1));
+                tel.instant::<&str>(p.name(), "e", at, &[]);
+            });
+        }
+        sim.run();
+        let json = sim.telemetry().chrome_trace_json();
+        assert_eq!(json.matches("thread_name").count(), 2);
+        assert_eq!(json.matches("\"tid\": 0").count(), 1 + 4);
+        assert_eq!(json.matches("\"tid\": 1").count(), 1 + 2);
     }
 
     #[test]

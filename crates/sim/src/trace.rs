@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use crate::stats::percentile_permille;
-use crate::telemetry::{SpanRecord, Telemetry};
+use crate::telemetry::{Lit, SpanRecord, Telemetry};
 use crate::time::{Dur, SimTime};
 
 /// Terminal state of one request: the one three-state outcome that the
@@ -60,10 +60,15 @@ impl TraceOutcome {
 
     /// The wire/JSON form of this outcome.
     pub fn as_str(&self) -> &'static str {
+        self.lit().name()
+    }
+
+    /// [`as_str`](Self::as_str) as a telemetry literal.
+    pub fn lit(&self) -> &'static Lit {
         match self {
-            TraceOutcome::Completed => "completed",
-            TraceOutcome::Shed => "shed",
-            TraceOutcome::Failed => "failed",
+            TraceOutcome::Completed => crate::lit!("completed"),
+            TraceOutcome::Shed => crate::lit!("shed"),
+            TraceOutcome::Failed => crate::lit!("failed"),
         }
     }
 }

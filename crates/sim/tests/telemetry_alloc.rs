@@ -3,9 +3,10 @@
 //! Once a counter, histogram, track, span name, argument key or text value
 //! has been seen, recording against it must not allocate: counters and
 //! histograms update in place, and a span or instant is a few interned ids
-//! and integer arguments appended to fixed-size chunks. A regression that
-//! goes back to allocating a key or an argument string per record shows up
-//! here as thousands of allocations.
+//! and integer arguments appended to fixed-size chunks. The same holds for
+//! records through resolved ids: literals, [`Id`]s and a process's cached
+//! track. A regression that goes back to allocating a key or an argument
+//! string per record shows up here as thousands of allocations.
 //!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide. Each test reads only its own
@@ -14,7 +15,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dgsf_sim::{ArgValue, Dur, SimTime, Telemetry, TraceCtx};
+use std::rc::Rc;
+
+use dgsf_sim::telemetry::kind::Gauge;
+use dgsf_sim::{lit, ArgValue, Dur, Id, Sim, SimTime, Telemetry, TraceCtx};
 
 thread_local! {
     // Const-initialised and destructor-free, so bumping it from inside the
@@ -153,5 +157,77 @@ fn traced_spans_and_instants_allocate_only_to_grow_storage() {
             ("bytes".to_string(), (CALLS - 1).to_string()),
             ("reason".to_string(), "drained".to_string())
         ]
+    );
+}
+
+#[test]
+fn records_through_resolved_ids_do_not_allocate() {
+    let t = Telemetry::new();
+    t.enable();
+    let queue: Id<Gauge> = t.id("monitor.queue_depth");
+    // Grow the timeline first: the loop below needs one more segment.
+    for i in 0..CALLS {
+        t.gauge_set(queue, SimTime(i), 1);
+    }
+    t.counter_add(lit!("rpc.calls.launch"), 1);
+    t.histogram_record(lit!("rpc.latency_ns.launch"), 1);
+
+    let before = allocs();
+    for i in 0..CALLS / 2 {
+        t.counter_add(lit!("rpc.calls.launch"), 1);
+        t.histogram_record(lit!("rpc.latency_ns.launch"), i);
+        t.gauge_set(queue, SimTime(CALLS + i), i as i64);
+    }
+    let made = allocs() - before;
+
+    // One timeline segment at most.
+    assert!(
+        made <= 1,
+        "{made} allocations for {} counter + histogram + gauge records",
+        CALLS / 2
+    );
+    assert_eq!(t.counter("rpc.calls.launch"), CALLS / 2 + 1);
+    assert_eq!(
+        t.gauge("monitor.queue_depth").len() as u64,
+        CALLS + CALLS / 2
+    );
+}
+
+#[test]
+fn traced_spans_on_a_cached_process_track_allocate_only_to_grow_storage() {
+    // 10,000 items fill five 64 KiB chunks; the arguments are one shared
+    // pair. The rest of the budget is the chunk list doubling.
+    const BUDGET: u64 = 16;
+
+    let mut sim = Sim::new(1);
+    sim.telemetry().enable();
+    let made = Rc::new(std::cell::Cell::new(u64::MAX));
+    let out = Rc::clone(&made);
+    sim.spawn("fn-0-0", move |p| {
+        let tel = p.telemetry();
+        let ctx = TraceCtx::new(7, "tenant-a").with_attempt(1);
+        let (execute, phase) = (lit!("execute"), lit!("phase"));
+        tel.span_args(p.track(), execute, phase, SimTime(0), SimTime(1), &ctx);
+
+        let before = allocs();
+        for i in 0..CALLS {
+            let at = SimTime(i);
+            tel.span_args(p.track(), execute, phase, at, at + Dur(1), &ctx);
+        }
+        out.set(allocs() - before);
+    });
+    sim.run();
+
+    let made = made.get();
+    assert!(
+        made <= BUDGET,
+        "{made} allocations for {CALLS} traced spans (budget {BUDGET})"
+    );
+    let spans = sim.telemetry().spans();
+    assert_eq!(spans.len() as u64, CALLS + 1);
+    assert_eq!(spans[CALLS as usize].track, "fn-0-0");
+    assert_eq!(
+        spans[CALLS as usize].args[0],
+        ("inv".to_string(), "7".to_string())
     );
 }
