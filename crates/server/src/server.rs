@@ -225,28 +225,25 @@ impl GpuServer {
         mem: u64,
         registry: Arc<ModuleRegistry>,
     ) -> (RpcClient, u64) {
-        self.try_request_gpu(p, name, mem, registry, 1)
+        self.try_request_gpu(p, name, mem, registry)
             .expect("monitor alive for the run's duration")
     }
 
     /// Fallible GPU request: gives up after the configured queue timeout
     /// (if any), marking the invocation failed so the retry layer can move
-    /// on. `attempt` is recorded on the invocation (1-based) so chaos runs
-    /// can reconstruct the retry history from the records alone.
+    /// on. The invocation is recorded as attempt 1.
     pub fn try_request_gpu(
         &self,
         p: &ProcCtx,
         name: &str,
         mem: u64,
         registry: Arc<ModuleRegistry>,
-        attempt: u32,
     ) -> Result<(RpcClient, u64), AcquireError> {
         self.try_request_gpu_with_timeout(
             p,
             name,
             mem,
             registry,
-            attempt,
             self.cfg.queue_timeout,
             None,
             None,
@@ -260,7 +257,10 @@ impl GpuServer {
     /// assignment to one API server (GPU-resident DAG stages must land on
     /// the context holding their predecessor's output buffer). The
     /// serverless backend's admission control uses this to enforce its
-    /// queue-age limit and thread request tracing.
+    /// queue-age limit and thread request tracing. The invocation records
+    /// the trace's attempt number (1-based; 1 without a trace or for a
+    /// whole-request context), so chaos runs can reconstruct the retry
+    /// history from the records alone.
     #[allow(clippy::too_many_arguments)]
     pub fn try_request_gpu_with_timeout(
         &self,
@@ -268,7 +268,6 @@ impl GpuServer {
         name: &str,
         mem: u64,
         registry: Arc<ModuleRegistry>,
-        attempt: u32,
         timeout: Option<Dur>,
         trace: Option<TraceCtx>,
         pin_server: Option<u32>,
@@ -282,7 +281,7 @@ impl GpuServer {
             assigned_at: None,
             done_at: None,
             failed_at: None,
-            attempts: attempt,
+            attempts: trace.as_ref().map_or(1, |t| t.attempt.max(1)),
             server: None,
             gpu: None,
             trace: trace.as_ref().map(|t| t.id),

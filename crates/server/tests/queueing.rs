@@ -160,7 +160,7 @@ fn queue_timeout_abandons_the_request_and_records_the_failure() {
         let o3 = Rc::clone(&o2);
         h2.spawn_at("starved", SimTime::ZERO + Dur::from_millis(100), move |p| {
             let requested = p.now();
-            let err = match s3.try_request_gpu(p, "starved", GB, registry(), 1) {
+            let err = match s3.try_request_gpu(p, "starved", GB, registry()) {
                 Err(e) => e,
                 Ok(_) => panic!("the GPU is held for 3 s, past the 1 s queue timeout"),
             };
@@ -210,7 +210,7 @@ fn cancelled_unplaceable_head_cannot_stall(policy: QueuePolicy) {
         // its 1 s timeout cancels it (at t = 1 s).
         let s2 = Arc::clone(&srv);
         h2.spawn("giant", move |p| {
-            let err = match s2.try_request_gpu(p, "giant", 64 * GB, registry(), 1) {
+            let err = match s2.try_request_gpu(p, "giant", 64 * GB, registry()) {
                 Err(e) => e,
                 Ok(_) => panic!("64 GB can never be placed"),
             };
@@ -276,7 +276,7 @@ fn abandoned_request_never_occupies_a_server() {
         h2.spawn("hold", move |p| hold_gpu(p, &s2, "hold", GB, 2.0));
         let s3 = Arc::clone(&srv);
         h2.spawn_at("starved", SimTime::ZERO + Dur::from_millis(100), move |p| {
-            let _ = s3.try_request_gpu(p, "starved", GB, registry(), 1);
+            let _ = s3.try_request_gpu(p, "starved", GB, registry());
         });
         // Arrives just before the GPU frees (~2.3 s), well inside its own
         // 1 s queue-timeout budget.
@@ -491,7 +491,6 @@ fn hold_gpu_as(p: &ProcCtx, srv: &GpuServer, tenant: &str, id: u64, name: &str, 
             name,
             GB,
             registry(),
-            1,
             None,
             Some(TraceCtx::new(id, tenant)),
             None,
@@ -639,7 +638,6 @@ fn mqfq_tenant_reenters_at_the_active_virtual_time_after_its_request_times_out()
                 "giant",
                 64 * GB,
                 registry(),
-                1,
                 Some(Dur::from_millis(500)),
                 Some(TraceCtx::new(1, "beta")),
                 None,
@@ -686,7 +684,7 @@ fn zero_queue_timeout_fails_the_request_and_serves_the_next(cfg: GpuServerConfig
         let srv = GpuServer::provision(p, &h2, cfg.gpus(1).with_queue_timeout(Dur::ZERO));
         let s2 = Arc::clone(&srv);
         h2.spawn("doomed", move |p| {
-            let got = s2.try_request_gpu(p, "doomed", GB, registry(), 1);
+            let got = s2.try_request_gpu(p, "doomed", GB, registry());
             assert!(
                 matches!(got, Err(AcquireError::Timeout { waited }) if waited == Dur::ZERO),
                 "an idle server cannot answer within zero time"

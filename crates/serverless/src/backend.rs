@@ -148,7 +148,6 @@ impl Terminal {
         FunctionResult {
             name: w.name().to_string(),
             tenant: w.tenant().to_string(),
-            mode: "dgsf".into(),
             launched_at,
             finished_at,
             phases: self.phases,
@@ -174,23 +173,23 @@ pub struct Backend {
     /// completion per terminal outcome (with the queue wait summed across
     /// every attempt, matching the offline trace decomposition).
     obs: Option<Rc<ObsPlane>>,
-    /// Span names of each function traced so far, in first-use order.
-    labels: SimCell<Vec<FnLabels>>,
+    /// Each function invoked so far, in first-use order.
+    fns: SimCell<Vec<FnNames>>,
     /// The simulation the backend's state belongs to.
     sim: SimHandle,
 }
 
-/// One function's span names, resolved in the simulation's telemetry
-/// registry at its first traced invocation, so a repeated invocation
-/// formats and looks up none of them.
-struct FnLabels {
+/// One function's tenant and span names, made at its first invocation, so
+/// a repeated invocation allocates, formats and looks up none of them.
+struct FnNames {
     /// The function's name.
     name: Box<str>,
-    /// `req:{name}`.
-    req: Id<Label>,
-    /// `invoke:{name}:a{k}` at index `k - 1`, resolved up to the highest
-    /// attempt seen.
-    invoke: Vec<Id<Label>>,
+    /// Its tenant, shared by every request's [`TraceCtx`].
+    tenant: Arc<str>,
+    /// Span names resolved in the simulation's telemetry registry:
+    /// `req:{name}` at index 0, then `invoke:{name}:a{k}` at index `k`,
+    /// up to the highest attempt traced. Empty while telemetry is off.
+    labels: Vec<Id<Label>>,
 }
 
 impl Backend {
@@ -207,7 +206,7 @@ impl Backend {
             admission: None,
             admitted: SimCell::new(h, AdmissionState::default()),
             obs: None,
-            labels: SimCell::new(h, Vec::new()),
+            fns: SimCell::new(h, Vec::new()),
             sim: h.clone(),
         }
     }
@@ -294,11 +293,13 @@ impl Backend {
         // One causal trace per request, spanning every retry attempt; the
         // id rides the admission slot, the monitor queue and the RPC
         // envelopes so every layer's spans share it.
-        let trace = TraceCtx::new(tel.next_trace_id(), w.tenant());
+        let fid = self.fn_index(p, w);
+        let tenant = Arc::clone(&self.fns.borrow_in(p)[fid].tenant);
+        let trace = TraceCtx::new(tel.next_trace_id(), tenant);
         // Admission control: claim a slot (held until the request is
         // reported) or shed on the spot, never retried.
         let (_slot, end) = match self.try_admit(p, w) {
-            Ok(slot) => (slot, self.attempts(p, store, w, opts, &trace)),
+            Ok(slot) => (slot, self.attempts(p, store, w, fid, opts, &trace)),
             Err(reason) => (
                 None,
                 Terminal {
@@ -313,21 +314,24 @@ impl Backend {
                 },
             ),
         };
-        self.finish(p, w, &trace, launched_at, end)
+        self.finish(p, w, fid, &trace, launched_at, end)
     }
 
     /// Run an admitted request's attempts until one completes, its reply
-    /// is recovered, or the failures stop it.
+    /// is recovered, or the failures stop it. `fid` is `w`'s index in
+    /// `self.fns`.
     fn attempts(
         &self,
         p: &ProcCtx,
         store: &ObjectStore,
         w: &dyn Workload,
+        fid: usize,
         opts: OptConfig,
         trace: &TraceCtx,
     ) -> Terminal {
         let tel = p.telemetry();
         let max_queue_age = self.admission.as_ref().and_then(|a| a.max_queue_age);
+        let options = InvokeOptions::new(opts).with_max_queue_age(max_queue_age);
         let mut avoid = None;
         let mut attempt = 1;
         // Queue wait summed across every attempt — the same total the
@@ -351,12 +355,10 @@ impl Backend {
                 };
             };
             tel.counter_add(lit!("backend.attempts"), 1);
-            let options = InvokeOptions::new(opts)
-                .with_attempt(attempt)
-                .with_max_queue_age(max_queue_age);
             let invoker = Invoker::new(&self.servers[idx], store);
-            let label = tel.is_enabled().then(|| self.label(p, w, attempt).into());
-            let f = match invoker.attempt(p, w, &options, trace.with_attempt(attempt), label) {
+            let label = tel.is_enabled().then(|| self.label(p, fid, attempt).into());
+            let trace = trace.with_attempt(attempt);
+            let f = match invoker.attempt(p, w, &options, &trace, None, label) {
                 Ok(done) => {
                     let queue_wait = queue_wait + done.queue_wait;
                     return Terminal { queue_wait, ..done };
@@ -442,6 +444,7 @@ impl Backend {
         &self,
         p: &ProcCtx,
         w: &dyn Workload,
+        fid: usize,
         trace: &TraceCtx,
         launched_at: SimTime,
         end: Terminal,
@@ -467,7 +470,7 @@ impl Backend {
             TraceOutcome::Failed => tel.counter_add(lit!("backend.failures"), 1),
         }
         if tel.is_enabled() {
-            let req = self.label(p, w, 0).into();
+            let req = self.label(p, fid, 0).into();
             record_request_span(p, trace, req, launched_at, end.outcome, end.attempts);
         }
         let completed = end.outcome == TraceOutcome::Completed;
@@ -478,31 +481,37 @@ impl Backend {
         end.into_result(w, launched_at, now, trace.id)
     }
 
-    /// `w`'s `req:` span name (`attempt` 0), or its `invoke:` span name of
-    /// `attempt`, resolved at the first call.
-    fn label(&self, p: &ProcCtx, w: &dyn Workload, attempt: u32) -> Id<Label> {
-        let tel = p.telemetry();
-        let mut all = self.labels.borrow_in(p);
-        let i = match all.iter().position(|l| *l.name == *w.name()) {
-            Some(i) => i,
-            None => {
-                all.push(FnLabels {
+    /// `w`'s index in `self.fns`, adding it at its first invocation. A
+    /// function is its name and tenant: two tenants may deploy the same
+    /// name.
+    fn fn_index(&self, p: &ProcCtx, w: &dyn Workload) -> usize {
+        let mut fns = self.fns.borrow_in(p);
+        fns.iter()
+            .position(|f| *f.name == *w.name() && *f.tenant == *w.tenant())
+            .unwrap_or_else(|| {
+                fns.push(FnNames {
                     name: w.name().into(),
-                    req: tel.id(&format!("req:{}", w.name())),
-                    invoke: Vec::new(),
+                    tenant: w.tenant().into(),
+                    labels: Vec::new(),
                 });
-                all.len() - 1
-            }
-        };
-        let l = &mut all[i];
-        let Some(k) = (attempt as usize).checked_sub(1) else {
-            return l.req;
-        };
-        while l.invoke.len() <= k {
-            let n = l.invoke.len() + 1;
-            l.invoke.push(tel.id(&format!("invoke:{}:a{n}", w.name())));
+                fns.len() - 1
+            })
+    }
+
+    /// Function `fid`'s `req:` span name (`attempt` 0), or its `invoke:`
+    /// span name of `attempt`, resolved at the first call.
+    fn label(&self, p: &ProcCtx, fid: usize, attempt: u32) -> Id<Label> {
+        let tel = p.telemetry();
+        let mut fns = self.fns.borrow_in(p);
+        let f = &mut fns[fid];
+        while f.labels.len() <= attempt as usize {
+            let name = match f.labels.len() {
+                0 => format!("req:{}", f.name),
+                k => format!("invoke:{}:a{k}", f.name),
+            };
+            f.labels.push(tel.id(&name));
         }
-        l.invoke[k]
+        f.labels[attempt as usize]
     }
 
     /// Claim an admission slot for `w`, or say why it was refused.

@@ -8,7 +8,12 @@
 //! function (possibly on another GPU server); the native and CPU baselines
 //! run on dedicated fault-free hardware and stay infallible.
 //!
-//! [`Invoker`] is the single DGSF entry point.
+//! [`Invoker`] is the single DGSF entry point. Every DGSF attempt — one
+//! [`Invoker::invoke`], one stage of [`Invoker::invoke_dag`], one try of
+//! the backend's retry loop — runs through one crate-private attempt
+//! routine, which takes the attempt's [`TraceCtx`] (whose `attempt` is the
+//! attempt number) and its placement pin as arguments. [`InvokeOptions`]
+//! carries only what a caller chooses.
 
 use std::sync::Arc;
 
@@ -46,8 +51,6 @@ pub struct FunctionResult {
     pub name: String,
     /// Tenant that deployed the workload (see [`crate::Workload::tenant`]).
     pub tenant: String,
-    /// Execution mode label ("native" / "dgsf" / "cpu").
-    pub mode: String,
     /// When the (warm) function began executing.
     pub launched_at: SimTime,
     /// When it finished.
@@ -150,58 +153,31 @@ impl std::fmt::Display for InvokeFailure {
     }
 }
 
-/// Everything that varies about one DGSF invocation attempt, in one place.
-/// Build with [`InvokeOptions::new`] and layer on the builders; the plain
-/// constructor is a fault-free single attempt with no queue bound, no
-/// caller-owned trace and no placement pin.
+/// What a caller chooses about a DGSF invocation. Build with
+/// [`InvokeOptions::new`]; the plain constructor puts no bound on the
+/// queue wait.
 #[derive(Debug, Clone)]
 pub struct InvokeOptions {
     /// Remoting specialization ladder for the guest-side API (Figure 4).
     pub opts: OptConfig,
-    /// 1-based attempt label in the server's invocation records.
-    pub attempt: u32,
     /// Bound on queue wait at the GPU server. When this (rather than the
     /// server's own `queue_timeout`) binds and expires, the failure is
     /// classed [`FailureClass::Overloaded`] — shed, never retried.
     pub max_queue_age: Option<Dur>,
-    /// Caller-owned causal trace context. `None` means the invoker roots a
-    /// fresh trace and records the top-level request span itself; `Some`
-    /// means the caller (the backend's retry loop) owns the request span.
-    pub trace: Option<TraceCtx>,
-    /// Pin the attempt to one API server: the monitor will assign no
-    /// other, waiting (within the queue bound) for it to free up. This is
-    /// how a GPU-resident DAG stage lands on the context holding its
-    /// predecessor's output buffer.
-    pub pin_server: Option<u32>,
 }
 
 impl InvokeOptions {
-    /// A fault-free single attempt under `opts` — the common case.
+    /// An invocation under `opts` with no queue-age bound — the common case.
     pub fn new(opts: OptConfig) -> InvokeOptions {
         InvokeOptions {
             opts,
-            attempt: 1,
             max_queue_age: None,
-            trace: None,
-            pin_server: None,
         }
-    }
-
-    /// Builder-style: label this as attempt `n` (1-based).
-    pub fn with_attempt(mut self, n: u32) -> Self {
-        self.attempt = n.max(1);
-        self
     }
 
     /// Builder-style: bound the queue wait (expiry ⇒ shed as overload).
     pub fn with_max_queue_age(mut self, d: Option<Dur>) -> Self {
         self.max_queue_age = d;
-        self
-    }
-
-    /// Builder-style: thread a caller-owned trace context.
-    pub fn with_trace(mut self, trace: TraceCtx) -> Self {
-        self.trace = Some(trace);
         self
     }
 }
@@ -222,45 +198,31 @@ impl<'a> Invoker<'a> {
         Invoker { server, store }
     }
 
-    /// Run `w` over DGSF under `options`. With no caller-owned trace
-    /// ([`InvokeOptions::trace`] = `None`) this also records the top-level
-    /// request span, making it a complete single-shot invocation.
+    /// Run `w` over DGSF under `options` as one single-shot request: one
+    /// attempt under a fresh trace, plus the top-level request span.
     pub fn invoke(
         &self,
         p: &ProcCtx,
         w: &dyn Workload,
         options: InvokeOptions,
     ) -> Result<FunctionResult, InvokeFailure> {
-        let attempt = options.attempt.max(1);
         let launched_at = p.now();
-        let trace = match &options.trace {
-            Some(trace) => trace.clone(),
-            None => TraceCtx::new(p.telemetry().next_trace_id(), w.tenant()).with_attempt(attempt),
-        };
         let tel = p.telemetry();
-        let label = tel
-            .is_enabled()
-            .then(|| format!("invoke:{}:a{attempt}", w.name()));
-        let out = self.attempt(
-            p,
-            w,
-            &options,
-            trace.clone(),
-            label.as_ref().map(Name::from),
-        );
-        if options.trace.is_none() && tel.is_enabled() {
+        let trace = TraceCtx::new(tel.next_trace_id(), w.tenant()).with_attempt(1);
+        let label = tel.is_enabled().then(|| format!("invoke:{}:a1", w.name()));
+        let out = self.attempt(p, w, &options, &trace, None, label.as_ref().map(Name::from));
+        if tel.is_enabled() {
             let outcome = out
                 .as_ref()
                 .map_or_else(InvokeFailure::outcome, |t| t.outcome);
             let req = format!("req:{}", w.name());
-            record_request_span(p, &trace, (&req).into(), launched_at, outcome, attempt);
+            record_request_span(p, &trace, (&req).into(), launched_at, outcome, 1);
         }
         Ok(out?.into_result(w, launched_at, p.now(), trace.id))
     }
 
     /// Run a function DAG stage by stage, each stage a separate platform
-    /// invocation under `options` (its `trace`, `attempt` and `pin_server`
-    /// are managed per stage; the rest applies to every stage).
+    /// attempt under `options`, all under one fresh trace.
     ///
     /// In [`HandoffMode::GpuResident`] each stage publishes its output
     /// into the serving context's resident store and the successor is
@@ -285,10 +247,8 @@ impl<'a> Invoker<'a> {
         let n = dag.len();
         let resident = dag.mode == HandoffMode::GpuResident;
         let launched_at = p.now();
-        let trace = match &options.trace {
-            Some(t) => t.clone(),
-            None => TraceCtx::new(p.telemetry().next_trace_id(), &dag.tenant),
-        };
+        let tel = p.telemetry();
+        let trace = TraceCtx::new(tel.next_trace_id(), dag.tenant.as_str());
         let max_attempts = max_attempts.max(1);
 
         let mut terminal: Option<InvokeFailure> = None;
@@ -297,19 +257,25 @@ impl<'a> Invoker<'a> {
         'dag: for attempt in 1..=max_attempts {
             attempts_taken = attempt;
             stages = Vec::with_capacity(n);
+            let attempt_trace = trace.with_attempt(attempt);
+            // A GPU-resident stage is pinned to the server holding its
+            // predecessor's output; host-bounce stages are placed freely.
             let mut pin: Option<u32> = None;
             for idx in 0..n {
                 let in_key = (resident && idx > 0).then(|| edge_key(trace.id, attempt, idx - 1));
                 let out_key = (resident && idx + 1 < n).then(|| edge_key(trace.id, attempt, idx));
                 let stage = StageRun::new(dag, idx, in_key, out_key);
-                let mut o = options
-                    .clone()
-                    .with_attempt(attempt)
-                    .with_trace(trace.clone().with_attempt(attempt));
-                o.pin_server = if resident { pin } else { None };
-                match self.invoke(p, &stage, o) {
-                    Ok(r) => {
-                        pin = r.server;
+                let stage_start = p.now();
+                let label = tel
+                    .is_enabled()
+                    .then(|| format!("invoke:{}:a{attempt}", stage.name()));
+                let label = label.as_ref().map(Name::from);
+                match self.attempt(p, &stage, &options, &attempt_trace, pin, label) {
+                    Ok(done) => {
+                        let r = done.into_result(&stage, stage_start, p.now(), trace.id);
+                        if resident {
+                            pin = r.server;
+                        }
                         stages.push(r);
                     }
                     Err(f) => {
@@ -334,7 +300,7 @@ impl<'a> Invoker<'a> {
         let outcome = terminal
             .as_ref()
             .map_or(TraceOutcome::Completed, InvokeFailure::outcome);
-        if p.telemetry().is_enabled() {
+        if tel.is_enabled() {
             let req = format!("req:{}", dag.name);
             record_request_span(
                 p,
@@ -348,7 +314,6 @@ impl<'a> Invoker<'a> {
         DagResult {
             name: dag.name.clone(),
             tenant: dag.tenant.clone(),
-            mode: dag.mode.as_str().to_string(),
             stages,
             launched_at,
             finished_at: p.now(),
@@ -362,20 +327,21 @@ impl<'a> Invoker<'a> {
         }
     }
 
-    /// One attempt: download, acquire (bounded, possibly pinned), drive
-    /// the workload over the remoted API, settle the invocation record.
-    /// Runs under `trace`; `options.trace` is not read. With telemetry on,
-    /// `label` names the attempt's `invoke:{workload}:a{attempt}` span.
+    /// One attempt: download, acquire (bounded, and pinned to API server
+    /// `pin_server` when given), drive the workload over the remoted API,
+    /// settle the invocation record. Runs under `trace`, whose `attempt`
+    /// is this attempt's number (1-based). With telemetry on, `label` names
+    /// the attempt's `invoke:{workload}:a{attempt}` span.
     pub(crate) fn attempt(
         &self,
         p: &ProcCtx,
         w: &dyn Workload,
         options: &InvokeOptions,
-        trace: TraceCtx,
+        trace: &TraceCtx,
+        pin_server: Option<u32>,
         label: Option<Name<'_, Label>>,
     ) -> Result<Terminal, InvokeFailure> {
         let server = self.server;
-        let attempt = options.attempt.max(1);
         let launched_at = p.now();
         let mut rec = PhaseRecorder::new();
         rec.set_trace(Some(trace.clone()));
@@ -396,10 +362,9 @@ impl<'a> Invoker<'a> {
             w.name(),
             w.required_gpu_mem(),
             w.registry(),
-            attempt,
             timeout,
             Some(trace.clone()),
-            options.pin_server,
+            pin_server,
         );
         let (client, invocation) = match acquired {
             Ok(x) => x,
@@ -437,7 +402,7 @@ impl<'a> Invoker<'a> {
         if let Some(label) = label {
             let (track, cat) = (p.track(), lit!("invocation"));
             p.telemetry()
-                .span_args(track, label, cat, launched_at, p.now(), &trace);
+                .span_args(track, label, cat, launched_at, p.now(), trace);
         }
         match outcome {
             Ok(()) => Ok(Terminal {
@@ -447,7 +412,7 @@ impl<'a> Invoker<'a> {
                 phases: rec,
                 api_stats: api.stats(),
                 invocation: Some(invocation),
-                attempts: attempt,
+                attempts: trace.attempt.max(1),
                 server: server.invocation_server(invocation),
             }),
             Err(error) => {
@@ -470,18 +435,17 @@ impl<'a> Invoker<'a> {
     }
 }
 
-/// Outcome of one DAG execution: the per-stage results of the attempt that
-/// ran furthest, plus DAG-level accounting.
+/// Outcome of one DAG execution: the per-stage results of its last attempt,
+/// plus DAG-level accounting.
 #[derive(Debug, Clone)]
 pub struct DagResult {
     /// DAG name.
     pub name: String,
     /// Tenant that deployed the DAG.
     pub tenant: String,
-    /// Handoff mode label ("host_bounce" / "gpu_resident").
-    pub mode: String,
-    /// Per-stage results of the last (furthest) attempt, in stage order.
-    /// Shorter than the stage count when the DAG failed mid-pipeline.
+    /// Per-stage results of the last attempt, in stage order: the stages
+    /// it completed. Shorter than the stage count when that attempt failed
+    /// mid-pipeline, even if an earlier attempt got further.
     pub stages: Vec<FunctionResult>,
     /// When the DAG began (first stage's download start).
     pub launched_at: SimTime,
@@ -602,7 +566,6 @@ pub fn invoke_native(
     FunctionResult {
         name: w.name().to_string(),
         tenant: w.tenant().to_string(),
-        mode: "native".into(),
         launched_at,
         finished_at: p.now(),
         phases: rec,
@@ -629,7 +592,6 @@ pub fn invoke_cpu(p: &ProcCtx, store: &ObjectStore, w: &dyn Workload) -> Functio
     FunctionResult {
         name: w.name().to_string(),
         tenant: w.tenant().to_string(),
-        mode: "cpu".into(),
         launched_at,
         finished_at: p.now(),
         phases: rec,

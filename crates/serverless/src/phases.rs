@@ -2,25 +2,25 @@
 //!
 //! Figures 3 and 4 of the paper break a function's run into phases (CUDA
 //! initialization, download, model loading, processing/inference). Workloads
-//! and invokers record phases into a [`PhaseRecorder`]; the experiment
-//! harness reads them back by name.
-
-use std::borrow::Cow;
+//! and invokers record phases into a [`PhaseRecorder`], a fixed table with
+//! one duration per [`Phase`]; the experiment harness reads them back by
+//! phase.
 
 use dgsf_sim::{lit, Dur, Lit, ProcCtx, SimTime, TraceCtx};
 
-/// A canonical execution phase. [`PhaseRecorder::enter`] takes this enum —
-/// not a bare string — so a typo'd phase name is a compile error instead of
-/// a silently split bucket. [`Phase::as_str`] returns the exact historical
+/// A canonical execution phase, in pipeline order: the order in which the
+/// DGSF, native and CPU paths enter them. [`PhaseRecorder::enter`] takes
+/// this enum, so a typo'd phase is a compile error instead of a silently
+/// split bucket. [`Phase::as_str`] returns the exact historical
 /// wire/telemetry strings, so goldens and span names are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Downloading model + inputs from the object store.
     Download,
-    /// CUDA runtime (and module) initialization.
-    Init,
     /// Queueing at the GPU server waiting for an API server.
     Queue,
+    /// CUDA runtime (and module) initialization.
+    Init,
     /// Loading the model onto the GPU (weights + descriptors + handles).
     ModelLoad,
     /// Inference / main computation.
@@ -30,24 +30,17 @@ pub enum Phase {
     Transfer,
 }
 
-impl Phase {
-    /// Every canonical phase.
-    const ALL: [Phase; 6] = [
-        Phase::Download,
-        Phase::Init,
-        Phase::Queue,
-        Phase::ModelLoad,
-        Phase::Processing,
-        Phase::Transfer,
-    ];
+/// Number of [`Phase`]s: the length of a [`PhaseRecorder`]'s table.
+const PHASES: usize = 6;
 
+impl Phase {
     /// The phase's canonical name — byte-identical to the historical `&str`
     /// constants, so existing goldens and telemetry spans are unmoved.
     pub const fn as_str(self) -> &'static str {
         match self {
             Phase::Download => "download",
-            Phase::Init => "init",
             Phase::Queue => "queue",
+            Phase::Init => "init",
             Phase::ModelLoad => "model_load",
             Phase::Processing => "processing",
             Phase::Transfer => "transfer",
@@ -56,10 +49,10 @@ impl Phase {
 
     /// The phase's span name as a telemetry literal.
     fn lit(self) -> &'static Lit {
-        static LITS: [Lit; 6] = [
+        static LITS: [Lit; PHASES] = [
             Lit::new(Phase::Download.as_str()),
-            Lit::new(Phase::Init.as_str()),
             Lit::new(Phase::Queue.as_str()),
+            Lit::new(Phase::Init.as_str()),
             Lit::new(Phase::ModelLoad.as_str()),
             Lit::new(Phase::Processing.as_str()),
             Lit::new(Phase::Transfer.as_str()),
@@ -68,15 +61,9 @@ impl Phase {
     }
 }
 
-impl AsRef<str> for Phase {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        f.pad(self.as_str())
     }
 }
 
@@ -88,10 +75,10 @@ pub mod phase {
 
     /// Downloading model + inputs from the object store.
     pub const DOWNLOAD: Phase = Phase::Download;
-    /// CUDA runtime (and module) initialization.
-    pub const INIT: Phase = Phase::Init;
     /// Queueing at the GPU server waiting for an API server.
     pub const QUEUE: Phase = Phase::Queue;
+    /// CUDA runtime (and module) initialization.
+    pub const INIT: Phase = Phase::Init;
     /// Loading the model onto the GPU (weights + descriptors + handles).
     pub const MODEL_LOAD: Phase = Phase::ModelLoad;
     /// Inference / main computation.
@@ -100,11 +87,15 @@ pub mod phase {
     pub const TRANSFER: Phase = Phase::Transfer;
 }
 
-/// Accumulates named phase durations for one function execution.
+/// Accumulates phase durations for one function execution: one [`Dur`]
+/// per [`Phase`], plus which phases were entered at all.
 #[derive(Debug, Default, Clone)]
 pub struct PhaseRecorder {
-    /// Canonical phase names are borrowed; only ad-hoc names are owned.
-    phases: Vec<(Cow<'static, str>, Dur)>,
+    /// Time spent in each phase, indexed by `Phase as usize`.
+    spent: [Dur; PHASES],
+    /// Bit `i` is set once the phase at index `i` has been closed, even
+    /// for zero time.
+    recorded: u8,
     open: Option<(Phase, SimTime)>,
     trace: Option<TraceCtx>,
 }
@@ -128,13 +119,13 @@ impl PhaseRecorder {
         self.open = Some((phase, p.now()));
     }
 
-    /// Close the currently open phase, if any. With telemetry enabled the
-    /// closed interval is also recorded as a span on the calling process's
-    /// track, so traces show the same phase breakdown the harness reads
-    /// back — on every invocation path (DGSF, native, CPU) uniformly.
+    /// Close the currently open phase, if any, adding its time to the
+    /// phase's total. With telemetry enabled the closed interval is also
+    /// recorded as a span on the calling process's track, so traces show
+    /// the same phase breakdown the harness reads back — on every
+    /// invocation path (DGSF, native, CPU) uniformly.
     pub fn close(&mut self, p: &ProcCtx) {
         if let Some((phase, start)) = self.open.take() {
-            let d = p.now().since(start);
             let tel = p.telemetry();
             if tel.is_enabled() {
                 let (track, name, cat) = (p.track(), phase.lit(), lit!("phase"));
@@ -143,44 +134,24 @@ impl PhaseRecorder {
                     None => tel.span(track, name, cat, start, p.now()),
                 }
             }
-            self.add(phase.as_str(), d);
+            self.spent[phase as usize] += p.now().since(start);
+            self.recorded |= 1 << phase as usize;
         }
     }
 
-    /// Add a duration to a named phase directly. Accepts a [`Phase`] or any
-    /// ad-hoc string name (harness-internal buckets).
-    pub fn add(&mut self, name: impl AsRef<str>, d: Dur) {
-        let name = name.as_ref();
-        if let Some(e) = self.phases.iter_mut().find(|(n, _)| n == name) {
-            e.1 += d;
-        } else {
-            let name = Phase::ALL
-                .iter()
-                .map(|p| p.as_str())
-                .find(|&s| s == name)
-                .map_or_else(|| Cow::Owned(name.to_string()), Cow::Borrowed);
-            self.phases.push((name, d));
-        }
+    /// Time spent in `phase` (zero if it was never entered).
+    pub fn get(&self, phase: Phase) -> Dur {
+        self.spent[phase as usize]
     }
 
-    /// Duration of a named phase (zero if absent).
-    pub fn get(&self, name: impl AsRef<str>) -> Dur {
-        let name = name.as_ref();
-        self.phases
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| *d)
-            .unwrap_or(Dur::ZERO)
-    }
-
-    /// All phases in recording order.
-    pub fn all(&self) -> &[(Cow<'static, str>, Dur)] {
-        &self.phases
-    }
-
-    /// Sum of all recorded phases.
-    pub fn total(&self) -> Dur {
-        self.phases.iter().fold(Dur::ZERO, |acc, (_, d)| acc + *d)
+    /// Every recorded phase and its time, zero-length ones included, in
+    /// pipeline order.
+    pub fn all(&self) -> impl Iterator<Item = (Phase, Dur)> + '_ {
+        use Phase::*;
+        [Download, Queue, Init, ModelLoad, Processing, Transfer]
+            .into_iter()
+            .filter(|&phase| self.recorded & (1 << phase as usize) != 0)
+            .map(|phase| (phase, self.get(phase)))
     }
 }
 
@@ -190,50 +161,82 @@ mod tests {
     use dgsf_sim::{Sim, SimCell};
     use std::rc::Rc;
 
-    #[test]
-    fn phases_accumulate_by_name() {
+    /// Run `body` as a simulated process and return its recorder.
+    fn record(body: impl FnOnce(&ProcCtx, &mut PhaseRecorder) + 'static) -> PhaseRecorder {
         let mut sim = Sim::new(1);
         let out = Rc::new(SimCell::new(&sim.handle(), PhaseRecorder::new()));
         let o = out.clone();
         sim.spawn("f", move |p| {
             let mut rec = PhaseRecorder::new();
-            rec.enter(p, phase::DOWNLOAD);
-            p.sleep(Dur::from_secs(2));
-            rec.enter(p, phase::PROCESSING);
-            p.sleep(Dur::from_secs(3));
-            rec.close(p);
-            rec.add(phase::PROCESSING, Dur::from_secs(1));
+            body(p, &mut rec);
             *o.lock() = rec;
         });
         sim.run();
         let rec = out.lock().clone();
-        assert_eq!(rec.get(phase::DOWNLOAD), Dur::from_secs(2));
-        assert_eq!(rec.get(phase::PROCESSING), Dur::from_secs(4));
-        assert_eq!(rec.get("nonexistent"), Dur::ZERO);
-        assert_eq!(rec.total(), Dur::from_secs(6));
+        rec
     }
 
     #[test]
-    fn canonical_phase_names_are_borrowed_and_ad_hoc_names_owned() {
-        let mut rec = PhaseRecorder::new();
-        rec.add(phase::INIT, Dur(1));
-        rec.add("model_load", Dur(2));
-        rec.add("harness", Dur(3));
-        let names: Vec<_> = rec.all().iter().map(|(n, _)| n).collect();
-        assert!(matches!(names[0], Cow::Borrowed("init")));
-        assert!(matches!(names[1], Cow::Borrowed("model_load")));
-        assert!(matches!(names[2], Cow::Owned(n) if n == "harness"));
-        assert_eq!(rec.get(phase::MODEL_LOAD), Dur(2));
+    fn a_zero_length_phase_is_listed() {
+        let rec = record(|p, rec| {
+            rec.enter(p, phase::QUEUE);
+            rec.enter(p, phase::INIT);
+            p.sleep(Dur::from_secs(1));
+            rec.close(p);
+        });
+        let all: Vec<_> = rec.all().collect();
+        assert_eq!(
+            all,
+            [(Phase::Queue, Dur::ZERO), (Phase::Init, Dur::from_secs(1))]
+        );
+        assert_eq!(rec.get(phase::DOWNLOAD), Dur::ZERO, "never entered");
     }
 
     #[test]
-    fn phase_names_are_the_historical_strings() {
+    fn all_lists_phases_in_pipeline_order() {
+        // Entered out of order, as a DAG stage enters transfer before
+        // processing: `all()` still lists them in pipeline order.
+        let rec = record(|p, rec| {
+            rec.enter(p, phase::TRANSFER);
+            p.sleep(Dur(1));
+            rec.enter(p, phase::PROCESSING);
+            p.sleep(Dur(2));
+            rec.enter(p, phase::MODEL_LOAD);
+            p.sleep(Dur(3));
+            rec.enter(p, phase::DOWNLOAD);
+            p.sleep(Dur(4));
+            rec.close(p);
+        });
+        let names: Vec<String> = rec.all().map(|(ph, _)| ph.to_string()).collect();
+        assert_eq!(names, ["download", "model_load", "processing", "transfer"]);
+    }
+
+    #[test]
+    fn reentering_a_phase_accumulates() {
+        let rec = record(|p, rec| {
+            rec.enter(p, phase::TRANSFER);
+            p.sleep(Dur::from_secs(2));
+            rec.enter(p, phase::PROCESSING);
+            p.sleep(Dur::from_secs(3));
+            rec.enter(p, phase::TRANSFER);
+            p.sleep(Dur::from_secs(1));
+            rec.close(p);
+            rec.close(p); // nothing open: no-op
+        });
+        assert_eq!(rec.get(phase::TRANSFER), Dur::from_secs(3));
+        assert_eq!(rec.get(phase::PROCESSING), Dur::from_secs(3));
+        assert_eq!(rec.all().count(), 2);
+    }
+
+    #[test]
+    fn phase_names_are_the_historical_strings_and_pad() {
         // Goldens and telemetry spans key off these exact bytes.
         assert_eq!(Phase::Download.as_str(), "download");
-        assert_eq!(Phase::Init.as_str(), "init");
         assert_eq!(Phase::Queue.as_str(), "queue");
+        assert_eq!(Phase::Init.as_str(), "init");
         assert_eq!(Phase::ModelLoad.as_str(), "model_load");
         assert_eq!(Phase::Processing.as_str(), "processing");
         assert_eq!(Phase::Transfer.as_str(), "transfer");
+        assert_eq!(format!("[{:<6}]", Phase::Init), "[init  ]");
     }
 }

@@ -270,12 +270,6 @@ impl GpsResource {
         ctx.yield_parked(st);
     }
 
-    /// Convenience: `work` expressed as a duration of exclusive use.
-    pub fn acquire_for(&self, ctx: &ProcCtx, d: Dur) {
-        let cap = self.inner.borrow_in(ctx).capacity;
-        self.acquire(ctx, d.as_secs_f64() * cap);
-    }
-
     /// An in-order stream of jobs on this resource. Each operation that
     /// retires is handed to `retire` with the current instant, inside the
     /// scheduler (see "Streams" in the module docs).

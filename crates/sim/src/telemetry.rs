@@ -101,12 +101,14 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// A whole-request context (attempt 0) for trace `id` owned by `tenant`.
-    pub fn new(id: u64, tenant: &str) -> TraceCtx {
+    /// A whole-request context (attempt 0) for trace `id` owned by
+    /// `tenant`. Pass an `Arc<str>` the caller keeps to share it instead of
+    /// copying the text.
+    pub fn new(id: u64, tenant: impl Into<Arc<str>>) -> TraceCtx {
         TraceCtx {
             id,
             attempt: 0,
-            tenant: Arc::from(tenant),
+            tenant: tenant.into(),
         }
     }
 

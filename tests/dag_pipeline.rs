@@ -263,3 +263,62 @@ fn a_dag_shed_on_queue_age_reports_the_overloaded_reason() {
         r.failure
     );
 }
+
+#[test]
+fn a_retried_dag_records_its_second_attempt_under_one_trace() {
+    // The link drops one message of the first attempt's first stage: that
+    // RPC times out, a transient failure, and the whole DAG runs again.
+    let mut sim = Sim::new(5);
+    let tel = sim.telemetry();
+    tel.enable();
+    let h = sim.handle();
+    let out = Rc::new(SimCell::new(&h, None));
+    let (o2, h2) = (Rc::clone(&out), h.clone());
+    sim.spawn("dag-root", move |p| {
+        let cfg = GpuServerConfig::paper_default()
+            .gpus(1)
+            .with_rpc_timeout(Dur::from_secs(2))
+            .with_faults(FaultPlan::new(5).drop_message(2));
+        let server = GpuServer::provision(p, &h2, cfg);
+        let store = ObjectStore::new(NetProfile::datacenter().s3_bw);
+        let dag = DagWorkload::pipeline3("vision", HandoffMode::GpuResident, MB, MB, MB, [0.1; 3]);
+        let opts = InvokeOptions::new(OptConfig::full());
+        let r = Invoker::new(&server, &store).invoke_dag(p, &dag, opts, 3);
+        *o2.borrow_in(p) = Some((r, server));
+    });
+    sim.run();
+    let (r, server) = out.lock().take().expect("the DAG returned");
+    // Read once the run is over: a server marks a record done only after
+    // the client has its reply.
+    let records = server.records();
+
+    assert!(r.succeeded(), "the retry completes: {:?}", r.failure);
+    assert_eq!(r.attempts, 2);
+    assert_eq!(r.stages.len(), 3, "the second attempt's stages");
+    for s in &r.stages {
+        assert_eq!(s.trace, Some(r.trace), "{}: one trace per DAG", s.name);
+        assert_eq!(s.attempts, 2, "{}", s.name);
+        let rec = records
+            .iter()
+            .find(|x| Some(x.invocation) == s.invocation)
+            .expect("each stage has a record");
+        assert_eq!(rec.attempts, 2, "{}: the record's attempt", s.name);
+        assert!(rec.done_at.is_some());
+    }
+    assert!(
+        records.iter().all(|x| x.trace == Some(r.trace)),
+        "every attempt's records carry the DAG's trace"
+    );
+    assert!(
+        records
+            .iter()
+            .any(|x| x.attempts == 1 && x.failed_at.is_some()),
+        "the first attempt's stage failed"
+    );
+    let chrome = tel.export().chrome_trace_json;
+    assert!(chrome.contains("\"invoke:vision/preprocess:a1\""));
+    for stage in ["preprocess", "infer", "postprocess"] {
+        let span = format!("\"invoke:vision/{stage}:a2\"");
+        assert!(chrome.contains(&span), "{span} recorded");
+    }
+}

@@ -442,3 +442,49 @@ fn a_planned_kill_of_an_autoscaled_server_fails_over_through_its_lease() {
     assert_eq!(g.failed_api_servers, 1);
     assert_eq!(g.live_api_servers(), 1);
 }
+
+#[test]
+fn a_backend_retry_records_its_attempt_number_under_one_trace() {
+    // Round robin sends the first attempt to server A, whose link drops one
+    // early message: that RPC times out and the retry runs on server B.
+    let mut sim = Sim::new(3);
+    let tel = sim.telemetry();
+    tel.enable();
+    let h = sim.handle();
+    let out = Rc::new(SimCell::new(&h, None));
+    let (o2, h2) = (Rc::clone(&out), h.clone());
+    sim.spawn("root", move |p| {
+        let cfg = GpuServerConfig::paper_default()
+            .gpus(1)
+            .with_rpc_timeout(Dur::from_secs(2));
+        let a_cfg = cfg.clone().with_faults(FaultPlan::new(3).drop_message(2));
+        let a = GpuServer::provision(p, &h2, a_cfg);
+        let b = GpuServer::provision(p, &h2, cfg);
+        let backend = Backend::new(
+            &h2,
+            vec![Arc::clone(&a), Arc::clone(&b)],
+            FleetPolicy::RoundRobin,
+        );
+        let store = ObjectStore::new(NetProfile::datacenter().s3_bw);
+        let r = backend.invoke(p, &store, &Spin::default(), OptConfig::full());
+        *o2.borrow_in(p) = Some((r, a, b));
+    });
+    sim.run();
+    let (r, a, b) = out.lock().take().expect("the function returned");
+    let (a, b) = (a.records(), b.records());
+
+    assert!(r.succeeded(), "the retry completes: {:?}", r.failure);
+    assert_eq!(r.attempts, 2);
+    let trace = r.trace.expect("a backend request is traced");
+    assert_eq!(a.len(), 1);
+    assert_eq!((a[0].attempts, a[0].trace), (1, Some(trace)));
+    assert!(a[0].failed_at.is_some(), "the first attempt failed on A");
+    assert_eq!(b.len(), 1);
+    assert_eq!((b[0].attempts, b[0].trace), (2, Some(trace)));
+    assert!(b[0].done_at.is_some(), "the retry completed on B");
+    assert_eq!(r.invocation, Some(b[0].invocation));
+    let chrome = tel.export().chrome_trace_json;
+    for span in ["\"req:spin\"", "\"invoke:spin:a1\"", "\"invoke:spin:a2\""] {
+        assert!(chrome.contains(span), "{span} recorded");
+    }
+}

@@ -260,7 +260,7 @@ fn repeat_migration_charges_each_context_at_most_once() {
         let p3 = p2.clone();
         h.spawn_at("probe", SimTime::ZERO + Dur::from_millis(3200), move |p| {
             let probe_mem = total - idle_fp - ctx_fp;
-            match s4.try_request_gpu(p, "probe", probe_mem, registry(), 1) {
+            match s4.try_request_gpu(p, "probe", probe_mem, registry()) {
                 Ok((client, _)) => {
                     let mut api = RemoteCuda::new(client, OptConfig::full());
                     api.runtime_init(p).unwrap();
