@@ -454,7 +454,7 @@ fn queueing_arm(
         let mut servers_touched: u64 = 0;
         for server_records in &out.records {
             let mut touched = false;
-            for r in server_records.iter().filter(|r| r.tenant == tenant) {
+            for r in server_records.iter().filter(|r| *r.tenant == *tenant) {
                 touched = true;
                 if let Some(d) = r.queue_delay() {
                     delays_us.push(d.as_nanos() / 1_000);

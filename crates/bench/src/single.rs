@@ -7,7 +7,7 @@ use std::sync::Arc;
 use dgsf::cuda::MigrationReport;
 use dgsf::prelude::*;
 use dgsf::server::GpuServer;
-use dgsf::serverless::{phase, InvokeOptions, Invoker, ObjectStore};
+use dgsf::serverless::{phase, Backend, ObjectStore};
 use dgsf::sim::{Sim, SimCell};
 use dgsf::workloads::{paper_suite, SyntheticMigration, TraceSpec};
 use dgsf::{gpu, remoting};
@@ -92,15 +92,11 @@ pub fn migration_probe(
         let server = GpuServer::provision(p, &h2, GpuServerConfig::paper_default().gpus(2));
         *o.lock() = Some(Arc::clone(&server));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-        let server2 = Arc::clone(&server);
+        let backend = Backend::new(&h2, vec![Arc::clone(&server)], FleetPolicy::RoundRobin);
         let w2 = Arc::clone(&w);
         let store2 = Arc::clone(&store);
         h2.spawn("fn", move |p| {
-            let _ = Invoker::new(&server2, &store2).invoke(
-                p,
-                w2.as_ref(),
-                InvokeOptions::new(OptConfig::full()),
-            );
+            backend.invoke(p, &store2, w2.as_ref(), OptConfig::full());
         });
         p.sleep(store.download_time(w.download_bytes()) + after_download);
         if let Some(rec) = server.records().first() {

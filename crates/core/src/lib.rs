@@ -87,8 +87,8 @@ pub mod prelude {
         QueuePolicy,
     };
     pub use dgsf_serverless::{
-        AdmissionConfig, ArrivalPattern, ClusterBalancer, FailureClass, InvokeOptions, Invoker,
-        Phase, PhaseRecorder, Schedule, Spin, Tenanted, Workload,
+        AdmissionConfig, ArrivalPattern, ClusterBalancer, InvokeOptions, Invoker, Phase,
+        PhaseRecorder, Schedule, Spin, Tenanted, Workload,
     };
     pub use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime};
 }

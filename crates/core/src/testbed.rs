@@ -18,7 +18,7 @@ use dgsf_serverless::{
     invoke_cpu, invoke_native, Backend, FunctionResult, ObjectStore, Schedule, Workload,
 };
 use dgsf_sim::TraceOutcome;
-use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimCell, SimTime, Telemetry, Timeline};
+use dgsf_sim::{Dur, ObsPlane, ObsReport, ProcCtx, Sim, SimCell, SimTime, Telemetry, Timeline};
 
 use crate::PlatformConfig;
 
@@ -145,47 +145,26 @@ impl Testbed {
 
     /// Run one workload alone over DGSF (warm server, no contention).
     pub fn run_dgsf_once(cfg: &PlatformConfig, w: Arc<dyn Workload>) -> FunctionResult {
-        run_one(cfg, w, false).0
-    }
-
-    /// [`run_dgsf_once`](Self::run_dgsf_once) with telemetry recording on.
-    pub fn run_dgsf_once_traced(
-        cfg: &PlatformConfig,
-        w: Arc<dyn Workload>,
-    ) -> (FunctionResult, Arc<Telemetry>) {
-        run_one(cfg, w, true)
+        let schedule = Schedule {
+            entries: vec![(SimTime::ZERO, 0)],
+        };
+        let out = Self::run_platform_schedule(cfg, &[w], &schedule);
+        out.results.into_iter().next().expect("one function ran")
     }
 
     /// Run one workload natively (dedicated machine with a local GPU).
     pub fn run_native_once(seed: u64, costs: &CostTable, w: Arc<dyn Workload>) -> FunctionResult {
-        run_native(seed, costs, w, false).0
-    }
-
-    /// [`run_native_once`](Self::run_native_once) with telemetry recording
-    /// on.
-    pub fn run_native_once_traced(
-        seed: u64,
-        costs: &CostTable,
-        w: Arc<dyn Workload>,
-    ) -> (FunctionResult, Arc<Telemetry>) {
-        run_native(seed, costs, w, true)
+        let costs = Arc::new(costs.clone());
+        run_alone(seed, "native-root", move |p, store| {
+            invoke_native(p, &p.handle(), store, w.as_ref(), costs)
+        })
     }
 
     /// Run one workload on the CPU baseline (6 threads, cost-modeled).
     pub fn run_cpu_once(seed: u64, w: Arc<dyn Workload>) -> FunctionResult {
-        let mut sim = Sim::new(seed);
-        let store = Arc::new(ObjectStore::new(
-            dgsf_remoting::NetProfile::datacenter().s3_bw,
-        ));
-        let out = Rc::new(SimCell::new(&sim.handle(), None));
-        let o = Rc::clone(&out);
-        sim.spawn("cpu-root", move |p| {
-            let r = invoke_cpu(p, &store, w.as_ref());
-            *o.borrow_in(p) = Some(r);
-        });
-        sim.run();
-        let r = out.lock().take().expect("ran");
-        r
+        run_alone(seed, "cpu-root", move |p, store| {
+            invoke_cpu(p, store, w.as_ref())
+        })
     }
 }
 
@@ -295,46 +274,23 @@ fn run_platform(
     )
 }
 
-/// One workload launched at time zero on the platform.
-fn run_one(
-    cfg: &PlatformConfig,
-    w: Arc<dyn Workload>,
-    trace: bool,
-) -> (FunctionResult, Arc<Telemetry>) {
-    let schedule = Schedule {
-        entries: vec![(SimTime::ZERO, 0)],
-    };
-    let (out, tel) = run_platform(cfg, &[w], &schedule, trace);
-    let r = out.results.into_iter().next().expect("one function ran");
-    (r, tel)
-}
-
-fn run_native(
+/// Run `body` as the root process `name` of a fresh simulation seeded
+/// `seed`, against a datacenter object store, and return its result.
+fn run_alone(
     seed: u64,
-    costs: &CostTable,
-    w: Arc<dyn Workload>,
-    trace: bool,
-) -> (FunctionResult, Arc<Telemetry>) {
+    name: &str,
+    body: impl FnOnce(&ProcCtx, &ObjectStore) -> FunctionResult + 'static,
+) -> FunctionResult {
     let mut sim = Sim::new(seed);
-    let telemetry = sim.telemetry();
-    if trace {
-        telemetry.enable();
-    }
-    let h = sim.handle();
-    let store = Arc::new(ObjectStore::new(
-        dgsf_remoting::NetProfile::datacenter().s3_bw,
-    ));
-    let costs = Arc::new(costs.clone());
-    let out = Rc::new(SimCell::new(&h, None));
+    let store = ObjectStore::new(dgsf_remoting::NetProfile::datacenter().s3_bw);
+    let out = Rc::new(SimCell::new(&sim.handle(), None));
     let o = Rc::clone(&out);
-    let h2 = h.clone();
-    sim.spawn("native-root", move |p| {
-        let r = invoke_native(p, &h2, &store, w.as_ref(), costs);
-        *o.borrow_in(p) = Some(r);
+    sim.spawn(name, move |p| {
+        *o.borrow_in(p) = Some(body(p, &store));
     });
     sim.run();
     let r = out.lock().take().expect("ran");
-    (r, telemetry)
+    r
 }
 
 #[cfg(test)]

@@ -125,8 +125,9 @@ pub struct InvocationRecord {
     /// belongs to (None when the caller did not thread a trace context).
     pub trace: Option<u64>,
     /// Tenant the invocation belongs to (empty when no trace context was
-    /// threaded). Drives per-tenant fairness accounting in the harness.
-    pub tenant: String,
+    /// threaded), shared with the request's trace context. Drives
+    /// per-tenant fairness accounting in the harness.
+    pub tenant: Arc<str>,
 }
 
 impl InvocationRecord {

@@ -261,7 +261,10 @@ impl GpuServer {
     /// the trace's attempt number (1-based; 1 without a trace or for a
     /// whole-request context), so chaos runs can reconstruct the retry
     /// history from the records alone.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a GPU request names the function, its memory, registry, queue bound, trace and pin"
+    )]
     pub fn try_request_gpu_with_timeout(
         &self,
         p: &ProcCtx,
@@ -287,7 +290,7 @@ impl GpuServer {
             trace: trace.as_ref().map(|t| t.id),
             tenant: trace
                 .as_ref()
-                .map(|t| t.tenant.to_string())
+                .map(|t| Arc::clone(&t.tenant))
                 .unwrap_or_default(),
         });
         let (reply_tx, reply_rx) = self.handle.channel::<RpcClient>();

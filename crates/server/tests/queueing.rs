@@ -597,7 +597,7 @@ fn mqfq_records_tenants_on_invocation_records() {
     sim.run();
     let recs = out.lock().clone();
     let a = recs.iter().find(|r| r.name == "a").expect("record exists");
-    assert_eq!(a.tenant, "alpha", "the trace tenant lands on the record");
+    assert_eq!(&*a.tenant, "alpha", "the trace tenant lands on the record");
     assert!(a.done_at.is_some());
 }
 

@@ -20,7 +20,6 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dgsf_cuda::ApiStats;
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer};
 use dgsf_sim::telemetry::kind::Label;
@@ -30,9 +29,9 @@ use dgsf_sim::{
 
 use crate::cluster::ClusterBalancer;
 use crate::invoke::{
-    failure_text, record_request_span, FailureClass, FunctionResult, InvokeOptions, Invoker,
+    record_request_span, FailureClass, FunctionResult, InvokeOptions, Invoker, Terminal,
 };
-use crate::phases::{phase, PhaseRecorder};
+use crate::phases::PhaseRecorder;
 use crate::store::ObjectStore;
 use crate::tenant::FairShedder;
 use crate::workload::Workload;
@@ -104,7 +103,7 @@ struct AdmissionState {
 struct AdmissionSlot<'a> {
     state: &'a SimCell<AdmissionState>,
     /// Tenant charged by the fair shedder, when fair shedding is on.
-    tenant: Option<String>,
+    tenant: Option<Arc<str>>,
 }
 
 impl Drop for AdmissionSlot<'_> {
@@ -113,51 +112,6 @@ impl Drop for AdmissionSlot<'_> {
         st.inflight -= 1;
         if let (Some(t), Some(fair)) = (&self.tenant, st.fair.as_mut()) {
             fair.release(t);
-        }
-    }
-}
-
-/// How a request ended, before it is reported: what each exit of
-/// [`Backend::invoke`] hands to its one `finish`, and what an attempt that
-/// completes returns. It ends at the instant it is reported: no exit parks
-/// between deciding the outcome and reporting it.
-pub(crate) struct Terminal {
-    pub(crate) outcome: TraceOutcome,
-    /// Why the request did not complete; empty when it did.
-    pub(crate) reason: String,
-    pub(crate) phases: PhaseRecorder,
-    pub(crate) api_stats: ApiStats,
-    pub(crate) invocation: Option<u64>,
-    pub(crate) attempts: u32,
-    /// API server the last attempt ran on, when known.
-    pub(crate) server: Option<u32>,
-    /// Queue wait summed across every attempt.
-    pub(crate) queue_wait: Dur,
-}
-
-impl Terminal {
-    /// The caller's view of this end of `w`'s request `trace`, launched at
-    /// `launched_at` and ended at `finished_at`.
-    pub(crate) fn into_result(
-        self,
-        w: &dyn Workload,
-        launched_at: SimTime,
-        finished_at: SimTime,
-        trace: u64,
-    ) -> FunctionResult {
-        FunctionResult {
-            name: w.name().to_string(),
-            tenant: w.tenant().to_string(),
-            launched_at,
-            finished_at,
-            phases: self.phases,
-            api_stats: self.api_stats,
-            invocation: self.invocation,
-            attempts: self.attempts,
-            failure: failure_text(self.outcome, self.reason),
-            shed: self.outcome == TraceOutcome::Shed,
-            trace: Some(trace),
-            server: self.server,
         }
     }
 }
@@ -298,21 +252,13 @@ impl Backend {
         let trace = TraceCtx::new(tel.next_trace_id(), tenant);
         // Admission control: claim a slot (held until the request is
         // reported) or shed on the spot, never retried.
-        let (_slot, end) = match self.try_admit(p, w) {
+        let (_slot, end) = match self.try_admit(p, &trace.tenant) {
             Ok(slot) => (slot, self.attempts(p, store, w, fid, opts, &trace)),
-            Err(reason) => (
-                None,
-                Terminal {
-                    outcome: TraceOutcome::Shed,
-                    reason,
-                    phases: PhaseRecorder::new(),
-                    api_stats: ApiStats::default(),
-                    invocation: None,
-                    attempts: 0,
-                    server: None,
-                    queue_wait: Dur::ZERO,
-                },
-            ),
+            Err(reason) => {
+                let phases = PhaseRecorder::new();
+                let shed = Terminal::failed(FailureClass::Overloaded, reason, phases, None, 0);
+                (None, shed)
+            }
         };
         self.finish(p, w, fid, &trace, launched_at, end)
     }
@@ -343,37 +289,30 @@ impl Backend {
             // server. A fully expired fleet is a permanent failure, not a
             // shed — retrying or queueing cannot help.
             let Some(idx) = self.balancer.route_for(w.tenant(), &self.servers, avoid) else {
-                return Terminal {
-                    outcome: TraceOutcome::Failed,
-                    reason: "no live GPU server: every lease expired".into(),
-                    phases: PhaseRecorder::new(),
-                    api_stats: ApiStats::default(),
-                    invocation: None,
-                    attempts: attempt - 1,
-                    server: None,
-                    queue_wait,
-                };
+                let reason = "no live GPU server: every lease expired".into();
+                let (class, phases) = (FailureClass::Permanent, PhaseRecorder::new());
+                let end = Terminal::failed(class, reason, phases, None, attempt - 1);
+                return Terminal { queue_wait, ..end };
             };
             tel.counter_add(lit!("backend.attempts"), 1);
             let invoker = Invoker::new(&self.servers[idx], store);
             let label = tel.is_enabled().then(|| self.label(p, fid, attempt).into());
             let trace = trace.with_attempt(attempt);
-            let f = match invoker.attempt(p, w, &options, &trace, None, label) {
-                Ok(done) => {
-                    let queue_wait = queue_wait + done.queue_wait;
-                    return Terminal { queue_wait, ..done };
-                }
-                Err(f) => f,
+            let mut end = invoker.attempt(p, w, &options, &trace, None, label);
+            queue_wait += end.queue_wait;
+            end.queue_wait = queue_wait;
+            let transient = match &end.failure {
+                None => return end,
+                Some((class, _)) => *class == FailureClass::Transient,
             };
-            queue_wait += f.phases.get(phase::QUEUE);
             // Exactly-once fence: from here a lost *reply* is
             // indistinguishable from a lost request. If the server's own
             // record says the invocation completed, the work happened and
             // only the response died on the wire — re-running it would
             // execute the function twice, so recover the completion
             // instead of retrying.
-            if f.class == FailureClass::Transient {
-                if let Some(inv) = f.invocation {
+            if transient {
+                if let Some(inv) = end.invocation {
                     if self.servers[idx].invocation_completed(inv) {
                         tel.counter_add(lit!("backend.recovered_replies"), 1);
                         if tel.is_enabled() {
@@ -388,33 +327,18 @@ impl Backend {
                                 ],
                             );
                         }
-                        return Terminal {
-                            outcome: TraceOutcome::Completed,
-                            reason: String::new(),
-                            phases: *f.phases,
-                            // The reply carried the stats; they died with it.
-                            api_stats: ApiStats::default(),
-                            invocation: Some(inv),
-                            attempts: attempt,
-                            server: self.servers[idx].invocation_server(inv),
-                            queue_wait,
-                        };
+                        // Completed, but without its API stats: the reply
+                        // carried them and died with it.
+                        end.failure = None;
+                        end.server = self.servers[idx].invocation_server(inv);
+                        return end;
                     }
                 }
             }
             // Overloaded is deliberately not retried: piling retries onto
             // a saturated platform makes it worse.
-            if f.class != FailureClass::Transient || attempt >= MAX_ATTEMPTS {
-                return Terminal {
-                    outcome: f.outcome(),
-                    reason: f.error.to_string(),
-                    phases: *f.phases,
-                    api_stats: ApiStats::default(),
-                    invocation: f.invocation,
-                    attempts: attempt,
-                    server: None,
-                    queue_wait,
-                };
+            if !transient || attempt >= MAX_ATTEMPTS {
+                return end;
             }
             if tel.is_enabled() {
                 tel.counter_add(lit!("backend.retries"), 1);
@@ -425,7 +349,7 @@ impl Backend {
                     &[
                         (lit!("workload"), w.name().into()),
                         (lit!("failed_attempt"), attempt.into()),
-                        (lit!("error"), ArgValue::Str(&f.error.to_string())),
+                        (lit!("error"), ArgValue::Str(end.reason())),
                         (lit!("inv"), trace.id.into()),
                     ],
                 );
@@ -450,7 +374,8 @@ impl Backend {
         end: Terminal,
     ) -> FunctionResult {
         let (tel, now) = (p.telemetry(), p.now());
-        match end.outcome {
+        let outcome = end.outcome();
+        match outcome {
             TraceOutcome::Completed => {}
             TraceOutcome::Shed => {
                 tel.counter_add(lit!("backend.shed"), 1);
@@ -461,7 +386,7 @@ impl Backend {
                         now,
                         &[
                             (lit!("workload"), w.name().into()),
-                            (lit!("reason"), ArgValue::Str(&end.reason)),
+                            (lit!("reason"), ArgValue::Str(end.reason())),
                             (lit!("inv"), trace.id.into()),
                         ],
                     );
@@ -471,14 +396,14 @@ impl Backend {
         }
         if tel.is_enabled() {
             let req = self.label(p, fid, 0).into();
-            record_request_span(p, trace, req, launched_at, end.outcome, end.attempts);
+            record_request_span(p, trace, req, launched_at, outcome, end.attempts);
         }
-        let completed = end.outcome == TraceOutcome::Completed;
+        let completed = outcome == TraceOutcome::Completed;
         if let Some(obs) = &self.obs {
             let e2e = now.since(launched_at);
             obs.record_completion(now, w.tenant(), e2e, end.queue_wait, completed);
         }
-        end.into_result(w, launched_at, now, trace.id)
+        end.into_result(w, launched_at, now, Some(trace.id))
     }
 
     /// `w`'s index in `self.fns`, adding it at its first invocation. A
@@ -514,11 +439,12 @@ impl Backend {
         f.labels[attempt as usize]
     }
 
-    /// Claim an admission slot for `w`, or say why it was refused.
+    /// Claim an admission slot for a request of `tenant`, or say why it
+    /// was refused.
     fn try_admit(
         &self,
         p: &ProcCtx,
-        w: &dyn Workload,
+        tenant: &Arc<str>,
     ) -> Result<Option<AdmissionSlot<'_>>, String> {
         let Some(adm) = &self.admission else {
             return Ok(None); // no admission control: everything enters
@@ -535,7 +461,7 @@ impl Backend {
         // bucket refills — the most over-budget tenant is the one refused.
         let max_inflight = adm.max_inflight;
         let tenant = if let Some(fair) = st.fair.as_mut() {
-            let t = w.tenant();
+            let t = &**tenant;
             if !fair.try_admit(t, p.now(), max_inflight) {
                 return Err(format!(
                     "tenant '{t}' over fair share ({} inflight / {} slots, bucket empty)",
@@ -543,7 +469,7 @@ impl Backend {
                     fair.share(max_inflight),
                 ));
             }
-            Some(t.to_string())
+            Some(Arc::clone(tenant))
         } else {
             None
         };

@@ -105,49 +105,30 @@ pub fn select(
     avoid: Option<usize>,
     affinity: Option<TenantAffinity>,
 ) -> Option<usize> {
+    let warm = |i: usize| affinity.is_some_and(|aff| aff.warm.contains(&i));
     let live = |i: &usize| snaps[*i].lease_live();
-    let mut pool: Vec<usize> = (0..snaps.len()).collect();
-    if let Some(aff) = affinity {
-        if aff.capped {
-            let warm_live: Vec<usize> = pool
-                .iter()
-                .copied()
-                .filter(|i| aff.warm.contains(i))
-                .filter(live)
-                .collect();
-            if !warm_live.is_empty() {
-                pool = warm_live;
-            }
-        }
-    }
-    let mut eligible: Vec<usize> = pool
-        .iter()
-        .copied()
-        .filter(live)
-        .filter(|&i| Some(i) != avoid)
-        .collect();
-    if eligible.is_empty() {
-        // Nothing but the avoided server left: better a suspect server
-        // than none, as long as its lease is live.
-        eligible = pool.into_iter().filter(live).collect();
-    }
-    if eligible.is_empty() {
-        return None;
-    }
-    let warm_bonus = |i: usize| -> u64 {
-        match affinity {
-            Some(aff) if aff.warm.contains(&i) => STICKY_BONUS,
-            _ => 0,
-        }
+    // A capped tenant is confined to its live warm servers, if it has any.
+    let confined =
+        affinity.is_some_and(|aff| aff.capped) && (0..snaps.len()).filter(live).any(warm);
+    let pool = || {
+        (0..snaps.len())
+            .filter(live)
+            .filter(move |&i| !confined || warm(i))
     };
-    let pick = match policy {
-        FleetPolicy::RoundRobin => eligible[rr % eligible.len()],
-        FleetPolicy::LoadAware => eligible
-            .into_iter()
-            .min_by_key(|&i| (load_score(&snaps[i]).saturating_sub(warm_bonus(i)), i))
-            .expect("non-empty"),
-    };
-    Some(pick)
+    // Nothing but the avoided server left: better a suspect server than
+    // none, as long as its lease is live.
+    let avoid = avoid.filter(|&a| pool().any(|i| i != a));
+    let eligible = || pool().filter(move |&i| Some(i) != avoid);
+    match policy {
+        FleetPolicy::RoundRobin => {
+            let n = eligible().count();
+            eligible().nth(rr.checked_rem(n)?)
+        }
+        FleetPolicy::LoadAware => eligible().min_by_key(|&i| {
+            let bonus = if warm(i) { STICKY_BONUS } else { 0 };
+            (load_score(&snaps[i]).saturating_sub(bonus), i)
+        }),
+    }
 }
 
 /// Per-tenant warm-set memory of a sticky balancer.
@@ -168,6 +149,9 @@ pub struct ClusterBalancer {
     policy: FleetPolicy,
     rr: Cell<usize>,
     sticky: Option<SimCell<StickyState>>,
+    /// The fleet's gauges read by the last [`route_for`](Self::route_for),
+    /// kept so that a route allocates nothing once the fleet has been seen.
+    snaps: Cell<Vec<ServerGauges>>,
 }
 
 impl ClusterBalancer {
@@ -177,6 +161,7 @@ impl ClusterBalancer {
             policy,
             rr: Cell::new(0),
             sticky: None,
+            snaps: Cell::default(),
         }
     }
 
@@ -201,8 +186,12 @@ impl ClusterBalancer {
         fleet: &[Arc<GpuServer>],
         avoid: Option<usize>,
     ) -> Option<usize> {
-        let snaps: Vec<ServerGauges> = fleet.iter().map(|s| s.gauges()).collect();
-        self.route_snapshots_for(tenant, &snaps, avoid)
+        let mut snaps = self.snaps.take();
+        snaps.clear();
+        snaps.extend(fleet.iter().map(|s| s.gauges()));
+        let pick = self.route_snapshots_for(tenant, &snaps, avoid);
+        self.snaps.set(snaps);
+        pick
     }
 
     /// [`route_for`](Self::route_for) over pre-collected gauges (the

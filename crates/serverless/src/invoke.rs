@@ -3,28 +3,29 @@
 //!
 //! The DGSF path is fallible: over a faulted link any remoted call can time
 //! out or come back with a transport error, and GPU acquisition itself can
-//! time out in the monitor's queue. [`Invoker::invoke`] surfaces those as
-//! [`InvokeFailure`] so [`crate::Backend::invoke`] can retry the whole
-//! function (possibly on another GPU server); the native and CPU baselines
-//! run on dedicated fault-free hardware and stay infallible.
+//! time out in the monitor's queue. The native and CPU baselines run on
+//! dedicated fault-free hardware and stay infallible.
 //!
-//! [`Invoker`] is the single DGSF entry point. Every DGSF attempt — one
-//! [`Invoker::invoke`], one stage of [`Invoker::invoke_dag`], one try of
-//! the backend's retry loop — runs through one crate-private attempt
-//! routine, which takes the attempt's [`TraceCtx`] (whose `attempt` is the
-//! attempt number) and its placement pin as arguments. [`InvokeOptions`]
-//! carries only what a caller chooses.
+//! [`crate::Backend::invoke`] is the one way to run a single DGSF
+//! function, and [`Invoker::invoke_dag`] the way to run a DAG. Every DGSF
+//! attempt — one try of the backend's retry loop, one stage of a DAG — runs
+//! through one crate-private attempt routine, which takes the attempt's
+//! [`TraceCtx`] (whose `attempt` is the attempt number) and its placement
+//! pin as arguments and ends in one crate-private `Terminal`: how the
+//! attempt ended, with the class of its failure when it failed, so the
+//! backend can retry the whole function (possibly on another GPU server).
+//! [`InvokeOptions`] carries only what a caller chooses. Every
+//! [`FunctionResult`], baselines included, is built from a `Terminal`.
 
 use std::sync::Arc;
 
-use dgsf_cuda::{CostTable, CudaApi, CudaError, CudaResult, NativeCuda};
+use dgsf_cuda::{ApiStats, CostTable, CudaApi, CudaError, CudaResult, NativeCuda};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::GpuServer;
 use dgsf_sim::telemetry::kind::Label;
 use dgsf_sim::{lit, ArgValue, Dur, Name, ProcCtx, SimHandle, SimTime, TraceCtx, TraceOutcome};
 
-use crate::backend::Terminal;
 use crate::dag::{edge_key, DagWorkload, HandoffMode, StageRun};
 use crate::phases::{phase, PhaseRecorder};
 use crate::store::ObjectStore;
@@ -32,7 +33,7 @@ use crate::workload::Workload;
 
 /// How the backend should react to a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureClass {
+pub(crate) enum FailureClass {
     /// Transport-class blip: worth retrying, preferably elsewhere.
     Transient,
     /// The platform refused or shed the work under load. Retrying would
@@ -58,7 +59,7 @@ pub struct FunctionResult {
     /// Per-phase breakdown.
     pub phases: PhaseRecorder,
     /// Guest-side API statistics (empty for CPU runs).
-    pub api_stats: dgsf_cuda::ApiStats,
+    pub api_stats: ApiStats,
     /// GPU-server invocation id, when one was involved (the last attempt's,
     /// for retried functions).
     pub invocation: Option<u64>,
@@ -68,8 +69,8 @@ pub struct FunctionResult {
     /// Why the function ultimately failed, if it did — `None` on success.
     pub failure: Option<String>,
     /// True when the invocation was refused by admission control or shed
-    /// under overload (the [`FailureClass::Overloaded`] path) rather than
-    /// failing while executing.
+    /// under overload (its queue-age bound expired) rather than failing
+    /// while executing. A shed function is never retried.
     pub shed: bool,
     /// Platform-unique causal trace id for this request, when the run was
     /// traced end-to-end (DGSF path). `None` for native/CPU baselines.
@@ -107,49 +108,120 @@ fn outcome_of(shed: bool, failure: &Option<String>) -> TraceOutcome {
     }
 }
 
-/// The caller-visible `failure` text of a request that ended in `outcome`
-/// for `reason`: none when it completed, `overloaded: {reason}` when it
-/// was shed, the reason itself when it failed.
-pub(crate) fn failure_text(outcome: TraceOutcome, reason: String) -> Option<String> {
-    match outcome {
-        TraceOutcome::Completed => None,
-        TraceOutcome::Shed => Some(format!("overloaded: {reason}")),
-        TraceOutcome::Failed => Some(reason),
+/// How a request that failed with `failure` ended: completed when it did
+/// not fail, shed when its last failure was an overload, failed otherwise.
+fn outcome_of_failure(failure: &Option<(FailureClass, String)>) -> TraceOutcome {
+    match failure {
+        None => TraceOutcome::Completed,
+        Some((FailureClass::Overloaded, _)) => TraceOutcome::Shed,
+        Some(_) => TraceOutcome::Failed,
     }
 }
 
-/// One failed DGSF attempt, with enough context to retry or report.
-#[derive(Debug, Clone)]
-pub struct InvokeFailure {
-    /// What went wrong.
-    pub error: CudaError,
-    /// How the retry layer should treat it.
-    pub class: FailureClass,
-    /// The GPU-server invocation involved, if acquisition got that far.
-    pub invocation: Option<u64>,
-    /// Phases recorded up to the failure point (boxed to keep the
-    /// `Err`-variant small — `clippy::result_large_err`).
-    pub phases: Box<PhaseRecorder>,
-    /// When the attempt started.
-    pub launched_at: SimTime,
-    /// When it failed.
-    pub failed_at: SimTime,
+/// The caller-visible `failure` text of a request that failed with
+/// `failure`: none when it completed, `overloaded: {reason}` when it was
+/// shed, the reason itself when it failed.
+fn failure_text(failure: Option<(FailureClass, String)>) -> Option<String> {
+    failure.map(|(class, reason)| match class {
+        FailureClass::Overloaded => format!("overloaded: {reason}"),
+        FailureClass::Transient | FailureClass::Permanent => reason,
+    })
 }
 
-impl InvokeFailure {
-    /// How a request ends when this failure is its last: shed when the
-    /// platform was overloaded, failed otherwise.
-    pub fn outcome(&self) -> TraceOutcome {
-        match self.class {
-            FailureClass::Overloaded => TraceOutcome::Shed,
-            FailureClass::Transient | FailureClass::Permanent => TraceOutcome::Failed,
+/// How an attempt, a baseline run or a whole request ended, before it is
+/// reported: what the attempt routine returns, what each exit of
+/// [`crate::Backend::invoke`] hands to its one `finish`, and what every
+/// [`FunctionResult`] is built from ([`Terminal::into_result`]).
+pub(crate) struct Terminal {
+    /// The last attempt's failure class and why it failed; `None` when the
+    /// request completed.
+    pub(crate) failure: Option<(FailureClass, String)>,
+    pub(crate) phases: PhaseRecorder,
+    pub(crate) api_stats: ApiStats,
+    pub(crate) invocation: Option<u64>,
+    pub(crate) attempts: u32,
+    /// API server the last attempt ran on, when known.
+    pub(crate) server: Option<u32>,
+    /// Queue wait of the attempt; summed across every attempt once the
+    /// backend reports the request.
+    pub(crate) queue_wait: Dur,
+}
+
+impl Terminal {
+    /// A run that completed as attempt number `attempts`.
+    fn completed(
+        phases: PhaseRecorder,
+        api_stats: ApiStats,
+        invocation: Option<u64>,
+        server: Option<u32>,
+        attempts: u32,
+    ) -> Terminal {
+        Terminal {
+            failure: None,
+            queue_wait: phases.get(phase::QUEUE),
+            phases,
+            api_stats,
+            invocation,
+            attempts,
+            server,
         }
     }
-}
 
-impl std::fmt::Display for InvokeFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invocation attempt failed: {}", self.error)
+    /// A request that ended in a failure of `class` for `reason` after
+    /// `attempts` attempts, the last of which recorded `phases`.
+    pub(crate) fn failed(
+        class: FailureClass,
+        reason: String,
+        phases: PhaseRecorder,
+        invocation: Option<u64>,
+        attempts: u32,
+    ) -> Terminal {
+        Terminal {
+            failure: Some((class, reason)),
+            queue_wait: phases.get(phase::QUEUE),
+            phases,
+            api_stats: ApiStats::default(),
+            invocation,
+            attempts,
+            server: None,
+        }
+    }
+
+    /// How the request ended.
+    pub(crate) fn outcome(&self) -> TraceOutcome {
+        outcome_of_failure(&self.failure)
+    }
+
+    /// Why the request did not complete; empty when it did.
+    pub(crate) fn reason(&self) -> &str {
+        self.failure.as_ref().map_or("", |(_, reason)| reason)
+    }
+
+    /// The caller's view of this end of `w`'s run, launched at
+    /// `launched_at` and ended at `finished_at`, under request `trace`
+    /// (`None` for the native and CPU baselines).
+    pub(crate) fn into_result(
+        self,
+        w: &dyn Workload,
+        launched_at: SimTime,
+        finished_at: SimTime,
+        trace: Option<u64>,
+    ) -> FunctionResult {
+        let shed = self.outcome() == TraceOutcome::Shed;
+        FunctionResult {
+            name: w.name().to_string(),
+            tenant: w.tenant().to_string(),
+            launched_at,
+            finished_at,
+            phases: self.phases,
+            api_stats: self.api_stats,
+            invocation: self.invocation,
+            attempts: self.attempts,
+            failure: failure_text(self.failure),
+            shed,
+            trace,
+            server: self.server,
+        }
     }
 }
 
@@ -161,8 +233,8 @@ pub struct InvokeOptions {
     /// Remoting specialization ladder for the guest-side API (Figure 4).
     pub opts: OptConfig,
     /// Bound on queue wait at the GPU server. When this (rather than the
-    /// server's own `queue_timeout`) binds and expires, the failure is
-    /// classed [`FailureClass::Overloaded`] — shed, never retried.
+    /// server's own `queue_timeout`) binds and expires, the function is
+    /// shed as overload ([`FunctionResult::shed`]) and never retried.
     pub max_queue_age: Option<Dur>,
 }
 
@@ -182,10 +254,10 @@ impl InvokeOptions {
     }
 }
 
-/// The single DGSF invocation entry point: download, request a virtual GPU
-/// (FCFS queueing included), then remote every CUDA call to the assigned
-/// API server. One [`Invoker::invoke`] call is one attempt — retry policy
-/// lives in [`crate::Backend::invoke`], DAG stage sequencing in
+/// The DGSF invocation path against one GPU server: download, request a
+/// virtual GPU (FCFS queueing included), then remote every CUDA call to the
+/// assigned API server. Single functions run through
+/// [`crate::Backend::invoke`], which owns the retry policy; DAGs through
 /// [`Invoker::invoke_dag`].
 pub struct Invoker<'a> {
     server: &'a GpuServer,
@@ -196,29 +268,6 @@ impl<'a> Invoker<'a> {
     /// An invoker against one GPU server and object store.
     pub fn new(server: &'a GpuServer, store: &'a ObjectStore) -> Invoker<'a> {
         Invoker { server, store }
-    }
-
-    /// Run `w` over DGSF under `options` as one single-shot request: one
-    /// attempt under a fresh trace, plus the top-level request span.
-    pub fn invoke(
-        &self,
-        p: &ProcCtx,
-        w: &dyn Workload,
-        options: InvokeOptions,
-    ) -> Result<FunctionResult, InvokeFailure> {
-        let launched_at = p.now();
-        let tel = p.telemetry();
-        let trace = TraceCtx::new(tel.next_trace_id(), w.tenant()).with_attempt(1);
-        let label = tel.is_enabled().then(|| format!("invoke:{}:a1", w.name()));
-        let out = self.attempt(p, w, &options, &trace, None, label.as_ref().map(Name::from));
-        if tel.is_enabled() {
-            let outcome = out
-                .as_ref()
-                .map_or_else(InvokeFailure::outcome, |t| t.outcome);
-            let req = format!("req:{}", w.name());
-            record_request_span(p, &trace, (&req).into(), launched_at, outcome, 1);
-        }
-        Ok(out?.into_result(w, launched_at, p.now(), trace.id))
     }
 
     /// Run a function DAG stage by stage, each stage a separate platform
@@ -251,7 +300,7 @@ impl<'a> Invoker<'a> {
         let trace = TraceCtx::new(tel.next_trace_id(), dag.tenant.as_str());
         let max_attempts = max_attempts.max(1);
 
-        let mut terminal: Option<InvokeFailure> = None;
+        let mut failure: Option<(FailureClass, String)> = None;
         let mut stages: Vec<FunctionResult> = Vec::new();
         let mut attempts_taken = 0;
         'dag: for attempt in 1..=max_attempts {
@@ -270,36 +319,32 @@ impl<'a> Invoker<'a> {
                     .is_enabled()
                     .then(|| format!("invoke:{}:a{attempt}", stage.name()));
                 let label = label.as_ref().map(Name::from);
-                match self.attempt(p, &stage, &options, &attempt_trace, pin, label) {
-                    Ok(done) => {
-                        let r = done.into_result(&stage, stage_start, p.now(), trace.id);
-                        if resident {
-                            pin = r.server;
-                        }
-                        stages.push(r);
+                let end = self.attempt(p, &stage, &options, &attempt_trace, pin, label);
+                let Some((class, reason)) = end.failure else {
+                    let r = end.into_result(&stage, stage_start, p.now(), Some(trace.id));
+                    if resident {
+                        pin = r.server;
                     }
-                    Err(f) => {
-                        // This attempt's parked intermediates will never be
-                        // adopted now — free them wherever they sit.
-                        if resident {
-                            for e in 0..n.saturating_sub(1) {
-                                self.server.reclaim_resident(edge_key(trace.id, attempt, e));
-                            }
-                        }
-                        if f.class == FailureClass::Transient && attempt < max_attempts {
-                            continue 'dag;
-                        }
-                        terminal = Some(f);
-                        break 'dag;
+                    stages.push(r);
+                    continue;
+                };
+                // This attempt's parked intermediates will never be
+                // adopted now — free them wherever they sit.
+                if resident {
+                    for e in 0..n.saturating_sub(1) {
+                        self.server.reclaim_resident(edge_key(trace.id, attempt, e));
                     }
                 }
+                if class == FailureClass::Transient && attempt < max_attempts {
+                    continue 'dag;
+                }
+                failure = Some((class, reason));
+                break 'dag;
             }
             break 'dag;
         }
 
-        let outcome = terminal
-            .as_ref()
-            .map_or(TraceOutcome::Completed, InvokeFailure::outcome);
+        let outcome = outcome_of_failure(&failure);
         if tel.is_enabled() {
             let req = format!("req:{}", dag.name);
             record_request_span(
@@ -318,10 +363,7 @@ impl<'a> Invoker<'a> {
             launched_at,
             finished_at: p.now(),
             attempts: attempts_taken,
-            failure: failure_text(
-                outcome,
-                terminal.map(|f| f.error.to_string()).unwrap_or_default(),
-            ),
+            failure: failure_text(failure),
             shed: outcome == TraceOutcome::Shed,
             trace: trace.id,
         }
@@ -331,7 +373,9 @@ impl<'a> Invoker<'a> {
     /// `pin_server` when given), drive the workload over the remoted API,
     /// settle the invocation record. Runs under `trace`, whose `attempt`
     /// is this attempt's number (1-based). With telemetry on, `label` names
-    /// the attempt's `invoke:{workload}:a{attempt}` span.
+    /// the attempt's `invoke:{workload}:a{attempt}` span. A failed attempt
+    /// ends with its class, its invocation (when acquisition got that far)
+    /// and the phases recorded up to the failure.
     pub(crate) fn attempt(
         &self,
         p: &ProcCtx,
@@ -340,9 +384,10 @@ impl<'a> Invoker<'a> {
         trace: &TraceCtx,
         pin_server: Option<u32>,
         label: Option<Name<'_, Label>>,
-    ) -> Result<Terminal, InvokeFailure> {
+    ) -> Terminal {
         let server = self.server;
         let launched_at = p.now();
+        let attempts = trace.attempt.max(1);
         let mut rec = PhaseRecorder::new();
         rec.set_trace(Some(trace.clone()));
 
@@ -377,23 +422,17 @@ impl<'a> Invoker<'a> {
                     p.telemetry()
                         .span_args(track, label, cat, launched_at, p.now(), &args);
                 }
-                let error = CudaError::Transport(e.to_string());
+                // A GPU request that got no API server failed at the
+                // transport level, unless the caller's queue-age bound
+                // expired it: then the platform is overloaded.
                 let timed_out = matches!(e, dgsf_server::AcquireError::Timeout { .. });
                 let class = if timed_out && age_binds {
                     FailureClass::Overloaded
-                } else if error.is_transient() {
-                    FailureClass::Transient
                 } else {
-                    FailureClass::Permanent
+                    FailureClass::Transient
                 };
-                return Err(InvokeFailure {
-                    error,
-                    class,
-                    invocation: None,
-                    phases: Box::new(rec),
-                    launched_at,
-                    failed_at: p.now(),
-                });
+                let reason = CudaError::Transport(e.to_string()).to_string();
+                return Terminal::failed(class, reason, rec, None, attempts);
             }
         };
         let mut api = RemoteCuda::new(client, options.opts);
@@ -405,16 +444,10 @@ impl<'a> Invoker<'a> {
                 .span_args(track, label, cat, launched_at, p.now(), trace);
         }
         match outcome {
-            Ok(()) => Ok(Terminal {
-                outcome: TraceOutcome::Completed,
-                reason: String::new(),
-                queue_wait: rec.get(phase::QUEUE),
-                phases: rec,
-                api_stats: api.stats(),
-                invocation: Some(invocation),
-                attempts: trace.attempt.max(1),
-                server: server.invocation_server(invocation),
-            }),
+            Ok(()) => {
+                let at = server.invocation_server(invocation);
+                Terminal::completed(rec, api.stats(), Some(invocation), at, attempts)
+            }
             Err(error) => {
                 server.mark_invocation_failed(p.now(), invocation);
                 let class = if error.is_transient() {
@@ -422,14 +455,7 @@ impl<'a> Invoker<'a> {
                 } else {
                     FailureClass::Permanent
                 };
-                Err(InvokeFailure {
-                    error,
-                    class,
-                    invocation: Some(invocation),
-                    phases: Box::new(rec),
-                    launched_at,
-                    failed_at: p.now(),
-                })
+                Terminal::failed(class, error.to_string(), rec, Some(invocation), attempts)
             }
         }
     }
@@ -563,20 +589,7 @@ pub fn invoke_native(
             p.now(),
         );
     }
-    FunctionResult {
-        name: w.name().to_string(),
-        tenant: w.tenant().to_string(),
-        launched_at,
-        finished_at: p.now(),
-        phases: rec,
-        api_stats: api.stats(),
-        invocation: None,
-        attempts: 1,
-        failure: None,
-        shed: false,
-        trace: None,
-        server: None,
-    }
+    Terminal::completed(rec, api.stats(), None, None, 1).into_result(w, launched_at, p.now(), None)
 }
 
 /// Run `w` on CPUs (6 threads, the AWS Lambda per-function core cap) using
@@ -589,18 +602,10 @@ pub fn invoke_cpu(p: &ProcCtx, store: &ObjectStore, w: &dyn Workload) -> Functio
     rec.enter(p, phase::PROCESSING);
     p.sleep(Dur::from_secs_f64(w.cpu_secs()));
     rec.close(p);
-    FunctionResult {
-        name: w.name().to_string(),
-        tenant: w.tenant().to_string(),
+    Terminal::completed(rec, ApiStats::default(), None, None, 1).into_result(
+        w,
         launched_at,
-        finished_at: p.now(),
-        phases: rec,
-        api_stats: dgsf_cuda::ApiStats::default(),
-        invocation: None,
-        attempts: 1,
-        failure: None,
-        shed: false,
-        trace: None,
-        server: None,
-    }
+        p.now(),
+        None,
+    )
 }

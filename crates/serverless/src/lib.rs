@@ -4,7 +4,7 @@
 //! equivalent substrate: a [`Workload`] abstraction (function bodies written
 //! against the interposable CUDA API), per-phase accounting
 //! ([`PhaseRecorder`]), an S3-like [`ObjectStore`], the three invocation
-//! paths of Table II ([`invoke_native`], [`Invoker`] for DGSF,
+//! paths of Table II ([`invoke_native`], [`Backend`] for DGSF,
 //! [`invoke_cpu`]), function DAGs with GPU-resident inter-stage handoff
 //! ([`DagWorkload`]), and the arrival processes of the mixed-workload
 //! experiments ([`Schedule`]).
@@ -29,10 +29,7 @@ pub use backend::{AdmissionConfig, Backend};
 pub use cluster::ClusterBalancer;
 pub use dag::{DagStage, DagWorkload, HandoffMode};
 pub use dgsf_server::FleetPolicy;
-pub use invoke::{
-    invoke_cpu, invoke_native, DagResult, FailureClass, FunctionResult, InvokeFailure,
-    InvokeOptions, Invoker,
-};
+pub use invoke::{invoke_cpu, invoke_native, DagResult, FunctionResult, InvokeOptions, Invoker};
 pub use phases::{phase, Phase, PhaseRecorder};
 pub use store::ObjectStore;
 pub use tenant::FairShedder;

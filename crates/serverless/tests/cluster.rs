@@ -1,5 +1,6 @@
 //! Cluster-layer invariants: the balancer never routes to a lease-expired
-//! server (property-tested over arbitrary gauge snapshots), per-tenant
+//! server (property-tested over arbitrary gauge snapshots), its selection
+//! picks what a collect-then-choose reference picks, per-tenant
 //! fair shedding guarantees a tenant its share no matter how hard another
 //! tenant floods the platform, and sticky tenant placement never lets a
 //! tenant's warm set outgrow the max-share bound while cutting its
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use dgsf_gpu::GB;
 use dgsf_remoting::{NetProfile, OptConfig};
 use dgsf_server::{FleetPolicy, GpuServer, GpuServerConfig, ServerGauges};
-use dgsf_serverless::cluster::{select, MAX_SHARE_PERMILLE};
+use dgsf_serverless::cluster::{select, TenantAffinity, MAX_SHARE_PERMILLE};
 use dgsf_serverless::{AdmissionConfig, Backend, ClusterBalancer, ObjectStore, Spin, Tenanted};
 use dgsf_sim::{Dur, Sim, SimCell};
 use proptest::prelude::*;
@@ -37,6 +38,72 @@ fn gauges_strategy() -> impl Strategy<Value = ServerGauges> {
                 migrations_in_flight: migrations,
             },
         )
+}
+
+/// The balancer's selection as it was written before it stopped
+/// collecting candidates: build the pool (a capped tenant's live warm
+/// servers, else the fleet), the eligible servers (live, not avoided, or
+/// the live pool when only the avoided one is left), then choose.
+fn reference_select(
+    policy: FleetPolicy,
+    snaps: &[ServerGauges],
+    rr: usize,
+    avoid: Option<usize>,
+    affinity: Option<TenantAffinity>,
+) -> Option<usize> {
+    const LOAD_WEIGHT: u64 = 1000;
+    const MIGRATION_WEIGHT: u64 = 500 * LOAD_WEIGHT;
+    const STICKY_BONUS: u64 = 1_500_000;
+    let load_score = |g: &ServerGauges| -> u64 {
+        let live = g.live_api_servers().max(1) as u64;
+        let load = g.active_functions as u64 + g.queued_functions as u64;
+        let per_slot_milli = load.saturating_mul(1000) / live;
+        per_slot_milli
+            .saturating_mul(LOAD_WEIGHT)
+            .saturating_add(g.mem_used_permille())
+            .saturating_add((g.migrations_in_flight as u64).saturating_mul(MIGRATION_WEIGHT))
+    };
+    let live = |i: &usize| snaps[*i].lease_live();
+    let mut pool: Vec<usize> = (0..snaps.len()).collect();
+    if let Some(aff) = affinity {
+        if aff.capped {
+            let warm_live: Vec<usize> = pool
+                .iter()
+                .copied()
+                .filter(|i| aff.warm.contains(i))
+                .filter(live)
+                .collect();
+            if !warm_live.is_empty() {
+                pool = warm_live;
+            }
+        }
+    }
+    let mut eligible: Vec<usize> = pool
+        .iter()
+        .copied()
+        .filter(live)
+        .filter(|&i| Some(i) != avoid)
+        .collect();
+    if eligible.is_empty() {
+        eligible = pool.into_iter().filter(live).collect();
+    }
+    if eligible.is_empty() {
+        return None;
+    }
+    let warm_bonus = |i: usize| -> u64 {
+        match affinity {
+            Some(aff) if aff.warm.contains(&i) => STICKY_BONUS,
+            _ => 0,
+        }
+    };
+    let pick = match policy {
+        FleetPolicy::RoundRobin => eligible[rr % eligible.len()],
+        FleetPolicy::LoadAware => eligible
+            .into_iter()
+            .min_by_key(|&i| (load_score(&snaps[i]).saturating_sub(warm_bonus(i)), i))
+            .expect("non-empty"),
+    };
+    Some(pick)
 }
 
 fn policy_strategy() -> impl Strategy<Value = FleetPolicy> {
@@ -77,6 +144,31 @@ proptest! {
         }
         // And the choice is a pure function of its inputs.
         prop_assert_eq!(picked, select(policy, &snaps, rr, avoid, None));
+    }
+
+    /// The balancer's selection, which iterates the gauges in place,
+    /// picks what the collect-then-choose reference picks, whatever the
+    /// gauges, cursor, avoided server and tenant affinity (capped or not,
+    /// its warm set naming servers beyond the fleet too).
+    #[test]
+    fn select_matches_the_collecting_reference(
+        snaps in proptest::collection::vec(gauges_strategy(), 1..10),
+        policy in policy_strategy(),
+        rr in 0usize..64,
+        avoid in proptest::option::of(0usize..12),
+        affinity in proptest::option::of((
+            proptest::collection::vec(0usize..12, 0..6),
+            any::<bool>(),
+        )),
+    ) {
+        let affinity = affinity.map(|(warm, capped)| (warm.into_iter().collect(), capped));
+        let affinity = affinity
+            .as_ref()
+            .map(|(warm, capped): &(BTreeSet<usize>, bool)| TenantAffinity { warm, capped: *capped });
+        prop_assert_eq!(
+            select(policy, &snaps, rr, avoid, affinity),
+            reference_select(policy, &snaps, rr, avoid, affinity)
+        );
     }
 
     /// `avoid` steers away from the named server whenever any other live

@@ -881,7 +881,10 @@ impl TelState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one span record: registry, track, name, category, interval and arguments"
+    )]
     fn push<'a, A: Into<Name<'a, Key>> + Copy>(
         &mut self,
         reg: u64,

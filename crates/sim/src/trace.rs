@@ -416,7 +416,10 @@ mod tests {
     use super::*;
     use crate::telemetry::Telemetry;
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a test request spells out every field the assembler reads"
+    )]
     fn req(
         tel: &Telemetry,
         id: u64,

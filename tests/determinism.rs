@@ -115,7 +115,7 @@ fn memory_fully_returns_after_a_run() {
     // After every function completes, the GPUs hold only the provisioned
     // idle footprints — nothing leaks across invocations.
     use dgsf::server::GpuServer;
-    use dgsf::serverless::{InvokeOptions, Invoker, ObjectStore};
+    use dgsf::serverless::{Backend, ObjectStore};
     use dgsf::sim::{Sim, SimCell};
 
     let mut sim = Sim::new(3);
@@ -128,9 +128,9 @@ fn memory_fully_returns_after_a_run() {
         let baseline: Vec<u64> = server.gpus.iter().map(|g| g.used_mem()).collect();
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         let w = dgsf::workloads::face_identification();
+        let backend = Backend::new(&h, vec![Arc::clone(&server)], FleetPolicy::RoundRobin);
         for _ in 0..3 {
-            let _ =
-                Invoker::new(&server, &store).invoke(p, &w, InvokeOptions::new(OptConfig::full()));
+            backend.invoke(p, &store, &w, OptConfig::full());
         }
         p.sleep(Dur::from_secs(2));
         let after: Vec<u64> = server.gpus.iter().map(|g| g.used_mem()).collect();

@@ -6,7 +6,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::prelude::*;
-use dgsf::serverless::phase;
+use dgsf::serverless::{invoke_native, phase, ObjectStore};
+use dgsf::sim::SimCell;
 use dgsf::workloads::{self, paper_suite};
 
 #[test]
@@ -41,8 +42,28 @@ fn dgsf_beats_native_for_every_dnn_workload() {
 fn native_pays_init_dgsf_does_not() {
     let cfg = PlatformConfig::paper_default();
     let w: Arc<dyn Workload> = Arc::new(workloads::kmeans());
-    let (native, native_tel) = Testbed::run_native_once_traced(1, &cfg.server.costs, w.clone());
-    let (dgsf_run, dgsf_tel) = Testbed::run_dgsf_once_traced(&cfg, w);
+    // The native run, traced: its own simulation with telemetry on.
+    let mut sim = Sim::new(1);
+    let native_tel = sim.telemetry();
+    native_tel.enable();
+    let out = Rc::new(SimCell::new(&sim.handle(), None));
+    let (o, w2, costs) = (
+        Rc::clone(&out),
+        w.clone(),
+        Arc::new(cfg.server.costs.clone()),
+    );
+    sim.spawn("native-root", move |p| {
+        let store = ObjectStore::new(NetProfile::datacenter().s3_bw);
+        *o.borrow_in(p) = Some(invoke_native(p, &p.handle(), &store, w2.as_ref(), costs));
+    });
+    sim.run();
+    let native = out.lock().take().expect("the native run returned");
+    // The DGSF run, traced: a one-function schedule on the platform.
+    let one = Schedule {
+        entries: vec![(SimTime::ZERO, 0)],
+    };
+    let (out, dgsf_tel) = Testbed::run_platform_schedule_traced(&cfg, &[w], &one);
+    let dgsf_run = &out.results[0];
     let native_init = native.phases.get(phase::INIT).as_secs_f64();
     let dgsf_init = dgsf_run.phases.get(phase::INIT).as_secs_f64();
     assert!(

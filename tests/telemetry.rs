@@ -91,7 +91,7 @@ fn untraced_runs_record_nothing() {
     // layer leaves the registry empty, so the no-op path costs at most one
     // relaxed atomic load per call site.
     use dgsf::server::GpuServer;
-    use dgsf::serverless::{InvokeOptions, Invoker, ObjectStore};
+    use dgsf::serverless::{Backend, ObjectStore};
     let mut sim = dgsf::sim::Sim::new(5);
     let tel = sim.telemetry();
     let h = sim.handle();
@@ -99,9 +99,8 @@ fn untraced_runs_record_nothing() {
         let server = GpuServer::provision(p, &h, GpuServerConfig::paper_default().gpus(1));
         let store = ObjectStore::new(NetProfile::datacenter().s3_bw);
         let w = dgsf::workloads::kmeans();
-        let r = Invoker::new(&server, &store)
-            .invoke(p, &w, InvokeOptions::new(OptConfig::full()))
-            .expect("fault-free");
+        let backend = Backend::new(&h, vec![server], FleetPolicy::RoundRobin);
+        let r = backend.invoke(p, &store, &w, OptConfig::full());
         assert!(r.succeeded());
     });
     sim.run();
