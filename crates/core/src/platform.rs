@@ -112,12 +112,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Builder-style: install a complete admission configuration.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
     /// Builder-style: admission control with a platform-wide in-flight
     /// cap (creating a default [`AdmissionConfig`] if none is set yet).
     /// Panics on 0 whether or not a cap was set before.

@@ -11,8 +11,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf_cuda::{
-    CublasHandle, CudaContext, CudaError, CudnnHandle, DevPtr, EventHandle, GpuSession, KernelId,
-    LaunchConfig, MigrationReport, ModuleRegistry, StreamHandle,
+    CublasHandle, CudaContext, CudaError, CudaResult, CudnnHandle, DevPtr, EventHandle, GpuSession,
+    KernelId, LaunchConfig, MigrationReport, ModuleRegistry, StreamHandle,
 };
 use dgsf_sim::{lit, Dur, ProcCtx, TraceCtx};
 
@@ -96,7 +96,8 @@ impl Dispatcher {
 
     /// Execute one (possibly aggregate) request. `repeat` is the number of
     /// identical client round trips it stands for; server CPU is charged per
-    /// represented call.
+    /// represented call. A failed request is answered with its error, the
+    /// one place a session error becomes a wire reply.
     pub fn handle(&mut self, p: &ProcCtx, req: Request, repeat: u32) -> Response {
         self.stats.requests += repeat.max(1) as u64;
         p.sleep(Dur(self
@@ -104,22 +105,20 @@ impl Dispatcher {
             .as_nanos()
             .saturating_mul(repeat.max(1) as u64)));
         let tel = p.telemetry();
-        if !tel.is_enabled() {
-            return self.execute(p, req);
+        let traced = tel.is_enabled().then(|| (req.class_keys(), p.now()));
+        let result = self.execute(p, req);
+        if let Some((keys, t0)) = traced {
+            let (track, server) = (p.track(), lit!("server"));
+            match &self.trace {
+                Some(t) => tel.span_args(track, &keys.class, server, t0, p.now(), t),
+                None => tel.span(track, &keys.class, server, t0, p.now()),
+            }
+            tel.counter_add(&keys.server_requests, repeat.max(1) as u64);
+            if result.is_err() {
+                tel.counter_add(lit!("server.errors"), 1);
+            }
         }
-        let keys = req.class_keys();
-        let t0 = p.now();
-        let resp = self.execute(p, req);
-        let (track, server) = (p.track(), lit!("server"));
-        match &self.trace {
-            Some(t) => tel.span_args(track, &keys.class, server, t0, p.now(), t),
-            None => tel.span(track, &keys.class, server, t0, p.now()),
-        }
-        tel.counter_add(&keys.server_requests, repeat.max(1) as u64);
-        if matches!(resp, Response::Err { .. }) {
-            tel.counter_add(lit!("server.errors"), 1);
-        }
-        resp
+        result.unwrap_or_else(|e| error_to_wire(&e))
     }
 
     /// Count one create-call: served from a pre-created pool (`pooled`) or
@@ -135,9 +134,9 @@ impl Dispatcher {
         p.telemetry().counter_add(name, 1);
     }
 
-    fn execute(&mut self, p: &ProcCtx, req: Request) -> Response {
+    fn execute(&mut self, p: &ProcCtx, req: Request) -> CudaResult<Response> {
         use Request::*;
-        match req {
+        Ok(match req {
             Init { pooled_context } => {
                 self.finished = false;
                 if !pooled_context {
@@ -152,11 +151,9 @@ impl Dispatcher {
                 self.session.register_module(Arc::clone(&self.registry));
                 let mut fptrs = Vec::with_capacity(kernels.len());
                 for name in kernels {
-                    let Some(kernel) = self.registry.id(&name) else {
-                        return error_to_wire(&CudaError::InvalidValue(format!(
-                            "unknown kernel {name:?}"
-                        )));
-                    };
+                    let kernel = self.registry.id(&name).ok_or_else(|| {
+                        CudaError::InvalidValue(format!("unknown kernel {name:?}"))
+                    })?;
                     let fptr = self.session.active_context().fptr_for(&name);
                     if let Err(i) = self.fptr_kernels.binary_search_by_key(&fptr, |e| e.0) {
                         self.fptr_kernels.insert(i, (fptr, kernel));
@@ -168,83 +165,54 @@ impl Dispatcher {
             GetDeviceCount => Response::Count(1), // the GPU server's real
             // inventory is never revealed to a function
             GetDeviceProps { dev } => {
-                if dev != 0 {
-                    return error_to_wire(&CudaError::InvalidDevice { requested: dev });
-                }
+                check_device(dev)?;
                 Response::Props(self.session.active_context().gpu().props().clone())
             }
-            SetDevice { dev } => {
-                if dev != 0 {
-                    return error_to_wire(&CudaError::InvalidDevice { requested: dev });
-                }
-                Response::Ok
-            }
-            Malloc { bytes } => match self.session.malloc(p, bytes) {
-                Ok(ptr) => Response::Ptr(ptr.0),
-                Err(e) => error_to_wire(&e),
-            },
-            Free { ptr } => match self.session.free(p, DevPtr(ptr)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
-            Memset { ptr, value, bytes } => {
-                match self.session.memset(p, DevPtr(ptr), value, bytes) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => error_to_wire(&e),
-                }
-            }
-            MemcpyH2D { dst, data } => match self.session.memcpy_h2d(p, DevPtr(dst), &data) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
+            SetDevice { dev } => check_device(dev).map(done)?,
+            Malloc { bytes } => Response::Ptr(self.session.malloc(p, bytes)?.0),
+            Free { ptr } => self.session.free(p, DevPtr(ptr)).map(done)?,
+            Memset { ptr, value, bytes } => self
+                .session
+                .memset(p, DevPtr(ptr), value, bytes)
+                .map(done)?,
+            MemcpyH2D { dst, data } => self.session.memcpy_h2d(p, DevPtr(dst), &data).map(done)?,
             MemcpyD2H {
                 src,
                 bytes,
                 want_data,
-            } => match self.session.memcpy_d2h(p, DevPtr(src), bytes, want_data) {
-                Ok(buf) => Response::Data(buf),
-                Err(e) => error_to_wire(&e),
-            },
+            } => Response::Data(self.session.memcpy_d2h(p, DevPtr(src), bytes, want_data)?),
             PushCallConfiguration { cfg } => {
                 self.pending_cfg = Some(cfg);
                 Response::Ok
             }
             Launch { fptr, args } => {
-                let Some(cfg) = self.pending_cfg.take() else {
-                    return error_to_wire(&CudaError::InvalidValue(
-                        "launch without pushed call configuration".into(),
-                    ));
-                };
-                self.do_launch_on(p, fptr, 0, cfg, args)
+                let cfg = self.pending_cfg.take().ok_or_else(|| {
+                    CudaError::InvalidValue("launch without pushed call configuration".into())
+                })?;
+                self.do_launch_on(p, fptr, 0, cfg, args)?
             }
             LaunchConfigured {
                 fptr,
                 stream,
                 cfg,
                 args,
-            } => self.do_launch_on(p, fptr, stream, cfg, args),
+            } => self.do_launch_on(p, fptr, stream, cfg, args)?,
             Sync => {
                 self.session.synchronize(p);
                 Response::Ok
             }
             StreamCreate => Response::Handle(self.session.stream_create(p).0),
-            StreamDestroy { h } => match self.session.stream_destroy(p, StreamHandle(h)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
-            StreamSync { h } => match self.session.stream_synchronize(p, StreamHandle(h)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
+            StreamDestroy { h } => self.session.stream_destroy(p, StreamHandle(h)).map(done)?,
+            StreamSync { h } => self
+                .session
+                .stream_synchronize(p, StreamHandle(h))
+                .map(done)?,
             EventCreate => Response::Handle(self.session.event_create(p).0),
-            EventRecord { h } => match self.session.event_record(p, EventHandle(h)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
-            EventSync { h } => match self.session.event_synchronize(p, EventHandle(h)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
+            EventRecord { h } => self.session.event_record(p, EventHandle(h)).map(done)?,
+            EventSync { h } => self
+                .session
+                .event_synchronize(p, EventHandle(h))
+                .map(done)?,
             PointerGetAttributes { ptr } => {
                 let a = self.session.pointer_attributes(DevPtr(ptr));
                 Response::Attrs {
@@ -256,19 +224,11 @@ impl Dispatcher {
             MallocHost { bytes: _ } => Response::Ok,
             CudnnCreate { pooled } => {
                 self.count_create(p, pooled);
-                match self.session.cudnn_create(p, pooled) {
-                    Ok(h) => Response::Handle(h.0),
-                    Err(e) => error_to_wire(&e),
-                }
+                Response::Handle(self.session.cudnn_create(p, pooled)?.0)
             }
-            CudnnDestroy { h } => match self.session.cudnn_destroy(p, CudnnHandle(h)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
+            CudnnDestroy { h } => self.session.cudnn_destroy(p, CudnnHandle(h)).map(done)?,
             CudnnCreateDescriptors { kind, n } => {
-                if let Err(e) = descriptor_kind_from_u8(kind) {
-                    return error_to_wire(&CudaError::InvalidValue(e.0));
-                }
+                descriptor_kind_from_u8(kind).map_err(|e| CudaError::InvalidValue(e.0))?;
                 // Host-side opaque structs on the server; hand out ids.
                 let base = 0x4000_0000_0000_0000u64 + self.stats.requests;
                 Response::Handles((0..n).map(|i| base + i).collect())
@@ -286,15 +246,9 @@ impl Dispatcher {
             }
             CublasCreate { pooled } => {
                 self.count_create(p, pooled);
-                match self.session.cublas_create(p, pooled) {
-                    Ok(h) => Response::Handle(h.0),
-                    Err(e) => error_to_wire(&e),
-                }
+                Response::Handle(self.session.cublas_create(p, pooled)?.0)
             }
-            CublasDestroy { h } => match self.session.cublas_destroy(p, CublasHandle(h)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
+            CublasDestroy { h } => self.session.cublas_destroy(p, CublasHandle(h)).map(done)?,
             CublasOp {
                 h: _,
                 work,
@@ -307,10 +261,8 @@ impl Dispatcher {
             Batch(reqs) => {
                 for r in reqs {
                     self.stats.requests += 1;
-                    let resp = self.execute(p, r);
-                    if let Response::Err { .. } = resp {
-                        return resp; // first failure aborts the batch
-                    }
+                    // The first failure aborts the batch.
+                    self.execute(p, r)?;
                 }
                 Response::Ok
             }
@@ -321,15 +273,11 @@ impl Dispatcher {
                 self.finished = true;
                 Response::Ok
             }
-            PublishBuffer { key, ptr } => match self.session.publish_buffer(p, key, DevPtr(ptr)) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_to_wire(&e),
-            },
-            AdoptBuffer { key } => match self.session.adopt_buffer(p, key) {
-                Ok(ptr) => Response::Ptr(ptr.0),
-                Err(e) => error_to_wire(&e),
-            },
-        }
+            PublishBuffer { key, ptr } => {
+                self.session.publish_buffer(p, key, DevPtr(ptr)).map(done)?
+            }
+            AdoptBuffer { key } => Response::Ptr(self.session.adopt_buffer(p, key)?.0),
+        })
     }
 
     fn do_launch_on(
@@ -339,22 +287,34 @@ impl Dispatcher {
         stream: u64,
         cfg: LaunchConfig,
         args: WireArgs,
-    ) -> Response {
-        let Ok(i) = self.fptr_kernels.binary_search_by_key(&fptr, |e| e.0) else {
-            return error_to_wire(&CudaError::InvalidValue(format!(
-                "unknown function pointer {fptr:#x}"
-            )));
-        };
+    ) -> CudaResult<Response> {
+        let i = self
+            .fptr_kernels
+            .binary_search_by_key(&fptr, |e| e.0)
+            .map_err(|_| CudaError::InvalidValue(format!("unknown function pointer {fptr:#x}")))?;
         let kernel = self.fptr_kernels[i].1;
         let stream = if stream == 0 {
             None
         } else {
             Some(StreamHandle(stream))
         };
-        match self.session.launch_on(p, stream, kernel, cfg, args.into()) {
-            Ok(()) => Response::Ok,
-            Err(e) => error_to_wire(&e),
-        }
+        self.session
+            .launch_on(p, stream, kernel, cfg, args.into())?;
+        Ok(Response::Ok)
+    }
+}
+
+/// The reply to a request that succeeds with nothing to return.
+fn done((): ()) -> Response {
+    Response::Ok
+}
+
+/// The API server is pinned to one GPU, device 0.
+fn check_device(dev: u32) -> CudaResult<()> {
+    if dev == 0 {
+        Ok(())
+    } else {
+        Err(CudaError::InvalidDevice { requested: dev })
     }
 }
 

@@ -9,13 +9,15 @@
 //!   cached device count/properties, `cudaMallocHost`, cuDNN descriptor
 //!   create/set/destroy against guest-side pools);
 //! * **batchable** — asynchronous calls (memsets, kernel launches, event
-//!   records, elidable library calls) accumulated and flushed in a single
-//!   round trip before the next synchronous call;
-//! * **remotable** — everything else, one RPC each; un-batched call runs are
-//!   charged as N sequential round trips.
+//!   records, library calls whose represented calls are all elidable)
+//!   accumulated in a batch;
+//! * **remotable** — everything else. One drain rule covers them all: a
+//!   call that reaches the server first sends whatever the batch holds, in
+//!   one round trip, then makes its own; un-batched call runs are charged as
+//!   N sequential round trips.
 //!
-//! Which classes are active is controlled by [`OptConfig`], the knob the
-//! ablation study (Figure 4) sweeps.
+//! Which classes are active is the [`OptConfig`] step, the ladder the
+//! ablation study (Figure 4) climbs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,61 +33,43 @@ use dgsf_sim::ProcCtx;
 use crate::transport::RpcClient;
 use crate::wire::{descriptor_kind_to_u8, error_from_wire, Request, Response, WireArgs};
 
-/// Which serverless-specialization layers are active — the ablation knob of
-/// Figure 4. Layers are cumulative in the paper's study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptConfig {
-    /// Use the API server's pre-initialized CUDA context pool (startup
-    /// optimization, §V-C).
-    pub pooled_runtime: bool,
-    /// Use the API server's pre-created cuDNN/cuBLAS handle pools.
-    pub pooled_handles: bool,
-    /// Keep cuDNN descriptors in guest-side pools, never remoting their
-    /// create/set/destroy calls.
-    pub descriptor_pools: bool,
-    /// Accumulate asynchronous APIs and flush them in batches.
-    pub batching: bool,
-    /// Emulate host-answerable APIs guest-side and piggyback launch
-    /// configurations ("avoiding other unnecessary APIs").
-    pub localization: bool,
+/// How far up the Figure 4 ladder the guest goes. The serverless
+/// specializations (§V-C) are cumulative, so the configuration is one
+/// ordered step: each step keeps everything below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct OptConfig(Step);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    None,
+    HandlePools,
+    DescriptorPools,
+    Full,
 }
 
 impl OptConfig {
     /// No optimizations — the "DGSF without optimizations" baseline.
-    pub fn none() -> OptConfig {
-        OptConfig {
-            pooled_runtime: false,
-            pooled_handles: false,
-            descriptor_pools: false,
-            batching: false,
-            localization: false,
-        }
+    pub const fn none() -> OptConfig {
+        OptConfig(Step::None)
     }
 
-    /// + context & handle pooling (ablation level 1).
-    pub fn handle_pools() -> OptConfig {
-        OptConfig {
-            pooled_runtime: true,
-            pooled_handles: true,
-            ..OptConfig::none()
-        }
+    /// Ablation level 1: the API server's pre-initialized CUDA context and
+    /// pre-created cuDNN/cuBLAS handle pools.
+    pub const fn handle_pools() -> OptConfig {
+        OptConfig(Step::HandlePools)
     }
 
-    /// + guest-side descriptor pools (ablation level 2).
-    pub fn descriptor_pools() -> OptConfig {
-        OptConfig {
-            descriptor_pools: true,
-            ..OptConfig::handle_pools()
-        }
+    /// Ablation level 2: level 1, and cuDNN descriptors kept in guest-side
+    /// pools, never remoted.
+    pub const fn descriptor_pools() -> OptConfig {
+        OptConfig(Step::DescriptorPools)
     }
 
-    /// + batching and API elision (ablation level 3 — full DGSF).
-    pub fn full() -> OptConfig {
-        OptConfig {
-            batching: true,
-            localization: true,
-            ..OptConfig::descriptor_pools()
-        }
+    /// Ablation level 3, full DGSF: level 2, and batching of asynchronous
+    /// calls, guest-side emulation of host-answerable calls and launch
+    /// configurations piggybacked on the launch.
+    pub const fn full() -> OptConfig {
+        OptConfig(Step::Full)
     }
 }
 
@@ -113,10 +97,9 @@ pub struct RemoteCuda {
     /// Live client stream handles (guest-side validation); a guest holds a
     /// handful, so a linear scan is the cheapest lookup.
     streams: Vec<u64>,
-    /// Deferred asynchronous requests.
+    /// Deferred asynchronous requests; empty below [`OptConfig::full`].
     batch: Vec<Request>,
     next_local_descriptor: u64,
-    live_local_descriptors: u64,
 }
 
 impl RemoteCuda {
@@ -133,27 +116,35 @@ impl RemoteCuda {
             streams: Vec::new(),
             batch: Vec::new(),
             next_local_descriptor: 0x8000_0000_0000_0000,
-            live_local_descriptors: 0,
         }
     }
 
-    /// Active optimization configuration.
-    pub fn opts(&self) -> OptConfig {
-        self.opts
-    }
-
-    /// Descriptors currently held in guest-side pools.
-    pub fn live_local_descriptors(&self) -> u64 {
-        self.live_local_descriptors
+    fn at_full(&self) -> bool {
+        self.opts == OptConfig::full()
     }
 
     fn call(&mut self, p: &ProcCtx, req: &Request) -> CudaResult<Response> {
         self.call_n(p, req, 1)
     }
 
-    /// `n` sequential round trips of the same request (aggregate executes
-    /// once server-side).
+    /// The drain rule, the one way a call reaches the server: whatever the
+    /// batch holds leaves first, in one round trip, then `req` makes `n`
+    /// sequential round trips (an aggregate executes once server-side).
     fn call_n(&mut self, p: &ProcCtx, req: &Request, n: u32) -> CudaResult<Response> {
+        if !self.batch.is_empty() {
+            let batch = Request::Batch(std::mem::take(&mut self.batch));
+            let result = self.round_trips(p, &batch, 1);
+            // Keep the vector's capacity for the next batch.
+            if let Request::Batch(mut reqs) = batch {
+                reqs.clear();
+                self.batch = reqs;
+            }
+            result?;
+        }
+        self.round_trips(p, req, n)
+    }
+
+    fn round_trips(&mut self, p: &ProcCtx, req: &Request, n: u32) -> CudaResult<Response> {
         self.stats.remoted_calls += n as u64;
         match self.rpc.call_repeated(p, req, n) {
             Ok(Response::Err { class, msg }) => Err(error_from_wire(class, msg)),
@@ -162,19 +153,12 @@ impl RemoteCuda {
         }
     }
 
-    /// Flush deferred asynchronous calls in one round trip.
-    fn flush(&mut self, p: &ProcCtx) -> CudaResult<()> {
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        let batch = Request::Batch(std::mem::take(&mut self.batch));
-        let result = self.call_n(p, &batch, 1);
-        // Keep the vector's capacity for the next batch.
-        if let Request::Batch(mut reqs) = batch {
-            reqs.clear();
-            self.batch = reqs;
-        }
-        result.map(|_| ())
+    /// Hold a batchable call, standing for `represented` application calls,
+    /// until the next call that reaches the server drains it. Only at
+    /// [`OptConfig::full`].
+    fn defer(&mut self, req: Request, represented: u64) {
+        self.stats.batched_calls += represented;
+        self.batch.push(req);
     }
 
     /// The client-visible function pointer of kernel `name`.
@@ -185,30 +169,24 @@ impl RemoteCuda {
             .map_err(|_| CudaError::InvalidValue(format!("unregistered kernel {name:?}")))
     }
 
-    /// Hold `req` in the batch until the next synchronous call flushes it.
-    fn defer(&mut self, req: Request, represented_calls: u64) {
-        self.stats.batched_calls += represented_calls;
-        self.batch.push(req);
-    }
-
-    /// Finish the function: flush pending work and release all server-side
+    /// Finish the function: drain the batch and release all server-side
     /// state. Called by the platform glue, not the application.
     pub fn finish(&mut self, p: &ProcCtx) -> CudaResult<()> {
-        self.flush(p)?;
         self.call(p, &Request::EndFunction)?;
         Ok(())
     }
 }
 
+/// The error for a reply of the wrong kind.
+fn unexpected(reply: Response) -> CudaError {
+    CudaError::RemotingFailure(format!("unexpected response {reply:?}"))
+}
+
 impl CudaApi for RemoteCuda {
     fn runtime_init(&mut self, p: &ProcCtx) -> CudaResult<()> {
         self.stats.issue(1);
-        self.call(
-            p,
-            &Request::Init {
-                pooled_context: self.opts.pooled_runtime,
-            },
-        )?;
+        let pooled_context = self.opts >= OptConfig::handle_pools();
+        self.call(p, &Request::Init { pooled_context })?;
         Ok(())
     }
 
@@ -221,15 +199,13 @@ impl CudaApi for RemoteCuda {
                 self.fptrs = fs;
                 Ok(())
             }
-            other => Err(CudaError::RemotingFailure(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn get_device_count(&mut self, p: &ProcCtx) -> CudaResult<u32> {
         self.stats.issue(1);
-        if self.opts.localization {
+        if self.at_full() {
             if let Some(c) = self.count_cache {
                 self.stats.localized_calls += 1;
                 return Ok(c);
@@ -240,7 +216,7 @@ impl CudaApi for RemoteCuda {
                 self.count_cache = Some(c);
                 Ok(c)
             }
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -249,7 +225,7 @@ impl CudaApi for RemoteCuda {
         if dev != 0 {
             return Err(CudaError::InvalidDevice { requested: dev });
         }
-        if self.opts.localization {
+        if self.at_full() {
             if let Some(props) = &self.props_cache {
                 self.stats.localized_calls += 1;
                 return Ok(props.clone());
@@ -260,7 +236,7 @@ impl CudaApi for RemoteCuda {
                 self.props_cache = Some(props.clone());
                 Ok(props)
             }
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -269,7 +245,7 @@ impl CudaApi for RemoteCuda {
         if dev != 0 {
             return Err(CudaError::InvalidDevice { requested: dev });
         }
-        if self.opts.localization {
+        if self.at_full() {
             // The server is pinned to device 0 by construction; nothing to do.
             self.stats.localized_calls += 1;
             return Ok(());
@@ -280,19 +256,17 @@ impl CudaApi for RemoteCuda {
 
     fn malloc(&mut self, p: &ProcCtx, bytes: u64) -> CudaResult<DevPtr> {
         self.stats.issue(1);
-        self.flush(p)?;
         match self.call(p, &Request::Malloc { bytes })? {
             Response::Ptr(ptr) => {
                 self.allocs.insert(ptr, Some(bytes));
                 Ok(DevPtr(ptr))
             }
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn free(&mut self, p: &ProcCtx, ptr: DevPtr) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::Free { ptr: ptr.0 })?;
         self.allocs.remove(&ptr.0);
         Ok(())
@@ -300,7 +274,6 @@ impl CudaApi for RemoteCuda {
 
     fn publish_buffer(&mut self, p: &ProcCtx, key: u64, ptr: DevPtr) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::PublishBuffer { key, ptr: ptr.0 })?;
         self.allocs.remove(&ptr.0);
         Ok(())
@@ -308,13 +281,12 @@ impl CudaApi for RemoteCuda {
 
     fn adopt_buffer(&mut self, p: &ProcCtx, key: u64) -> CudaResult<DevPtr> {
         self.stats.issue(1);
-        self.flush(p)?;
         match self.call(p, &Request::AdoptBuffer { key })? {
             Response::Ptr(ptr) => {
                 self.allocs.insert(ptr, None);
                 Ok(DevPtr(ptr))
             }
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -325,18 +297,17 @@ impl CudaApi for RemoteCuda {
             value,
             bytes,
         };
-        if self.opts.batching {
+        if self.at_full() {
             self.defer(req, 1);
-            Ok(())
         } else {
-            self.call(p, &req).map(|_| ())
+            self.call(p, &req)?;
         }
+        Ok(())
     }
 
     fn memcpy_h2d(&mut self, p: &ProcCtx, dst: DevPtr, src: HostBuf) -> CudaResult<()> {
         self.stats.issue(1);
         self.stats.bytes_to_device += src.len();
-        self.flush(p)?;
         self.call(
             p,
             &Request::MemcpyH2D {
@@ -356,7 +327,6 @@ impl CudaApi for RemoteCuda {
     ) -> CudaResult<HostBuf> {
         self.stats.issue(1);
         self.stats.bytes_to_host += bytes;
-        self.flush(p)?;
         match self.call(
             p,
             &Request::MemcpyD2H {
@@ -366,7 +336,7 @@ impl CudaApi for RemoteCuda {
             },
         )? {
             Response::Data(d) => Ok(d),
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -383,34 +353,20 @@ impl CudaApi for RemoteCuda {
         self.stats.kernel_launches += 1;
         let fptr = self.fptr(name)?;
         let args = WireArgs::from(args);
-        if self.opts.batching {
-            self.defer(
-                Request::LaunchConfigured {
-                    fptr,
-                    stream: 0,
-                    cfg,
-                    args,
-                },
-                2,
-            );
-            Ok(())
-        } else if self.opts.localization {
-            // Piggyback the configuration: one round trip instead of two.
-            self.stats.localized_calls += 1;
-            self.call(
-                p,
-                &Request::LaunchConfigured {
-                    fptr,
-                    stream: 0,
-                    cfg,
-                    args,
-                },
-            )
-            .map(|_| ())
+        if self.at_full() {
+            // The configuration rides with the launch.
+            let req = Request::LaunchConfigured {
+                fptr,
+                stream: 0,
+                cfg,
+                args,
+            };
+            self.defer(req, 2);
         } else {
             self.call(p, &Request::PushCallConfiguration { cfg })?;
-            self.call(p, &Request::Launch { fptr, args }).map(|_| ())
+            self.call(p, &Request::Launch { fptr, args })?;
         }
+        Ok(())
     }
 
     fn launch_kernel_on(
@@ -436,38 +392,35 @@ impl CudaApi for RemoteCuda {
             cfg,
             args: WireArgs::from(args),
         };
-        if self.opts.batching {
+        if self.at_full() {
             self.defer(req, 2);
-            Ok(())
         } else {
             // Stream launches always piggyback the configuration.
             self.stats.localized_calls += 1;
-            self.call(p, &req).map(|_| ())
+            self.call(p, &req)?;
         }
+        Ok(())
     }
 
     fn device_synchronize(&mut self, p: &ProcCtx) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::Sync)?;
         Ok(())
     }
 
     fn stream_create(&mut self, p: &ProcCtx) -> CudaResult<StreamHandle> {
         self.stats.issue(1);
-        self.flush(p)?;
         match self.call(p, &Request::StreamCreate)? {
             Response::Handle(h) => {
                 self.streams.push(h);
                 Ok(StreamHandle(h))
             }
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn stream_destroy(&mut self, p: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::StreamDestroy { h: s.0 })?;
         self.streams.retain(|&h| h != s.0);
         Ok(())
@@ -475,34 +428,31 @@ impl CudaApi for RemoteCuda {
 
     fn stream_synchronize(&mut self, p: &ProcCtx, s: StreamHandle) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::StreamSync { h: s.0 })?;
         Ok(())
     }
 
     fn event_create(&mut self, p: &ProcCtx) -> CudaResult<EventHandle> {
         self.stats.issue(1);
-        self.flush(p)?;
         match self.call(p, &Request::EventCreate)? {
             Response::Handle(h) => Ok(EventHandle(h)),
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn event_record(&mut self, p: &ProcCtx, e: EventHandle) -> CudaResult<()> {
         self.stats.issue(1);
         let req = Request::EventRecord { h: e.0 };
-        if self.opts.batching {
+        if self.at_full() {
             self.defer(req, 1);
-            Ok(())
         } else {
-            self.call(p, &req).map(|_| ())
+            self.call(p, &req)?;
         }
+        Ok(())
     }
 
     fn event_synchronize(&mut self, p: &ProcCtx, e: EventHandle) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::EventSync { h: e.0 })?;
         Ok(())
     }
@@ -514,7 +464,7 @@ impl CudaApi for RemoteCuda {
         // the server knows.
         let below = self.allocs.range(..=ptr.0).next_back();
         let maybe_adopted = matches!(below, Some((_, None)));
-        if self.opts.localization && !maybe_adopted {
+        if self.at_full() && !maybe_adopted {
             self.stats.localized_calls += 1;
             let alloc_size = below.and_then(|(base, size)| size.filter(|size| ptr.0 < base + size));
             return Ok(PtrAttributes {
@@ -533,13 +483,13 @@ impl CudaApi for RemoteCuda {
                 alloc_size,
                 device,
             }),
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn malloc_host(&mut self, p: &ProcCtx, bytes: u64) -> CudaResult<()> {
         self.stats.issue(1);
-        if self.opts.localization {
+        if self.at_full() {
             // Host-only state: fully emulated client-side (§V-C).
             self.stats.localized_calls += 1;
             return Ok(());
@@ -550,24 +500,16 @@ impl CudaApi for RemoteCuda {
 
     fn cudnn_create(&mut self, p: &ProcCtx) -> CudaResult<CudnnHandle> {
         self.stats.issue(1);
-        self.flush(p)?;
-        if self.opts.pooled_handles {
-            self.stats.pool_hits += 1;
-        }
-        match self.call(
-            p,
-            &Request::CudnnCreate {
-                pooled: self.opts.pooled_handles,
-            },
-        )? {
+        let pooled = self.opts >= OptConfig::handle_pools();
+        self.stats.pool_hits += pooled as u64;
+        match self.call(p, &Request::CudnnCreate { pooled })? {
             Response::Handle(h) => Ok(CudnnHandle(h)),
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn cudnn_destroy(&mut self, p: &ProcCtx, h: CudnnHandle) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::CudnnDestroy { h: h.0 })?;
         Ok(())
     }
@@ -579,10 +521,9 @@ impl CudaApi for RemoteCuda {
         n: u64,
     ) -> CudaResult<DescriptorRange> {
         self.stats.issue(n);
-        if self.opts.descriptor_pools {
+        if self.opts >= OptConfig::descriptor_pools() {
             // Served from the guest-side pool: no network traffic at all.
             self.stats.localized_calls += n;
-            self.live_local_descriptors += n;
             let out = DescriptorRange {
                 first: self.next_local_descriptor,
                 count: n,
@@ -603,14 +544,14 @@ impl CudaApi for RemoteCuda {
                 first: hs.first().copied().unwrap_or(0),
                 count: hs.len() as u64,
             }),
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn cudnn_set_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()> {
         let n = descs.count;
         self.stats.issue(n);
-        if self.opts.descriptor_pools {
+        if self.opts >= OptConfig::descriptor_pools() {
             // Descriptor state is kept guest-side and piggybacked onto the
             // operations that use it.
             self.stats.localized_calls += n;
@@ -623,9 +564,8 @@ impl CudaApi for RemoteCuda {
     fn cudnn_destroy_descriptors(&mut self, p: &ProcCtx, descs: DescriptorRange) -> CudaResult<()> {
         let n = descs.count;
         self.stats.issue(n);
-        if self.opts.descriptor_pools {
+        if self.opts >= OptConfig::descriptor_pools() {
             self.stats.localized_calls += n;
-            self.live_local_descriptors = self.live_local_descriptors.saturating_sub(n);
             return Ok(());
         }
         self.call_n(p, &Request::CudnnDestroyDescriptors { n }, n.max(1) as u32)?;
@@ -645,24 +585,16 @@ impl CudaApi for RemoteCuda {
 
     fn cublas_create(&mut self, p: &ProcCtx) -> CudaResult<CublasHandle> {
         self.stats.issue(1);
-        self.flush(p)?;
-        if self.opts.pooled_handles {
-            self.stats.pool_hits += 1;
-        }
-        match self.call(
-            p,
-            &Request::CublasCreate {
-                pooled: self.opts.pooled_handles,
-            },
-        )? {
+        let pooled = self.opts >= OptConfig::handle_pools();
+        self.stats.pool_hits += pooled as u64;
+        match self.call(p, &Request::CublasCreate { pooled })? {
             Response::Handle(h) => Ok(CublasHandle(h)),
-            other => Err(CudaError::RemotingFailure(format!("{other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn cublas_destroy(&mut self, p: &ProcCtx, h: CublasHandle) -> CudaResult<()> {
         self.stats.issue(1);
-        self.flush(p)?;
         self.call(p, &Request::CublasDestroy { h: h.0 })?;
         Ok(())
     }
@@ -684,25 +616,24 @@ impl CudaApi for RemoteCuda {
 }
 
 impl RemoteCuda {
-    /// Shared path for aggregate library operations: under batching, the
-    /// elidable fraction of the represented calls rides in the batch; the
-    /// rest are synchronous round trips. Without batching every represented
-    /// call is its own round trip.
+    /// Shared path for aggregate library operations. At full, the elidable
+    /// share of the represented calls rides in the batch, and an operation
+    /// with no other calls joins the batch whole; the rest are sequential
+    /// round trips. Below full every represented call is its own round
+    /// trip.
     fn lib_call(&mut self, p: &ProcCtx, req: Request, op: LibOp) -> CudaResult<()> {
-        if self.opts.batching {
-            let elided = op.elidable_calls.min(op.api_calls);
-            let sync_calls = op.api_calls - elided;
-            if sync_calls == 0 {
-                self.defer(req, op.api_calls);
-            } else {
-                self.stats.batched_calls += elided;
-                self.flush(p)?;
-                self.call_n(p, &req, sync_calls.max(1) as u32)?;
-            }
-            Ok(())
+        let elided = if self.at_full() {
+            op.elidable_calls.min(op.api_calls)
         } else {
-            self.call_n(p, &req, op.api_calls.max(1) as u32)?;
-            Ok(())
+            0
+        };
+        let sync_calls = op.api_calls - elided;
+        if self.at_full() && sync_calls == 0 {
+            self.defer(req, op.api_calls);
+        } else {
+            self.stats.batched_calls += elided;
+            self.call_n(p, &req, sync_calls.max(1) as u32)?;
         }
+        Ok(())
     }
 }

@@ -38,13 +38,23 @@ mod tests {
     use std::rc::Rc;
     use std::sync::Arc;
 
+    type Guest = Rc<SimCell<Option<RemoteCuda>>>;
+
     /// Spin up a one-GPU API server process and return a connected guest.
-    fn serve(
+    fn serve(sim: &Sim, registry: Arc<ModuleRegistry>, opts: OptConfig) -> Guest {
+        serve_logged(sim, registry, opts).0
+    }
+
+    /// [`serve`], with the class of every request the server served, in
+    /// the order it served them.
+    fn serve_logged(
         sim: &Sim,
         registry: Arc<ModuleRegistry>,
         opts: OptConfig,
-    ) -> Rc<SimCell<Option<RemoteCuda>>> {
+    ) -> (Guest, Rc<SimCell<Vec<&'static str>>>) {
         let h = sim.handle();
+        let served = Rc::new(SimCell::new(&h, Vec::new()));
+        let log = served.clone();
         let gpu = Gpu::v100(&h, GpuId(0));
         let link = NetLink::new(&h, NetProfile::datacenter());
         let (client, inbox) = RpcClient::connect(&h, link.clone());
@@ -56,11 +66,13 @@ mod tests {
             let mut d = Dispatcher::new(session, registry);
             while let Some(env) = inbox.next(p) {
                 let req = RpcInbox::decode(&env).unwrap();
+                log.lock().push(req.class());
                 let resp = d.handle(p, req, env.repeat);
                 inbox.respond(p, &link, &env, &resp);
             }
         });
-        Rc::new(SimCell::new(&h, Some(RemoteCuda::new(client, opts))))
+        let guest = Rc::new(SimCell::new(&h, Some(RemoteCuda::new(client, opts))));
+        (guest, served)
     }
 
     fn functional_registry() -> Arc<ModuleRegistry> {
@@ -225,13 +237,33 @@ mod tests {
             answers
         };
         let local = run(OptConfig::full());
-        let remote = run(OptConfig {
-            localization: false,
-            ..OptConfig::full()
-        });
+        // One step down, pointer attributes go to the server.
+        let remote = run(OptConfig::descriptor_pools());
         let device = (true, Some(MB));
         assert_eq!(local, vec![device, device, device, (false, None)]);
         assert_eq!(local, remote, "the guest answers as the server does");
+    }
+
+    #[test]
+    fn a_first_device_query_drains_the_batch_before_it() {
+        // The drain rule: every call that reaches the server sends the
+        // batch first, so the deferred memset runs before the query.
+        let mut sim = Sim::new(7);
+        let (api, served) = serve_logged(&sim, functional_registry(), OptConfig::full());
+        sim.spawn("guest", move |p| {
+            let mut api = api.lock().take().unwrap();
+            api.runtime_init(p).unwrap();
+            let buf = api.malloc(p, MB).unwrap();
+            api.memset(p, buf, 0, MB).unwrap();
+            assert_eq!(api.get_device_count(p).unwrap(), 1);
+            api.finish(p).unwrap();
+        });
+        sim.run();
+        let order = served.lock().clone();
+        assert_eq!(
+            order,
+            ["init", "mem", "batch", "device_query", "end_function"]
+        );
     }
 
     #[test]

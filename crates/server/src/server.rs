@@ -502,19 +502,4 @@ impl GpuServer {
     pub fn migrations(&self) -> Vec<MigrationRecord> {
         self.migration_log.lock().clone()
     }
-
-    /// Mean utilization across all GPUs over `[start, end)` (busy-time
-    /// fraction).
-    pub fn mean_utilization(&self, start: SimTime, end: SimTime) -> f64 {
-        if end <= start {
-            return 0.0;
-        }
-        let span = end.since(start).as_secs_f64();
-        let total: f64 = self
-            .gpus
-            .iter()
-            .map(|g| g.busy_between(start, end).as_secs_f64() / span)
-            .sum();
-        total / self.gpus.len() as f64
-    }
 }

@@ -119,7 +119,8 @@ fn utilization_accounting_sees_the_work() {
         let t0 = p.now();
         run_one(p, &srv, GB, 4.0);
         let t1 = p.now();
-        *u.lock() = srv.mean_utilization(t0, t1);
+        let busy = srv.gpus[0].busy_between(t0, t1);
+        *u.lock() = busy.as_secs_f64() / t1.since(t0).as_secs_f64();
     });
     sim.run();
     let u = *util.lock();
