@@ -245,7 +245,7 @@ pub(crate) fn hot_cold_mix(
 
 /// Tenant slice of a run's results.
 fn tenant_point(out: &BackendRunOutput, tenant: &str) -> TenantPoint {
-    let arm = summary_of(out, |r| r.tenant == tenant);
+    let arm = summary_of(out, |r| *r.tenant == *tenant);
     TenantPoint {
         launched: arm.launched,
         completed: arm.completed,
@@ -368,8 +368,8 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
         migrations: out.migrations.iter().map(|m| m.len() as u64).sum(),
         p50_e2e_us: all.p50_e2e_us,
         p99_e2e_us: all.p99_e2e_us,
-        batch_p99_e2e_us: summary_of(&out, |r| r.tenant == "batch").p99_e2e_us,
-        interactive_p99_e2e_us: summary_of(&out, |r| r.tenant == "interactive").p99_e2e_us,
+        batch_p99_e2e_us: summary_of(&out, |r| &*r.tenant == "batch").p99_e2e_us,
+        interactive_p99_e2e_us: summary_of(&out, |r| &*r.tenant == "interactive").p99_e2e_us,
     }
 }
 
@@ -471,7 +471,7 @@ fn queueing_arm(
         }
         delays_us.sort_unstable();
         QueueTenant {
-            completed: summary_of(&out, |r| r.tenant == tenant).completed,
+            completed: summary_of(&out, |r| *r.tenant == *tenant).completed,
             served_by_horizon_ms: served_ns / 1_000_000,
             p50_queue_delay_us: percentile_permille(&delays_us, 500),
             p99_queue_delay_us: percentile_permille(&delays_us, 990),

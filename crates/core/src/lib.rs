@@ -23,6 +23,10 @@
 //! * [`workloads`] — the six paper workloads, the synthetic migration
 //!   microbenchmark, and a functional K-means.
 //!
+//! Every correctness oracle lives in [`invariants`] and reads a finished
+//! run's own records: exactly-once delivery, the migration state machine,
+//! telemetry and obs reconciliation, resident handoffs and memory balance.
+//!
 //! ## Quickstart
 //!
 //! Configuration goes through one entry point, [`PlatformConfig`]: a
@@ -50,8 +54,8 @@ mod platform;
 mod testbed;
 
 pub use invariants::{
-    check_backend_counters, check_backend_run, check_memory_balance, check_obs_reconciles,
-    check_resident_handoff,
+    check_backend_counters, check_backend_run, check_memory_balance, check_migration_telemetry,
+    check_obs_reconciles, check_resident_handoff,
 };
 pub use platform::{ConfigError, PlatformConfig};
 pub use testbed::{BackendRunOutput, Testbed};

@@ -95,7 +95,7 @@ impl BackendRunOutput {
 
     /// Results for one workload name.
     pub fn by_name<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a FunctionResult> {
-        self.results.iter().filter(move |r| r.name == name)
+        self.results.iter().filter(move |r| *r.name == *name)
     }
 
     /// Queue delays (seconds) for one workload name, via server records of

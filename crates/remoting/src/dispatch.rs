@@ -109,10 +109,7 @@ impl Dispatcher {
         let result = self.execute(p, req);
         if let Some((keys, t0)) = traced {
             let (track, server) = (p.track(), lit!("server"));
-            match &self.trace {
-                Some(t) => tel.span_args(track, &keys.class, server, t0, p.now(), t),
-                None => tel.span(track, &keys.class, server, t0, p.now()),
-            }
+            tel.span_args(track, &keys.class, server, t0, p.now(), self.trace.as_ref());
             tel.counter_add(&keys.server_requests, repeat.max(1) as u64);
             if result.is_err() {
                 tel.counter_add(lit!("server.errors"), 1);

@@ -300,10 +300,7 @@ impl RpcClient {
                     let keys = req.class_keys();
                     let end = p.now();
                     let (track, rpc) = (p.track(), lit!("rpc"));
-                    match &self.trace {
-                        Some(t) => tel.span_args(track, &keys.class, rpc, t0, end, t),
-                        None => tel.span(track, &keys.class, rpc, t0, end),
-                    }
+                    tel.span_args(track, &keys.class, rpc, t0, end, self.trace.as_ref());
                     tel.histogram_record(&keys.latency_ns, end.since(t0).as_nanos());
                     // Both directions at their wire size: a logical reply
                     // payload counts at the size the link charged for it.

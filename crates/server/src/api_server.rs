@@ -382,11 +382,8 @@ fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
         if tel.is_enabled() {
             serve_name.clear();
             write!(serve_name, "serve:inv{}", asg.invocation).expect("writing to a String");
-            let (track, serve) = (p.track(), lit!("serve"));
-            match &asg.trace {
-                Some(t) => tel.span_args(track, &serve_name, serve, serve_start, p.now(), t),
-                None => tel.span(track, &serve_name, serve, serve_start, p.now()),
-            }
+            let (track, serve, trace) = (p.track(), lit!("serve"), asg.trace.as_ref());
+            tel.span_args(track, &serve_name, serve, serve_start, p.now(), trace);
             if aborted {
                 tel.counter_add(lit!("server.aborts"), 1);
             }

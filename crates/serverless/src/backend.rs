@@ -136,9 +136,9 @@ pub struct Backend {
 /// One function's tenant and span names, made at its first invocation, so
 /// a repeated invocation allocates, formats and looks up none of them.
 struct FnNames {
-    /// The function's name.
-    name: Box<str>,
-    /// Its tenant, shared by every request's [`TraceCtx`].
+    /// The function's name, shared by every [`FunctionResult`].
+    name: Arc<str>,
+    /// Its tenant, shared by every request's [`TraceCtx`] and result.
     tenant: Arc<str>,
     /// Span names resolved in the simulation's telemetry registry:
     /// `req:{name}` at index 0, then `invoke:{name}:a{k}` at index `k`,
@@ -403,7 +403,9 @@ impl Backend {
             let e2e = now.since(launched_at);
             obs.record_completion(now, w.tenant(), e2e, end.queue_wait, completed);
         }
-        end.into_result(w, launched_at, now, Some(trace.id))
+        let f = &self.fns.borrow_in(p)[fid];
+        let (name, tenant) = (Arc::clone(&f.name), Arc::clone(&f.tenant));
+        end.into_result(name, tenant, launched_at, now, Some(trace.id))
     }
 
     /// `w`'s index in `self.fns`, adding it at its first invocation. A

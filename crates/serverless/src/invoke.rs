@@ -49,9 +49,9 @@ pub(crate) enum FailureClass {
 #[derive(Debug, Clone)]
 pub struct FunctionResult {
     /// Workload name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Tenant that deployed the workload (see [`crate::Workload::tenant`]).
-    pub tenant: String,
+    pub tenant: Arc<str>,
     /// When the (warm) function began executing.
     pub launched_at: SimTime,
     /// When it finished.
@@ -197,20 +197,21 @@ impl Terminal {
         self.failure.as_ref().map_or("", |(_, reason)| reason)
     }
 
-    /// The caller's view of this end of `w`'s run, launched at
-    /// `launched_at` and ended at `finished_at`, under request `trace`
-    /// (`None` for the native and CPU baselines).
+    /// The caller's view of this end of the run of function `name` of
+    /// `tenant`, launched at `launched_at` and ended at `finished_at`,
+    /// under request `trace` (`None` for the native and CPU baselines).
     pub(crate) fn into_result(
         self,
-        w: &dyn Workload,
+        name: Arc<str>,
+        tenant: Arc<str>,
         launched_at: SimTime,
         finished_at: SimTime,
         trace: Option<u64>,
     ) -> FunctionResult {
         let shed = self.outcome() == TraceOutcome::Shed;
         FunctionResult {
-            name: w.name().to_string(),
-            tenant: w.tenant().to_string(),
+            name,
+            tenant,
             launched_at,
             finished_at,
             phases: self.phases,
@@ -321,7 +322,8 @@ impl<'a> Invoker<'a> {
                 let label = label.as_ref().map(Name::from);
                 let end = self.attempt(p, &stage, &options, &attempt_trace, pin, label);
                 let Some((class, reason)) = end.failure else {
-                    let r = end.into_result(&stage, stage_start, p.now(), Some(trace.id));
+                    let (name, tenant) = (stage.name().into(), Arc::clone(&trace.tenant));
+                    let r = end.into_result(name, tenant, stage_start, p.now(), Some(trace.id));
                     if resident {
                         pin = r.server;
                     }
@@ -589,7 +591,9 @@ pub fn invoke_native(
             p.now(),
         );
     }
-    Terminal::completed(rec, api.stats(), None, None, 1).into_result(w, launched_at, p.now(), None)
+    let (name, tenant) = (w.name().into(), w.tenant().into());
+    let end = Terminal::completed(rec, api.stats(), None, None, 1);
+    end.into_result(name, tenant, launched_at, p.now(), None)
 }
 
 /// Run `w` on CPUs (6 threads, the AWS Lambda per-function core cap) using
@@ -602,10 +606,7 @@ pub fn invoke_cpu(p: &ProcCtx, store: &ObjectStore, w: &dyn Workload) -> Functio
     rec.enter(p, phase::PROCESSING);
     p.sleep(Dur::from_secs_f64(w.cpu_secs()));
     rec.close(p);
-    Terminal::completed(rec, ApiStats::default(), None, None, 1).into_result(
-        w,
-        launched_at,
-        p.now(),
-        None,
-    )
+    let (name, tenant) = (w.name().into(), w.tenant().into());
+    let end = Terminal::completed(rec, ApiStats::default(), None, None, 1);
+    end.into_result(name, tenant, launched_at, p.now(), None)
 }

@@ -129,10 +129,7 @@ impl PhaseRecorder {
             let tel = p.telemetry();
             if tel.is_enabled() {
                 let (track, name, cat) = (p.track(), phase.lit(), lit!("phase"));
-                match &self.trace {
-                    Some(t) => tel.span_args(track, name, cat, start, p.now(), t),
-                    None => tel.span(track, name, cat, start, p.now()),
-                }
+                tel.span_args(track, name, cat, start, p.now(), self.trace.as_ref());
             }
             self.spent[phase as usize] += p.now().since(start);
             self.recorded |= 1 << phase as usize;

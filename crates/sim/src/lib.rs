@@ -47,7 +47,6 @@
 
 mod cell;
 mod channel;
-pub mod invariants;
 pub mod json;
 mod kernel;
 pub mod obs;
@@ -60,7 +59,6 @@ pub mod trace;
 
 pub use cell::SimCell;
 pub use channel::{RecvError, SimReceiver, SimSender};
-pub use invariants::{InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, Violation};
 pub use kernel::{ProcCtx, ProcId, ShutdownSignal, Sim, SimHandle};
 pub use obs::{AlertEvent, AlertKind, ObsConfig, ObsPlane, ObsReport, TenantBurnRow, WindowRow};
 pub use resource::{FifoResource, GpsResource, GpsStream, SyncMarker, Timeline};

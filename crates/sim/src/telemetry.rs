@@ -358,6 +358,14 @@ impl<'a> From<&'a TraceCtx> for Args<'a, &'static Lit> {
     }
 }
 
+/// An optional trace context: its pair, or no arguments at all (what
+/// [`Telemetry::span`] records).
+impl<'a> From<Option<&'a TraceCtx>> for Args<'a, &'static Lit> {
+    fn from(trace: Option<&'a TraceCtx>) -> Self {
+        trace.map_or(Args::List(&[]), Args::Trace)
+    }
+}
+
 impl std::fmt::Display for ArgValue<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -1261,31 +1269,7 @@ impl Telemetry {
     /// value when the window is empty (`until` at or before the first
     /// sample), `None` when the gauge was never touched.
     pub fn gauge_time_weighted_mean(&self, name: &str, until: SimTime) -> Option<i64> {
-        let st = self.state.lock();
-        let samples = st.gauge(name)?;
-        let (&(t0, v0), rest) = samples.split_first()?;
-        if until <= t0 {
-            return Some(samples.last().map(|&(_, v)| v).unwrap_or(v0));
-        }
-        let mut weighted: i128 = 0;
-        let mut cur_t = t0;
-        let mut cur_v = v0;
-        for &(t, v) in rest {
-            let end = t.min(until);
-            if end > cur_t {
-                weighted += i128::from(cur_v) * i128::from(end.since(cur_t).as_nanos());
-            }
-            cur_t = t;
-            cur_v = v;
-            if cur_t >= until {
-                break;
-            }
-        }
-        if until > cur_t {
-            weighted += i128::from(cur_v) * i128::from(until.since(cur_t).as_nanos());
-        }
-        let total = i128::from(until.since(t0).as_nanos());
-        Some((weighted / total) as i64)
+        time_weighted_mean(&self.state.lock().gauge(name)?, until)
     }
 
     /// Snapshot of histogram `name`.
@@ -1365,7 +1349,9 @@ impl Telemetry {
                         });
                         j.key("min").i64(values.clone().min().unwrap_or(0));
                         j.key("peak").i64(values.max().unwrap_or(0));
-                        j.key("twa").i64(gauge_twa(&samples));
+                        let until = samples.last().map_or(SimTime::ZERO, |&(at, _)| at);
+                        j.key("twa")
+                            .i64(time_weighted_mean(&samples, until).unwrap_or(0));
                     });
                 }
             });
@@ -1449,28 +1435,36 @@ impl Telemetry {
     }
 }
 
-/// Time-weighted mean of a gauge timeline over `[first sample, last
-/// sample)` — the step-function integral [`Telemetry::gauge_time_weighted_mean`]
-/// computes, with `until` fixed at the gauge's own last sample so the
-/// export needs no external clock. A single sample (or all samples at one
-/// instant) yields the last value; an empty timeline yields 0 (unreachable
-/// from the exporter: gauges exist only once touched).
-fn gauge_twa(samples: &[(SimTime, i64)]) -> i64 {
-    let (Some(&(t0, _)), Some(&(until, last_v))) = (samples.first(), samples.last()) else {
-        return 0;
-    };
+/// Time-weighted mean of a gauge timeline over `[first sample, until)`:
+/// the step-function integral behind
+/// [`Telemetry::gauge_time_weighted_mean`] and the export's `twa` (with
+/// `until` at the gauge's own last sample, so the export needs no
+/// external clock). The last value when the window is empty, `None` for
+/// an empty timeline.
+fn time_weighted_mean(samples: &[(SimTime, i64)], until: SimTime) -> Option<i64> {
+    let (&(t0, v0), rest) = samples.split_first()?;
     if until <= t0 {
-        return last_v;
+        return Some(samples.last().map(|&(_, v)| v).unwrap_or(v0));
     }
     let mut weighted: i128 = 0;
-    let mut cur: Option<(SimTime, i64)> = None;
-    for &(t, v) in samples {
-        if let Some((ct, cv)) = cur {
-            weighted += i128::from(cv) * i128::from(t.since(ct).as_nanos());
+    let mut cur_t = t0;
+    let mut cur_v = v0;
+    for &(t, v) in rest {
+        let end = t.min(until);
+        if end > cur_t {
+            weighted += i128::from(cur_v) * i128::from(end.since(cur_t).as_nanos());
         }
-        cur = Some((t, v));
+        cur_t = t;
+        cur_v = v;
+        if cur_t >= until {
+            break;
+        }
     }
-    (weighted / i128::from(until.since(t0).as_nanos())) as i64
+    if until > cur_t {
+        weighted += i128::from(cur_v) * i128::from(until.since(cur_t).as_nanos());
+    }
+    let total = i128::from(until.since(t0).as_nanos());
+    Some((weighted / total) as i64)
 }
 
 #[cfg(test)]

@@ -13,12 +13,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dgsf::gpu::GpuId;
-use dgsf::invariants::migration_facts;
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
-use dgsf::sim::invariants::check_migration_telemetry;
 use dgsf::sim::SimCell;
 
 const GB: u64 = 1 << 30;
@@ -192,13 +190,9 @@ fn chaos_soak_holds_exactly_once_across_twenty_seeds() {
         // without a completion or an abort are only allowed for servers
         // the plan killed mid-flight (2 timed kills + 2 wired to the
         // transfer, across the two fleet members).
-        let facts: Vec<_> = out
-            .migrations
-            .iter()
-            .flat_map(|m| migration_facts(m))
-            .collect();
-        check_migration_telemetry(&facts, &tel.instants(), 4).assert_ok();
-        total_migrations += facts.len();
+        let migrations = out.migrations.concat();
+        dgsf::check_migration_telemetry(&migrations, &tel.instants(), 4).assert_ok();
+        total_migrations += migrations.len();
         total_begins += tel.counter("migration.begins");
         total_aborts += tel.counter("migration.aborts");
         if out.results.iter().any(|r| r.failure.is_some()) {
@@ -303,10 +297,9 @@ fn migration_log_matches_telemetry_exactly_on_the_happy_path() {
         !migrations.is_empty(),
         "the stranded pair must trigger at least one migration"
     );
-    let facts = migration_facts(&migrations);
     // Zero slack: every begin has its commit, instants match the log to
     // the nanosecond.
-    check_migration_telemetry(&facts, &tel.instants(), 0).assert_ok();
+    dgsf::check_migration_telemetry(&migrations, &tel.instants(), 0).assert_ok();
     for m in &migrations {
         let span = m.at.since(m.begun_at);
         // The state transfer alone costs 60 µs of RPC latency plus

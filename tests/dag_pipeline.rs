@@ -103,7 +103,7 @@ fn run_dags(
         .lock()
         .take()
         .expect("the root provisioned the server");
-    let violations = |rep: dgsf::sim::InvariantReport| -> Vec<String> {
+    let violations = |rep: dgsf::invariants::InvariantReport| -> Vec<String> {
         rep.violations.iter().map(|v| format!("{v:?}")).collect()
     };
     DagRunOut {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dgsf::prelude::*;
 use dgsf::workloads::{as_workloads, paper_suite, smaller_suite};
 
-fn run_once(seed: u64, copies: usize) -> (Vec<(String, u64)>, u64, usize) {
+fn run_once(seed: u64, copies: usize) -> (Vec<(Arc<str>, u64)>, u64, usize) {
     let suite = paper_suite();
     let schedule = Schedule::mixed(
         seed,
@@ -22,7 +22,7 @@ fn run_once(seed: u64, copies: usize) -> (Vec<(String, u64)>, u64, usize) {
         .with_seed(seed)
         .with_server(GpuServerConfig::paper_default().gpus(4).sharing(2));
     let out = Testbed::run_platform_schedule(&cfg, &as_workloads(&suite), &schedule);
-    let results: Vec<(String, u64)> = out
+    let results: Vec<(Arc<str>, u64)> = out
         .results
         .iter()
         .map(|r| (r.name.clone(), r.e2e().as_nanos()))

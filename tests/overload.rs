@@ -197,13 +197,17 @@ fn fair_shedding_keeps_a_share_for_a_tenant_that_has_not_arrived() {
     let admitted = |t: &str| {
         out.results
             .iter()
-            .filter(|r| r.tenant == t && !r.shed)
+            .filter(|r| *r.tenant == *t && !r.shed)
             .count()
     };
     // 8 slots, two tenants: early gets its share of 4 plus its 2-token
     // burst, which leaves 2 slots for late.
     assert_eq!((admitted("early"), admitted("late")), (6, 2));
-    for r in out.results.iter().filter(|r| r.tenant == "early" && r.shed) {
+    for r in out
+        .results
+        .iter()
+        .filter(|r| &*r.tenant == "early" && r.shed)
+    {
         let why = r.failure.as_deref().unwrap_or_default();
         assert!(why.contains("(6 inflight / 4 slots"), "{why}");
     }

@@ -64,7 +64,7 @@ fn same_seed_exports_are_byte_identical() {
 fn tracing_does_not_perturb_the_simulation() {
     // Recording must be an observer: the traced run's outcomes are
     // bit-identical to the untraced run's.
-    let digest = |out: &BackendRunOutput| -> Vec<(String, u64, u64)> {
+    let digest = |out: &BackendRunOutput| -> Vec<(Arc<str>, u64, u64)> {
         out.results
             .iter()
             .map(|r| {
